@@ -320,6 +320,13 @@ func runServe(args []string) error {
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+	// The signal handler goes in before the listener exists: from the
+	// moment a client can reach the port (and an orchestrator can see it
+	// answer), SIGTERM must mean "drain", never the runtime's default of
+	// dying on the spot with the WAL unsealed.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigc)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -340,9 +347,6 @@ func runServe(args []string) error {
 	// pending observations into a final checkpoint, and seal the WAL.
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	defer signal.Stop(sigc)
 	select {
 	case err := <-errc:
 		return err

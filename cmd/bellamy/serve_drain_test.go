@@ -221,6 +221,58 @@ func TestServeSIGTERMDrain(t *testing.T) {
 	}
 }
 
+// TestServeSIGTERMAtReady: a SIGTERM that arrives the instant the port
+// is bound — before the accept loop has even started — still gets the
+// full drain: runServe returns nil and the store reopens with nothing
+// to repair. With the handler installed after the listener, the same
+// signal killed the process undrained.
+func TestServeSIGTERMAtReady(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-signal end-to-end test")
+	}
+	root := t.TempDir()
+	modelsDir := filepath.Join(root, "models")
+	dataDir := filepath.Join(root, "data")
+	if err := os.MkdirAll(modelsDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeTestModel(t, modelsDir)
+
+	testHookServeReady = func(string) {
+		if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+			t.Errorf("sending SIGTERM: %v", err)
+		}
+	}
+	defer func() { testHookServeReady = nil }()
+	served := make(chan error, 1)
+	go func() {
+		served <- runServe([]string{
+			"-models", modelsDir,
+			"-addr", "127.0.0.1:0",
+			"-observe",
+			"-data-dir", dataDir,
+			"-fsync", "never",
+			"-drain-timeout", "10s",
+		})
+	}()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("runServe after SIGTERM at ready = %v, want nil (clean drain)", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve did not drain within 30s of SIGTERM")
+	}
+	st, err := store.Open(dataDir, store.Options{Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatalf("reopening store: %v", err)
+	}
+	defer st.Close()
+	if rb := st.StoreStats().RepairedBytes; rb != 0 {
+		t.Fatalf("reopen repaired %d bytes, want 0 after a drained shutdown", rb)
+	}
+}
+
 // TestServeShardedSmoke drives the real serve entrypoint in sharded
 // mode: -shards 2 must answer the identical /v1 wire contract, report
 // the cluster stats schema, expose the topology endpoint, keep each

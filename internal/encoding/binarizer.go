@@ -23,12 +23,17 @@ func (b *Binarizer) Encode(v uint64) ([]float64, error) {
 		return nil, fmt.Errorf("encoding: value %d does not fit in %d bits", v, b.Dim)
 	}
 	out := make([]float64, b.Dim)
-	for i := 0; i < b.Dim && i < 64; i++ {
-		if v&(1<<uint(i)) != 0 {
-			out[i] = 1
-		}
-	}
+	b.EncodeTo(out, v)
 	return out, nil
+}
+
+// EncodeTo writes the little-endian bits of v over dst without
+// allocating; the caller has checked that v fits len(dst) bits.
+func (b *Binarizer) EncodeTo(dst []float64, v uint64) {
+	for i := range dst {
+		dst[i] = float64(v & 1)
+		v >>= 1
+	}
 }
 
 // Decode inverts Encode, tolerating any vector whose entries round to

@@ -273,6 +273,73 @@ func TestQuickPropertyEncoderLambda(t *testing.T) {
 	}
 }
 
+// TestEncodeToMatchesEncode: the in-place kernel and the allocating
+// reference agree bit for bit, on first sight of a value and again once
+// it is memoized, across the binarizer's 39-bit boundary, numbers too
+// large to binarize (hashed) and text.
+func TestEncodeToMatchesEncode(t *testing.T) {
+	values := []string{
+		"0", "1", "7", "19353", "007", "0000000000000000000000005",
+		"549755813887",         // 2^39-1: last value that fits
+		"549755813888",         // 2^39: hashed
+		"18446744073709551615", // MaxUint64
+		"18446744073709551616", // overflows uint64
+		"99999999999999999999999",
+		"", "-5", "+5", "1_000", "12a", "1.5", " 12", "١٢",
+		"m4.2xlarge", "--iterations 100", "uniform", "!!!",
+	}
+	for _, n := range []int{2, 10, 40, 65, 80} {
+		e := NewPropertyEncoder(n)
+		dst := make([]float64, n)
+		for pass := 0; pass < 2; pass++ {
+			for _, v := range values {
+				for i := range dst {
+					dst[i] = -7 // every slot must be overwritten
+				}
+				want, wantKind := e.Encode(v)
+				if kind := e.EncodeTo(dst, v); kind != wantKind {
+					t.Fatalf("N=%d EncodeTo(%q) kind = %v, Encode says %v", n, v, kind, wantKind)
+				}
+				for i := range want {
+					if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("N=%d EncodeTo(%q)[%d] = %v, Encode gives %v", n, v, i, dst[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeToMemoizesOnlyText: numbers that fit the binarizer never
+// enter the memo however many distinct ones arrive; hashed values
+// (text, and numbers too large to binarize) enter it once.
+func TestEncodeToMemoizesOnlyText(t *testing.T) {
+	e := NewPropertyEncoder(40)
+	dst := make([]float64, 40)
+	for _, v := range []string{"m4.2xlarge", "549755813888", "m4.2xlarge"} {
+		if kind := e.EncodeTo(dst, v); kind != KindHashed {
+			t.Fatalf("EncodeTo(%q) kind = %v, want hashed", v, kind)
+		}
+	}
+	if len(e.memo) != 2 {
+		t.Fatalf("memo holds %d values after two distinct hashed ones, want 2", len(e.memo))
+	}
+	for i := 0; i < 10000; i++ {
+		if kind := e.EncodeTo(dst, strconv.Itoa(2000+7*i)); kind != KindBinary {
+			t.Fatalf("EncodeTo(%d) kind = %v, want binary", 2000+7*i, kind)
+		}
+	}
+	if len(e.memo) != 2 {
+		t.Fatalf("memo grew to %d values over 10000 distinct numbers, want 2", len(e.memo))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		e.EncodeTo(dst, "123456")
+		e.EncodeTo(dst, "m4.2xlarge")
+	}); n != 0 {
+		t.Fatalf("warm EncodeTo allocates %v times per call pair, want 0", n)
+	}
+}
+
 func BenchmarkHasherEncode(b *testing.B) {
 	h := NewHasher(39)
 	b.ReportAllocs()

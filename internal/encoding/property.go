@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -28,28 +29,27 @@ func (k Kind) String() string {
 // vector p ∈ R^N: a λ prefix followed by L = N-1 payload dimensions from
 // either the binarizer (natural numbers) or the hasher (text).
 //
-// Encoded vectors are memoized per value (training and serving hit the
-// same few property strings over and over), so the warm EncodeTo path is
-// a map lookup plus a copy and allocates nothing. The memo is bounded;
-// past the cap values are re-encoded on every call. The encoder is not
-// safe for concurrent use, matching the models that own it.
+// EncodeTo binarizes natural numbers straight into the caller's vector
+// and memoizes only hashed text (training and serving hit the same few
+// property strings over and over), so the warm path allocates nothing.
+// The memo is bounded; past the cap text is re-hashed on every call. The
+// encoder is not safe for concurrent use, matching the models that own
+// it.
 type PropertyEncoder struct {
 	// N is the total output size; the paper uses 40.
 	N         int
 	hasher    *Hasher
 	binarizer *Binarizer
 
-	memo map[string]memoVec
+	// memo holds the hashed vector of every text value seen so far.
+	memo map[string][]float64
 }
 
-type memoVec struct {
-	vec  []float64
-	kind Kind
-}
-
-// memoCap bounds the per-encoder memo. Property cardinality in Bellamy
-// workloads is tiny (job names, node types, dataset sizes); the cap only
-// guards against unbounded adversarial serve traffic.
+// memoCap bounds the per-encoder memo. The cardinality of textual
+// properties in Bellamy workloads is tiny (node types, job parameters,
+// dataset characteristics); numbers such as dataset sizes are unbounded
+// and never enter the memo. The cap only guards against unbounded
+// adversarial serve traffic.
 const memoCap = 8192
 
 // DefaultPropertySize is the paper's property vector size N=40.
@@ -64,7 +64,7 @@ func NewPropertyEncoder(n int) *PropertyEncoder {
 		N:         n,
 		hasher:    NewHasher(n - 1),
 		binarizer: NewBinarizer(n - 1),
-		memo:      make(map[string]memoVec),
+		memo:      make(map[string][]float64),
 	}
 }
 
@@ -87,23 +87,52 @@ func (e *PropertyEncoder) Encode(value string) ([]float64, Kind) {
 	return out, KindHashed
 }
 
-// EncodeTo writes the vectorization of value into dst (length N),
-// memoizing the result so repeated values cost a copy and no allocation.
-// It is the batch-construction kernel of the allocation-free engine.
+// EncodeTo writes the vectorization of value into dst (length N), bit
+// for bit what Encode returns. A natural number that fits the binarizer
+// is parsed and written in place without allocating; text is hashed
+// once and memoized, so a repeated value costs a copy. It is the batch-construction kernel of the allocation-free
+// engine.
 func (e *PropertyEncoder) EncodeTo(dst []float64, value string) Kind {
 	if len(dst) != e.N {
 		panic(fmt.Sprintf("encoding: EncodeTo dst len %d != N %d", len(dst), e.N))
 	}
-	if m, ok := e.memo[value]; ok {
-		copy(dst, m.vec)
-		return m.kind
+	if v, ok := e.natural(value); ok {
+		dst[0] = 1 // λ = 1: binarizer
+		e.binarizer.EncodeTo(dst[1:], v)
+		return KindBinary
 	}
-	vec, kind := e.Encode(value)
-	if e.memo != nil && len(e.memo) < memoCap {
-		e.memo[value] = memoVec{vec: vec, kind: kind}
+	if vec, ok := e.memo[value]; ok {
+		copy(dst, vec)
+		return KindHashed
+	}
+	vec, _ := e.Encode(value)
+	if len(e.memo) < memoCap {
+		e.memo[value] = vec
 	}
 	copy(dst, vec)
-	return kind
+	return KindHashed
+}
+
+// natural parses value the way strconv.ParseUint(value, 10, 64) does,
+// without allocating an error for text, and reports whether the number
+// fits the binarizer's L = N-1 bits.
+func (e *PropertyEncoder) natural(value string) (uint64, bool) {
+	if value == "" {
+		return 0, false
+	}
+	var v uint64
+	for i := 0; i < len(value); i++ {
+		d := uint64(value[i] - '0')
+		// 19 digits cannot overflow; only longer strings pay the check.
+		if d > 9 || (i >= 19 && v > (math.MaxUint64-d)/10) {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	if l := e.N - 1; l < 64 && v >= 1<<uint(l) {
+		return 0, false
+	}
+	return v, true
 }
 
 // Property is one named descriptive property of a job execution context.

@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
 	"repro/internal/allocate"
 	"repro/internal/api"
 	"repro/internal/baselines"
-	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/loadctl"
 	"repro/internal/obs"
@@ -23,19 +23,12 @@ import (
 // JSON.
 
 // ToRequest converts the wire form of a prediction request into the
-// service's native form, validating required fields.
+// service's native form, validating required fields. The request owns
+// its property slices; the predict routes convert into a pooled
+// RequestScratch instead.
 func ToRequest(in api.PredictRequest) (Request, error) {
-	if in.Job == "" {
-		return Request{}, fmt.Errorf("serve: request missing job")
-	}
-	q := core.Query{ScaleOut: in.ScaleOut}
-	for _, p := range in.Essential {
-		q.Essential = append(q.Essential, encoding.Property{Name: p.Name, Value: p.Value})
-	}
-	for _, p := range in.Optional {
-		q.Optional = append(q.Optional, encoding.Property{Name: p.Name, Value: p.Value, Optional: true})
-	}
-	return Request{Key: ModelKey{Job: in.Job, Env: in.Env}, Query: q}, nil
+	var sc RequestScratch
+	return sc.convert(&in)
 }
 
 // ToAPIResponse converts a service response to its wire form, mapping
@@ -128,26 +121,27 @@ const (
 	MaxBatchRequests = 10000
 )
 
-// DecodeBody decodes a bounded JSON request body into v. On failure it
-// writes the enveloped response — 413 when the body exceeded
-// MaxBodyBytes, 400 otherwise — and returns false. Decode errors are
-// reported by kind only; raw body contents never echo back to the
-// client.
+// DecodeBody decodes a bounded JSON request body into v with
+// encoding/json, the decoder of the routes outside the predict path. The
+// body must be one JSON value: anything but whitespace after it is
+// malformed. On failure it writes the enveloped response (see
+// writeDecodeError) and returns false.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	err := dec.Decode(v)
 	if err == nil {
-		return true
+		// Only the end of the body may follow: a token is trailing data.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errTrailingData
+		}
 	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		api.WriteError(w, http.StatusRequestEntityTooLarge,
-			api.Errorf(api.CodePayloadTooLarge, "serve: request body exceeds %d bytes", tooLarge.Limit))
-		return false
-	}
-	api.WriteError(w, http.StatusBadRequest,
-		api.Errorf(api.CodeBadRequest, "serve: decoding request: malformed JSON body"))
+	writeDecodeError(w, err)
 	return false
 }
+
+var errTrailingData = errors.New("serve: data after the JSON body")
 
 // StatsPayload snapshots the service counters in wire form, the body
 // of GET /v1/stats. The shard router embeds one per shard.
@@ -254,18 +248,15 @@ func (s *Service) Handler() http.Handler {
 			return
 		}
 		tr.Record(obs.StageRateLimit, -1, t0)
-		var in api.PredictRequest
 		t0 = tr.Clock()
-		if !DecodeBody(w, r, &in) {
+		sc := AcquireRequestScratch()
+		defer sc.Release()
+		req, ok := sc.DecodePredict(w, r)
+		if !ok {
 			return
 		}
 		tr.Record(obs.StageDecode, -1, t0)
 		t0 = tr.Clock()
-		req, err := ToRequest(in)
-		if err != nil {
-			api.WriteError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "%v", err))
-			return
-		}
 		// A result-cache hit answers from memory in microseconds: let it
 		// bypass the gate so cached traffic keeps flowing at full rate
 		// even when the gate is saturated with expensive work.
@@ -311,31 +302,13 @@ func (s *Service) Handler() http.Handler {
 			return
 		}
 		tr.Record(obs.StageRateLimit, -1, t0)
-		var in api.BatchRequest
 		t0 = tr.Clock()
-		if !DecodeBody(w, r, &in) {
+		sc := AcquireRequestScratch()
+		defer sc.Release()
+		if !sc.DecodeBatch(w, r) {
 			return
 		}
 		tr.Record(obs.StageDecode, -1, t0)
-		if len(in.Requests) > MaxBatchRequests {
-			api.WriteError(w, http.StatusRequestEntityTooLarge,
-				api.Errorf(api.CodePayloadTooLarge, "batch of %d requests exceeds limit %d", len(in.Requests), MaxBatchRequests))
-			return
-		}
-		t0 = tr.Clock()
-		reqs := make([]Request, len(in.Requests))
-		resp := api.BatchResponse{Responses: make([]api.PredictResponse, len(in.Requests))}
-		bad := make([]bool, len(in.Requests))
-		for i, rj := range in.Requests {
-			req, err := ToRequest(rj)
-			if err != nil {
-				resp.Responses[i] = api.PredictResponse{Error: api.Errorf(api.CodeBadRequest, "%v", err)}
-				bad[i] = true
-				continue
-			}
-			reqs[i] = req
-		}
-		tr.Record(obs.StageClassify, -1, t0)
 		ctx, cancel := s.requestContext(r)
 		defer cancel()
 		// Batches fan out across models and queries: always heavy.
@@ -345,27 +318,12 @@ func (s *Service) Handler() http.Handler {
 		}
 		defer release()
 		// Serve the well-formed subset in one batch.
-		var live []Request
-		var liveIdx []int
-		for i, req := range reqs {
-			if !bad[i] {
-				live = append(live, req)
-				liveIdx = append(liveIdx, i)
-			}
-		}
 		t0 = tr.Clock()
-		for j, out := range s.PredictBatch(ctx, live) {
-			resp.Responses[liveIdx[j]] = ToAPIResponse(out)
-		}
+		resp := sc.BatchResponse(s.PredictBatch(ctx, sc.Live))
 		tr.Record(obs.StagePredict, -1, t0)
 		if err := ctx.Err(); err != nil {
 			s.writeDeadlineError(w, err, tr)
 			return
-		}
-		for i := range resp.Responses {
-			if resp.Responses[i].Error != nil {
-				resp.Failed++
-			}
 		}
 		t0 = tr.Clock()
 		api.WriteJSON(w, resp)

@@ -95,6 +95,39 @@ func TestHTTPMalformedJSONDoesNotEchoBody(t *testing.T) {
 	}
 }
 
+// TestHTTPTrailingDataIs400: a body is ONE JSON value. A second value,
+// a stray closer or junk after it answers 400 on every POST route —
+// never 200 for the first value with the rest silently dropped.
+// Trailing whitespace is not data.
+func TestHTTPTrailingDataIs400(t *testing.T) {
+	srv, svc := newTestServer(t)
+	svc.AttachObserver(&recordingObserver{})
+	valid := map[string][]byte{}
+	for route, v := range map[string]any{
+		"/v1/predict":       wireRequest(4, 10000),
+		"/v1/predict/batch": api.BatchRequest{Requests: []api.PredictRequest{wireRequest(4, 10000)}},
+		"/v1/allocate":      wireAllocateRequest(900),
+		"/v1/observe":       wireObservation(4, 10000, 55),
+	} {
+		valid[route], _ = json.Marshal(v)
+	}
+	for _, route := range postRoutes {
+		for _, tail := range []string{string(valid[route]), `{}`, ` junk`, `}`, `]`, `,`, `null`, "\n1"} {
+			resp, raw := postRaw(t, srv.URL+route, append(bytes.Clone(valid[route]), tail...), nil)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s with trailing %q: status %d, want 400: %s", route, tail, resp.StatusCode, raw)
+			}
+			if e := decodeEnvelope(t, raw); e.Code != api.CodeBadRequest {
+				t.Fatalf("%s with trailing %q: code %q, want %q", route, tail, e.Code, api.CodeBadRequest)
+			}
+		}
+		resp, raw := postRaw(t, srv.URL+route, append(bytes.Clone(valid[route]), " \t\r\n"...), nil)
+		if resp.StatusCode/100 != 2 {
+			t.Fatalf("%s with trailing whitespace: status %d, want 2xx: %s", route, resp.StatusCode, raw)
+		}
+	}
+}
+
 // TestHealthzDrainingNotReady: /healthz flips to 503 once the service
 // drains, so load balancers stop routing to a shutting-down node.
 func TestHealthzDrainingNotReady(t *testing.T) {

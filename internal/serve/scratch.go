@@ -1,0 +1,223 @@
+package serve
+
+import (
+	"errors"
+	"io"
+	"net/http"
+	"slices"
+	"sync"
+
+	"repro/internal/api"
+	"repro/internal/core"
+	"repro/internal/encoding"
+)
+
+// RequestScratch is the working memory of one request to the two
+// predict routes: the body buffer, the decoded DTOs, the converted
+// requests and the batch staging. It comes
+// from a pool and goes back once the response is written, so a steady
+// stream of requests reuses one set of buffers instead of allocating a
+// body, a DTO tree and a slice pair per item each time. Both handler
+// stacks (this package's and internal/shard's) decode through it.
+//
+// Everything reachable from a scratch is valid until Release; strings
+// are copies, never views of the body buffer, so they may outlive it
+// (the result cache and the encoder memo keep some).
+type RequestScratch struct {
+	body []byte
+
+	one   api.PredictRequest
+	batch api.BatchRequest
+	// props is the flat arena the Essential and Optional slices of the
+	// converted requests are carved from.
+	props []encoding.Property
+
+	// After DecodeBatch: Live is the well-formed subset of the batch,
+	// liveIdx the batch position of each, and responses one entry per
+	// item with the malformed ones already answered.
+	Live      []Request
+	liveIdx   []int
+	responses []api.PredictResponse
+}
+
+// Bounds on what goes back to the pool: a scratch that grew for one
+// giant body or batch is dropped instead of pinning that memory.
+const (
+	maxPooledBody  = 1 << 20
+	maxPooledItems = 1024
+)
+
+var scratchPool = sync.Pool{New: func() any {
+	// Never nil, so an empty batch is answered "responses":[].
+	return &RequestScratch{responses: []api.PredictResponse{}}
+}}
+
+// AcquireRequestScratch takes a scratch from the pool; the caller owes
+// it one Release, after the response is written.
+func AcquireRequestScratch() *RequestScratch { return scratchPool.Get().(*RequestScratch) }
+
+// Release returns the scratch to the pool, unless it grew past the
+// bounds above.
+func (sc *RequestScratch) Release() {
+	if cap(sc.body) > maxPooledBody || cap(sc.batch.Requests) > maxPooledItems {
+		return
+	}
+	sc.reset()
+	scratchPool.Put(sc)
+}
+
+// reset empties the flat staging, zeroing it so pooled memory pins
+// neither the previous request's strings nor its error values. The DTOs
+// keep theirs on purpose: the next decode reuses the ones that repeat
+// and overwrites the rest.
+func (sc *RequestScratch) reset() {
+	clear(sc.props)
+	sc.props = sc.props[:0]
+	clear(sc.Live)
+	sc.Live = sc.Live[:0]
+	sc.liveIdx = sc.liveIdx[:0]
+	clear(sc.responses)
+	sc.responses = sc.responses[:0]
+}
+
+// readBody reads the request body, bounded by MaxBodyBytes, into the
+// scratch. On failure it writes the enveloped response and returns
+// false.
+func (sc *RequestScratch) readBody(w http.ResponseWriter, r *http.Request) bool {
+	// One spare byte lets the read that delivers the last of the body
+	// also find room to report EOF. Content-Length is the client's
+	// claim: it sizes the buffer only up to what the pool would keep,
+	// anything larger has to actually arrive first.
+	want := 512
+	if n := r.ContentLength; n > 0 {
+		want = int(min(n, maxPooledBody)) + 1
+	}
+	body := slices.Grow(sc.body[:0], want)
+	rd := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	for {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, 1)
+		}
+		n, err := rd.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err != nil {
+			sc.body = body
+			if err == io.EOF {
+				return true
+			}
+			writeDecodeError(w, err)
+			return false
+		}
+	}
+}
+
+// writeDecodeError answers a body that could not be read or decoded:
+// 413 when it exceeded MaxBodyBytes, 400 otherwise. Decode errors are
+// reported by kind only; raw body contents never echo back to the
+// client.
+func writeDecodeError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		api.WriteError(w, http.StatusRequestEntityTooLarge,
+			api.Errorf(api.CodePayloadTooLarge, "serve: request body exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	api.WriteError(w, http.StatusBadRequest,
+		api.Errorf(api.CodeBadRequest, "serve: decoding request: malformed JSON body"))
+}
+
+// DecodePredict reads, decodes and converts the body of POST
+// /v1/predict. On failure it writes the enveloped 4xx response and
+// returns false. The request's property slices live in the scratch.
+func (sc *RequestScratch) DecodePredict(w http.ResponseWriter, r *http.Request) (Request, bool) {
+	if !sc.readBody(w, r) {
+		return Request{}, false
+	}
+	if err := api.DecodePredictRequest(sc.body, &sc.one); err != nil {
+		writeDecodeError(w, err)
+		return Request{}, false
+	}
+	req, err := sc.convert(&sc.one)
+	if err != nil {
+		api.WriteError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "%v", err))
+		return Request{}, false
+	}
+	return req, true
+}
+
+// DecodeBatch reads, decodes and converts the body of POST
+// /v1/predict/batch: Live is then what to predict, and BatchResponse
+// merges the answers. A malformed item is answered in place and does
+// not fail the batch; a malformed or oversized body, or more than
+// MaxBatchRequests items, is answered with the enveloped 4xx response
+// and a false return.
+func (sc *RequestScratch) DecodeBatch(w http.ResponseWriter, r *http.Request) bool {
+	if !sc.readBody(w, r) {
+		return false
+	}
+	if err := api.DecodeBatchRequest(sc.body, &sc.batch); err != nil {
+		writeDecodeError(w, err)
+		return false
+	}
+	items := sc.batch.Requests
+	if len(items) > MaxBatchRequests {
+		api.WriteError(w, http.StatusRequestEntityTooLarge,
+			api.Errorf(api.CodePayloadTooLarge, "batch of %d requests exceeds limit %d", len(items), MaxBatchRequests))
+		return false
+	}
+	// reset left every element zero.
+	sc.responses = slices.Grow(sc.responses, len(items))[:len(items)]
+	for i := range items {
+		req, err := sc.convert(&items[i])
+		if err != nil {
+			sc.responses[i].Error = api.Errorf(api.CodeBadRequest, "%v", err)
+			continue
+		}
+		sc.Live = append(sc.Live, req)
+		sc.liveIdx = append(sc.liveIdx, i)
+	}
+	return true
+}
+
+// BatchResponse merges the answers to Live back into input order and
+// returns the wire response, which aliases the scratch.
+func (sc *RequestScratch) BatchResponse(answers []Response) api.BatchResponse {
+	for j, a := range answers {
+		sc.responses[sc.liveIdx[j]] = ToAPIResponse(a)
+	}
+	resp := api.BatchResponse{Responses: sc.responses}
+	for i := range resp.Responses {
+		if resp.Responses[i].Error != nil {
+			resp.Failed++
+		}
+	}
+	return resp
+}
+
+var errMissingJob = errors.New("serve: request missing job")
+
+// convert turns the wire form of a prediction request into the
+// service's native form, validating required fields. The property
+// slices are carved from the arena, capacity-limited so that an append
+// to one cannot reach its neighbour.
+func (sc *RequestScratch) convert(in *api.PredictRequest) (Request, error) {
+	if in.Job == "" {
+		return Request{}, errMissingJob
+	}
+	sc.props = slices.Grow(sc.props, len(in.Essential)+len(in.Optional))
+	q := core.Query{ScaleOut: in.ScaleOut}
+	q.Essential = sc.carve(in.Essential, false)
+	q.Optional = sc.carve(in.Optional, true)
+	return Request{Key: ModelKey{Job: in.Job, Env: in.Env}, Query: q}, nil
+}
+
+func (sc *RequestScratch) carve(in []api.Property, optional bool) []encoding.Property {
+	if len(in) == 0 {
+		return nil
+	}
+	start := len(sc.props)
+	for _, p := range in {
+		sc.props = append(sc.props, encoding.Property{Name: p.Name, Value: p.Value, Optional: optional})
+	}
+	return sc.props[start:len(sc.props):len(sc.props)]
+}

@@ -1,0 +1,232 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/api"
+)
+
+// coldBatchBody marshals a batch of items never-cached queries: every
+// (batch, item) pair has its own dataset size, spread over four models.
+func coldBatchBody(t testing.TB, batch, items int) []byte {
+	t.Helper()
+	keys := []ModelKey{{Job: "sort", Env: "c3o"}, {Job: "grep", Env: "c3o"}, {Job: "sgd", Env: "bell"}, {Job: "kmeans", Env: "c3o"}}
+	in := api.BatchRequest{Requests: make([]api.PredictRequest, items)}
+	for i := range in.Requests {
+		r := wireRequest(2+2*(i%6), 4000+batch*items+i)
+		r.Job, r.Env = keys[i%len(keys)].Job, keys[i%len(keys)].Env
+		in.Requests[i] = r
+	}
+	body, err := json.Marshal(in)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	return body
+}
+
+// postRecorded drives one POST through h without a socket.
+func postRecorded(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec
+}
+
+// TestColdBatchAllocBudget pins what a cold 256-item batch costs the
+// heap on its way through the handler: body read, decode, conversion,
+// 256 never-cached predictions with their cache inserts, and the
+// response. Before the pooled scratch, the scanner and the number-free
+// encoder memo the same request allocated 853 KB in 7285 objects
+// (this test at the parent commit); the budget is 200 KB and half the
+// objects.
+func TestColdBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector, so pooled paths allocate there by design")
+	}
+	const (
+		items, warm, measured = 256, 4, 16
+		maxBytes, maxObjects  = 200 << 10, 7285 / 2
+	)
+	cl := &countingLoader{t: t}
+	h := NewService(cl.load, Options{ResultCap: (warm + measured) * items}).Handler()
+	bodies := make([][]byte, warm+measured)
+	for b := range bodies {
+		bodies[b] = coldBatchBody(t, b, items)
+	}
+	post := func(body []byte) {
+		if rec := postRecorded(h, "/v1/predict/batch", body); rec.Code != http.StatusOK {
+			t.Fatalf("batch answered %d: %.200s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	for _, body := range bodies[:warm] { // load the models, fill the pools
+		post(body)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, body := range bodies[warm:] {
+		post(body)
+	}
+	runtime.ReadMemStats(&after)
+	bytesPer := (after.TotalAlloc - before.TotalAlloc) / measured
+	objectsPer := (after.Mallocs - before.Mallocs) / measured
+	t.Logf("cold %d-item batch: %d B, %d objects per request", items, bytesPer, objectsPer)
+	if bytesPer > maxBytes || objectsPer > maxObjects {
+		t.Fatalf("cold %d-item batch allocates %d B in %d objects per request, budget %d B in %d",
+			items, bytesPer, objectsPer, maxBytes, maxObjects)
+	}
+}
+
+// TestScratchCarriesNothingOver: a request decoded into a scratch that
+// served a richer one before shows none of its predecessor's fields.
+func TestScratchCarriesNothingOver(t *testing.T) {
+	full := wireRequest(4, 10000)
+	bare := api.PredictRequest{Job: "grep", ScaleOut: 2, Essential: []api.Property{{Name: "dataset_size_mb", Value: "77"}}}
+	wantBare, err := ToRequest(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(sc *RequestScratch, v any) *httptest.ResponseRecorder {
+		body, _ := json.Marshal(v)
+		rec := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+		switch v.(type) {
+		case api.PredictRequest:
+			if req, ok := sc.DecodePredict(rec, r); ok {
+				sc.Live = append(sc.Live, req)
+			}
+		case api.BatchRequest:
+			sc.DecodeBatch(rec, r)
+		}
+		return rec
+	}
+
+	sc := AcquireRequestScratch()
+	defer sc.Release()
+	decode(sc, full)
+	sc.reset()
+	decode(sc, bare)
+	if len(sc.Live) != 1 || !reflect.DeepEqual(sc.Live[0], wantBare) {
+		t.Fatalf("bare request after a full one decoded to %+v, want %+v", sc.Live, wantBare)
+	}
+
+	// The same through a batch: three full items, then two bare ones and
+	// a malformed one on the same scratch.
+	sc.reset()
+	decode(sc, api.BatchRequest{Requests: []api.PredictRequest{full, full, full}})
+	if len(sc.Live) != 3 || len(sc.responses) != 3 {
+		t.Fatalf("full batch: %d live, %d responses, want 3/3", len(sc.Live), len(sc.responses))
+	}
+	sc.reset()
+	decode(sc, api.BatchRequest{Requests: []api.PredictRequest{bare, {Env: "no job"}, bare}})
+	if !reflect.DeepEqual(sc.Live, []Request{wantBare, wantBare}) || !reflect.DeepEqual(sc.liveIdx, []int{0, 2}) {
+		t.Fatalf("bare batch after a full one: live %+v at %v, want two of %+v at [0 2]", sc.Live, sc.liveIdx, wantBare)
+	}
+	for i, r := range sc.responses {
+		if (r.Error != nil) != (i == 1) || r.RuntimeSec != 0 || r.Cached {
+			t.Fatalf("staged response %d = %+v, want only item 1 answered (bad_request)", i, r)
+		}
+	}
+
+	// A rejected body leaves an envelope and nothing live.
+	sc.reset()
+	if rec := decode(sc, api.PredictRequest{Env: "no job"}); rec.Code != http.StatusBadRequest || len(sc.Live) != 0 {
+		t.Fatalf("request without job: status %d, %d live, want 400/0", rec.Code, len(sc.Live))
+	}
+}
+
+// TestEmptyBatchAnswer: pooled staging must not turn the empty answer
+// into "responses":null.
+func TestEmptyBatchAnswer(t *testing.T) {
+	cl := &countingLoader{t: t}
+	h := NewService(cl.load, Options{}).Handler()
+	for _, body := range []string{`{"requests":[]}`, `{}`, `{"requests":null}`} {
+		rec := postRecorded(h, "/v1/predict/batch", []byte(body))
+		if got := rec.Body.String(); rec.Code != http.StatusOK || got != "{\"responses\":[]}\n" {
+			t.Fatalf("%s answered %d %q, want 200 {\"responses\":[]}", body, rec.Code, got)
+		}
+	}
+}
+
+// TestConcurrentBatchesDoNotAlias: batches decoded at the same time on
+// pooled scratches each get their own answers — the ones a service that
+// never pools gives for the same queries. Run under -race this also
+// proves no two requests touch one arena.
+func TestConcurrentBatchesDoNotAlias(t *testing.T) {
+	const workers, rounds, items = 8, 6, 48
+	cl := &countingLoader{t: t}
+	h := NewService(cl.load, Options{}).Handler()
+	ref := NewService(cl.load, Options{})
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				// Items carry optional properties in odd rounds only, so
+				// a scratch alternates between the two shapes.
+				body := coldBatchBody(t, w*rounds+round, items)
+				var in api.BatchRequest
+				if err := json.Unmarshal(body, &in); err != nil {
+					t.Error(err)
+					return
+				}
+				reqs := make([]Request, items)
+				for i := range in.Requests {
+					if round%2 == 0 {
+						in.Requests[i].Optional = nil
+					}
+					reqs[i], _ = ToRequest(in.Requests[i])
+				}
+				body, _ = json.Marshal(in)
+				rec := postRecorded(h, "/v1/predict/batch", body)
+				var out api.BatchResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || len(out.Responses) != items {
+					t.Errorf("worker %d round %d: status %d, %d responses (err %v)", w, round, rec.Code, len(out.Responses), err)
+					return
+				}
+				for i, want := range ref.PredictBatch(context.Background(), reqs) {
+					if got := out.Responses[i]; got.Error != nil || want.Err != nil || got.RuntimeSec != want.RuntimeSec {
+						t.Errorf("worker %d round %d item %d: handler answered %+v, reference %+v", w, round, i, got, want)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestDecodeBodySizing: the body buffer follows what arrives, not what
+// Content-Length claims, and a scratch that grew past the pool's bound
+// is not kept.
+func TestDecodeBodySizing(t *testing.T) {
+	sc := AcquireRequestScratch()
+	r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader([]byte(`{"job":"sort"}`)))
+	r.ContentLength = MaxBodyBytes // a lie
+	if _, ok := sc.DecodePredict(httptest.NewRecorder(), r); !ok {
+		t.Fatal("short body under a large Content-Length was refused")
+	}
+	if cap(sc.body) >= 2*maxPooledBody {
+		t.Fatalf("body buffer grew to %d on the header's word alone", cap(sc.body))
+	}
+	big := []byte(fmt.Sprintf(`{"job":"sort","env":%q}`, bytes.Repeat([]byte("e"), 2*maxPooledBody)))
+	if _, ok := sc.DecodePredict(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(big))); !ok {
+		t.Fatal("2 MiB body was refused")
+	}
+	if cap(sc.body) <= maxPooledBody {
+		t.Fatalf("body buffer cap %d after a %d-byte body", cap(sc.body), len(big))
+	}
+	sc.Release() // dropped: must not panic, must not be handed out again
+	if next := AcquireRequestScratch(); next == sc {
+		t.Fatal("oversized scratch went back to the pool")
+	}
+}

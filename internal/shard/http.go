@@ -29,18 +29,15 @@ func (c *Cluster) Handler() http.Handler {
 			return
 		}
 		tr.Record(obs.StageRateLimit, -1, t0)
-		var in api.PredictRequest
 		t0 = tr.Clock()
-		if !serve.DecodeBody(w, r, &in) {
+		sc := serve.AcquireRequestScratch()
+		defer sc.Release()
+		req, ok := sc.DecodePredict(w, r)
+		if !ok {
 			return
 		}
 		tr.Record(obs.StageDecode, -1, t0)
 		t0 = tr.Clock()
-		req, err := serve.ToRequest(in)
-		if err != nil {
-			api.WriteError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "%v", err))
-			return
-		}
 		// The owner's result cache answers hits without touching its
 		// gate, mirroring the single-shard bypass.
 		n := c.nodes[c.ring.Owner(req.Key.Job, req.Key.Env)]
@@ -89,56 +86,23 @@ func (c *Cluster) Handler() http.Handler {
 			return
 		}
 		tr.Record(obs.StageRateLimit, -1, t0)
-		var in api.BatchRequest
 		t0 = tr.Clock()
-		if !serve.DecodeBody(w, r, &in) {
+		sc := serve.AcquireRequestScratch()
+		defer sc.Release()
+		if !sc.DecodeBatch(w, r) {
 			return
 		}
 		tr.Record(obs.StageDecode, -1, t0)
-		if len(in.Requests) > serve.MaxBatchRequests {
-			api.WriteError(w, http.StatusRequestEntityTooLarge,
-				api.Errorf(api.CodePayloadTooLarge, "batch of %d requests exceeds limit %d", len(in.Requests), serve.MaxBatchRequests))
-			return
-		}
-		t0 = tr.Clock()
-		reqs := make([]serve.Request, len(in.Requests))
-		resp := api.BatchResponse{Responses: make([]api.PredictResponse, len(in.Requests))}
-		bad := make([]bool, len(in.Requests))
-		for i, rj := range in.Requests {
-			req, err := serve.ToRequest(rj)
-			if err != nil {
-				resp.Responses[i] = api.PredictResponse{Error: api.Errorf(api.CodeBadRequest, "%v", err)}
-				bad[i] = true
-				continue
-			}
-			reqs[i] = req
-		}
-		tr.Record(obs.StageClassify, -1, t0)
 		ctx, cancel := serve.RequestContext(r, c.opts.MaxDeadline)
 		defer cancel()
-		var live []serve.Request
-		var liveIdx []int
-		for i, req := range reqs {
-			if !bad[i] {
-				live = append(live, req)
-				liveIdx = append(liveIdx, i)
-			}
-		}
 		t0 = tr.Clock()
-		for j, out := range c.PredictBatchTraced(ctx, live, tr) {
-			resp.Responses[liveIdx[j]] = serve.ToAPIResponse(out)
-		}
+		resp := sc.BatchResponse(c.PredictBatchTraced(ctx, sc.Live, tr))
 		tr.Record(obs.StagePredict, -1, t0)
 		if err := ctx.Err(); err != nil {
 			c.deadlineRejects.Add(1)
 			e := api.Errorf(api.CodeDeadlineExceeded, "shard: deadline exceeded: %v", err)
 			api.WriteError(w, http.StatusGatewayTimeout, attachTrace(e, tr))
 			return
-		}
-		for i := range resp.Responses {
-			if resp.Responses[i].Error != nil {
-				resp.Failed++
-			}
 		}
 		t0 = tr.Clock()
 		api.WriteJSON(w, resp)

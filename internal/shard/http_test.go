@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -256,5 +258,96 @@ func TestClusterHTTPDeadline(t *testing.T) {
 	}
 	if e := decodeEnvelope(t, buf.Bytes()); e.Code != api.CodeDeadlineExceeded {
 		t.Fatalf("envelope = %+v, want %s", e, api.CodeDeadlineExceeded)
+	}
+}
+
+// TestClusterHTTPTrailingDataIs400: a second value or junk after the
+// JSON body is malformed on every POST route of the sharded surface, as
+// on the single-shard one.
+func TestClusterHTTPTrailingDataIs400(t *testing.T) {
+	c := newTestCluster(t, 2, nil, Options{})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	one, _ := json.Marshal(apiRequest(keyOwnedBy(t, c, 1), 4))
+	batch := `{"requests":[` + string(one) + `]}`
+	for _, tc := range []struct{ route, body string }{
+		{"/v1/predict", string(one) + string(one)},
+		{"/v1/predict", string(one) + " junk"},
+		{"/v1/predict", string(one) + "}"},
+		{"/v1/predict/batch", batch + batch},
+		{"/v1/predict/batch", batch + "\n]"},
+		{"/v1/allocate", `{"job":"sort","env":"env-0","min_scale_out":2,"max_scale_out":4,"deadline_sec":900,"cost_per_node_hour":1}{}`},
+		{"/v1/observe", `{"job":"sort","env":"env-0","scale_out":4,"runtime_sec":60} 1`},
+	} {
+		resp, err := http.Post(srv.URL+tc.route, "application/json", bytes.NewReader([]byte(tc.body)))
+		if err != nil {
+			t.Fatalf("POST %s: %v", tc.route, err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s %.40q...: status %d, want 400: %s", tc.route, tc.body, resp.StatusCode, buf.Bytes())
+		}
+		if e := decodeEnvelope(t, buf.Bytes()); e.Code != api.CodeBadRequest {
+			t.Fatalf("%s: envelope %+v, want %s", tc.route, e, api.CodeBadRequest)
+		}
+	}
+	// Trailing whitespace is not data.
+	if code, raw := postJSON(t, srv.URL+"/v1/predict", json.RawMessage(string(one)+" \r\n\t")); code != http.StatusOK {
+		t.Fatalf("trailing whitespace: status %d: %s", code, raw)
+	}
+}
+
+// TestColdBatchAllocBudget is the sharded twin of the serve test of the
+// same name: a cold 256-item batch through the 2-shard handler — the
+// pooled decode plus the router's fan-out and both shards' batches.
+// The same request allocated 884 KB in 7305 objects at the parent
+// commit; the budget is 200 KB and half the objects.
+func TestColdBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector, so pooled paths allocate there by design")
+	}
+	const (
+		items, warm, measured = 256, 4, 16
+		maxBytes, maxObjects  = 200 << 10, 7305 / 2
+	)
+	c := newTestCluster(t, 2, nil, Options{})
+	h := c.Handler()
+	keys := []serve.ModelKey{keyOwnedBy(t, c, 0), keyOwnedBy(t, c, 1)}
+	bodies := make([][]byte, warm+measured)
+	for b := range bodies {
+		in := api.BatchRequest{Requests: make([]api.PredictRequest, items)}
+		for i := range in.Requests {
+			// Never-cached: every (batch, item) has its own dataset size.
+			r := apiRequest(keys[i%2], 2+2*(i%6))
+			r.Essential[0].Value = strconv.Itoa(4000 + b*items + i)
+			in.Requests[i] = r
+		}
+		bodies[b], _ = json.Marshal(in)
+	}
+	post := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("batch answered %d: %.200s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	for _, body := range bodies[:warm] { // load the models, fill the pools
+		post(body)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, body := range bodies[warm:] {
+		post(body)
+	}
+	runtime.ReadMemStats(&after)
+	bytesPer := (after.TotalAlloc - before.TotalAlloc) / measured
+	objectsPer := (after.Mallocs - before.Mallocs) / measured
+	t.Logf("cold %d-item batch over 2 shards: %d B, %d objects per request", items, bytesPer, objectsPer)
+	if bytesPer > maxBytes || objectsPer > maxObjects {
+		t.Fatalf("cold %d-item batch over 2 shards allocates %d B in %d objects per request, budget %d B in %d",
+			items, bytesPer, objectsPer, maxBytes, maxObjects)
 	}
 }

@@ -286,12 +286,17 @@ func TestClusterTraceFanOutPropagation(t *testing.T) {
 	if !shards[0] || !shards[2] {
 		t.Fatalf("shard_route tags = %v, want shards 0 and 2", shards)
 	}
+	// No classify span: a batch's items are converted under decode and
+	// there is no cache peek or cost class to decide.
 	for _, want := range []string{
-		obs.StageRateLimit, obs.StageDecode, obs.StageClassify,
+		obs.StageRateLimit, obs.StageDecode,
 		obs.StageShardRoute, obs.StagePredict, obs.StageEncode,
 	} {
 		if !stages[want] {
 			t.Fatalf("trace missing stage %q (have %v)", want, stages)
 		}
+	}
+	if stages[obs.StageClassify] {
+		t.Fatalf("batch trace records a classify span (have %v)", stages)
 	}
 }
