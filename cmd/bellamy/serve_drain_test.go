@@ -81,8 +81,9 @@ func drainWire(scaleOut int) api.PredictRequest {
 // shutdown path: a server under live predict+observe traffic receives
 // SIGTERM, must let every in-flight request finish, digest and seal the
 // WAL, and return nil. Every observation the server acknowledged with
-// a 2xx must be durable in the reopened store, and the reopened WAL
-// must have nothing to repair.
+// a 2xx must be durable in the reopened store — which may hold, beyond
+// those, only observations whose answer the client never got — and the
+// reopened WAL must have nothing to repair.
 func TestServeSIGTERMDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-signal end-to-end test")
@@ -127,6 +128,7 @@ func TestServeSIGTERMDrain(t *testing.T) {
 	var (
 		wg          sync.WaitGroup
 		acceptedObs atomic.Int64
+		inDoubtObs  atomic.Int64
 		okPredicts  atomic.Int64
 	)
 	stop := make(chan struct{})
@@ -162,6 +164,10 @@ func TestServeSIGTERMDrain(t *testing.T) {
 				})
 				code, up := post("/v1/observe", ob)
 				if !up {
+					// Neither acknowledged nor refused: the server may have
+					// appended it and lost the answer with the connection
+					// Shutdown closed.
+					inDoubtObs.Add(1)
 					return
 				}
 				if code >= 200 && code < 300 {
@@ -213,8 +219,9 @@ func TestServeSIGTERMDrain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	if replayed != acceptedObs.Load() {
-		t.Fatalf("store holds %d observations, want the %d the server acknowledged", replayed, acceptedObs.Load())
+	if acked, lost := acceptedObs.Load(), inDoubtObs.Load(); replayed < acked || replayed > acked+lost {
+		t.Fatalf("store holds %d observations, want the %d the server acknowledged plus at most the %d whose answer was lost",
+			replayed, acked, lost)
 	}
 	if digests == 0 {
 		t.Fatal("drain wrote no digest marker despite pending observations")

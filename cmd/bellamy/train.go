@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"strings"
 
@@ -95,7 +96,11 @@ func runTrain(args []string) error {
 		return fmt.Errorf("train: %w", err)
 	}
 	epochsPerSec := float64(rep.Epochs) / rep.Duration.Seconds()
-	fmt.Printf("trained %s: best MAE %.2fs at epoch %d, final runtime loss %.4f, took %s (%.0f epochs/s)\n",
-		*out, rep.BestMAE, rep.BestEpoch, rep.FinalRuntimeLoss, rep.Duration.Round(0), epochsPerSec)
+	fmt.Printf("trained %s: best MAE %.2fs at epoch %d, final runtime loss %.4f, took %s (%.0f epochs/s); %d property rows, %d distinct\n",
+		*out, rep.BestMAE, rep.BestEpoch, rep.FinalRuntimeLoss, rep.Duration.Round(0), epochsPerSec,
+		rep.PropertyRows, rep.DistinctProperties)
+	slog.Info("pre-trained", "model", *out, "samples", len(samples), "epochs", rep.Epochs,
+		"best_mae_s", rep.BestMAE, "best_epoch", rep.BestEpoch, "epochs_per_s", epochsPerSec,
+		"property_rows", rep.PropertyRows, "distinct_properties", rep.DistinctProperties)
 	return nil
 }

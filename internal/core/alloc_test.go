@@ -67,6 +67,38 @@ func TestEvalZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFinetuneEpochZeroAlloc pins one fine-tuning epoch — a dropout-free
+// step on the codes fixed before the loop, then the MAE evaluation on
+// the same batch — at zero allocations.
+func TestFinetuneEpochZeroAlloc(t *testing.T) {
+	cfg := allocConfig()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Pretrain(syntheticSamples(4, []int{2, 4, 6, 8})); err != nil {
+		t.Fatal(err)
+	}
+	ctx := syntheticSamples(1, []int{2, 4, 6, 8})
+	// A short Finetune applies the freeze schedule and warms every shape.
+	if _, err := m.Finetune(ctx, FinetuneOptions{MaxEpochs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	params := m.Params()
+	opt := nn.NewAdam(cfg.FinetuneLRHigh, cfg.FinetuneWeightDecay)
+	huber := nn.HuberLoss{Delta: cfg.HuberDelta}
+	m.fillBatch(&m.trainB, ctx, nil)
+	m.fixCodes(&m.trainB)
+	epoch := func() {
+		m.trainStep(&m.trainB, params, opt, huber, false)
+		m.evalMAEBatch(&m.trainB)
+	}
+	epoch() // warm the fresh optimizer's moment maps
+	if allocs := testing.AllocsPerRun(50, epoch); allocs != 0 {
+		t.Fatalf("fine-tune epoch allocs/op = %v, want 0", allocs)
+	}
+}
+
 // TestPredictBatchZeroAlloc pins warm batched inference (the serving
 // fast path) at zero allocations: once a batch shape and its property
 // values have been seen, PredictBatchInto touches only model-owned

@@ -85,7 +85,7 @@ func (m *Model) PredictBatchInto(dst []float64, queries []Query) error {
 	// caller's query property slices so a large request batch is not
 	// pinned for the model's lifetime.
 	clear(samples)
-	st := m.forward(&m.inferB, false, false)
+	st := m.forward(&m.inferB, false)
 	for i := range dst {
 		v := m.target.ToSeconds(st.pred.At(i, 0))
 		// The network is unconstrained and can denormalize to a negative

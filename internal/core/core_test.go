@@ -155,6 +155,10 @@ func TestPretrainReducesError(t *testing.T) {
 	if rep.Epochs != cfg.PretrainEpochs {
 		t.Fatalf("epochs = %d, want %d", rep.Epochs, cfg.PretrainEpochs)
 	}
+	// 18 samples x 7 properties; 3 sizes, 3 node types and 5 constants.
+	if rep.PropertyRows != 126 || rep.DistinctProperties != 11 {
+		t.Fatalf("report counts %d property rows, %d distinct; want 126, 11", rep.PropertyRows, rep.DistinctProperties)
+	}
 }
 
 // evalMAEForTest exposes evalMAE after establishing normalization (which

@@ -1,0 +1,246 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/encoding"
+	"repro/internal/mat"
+	"repro/internal/nn"
+)
+
+// referenceStep is the per-occurrence oracle of the distinct-row engine:
+// one joint forward/backward with every property occurrence expanded into
+// its own row and pushed through nn.MLP.Forward/Backward and the plain
+// losses, the way the model computed before batches stored each distinct
+// vector once. It accumulates into the model's parameter gradients and
+// returns the scaled predictions and both losses.
+func referenceStep(m *Model, samples []Sample, train bool) (pred []float64, rLoss, reconLoss float64) {
+	cfg := m.Cfg
+	per, bSize := cfg.NumEssential+cfg.NumOptional, len(samples)
+	scale := mat.NewDense(bSize, 3)
+	vecs := mat.NewDense(bSize*per, cfg.PropertySize)
+	targets := mat.NewDense(bSize, 1)
+	for i, s := range samples {
+		ScaleOutFeaturesInto(scale.Row(i), s.ScaleOut)
+		m.norm.TransformInPlace(scale.Row(i))
+		for k, p := range s.Essential {
+			m.enc.EncodeTo(vecs.Row(i*per+k), p.Value)
+		}
+		for k, p := range s.Optional {
+			m.enc.EncodeTo(vecs.Row(i*per+cfg.NumEssential+k), p.Value)
+		}
+		targets.Set(i, 0, m.target.ToScaled(s.RuntimeSec))
+	}
+	e := m.f.Forward(nil, scale, train)
+	codes := m.g.Forward(nil, vecs, train)
+	recon := m.h.Forward(nil, codes, train)
+	r := mat.NewDense(bSize, cfg.CombinedDim())
+	for i, s := range samples {
+		row := r.Row(i)
+		copy(row, e.Row(i))
+		off := cfg.ScaleOutDim
+		for k := 0; k < cfg.NumEssential; k++ {
+			copy(row[off:], codes.Row(i*per+k))
+			off += cfg.EncodingDim
+		}
+		for k := range s.Optional {
+			for j, c := range codes.Row(i*per + cfg.NumEssential + k) {
+				row[off+j] += c / float64(len(s.Optional))
+			}
+		}
+	}
+	out := m.z.Forward(nil, r, train)
+	pred = append(pred, out.Data...)
+
+	rLoss, rGrad := nn.HuberLoss{Delta: cfg.HuberDelta}.Compute(nil, out, targets)
+	reconLoss, reconGrad := nn.MSELoss{}.Compute(nil, recon, vecs)
+	gradR := m.z.Backward(nil, rGrad)
+	gradCodes := mat.NewDense(bSize*per, cfg.EncodingDim)
+	for i, s := range samples {
+		row := gradR.Row(i)
+		off := cfg.ScaleOutDim
+		for k := 0; k < cfg.NumEssential; k++ {
+			copy(gradCodes.Row(i*per+k), row[off:off+cfg.EncodingDim])
+			off += cfg.EncodingDim
+		}
+		for k := range s.Optional {
+			dst := gradCodes.Row(i*per + cfg.NumEssential + k)
+			for j := range dst {
+				dst[j] = row[off+j] / float64(len(s.Optional))
+			}
+		}
+	}
+	mat.AddInPlace(gradCodes, m.h.Backward(nil, reconGrad))
+	m.g.Backward(nil, gradCodes)
+	m.f.Backward(nil, mat.SliceCols(gradR, 0, cfg.ScaleOutDim))
+	return pred, rLoss, reconLoss
+}
+
+// keepGrads is an optimizer that leaves parameters and gradients alone,
+// so a trainStep ends with the step's gradients still in place.
+type keepGrads struct{}
+
+func (keepGrads) Step([]*nn.Param) {}
+func (keepGrads) SetLR(float64)    {}
+func (keepGrads) LR() float64      { return 0 }
+
+// distinctSamples gives every property of every sample a value no other
+// slot has, numbers and text alike.
+func distinctSamples(n int) []Sample {
+	out := make([]Sample, n)
+	for i := range out {
+		s := &out[i]
+		s.ScaleOut = 2 + i
+		s.RuntimeSec = 100 + 7*float64(i)
+		s.Essential = []encoding.Property{
+			{Name: "dataset_size_mb", Value: fmt.Sprint(5000 + 13*i)},
+			{Name: "dataset_characteristics", Value: fmt.Sprint("shape-", i)},
+			{Name: "job_parameters", Value: fmt.Sprint("--iterations ", 10+i)},
+			{Name: "node_type", Value: fmt.Sprint("m", i, ".xlarge")},
+		}
+		s.Optional = []encoding.Property{
+			{Name: "memory_mb", Value: fmt.Sprint(1024 + i), Optional: true},
+			{Name: "cpu_cores", Value: fmt.Sprint(100 + i), Optional: true},
+			{Name: "job_name", Value: fmt.Sprint("job-", i), Optional: true},
+		}
+	}
+	return out
+}
+
+// TestDistinctRowStepMatchesPerOccurrence pins the distinct-row engine
+// against the per-occurrence oracle: predictions, both losses and every
+// parameter gradient agree to 1e-12 (the two differ in summation order
+// only), with dropout off and with dropout on under identical masks, on
+// a batch with heavy repeats, one where no value repeats, and one whose
+// samples leave optional slots empty.
+func TestDistinctRowStepMatchesPerOccurrence(t *testing.T) {
+	repeats := syntheticSamples(3, []int{2, 4, 6, 8})
+	sparse := syntheticSamples(3, []int{2, 4, 6})
+	for i := range sparse {
+		sparse[i].Optional = sparse[i].Optional[:i%4%3] // 0, 1 or 2 of 3
+	}
+	for _, tc := range []struct {
+		name    string
+		samples []Sample
+	}{{"repeats", repeats}, {"all-distinct", distinctSamples(9)}, {"empty-slots", sparse}} {
+		for _, dropout := range []float64{0, 0.3} {
+			t.Run(fmt.Sprintf("%s/dropout=%v", tc.name, dropout), func(t *testing.T) {
+				cfg := allocConfig()
+				cfg.Dropout = dropout
+				cfg.GradClipNorm = 0
+				build := func() *Model {
+					m, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Two epochs of the same deterministic training leave
+					// both models with equal weights, scalers and rng state.
+					if _, err := m.Pretrain(tc.samples); err != nil {
+						t.Fatal(err)
+					}
+					return m
+				}
+				got, want := build(), build()
+
+				wantPred, wantLoss, wantRecon := referenceStep(want, tc.samples, true)
+				got.fillBatch(&got.trainB, tc.samples, nil)
+				if u := got.trainB.props.Rows; tc.name == "all-distinct" && u != len(got.trainB.propRow) {
+					t.Fatalf("batch holds %d distinct rows for %d all-different slots", u, len(got.trainB.propRow))
+				} else if tc.name == "repeats" && u != 11 {
+					t.Fatalf("batch holds %d distinct rows, want the corpus's 11 values", u)
+				}
+				loss, recon := got.trainStep(&got.trainB, got.Params(), keepGrads{}, nn.HuberLoss{Delta: cfg.HuberDelta}, true)
+				closeTo(t, "runtime loss", loss, wantLoss)
+				closeTo(t, "reconstruction loss", recon, wantRecon)
+				for i, p := range got.fst.pred.Data {
+					closeTo(t, fmt.Sprintf("training-mode prediction %d", i), p, wantPred[i])
+				}
+				wp := want.Params()
+				for k, p := range got.Params() {
+					for i, g := range p.Grad.Data {
+						closeTo(t, fmt.Sprintf("%s grad[%d]", p.Name, i), g, wp[k].Grad.Data[i])
+					}
+				}
+
+				// Eval mode: the whole encoder on the distinct rows.
+				evalPred, _, _ := referenceStep(want, tc.samples, false)
+				st := got.forward(&got.trainB, false)
+				for i, p := range st.pred.Data {
+					closeTo(t, fmt.Sprintf("eval-mode prediction %d", i), p, evalPred[i])
+				}
+			})
+		}
+	}
+}
+
+func closeTo(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	if math.IsNaN(got) || math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
+		t.Fatalf("%s = %v, the per-occurrence oracle gives %v", what, got, want)
+	}
+}
+
+// TestFinetuneStepsRunWithoutDropout: the paper applies alpha-dropout in
+// pre-training only, and early stopping is driven by a dropout-free MAE,
+// so a fine-tune step must see the same clean codes. On a model built
+// with heavy dropout the first step's Huber loss equals the eval-mode
+// loss on the same batch.
+func TestFinetuneStepsRunWithoutDropout(t *testing.T) {
+	cfg := testConfig()
+	cfg.Dropout = 0.5
+	cfg.PretrainEpochs = 5
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Pretrain(syntheticSamples(3, []int{2, 4, 6, 8})); err != nil {
+		t.Fatal(err)
+	}
+	ctx := syntheticSamples(1, []int{2, 4, 8, 12})
+	m.fillBatch(&m.evalB, ctx, nil)
+	st := m.forward(&m.evalB, false)
+	want, _ := nn.HuberLoss{Delta: cfg.HuberDelta}.Compute(nil, st.pred, m.evalB.targets)
+
+	rep, err := m.Finetune(ctx, FinetuneOptions{MaxEpochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FinalRuntimeLoss != want {
+		t.Fatalf("first fine-tune step's loss = %v, eval-mode loss on the same batch = %v", rep.FinalRuntimeLoss, want)
+	}
+}
+
+// TestPretrainSameSeedSameModel: two pre-training runs from one seed end
+// with bit-identical parameters and scalers. (Save's bytes cannot be
+// compared: gob writes the parameter map in iteration order, so even one
+// model saved twice differs.)
+func TestPretrainSameSeedSameModel(t *testing.T) {
+	cfg := testConfig()
+	cfg.PretrainEpochs = 8
+	cfg.BatchSize = 8 // several batches per epoch, with different distinct sets
+	samples := syntheticSamples(4, []int{2, 4, 6, 8, 10})
+	var runs [2]*Model
+	for i := range runs {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Pretrain(samples); err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = m
+	}
+	other := runs[1].Params()
+	for k, p := range runs[0].Params() {
+		for i, v := range p.Value.Data {
+			if math.Float64bits(v) != math.Float64bits(other[k].Value.Data[i]) {
+				t.Fatalf("%s[%d] = %v in one run, %v in the other", p.Name, i, v, other[k].Value.Data[i])
+			}
+		}
+	}
+	if runs[0].target.Scale != runs[1].target.Scale {
+		t.Fatalf("target scales differ: %v, %v", runs[0].target.Scale, runs[1].target.Scale)
+	}
+}

@@ -59,7 +59,10 @@ type FinetuneOptions struct {
 
 // Finetune adapts the model to the samples of one concrete context
 // (paper step 2). In every strategy the auto-encoder parameters are
-// frozen; dropout is disabled; the learning rate follows cyclical
+// frozen and dropout is off (the paper uses alpha-dropout in
+// pre-training only), so the codes of the context's properties are
+// computed once, before the first epoch, and every epoch trains and
+// evaluates on the same clean codes. The learning rate follows cyclical
 // annealing; training stops early once the runtime MAE in seconds
 // reaches the target or stalls. The best model state (smallest MAE) is
 // restored before returning.
@@ -113,6 +116,8 @@ func (m *Model) Finetune(samples []Sample, opts FinetuneOptions) (*TrainReport, 
 	// never change across epochs.
 	m.fillBatch(&m.trainB, samples, nil)
 	b := &m.trainB
+	m.fixCodes(b)
+	report.countProperties(cfg, b)
 	for epoch := 0; epoch < maxEpochs; epoch++ {
 		if opts.Strategy == StrategyPartialUnfreeze || opts.Strategy == StrategyPartialReset {
 			if epoch == unfreezeEpoch {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 
 	"repro/internal/encoding"
 	"repro/internal/mat"
@@ -39,6 +41,12 @@ type Model struct {
 	// refilled per training step, evalB holds the full-corpus evaluation
 	// batch, inferB serves Predict/PredictBatch.
 	trainB, evalB, inferB batch
+
+	// params caches each component's parameter list, so the per-step
+	// "does anything in f learn" checks allocate nothing.
+	params struct{ f, g, h, z []*nn.Param }
+	// interned is fillBatch's table of property values.
+	interned propTable
 
 	scratchSamples []Sample
 	scratchQuery   [1]Query
@@ -85,16 +93,18 @@ func New(cfg Config) (*Model, error) {
 		rng:    rng,
 		ws:     mat.NewWorkspace(),
 	}
+	m.params.f, m.params.g = m.f.Params(), m.g.Params()
+	m.params.h, m.params.z = m.h.Params(), m.z.Params()
 	return m, nil
 }
 
 // Params returns all learnable parameters grouped by component.
 func (m *Model) Params() []*nn.Param {
 	var ps []*nn.Param
-	ps = append(ps, m.f.Params()...)
-	ps = append(ps, m.g.Params()...)
-	ps = append(ps, m.h.Params()...)
-	ps = append(ps, m.z.Params()...)
+	ps = append(ps, m.params.f...)
+	ps = append(ps, m.params.g...)
+	ps = append(ps, m.params.h...)
+	ps = append(ps, m.params.z...)
 	return ps
 }
 
@@ -103,13 +113,13 @@ func (m *Model) Params() []*nn.Param {
 func (m *Model) componentParams(name string) []*nn.Param {
 	switch name {
 	case "f":
-		return m.f.Params()
+		return m.params.f
 	case "g":
-		return m.g.Params()
+		return m.params.g
 	case "h":
-		return m.h.Params()
+		return m.params.h
 	case "z":
-		return m.z.Params()
+		return m.params.z
 	default:
 		panic("core: unknown component " + name)
 	}
@@ -125,21 +135,42 @@ func (m *Model) FinetuneSamples() int { return m.finetuneSamples }
 // batch is the matrix representation of a set of samples. Its buffers
 // are long-lived and refilled in place, so rebuilding a batch of an
 // already-seen size allocates nothing.
+//
+// A corpus is many executions of few contexts, so the property vectors
+// of a batch are stored once each: props holds the distinct vectors and
+// propRow says which of them every property slot reads. Whatever is a
+// function of the vector alone (the encoder's first layer, in eval mode
+// the whole encoder) then runs on the distinct rows only.
 type batch struct {
 	scaleFeat *mat.Dense // B x 3, normalized
-	propVecs  *mat.Dense // (B * P) x N, P = NumEssential + NumOptional slots used
-	propsPer  int        // properties per sample actually encoded
+	props     *mat.Dense // U x N: each distinct property vector once
+	propRow   []int32    // B * propsPer: the row of props a slot reads
+	propsPer  int        // property slots per sample: NumEssential + NumOptional
 	numOpt    []int      // count of optional properties per sample
 	targets   *mat.Dense // B x 1, scaled runtimes
 	runtimes  []float64  // raw seconds
+
+	// codes is the encoder output on props (U x M) while codesFixed:
+	// Finetune computes it once because its encoder is frozen. The next
+	// fillBatch drops it.
+	codes      *mat.Dense
+	codesFixed bool
 }
 
-// ensure shapes the batch buffers for bSize samples, reusing backing
-// storage whenever capacity allows.
+// ensure shapes the batch buffers for bSize samples and empties props,
+// reusing backing storage whenever capacity allows.
 func (b *batch) ensure(bSize, propsPer, propSize int) {
 	b.scaleFeat = mat.Resized(b.scaleFeat, bSize, 3)
-	b.propVecs = mat.Resized(b.propVecs, bSize*propsPer, propSize)
+	if b.props == nil {
+		b.props = &mat.Dense{}
+	}
+	b.props.Rows, b.props.Cols, b.props.Data = 0, propSize, b.props.Data[:0]
+	if cap(b.propRow) < bSize*propsPer {
+		b.propRow = make([]int32, bSize*propsPer)
+	}
+	b.propRow = b.propRow[:bSize*propsPer]
 	b.propsPer = propsPer
+	b.codesFixed = false
 	b.targets = mat.Resized(b.targets, bSize, 1)
 	if cap(b.numOpt) < bSize {
 		b.numOpt = make([]int, bSize)
@@ -151,11 +182,69 @@ func (b *batch) ensure(bSize, propsPer, propSize int) {
 	b.runtimes = b.runtimes[:bSize]
 }
 
+// addProp appends one row to props and returns its index and storage
+// (contents unspecified).
+func (b *batch) addProp() (int32, []float64) {
+	r, n := b.props.Rows, b.props.Cols
+	b.props.Data = slices.Grow(b.props.Data, n)[:(r+1)*n]
+	b.props.Rows = r + 1
+	return int32(r), b.props.Data[r*n:]
+}
+
+// propTable interns property values for the lifetime of the model, so
+// that fillBatch recognises a repeated value with one map lookup and
+// neither clears nor rebuilds anything per batch. It is bounded: past
+// maxInterned values a new value is encoded per occurrence, which is
+// correct and merely forgoes the saving.
+type propTable struct {
+	id map[string]int32
+	// row[id] is the value's row in the batch being filled, -1 when it
+	// has none; it is all -1 outside fillBatch.
+	row []int32
+	// used lists the ids given a row by the current fillBatch.
+	used []int32
+}
+
+// maxInterned bounds propTable. A corpus has a few dozen distinct
+// property values; the bound only stops a float64-serving model fed
+// never-repeating values from growing without limit.
+const maxInterned = 4096
+
+// rowOf returns the row of b.props holding the vector of value, encoding
+// it into a new row on the value's first occurrence in the batch.
+func (m *Model) rowOf(b *batch, value string) int32 {
+	t := &m.interned
+	id, known := t.id[value]
+	if !known {
+		if len(t.id) >= maxInterned {
+			r, vec := b.addProp()
+			m.enc.EncodeTo(vec, value)
+			return r
+		}
+		if t.id == nil {
+			t.id = make(map[string]int32)
+		}
+		id = int32(len(t.id))
+		// The table outlives the caller's samples; do not pin whatever
+		// larger buffer the value may be a substring of.
+		t.id[strings.Clone(value)] = id
+		t.row = append(t.row, -1)
+	}
+	if r := t.row[id]; r >= 0 {
+		return r
+	}
+	r, vec := b.addProp()
+	m.enc.EncodeTo(vec, value)
+	t.row[id] = r
+	t.used = append(t.used, id)
+	return r
+}
+
 // fillBatch encodes the selected samples into b. idx selects (and
 // orders) samples; a nil idx encodes all of them in order, without
 // copying any Sample. Optional properties may be fewer than
-// cfg.NumOptional; missing slots are zeroed so they contribute nothing
-// to the optional mean.
+// cfg.NumOptional; missing slots read one shared all-zero row, which
+// contributes nothing to the optional mean.
 func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
 	cfg := m.Cfg
 	bSize := len(samples)
@@ -164,6 +253,7 @@ func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
 	}
 	propsPer := cfg.NumEssential + cfg.NumOptional
 	b.ensure(bSize, propsPer, cfg.PropertySize)
+	zeroRow := int32(-1)
 	for i := 0; i < bSize; i++ {
 		s := &samples[i]
 		if idx != nil {
@@ -172,22 +262,30 @@ func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
 		feat := b.scaleFeat.Row(i)
 		ScaleOutFeaturesInto(feat, s.ScaleOut)
 		m.norm.TransformInPlace(feat)
+		slots := b.propRow[i*propsPer : (i+1)*propsPer]
 		for k, p := range s.Essential {
-			m.enc.EncodeTo(b.propVecs.Row(i*propsPer+k), p.Value)
+			slots[k] = m.rowOf(b, p.Value)
 		}
 		b.numOpt[i] = len(s.Optional)
 		for k, p := range s.Optional {
-			m.enc.EncodeTo(b.propVecs.Row(i*propsPer+cfg.NumEssential+k), p.Value)
+			slots[cfg.NumEssential+k] = m.rowOf(b, p.Value)
 		}
-		for k := len(s.Optional); k < cfg.NumOptional; k++ {
-			row := b.propVecs.Row(i*propsPer + cfg.NumEssential + k)
-			for j := range row {
-				row[j] = 0
+		for k := cfg.NumEssential + len(s.Optional); k < propsPer; k++ {
+			if zeroRow < 0 {
+				var vec []float64
+				zeroRow, vec = b.addProp()
+				clear(vec)
 			}
+			slots[k] = zeroRow
 		}
 		b.targets.Set(i, 0, m.target.ToScaled(s.RuntimeSec))
 		b.runtimes[i] = s.RuntimeSec
 	}
+	t := &m.interned
+	for _, id := range t.used {
+		t.row[id] = -1
+	}
+	t.used = t.used[:0]
 }
 
 // forwardState carries the intermediates of one forward pass that the
@@ -195,29 +293,51 @@ func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
 // recycled by the next forward call; the struct itself is embedded in
 // the Model so running a pass allocates nothing.
 type forwardState struct {
-	b       *batch
-	e       *mat.Dense // B x F
-	codes   *mat.Dense // (B*P) x M
-	recon   *mat.Dense // (B*P) x N
-	r       *mat.Dense // B x CombinedDim
-	pred    *mat.Dense // B x 1 (scaled)
-	train   bool
-	doRecon bool
+	b     *batch
+	e     *mat.Dense // B x F
+	codes *mat.Dense // train: (B*P) x M, one row per slot; else U x M, one per distinct vector
+	recon *mat.Dense // (B*P) x N, nil unless the reconstruction term is on
+	r     *mat.Dense // B x CombinedDim
+	pred  *mat.Dense // B x 1 (scaled)
+	train bool
 }
 
-// forward runs the full architecture on a batch, returning the scaled
+// code returns the encoder output for property slot s of the batch.
+func (st *forwardState) code(s int) []float64 {
+	if st.train {
+		return st.codes.Row(s)
+	}
+	return st.codes.Row(int(st.b.propRow[s]))
+}
+
+// forward runs the architecture on a batch, returning the scaled
 // runtime predictions together with every intermediate needed for the
 // backward pass. The returned state is valid until the next forward
 // call on this model.
-func (m *Model) forward(b *batch, train, doRecon bool) *forwardState {
+//
+// train is the pre-training mode: alpha-dropout is active, so the codes
+// of two occurrences of one property differ and the encoder runs per
+// occurrence from its dropout on (its first layer still once per
+// distinct vector), and the decoder reconstructs every occurrence when
+// the reconstruction term is on. Otherwise the encoder is a function of
+// the property vector alone and runs on the distinct rows only — not at
+// all when the batch carries fixed codes.
+func (m *Model) forward(b *batch, train bool) *forwardState {
 	cfg := m.Cfg
 	m.ws.Reset()
-	m.fst = forwardState{b: b, train: train, doRecon: doRecon}
+	m.fst = forwardState{b: b, train: train}
 	st := &m.fst
 	st.e = m.f.Forward(m.ws, b.scaleFeat, train)
-	st.codes = m.g.Forward(m.ws, b.propVecs, train)
-	if doRecon {
-		st.recon = m.h.Forward(m.ws, st.codes, train)
+	switch {
+	case train:
+		st.codes = m.g.ForwardRows(m.ws, b.props, b.propRow, true)
+		if cfg.ReconWeight > 0 {
+			st.recon = m.h.Forward(m.ws, st.codes, true)
+		}
+	case b.codesFixed:
+		st.codes = b.codes
+	default:
+		st.codes = m.g.Forward(m.ws, b.props, false)
 	}
 	// Assemble r = e ⊕ essential codes ⊕ mean(optional codes) (Eq. 5).
 	bSize := b.scaleFeat.Rows
@@ -227,16 +347,14 @@ func (m *Model) forward(b *batch, train, doRecon bool) *forwardState {
 		copy(row[:cfg.ScaleOutDim], st.e.Row(i))
 		off := cfg.ScaleOutDim
 		for k := 0; k < cfg.NumEssential; k++ {
-			copy(row[off:off+cfg.EncodingDim], st.codes.Row(i*b.propsPer+k))
+			copy(row[off:off+cfg.EncodingDim], st.code(i*b.propsPer+k))
 			off += cfg.EncodingDim
 		}
 		nOpt := b.numOpt[i]
-		if nOpt > 0 {
-			for k := 0; k < nOpt; k++ {
-				code := st.codes.Row(i*b.propsPer + cfg.NumEssential + k)
-				for j := 0; j < cfg.EncodingDim; j++ {
-					row[off+j] += code[j] / float64(nOpt)
-				}
+		for k := 0; k < nOpt; k++ {
+			code := st.code(i*b.propsPer + cfg.NumEssential + k)
+			for j := 0; j < cfg.EncodingDim; j++ {
+				row[off+j] += code[j] / float64(nOpt)
 			}
 		}
 	}
@@ -244,18 +362,49 @@ func (m *Model) forward(b *batch, train, doRecon bool) *forwardState {
 	return st
 }
 
+// fixCodes runs the encoder over the batch's distinct property vectors
+// once and keeps the codes with the batch, for callers whose encoder
+// cannot change between forward passes.
+func (m *Model) fixCodes(b *batch) {
+	m.ws.Reset()
+	codes := m.g.Forward(m.ws, b.props, false)
+	b.codes = mat.Resized(b.codes, codes.Rows, codes.Cols)
+	copy(b.codes.Data, codes.Data)
+	b.codesFixed = true
+}
+
 // backward propagates the joint loss gradients: predGrad is dLoss/dPred
 // (scaled space), reconGrad is dLoss/dRecon or nil when the
 // reconstruction term is disabled. Parameter gradients are accumulated;
 // the caller steps the optimizer.
+//
+// Only gradients that reach a trainable parameter are computed: f and g
+// read data, so their first layers compute no input gradient, and a
+// component whose parameters are all frozen — the auto-encoder during
+// fine-tuning, f until it is unfrozen — is skipped together with
+// whatever only fed it.
 func (m *Model) backward(st *forwardState, predGrad, reconGrad *mat.Dense) {
 	cfg := m.Cfg
+	fLearns := nn.AnyTrainable(m.params.f)
+	aeLearns := nn.AnyTrainable(m.params.g) || nn.AnyTrainable(m.params.h)
+	if !fLearns && !aeLearns {
+		m.z.BackwardParams(m.ws, predGrad)
+		return
+	}
 	gradR := m.z.Backward(m.ws, predGrad)
-
-	// Split gradR into the f part and the code parts.
 	bSize := gradR.Rows
-	gradE := m.ws.GetRaw(bSize, cfg.ScaleOutDim)
-	mat.SliceColsTo(gradE, gradR, 0, cfg.ScaleOutDim)
+	if fLearns {
+		gradE := m.ws.GetRaw(bSize, cfg.ScaleOutDim)
+		mat.SliceColsTo(gradE, gradR, 0, cfg.ScaleOutDim)
+		m.f.BackwardParams(m.ws, gradE)
+	}
+	if !aeLearns {
+		return
+	}
+	if !st.train {
+		panic("core: the encoder learns only from a training-mode forward pass")
+	}
+	// Route the code parts of gradR to the slots they were read from.
 	gradCodes := m.ws.Get(st.codes.Rows, cfg.EncodingDim)
 	for i := 0; i < bSize; i++ {
 		row := gradR.Row(i)
@@ -265,20 +414,17 @@ func (m *Model) backward(st *forwardState, predGrad, reconGrad *mat.Dense) {
 			off += cfg.EncodingDim
 		}
 		nOpt := st.b.numOpt[i]
-		if nOpt > 0 {
-			for k := 0; k < nOpt; k++ {
-				dst := gradCodes.Row(i*st.b.propsPer + cfg.NumEssential + k)
-				for j := 0; j < cfg.EncodingDim; j++ {
-					dst[j] = row[off+j] / float64(nOpt)
-				}
+		for k := 0; k < nOpt; k++ {
+			dst := gradCodes.Row(i*st.b.propsPer + cfg.NumEssential + k)
+			for j := 0; j < cfg.EncodingDim; j++ {
+				dst[j] = row[off+j] / float64(nOpt)
 			}
 		}
 	}
 	if reconGrad != nil {
 		mat.AddInPlace(gradCodes, m.h.Backward(m.ws, reconGrad))
 	}
-	m.g.Backward(m.ws, gradCodes)
-	m.f.Backward(m.ws, gradE)
+	m.g.BackwardRows(m.ws, gradCodes)
 }
 
 // Predict estimates the runtime in seconds for a scale-out and context

@@ -22,6 +22,27 @@ type TrainReport struct {
 	FinalReconLoss   float64
 	// Duration is the wall-clock training time.
 	Duration time.Duration
+	// PropertyRows is the number of property values the samples carry
+	// and DistinctProperties how many different ones those are. The
+	// encoder's first layer runs once per distinct value of a batch, so
+	// their ratio says how much of the encoder's work the corpus lets
+	// training skip.
+	PropertyRows       int
+	DistinctProperties int
+}
+
+// countProperties fills the property counts of a report from the batch
+// holding the whole sample set.
+func (r *TrainReport) countProperties(cfg Config, b *batch) {
+	r.DistinctProperties = b.props.Rows
+	padded := false
+	for _, n := range b.numOpt {
+		r.PropertyRows += cfg.NumEssential + n
+		padded = padded || n < cfg.NumOptional
+	}
+	if padded {
+		r.DistinctProperties-- // the all-zero row of missing slots is not a value
+	}
 }
 
 // Pretrain trains the full architecture jointly on a cross-context corpus
@@ -70,7 +91,7 @@ func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 	best := nn.NewEarlyStopper(0, 0) // track best only; no early stop in pre-training
 	var bestState nn.State
 	report := &TrainReport{}
-	doRecon := m.Cfg.ReconWeight > 0
+	report.countProperties(m.Cfg, &m.evalB)
 
 	for epoch := 0; epoch < m.Cfg.PretrainEpochs; epoch++ {
 		m.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
@@ -82,7 +103,7 @@ func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 				hi = len(idx)
 			}
 			m.fillBatch(&m.trainB, samples, idx[lo:hi])
-			rLoss, reconLoss := m.trainStep(&m.trainB, params, opt, huber, doRecon)
+			rLoss, reconLoss := m.trainStep(&m.trainB, params, opt, huber, true)
 			epochRuntime += rLoss
 			epochRecon += reconLoss
 			batches++
@@ -111,14 +132,15 @@ func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 // trainStep runs one optimization step on an already-filled batch:
 // forward, joint loss, backward, gradient clip, optimizer step. It is
 // the zero-allocation hot path of training (pinned by
-// TestTrainStepZeroAlloc).
+// TestTrainStepZeroAlloc). pretrain selects the forward mode: dropout
+// and the reconstruction term belong to pre-training only.
 //
 // With a fused optimizer (Adam), clipping, the update, and gradient
 // zeroing collapse into StepClipZero's single sweep; gradients are
 // then already zero when the next step's backward pass accumulates.
 // Unfused optimizers take the classic ZeroGrads/GradClip/Step path.
-func (m *Model) trainStep(b *batch, params []*nn.Param, opt nn.Optimizer, huber nn.HuberLoss, doRecon bool) (rLoss, reconLoss float64) {
-	st := m.forward(b, true, doRecon)
+func (m *Model) trainStep(b *batch, params []*nn.Param, opt nn.Optimizer, huber nn.HuberLoss, pretrain bool) (rLoss, reconLoss float64) {
+	st := m.forward(b, pretrain)
 
 	fused, isFused := opt.(nn.FusedStepper)
 	if !isFused {
@@ -126,8 +148,8 @@ func (m *Model) trainStep(b *batch, params []*nn.Param, opt nn.Optimizer, huber 
 	}
 	rLoss, rGrad := huber.Compute(m.ws, st.pred, b.targets)
 	var reconGrad *mat.Dense
-	if doRecon {
-		reconLoss, reconGrad = nn.MSELoss{}.Compute(m.ws, st.recon, b.propVecs)
+	if st.recon != nil {
+		reconLoss, reconGrad = nn.MSELoss{}.ComputeRows(m.ws, st.recon, b.props, b.propRow)
 		if m.Cfg.ReconWeight != 1 {
 			mat.ScaleTo(reconGrad, m.Cfg.ReconWeight, reconGrad)
 		}
@@ -152,7 +174,7 @@ func (m *Model) evalMAE(samples []Sample) float64 {
 // evalMAEBatch computes the runtime MAE in seconds over an
 // already-filled batch.
 func (m *Model) evalMAEBatch(b *batch) float64 {
-	st := m.forward(b, false, false)
+	st := m.forward(b, false)
 	var sum float64
 	for i, r := range b.runtimes {
 		pred := m.target.ToSeconds(st.pred.At(i, 0))

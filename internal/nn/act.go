@@ -391,8 +391,10 @@ type AlphaDropout struct {
 	// Rng provides reproducible masks; required when P > 0.
 	Rng *rand.Rand
 
-	mask  []bool
-	scale float64
+	// slope is d out/d in per unit of the last training-mode Forward:
+	// the affine scale for a kept unit, 0 for a dropped one. nil after
+	// an identity pass.
+	slope []float64
 }
 
 // NewAlphaDropout builds an alpha-dropout layer with drop probability p.
@@ -405,42 +407,47 @@ const alphaPrime = -SELULambda * SELUAlpha
 
 // Forward implements Layer. Dropout is active only when train is true and
 // P > 0; otherwise it is the identity.
+//
+// One 64-bit draw decides four units, 16 bits each (a unit is kept when
+// its field is below q·2¹⁶, so the keep probability is q to within
+// 2⁻¹⁶), and the keep/drop choice is arithmetic, not a branch: a drop
+// rate of 10 % is a mispredicted branch every tenth unit.
 func (l *AlphaDropout) Forward(ws *mat.Workspace, x *mat.Dense, train bool) *mat.Dense {
 	if !train || l.P <= 0 {
-		l.mask = nil
+		l.slope = nil
 		return x
 	}
 	q := 1 - l.P
 	a := 1 / math.Sqrt(q+alphaPrime*alphaPrime*q*l.P)
-	b := -a * l.P * alphaPrime
-	l.scale = a
-	if cap(l.mask) < len(x.Data) {
-		l.mask = make([]bool, len(x.Data))
+	dropped := a*alphaPrime - a*l.P*alphaPrime // a·α' + b with b = -a·P·α'
+	if cap(l.slope) < len(x.Data) {
+		l.slope = make([]float64, len(x.Data))
 	}
-	l.mask = l.mask[:len(x.Data)]
+	l.slope = l.slope[:len(x.Data)]
 	out := ws.GetRaw(x.Rows, x.Cols)
+	keepBelow := uint64(q * (1 << 16))
+	var bits uint64
 	for i, v := range x.Data {
-		keep := l.Rng.Float64() < q
-		l.mask[i] = keep
-		if keep {
-			out.Data[i] = a*v + b
-		} else {
-			out.Data[i] = a*alphaPrime + b
+		if i%4 == 0 {
+			bits = l.Rng.Uint64()
 		}
+		// (field - keepBelow) wraps to a set top bit exactly when kept.
+		k := a * float64(((bits&0xffff)-keepBelow)>>63)
+		bits >>= 16
+		l.slope[i] = k
+		out.Data[i] = k*(v-alphaPrime) + dropped
 	}
 	return out
 }
 
 // Backward implements Layer.
 func (l *AlphaDropout) Backward(ws *mat.Workspace, grad *mat.Dense) *mat.Dense {
-	if l.mask == nil {
+	if l.slope == nil {
 		return grad
 	}
-	out := ws.Get(grad.Rows, grad.Cols)
+	out := ws.GetRaw(grad.Rows, grad.Cols)
 	for i, g := range grad.Data {
-		if l.mask[i] {
-			out.Data[i] = g * l.scale
-		}
+		out.Data[i] = g * l.slope[i]
 	}
 	return out
 }

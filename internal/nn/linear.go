@@ -156,6 +156,23 @@ func (l *LinearAct) Forward(ws *mat.Workspace, x *mat.Dense, train bool) *mat.De
 
 // Backward implements Layer.
 func (l *LinearAct) Backward(ws *mat.Workspace, grad *mat.Dense) *mat.Dense {
+	dpre := l.backwardParams(ws, grad)
+	// dx = dpre * Wᵀ
+	dx := ws.GetRaw(grad.Rows, l.In)
+	mat.MulABTTo(dx, dpre, l.W.Value)
+	return dx
+}
+
+// BackwardParams is Backward without the input gradient, for a layer
+// whose input is data: nobody consumes dx, and its GEMM is a third of
+// the layer's backward cost.
+func (l *LinearAct) BackwardParams(ws *mat.Workspace, grad *mat.Dense) {
+	l.backwardParams(ws, grad)
+}
+
+// backwardParams accumulates the weight and bias gradients and returns
+// the pre-activation gradient the input gradient is computed from.
+func (l *LinearAct) backwardParams(ws *mat.Workspace, grad *mat.Dense) *mat.Dense {
 	if l.input == nil {
 		panic("nn: LinearAct.Backward before Forward")
 	}
@@ -179,10 +196,7 @@ func (l *LinearAct) Backward(ws *mat.Workspace, grad *mat.Dense) *mat.Dense {
 	}
 	// dW += xᵀ * dpre, straight into the parameter gradient.
 	mat.MulATBAcc(l.W.Grad, l.input, dpre)
-	// dx = dpre * Wᵀ
-	dx := ws.GetRaw(grad.Rows, l.In)
-	mat.MulABTTo(dx, dpre, l.W.Value)
-	return dx
+	return dpre
 }
 
 // Params implements Layer.
@@ -198,6 +212,11 @@ func (l *LinearAct) Params() []*Param {
 // depth for ablations.
 type MLP struct {
 	Layers []Layer
+
+	// rows and distinct are the occurrence index and the distinct-row
+	// count of the last ForwardRows call, kept for BackwardRows.
+	rows     []int32
+	distinct int
 }
 
 // NewMLP wraps layers into a network.
@@ -217,6 +236,71 @@ func (m *MLP) Backward(ws *mat.Workspace, grad *mat.Dense) *mat.Dense {
 		grad = m.Layers[i].Backward(ws, grad)
 	}
 	return grad
+}
+
+// paramsBackwarder is a layer that can skip its input gradient.
+type paramsBackwarder interface {
+	BackwardParams(ws *mat.Workspace, grad *mat.Dense)
+}
+
+// BackwardParams is Backward for a network whose input is data: the
+// first layer accumulates its parameter gradients and computes no
+// input gradient.
+func (m *MLP) BackwardParams(ws *mat.Workspace, grad *mat.Dense) {
+	for i := len(m.Layers) - 1; i > 0; i-- {
+		grad = m.Layers[i].Backward(ws, grad)
+	}
+	m.backwardFirst(ws, grad)
+}
+
+// backwardFirst runs the first layer's backward pass without the input
+// gradient where the layer can skip it.
+func (m *MLP) backwardFirst(ws *mat.Workspace, grad *mat.Dense) {
+	if l, ok := m.Layers[0].(paramsBackwarder); ok {
+		l.BackwardParams(ws, grad)
+		return
+	}
+	m.Layers[0].Backward(ws, grad)
+}
+
+// ForwardRows is Forward on the matrix whose i-th row is x.Row(rows[i]),
+// without building it: the first layer runs once per distinct row of x,
+// its output is gathered per occurrence, and the remaining layers (the
+// first of which may be a dropout that makes occurrences differ) run on
+// the gathered rows. With many occurrences of few distinct rows — many
+// executions of few contexts — the first layer's work shrinks by the
+// repeat factor. rows must stay untouched until BackwardRows.
+func (m *MLP) ForwardRows(ws *mat.Workspace, x *mat.Dense, rows []int32, train bool) *mat.Dense {
+	m.rows, m.distinct = rows, x.Rows
+	hu := m.Layers[0].Forward(ws, x, train)
+	h := ws.GetRaw(len(rows), hu.Cols)
+	for i, r := range rows {
+		copy(h.Row(i), hu.Row(int(r)))
+	}
+	for _, l := range m.Layers[1:] {
+		h = l.Forward(ws, h, train)
+	}
+	return h
+}
+
+// BackwardRows back-propagates a ForwardRows pass. The per-occurrence
+// gradient reaching the first layer is scatter-added onto the distinct
+// rows before that layer's activation derivative and weight gradient,
+// which is exact by linearity (only the summation order differs from
+// Backward on the expanded matrix). The input is data, so no input
+// gradient is computed.
+func (m *MLP) BackwardRows(ws *mat.Workspace, grad *mat.Dense) {
+	for i := len(m.Layers) - 1; i > 0; i-- {
+		grad = m.Layers[i].Backward(ws, grad)
+	}
+	gu := ws.Get(m.distinct, grad.Cols)
+	for i, r := range m.rows {
+		dst := gu.Row(int(r))
+		for j, g := range grad.Row(i) {
+			dst[j] += g
+		}
+	}
+	m.backwardFirst(ws, gu)
 }
 
 // Params implements Layer, collecting every learnable parameter.

@@ -27,13 +27,36 @@ func (MSELoss) Name() string { return "mse" }
 // Compute implements Loss.
 func (MSELoss) Compute(ws *mat.Workspace, pred, target *mat.Dense) (float64, *mat.Dense) {
 	checkLossShapes("mse", pred, target)
+	return mse(ws, pred, target, nil)
+}
+
+// ComputeRows is Compute against the target matrix whose i-th row is
+// target.Row(rows[i]), without building it.
+func (MSELoss) ComputeRows(ws *mat.Workspace, pred, target *mat.Dense, rows []int32) (float64, *mat.Dense) {
+	if len(rows) != pred.Rows || target.Cols != pred.Cols {
+		panic(fmt.Sprintf("nn: mse loss shape mismatch %dx%d vs %d rows of %d",
+			pred.Rows, pred.Cols, len(rows), target.Cols))
+	}
+	return mse(ws, pred, target, rows)
+}
+
+// mse compares row i of pred with row rows[i] of target (row i when
+// rows is nil).
+func mse(ws *mat.Workspace, pred, target *mat.Dense, rows []int32) (float64, *mat.Dense) {
 	n := float64(len(pred.Data))
 	grad := ws.GetRaw(pred.Rows, pred.Cols)
 	var sum float64
-	for i, p := range pred.Data {
-		d := p - target.Data[i]
-		sum += d * d
-		grad.Data[i] = 2 * d / n
+	for i := 0; i < pred.Rows; i++ {
+		r := i
+		if rows != nil {
+			r = int(rows[i])
+		}
+		t, g := target.Row(r), grad.Row(i)
+		for j, p := range pred.Row(i) {
+			d := p - t[j]
+			sum += d * d
+			g[j] = 2 * d / n
+		}
 	}
 	return sum / n, grad
 }

@@ -256,6 +256,78 @@ func TestGradClip(t *testing.T) {
 	}
 }
 
+// TestGradClipIgnoresFrozen: a frozen parameter's gradient is never
+// applied, so it must not enter the norm that scales the others' step —
+// neither in GradClip nor in Adam's fused StepClipZero.
+func TestGradClipIgnoresFrozen(t *testing.T) {
+	build := func() (live, frozen *Param) {
+		live, frozen = NewParam("live", 1, 2), NewParam("frozen", 1, 2)
+		live.Grad.Data[0], live.Grad.Data[1] = 0.3, 0.4 // norm 0.5: under the cap
+		frozen.Grad.Data[0] = 1000
+		frozen.Frozen = true
+		return live, frozen
+	}
+	live, frozen := build()
+	GradClip([]*Param{live, frozen}, 1)
+	if live.Grad.Data[0] != 0.3 || live.Grad.Data[1] != 0.4 {
+		t.Fatalf("trainable gradient rescaled to %v by a frozen parameter's gradient", live.Grad.Data)
+	}
+
+	// The fused step moves the live weight exactly as it does alone.
+	alone, _ := build()
+	NewAdam(0.1, 0).StepClipZero([]*Param{alone}, 1)
+	live, frozen = build()
+	NewAdam(0.1, 0).StepClipZero([]*Param{live, frozen}, 1)
+	for i, v := range live.Value.Data {
+		if v != alone.Value.Data[i] {
+			t.Fatalf("fused step with a frozen neighbour moved weight %d to %v, alone %v", i, v, alone.Value.Data[i])
+		}
+	}
+}
+
+// TestForwardRowsMatchesExpanded: ForwardRows/BackwardRows on distinct
+// rows plus an occurrence index equal Forward/Backward on the expanded
+// matrix — outputs and parameter gradients to 1e-12, with and without
+// dropout (same seed, so identical masks), with heavy repeats and with
+// every row distinct.
+func TestForwardRowsMatchesExpanded(t *testing.T) {
+	for _, dropout := range []float64{0, 0.4} {
+		for name, rows := range map[string][]int32{
+			"repeats":      {2, 0, 2, 2, 1, 0, 2, 1, 1, 2, 0},
+			"all-distinct": {0, 1, 2},
+		} {
+			build := func() *MLP {
+				return TwoLayerSpec{
+					Name: "g", In: 5, Hidden: 6, Out: 3,
+					ActHidden: SELU{}, ActOut: SELU{}, Dropout: dropout, Init: InitLeCun,
+				}.Build(rand.New(rand.NewSource(11)))
+			}
+			got, want := build(), build()
+			rng := rand.New(rand.NewSource(12))
+			x := randDense(rng, 3, 5)
+			expanded := mat.NewDense(len(rows), 5)
+			for i, r := range rows {
+				copy(expanded.Row(i), x.Row(int(r)))
+			}
+			grad := randDense(rng, len(rows), 3)
+
+			wantOut := want.Forward(nil, expanded, true)
+			want.Backward(nil, grad)
+			gotOut := got.ForwardRows(nil, x, rows, true)
+			got.BackwardRows(nil, grad)
+			if !gotOut.Equalish(wantOut, 1e-12) {
+				t.Fatalf("%s dropout %v: ForwardRows differs from Forward on the expanded matrix", name, dropout)
+			}
+			wp := want.Params()
+			for k, p := range got.Params() {
+				if !p.Grad.Equalish(wp[k].Grad, 1e-12) {
+					t.Fatalf("%s dropout %v: %s gradient differs from Backward on the expanded matrix", name, dropout, p.Name)
+				}
+			}
+		}
+	}
+}
+
 func TestCyclicalLRBounds(t *testing.T) {
 	s := CyclicalLR{Low: 1e-3, High: 1e-2, Period: 100}
 	for e := 0; e < 500; e++ {

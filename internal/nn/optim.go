@@ -30,9 +30,10 @@ type Optimizer interface {
 // StepClipZero itself guarantees for every following step.
 type FusedStepper interface {
 	Optimizer
-	// StepClipZero rescales gradients so their global L2 norm does not
-	// exceed maxNorm (<= 0 disables clipping), applies one update, and
-	// leaves every gradient — frozen parameters included — zeroed.
+	// StepClipZero rescales gradients so the global L2 norm over the
+	// trainable parameters does not exceed maxNorm (<= 0 disables
+	// clipping), applies one update, and leaves every gradient — frozen
+	// parameters included — zeroed.
 	StepClipZero(params []*Param, maxNorm float64)
 }
 
@@ -171,10 +172,11 @@ func (s *SGD) SetLR(lr float64) { s.LearningRate = lr }
 // LR implements Optimizer.
 func (s *SGD) LR() float64 { return s.LearningRate }
 
-// GradClip rescales gradients so the global L2 norm does not exceed max.
-// It guards fine-tuning on tiny sample counts against exploding steps.
-// Fused optimizers fold the rescale into their update sweep instead
-// (see FusedStepper); GradClip remains for unfused optimizers.
+// GradClip rescales gradients so the global L2 norm of the trainable
+// parameters does not exceed max. It guards fine-tuning on tiny sample
+// counts against exploding steps. Fused optimizers fold the rescale into
+// their update sweep instead (see FusedStepper); GradClip remains for
+// unfused optimizers.
 func GradClip(params []*Param, max float64) {
 	scale := gradClipScale(params, max)
 	if scale == 1 {
@@ -188,14 +190,19 @@ func GradClip(params []*Param, max float64) {
 }
 
 // gradClipScale returns the factor that caps the global gradient L2
-// norm at max, or 1 when no rescale is needed. The norm is computed
-// over every parameter, frozen included, matching GradClip.
+// norm at max, or 1 when no rescale is needed. The norm is taken over
+// the trainable parameters only: a frozen parameter's gradient is never
+// applied, so it must not shrink the step of the ones that are — what
+// clip_grad_norm_ does when frozen tensors carry no gradient.
 func gradClipScale(params []*Param, max float64) float64 {
 	if max <= 0 {
 		return 1
 	}
 	var sq float64
 	for _, p := range params {
+		if p.Frozen {
+			continue
+		}
 		for _, g := range p.Grad.Data {
 			sq += g * g
 		}

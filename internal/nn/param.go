@@ -59,6 +59,17 @@ func Freeze(params []*Param, frozen bool) {
 	}
 }
 
+// AnyTrainable reports whether at least one of params is not frozen,
+// i.e. whether a gradient flowing into them is ever applied.
+func AnyTrainable(params []*Param) bool {
+	for _, p := range params {
+		if !p.Frozen {
+			return true
+		}
+	}
+	return false
+}
+
 // CountParams returns the total number of scalar weights across params.
 func CountParams(params []*Param) int {
 	n := 0
