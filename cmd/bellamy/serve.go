@@ -30,11 +30,13 @@ import (
 // serve process (with -addr :0) through its SIGTERM drain path.
 var testHookServeReady func(addr string)
 
-// shardRuntime bundles one shard's serving stack: the service, its
-// durable store (nil without -data-dir), and its lifecycle controller
-// (nil without -observe). A single-shard deployment is one of these;
-// -shards N builds N and routes between them.
+// shardRuntime bundles one shard's serving stack: its logger, the
+// service, its durable store under dir (nil without -data-dir), and its
+// lifecycle controller (nil without -observe). A single-shard deployment
+// is one of these; -shards N builds N and routes between them.
 type shardRuntime struct {
+	log *slog.Logger
+	dir string
 	svc *serve.Service
 	st  *store.Store
 	ctl *lifecycle.Controller
@@ -79,46 +81,22 @@ func runServe(args []string) error {
 	if *shards < 1 {
 		return fmt.Errorf("serve: -shards %d must be at least 1", *shards)
 	}
-	sharded := *shards > 1
-
-	// Structured logging: one root logger; per-shard components log
-	// through a child carrying the shard field, so a sharded deployment's
-	// interleaved output stays attributable.
 	logger := obs.NewLogger(os.Stdout, *logLevel, *logFormat)
-	shardLog := func(i int) *slog.Logger {
-		if !sharded {
-			return logger
-		}
-		return logger.With("shard", i)
-	}
-
-	// label prefixes per-shard strings in error values; in a
-	// single-shard deployment it is empty.
-	label := func(i int) string {
-		if !sharded {
-			return ""
-		}
-		return fmt.Sprintf("shard %d: ", i)
-	}
 
 	// buildNode assembles one shard's stack without starting its
-	// background work; starting happens after the replication hooks are
-	// registered, so no install can slip past the broadcast.
-	buildNode := func(i int) (*shardRuntime, error) {
-		n := &shardRuntime{}
+	// background work; starting happens after the install hooks are
+	// registered, so no install can slip past the broadcast. A lone shard
+	// logs through the root logger and stores under -data-dir itself; one
+	// of several carries its index in both, so interleaved output stays
+	// attributable and WALs never interleave.
+	buildNode := func(log *slog.Logger, dir string) (*shardRuntime, error) {
+		n := &shardRuntime{log: log, dir: dir}
 		n.svc = serve.NewService(serve.DirLoader(*modelsDir), serve.Options{
 			ModelCap:       *modelCap,
 			ResultCap:      *resultCap,
 			Workers:        *workers,
 			Float64Serving: *f64Serve,
 		})
-		dir := *dataDir
-		if dir != "" && sharded {
-			// Each shard owns a disjoint key range, so it gets a disjoint
-			// store: WALs never interleave and a shard replays exactly the
-			// observations of the models it serves.
-			dir = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
-		}
 		if dir != "" {
 			policy, err := store.ParseFsyncPolicy(*fsyncMode)
 			if err != nil {
@@ -127,7 +105,7 @@ func runServe(args []string) error {
 			n.st, err = store.Open(dir, store.Options{
 				Fsync:           policy,
 				CompactInterval: *compactEvery,
-				Logger:          shardLog(i),
+				Logger:          log,
 			})
 			if err != nil {
 				return nil, err
@@ -152,7 +130,7 @@ func runServe(args []string) error {
 			}
 			n.ctl = lifecycle.New(n.svc.Registry(), cfg)
 			n.ctl.OnSwap(func(key serve.ModelKey, version uint64) {
-				shardLog(i).Info("lifecycle: model hot-swapped",
+				log.Info("lifecycle: model hot-swapped",
 					"job", key.Job, "env", key.Env, "version", version)
 			})
 			// AttachObserver also subscribes the result-cache invalidation,
@@ -173,27 +151,15 @@ func runServe(args []string) error {
 				if err != nil {
 					// A corrupt sealed segment stops replay at its clean
 					// prefix; serving continues on what was recovered.
-					shardLog(i).Warn("store: replay stopped early", "error", err)
+					log.Warn("store: replay stopped early", "error", err)
 				}
 				rs := n.st.StoreStats()
-				shardLog(i).Info("store: recovered durable history",
+				log.Info("store: recovered durable history",
 					"observations", rs.ReplayedObservations, "digests", rs.ReplayedDigests,
 					"dir", dir, "repaired_bytes", rs.RepairedBytes)
 			}
 		}
 		return n, nil
-	}
-
-	nodes := make([]*shardRuntime, *shards)
-	for i := range nodes {
-		n, err := buildNode(i)
-		if err != nil {
-			return err
-		}
-		nodes[i] = n
-		if n.st != nil {
-			defer n.st.Close()
-		}
 	}
 
 	var limiter *loadctl.Limiter
@@ -215,65 +181,77 @@ func runServe(args []string) error {
 		})
 	}
 
-	// Assemble the handler: a cluster router over the shards, or the
-	// plain single-instance surface (identical wire contract).
-	var handler http.Handler
-	var cluster *shard.Cluster
-	if sharded {
-		cfgs := make([]shard.NodeConfig, len(nodes))
-		for i, n := range nodes {
-			cfgs[i] = shard.NodeConfig{Service: n.svc, Gate: gateFor()}
-		}
-		var err error
-		cluster, err = shard.New(cfgs, shard.Options{
-			Limiter:     limiter,
-			MaxDeadline: *maxDeadline,
-		})
-		if err != nil {
-			return err
-		}
-		cluster.EnableReplication()
-		defer cluster.CloseReplication()
-		if *observe {
-			// A fine-tune installed on any shard is broadcast to every
-			// peer, so each shard answers from the latest generation no
-			// matter which shard's observations triggered the refresh.
-			for i, n := range nodes {
-				from := i
-				n.ctl.OnInstall(func(key serve.ModelKey, version uint64, blob []byte) {
-					cluster.Broadcast(from, key, version, blob)
-				})
-			}
-		}
-		handler = cluster.Handler()
-	} else {
-		lc := serve.LoadControl{
-			Limiter:     limiter,
-			Gate:        gateFor(),
-			MaxDeadline: *maxDeadline,
-		}
-		if lc.Limiter != nil || lc.Gate != nil {
-			nodes[0].svc.AttachLoadControl(lc)
-		}
-		handler = nodes[0].svc.Handler()
-	}
-
 	// Observability: one metrics registry and one tracer span the whole
-	// process. Sharded deployments register per-shard series under a
-	// {shard="i"} label; the router's own counters are unlabelled.
+	// process.
 	registry := obs.NewRegistry()
 	obs.RegisterRuntimeMetrics(registry)
 	tracer := obs.NewTracer(obs.TracerOptions{SampleEvery: *traceSample})
 	tracer.RegisterMetrics(registry, nil)
 	o := &serve.Observability{Metrics: registry, Tracer: tracer, Log: logger}
-	if sharded {
-		cluster.AttachObs(o)
-		for i, n := range nodes {
-			n.svc.AttachObs(o, obs.Labels{"shard": strconv.Itoa(i)})
+
+	// The front is what answers /v1 (the same wire contract either way):
+	// the one service itself, or a cluster routing to several. This is the
+	// only place the two deployments differ.
+	var nodes []*shardRuntime
+	defer func() {
+		for _, n := range nodes {
+			if n.st != nil {
+				n.st.Close()
+			}
 		}
-	} else {
-		nodes[0].svc.AttachObs(o, nil)
+	}()
+	var front interface {
+		Handler() http.Handler
+		SetDraining(bool)
 	}
+	if *shards == 1 {
+		n, err := buildNode(logger, *dataDir)
+		if err != nil {
+			return err
+		}
+		nodes = append(nodes, n)
+		lc := serve.LoadControl{Limiter: limiter, Gate: gateFor(), MaxDeadline: *maxDeadline}
+		if lc.Limiter != nil || lc.Gate != nil {
+			n.svc.AttachLoadControl(lc)
+		}
+		n.svc.AttachObs(o, nil)
+		front = n.svc
+	} else {
+		cfgs := make([]shard.NodeConfig, *shards)
+		for i := range cfgs {
+			dir := *dataDir
+			if dir != "" {
+				dir = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
+			}
+			n, err := buildNode(logger.With("shard", i), dir)
+			if err != nil {
+				return err
+			}
+			nodes = append(nodes, n)
+			// Per-shard series carry a {shard="i"} label; the router's own
+			// counters are unlabelled.
+			n.svc.AttachObs(o, obs.Labels{"shard": strconv.Itoa(i)})
+			cfgs[i] = shard.NodeConfig{Service: n.svc, Gate: gateFor()}
+		}
+		cluster, err := shard.New(cfgs, shard.Options{Limiter: limiter, MaxDeadline: *maxDeadline})
+		if err != nil {
+			return err
+		}
+		cluster.AttachObs(o)
+		cluster.EnableReplication()
+		if *observe {
+			// A fine-tune installed on any shard is broadcast to every
+			// peer, so each shard answers from the latest generation no
+			// matter which shard's observations triggered the refresh.
+			for i, n := range nodes {
+				n.ctl.OnInstall(func(key serve.ModelKey, version uint64, blob []byte) {
+					cluster.Broadcast(i, key, version, blob)
+				})
+			}
+		}
+		front = cluster
+	}
+	handler := front.Handler()
 
 	if *pprofOn {
 		// pprof mounts on an outer mux so the serving surface itself
@@ -295,14 +273,14 @@ func runServe(args []string) error {
 	}
 
 	// Start the background machinery only after every hook is wired.
-	for i, n := range nodes {
+	for _, n := range nodes {
 		if n.ctl != nil {
 			n.ctl.Start()
 			defer n.ctl.Stop()
 		}
 		if n.st != nil {
 			n.st.Start()
-			shardLog(i).Info("durable store on", "fsync", *fsyncMode, "compact_interval", *compactEvery)
+			n.log.Info("durable store on", "fsync", *fsyncMode, "compact_interval", *compactEvery)
 		}
 	}
 	if *observe {
@@ -331,13 +309,8 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	if sharded {
-		logger.Info("serving models", "dir", *modelsDir, "addr", ln.Addr().String(), "shards", *shards, "pprof", *pprofOn)
-		logger.Info("endpoints: POST /v1/predict, POST /v1/predict/batch, POST /v1/allocate, POST /v1/observe, GET /v1/stats, GET /v1/shards, GET /metrics, GET /v1/debug/slow, GET /healthz")
-	} else {
-		logger.Info("serving models", "dir", *modelsDir, "addr", ln.Addr().String(), "pprof", *pprofOn)
-		logger.Info("endpoints: POST /v1/predict, POST /v1/predict/batch, POST /v1/allocate, POST /v1/observe, GET /v1/stats, GET /metrics, GET /v1/debug/slow, GET /healthz")
-	}
+	logger.Info("serving models", "dir", *modelsDir, "addr", ln.Addr().String(), "shards", *shards, "pprof", *pprofOn)
+	logger.Info("endpoints: POST /v1/predict, POST /v1/predict/batch, POST /v1/allocate, POST /v1/observe, GET /v1/stats, GET /metrics, GET /v1/debug/slow, GET /healthz; with -shards > 1 also GET /v1/shards")
 	if testHookServeReady != nil {
 		testHookServeReady(ln.Addr().String())
 	}
@@ -353,11 +326,7 @@ func runServe(args []string) error {
 	case sig := <-sigc:
 		logger.Info("draining on signal", "signal", sig.String(), "timeout", *drainTimeout)
 	}
-	if cluster != nil {
-		cluster.SetDraining(true)
-	} else {
-		nodes[0].svc.SetDraining(true)
-	}
+	front.SetDraining(true)
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -368,24 +337,20 @@ func runServe(args []string) error {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("drain: server error", "error", err)
 	}
-	for i, n := range nodes {
+	for _, n := range nodes {
 		if n.ctl != nil {
+			// Each install is broadcast to the peers before Drain returns.
 			if nd := n.ctl.Drain(); nd > 0 {
-				shardLog(i).Info("drain: digested pending observations", "model_versions", nd)
+				n.log.Info("drain: digested pending observations", "model_versions", nd)
 			}
 		}
 	}
-	if cluster != nil {
-		// Final fine-tunes above were broadcast; tear the mesh down
-		// before sealing so no replicator writes into a closing store.
-		cluster.CloseReplication()
-	}
-	for i, n := range nodes {
+	for _, n := range nodes {
 		if n.st != nil {
 			if err := n.st.Close(); err != nil {
-				return fmt.Errorf("drain: closing %sstore: %w", label(i), err)
+				return fmt.Errorf("drain: closing store %s: %w", n.dir, err)
 			}
-			shardLog(i).Info("drain: store sealed")
+			n.log.Info("drain: store sealed")
 		}
 	}
 	logger.Info("drain: complete")

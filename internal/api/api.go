@@ -26,8 +26,12 @@ import (
 // schema_version field itself so consumers can switch on the shape
 // instead of string-matching field names. Version 3 added the "obs"
 // block: /v1/stats became a compatibility view over the metrics
-// registry that also backs GET /metrics.
-const StatsSchemaVersion = 3
+// registry that also backs GET /metrics. Version 4 dropped the frame,
+// byte and reassembly counters from the "replication" block (shards of
+// one process exchange models without a wire protocol); the per-shard
+// stats of a sharded deployment gained their "load_ctl" block, a shard's
+// gate now being its service's.
+const StatsSchemaVersion = 4
 
 // Request headers understood by the /v1 surface.
 const (
@@ -266,17 +270,13 @@ type RouterStats struct {
 	DeadlineRejects int64 `json:"deadline_rejects"`
 }
 
-// ReplicationStats counts inter-shard model replication activity,
-// summed over every replicator in the cluster.
+// ReplicationStats counts what became of the model versions broadcast
+// between shards: published on a peer, refused by one as not newer than
+// what it holds, or undecodable.
 type ReplicationStats struct {
-	FramesSent     int64 `json:"frames_sent"`
-	FramesReceived int64 `json:"frames_received"`
-	BytesSent      int64 `json:"bytes_sent"`
-	BytesReceived  int64 `json:"bytes_received"`
-	Applied        int64 `json:"applied"`
-	Stale          int64 `json:"stale"`
-	Reassemblies   int64 `json:"reassemblies"`
-	PeerErrors     int64 `json:"peer_errors"`
+	Applied    int64 `json:"applied"`
+	Stale      int64 `json:"stale"`
+	PeerErrors int64 `json:"peer_errors"`
 }
 
 // TopologyResponse is the wire form of GET /v1/shards: the cluster's

@@ -65,7 +65,7 @@ func TestDTORoundTrips(t *testing.T) {
 		SchemaVersion: StatsSchemaVersion,
 		Shards:        []ShardStats{{ID: 0, Stats: Stats{SchemaVersion: StatsSchemaVersion, Requests: 1}}, {ID: 1, Down: true, Stats: Stats{SchemaVersion: StatsSchemaVersion}}},
 		Router:        RouterStats{Requests: 3, BatchFanouts: 1, PartialFailures: 1},
-		Replication:   &ReplicationStats{FramesSent: 4, BytesSent: 512, Applied: 1, Stale: 1},
+		Replication:   &ReplicationStats{Applied: 1, Stale: 1, PeerErrors: 1},
 	})
 	roundTrip(t, TopologyResponse{
 		SchemaVersion: StatsSchemaVersion,

@@ -18,6 +18,8 @@ const (
 	StageShardRoute   = "shard_route"
 	StageRegistryLoad = "registry_load"
 	StagePredict      = "predict"
+	StageAllocate     = "allocate"
+	StageObserve      = "observe"
 	StageEncode       = "encode"
 )
 

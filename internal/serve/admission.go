@@ -3,155 +3,112 @@ package serve
 import (
 	"context"
 	"errors"
-	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
+	"repro/internal/allocate"
 	"repro/internal/api"
+	"repro/internal/core"
 	"repro/internal/loadctl"
 	"repro/internal/obs"
 )
 
-// Request headers understood by the admission layer.
-const (
-	// ClientKeyHeader identifies the client for per-client rate
-	// limiting; requests without it are keyed by remote address.
-	ClientKeyHeader = "X-API-Key"
-	// DeadlineHeader carries the client's remaining latency budget in
-	// milliseconds. The server derives a context deadline from it
-	// (capped at LoadControl.MaxDeadline), so work whose budget has
-	// run out is abandoned instead of computed for nobody.
-	DeadlineHeader = "X-Deadline-Ms"
-)
+// The Admit* methods are the service's calls as a front-end makes them:
+// through the admission gate of the attached LoadControl, at the cost
+// class of the work, recording the stages on tr (nil for an untraced
+// request). The plain Predict, PredictBatch, Allocate and Observe skip
+// admission; in-process callers that are not serving a client use those.
+//
+// A request the gate refuses fails with a typed *api.Error: overloaded
+// when the gate shed it, deadline_exceeded when its context ended while
+// it queued.
 
-var (
-	errRateLimited = errors.New("serve: client rate limit exceeded")
-	errOverloaded  = errors.New("serve: server overloaded, retry later")
-)
-
-// ClientKey identifies the requester for rate limiting: the API key
-// header when present, else the host part of the remote address (so
-// all connections from one host share a bucket regardless of port).
-// Substring-only — no allocation on the admit path. The shard router
-// shares it so a client is one bucket regardless of topology.
-func ClientKey(r *http.Request) string {
-	if k := r.Header.Get(ClientKeyHeader); k != "" {
-		return k
-	}
-	addr := r.RemoteAddr
-	if i := strings.LastIndexByte(addr, ':'); i >= 0 {
-		return addr[:i]
-	}
-	return addr
-}
-
-// rateLimit runs the per-client token bucket against the request
-// headers (the body is untouched, so a limited client is answered
-// before its upload is read). A false return means the 429 response
-// has been written.
-func (s *Service) rateLimit(w http.ResponseWriter, r *http.Request) bool {
-	lc := s.loadctl.Load()
-	if lc == nil || lc.Limiter == nil {
-		return true
-	}
-	ok, retryAfter := lc.Limiter.Allow(ClientKey(r), time.Now())
-	if ok {
-		return true
-	}
-	api.WriteError(w, http.StatusTooManyRequests,
-		api.Errorf(api.CodeRateLimited, "%v", errRateLimited).WithRetryAfter(retryAfter))
-	return false
-}
-
-// admit passes the request through the admission gate at the given
-// cost, recording the gate_wait span on tr (nil for untraced
-// requests). On admission it returns a release func (never nil) to
-// defer; a false return means the rejection response has been written.
-// The gate is waited on under ctx, so a client that disconnects or
-// blows its deadline while queued frees its queue slot immediately.
-func (s *Service) admit(ctx context.Context, w http.ResponseWriter, cost loadctl.Cost, tr *obs.Trace) (func(), bool) {
+// admit passes the gate at the given cost, recording the gate_wait span.
+// On admission it returns a release func (never nil) to defer. The gate
+// is waited on under ctx, so a client that disconnects or blows its
+// deadline while queued frees its queue slot immediately.
+func (s *Service) admit(ctx context.Context, cost loadctl.Cost, tr *obs.Trace) (func(), error) {
 	lc := s.loadctl.Load()
 	if lc == nil || lc.Gate == nil {
-		return func() {}, true
+		return func() {}, nil
 	}
 	t0 := tr.Clock()
-	if err := lc.Gate.Acquire(ctx, cost); err != nil {
-		if errors.Is(err, loadctl.ErrOverloaded) {
-			api.WriteError(w, http.StatusServiceUnavailable,
-				api.Errorf(api.CodeOverloaded, "%v", errOverloaded).WithRetryAfter(time.Second))
-		} else {
-			// Context ended while queued: the client is gone or out of
-			// budget; 504 documents the abandoned wait. The gate_wait
-			// span is recorded first so the envelope shows where the
-			// budget went.
-			tr.Record(obs.StageGateWait, -1, t0)
-			s.deadlineRejects.Add(1)
-			e := api.Errorf(api.CodeDeadlineExceeded, "serve: request abandoned while queued: %v", err)
-			api.WriteError(w, http.StatusGatewayTimeout, attachTrace(e, tr))
-		}
-		return nil, false
-	}
+	err := lc.Gate.Acquire(ctx, cost)
+	// Recorded on failure too, so a 504 envelope shows where the budget
+	// went.
 	tr.Record(obs.StageGateWait, -1, t0)
-	return lc.Gate.Release, true
+	switch {
+	case err == nil:
+		return lc.Gate.Release, nil
+	case errors.Is(err, loadctl.ErrOverloaded):
+		return nil, api.Errorf(api.CodeOverloaded, "serve: server overloaded, retry later").WithRetryAfter(time.Second)
+	default:
+		return nil, api.Errorf(api.CodeDeadlineExceeded, "serve: request abandoned while queued: %v", err)
+	}
 }
 
-// attachTrace annotates a deadline-expiry envelope with the trace ID
-// and the spans recorded before the budget ran out.
-func attachTrace(e *api.Error, tr *obs.Trace) *api.Error {
-	if tr != nil {
-		e.TraceID = tr.ID()
-		e.Spans = SpanSummaries(tr.Spans())
+// AdmitPredict answers one prediction. A result-cache hit answers from
+// memory in microseconds and bypasses the gate, so cached traffic keeps
+// flowing at full rate even when the gate is saturated with expensive
+// work; a miss is admitted as cheap on a resident model and heavy on one
+// that has to be loaded, which sheds first under pressure.
+func (s *Service) AdmitPredict(ctx context.Context, req Request, tr *obs.Trace) Response {
+	t0 := tr.Clock()
+	if resp, ok := s.PredictCached(req.Key, req.Query); ok {
+		tr.Record(obs.StagePredict, -1, t0)
+		return resp
 	}
-	return e
+	cost := loadctl.CostHeavy
+	if s.reg.Resident(req.Key) {
+		cost = loadctl.CostCheap
+	}
+	tr.Record(obs.StageClassify, -1, t0)
+	release, err := s.admit(ctx, cost, tr)
+	if err != nil {
+		return Response{Err: err}
+	}
+	defer release()
+	return s.PredictTraced(ctx, req.Key, req.Query, tr)
 }
 
-// RequestContext derives a handler context from the client's deadline
-// budget header. Absent (or unparseable) headers fall back to the
-// request's own context; a present budget is capped at maxDeadline
-// (<= 0 selects DefaultMaxDeadline) so a client cannot pin server
-// resources with an hour-long deadline.
-func RequestContext(r *http.Request, maxDeadline time.Duration) (context.Context, context.CancelFunc) {
-	h := r.Header.Get(DeadlineHeader)
-	if h == "" {
-		return r.Context(), func() {}
+// AdmitBatch answers a batch, which fans out across models and queries
+// and is always heavy. The error is the gate's refusal of the whole
+// batch; per-request failures are in the responses.
+func (s *Service) AdmitBatch(ctx context.Context, reqs []Request, tr *obs.Trace) ([]Response, error) {
+	release, err := s.admit(ctx, loadctl.CostHeavy, tr)
+	if err != nil {
+		return nil, err
 	}
-	ms, err := strconv.ParseInt(h, 10, 64)
-	if err != nil || ms <= 0 {
-		return r.Context(), func() {}
-	}
-	budget := time.Duration(ms) * time.Millisecond
-	if maxDeadline <= 0 {
-		maxDeadline = DefaultMaxDeadline
-	}
-	if budget > maxDeadline {
-		budget = maxDeadline
-	}
-	return context.WithTimeout(r.Context(), budget)
+	defer release()
+	t0 := tr.Clock()
+	out := s.PredictBatch(ctx, reqs)
+	tr.Record(obs.StagePredict, -1, t0)
+	return out, nil
 }
 
-// requestContext is RequestContext with the service's configured cap.
-func (s *Service) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	var maxD time.Duration
-	if lc := s.loadctl.Load(); lc != nil {
-		maxD = lc.MaxDeadline
+// AdmitAllocate answers an allocation query; the sweep of a scale-out
+// range through the model is heavy.
+func (s *Service) AdmitAllocate(ctx context.Context, key ModelKey, req allocate.Request, tr *obs.Trace) (*allocate.Result, error) {
+	release, err := s.admit(ctx, loadctl.CostHeavy, tr)
+	if err != nil {
+		return nil, err
 	}
-	return RequestContext(r, maxD)
+	defer release()
+	t0 := tr.Clock()
+	res, err := s.Allocate(ctx, key, req)
+	tr.Record(obs.StageAllocate, -1, t0)
+	return res, err
 }
 
-// IsDeadline reports whether err is a context expiry (server-side
-// deadline or client disconnect), which the HTTP layer answers 504.
-func IsDeadline(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
-}
-
-func isDeadline(err error) bool { return IsDeadline(err) }
-
-// writeDeadlineError answers a request whose budget ran out and counts
-// it; a live trace annotates the envelope with the spans recorded up
-// to expiry.
-func (s *Service) writeDeadlineError(w http.ResponseWriter, err error, tr *obs.Trace) {
-	s.deadlineRejects.Add(1)
-	e := api.Errorf(api.CodeDeadlineExceeded, "serve: deadline exceeded: %v", err)
-	api.WriteError(w, http.StatusGatewayTimeout, attachTrace(e, tr))
+// AdmitObserve ingests one observation; a validation pass plus a WAL
+// append is cheap.
+func (s *Service) AdmitObserve(ctx context.Context, key ModelKey, q core.Query, runtimeSec float64, tr *obs.Trace) error {
+	release, err := s.admit(ctx, loadctl.CostCheap, tr)
+	if err != nil {
+		return err
+	}
+	defer release()
+	t0 := tr.Clock()
+	err = s.Observe(ctx, key, q, runtimeSec)
+	tr.Record(obs.StageObserve, -1, t0)
+	return err
 }

@@ -178,7 +178,7 @@ func TestHTTPRateLimited429(t *testing.T) {
 		t.Fatalf("429 body %q, want envelope code %q with a retry hint", raw, api.CodeRateLimited)
 	}
 	// Another client (distinct API key) has its own bucket.
-	resp, _ = postRaw(t, srv.URL+"/v1/predict", body, map[string]string{ClientKeyHeader: "other-client"})
+	resp, _ = postRaw(t, srv.URL+"/v1/predict", body, map[string]string{api.ClientKeyHeader: "other-client"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("other client status %d, want 200", resp.StatusCode)
 	}
@@ -274,7 +274,7 @@ func TestHTTPDeadline504(t *testing.T) {
 	waitUntil(t, "owner inside the loader", loading.Load)
 
 	start := time.Now()
-	resp, raw := postRaw(t, srv.URL+"/v1/predict", body, map[string]string{DeadlineHeader: "60"})
+	resp, raw := postRaw(t, srv.URL+"/v1/predict", body, map[string]string{api.DeadlineHeader: "60"})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (%s), want 504 after the 60ms budget", resp.StatusCode, raw)
 	}

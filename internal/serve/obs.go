@@ -223,8 +223,7 @@ func (s *Service) obsStatsPayload() *api.ObsStats {
 // client-supplied X-Trace-Id is always traced, other requests are
 // sampled. The trace ID is echoed on the response header immediately
 // (headers must precede the body). Returns nil for untraced requests.
-func (s *Service) startTrace(w http.ResponseWriter, r *http.Request) *obs.Trace {
-	o := s.obsRef.Load()
+func startTrace(o *Observability, w http.ResponseWriter, r *http.Request) *obs.Trace {
 	if o == nil || o.Tracer == nil {
 		return nil
 	}
@@ -235,18 +234,16 @@ func (s *Service) startTrace(w http.ResponseWriter, r *http.Request) *obs.Trace 
 	return tr
 }
 
-// finishTrace completes tr (nil-safe), offering it to the slow ring.
-func (s *Service) finishTrace(tr *obs.Trace) {
-	if tr == nil {
-		return
-	}
-	if o := s.obsRef.Load(); o != nil {
+// finishTrace completes the trace startTrace(o, ...) returned (nil for
+// none), offering it to the slow ring.
+func finishTrace(o *Observability, tr *obs.Trace) {
+	if tr != nil {
 		o.Tracer.Finish(tr)
 	}
 }
 
-// SpanSummaries converts recorded spans to their wire form.
-func SpanSummaries(spans []obs.Span) []api.SpanSummary {
+// spanSummaries converts recorded spans to their wire form.
+func spanSummaries(spans []obs.Span) []api.SpanSummary {
 	if len(spans) == 0 {
 		return nil
 	}
@@ -262,10 +259,9 @@ func SpanSummaries(spans []obs.Span) []api.SpanSummary {
 	return out
 }
 
-// SlowTracesPayload renders the tracer's retained slowest traces as
-// the body of GET /v1/debug/slow. Shared by the single-shard handler
-// and the shard router.
-func SlowTracesPayload(t *obs.Tracer) api.SlowTracesResponse {
+// slowTracesPayload renders the tracer's retained slowest traces as
+// the body of GET /v1/debug/slow.
+func slowTracesPayload(t *obs.Tracer) api.SlowTracesResponse {
 	recs := t.Slowest()
 	out := api.SlowTracesResponse{
 		SchemaVersion: api.StatsSchemaVersion,
@@ -278,29 +274,8 @@ func SlowTracesPayload(t *obs.Tracer) api.SlowTracesResponse {
 			TraceID:  r.ID(),
 			AgeMs:    now.Sub(r.At).Milliseconds(),
 			WallUsec: float64(r.Wall.Nanoseconds()) / 1e3,
-			Spans:    SpanSummaries(r.Spans[:r.NSpans]),
+			Spans:    spanSummaries(r.Spans[:r.NSpans]),
 		}
 	}
 	return out
-}
-
-// handleMetrics and handleSlowTraces serve GET /metrics and
-// GET /v1/debug/slow; both answer 404 until an observability layer
-// with the relevant facility is attached.
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	o := s.obsRef.Load()
-	if o == nil || o.Metrics == nil {
-		http.NotFound(w, r)
-		return
-	}
-	o.Metrics.Handler().ServeHTTP(w, r)
-}
-
-func (s *Service) handleSlowTraces(w http.ResponseWriter, r *http.Request) {
-	o := s.obsRef.Load()
-	if o == nil || o.Tracer == nil {
-		http.NotFound(w, r)
-		return
-	}
-	api.WriteJSON(w, SlowTracesPayload(o.Tracer))
 }

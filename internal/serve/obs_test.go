@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -29,112 +30,153 @@ func attachServeObs(svc *Service) *Observability {
 }
 
 // TestTracedRequestEndToEnd is the acceptance check of the tracing
-// tier on the single-shard surface: a request carrying X-Trace-Id is
-// echoed the same ID, shows up in GET /v1/debug/slow, and its spans
-// tile the request — every pipeline stage is named and the stage
-// durations sum to roughly the measured wall latency.
+// tier on the single-shard surface, for every POST route: a request
+// carrying X-Trace-Id is echoed the same ID, shows up in GET
+// /v1/debug/slow, and its spans tile the request — every pipeline stage
+// is named and the stage durations sum to roughly the measured wall
+// latency. A request that runs out of budget queued at the gate is
+// answered 504 with its trace ID and the spans recorded until then.
 func TestTracedRequestEndToEnd(t *testing.T) {
 	const loadDelay = 20 * time.Millisecond
-	cl := &countingLoader{t: t}
-	loader := func(key ModelKey) (*core.Model, error) {
-		time.Sleep(loadDelay) // make registry_load dominate the trace
-		return cl.load(key)
-	}
-	lim := loadctl.NewLimiter(loadctl.LimiterConfig{Rate: 1e9, Burst: 1e9})
-	gate := loadctl.NewGate(loadctl.GateConfig{MaxInFlight: 4})
-	srv, svc := newServerWith(t, loader, Options{}, LoadControl{Limiter: lim, Gate: gate})
-	attachServeObs(svc)
-
-	const traceID = "e2e-trace-0042"
-	body, _ := json.Marshal(wireRequest(4, 10000))
-	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/predict", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatalf("building request: %v", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(api.TraceIDHeader, traceID)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("POST /v1/predict: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
-	}
-	if got := resp.Header.Get(api.TraceIDHeader); got != traceID {
-		t.Fatalf("echoed %s = %q, want %q", api.TraceIDHeader, got, traceID)
-	}
-
-	slowResp, err := http.Get(srv.URL + "/v1/debug/slow")
-	if err != nil {
-		t.Fatalf("GET /v1/debug/slow: %v", err)
-	}
-	defer slowResp.Body.Close()
-	var slow api.SlowTracesResponse
-	if err := json.NewDecoder(slowResp.Body).Decode(&slow); err != nil {
-		t.Fatalf("decoding slow traces: %v", err)
-	}
-	if slow.SchemaVersion != api.StatsSchemaVersion {
-		t.Fatalf("schema_version = %d, want %d", slow.SchemaVersion, api.StatsSchemaVersion)
-	}
-	var trace *api.TraceSummary
-	for i := range slow.Traces {
-		if slow.Traces[i].TraceID == traceID {
-			trace = &slow.Traces[i]
-			break
-		}
-	}
-	if trace == nil {
-		t.Fatalf("trace %q not retained in /v1/debug/slow (%d traces)", traceID, len(slow.Traces))
-	}
-
-	// The cold predict path tiles into seven sequential stages; every
-	// one must be present exactly once, with no strays.
-	want := []string{
-		obs.StageRateLimit, obs.StageDecode, obs.StageClassify,
-		obs.StageGateWait, obs.StageRegistryLoad, obs.StagePredict, obs.StageEncode,
-	}
-	seen := map[string]int{}
-	var sumUsec float64
-	for _, sp := range trace.Spans {
-		seen[sp.Name]++
-		sumUsec += sp.DurUsec
-	}
-	for _, name := range want {
-		if seen[name] != 1 {
-			t.Fatalf("stage %q recorded %d times, want 1 (spans: %+v)", name, seen[name], trace.Spans)
-		}
-	}
-	if len(trace.Spans) != len(want) {
-		t.Fatalf("%d spans, want %d: %+v", len(trace.Spans), len(want), trace.Spans)
-	}
-	// Stages are sequential and non-overlapping, so their durations sum
-	// to at most the wall time — and with a 20ms load dominating, to
-	// nearly all of it.
-	if trace.WallUsec < float64(loadDelay.Microseconds()) {
-		t.Fatalf("wall %.0fus shorter than the %v model load", trace.WallUsec, loadDelay)
-	}
-	if sumUsec > 1.05*trace.WallUsec || sumUsec < 0.8*trace.WallUsec {
-		t.Fatalf("span durations sum to %.0fus vs wall %.0fus, want within [0.8, 1.05]x", sumUsec, trace.WallUsec)
-	}
-
-	// The scrape surface sees the same request: predict counters moved
-	// and the tracer accounted for the trace.
-	metResp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	defer metResp.Body.Close()
-	raw, _ := io.ReadAll(metResp.Body)
-	for _, series := range []string{
-		"bellamy_predict_requests_total 1",
-		"bellamy_traces_sampled_total 1",
-		"bellamy_traces_finished_total 1",
+	for _, tc := range []struct {
+		route      string
+		body, late any // late: a request the result cache cannot answer
+		status     int
+		// The stages the route tiles into; every one must be present
+		// exactly once, with no strays.
+		want []string
+		// tiles: a cold model load dominates the request, so the stage
+		// durations must sum to nearly all of the wall time.
+		tiles    bool
+		requests int // bellamy_predict_requests_total afterwards
+	}{
+		{"/v1/predict", wireRequest(4, 10000), wireRequest(6, 10000), http.StatusOK, []string{
+			obs.StageRateLimit, obs.StageDecode, obs.StageClassify,
+			obs.StageGateWait, obs.StageRegistryLoad, obs.StagePredict, obs.StageEncode,
+		}, true, 1},
+		{"/v1/predict/batch", api.BatchRequest{Requests: []api.PredictRequest{wireRequest(4, 10000)}},
+			api.BatchRequest{Requests: []api.PredictRequest{wireRequest(6, 10000)}}, http.StatusOK, []string{
+				obs.StageRateLimit, obs.StageDecode, obs.StageGateWait, obs.StagePredict, obs.StageEncode,
+			}, true, 1},
+		{"/v1/allocate", wireAllocateRequest(900), wireAllocateRequest(900), http.StatusOK, []string{
+			obs.StageRateLimit, obs.StageDecode, obs.StageGateWait, obs.StageAllocate, obs.StageEncode,
+		}, true, 0},
+		{"/v1/observe", wireObservation(4, 10000, 55), wireObservation(4, 10000, 55), http.StatusAccepted, []string{
+			obs.StageRateLimit, obs.StageDecode, obs.StageGateWait, obs.StageObserve, obs.StageEncode,
+		}, false, 0},
 	} {
-		if !strings.Contains(string(raw), series) {
-			t.Fatalf("/metrics missing %q:\n%s", series, raw)
-		}
+		t.Run(tc.route, func(t *testing.T) {
+			cl := &countingLoader{t: t}
+			loader := func(key ModelKey) (*core.Model, error) {
+				time.Sleep(loadDelay) // make the model load dominate the trace
+				return cl.load(key)
+			}
+			lim := loadctl.NewLimiter(loadctl.LimiterConfig{Rate: 1e9, Burst: 1e9})
+			gate := loadctl.NewGate(loadctl.GateConfig{MaxInFlight: 1, MaxWait: 5 * time.Second})
+			srv, svc := newServerWith(t, loader, Options{}, LoadControl{Limiter: lim, Gate: gate})
+			svc.AttachObserver(&recordingObserver{})
+			attachServeObs(svc)
+
+			const traceID = "e2e-trace-0042"
+			body, _ := json.Marshal(tc.body)
+			resp, raw := postRaw(t, srv.URL+tc.route, body, map[string]string{api.TraceIDHeader: traceID})
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, raw)
+			}
+			if got := resp.Header.Get(api.TraceIDHeader); got != traceID {
+				t.Fatalf("echoed %s = %q, want %q", api.TraceIDHeader, got, traceID)
+			}
+
+			slowResp, err := http.Get(srv.URL + "/v1/debug/slow")
+			if err != nil {
+				t.Fatalf("GET /v1/debug/slow: %v", err)
+			}
+			defer slowResp.Body.Close()
+			var slow api.SlowTracesResponse
+			if err := json.NewDecoder(slowResp.Body).Decode(&slow); err != nil {
+				t.Fatalf("decoding slow traces: %v", err)
+			}
+			if slow.SchemaVersion != api.StatsSchemaVersion {
+				t.Fatalf("schema_version = %d, want %d", slow.SchemaVersion, api.StatsSchemaVersion)
+			}
+			var trace *api.TraceSummary
+			for i := range slow.Traces {
+				if slow.Traces[i].TraceID == traceID {
+					trace = &slow.Traces[i]
+					break
+				}
+			}
+			if trace == nil {
+				t.Fatalf("trace %q not retained in /v1/debug/slow (%d traces)", traceID, len(slow.Traces))
+			}
+
+			seen := map[string]int{}
+			var sumUsec float64
+			for _, sp := range trace.Spans {
+				seen[sp.Name]++
+				sumUsec += sp.DurUsec
+			}
+			for _, name := range tc.want {
+				if seen[name] != 1 {
+					t.Fatalf("stage %q recorded %d times, want 1 (spans: %+v)", name, seen[name], trace.Spans)
+				}
+			}
+			if len(trace.Spans) != len(tc.want) {
+				t.Fatalf("%d spans, want %d: %+v", len(trace.Spans), len(tc.want), trace.Spans)
+			}
+			if tc.tiles {
+				// Stages are sequential and non-overlapping, so their
+				// durations sum to at most the wall time — and with a 20ms
+				// load dominating, to nearly all of it.
+				if trace.WallUsec < float64(loadDelay.Microseconds()) {
+					t.Fatalf("wall %.0fus shorter than the %v model load", trace.WallUsec, loadDelay)
+				}
+				if sumUsec > 1.05*trace.WallUsec || sumUsec < 0.8*trace.WallUsec {
+					t.Fatalf("span durations sum to %.0fus vs wall %.0fus, want within [0.8, 1.05]x", sumUsec, trace.WallUsec)
+				}
+			}
+
+			// The scrape surface sees the same request: predict counters
+			// moved and the tracer accounted for the trace.
+			metResp, err := http.Get(srv.URL + "/metrics")
+			if err != nil {
+				t.Fatalf("GET /metrics: %v", err)
+			}
+			defer metResp.Body.Close()
+			metrics, _ := io.ReadAll(metResp.Body)
+			for _, series := range []string{
+				fmt.Sprintf("bellamy_predict_requests_total %d", tc.requests),
+				"bellamy_traces_sampled_total 1",
+				"bellamy_traces_finished_total 1",
+			} {
+				if !strings.Contains(string(metrics), series) {
+					t.Fatalf("/metrics missing %q:\n%s", series, metrics)
+				}
+			}
+
+			// Out of budget while queued behind a held slot: the 504 says
+			// where the time went.
+			if !gate.TryAcquire() {
+				t.Fatal("could not occupy the gate")
+			}
+			defer gate.Release()
+			body, _ = json.Marshal(tc.late)
+			resp, raw = postRaw(t, srv.URL+tc.route, body, map[string]string{
+				api.TraceIDHeader: "late-trace", api.DeadlineHeader: "30",
+			})
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("queued past its deadline: status %d, want 504: %s", resp.StatusCode, raw)
+			}
+			e := decodeEnvelope(t, raw)
+			stages := map[string]bool{}
+			for _, sp := range e.Spans {
+				stages[sp.Name] = true
+			}
+			if e.Code != api.CodeDeadlineExceeded || e.TraceID != "late-trace" ||
+				!stages[obs.StageRateLimit] || !stages[obs.StageDecode] || !stages[obs.StageGateWait] || stages[obs.StageEncode] {
+				t.Fatalf("504 envelope %+v, want the trace ID and the ratelimit, decode and gate_wait spans", e)
+			}
+		})
 	}
 }
 

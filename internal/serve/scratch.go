@@ -12,18 +12,17 @@ import (
 	"repro/internal/encoding"
 )
 
-// RequestScratch is the working memory of one request to the two
-// predict routes: the body buffer, the decoded DTOs, the converted
-// requests and the batch staging. It comes
-// from a pool and goes back once the response is written, so a steady
-// stream of requests reuses one set of buffers instead of allocating a
-// body, a DTO tree and a slice pair per item each time. Both handler
-// stacks (this package's and internal/shard's) decode through it.
+// requestScratch is the working memory of one POST request: the body
+// buffer and, for the two predict routes, the decoded DTOs, the
+// converted requests and the batch staging. It comes from a pool and
+// goes back once the response is written, so a steady stream of
+// requests reuses one set of buffers instead of allocating a body, a
+// DTO tree and a slice pair per item each time.
 //
-// Everything reachable from a scratch is valid until Release; strings
+// Everything reachable from a scratch is valid until release; strings
 // are copies, never views of the body buffer, so they may outlive it
 // (the result cache and the encoder memo keep some).
-type RequestScratch struct {
+type requestScratch struct {
 	body []byte
 
 	one   api.PredictRequest
@@ -32,10 +31,10 @@ type RequestScratch struct {
 	// converted requests are carved from.
 	props []encoding.Property
 
-	// After DecodeBatch: Live is the well-formed subset of the batch,
+	// After decodeBatch: live is the well-formed subset of the batch,
 	// liveIdx the batch position of each, and responses one entry per
 	// item with the malformed ones already answered.
-	Live      []Request
+	live      []Request
 	liveIdx   []int
 	responses []api.PredictResponse
 }
@@ -49,16 +48,16 @@ const (
 
 var scratchPool = sync.Pool{New: func() any {
 	// Never nil, so an empty batch is answered "responses":[].
-	return &RequestScratch{responses: []api.PredictResponse{}}
+	return &requestScratch{responses: []api.PredictResponse{}}
 }}
 
-// AcquireRequestScratch takes a scratch from the pool; the caller owes
-// it one Release, after the response is written.
-func AcquireRequestScratch() *RequestScratch { return scratchPool.Get().(*RequestScratch) }
+// acquireRequestScratch takes a scratch from the pool; the caller owes
+// it one release, after the response is written.
+func acquireRequestScratch() *requestScratch { return scratchPool.Get().(*requestScratch) }
 
-// Release returns the scratch to the pool, unless it grew past the
+// release returns the scratch to the pool, unless it grew past the
 // bounds above.
-func (sc *RequestScratch) Release() {
+func (sc *requestScratch) release() {
 	if cap(sc.body) > maxPooledBody || cap(sc.batch.Requests) > maxPooledItems {
 		return
 	}
@@ -70,20 +69,19 @@ func (sc *RequestScratch) Release() {
 // neither the previous request's strings nor its error values. The DTOs
 // keep theirs on purpose: the next decode reuses the ones that repeat
 // and overwrites the rest.
-func (sc *RequestScratch) reset() {
+func (sc *requestScratch) reset() {
 	clear(sc.props)
 	sc.props = sc.props[:0]
-	clear(sc.Live)
-	sc.Live = sc.Live[:0]
+	clear(sc.live)
+	sc.live = sc.live[:0]
 	sc.liveIdx = sc.liveIdx[:0]
 	clear(sc.responses)
 	sc.responses = sc.responses[:0]
 }
 
 // readBody reads the request body, bounded by MaxBodyBytes, into the
-// scratch. On failure it writes the enveloped response and returns
-// false.
-func (sc *RequestScratch) readBody(w http.ResponseWriter, r *http.Request) bool {
+// scratch.
+func (sc *requestScratch) readBody(w http.ResponseWriter, r *http.Request) error {
 	// One spare byte lets the read that delivers the last of the body
 	// also find room to report EOF. Content-Length is the client's
 	// claim: it sizes the buffer only up to what the pool would keep,
@@ -103,87 +101,65 @@ func (sc *RequestScratch) readBody(w http.ResponseWriter, r *http.Request) bool 
 		if err != nil {
 			sc.body = body
 			if err == io.EOF {
-				return true
+				return nil
 			}
-			writeDecodeError(w, err)
-			return false
+			return decodeError(err)
 		}
 	}
 }
 
-// writeDecodeError answers a body that could not be read or decoded:
-// 413 when it exceeded MaxBodyBytes, 400 otherwise. Decode errors are
-// reported by kind only; raw body contents never echo back to the
-// client.
-func writeDecodeError(w http.ResponseWriter, err error) {
+// decodeError types the failure to read or decode a body:
+// payload_too_large when it exceeded MaxBodyBytes, bad_request
+// otherwise. Decode errors are reported by kind only; raw body contents
+// never echo back to the client.
+func decodeError(err error) *api.Error {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		api.WriteError(w, http.StatusRequestEntityTooLarge,
-			api.Errorf(api.CodePayloadTooLarge, "serve: request body exceeds %d bytes", tooLarge.Limit))
-		return
+		return api.Errorf(api.CodePayloadTooLarge, "serve: request body exceeds %d bytes", tooLarge.Limit)
 	}
-	api.WriteError(w, http.StatusBadRequest,
-		api.Errorf(api.CodeBadRequest, "serve: decoding request: malformed JSON body"))
+	return api.Errorf(api.CodeBadRequest, "serve: decoding request: malformed JSON body")
 }
 
-// DecodePredict reads, decodes and converts the body of POST
-// /v1/predict. On failure it writes the enveloped 4xx response and
-// returns false. The request's property slices live in the scratch.
-func (sc *RequestScratch) DecodePredict(w http.ResponseWriter, r *http.Request) (Request, bool) {
-	if !sc.readBody(w, r) {
-		return Request{}, false
-	}
+// decodePredict decodes and converts the body of POST /v1/predict. The
+// request's property slices live in the scratch.
+func (sc *requestScratch) decodePredict() (Request, error) {
 	if err := api.DecodePredictRequest(sc.body, &sc.one); err != nil {
-		writeDecodeError(w, err)
-		return Request{}, false
+		return Request{}, decodeError(err)
 	}
-	req, err := sc.convert(&sc.one)
-	if err != nil {
-		api.WriteError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "%v", err))
-		return Request{}, false
-	}
-	return req, true
+	return sc.convert(&sc.one)
 }
 
-// DecodeBatch reads, decodes and converts the body of POST
-// /v1/predict/batch: Live is then what to predict, and BatchResponse
-// merges the answers. A malformed item is answered in place and does
-// not fail the batch; a malformed or oversized body, or more than
-// MaxBatchRequests items, is answered with the enveloped 4xx response
-// and a false return.
-func (sc *RequestScratch) DecodeBatch(w http.ResponseWriter, r *http.Request) bool {
-	if !sc.readBody(w, r) {
-		return false
-	}
+// decodeBatch decodes and converts the body of POST /v1/predict/batch:
+// live is then what to predict, and batchResponse merges the answers. A
+// malformed item is answered in place and does not fail the batch; a
+// malformed body, or more than MaxBatchRequests items, fails it.
+func (sc *requestScratch) decodeBatch() error {
 	if err := api.DecodeBatchRequest(sc.body, &sc.batch); err != nil {
-		writeDecodeError(w, err)
-		return false
+		return decodeError(err)
 	}
 	items := sc.batch.Requests
 	if len(items) > MaxBatchRequests {
-		api.WriteError(w, http.StatusRequestEntityTooLarge,
-			api.Errorf(api.CodePayloadTooLarge, "batch of %d requests exceeds limit %d", len(items), MaxBatchRequests))
-		return false
+		return api.Errorf(api.CodePayloadTooLarge, "batch of %d requests exceeds limit %d", len(items), MaxBatchRequests)
 	}
 	// reset left every element zero.
 	sc.responses = slices.Grow(sc.responses, len(items))[:len(items)]
 	for i := range items {
 		req, err := sc.convert(&items[i])
 		if err != nil {
-			sc.responses[i].Error = api.Errorf(api.CodeBadRequest, "%v", err)
+			sc.responses[i].Error = toAPIError(err)
 			continue
 		}
-		sc.Live = append(sc.Live, req)
+		sc.live = append(sc.live, req)
 		sc.liveIdx = append(sc.liveIdx, i)
 	}
-	return true
+	return nil
 }
 
-// BatchResponse merges the answers to Live back into input order and
+// batchResponse merges the answers to live back into input order and
 // returns the wire response, which aliases the scratch.
-func (sc *RequestScratch) BatchResponse(answers []Response) api.BatchResponse {
+func (sc *requestScratch) batchResponse(answers []Response) api.BatchResponse {
 	for j, a := range answers {
-		sc.responses[sc.liveIdx[j]] = ToAPIResponse(a)
+		sc.responses[sc.liveIdx[j]] = toAPIResponse(a)
 	}
 	resp := api.BatchResponse{Responses: sc.responses}
 	for i := range resp.Responses {
@@ -200,7 +176,7 @@ var errMissingJob = errors.New("serve: request missing job")
 // service's native form, validating required fields. The property
 // slices are carved from the arena, capacity-limited so that an append
 // to one cannot reach its neighbour.
-func (sc *RequestScratch) convert(in *api.PredictRequest) (Request, error) {
+func (sc *requestScratch) convert(in *api.PredictRequest) (Request, error) {
 	if in.Job == "" {
 		return Request{}, errMissingJob
 	}
@@ -211,7 +187,7 @@ func (sc *RequestScratch) convert(in *api.PredictRequest) (Request, error) {
 	return Request{Key: ModelKey{Job: in.Job, Env: in.Env}, Query: q}, nil
 }
 
-func (sc *RequestScratch) carve(in []api.Property, optional bool) []encoding.Property {
+func (sc *requestScratch) carve(in []api.Property, optional bool) []encoding.Property {
 	if len(in) == 0 {
 		return nil
 	}

@@ -93,41 +93,48 @@ func TestScratchCarriesNothingOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decode := func(sc *RequestScratch, v any) *httptest.ResponseRecorder {
+	decode := func(sc *requestScratch, v any) *httptest.ResponseRecorder {
 		body, _ := json.Marshal(v)
 		rec := httptest.NewRecorder()
-		r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
-		switch v.(type) {
-		case api.PredictRequest:
-			if req, ok := sc.DecodePredict(rec, r); ok {
-				sc.Live = append(sc.Live, req)
+		err := sc.readBody(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)))
+		if err == nil {
+			switch v.(type) {
+			case api.PredictRequest:
+				var req Request
+				if req, err = sc.decodePredict(); err == nil {
+					sc.live = append(sc.live, req)
+				}
+			case api.BatchRequest:
+				err = sc.decodeBatch()
 			}
-		case api.BatchRequest:
-			sc.DecodeBatch(rec, r)
+		}
+		if err != nil {
+			e := toAPIError(err)
+			api.WriteError(rec, statusOf(e.Code), e)
 		}
 		return rec
 	}
 
-	sc := AcquireRequestScratch()
-	defer sc.Release()
+	sc := acquireRequestScratch()
+	defer sc.release()
 	decode(sc, full)
 	sc.reset()
 	decode(sc, bare)
-	if len(sc.Live) != 1 || !reflect.DeepEqual(sc.Live[0], wantBare) {
-		t.Fatalf("bare request after a full one decoded to %+v, want %+v", sc.Live, wantBare)
+	if len(sc.live) != 1 || !reflect.DeepEqual(sc.live[0], wantBare) {
+		t.Fatalf("bare request after a full one decoded to %+v, want %+v", sc.live, wantBare)
 	}
 
 	// The same through a batch: three full items, then two bare ones and
 	// a malformed one on the same scratch.
 	sc.reset()
 	decode(sc, api.BatchRequest{Requests: []api.PredictRequest{full, full, full}})
-	if len(sc.Live) != 3 || len(sc.responses) != 3 {
-		t.Fatalf("full batch: %d live, %d responses, want 3/3", len(sc.Live), len(sc.responses))
+	if len(sc.live) != 3 || len(sc.responses) != 3 {
+		t.Fatalf("full batch: %d live, %d responses, want 3/3", len(sc.live), len(sc.responses))
 	}
 	sc.reset()
 	decode(sc, api.BatchRequest{Requests: []api.PredictRequest{bare, {Env: "no job"}, bare}})
-	if !reflect.DeepEqual(sc.Live, []Request{wantBare, wantBare}) || !reflect.DeepEqual(sc.liveIdx, []int{0, 2}) {
-		t.Fatalf("bare batch after a full one: live %+v at %v, want two of %+v at [0 2]", sc.Live, sc.liveIdx, wantBare)
+	if !reflect.DeepEqual(sc.live, []Request{wantBare, wantBare}) || !reflect.DeepEqual(sc.liveIdx, []int{0, 2}) {
+		t.Fatalf("bare batch after a full one: live %+v at %v, want two of %+v at [0 2]", sc.live, sc.liveIdx, wantBare)
 	}
 	for i, r := range sc.responses {
 		if (r.Error != nil) != (i == 1) || r.RuntimeSec != 0 || r.Cached {
@@ -137,8 +144,8 @@ func TestScratchCarriesNothingOver(t *testing.T) {
 
 	// A rejected body leaves an envelope and nothing live.
 	sc.reset()
-	if rec := decode(sc, api.PredictRequest{Env: "no job"}); rec.Code != http.StatusBadRequest || len(sc.Live) != 0 {
-		t.Fatalf("request without job: status %d, %d live, want 400/0", rec.Code, len(sc.Live))
+	if rec := decode(sc, api.PredictRequest{Env: "no job"}); rec.Code != http.StatusBadRequest || len(sc.live) != 0 {
+		t.Fatalf("request without job: status %d, %d live, want 400/0", rec.Code, len(sc.live))
 	}
 }
 
@@ -209,24 +216,31 @@ func TestConcurrentBatchesDoNotAlias(t *testing.T) {
 // Content-Length claims, and a scratch that grew past the pool's bound
 // is not kept.
 func TestDecodeBodySizing(t *testing.T) {
-	sc := AcquireRequestScratch()
+	sc := acquireRequestScratch()
+	decode := func(r *http.Request) error {
+		if err := sc.readBody(httptest.NewRecorder(), r); err != nil {
+			return err
+		}
+		_, err := sc.decodePredict()
+		return err
+	}
 	r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader([]byte(`{"job":"sort"}`)))
 	r.ContentLength = MaxBodyBytes // a lie
-	if _, ok := sc.DecodePredict(httptest.NewRecorder(), r); !ok {
+	if err := decode(r); err != nil {
 		t.Fatal("short body under a large Content-Length was refused")
 	}
 	if cap(sc.body) >= 2*maxPooledBody {
 		t.Fatalf("body buffer grew to %d on the header's word alone", cap(sc.body))
 	}
 	big := []byte(fmt.Sprintf(`{"job":"sort","env":%q}`, bytes.Repeat([]byte("e"), 2*maxPooledBody)))
-	if _, ok := sc.DecodePredict(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(big))); !ok {
+	if err := decode(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(big))); err != nil {
 		t.Fatal("2 MiB body was refused")
 	}
 	if cap(sc.body) <= maxPooledBody {
 		t.Fatalf("body buffer cap %d after a %d-byte body", cap(sc.body), len(big))
 	}
-	sc.Release() // dropped: must not panic, must not be handed out again
-	if next := AcquireRequestScratch(); next == sc {
+	sc.release() // dropped: must not panic, must not be handed out again
+	if next := acquireRequestScratch(); next == sc {
 		t.Fatal("oversized scratch went back to the pool")
 	}
 }

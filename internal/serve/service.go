@@ -232,17 +232,28 @@ type LoadControl struct {
 // LoadControl.MaxDeadline is zero.
 const DefaultMaxDeadline = 30 * time.Second
 
-// AttachLoadControl arms overload protection on the HTTP endpoints.
-// Attach before serving traffic. Requests are processed in this order:
-// rate limiter (headers only, so a limited client is answered before
-// its body is read), body decode, result-cache bypass check, admission
-// gate, deadline-derived context, service call.
+// AttachLoadControl arms overload protection. Attach before serving
+// traffic. A POST request meets it in this order: rate limiter (headers
+// only, so a limited client is answered before its body is read), body
+// decode, deadline-derived context, then inside the Admit* call the
+// result-cache bypass check and the admission gate.
 func (s *Service) AttachLoadControl(lc LoadControl) {
 	if lc.MaxDeadline <= 0 {
 		lc.MaxDeadline = DefaultMaxDeadline
 	}
 	s.loadctl.Store(&lc)
 }
+
+// LoadControl returns the attached load control, zero when there is none.
+func (s *Service) LoadControl() LoadControl {
+	if lc := s.loadctl.Load(); lc != nil {
+		return *lc
+	}
+	return LoadControl{}
+}
+
+// CountDeadlineReject counts one request answered 504.
+func (s *Service) CountDeadlineReject() { s.deadlineRejects.Add(1) }
 
 // SetDraining marks the service as draining (or not): /healthz answers
 // 503 so load balancers and orchestrators stop sending new traffic
@@ -364,18 +375,40 @@ func (s *Service) InvalidateResults(key ModelKey) int {
 	return n
 }
 
-// PeekCached reports whether (key, q) can be answered from the result
-// cache right now, without touching the registry or model. The
-// admission layer uses it to let cache-hit predictions bypass the gate
-// — they cost microseconds and keeping them flowing under overload is
-// the point of graceful degradation. Allocation-free.
-func (s *Service) PeekCached(key ModelKey, q core.Query) bool {
+// lookup reads (key, q) from the result cache without touching the
+// registry or a model. Allocation-free.
+func (s *Service) lookup(key ModelKey, q core.Query) (float64, bool) {
 	bufp := fpPool.Get().(*[]byte)
 	fp := appendFingerprint((*bufp)[:0], key, q)
-	_, ok := s.results.get(fp)
+	v, ok := s.results.get(fp)
 	*bufp = fp
 	fpPool.Put(bufp)
+	return v, ok
+}
+
+// PeekCached reports whether (key, q) can be answered from the result
+// cache right now.
+func (s *Service) PeekCached(key ModelKey, q core.Query) bool {
+	_, ok := s.lookup(key, q)
 	return ok
+}
+
+// PredictCached answers (key, q) if the result cache holds it, counted
+// as a prediction and as a gate bypass; a miss counts nothing and leaves
+// the work to Predict. It needs no context: the value is in hand. This is
+// how cache hits pass the admission gate by — they cost microseconds, and
+// keeping them flowing under overload is the point of graceful
+// degradation.
+func (s *Service) PredictCached(key ModelKey, q core.Query) (Response, bool) {
+	start := time.Now()
+	v, ok := s.lookup(key, q)
+	if !ok {
+		return Response{}, false
+	}
+	s.resultHits.Add(1)
+	s.gateBypassed.Add(1)
+	s.observe(start, 1)
+	return Response{RuntimeSec: v, Cached: true}, true
 }
 
 // Predict answers a single request. A cache hit ignores ctx (the value

@@ -1,10 +1,8 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,14 +16,14 @@ import (
 	"repro/internal/serve"
 )
 
-// Node is one shard of the cluster: a complete serve.Service plus its
-// own admission gate. A node can be marked down, at which point every
-// in-flight and future dispatch to it fails fast with a typed
-// shard_unavailable error instead of hanging the batch merge.
+// Node is one shard of the cluster: a complete serve.Service, whose
+// LoadControl holds the shard's own admission gate. A node can be marked
+// down, at which point every in-flight and future dispatch to it fails
+// fast with a typed shard_unavailable error instead of hanging the batch
+// merge.
 type Node struct {
 	ID      int
 	Service *serve.Service
-	Gate    *loadctl.Gate // per-shard admission gate; nil disables gating
 
 	down atomic.Bool
 
@@ -35,14 +33,15 @@ type Node struct {
 	ctxMu  sync.Mutex
 	ctx    context.Context
 	cancel context.CancelFunc
-
-	repl *Replicator
 }
 
 // NodeConfig describes one shard handed to New.
 type NodeConfig struct {
 	Service *serve.Service
-	Gate    *loadctl.Gate
+	// Gate is the shard's admission gate, nil for none. New attaches it
+	// to Service as its LoadControl.Gate: a shard admits where it works,
+	// so a hot shard sheds load without throttling its siblings.
+	Gate *loadctl.Gate
 }
 
 // Options tunes a Cluster.
@@ -56,17 +55,15 @@ type Options struct {
 	// MaxDeadline caps client-requested X-Deadline-Ms budgets
 	// (0: serve.DefaultMaxDeadline).
 	MaxDeadline time.Duration
-	// FragmentSize bounds replication fragment payloads
-	// (<= 0: DefaultFragmentSize).
-	FragmentSize int
 }
 
-// Cluster routes the /v1 surface across N shards: single predictions
-// and observations go to the owner of their (job, env) key, batches fan
-// out per owning shard and merge in input order, and hot-swapped model
-// versions replicate to every peer. The cluster's HTTP handler speaks
-// byte-identical JSON to a single serve.Service handler — clients
-// cannot tell one shard from eight.
+// Cluster routes the /v1 surface across N shards: single predictions,
+// allocations and observations go to the owner of their (job, env) key,
+// batches fan out per owning shard and merge in input order, and
+// hot-swapped model versions are published on every peer. It is a
+// serve.Backend: what it adds to its shards' services is the ring, the
+// down state with its typed shard_unavailable error, and the router
+// counters.
 type Cluster struct {
 	ring  *Ring
 	nodes []*Node
@@ -77,10 +74,10 @@ type Cluster struct {
 	requests        obs.Counter
 	batchFanouts    obs.Counter
 	partialFailures obs.Counter
-	rateLimited     obs.Counter
 	deadlineRejects obs.Counter
 
 	obsRef atomic.Pointer[serve.Observability]
+	repl   atomic.Pointer[replication]
 }
 
 // New assembles a cluster over the given shards. At least one shard is
@@ -95,7 +92,15 @@ func New(nodes []NodeConfig, opts Options) (*Cluster, error) {
 		if nc.Service == nil {
 			return nil, fmt.Errorf("shard: node %d has no service", i)
 		}
-		n := &Node{ID: i, Service: nc.Service, Gate: nc.Gate}
+		if nc.Gate != nil {
+			lc := nc.Service.LoadControl()
+			if lc.Gate != nil {
+				return nil, fmt.Errorf("shard: node %d's service already has an admission gate", i)
+			}
+			lc.Gate = nc.Gate
+			nc.Service.AttachLoadControl(lc)
+		}
+		n := &Node{ID: i, Service: nc.Service}
 		n.ctx, n.cancel = context.WithCancel(context.Background())
 		c.nodes = append(c.nodes, n)
 	}
@@ -111,6 +116,8 @@ func (c *Cluster) Owner(job, env string) int { return c.ring.Owner(job, env) }
 // Node returns shard i's node.
 func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
+func (c *Cluster) owner(key serve.ModelKey) *Node { return c.nodes[c.ring.Owner(key.Job, key.Env)] }
+
 // SetDraining flips drain mode on the router and every shard.
 func (c *Cluster) SetDraining(v bool) {
 	c.draining.Store(v)
@@ -121,6 +128,15 @@ func (c *Cluster) SetDraining(v bool) {
 
 // Draining reports whether shutdown drain has started.
 func (c *Cluster) Draining() bool { return c.draining.Load() }
+
+// LoadControl implements serve.Backend: the router's limiter and
+// deadline cap. The gates are the shards' own.
+func (c *Cluster) LoadControl() serve.LoadControl {
+	return serve.LoadControl{Limiter: c.opts.Limiter, MaxDeadline: c.opts.MaxDeadline}
+}
+
+// CountDeadlineReject implements serve.Backend.
+func (c *Cluster) CountDeadlineReject() { c.deadlineRejects.Add(1) }
 
 // MarkDown marks shard i down (or back up). Marking down cancels the
 // node's lifetime context, so dispatches blocked inside the shard fail
@@ -159,97 +175,70 @@ func errShardDown(id int) *api.Error {
 	return api.Errorf(api.CodeShardUnavailable, "shard: shard %d unavailable", id)
 }
 
-// dispatchContext derives the context a shard call runs under: a child
-// of the request context that is additionally canceled if the node goes
-// down mid-call. The returned stop func must be called to release the
-// watcher.
-func dispatchContext(ctx context.Context, nctx context.Context) (context.Context, context.CancelFunc) {
-	dctx, cancel := context.WithCancel(ctx)
-	stop := context.AfterFunc(nctx, cancel)
-	return dctx, func() { stop(); cancel() }
-}
-
-// admitOn passes the shard's admission gate at the given cost. A nil
-// gate admits everything.
-func (n *Node) admitOn(ctx context.Context, cost loadctl.Cost) (func(), error) {
-	if n.Gate == nil {
-		return func() {}, nil
-	}
-	if err := n.Gate.Acquire(ctx, cost); err != nil {
-		return nil, err
-	}
-	return n.Gate.Release, nil
-}
-
-// gateError maps a gate admission failure to the typed wire error.
-func gateError(err error) *api.Error {
-	if serve.IsDeadline(err) {
-		return api.Errorf(api.CodeDeadlineExceeded, "shard: deadline exceeded while queued: %v", err)
-	}
-	return api.Errorf(api.CodeOverloaded, "shard: %v", err).WithRetryAfter(time.Second)
-}
-
-// Predict routes one prediction to the owner of its key.
-func (c *Cluster) Predict(ctx context.Context, req serve.Request) serve.Response {
-	return c.PredictTraced(ctx, req, nil)
-}
-
-// PredictTraced is Predict with an optional request trace: the dispatch
-// to the owning shard is recorded as a shard_route span tagged with the
-// shard ID, and the trace rides into the shard's service so the
-// registry_load and predict stages nest under the route.
-func (c *Cluster) PredictTraced(ctx context.Context, req serve.Request, tr *obs.Trace) serve.Response {
-	c.requests.Add(1)
-	return c.predictOn(ctx, c.nodes[c.ring.Owner(req.Key.Job, req.Key.Env)], req, tr)
-}
-
-func (c *Cluster) predictOn(ctx context.Context, n *Node, req serve.Request, tr *obs.Trace) serve.Response {
+// dispatch runs call against the node's service and records it as a
+// shard_route span tagged with the shard ID, under which the service's
+// own stages nest. call's context is a child of ctx that also ends if
+// the node goes down mid-call. Whatever fails on a node that is down —
+// before, during or because of it — is the shard's unavailability, not
+// the request's fault.
+func (n *Node) dispatch(ctx context.Context, tr *obs.Trace, call func(ctx context.Context) error) error {
 	t0 := tr.Clock()
 	defer func() { tr.Record(obs.StageShardRoute, n.ID, t0) }()
 	nctx, ok := n.liveContext()
 	if !ok {
-		return serve.Response{Err: errShardDown(n.ID)}
+		return errShardDown(n.ID)
 	}
-	dctx, done := dispatchContext(ctx, nctx)
-	defer done()
-	cost := loadctl.CostHeavy
-	if n.Service.Registry().Resident(req.Key) {
-		cost = loadctl.CostCheap
-	}
-	release, err := n.admitOn(dctx, cost)
-	if err != nil {
+	dctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(nctx, cancel)()
+	if err := call(dctx); err != nil {
 		if n.down.Load() {
-			return serve.Response{Err: errShardDown(n.ID)}
+			return errShardDown(n.ID)
 		}
-		return serve.Response{Err: gateError(err)}
+		return err
 	}
-	defer release()
-	resp := n.Service.PredictTraced(dctx, req.Key, req.Query, tr)
-	if resp.Err != nil && n.down.Load() {
-		resp.Err = errShardDown(n.ID)
+	return nil
+}
+
+// Predict is AdmitPredict without a trace.
+func (c *Cluster) Predict(ctx context.Context, req serve.Request) serve.Response {
+	return c.AdmitPredict(ctx, req, nil)
+}
+
+// AdmitPredict routes one prediction to the owner of its key.
+func (c *Cluster) AdmitPredict(ctx context.Context, req serve.Request, tr *obs.Trace) serve.Response {
+	c.requests.Add(1)
+	n := c.owner(req.Key)
+	if !n.down.Load() {
+		// A hit is answered from memory whatever becomes of its context:
+		// deriving the dispatch context would be the larger cost.
+		t0 := tr.Clock()
+		if resp, ok := n.Service.PredictCached(req.Key, req.Query); ok {
+			tr.Record(obs.StageShardRoute, n.ID, t0)
+			return resp
+		}
+	}
+	var resp serve.Response
+	if err := n.dispatch(ctx, tr, func(ctx context.Context) error {
+		resp = n.Service.AdmitPredict(ctx, req, tr)
+		return resp.Err
+	}); err != nil {
+		resp.Err = err
 	}
 	return resp
 }
 
-// PredictBatch fans a batch out to the owning shards in parallel and
-// merges the per-shard answers back into input order. A shard that is
-// down — or crashes mid-batch — contributes typed shard_unavailable
-// errors for exactly its own items; the rest of the batch completes
+// AdmitBatch fans a batch out to the owning shards in parallel, one
+// shard_route span each, and merges the per-shard answers back into
+// input order. A batch that lives on one shard is that shard's to refuse
+// as a whole, as a lone service would; once it fans out, a shard that
+// is down, crashes mid-batch or sheds its share contributes typed errors
+// for exactly its own items and the rest of the batch completes
 // normally.
-func (c *Cluster) PredictBatch(ctx context.Context, reqs []serve.Request) []serve.Response {
-	return c.PredictBatchTraced(ctx, reqs, nil)
-}
-
-// PredictBatchTraced is PredictBatch with an optional request trace.
-// Each per-shard dispatch records its own shard_route span tagged with
-// that shard's ID, so a fanned-out batch shows one span per shard it
-// touched; the trace's span slots are claimed atomically, making the
-// concurrent recording safe.
-func (c *Cluster) PredictBatchTraced(ctx context.Context, reqs []serve.Request, tr *obs.Trace) []serve.Response {
+func (c *Cluster) AdmitBatch(ctx context.Context, reqs []serve.Request, tr *obs.Trace) ([]serve.Response, error) {
 	c.requests.Add(int64(len(reqs)))
-	out := make([]serve.Response, len(reqs))
 	if len(reqs) == 0 {
-		return out
+		return []serve.Response{}, nil
 	}
 	// Group item indices by owning shard; the index lists are the merge
 	// plan that restores input order after the fan-out.
@@ -258,24 +247,36 @@ func (c *Cluster) PredictBatchTraced(ctx context.Context, reqs []serve.Request, 
 		sid := c.ring.Owner(r.Key.Job, r.Key.Env)
 		byShard[sid] = append(byShard[sid], i)
 	}
-	if len(byShard) > 1 {
+	var out []serve.Response
+	if len(byShard) == 1 {
+		var err error
+		if out, err = c.batchOn(ctx, c.owner(reqs[0].Key), reqs, tr); err != nil {
+			return nil, err
+		}
+	} else {
 		c.batchFanouts.Add(1)
+		out = make([]serve.Response, len(reqs))
+		var wg sync.WaitGroup
+		for sid, idxs := range byShard {
+			wg.Add(1)
+			go func(n *Node, idxs []int) {
+				defer wg.Done()
+				sub := make([]serve.Request, len(idxs))
+				for j, i := range idxs {
+					sub[j] = reqs[i]
+				}
+				rs, err := c.batchOn(ctx, n, sub, tr)
+				for j, i := range idxs {
+					if err != nil {
+						out[i].Err = err
+					} else {
+						out[i] = rs[j]
+					}
+				}
+			}(c.nodes[sid], idxs)
+		}
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	for sid, idxs := range byShard {
-		wg.Add(1)
-		go func(n *Node, idxs []int) {
-			defer wg.Done()
-			sub := make([]serve.Request, len(idxs))
-			for j, i := range idxs {
-				sub[j] = reqs[i]
-			}
-			for j, r := range c.batchOn(ctx, n, sub, tr) {
-				out[idxs[j]] = r
-			}
-		}(c.nodes[sid], idxs)
-	}
-	wg.Wait()
 	failed := 0
 	for i := range out {
 		if out[i].Err != nil {
@@ -285,233 +286,68 @@ func (c *Cluster) PredictBatchTraced(ctx context.Context, reqs []serve.Request, 
 	if failed > 0 && failed < len(out) {
 		c.partialFailures.Add(1)
 	}
-	return out
+	return out, nil
 }
 
-func (c *Cluster) batchOn(ctx context.Context, n *Node, sub []serve.Request, tr *obs.Trace) []serve.Response {
-	t0 := tr.Clock()
-	defer func() { tr.Record(obs.StageShardRoute, n.ID, t0) }()
-	fill := func(err error) []serve.Response {
-		rs := make([]serve.Response, len(sub))
-		for i := range rs {
-			rs[i].Err = err
-		}
-		return rs
-	}
-	nctx, ok := n.liveContext()
-	if !ok {
-		return fill(errShardDown(n.ID))
-	}
-	dctx, done := dispatchContext(ctx, nctx)
-	defer done()
-	release, err := n.admitOn(dctx, loadctl.CostHeavy)
+func (c *Cluster) batchOn(ctx context.Context, n *Node, sub []serve.Request, tr *obs.Trace) ([]serve.Response, error) {
+	var rs []serve.Response
+	err := n.dispatch(ctx, tr, func(ctx context.Context) (err error) {
+		rs, err = n.Service.AdmitBatch(ctx, sub, tr)
+		return err
+	})
 	if err != nil {
-		if n.down.Load() {
-			return fill(errShardDown(n.ID))
-		}
-		return fill(gateError(err))
+		return nil, err
 	}
-	defer release()
-	rs := n.Service.PredictBatch(dctx, sub)
 	if n.down.Load() {
 		// The shard died mid-batch: anything it failed on is reported as
-		// the shard's unavailability, not the request's fault.
+		// the shard's unavailability.
 		for i := range rs {
 			if rs[i].Err != nil {
 				rs[i].Err = errShardDown(n.ID)
 			}
 		}
 	}
-	return rs
+	return rs, nil
 }
 
-// Observe forwards an observation to the owner of its key, so each
+// AdmitObserve forwards an observation to the owner of its key, so each
 // shard's lifecycle controller and WAL see exactly the observations of
 // the models it serves.
-func (c *Cluster) Observe(ctx context.Context, key serve.ModelKey, q core.Query, runtimeSec float64) error {
+func (c *Cluster) AdmitObserve(ctx context.Context, key serve.ModelKey, q core.Query, runtimeSec float64, tr *obs.Trace) error {
 	c.requests.Add(1)
-	n := c.nodes[c.ring.Owner(key.Job, key.Env)]
-	nctx, ok := n.liveContext()
-	if !ok {
-		return errShardDown(n.ID)
-	}
-	dctx, done := dispatchContext(ctx, nctx)
-	defer done()
-	release, err := n.admitOn(dctx, loadctl.CostCheap)
-	if err != nil {
-		if n.down.Load() {
-			return errShardDown(n.ID)
-		}
-		return gateError(err)
-	}
-	defer release()
-	if err := n.Service.Observe(dctx, key, q, runtimeSec); err != nil {
-		if n.down.Load() {
-			return errShardDown(n.ID)
-		}
+	n := c.owner(key)
+	return n.dispatch(ctx, tr, func(ctx context.Context) error {
+		return n.Service.AdmitObserve(ctx, key, q, runtimeSec, tr)
+	})
+}
+
+// AdmitAllocate forwards an allocation request to the owner of its key.
+func (c *Cluster) AdmitAllocate(ctx context.Context, key serve.ModelKey, req allocate.Request, tr *obs.Trace) (*allocate.Result, error) {
+	c.requests.Add(1)
+	n := c.owner(key)
+	var res *allocate.Result
+	err := n.dispatch(ctx, tr, func(ctx context.Context) (err error) {
+		res, err = n.Service.AdmitAllocate(ctx, key, req, tr)
 		return err
-	}
-	return nil
-}
-
-// Allocate forwards an allocation request to the owner of its key.
-func (c *Cluster) Allocate(ctx context.Context, key serve.ModelKey, req allocate.Request) (*allocate.Result, error) {
-	c.requests.Add(1)
-	n := c.nodes[c.ring.Owner(key.Job, key.Env)]
-	nctx, ok := n.liveContext()
-	if !ok {
-		return nil, errShardDown(n.ID)
-	}
-	dctx, done := dispatchContext(ctx, nctx)
-	defer done()
-	release, err := n.admitOn(dctx, loadctl.CostHeavy)
+	})
 	if err != nil {
-		if n.down.Load() {
-			return nil, errShardDown(n.ID)
-		}
-		return nil, gateError(err)
+		return nil, err
 	}
-	defer release()
-	res, err := n.Service.Allocate(dctx, key, req)
-	if err != nil && n.down.Load() {
-		return nil, errShardDown(n.ID)
-	}
-	return res, err
+	return res, nil
 }
 
-// EnableReplication builds a replicator per node and connects every
-// pair over in-process pipes. Each connection starts with a full-state
-// snapshot push in both directions, so replication enabled after models
-// are already resident still converges.
-func (c *Cluster) EnableReplication() {
-	for _, n := range c.nodes {
-		n.repl = c.newReplicator(n)
+// StatsBody implements serve.Backend.
+func (c *Cluster) StatsBody() any { return c.StatsPayload() }
+
+// rateLimited counts the requests the router's limiter answered 429.
+func (c *Cluster) rateLimited() int64 {
+	if c.opts.Limiter == nil {
+		return 0
 	}
-	for i := 0; i < len(c.nodes); i++ {
-		for j := i + 1; j < len(c.nodes); j++ {
-			a, b := net.Pipe()
-			c.nodes[i].repl.AddPeer(a)
-			c.nodes[j].repl.AddPeer(b)
-		}
-	}
+	return c.opts.Limiter.Stats().Limited
 }
 
-// newReplicator wires a Replicator to node n's registry: apply goes
-// through Publish (which enforces the never-older rule) and invalidates
-// memoized results on success; snapshot serializes every resident
-// version.
-func (c *Cluster) newReplicator(n *Node) *Replicator {
-	apply := func(job, env string, version uint64, blob []byte) error {
-		m, err := core.Load(bytes.NewReader(blob))
-		if err != nil {
-			return fmt.Errorf("shard %d: decoding replicated model %s@%s v%d: %w", n.ID, job, env, version, err)
-		}
-		key := serve.ModelKey{Job: job, Env: env}
-		if !n.Service.Registry().Publish(key, version, m) {
-			return ErrStale
-		}
-		// The shard now answers from a different model version: memoized
-		// results of the old one must not outlive it.
-		n.Service.InvalidateResults(key)
-		return nil
-	}
-	snapshot := func() []VersionedBlob {
-		return snapshotRegistry(n.Service)
-	}
-	return NewReplicator(n.ID, apply, snapshot, c.opts.FragmentSize)
-}
-
-// snapshotRegistry serializes every resident model version of a
-// service, the payload of a full-state push to a reconnecting peer.
-func snapshotRegistry(svc *serve.Service) []VersionedBlob {
-	resident := svc.Registry().ResidentVersions()
-	out := make([]VersionedBlob, 0, len(resident))
-	for key := range resident {
-		ref, err := svc.Registry().GetRef(context.Background(), key)
-		if err != nil {
-			continue // evicted between snapshot and read: nothing to push
-		}
-		cm, err := ref.Model.CloneCore()
-		if err != nil {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := cm.Save(&buf); err != nil {
-			continue
-		}
-		out = append(out, VersionedBlob{Job: key.Job, Env: key.Env, Version: ref.Version, Blob: buf.Bytes()})
-	}
-	return out
-}
-
-// Broadcast ships a freshly installed model version from shard `from`
-// to every peer. The lifecycle controller's OnInstall hook is the
-// caller: a hot swap on one shard becomes resident everywhere.
-func (c *Cluster) Broadcast(from int, key serve.ModelKey, version uint64, blob []byte) {
-	if r := c.nodes[from].repl; r != nil {
-		r.Broadcast(VersionedBlob{Job: key.Job, Env: key.Env, Version: version, Blob: blob})
-	}
-}
-
-// RestartReplication tears down node i's replicator (simulating — or
-// handling — a replica restart) and reconnects it to every live peer.
-// The fresh connections trigger full-state pushes in both directions,
-// so a replica that went away mid-replication converges to the latest
-// generation of everything.
-func (c *Cluster) RestartReplication(i int) {
-	n := c.nodes[i]
-	if n.repl != nil {
-		n.repl.Close()
-	}
-	n.repl = c.newReplicator(n)
-	for _, peer := range c.nodes {
-		if peer == n || peer.repl == nil {
-			continue
-		}
-		a, b := net.Pipe()
-		n.repl.AddPeer(a)
-		peer.repl.AddPeer(b)
-	}
-}
-
-// CloseReplication shuts down every replicator.
-func (c *Cluster) CloseReplication() {
-	for _, n := range c.nodes {
-		if n.repl != nil {
-			n.repl.Close()
-			n.repl = nil
-		}
-	}
-}
-
-// ReplicationStats aggregates the replication counters across shards,
-// or nil when replication is not enabled.
-func (c *Cluster) ReplicationStats() *api.ReplicationStats {
-	var agg api.ReplicationStats
-	any := false
-	for _, n := range c.nodes {
-		if n.repl == nil {
-			continue
-		}
-		any = true
-		st := n.repl.Stats()
-		agg.FramesSent += st.FramesSent
-		agg.FramesReceived += st.FramesReceived
-		agg.BytesSent += st.BytesSent
-		agg.BytesReceived += st.BytesReceived
-		agg.Applied += st.Applied
-		agg.Stale += st.Stale
-		agg.Reassemblies += st.Reassemblies
-		agg.PeerErrors += st.PeerErrors
-	}
-	if !any {
-		return nil
-	}
-	return &agg
-}
-
-// StatsPayload snapshots the whole cluster in wire form, the body of
-// GET /v1/stats on the sharded handler.
+// StatsPayload snapshots the whole cluster in wire form.
 func (c *Cluster) StatsPayload() api.ClusterStats {
 	out := api.ClusterStats{
 		SchemaVersion: api.StatsSchemaVersion,
@@ -519,7 +355,7 @@ func (c *Cluster) StatsPayload() api.ClusterStats {
 			Requests:        c.requests.Load(),
 			BatchFanouts:    c.batchFanouts.Load(),
 			PartialFailures: c.partialFailures.Load(),
-			RateLimited:     c.rateLimited.Load(),
+			RateLimited:     c.rateLimited(),
 			DeadlineRejects: c.deadlineRejects.Load(),
 		},
 		Replication: c.ReplicationStats(),

@@ -163,7 +163,10 @@ func TestClusterBatchMergesInOrder(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		reqs = append(reqs, serve.Request{Key: shardKey("sort", i), Query: testQuery(2+i, 10000)})
 	}
-	out := c.PredictBatch(ctx, reqs)
+	out, err := c.AdmitBatch(ctx, reqs, nil)
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
 	if len(out) != len(reqs) {
 		t.Fatalf("%d responses for %d requests", len(out), len(reqs))
 	}
@@ -207,7 +210,10 @@ func TestClusterCrashMidBatchPartialFailure(t *testing.T) {
 		{Key: k0, Query: testQuery(6, 10000)},
 		{Key: k1, Query: testQuery(8, 10000)},
 	}
-	go func() { done <- c.PredictBatch(ctx, reqs) }()
+	go func() {
+		out, _ := c.AdmitBatch(ctx, reqs, nil) // fanned out: failures are per item
+		done <- out
+	}()
 
 	// Wait until the shard-1 group is queued on the gate, then kill the
 	// shard.
@@ -240,14 +246,21 @@ func TestClusterCrashMidBatchPartialFailure(t *testing.T) {
 	}
 }
 
-// countObserver counts observations per shard service.
-type countObserver struct{ n atomic.Int64 }
+// countObserver counts observations per shard service. A positive
+// capacity refuses observations past it with the capacity sentinel, like
+// the lifecycle controller's distinct-key bound.
+type countObserver struct {
+	n        atomic.Int64
+	capacity int64
+}
 
 func (o *countObserver) Observe(_ context.Context, _ serve.ModelKey, _ core.Query, runtimeSec float64) error {
 	if runtimeSec <= 0 {
 		return fmt.Errorf("runtime must be positive")
 	}
-	o.n.Add(1)
+	if o.n.Add(1) > o.capacity && o.capacity > 0 {
+		return fmt.Errorf("observer full: %w", serve.ErrObserveCapacity)
+	}
 	return nil
 }
 
@@ -262,7 +275,7 @@ func TestClusterObserveRoutesToOwner(t *testing.T) {
 	want := make([]int64, c.Shards())
 	for i := 0; i < 12; i++ {
 		k := shardKey("grep", i)
-		if err := c.Observe(ctx, k, testQuery(4, 10000), 55.5); err != nil {
+		if err := c.AdmitObserve(ctx, k, testQuery(4, 10000), 55.5, nil); err != nil {
 			t.Fatalf("observe %v: %v", k, err)
 		}
 		want[c.Owner(k.Job, k.Env)]++
@@ -275,53 +288,32 @@ func TestClusterObserveRoutesToOwner(t *testing.T) {
 }
 
 // TestClusterReplicationEndToEnd: a version published on one shard
-// becomes resident on every peer; a replica that dies mid-replication
-// and restarts converges to the latest generation; stale re-deliveries
-// never move a replica backwards.
+// becomes resident on every peer, and stale re-deliveries never move a
+// replica backwards.
 func TestClusterReplicationEndToEnd(t *testing.T) {
-	c := newTestCluster(t, 3, nil, Options{FragmentSize: 512})
+	c := newTestCluster(t, 3, nil, Options{})
 	c.EnableReplication()
 	defer c.CloseReplication()
 
 	key := serve.ModelKey{Job: "sort", Env: "c3o"}
 	blob := pretrainedBytes(t)
 
-	// Publish v2 on shard 0 and broadcast, as the lifecycle OnInstall
-	// hook would after a hot swap.
-	if !c.Node(0).Service.Registry().Publish(key, 2, testModel(t)) {
-		t.Fatal("publish v2 on shard 0 refused")
+	// Publish v2, then v3, on shard 0 and broadcast, as the lifecycle
+	// OnInstall hook would after a hot swap.
+	for _, v := range []uint64{2, 3} {
+		if !c.Node(0).Service.Registry().Publish(key, v, testModel(t)) {
+			t.Fatalf("publish v%d on shard 0 refused", v)
+		}
+		c.Broadcast(0, key, v, blob)
+		for s := 1; s < 3; s++ {
+			if got := c.Node(s).Service.Registry().ResidentVersions()[key]; got != v {
+				t.Fatalf("shard %d holds v%d after the broadcast of v%d", s, got, v)
+			}
+		}
 	}
-	c.Broadcast(0, key, 2, blob)
-	for s := 1; s < 3; s++ {
-		s := s
-		waitFor(t, 5*time.Second, fmt.Sprintf("shard %d to hold v2", s), func() bool {
-			return c.Node(s).Service.Registry().ResidentVersions()[key] == 2
-		})
-	}
-
-	// Shard 2's replicator dies; a newer version ships meanwhile.
-	c.nodes[2].repl.Close()
-	if !c.Node(0).Service.Registry().Publish(key, 3, testModel(t)) {
-		t.Fatal("publish v3 refused")
-	}
-	c.Broadcast(0, key, 3, blob)
-	waitFor(t, 5*time.Second, "shard 1 to hold v3", func() bool {
-		return c.Node(1).Service.Registry().ResidentVersions()[key] == 3
-	})
-	if got := c.Node(2).Service.Registry().ResidentVersions()[key]; got != 2 {
-		t.Fatalf("dead shard moved to v%d without a link", got)
-	}
-
-	// Restart: reconnects trigger full-state pushes; the replica
-	// converges to the latest generation.
-	c.RestartReplication(2)
-	waitFor(t, 5*time.Second, "restarted shard to converge to v3", func() bool {
-		return c.Node(2).Service.Registry().ResidentVersions()[key] == 3
-	})
 
 	// A stale rebroadcast is refused everywhere: versions stay at 3.
 	c.Broadcast(0, key, 2, blob)
-	time.Sleep(50 * time.Millisecond)
 	for s := 1; s < 3; s++ {
 		if got := c.Node(s).Service.Registry().ResidentVersions()[key]; got != 3 {
 			t.Fatalf("shard %d regressed to v%d after stale rebroadcast", s, got)
@@ -341,4 +333,39 @@ func asAPIError(err error, target **api.Error) bool {
 		return true
 	}
 	return false
+}
+
+// TestWarmPredictZeroAllocCluster pins the router's hot path: a cached
+// prediction through Cluster.Predict — ring lookup, the owner's cache
+// and its counters, gates attached — allocates nothing, whatever the
+// shard count. (Deriving the per-dispatch context costs several
+// allocations; a hit must never get that far.)
+func TestWarmPredictZeroAllocCluster(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector, so the pooled fingerprint path allocates there by design")
+	}
+	for _, shards := range []int{1, 2} {
+		gates := make([]*loadctl.Gate, shards)
+		for i := range gates {
+			gates[i] = loadctl.NewGate(loadctl.GateConfig{MaxInFlight: 4})
+		}
+		c := newTestCluster(t, shards, gates, Options{})
+		ctx := context.Background()
+		reqs := make([]serve.Request, shards)
+		for i := range reqs {
+			reqs[i] = serve.Request{Key: keyOwnedBy(t, c, i), Query: testQuery(4, 4096)}
+			if r := c.Predict(ctx, reqs[i]); r.Err != nil {
+				t.Fatalf("cold Predict: %v", r.Err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			for _, req := range reqs {
+				if r := c.Predict(ctx, req); r.Err != nil || !r.Cached {
+					t.Fatalf("warm Predict = %+v", r)
+				}
+			}
+		}); allocs != 0 {
+			t.Fatalf("warm predict over %d shards allocs/op = %v, want 0", shards, allocs)
+		}
+	}
 }

@@ -351,3 +351,57 @@ func TestColdBatchAllocBudget(t *testing.T) {
 			items, bytesPer, objectsPer, maxBytes, maxObjects)
 	}
 }
+
+// TestClusterGateIsTheShardServices: a shard's gate is its service's, so
+// what it admits and what bypasses it show up where that shard's
+// counters are read — its /v1/stats block and its {shard="i"} series —
+// and a service can hold only one.
+func TestClusterGateIsTheShardServices(t *testing.T) {
+	gates := []*loadctl.Gate{loadctl.NewGate(loadctl.GateConfig{}), loadctl.NewGate(loadctl.GateConfig{})}
+	c := newTestCluster(t, 2, gates, Options{})
+	attachTestObs(c, 1)
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	// One computed and one cached predict per shard.
+	for i := 0; i < 2; i++ {
+		for _, wantCached := range []bool{false, true} {
+			code, raw := postJSON(t, srv.URL+"/v1/predict", apiRequest(keyOwnedBy(t, c, i), 4))
+			var pr api.PredictResponse
+			if err := json.Unmarshal(raw, &pr); code != http.StatusOK || err != nil || pr.Cached != wantCached {
+				t.Fatalf("shard %d predict: status %d, %s, want cached=%v", i, code, raw, wantCached)
+			}
+		}
+	}
+
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatalf("GET stats: %v", err)
+	}
+	var st api.ClusterStats
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decode stats: %v", err)
+	}
+	metrics := scrapePromText(t, srv.URL)
+	for i, sh := range st.Shards {
+		lc := sh.Stats.LoadCtl
+		if lc == nil || lc.Admitted < 1 || lc.GateBypassed < 1 {
+			t.Fatalf("shard %d load_ctl = %+v, want >= 1 admitted and >= 1 bypassed", i, lc)
+		}
+		if gs := gates[i].Stats(); gs.Admitted != lc.Admitted {
+			t.Fatalf("shard %d reports %d admitted, its gate %d", i, lc.Admitted, gs.Admitted)
+		}
+		for _, series := range []string{"bellamy_gate_admitted_total", "bellamy_gate_bypassed_total"} {
+			if key := series + `{shard="` + strconv.Itoa(i) + `"}`; metrics[key] < 1 {
+				t.Fatalf("%s = %v, want >= 1", key, metrics[key])
+			}
+		}
+	}
+
+	twice := c.Node(0).Service
+	if _, err := New([]NodeConfig{{Service: twice, Gate: loadctl.NewGate(loadctl.GateConfig{})}}, Options{}); err == nil {
+		t.Fatal("New accepted a gate for a service that already has one")
+	}
+}

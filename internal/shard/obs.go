@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"net/http"
 	"strconv"
 
 	"repro/internal/api"
@@ -34,8 +33,8 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 		"Batches that fanned out to more than one shard.", nil, &c.batchFanouts)
 	reg.RegisterCounter("bellamy_router_partial_failures_total",
 		"Batches where some but not all items failed.", nil, &c.partialFailures)
-	reg.RegisterCounter("bellamy_router_rate_limited_total",
-		"Requests answered 429 by the router's per-client rate limiter.", nil, &c.rateLimited)
+	reg.RegisterCounterFunc("bellamy_router_rate_limited_total",
+		"Requests answered 429 by the router's per-client rate limiter.", nil, c.rateLimited)
 	reg.RegisterCounter("bellamy_router_deadline_rejects_total",
 		"Requests answered 504 by the router because their budget ran out.", nil, &c.deadlineRejects)
 	reg.RegisterGaugeFunc("bellamy_router_draining",
@@ -64,13 +63,9 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 		name, help string
 		read       func(api.ReplicationStats) int64
 	}{
-		{"bellamy_repl_frames_sent_total", "Replication frames sent.", func(r api.ReplicationStats) int64 { return r.FramesSent }},
-		{"bellamy_repl_frames_received_total", "Replication frames received.", func(r api.ReplicationStats) int64 { return r.FramesReceived }},
-		{"bellamy_repl_bytes_sent_total", "Replication payload bytes sent.", func(r api.ReplicationStats) int64 { return r.BytesSent }},
-		{"bellamy_repl_bytes_received_total", "Replication payload bytes received.", func(r api.ReplicationStats) int64 { return r.BytesReceived }},
 		{"bellamy_repl_applied_total", "Replicated model versions installed.", func(r api.ReplicationStats) int64 { return r.Applied }},
 		{"bellamy_repl_stale_total", "Replicated versions rejected as stale.", func(r api.ReplicationStats) int64 { return r.Stale }},
-		{"bellamy_repl_peer_errors_total", "Replication peer connection errors.", func(r api.ReplicationStats) int64 { return r.PeerErrors }},
+		{"bellamy_repl_peer_errors_total", "Broadcast model blobs that failed to decode.", func(r api.ReplicationStats) int64 { return r.PeerErrors }},
 	} {
 		read := m.read
 		reg.RegisterCounterFunc(m.name, m.help, nil, func() int64 {
@@ -81,62 +76,4 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 			return read(*rs)
 		})
 	}
-}
-
-// startTrace begins a request trace at the router when a tracer is
-// attached, echoing the trace ID on the response header. Identical
-// contract to the single-shard handler: a client-supplied X-Trace-Id is
-// always traced, other requests are sampled. Returns nil for untraced
-// requests.
-func (c *Cluster) startTrace(w http.ResponseWriter, r *http.Request) *obs.Trace {
-	o := c.obsRef.Load()
-	if o == nil || o.Tracer == nil {
-		return nil
-	}
-	tr := o.Tracer.StartRequest(r.Header.Get(api.TraceIDHeader))
-	if tr != nil {
-		w.Header().Set(api.TraceIDHeader, tr.ID())
-	}
-	return tr
-}
-
-// finishTrace completes tr (nil-safe), offering it to the slow ring.
-func (c *Cluster) finishTrace(tr *obs.Trace) {
-	if tr == nil {
-		return
-	}
-	if o := c.obsRef.Load(); o != nil {
-		o.Tracer.Finish(tr)
-	}
-}
-
-// attachTrace annotates a router-level 504 envelope with the trace ID
-// and the spans recorded before the budget ran out.
-func attachTrace(e *api.Error, tr *obs.Trace) *api.Error {
-	if tr != nil {
-		e.TraceID = tr.ID()
-		e.Spans = serve.SpanSummaries(tr.Spans())
-	}
-	return e
-}
-
-// handleMetrics and handleSlowTraces serve GET /metrics and
-// GET /v1/debug/slow on the sharded surface; both answer 404 until an
-// observability layer with the relevant facility is attached.
-func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	o := c.obsRef.Load()
-	if o == nil || o.Metrics == nil {
-		http.NotFound(w, r)
-		return
-	}
-	o.Metrics.Handler().ServeHTTP(w, r)
-}
-
-func (c *Cluster) handleSlowTraces(w http.ResponseWriter, r *http.Request) {
-	o := c.obsRef.Load()
-	if o == nil || o.Tracer == nil {
-		http.NotFound(w, r)
-		return
-	}
-	api.WriteJSON(w, serve.SlowTracesPayload(o.Tracer))
 }

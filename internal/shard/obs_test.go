@@ -9,8 +9,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/api"
+	"repro/internal/loadctl"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -217,86 +219,168 @@ func TestClusterStatsCarriesObsBlock(t *testing.T) {
 	}
 }
 
+// TestClusterTraceFanOutPropagation: on every POST route of the sharded
+// surface a trace is echoed, retained, and shows the pipeline's stages
+// with one shard_route span per shard touched — two for a batch that
+// fans out — under which the shard's own gate_wait nests. A request out
+// of budget at a shard's gate is answered 504 with the spans so far.
 func TestClusterTraceFanOutPropagation(t *testing.T) {
-	c := newTestCluster(t, 4, nil, Options{})
+	gates := make([]*loadctl.Gate, 4)
+	for i := range gates {
+		gates[i] = loadctl.NewGate(loadctl.GateConfig{MaxInFlight: 1, MaxWait: 5 * time.Second})
+	}
+	c := newTestCluster(t, 4, gates, Options{})
+	for i := 0; i < c.Shards(); i++ {
+		c.Node(i).Service.AttachObserver(&countObserver{})
+	}
 	attachTestObs(c, 1)
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
 	k0 := keyOwnedBy(t, c, 0)
 	k2 := keyOwnedBy(t, c, 2)
-
-	batch := api.BatchRequest{Requests: []api.PredictRequest{
-		apiRequest(k0, 2), apiRequest(k2, 4),
-	}}
-	b, err := json.Marshal(batch)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	req, err := http.NewRequest("POST", srv.URL+"/v1/predict/batch", bytes.NewReader(b))
-	if err != nil {
-		t.Fatalf("NewRequest: %v", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(api.TraceIDHeader, "fanout-trace-1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("POST batch: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(api.TraceIDHeader); got != "fanout-trace-1" {
-		t.Fatalf("trace ID echo = %q, want %q", got, "fanout-trace-1")
+	one := apiRequest(k0, 2)
+	allocate := api.AllocateRequest{
+		Job: one.Job, Env: one.Env, Essential: one.Essential, Optional: one.Optional,
+		MinScaleOut: 2, MaxScaleOut: 8, DeadlineSec: 900, CostPerNodeHour: 1,
 	}
 
-	// The trace surfaces in /v1/debug/slow with one shard_route span per
-	// shard the batch touched, each tagged with its shard's ID.
-	dresp, err := http.Get(srv.URL + "/v1/debug/slow")
-	if err != nil {
-		t.Fatalf("GET debug/slow: %v", err)
-	}
-	var slow api.SlowTracesResponse
-	err = json.NewDecoder(dresp.Body).Decode(&slow)
-	dresp.Body.Close()
-	if err != nil {
-		t.Fatalf("decode slow traces: %v", err)
-	}
-	var trace *api.TraceSummary
-	for i := range slow.Traces {
-		if slow.Traces[i].TraceID == "fanout-trace-1" {
-			trace = &slow.Traces[i]
+	post := func(route string, body any, header map[string]string) (*http.Response, []byte) {
+		t.Helper()
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
 		}
-	}
-	if trace == nil {
-		t.Fatalf("trace not retained; have %d traces", len(slow.Traces))
-	}
-	shards := map[int]bool{}
-	stages := map[string]bool{}
-	for _, sp := range trace.Spans {
-		stages[sp.Name] = true
-		if sp.Name == obs.StageShardRoute {
-			shards[sp.Shard] = true
+		req, err := http.NewRequest("POST", srv.URL+route, bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("NewRequest: %v", err)
 		}
+		req.Header.Set("Content-Type", "application/json")
+		for k, v := range header {
+			req.Header.Set(k, v)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("POST %s: %v", route, err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp, buf.Bytes()
 	}
-	if len(shards) < 2 {
-		t.Fatalf("shard_route spans cover %d shards, want >= 2 (spans %+v)", len(shards), trace.Spans)
-	}
-	if !shards[0] || !shards[2] {
-		t.Fatalf("shard_route tags = %v, want shards 0 and 2", shards)
-	}
-	// No classify span: a batch's items are converted under decode and
-	// there is no cache peek or cost class to decide.
-	for _, want := range []string{
-		obs.StageRateLimit, obs.StageDecode,
-		obs.StageShardRoute, obs.StagePredict, obs.StageEncode,
+
+	for _, tc := range []struct {
+		route  string
+		body   any
+		status int
+		shards []int    // the shards whose shard_route spans must appear
+		stages []string // beside ratelimit, decode, shard_route, gate_wait and encode
+	}{
+		{"/v1/predict", one, http.StatusOK, []int{0}, []string{obs.StageClassify, obs.StageRegistryLoad, obs.StagePredict}},
+		{"/v1/predict/batch", api.BatchRequest{Requests: []api.PredictRequest{apiRequest(k0, 4), apiRequest(k2, 4)}},
+			http.StatusOK, []int{0, 2}, []string{obs.StagePredict}},
+		{"/v1/allocate", allocate, http.StatusOK, []int{0}, []string{obs.StageAllocate}},
+		{"/v1/observe", api.ObserveRequest{PredictRequest: one, RuntimeSec: 60}, http.StatusAccepted, []int{0}, []string{obs.StageObserve}},
 	} {
-		if !stages[want] {
-			t.Fatalf("trace missing stage %q (have %v)", want, stages)
+		traceID := "fanout-trace-" + tc.route
+		resp, raw := post(tc.route, tc.body, map[string]string{api.TraceIDHeader: traceID})
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s status %d, want %d: %s", tc.route, resp.StatusCode, tc.status, raw)
+		}
+		if got := resp.Header.Get(api.TraceIDHeader); got != traceID {
+			t.Fatalf("%s trace ID echo = %q, want %q", tc.route, got, traceID)
+		}
+
+		// The trace surfaces in /v1/debug/slow with one shard_route span per
+		// shard the request touched, each tagged with its shard's ID.
+		dresp, err := http.Get(srv.URL + "/v1/debug/slow")
+		if err != nil {
+			t.Fatalf("GET debug/slow: %v", err)
+		}
+		var slow api.SlowTracesResponse
+		err = json.NewDecoder(dresp.Body).Decode(&slow)
+		dresp.Body.Close()
+		if err != nil {
+			t.Fatalf("decode slow traces: %v", err)
+		}
+		var trace *api.TraceSummary
+		for i := range slow.Traces {
+			if slow.Traces[i].TraceID == traceID {
+				trace = &slow.Traces[i]
+			}
+		}
+		if trace == nil {
+			t.Fatalf("%s trace not retained; have %d traces", tc.route, len(slow.Traces))
+		}
+		routes := map[int]api.SpanSummary{}
+		stages := map[string]bool{}
+		for _, sp := range trace.Spans {
+			stages[sp.Name] = true
+			if sp.Name == obs.StageShardRoute {
+				routes[sp.Shard] = sp
+			}
+		}
+		if len(routes) != len(tc.shards) {
+			t.Fatalf("%s shard_route spans cover %d shards, want %d (spans %+v)", tc.route, len(routes), len(tc.shards), trace.Spans)
+		}
+		for _, sid := range tc.shards {
+			if _, ok := routes[sid]; !ok {
+				t.Fatalf("%s shard_route tags = %v, want shards %v", tc.route, routes, tc.shards)
+			}
+		}
+		for _, want := range append([]string{
+			obs.StageRateLimit, obs.StageDecode, obs.StageShardRoute, obs.StageGateWait, obs.StageEncode,
+		}, tc.stages...) {
+			if !stages[want] {
+				t.Fatalf("%s trace missing stage %q (have %v)", tc.route, want, stages)
+			}
+		}
+		// No classify span off the single-predict route: there is no cache
+		// peek or cost class to decide.
+		if tc.route != "/v1/predict" && stages[obs.StageClassify] {
+			t.Fatalf("%s trace records a classify span (have %v)", tc.route, stages)
+		}
+		// Every gate_wait lies inside one of the shard_route spans.
+		for _, sp := range trace.Spans {
+			if sp.Name != obs.StageGateWait {
+				continue
+			}
+			nested := false
+			for _, rt := range routes {
+				nested = nested || (sp.StartUsec >= rt.StartUsec && sp.StartUsec+sp.DurUsec <= rt.StartUsec+rt.DurUsec)
+			}
+			if !nested {
+				t.Fatalf("%s gate_wait span %+v outside every shard_route span %+v", tc.route, sp, routes)
+			}
 		}
 	}
-	if stages[obs.StageClassify] {
-		t.Fatalf("batch trace records a classify span (have %v)", stages)
+
+	// Out of budget at the owner's gate: the 504 carries the trace.
+	if !gates[0].TryAcquire() {
+		t.Fatal("could not occupy shard 0's gate")
+	}
+	defer gates[0].Release()
+	for _, tc := range []struct {
+		route string
+		body  any
+	}{
+		{"/v1/predict", apiRequest(k0, 12)},
+		{"/v1/predict/batch", api.BatchRequest{Requests: []api.PredictRequest{apiRequest(k0, 12)}}},
+		{"/v1/allocate", allocate},
+		{"/v1/observe", api.ObserveRequest{PredictRequest: one, RuntimeSec: 60}},
+	} {
+		resp, raw := post(tc.route, tc.body, map[string]string{api.TraceIDHeader: "late-trace", api.DeadlineHeader: "30"})
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("%s queued past its deadline: status %d, want 504: %s", tc.route, resp.StatusCode, raw)
+		}
+		e := decodeEnvelope(t, raw)
+		stages := map[string]bool{}
+		for _, sp := range e.Spans {
+			stages[sp.Name] = true
+		}
+		if e.Code != api.CodeDeadlineExceeded || e.TraceID != "late-trace" ||
+			!stages[obs.StageDecode] || !stages[obs.StageGateWait] || !stages[obs.StageShardRoute] {
+			t.Fatalf("%s 504 envelope %+v, want the trace ID and the decode, shard_route and gate_wait spans", tc.route, e)
+		}
 	}
 }

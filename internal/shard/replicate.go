@@ -1,462 +1,76 @@
 package shard
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"sync"
+	"bytes"
 	"sync/atomic"
 
 	"repro/internal/api"
+	"repro/internal/core"
+	"repro/internal/serve"
 )
 
-// The inter-shard replication protocol ships hot-swapped model
-// versions between peers as length-prefixed CRC-framed binary
-// messages, the same framing discipline as internal/store's WAL
-// records: u32 LE payload length, u32 LE CRC32C of the payload, then
-// the payload. A model blob larger than one frame is fragmented and
-// reassembled in order on the receiving side; every fragment names the
-// (job, env, version) it belongs to, so a torn or interleaved stream
-// is detected, dropped, and recovered from rather than mis-assembled.
-//
-// Convergence comes from the registry's version counters, not the
-// transport: the receiver applies a completed blob through
-// Registry.Publish, which refuses any version not strictly newer than
-// the resident one. Duplicate deliveries, reordered announcements, and
-// full-state replays on reconnect are therefore all idempotent — a
-// replica never moves backwards.
+// Model propagation between the shards of one process: a version
+// installed on one shard is decoded and published on each peer.
+// Convergence comes from the registries' version counters:
+// Registry.Publish refuses any version not strictly newer than the
+// resident one, so duplicate, reordered and concurrent broadcasts are
+// all idempotent — a replica never moves backwards.
 
-// castagnoli is the CRC32C table, matching the WAL's frame checksums.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-const (
-	// replFrameHeaderLen prefixes every frame: payload length (u32 LE)
-	// then CRC32C of the payload (u32 LE).
-	replFrameHeaderLen = 8
-	// DefaultFragmentSize bounds the model-blob chunk carried by one
-	// fragment payload. Model blobs (tens of KB to a few MB) typically
-	// span several frames, exercising reassembly on every swap.
-	DefaultFragmentSize = 64 << 10
-	// maxReplPayload bounds a received frame's claimed payload length
-	// so a corrupt length prefix cannot force a giant allocation.
-	maxReplPayload = 4 << 20
-	// maxBlobLen bounds a fragment's claimed total blob length.
-	maxBlobLen = 256 << 20
-	// maxKeyLen bounds job/env strings inside messages.
-	maxKeyLen = 4096
-)
-
-// Message types.
-const (
-	msgHello    = 1 // peer handshake: uvarint shard ID
-	msgFragment = 2 // one chunk of a versioned model blob
-)
-
-// appendFrame wraps payload in the length+CRC header.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
+// replication holds the counters of an enabled propagation.
+type replication struct {
+	applied, stale, peerErrors atomic.Int64
 }
 
-// readFrame reads one frame from r and returns its validated payload.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [replFrameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length > maxReplPayload {
-		return nil, fmt.Errorf("shard: replication frame claims %d bytes (max %d)", length, maxReplPayload)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, fmt.Errorf("shard: replication frame CRC mismatch")
-	}
-	return payload, nil
-}
+// EnableReplication turns propagation on; until then Broadcast does
+// nothing.
+func (c *Cluster) EnableReplication() { c.repl.Store(&replication{}) }
 
-// fragMeta identifies the blob a fragment belongs to.
-type fragMeta struct {
-	job, env  string
-	version   uint64
-	totalLen  uint64
-	fragIndex uint64
-	fragCount uint64
-}
+// CloseReplication turns propagation off again.
+func (c *Cluster) CloseReplication() { c.repl.Store(nil) }
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// encodeFragment builds one fragment payload.
-func encodeFragment(m fragMeta, chunk []byte) []byte {
-	dst := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(m.job)+len(m.env)+4*binary.MaxVarintLen64+len(chunk))
-	dst = append(dst, msgFragment)
-	dst = appendString(dst, m.job)
-	dst = appendString(dst, m.env)
-	dst = binary.AppendUvarint(dst, m.version)
-	dst = binary.AppendUvarint(dst, m.totalLen)
-	dst = binary.AppendUvarint(dst, m.fragIndex)
-	dst = binary.AppendUvarint(dst, m.fragCount)
-	return append(dst, chunk...)
-}
-
-// cursor is a bounds-checked decoder over one message payload, the
-// same strict-decode idiom as the store's record codec: every read
-// validates available bytes and every limit, and decode errors name
-// what was being read.
-type cursor struct {
-	b   []byte
-	off int
-}
-
-func (c *cursor) uvarint(what string) (uint64, error) {
-	v, n := binary.Uvarint(c.b[c.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("shard: decoding %s: truncated uvarint", what)
-	}
-	c.off += n
-	return v, nil
-}
-
-func (c *cursor) str(what string) (string, error) {
-	n, err := c.uvarint(what + " length")
-	if err != nil {
-		return "", err
-	}
-	if n > maxKeyLen {
-		return "", fmt.Errorf("shard: decoding %s: length %d exceeds %d", what, n, maxKeyLen)
-	}
-	if c.off+int(n) > len(c.b) {
-		return "", fmt.Errorf("shard: decoding %s: truncated string", what)
-	}
-	s := string(c.b[c.off : c.off+int(n)])
-	c.off += int(n)
-	return s, nil
-}
-
-// decodeFragment parses a fragment payload (after the type byte).
-func decodeFragment(b []byte) (fragMeta, []byte, error) {
-	c := &cursor{b: b}
-	var m fragMeta
-	var err error
-	if m.job, err = c.str("job"); err != nil {
-		return m, nil, err
-	}
-	if m.env, err = c.str("env"); err != nil {
-		return m, nil, err
-	}
-	if m.version, err = c.uvarint("version"); err != nil {
-		return m, nil, err
-	}
-	if m.totalLen, err = c.uvarint("total length"); err != nil {
-		return m, nil, err
-	}
-	if m.fragIndex, err = c.uvarint("fragment index"); err != nil {
-		return m, nil, err
-	}
-	if m.fragCount, err = c.uvarint("fragment count"); err != nil {
-		return m, nil, err
-	}
-	if m.totalLen > maxBlobLen {
-		return m, nil, fmt.Errorf("shard: fragment claims %d-byte blob (max %d)", m.totalLen, maxBlobLen)
-	}
-	if m.fragCount == 0 || m.fragIndex >= m.fragCount {
-		return m, nil, fmt.Errorf("shard: fragment %d/%d out of range", m.fragIndex, m.fragCount)
-	}
-	return m, b[c.off:], nil
-}
-
-// VersionedBlob is one resident model version in serialized form, the
-// unit the replicator ships and snapshots.
-type VersionedBlob struct {
-	Job     string
-	Env     string
-	Version uint64
-	Blob    []byte
-}
-
-// ErrStale marks an Apply refusal by the convergence rule: the
-// received version is not newer than the resident one. Stale installs
-// are counted separately from real errors — they are the protocol
-// working as designed.
-var ErrStale = errors.New("shard: replicated version not newer than resident")
-
-// Apply installs a fully reassembled remote model version locally.
-// ErrStale counts as convergence, any other error as a peer fault;
-// neither tears down the link — one broken blob must not stop later
-// versions from converging.
-type Apply func(job, env string, version uint64, blob []byte) error
-
-// Snapshot captures the local resident versions for the full-state
-// push a replicator sends to each newly connected peer (anti-entropy:
-// a replica that restarted mid-replication receives everything again
-// and converges by the never-older rule).
-type Snapshot func() []VersionedBlob
-
-// Replicator ships model versions to peer shards and applies versions
-// received from them. One Replicator serves one shard; peers are
-// byte-stream connections (in-process net.Pipe today, TCP tomorrow —
-// the protocol does not care).
-type Replicator struct {
-	id       int
-	apply    Apply
-	snapshot Snapshot
-	fragSize int
-
-	mu     sync.Mutex
-	peers  map[*replPeer]struct{}
-	closed bool
-	wg     sync.WaitGroup
-
-	framesSent, framesRecv atomic.Int64
-	bytesSent, bytesRecv   atomic.Int64
-	applied, stale         atomic.Int64
-	reassemblies           atomic.Int64
-	peerErrors             atomic.Int64
-}
-
-// replPeer is one outbound link: frames queue on out and a dedicated
-// writer drains them, so a slow peer never blocks the fine-tune loop
-// that triggered the broadcast. quit, closed exactly once, stops both
-// loops; out is never closed (a concurrent enqueue could be sending).
-type replPeer struct {
-	conn     io.ReadWriteCloser
-	out      chan []byte
-	quit     chan struct{}
-	quitOnce sync.Once
-}
-
-// NewReplicator builds a replicator for shard id. fragSize <= 0
-// selects DefaultFragmentSize.
-func NewReplicator(id int, apply Apply, snapshot Snapshot, fragSize int) *Replicator {
-	if fragSize <= 0 {
-		fragSize = DefaultFragmentSize
-	}
-	return &Replicator{
-		id:       id,
-		apply:    apply,
-		snapshot: snapshot,
-		fragSize: fragSize,
-		peers:    map[*replPeer]struct{}{},
-	}
-}
-
-// AddPeer attaches a connection to a peer shard: a hello and the full
-// local state are queued immediately (so a freshly restarted peer
-// converges without waiting for the next swap), then a reader applies
-// everything the peer sends for the life of the connection.
-func (r *Replicator) AddPeer(conn io.ReadWriteCloser) {
-	p := &replPeer{conn: conn, out: make(chan []byte, 256), quit: make(chan struct{})}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		conn.Close()
+// Broadcast publishes a freshly installed model version of shard `from`
+// on every peer, each from its own decoding of blob, and drops the
+// peer's memoized results of the version it replaces. It returns once
+// every peer has applied or refused the version. The lifecycle
+// controller's OnInstall hook is the caller: a hot swap on one shard
+// becomes resident everywhere.
+func (c *Cluster) Broadcast(from int, key serve.ModelKey, version uint64, blob []byte) {
+	r := c.repl.Load()
+	if r == nil {
 		return
 	}
-	r.peers[p] = struct{}{}
-	r.mu.Unlock()
-
-	hello := appendFrame(nil, binary.AppendUvarint([]byte{msgHello}, uint64(r.id)))
-	p.out <- hello // fresh peer: 256-slot queue cannot be full yet
-	if r.snapshot != nil {
-		for _, vb := range r.snapshot() {
-			r.enqueue(p, vb)
-		}
-	}
-
-	r.wg.Add(2)
-	go r.writeLoop(p)
-	go r.readLoop(p)
-}
-
-// Broadcast ships one installed version to every connected peer.
-func (r *Replicator) Broadcast(vb VersionedBlob) {
-	r.mu.Lock()
-	peers := make([]*replPeer, 0, len(r.peers))
-	for p := range r.peers {
-		peers = append(peers, p)
-	}
-	r.mu.Unlock()
-	for _, p := range peers {
-		r.enqueue(p, vb)
-	}
-}
-
-// enqueue fragments vb into frames on p's queue. A full queue drops
-// the peer: its reader side will see the closed connection, and a
-// reconnect gets a fresh full-state push, so dropping is safe for
-// convergence while blocking would stall the caller.
-func (r *Replicator) enqueue(p *replPeer, vb VersionedBlob) {
-	total := len(vb.Blob)
-	count := (total + r.fragSize - 1) / r.fragSize
-	if count == 0 {
-		count = 1 // zero-length blob still ships one fragment
-	}
-	for i := 0; i < count; i++ {
-		lo := i * r.fragSize
-		hi := min(lo+r.fragSize, total)
-		payload := encodeFragment(fragMeta{
-			job: vb.Job, env: vb.Env, version: vb.Version,
-			totalLen: uint64(total), fragIndex: uint64(i), fragCount: uint64(count),
-		}, vb.Blob[lo:hi])
-		select {
-		case <-p.quit:
-			return
-		case p.out <- appendFrame(nil, payload):
-		default:
-			// Queue full: the peer is hopelessly behind. Drop it — a
-			// reconnect gets a fresh full-state push, so dropping is
-			// safe for convergence while blocking would stall the
-			// fine-tune loop.
-			r.peerErrors.Add(1)
-			r.dropPeer(p)
-			return
-		}
-	}
-}
-
-func (r *Replicator) dropPeer(p *replPeer) {
-	r.mu.Lock()
-	delete(r.peers, p)
-	r.mu.Unlock()
-	p.quitOnce.Do(func() {
-		close(p.quit)
-		p.conn.Close()
-	})
-}
-
-func (r *Replicator) writeLoop(p *replPeer) {
-	defer r.wg.Done()
-	for {
-		select {
-		case <-p.quit:
-			return
-		case frame := <-p.out:
-			if _, err := p.conn.Write(frame); err != nil {
-				r.peerErrors.Add(1)
-				r.dropPeer(p)
-				return
-			}
-			r.framesSent.Add(1)
-			r.bytesSent.Add(int64(len(frame)))
-		}
-	}
-}
-
-// readLoop decodes frames from the peer and reassembles fragments.
-// Fragments of one blob arrive contiguously and in order on a single
-// connection (the sender enqueues them back to back); anything else —
-// an index gap, a key change mid-blob, a CRC failure — resets the
-// assembly and counts an error, and the stream continues with the
-// next complete blob.
-func (r *Replicator) readLoop(p *replPeer) {
-	defer r.wg.Done()
-	var (
-		cur   fragMeta
-		buf   []byte
-		armed bool
-	)
-	reset := func() { buf = nil; armed = false }
-	for {
-		payload, err := readFrame(p.conn)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				r.peerErrors.Add(1)
-			}
-			r.dropPeer(p)
-			return
-		}
-		r.framesRecv.Add(1)
-		r.bytesRecv.Add(int64(replFrameHeaderLen + len(payload)))
-		if len(payload) == 0 {
-			r.peerErrors.Add(1)
+	for _, n := range c.nodes {
+		if n.ID == from {
 			continue
 		}
-		switch payload[0] {
-		case msgHello:
-			// Identity is informational; nothing to verify in-process.
-		case msgFragment:
-			m, chunk, err := decodeFragment(payload[1:])
-			if err != nil {
-				r.peerErrors.Add(1)
-				reset()
-				continue
-			}
-			if m.fragIndex == 0 {
-				cur, buf, armed = m, make([]byte, 0, m.totalLen), true
-			} else if !armed || m.job != cur.job || m.env != cur.env ||
-				m.version != cur.version || m.fragIndex != cur.fragIndex+1 || m.fragCount != cur.fragCount {
-				r.peerErrors.Add(1)
-				reset()
-				continue
-			} else {
-				cur.fragIndex = m.fragIndex
-			}
-			buf = append(buf, chunk...)
-			if uint64(len(buf)) > cur.totalLen {
-				r.peerErrors.Add(1)
-				reset()
-				continue
-			}
-			if cur.fragIndex == cur.fragCount-1 {
-				if uint64(len(buf)) != cur.totalLen {
-					r.peerErrors.Add(1)
-					reset()
-					continue
-				}
-				if cur.fragCount > 1 {
-					r.reassemblies.Add(1)
-				}
-				switch err := r.apply(cur.job, cur.env, cur.version, buf); {
-				case err == nil:
-					r.applied.Add(1)
-				case errors.Is(err, ErrStale):
-					r.stale.Add(1)
-				default:
-					r.peerErrors.Add(1)
-				}
-				reset()
-			}
-		default:
+		m, err := core.Load(bytes.NewReader(blob))
+		if err != nil {
+			// The same bytes fail the same way for every peer; each keeps
+			// serving the version it holds.
 			r.peerErrors.Add(1)
+			c.Obs().Logger().Warn("shard: decoding broadcast model",
+				"from", from, "job", key.Job, "env", key.Env, "version", version, "error", err)
+			return
 		}
+		if !n.Service.Registry().Publish(key, version, m) {
+			r.stale.Add(1)
+			continue
+		}
+		n.Service.InvalidateResults(key)
+		r.applied.Add(1)
 	}
 }
 
-// Close tears down every peer link and waits for the loops to exit.
-func (r *Replicator) Close() {
-	r.mu.Lock()
-	r.closed = true
-	peers := make([]*replPeer, 0, len(r.peers))
-	for p := range r.peers {
-		peers = append(peers, p)
+// ReplicationStats snapshots the propagation counters, or nil when
+// replication is not enabled.
+func (c *Cluster) ReplicationStats() *api.ReplicationStats {
+	r := c.repl.Load()
+	if r == nil {
+		return nil
 	}
-	r.mu.Unlock()
-	for _, p := range peers {
-		r.dropPeer(p)
-	}
-	r.wg.Wait()
-}
-
-// Stats snapshots the replication counters in wire form.
-func (r *Replicator) Stats() api.ReplicationStats {
-	return api.ReplicationStats{
-		FramesSent:     r.framesSent.Load(),
-		FramesReceived: r.framesRecv.Load(),
-		BytesSent:      r.bytesSent.Load(),
-		BytesReceived:  r.bytesRecv.Load(),
-		Applied:        r.applied.Load(),
-		Stale:          r.stale.Load(),
-		Reassemblies:   r.reassemblies.Load(),
-		PeerErrors:     r.peerErrors.Load(),
+	return &api.ReplicationStats{
+		Applied:    r.applied.Load(),
+		Stale:      r.stale.Load(),
+		PeerErrors: r.peerErrors.Load(),
 	}
 }

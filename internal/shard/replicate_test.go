@@ -1,13 +1,12 @@
 package shard
 
 import (
-	"bytes"
-	"fmt"
-	"io"
-	"net"
+	"context"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
@@ -22,317 +21,119 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	payload := []byte("the quick brown fox")
-	frame := appendFrame(nil, payload)
-	got, err := readFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatalf("readFrame: %v", err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("payload = %q, want %q", got, payload)
-	}
-
-	// A flipped payload byte must fail the CRC.
-	corrupt := append([]byte(nil), frame...)
-	corrupt[replFrameHeaderLen] ^= 0x40
-	if _, err := readFrame(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("corrupt frame passed CRC")
-	}
-	// A truncated frame must error, not hang or return junk.
-	if _, err := readFrame(bytes.NewReader(frame[:len(frame)-3])); err == nil {
-		t.Fatal("truncated frame decoded")
-	}
-	// A length prefix past the cap must be rejected before allocating.
-	huge := appendFrame(nil, payload)
-	huge[0], huge[1], huge[2], huge[3] = 0xff, 0xff, 0xff, 0x7f
-	if _, err := readFrame(bytes.NewReader(huge)); err == nil {
-		t.Fatal("oversized length prefix accepted")
-	}
+func residentVersion(c *Cluster, shard int, key serve.ModelKey) uint64 {
+	v, _ := c.Node(shard).Service.Registry().Version(key)
+	return v
 }
 
-func TestFragmentCodecRoundTrip(t *testing.T) {
-	meta := fragMeta{job: "sort", env: "c3o", version: 42, totalLen: 1000, fragIndex: 3, fragCount: 8}
-	chunk := bytes.Repeat([]byte{0xab}, 125)
-	payload := encodeFragment(meta, chunk)
-	if payload[0] != msgFragment {
-		t.Fatalf("type byte = %d", payload[0])
-	}
-	got, data, err := decodeFragment(payload[1:])
-	if err != nil {
-		t.Fatalf("decodeFragment: %v", err)
-	}
-	if got != meta {
-		t.Fatalf("meta = %+v, want %+v", got, meta)
-	}
-	if !bytes.Equal(data, chunk) {
-		t.Fatal("chunk mismatch")
-	}
+// TestBroadcastNeverAppliesOlder: stale and duplicate deliveries are
+// refused and counted; the replica's version is monotone, and every
+// applied version drops the memoized results of the one it replaces.
+func TestBroadcastNeverAppliesOlder(t *testing.T) {
+	c := newTestCluster(t, 2, nil, Options{})
+	c.EnableReplication()
+	key := serve.ModelKey{Job: "sort", Env: "c3o"}
+	blob := pretrainedBytes(t)
+	peer := c.Node(1).Service
 
-	// Truncations at every prefix length must error cleanly.
-	for i := 0; i < len(payload)-len(chunk); i++ {
-		if _, _, err := decodeFragment(payload[1 : 1+i]); err == nil && i < len(payload)-len(chunk)-1 {
-			t.Fatalf("truncated fragment (%d bytes) decoded", i)
+	want := uint64(0)
+	for _, v := range []uint64{3, 2, 3, 5} { // new, older, duplicate, newer
+		if r := peer.Predict(context.Background(), key, testQuery(4, 10000)); r.Err != nil {
+			t.Fatalf("predict on the peer: %v", r.Err)
+		}
+		c.Broadcast(0, key, v, blob)
+		applied := v > want
+		want = max(want, v)
+		if got := residentVersion(c, 1, key); got != want {
+			t.Fatalf("peer at v%d after the broadcast of v%d, want v%d", got, v, want)
+		}
+		if cached := peer.PeekCached(key, testQuery(4, 10000)); cached == applied {
+			t.Fatalf("broadcast of v%d (applied %v) left the peer's memoized result cached=%v", v, applied, cached)
 		}
 	}
-	// Out-of-range fragment coordinates are rejected.
-	bad := encodeFragment(fragMeta{job: "a", env: "b", version: 1, totalLen: 10, fragIndex: 5, fragCount: 5}, nil)
-	if _, _, err := decodeFragment(bad[1:]); err == nil {
-		t.Fatal("fragIndex == fragCount accepted")
+	if st := c.ReplicationStats(); st.Applied != 2 || st.Stale != 2 || st.PeerErrors != 0 {
+		t.Fatalf("replication stats = %+v, want 2 applied, 2 stale (one older, one duplicate)", st)
 	}
 }
 
-// memStore is a version store standing in for a registry in
-// protocol-level tests: apply enforces the never-older rule, snapshot
-// returns the current state.
-type memStore struct {
-	mu       sync.Mutex
-	versions map[string]uint64
-	blobs    map[string][]byte
-	// applied records every successful install in order; the tests
-	// assert it is strictly increasing per key (the replica never moves
-	// backwards).
-	applied []VersionedBlob
-}
+// TestBroadcastConcurrentFromTwoShards: two shards broadcasting
+// interleaved versions of one key at the same time leave every shard
+// that is a peer of the highest version holding it. Run under -race.
+func TestBroadcastConcurrentFromTwoShards(t *testing.T) {
+	c := newTestCluster(t, 3, nil, Options{})
+	c.EnableReplication()
+	key := serve.ModelKey{Job: "sort", Env: "c3o"}
+	blob := pretrainedBytes(t)
 
-func newMemStore() *memStore {
-	return &memStore{versions: make(map[string]uint64), blobs: make(map[string][]byte)}
-}
-
-func (s *memStore) apply(job, env string, version uint64, blob []byte) error {
-	key := job + "\x00" + env
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.versions[key] >= version {
-		return ErrStale
+	const rounds = 20
+	var wg sync.WaitGroup
+	for from := 0; from < 2; from++ {
+		wg.Add(1)
+		go func(from int) {
+			defer wg.Done()
+			for i := 1; i <= rounds; i++ {
+				c.Broadcast(from, key, uint64(2*i+from), blob) // shard 1 sends the highest
+			}
+		}(from)
 	}
-	s.versions[key] = version
-	s.blobs[key] = append([]byte(nil), blob...)
-	s.applied = append(s.applied, VersionedBlob{Job: job, Env: env, Version: version})
-	return nil
-}
-
-func (s *memStore) snapshot() []VersionedBlob {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []VersionedBlob
-	for key, v := range s.versions {
-		sep := bytes.IndexByte([]byte(key), 0)
-		out = append(out, VersionedBlob{Job: key[:sep], Env: key[sep+1:], Version: v, Blob: append([]byte(nil), s.blobs[key]...)})
-	}
-	return out
-}
-
-// monotone reports whether the applied-install sequence never moved
-// any key backwards.
-func (s *memStore) monotone() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	last := make(map[string]uint64)
-	for _, vb := range s.applied {
-		key := vb.Job + "\x00" + vb.Env
-		if vb.Version <= last[key] && last[key] != 0 {
-			return false
-		}
-		last[key] = vb.Version
-	}
-	return true
-}
-
-func (s *memStore) version(job, env string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.versions[job+"\x00"+env]
-}
-
-func (s *memStore) blob(job, env string) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]byte(nil), s.blobs[job+"\x00"+env]...)
-}
-
-func testBlob(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(i * 31)
-	}
-	return b
-}
-
-// TestReplicatorShipsAndReassembles: a broadcast blob larger than the
-// fragment size arrives intact on the peer, through reassembly.
-func TestReplicatorShipsAndReassembles(t *testing.T) {
-	sa, sb := newMemStore(), newMemStore()
-	ra := NewReplicator(0, sa.apply, sa.snapshot, 512)
-	rb := NewReplicator(1, sb.apply, sb.snapshot, 512)
-	defer ra.Close()
-	defer rb.Close()
-
-	ca, cb := net.Pipe()
-	ra.AddPeer(ca)
-	rb.AddPeer(cb)
-
-	blob := testBlob(10 << 10) // 20 fragments at 512 bytes
-	sa.apply("sort", "c3o", 3, blob)
-	ra.Broadcast(VersionedBlob{Job: "sort", Env: "c3o", Version: 3, Blob: blob})
-
-	waitFor(t, 2*time.Second, "peer to converge", func() bool { return sb.version("sort", "c3o") == 3 })
-	if !bytes.Equal(sb.blob("sort", "c3o"), blob) {
-		t.Fatal("replicated blob differs from original")
-	}
-	if st := rb.Stats(); st.Reassemblies < 1 {
-		t.Fatalf("reassemblies = %d, want >= 1 for a multi-fragment blob", st.Reassemblies)
-	}
-}
-
-// TestReplicatorSnapshotOnConnect: state resident before the link comes
-// up still reaches the peer — the full-state push on connect.
-func TestReplicatorSnapshotOnConnect(t *testing.T) {
-	sa, sb := newMemStore(), newMemStore()
-	blob := testBlob(3000)
-	sa.apply("grep", "prod", 7, blob)
-
-	ra := NewReplicator(0, sa.apply, sa.snapshot, 1024)
-	rb := NewReplicator(1, sb.apply, sb.snapshot, 1024)
-	defer ra.Close()
-	defer rb.Close()
-	ca, cb := net.Pipe()
-	ra.AddPeer(ca)
-	rb.AddPeer(cb)
-
-	waitFor(t, 2*time.Second, "snapshot push", func() bool { return sb.version("grep", "prod") == 7 })
-	if !bytes.Equal(sb.blob("grep", "prod"), blob) {
-		t.Fatal("snapshot blob differs")
-	}
-}
-
-// TestReplicatorNeverAppliesOlder: stale and duplicate deliveries are
-// refused; the replica's version is monotone.
-func TestReplicatorNeverAppliesOlder(t *testing.T) {
-	sb := newMemStore()
-	rb := NewReplicator(1, sb.apply, sb.snapshot, 0)
-	defer rb.Close()
-
-	raw, conn := net.Pipe()
-	rb.AddPeer(conn)
-	// Drain rb's hello + snapshot so its writer never blocks.
-	go io.Copy(io.Discard, raw)
-
-	send := func(version uint64, blob []byte) {
-		t.Helper()
-		payload := encodeFragment(fragMeta{
-			job: "sort", env: "c3o", version: version,
-			totalLen: uint64(len(blob)), fragIndex: 0, fragCount: 1,
-		}, blob)
-		if _, err := raw.Write(appendFrame(nil, payload)); err != nil {
-			t.Fatalf("write: %v", err)
+	wg.Wait()
+	const top = 2*rounds + 1
+	for _, s := range []int{0, 2} {
+		if got := residentVersion(c, s, key); got != top {
+			t.Fatalf("shard %d holds v%d, want v%d", s, got, top)
 		}
 	}
-
-	send(3, testBlob(100))
-	waitFor(t, 2*time.Second, "v3 apply", func() bool { return sb.version("sort", "c3o") == 3 })
-	send(2, testBlob(50))  // older: refused
-	send(3, testBlob(100)) // duplicate: refused
-	send(5, testBlob(200)) // newer: applied
-	waitFor(t, 2*time.Second, "v5 apply", func() bool { return sb.version("sort", "c3o") == 5 })
-
-	st := rb.Stats()
-	if st.Stale != 2 {
-		t.Fatalf("stale = %d, want 2 (one older, one duplicate)", st.Stale)
+	if got := residentVersion(c, 1, key); got != top-1 {
+		t.Fatalf("shard 1 holds v%d, want its peer's highest v%d", got, top-1)
 	}
-	if !sb.monotone() {
-		t.Fatal("replica applied versions out of order")
+	if st := c.ReplicationStats(); st.Applied+st.Stale != 2*2*rounds || st.PeerErrors != 0 {
+		t.Fatalf("replication stats = %+v, want %d deliveries and no errors", st, 2*2*rounds)
 	}
 }
 
-// failAfterConn errors every write after a byte budget, simulating a
-// peer that dies mid-stream.
-type failAfterConn struct {
-	net.Conn
-	mu     sync.Mutex
-	budget int
-}
+// TestBroadcastOnlyWhileEnabled: before EnableReplication and after
+// CloseReplication a broadcast reaches nobody and nothing is counted.
+func TestBroadcastOnlyWhileEnabled(t *testing.T) {
+	c := newTestCluster(t, 2, nil, Options{})
+	key := serve.ModelKey{Job: "sort", Env: "c3o"}
+	blob := pretrainedBytes(t)
 
-func (c *failAfterConn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.budget <= 0 {
-		return 0, fmt.Errorf("simulated link failure")
+	c.Broadcast(0, key, 2, blob)
+	if got := residentVersion(c, 1, key); got != 0 || c.ReplicationStats() != nil {
+		t.Fatalf("before enabling: peer at v%d, stats %+v, want nothing", got, c.ReplicationStats())
 	}
-	c.budget -= len(p)
-	return c.Conn.Write(p)
-}
-
-// TestReplicatorRestartMidReplication: a replica that loses its link
-// partway through a multi-fragment transfer — then reconnects with a
-// fresh replicator — converges to the latest generation via the
-// full-state push, and never applies a torn or stale blob.
-func TestReplicatorRestartMidReplication(t *testing.T) {
-	sa, sb := newMemStore(), newMemStore()
-	sb.apply("sort", "c3o", 1, testBlob(64)) // replica starts on an old version
-
-	blob := testBlob(8 << 10)
-	sa.apply("sort", "c3o", 9, blob)
-
-	ra := NewReplicator(0, sa.apply, sa.snapshot, 256) // 32 fragments
-	defer ra.Close()
-
-	// First attempt: the link dies after ~4 fragments' worth of bytes.
-	rb1 := NewReplicator(1, sb.apply, sb.snapshot, 256)
-	ca, cb := net.Pipe()
-	ra.AddPeer(&failAfterConn{Conn: ca, budget: 1200})
-	rb1.AddPeer(cb)
-	waitFor(t, 2*time.Second, "torn link to drop", func() bool { return ra.Stats().PeerErrors >= 1 })
-	if got := sb.version("sort", "c3o"); got != 1 {
-		t.Fatalf("replica at v%d after torn transfer, want untouched v1", got)
+	c.EnableReplication()
+	c.Broadcast(0, key, 2, blob)
+	if got := residentVersion(c, 1, key); got != 2 {
+		t.Fatalf("while enabled: peer at v%d, want v2", got)
 	}
-	rb1.Close() // the replica process dies
-
-	// Restart: a fresh replicator over the same store reconnects; the
-	// full-state push re-sends v9 whole.
-	rb2 := NewReplicator(1, sb.apply, sb.snapshot, 256)
-	defer rb2.Close()
-	ca2, cb2 := net.Pipe()
-	ra.AddPeer(ca2)
-	rb2.AddPeer(cb2)
-
-	waitFor(t, 2*time.Second, "restarted replica to converge", func() bool { return sb.version("sort", "c3o") == 9 })
-	if !bytes.Equal(sb.blob("sort", "c3o"), blob) {
-		t.Fatal("converged blob differs from the source")
-	}
-	if !sb.monotone() {
-		t.Fatal("replica applied versions out of order")
+	c.CloseReplication()
+	c.Broadcast(0, key, 3, blob)
+	if got := residentVersion(c, 1, key); got != 2 || c.ReplicationStats() != nil {
+		t.Fatalf("after closing: peer at v%d, stats %+v, want v2 and nothing", got, c.ReplicationStats())
 	}
 }
 
-// TestReplicatorInterleavedStreamRecovers: a stream that restarts a
-// blob mid-reassembly (as after a sender hiccup) is detected and the
-// retransmission still lands.
-func TestReplicatorInterleavedStreamRecovers(t *testing.T) {
-	sb := newMemStore()
-	rb := NewReplicator(1, sb.apply, sb.snapshot, 0)
-	defer rb.Close()
-	raw, conn := net.Pipe()
-	rb.AddPeer(conn)
-	go io.Copy(io.Discard, raw)
+// TestBroadcastCorruptBlob: a blob that does not decode counts one
+// peer error and leaves the resident version serving.
+func TestBroadcastCorruptBlob(t *testing.T) {
+	c := newTestCluster(t, 3, nil, Options{})
+	c.EnableReplication()
+	key := serve.ModelKey{Job: "sort", Env: "c3o"}
+	blob := pretrainedBytes(t)
+	c.Broadcast(0, key, 2, blob)
 
-	blob := testBlob(600)
-	frag := func(idx int) []byte {
-		lo, hi := idx*200, (idx+1)*200
-		return appendFrame(nil, encodeFragment(fragMeta{
-			job: "j", env: "e", version: 2,
-			totalLen: uint64(len(blob)), fragIndex: uint64(idx), fragCount: 3,
-		}, blob[lo:hi]))
-	}
-	// Fragments 0, 1, then an unexpected restart from 0, then the full
-	// sequence: the half-assembled first attempt must be discarded.
-	for _, f := range [][]byte{frag(0), frag(1), frag(0), frag(1), frag(2)} {
-		if _, err := raw.Write(f); err != nil {
-			t.Fatalf("write: %v", err)
+	corrupt := append([]byte(nil), blob[:len(blob)/2]...)
+	c.Broadcast(0, key, 3, corrupt)
+	for s := 1; s < 3; s++ {
+		if got := residentVersion(c, s, key); got != 2 {
+			t.Fatalf("shard %d at v%d after a corrupt broadcast, want v2", s, got)
+		}
+		if r := c.Node(s).Service.Predict(context.Background(), key, testQuery(4, 10000)); r.Err != nil {
+			t.Fatalf("shard %d stopped serving after a corrupt broadcast: %v", s, r.Err)
 		}
 	}
-	waitFor(t, 2*time.Second, "retransmission to apply", func() bool { return sb.version("j", "e") == 2 })
-	if !bytes.Equal(sb.blob("j", "e"), blob) {
-		t.Fatal("reassembled blob differs")
+	if st := c.ReplicationStats(); st.PeerErrors != 1 || st.Applied != 2 {
+		t.Fatalf("replication stats = %+v, want 1 peer error beside the 2 applied", st)
 	}
 }
