@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lifecycle"
 	"repro/internal/loadctl"
+	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -309,7 +310,8 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	logger.Info("serving models", "dir", *modelsDir, "addr", ln.Addr().String(), "shards", *shards, "pprof", *pprofOn)
+	logger.Info("serving models", "dir", *modelsDir, "addr", ln.Addr().String(), "shards", *shards, "pprof", *pprofOn,
+		"mat_kernel", mat.KernelFamily())
 	logger.Info("endpoints: POST /v1/predict, POST /v1/predict/batch, POST /v1/allocate, POST /v1/observe, GET /v1/stats, GET /metrics, GET /v1/debug/slow, GET /healthz; with -shards > 1 also GET /v1/shards")
 	if testHookServeReady != nil {
 		testHookServeReady(ln.Addr().String())

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/hyperopt"
+	"repro/internal/mat"
 )
 
 // loadDataset resolves the -data argument: "sim:c3o" / "sim:bell" for
@@ -101,6 +102,7 @@ func runTrain(args []string) error {
 		rep.PropertyRows, rep.DistinctProperties)
 	slog.Info("pre-trained", "model", *out, "samples", len(samples), "epochs", rep.Epochs,
 		"best_mae_s", rep.BestMAE, "best_epoch", rep.BestEpoch, "epochs_per_s", epochsPerSec,
-		"property_rows", rep.PropertyRows, "distinct_properties", rep.DistinctProperties)
+		"property_rows", rep.PropertyRows, "distinct_properties", rep.DistinctProperties,
+		"mat_kernel", mat.KernelFamily())
 	return nil
 }

@@ -5,9 +5,8 @@ package mat
 // hasAsm reports whether the hand-written AVX2/FMA3 kernels in
 // kernel_amd64.s can run on this CPU: FMA3 + AVX2, plus OS support for
 // saving ymm state (OSXSAVE/XGETBV, the same chain the runtime uses).
-// Checked once at startup from raw CPUID leaves rather than a timing
-// probe, so family selection is deterministic under frequency jitter;
-// the result feeds selectFamily in kernel.go.
+// Checked once at startup from raw CPUID leaves; the result is the
+// kernel family (useAsm in kernel.go).
 var hasAsm = detectAsm()
 
 func detectAsm() bool {
@@ -36,14 +35,6 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register 0 (XCR0).
 func xgetbv() (eax, edx uint32)
 
-// dgemmMicro4x8 computes the packed float64 micro-kernel tile
-// acc[r][c] = Σ_k ap[k*4+r] * bp[k*8+c] over kc packed steps, fully
-// overwriting acc. ap is a kernelMR-row packed A panel, bp a
-// kernelNRAsm-column packed B panel (pack.go layout). kc must be >= 1.
-//
-//go:noescape
-func dgemmMicro4x8(acc *[kernelMR][kernelNRAsm]float64, ap, bp *float64, kc int)
-
 // daxpy4 computes dst[j] += Σ_{r<4} a[r]*b[r*ldb+j] for j in [0,n): a
 // fused 4-row axpy whose four broadcasts are hoisted out of the j loop.
 //
@@ -60,12 +51,6 @@ func daxpy1(dst, b *float64, a float64, n int)
 //
 //go:noescape
 func ddot4(x, r *float64, ldr, n int) (s0, s1, s2, s3 float64)
-
-// sgemmMicro4x16 is the float32 packed micro-kernel:
-// acc[r][c] = Σ_k ap[k*4+r] * bp[k*16+c] over kc packed steps.
-//
-//go:noescape
-func sgemmMicro4x16(acc *[kernelMR][kernelNR32]float32, ap, bp *float32, kc int)
 
 // saxpy4 is the float32 form of daxpy4.
 //

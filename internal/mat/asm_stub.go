@@ -2,15 +2,12 @@
 
 package mat
 
-// Pure-Go builds (non-amd64, or the noasm escape hatch) carry no
-// assembly kernels. Family selection never picks famAsm when hasAsm is
-// false, so these stubs exist only to satisfy the compiler; reaching
-// one means the selection chain is broken, which is worth a loud crash.
+// Pure-Go builds (non-amd64, or -tags noasm) carry no assembly kernels
+// and run the plain family. useAsm starts false when hasAsm is, so these
+// stubs exist only to satisfy the compiler; reaching one means a test
+// flipped useAsm on a build that cannot honour it, which is worth a loud
+// crash.
 const hasAsm = false
-
-func dgemmMicro4x8(acc *[kernelMR][kernelNRAsm]float64, ap, bp *float64, kc int) {
-	panic("mat: asm kernel called on a noasm build")
-}
 
 func daxpy4(dst, b *float64, ldb int, a *[4]float64, n int) {
 	panic("mat: asm kernel called on a noasm build")
@@ -21,10 +18,6 @@ func daxpy1(dst, b *float64, a float64, n int) {
 }
 
 func ddot4(x, r *float64, ldr, n int) (s0, s1, s2, s3 float64) {
-	panic("mat: asm kernel called on a noasm build")
-}
-
-func sgemmMicro4x16(acc *[kernelMR][kernelNR32]float32, ap, bp *float32, kc int) {
 	panic("mat: asm kernel called on a noasm build")
 }
 

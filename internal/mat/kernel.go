@@ -1,291 +1,46 @@
 package mat
 
-import (
-	"math"
-	"os"
-	"time"
-)
-
-// Register-tiled multiply kernels. Two kernel shapes live here:
-//
-//   - microTile: the packed micro-kernel of the blocked GEMM path. It
-//     multiplies a kernelMR-wide packed A panel by a packNR-wide packed
-//     B panel, keeping the output tile in registers across the k loop.
-//     The asm family runs a 4x8 tile (8 ymm accumulators, FMA-bound on
-//     two FMA ports); the Go families run a 4x4 tile as two 2x4
-//     register halves — 8 accumulators plus 6 operands fit amd64's 16
-//     float registers, whereas a monolithic 4x4 (16 accumulators)
-//     spills half its tile to the stack on every iteration — measured
-//     ~1.6x slower. Operands come from pack.go's contiguous panels, so
-//     every load is sequential and bounds checks vanish.
-//
-//   - mulRows / mulATBAccRange / mulABTRows / mulVecRows: direct
-//     register-tiled kernels that run straight on the row-major
-//     operands. They unroll the reduction (or the output columns) 4-
-//     or 8-way so each output element is loaded and stored once per
-//     unroll group instead of once per multiply-add, and they carry
-//     independent accumulator chains for instruction-level parallelism.
-//     They serve the small/skinny products of the Bellamy MLPs, the
-//     products whose B operand still fits in L2 (where packing is pure
-//     overhead), and the transposed products. Under the asm family
-//     their inner loops run through the daxpy4/ddot4 AVX2 helpers of
-//     kernel_asm.go.
+// Direct register-tiled multiply kernels: mulRows, mulATBAccRange and
+// mulABTRows run straight on the row-major operands. They unroll the
+// reduction (or the output columns) 4- or 8-way so each output element
+// is loaded and stored once per unroll group instead of once per
+// multiply-add, and they carry independent accumulator chains for
+// instruction-level parallelism. Each takes a row range, which is what
+// lets mul.go run the same kernel whole or as row panels on the worker
+// pool. The Go loops here are the plain family; under the asm family
+// every kernel hands its range to the AVX2 driver of the same shape in
+// kernel_asm.go.
 //
 // None of the kernels branch on zero operands: the old `av == 0` skip
 // helped only on artificially sparse data and defeated pipelining on
 // the dense matrices that dominate training and serving.
 
-// kernelFamily identifies one implementation family of the multiply
-// kernels. The fallback chain is famAsm → famFMA → famPlain: the
-// hand-written AVX2/FMA3 kernels when the CPU has them, the Go kernels
-// built on the math.FMA intrinsic when it is branch-free and
-// hardware-fused, the plain multiply-add kernels otherwise.
-type kernelFamily uint8
+// useAsm selects the kernel family every multiply in this process
+// runs: the hand-written AVX2/FMA3 kernels ("asm") when the CPU and the
+// build have them, the Go multiply-add kernels ("plain") otherwise.
+// Fixed at startup from hasAsm; nothing configures it, and only the
+// equivalence tests flip it.
+var useAsm = hasAsm
 
-const (
-	famPlain kernelFamily = iota
-	famFMA
-	famAsm
-)
-
-func (f kernelFamily) String() string {
-	switch f {
-	case famAsm:
+// KernelFamily names the multiply-kernel family in use, "asm" or
+// "plain", for startup logging and benchmark reports.
+func KernelFamily() string {
+	if useAsm {
 		return "asm"
-	case famFMA:
-		return "fma"
-	default:
-		return "plain"
 	}
-}
-
-// kernelEnv forces a kernel family, overriding detection: "asm", "fma"
-// or "plain". The equivalence suite uses it to pin a family per run;
-// forcing "asm" on a build or CPU without the kernels falls back to
-// the automatic chain.
-const kernelEnv = "BELLAMY_MAT_KERNEL"
-
-// family is the kernel family every multiply in this process runs,
-// fixed at startup.
-var family = selectFamily(os.Getenv(kernelEnv))
-
-// KernelFamily reports the selected multiply-kernel family ("asm",
-// "fma" or "plain") for startup logging and diagnostics.
-func KernelFamily() string { return family.String() }
-
-// selectFamily resolves the kernel family once at init. Compile-time
-// and cpuid signals decide everything on amd64 (GOAMD64 fixes the
-// math.FMA codegen, cpuid fixes asm availability), so selection there
-// is deterministic under CPU-frequency jitter; the fmaIsFast timing
-// probe runs only on non-amd64 builds, where a hardware-looking
-// math.FMA may still be software emulation.
-func selectFamily(forced string) kernelFamily {
-	switch forced {
-	case "asm":
-		if hasAsm {
-			return famAsm
-		}
-	case "fma":
-		return famFMA
-	case "plain":
-		return famPlain
-	}
-	if hasAsm {
-		return famAsm
-	}
-	if fmaGuaranteed {
-		return famFMA
-	}
-	if fmaBranchFree && fmaIsFast() {
-		return famFMA
-	}
-	return famPlain
-}
-
-var probeSink float64
-
-// fmaIsFast distinguishes hardware math.FMA from the software fallback
-// by timing: the emulation is >20x slower than a plain multiply-add, so
-// a 4x threshold is robust to scheduling noise. Runs once at package
-// init (~tens of microseconds).
-func fmaIsFast() bool {
-	const n = 4096
-	x, y := 1.0000001, 0.99999997
-	run := func(fma bool) time.Duration {
-		best := time.Duration(math.MaxInt64)
-		for trial := 0; trial < 3; trial++ {
-			s := probeSink
-			start := time.Now()
-			if fma {
-				for i := 0; i < n; i++ {
-					s = math.FMA(x, y, s)
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					s += x * y
-				}
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-			probeSink = s - s // keep the loop observable, stay at zero
-		}
-		return best
-	}
-	run(false) // warm the timer and the cache lines
-	return run(true) <= 4*run(false)
-}
-
-// microTile computes dst[i0:i0+mr, j0:j0+nr] += Ap * Bp over kc packed
-// steps. ap holds kc groups of kernelMR row values, bp holds kc groups
-// of packNR column values; out-of-range lanes are zero-padded by the
-// packers, so the register tile always runs full width and only the
-// writeback is masked to mr x nr.
-func microTile(dst *Dense, i0, j0, mr, nr int, ap, bp []float64, kc int) {
-	if family == famAsm {
-		var acc [kernelMR][kernelNRAsm]float64
-		dgemmMicro4x8(&acc, &ap[0], &bp[0], kc)
-		if mr == kernelMR && nr == kernelNRAsm {
-			for r := 0; r < kernelMR; r++ {
-				row := dst.Row(i0 + r)[j0 : j0+kernelNRAsm : j0+kernelNRAsm]
-				for c, v := range &acc[r] {
-					row[c] += v
-				}
-			}
-			return
-		}
-		for r := 0; r < mr; r++ {
-			row := dst.Row(i0 + r)
-			for c := 0; c < nr; c++ {
-				row[j0+c] += acc[r][c]
-			}
-		}
-		return
-	}
-	var acc [kernelMR][kernelNR]float64
-	if family == famFMA {
-		microTileFMA(&acc, ap, bp, kc)
-	} else {
-		microTilePlain(&acc, ap, bp, kc)
-	}
-	if mr == kernelMR && nr == kernelNR {
-		for r := 0; r < kernelMR; r++ {
-			row := dst.Row(i0 + r)[j0 : j0+kernelNR : j0+kernelNR]
-			row[0] += acc[r][0]
-			row[1] += acc[r][1]
-			row[2] += acc[r][2]
-			row[3] += acc[r][3]
-		}
-		return
-	}
-	for r := 0; r < mr; r++ {
-		row := dst.Row(i0 + r)
-		for c := 0; c < nr; c++ {
-			row[j0+c] += acc[r][c]
-		}
-	}
-}
-
-// microTileFMA accumulates the 4x4 tile as two 2x4 register halves with
-// fused multiply-adds: per k step each half issues 8 independent FMAs,
-// exactly saturating two FMA ports without spilling. The packed
-// operands are walked by a single proven index, so the loops carry no
-// bounds checks and no per-iteration slice updates.
-func microTileFMA(acc *[kernelMR][kernelNR]float64, ap, bp []float64, kc int) {
-	n4 := 4 * kc
-	ap = ap[:n4]
-	bp = bp[:n4]
-	{
-		var c00, c01, c02, c03, c10, c11, c12, c13 float64
-		for q := 0; q+4 <= n4; q += 4 {
-			a0, a1 := ap[q], ap[q+1]
-			b0, b1, b2, b3 := bp[q], bp[q+1], bp[q+2], bp[q+3]
-			c00 = math.FMA(a0, b0, c00)
-			c01 = math.FMA(a0, b1, c01)
-			c02 = math.FMA(a0, b2, c02)
-			c03 = math.FMA(a0, b3, c03)
-			c10 = math.FMA(a1, b0, c10)
-			c11 = math.FMA(a1, b1, c11)
-			c12 = math.FMA(a1, b2, c12)
-			c13 = math.FMA(a1, b3, c13)
-		}
-		acc[0] = [kernelNR]float64{c00, c01, c02, c03}
-		acc[1] = [kernelNR]float64{c10, c11, c12, c13}
-	}
-	{
-		var c20, c21, c22, c23, c30, c31, c32, c33 float64
-		for q := 0; q+4 <= n4; q += 4 {
-			a2, a3 := ap[q+2], ap[q+3]
-			b0, b1, b2, b3 := bp[q], bp[q+1], bp[q+2], bp[q+3]
-			c20 = math.FMA(a2, b0, c20)
-			c21 = math.FMA(a2, b1, c21)
-			c22 = math.FMA(a2, b2, c22)
-			c23 = math.FMA(a2, b3, c23)
-			c30 = math.FMA(a3, b0, c30)
-			c31 = math.FMA(a3, b1, c31)
-			c32 = math.FMA(a3, b2, c32)
-			c33 = math.FMA(a3, b3, c33)
-		}
-		acc[2] = [kernelNR]float64{c20, c21, c22, c23}
-		acc[3] = [kernelNR]float64{c30, c31, c32, c33}
-	}
-}
-
-// microTilePlain is the multiply-add form of microTileFMA for builds
-// and CPUs where math.FMA does not pay.
-func microTilePlain(acc *[kernelMR][kernelNR]float64, ap, bp []float64, kc int) {
-	n4 := 4 * kc
-	ap = ap[:n4]
-	bp = bp[:n4]
-	{
-		var c00, c01, c02, c03, c10, c11, c12, c13 float64
-		for q := 0; q+4 <= n4; q += 4 {
-			a0, a1 := ap[q], ap[q+1]
-			b0, b1, b2, b3 := bp[q], bp[q+1], bp[q+2], bp[q+3]
-			c00 += a0 * b0
-			c01 += a0 * b1
-			c02 += a0 * b2
-			c03 += a0 * b3
-			c10 += a1 * b0
-			c11 += a1 * b1
-			c12 += a1 * b2
-			c13 += a1 * b3
-		}
-		acc[0] = [kernelNR]float64{c00, c01, c02, c03}
-		acc[1] = [kernelNR]float64{c10, c11, c12, c13}
-	}
-	{
-		var c20, c21, c22, c23, c30, c31, c32, c33 float64
-		for q := 0; q+4 <= n4; q += 4 {
-			a2, a3 := ap[q+2], ap[q+3]
-			b0, b1, b2, b3 := bp[q], bp[q+1], bp[q+2], bp[q+3]
-			c20 += a2 * b0
-			c21 += a2 * b1
-			c22 += a2 * b2
-			c23 += a2 * b3
-			c30 += a3 * b0
-			c31 += a3 * b1
-			c32 += a3 * b2
-			c33 += a3 * b3
-		}
-		acc[2] = [kernelNR]float64{c20, c21, c22, c23}
-		acc[3] = [kernelNR]float64{c30, c31, c32, c33}
-	}
+	return "plain"
 }
 
 // mulRows accumulates rows [lo,hi) of a*b into dst (rows pre-zeroed).
 // The reduction is unrolled 8-way (with 4-way and scalar tails): each
 // pass streams 8 rows of b and touches the output row once per 8
-// multiply-adds. The FMA variant splits each element's update into two
-// independent 4-deep chains to stay ahead of the fused-multiply-add
-// latency; the plain variant sums a balanced tree.
+// multiply-adds, summed as a balanced tree.
 func mulRows(dst, a, b *Dense, lo, hi int) {
-	if family == famAsm {
+	if useAsm {
 		mulRowsAsm(dst, a, b, lo, hi)
 		return
 	}
 	k := a.Cols
-	fma := family == famFMA
 	for i := lo; i < hi; i++ {
 		ar := a.Row(i)
 		or := dst.Row(i)
@@ -302,17 +57,9 @@ func mulRows(dst, a, b *Dense, lo, hi int) {
 			b5 := b.Row(p + 5)[:n:n]
 			b6 := b.Row(p + 6)[:n:n]
 			b7 := b.Row(p + 7)[:n:n]
-			if fma {
-				for j := range or {
-					c0 := math.FMA(a3, b3[j], math.FMA(a2, b2[j], math.FMA(a1, b1[j], math.FMA(a0, b0[j], or[j]))))
-					c1 := math.FMA(a7, b7[j], math.FMA(a6, b6[j], math.FMA(a5, b5[j], a4*b4[j])))
-					or[j] = c0 + c1
-				}
-			} else {
-				for j := range or {
-					or[j] += ((a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j])) +
-						((a4*b4[j] + a5*b5[j]) + (a6*b6[j] + a7*b7[j]))
-				}
+			for j := range or {
+				or[j] += ((a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j])) +
+					((a4*b4[j] + a5*b5[j]) + (a6*b6[j] + a7*b7[j]))
 			}
 		}
 		for ; p+4 <= k; p += 4 {
@@ -321,14 +68,8 @@ func mulRows(dst, a, b *Dense, lo, hi int) {
 			b1 := b.Row(p + 1)[:n:n]
 			b2 := b.Row(p + 2)[:n:n]
 			b3 := b.Row(p + 3)[:n:n]
-			if fma {
-				for j := range or {
-					or[j] = math.FMA(a3, b3[j], math.FMA(a2, b2[j], math.FMA(a1, b1[j], math.FMA(a0, b0[j], or[j]))))
-				}
-			} else {
-				for j := range or {
-					or[j] += (a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j])
-				}
+			for j := range or {
+				or[j] += (a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j])
 			}
 		}
 		for ; p < k; p++ {
@@ -348,13 +89,12 @@ func mulRows(dst, a, b *Dense, lo, hi int) {
 // the same kernel serve as a panel body for the worker pool: a worker
 // owning an output-row panel re-reads b but touches only its dst rows.
 func mulATBAccRange(dst, a, b *Dense, lo, hi int) {
-	if family == famAsm {
+	if useAsm {
 		mulATBAccRangeAsm(dst, a, b, lo, hi)
 		return
 	}
 	rows := a.Rows
 	cb := b.Cols
-	fma := family == famFMA
 	k := 0
 	for ; k+4 <= rows; k += 4 {
 		ar0 := a.Row(k)[lo:hi]
@@ -368,14 +108,8 @@ func mulATBAccRange(dst, a, b *Dense, lo, hi int) {
 		for i, a0 := range ar0 {
 			a1, a2, a3 := ar1[i], ar2[i], ar3[i]
 			or := dst.Row(lo + i)
-			if fma {
-				for j := range or {
-					or[j] = math.FMA(a3, br3[j], math.FMA(a2, br2[j], math.FMA(a1, br1[j], math.FMA(a0, br0[j], or[j]))))
-				}
-			} else {
-				for j := range or {
-					or[j] += (a0*br0[j] + a1*br1[j]) + (a2*br2[j] + a3*br3[j])
-				}
+			for j := range or {
+				or[j] += (a0*br0[j] + a1*br1[j]) + (a2*br2[j] + a3*br3[j])
 			}
 		}
 	}
@@ -396,12 +130,11 @@ func mulATBAccRange(dst, a, b *Dense, lo, hi int) {
 // products against 4 (contiguous) b rows, giving 4 independent
 // accumulator chains instead of one latency-bound chain per element.
 func mulABTRows(dst, a, b *Dense, lo, hi int) {
-	if family == famAsm {
+	if useAsm {
 		mulABTRowsAsm(dst, a, b, lo, hi)
 		return
 	}
 	nb := b.Rows
-	fma := family == famFMA
 	for i := lo; i < hi; i++ {
 		ar := a.Row(i)
 		or := dst.Row(i)
@@ -412,20 +145,11 @@ func mulABTRows(dst, a, b *Dense, lo, hi int) {
 			br2 := b.Row(j + 2)
 			br3 := b.Row(j + 3)
 			var s0, s1, s2, s3 float64
-			if fma {
-				for k, av := range ar {
-					s0 = math.FMA(av, br0[k], s0)
-					s1 = math.FMA(av, br1[k], s1)
-					s2 = math.FMA(av, br2[k], s2)
-					s3 = math.FMA(av, br3[k], s3)
-				}
-			} else {
-				for k, av := range ar {
-					s0 += av * br0[k]
-					s1 += av * br1[k]
-					s2 += av * br2[k]
-					s3 += av * br3[k]
-				}
+			for k, av := range ar {
+				s0 += av * br0[k]
+				s1 += av * br1[k]
+				s2 += av * br2[k]
+				s3 += av * br3[k]
 			}
 			or[j] = s0
 			or[j+1] = s1
@@ -438,67 +162,18 @@ func mulABTRows(dst, a, b *Dense, lo, hi int) {
 	}
 }
 
-// mulVecRows computes rows [lo,hi) of a*x into dst. Rows are tiled 4 at
-// a time so every load of x feeds 4 independent accumulator chains.
-func mulVecRows(dst []float64, a *Dense, x []float64, lo, hi int) {
-	if family == famAsm {
-		mulVecRowsAsm(dst, a, x, lo, hi)
-		return
-	}
-	fma := family == famFMA
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		ar0 := a.Row(i)
-		ar1 := a.Row(i + 1)
-		ar2 := a.Row(i + 2)
-		ar3 := a.Row(i + 3)
-		var s0, s1, s2, s3 float64
-		if fma {
-			for k, xv := range x {
-				s0 = math.FMA(ar0[k], xv, s0)
-				s1 = math.FMA(ar1[k], xv, s1)
-				s2 = math.FMA(ar2[k], xv, s2)
-				s3 = math.FMA(ar3[k], xv, s3)
-			}
-		} else {
-			for k, xv := range x {
-				s0 += ar0[k] * xv
-				s1 += ar1[k] * xv
-				s2 += ar2[k] * xv
-				s3 += ar3[k] * xv
-			}
-		}
-		dst[i] = s0
-		dst[i+1] = s1
-		dst[i+2] = s2
-		dst[i+3] = s3
-	}
-	for ; i < hi; i++ {
-		dst[i] = dotUnrolled(a.Row(i), x)
-	}
-}
-
 // dotUnrolled is an inner product with 4 partial sums, breaking the
 // single add-latency chain of the naive loop. The partial sums change
-// the summation order, which is why the blocked stack is specified to
-// epsilon tolerance rather than bit identity.
+// the summation order, which is why the kernels are specified to
+// epsilon tolerance against mul_ref.go rather than bit identity.
 func dotUnrolled(a, b []float64) float64 {
 	var s0, s1, s2, s3 float64
 	k := 0
-	if family == famFMA {
-		for ; k+4 <= len(a); k += 4 {
-			s0 = math.FMA(a[k], b[k], s0)
-			s1 = math.FMA(a[k+1], b[k+1], s1)
-			s2 = math.FMA(a[k+2], b[k+2], s2)
-			s3 = math.FMA(a[k+3], b[k+3], s3)
-		}
-	} else {
-		for ; k+4 <= len(a); k += 4 {
-			s0 += a[k] * b[k]
-			s1 += a[k+1] * b[k+1]
-			s2 += a[k+2] * b[k+2]
-			s3 += a[k+3] * b[k+3]
-		}
+	for ; k+4 <= len(a); k += 4 {
+		s0 += a[k] * b[k]
+		s1 += a[k+1] * b[k+1]
+		s2 += a[k+2] * b[k+2]
+		s3 += a[k+3] * b[k+3]
 	}
 	var s float64
 	for ; k < len(a); k++ {

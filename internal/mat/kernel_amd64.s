@@ -1,15 +1,15 @@
 //go:build !noasm
 
-// AVX2/FMA3 micro-kernels for the mat package. Layouts and contracts
-// are documented on the Go declarations in asm_amd64.go; the selection
-// chain that gates these on CPU features lives in kernel.go.
+// AVX2/FMA3 kernels for the mat package. Layouts and contracts are
+// documented on the Go declarations in asm_amd64.go, next to the cpuid
+// check (hasAsm) that gates them.
 //
 // Register conventions shared by the kernels below:
-//   DI  dst / acc base pointer
+//   DI  dst base pointer
 //   SI  first operand-row pointer (b, r)
 //   R9-R11  operand rows 1-3 (base + 1..3 strides)
 //   AX  shared left operand (a coefficients, x vector)
-//   CX  element count n / kc
+//   CX  element count n / k
 //   BX  running element index
 //   DX  unroll bound
 // Accumulators stay in Y0-Y7; broadcast coefficients in Y12-Y15.
@@ -35,93 +35,6 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	XGETBV
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
-	RET
-
-// func dgemmMicro4x8(acc *[4][8]float64, ap, bp *float64, kc int)
-//
-// 8 ymm accumulators hold the full 4x8 float64 tile (row r = Y2r:Y2r+1).
-// Per k step: 2 B-panel loads + 4 A broadcasts feed 8 FMAs, so the loop
-// is FMA-bound on two FMA ports. The k loop is unrolled 2x with a
-// second pair of B registers to halve loop overhead.
-TEXT ·dgemmMicro4x8(SB), NOSPLIT, $0-32
-	MOVQ acc+0(FP), DI
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), BX
-	MOVQ kc+24(FP), CX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	MOVQ CX, DX
-	SHRQ $1, DX
-	JZ   dtail
-
-dloop2:
-	VMOVUPD      (BX), Y8
-	VMOVUPD      32(BX), Y9
-	VBROADCASTSD (SI), Y10
-	VBROADCASTSD 8(SI), Y11
-	VFMADD231PD  Y8, Y10, Y0
-	VFMADD231PD  Y9, Y10, Y1
-	VFMADD231PD  Y8, Y11, Y2
-	VFMADD231PD  Y9, Y11, Y3
-	VBROADCASTSD 16(SI), Y10
-	VBROADCASTSD 24(SI), Y11
-	VFMADD231PD  Y8, Y10, Y4
-	VFMADD231PD  Y9, Y10, Y5
-	VFMADD231PD  Y8, Y11, Y6
-	VFMADD231PD  Y9, Y11, Y7
-	VMOVUPD      64(BX), Y12
-	VMOVUPD      96(BX), Y13
-	VBROADCASTSD 32(SI), Y10
-	VBROADCASTSD 40(SI), Y11
-	VFMADD231PD  Y12, Y10, Y0
-	VFMADD231PD  Y13, Y10, Y1
-	VFMADD231PD  Y12, Y11, Y2
-	VFMADD231PD  Y13, Y11, Y3
-	VBROADCASTSD 48(SI), Y10
-	VBROADCASTSD 56(SI), Y11
-	VFMADD231PD  Y12, Y10, Y4
-	VFMADD231PD  Y13, Y10, Y5
-	VFMADD231PD  Y12, Y11, Y6
-	VFMADD231PD  Y13, Y11, Y7
-	ADDQ $64, SI
-	ADDQ $128, BX
-	DECQ DX
-	JNZ  dloop2
-
-dtail:
-	TESTQ $1, CX
-	JZ    dstore
-	VMOVUPD      (BX), Y8
-	VMOVUPD      32(BX), Y9
-	VBROADCASTSD (SI), Y10
-	VBROADCASTSD 8(SI), Y11
-	VFMADD231PD  Y8, Y10, Y0
-	VFMADD231PD  Y9, Y10, Y1
-	VFMADD231PD  Y8, Y11, Y2
-	VFMADD231PD  Y9, Y11, Y3
-	VBROADCASTSD 16(SI), Y10
-	VBROADCASTSD 24(SI), Y11
-	VFMADD231PD  Y8, Y10, Y4
-	VFMADD231PD  Y9, Y10, Y5
-	VFMADD231PD  Y8, Y11, Y6
-	VFMADD231PD  Y9, Y11, Y7
-
-dstore:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	VMOVUPD Y4, 128(DI)
-	VMOVUPD Y5, 160(DI)
-	VMOVUPD Y6, 192(DI)
-	VMOVUPD Y7, 224(DI)
-	VZEROUPPER
 	RET
 
 // func daxpy4(dst, b *float64, ldb int, a *[4]float64, n int)
@@ -335,91 +248,6 @@ dotstore:
 	VMOVSD X1, s1+40(FP)
 	VMOVSD X2, s2+48(FP)
 	VMOVSD X3, s3+56(FP)
-	VZEROUPPER
-	RET
-
-// func sgemmMicro4x16(acc *[4][16]float32, ap, bp *float32, kc int)
-//
-// The float32 twin of dgemmMicro4x8: same 8-accumulator layout, but
-// each ymm holds 8 floats so the tile is 4x16.
-TEXT ·sgemmMicro4x16(SB), NOSPLIT, $0-32
-	MOVQ acc+0(FP), DI
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), BX
-	MOVQ kc+24(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	MOVQ CX, DX
-	SHRQ $1, DX
-	JZ   stail
-
-sloop2:
-	VMOVUPS      (BX), Y8
-	VMOVUPS      32(BX), Y9
-	VBROADCASTSS (SI), Y10
-	VBROADCASTSS 4(SI), Y11
-	VFMADD231PS  Y8, Y10, Y0
-	VFMADD231PS  Y9, Y10, Y1
-	VFMADD231PS  Y8, Y11, Y2
-	VFMADD231PS  Y9, Y11, Y3
-	VBROADCASTSS 8(SI), Y10
-	VBROADCASTSS 12(SI), Y11
-	VFMADD231PS  Y8, Y10, Y4
-	VFMADD231PS  Y9, Y10, Y5
-	VFMADD231PS  Y8, Y11, Y6
-	VFMADD231PS  Y9, Y11, Y7
-	VMOVUPS      64(BX), Y12
-	VMOVUPS      96(BX), Y13
-	VBROADCASTSS 16(SI), Y10
-	VBROADCASTSS 20(SI), Y11
-	VFMADD231PS  Y12, Y10, Y0
-	VFMADD231PS  Y13, Y10, Y1
-	VFMADD231PS  Y12, Y11, Y2
-	VFMADD231PS  Y13, Y11, Y3
-	VBROADCASTSS 24(SI), Y10
-	VBROADCASTSS 28(SI), Y11
-	VFMADD231PS  Y12, Y10, Y4
-	VFMADD231PS  Y13, Y10, Y5
-	VFMADD231PS  Y12, Y11, Y6
-	VFMADD231PS  Y13, Y11, Y7
-	ADDQ $32, SI
-	ADDQ $128, BX
-	DECQ DX
-	JNZ  sloop2
-
-stail:
-	TESTQ $1, CX
-	JZ    sstore
-	VMOVUPS      (BX), Y8
-	VMOVUPS      32(BX), Y9
-	VBROADCASTSS (SI), Y10
-	VBROADCASTSS 4(SI), Y11
-	VFMADD231PS  Y8, Y10, Y0
-	VFMADD231PS  Y9, Y10, Y1
-	VFMADD231PS  Y8, Y11, Y2
-	VFMADD231PS  Y9, Y11, Y3
-	VBROADCASTSS 8(SI), Y10
-	VBROADCASTSS 12(SI), Y11
-	VFMADD231PS  Y8, Y10, Y4
-	VFMADD231PS  Y9, Y10, Y5
-	VFMADD231PS  Y8, Y11, Y6
-	VFMADD231PS  Y9, Y11, Y7
-
-sstore:
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	VMOVUPS Y4, 128(DI)
-	VMOVUPS Y5, 160(DI)
-	VMOVUPS Y6, 192(DI)
-	VMOVUPS Y7, 224(DI)
 	VZEROUPPER
 	RET
 

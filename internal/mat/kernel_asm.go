@@ -1,12 +1,12 @@
 package mat
 
-// Direct-kernel drivers for the asm family: the same row-panel shapes
-// as the Go kernels in kernel.go, with the inner loops handed to the
-// AVX2/FMA3 helpers of kernel_amd64.s. Each driver hoists the operand
-// base pointers and strides so the assembly sees raw pointers and never
+// Drivers of the asm family: the same row-range shapes as the Go
+// kernels in kernel.go, with the inner loops handed to the AVX2/FMA3
+// helpers of kernel_amd64.s. Each driver hoists the operand base
+// pointers and strides so the assembly sees raw pointers and never
 // re-derives a row. These compile on every platform (the helpers have
-// panicking stubs on noasm builds) but are only reachable when family
-// == famAsm, which requires hasAsm.
+// panicking stubs where the assembly is not built) but are only
+// reachable when useAsm is set, which requires hasAsm.
 
 // daxpyMinN is the output width from which the axpy drivers win over
 // the strided row kernels: wide rows amortize the per-4-k-steps daxpy4
@@ -138,14 +138,14 @@ func mulATBAccRangeAsm(dst, a, b *Dense, lo, hi int) {
 		bb := &b.Data[k*cb]
 		for i := range ar0 {
 			av[0], av[1], av[2], av[3] = ar0[i], ar1[i], ar2[i], ar3[i]
-			daxpy4(&dst.Row(lo+i)[0], bb, cb, &av, cb)
+			daxpy4(&dst.Row(lo + i)[0], bb, cb, &av, cb)
 		}
 	}
 	for ; k < rows; k++ {
 		ar := a.Row(k)[lo:hi]
 		bb := &b.Data[k*cb]
 		for i, av1 := range ar {
-			daxpy1(&dst.Row(lo+i)[0], bb, av1, cb)
+			daxpy1(&dst.Row(lo + i)[0], bb, av1, cb)
 		}
 	}
 }
@@ -165,18 +165,5 @@ func mulABTRowsAsm(dst, a, b *Dense, lo, hi int) {
 		for ; j < nb; j++ {
 			or[j] = dotUnrolled(ar, b.Row(j))
 		}
-	}
-}
-
-// mulVecRowsAsm computes rows [lo,hi) of a*x into dst: ddot4 shares
-// each load of x across 4 consecutive a rows.
-func mulVecRowsAsm(dst []float64, a *Dense, x []float64, lo, hi int) {
-	k := a.Cols
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = ddot4(&x[0], &a.Data[i*k], k, k)
-	}
-	for ; i < hi; i++ {
-		dst[i] = dotUnrolled(a.Row(i), x)
 	}
 }

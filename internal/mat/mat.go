@@ -37,13 +37,6 @@ func FromRows(rows [][]float64) *Dense {
 	return m
 }
 
-// FromVec builds a column vector (n x 1) from v.
-func FromVec(v []float64) *Dense {
-	m := NewDense(len(v), 1)
-	copy(m.Data, v)
-	return m
-}
-
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {
 	m.check(i, j)
@@ -143,14 +136,4 @@ func (m *Dense) String() string {
 		}
 	}
 	return s + "]"
-}
-
-// HasNaN reports whether any element is NaN or infinite.
-func (m *Dense) HasNaN() bool {
-	for _, v := range m.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-	}
-	return false
 }

@@ -1,20 +1,18 @@
 package mat
 
-import (
-	"fmt"
-)
+import "fmt"
 
-// Multiply dispatch. Every product family has three tiers:
+// Multiply dispatch. Every product has two tiers:
 //
-//  1. direct register-tiled kernels (kernel.go) for the small and
-//     skinny shapes of the Bellamy MLP hot path;
-//  2. the packed, cache-blocked GEMM path (pack.go + microTile) once a
-//     product is large enough in every dimension to amortize packing;
-//  3. output-row-panel parallelism across the shared worker pool
-//     (pool.go) once the multiply-add count clears parallelThreshold.
+//  1. the direct register-tiled kernel (kernel.go) over the whole
+//     output, for the small and skinny shapes of the Bellamy MLPs;
+//  2. the same kernel over output-row panels on the shared worker pool
+//     (pool.go) once the multiply-add count clears parallelThreshold —
+//     a serving batch's 1792x40x8 encoder product and the 448x40x8
+//     products of a training step get here.
 //
-// The blocked tiers change floating-point summation order relative to
-// the reference kernels in mul_ref.go, so equivalence is specified to
+// The kernels change floating-point summation order relative to the
+// reference kernels in mul_ref.go, so equivalence is specified to
 // epsilon tolerance (see mul_equiv_test.go); the reference kernels
 // remain the bit-exact oracle.
 
@@ -24,19 +22,9 @@ import (
 // MLPs) stay serial to avoid scheduling overhead.
 const parallelThreshold = 64 * 1024
 
-// rowPanel is the output-row panel size of the direct (unpacked)
-// parallel kernels; the packed path uses blockMC-row panels so one
-// claim amortizes one A-block pack.
+// rowPanel is the output-row panel size of the parallel tier: large
+// enough that one claim amortizes the claim's atomic traffic.
 const rowPanel = 8
-
-// usePacked reports whether a product of the given dimensions should
-// take the packed blocked path: once the B operand outgrows L2, the
-// direct kernels stream it from shared cache for every output-row pass
-// and packing starts paying for itself. Below that, the direct kernels
-// win — packing traffic is pure overhead on an L2-resident B.
-func usePacked(m, k, n int) bool {
-	return k*n >= packedBFootprint && m >= kernelMR && k >= packMinDim && n >= packMinDim
-}
 
 // Mul returns the matrix product a*b.
 func Mul(a, b *Dense) *Dense {
@@ -57,81 +45,14 @@ func MulTo(dst, a, b *Dense) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	if usePacked(m, k, n) {
-		mulPacked(dst, a, b)
-		return
-	}
 	nPanels := (m + rowPanel - 1) / rowPanel
 	if m*k*n >= parallelThreshold && nPanels > 1 {
-		j := newJob(opMulRows, rowPanel, nPanels)
+		j := newJob(opMulRows, nPanels)
 		j.dst, j.a, j.b = dst, a, b
 		runParallel(j)
 		return
 	}
 	mulRows(dst, a, b, 0, m)
-}
-
-// mulPacked is the blocked GEMM driver: B is packed once per
-// (k-block, column-block) and shared read-only, then output-row panels
-// of blockMC rows are either computed inline or fanned across the
-// worker pool, each worker packing its own A block.
-func mulPacked(dst, a, b *Dense) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	nr := packNR
-	kc0 := min(k, blockKC)
-	nc0 := min(n, blockNC)
-	sb := getScratchB(packedPanels(nc0, nr, kc0))
-	for pc := 0; pc < k; pc += blockKC {
-		kc := min(blockKC, k-pc)
-		for jc := 0; jc < n; jc += blockNC {
-			nc := min(blockNC, n-jc)
-			bp := sb.b.Data[:packedPanels(nc, nr, kc)]
-			packB(bp, b, pc, kc, jc, nc, nr)
-			nPanels := (m + blockMC - 1) / blockMC
-			if nPanels > 1 && m*kc*nc >= parallelThreshold {
-				j := newJob(opMulPacked, blockMC, nPanels)
-				j.dst, j.a, j.bp = dst, a, bp
-				j.pc, j.kc, j.jc, j.nc = pc, kc, jc, nc
-				runParallel(j)
-				continue
-			}
-			mulPackedPanels(dst, a, bp, pc, kc, jc, nc, 0, nPanels)
-		}
-	}
-	putScratch(sb)
-}
-
-// mulPackedPanels computes output-row panels [p0,p1) of the current
-// cache block: pack the A block, then run the micro-kernel over every
-// (column panel, row tile) pair, with the column panel of B held hot in
-// L1 across the row tiles. The column-panel width follows the selected
-// kernel family (packNR).
-func mulPackedPanels(dst, a *Dense, bp []float64, pc, kc, jc, nc, p0, p1 int) {
-	m := a.Rows
-	wNR := packNR
-	sa := getScratchA(packedPanels(blockMC, kernelMR, kc))
-	ap := sa.a.Data
-	for p := p0; p < p1; p++ {
-		i0 := p * blockMC
-		mc := min(blockMC, m-i0)
-		packA(ap, a, i0, mc, pc, kc)
-		for jr := 0; jr < nc; jr += wNR {
-			nr := min(wNR, nc-jr)
-			bpp := bp[(jr/wNR)*kc*wNR:]
-			for ir := 0; ir < mc; ir += kernelMR {
-				mr := min(kernelMR, mc-ir)
-				microTile(dst, i0+ir, jc+jr, mr, nr, ap[(ir/kernelMR)*kc*kernelMR:], bpp, kc)
-			}
-		}
-	}
-	putScratch(sa)
-}
-
-// MulATB returns aᵀ*b without materializing the transpose.
-func MulATB(a, b *Dense) *Dense {
-	out := NewDense(a.Cols, b.Cols)
-	MulATBAcc(out, a, b)
-	return out
 }
 
 // MulATBTo computes dst = aᵀ*b, fully overwriting dst.
@@ -157,7 +78,7 @@ func MulATBAcc(dst, a, b *Dense) {
 	}
 	nPanels := (a.Cols + rowPanel - 1) / rowPanel
 	if a.Rows*a.Cols*b.Cols >= parallelThreshold && nPanels > 1 {
-		j := newJob(opMulATBCols, rowPanel, nPanels)
+		j := newJob(opMulATBCols, nPanels)
 		j.dst, j.a, j.b = dst, a, b
 		runParallel(j)
 		return
@@ -165,14 +86,8 @@ func MulATBAcc(dst, a, b *Dense) {
 	mulATBAccRange(dst, a, b, 0, a.Cols)
 }
 
-// MulABT returns a*bᵀ without materializing the transpose.
-func MulABT(a, b *Dense) *Dense {
-	out := NewDense(a.Rows, b.Rows)
-	MulABTTo(out, a, b)
-	return out
-}
-
-// MulABTTo computes dst = a*bᵀ, fully overwriting dst.
+// MulABTTo computes dst = a*bᵀ without materializing the transpose,
+// fully overwriting dst.
 func MulABTTo(dst, a, b *Dense) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulABT col mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -187,47 +102,12 @@ func MulABTTo(dst, a, b *Dense) {
 	}
 	nPanels := (a.Rows + rowPanel - 1) / rowPanel
 	if a.Rows*a.Cols*b.Rows >= parallelThreshold && nPanels > 1 {
-		j := newJob(opMulABTRows, rowPanel, nPanels)
+		j := newJob(opMulABTRows, nPanels)
 		j.dst, j.a, j.b = dst, a, b
 		runParallel(j)
 		return
 	}
 	mulABTRows(dst, a, b, 0, a.Rows)
-}
-
-// MulVec returns the matrix-vector product a*x as a new slice.
-func MulVec(a *Dense, x []float64) []float64 {
-	out := make([]float64, a.Rows)
-	MulVecTo(out, a, x)
-	return out
-}
-
-// MulVecTo computes dst = a*x, fully overwriting dst. It rides the same
-// register-tiled panel kernels as the matrix products — including the
-// worker-pool fan-out over output-row panels for large matrices — so
-// single-row inference is served by the tiled path too.
-func MulVecTo(dst []float64, a *Dense, x []float64) {
-	if a.Cols != len(x) {
-		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d * %d", a.Rows, a.Cols, len(x)))
-	}
-	if len(dst) != a.Rows {
-		panic(fmt.Sprintf("mat: MulVecTo dst len %d != rows %d", len(dst), a.Rows))
-	}
-	if a.Rows == 0 {
-		return
-	}
-	if a.Cols == 0 {
-		clear(dst)
-		return
-	}
-	nPanels := (a.Rows + rowPanel - 1) / rowPanel
-	if a.Rows*a.Cols >= parallelThreshold && nPanels > 1 {
-		j := newJob(opMulVecRows, rowPanel, nPanels)
-		j.a, j.x, j.y = a, x, dst
-		runParallel(j)
-		return
-	}
-	mulVecRows(dst, a, x, 0, a.Rows)
 }
 
 func checkDst(op string, dst *Dense, rows, cols int) {

@@ -1,27 +1,13 @@
 package mat
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// Float32 multiply dispatch, mirroring mul.go tier for tier: direct
-// register-tiled row kernels for the small/skinny inference shapes, a
-// packed blocked path for large products, and worker-pool fan-out over
-// output-row panels past parallelThreshold. Under the asm family the
-// inner loops run the AVX2 float32 helpers (saxpy4/sdot4-class kernels,
-// 8 lanes per register); the fallback is a plain multiply-add Go kernel
-// — the math.FMA intrinsic is float64-only, so there is no f32 Go-FMA
-// family and famFMA shares the plain f32 loops.
-
-// packNR32 is the packed-B panel width of the f32 path for the selected
-// family.
-func packNR32() int {
-	if family == famAsm {
-		return kernelNR32
-	}
-	return kernelNR
-}
+// Float32 multiply dispatch, mirroring mul.go tier for tier: the direct
+// register-tiled row kernel for the small/skinny inference shapes, and
+// the same kernel over output-row panels on the worker pool past
+// parallelThreshold. Under the asm family the inner loops run the AVX2
+// float32 helpers (sgemmRows4x{8,4}, saxpy4, sdot4; 8 lanes per
+// register); the plain family is a multiply-add Go kernel.
 
 // MulToF32 computes dst = a*b, fully overwriting dst. dst must be
 // a.Rows x b.Cols and must not alias a or b.
@@ -37,13 +23,9 @@ func MulToF32(dst, a, b *DenseF32) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	if usePacked(m, k, n) {
-		mulPacked32(dst, a, b)
-		return
-	}
 	nPanels := (m + rowPanel - 1) / rowPanel
 	if m*k*n >= parallelThreshold && nPanels > 1 {
-		j := newJob(opMulRows32, rowPanel, nPanels)
+		j := newJob(opMulRows32, nPanels)
 		j.dst32, j.a32, j.b32 = dst, a, b
 		runParallel(j)
 		return
@@ -58,7 +40,7 @@ func mulRows32(dst, a, b *DenseF32, lo, hi int) {
 	if n == 0 || k == 0 {
 		return
 	}
-	if family == famAsm {
+	if useAsm {
 		if n == 1 {
 			i := lo
 			for ; i+4 <= hi; i += 4 {
@@ -192,7 +174,7 @@ func mulRowsTailCols32(dst, a, b *DenseF32, lo, hi, j0 int) {
 // vector exp matches the scalar Cephes polynomial but fuses its
 // multiply-adds, so results may differ from the scalar path by ~1 ulp.
 func Selu32(v []float32, lambda, lambdaAlpha float32) bool {
-	if family != famAsm {
+	if !useAsm {
 		return false
 	}
 	n := len(v) &^ 7
@@ -206,37 +188,6 @@ func Selu32(v []float32, lambda, lambdaAlpha float32) bool {
 		copy(v[n:], buf[:t])
 	}
 	return true
-}
-
-// MulVecToF32 computes dst = a*x, fully overwriting dst.
-func MulVecToF32(dst []float32, a *DenseF32, x []float32) {
-	if a.Cols != len(x) {
-		panic(fmt.Sprintf("mat: MulVecToF32 dimension mismatch %dx%d * %d", a.Rows, a.Cols, len(x)))
-	}
-	if len(dst) != a.Rows {
-		panic(fmt.Sprintf("mat: MulVecToF32 dst len %d != rows %d", len(dst), a.Rows))
-	}
-	if a.Rows == 0 {
-		return
-	}
-	k := a.Cols
-	if k == 0 {
-		clear(dst)
-		return
-	}
-	if family == famAsm {
-		i := 0
-		for ; i+4 <= a.Rows; i += 4 {
-			dst[i], dst[i+1], dst[i+2], dst[i+3] = sdot4(&x[0], &a.Data[i*k], k, k)
-		}
-		for ; i < a.Rows; i++ {
-			dst[i] = dot32(a.Row(i), x)
-		}
-		return
-	}
-	for i := 0; i < a.Rows; i++ {
-		dst[i] = dot32(a.Row(i), x)
-	}
 }
 
 // dot32 is the float32 dotUnrolled: 4 partial sums break the add
@@ -255,179 +206,4 @@ func dot32(a, b []float32) float32 {
 		s += a[k] * b[k]
 	}
 	return s0 + s1 + s2 + s3 + s
-}
-
-// gemmScratch32 holds one goroutine's float32 pack buffers, recycled
-// through their own pool (see gemmScratch for the rationale).
-type gemmScratch32 struct {
-	a, b *DenseF32
-}
-
-var scratchPool32 = sync.Pool{New: func() any { return new(gemmScratch32) }}
-
-// mulPacked32 is the float32 blocked GEMM driver, the twin of
-// mulPacked: B packed once per cache block, blockMC row panels fanned
-// across the pool past the parallel threshold.
-func mulPacked32(dst, a, b *DenseF32) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	nr := packNR32()
-	kc0 := min(k, blockKC)
-	nc0 := min(n, blockNC)
-	sb := scratchPool32.Get().(*gemmScratch32)
-	sb.b = Resized32(sb.b, 1, packedPanels(nc0, nr, kc0))
-	for pc := 0; pc < k; pc += blockKC {
-		kc := min(blockKC, k-pc)
-		for jc := 0; jc < n; jc += blockNC {
-			nc := min(blockNC, n-jc)
-			bp := sb.b.Data[:packedPanels(nc, nr, kc)]
-			packB32(bp, b, pc, kc, jc, nc, nr)
-			nPanels := (m + blockMC - 1) / blockMC
-			if nPanels > 1 && m*kc*nc >= parallelThreshold {
-				j := newJob(opMulPacked32, blockMC, nPanels)
-				j.dst32, j.a32, j.bp32 = dst, a, bp
-				j.pc, j.kc, j.jc, j.nc = pc, kc, jc, nc
-				runParallel(j)
-				continue
-			}
-			mulPackedPanels32(dst, a, bp, pc, kc, jc, nc, 0, nPanels)
-		}
-	}
-	putScratch32(sb)
-}
-
-func putScratch32(s *gemmScratch32) { scratchPool32.Put(s) }
-
-// mulPackedPanels32 computes output-row panels [p0,p1) of the current
-// f32 cache block.
-func mulPackedPanels32(dst, a *DenseF32, bp []float32, pc, kc, jc, nc, p0, p1 int) {
-	m := a.Rows
-	wNR := packNR32()
-	sa := scratchPool32.Get().(*gemmScratch32)
-	sa.a = Resized32(sa.a, 1, packedPanels(blockMC, kernelMR, kc))
-	ap := sa.a.Data
-	for p := p0; p < p1; p++ {
-		i0 := p * blockMC
-		mc := min(blockMC, m-i0)
-		packA32(ap, a, i0, mc, pc, kc)
-		for jr := 0; jr < nc; jr += wNR {
-			nr := min(wNR, nc-jr)
-			bpp := bp[(jr/wNR)*kc*wNR:]
-			for ir := 0; ir < mc; ir += kernelMR {
-				mr := min(kernelMR, mc-ir)
-				microTile32(dst, i0+ir, jc+jr, mr, nr, ap[(ir/kernelMR)*kc*kernelMR:], bpp, kc)
-			}
-		}
-	}
-	putScratch32(sa)
-}
-
-// microTile32 computes dst[i0:i0+mr, j0:j0+nr] += Ap * Bp over kc
-// packed steps: the 4x16 asm tile under famAsm, a plain-Go 4x4 tile
-// otherwise. Writeback is masked to mr x nr.
-func microTile32(dst *DenseF32, i0, j0, mr, nr int, ap, bp []float32, kc int) {
-	if family == famAsm {
-		var acc [kernelMR][kernelNR32]float32
-		sgemmMicro4x16(&acc, &ap[0], &bp[0], kc)
-		if mr == kernelMR && nr == kernelNR32 {
-			for r := 0; r < kernelMR; r++ {
-				row := dst.Row(i0 + r)[j0 : j0+kernelNR32 : j0+kernelNR32]
-				for c, v := range &acc[r] {
-					row[c] += v
-				}
-			}
-			return
-		}
-		for r := 0; r < mr; r++ {
-			row := dst.Row(i0 + r)
-			for c := 0; c < nr; c++ {
-				row[j0+c] += acc[r][c]
-			}
-		}
-		return
-	}
-	var acc [kernelMR][kernelNR]float32
-	n4 := 4 * kc
-	aps := ap[:n4]
-	bps := bp[:n4]
-	for q := 0; q+4 <= n4; q += 4 {
-		a0, a1, a2, a3 := aps[q], aps[q+1], aps[q+2], aps[q+3]
-		b0, b1, b2, b3 := bps[q], bps[q+1], bps[q+2], bps[q+3]
-		acc[0][0] += a0 * b0
-		acc[0][1] += a0 * b1
-		acc[0][2] += a0 * b2
-		acc[0][3] += a0 * b3
-		acc[1][0] += a1 * b0
-		acc[1][1] += a1 * b1
-		acc[1][2] += a1 * b2
-		acc[1][3] += a1 * b3
-		acc[2][0] += a2 * b0
-		acc[2][1] += a2 * b1
-		acc[2][2] += a2 * b2
-		acc[2][3] += a2 * b3
-		acc[3][0] += a3 * b0
-		acc[3][1] += a3 * b1
-		acc[3][2] += a3 * b2
-		acc[3][3] += a3 * b3
-	}
-	for r := 0; r < mr; r++ {
-		row := dst.Row(i0 + r)
-		for c := 0; c < nr; c++ {
-			row[j0+c] += acc[r][c]
-		}
-	}
-}
-
-// zeroPad32 supplies zero rows for edge panels; blockKC bounds kc.
-var zeroPad32 [blockKC]float32
-
-// packA32 copies the mc x kc block of a at (i0, p0) into dst as
-// kernelMR-row panels, k-major, zero-padding short panels.
-func packA32(dst []float32, a *DenseF32, i0, mc, p0, kc int) {
-	for ip := 0; ip < mc; ip += kernelMR {
-		r0 := a.Row(i0 + ip)[p0 : p0+kc]
-		r1, r2, r3 := zeroPad32[:kc], zeroPad32[:kc], zeroPad32[:kc]
-		if ip+1 < mc {
-			r1 = a.Row(i0 + ip + 1)[p0 : p0+kc]
-		}
-		if ip+2 < mc {
-			r2 = a.Row(i0 + ip + 2)[p0 : p0+kc]
-		}
-		if ip+3 < mc {
-			r3 = a.Row(i0 + ip + 3)[p0 : p0+kc]
-		}
-		for k := 0; k < kc; k++ {
-			dst[0] = r0[k]
-			dst[1] = r1[k]
-			dst[2] = r2[k]
-			dst[3] = r3[k]
-			dst = dst[4:]
-		}
-	}
-}
-
-// packB32 copies the kc x nc block of b at (p0, j0) into dst as
-// nr-column panels, k-major, zero-padding short panels.
-func packB32(dst []float32, b *DenseF32, p0, kc, j0, nc, nr int) {
-	for jp := 0; jp < nc; jp += nr {
-		w := nc - jp
-		if w >= nr {
-			for k := 0; k < kc; k++ {
-				row := b.Row(p0 + k)[j0+jp : j0+jp+nr : j0+jp+nr]
-				copy(dst[:nr], row)
-				dst = dst[nr:]
-			}
-			continue
-		}
-		for k := 0; k < kc; k++ {
-			row := b.Row(p0 + k)[j0+jp : j0+nc]
-			for c := 0; c < nr; c++ {
-				if c < len(row) {
-					dst[c] = row[c]
-				} else {
-					dst[c] = 0
-				}
-			}
-			dst = dst[nr:]
-		}
-	}
 }

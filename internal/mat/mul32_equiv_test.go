@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,16 +43,18 @@ func equalishTol32(t *testing.T, name string, got *DenseF32, want *Dense, k int)
 	}
 }
 
-// TestF32FamiliesMatchRef sweeps the float32 kernels across every
-// runnable family and a set of ragged shapes: the direct row kernel,
-// the packed path forced regardless of size gates (4x16 asm tile and
-// 4x4 Go tile both see partial panels), and the vector kernel.
+// TestF32FamiliesMatchRef sweeps the float32 kernel across both
+// families over ragged shapes and issuedShapes: through MulToF32, which
+// picks the direct or the pool route by size, and through the row
+// kernel over the whole output, so the direct route is covered at every
+// size.
 func TestF32FamiliesMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for _, fam := range testFamilies() {
-		setFamily(t, fam)
-		name := "family=" + fam.String()
-		for _, s := range []struct{ m, k, n int }{{37, 23, 19}, {70, 67, 66}, {5, 300, 47}, {16, 16, 16}, {33, 29, 1}, {9, 40, 8}} {
+	shapes := append([]struct{ m, k, n int }{{37, 23, 19}, {70, 67, 66}, {5, 300, 47}, {16, 16, 16}, {33, 29, 1}, {9, 40, 8}}, issuedShapes...)
+	for _, asm := range testFamilies() {
+		setFamily(t, asm)
+		for _, s := range shapes {
+			name := fmt.Sprintf("family=%s/%dx%dx%d", KernelFamily(), s.m, s.k, s.n)
 			a32, a := randomDense32(rng, s.m, s.k)
 			b32, b := randomDense32(rng, s.k, s.n)
 			want := NewDense(s.m, s.n)
@@ -62,40 +65,23 @@ func TestF32FamiliesMatchRef(t *testing.T) {
 			equalishTol32(t, "MulToF32/"+name, got, want, s.k)
 
 			got.Zero()
-			mulPacked32(got, a32, b32) // packed path, forced
-			equalishTol32(t, "mulPacked32/"+name, got, want, s.k)
-
-			x32 := make([]float32, s.k)
-			x := make([]float64, s.k)
-			for i := range x32 {
-				x32[i] = b32.Data[i]
-				x[i] = float64(b32.Data[i])
-			}
-			wantV := make([]float64, s.m)
-			refMulVecTo(wantV, a, x)
-			gotV := make([]float32, s.m)
-			MulVecToF32(gotV, a32, x32)
-			for i := range wantV {
-				if !tolClose32(gotV[i], wantV[i], s.k) {
-					t.Fatalf("MulVecToF32/%s: row %d = %v, want %v", name, i, gotV[i], wantV[i])
-				}
-			}
+			mulRows32(got, a32, b32, 0, s.m)
+			equalishTol32(t, "mulRows32/"+name, got, want, s.k)
 		}
 	}
 }
 
-// TestF32LargePathsMatchRef forces the parallel and packed dispatch
-// routes of MulToF32 (worker-pool row panels, blocked B) on shapes
-// past their thresholds, including a single-row edge.
+// TestF32LargePathsMatchRef keeps MulToF32 correct on products far
+// larger than a forward pass issues, including a single-row edge.
 func TestF32LargePathsMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, fam := range testFamilies() {
-		setFamily(t, fam)
-		name := "family=" + fam.String()
+	for _, asm := range testFamilies() {
+		setFamily(t, asm)
+		name := "family=" + KernelFamily()
 		for _, s := range []struct{ m, k, n int }{
-			{300, 60, 17},  // parallel direct route
-			{40, 300, 512}, // packed route (k*n past packedBFootprint)
-			{1, 300, 300},  // single row stays on the direct kernel
+			{300, 60, 17},  // pool route, strips plus a tail column
+			{40, 300, 512}, // pool route, wide output (the saxpy driver)
+			{1, 300, 300},  // one output row: a single panel, so direct
 		} {
 			a32, a := randomDense32(rng, s.m, s.k)
 			b32, b := randomDense32(rng, s.k, s.n)

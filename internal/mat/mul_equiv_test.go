@@ -10,13 +10,13 @@ import (
 	"repro/internal/parallel"
 )
 
-// Kernel equivalence suite: the blocked/tiled production kernels are
+// Kernel equivalence suite: the register-tiled production kernels are
 // validated against the mul_ref.go oracle to epsilon tolerance, over
 // random shapes including ragged edges (dims drawn from 1..67, so every
-// partial-tile and partial-panel combination of the 4x4 micro-kernel is
-// exercised) and over shapes large enough to force the worker-pool
-// parallel path and the packed blocked path. The reference kernels
-// themselves are pinned bit-identically below.
+// partial strip and row-group combination of the 4-row, 8/4-column
+// kernels is exercised), over the shapes serving and training issue,
+// and over shapes large enough to take the worker-pool route. The
+// reference kernels themselves are pinned bit-identically below.
 
 // tolClose reports whether got is within summation-reordering distance
 // of want for a reduction of depth k: the bound scales with the
@@ -38,7 +38,7 @@ func equalishTol(t *testing.T, name string, got, want *Dense, k int) {
 	}
 }
 
-// raggedDim draws a dimension from 1..67, biased toward the 4x4 tile
+// raggedDim draws a dimension from 1..67, biased toward the 4-wide tile
 // edges.
 func raggedDim(rng *rand.Rand) int {
 	if rng.Intn(3) == 0 {
@@ -80,9 +80,8 @@ func TestQuickMulATBMatchesRef(t *testing.T) {
 		refMulATBTo(want, a, b)
 		dst := garbageDense(ca, cb)
 		MulATBTo(dst, a, b)
-		alloc := MulATB(a, b)
 		for i := range want.Data {
-			if !tolClose(dst.Data[i], want.Data[i], r) || !tolClose(alloc.Data[i], want.Data[i], r) {
+			if !tolClose(dst.Data[i], want.Data[i], r) {
 				return false
 			}
 		}
@@ -103,9 +102,8 @@ func TestQuickMulABTMatchesRef(t *testing.T) {
 		refMulABTTo(want, a, b)
 		dst := garbageDense(ra, rb)
 		MulABTTo(dst, a, b)
-		alloc := MulABT(a, b)
 		for i := range want.Data {
-			if !tolClose(dst.Data[i], want.Data[i], c) || !tolClose(alloc.Data[i], want.Data[i], c) {
+			if !tolClose(dst.Data[i], want.Data[i], c) {
 				return false
 			}
 		}
@@ -116,43 +114,18 @@ func TestQuickMulABTMatchesRef(t *testing.T) {
 	}
 }
 
-func TestQuickMulVecMatchesRef(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, k := raggedDim(rng), raggedDim(rng)
-		a := randomDense(rng, m, k)
-		x := make([]float64, k)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := make([]float64, m)
-		refMulVecTo(want, a, x)
-		dst := make([]float64, m)
-		MulVecTo(dst, a, x)
-		alloc := MulVec(a, x)
-		for i := range want {
-			if !tolClose(dst[i], want[i], k) || !tolClose(alloc[i], want[i], k) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLargePathsMatchRef forces the worker-pool parallel path and the
-// packed blocked path (every dimension past packMinDim and total work
-// past both thresholds), including ragged edges on each dimension.
+// TestLargePathsMatchRef keeps products far larger than anything the
+// MLPs issue correct: past parallelThreshold all three products run
+// their direct kernel over row panels on the worker pool, including
+// ragged edges on each dimension.
 func TestLargePathsMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := []struct{ m, k, n int }{
-		{128, 128, 128}, // packed, aligned tiles
-		{131, 67, 97},   // parallel direct path, ragged everywhere
-		{67, 131, 70},   // packed with ragged edges
-		{1, 300, 300},   // single-row inference shape, tiled row kernel
-		{300, 300, 1},   // column output
+		{128, 128, 128}, // pool route, aligned strips
+		{131, 67, 97},   // pool route, ragged everywhere
+		{67, 131, 70},   // pool route, ragged rows and tail columns
+		{1, 300, 300},   // one output row: a single panel, so direct
+		{300, 300, 1},   // pool route, column output (the n == 1 dot kernel)
 	}
 	for _, s := range shapes {
 		name := fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n)
@@ -179,126 +152,98 @@ func TestLargePathsMatchRef(t *testing.T) {
 		MulABTTo(gotABT, a, bt)
 		equalishTol(t, "MulABTTo/"+name, gotABT, wantABT, s.k)
 	}
-
-	// MulVecTo across its parallel threshold (rows*cols >= 64Ki).
-	a := randomDense(rng, 512, 300)
-	x := make([]float64, 300)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := make([]float64, 512)
-	refMulVecTo(want, a, x)
-	got := make([]float64, 512)
-	MulVecTo(got, a, x)
-	for i := range want {
-		if !tolClose(got[i], want[i], 300) {
-			t.Fatalf("MulVecTo parallel: row %d = %.17g, want %.17g", i, got[i], want[i])
-		}
-	}
 }
 
-// setFamily forces the kernel family (and its packed panel width) for
-// the duration of a test, restoring both on cleanup. Only for serial
-// tests: family is read lock-free by every kernel.
-func setFamily(t *testing.T, f kernelFamily) {
+// setFamily forces the kernel family for the duration of a test,
+// restoring it on cleanup. Only for serial tests: useAsm is read
+// lock-free by every kernel.
+func setFamily(t *testing.T, asm bool) {
 	t.Helper()
-	oldFam, oldNR := family, packNR
-	t.Cleanup(func() { family, packNR = oldFam, oldNR })
-	family = f
-	if f == famAsm {
-		packNR = kernelNRAsm
-	} else {
-		packNR = kernelNR
-	}
+	old := useAsm
+	t.Cleanup(func() { useAsm = old })
+	useAsm = asm
 }
 
 // testFamilies returns every kernel family runnable on this build and
-// CPU: the Go families always, the asm family when hasAsm.
-func testFamilies() []kernelFamily {
-	fams := []kernelFamily{famPlain, famFMA}
+// CPU, as values of useAsm: plain always, asm when hasAsm.
+func testFamilies() []bool {
 	if hasAsm {
-		fams = append(fams, famAsm)
+		return []bool{false, true}
 	}
-	return fams
+	return []bool{false}
 }
 
-// TestAllKernelFamiliesMatchRef pins every kernel family the build can
-// run — plain, Go-FMA, and (CPU permitting) the AVX2 asm kernels —
-// against the oracle, regardless of which family startup selection
-// picked. The packed path is driven through mulPacked directly, forced
-// regardless of size gates, so both micro-tile widths (4x4 Go, 4x8
-// asm) see ragged edges; the direct kernels are called at their
-// row-range level.
+// TestKernelFamilyFollowsCPU pins the selection rule: the process runs
+// the asm family exactly when the build and CPU have the kernels, and
+// plain otherwise (always, under -tags noasm).
+func TestKernelFamilyFollowsCPU(t *testing.T) {
+	want := "plain"
+	if hasAsm {
+		want = "asm"
+	}
+	if got := KernelFamily(); got != want {
+		t.Fatalf("KernelFamily() = %q with hasAsm=%v, want %q", got, hasAsm, want)
+	}
+}
+
+// issuedShapes are the products the system actually issues, as m x k x
+// n of a*b: the six layers of a 250-query serving batch (the
+// BenchmarkServeShape table), their single-predict forms, and the
+// encoder products past parallelThreshold that take the pool route —
+// a 256-query batch's 1792x40x8 and a 64-sample training step's
+// 448x40x8, the latter also as the operands of its weight gradient
+// (40x448x8 under MulATBTo) and input gradient (448x8x40 under
+// MulABTTo).
+var issuedShapes = []struct{ m, k, n int }{
+	{1750, 40, 8}, {250, 3, 16}, {250, 16, 8}, {1750, 8, 4}, {250, 28, 8}, {250, 8, 1},
+	{7, 40, 8}, {1, 3, 16}, {1, 16, 8}, {7, 8, 4}, {1, 28, 8}, {1, 8, 1}, {1, 40, 8}, {1, 8, 4},
+	{1792, 40, 8}, {448, 40, 8}, {40, 448, 8}, {448, 8, 40},
+}
+
+// TestAllKernelFamiliesMatchRef pins both kernel families — plain and
+// (CPU permitting) the AVX2 asm kernels — against the oracle, whichever
+// one startup selected, over ragged shapes and issuedShapes. Each shape
+// goes through the public entry points, which pick the direct or the
+// pool route by size, and through the row-range kernels over the whole
+// output, so the direct route is covered at every size.
 func TestAllKernelFamiliesMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, fam := range testFamilies() {
-		setFamily(t, fam)
-		name := "family=" + fam.String()
-		for _, s := range []struct{ m, k, n int }{{37, 23, 19}, {70, 67, 66}, {12, 300, 41}, {33, 29, 1}, {9, 40, 8}} {
+	shapes := append([]struct{ m, k, n int }{{37, 23, 19}, {70, 67, 66}, {12, 300, 41}, {33, 29, 1}, {9, 40, 8}}, issuedShapes...)
+	for _, asm := range testFamilies() {
+		setFamily(t, asm)
+		for _, s := range shapes {
+			name := fmt.Sprintf("family=%s/%dx%dx%d", KernelFamily(), s.m, s.k, s.n)
 			a := randomDense(rng, s.m, s.k)
 			b := randomDense(rng, s.k, s.n)
+			at, bt := a.T(), b.T()
 
 			want := NewDense(s.m, s.n)
 			refMulTo(want, a, b)
 			got := garbageDense(s.m, s.n)
+			MulTo(got, a, b)
+			equalishTol(t, "MulTo/"+name, got, want, s.k)
 			got.Zero()
-			mulPacked(got, a, b) // packed path, forced regardless of size gates
-			equalishTol(t, "mulPacked/"+name, got, want, s.k)
-
-			got2 := NewDense(s.m, s.n)
-			mulRows(got2, a, b, 0, s.m)
-			equalishTol(t, "mulRows/"+name, got2, want, s.k)
+			mulRows(got, a, b, 0, s.m)
+			equalishTol(t, "mulRows/"+name, got, want, s.k)
 
 			wantATB := NewDense(s.m, s.n)
-			refMulATBTo(wantATB, a.T(), b)
-			gotATB := NewDense(s.m, s.n)
-			mulATBAccRange(gotATB, a.T(), b, 0, s.m)
-			equalishTol(t, "mulATBAcc/"+name, gotATB, wantATB, s.k)
+			refMulATBTo(wantATB, at, b)
+			gotATB := garbageDense(s.m, s.n)
+			MulATBTo(gotATB, at, b)
+			equalishTol(t, "MulATBTo/"+name, gotATB, wantATB, s.k)
+			gotATB.Zero()
+			mulATBAccRange(gotATB, at, b, 0, s.m)
+			equalishTol(t, "mulATBAccRange/"+name, gotATB, wantATB, s.k)
 
 			wantABT := garbageDense(s.m, s.n)
-			refMulABTTo(wantABT, a, b.T())
+			refMulABTTo(wantABT, a, bt)
 			gotABT := garbageDense(s.m, s.n)
-			mulABTRows(gotABT, a, b.T(), 0, s.m)
-			equalishTol(t, "mulABT/"+name, gotABT, wantABT, s.k)
-
-			x := b.Col(0)
-			wantV := make([]float64, s.m)
-			refMulVecTo(wantV, a, x[:s.k])
-			gotV := make([]float64, s.m)
-			mulVecRows(gotV, a, x[:s.k], 0, s.m)
-			for i := range wantV {
-				if !tolClose(gotV[i], wantV[i], s.k) {
-					t.Fatalf("mulVec/%s: row %d = %.17g, want %.17g", name, i, gotV[i], wantV[i])
-				}
-			}
+			MulABTTo(gotABT, a, bt)
+			equalishTol(t, "MulABTTo/"+name, gotABT, wantABT, s.k)
+			gotABT = garbageDense(s.m, s.n)
+			mulABTRows(gotABT, a, bt, 0, s.m)
+			equalishTol(t, "mulABTRows/"+name, gotABT, wantABT, s.k)
 		}
-	}
-}
-
-// TestSelectFamilyForced covers the BELLAMY_MAT_KERNEL override used by
-// the equivalence suite and CI: a recognized value forces that family
-// (asm only when the CPU has it), anything else falls back to the
-// deterministic automatic chain.
-func TestSelectFamilyForced(t *testing.T) {
-	if got := selectFamily("plain"); got != famPlain {
-		t.Fatalf("selectFamily(plain) = %v", got)
-	}
-	if got := selectFamily("fma"); got != famFMA {
-		t.Fatalf("selectFamily(fma) = %v", got)
-	}
-	auto := selectFamily("")
-	if got := selectFamily("bogus"); got != auto {
-		t.Fatalf("selectFamily(bogus) = %v, want automatic choice %v", got, auto)
-	}
-	if hasAsm {
-		if got := selectFamily("asm"); got != famAsm {
-			t.Fatalf("selectFamily(asm) = %v with hasAsm", got)
-		}
-		if auto != famAsm {
-			t.Fatalf("automatic selection = %v, want asm on an AVX2+FMA CPU", auto)
-		}
-	} else if got := selectFamily("asm"); got != auto {
-		t.Fatalf("selectFamily(asm) without hasAsm = %v, want fallback %v", got, auto)
 	}
 }
 
@@ -331,26 +276,6 @@ func TestRefKernelsBitIdentical(t *testing.T) {
 	gotABT := garbageDense(13, 11)
 	refMulABTTo(gotABT, a, b.T())
 	bitIdentical(t, "refMulABTTo", gotABT, want)
-
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	wantV := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		var s float64
-		for k := 0; k < a.Cols; k++ {
-			s += a.At(i, k) * x[k]
-		}
-		wantV[i] = s
-	}
-	gotV := make([]float64, a.Rows)
-	refMulVecTo(gotV, a, x)
-	for i := range wantV {
-		if gotV[i] != wantV[i] {
-			t.Fatalf("refMulVecTo[%d] = %v, want bit-identical %v", i, gotV[i], wantV[i])
-		}
-	}
 }
 
 // TestMulNestedParallelism drives the shared worker pool from many

@@ -1,13 +1,13 @@
 package mat
 
-// Reference multiply kernels: the bit-exact oracle for the blocked
-// stack. Each kernel is the textbook triple loop with one accumulator
+// Reference multiply kernels: the bit-exact oracle for the production
+// kernels. Each kernel is the textbook triple loop with one accumulator
 // per output element and strictly increasing k, i.e. a single
 // well-defined floating-point summation order. They are deliberately
 // unblocked, untiled, and serial.
 //
-// The production kernels (kernel.go, pack.go, mul.go) reorder
-// summation for cache blocking and instruction-level parallelism, so
+// The production kernels (kernel.go, kernel_asm.go) reorder summation
+// for register tiling and instruction-level parallelism, so
 // they are validated against these references to epsilon tolerance
 // (mul_equiv_test.go); the references themselves are pinned
 // bit-identically by the property tests in inplace_test.go. They are
@@ -68,17 +68,5 @@ func refMulABTTo(dst, a, b *Dense) {
 			}
 			or[j] = s
 		}
-	}
-}
-
-// refMulVecTo computes dst = a*x with the reference summation order.
-func refMulVecTo(dst []float64, a *Dense, x []float64) {
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Row(i)
-		var s float64
-		for k, av := range ar {
-			s += av * x[k]
-		}
-		dst[i] = s
 	}
 }

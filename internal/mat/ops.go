@@ -5,67 +5,10 @@ import (
 	"math"
 )
 
-// The element-wise kernels come in two flavors: an allocating form
-// (Add, Scale, ...) kept for convenience, and a destination form
-// (AddTo, ScaleTo, ...) that writes into a caller-provided matrix and
-// allocates nothing. Every destination kernel fully overwrites dst and
-// tolerates dst aliasing one of its inputs, which is what makes in-place
-// updates (ScaleTo(a, s, a)) legal.
-
-// Add returns a+b element-wise.
-func Add(a, b *Dense) *Dense {
-	out := NewDense(a.Rows, a.Cols)
-	AddTo(out, a, b)
-	return out
-}
-
-// AddTo computes dst = a+b element-wise. dst may alias a or b.
-func AddTo(dst, a, b *Dense) {
-	sameShape("Add", a, b)
-	sameShape("AddTo(dst)", dst, a)
-	for i, v := range a.Data {
-		dst.Data[i] = v + b.Data[i]
-	}
-}
-
-// Sub returns a-b element-wise.
-func Sub(a, b *Dense) *Dense {
-	out := NewDense(a.Rows, a.Cols)
-	SubTo(out, a, b)
-	return out
-}
-
-// SubTo computes dst = a-b element-wise. dst may alias a or b.
-func SubTo(dst, a, b *Dense) {
-	sameShape("Sub", a, b)
-	sameShape("SubTo(dst)", dst, a)
-	for i, v := range a.Data {
-		dst.Data[i] = v - b.Data[i]
-	}
-}
-
-// Hadamard returns the element-wise product a*b.
-func Hadamard(a, b *Dense) *Dense {
-	out := NewDense(a.Rows, a.Cols)
-	HadamardTo(out, a, b)
-	return out
-}
-
-// HadamardTo computes dst = a⊙b element-wise. dst may alias a or b.
-func HadamardTo(dst, a, b *Dense) {
-	sameShape("Hadamard", a, b)
-	sameShape("HadamardTo(dst)", dst, a)
-	for i, v := range a.Data {
-		dst.Data[i] = v * b.Data[i]
-	}
-}
-
-// Scale returns s*a.
-func Scale(s float64, a *Dense) *Dense {
-	out := NewDense(a.Rows, a.Cols)
-	ScaleTo(out, s, a)
-	return out
-}
+// The element-wise kernels write into caller-provided storage and
+// allocate nothing. The destination forms (ScaleTo, AddRowVecTo) fully
+// overwrite dst and tolerate dst aliasing their input, which is what
+// makes in-place updates (ScaleTo(a, s, a)) legal.
 
 // ScaleTo computes dst = s*a. dst may alias a for an in-place rescale.
 func ScaleTo(dst *Dense, s float64, a *Dense) {
@@ -83,29 +26,6 @@ func AddInPlace(a, b *Dense) {
 	}
 }
 
-// Apply returns a new matrix with f applied to every element of a.
-func Apply(a *Dense, f func(float64) float64) *Dense {
-	out := NewDense(a.Rows, a.Cols)
-	ApplyTo(out, a, f)
-	return out
-}
-
-// ApplyTo computes dst[i] = f(a[i]) for every element. dst may alias a.
-func ApplyTo(dst, a *Dense, f func(float64) float64) {
-	sameShape("ApplyTo(dst)", dst, a)
-	for i, v := range a.Data {
-		dst.Data[i] = f(v)
-	}
-}
-
-// AddRowVec adds the 1 x Cols row vector v to every row of a, returning a
-// new matrix. It is the broadcast used for bias addition.
-func AddRowVec(a *Dense, v []float64) *Dense {
-	out := NewDense(a.Rows, a.Cols)
-	AddRowVecTo(out, a, v)
-	return out
-}
-
 // AddRowVecTo computes dst = a + broadcast(v). dst may alias a, which is
 // the in-place bias addition of the linear layer.
 func AddRowVecTo(dst, a *Dense, v []float64) {
@@ -120,13 +40,6 @@ func AddRowVecTo(dst, a *Dense, v []float64) {
 			or[j] = ar[j] + v[j]
 		}
 	}
-}
-
-// ColSums returns the per-column sums of a as a length-Cols slice.
-func ColSums(a *Dense) []float64 {
-	out := make([]float64, a.Cols)
-	ColSumsAcc(out, a)
-	return out
 }
 
 // ColSumsAcc accumulates the per-column sums of a into dst. It is the
@@ -163,50 +76,6 @@ func Norm2(v []float64) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// AxPy computes y += alpha*x in place.
-func AxPy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: AxPy len %d != %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// FrobeniusNorm returns the Frobenius norm of a.
-func FrobeniusNorm(a *Dense) float64 {
-	var s float64
-	for _, v := range a.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Concat concatenates matrices horizontally (same row count).
-func Concat(ms ...*Dense) *Dense {
-	if len(ms) == 0 {
-		return NewDense(0, 0)
-	}
-	rows := ms[0].Rows
-	cols := 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic(fmt.Sprintf("mat: Concat row mismatch %d != %d", m.Rows, rows))
-		}
-		cols += m.Cols
-	}
-	out := NewDense(rows, cols)
-	for i := 0; i < rows; i++ {
-		or := out.Row(i)
-		off := 0
-		for _, m := range ms {
-			copy(or[off:off+m.Cols], m.Row(i))
-			off += m.Cols
-		}
-	}
-	return out
 }
 
 // SliceCols returns a copy of columns [from, to) of a.

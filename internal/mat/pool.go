@@ -15,23 +15,19 @@ import (
 // matmuls) cannot oversubscribe the machine the way per-call goroutine
 // spawning did.
 //
-// Unlike the raw-row fan-out it replaces, the unit of work is an
-// output-row panel: a block of rows sized so one claim amortizes the
-// claim's atomic traffic and, on the packed path, one A-block pack.
-// Jobs carry an operation code plus operands instead of a closure so
-// steady-state parallel products allocate nothing.
+// The unit of work is an output-row panel: a block of rows sized so one
+// claim amortizes the claim's atomic traffic. Jobs carry an operation
+// code plus operands instead of a closure so steady-state parallel
+// products allocate nothing.
 
 // panelOp selects the kernel a panelJob runs per claimed panel range.
 type panelOp uint8
 
 const (
-	opMulRows     panelOp = iota // dst rows = a*b rows, direct kernel
-	opMulPacked                  // dst row-panels of blockMC, packed kernel
-	opMulATBCols                 // dst rows = (aᵀb) output rows (a columns)
-	opMulABTRows                 // dst rows = a*bᵀ rows
-	opMulVecRows                 // y rows = a*x rows
-	opMulRows32                  // float32 dst rows = a*b rows
-	opMulPacked32                // float32 packed row-panels of blockMC
+	opMulRows    panelOp = iota // dst rows = a*b rows
+	opMulATBCols                // dst rows = (aᵀb) output rows (a columns)
+	opMulABTRows                // dst rows = a*bᵀ rows
+	opMulRows32                 // float32 dst rows = a*b rows
 )
 
 // panelJob is one parallel product: workers claim panel chunks via the
@@ -42,12 +38,6 @@ type panelJob struct {
 	a, b, dst *Dense
 	a32, b32  *DenseF32 // float32 operands
 	dst32     *DenseF32
-	x, y      []float64 // MulVec operands
-	bp        []float64 // shared packed B block (opMulPacked)
-	bp32      []float32 // shared packed float32 B block
-	pc, kc    int       // packed k-block origin/size
-	jc, nc    int       // packed column-block origin/size
-	panel     int       // rows per panel
 	nPanels   int
 	chunk     int // panels per claim
 	next      atomic.Int64
@@ -70,19 +60,17 @@ func (j *panelJob) run() {
 	}
 }
 
-// runPanels executes panels [p0,p1). Row ranges are panel*panelSize,
-// clamped to the true row count of the output dimension.
+// runPanels executes panels [p0,p1): rows [p0,p1)*rowPanel, clamped to
+// the true row count of the output dimension.
 func (j *panelJob) runPanels(p0, p1 int) {
-	lo := p0 * j.panel
-	hi := p1 * j.panel
+	lo := p0 * rowPanel
+	hi := p1 * rowPanel
 	switch j.op {
 	case opMulRows:
 		if hi > j.a.Rows {
 			hi = j.a.Rows
 		}
 		mulRows(j.dst, j.a, j.b, lo, hi)
-	case opMulPacked:
-		mulPackedPanels(j.dst, j.a, j.bp, j.pc, j.kc, j.jc, j.nc, p0, p1)
 	case opMulATBCols:
 		if hi > j.a.Cols {
 			hi = j.a.Cols
@@ -93,18 +81,11 @@ func (j *panelJob) runPanels(p0, p1 int) {
 			hi = j.a.Rows
 		}
 		mulABTRows(j.dst, j.a, j.b, lo, hi)
-	case opMulVecRows:
-		if hi > j.a.Rows {
-			hi = j.a.Rows
-		}
-		mulVecRows(j.y, j.a, j.x, lo, hi)
 	case opMulRows32:
 		if hi > j.a32.Rows {
 			hi = j.a32.Rows
 		}
 		mulRows32(j.dst32, j.a32, j.b32, lo, hi)
-	case opMulPacked32:
-		mulPackedPanels32(j.dst32, j.a32, j.bp32, j.pc, j.kc, j.jc, j.nc, p0, p1)
 	}
 }
 
@@ -156,15 +137,13 @@ submit:
 	j.wg.Wait()
 	j.a, j.b, j.dst = nil, nil, nil
 	j.a32, j.b32, j.dst32 = nil, nil, nil
-	j.x, j.y, j.bp, j.bp32 = nil, nil, nil, nil
 	jobPool.Put(j)
 }
 
-// newJob draws a pooled job and fills the common fields.
-func newJob(op panelOp, panel, nPanels int) *panelJob {
+// newJob draws a pooled job for nPanels panels of rowPanel output rows.
+func newJob(op panelOp, nPanels int) *panelJob {
 	j := jobPool.Get().(*panelJob)
 	j.op = op
-	j.panel = panel
 	j.nPanels = nPanels
 	return j
 }
