@@ -40,7 +40,7 @@ func runTrain(args []string) error {
 	epochs := fs.Int("epochs", 250, "pre-training epochs (paper: 2500)")
 	seed := fs.Int64("seed", 1, "seed for simulation and weight init")
 	trials := fs.Int("hyperopt", 0, "hyperparameter-search trials before training (paper: 12; 0 = use defaults)")
-	workers := fs.Int("hyperopt-workers", 0, "parallel trials (0 = all cores; matmuls share one bounded pool)")
+	workers := fs.Int("hyperopt-workers", 0, "parallel trials (0 = all cores; with as many workers as cores every trial runs both shards of its training steps itself, with fewer the spare cores help)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -67,8 +67,9 @@ func runTrain(args []string) error {
 	cfg.Seed = *seed
 
 	// Optional Table-I hyperparameter search: candidate models pre-train
-	// in parallel across cores, with their matmuls bounded by the shared
-	// mat worker pool so trial fan-out cannot oversubscribe the machine.
+	// in parallel across cores. Trials and the helpers of their sharded
+	// training steps draw on one budget of cores (internal/parallel), so
+	// trial fan-out cannot oversubscribe the machine.
 	if *trials > 0 {
 		fmt.Printf("hyperopt: %d trials on %d executions...\n", *trials, len(samples))
 		opts := hyperopt.DefaultOptions()
@@ -97,12 +98,13 @@ func runTrain(args []string) error {
 		return fmt.Errorf("train: %w", err)
 	}
 	epochsPerSec := float64(rep.Epochs) / rep.Duration.Seconds()
-	fmt.Printf("trained %s: best MAE %.2fs at epoch %d, final runtime loss %.4f, took %s (%.0f epochs/s); %d property rows, %d distinct\n",
+	fmt.Printf("trained %s: best MAE %.2fs at epoch %d, final runtime loss %.4f, took %s (%.0f epochs/s); %d property rows, %d distinct; %d shards a step, a helper ran the second in %d of %d steps\n",
 		*out, rep.BestMAE, rep.BestEpoch, rep.FinalRuntimeLoss, rep.Duration.Round(0), epochsPerSec,
-		rep.PropertyRows, rep.DistinctProperties)
+		rep.PropertyRows, rep.DistinctProperties, rep.Shards, rep.HelperSteps, rep.SplitSteps)
 	slog.Info("pre-trained", "model", *out, "samples", len(samples), "epochs", rep.Epochs,
 		"best_mae_s", rep.BestMAE, "best_epoch", rep.BestEpoch, "epochs_per_s", epochsPerSec,
 		"property_rows", rep.PropertyRows, "distinct_properties", rep.DistinctProperties,
+		"step_shards", rep.Shards, "split_steps", rep.SplitSteps, "helper_steps", rep.HelperSteps,
 		"mat_kernel", mat.KernelFamily())
 	return nil
 }

@@ -1,14 +1,15 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/parallel"
 )
 
-// allocConfig keeps every matmul of the step below mat's parallel
-// threshold so the measured path is fully deterministic (the shared
-// worker pool uses a sync.Pool, which the GC may clear mid-measurement).
+// allocConfig is a short pre-training whose 16-sample batches are cut
+// into two shards of 8, the smallest step that splits.
 func allocConfig() Config {
 	cfg := DefaultConfig()
 	cfg.PretrainEpochs = 2
@@ -17,9 +18,11 @@ func allocConfig() Config {
 }
 
 // TestTrainStepZeroAlloc pins the steady-state training step — batch
-// refill from the shuffled index, forward, joint loss, backward,
-// gradient clip, Adam step — at zero allocations. This is the central
-// guarantee of the workspace-backed compute engine.
+// refill from the shuffled index, forward, joint loss, backward on each
+// of two shards, gradient reduction, clip, Adam step — at zero
+// allocations, with the second shard on the caller and on a leased
+// helper. This is the central guarantee of the workspace-backed compute
+// engine.
 func TestTrainStepZeroAlloc(t *testing.T) {
 	cfg := allocConfig()
 	m, err := New(cfg)
@@ -33,20 +36,43 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	params := m.Params()
-	opt := nn.NewAdam(cfg.LearningRate, cfg.WeightDecay)
-	huber := nn.HuberLoss{Delta: cfg.HuberDelta}
+	run := m.pretrainRun(samples)
 	idx := make([]int, cfg.BatchSize)
 	for i := range idx {
 		idx[i] = i % len(samples)
 	}
-	step := func() {
-		m.fillBatch(&m.trainB, samples, idx)
-		m.trainStep(&m.trainB, params, opt, huber, true)
-	}
+	step := func() { m.trainStep(run, idx) }
 	step() // warm the fresh optimizer's moment maps
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 		t.Fatalf("steady-state train step allocs/op = %v, want 0", allocs)
+	}
+	if run.splitSteps != 52 || run.helperSteps != 0 {
+		t.Fatalf("%d split steps, %d of them on a helper; want 52 on the caller", run.splitSteps, run.helperSteps)
+	}
+
+	// With a helper the count is taken by hand: AllocsPerRun measures at
+	// GOMAXPROCS=1, where a helper never gets to a shard before the
+	// caller is back for it.
+	setProcs(t, 2)
+	if run.helper = parallel.Lease(); run.helper == nil {
+		t.Fatal("no helper to lease at GOMAXPROCS=2")
+	}
+	defer run.helper.Release()
+	step()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 200; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	// The count is the whole process's, and a goroutine that parks may
+	// cost the runtime an allocation; what is pinned is that no step
+	// allocates as a matter of course.
+	if allocs := after.Mallocs - before.Mallocs; allocs >= 10 {
+		t.Fatalf("200 steady-state train steps with a helper made %d allocations, want (next to) none", allocs)
+	}
+	if run.helperSteps == 0 {
+		t.Fatal("none of 201 steps ran its second shard on the leased helper")
 	}
 }
 
@@ -84,13 +110,15 @@ func TestFinetuneEpochZeroAlloc(t *testing.T) {
 	if _, err := m.Finetune(ctx, FinetuneOptions{MaxEpochs: 2}); err != nil {
 		t.Fatal(err)
 	}
-	params := m.Params()
-	opt := nn.NewAdam(cfg.FinetuneLRHigh, cfg.FinetuneWeightDecay)
-	huber := nn.HuberLoss{Delta: cfg.HuberDelta}
+	run := &trainRun{
+		params: m.Params(),
+		opt:    nn.NewAdam(cfg.FinetuneLRHigh, cfg.FinetuneWeightDecay),
+		huber:  nn.HuberLoss{Delta: cfg.HuberDelta},
+	}
 	m.fillBatch(&m.trainB, ctx, nil)
 	m.fixCodes(&m.trainB)
 	epoch := func() {
-		m.trainStep(&m.trainB, params, opt, huber, false)
+		m.trainStep(run, nil)
 		m.evalMAEBatch(&m.trainB)
 	}
 	epoch() // warm the fresh optimizer's moment maps

@@ -86,6 +86,25 @@ func (keepGrads) Step([]*nn.Param) {}
 func (keepGrads) SetLR(float64)    {}
 func (keepGrads) LR() float64      { return 0 }
 
+// keepGradsRun is a run of pre-training steps on samples that leaves each
+// step's gradient in m's parameters, with the replica for a second shard
+// ready when the batch is big enough to cut.
+func keepGradsRun(m *Model, samples []Sample) *trainRun {
+	run := m.pretrainRun(samples)
+	run.opt = keepGrads{}
+	return run
+}
+
+// allOf is the index of every sample, in order: the whole set as one
+// mini-batch.
+func allOf(samples []Sample) []int {
+	idx := make([]int, len(samples))
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
 // distinctSamples gives every property of every sample a value no other
 // slot has, numbers and text alike.
 func distinctSamples(n int) []Sample {
@@ -145,13 +164,12 @@ func TestDistinctRowStepMatchesPerOccurrence(t *testing.T) {
 				got, want := build(), build()
 
 				wantPred, wantLoss, wantRecon := referenceStep(want, tc.samples, true)
-				got.fillBatch(&got.trainB, tc.samples, nil)
+				loss, recon := got.trainStep(keepGradsRun(got, tc.samples), allOf(tc.samples))
 				if u := got.trainB.props.Rows; tc.name == "all-distinct" && u != len(got.trainB.propRow) {
 					t.Fatalf("batch holds %d distinct rows for %d all-different slots", u, len(got.trainB.propRow))
 				} else if tc.name == "repeats" && u != 11 {
 					t.Fatalf("batch holds %d distinct rows, want the corpus's 11 values", u)
 				}
-				loss, recon := got.trainStep(&got.trainB, got.Params(), keepGrads{}, nn.HuberLoss{Delta: cfg.HuberDelta}, true)
 				closeTo(t, "runtime loss", loss, wantLoss)
 				closeTo(t, "reconstruction loss", recon, wantRecon)
 				for i, p := range got.fst.pred.Data {
@@ -232,15 +250,22 @@ func TestPretrainSameSeedSameModel(t *testing.T) {
 		}
 		runs[i] = m
 	}
-	other := runs[1].Params()
-	for k, p := range runs[0].Params() {
+	sameModel(t, runs[0], runs[1])
+}
+
+// sameModel fails the test unless a and b hold bit-identical parameters
+// and the same target scale.
+func sameModel(t *testing.T, a, b *Model) {
+	t.Helper()
+	other := b.Params()
+	for k, p := range a.Params() {
 		for i, v := range p.Value.Data {
 			if math.Float64bits(v) != math.Float64bits(other[k].Value.Data[i]) {
 				t.Fatalf("%s[%d] = %v in one run, %v in the other", p.Name, i, v, other[k].Value.Data[i])
 			}
 		}
 	}
-	if runs[0].target.Scale != runs[1].target.Scale {
-		t.Fatalf("target scales differ: %v, %v", runs[0].target.Scale, runs[1].target.Scale)
+	if a.target.Scale != b.target.Scale {
+		t.Fatalf("target scales differ: %v, %v", a.target.Scale, b.target.Scale)
 	}
 }

@@ -104,16 +104,16 @@ func (m *Model) Finetune(samples []Sample, opts FinetuneOptions) (*TrainReport, 
 	nn.ZeroGrads(params)
 	opt := nn.NewAdam(cfg.FinetuneLRHigh, cfg.FinetuneWeightDecay)
 	sched := nn.CyclicalLR{Low: cfg.FinetuneLRLow, High: cfg.FinetuneLRHigh}
-	huber := nn.HuberLoss{Delta: cfg.HuberDelta}
+	run := &trainRun{params: params, opt: opt, huber: nn.HuberLoss{Delta: cfg.HuberDelta}}
 	stopper := nn.NewEarlyStopper(cfg.FinetuneTargetMAE, patience)
 
 	unfreezeEpoch := cfg.UnfreezeAfterPerSample * len(samples)
-	report := &TrainReport{}
+	report := &TrainReport{Shards: 1}
 	var bestState nn.State
 
 	// One context batch serves both the training steps and the per-epoch
 	// MAE evaluation: fine-tuning is full-batch, so the encoded samples
-	// never change across epochs.
+	// never change across epochs — and every step runs on it whole.
 	m.fillBatch(&m.trainB, samples, nil)
 	b := &m.trainB
 	m.fixCodes(b)
@@ -126,7 +126,7 @@ func (m *Model) Finetune(samples []Sample, opts FinetuneOptions) (*TrainReport, 
 		}
 		opt.SetLR(sched.Rate(epoch))
 
-		rLoss, _ := m.trainStep(b, params, opt, huber, false)
+		rLoss, _ := m.trainStep(run, nil)
 
 		report.FinalRuntimeLoss = rLoss
 		report.Epochs = epoch + 1

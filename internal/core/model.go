@@ -42,6 +42,11 @@ type Model struct {
 	// batch, inferB serves Predict/PredictBatch.
 	trainB, evalB, inferB batch
 
+	// second is the replica a split training step runs its second shard
+	// on (see trainStep); pass is this model's own share of the step.
+	second *Model
+	pass   gradPass
+
 	// params caches each component's parameter list, so the per-step
 	// "does anything in f learn" checks allocate nothing.
 	params struct{ f, g, h, z []*nn.Param }
@@ -93,9 +98,33 @@ func New(cfg Config) (*Model, error) {
 		rng:    rng,
 		ws:     mat.NewWorkspace(),
 	}
+	m.indexParams()
+	return m, nil
+}
+
+// indexParams fills the per-component parameter lists from the networks.
+func (m *Model) indexParams() {
 	m.params.f, m.params.g = m.f.Params(), m.g.Params()
 	m.params.h, m.params.z = m.h.Params(), m.z.Params()
-	return m, nil
+}
+
+// replica returns a model around m's parameter values that owns
+// everything a training pass writes: layer caches, workspace, batch
+// buffers, gradients, property table and encoder memo, and a dropout
+// generator seeded from the model seed and the shard index. It holds no
+// second copy of a weight; its scalers are whatever m's are when a
+// training run hands it to a shard.
+func (m *Model) replica(shard int) *Model {
+	rng := rand.New(rand.NewSource(m.Cfg.Seed + int64(shard)*0x5DEECE66D))
+	r := &Model{
+		Cfg: m.Cfg,
+		f:   m.f.Replica(rng), g: m.g.Replica(rng), h: m.h.Replica(rng), z: m.z.Replica(rng),
+		enc: encoding.NewPropertyEncoder(m.Cfg.PropertySize),
+		rng: rng,
+		ws:  mat.NewWorkspace(),
+	}
+	r.indexParams()
+	return r
 }
 
 // Params returns all learnable parameters grouped by component.

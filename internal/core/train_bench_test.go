@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strconv"
 	"testing"
 )
@@ -56,6 +57,30 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 }
 
+// numericCorpus is 256 samples whose property in slot k takes distinct(k)
+// different values. Numeric values only: they are binarized in place, so
+// two such corpora differ in what the engine shares and not in what
+// hashing text costs.
+func numericCorpus(distinct func(slot int) int) []Sample {
+	out := distinctSamples(256)
+	for i := range out {
+		value := func(slot int) string { return strconv.Itoa(1000*(slot+1) + i%distinct(slot)) }
+		for k := range out[i].Essential {
+			out[i].Essential[k].Value = value(k)
+		}
+		for k := range out[i].Optional {
+			out[i].Optional[k].Value = value(len(out[i].Essential) + k)
+		}
+	}
+	return out
+}
+
+// fewValuesCorpus spreads 47 distinct values over its 1792 property
+// rows — 7 per slot, 6 in the last two — the shape of a real corpus.
+func fewValuesCorpus() []Sample {
+	return numericCorpus(func(slot int) int { return 7 - slot/5 })
+}
+
 // BenchmarkPretrainDistinct runs the same pre-training — sample count,
 // property rows, batch size, epochs — on two corpora that differ only in
 // how often property values repeat: "few" spreads 47 distinct values
@@ -67,24 +92,7 @@ func BenchmarkTrainStep(b *testing.B) {
 func BenchmarkPretrainDistinct(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.PretrainEpochs = 5
-	// Numeric values only: they are binarized in place, so the corpora
-	// differ in what the engine shares and not in what hashing text costs.
-	corpus := func(distinct func(slot int) int) []Sample {
-		out := distinctSamples(256)
-		for i := range out {
-			value := func(slot int) string { return strconv.Itoa(1000*(slot+1) + i%distinct(slot)) }
-			for k := range out[i].Essential {
-				out[i].Essential[k].Value = value(k)
-			}
-			for k := range out[i].Optional {
-				out[i].Optional[k].Value = value(cfg.NumEssential + k)
-			}
-		}
-		return out
-	}
-	// 47 values in all: 7 per slot, 6 in the last two.
-	few := corpus(func(slot int) int { return 7 - slot/5 })
-	all := corpus(func(int) int { return 256 })
+	few, all := fewValuesCorpus(), numericCorpus(func(int) int { return 256 })
 	for _, corpus := range []struct {
 		name     string
 		samples  []Sample
@@ -106,6 +114,43 @@ func BenchmarkPretrainDistinct(b *testing.B) {
 						rep.PropertyRows, rep.DistinctProperties, 256*7, corpus.distinct)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkPretrainProcs runs the same pre-training — 256 samples, batch
+// 64, 5 epochs — at GOMAXPROCS=1, where the caller runs both shards of
+// every step, and at GOMAXPROCS=2, where a leased helper runs the second
+// beside it. Both end with the same parameters; CI gates procs=2 against
+// procs=1 within one run (benchgate -speedup), pinning that the second
+// core pays. (GOMAXPROCS is set inside, and the sub-benchmarks are named
+// procs=N, because result parsers strip the -N suffix -cpu 1,2 would
+// tell the two apart by.)
+func BenchmarkPretrainProcs(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.PretrainEpochs = 5
+	samples := fewValuesCorpus()
+	for _, procs := range []int{1, 2} {
+		b.Run("procs="+strconv.Itoa(procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			b.ReportAllocs()
+			helped := 0
+			for i := 0; i < b.N; i++ {
+				m, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rep, err := m.Pretrain(samples)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.SplitSteps != 5*4 || rep.HelperSteps > (procs-1)*rep.SplitSteps {
+					b.Fatalf("%d split steps, %d of them on a helper; want 20 and at most %d",
+						rep.SplitSteps, rep.HelperSteps, (procs-1)*rep.SplitSteps)
+				}
+				helped += rep.HelperSteps
+			}
+			b.ReportMetric(float64(helped)/float64(20*b.N), "helped/step")
 		})
 	}
 }

@@ -1,14 +1,14 @@
 package mat
 
-// Direct register-tiled multiply kernels: mulRows, mulATBAccRange and
-// mulABTRows run straight on the row-major operands. They unroll the
+// Direct register-tiled multiply kernels: mulRows, mulATBAcc and
+// mulABT run straight on the row-major operands. They unroll the
 // reduction (or the output columns) 4- or 8-way so each output element
 // is loaded and stored once per unroll group instead of once per
 // multiply-add, and they carry independent accumulator chains for
-// instruction-level parallelism. Each takes a row range, which is what
-// lets mul.go run the same kernel whole or as row panels on the worker
-// pool. The Go loops here are the plain family; under the asm family
-// every kernel hands its range to the AVX2 driver of the same shape in
+// instruction-level parallelism. mulRows takes a row range, which is
+// what lets mul.go run it whole or as row panels on the worker pool.
+// The Go loops here are the plain family; under the asm family every
+// kernel hands its operands to the AVX2 driver of the same shape in
 // kernel_asm.go.
 //
 // None of the kernels branch on zero operands: the old `av == 0` skip
@@ -82,42 +82,36 @@ func mulRows(dst, a, b *Dense, lo, hi int) {
 	}
 }
 
-// mulATBAccRange accumulates columns [lo,hi) of aᵀ*b into dst rows
-// [lo,hi): dst[i][j] += Σ_k a[k][i]*b[k][j]. The k loop (rows of a and
-// b) is unrolled 4-way so each dst row is loaded and stored once per 4
-// rank-1 updates. All accesses stay row-contiguous, which is what lets
-// the same kernel serve as a panel body for the worker pool: a worker
-// owning an output-row panel re-reads b but touches only its dst rows.
-func mulATBAccRange(dst, a, b *Dense, lo, hi int) {
+// mulATBAcc accumulates aᵀ*b into dst: dst[i][j] += Σ_k a[k][i]*b[k][j].
+// The k loop (rows of a and b) is unrolled 4-way so each dst row is
+// loaded and stored once per 4 rank-1 updates. All accesses stay
+// row-contiguous.
+func mulATBAcc(dst, a, b *Dense) {
 	if useAsm {
-		mulATBAccRangeAsm(dst, a, b, lo, hi)
+		mulATBAccAsm(dst, a, b)
 		return
 	}
 	rows := a.Rows
 	cb := b.Cols
 	k := 0
 	for ; k+4 <= rows; k += 4 {
-		ar0 := a.Row(k)[lo:hi]
-		ar1 := a.Row(k + 1)[lo:hi]
-		ar2 := a.Row(k + 2)[lo:hi]
-		ar3 := a.Row(k + 3)[lo:hi]
+		ar0, ar1, ar2, ar3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
 		br0 := b.Row(k)[:cb:cb]
 		br1 := b.Row(k + 1)[:cb:cb]
 		br2 := b.Row(k + 2)[:cb:cb]
 		br3 := b.Row(k + 3)[:cb:cb]
 		for i, a0 := range ar0 {
 			a1, a2, a3 := ar1[i], ar2[i], ar3[i]
-			or := dst.Row(lo + i)
+			or := dst.Row(i)
 			for j := range or {
 				or[j] += (a0*br0[j] + a1*br1[j]) + (a2*br2[j] + a3*br3[j])
 			}
 		}
 	}
 	for ; k < rows; k++ {
-		ar := a.Row(k)[lo:hi]
 		br := b.Row(k)[:cb:cb]
-		for i, av := range ar {
-			or := dst.Row(lo + i)
+		for i, av := range a.Row(k) {
+			or := dst.Row(i)
 			for j := range or {
 				or[j] += av * br[j]
 			}
@@ -125,17 +119,17 @@ func mulATBAccRange(dst, a, b *Dense, lo, hi int) {
 	}
 }
 
-// mulABTRows computes rows [lo,hi) of a*bᵀ into dst. Output columns are
-// tiled 4-wide: one pass over the (contiguous) a row feeds 4 dot
-// products against 4 (contiguous) b rows, giving 4 independent
-// accumulator chains instead of one latency-bound chain per element.
-func mulABTRows(dst, a, b *Dense, lo, hi int) {
+// mulABT computes a*bᵀ into dst. Output columns are tiled 4-wide: one
+// pass over the (contiguous) a row feeds 4 dot products against 4
+// (contiguous) b rows, giving 4 independent accumulator chains instead
+// of one latency-bound chain per element.
+func mulABT(dst, a, b *Dense) {
 	if useAsm {
-		mulABTRowsAsm(dst, a, b, lo, hi)
+		mulABTAsm(dst, a, b)
 		return
 	}
 	nb := b.Rows
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		ar := a.Row(i)
 		or := dst.Row(i)
 		j := 0

@@ -1,7 +1,7 @@
 package mat
 
-// Drivers of the asm family: the same row-range shapes as the Go
-// kernels in kernel.go, with the inner loops handed to the AVX2/FMA3
+// Drivers of the asm family: the same signatures as the Go kernels in
+// kernel.go, with the inner loops handed to the AVX2/FMA3
 // helpers of kernel_amd64.s. Each driver hoists the operand base
 // pointers and strides so the assembly sees raw pointers and never
 // re-derives a row. These compile on every platform (the helpers have
@@ -119,10 +119,10 @@ func mulRowsTailCols(dst, a, b *Dense, lo, hi, j0 int) {
 	}
 }
 
-// mulATBAccRangeAsm accumulates columns [lo,hi) of aᵀ*b into dst rows
-// [lo,hi): per dst row, 4 rank-1 updates fuse into one daxpy4 whose a
-// coefficients are gathered from a column of a.
-func mulATBAccRangeAsm(dst, a, b *Dense, lo, hi int) {
+// mulATBAccAsm accumulates aᵀ*b into dst: per dst row, 4 rank-1 updates
+// fuse into one daxpy4 whose a coefficients are gathered from a column
+// of a.
+func mulATBAccAsm(dst, a, b *Dense) {
 	rows := a.Rows
 	cb := b.Cols
 	if cb == 0 {
@@ -131,31 +131,27 @@ func mulATBAccRangeAsm(dst, a, b *Dense, lo, hi int) {
 	var av [4]float64
 	k := 0
 	for ; k+4 <= rows; k += 4 {
-		ar0 := a.Row(k)[lo:hi]
-		ar1 := a.Row(k + 1)[lo:hi]
-		ar2 := a.Row(k + 2)[lo:hi]
-		ar3 := a.Row(k + 3)[lo:hi]
+		ar0, ar1, ar2, ar3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
 		bb := &b.Data[k*cb]
 		for i := range ar0 {
 			av[0], av[1], av[2], av[3] = ar0[i], ar1[i], ar2[i], ar3[i]
-			daxpy4(&dst.Row(lo + i)[0], bb, cb, &av, cb)
+			daxpy4(&dst.Row(i)[0], bb, cb, &av, cb)
 		}
 	}
 	for ; k < rows; k++ {
-		ar := a.Row(k)[lo:hi]
 		bb := &b.Data[k*cb]
-		for i, av1 := range ar {
-			daxpy1(&dst.Row(lo + i)[0], bb, av1, cb)
+		for i, av1 := range a.Row(k) {
+			daxpy1(&dst.Row(i)[0], bb, av1, cb)
 		}
 	}
 }
 
-// mulABTRowsAsm computes rows [lo,hi) of a*bᵀ into dst: ddot4 runs 4
-// dot products against 4 consecutive b rows per pass over the a row.
-func mulABTRowsAsm(dst, a, b *Dense, lo, hi int) {
+// mulABTAsm computes a*bᵀ into dst: ddot4 runs 4 dot products against 4
+// consecutive b rows per pass over the a row.
+func mulABTAsm(dst, a, b *Dense) {
 	nb := b.Rows
 	k := a.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		ar := a.Row(i)
 		or := dst.Row(i)
 		j := 0

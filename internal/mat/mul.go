@@ -1,15 +1,23 @@
 package mat
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
-// Multiply dispatch. Every product has two tiers:
+// Multiply dispatch. a*b has two tiers:
 //
 //  1. the direct register-tiled kernel (kernel.go) over the whole
-//     output, for the small and skinny shapes of the Bellamy MLPs;
+//     output — every product the Bellamy MLPs issue in training and in
+//     serving batches of up to ~1800 queries;
 //  2. the same kernel over output-row panels on the shared worker pool
 //     (pool.go) once the multiply-add count clears parallelThreshold —
-//     a serving batch's 1792x40x8 encoder product and the 448x40x8
-//     products of a training step get here.
+//     the encoder product of a serving batch of thousands of queries,
+//     an evaluation pass over a corpus of tens of thousands of samples.
+//
+// The transposed products aᵀ*b and a*bᵀ exist for backward passes only
+// and always run direct: training spreads over cores one level up, by
+// sharding the mini-batch (core.Pretrain), not inside a product.
 //
 // The kernels change floating-point summation order relative to the
 // reference kernels in mul_ref.go, so equivalence is specified to
@@ -17,10 +25,24 @@ import "fmt"
 // remain the bit-exact oracle.
 
 // parallelThreshold is the minimum number of scalar multiply-adds in a
-// product before the kernels fan output-row panels across the shared
-// worker pool. Small products (the common case for Bellamy's 2-layer
-// MLPs) stay serial to avoid scheduling overhead.
-const parallelThreshold = 64 * 1024
+// product before it fans output-row panels across the shared worker
+// pool. It is the crossover BenchmarkPoolCrossover measures at
+// GOMAXPROCS=2: handing panels to a pool worker costs a thread wake-up
+// on each side (~30us together when the worker is warm, more when its
+// core sleeps), so the pool only pays for products that run ~300us
+// direct — 160^3 (4.1M multiply-adds) square, 16384x40x8 (5.2M) skinny.
+// At the 64Ki this constant used to be, the pool route lost on every
+// shape it caught: a 256-query serving batch's 1792x40x8 float32
+// product ran 33us direct and 46us fanned out, a training step's
+// 448x8x40 float64 product 23us and 32us.
+const parallelThreshold = 4 << 20
+
+// fansOut reports whether a product of macs multiply-adds over rows
+// output rows takes the pool route. At GOMAXPROCS=1 nothing does: there
+// is no second core to hand a panel to.
+func fansOut(macs, rows int) bool {
+	return macs >= parallelThreshold && rows > rowPanel && runtime.GOMAXPROCS(0) > 1
+}
 
 // rowPanel is the output-row panel size of the parallel tier: large
 // enough that one claim amortizes the claim's atomic traffic.
@@ -45,14 +67,18 @@ func MulTo(dst, a, b *Dense) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	nPanels := (m + rowPanel - 1) / rowPanel
-	if m*k*n >= parallelThreshold && nPanels > 1 {
-		j := newJob(opMulRows, nPanels)
-		j.dst, j.a, j.b = dst, a, b
-		runParallel(j)
+	if fansOut(m*k*n, m) {
+		mulRowsPool(dst, a, b)
 		return
 	}
 	mulRows(dst, a, b, 0, m)
+}
+
+// mulRowsPool is mulRows over all of dst, as row panels on the pool.
+func mulRowsPool(dst, a, b *Dense) {
+	j := newJob(opMulRows, a.Rows)
+	j.dst, j.a, j.b = dst, a, b
+	runParallel(j)
 }
 
 // MulATBTo computes dst = aᵀ*b, fully overwriting dst.
@@ -64,10 +90,7 @@ func MulATBTo(dst, a, b *Dense) {
 
 // MulATBAcc accumulates dst += aᵀ*b without materializing the
 // transpose. It is the gradient-accumulation kernel: dW += xᵀ*grad
-// writes straight into the parameter gradient. Large products fan
-// output-row panels (columns of a) across the worker pool; every
-// worker's accesses stay row-contiguous, re-reading b from shared
-// cache while owning its dst rows exclusively.
+// writes straight into the parameter gradient.
 func MulATBAcc(dst, a, b *Dense) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MulATB row mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -76,14 +99,7 @@ func MulATBAcc(dst, a, b *Dense) {
 	if a.Rows == 0 || a.Cols == 0 || b.Cols == 0 {
 		return
 	}
-	nPanels := (a.Cols + rowPanel - 1) / rowPanel
-	if a.Rows*a.Cols*b.Cols >= parallelThreshold && nPanels > 1 {
-		j := newJob(opMulATBCols, nPanels)
-		j.dst, j.a, j.b = dst, a, b
-		runParallel(j)
-		return
-	}
-	mulATBAccRange(dst, a, b, 0, a.Cols)
+	mulATBAcc(dst, a, b)
 }
 
 // MulABTTo computes dst = a*bᵀ without materializing the transpose,
@@ -100,14 +116,7 @@ func MulABTTo(dst, a, b *Dense) {
 		dst.Zero()
 		return
 	}
-	nPanels := (a.Rows + rowPanel - 1) / rowPanel
-	if a.Rows*a.Cols*b.Rows >= parallelThreshold && nPanels > 1 {
-		j := newJob(opMulABTRows, nPanels)
-		j.dst, j.a, j.b = dst, a, b
-		runParallel(j)
-		return
-	}
-	mulABTRows(dst, a, b, 0, a.Rows)
+	mulABT(dst, a, b)
 }
 
 func checkDst(op string, dst *Dense, rows, cols int) {

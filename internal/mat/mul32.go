@@ -5,9 +5,10 @@ import "fmt"
 // Float32 multiply dispatch, mirroring mul.go tier for tier: the direct
 // register-tiled row kernel for the small/skinny inference shapes, and
 // the same kernel over output-row panels on the worker pool past
-// parallelThreshold. Under the asm family the inner loops run the AVX2
-// float32 helpers (sgemmRows4x{8,4}, saxpy4, sdot4; 8 lanes per
-// register); the plain family is a multiply-add Go kernel.
+// parallelThreshold (a serving batch of thousands of queries). Under
+// the asm family the inner loops run the AVX2 float32 helpers
+// (sgemmRows4x{8,4}, saxpy4, sdot4; 8 lanes per register); the plain
+// family is a multiply-add Go kernel.
 
 // MulToF32 computes dst = a*b, fully overwriting dst. dst must be
 // a.Rows x b.Cols and must not alias a or b.
@@ -23,14 +24,18 @@ func MulToF32(dst, a, b *DenseF32) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	nPanels := (m + rowPanel - 1) / rowPanel
-	if m*k*n >= parallelThreshold && nPanels > 1 {
-		j := newJob(opMulRows32, nPanels)
-		j.dst32, j.a32, j.b32 = dst, a, b
-		runParallel(j)
+	if fansOut(m*k*n, m) {
+		mulRows32Pool(dst, a, b)
 		return
 	}
 	mulRows32(dst, a, b, 0, m)
+}
+
+// mulRows32Pool is mulRows32 over all of dst, as row panels on the pool.
+func mulRows32Pool(dst, a, b *DenseF32) {
+	j := newJob(opMulRows32, a.Rows)
+	j.dst32, j.a32, j.b32 = dst, a, b
+	runParallel(j)
 }
 
 // mulRows32 accumulates rows [lo,hi) of a*b into dst (rows pre-zeroed).

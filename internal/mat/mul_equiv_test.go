@@ -14,9 +14,10 @@ import (
 // validated against the mul_ref.go oracle to epsilon tolerance, over
 // random shapes including ragged edges (dims drawn from 1..67, so every
 // partial strip and row-group combination of the 4-row, 8/4-column
-// kernels is exercised), over the shapes serving and training issue,
-// and over shapes large enough to take the worker-pool route. The
-// reference kernels themselves are pinned bit-identically below.
+// kernels is exercised), over the shapes serving and training issue —
+// each on the direct and on the worker-pool route — and over shapes
+// large enough that the public entry points pick the pool themselves.
+// The reference kernels themselves are pinned bit-identically below.
 
 // tolClose reports whether got is within summation-reordering distance
 // of want for a reduction of depth k: the bound scales with the
@@ -114,21 +115,36 @@ func TestQuickMulABTMatchesRef(t *testing.T) {
 	}
 }
 
+// poolSide is the smallest multiple of 8 whose cube clears
+// parallelThreshold: the side of a square product MulTo sends to the
+// worker pool (with a second core to send it to).
+func poolSide() int {
+	n := 8
+	for n*n*n < parallelThreshold {
+		n += 8
+	}
+	return n
+}
+
 // TestLargePathsMatchRef keeps products far larger than anything the
-// MLPs issue correct: past parallelThreshold all three products run
-// their direct kernel over row panels on the worker pool, including
-// ragged edges on each dimension.
+// MLPs issue correct: past parallelThreshold MulTo runs its direct
+// kernel over row panels on the worker pool, the transposed products
+// run direct at every size, including ragged edges on each dimension.
 func TestLargePathsMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	n := poolSide()
 	shapes := []struct{ m, k, n int }{
-		{128, 128, 128}, // pool route, aligned strips
-		{131, 67, 97},   // pool route, ragged everywhere
-		{67, 131, 70},   // pool route, ragged rows and tail columns
-		{1, 300, 300},   // one output row: a single panel, so direct
-		{300, 300, 1},   // pool route, column output (the n == 1 dot kernel)
+		{n, n, n},              // pool route, aligned strips
+		{n + 3, n + 1, n + 5},  // pool route, ragged everywhere
+		{n + 67, n + 3, n - 2}, // pool route, ragged rows and tail columns
+		{1, 300, 300},          // one output row: a single panel, so direct
+		{n * n, n, 1},          // pool route, column output (the n == 1 dot kernel)
 	}
 	for _, s := range shapes {
 		name := fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n)
+		if pool := s.m*s.k*s.n >= parallelThreshold; pool != (s.m > 1) {
+			t.Fatalf("%s: %d multiply-adds against a threshold of %d", name, s.m*s.k*s.n, parallelThreshold)
+		}
 		a := randomDense(rng, s.m, s.k)
 		b := randomDense(rng, s.k, s.n)
 
@@ -188,24 +204,25 @@ func TestKernelFamilyFollowsCPU(t *testing.T) {
 
 // issuedShapes are the products the system actually issues, as m x k x
 // n of a*b: the six layers of a 250-query serving batch (the
-// BenchmarkServeShape table), their single-predict forms, and the
-// encoder products past parallelThreshold that take the pool route —
-// a 256-query batch's 1792x40x8 and a 64-sample training step's
-// 448x40x8, the latter also as the operands of its weight gradient
-// (40x448x8 under MulATBTo) and input gradient (448x8x40 under
-// MulABTTo).
+// BenchmarkServeShape table), their single-predict forms, the encoder
+// products of a 256-query batch (1792x40x8) and of a 64-sample training
+// step and its two shards (448x40x8, 224x40x8; 448x8x40, the decoder's;
+// 40x448x8, the operands of a weight gradient under MulATBTo) — all of
+// which run direct — and the encoder product of the smallest serving
+// batch that MulTo and MulToF32 send to the pool.
 var issuedShapes = []struct{ m, k, n int }{
 	{1750, 40, 8}, {250, 3, 16}, {250, 16, 8}, {1750, 8, 4}, {250, 28, 8}, {250, 8, 1},
 	{7, 40, 8}, {1, 3, 16}, {1, 16, 8}, {7, 8, 4}, {1, 28, 8}, {1, 8, 1}, {1, 40, 8}, {1, 8, 4},
-	{1792, 40, 8}, {448, 40, 8}, {40, 448, 8}, {448, 8, 40},
+	{1792, 40, 8}, {448, 40, 8}, {224, 40, 8}, {40, 448, 8}, {448, 8, 40},
+	{(parallelThreshold + 40*8 - 1) / (40 * 8), 40, 8},
 }
 
 // TestAllKernelFamiliesMatchRef pins both kernel families — plain and
 // (CPU permitting) the AVX2 asm kernels — against the oracle, whichever
 // one startup selected, over ragged shapes and issuedShapes. Each shape
 // goes through the public entry points, which pick the direct or the
-// pool route by size, and through the row-range kernels over the whole
-// output, so the direct route is covered at every size.
+// pool route by size, and a*b through both routes explicitly, so each
+// is covered at every size.
 func TestAllKernelFamiliesMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	shapes := append([]struct{ m, k, n int }{{37, 23, 19}, {70, 67, 66}, {12, 300, 41}, {33, 29, 1}, {9, 40, 8}}, issuedShapes...)
@@ -225,24 +242,21 @@ func TestAllKernelFamiliesMatchRef(t *testing.T) {
 			got.Zero()
 			mulRows(got, a, b, 0, s.m)
 			equalishTol(t, "mulRows/"+name, got, want, s.k)
+			got.Zero()
+			mulRowsPool(got, a, b)
+			equalishTol(t, "mulRowsPool/"+name, got, want, s.k)
 
 			wantATB := NewDense(s.m, s.n)
 			refMulATBTo(wantATB, at, b)
 			gotATB := garbageDense(s.m, s.n)
 			MulATBTo(gotATB, at, b)
 			equalishTol(t, "MulATBTo/"+name, gotATB, wantATB, s.k)
-			gotATB.Zero()
-			mulATBAccRange(gotATB, at, b, 0, s.m)
-			equalishTol(t, "mulATBAccRange/"+name, gotATB, wantATB, s.k)
 
 			wantABT := garbageDense(s.m, s.n)
 			refMulABTTo(wantABT, a, bt)
 			gotABT := garbageDense(s.m, s.n)
 			MulABTTo(gotABT, a, bt)
 			equalishTol(t, "MulABTTo/"+name, gotABT, wantABT, s.k)
-			gotABT = garbageDense(s.m, s.n)
-			mulABTRows(gotABT, a, bt, 0, s.m)
-			equalishTol(t, "mulABTRows/"+name, gotABT, wantABT, s.k)
 		}
 	}
 }
@@ -288,7 +302,8 @@ func TestMulNestedParallelism(t *testing.T) {
 	want := NewDense(96, 32)
 	refMulTo(want, a, b)
 	parallel.ForEach(16, 8, func(i int) {
-		got := Mul(a, b)
+		got := NewDense(96, 32)
+		mulRowsPool(got, a, b)
 		for j := range want.Data {
 			if !tolClose(got.Data[j], want.Data[j], 48) {
 				t.Errorf("concurrent Mul %d diverged at %d", i, j)

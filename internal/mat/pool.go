@@ -24,10 +24,8 @@ import (
 type panelOp uint8
 
 const (
-	opMulRows    panelOp = iota // dst rows = a*b rows
-	opMulATBCols                // dst rows = (aᵀb) output rows (a columns)
-	opMulABTRows                // dst rows = a*bᵀ rows
-	opMulRows32                 // float32 dst rows = a*b rows
+	opMulRows   panelOp = iota // dst rows = a*b rows
+	opMulRows32                // float32 dst rows = a*b rows
 )
 
 // panelJob is one parallel product: workers claim panel chunks via the
@@ -71,16 +69,6 @@ func (j *panelJob) runPanels(p0, p1 int) {
 			hi = j.a.Rows
 		}
 		mulRows(j.dst, j.a, j.b, lo, hi)
-	case opMulATBCols:
-		if hi > j.a.Cols {
-			hi = j.a.Cols
-		}
-		mulATBAccRange(j.dst, j.a, j.b, lo, hi)
-	case opMulABTRows:
-		if hi > j.a.Rows {
-			hi = j.a.Rows
-		}
-		mulABTRows(j.dst, j.a, j.b, lo, hi)
 	case opMulRows32:
 		if hi > j.a32.Rows {
 			hi = j.a32.Rows
@@ -95,11 +83,11 @@ var (
 	jobPool  = sync.Pool{New: func() any { return new(panelJob) }}
 )
 
+// startPool starts the GOMAXPROCS-1 resident workers. It runs on the
+// first product that fans out, which fansOut admits only past
+// GOMAXPROCS=1, so there is at least one.
 func startPool() {
 	n := runtime.GOMAXPROCS(0) - 1
-	if n < 1 {
-		n = 1
-	}
 	poolCh = make(chan *panelJob, n)
 	for i := 0; i < n; i++ {
 		go func() {
@@ -140,10 +128,10 @@ submit:
 	jobPool.Put(j)
 }
 
-// newJob draws a pooled job for nPanels panels of rowPanel output rows.
-func newJob(op panelOp, nPanels int) *panelJob {
+// newJob draws a pooled job over rows output rows.
+func newJob(op panelOp, rows int) *panelJob {
 	j := jobPool.Get().(*panelJob)
 	j.op = op
-	j.nPanels = nPanels
+	j.nPanels = (rows + rowPanel - 1) / rowPanel
 	return j
 }

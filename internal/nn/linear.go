@@ -303,6 +303,38 @@ func (m *MLP) BackwardRows(ws *mat.Workspace, grad *mat.Dense) {
 	m.backwardFirst(ws, gu)
 }
 
+// Replica returns a network that computes with m's parameter values —
+// every Param of the replica shares the Value matrix of its original —
+// but owns everything a pass writes: gradients, layer caches and, from
+// rng, the dropout masks. One goroutine can therefore run forward and
+// backward passes on the replica while another runs them on m, as long
+// as nobody updates a Value meanwhile; summing the two gradients is the
+// caller's business. Frozen flags are copied as they stand.
+func (m *MLP) Replica(rng *rand.Rand) *MLP {
+	share := func(p *Param) *Param {
+		if p == nil {
+			return nil
+		}
+		return &Param{Name: p.Name, Value: p.Value, Grad: mat.NewDense(p.Grad.Rows, p.Grad.Cols), Frozen: p.Frozen}
+	}
+	r := &MLP{Layers: make([]Layer, len(m.Layers))}
+	for i, l := range m.Layers {
+		switch l := l.(type) {
+		case *Linear:
+			r.Layers[i] = &Linear{In: l.In, Out: l.Out, W: share(l.W), B: share(l.B)}
+		case *LinearAct:
+			r.Layers[i] = &LinearAct{In: l.In, Out: l.Out, W: share(l.W), B: share(l.B), Act: l.Act}
+		case *ActLayer:
+			r.Layers[i] = NewActLayer(l.Act)
+		case *AlphaDropout:
+			r.Layers[i] = NewAlphaDropout(l.P, rng)
+		default:
+			panic(fmt.Sprintf("nn: no replica of a %T layer", l))
+		}
+	}
+	return r
+}
+
 // Params implements Layer, collecting every learnable parameter.
 func (m *MLP) Params() []*Param {
 	var ps []*Param

@@ -328,6 +328,72 @@ func TestForwardRowsMatchesExpanded(t *testing.T) {
 	}
 }
 
+// TestReplicaSharesValuesOwnsGradients: a replica reads the original's
+// parameter values through the same matrices, so an update to one is an
+// update to both, while a pass on the replica writes only the replica's
+// gradients and caches and draws masks from its own generator; and
+// ReduceGrads folds the
+// replica's gradient into the original's with the given weights, leaving
+// the replica's zero.
+func TestReplicaSharesValuesOwnsGradients(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	spec := TwoLayerSpec{Name: "g", In: 6, Hidden: 5, Out: 3, ActHidden: SELU{}, ActOut: Tanh{},
+		WithBias: true, Dropout: 0.25, Init: InitLeCun}
+	net := spec.Build(rng)
+	own := rand.New(rand.NewSource(9))
+	rep := net.Replica(own)
+	if d := rep.Layers[1].(*AlphaDropout); d.Rng != own || d.P != 0.25 {
+		t.Fatalf("the replica's dropout layer has p=%v and not the generator it was given", d.P)
+	}
+	ps, rs := net.Params(), rep.Params()
+	if len(ps) != len(rs) || len(net.Layers) != len(rep.Layers) {
+		t.Fatalf("replica has %d parameters in %d layers, the original %d in %d", len(rs), len(rep.Layers), len(ps), len(net.Layers))
+	}
+	for k, p := range ps {
+		if rs[k].Name != p.Name || rs[k].Value != p.Value || rs[k].Grad == p.Grad {
+			t.Fatalf("%s: the replica must share the value matrix and own its gradient", p.Name)
+		}
+	}
+
+	// Eval-mode passes over different inputs on the two networks: each
+	// ends with the gradient a lone network computes for its input.
+	x0, x1 := randDense(rng, 4, 6), randDense(rng, 7, 6)
+	g0, g1 := randDense(rng, 4, 3), randDense(rng, 7, 3)
+	net.Forward(nil, x0, false)
+	rep.Forward(nil, x1, false)
+	net.Backward(nil, g0)
+	rep.Backward(nil, g1)
+	lone := spec.Build(rand.New(rand.NewSource(8)))
+	lone.Forward(nil, x1, false)
+	lone.Backward(nil, g1)
+	for k, p := range lone.Params() {
+		if !rs[k].Grad.Equalish(p.Grad, 0) {
+			t.Fatalf("%s: the replica's gradient differs from a lone network's on the same input", p.Name)
+		}
+	}
+
+	want0 := ps[0].Grad.Clone()
+	want1 := rs[0].Grad.Clone()
+	ReduceGrads(ps, rs, 0.25, 0.75)
+	for i, g := range ps[0].Grad.Data {
+		if want := 0.25*want0.Data[i] + 0.75*want1.Data[i]; g != want {
+			t.Fatalf("reduced gradient[%d] = %v, want %v", i, g, want)
+		}
+	}
+	for _, p := range rs {
+		for i, g := range p.Grad.Data {
+			if g != 0 {
+				t.Fatalf("%s: replica gradient[%d] = %v after the reduction, want 0", p.Name, i, g)
+			}
+		}
+	}
+
+	ps[0].Value.Data[0] = 42
+	if rs[0].Value.Data[0] != 42 {
+		t.Fatal("an update to the original's weight is not visible through the replica")
+	}
+}
+
 func TestCyclicalLRBounds(t *testing.T) {
 	s := CyclicalLR{Low: 1e-3, High: 1e-2, Period: 100}
 	for e := 0; e < 500; e++ {

@@ -52,6 +52,23 @@ func ZeroGrads(params []*Param) {
 	}
 }
 
+// ReduceGrads folds the gradients of a replica's parameters into the
+// originals': dst[k].Grad = wDst*dst[k].Grad + wSrc*src[k].Grad, and
+// src[k].Grad is left zero for the replica's next backward pass to
+// accumulate into. With each side holding the gradient of the mean loss
+// over its share of a batch and the weights those shares, the result is
+// the gradient over the whole batch.
+func ReduceGrads(dst, src []*Param, wDst, wSrc float64) {
+	for k, p := range dst {
+		d, s := p.Grad.Data, src[k].Grad.Data
+		s = s[:len(d)]
+		for i := range d {
+			d[i] = wDst*d[i] + wSrc*s[i]
+			s[i] = 0
+		}
+	}
+}
+
 // Freeze sets the frozen flag on all params.
 func Freeze(params []*Param, frozen bool) {
 	for _, p := range params {
