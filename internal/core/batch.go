@@ -98,3 +98,10 @@ func (m *Model) PredictBatchInto(dst []float64, queries []Query) error {
 	}
 	return nil
 }
+
+// LastRows reports the encoder work of the last PredictBatchInto: how
+// many property values its queries carried and how many distinct ones
+// the encoder ran on.
+func (m *Model) LastRows() (property, distinct int) {
+	return m.inferB.propertyCounts(m.Cfg)
+}

@@ -269,3 +269,23 @@ func sameModel(t *testing.T, a, b *Model) {
 		t.Fatalf("target scales differ: %v, %v", a.target.Scale, b.target.Scale)
 	}
 }
+
+// TestRowTableGenerationWrap: a slot written 2^32 calls ago carries the
+// generation the counter comes round to; the wrap clears the slots so
+// that it is not taken for a value of the current call.
+func TestRowTableGenerationWrap(t *testing.T) {
+	var tb rowTable
+	tb.rowOf("a", 0)
+	tb.reset()
+	tb.gen = ^uint32(0)
+	tb.reset()
+	if tb.gen != 1 {
+		t.Fatalf("generation after the wrap = %d, want 1", tb.gen)
+	}
+	if r, seen := tb.rowOf("a", 3); seen || r != 3 {
+		t.Fatalf("rowOf after the wrap = %d, seen %v: a value of an earlier call was found", r, seen)
+	}
+	if r, seen := tb.rowOf("a", 4); !seen || r != 3 {
+		t.Fatalf("second rowOf in the call = %d, seen %v, want row 3", r, seen)
+	}
+}

@@ -117,7 +117,7 @@ func (m *Model) Finetune(samples []Sample, opts FinetuneOptions) (*TrainReport, 
 	m.fillBatch(&m.trainB, samples, nil)
 	b := &m.trainB
 	m.fixCodes(b)
-	report.countProperties(cfg, b)
+	report.PropertyRows, report.DistinctProperties = b.propertyCounts(cfg)
 	for epoch := 0; epoch < maxEpochs; epoch++ {
 		if opts.Strategy == StrategyPartialUnfreeze || opts.Strategy == StrategyPartialReset {
 			if epoch == unfreezeEpoch {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/encoding"
 	"repro/internal/mat"
@@ -35,8 +36,14 @@ type InferModel struct {
 
 	ws        *mat.WorkspaceF32
 	scaleFeat *mat.DenseF32 // B x 3
-	propVecs  *mat.DenseF32 // (B*P) x N
-	numOpt    []int
+	// propVecs holds each distinct property vector of the call once
+	// (U x N), propRow[i*P+k] the row slot k of query i reads, and rows
+	// finds the repeats while the call fills them (see rowTable).
+	propVecs     *mat.DenseF32
+	propRow      []int32
+	numOpt       []int
+	rows         rowTable
+	propertyRows int // property values of the last call
 	// soFeat memoizes the normalized float32 scale-out feature row per
 	// scale-out value (they repeat heavily within a batch, and each
 	// computation involves a log). Valid for the model's lifetime: the
@@ -89,6 +96,7 @@ func (m *Model) Quantize() (*InferModel, error) {
 		target:          &target,
 		enc:             encoding.NewPropertyEncoder(m.Cfg.PropertySize),
 		ws:              mat.NewWorkspaceF32(),
+		propVecs:        &mat.DenseF32{Cols: m.Cfg.PropertySize},
 		encRow:          make([]float64, n),
 		pretrained:      m.pretrained,
 		finetuneSamples: m.finetuneSamples,
@@ -118,8 +126,12 @@ func (im *InferModel) Predict(scaleOut int, essential, optional []encoding.Prope
 }
 
 // PredictBatchInto estimates runtimes for queries into dst, one float32
-// forward pass for the whole batch. Warm calls of an already-seen batch
-// size allocate nothing.
+// forward pass for the whole batch. The property encoder runs over the
+// distinct values of the call — a scale-out sweep of one context encodes
+// its seven properties once, not once per candidate — and the combine
+// step reads each slot's code through propRow. One query has nothing to
+// share and encodes straight into its rows. Warm calls of an
+// already-seen shape allocate nothing.
 func (im *InferModel) PredictBatchInto(dst []float64, queries []Query) error {
 	if len(queries) == 0 {
 		return nil
@@ -128,21 +140,26 @@ func (im *InferModel) PredictBatchInto(dst []float64, queries []Query) error {
 		return fmt.Errorf("core: dst len %d != queries len %d", len(dst), len(queries))
 	}
 	cfg := im.cfg
+	for i := range queries {
+		if err := validateQuery(cfg, queries[i]); err != nil {
+			return fmt.Errorf("core: query %d: %w", i, err)
+		}
+	}
 	bSize := len(queries)
 	propsPer := cfg.NumEssential + cfg.NumOptional
 	im.scaleFeat = mat.Resized32(im.scaleFeat, bSize, 3)
-	im.propVecs = mat.Resized32(im.propVecs, bSize*propsPer, cfg.PropertySize)
-	if cap(im.numOpt) < bSize {
+	im.propVecs.Rows, im.propVecs.Data = 0, im.propVecs.Data[:0]
+	if cap(im.propRow) < bSize*propsPer {
+		im.propRow = make([]int32, bSize*propsPer)
 		im.numOpt = make([]int, bSize)
 	}
-	im.numOpt = im.numOpt[:bSize]
+	im.propRow, im.numOpt = im.propRow[:bSize*propsPer], im.numOpt[:bSize]
+	share := bSize > 1
 
 	// Encode in float64 (exact), convert rows to float32.
+	im.propertyRows = 0
 	for i := range queries {
 		q := &queries[i]
-		if err := validateQuery(cfg, *q); err != nil {
-			return fmt.Errorf("core: query %d: %w", i, err)
-		}
 		if so := q.ScaleOut; so < soMemoCap {
 			if !im.soSet[so] {
 				feat := im.encRow[:3]
@@ -158,19 +175,20 @@ func (im *InferModel) PredictBatchInto(dst []float64, queries []Query) error {
 			im.norm.TransformInPlace(feat)
 			rowToF32(im.scaleFeat.Row(i), feat)
 		}
-		enc := im.encRow[:cfg.PropertySize]
+		// Slots past the query's optional properties stay unset: the
+		// combine step reads numOpt[i] of them.
+		slots := im.propRow[i*propsPer : (i+1)*propsPer]
 		for k, p := range q.Essential {
-			im.enc.EncodeTo(enc, p.Value)
-			rowToF32(im.propVecs.Row(i*propsPer+k), enc)
+			slots[k] = im.rowOf(p.Value, share)
 		}
 		im.numOpt[i] = len(q.Optional)
 		for k, p := range q.Optional {
-			im.enc.EncodeTo(enc, p.Value)
-			rowToF32(im.propVecs.Row(i*propsPer+cfg.NumEssential+k), enc)
+			slots[cfg.NumEssential+k] = im.rowOf(p.Value, share)
 		}
-		for k := len(q.Optional); k < cfg.NumOptional; k++ {
-			clear(im.propVecs.Row(i*propsPer + cfg.NumEssential + k))
-		}
+		im.propertyRows += cfg.NumEssential + len(q.Optional)
+	}
+	if share {
+		im.rows.reset()
 	}
 
 	// The f64 forward pass of Model.forward, minus training branches.
@@ -180,10 +198,11 @@ func (im *InferModel) PredictBatchInto(dst []float64, queries []Query) error {
 	r := im.ws.GetRaw(bSize, cfg.CombinedDim())
 	for i := 0; i < bSize; i++ {
 		row := r.Row(i)
+		slots := im.propRow[i*propsPer : (i+1)*propsPer]
 		copy(row[:cfg.ScaleOutDim], e.Row(i))
 		off := cfg.ScaleOutDim
 		for k := 0; k < cfg.NumEssential; k++ {
-			copy(row[off:off+cfg.EncodingDim], codes.Row(i*propsPer+k))
+			copy(row[off:off+cfg.EncodingDim], codes.Row(int(slots[k])))
 			off += cfg.EncodingDim
 		}
 		opt := row[off : off+cfg.EncodingDim]
@@ -191,7 +210,7 @@ func (im *InferModel) PredictBatchInto(dst []float64, queries []Query) error {
 		if nOpt := im.numOpt[i]; nOpt > 0 {
 			inv := 1 / float32(nOpt)
 			for k := 0; k < nOpt; k++ {
-				code := codes.Row(i*propsPer + cfg.NumEssential + k)
+				code := codes.Row(int(slots[cfg.NumEssential+k]))
 				for j := range opt {
 					opt[j] += code[j] * inv
 				}
@@ -209,6 +228,32 @@ func (im *InferModel) PredictBatchInto(dst []float64, queries []Query) error {
 		dst[i] = v
 	}
 	return nil
+}
+
+// rowOf returns the row of propVecs holding value's vector, encoding it
+// into a new row unless share is set and the call has met the value
+// before.
+func (im *InferModel) rowOf(value string, share bool) int32 {
+	next := int32(im.propVecs.Rows)
+	if share {
+		if r, seen := im.rows.rowOf(value, next); seen {
+			return r
+		}
+	}
+	n := im.cfg.PropertySize
+	im.propVecs.Data = slices.Grow(im.propVecs.Data, n)[:(int(next)+1)*n]
+	im.propVecs.Rows++
+	enc := im.encRow[:n]
+	im.enc.EncodeTo(enc, value)
+	rowToF32(im.propVecs.Row(int(next)), enc)
+	return next
+}
+
+// LastRows reports the encoder work of the last PredictBatchInto: how
+// many property values its queries carried and on how many rows the
+// encoder ran. Their ratio is what the call shared.
+func (im *InferModel) LastRows() (property, distinct int) {
+	return im.propertyRows, im.propVecs.Rows
 }
 
 // rowToF32 narrows a staged float64 row into its float32 batch row.

@@ -2,7 +2,11 @@ package core
 
 import (
 	"math"
+	"slices"
+	"strconv"
 	"testing"
+
+	"repro/internal/encoding"
 )
 
 // quantTestModel pre-trains a small model on the synthetic corpus and
@@ -113,5 +117,127 @@ func TestInferPredictBatchZeroAllocWarm(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm quantized PredictBatchInto allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// sweepQueries asks for one context at scale-outs 1..n.
+func sweepQueries(ctx Sample, n int) []Query {
+	qs := make([]Query, n)
+	for i := range qs {
+		qs[i] = Query{ScaleOut: i + 1, Essential: ctx.Essential, Optional: ctx.Optional}
+	}
+	return qs
+}
+
+// TestInferDistinctRowsMatchPerOccurrence pins the distinct-row serving
+// pass against per-query Predict, which encodes every occurrence: a
+// 64-scale-out sweep of one context, a 256-item batch mixing five
+// contexts with never-repeated dataset sizes and 0 to 3 optional
+// properties, a batch in which no value repeats, and a single query
+// agree to 1e-6 relative, and the encoder runs on as many rows as the
+// call has distinct values — for the sweep, the context's seven.
+func TestInferDistinctRowsMatchPerOccurrence(t *testing.T) {
+	_, im, _ := quantTestModel(t)
+	contexts := syntheticSamples(5, []int{2})
+
+	mixed := make([]Query, 256)
+	mixedDistinct := map[string]bool{}
+	for i := range mixed {
+		c := contexts[i%len(contexts)]
+		q := Query{ScaleOut: 1 + i%24, Essential: slices.Clone(c.Essential), Optional: c.Optional[:i%4]}
+		if i%3 == 0 {
+			q.Essential[0].Value = strconv.Itoa(50000 + i)
+		}
+		for _, p := range q.Essential {
+			mixedDistinct[p.Value] = true
+		}
+		for _, p := range q.Optional {
+			mixedDistinct[p.Value] = true
+		}
+		mixed[i] = q
+	}
+	var unique []Query
+	for _, s := range distinctSamples(40) {
+		unique = append(unique, Query{ScaleOut: s.ScaleOut, Essential: s.Essential, Optional: s.Optional})
+	}
+	// Two of its properties carry the same value: a call of one query
+	// does not look for that, a call of two does.
+	twin := Query{ScaleOut: 4, Essential: contexts[0].Essential, Optional: []encoding.Property{
+		{Name: "memory_mb", Value: "4", Optional: true}, {Name: "cpu_cores", Value: "4", Optional: true},
+	}}
+
+	for _, tc := range []struct {
+		name     string
+		queries  []Query
+		distinct int
+	}{
+		{"sweep", sweepQueries(contexts[1], 64), 7},
+		{"mixed", mixed, len(mixedDistinct)},
+		{"all-unique", unique, 40 * 7},
+		{"no-optionals", sweepQueries(Sample{Essential: contexts[2].Essential}, 8), 4},
+		{"one-query", []Query{twin}, 6},
+		{"two-queries", []Query{twin, twin}, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := make([]float64, len(tc.queries))
+			if err := im.PredictBatchInto(got, tc.queries); err != nil {
+				t.Fatal(err)
+			}
+			property, distinct := im.LastRows()
+			wantProperty := 0
+			for _, q := range tc.queries {
+				wantProperty += len(q.Essential) + len(q.Optional)
+			}
+			if property != wantProperty || distinct != tc.distinct || im.propVecs.Rows != tc.distinct {
+				t.Fatalf("the call carried %d property values and the encoder ran on %d rows (LastRows %d, %d), want %d and %d",
+					wantProperty, im.propVecs.Rows, property, distinct, wantProperty, tc.distinct)
+			}
+			if len(im.rows.vals) != 0 {
+				t.Fatalf("the table still holds %d values after the call", len(im.rows.vals))
+			}
+			for i, q := range tc.queries {
+				want, err := im.Predict(q.ScaleOut, q.Essential, q.Optional)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(got[i]-want) > 1e-6*(1+math.Abs(want)) {
+					t.Fatalf("query %d: the batch says %v, Predict %v", i, got[i], want)
+				}
+			}
+		})
+	}
+}
+
+// TestModelSharesRowsWhateverItHasSeen: the float64 model's table of
+// property values is per call, so the model that has answered for more
+// distinct values than any table would keep still encodes a value it
+// meets for the first time once per call, and holds no value afterwards.
+func TestModelSharesRowsWhateverItHasSeen(t *testing.T) {
+	m, _, _ := quantTestModel(t)
+	seen := 0
+	for batch := 0; seen <= 4096; batch++ {
+		qs := make([]Query, 64)
+		for i, s := range distinctSamples(len(qs)) {
+			s.Essential[0].Value = strconv.Itoa(100000 + batch*len(qs) + i)
+			qs[i] = Query{ScaleOut: s.ScaleOut, Essential: s.Essential, Optional: s.Optional}
+		}
+		if err := m.PredictBatchInto(make([]float64, len(qs)), qs); err != nil {
+			t.Fatal(err)
+		}
+		_, distinct := m.LastRows()
+		seen += distinct
+	}
+	ctx := syntheticSamples(1, []int{2})[0]
+	ctx.Essential[0].Value = "31337" // never seen by this model
+	qs := sweepQueries(ctx, 16)
+	if err := m.PredictBatchInto(make([]float64, len(qs)), qs); err != nil {
+		t.Fatal(err)
+	}
+	if property, distinct := m.LastRows(); property != 16*7 || distinct != 7 || m.inferB.props.Rows != 7 {
+		t.Fatalf("after %d distinct values a 16-query sweep of a new context encoded %d rows for %d property values (LastRows %d, %d), want 7 for 112",
+			seen, m.inferB.props.Rows, 16*7, property, distinct)
+	}
+	if len(m.rows.vals) != 0 {
+		t.Fatalf("the table still holds %d values after the call", len(m.rows.vals))
 	}
 }

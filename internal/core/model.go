@@ -1,9 +1,9 @@
 package core
 
 import (
+	"hash/maphash"
 	"math/rand"
 	"slices"
-	"strings"
 
 	"repro/internal/encoding"
 	"repro/internal/mat"
@@ -50,8 +50,8 @@ type Model struct {
 	// params caches each component's parameter list, so the per-step
 	// "does anything in f learn" checks allocate nothing.
 	params struct{ f, g, h, z []*nn.Param }
-	// interned is fillBatch's table of property values.
-	interned propTable
+	// rows is fillBatch's table of the values of the batch being filled.
+	rows rowTable
 
 	scratchSamples []Sample
 	scratchQuery   [1]Query
@@ -220,52 +220,95 @@ func (b *batch) addProp() (int32, []float64) {
 	return int32(r), b.props.Data[r*n:]
 }
 
-// propTable interns property values for the lifetime of the model, so
-// that fillBatch recognises a repeated value with one map lookup and
-// neither clears nor rebuilds anything per batch. It is bounded: past
-// maxInterned values a new value is encoded per occurrence, which is
-// correct and merely forgoes the saving.
-type propTable struct {
-	id map[string]int32
-	// row[id] is the value's row in the batch being filled, -1 when it
-	// has none; it is all -1 outside fillBatch.
-	row []int32
-	// used lists the ids given a row by the current fillBatch.
-	used []int32
+// rowTable finds the distinct property values of one call. The code of
+// a property is a function of its value alone (Eq. 5), so fillBatch and
+// InferModel.PredictBatchInto ask the table, slot by slot, which row
+// already holds a value's vector and encode only the values it has not
+// seen in this call. It is open-addressed over a seeded 64-bit hash; the
+// hash finds a slot, comparing the value decides. Moving to the next
+// generation empties it, so a call neither clears nor rebuilds the
+// slots, a warm call allocates nothing, and no value is kept past the
+// call that brought it: what an earlier call saw costs a later one
+// neither memory nor sharing.
+type rowTable struct {
+	seed  maphash.Seed
+	slots []rowSlot // a power of two of them, at most half live
+	gen   uint32    // a slot is live when it carries this
+	live  int
+	vals  []string // vals[r] is the value whose vector is row r
 }
 
-// maxInterned bounds propTable. A corpus has a few dozen distinct
-// property values; the bound only stops a float64-serving model fed
-// never-repeating values from growing without limit.
-const maxInterned = 4096
+type rowSlot struct {
+	hash uint64
+	gen  uint32
+	row  int32
+}
+
+// rowOf returns the row recorded for value in this call and true, or
+// records next as its row and returns that and false: the caller then
+// owes row next the value's vector.
+func (t *rowTable) rowOf(value string, next int32) (int32, bool) {
+	if 2*(t.live+1) > len(t.slots) {
+		t.grow()
+	}
+	h := maphash.String(t.seed, value)
+	mask := uint64(len(t.slots) - 1)
+	i := h & mask
+	for ; t.slots[i].gen == t.gen; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.hash == h && t.vals[s.row] == value {
+			return s.row, true
+		}
+	}
+	t.slots[i] = rowSlot{hash: h, gen: t.gen, row: next}
+	t.live++
+	// Rows the caller filled without asking (the all-zero row of missing
+	// slots) leave gaps no slot points at.
+	for len(t.vals) <= int(next) {
+		t.vals = append(t.vals, "")
+	}
+	t.vals[next] = value
+	return next, false
+}
+
+// grow doubles the slots, carrying the live ones over.
+func (t *rowTable) grow() {
+	old := t.slots
+	if old == nil {
+		t.seed, t.gen = maphash.MakeSeed(), 1
+	}
+	t.slots = make([]rowSlot, max(64, 2*len(old)))
+	mask := uint64(len(t.slots) - 1)
+	for _, s := range old {
+		if s.gen != t.gen {
+			continue
+		}
+		i := s.hash & mask
+		for t.slots[i].gen == t.gen {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}
+
+// reset forgets every value. It ends each call that used the table.
+func (t *rowTable) reset() {
+	clear(t.vals)
+	t.vals = t.vals[:0]
+	t.live = 0
+	if t.gen++; t.gen == 0 { // wrapped: generation 0 marks a never-used slot
+		clear(t.slots)
+		t.gen = 1
+	}
+}
 
 // rowOf returns the row of b.props holding the vector of value, encoding
 // it into a new row on the value's first occurrence in the batch.
 func (m *Model) rowOf(b *batch, value string) int32 {
-	t := &m.interned
-	id, known := t.id[value]
-	if !known {
-		if len(t.id) >= maxInterned {
-			r, vec := b.addProp()
-			m.enc.EncodeTo(vec, value)
-			return r
-		}
-		if t.id == nil {
-			t.id = make(map[string]int32)
-		}
-		id = int32(len(t.id))
-		// The table outlives the caller's samples; do not pin whatever
-		// larger buffer the value may be a substring of.
-		t.id[strings.Clone(value)] = id
-		t.row = append(t.row, -1)
+	r, seen := m.rows.rowOf(value, int32(b.props.Rows))
+	if !seen {
+		_, vec := b.addProp()
+		m.enc.EncodeTo(vec, value)
 	}
-	if r := t.row[id]; r >= 0 {
-		return r
-	}
-	r, vec := b.addProp()
-	m.enc.EncodeTo(vec, value)
-	t.row[id] = r
-	t.used = append(t.used, id)
 	return r
 }
 
@@ -310,11 +353,7 @@ func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
 		b.targets.Set(i, 0, m.target.ToScaled(s.RuntimeSec))
 		b.runtimes[i] = s.RuntimeSec
 	}
-	t := &m.interned
-	for _, id := range t.used {
-		t.row[id] = -1
-	}
-	t.used = t.used[:0]
+	m.rows.reset()
 }
 
 // forwardState carries the intermediates of one forward pass that the

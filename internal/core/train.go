@@ -44,18 +44,19 @@ type TrainReport struct {
 	HelperSteps int
 }
 
-// countProperties fills the property counts of a report from the batch
-// holding the whole sample set.
-func (r *TrainReport) countProperties(cfg Config, b *batch) {
-	r.DistinctProperties = b.props.Rows
+// propertyCounts reports how many property values the batch's samples
+// carry and how many different ones those are.
+func (b *batch) propertyCounts(cfg Config) (rows, distinct int) {
+	distinct = b.props.Rows
 	padded := false
 	for _, n := range b.numOpt {
-		r.PropertyRows += cfg.NumEssential + n
+		rows += cfg.NumEssential + n
 		padded = padded || n < cfg.NumOptional
 	}
 	if padded {
-		r.DistinctProperties-- // the all-zero row of missing slots is not a value
+		distinct-- // the all-zero row of missing slots is not a value
 	}
+	return rows, distinct
 }
 
 // Pretrain trains the full architecture jointly on a cross-context corpus
@@ -106,7 +107,7 @@ func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 	best := nn.NewEarlyStopper(0, 0) // track best only; no early stop in pre-training
 	var bestState nn.State
 	report := &TrainReport{Shards: 1}
-	report.countProperties(m.Cfg, &m.evalB)
+	report.PropertyRows, report.DistinctProperties = m.evalB.propertyCounts(m.Cfg)
 
 	if run.second != nil {
 		report.Shards = 2

@@ -71,16 +71,17 @@ func (s *Service) AdmitPredict(ctx context.Context, req Request, tr *obs.Trace) 
 }
 
 // AdmitBatch answers a batch, which fans out across models and queries
-// and is always heavy. The error is the gate's refusal of the whole
-// batch; per-request failures are in the responses.
-func (s *Service) AdmitBatch(ctx context.Context, reqs []Request, tr *obs.Trace) ([]Response, error) {
+// and is always heavy, into dst's storage (see PredictBatchInto). The
+// error is the gate's refusal of the whole batch; per-request failures
+// are in the responses.
+func (s *Service) AdmitBatch(ctx context.Context, dst []Response, reqs []Request, tr *obs.Trace) ([]Response, error) {
 	release, err := s.admit(ctx, loadctl.CostHeavy, tr)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	t0 := tr.Clock()
-	out := s.PredictBatch(ctx, reqs)
+	out := s.PredictBatchInto(ctx, dst, reqs)
 	tr.Record(obs.StagePredict, -1, t0)
 	return out, nil
 }

@@ -1,23 +1,37 @@
 package serve
 
 import (
-	"container/list"
+	"bytes"
+	"hash/maphash"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
 )
 
-// resultCache memoizes prediction results under a bounded LRU policy.
-// Keys are canonical fingerprints of (model key, scale-out, properties);
-// values are predicted runtimes in seconds.
+// resultCache memoizes prediction results under a bounded, exact LRU
+// policy. Keys are canonical fingerprints of (model key, scale-out,
+// properties); values are predicted runtimes in seconds.
+//
+// It is a flat table. The entries sit in one slice, linked into LRU
+// order by int32 positions, each owning the bytes of its key; an
+// open-addressed index (linear probing, at most half full,
+// backward-shift deletion) maps the 64-bit hash of a key to its entry.
+// The hash only finds candidates: an entry answers for a key when the
+// key bytes are equal, never on the hash alone. Beyond its key an entry
+// costs entryBytes plus two index slots, and at capacity a put reuses
+// the evicted entry and, when the new key fits, its key storage.
 type resultCache struct {
 	cap int
 
 	mu      sync.Mutex
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
+	entries []cacheEntry
+	index   []int32 // position in entries + 1, 0 for an empty slot
+	// head and tail are the most and least recently used entries, free
+	// heads the invalidated ones (linked by next); -1 for none.
+	head, tail, free int32
+	n                int // entries in use
+	keyBytes         int // key storage the entries own
 	// epoch counts invalidations. Writers snapshot it before computing
 	// a prediction and pass it to put, which discards the result if an
 	// invalidation ran in between — otherwise a prediction computed on
@@ -26,10 +40,15 @@ type resultCache struct {
 	epoch uint64
 }
 
-type cacheItem struct {
-	key string
-	val float64
+type cacheEntry struct {
+	key        []byte
+	hash       uint64
+	val        float64
+	prev, next int32
 }
+
+// entryBytes is the size of a cacheEntry.
+const entryBytes = 48
 
 // DefaultResultCap bounds the memoized results when no capacity is given.
 const DefaultResultCap = 4096
@@ -38,26 +57,43 @@ func newResultCache(capacity int) *resultCache {
 	if capacity <= 0 {
 		capacity = DefaultResultCap
 	}
-	return &resultCache{
-		cap:     capacity,
-		entries: map[string]*list.Element{},
-		lru:     list.New(),
-	}
+	return &resultCache{cap: capacity, index: make([]int32, indexSlots(capacity)), head: -1, tail: -1, free: -1}
 }
 
+// indexSlots sizes an open-addressed index for n entries: the power of
+// two that keeps it at most half full.
+func indexSlots(n int) int {
+	slots := 4
+	for slots < 2*n {
+		slots *= 2
+	}
+	return slots
+}
+
+// fpSeed keys the fingerprint hash for the life of the process, so which
+// requests share a probe chain is not something a client can arrange.
+var fpSeed = maphash.MakeSeed()
+
+// hashFingerprint is the hash lookup and store expect: a request's
+// fingerprint is hashed once and the hash handed to both.
+func hashFingerprint(fp []byte) uint64 { return maphash.Bytes(fpSeed, fp) }
+
 // get returns the cached value for the fingerprint and whether it was
-// present. The key is passed as bytes so the warm hit path never
-// materializes a string: the map index on string(key) compiles to an
-// allocation-free lookup.
+// present.
 func (c *resultCache) get(key []byte) (float64, bool) {
+	return c.lookup(hashFingerprint(key), key)
+}
+
+// lookup is get for a caller that has hashed the key already.
+func (c *resultCache) lookup(hash uint64, key []byte) (float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[string(key)]
-	if !ok {
+	_, e := c.find(hash, key)
+	if e < 0 {
 		return 0, false
 	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheItem).val, true
+	c.touch(e)
+	return c.entries[e].val, true
 }
 
 // snapshot returns the current invalidation epoch. Take it before
@@ -68,36 +104,129 @@ func (c *resultCache) snapshot() uint64 {
 	return c.epoch
 }
 
-// put stores val under key, evicting the least recently used entry when
-// the cache is full. epoch must be a snapshot taken before the value
+// put is store for a key held as a string.
+func (c *resultCache) put(key string, val float64, epoch uint64) {
+	k := []byte(key)
+	c.store(hashFingerprint(k), k, val, epoch)
+}
+
+// store memoizes val under key (whose hash the caller computed),
+// evicting the least recently used entry when the cache is full; the
+// key bytes are copied. epoch must be a snapshot taken before the value
 // was computed: if any invalidation ran since, the value may derive
 // from a replaced model version and is dropped instead of stored (a
 // lost memoization at worst — the next miss recomputes on the current
 // version).
-func (c *resultCache) put(key string, val float64, epoch uint64) {
+func (c *resultCache) store(hash uint64, key []byte, val float64, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.epoch != epoch {
 		return
 	}
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheItem).val = val
-		c.lru.MoveToFront(el)
+	slot, e := c.find(hash, key)
+	if e >= 0 {
+		c.entries[e].val = val
+		c.touch(e)
 		return
 	}
-	if c.lru.Len() >= c.cap {
-		// At capacity every insert evicts the LRU entry; recycling its
-		// element and item in place makes the steady-state miss path
-		// allocation-free apart from the key string.
-		oldest := c.lru.Back()
-		it := oldest.Value.(*cacheItem)
-		delete(c.entries, it.key)
-		it.key, it.val = key, val
-		c.lru.MoveToFront(oldest)
-		c.entries[key] = oldest
-		return
+	switch {
+	case c.n >= c.cap:
+		// At capacity every insert evicts the LRU entry and takes its
+		// place: the steady-state miss path allocates nothing unless the
+		// key has outgrown the storage it inherits.
+		e = c.tail
+		c.unindex(e)
+		c.unlink(e)
+		slot, _ = c.find(hash, key) // the deletion may have moved the chain's end
+	case c.free >= 0:
+		e = c.free
+		c.free = c.entries[e].next
+		c.n++
+	default:
+		c.entries = append(c.entries, cacheEntry{})
+		e = int32(len(c.entries) - 1)
+		c.n++
 	}
-	c.entries[key] = c.lru.PushFront(&cacheItem{key: key, val: val})
+	ent := &c.entries[e]
+	c.keyBytes -= cap(ent.key)
+	if cap(ent.key) < len(key) {
+		// Not append onto the old storage, which would double it for a
+		// key one byte longer.
+		ent.key = append([]byte(nil), key...)
+	} else {
+		ent.key = append(ent.key[:0], key...)
+	}
+	c.keyBytes += cap(ent.key)
+	ent.hash, ent.val = hash, val
+	c.index[slot] = e + 1
+	c.pushFront(e)
+}
+
+// find probes the index for key. It returns the entry holding it, or -1
+// and the empty slot that ends the key's probe chain.
+func (c *resultCache) find(hash uint64, key []byte) (slot int, e int32) {
+	mask := len(c.index) - 1
+	for slot = int(hash) & mask; ; slot = (slot + 1) & mask {
+		e = c.index[slot] - 1
+		if e < 0 {
+			return slot, -1
+		}
+		if ent := &c.entries[e]; ent.hash == hash && bytes.Equal(ent.key, key) {
+			return slot, e
+		}
+	}
+}
+
+// unindex removes entry e from the index and closes the gap: every later
+// entry of the run moves back into the hole unless that would put it
+// before its home slot, so probe chains stay unbroken without tombstones.
+func (c *resultCache) unindex(e int32) {
+	mask := len(c.index) - 1
+	hole := int(c.entries[e].hash) & mask
+	for c.index[hole] != e+1 {
+		hole = (hole + 1) & mask
+	}
+	for i := (hole + 1) & mask; c.index[i] != 0; i = (i + 1) & mask {
+		home := int(c.entries[c.index[i]-1].hash) & mask
+		if (i-home)&mask >= (i-hole)&mask {
+			c.index[hole] = c.index[i]
+			hole = i
+		}
+	}
+	c.index[hole] = 0
+}
+
+// touch makes e the most recently used entry.
+func (c *resultCache) touch(e int32) {
+	if c.head != e {
+		c.unlink(e)
+		c.pushFront(e)
+	}
+}
+
+func (c *resultCache) unlink(e int32) {
+	ent := &c.entries[e]
+	if ent.prev >= 0 {
+		c.entries[ent.prev].next = ent.next
+	} else {
+		c.head = ent.next
+	}
+	if ent.next >= 0 {
+		c.entries[ent.next].prev = ent.prev
+	} else {
+		c.tail = ent.prev
+	}
+}
+
+func (c *resultCache) pushFront(e int32) {
+	ent := &c.entries[e]
+	ent.prev, ent.next = -1, c.head
+	if c.head >= 0 {
+		c.entries[c.head].prev = e
+	} else {
+		c.tail = e
+	}
+	c.head = e
 }
 
 // invalidatePrefix removes every memoized result whose fingerprint
@@ -111,16 +240,21 @@ func (c *resultCache) invalidatePrefix(prefix string) int {
 	defer c.mu.Unlock()
 	c.epoch++
 	n := 0
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		it := el.Value.(*cacheItem)
-		if strings.HasPrefix(it.key, prefix) {
-			c.lru.Remove(el)
-			delete(c.entries, it.key)
+	for e := c.head; e >= 0; {
+		ent := &c.entries[e]
+		next := ent.next
+		if len(ent.key) >= len(prefix) && string(ent.key[:len(prefix)]) == prefix {
+			c.unindex(e)
+			c.unlink(e)
+			// The entry keeps its key storage for whichever key it holds
+			// next.
+			ent.key = ent.key[:0]
+			ent.next, c.free = c.free, e
 			n++
 		}
-		el = next
+		e = next
 	}
+	c.n -= n
 	return n
 }
 
@@ -128,7 +262,15 @@ func (c *resultCache) invalidatePrefix(prefix string) int {
 func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	return c.n
+}
+
+// bytes reports the heap the cache holds: index, entries and key
+// storage.
+func (c *resultCache) bytes() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return 4*len(c.index) + entryBytes*cap(c.entries) + c.keyBytes
 }
 
 // fpPool recycles fingerprint build buffers so the serve hot path
@@ -148,10 +290,11 @@ var fpPool = sync.Pool{New: func() any {
 // input, and callers are expected to send optional properties in a
 // stable order.
 //
-// The append form replaced a strings.Builder: built into a pooled
-// buffer, a warm cache hit performs zero allocations (pinned by
-// TestWarmPredictZeroAlloc); only a miss pays for one string
-// conversion when the key is stored.
+// Built into a pooled buffer (a batch: into its scratch), a fingerprint
+// never becomes a string: a warm cache hit performs zero allocations
+// (pinned by TestWarmPredictZeroAlloc), and a miss hands the same bytes
+// and their one hash to the cache, which copies them into the entry's
+// own storage.
 func appendFingerprint(dst []byte, key ModelKey, q core.Query) []byte {
 	dst = appendKeyPrefix(dst, key)
 	dst = strconv.AppendInt(dst, int64(q.ScaleOut), 10)

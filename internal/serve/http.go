@@ -28,10 +28,11 @@ import (
 type Backend interface {
 	// The four calls pass the owning service's admission gate (see
 	// Service.AdmitPredict and its siblings) and record their stages on
-	// tr, nil for an untraced request. AdmitBatch's error is the refusal
-	// of the whole batch; per-request failures are in the responses.
+	// tr, nil for an untraced request. AdmitBatch answers into dst's
+	// storage when it has the capacity; its error is the refusal of the
+	// whole batch, per-request failures are in the responses.
 	AdmitPredict(ctx context.Context, req Request, tr *obs.Trace) Response
-	AdmitBatch(ctx context.Context, reqs []Request, tr *obs.Trace) ([]Response, error)
+	AdmitBatch(ctx context.Context, dst []Response, reqs []Request, tr *obs.Trace) ([]Response, error)
 	AdmitAllocate(ctx context.Context, key ModelKey, req allocate.Request, tr *obs.Trace) (*allocate.Result, error)
 	AdmitObserve(ctx context.Context, key ModelKey, q core.Query, runtimeSec float64, tr *obs.Trace) error
 
@@ -189,10 +190,11 @@ func decodeBatch(sc *requestScratch) (struct{}, error) { return struct{}{}, sc.d
 
 func callBatch(b Backend, ctx context.Context, _ struct{}, sc *requestScratch, tr *obs.Trace) (any, error) {
 	// The well-formed subset is served as one batch.
-	answers, err := b.AdmitBatch(ctx, sc.live, tr)
+	answers, err := b.AdmitBatch(ctx, sc.answers, sc.live, tr)
 	if err != nil {
 		return nil, err
 	}
+	sc.answers = answers
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -64,6 +64,9 @@ func (s *Service) registerMetrics(reg *obs.Registry, labels obs.Labels) {
 	reg.RegisterGaugeFunc("bellamy_result_cache_entries",
 		"Memoized prediction results currently resident.", labels,
 		func() float64 { return float64(s.results.len()) })
+	reg.RegisterGaugeFunc("bellamy_result_cache_bytes",
+		"Heap held by the result cache: index, entries and key bytes.", labels,
+		func() float64 { return float64(s.results.bytes()) })
 	reg.RegisterHist("bellamy_predict_latency_seconds",
 		"Wall-clock latency of Predict/PredictBatch calls.", labels, s.latency)
 	reg.RegisterCounter("bellamy_gate_bypassed_total",
@@ -100,6 +103,8 @@ func (s *Service) registerMetrics(reg *obs.Registry, labels obs.Labels) {
 		{"bellamy_model_load_errors_total", "Model load failures.", func(r RegistryStats) int64 { return r.LoadErrors }},
 		{"bellamy_model_evictions_total", "Models evicted by the LRU cap.", func(r RegistryStats) int64 { return r.Evictions }},
 		{"bellamy_model_swaps_total", "Hot-swapped model versions installed.", func(r RegistryStats) int64 { return r.Swaps }},
+		{"bellamy_infer_property_rows_total", "Property values of the predictions computed by a model.", func(r RegistryStats) int64 { return r.PropertyRows }},
+		{"bellamy_infer_distinct_rows_total", "Rows the property encoder ran on for them: each distinct value of a call once.", func(r RegistryStats) int64 { return r.DistinctRows }},
 	} {
 		read := m.read
 		reg.RegisterCounterFunc(m.name, m.help, labels, func() int64 { return read(s.reg.Stats()) })

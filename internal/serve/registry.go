@@ -57,15 +57,23 @@ type Model struct {
 	// clone source for online fine-tuning. Nil when quantization is
 	// disabled (Float64Serving) or the model has no f32 mapping.
 	im *core.InferModel
+	// rows is where this model's encoder work is counted: the
+	// registry's, which outlives every version it publishes.
+	rows *inferRows
 }
+
+// inferRows counts the property values served predictions carried and
+// the rows the property encoder ran on for them; the difference is the
+// encoder work the calls' repeated values let serving skip.
+type inferRows struct{ property, distinct atomic.Int64 }
 
 // newModel wraps a published model version for serving, quantizing the
 // weights into the float32 inference form unless disabled. A model that
 // cannot be quantized (a layer type with no f32 mapping) falls back to
 // float64 serving rather than failing the publish.
-func newModel(m *core.Model, quantize bool) *Model {
-	sm := &Model{m: m}
-	if quantize {
+func (r *Registry) newModel(m *core.Model) *Model {
+	sm := &Model{m: m, rows: &r.inferRows}
+	if r.quantize {
 		if im, err := m.Quantize(); err == nil {
 			sm.im = im
 		}
@@ -74,13 +82,32 @@ func newModel(m *core.Model, quantize bool) *Model {
 }
 
 // Predict runs a single query against the underlying model.
-func (sm *Model) Predict(q core.Query) (float64, error) {
+func (sm *Model) Predict(q core.Query) (v float64, err error) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	if sm.im != nil {
-		return sm.im.Predict(q.ScaleOut, q.Essential, q.Optional)
+		v, err = sm.im.Predict(q.ScaleOut, q.Essential, q.Optional)
+	} else {
+		v, err = sm.m.Predict(q.ScaleOut, q.Essential, q.Optional)
 	}
-	return sm.m.Predict(q.ScaleOut, q.Essential, q.Optional)
+	sm.countRows(err)
+	return v, err
+}
+
+// countRows adds the encoder work of the call that just returned err to
+// the registry's counters; a failed call ran no encoder.
+func (sm *Model) countRows(err error) {
+	if err != nil {
+		return
+	}
+	var property, distinct int
+	if sm.im != nil {
+		property, distinct = sm.im.LastRows()
+	} else {
+		property, distinct = sm.m.LastRows()
+	}
+	sm.rows.property.Add(int64(property))
+	sm.rows.distinct.Add(int64(distinct))
 }
 
 // PredictBatch runs one forward pass over all queries.
@@ -95,13 +122,16 @@ func (sm *Model) PredictBatch(qs []core.Query) ([]float64, error) {
 // PredictBatchInto runs one forward pass over all queries, writing the
 // predictions into dst. Under the model lock the pass reuses the model
 // workspace, so a warm call allocates nothing.
-func (sm *Model) PredictBatchInto(dst []float64, qs []core.Query) error {
+func (sm *Model) PredictBatchInto(dst []float64, qs []core.Query) (err error) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	if sm.im != nil {
-		return sm.im.PredictBatchInto(dst, qs)
+		err = sm.im.PredictBatchInto(dst, qs)
+	} else {
+		err = sm.m.PredictBatchInto(dst, qs)
 	}
-	return sm.m.PredictBatchInto(dst, qs)
+	sm.countRows(err)
+	return err
 }
 
 // Validate checks a query against the model configuration without
@@ -182,6 +212,10 @@ type RegistryStats struct {
 	// SwapsSkipped counts Swap calls refused because the target
 	// generation was no longer resident (evicted or reloaded).
 	SwapsSkipped int64
+	// PropertyRows counts the property values of the predictions the
+	// registry's models computed and DistinctRows the rows their property
+	// encoder ran on: a call encodes each distinct value once.
+	PropertyRows, DistinctRows int64
 }
 
 // Registry lazily loads and caches serving models keyed by execution
@@ -203,6 +237,7 @@ type Registry struct {
 
 	hits, misses, loads, loadErrors, evictions atomic.Int64
 	swaps, swapsSkipped                        atomic.Int64
+	inferRows                                  inferRows
 }
 
 // DefaultModelCap bounds the resident models when no capacity is given.
@@ -311,7 +346,7 @@ func (r *Registry) GetRef(ctx context.Context, key ModelKey) (Ref, error) {
 		r.mu.Unlock()
 		return Ref{}, e.err
 	}
-	v := &versioned{version: version, sm: newModel(m, r.quantize)}
+	v := &versioned{version: version, sm: r.newModel(m)}
 	e.slot.Store(v)
 	r.loads.Add(1)
 	close(e.ready)
@@ -353,7 +388,7 @@ func (r *Registry) acquire(key ModelKey) (*entry, bool) {
 // the registry already discarded. In-flight predictions holding the
 // previous *Model finish on it undisturbed.
 func (r *Registry) Swap(key ModelKey, gen uint64, m *core.Model) (uint64, bool) {
-	sm := newModel(m, r.quantize)
+	sm := r.newModel(m)
 	r.mu.Lock()
 	e, ok := r.entries[key]
 	if !ok || e.gen != gen {
@@ -388,7 +423,7 @@ func (r *Registry) Swap(key ModelKey, gen uint64, m *core.Model) (uint64, bool) 
 // version comparison happens against whatever that load publishes, on
 // the next delivery.
 func (r *Registry) Publish(key ModelKey, version uint64, m *core.Model) bool {
-	sm := newModel(m, r.quantize)
+	sm := r.newModel(m)
 	r.mu.Lock()
 	if e, ok := r.entries[key]; ok {
 		cur := e.slot.Load()
@@ -479,5 +514,7 @@ func (r *Registry) Stats() RegistryStats {
 		Evictions:    r.evictions.Load(),
 		Swaps:        r.swaps.Load(),
 		SwapsSkipped: r.swapsSkipped.Load(),
+		PropertyRows: r.inferRows.property.Load(),
+		DistinctRows: r.inferRows.distinct.Load(),
 	}
 }

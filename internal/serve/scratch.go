@@ -21,7 +21,7 @@ import (
 //
 // Everything reachable from a scratch is valid until release; strings
 // are copies, never views of the body buffer, so they may outlive it
-// (the result cache and the encoder memo keep some).
+// (the encoder memo keeps some).
 type requestScratch struct {
 	body []byte
 
@@ -37,6 +37,8 @@ type requestScratch struct {
 	live      []Request
 	liveIdx   []int
 	responses []api.PredictResponse
+	// answers is the storage the backend answers live into.
+	answers []Response
 }
 
 // Bounds on what goes back to the pool: a scratch that grew for one
@@ -77,6 +79,8 @@ func (sc *requestScratch) reset() {
 	sc.liveIdx = sc.liveIdx[:0]
 	clear(sc.responses)
 	sc.responses = sc.responses[:0]
+	clear(sc.answers)
+	sc.answers = sc.answers[:0]
 }
 
 // readBody reads the request body, bounded by MaxBodyBytes, into the

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -428,18 +430,22 @@ func (s *Service) PredictTraced(ctx context.Context, key ModelKey, q core.Query,
 }
 
 func (s *Service) predictOne(ctx context.Context, key ModelKey, q core.Query, tr *obs.Trace) Response {
+	// The fingerprint stays in the pooled buffer until the answer is
+	// stored under it.
 	bufp := fpPool.Get().(*[]byte)
 	fp := appendFingerprint((*bufp)[:0], key, q)
-	v, ok := s.results.get(fp)
-	if ok {
-		*bufp = fp
-		fpPool.Put(bufp)
+	resp := s.predictFingerprinted(ctx, key, q, fp, tr)
+	*bufp = fp
+	fpPool.Put(bufp)
+	return resp
+}
+
+func (s *Service) predictFingerprinted(ctx context.Context, key ModelKey, q core.Query, fp []byte, tr *obs.Trace) Response {
+	hash := hashFingerprint(fp)
+	if v, ok := s.results.lookup(hash, fp); ok {
 		s.resultHits.Add(1)
 		return Response{RuntimeSec: v, Cached: true}
 	}
-	fps := string(fp)
-	*bufp = fp
-	fpPool.Put(bufp)
 	s.resultMisses.Add(1)
 	// A blown deadline abandons the request before the model load and
 	// forward pass — the caller is gone; computing would only steal
@@ -458,12 +464,12 @@ func (s *Service) predictOne(ctx context.Context, key ModelKey, q core.Query, tr
 		return Response{Err: err}
 	}
 	t0 = tr.Clock()
-	v, err = sm.Predict(q)
+	v, err := sm.Predict(q)
 	tr.Record(obs.StagePredict, -1, t0)
 	if err != nil {
 		return Response{Err: err}
 	}
-	s.results.put(fps, v, epoch)
+	s.results.store(hash, fp, v, epoch)
 	return Response{RuntimeSec: v}
 }
 
@@ -472,10 +478,13 @@ func (s *Service) predictOne(ctx context.Context, key ModelKey, q core.Query, tr
 // one model row. The first position is held inline: in the common case
 // of a batch with no repeated queries, recording it allocates nothing.
 type missGroup struct {
-	fp    string
-	query core.Query
-	first int
-	rest  []int
+	// The fingerprint is fps[fpOff:fpOff+fpLen] of the batch's scratch,
+	// hash its hash.
+	hash         uint64
+	fpOff, fpLen int
+	query        core.Query
+	first        int
+	rest         []int
 }
 
 // forEachIdx calls fn for every batch position in the group.
@@ -487,35 +496,68 @@ func (g *missGroup) forEachIdx(fn func(i int)) {
 }
 
 // batchScratch holds the per-PredictBatch grouping state, pooled so a
-// steady stream of batches reuses maps, the missGroup arena, and the
-// query/prediction staging slices instead of reallocating them.
+// steady stream of batches reuses the fingerprint bytes, the missGroup
+// arena, the per-model lists and the query/prediction staging slices
+// instead of reallocating them.
 type batchScratch struct {
-	byFP   map[string]*missGroup
-	groups map[ModelKey][]*missGroup
+	// fps holds the fingerprints of the batch's distinct misses back to
+	// back; a hit's or a repeat's is built at its end and dropped again.
+	fps   []byte
+	arena []missGroup
+	// seen is the open-addressed index (position in arena + 1, 0 empty)
+	// that finds an earlier miss with the same fingerprint: by the hash
+	// the cache lookup was given, confirmed by comparing the bytes.
+	seen []int32
+	// byKey[keyIdx[key]] lists the groups of one model, keys in order of
+	// first appearance. byKey keeps the emptied lists of earlier batches
+	// past len(keys).
+	keyIdx map[ModelKey]int
 	keys   []ModelKey
+	byKey  [][]*missGroup
 	offs   []int
-	arena  []missGroup
 	qs     []core.Query
 	preds  []float64
 }
 
 var batchScratchPool = sync.Pool{New: func() any {
-	return &batchScratch{
-		byFP:   map[string]*missGroup{},
-		groups: map[ModelKey][]*missGroup{},
-	}
+	return &batchScratch{keyIdx: map[ModelKey]int{}}
 }}
+
+// fp returns the fingerprint of g.
+func (sc *batchScratch) fp(g *missGroup) []byte { return sc.fps[g.fpOff : g.fpOff+g.fpLen] }
+
+// group returns the miss group of fingerprint fp, the last bytes of
+// sc.fps, and whether the batch had it already; a new group keeps the
+// bytes, a known one gives them back.
+func (sc *batchScratch) group(hash uint64, fp []byte) (*missGroup, bool) {
+	mask := len(sc.seen) - 1
+	i := int(hash) & mask
+	for ; sc.seen[i] != 0; i = (i + 1) & mask {
+		if g := &sc.arena[sc.seen[i]-1]; g.hash == hash && bytes.Equal(sc.fp(g), fp) {
+			return g, true
+		}
+	}
+	// The arena never reallocates mid-batch (cap >= len(reqs)), so the
+	// *missGroup pointers handed out stay valid.
+	sc.arena = append(sc.arena, missGroup{hash: hash, fpOff: len(sc.fps) - len(fp), fpLen: len(fp)})
+	sc.seen[i] = int32(len(sc.arena))
+	return &sc.arena[len(sc.arena)-1], false
+}
 
 // release clears the scratch and returns it to the pool. The arena and
 // query staging are zeroed so pooled memory never pins caller property
-// slices (or their fingerprint strings) across batches.
+// slices across batches.
 func (sc *batchScratch) release() {
-	clear(sc.byFP)
-	clear(sc.groups)
-	sc.keys = sc.keys[:0]
-	sc.offs = sc.offs[:0]
+	sc.fps = sc.fps[:0]
 	clear(sc.arena)
 	sc.arena = sc.arena[:0]
+	clear(sc.keyIdx)
+	clear(sc.keys)
+	sc.keys = sc.keys[:0]
+	for k := range sc.byKey {
+		sc.byKey[k] = sc.byKey[k][:0]
+	}
+	sc.offs = sc.offs[:0]
 	clear(sc.qs)
 	sc.qs = sc.qs[:0]
 	sc.preds = sc.preds[:0]
@@ -531,43 +573,59 @@ func (sc *batchScratch) release() {
 // so a request that has already blown its budget is abandoned with
 // ctx's error instead of burning compute.
 func (s *Service) PredictBatch(ctx context.Context, reqs []Request) []Response {
+	return s.PredictBatchInto(ctx, nil, reqs)
+}
+
+// PredictBatchInto is PredictBatch answering into dst's storage when it
+// has the capacity (its contents are overwritten), for a caller that
+// keeps a response slice across batches.
+func (s *Service) PredictBatchInto(ctx context.Context, dst []Response, reqs []Request) []Response {
 	start := time.Now()
 	defer s.observe(start, len(reqs))
 
-	out := make([]Response, len(reqs))
+	out := slices.Grow(dst[:0], len(reqs))[:len(reqs)]
+	clear(out)
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer sc.release()
 	if cap(sc.arena) < len(reqs) {
 		sc.arena = make([]missGroup, 0, len(reqs))
 	}
-	byFP, groups := sc.byFP, sc.groups
-	bufp := fpPool.Get().(*[]byte)
-	buf := *bufp
+	slots := indexSlots(len(reqs))
+	sc.seen = slices.Grow(sc.seen[:0], slots)[:slots]
+	clear(sc.seen)
 	for i, req := range reqs {
-		buf = appendFingerprint(buf[:0], req.Key, req.Query)
-		if v, ok := s.results.get(buf); ok {
+		// Each item's fingerprint is built once and hashed once; the
+		// hash serves the cache lookup, the in-batch grouping and, after
+		// the forward pass, the insert.
+		mark := len(sc.fps)
+		sc.fps = appendFingerprint(sc.fps, req.Key, req.Query)
+		fp := sc.fps[mark:]
+		hash := hashFingerprint(fp)
+		if v, ok := s.results.lookup(hash, fp); ok {
 			s.resultHits.Add(1)
 			out[i] = Response{RuntimeSec: v, Cached: true}
+			sc.fps = sc.fps[:mark]
 			continue
 		}
 		s.resultMisses.Add(1)
-		if g, ok := byFP[string(buf)]; ok { // allocation-free map index
+		g, known := sc.group(hash, fp)
+		if known {
 			g.rest = append(g.rest, i)
+			sc.fps = sc.fps[:mark]
 			continue
 		}
-		fp := string(buf)
-		// The arena never reallocates mid-batch (cap >= len(reqs)), so
-		// the *missGroup pointers handed to the maps stay valid.
-		sc.arena = append(sc.arena, missGroup{fp: fp, query: req.Query, first: i})
-		g := &sc.arena[len(sc.arena)-1]
-		byFP[fp] = g
-		if _, ok := groups[req.Key]; !ok {
+		g.query, g.first = req.Query, i
+		k, ok := sc.keyIdx[req.Key]
+		if !ok {
+			k = len(sc.keys)
+			sc.keyIdx[req.Key] = k
 			sc.keys = append(sc.keys, req.Key)
+			if k == len(sc.byKey) {
+				sc.byKey = append(sc.byKey, nil)
+			}
 		}
-		groups[req.Key] = append(groups[req.Key], g)
+		sc.byKey[k] = append(sc.byKey[k], g)
 	}
-	*bufp = buf
-	fpPool.Put(bufp)
 	keys := sc.keys
 
 	// Carve per-key staging regions out of shared slices up front, so
@@ -580,14 +638,10 @@ func (s *Service) PredictBatch(ctx context.Context, reqs []Request) []Response {
 	}
 	sc.qs = sc.qs[:misses]
 	sc.preds = sc.preds[:misses]
-	if cap(sc.offs) < len(keys) {
-		sc.offs = make([]int, len(keys))
-	}
-	sc.offs = sc.offs[:len(keys)]
 	off := 0
-	for k, key := range keys {
-		sc.offs[k] = off
-		off += len(groups[key])
+	for k := range keys {
+		sc.offs = append(sc.offs, off)
+		off += len(sc.byKey[k])
 	}
 
 	// One epoch snapshot covers the whole fan-out: every model read
@@ -596,7 +650,7 @@ func (s *Service) PredictBatch(ctx context.Context, reqs []Request) []Response {
 	epoch := s.results.snapshot()
 	parallel.ForEach(len(keys), s.workers, func(k int) {
 		key := keys[k]
-		miss := groups[key]
+		miss := sc.byKey[k]
 		region := sc.offs[k]
 		if err := ctx.Err(); err != nil {
 			for _, g := range miss {
@@ -644,7 +698,7 @@ func (s *Service) PredictBatch(ctx context.Context, reqs []Request) []Response {
 			return
 		}
 		for j, g := range valid {
-			s.results.put(g.fp, preds[j], epoch)
+			s.results.store(g.hash, sc.fp(g), preds[j], epoch)
 			v := preds[j]
 			g.forEachIdx(func(i int) { out[i] = Response{RuntimeSec: v} })
 		}

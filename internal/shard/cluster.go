@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,6 +79,8 @@ type Cluster struct {
 
 	obsRef atomic.Pointer[serve.Observability]
 	repl   atomic.Pointer[replication]
+
+	fanouts sync.Pool // of *fanout
 }
 
 // New assembles a cluster over the given shards. At least one shard is
@@ -228,52 +231,101 @@ func (c *Cluster) AdmitPredict(ctx context.Context, req serve.Request, tr *obs.T
 	return resp
 }
 
+// fanout is the working memory of one AdmitBatch, per shard: the batch
+// positions the shard owns — the merge plan that restores input order —
+// the requests at those positions and the shard's answers to them. It is
+// pooled, so a steady stream of batches reuses one set of lists.
+type fanout struct {
+	idxs [][]int
+	subs [][]serve.Request
+	outs [][]serve.Response
+}
+
+// maxPooledItems bounds the batch whose fanout goes back to the pool: one
+// that grew for a giant batch is dropped instead of pinning that memory.
+const maxPooledItems = 1024
+
+func (c *Cluster) acquireFanout() *fanout {
+	if f, ok := c.fanouts.Get().(*fanout); ok {
+		return f
+	}
+	n := len(c.nodes)
+	return &fanout{idxs: make([][]int, n), subs: make([][]serve.Request, n), outs: make([][]serve.Response, n)}
+}
+
+// releaseFanout empties f, zeroing what could pin a request's strings or
+// errors, and pools it.
+func (c *Cluster) releaseFanout(f *fanout, items int) {
+	if items > maxPooledItems {
+		return
+	}
+	for sid := range f.idxs {
+		f.idxs[sid] = f.idxs[sid][:0]
+		clear(f.subs[sid])
+		f.subs[sid] = f.subs[sid][:0]
+		clear(f.outs[sid])
+		f.outs[sid] = f.outs[sid][:0]
+	}
+	c.fanouts.Put(f)
+}
+
 // AdmitBatch fans a batch out to the owning shards in parallel, one
 // shard_route span each, and merges the per-shard answers back into
-// input order. A batch that lives on one shard is that shard's to refuse
-// as a whole, as a lone service would; once it fans out, a shard that
-// is down, crashes mid-batch or sheds its share contributes typed errors
-// for exactly its own items and the rest of the batch completes
-// normally.
-func (c *Cluster) AdmitBatch(ctx context.Context, reqs []serve.Request, tr *obs.Trace) ([]serve.Response, error) {
+// input order, in dst's storage when it has the capacity. A batch that
+// lives on one shard is that shard's to refuse as a whole, as a lone
+// service would; once it fans out, a shard that is down, crashes
+// mid-batch or sheds its share contributes typed errors for exactly its
+// own items and the rest of the batch completes normally.
+func (c *Cluster) AdmitBatch(ctx context.Context, dst []serve.Response, reqs []serve.Request, tr *obs.Trace) ([]serve.Response, error) {
 	c.requests.Add(int64(len(reqs)))
 	if len(reqs) == 0 {
 		return []serve.Response{}, nil
 	}
-	// Group item indices by owning shard; the index lists are the merge
-	// plan that restores input order after the fan-out.
-	byShard := make(map[int][]int)
+	fan := c.acquireFanout()
+	defer c.releaseFanout(fan, len(reqs))
+	shards := 0
 	for i, r := range reqs {
 		sid := c.ring.Owner(r.Key.Job, r.Key.Env)
-		byShard[sid] = append(byShard[sid], i)
+		if len(fan.idxs[sid]) == 0 {
+			shards++
+		}
+		fan.idxs[sid] = append(fan.idxs[sid], i)
 	}
 	var out []serve.Response
-	if len(byShard) == 1 {
+	if shards == 1 {
 		var err error
-		if out, err = c.batchOn(ctx, c.owner(reqs[0].Key), reqs, tr); err != nil {
+		if out, err = c.batchOn(ctx, c.owner(reqs[0].Key), dst, reqs, tr); err != nil {
 			return nil, err
 		}
 	} else {
 		c.batchFanouts.Add(1)
-		out = make([]serve.Response, len(reqs))
+		// Every position belongs to one shard, which overwrites it.
+		out = slices.Grow(dst[:0], len(reqs))[:len(reqs)]
 		var wg sync.WaitGroup
-		for sid, idxs := range byShard {
+		for sid, idxs := range fan.idxs {
+			if len(idxs) == 0 {
+				continue
+			}
 			wg.Add(1)
-			go func(n *Node, idxs []int) {
+			go func(sid int, idxs []int) {
 				defer wg.Done()
-				sub := make([]serve.Request, len(idxs))
-				for j, i := range idxs {
-					sub[j] = reqs[i]
+				sub := fan.subs[sid]
+				for _, i := range idxs {
+					sub = append(sub, reqs[i])
 				}
-				rs, err := c.batchOn(ctx, n, sub, tr)
+				fan.subs[sid] = sub
+				rs, err := c.batchOn(ctx, c.nodes[sid], fan.outs[sid], sub, tr)
 				for j, i := range idxs {
 					if err != nil {
-						out[i].Err = err
+						out[i] = serve.Response{Err: err}
 					} else {
 						out[i] = rs[j]
 					}
 				}
-			}(c.nodes[sid], idxs)
+				if err == nil {
+					fan.outs[sid] = rs
+				}
+			}(sid, idxs)
 		}
 		wg.Wait()
 	}
@@ -289,10 +341,10 @@ func (c *Cluster) AdmitBatch(ctx context.Context, reqs []serve.Request, tr *obs.
 	return out, nil
 }
 
-func (c *Cluster) batchOn(ctx context.Context, n *Node, sub []serve.Request, tr *obs.Trace) ([]serve.Response, error) {
+func (c *Cluster) batchOn(ctx context.Context, n *Node, dst []serve.Response, sub []serve.Request, tr *obs.Trace) ([]serve.Response, error) {
 	var rs []serve.Response
 	err := n.dispatch(ctx, tr, func(ctx context.Context) (err error) {
-		rs, err = n.Service.AdmitBatch(ctx, sub, tr)
+		rs, err = n.Service.AdmitBatch(ctx, dst, sub, tr)
 		return err
 	})
 	if err != nil {

@@ -163,7 +163,7 @@ func TestClusterBatchMergesInOrder(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		reqs = append(reqs, serve.Request{Key: shardKey("sort", i), Query: testQuery(2+i, 10000)})
 	}
-	out, err := c.AdmitBatch(ctx, reqs, nil)
+	out, err := c.AdmitBatch(ctx, nil, reqs, nil)
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
@@ -211,7 +211,7 @@ func TestClusterCrashMidBatchPartialFailure(t *testing.T) {
 		{Key: k1, Query: testQuery(8, 10000)},
 	}
 	go func() {
-		out, _ := c.AdmitBatch(ctx, reqs, nil) // fanned out: failures are per item
+		out, _ := c.AdmitBatch(ctx, nil, reqs, nil) // fanned out: failures are per item
 		done <- out
 	}()
 
