@@ -186,6 +186,11 @@ func runServe(args []string) error {
 	// process.
 	registry := obs.NewRegistry()
 	obs.RegisterRuntimeMetrics(registry)
+	const scratchHelp = "Bytes held by the idle workspace arenas every model call borrows from."
+	registry.RegisterGaugeFunc("bellamy_scratch_bytes", scratchHelp, obs.Labels{"precision": "f64"},
+		func() float64 { b, _ := core.IdleScratchBytes(); return float64(b) })
+	registry.RegisterGaugeFunc("bellamy_scratch_bytes", scratchHelp, obs.Labels{"precision": "f32"},
+		func() float64 { _, b := core.IdleScratchBytes(); return float64(b) })
 	tracer := obs.NewTracer(obs.TracerOptions{SampleEvery: *traceSample})
 	tracer.RegisterMetrics(registry, nil)
 	o := &serve.Observability{Metrics: registry, Tracer: tracer, Log: logger}

@@ -105,6 +105,6 @@ func runTrain(args []string) error {
 		"best_mae_s", rep.BestMAE, "best_epoch", rep.BestEpoch, "epochs_per_s", epochsPerSec,
 		"property_rows", rep.PropertyRows, "distinct_properties", rep.DistinctProperties,
 		"step_shards", rep.Shards, "split_steps", rep.SplitSteps, "helper_steps", rep.HelperSteps,
-		"mat_kernel", mat.KernelFamily())
+		"scratch_bytes", rep.ScratchBytes, "mat_kernel", mat.KernelFamily())
 	return nil
 }

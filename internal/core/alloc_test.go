@@ -21,8 +21,8 @@ func allocConfig() Config {
 // refill from the shuffled index, forward, joint loss, backward on each
 // of two shards, gradient reduction, clip, Adam step — at zero
 // allocations, with the second shard on the caller and on a leased
-// helper. This is the central guarantee of the workspace-backed compute
-// engine.
+// helper. This is the central guarantee of the arena-backed compute
+// engine. Each shard takes its arena the way Pretrain does.
 func TestTrainStepZeroAlloc(t *testing.T) {
 	cfg := allocConfig()
 	m, err := New(cfg)
@@ -31,12 +31,13 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 	}
 	samples := syntheticSamples(4, []int{2, 4, 6, 8})
 	// Pretrain fits the scalers and warms every buffer shape (train
-	// batches, eval batch, Adam moments, workspace arena).
+	// batches, eval batch, Adam moments, the pooled arenas).
 	if _, err := m.Pretrain(samples); err != nil {
 		t.Fatal(err)
 	}
 
 	run := m.pretrainRun(samples)
+	borrowRun(t, m, run)
 	idx := make([]int, cfg.BatchSize)
 	for i := range idx {
 		idx[i] = i % len(samples)
@@ -76,8 +77,49 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// borrowRun takes arenas for m and for the replica of run the way
+// Pretrain does, given back when the test ends.
+func borrowRun(t *testing.T, m *Model, run *trainRun) {
+	m.borrowScratch()
+	t.Cleanup(m.releaseScratch)
+	if run.second != nil {
+		run.second.borrowScratch()
+		t.Cleanup(run.second.releaseScratch)
+	}
+}
+
+// TestPretrainEpochZeroAlloc pins a pre-training epoch — split training
+// steps with alpha-dropout on, then the full-corpus evaluation, whose
+// dropout layers are the identity — at zero allocations: the eval pass
+// must not cost the next step its dropout buffers.
+func TestPretrainEpochZeroAlloc(t *testing.T) {
+	cfg := allocConfig()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := syntheticSamples(4, []int{2, 4, 6, 8})
+	if _, err := m.Pretrain(samples); err != nil {
+		t.Fatal(err)
+	}
+	run := m.pretrainRun(samples)
+	borrowRun(t, m, run)
+	m.fillBatch(&m.evalB, samples, nil)
+	idx := allOf(samples)
+	epoch := func() {
+		m.trainStep(run, idx[:8])
+		m.trainStep(run, idx)
+		m.evalMAEBatch(&m.evalB)
+	}
+	epoch() // warm the fresh optimizer's moment maps
+	if allocs := testing.AllocsPerRun(50, epoch); allocs != 0 {
+		t.Fatalf("pre-training epoch allocs/op = %v, want 0", allocs)
+	}
+}
+
 // TestEvalZeroAlloc pins the per-epoch full-corpus evaluation at zero
-// allocations once the eval batch is built.
+// allocations once the eval batch is built, on an arena taken the way
+// Pretrain takes it.
 func TestEvalZeroAlloc(t *testing.T) {
 	m, err := New(allocConfig())
 	if err != nil {
@@ -88,6 +130,8 @@ func TestEvalZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.fillBatch(&m.evalB, samples, nil)
+	m.borrowScratch()
+	defer m.releaseScratch()
 	if allocs := testing.AllocsPerRun(50, func() { m.evalMAEBatch(&m.evalB) }); allocs != 0 {
 		t.Fatalf("eval allocs/op = %v, want 0", allocs)
 	}
@@ -95,7 +139,8 @@ func TestEvalZeroAlloc(t *testing.T) {
 
 // TestFinetuneEpochZeroAlloc pins one fine-tuning epoch — a dropout-free
 // step on the codes fixed before the loop, then the MAE evaluation on
-// the same batch — at zero allocations.
+// the same batch — at zero allocations, on an arena taken the way
+// Finetune takes it.
 func TestFinetuneEpochZeroAlloc(t *testing.T) {
 	cfg := allocConfig()
 	m, err := New(cfg)
@@ -116,6 +161,8 @@ func TestFinetuneEpochZeroAlloc(t *testing.T) {
 		huber:  nn.HuberLoss{Delta: cfg.HuberDelta},
 	}
 	m.fillBatch(&m.trainB, ctx, nil)
+	m.borrowScratch()
+	defer m.releaseScratch()
 	m.fixCodes(&m.trainB)
 	epoch := func() {
 		m.trainStep(run, nil)

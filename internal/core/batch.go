@@ -40,8 +40,9 @@ func validateQuery(cfg Config, q Query) error {
 // rows, which is the fast path the serving layer builds on.
 //
 // A Model is not safe for concurrent use: forward passes cache
-// per-layer state for backprop and share the model workspace. Callers
-// serving concurrent traffic must serialize access (see internal/serve).
+// per-layer state for backprop and fill the model's batch buffers.
+// Callers serving concurrent traffic must serialize access (see
+// internal/serve).
 func (m *Model) PredictBatch(queries []Query) ([]float64, error) {
 	if len(queries) == 0 {
 		return nil, nil
@@ -55,8 +56,10 @@ func (m *Model) PredictBatch(queries []Query) ([]float64, error) {
 
 // PredictBatchInto is the allocation-free form of PredictBatch: it
 // writes the predicted runtimes into dst (len(dst) == len(queries)).
-// Batch buffers and every forward intermediate come from model-owned
-// storage, so a warm call (shapes already seen) allocates nothing.
+// Batch buffers are model-owned and every forward intermediate comes
+// from a borrowed arena, so a warm call (a batch no larger than the
+// model has seen, an arena no smaller than the call needs) allocates
+// nothing.
 func (m *Model) PredictBatchInto(dst []float64, queries []Query) error {
 	if len(queries) == 0 {
 		return nil
@@ -85,6 +88,8 @@ func (m *Model) PredictBatchInto(dst []float64, queries []Query) error {
 	// caller's query property slices so a large request batch is not
 	// pinned for the model's lifetime.
 	clear(samples)
+	m.borrowScratch()
+	defer m.releaseScratch()
 	st := m.forward(&m.inferB, false)
 	for i := range dst {
 		v := m.target.ToSeconds(st.pred.At(i, 0))

@@ -97,6 +97,8 @@ func (m *Model) Finetune(samples []Sample, opts FinetuneOptions) (*TrainReport, 
 	}
 
 	m.applyStrategy(opts.Strategy, len(samples))
+	m.borrowScratch()
+	defer m.releaseScratch()
 
 	params := m.Params()
 	// Establish the fused-step invariant (gradients zero before the

@@ -17,9 +17,10 @@ import (
 // single precision, so quantized predictions track the float64 model to
 // ~1e-4 relative (pinned by TestQuantizedPredictionAccuracy).
 //
-// Like Model, an InferModel owns its workspace and batch buffers: warm
-// PredictBatchInto allocates nothing, and the model is not safe for
-// concurrent use (internal/serve serializes access).
+// Like Model, an InferModel owns its weights and batch buffers, not its
+// scratch: PredictBatchInto borrows a float32 arena for the call (see
+// scratch.go). A warm call allocates nothing, and the model is not safe
+// for concurrent use (internal/serve serializes access).
 type InferModel struct {
 	cfg Config
 
@@ -34,7 +35,6 @@ type InferModel struct {
 	// their thread-safety).
 	enc *encoding.PropertyEncoder
 
-	ws        *mat.WorkspaceF32
 	scaleFeat *mat.DenseF32 // B x 3
 	// propVecs holds each distinct property vector of the call once
 	// (U x N), propRow[i*P+k] the row slot k of query i reads, and rows
@@ -95,7 +95,6 @@ func (m *Model) Quantize() (*InferModel, error) {
 		norm:            &norm,
 		target:          &target,
 		enc:             encoding.NewPropertyEncoder(m.Cfg.PropertySize),
-		ws:              mat.NewWorkspaceF32(),
 		propVecs:        &mat.DenseF32{Cols: m.Cfg.PropertySize},
 		encRow:          make([]float64, n),
 		pretrained:      m.pretrained,
@@ -130,8 +129,10 @@ func (im *InferModel) Predict(scaleOut int, essential, optional []encoding.Prope
 // distinct values of the call — a scale-out sweep of one context encodes
 // its seven properties once, not once per candidate — and the combine
 // step reads each slot's code through propRow. One query has nothing to
-// share and encodes straight into its rows. Warm calls of an
-// already-seen shape allocate nothing.
+// share and encodes straight into its rows. The pass runs on a borrowed
+// arena sized by the largest pass it has served, not keyed by shape, so
+// once the model has answered a call at least as large, a call allocates
+// nothing, whatever its batch size and distinct-value count.
 func (im *InferModel) PredictBatchInto(dst []float64, queries []Query) error {
 	if len(queries) == 0 {
 		return nil
@@ -192,10 +193,11 @@ func (im *InferModel) PredictBatchInto(dst []float64, queries []Query) error {
 	}
 
 	// The f64 forward pass of Model.forward, minus training branches.
-	im.ws.Reset()
-	e := im.f.Forward(im.ws, im.scaleFeat)
-	codes := im.g.Forward(im.ws, im.propVecs)
-	r := im.ws.GetRaw(bSize, cfg.CombinedDim())
+	ws := arenas32.get()
+	defer arenas32.put(ws)
+	e := im.f.Forward(ws, im.scaleFeat)
+	codes := im.g.Forward(ws, im.propVecs)
+	r := ws.GetRaw(bSize, cfg.CombinedDim())
 	for i := 0; i < bSize; i++ {
 		row := r.Row(i)
 		slots := im.propRow[i*propsPer : (i+1)*propsPer]
@@ -217,7 +219,7 @@ func (im *InferModel) PredictBatchInto(dst []float64, queries []Query) error {
 			}
 		}
 	}
-	pred := im.z.Forward(im.ws, r)
+	pred := im.z.Forward(ws, r)
 	for i := range dst {
 		v := im.target.ToSeconds(float64(pred.Data[i]))
 		// Same prediction boundary as the f64 path: negative runtimes

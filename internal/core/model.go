@@ -14,10 +14,12 @@ import (
 // the property auto-encoder g/h, and the runtime predictor z, together
 // with the feature normalizer and target scaler fixed at training time.
 //
-// A Model owns a single compute workspace plus reusable batch buffers,
-// which makes steady-state training steps and warm batched inference
-// allocation-free — and is also why a Model is not safe for concurrent
-// use (see internal/serve for the serialization wrapper).
+// A Model owns its weights, scalers and reusable batch buffers, not its
+// scratch: every call that runs the network borrows a workspace arena
+// for its length (see scratch.go). Steady-state training steps and warm
+// batched inference are allocation-free; the batch buffers and layer
+// caches are why a Model is not safe for concurrent use (see
+// internal/serve for the serialization wrapper).
 type Model struct {
 	Cfg Config
 
@@ -31,11 +33,14 @@ type Model struct {
 	enc    *encoding.PropertyEncoder
 	rng    *rand.Rand
 
-	// ws backs every forward/backward intermediate; it is Reset at the
-	// start of each forward pass, so buffers live for exactly one
-	// forward(+backward) round.
-	ws  *mat.Workspace
-	fst forwardState
+	// ws backs every forward/backward intermediate of the call in
+	// progress: borrowed when a public entry point starts, given back
+	// when it returns, nil between calls. Each forward pass starts a new
+	// round on it, so a buffer lives for exactly one forward(+backward)
+	// pass. scratchPeak is the call's largest round, in bytes.
+	ws          *mat.Workspace
+	scratchPeak int
+	fst         forwardState
 
 	// Long-lived batch buffers (they must survive ws.Reset): trainB is
 	// refilled per training step, evalB holds the full-corpus evaluation
@@ -96,7 +101,6 @@ func New(cfg Config) (*Model, error) {
 		target: &TargetScaler{Scale: 1},
 		enc:    encoding.NewPropertyEncoder(cfg.PropertySize),
 		rng:    rng,
-		ws:     mat.NewWorkspace(),
 	}
 	m.indexParams()
 	return m, nil
@@ -109,8 +113,8 @@ func (m *Model) indexParams() {
 }
 
 // replica returns a model around m's parameter values that owns
-// everything a training pass writes: layer caches, workspace, batch
-// buffers, gradients, property table and encoder memo, and a dropout
+// everything a training pass writes: layer caches, batch buffers,
+// gradients, property table and encoder memo, and a dropout
 // generator seeded from the model seed and the shard index. It holds no
 // second copy of a weight; its scalers are whatever m's are when a
 // training run hands it to a shard.
@@ -121,7 +125,6 @@ func (m *Model) replica(shard int) *Model {
 		f:   m.f.Replica(rng), g: m.g.Replica(rng), h: m.h.Replica(rng), z: m.z.Replica(rng),
 		enc: encoding.NewPropertyEncoder(m.Cfg.PropertySize),
 		rng: rng,
-		ws:  mat.NewWorkspace(),
 	}
 	r.indexParams()
 	return r
@@ -357,9 +360,10 @@ func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
 }
 
 // forwardState carries the intermediates of one forward pass that the
-// backward pass needs. All matrices live in the model workspace and are
+// backward pass needs. All matrices live in the call's arena and are
 // recycled by the next forward call; the struct itself is embedded in
-// the Model so running a pass allocates nothing.
+// the Model so running a pass allocates nothing, and emptied when the
+// call gives its arena back.
 type forwardState struct {
 	b     *batch
 	e     *mat.Dense // B x F
@@ -381,7 +385,8 @@ func (st *forwardState) code(s int) []float64 {
 // forward runs the architecture on a batch, returning the scaled
 // runtime predictions together with every intermediate needed for the
 // backward pass. The returned state is valid until the next forward
-// call on this model.
+// call on this model, and at the latest until the call that borrowed
+// the arena returns.
 //
 // train is the pre-training mode: alpha-dropout is active, so the codes
 // of two occurrences of one property differ and the encoder runs per
@@ -392,7 +397,7 @@ func (st *forwardState) code(s int) []float64 {
 // all when the batch carries fixed codes.
 func (m *Model) forward(b *batch, train bool) *forwardState {
 	cfg := m.Cfg
-	m.ws.Reset()
+	m.newRound()
 	m.fst = forwardState{b: b, train: train}
 	st := &m.fst
 	st.e = m.f.Forward(m.ws, b.scaleFeat, train)
@@ -434,7 +439,7 @@ func (m *Model) forward(b *batch, train bool) *forwardState {
 // once and keeps the codes with the batch, for callers whose encoder
 // cannot change between forward passes.
 func (m *Model) fixCodes(b *batch) {
-	m.ws.Reset()
+	m.newRound()
 	codes := m.g.Forward(m.ws, b.props, false)
 	b.codes = mat.Resized(b.codes, codes.Rows, codes.Cols)
 	copy(b.codes.Data, codes.Data)
@@ -516,7 +521,8 @@ func (m *Model) Predict(scaleOut int, essential, optional []encoding.Property) (
 func (m *Model) PropertyCodes(props []encoding.Property) [][]float64 {
 	vecs := m.enc.EncodeAll(props)
 	in := mat.FromRows(vecs)
-	m.ws.Reset()
+	m.borrowScratch()
+	defer m.releaseScratch()
 	codes := m.g.Forward(m.ws, in, false)
 	out := make([][]float64, codes.Rows)
 	for i := range out {
@@ -532,7 +538,8 @@ func (m *Model) PropertyCodes(props []encoding.Property) [][]float64 {
 func (m *Model) ReconstructionError(props []encoding.Property) float64 {
 	vecs := m.enc.EncodeAll(props)
 	in := mat.FromRows(vecs)
-	m.ws.Reset()
+	m.borrowScratch()
+	defer m.releaseScratch()
 	codes := m.g.Forward(m.ws, in, false)
 	recon := m.h.Forward(m.ws, codes, false)
 	loss, _ := nn.MSELoss{}.Compute(m.ws, recon, in)

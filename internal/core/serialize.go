@@ -93,9 +93,9 @@ func LoadFile(path string) (*Model, error) {
 // point — the evaluation's sub-sampling cross-validation and the online
 // fine-tuning of the serving lifecycle both depend on it. The copy is
 // direct (no serialization round-trip) and deliberately shallow where
-// state is transient: the clone gets a fresh, empty workspace and empty
-// batch buffers, so cloning a model that has served large batches does
-// not duplicate its scratch arena.
+// state is transient: the clone gets empty batch buffers, and like every
+// model it owns no arena (its calls borrow one), so cloning a model that
+// has served large batches duplicates none of its scratch.
 func (m *Model) Clone() (*Model, error) {
 	c, err := New(m.Cfg)
 	if err != nil {

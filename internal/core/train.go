@@ -42,6 +42,10 @@ type TrainReport struct {
 	Shards      int
 	SplitSteps  int
 	HelperSteps int
+	// ScratchBytes is the workspace high-water of the run: the largest
+	// forward(+backward) pass, or the full-corpus evaluation, each shard
+	// ran in its arena, summed over the shards.
+	ScratchBytes int
 }
 
 // propertyCounts reports how many property values the batch's samples
@@ -75,7 +79,8 @@ func (b *batch) propertyCounts(cfg Config) (rows, distinct int) {
 // The epoch loop is allocation-free in steady state: mini-batches are
 // sliced from the shuffled index without copying samples, the
 // full-corpus evaluation batch is built once before the loop, and every
-// forward/backward intermediate comes from a shard's own workspace.
+// forward/backward intermediate comes from the arena each shard borrows
+// for the call.
 func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 	if err := validateSamples(m.Cfg, samples); err != nil {
 		return nil, err
@@ -94,6 +99,12 @@ func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 
 	run := m.pretrainRun(samples)
 	params := run.params
+	m.borrowScratch()
+	defer m.releaseScratch()
+	if run.second != nil {
+		run.second.borrowScratch()
+		defer run.second.releaseScratch()
+	}
 
 	idx := make([]int, len(samples))
 	for i := range idx {
@@ -142,6 +153,12 @@ func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 	}
 	report.BestMAE, report.BestEpoch = best.Best()
 	report.SplitSteps, report.HelperSteps = run.splitSteps, run.helperSteps
+	m.noteRound()
+	report.ScratchBytes = m.scratchPeak
+	if run.second != nil {
+		run.second.noteRound()
+		report.ScratchBytes += run.second.scratchPeak
+	}
 	report.Duration = time.Since(start)
 	m.pretrained = true
 	return report, nil

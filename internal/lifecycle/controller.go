@@ -4,7 +4,7 @@
 // scan fine-tunes a clone of the served model once a key accumulates
 // enough fresh samples (or they grow stale), then hot-swaps the result
 // into the serving registry as a new version. Serving is never blocked:
-// fine-tuning runs on clones with their own workspaces, concurrency is
+// fine-tuning runs on clones with their own weights, concurrency is
 // bounded by the shared parallel worker helper, and the swap is an
 // atomic pointer flip guarded by the registry's generation counters.
 package lifecycle

@@ -55,45 +55,54 @@ func Resized32(m *DenseF32, rows, cols int) *DenseF32 {
 	return NewDenseF32(rows, cols)
 }
 
-// WorkspaceF32 is the float32 Workspace: a shape-keyed arena of scratch
-// matrices recycled by Reset. Not safe for concurrent use; a nil
+// WorkspaceF32 is the float32 Workspace: the same bump arena over a
+// float32 slab, recycled by Reset. Not safe for concurrent use; a nil
 // workspace degrades to plain allocation.
 type WorkspaceF32 struct {
-	free map[uint64][]*DenseF32
-	used []*DenseF32
+	slab slab[float32]
+	hdrs []*DenseF32 // hdrs[:n] are the matrices handed out this round
+	n    int
 }
 
 // NewWorkspaceF32 returns an empty float32 workspace.
-func NewWorkspaceF32() *WorkspaceF32 {
-	return &WorkspaceF32{free: make(map[uint64][]*DenseF32)}
-}
+func NewWorkspaceF32() *WorkspaceF32 { return &WorkspaceF32{} }
 
 // GetRaw returns a rows x cols matrix with unspecified contents that
-// stays valid until the next Reset. In steady state it never allocates.
+// stays valid until the next Reset. A round no larger than every round
+// before it allocates nothing.
 func (w *WorkspaceF32) GetRaw(rows, cols int) *DenseF32 {
 	if w == nil {
 		return NewDenseF32(rows, cols)
 	}
-	k := shapeKey(rows, cols)
-	if list := w.free[k]; len(list) > 0 {
-		m := list[len(list)-1]
-		w.free[k] = list[:len(list)-1]
-		w.used = append(w.used, m)
-		return m
+	if rows < 0 || cols < 0 {
+		panic("mat: negative dimension")
 	}
-	m := NewDenseF32(rows, cols)
-	w.used = append(w.used, m)
+	if w.n == len(w.hdrs) {
+		w.hdrs = append(w.hdrs, new(DenseF32))
+	}
+	m := w.hdrs[w.n]
+	w.n++
+	m.Rows, m.Cols, m.Data = rows, cols, w.slab.carve(rows*cols)
 	return m
 }
 
-// Reset recycles every matrix handed out since the previous Reset.
+// Reset takes back every matrix handed out since the previous Reset.
 func (w *WorkspaceF32) Reset() {
 	if w == nil {
 		return
 	}
-	for i, m := range w.used {
-		w.free[shapeKey(m.Rows, m.Cols)] = append(w.free[shapeKey(m.Rows, m.Cols)], m)
-		w.used[i] = nil
+	for _, m := range w.hdrs[:w.n] {
+		m.Data = nil
 	}
-	w.used = w.used[:0]
+	w.n = 0
+	w.slab.reset()
+}
+
+// Bytes reports the element storage the workspace holds: its slab plus
+// the overflow chunk a round has open.
+func (w *WorkspaceF32) Bytes() int {
+	if w == nil {
+		return 0
+	}
+	return 4 * w.slab.held()
 }

@@ -140,26 +140,6 @@ func TestWorkspaceReusesBuffersByShape(t *testing.T) {
 	}
 }
 
-func TestWorkspaceSteadyStateStopsGrowing(t *testing.T) {
-	w := NewWorkspace()
-	step := func() {
-		w.Reset()
-		_ = w.Get(8, 3)
-		_ = w.Get(8, 3)
-		_ = w.Get(16, 5)
-		_ = w.Get(1, 1)
-	}
-	step()
-	step()
-	n := w.NumBuffers()
-	for i := 0; i < 50; i++ {
-		step()
-	}
-	if got := w.NumBuffers(); got != n {
-		t.Fatalf("workspace kept growing: %d -> %d buffers", n, got)
-	}
-}
-
 func TestNilWorkspaceAllocates(t *testing.T) {
 	var w *Workspace
 	m := w.Get(2, 3)

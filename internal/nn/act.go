@@ -392,9 +392,11 @@ type AlphaDropout struct {
 	Rng *rand.Rand
 
 	// slope is d out/d in per unit of the last training-mode Forward:
-	// the affine scale for a kept unit, 0 for a dropped one. nil after
-	// an identity pass.
-	slope []float64
+	// the affine scale for a kept unit, 0 for a dropped one. The buffer
+	// outlives identity passes, which only clear dropping, so an eval
+	// pass between two training steps costs the next step nothing.
+	slope    []float64
+	dropping bool // the last Forward dropped units
 }
 
 // NewAlphaDropout builds an alpha-dropout layer with drop probability p.
@@ -413,8 +415,8 @@ const alphaPrime = -SELULambda * SELUAlpha
 // 2⁻¹⁶), and the keep/drop choice is arithmetic, not a branch: a drop
 // rate of 10 % is a mispredicted branch every tenth unit.
 func (l *AlphaDropout) Forward(ws *mat.Workspace, x *mat.Dense, train bool) *mat.Dense {
-	if !train || l.P <= 0 {
-		l.slope = nil
+	l.dropping = train && l.P > 0
+	if !l.dropping {
 		return x
 	}
 	q := 1 - l.P
@@ -442,7 +444,7 @@ func (l *AlphaDropout) Forward(ws *mat.Workspace, x *mat.Dense, train bool) *mat
 
 // Backward implements Layer.
 func (l *AlphaDropout) Backward(ws *mat.Workspace, grad *mat.Dense) *mat.Dense {
-	if l.slope == nil {
+	if !l.dropping {
 		return grad
 	}
 	out := ws.GetRaw(grad.Rows, grad.Cols)

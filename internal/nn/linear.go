@@ -303,6 +303,24 @@ func (m *MLP) BackwardRows(ws *mat.Workspace, grad *mat.Dense) {
 	m.backwardFirst(ws, gu)
 }
 
+// DropCaches forgets what the last pass cached for its backward pass —
+// every one of those matrices belongs to the workspace the pass ran on —
+// so a network kept between calls holds no reference into a workspace it
+// has given back.
+func (m *MLP) DropCaches() {
+	for _, l := range m.Layers {
+		switch l := l.(type) {
+		case *Linear:
+			l.input = nil
+		case *LinearAct:
+			l.input, l.cache = nil, nil
+		case *ActLayer:
+			l.input = nil
+		}
+	}
+	m.rows = nil
+}
+
 // Replica returns a network that computes with m's parameter values —
 // every Param of the replica shares the Value matrix of its original —
 // but owns everything a pass writes: gradients, layer caches and, from

@@ -471,6 +471,31 @@ func TestAlphaDropoutEvalIsIdentity(t *testing.T) {
 	}
 }
 
+// TestAlphaDropoutEvalBetweenSteps: an eval pass after a training pass
+// is the identity both ways — the masks of the training pass do not leak
+// into its backward pass — and keeps the mask buffer, so alternating
+// training and eval passes allocate nothing.
+func TestAlphaDropoutEvalBetweenSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	d := NewAlphaDropout(0.5, rng)
+	x := randDense(rng, 4, 4)
+	d.Forward(ws, x, true)
+	if y := d.Forward(ws, x, false); y != x {
+		t.Fatal("eval-mode dropout after a training pass is not identity")
+	}
+	g := randDense(rng, 4, 4)
+	if back := d.Backward(ws, g); back != g {
+		t.Fatal("the backward pass of an eval pass applied a training mask")
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		ws.Reset()
+		d.Forward(ws, x, true)
+		d.Forward(ws, x, false)
+	}); allocs != 0 {
+		t.Fatalf("training + eval pass allocs/op = %v, want 0", allocs)
+	}
+}
+
 func TestAlphaDropoutPreservesMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	d := NewAlphaDropout(0.1, rng)

@@ -42,12 +42,12 @@ type Loader func(key ModelKey) (*core.Model, error)
 type VersionedLoader func(key ModelKey) (*core.Model, uint64, error)
 
 // Model wraps a core.Model with the mutex that makes it safe to serve:
-// forward passes cache per-layer state and share the model-owned
-// compute workspace, so concurrent inference on the same underlying
-// model must be serialized. The workspace is what makes warm inference
-// allocation-free: each resident model keeps its own arena of scratch
-// matrices, so the batch workers fanning across models never contend
-// for buffers and never allocate in steady state.
+// forward passes cache per-layer state and fill model-owned batch
+// buffers, so concurrent inference on the same underlying model must be
+// serialized. A resident model holds no scratch arena: each call borrows
+// one from core's process-wide free list (GOMAXPROCS+1 idle at most),
+// so the batch workers fanning across models never contend for buffers
+// and never allocate in steady state.
 type Model struct {
 	mu sync.Mutex
 	m  *core.Model
@@ -120,8 +120,8 @@ func (sm *Model) PredictBatch(qs []core.Query) ([]float64, error) {
 }
 
 // PredictBatchInto runs one forward pass over all queries, writing the
-// predictions into dst. Under the model lock the pass reuses the model
-// workspace, so a warm call allocates nothing.
+// predictions into dst. Under the model lock the pass reuses the model's
+// batch buffers and a borrowed arena, so a warm call allocates nothing.
 func (sm *Model) PredictBatchInto(dst []float64, qs []core.Query) (err error) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
@@ -162,8 +162,8 @@ func (sm *Model) FinetuneSamples() int {
 
 // CloneCore deep-copies the underlying model under the serving lock, so
 // online fine-tuning can adapt a private copy while this model keeps
-// serving. The clone gets its own (empty) workspace; only weights and
-// scalers are copied.
+// serving. Only weights and scalers are copied; the clone's calls borrow
+// their arenas like every model's.
 func (sm *Model) CloneCore() (*core.Model, error) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()

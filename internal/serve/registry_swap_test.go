@@ -283,7 +283,7 @@ func TestWarmPredictZeroAllocAfterSwap(t *testing.T) {
 	svc.InvalidateResults(key)
 
 	// Prime: one miss against the new version warms the result cache
-	// and the new model's workspace.
+	// and the new model's batch buffers.
 	if r := svc.Predict(context.Background(), key, q); r.Err != nil || r.Cached {
 		t.Fatalf("priming Predict = %+v, want uncached success", r)
 	}
@@ -301,7 +301,7 @@ func TestWarmPredictZeroAllocAfterSwap(t *testing.T) {
 
 	// The model-level warm path stays allocation-free on the swapped
 	// version too: repeated batched inference through the registry
-	// model reuses its workspace.
+	// model reuses its batch buffers and a pooled arena.
 	sm, err := svc.Registry().Get(context.Background(), key)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
