@@ -257,6 +257,15 @@ func runServe(args []string) error {
 		}
 		front = cluster
 	}
+	registry.RegisterGaugeFunc("bellamy_request_scratch_bytes",
+		"Bytes held by the request scratch idle on the serving tier's free lists.", nil,
+		func() float64 {
+			b := serve.IdleRequestScratchBytes() + tracer.IdleBytes()
+			if c, ok := front.(*shard.Cluster); ok {
+				b += c.IdleFanoutBytes()
+			}
+			return float64(b)
+		})
 	handler := front.Handler()
 
 	if *pprofOn {

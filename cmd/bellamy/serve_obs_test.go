@@ -130,10 +130,12 @@ func TestServeObservabilitySmoke(t *testing.T) {
 			t.Fatalf("/metrics missing %q:\n%s", want, raw)
 		}
 	}
-	// The predict gave its float32 arena back to the process's free list.
-	const scratch = `bellamy_scratch_bytes{precision="f32"} `
-	if i := strings.Index(string(raw), scratch); i < 0 || strings.HasPrefix(string(raw[i+len(scratch):]), "0\n") {
-		t.Fatalf("/metrics has no idle f32 arena bytes after a computed predict:\n%s", raw)
+	// The predict gave its float32 arena and its request scratch back to
+	// their free lists.
+	for _, gauge := range []string{`bellamy_scratch_bytes{precision="f32"} `, "bellamy_request_scratch_bytes "} {
+		if i := strings.Index(string(raw), gauge); i < 0 || strings.HasPrefix(string(raw[i+len(gauge):]), "0\n") {
+			t.Fatalf("/metrics has no %s> 0 after a computed predict:\n%s", gauge, raw)
+		}
 	}
 
 	// pprof is mounted behind -pprof on the same listener.

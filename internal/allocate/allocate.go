@@ -18,6 +18,7 @@ package allocate
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -138,7 +139,8 @@ type Result struct {
 // Engine runs allocation sweeps. It owns reusable query, prediction and
 // smoothing buffers, so a warm sweep (candidate count already seen)
 // against a warm model allocates nothing. An Engine is not safe for
-// concurrent use; the serving layer pools engines per request.
+// concurrent use; the serving layer lends one to each request from a
+// free list.
 type Engine struct {
 	queries []core.Query
 	preds   []float64
@@ -152,6 +154,17 @@ type Engine struct {
 
 // NewEngine returns an empty engine; buffers grow on first use.
 func NewEngine() *Engine { return &Engine{interp: baselines.NewInterpolator()} }
+
+// Reset readies the engine for its next user. It has nothing to drop:
+// AllocateInto clears the queries that referenced a request's properties
+// before it returns.
+func (e *Engine) Reset() {}
+
+// Bytes reports the memory the engine's buffers hold.
+func (e *Engine) Bytes() int {
+	return cap(e.queries)*int(unsafe.Sizeof(core.Query{})) +
+		8*(cap(e.preds)+cap(e.blockMean)+cap(e.blockLen)) + e.interp.Bytes()
+}
 
 // Allocate is the allocating convenience form of AllocateInto.
 func (e *Engine) Allocate(p Predictor, req Request) (*Result, error) {

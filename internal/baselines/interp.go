@@ -17,6 +17,9 @@ type Interpolator struct {
 // NewInterpolator returns an unfitted interpolation model.
 func NewInterpolator() *Interpolator { return &Interpolator{} }
 
+// Bytes reports the memory the fitted knots hold.
+func (ip *Interpolator) Bytes() int { return 8 * (cap(ip.xs) + cap(ip.ys)) }
+
 // Fit implements Predictor.
 func (ip *Interpolator) Fit(points []Point) error {
 	if len(points) == 0 {

@@ -193,8 +193,8 @@ func (im *InferModel) PredictBatchInto(dst []float64, queries []Query) error {
 	}
 
 	// The f64 forward pass of Model.forward, minus training branches.
-	ws := arenas32.get()
-	defer arenas32.put(ws)
+	ws := arenas32.Get()
+	defer arenas32.Put(ws)
 	e := im.f.Forward(ws, im.scaleFeat)
 	codes := im.g.Forward(ws, im.propVecs)
 	r := ws.GetRaw(bSize, cfg.CombinedDim())

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"strconv"
 	"testing"
@@ -239,5 +240,70 @@ func TestModelSharesRowsWhateverItHasSeen(t *testing.T) {
 	}
 	if len(m.rows.vals) != 0 {
 		t.Fatalf("the table still holds %d values after the call", len(m.rows.vals))
+	}
+}
+
+// TestPredictionIgnoresPropertyNames: a model reads a query's scale-out
+// and its property values by position, never their names. Renaming every
+// property — to empty names, to each other's, to random ones — leaves
+// Predict and PredictBatchInto of the float64 model and of its float32
+// form bit-identical. The serving tier keys its result cache on this
+// (serve.appendFingerprint leaves names out): if a model ever starts
+// reading names, this test fails, and the cache key must take them back.
+func TestPredictionIgnoresPropertyNames(t *testing.T) {
+	m, im, queries := quantTestModel(t)
+	rng := rand.New(rand.NewSource(1))
+	renames := []struct {
+		name   string
+		rename func(ps []encoding.Property, i int) string
+	}{
+		{"empty", func([]encoding.Property, int) string { return "" }},
+		{"swapped", func(ps []encoding.Property, i int) string { return ps[len(ps)-1-i].Name }},
+		{"random", func([]encoding.Property, int) string { return strconv.FormatUint(rng.Uint64(), 36) }},
+	}
+	models := []struct {
+		name    string
+		predict func(q Query) (float64, error)
+		batch   func(dst []float64, qs []Query) error
+	}{
+		{"Model", func(q Query) (float64, error) { return m.Predict(q.ScaleOut, q.Essential, q.Optional) }, m.PredictBatchInto},
+		{"InferModel", func(q Query) (float64, error) { return im.Predict(q.ScaleOut, q.Essential, q.Optional) }, im.PredictBatchInto},
+	}
+	for _, r := range renames {
+		renamed := make([]Query, len(queries))
+		for i, q := range queries {
+			renamed[i] = Query{ScaleOut: q.ScaleOut, Essential: slices.Clone(q.Essential), Optional: slices.Clone(q.Optional)}
+			for _, ps := range [][]encoding.Property{renamed[i].Essential, renamed[i].Optional} {
+				orig := slices.Clone(ps)
+				for k := range ps {
+					ps[k].Name = r.rename(orig, k)
+				}
+			}
+		}
+		for _, md := range models {
+			want, got := make([]float64, len(queries)), make([]float64, len(queries))
+			if err := md.batch(want, queries); err != nil {
+				t.Fatal(err)
+			}
+			if err := md.batch(got, renamed); err != nil {
+				t.Fatal(err)
+			}
+			for i := range queries {
+				// A single prediction may differ from a batch in the last
+				// bit; it must not differ from itself.
+				wantOne, err := md.predict(queries[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				one, err := md.predict(renamed[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(one) != math.Float64bits(wantOne) {
+					t.Fatalf("%s, %s names: query %d predicts %v in a batch and %v alone, %v and %v as named",
+						md.name, r.name, i, got[i], one, want[i], wantOne)
+				}
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/encoding"
+	"repro/internal/freelist"
 	"repro/internal/mat"
 )
 
@@ -19,15 +20,32 @@ const (
 	sentinel32 = 0x7fc0_de32
 )
 
+// idle takes every arena idle on l, most recently returned first; give
+// them back with putBack.
+func idle[W freelist.Item](l *freelist.List[W]) []W {
+	ws := make([]W, l.Len())
+	for i := range ws {
+		ws[i] = l.Get()
+	}
+	return ws
+}
+
+// putBack returns arenas taken by idle in their old order.
+func putBack[W freelist.Item](l *freelist.List[W], ws []W) {
+	for i := len(ws) - 1; i >= 0; i-- {
+		l.Put(ws[i])
+	}
+}
+
 // markIdleArenas fills the storage of every idle arena with the
 // sentinel, through matrices that point every float64 header into it (a
-// float32 header has no model-side cache to be held by). It returns the
-// headers' addresses and how many bytes it marked; resetIdleArenas
-// undoes it.
+// float32 header has no model-side cache to be held by), and puts the
+// arenas back rewound, their storage still marked. It returns the
+// headers' addresses and how many bytes it marked.
 func markIdleArenas() (headers map[uintptr]bool, marked64, marked32 int) {
 	headers = map[uintptr]bool{}
-	arenas64.mu.Lock()
-	for _, w := range arenas64.idle {
+	ws64 := idle(arenas64)
+	for _, w := range ws64 {
 		n, k := w.Bytes()/8, w.NumBuffers()
 		for i := 0; i < k; i++ {
 			size := n / k
@@ -42,30 +60,17 @@ func markIdleArenas() (headers map[uintptr]bool, marked64, marked32 int) {
 			marked64 += 8 * size
 		}
 	}
-	arenas64.mu.Unlock()
-	arenas32.mu.Lock()
-	for _, w := range arenas32.idle {
+	putBack(arenas64, ws64)
+	ws32 := idle(arenas32)
+	for _, w := range ws32 {
 		m := w.GetRaw(w.Bytes()/4, 1)
 		for j := range m.Data {
 			m.Data[j] = math.Float32frombits(sentinel32)
 		}
 		marked32 += 4 * len(m.Data)
 	}
-	arenas32.mu.Unlock()
+	putBack(arenas32, ws32)
 	return headers, marked64, marked32
-}
-
-func resetIdleArenas() {
-	arenas64.mu.Lock()
-	for _, w := range arenas64.idle {
-		w.Reset()
-	}
-	arenas64.mu.Unlock()
-	arenas32.mu.Lock()
-	for _, w := range arenas32.idle {
-		w.Reset()
-	}
-	arenas32.mu.Unlock()
 }
 
 // scratchWalk visits everything reachable from a model and reports the
@@ -209,7 +214,6 @@ func TestModelsHoldNoScratch(t *testing.T) {
 	}
 
 	headers, marked64, marked32 := markIdleArenas()
-	defer resetIdleArenas()
 	if marked64 == 0 || marked32 == 0 {
 		t.Fatalf("marked %d bytes of idle float64 arenas and %d of float32: the calls gave nothing back", marked64, marked32)
 	}
@@ -315,36 +319,34 @@ func TestCloneFinetuneAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestArenaFreeListIsBoundedLIFO: the free list hands back the arena
-// returned last, keeps at most GOMAXPROCS+1 idle and drops the rest, and
-// its byte count is what the kept ones hold.
+// TestArenaFreeListIsBoundedLIFO: the arena lists hand back the arena
+// returned last, keep at most GOMAXPROCS+1 idle and drop the rest —
+// however large, as they have no byte bound — and their byte count is
+// what the kept ones hold.
 func TestArenaFreeListIsBoundedLIFO(t *testing.T) {
-	l := newFreeList(mat.NewWorkspace)
-	bound := cap(l.idle)
-	if bound != runtime.GOMAXPROCS(0)+1 {
-		t.Fatalf("the list keeps %d idle arenas at GOMAXPROCS=%d", bound, runtime.GOMAXPROCS(0))
-	}
+	l := freelist.New(mat.NewWorkspace, 0)
+	bound := runtime.GOMAXPROCS(0) + 1
 	ws := make([]*mat.Workspace, bound+2)
 	for i := range ws {
-		ws[i] = l.get()
-		ws[i].Get(i+1, 8)
+		ws[i] = l.Get()
+		ws[i].Get(512*(i+1), 8) // 32 KiB and up: no byte bound drops them
 	}
 	kept := 0
 	for i, w := range ws {
-		l.put(w)
+		l.Put(w)
 		if i < bound {
 			kept += w.Bytes()
 		}
 	}
-	if len(l.idle) != bound || l.bytes.Load() != int64(kept) {
-		t.Fatalf("%d idle arenas of %d bytes, want %d of %d", len(l.idle), l.bytes.Load(), bound, kept)
+	if l.Len() != bound || l.IdleBytes() != kept {
+		t.Fatalf("%d idle arenas of %d bytes, want %d of %d", l.Len(), l.IdleBytes(), bound, kept)
 	}
 	for i := bound - 1; i >= 0; i-- {
-		if w := l.get(); w != ws[i] {
+		if w := l.Get(); w != ws[i] {
 			t.Fatalf("get %d returned another arena than the one put %d-th", bound-1-i, i)
 		}
 	}
-	if l.bytes.Load() != 0 || slices.Contains(ws, l.get()) {
+	if l.IdleBytes() != 0 || slices.Contains(ws, l.Get()) {
 		t.Fatal("an empty list handed out a dropped arena or still counts bytes")
 	}
 }
@@ -358,10 +360,9 @@ func TestPretrainReportsScratchHighWater(t *testing.T) {
 		if m == nil {
 			t.FailNow()
 		}
-		arenas64.mu.Lock()
-		defer arenas64.mu.Unlock()
-		n := len(arenas64.idle)
-		if held := arenas64.idle[n-1].Bytes() + arenas64.idle[n-2].Bytes(); rep.ScratchBytes <= 0 || rep.ScratchBytes > held {
+		ws := idle(arenas64)
+		defer putBack(arenas64, ws)
+		if held := ws[0].Bytes() + ws[1].Bytes(); rep.ScratchBytes <= 0 || rep.ScratchBytes > held {
 			t.Fatalf("ScratchBytes = %d; the run's two arenas hold %d", rep.ScratchBytes, held)
 		}
 		return rep.ScratchBytes

@@ -6,6 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
+
+	"repro/internal/freelist"
 )
 
 // Pipeline stage names. Handlers record spans under these so traces
@@ -56,6 +59,13 @@ type Trace struct {
 	next  atomic.Int32
 	spans [maxSpans]Span
 }
+
+// Reset empties the trace of its spans; a tracer does it before it
+// keeps a finished trace for the next request.
+func (t *Trace) Reset() { t.next.Store(0) }
+
+// Bytes reports the memory a trace holds: its fixed-size arrays.
+func (t *Trace) Bytes() int { return int(unsafe.Sizeof(*t)) }
 
 // ID returns the trace ID, or "" for a nil trace. The string
 // materialization allocates; call it only off the hot path (header
@@ -109,7 +119,7 @@ func (t *Trace) Spans() []Span {
 }
 
 // TraceRecord is a completed trace snapshot held by the slow ring.
-// Value-copied on insert so the ring owns no pointers into pooled
+// Value-copied on insert so the ring owns no pointers into reused
 // Trace objects.
 type TraceRecord struct {
 	id     [maxTraceID]byte
@@ -195,8 +205,8 @@ func (s *slowRing) snapshot() []TraceRecord {
 	return out
 }
 
-// Tracer samples requests, pools Trace objects, and retains the
-// slowest completed traces.
+// Tracer samples requests, reuses Trace objects through a free list,
+// and retains the slowest completed traces.
 type Tracer struct {
 	sampleEvery uint64
 	// sampleMask is sampleEvery-1 when sampleEvery is a power of two,
@@ -205,7 +215,7 @@ type Tracer struct {
 	sampleMask uint64
 	sampled    Counter
 	kept       Counter
-	pool       sync.Pool
+	traces     *freelist.List[*Trace]
 	slow       *slowRing
 }
 
@@ -228,11 +238,14 @@ func NewTracer(opts TracerOptions) *Tracer {
 	if opts.SlowN <= 0 {
 		opts.SlowN = 32
 	}
-	tr := &Tracer{sampleEvery: uint64(opts.SampleEvery), slow: newSlowRing(opts.SlowN)}
+	tr := &Tracer{
+		sampleEvery: uint64(opts.SampleEvery),
+		traces:      freelist.New(func() *Trace { return new(Trace) }, 0),
+		slow:        newSlowRing(opts.SlowN),
+	}
 	if n := tr.sampleEvery; n&(n-1) == 0 {
 		tr.sampleMask = n - 1
 	}
-	tr.pool.New = func() any { return new(Trace) }
 	return tr
 }
 
@@ -258,8 +271,7 @@ func (t *Tracer) StartRequest(headerID string) *Trace {
 		}
 	}
 	t.sampled.Inc()
-	tr := t.pool.Get().(*Trace)
-	tr.next.Store(0)
+	tr := t.traces.Get()
 	tr.start = time.Now()
 	if headerID != "" {
 		tr.idLen = copy(tr.id[:], headerID)
@@ -276,8 +288,8 @@ func (t *Tracer) StartRequest(headerID string) *Trace {
 }
 
 // Finish completes the trace: offers it to the slow ring and returns
-// it to the pool. The trace must not be used after Finish. No-op when
-// either receiver or trace is nil.
+// it to the free list. The trace must not be used after Finish. No-op
+// when either receiver or trace is nil.
 func (t *Tracer) Finish(tr *Trace) {
 	if t == nil || tr == nil {
 		return
@@ -286,7 +298,7 @@ func (t *Tracer) Finish(tr *Trace) {
 	wall := now.Sub(tr.start)
 	t.slow.offer(tr, wall, now)
 	t.kept.Inc()
-	t.pool.Put(tr)
+	t.traces.Put(tr)
 }
 
 // Slowest returns the retained slowest traces, slowest first.
@@ -295,6 +307,14 @@ func (t *Tracer) Slowest() []TraceRecord {
 		return nil
 	}
 	return t.slow.snapshot()
+}
+
+// IdleBytes reports the memory of the traces idle on the free list.
+func (t *Tracer) IdleBytes() int {
+	if t == nil {
+		return 0
+	}
+	return t.traces.IdleBytes()
 }
 
 // Stats reports tracer counters: traces started and traces completed.

@@ -168,11 +168,8 @@ func TestSlowRingKeepsSlowest(t *testing.T) {
 }
 
 func TestStartFinishZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
 	tc := NewTracer(TracerOptions{SampleEvery: 1})
-	// Warm the pool.
+	// Warm the free list.
 	tc.Finish(tc.StartRequest(""))
 	allocs := testing.AllocsPerRun(200, func() {
 		tr := tc.StartRequest("")
@@ -195,7 +192,7 @@ func BenchmarkTracerUnsampled(b *testing.B) {
 	}
 }
 
-// BenchmarkTracerSampled measures the full traced round trip: pooled
+// BenchmarkTracerSampled measures the full traced round trip: reused
 // trace checkout, ID generation, and the slow-ring offer on finish.
 func BenchmarkTracerSampled(b *testing.B) {
 	t := NewTracer(TracerOptions{SampleEvery: 1})

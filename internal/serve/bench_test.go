@@ -26,8 +26,8 @@ func benchRequests(n int) []Request {
 
 // TestWarmPredictZeroAlloc pins the warm hit path of the serve cache:
 // once a (model, query) result is memoized, answering it again builds
-// its fingerprint in a pooled buffer and resolves it with an
-// allocation-free map index — zero allocations per hit.
+// its fingerprint in a stack buffer and resolves it with an
+// allocation-free table probe — zero allocations per hit.
 func TestWarmPredictZeroAlloc(t *testing.T) {
 	cl := &countingLoader{t: t}
 	svc := NewService(cl.load, Options{})

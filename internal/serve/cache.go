@@ -11,7 +11,7 @@ import (
 
 // resultCache memoizes prediction results under a bounded, exact LRU
 // policy. Keys are canonical fingerprints of (model key, scale-out,
-// properties); values are predicted runtimes in seconds.
+// property values); values are predicted runtimes in seconds.
 //
 // It is a flat table. The entries sit in one slice, linked into LRU
 // order by int32 positions, each owning the bytes of its key; an
@@ -273,24 +273,16 @@ func (c *resultCache) bytes() int {
 	return 4*len(c.index) + entryBytes*cap(c.entries) + c.keyBytes
 }
 
-// fpPool recycles fingerprint build buffers so the serve hot path
-// never allocates for key construction. Buffers are pooled by pointer
-// to avoid the interface-boxing allocation of putting slices in a
-// sync.Pool directly.
-var fpPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 256)
-	return &b
-}}
-
 // appendFingerprint appends the canonical cache key of a request to
-// dst and returns the extended slice. Every field is length-prefixed
-// so untrusted property names and values containing delimiter
-// characters cannot collide with a different request. Property order
-// is significant — essential properties are positional in the model
-// input, and callers are expected to send optional properties in a
-// stable order.
+// dst and returns the extended slice. The key is what the model reads:
+// the model key, the scale-out, and each property value by position,
+// tagged essential or optional. Property names are not in it — the
+// model never reads them (TestPredictionIgnoresPropertyNames), so two
+// queries that differ only in names are one prediction. Every string is
+// length-prefixed so untrusted values containing delimiter characters
+// cannot collide with a different request.
 //
-// Built into a pooled buffer (a batch: into its scratch), a fingerprint
+// Built into a stack buffer (a batch: into its scratch), a fingerprint
 // never becomes a string: a warm cache hit performs zero allocations
 // (pinned by TestWarmPredictZeroAlloc), and a miss hands the same bytes
 // and their one hash to the cache, which copies them into the entry's
@@ -300,16 +292,18 @@ func appendFingerprint(dst []byte, key ModelKey, q core.Query) []byte {
 	dst = strconv.AppendInt(dst, int64(q.ScaleOut), 10)
 	for _, p := range q.Essential {
 		dst = append(dst, 'e')
-		dst = appendField(dst, p.Name)
 		dst = appendField(dst, p.Value)
 	}
 	for _, p := range q.Optional {
 		dst = append(dst, 'o')
-		dst = appendField(dst, p.Name)
 		dst = appendField(dst, p.Value)
 	}
 	return dst
 }
+
+// fpBufLen sizes the stack buffer a single prediction builds its
+// fingerprint in; a longer one moves to the heap.
+const fpBufLen = 256
 
 // appendKeyPrefix appends the model-key fields of a fingerprint — the
 // prefix shared by every memoized result of that model, which is what

@@ -8,6 +8,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
 )
 
 // refCache is the reference the flat resultCache is checked against: a
@@ -235,7 +238,9 @@ func TestResultCacheComparesKeys(t *testing.T) {
 // TestResultCacheFootprint pins the layout's cost: a full default-sized
 // cache of 190-byte keys holds at most 64 bytes per entry beyond the key
 // bytes, bytes() accounts for what the heap shows, and at capacity a put
-// whose key fits the evicted entry's storage allocates nothing.
+// whose key fits the evicted entry's storage allocates nothing. At the
+// benchmark's query shape an entry, key included, holds at most
+// maxBenchEntry bytes.
 func TestResultCacheFootprint(t *testing.T) {
 	if got := reflect.TypeOf(cacheEntry{}).Size(); got != entryBytes {
 		t.Fatalf("cacheEntry is %d bytes, entryBytes says %d", got, entryBytes)
@@ -278,4 +283,26 @@ func TestResultCacheFootprint(t *testing.T) {
 		t.Fatalf("len = %d after evicting puts, want %d", c.len(), n)
 	}
 	runtime.KeepAlive(c)
+
+	// serve-cold's queries: the eight served (job, env) keys, each with a
+	// C3O context of its job, a never-repeated dataset size and a
+	// scale-out of 2 to 12.
+	const maxBenchEntry = 160
+	ds := dataset.GenerateC3O(dataset.SimConfig{Seed: 1})
+	bench := newResultCache(n)
+	var fp []byte
+	for g := 0; g < n; g++ {
+		job := []string{"grep", "pagerank", "sgd", "sort"}[g/2%4]
+		env := []string{"c3o", "bell"}[g%2]
+		ctx := *ds.Contexts(job)[0]
+		ctx.DatasetSizeMB = 2000 + g
+		q := core.Query{ScaleOut: 2 + g%11, Essential: ctx.EssentialProps(), Optional: ctx.OptionalProps()}
+		fp = appendFingerprint(fp[:0], ModelKey{Job: job, Env: env}, q)
+		bench.store(hashFingerprint(fp), fp, 1, 0)
+	}
+	perEntry := float64(bench.bytes()) / n
+	t.Logf("benchmark-shaped entries: %.1f B each, key included (last key %d B: %q)", perEntry, len(fp), fp)
+	if perEntry > maxBenchEntry {
+		t.Fatalf("a benchmark-shaped entry holds %.1f B, ceiling %d", perEntry, maxBenchEntry)
+	}
 }

@@ -369,8 +369,8 @@ func statusOf(code string) int {
 
 // ToRequest converts the wire form of a prediction request into the
 // service's native form, validating required fields. The request owns
-// its property slices; the predict routes convert into a pooled
-// requestScratch instead.
+// its property slices; the predict routes convert into a requestScratch
+// from a free list instead.
 func ToRequest(in api.PredictRequest) (Request, error) {
 	var sc requestScratch
 	return sc.convert(&in)

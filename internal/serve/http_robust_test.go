@@ -382,9 +382,6 @@ func TestHTTPStatsIncludesLoadCtl(t *testing.T) {
 // exact per-request sequence the HTTP handler runs before JSON
 // encoding.
 func TestWarmPredictZeroAllocWithLoadControl(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector, so the pooled fingerprint path allocates there by design")
-	}
 	cl := &countingLoader{t: t}
 	svc := NewService(cl.load, Options{})
 	lim := loadctl.NewLimiter(loadctl.LimiterConfig{Rate: 1e9, Burst: 1e9})

@@ -5,17 +5,18 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"sync"
+	"unsafe"
 
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/encoding"
+	"repro/internal/freelist"
 )
 
 // requestScratch is the working memory of one POST request: the body
 // buffer and, for the two predict routes, the decoded DTOs, the
-// converted requests and the batch staging. It comes from a pool and
-// goes back once the response is written, so a steady stream of
+// converted requests and the batch staging. It comes from a free list
+// and goes back once the response is written, so a steady stream of
 // requests reuses one set of buffers instead of allocating a body, a
 // DTO tree and a slice pair per item each time.
 //
@@ -41,37 +42,37 @@ type requestScratch struct {
 	answers []Response
 }
 
-// Bounds on what goes back to the pool: a scratch that grew for one
-// giant body or batch is dropped instead of pinning that memory.
-const (
-	maxPooledBody  = 1 << 20
-	maxPooledItems = 1024
-)
+// maxIdleRequestScratch is the most a request scratch may hold and still
+// go back to its list: one that grew for a giant body or batch is
+// dropped instead of pinning that memory. A 1024-item batch of the
+// benchmark's shape holds about 1.5 MB.
+const maxIdleRequestScratch = 2 << 20
 
-var scratchPool = sync.Pool{New: func() any {
+var requestScratches = freelist.New(func() *requestScratch {
 	// Never nil, so an empty batch is answered "responses":[].
 	return &requestScratch{responses: []api.PredictResponse{}}
-}}
+}, maxIdleRequestScratch)
 
-// acquireRequestScratch takes a scratch from the pool; the caller owes
-// it one release, after the response is written.
-func acquireRequestScratch() *requestScratch { return scratchPool.Get().(*requestScratch) }
-
-// release returns the scratch to the pool, unless it grew past the
-// bounds above.
-func (sc *requestScratch) release() {
-	if cap(sc.body) > maxPooledBody || cap(sc.batch.Requests) > maxPooledItems {
-		return
-	}
-	sc.reset()
-	scratchPool.Put(sc)
+// IdleRequestScratchBytes reports what the scratch idle on the serving
+// tier's free lists of this package holds: request and batch scratch
+// and allocation engines.
+func IdleRequestScratchBytes() int {
+	return requestScratches.IdleBytes() + batchScratches.IdleBytes() + engines.IdleBytes()
 }
 
-// reset empties the flat staging, zeroing it so pooled memory pins
+// acquireRequestScratch takes a scratch from the list; the caller owes
+// it one release, after the response is written.
+func acquireRequestScratch() *requestScratch { return requestScratches.Get() }
+
+// release returns the scratch to the list, which drops it if it holds
+// more than maxIdleRequestScratch.
+func (sc *requestScratch) release() { requestScratches.Put(sc) }
+
+// Reset empties the flat staging, zeroing it so idle memory pins
 // neither the previous request's strings nor its error values. The DTOs
 // keep theirs on purpose: the next decode reuses the ones that repeat
 // and overwrites the rest.
-func (sc *requestScratch) reset() {
+func (sc *requestScratch) Reset() {
 	clear(sc.props)
 	sc.props = sc.props[:0]
 	clear(sc.live)
@@ -83,16 +84,47 @@ func (sc *requestScratch) reset() {
 	sc.answers = sc.answers[:0]
 }
 
+// Bytes reports what the scratch holds: every buffer by capacity, and
+// the DTOs with the strings they keep, to the end of every slice.
+func (sc *requestScratch) Bytes() int {
+	n := cap(sc.body) + dtoBytes(&sc.one) +
+		cap(sc.props)*int(unsafe.Sizeof(encoding.Property{})) +
+		cap(sc.live)*int(unsafe.Sizeof(Request{})) +
+		cap(sc.liveIdx)*int(unsafe.Sizeof(int(0))) +
+		cap(sc.responses)*int(unsafe.Sizeof(api.PredictResponse{})) +
+		cap(sc.answers)*int(unsafe.Sizeof(Response{}))
+	reqs := sc.batch.Requests[:cap(sc.batch.Requests)]
+	n += len(reqs) * int(unsafe.Sizeof(api.PredictRequest{}))
+	for i := range reqs {
+		n += dtoBytes(&reqs[i])
+	}
+	return n
+}
+
+// dtoBytes reports what a decoded request keeps beyond its own struct:
+// its strings and its property slices with theirs.
+func dtoBytes(r *api.PredictRequest) int {
+	n := len(r.Job) + len(r.Env)
+	for _, ps := range [2][]api.Property{r.Essential, r.Optional} {
+		ps = ps[:cap(ps)]
+		n += len(ps) * int(unsafe.Sizeof(api.Property{}))
+		for _, p := range ps {
+			n += len(p.Name) + len(p.Value)
+		}
+	}
+	return n
+}
+
 // readBody reads the request body, bounded by MaxBodyBytes, into the
 // scratch.
 func (sc *requestScratch) readBody(w http.ResponseWriter, r *http.Request) error {
 	// One spare byte lets the read that delivers the last of the body
 	// also find room to report EOF. Content-Length is the client's
-	// claim: it sizes the buffer only up to what the pool would keep,
+	// claim: it sizes the buffer only up to what the list would keep,
 	// anything larger has to actually arrive first.
 	want := 512
 	if n := r.ContentLength; n > 0 {
-		want = int(min(n, maxPooledBody)) + 1
+		want = int(min(n, maxIdleRequestScratch)) + 1
 	}
 	body := slices.Grow(sc.body[:0], want)
 	rd := http.MaxBytesReader(w, r.Body, MaxBodyBytes)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -496,6 +497,73 @@ func TestFingerprintResistsDelimiterInjection(t *testing.T) {
 	// Job containing the key separator vs split job/env.
 	if fingerprint(ModelKey{Job: "a@b"}, split) == fingerprint(ModelKey{Job: "a", Env: "b"}, split) {
 		t.Fatal("job \"a@b\" collides with (job a, env b)")
+	}
+}
+
+// TestResultCacheKeyIsWhatTheModelReads: the cache key holds what the
+// model reads and nothing else. A query whose properties are renamed is
+// a hit with the value computed under the old names, alone and in a
+// batch; a query that differs in any property value, in which values are
+// essential and which optional, in scale-out, job or env is a miss.
+func TestResultCacheKeyIsWhatTheModelReads(t *testing.T) {
+	svc := NewService((&countingLoader{t: t}).load, Options{})
+	ctx := context.Background()
+	key := ModelKey{Job: "sort", Env: "c3o"}
+	base := testQuery(4, 10000)
+	first := svc.Predict(ctx, key, base)
+	if first.Err != nil || first.Cached {
+		t.Fatalf("first Predict = %+v, want a computed value", first)
+	}
+
+	renamed := core.Query{ScaleOut: base.ScaleOut, Essential: slices.Clone(base.Essential), Optional: slices.Clone(base.Optional)}
+	for i := range renamed.Essential {
+		renamed.Essential[i].Name = ""
+	}
+	for i := range renamed.Optional {
+		renamed.Optional[i].Name = fmt.Sprint("renamed-", i)
+	}
+	if r := svc.Predict(ctx, key, renamed); !r.Cached || r.RuntimeSec != first.RuntimeSec {
+		t.Fatalf("renamed query = %+v, want a hit of %v", r, first.RuntimeSec)
+	}
+	if r := svc.PredictBatch(ctx, []Request{{Key: key, Query: renamed}})[0]; !r.Cached || r.RuntimeSec != first.RuntimeSec {
+		t.Fatalf("renamed query in a batch = %+v, want a hit of %v", r, first.RuntimeSec)
+	}
+
+	type variant struct {
+		name string
+		key  ModelKey
+		q    core.Query
+	}
+	var variants []variant
+	for _, optional := range []bool{false, true} {
+		ps := base.Essential
+		if optional {
+			ps = base.Optional
+		}
+		for i := range ps {
+			q := core.Query{ScaleOut: base.ScaleOut, Essential: slices.Clone(base.Essential), Optional: slices.Clone(base.Optional)}
+			if optional {
+				q.Optional[i].Value += "0"
+			} else {
+				q.Essential[i].Value += "0"
+			}
+			variants = append(variants, variant{fmt.Sprintf("value %d (optional %v)", i, optional), key, q})
+		}
+	}
+	last := len(base.Essential) - 1
+	variants = append(variants,
+		// The same values in the same order, the last essential one moved
+		// to the optional side.
+		variant{"essential/optional split", key, core.Query{ScaleOut: base.ScaleOut, Essential: base.Essential[:last],
+			Optional: append([]encoding.Property{base.Essential[last]}, base.Optional...)}},
+		variant{"scale-out", key, core.Query{ScaleOut: base.ScaleOut + 1, Essential: base.Essential, Optional: base.Optional}},
+		variant{"job", ModelKey{Job: "grep", Env: key.Env}, base},
+		variant{"env", ModelKey{Job: key.Job, Env: "bell"}, base},
+	)
+	for _, v := range variants {
+		if svc.PeekCached(v.key, v.q) {
+			t.Errorf("%s: a query that differs from the cached one is a hit", v.name)
+		}
 	}
 }
 

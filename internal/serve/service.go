@@ -6,12 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/allocate"
 	"repro/internal/core"
+	"repro/internal/freelist"
 	"repro/internal/loadctl"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -193,11 +194,6 @@ type Service struct {
 	// balancers stop routing here while in-flight requests finish.
 	draining atomic.Bool
 
-	// engines pools allocation engines: each holds reusable sweep and
-	// smoothing buffers, so warm allocations don't churn memory even
-	// under concurrent traffic.
-	engines sync.Pool
-
 	// Counters are obs types (one atomic add per increment) so the same
 	// cells back Stats(), /v1/stats, and — once AttachObs registers them
 	// — the /metrics exposition. No label lookups on any hot path.
@@ -276,7 +272,6 @@ func NewService(loader Loader, opts Options) *Service {
 		allocLatency: obs.NewHist(),
 	}
 	s.reg.SetFloat64Serving(opts.Float64Serving)
-	s.engines.New = func() any { return allocate.NewEngine() }
 	return s
 }
 
@@ -307,9 +302,9 @@ func (s *Service) Allocate(ctx context.Context, key ModelKey, req allocate.Reque
 		s.allocErrors.Add(1)
 		return nil, err
 	}
-	e := s.engines.Get().(*allocate.Engine)
+	e := engines.Get()
 	res, err := e.Allocate(ref.Model, req)
-	s.engines.Put(e)
+	engines.Put(e)
 	if err != nil {
 		s.allocErrors.Add(1)
 		return nil, err
@@ -369,23 +364,14 @@ func (s *Service) lifecycleStats() (LifecycleStats, bool) {
 // observer subscription; it is also safe to call directly (e.g. after
 // replacing a model file on disk and evicting the key).
 func (s *Service) InvalidateResults(key ModelKey) int {
-	bufp := fpPool.Get().(*[]byte)
-	prefix := appendKeyPrefix((*bufp)[:0], key)
-	n := s.results.invalidatePrefix(string(prefix))
-	*bufp = prefix
-	fpPool.Put(bufp)
-	return n
+	return s.results.invalidatePrefix(string(appendKeyPrefix(nil, key)))
 }
 
 // lookup reads (key, q) from the result cache without touching the
 // registry or a model. Allocation-free.
 func (s *Service) lookup(key ModelKey, q core.Query) (float64, bool) {
-	bufp := fpPool.Get().(*[]byte)
-	fp := appendFingerprint((*bufp)[:0], key, q)
-	v, ok := s.results.get(fp)
-	*bufp = fp
-	fpPool.Put(bufp)
-	return v, ok
+	var buf [fpBufLen]byte
+	return s.results.get(appendFingerprint(buf[:0], key, q))
 }
 
 // PeekCached reports whether (key, q) can be answered from the result
@@ -430,14 +416,10 @@ func (s *Service) PredictTraced(ctx context.Context, key ModelKey, q core.Query,
 }
 
 func (s *Service) predictOne(ctx context.Context, key ModelKey, q core.Query, tr *obs.Trace) Response {
-	// The fingerprint stays in the pooled buffer until the answer is
+	// The fingerprint stays in the stack buffer until the answer is
 	// stored under it.
-	bufp := fpPool.Get().(*[]byte)
-	fp := appendFingerprint((*bufp)[:0], key, q)
-	resp := s.predictFingerprinted(ctx, key, q, fp, tr)
-	*bufp = fp
-	fpPool.Put(bufp)
-	return resp
+	var buf [fpBufLen]byte
+	return s.predictFingerprinted(ctx, key, q, appendFingerprint(buf[:0], key, q), tr)
 }
 
 func (s *Service) predictFingerprinted(ctx context.Context, key ModelKey, q core.Query, fp []byte, tr *obs.Trace) Response {
@@ -495,10 +477,10 @@ func (g *missGroup) forEachIdx(fn func(i int)) {
 	}
 }
 
-// batchScratch holds the per-PredictBatch grouping state, pooled so a
-// steady stream of batches reuses the fingerprint bytes, the missGroup
-// arena, the per-model lists and the query/prediction staging slices
-// instead of reallocating them.
+// batchScratch holds the per-PredictBatch grouping state, kept on a
+// free list so a steady stream of batches reuses the fingerprint bytes,
+// the missGroup arena, the per-model lists and the query/prediction
+// staging slices instead of reallocating them.
 type batchScratch struct {
 	// fps holds the fingerprints of the batch's distinct misses back to
 	// back; a hit's or a repeat's is built at its end and dropped again.
@@ -519,9 +501,19 @@ type batchScratch struct {
 	preds  []float64
 }
 
-var batchScratchPool = sync.Pool{New: func() any {
-	return &batchScratch{keyIdx: map[ModelKey]int{}}
-}}
+// maxIdleScratch is the most a batch scratch or an allocation engine
+// may hold and still go back to its list. A 1024-item batch holds about
+// 0.3 MB, an engine of MaxCandidates candidates 0.3 MB.
+const maxIdleScratch = 1 << 20
+
+var (
+	batchScratches = freelist.New(func() *batchScratch {
+		return &batchScratch{keyIdx: map[ModelKey]int{}}
+	}, maxIdleScratch)
+	// engines lend allocation engines, whose sweep and smoothing buffers
+	// warm allocations reuse.
+	engines = freelist.New(allocate.NewEngine, maxIdleScratch)
+)
 
 // fp returns the fingerprint of g.
 func (sc *batchScratch) fp(g *missGroup) []byte { return sc.fps[g.fpOff : g.fpOff+g.fpLen] }
@@ -544,10 +536,9 @@ func (sc *batchScratch) group(hash uint64, fp []byte) (*missGroup, bool) {
 	return &sc.arena[len(sc.arena)-1], false
 }
 
-// release clears the scratch and returns it to the pool. The arena and
-// query staging are zeroed so pooled memory never pins caller property
-// slices across batches.
-func (sc *batchScratch) release() {
+// Reset clears the scratch. The arena and query staging are zeroed so
+// idle memory never pins caller property slices across batches.
+func (sc *batchScratch) Reset() {
 	sc.fps = sc.fps[:0]
 	clear(sc.arena)
 	sc.arena = sc.arena[:0]
@@ -561,7 +552,20 @@ func (sc *batchScratch) release() {
 	clear(sc.qs)
 	sc.qs = sc.qs[:0]
 	sc.preds = sc.preds[:0]
-	batchScratchPool.Put(sc)
+}
+
+// Bytes reports what the scratch holds: every buffer by capacity, and
+// the key index as one key and position per key it has room for.
+func (sc *batchScratch) Bytes() int {
+	const ptr, word = int(unsafe.Sizeof(uintptr(0))), int(unsafe.Sizeof(int(0)))
+	keySize := int(unsafe.Sizeof(ModelKey{}))
+	n := cap(sc.fps) + cap(sc.arena)*int(unsafe.Sizeof(missGroup{})) + 4*cap(sc.seen) +
+		cap(sc.keys)*(2*keySize+word) + cap(sc.byKey)*int(unsafe.Sizeof([]*missGroup{})) +
+		word*cap(sc.offs) + cap(sc.qs)*int(unsafe.Sizeof(core.Query{})) + 8*cap(sc.preds)
+	for _, l := range sc.byKey[:cap(sc.byKey)] {
+		n += ptr * cap(l)
+	}
+	return n
 }
 
 // PredictBatch answers many requests at once: result-cache hits are
@@ -585,8 +589,8 @@ func (s *Service) PredictBatchInto(ctx context.Context, dst []Response, reqs []R
 
 	out := slices.Grow(dst[:0], len(reqs))[:len(reqs)]
 	clear(out)
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer sc.release()
+	sc := batchScratches.Get()
+	defer batchScratches.Put(sc)
 	if cap(sc.arena) < len(reqs) {
 		sc.arena = make([]missGroup, 0, len(reqs))
 	}

@@ -8,10 +8,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/allocate"
 	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/freelist"
 	"repro/internal/loadctl"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -80,7 +82,7 @@ type Cluster struct {
 	obsRef atomic.Pointer[serve.Observability]
 	repl   atomic.Pointer[replication]
 
-	fanouts sync.Pool // of *fanout
+	fanouts *freelist.List[*fanout]
 }
 
 // New assembles a cluster over the given shards. At least one shard is
@@ -91,6 +93,10 @@ func New(nodes []NodeConfig, opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("shard: cluster needs at least one node")
 	}
 	c := &Cluster{ring: NewRing(len(nodes), opts.VirtualNodes), opts: opts}
+	c.fanouts = freelist.New(func() *fanout {
+		n := len(nodes)
+		return &fanout{idxs: make([][]int, n), subs: make([][]serve.Request, n), outs: make([][]serve.Response, n)}
+	}, maxIdleFanout)
 	for i, nc := range nodes {
 		if nc.Service == nil {
 			return nil, fmt.Errorf("shard: node %d has no service", i)
@@ -233,32 +239,23 @@ func (c *Cluster) AdmitPredict(ctx context.Context, req serve.Request, tr *obs.T
 
 // fanout is the working memory of one AdmitBatch, per shard: the batch
 // positions the shard owns — the merge plan that restores input order —
-// the requests at those positions and the shard's answers to them. It is
-// pooled, so a steady stream of batches reuses one set of lists.
+// the requests at those positions and the shard's answers to them. It
+// comes from a free list, so a steady stream of batches reuses one set
+// of lists.
 type fanout struct {
 	idxs [][]int
 	subs [][]serve.Request
 	outs [][]serve.Response
 }
 
-// maxPooledItems bounds the batch whose fanout goes back to the pool: one
-// that grew for a giant batch is dropped instead of pinning that memory.
-const maxPooledItems = 1024
+// maxIdleFanout is the most a fanout may hold and still go back to the
+// list: one that grew for a giant batch is dropped instead of pinning
+// that memory. A 1024-item batch split over two shards holds about
+// 0.15 MB.
+const maxIdleFanout = 256 << 10
 
-func (c *Cluster) acquireFanout() *fanout {
-	if f, ok := c.fanouts.Get().(*fanout); ok {
-		return f
-	}
-	n := len(c.nodes)
-	return &fanout{idxs: make([][]int, n), subs: make([][]serve.Request, n), outs: make([][]serve.Response, n)}
-}
-
-// releaseFanout empties f, zeroing what could pin a request's strings or
-// errors, and pools it.
-func (c *Cluster) releaseFanout(f *fanout, items int) {
-	if items > maxPooledItems {
-		return
-	}
+// Reset empties f, zeroing what could pin a request's strings or errors.
+func (f *fanout) Reset() {
 	for sid := range f.idxs {
 		f.idxs[sid] = f.idxs[sid][:0]
 		clear(f.subs[sid])
@@ -266,8 +263,22 @@ func (c *Cluster) releaseFanout(f *fanout, items int) {
 		clear(f.outs[sid])
 		f.outs[sid] = f.outs[sid][:0]
 	}
-	c.fanouts.Put(f)
 }
+
+// Bytes reports what f's lists hold, by capacity.
+func (f *fanout) Bytes() int {
+	n := 0
+	for sid := range f.idxs {
+		n += cap(f.idxs[sid])*int(unsafe.Sizeof(int(0))) +
+			cap(f.subs[sid])*int(unsafe.Sizeof(serve.Request{})) +
+			cap(f.outs[sid])*int(unsafe.Sizeof(serve.Response{}))
+	}
+	return n
+}
+
+// IdleFanoutBytes reports what the fanouts idle on the cluster's list
+// hold.
+func (c *Cluster) IdleFanoutBytes() int { return c.fanouts.IdleBytes() }
 
 // AdmitBatch fans a batch out to the owning shards in parallel, one
 // shard_route span each, and merges the per-shard answers back into
@@ -281,8 +292,8 @@ func (c *Cluster) AdmitBatch(ctx context.Context, dst []serve.Response, reqs []s
 	if len(reqs) == 0 {
 		return []serve.Response{}, nil
 	}
-	fan := c.acquireFanout()
-	defer c.releaseFanout(fan, len(reqs))
+	fan := c.fanouts.Get()
+	defer c.fanouts.Put(fan)
 	shards := 0
 	for i, r := range reqs {
 		sid := c.ring.Owner(r.Key.Job, r.Key.Env)

@@ -341,9 +341,6 @@ func asAPIError(err error, target **api.Error) bool {
 // shard count. (Deriving the per-dispatch context costs several
 // allocations; a hit must never get that far.)
 func TestWarmPredictZeroAllocCluster(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector, so the pooled fingerprint path allocates there by design")
-	}
 	for _, shards := range []int{1, 2} {
 		gates := make([]*loadctl.Gate, shards)
 		for i := range gates {

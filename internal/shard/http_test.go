@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"testing"
 	"time"
@@ -303,17 +302,18 @@ func TestClusterHTTPTrailingDataIs400(t *testing.T) {
 
 // TestColdBatchAllocBudget is the sharded twin of the serve test of the
 // same name: a cold 256-item batch through the 2-shard handler — the
-// pooled decode plus the router's fan-out and both shards' batches. It
-// measures 114.1 KB in 551 objects: the fan-out's index lists, sub-
-// batches and per-shard answers are pooled, so two shards cost a batch
-// 17 objects more than one service. The ceilings leave a tenth of room.
+// decode into reused scratch plus the router's fan-out and both shards'
+// batches. It measures 90 KB in 551 objects at GOMAXPROCS 2 with
+// collection on: the fan-out's index lists, sub-batches and per-shard
+// answers come from a free list, so two shards cost a batch 13 objects
+// more than one service. The object ceiling leaves a tenth of room; the
+// byte ceiling covers -race, where the standard library's sync.Pools
+// drop a quarter of what they are given (measured up to 143 KB in 570
+// objects).
 func TestColdBatchAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector, so pooled paths allocate there by design")
-	}
 	const (
 		items, warm, measured = 256, 4, 16
-		maxBytes, maxObjects  = 125 << 10, 610
+		maxBytes, maxObjects  = 160 << 10, 610
 	)
 	c := newTestCluster(t, 2, nil, Options{})
 	h := c.Handler()
@@ -336,14 +336,7 @@ func TestColdBatchAllocBudget(t *testing.T) {
 			t.Fatalf("batch answered %d: %.200s", rec.Code, rec.Body.Bytes())
 		}
 	}
-	// The pools are what is measured, so nothing may empty them inside
-	// the window: no collection, and one P, because a scratch parked in
-	// one P's private slot is out of reach of a request that runs on the
-	// other, which then builds a new one (+231 objects per request over
-	// the window for one such miss).
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, body := range bodies[:warm] { // load the models, fill the pools
+	for _, body := range bodies[:warm] { // load the models, fill the lists
 		post(body)
 	}
 	var before, after runtime.MemStats
