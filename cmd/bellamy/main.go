@@ -16,7 +16,6 @@ Usage:
   bellamy predict    -model <model> -scale-outs <2,4,...> [flags]
   bellamy allocate   -model <model> -deadline <sec> [-min-scale-out 1 -max-scale-out 16] [flags]
   bellamy serve      -models <dir> [-addr :8080] [flags]
-  bellamy bench      -url <http://host:port> -job <name> [-rates 100,1000] [flags]
   bellamy experiment -kind <crosscontext|crossenv|allocation> [flags]
   bellamy dataset    -env <c3o|bell> [-out <csv>] [flags]
 
@@ -37,8 +36,6 @@ func main() {
 		err = runAllocate(os.Args[2:])
 	case "serve":
 		err = runServe(os.Args[2:])
-	case "bench":
-		err = runBench(os.Args[2:])
 	case "experiment":
 		err = runExperiment(os.Args[2:])
 	case "dataset":

@@ -407,87 +407,3 @@ func TestServeShardedSmoke(t *testing.T) {
 		sst.Close()
 	}
 }
-
-// TestBenchAgainstServe smoke-tests the load harness end to end: a
-// short bench sweep against a served model must complete, report
-// goodput, and write the -out JSON.
-func TestBenchAgainstServe(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end bench smoke")
-	}
-	root := t.TempDir()
-	modelsDir := filepath.Join(root, "models")
-	if err := os.MkdirAll(modelsDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	writeTestModel(t, modelsDir)
-
-	ready := make(chan string, 1)
-	testHookServeReady = func(addr string) { ready <- addr }
-	defer func() { testHookServeReady = nil }()
-	served := make(chan error, 1)
-	go func() {
-		served <- runServe([]string{
-			"-models", modelsDir,
-			"-addr", "127.0.0.1:0",
-			"-observe",
-			"-rate-limit", "0",
-		})
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case err := <-served:
-		t.Fatalf("serve exited before ready: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("serve never became ready")
-	}
-
-	outPath := filepath.Join(root, "bench.json")
-	err := runBench([]string{
-		"-url", "http://" + addr,
-		"-job", "sort", "-env", "c3o",
-		"-rates", "200", "-duration", "500ms",
-		"-essential", "dataset_size_mb=10000",
-		"-essential", "dataset_characteristics=uniform",
-		"-essential", "job_parameters=--iterations 100",
-		"-essential", "node_type=m4.xlarge",
-		"-deadline-ms", "5000",
-		"-out", outPath,
-	})
-	if err != nil {
-		t.Fatalf("runBench: %v", err)
-	}
-	blob, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatalf("reading bench output: %v", err)
-	}
-	var out struct {
-		Runs []benchRun `json:"runs"`
-	}
-	if err := json.Unmarshal(blob, &out); err != nil {
-		t.Fatalf("decoding bench output: %v", err)
-	}
-	if len(out.Runs) != 1 {
-		t.Fatalf("bench wrote %d runs, want 1", len(out.Runs))
-	}
-	r := out.Runs[0]
-	if r.OK == 0 || r.GoodputRPS <= 0 {
-		t.Fatalf("bench run recorded no goodput: %+v", r)
-	}
-	if r.Errors > 0 {
-		t.Fatalf("bench run recorded %d errors against a healthy server: %+v", r.Errors, r)
-	}
-	// Shut the server down cleanly so the test binary exits quietly.
-	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatalf("sending SIGTERM: %v", err)
-	}
-	select {
-	case err := <-served:
-		if err != nil {
-			t.Fatalf("runServe after SIGTERM = %v, want nil", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("serve did not drain within 30s of SIGTERM")
-	}
-}

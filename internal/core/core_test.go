@@ -421,7 +421,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/model.gob"
+	path := t.TempDir() + "/model.bin"
 	if err := m.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -230,10 +231,8 @@ func TestFinetuneStepsRunWithoutDropout(t *testing.T) {
 	}
 }
 
-// TestPretrainSameSeedSameModel: two pre-training runs from one seed end
-// with bit-identical parameters and scalers. (Save's bytes cannot be
-// compared: gob writes the parameter map in iteration order, so even one
-// model saved twice differs.)
+// TestPretrainSameSeedSameModel: two pre-training runs from one seed
+// save the same bytes.
 func TestPretrainSameSeedSameModel(t *testing.T) {
 	cfg := testConfig()
 	cfg.PretrainEpochs = 8
@@ -253,21 +252,23 @@ func TestPretrainSameSeedSameModel(t *testing.T) {
 	sameModel(t, runs[0], runs[1])
 }
 
-// sameModel fails the test unless a and b hold bit-identical parameters
-// and the same target scale.
+// sameModel fails the test unless a and b save the same bytes: the same
+// config, bit-identical parameters, normalizer and target scale.
 func sameModel(t *testing.T, a, b *Model) {
 	t.Helper()
+	ab, bb := a.encode(), b.encode()
+	if bytes.Equal(ab, bb) {
+		return
+	}
 	other := b.Params()
 	for k, p := range a.Params() {
 		for i, v := range p.Value.Data {
 			if math.Float64bits(v) != math.Float64bits(other[k].Value.Data[i]) {
-				t.Fatalf("%s[%d] = %v in one run, %v in the other", p.Name, i, v, other[k].Value.Data[i])
+				t.Fatalf("saved models differ: %s[%d] = %v in one run, %v in the other", p.Name, i, v, other[k].Value.Data[i])
 			}
 		}
 	}
-	if a.target.Scale != b.target.Scale {
-		t.Fatalf("target scales differ: %v, %v", a.target.Scale, b.target.Scale)
-	}
+	t.Fatalf("saved models differ outside the parameters (%d and %d bytes)", len(ab), len(bb))
 }
 
 // TestRowTableGenerationWrap: a slot written 2^32 calls ago carries the

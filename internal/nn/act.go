@@ -95,20 +95,30 @@ func (Identity) Apply(x float64) float64 { return x }
 // Derivative implements Activation.
 func (Identity) Derivative(x float64) float64 { return 1 }
 
-// ActivationByName resolves a serialized activation name.
+// ActivationByName resolves a serialized activation name, panicking on
+// a name LookupActivation does not know.
 func ActivationByName(name string) Activation {
-	switch name {
-	case "selu":
-		return SELU{}
-	case "tanh":
-		return Tanh{}
-	case "relu":
-		return ReLU{}
-	case "identity":
-		return Identity{}
-	default:
+	act, ok := LookupActivation(name)
+	if !ok {
 		panic("nn: unknown activation " + name)
 	}
+	return act
+}
+
+// LookupActivation resolves a serialized activation name and reports
+// whether it names one; decoders check untrusted names with it.
+func LookupActivation(name string) (Activation, bool) {
+	switch name {
+	case "selu":
+		return SELU{}, true
+	case "tanh":
+		return Tanh{}, true
+	case "relu":
+		return ReLU{}, true
+	case "identity":
+		return Identity{}, true
+	}
+	return nil, false
 }
 
 // ActLayer applies an Activation element-wise and caches the

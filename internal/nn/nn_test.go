@@ -553,19 +553,17 @@ func TestStateRoundTrip(t *testing.T) {
 		ActHidden: SELU{}, ActOut: Identity{}, WithBias: true, Init: InitHe,
 	}.Build(rng)
 	st := CaptureState(net.Params())
-	blob, err := st.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := DecodeState(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Perturb then restore.
+	// A second capture into a state of the same shapes reuses its
+	// matrices; perturb, capture the perturbed values, then restore.
+	spare := CaptureState(net.Params())
+	held := spare["f.l1.W"]
 	for _, p := range net.Params() {
 		p.Value.Fill(99)
 	}
-	if err := RestoreState(net.Params(), st2); err != nil {
+	if spare = CaptureStateInto(spare, net.Params()); spare["f.l1.W"] != held || spare["f.l1.W"].At(0, 0) != 99 {
+		t.Fatal("CaptureStateInto did not copy into the matrices it was given")
+	}
+	if err := RestoreState(net.Params(), st); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range net.Params() {

@@ -1,15 +1,14 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/mat"
 )
 
-// State is a snapshot of parameter values keyed by parameter name. It is
-// how Bellamy preserves a pre-trained model state for later fine-tuning.
+// State is a snapshot of parameter values keyed by parameter name. The
+// training loops keep their best epoch's weights in one; the model file
+// format lives in internal/core.
 type State map[string]*mat.Dense
 
 // CaptureState deep-copies the current values of params.
@@ -57,22 +56,4 @@ func RestoreState(params []*Param, s State) error {
 		copy(p.Value.Data, v.Data)
 	}
 	return nil
-}
-
-// Encode serializes the state with encoding/gob.
-func (s State) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("nn: encoding state: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeState deserializes a state produced by Encode.
-func DecodeState(b []byte) (State, error) {
-	var s State
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("nn: decoding state: %w", err)
-	}
-	return s, nil
 }

@@ -50,8 +50,8 @@ func TestBucketMonotonic(t *testing.T) {
 
 func TestHistSumAndMean(t *testing.T) {
 	h := NewHist()
-	if h.Sum() != 0 || h.Mean() != 0 {
-		t.Fatal("empty hist must report zero sum and mean")
+	if h.Sum() != 0 || h.Mean() != 0 || h.Quantile(0.99) != 0 || h.Max() != 0 {
+		t.Fatal("empty hist must report zero sum, mean, quantiles and max")
 	}
 	h.Observe(10 * time.Millisecond)
 	h.Observe(30 * time.Millisecond)

@@ -8,7 +8,7 @@
 //
 // The package deliberately depends only on the standard library — like
 // internal/api it is plumbing every layer must be able to import
-// (serve, shard, store, loadgen, cmd) without dragging the serving
+// (serve, shard, store, cmd) without dragging the serving
 // stack along. Hot-path cost is one atomic add per counter increment
 // and one atomic add pair per histogram observation: metric handles
 // are resolved at registration time, so the fast path never touches a

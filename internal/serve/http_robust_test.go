@@ -17,7 +17,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/loadctl"
-	"repro/internal/loadgen"
 )
 
 // newServerWith builds an HTTP test server over a custom loader with
@@ -527,20 +526,20 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 		}
 	}()
 	base := int(next.Load()) + 1
-	res := loadgen.Run(loadgen.Config{
+	res := runOpenLoop(openLoopConfig{
 		Rate:           10 * capacity,
 		Duration:       1500 * time.Millisecond,
 		MaxOutstanding: 256,
-	}, func(seq int) loadgen.Outcome {
+	}, func(seq int) outcome {
 		switch postSeq(base + seq) {
 		case http.StatusOK:
-			return loadgen.OutcomeOK
+			return outcomeOK
 		case http.StatusServiceUnavailable:
-			return loadgen.OutcomeShed
+			return outcomeShed
 		case http.StatusGatewayTimeout:
-			return loadgen.OutcomeDeadline
+			return outcomeDeadline
 		default:
-			return loadgen.OutcomeError
+			return outcomeError
 		}
 	})
 	close(probeStop)
@@ -548,7 +547,7 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 
 	t.Logf("capacity %.0f/s; offered %.0f/s: goodput %.0f/s, ok %d, shed %d, dropped %d, err %d, ok p99 %v, shed p99 %v, probes %d ok / %d failed",
 		capacity, res.Offered, res.Goodput(), res.OK, res.Shed, res.Dropped, res.Errors,
-		res.OKLatency.Quantile(0.99), res.RejectLatency.Quantile(0.99),
+		res.OKLatency.Quantile(0.99), res.ShedLatency.Quantile(0.99),
 		probeOK.Load(), probeFail.Load())
 
 	if res.Shed == 0 {
@@ -566,7 +565,7 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 	if p99 := res.OKLatency.Quantile(0.99); p99 > 2*time.Second {
 		t.Fatalf("ok p99 = %v under overload, want bounded by queue cap + service time", p99)
 	}
-	if p99 := res.RejectLatency.Quantile(0.99); p99 > 250*time.Millisecond {
+	if p99 := res.ShedLatency.Quantile(0.99); p99 > 250*time.Millisecond {
 		t.Fatalf("shed p99 = %v, want near-immediate rejections", p99)
 	}
 	if probeFail.Load() > 0 {

@@ -39,7 +39,7 @@ func TestDirLoaderCorruptModelFile(t *testing.T) {
 	dir := t.TempDir()
 	key := ModelKey{Job: "sort", Env: "c3o"}
 	path := filepath.Join(dir, ModelFileName(key))
-	if err := os.WriteFile(path, []byte("this is not a gob-encoded model"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("this is not a model file"), 0o644); err != nil {
 		t.Fatalf("writing corrupt file: %v", err)
 	}
 	loader := DirLoader(dir)
@@ -47,7 +47,7 @@ func TestDirLoaderCorruptModelFile(t *testing.T) {
 	if err == nil {
 		t.Fatal("loader decoded a corrupt model file")
 	}
-	if !strings.Contains(err.Error(), "decoding model") {
+	if !strings.Contains(err.Error(), "not a format v1 model") {
 		t.Fatalf("error %q does not identify the decode failure", err)
 	}
 }

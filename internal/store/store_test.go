@@ -3,6 +3,7 @@ package store
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -337,5 +338,27 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if math.IsNaN(float64(ck.At)) || ck.At == 0 {
 		t.Fatal("checkpoint missing timestamp metadata")
+	}
+}
+
+// TestCheckpointOfOldModelFormatIsCorrupt: a checkpoint whose blob
+// predates core format v1 (gob, no magic) is intact as a checkpoint but
+// fails core.Load, so it is reported and counted as corrupt, and the
+// caller falls back to the base model.
+func TestCheckpointOfOldModelFormatIsCorrupt(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	if err := s.CheckpointModel("sort", "c3o", 3, []byte("\x3f\xff\x81\x03\x01\x01\tmodelBlob")); err != nil {
+		t.Fatalf("CheckpointModel: %v", err)
+	}
+	_, ok, err := s.LoadCheckpoint("sort", "c3o")
+	if ok || err == nil || !strings.Contains(err.Error(), "re-run bellamy train") {
+		t.Fatalf("LoadCheckpoint = (%v, %v), want a corrupt checkpoint naming the fix", ok, err)
+	}
+	if n := s.StoreStats().CheckpointErrors; n != 1 {
+		t.Fatalf("%d checkpoint errors counted, want 1", n)
 	}
 }
