@@ -279,14 +279,20 @@ func TestModelV1Golden(t *testing.T) {
 	}
 }
 
-// pretrainCRC pins the CRC32C of the bytes pretrainShards(t, 3) saves —
-// a fixed-seed 30-epoch Pretrain — per GOARCH and kernel family (the two
-// amd64 families train the same bits). A change that moves trained bits
-// updates the constants and says so.
+// pretrainCRC pins the CRC32C trailer of the bytes pretrainShards(t, 3)
+// saves — a fixed-seed 30-epoch Pretrain — per GOARCH and kernel family.
+// The families train different bits: their GEMMs sum in different
+// orders, and asm's activations are the 4-lane kernels. A change that
+// moves trained bits updates the constant of each family it moves and
+// says so.
 var pretrainCRC = map[string]uint32{
-	"amd64/asm":   0x48674bc7,
-	"amd64/plain": 0x48674bc7,
+	"amd64/asm":   0xed1c06b5,
+	"amd64/plain": 0xe65b2cf8,
 }
+
+// crc32cResidue is what CRC32C computes over any bytes that end in their
+// own little-endian CRC32C: a pin equal to it pins nothing.
+const crc32cResidue = 0x48674bc7
 
 func TestPretrainBytesPinned(t *testing.T) {
 	key := runtime.GOARCH + "/" + mat.KernelFamily()
@@ -295,12 +301,21 @@ func TestPretrainBytesPinned(t *testing.T) {
 	if m == nil {
 		t.FailNow()
 	}
-	got := crc32.Checksum(m.encode(), castagnoli)
+	raw := m.encode()
+	if sum := crc32.Checksum(raw, castagnoli); sum != crc32cResidue {
+		t.Fatalf("CRC32C over the saved bytes is %#08x, not the residue %#08x: the trailer is not the body's CRC32C", sum, crc32cResidue)
+	}
+	got := binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	if !ok {
-		t.Skipf("no CRC pinned for %s (its bytes have CRC32C %#08x); pinned: amd64/asm, amd64/plain", key, got)
+		t.Skipf("no trailer pinned for %s (its bytes end in CRC32C %#08x); pinned: amd64/asm, amd64/plain", key, got)
+	}
+	for k, pin := range pretrainCRC {
+		if pin == crc32cResidue {
+			t.Fatalf("%s is pinned to the CRC32C residue, which every saved model checks to", k)
+		}
 	}
 	if got != want {
-		t.Fatalf("%s: a fixed-seed Pretrain saves bytes with CRC32C %#08x, pinned %#08x: trained bits changed", key, got, want)
+		t.Fatalf("%s: a fixed-seed Pretrain saves bytes with CRC32C trailer %#08x, pinned %#08x: trained bits changed", key, got, want)
 	}
 }
 

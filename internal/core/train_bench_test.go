@@ -119,16 +119,20 @@ func BenchmarkPretrainDistinct(b *testing.B) {
 }
 
 // BenchmarkPretrainProcs runs the same pre-training — 256 samples, batch
-// 64, 5 epochs — at GOMAXPROCS=1, where the caller runs both shards of
+// 64, 30 epochs — at GOMAXPROCS=1, where the caller runs both shards of
 // every step, and at GOMAXPROCS=2, where a leased helper runs the second
 // beside it. Both end with the same parameters; CI gates procs=2 against
 // procs=1 within one run (benchgate -speedup), pinning that the second
-// core pays. (GOMAXPROCS is set inside, and the sub-benchmarks are named
-// procs=N, because result parsers strip the -N suffix -cpu 1,2 would
-// tell the two apart by.)
+// core pays. The run is long enough that the serial set-up (scalers, the
+// evaluation batch, the replica) is a small share of it: at 5 epochs,
+// with the activation kernels, it took the ratio to ~1.2x. (GOMAXPROCS
+// is set inside, and the sub-benchmarks are named procs=N, because
+// result parsers strip the -N suffix -cpu 1,2 would tell the two apart
+// by.)
 func BenchmarkPretrainProcs(b *testing.B) {
+	const epochs = 30
 	cfg := DefaultConfig()
-	cfg.PretrainEpochs = 5
+	cfg.PretrainEpochs = epochs
 	samples := fewValuesCorpus()
 	for _, procs := range []int{1, 2} {
 		b.Run("procs="+strconv.Itoa(procs), func(b *testing.B) {
@@ -144,13 +148,13 @@ func BenchmarkPretrainProcs(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if rep.SplitSteps != 5*4 || rep.HelperSteps > (procs-1)*rep.SplitSteps {
-					b.Fatalf("%d split steps, %d of them on a helper; want 20 and at most %d",
-						rep.SplitSteps, rep.HelperSteps, (procs-1)*rep.SplitSteps)
+				if rep.SplitSteps != epochs*4 || rep.HelperSteps > (procs-1)*rep.SplitSteps {
+					b.Fatalf("%d split steps, %d of them on a helper; want %d and at most %d",
+						rep.SplitSteps, rep.HelperSteps, epochs*4, (procs-1)*rep.SplitSteps)
 				}
 				helped += rep.HelperSteps
 			}
-			b.ReportMetric(float64(helped)/float64(20*b.N), "helped/step")
+			b.ReportMetric(float64(helped)/float64(epochs*4*b.N), "helped/step")
 		})
 	}
 }

@@ -97,3 +97,23 @@ func sgemmRows4x4(dst *float32, ldd int, a *float32, lda int, b *float32, ldb in
 //
 //go:noescape
 func vselu32(v *float32, n int, lambda, lambdaAlpha float32)
+
+// vselu64 applies SELU in place over n float64 values: lambda*x where
+// the sign bit of x is clear, lambdaAlpha*expm1(x) where it is set. n
+// must be a positive multiple of 4; Selu64 wraps the ragged tail
+// through a stack buffer.
+//
+//go:noescape
+func vselu64(v *float64, n int, lambda, lambdaAlpha float64)
+
+// vtanh64 applies tanh in place over n float64 values. n must be a
+// positive multiple of 4.
+//
+//go:noescape
+func vtanh64(v *float64, n int)
+
+// vselugrad64 sets dst[i] = grad[i] * (y[i] > 0 ? lambda : y[i] +
+// lambdaAlpha) for i in [0,n). n must be a positive multiple of 4.
+//
+//go:noescape
+func vselugrad64(dst, grad, y *float64, n int, lambda, lambdaAlpha float64)

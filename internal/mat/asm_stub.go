@@ -52,3 +52,15 @@ func sgemmRows4x4(dst *float32, ldd int, a *float32, lda int, b *float32, ldb in
 func vselu32(v *float32, n int, lambda, lambdaAlpha float32) {
 	panic("mat: asm kernel called on a noasm build")
 }
+
+func vselu64(v *float64, n int, lambda, lambdaAlpha float64) {
+	panic("mat: asm kernel called on a noasm build")
+}
+
+func vtanh64(v *float64, n int) {
+	panic("mat: asm kernel called on a noasm build")
+}
+
+func vselugrad64(dst, grad, y *float64, n int, lambda, lambdaAlpha float64) {
+	panic("mat: asm kernel called on a noasm build")
+}

@@ -811,3 +811,179 @@ vselloop:
 
 	VZEROUPPER
 	RET
+
+// Constants of the float64 activation kernels below, one per 8 bytes.
+// The expm1 is the usual exp reduction: k = round(t*log2e) through the
+// 1.5*2^52 shift (whose low mantissa bits then hold k), r = t - k*ln2
+// with fdlibm's two-part ln2, and the Taylor polynomial of degree 13 for
+// expm1(r), whose truncation error on |r| <= ln2/2 is under 2^-56
+// relative; coefficients are 1/n! rounded to float64.
+DATA ex64<>+0(SB)/8, $0x4338000000000000   // shift = 1.5*2^52
+DATA ex64<>+8(SB)/8, $0x3ff71547652b82fe   // log2(e)
+DATA ex64<>+16(SB)/8, $0x3fe62e42fee00000  // ln2 high
+DATA ex64<>+24(SB)/8, $0x3dea39ef35793c76  // ln2 low
+DATA ex64<>+32(SB)/8, $0x3ff0000000000000  // 1.0, also the exponent bias as bits
+DATA ex64<>+40(SB)/8, $0xc086200000000000  // clamp = -708
+DATA ex64<>+48(SB)/8, $0x3fe0000000000000  // 1/2!
+DATA ex64<>+56(SB)/8, $0x3fc5555555555555  // 1/3!
+DATA ex64<>+64(SB)/8, $0x3fa5555555555555  // 1/4!
+DATA ex64<>+72(SB)/8, $0x3f81111111111111  // 1/5!
+DATA ex64<>+80(SB)/8, $0x3f56c16c16c16c17  // 1/6!
+DATA ex64<>+88(SB)/8, $0x3f2a01a01a01a01a  // 1/7!
+DATA ex64<>+96(SB)/8, $0x3efa01a01a01a01a  // 1/8!
+DATA ex64<>+104(SB)/8, $0x3ec71de3a556c734 // 1/9!
+DATA ex64<>+112(SB)/8, $0x3e927e4fb7789f5c // 1/10!
+DATA ex64<>+120(SB)/8, $0x3e5ae64567f544e4 // 1/11!
+DATA ex64<>+128(SB)/8, $0x3e21eed8eff8d898 // 1/12!
+DATA ex64<>+136(SB)/8, $0x3de6124613a86d09 // 1/13!
+DATA ex64<>+144(SB)/8, $0xc000000000000000 // -2.0
+DATA ex64<>+152(SB)/8, $0x4000000000000000 // 2.0
+DATA ex64<>+160(SB)/8, $0x7fffffffffffffff // |x| mask
+GLOBL ex64<>(SB), RODATA|NOPTR, $168
+
+// EXPM1 sets Y4 = expm1(Y2) on 4 lanes for Y2 in [-708, 0] (or NaN,
+// which propagates), as 2^k*expm1(r) + (2^k - 1) in one fused step: the
+// first term carries the rounding error, the second is exact. Clobbers
+// Y2, Y3, Y5 and Y6.
+#define EXPM1 \
+	VBROADCASTSD ex64<>+0(SB), Y3; \
+	VBROADCASTSD ex64<>+8(SB), Y5; \
+	VFMADD231PD  Y5, Y2, Y3; \
+	VBROADCASTSD ex64<>+0(SB), Y5; \
+	VSUBPD       Y5, Y3, Y5; \
+	VPSLLQ       $52, Y3, Y3; \
+	VBROADCASTSD ex64<>+32(SB), Y6; \
+	VPADDQ       Y6, Y3, Y3; \
+	VBROADCASTSD ex64<>+16(SB), Y6; \
+	VFNMADD231PD Y6, Y5, Y2; \
+	VBROADCASTSD ex64<>+24(SB), Y6; \
+	VFNMADD231PD Y6, Y5, Y2; \
+	VBROADCASTSD ex64<>+136(SB), Y4; \
+	VBROADCASTSD ex64<>+128(SB), Y6; \
+	VFMADD213PD  Y6, Y2, Y4; \
+	VBROADCASTSD ex64<>+120(SB), Y6; \
+	VFMADD213PD  Y6, Y2, Y4; \
+	VBROADCASTSD ex64<>+112(SB), Y6; \
+	VFMADD213PD  Y6, Y2, Y4; \
+	VBROADCASTSD ex64<>+104(SB), Y6; \
+	VFMADD213PD  Y6, Y2, Y4; \
+	VBROADCASTSD ex64<>+96(SB), Y6; \
+	VFMADD213PD  Y6, Y2, Y4; \
+	VBROADCASTSD ex64<>+88(SB), Y6; \
+	VFMADD213PD  Y6, Y2, Y4; \
+	VBROADCASTSD ex64<>+80(SB), Y6; \
+	VFMADD213PD  Y6, Y2, Y4; \
+	VBROADCASTSD ex64<>+72(SB), Y6; \
+	VFMADD213PD  Y6, Y2, Y4; \
+	VBROADCASTSD ex64<>+64(SB), Y6; \
+	VFMADD213PD  Y6, Y2, Y4; \
+	VBROADCASTSD ex64<>+56(SB), Y6; \
+	VFMADD213PD  Y6, Y2, Y4; \
+	VBROADCASTSD ex64<>+48(SB), Y6; \
+	VFMADD213PD  Y6, Y2, Y4; \
+	VMULPD       Y2, Y4, Y4; \
+	VFMADD213PD  Y2, Y2, Y4; \
+	VBROADCASTSD ex64<>+32(SB), Y6; \
+	VSUBPD       Y6, Y3, Y5; \
+	VFMADD213PD  Y5, Y3, Y4
+
+// func vselu64(v *float64, n int, lambda, lambdaAlpha float64)
+//
+// SELU in place over a contiguous float64 slice, 4 lanes a step:
+// lambda*x where the sign bit of x is clear, lambdaAlpha*expm1(x) where
+// it is set. n must be a positive multiple of 4; the Go wrapper rounds
+// the tail through a stack buffer.
+TEXT ·vselu64(SB), NOSPLIT, $0-32
+	MOVQ         v+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSD lambda+16(FP), Y8
+	VBROADCASTSD lambdaAlpha+24(FP), Y9
+	VBROADCASTSD ex64<>+40(SB), Y15
+	XORQ         BX, BX
+
+vselu64loop:
+	VMOVUPD (DI)(BX*8), Y0
+	VMULPD  Y8, Y0, Y1
+
+	// t = max(min(x, 0), -708), a NaN x staying NaN (min and max return
+	// their last Go operand when either is NaN).
+	VXORPD Y2, Y2, Y2
+	VMINPD Y0, Y2, Y2
+	VMAXPD Y2, Y15, Y2
+	EXPM1
+	VMULPD Y9, Y4, Y4
+
+	VBLENDVPD Y0, Y4, Y1, Y1
+	VMOVUPD   Y1, (DI)(BX*8)
+	ADDQ      $4, BX
+	CMPQ      BX, CX
+	JLT       vselu64loop
+
+	VZEROUPPER
+	RET
+
+// func vtanh64(v *float64, n int)
+//
+// tanh in place over a contiguous float64 slice, 4 lanes a step:
+// tanh|x| = -e/(2+e) with e = expm1(-2|x|), which keeps small |x|
+// exact to relative precision, then x's sign bit is copied onto the
+// result. n must be a positive multiple of 4.
+TEXT ·vtanh64(SB), NOSPLIT, $0-16
+	MOVQ         v+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSD ex64<>+160(SB), Y10
+	VBROADCASTSD ex64<>+144(SB), Y11
+	VBROADCASTSD ex64<>+152(SB), Y12
+	VBROADCASTSD ex64<>+40(SB), Y15
+	XORQ         BX, BX
+
+vtanh64loop:
+	VMOVUPD (DI)(BX*8), Y0
+	VANDPD  Y10, Y0, Y1
+	VXORPD  Y1, Y0, Y7
+	VMULPD  Y11, Y1, Y2
+	VMAXPD  Y2, Y15, Y2
+	EXPM1
+
+	VXORPD Y5, Y5, Y5
+	VSUBPD Y4, Y5, Y5
+	VADDPD Y12, Y4, Y4
+	VDIVPD Y4, Y5, Y5
+	VORPD  Y7, Y5, Y5
+	VMOVUPD Y5, (DI)(BX*8)
+	ADDQ    $4, BX
+	CMPQ    BX, CX
+	JLT     vtanh64loop
+
+	VZEROUPPER
+	RET
+
+// func vselugrad64(dst, grad, y *float64, n int, lambda, lambdaAlpha float64)
+//
+// The SELU backward epilogue from the cached output: dst = grad * lambda
+// where y > 0, else grad * (y + lambdaAlpha). The same two IEEE operations
+// per element as the scalar form, so the results are bit-identical.
+// n must be a positive multiple of 4.
+TEXT ·vselugrad64(SB), NOSPLIT, $0-48
+	MOVQ         dst+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         y+16(FP), DX
+	MOVQ         n+24(FP), CX
+	VBROADCASTSD lambda+32(FP), Y8
+	VBROADCASTSD lambdaAlpha+40(FP), Y9
+	VXORPD       Y10, Y10, Y10
+	XORQ         BX, BX
+
+vselugrad64loop:
+	VMOVUPD   (DX)(BX*8), Y0
+	VADDPD    Y9, Y0, Y1
+	VCMPPD    $0x1e, Y10, Y0, Y2
+	VBLENDVPD Y2, Y8, Y1, Y1
+	VMULPD    (SI)(BX*8), Y1, Y1
+	VMOVUPD   Y1, (DI)(BX*8)
+	ADDQ      $4, BX
+	CMPQ      BX, CX
+	JLT       vselugrad64loop
+
+	VZEROUPPER
+	RET

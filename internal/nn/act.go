@@ -13,14 +13,16 @@ const (
 	SELULambda = 1.0507009873554805
 )
 
-// Activation is an element-wise nonlinearity with an analytic derivative.
+// Activation is an element-wise nonlinearity whose derivative is a
+// function of its output, so a layer caches the activated output alone
+// and its backward pass re-evaluates no transcendental.
 type Activation interface {
 	// Name identifies the activation for serialization and debugging.
 	Name() string
 	// Apply computes the activation for a pre-activation value.
 	Apply(x float64) float64
-	// Derivative computes d act/d x at pre-activation value x.
-	Derivative(x float64) float64
+	// DerivFromOutput returns d act/d x given y = act(x).
+	DerivFromOutput(y float64) float64
 }
 
 // SELU is the scaled exponential linear unit.
@@ -37,12 +39,13 @@ func (SELU) Apply(x float64) float64 {
 	return SELULambda * SELUAlpha * (math.Exp(x) - 1)
 }
 
-// Derivative implements Activation.
-func (SELU) Derivative(x float64) float64 {
-	if x > 0 {
+// DerivFromOutput implements Activation: for y = selu(x), d/dx = lambda
+// when x > 0 (iff y > 0), else lambda*alpha*e^x = y + lambda*alpha.
+func (SELU) DerivFromOutput(y float64) float64 {
+	if y > 0 {
 		return SELULambda
 	}
-	return SELULambda * SELUAlpha * math.Exp(x)
+	return y + seluLambdaAlpha
 }
 
 // Tanh is the hyperbolic tangent, used by the last decoder layer to match
@@ -55,11 +58,8 @@ func (Tanh) Name() string { return "tanh" }
 // Apply implements Activation.
 func (Tanh) Apply(x float64) float64 { return math.Tanh(x) }
 
-// Derivative implements Activation.
-func (Tanh) Derivative(x float64) float64 {
-	t := math.Tanh(x)
-	return 1 - t*t
-}
+// DerivFromOutput implements Activation: d tanh/dx = 1 - tanh(x)^2.
+func (Tanh) DerivFromOutput(y float64) float64 { return 1 - y*y }
 
 // ReLU is the rectified linear unit (used by ablation benches).
 type ReLU struct{}
@@ -75,9 +75,10 @@ func (ReLU) Apply(x float64) float64 {
 	return 0
 }
 
-// Derivative implements Activation.
-func (ReLU) Derivative(x float64) float64 {
-	if x > 0 {
+// DerivFromOutput implements Activation: relu passes gradient iff the
+// output is positive.
+func (ReLU) DerivFromOutput(y float64) float64 {
+	if y > 0 {
 		return 1
 	}
 	return 0
@@ -92,8 +93,8 @@ func (Identity) Name() string { return "identity" }
 // Apply implements Activation.
 func (Identity) Apply(x float64) float64 { return x }
 
-// Derivative implements Activation.
-func (Identity) Derivative(x float64) float64 { return 1 }
+// DerivFromOutput implements Activation.
+func (Identity) DerivFromOutput(y float64) float64 { return 1 }
 
 // ActivationByName resolves a serialized activation name, panicking on
 // a name LookupActivation does not know.
@@ -121,120 +122,32 @@ func LookupActivation(name string) (Activation, bool) {
 	return nil, false
 }
 
-// ActLayer applies an Activation element-wise and caches the
-// pre-activation input for the backward pass.
-type ActLayer struct {
-	Act   Activation
-	input *mat.Dense
-}
+// seluLambdaAlpha is lambda*alpha as the SELU kernels and the scalar
+// SELU derivative both use it.
+const seluLambdaAlpha = SELULambda * SELUAlpha
 
-// NewActLayer wraps act as a Layer.
-func NewActLayer(act Activation) *ActLayer { return &ActLayer{Act: act} }
-
-// Forward implements Layer. The element loops are specialized per
-// concrete activation so the per-element calls devirtualize and inline;
-// the results are identical to the generic interface loop.
-func (l *ActLayer) Forward(ws *mat.Workspace, x *mat.Dense, train bool) *mat.Dense {
-	l.input = x
-	out := ws.GetRaw(x.Rows, x.Cols)
-	switch act := l.Act.(type) {
-	case SELU:
-		for i, v := range x.Data {
-			out.Data[i] = act.Apply(v)
-		}
-	case Tanh:
-		for i, v := range x.Data {
-			out.Data[i] = math.Tanh(v)
-		}
-	case ReLU:
-		for i, v := range x.Data {
-			out.Data[i] = act.Apply(v)
-		}
-	case Identity:
-		copy(out.Data, x.Data)
-	default:
-		for i, v := range x.Data {
-			out.Data[i] = l.Act.Apply(v)
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (l *ActLayer) Backward(ws *mat.Workspace, grad *mat.Dense) *mat.Dense {
-	if l.input == nil {
-		panic("nn: ActLayer.Backward before Forward")
-	}
-	out := ws.GetRaw(grad.Rows, grad.Cols)
-	in := l.input.Data
-	switch act := l.Act.(type) {
-	case SELU:
-		for i, g := range grad.Data {
-			out.Data[i] = g * act.Derivative(in[i])
-		}
-	case Tanh:
-		for i, g := range grad.Data {
-			out.Data[i] = g * act.Derivative(in[i])
-		}
-	case ReLU:
-		for i, g := range grad.Data {
-			out.Data[i] = g * act.Derivative(in[i])
-		}
-	case Identity:
-		copy(out.Data, grad.Data)
-	default:
-		for i, g := range grad.Data {
-			out.Data[i] = l.Act.Derivative(in[i]) * g
-		}
-	}
-	return out
-}
-
-// Params implements Layer. Activations are parameter-free.
-func (l *ActLayer) Params() []*Param { return nil }
-
-// outputDeriv marks activations whose derivative can be computed from
-// the activation output instead of the pre-activation input. For
-// these, the fused layers cache the (in-place) output only: the
-// forward pass saves a workspace buffer and a write stream, and the
-// backward pass saves the transcendental re-evaluation the
-// input-based Derivative would need (math.Exp for SELU, math.Tanh for
-// Tanh — together a double-digit share of a training step).
-type outputDeriv interface {
-	// DerivFromOutput returns d act/d x given y = act(x).
-	DerivFromOutput(y float64) float64
-}
-
-// DerivFromOutput implements outputDeriv: for y = selu(x),
-// d/dx = lambda when x > 0 (iff y > 0), else lambda*alpha*e^x = y + lambda*alpha.
-func (SELU) DerivFromOutput(y float64) float64 {
-	if y > 0 {
-		return SELULambda
-	}
-	return y - alphaPrime
-}
-
-// DerivFromOutput implements outputDeriv: d tanh/dx = 1 - tanh(x)^2.
-func (Tanh) DerivFromOutput(y float64) float64 { return 1 - y*y }
-
-// DerivFromOutput implements outputDeriv: relu passes gradient iff the
-// output is positive.
-func (ReLU) DerivFromOutput(y float64) float64 {
-	if y > 0 {
-		return 1
-	}
-	return 0
-}
-
-// fusedBiasActInPlace is the fused forward epilogue of a linear layer
-// for output-derivative activations: in one pass it adds the
-// (optional) bias row vector and applies the activation, overwriting
-// pre with the activated output. Fusing the passes — and needing no
-// separate pre-activation buffer — cuts the old
-// AddRowVecTo-then-ActLayer pipeline from three passes over two
-// buffers to one pass over one. The loops are specialized per concrete
+// fusedBiasActInPlace is the forward epilogue of a linear layer with a
+// non-identity activation: it adds the (optional) bias row vector and
+// applies the activation, overwriting pre with the activated output,
+// which doubles as the cache the backward pass takes the derivative
+// from. Under the asm kernel family, SELU and tanh run on mat's 4-lane
+// kernels over the whole output, after the bias is added in its own
+// pass. Otherwise (the plain family, and ReLU) one pass adds the bias
+// and applies the activation per element, specialized per concrete
 // activation so the per-element calls devirtualize and inline.
 func fusedBiasActInPlace(act Activation, pre *mat.Dense, bias []float64) {
+	if mat.ActKernels() {
+		switch act.(type) {
+		case SELU:
+			addBias(pre, bias)
+			mat.Selu64(pre.Data, SELULambda, seluLambdaAlpha)
+			return
+		case Tanh:
+			addBias(pre, bias)
+			mat.Tanh64(pre.Data)
+			return
+		}
+	}
 	if bias == nil {
 		switch a := act.(type) {
 		case SELU:
@@ -250,11 +163,7 @@ func fusedBiasActInPlace(act Activation, pre *mat.Dense, bias []float64) {
 				pre.Data[i] = a.Apply(v)
 			}
 		default:
-			// Any other outputDeriv activation: interface calls, still
-			// fused and in place.
-			for i, v := range pre.Data {
-				pre.Data[i] = act.Apply(v)
-			}
+			panic("nn: no forward epilogue for activation " + act.Name())
 		}
 		return
 	}
@@ -274,21 +183,34 @@ func fusedBiasActInPlace(act Activation, pre *mat.Dense, bias []float64) {
 				pr[j] = a.Apply(pr[j] + b)
 			}
 		default:
-			for j, b := range bias {
-				pr[j] = act.Apply(pr[j] + b)
-			}
+			panic("nn: no forward epilogue for activation " + act.Name())
 		}
 	}
 }
 
-// fusedActGradFromOut is the fused backward epilogue for
-// output-derivative activations: in one pass it computes
-// dpre = grad ⊙ act'(out) — with the derivative taken from the cached
-// output, avoiding any transcendental re-evaluation — and, when
-// biasGrad is non-nil, accumulates the bias gradient column sums in
-// the same sweep.
+// addBias adds the bias row vector to every row of m; a nil bias adds
+// nothing.
+func addBias(m *mat.Dense, bias []float64) {
+	if bias != nil {
+		mat.AddRowVecTo(m, m, bias)
+	}
+}
+
+// fusedActGradFromOut is the backward epilogue of a linear layer with a
+// non-identity activation: dpre = grad ⊙ act'(out), the derivative taken
+// from the cached output, and, when biasGrad is non-nil, the bias
+// gradient's column sums, accumulated in row order. Under the asm
+// kernel family SELU's branchy derivative runs on mat's 4-lane kernel
+// (bit-identical to the scalar arm) and the column sums follow in their
+// own pass; otherwise one pass does both.
 func fusedActGradFromOut(act Activation, grad, out, dpre *mat.Dense, biasGrad []float64) {
-	od, _ := act.(outputDeriv) // non-nil on every path that routes here
+	if _, selu := act.(SELU); selu && mat.ActKernels() {
+		mat.SeluGrad64(dpre.Data, grad.Data, out.Data, SELULambda, seluLambdaAlpha)
+		if biasGrad != nil {
+			mat.ColSumsAcc(biasGrad, dpre)
+		}
+		return
+	}
 	if biasGrad == nil {
 		o := out.Data
 		switch a := act.(type) {
@@ -305,9 +227,7 @@ func fusedActGradFromOut(act Activation, grad, out, dpre *mat.Dense, biasGrad []
 				dpre.Data[i] = g * a.DerivFromOutput(o[i])
 			}
 		default:
-			for i, g := range grad.Data {
-				dpre.Data[i] = g * od.DerivFromOutput(o[i])
-			}
+			panic("nn: no backward epilogue for activation " + act.Name())
 		}
 		return
 	}
@@ -335,59 +255,7 @@ func fusedActGradFromOut(act Activation, grad, out, dpre *mat.Dense, biasGrad []
 				biasGrad[j] += d
 			}
 		default:
-			for j, g := range gr {
-				d := g * od.DerivFromOutput(or[j])
-				dr[j] = d
-				biasGrad[j] += d
-			}
-		}
-	}
-}
-
-// fusedBiasAct is the fused forward epilogue for custom activations
-// without an output-form derivative: one pass adds the (optional) bias
-// row vector into pre — which thereby becomes the cached
-// pre-activation — and writes the activation into out. The built-in
-// activations never reach it; they take the devirtualized in-place
-// path above.
-func fusedBiasAct(act Activation, pre, out *mat.Dense, bias []float64) {
-	if bias == nil {
-		for i, v := range pre.Data {
-			out.Data[i] = act.Apply(v)
-		}
-		return
-	}
-	for r := 0; r < pre.Rows; r++ {
-		pr := pre.Row(r)
-		or := out.Row(r)
-		for j, b := range bias {
-			p := pr[j] + b
-			pr[j] = p
-			or[j] = act.Apply(p)
-		}
-	}
-}
-
-// fusedActGrad is the fused backward epilogue: in one pass it computes
-// dpre = grad ⊙ act'(pre) and, when biasGrad is non-nil, accumulates
-// the bias gradient column sums — folding what used to be an ActLayer
-// backward pass plus a separate ColSumsAcc sweep into a single loop.
-func fusedActGrad(act Activation, grad, pre, dpre *mat.Dense, biasGrad []float64) {
-	if biasGrad == nil {
-		in := pre.Data
-		for i, g := range grad.Data {
-			dpre.Data[i] = g * act.Derivative(in[i])
-		}
-		return
-	}
-	for r := 0; r < grad.Rows; r++ {
-		gr := grad.Row(r)
-		pr := pre.Row(r)
-		dr := dpre.Row(r)
-		for j, g := range gr {
-			d := g * act.Derivative(pr[j])
-			dr[j] = d
-			biasGrad[j] += d
+			panic("nn: no backward epilogue for activation " + act.Name())
 		}
 	}
 }

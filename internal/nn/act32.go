@@ -2,11 +2,14 @@ package nn
 
 import "math"
 
-// Fast float32 transcendentals for the serving path. The float64
-// forward pass spends a double-digit share of its time in math.Exp
-// (SELU) — see the serve cold-batch profile — so the quantized path
-// replaces it with single-precision polynomial approximations (the
-// classic Cephes expf/tanhf minimax fits):
+// Fast float32 transcendentals for the serving path. Scalar math.Exp
+// (SELU) and math.Tanh cost a double-digit share of a forward pass, so
+// the quantized path replaces them with single-precision polynomial
+// approximations (the classic Cephes expf/tanhf minimax fits), and
+// under the asm kernel family SELU runs 8 lanes at a time (mat.Selu32).
+// Training's float64 passes have their own 4-lane kernels
+// (mat.Selu64/Tanh64, from LinearAct's epilogues) under asm. The
+// float32 fits:
 //
 //   - exp32: maximum relative error ~2e-7 over [-87, 88] — below one
 //     float32 ulp of the subsequent arithmetic, so activation error is

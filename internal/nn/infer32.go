@@ -29,8 +29,7 @@ type InferMLP32 struct {
 }
 
 // QuantizeMLP converts a trained float64 MLP into its float32 serving
-// form. AlphaDropout layers are dropped (identity at inference);
-// standalone ActLayers fold into the preceding linear layer. Layer
+// form. AlphaDropout layers are dropped (identity at inference). Layer
 // types without an inference mapping are an error rather than a silent
 // misprediction.
 func QuantizeMLP(m *MLP) (*InferMLP32, error) {
@@ -38,19 +37,7 @@ func QuantizeMLP(m *MLP) (*InferMLP32, error) {
 	for _, layer := range m.Layers {
 		switch l := layer.(type) {
 		case *LinearAct:
-			net.Layers = append(net.Layers, quantizeLinear(l.In, l.Out, l.W, l.B, l.Act))
-		case *Linear:
-			net.Layers = append(net.Layers, quantizeLinear(l.In, l.Out, l.W, l.B, Identity{}))
-		case *ActLayer:
-			n := len(net.Layers)
-			if n == 0 {
-				return nil, fmt.Errorf("nn: QuantizeMLP: ActLayer with no preceding linear layer")
-			}
-			prev := &net.Layers[n-1]
-			if _, id := prev.Act.(Identity); !id {
-				return nil, fmt.Errorf("nn: QuantizeMLP: ActLayer after non-identity activation %s", prev.Act.Name())
-			}
-			prev.Act = l.Act
+			net.Layers = append(net.Layers, quantizeLinear(l))
 		case *AlphaDropout:
 			// Identity at inference time.
 		default:
@@ -60,10 +47,10 @@ func QuantizeMLP(m *MLP) (*InferMLP32, error) {
 	return net, nil
 }
 
-func quantizeLinear(in, out int, w, b *Param, act Activation) InferLayer32 {
-	il := InferLayer32{In: in, Out: out, W: mat.QuantizeDense(w.Value), Act: act}
-	if b != nil {
-		src := b.Value.Row(0)
+func quantizeLinear(l *LinearAct) InferLayer32 {
+	il := InferLayer32{In: l.In, Out: l.Out, W: mat.QuantizeDense(l.W.Value), Act: l.Act}
+	if l.B != nil {
+		src := l.B.Value.Row(0)
 		il.Bias = make([]float32, len(src))
 		for i, v := range src {
 			il.Bias[i] = float32(v)
@@ -156,17 +143,6 @@ func biasAct32(act Activation, m *mat.DenseF32, bias []float32) {
 			}
 		}
 	default:
-		// Unknown activation: correctness over speed via the float64
-		// scalar Apply.
-		for r := 0; r < len(data); r += cols {
-			row := data[r : r+cols : r+cols]
-			for j := range row {
-				v := float64(row[j])
-				if bias != nil {
-					v += float64(bias[j])
-				}
-				row[j] = float32(act.Apply(v))
-			}
-		}
+		panic("nn: no float32 epilogue for activation " + act.Name())
 	}
 }

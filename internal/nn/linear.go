@@ -24,76 +24,13 @@ type Layer interface {
 	Params() []*Param
 }
 
-// Linear is a fully connected layer computing y = x*W + b with
-// W ∈ R^{In x Out}. The bias is optional: Bellamy's auto-encoder waives
-// additive biases (paper §IV-A).
-type Linear struct {
-	In, Out int
-	W       *Param
-	B       *Param // nil when the layer has no bias
-
-	input *mat.Dense
-}
-
-// NewLinear constructs a linear layer and initializes its weights.
-func NewLinear(name string, in, out int, withBias bool, scheme InitScheme, rng *rand.Rand) *Linear {
-	l := &Linear{In: in, Out: out, W: NewParam(name+".W", in, out)}
-	InitDense(l.W.Value, scheme, rng)
-	if withBias {
-		l.B = NewParam(name+".b", 1, out)
-	}
-	return l
-}
-
-// Forward implements Layer.
-func (l *Linear) Forward(ws *mat.Workspace, x *mat.Dense, train bool) *mat.Dense {
-	if x.Cols != l.In {
-		panic(fmt.Sprintf("nn: Linear %s input cols %d != in %d", l.W.Name, x.Cols, l.In))
-	}
-	l.input = x
-	y := ws.GetRaw(x.Rows, l.Out)
-	mat.MulTo(y, x, l.W.Value)
-	if l.B != nil {
-		mat.AddRowVecTo(y, y, l.B.Value.Row(0))
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (l *Linear) Backward(ws *mat.Workspace, grad *mat.Dense) *mat.Dense {
-	if l.input == nil {
-		panic("nn: Linear.Backward before Forward")
-	}
-	if grad.Cols != l.Out {
-		panic(fmt.Sprintf("nn: Linear %s grad cols %d != out %d", l.W.Name, grad.Cols, l.Out))
-	}
-	// dW += xᵀ * grad, straight into the parameter gradient.
-	mat.MulATBAcc(l.W.Grad, l.input, grad)
-	if l.B != nil {
-		mat.ColSumsAcc(l.B.Grad.Row(0), grad)
-	}
-	// dx = grad * Wᵀ
-	dx := ws.GetRaw(grad.Rows, l.In)
-	mat.MulABTTo(dx, grad, l.W.Value)
-	return dx
-}
-
-// Params implements Layer.
-func (l *Linear) Params() []*Param {
-	if l.B == nil {
-		return []*Param{l.W}
-	}
-	return []*Param{l.W, l.B}
-}
-
 // LinearAct is a fully connected layer with its activation fused in:
-// y = act(x*W + b). Compared to a Linear followed by an ActLayer it
-// runs the bias-add and the activation in a single pass over the
-// output (one read of the matmul result instead of three), computes
-// the backward activation-derivative ∘ upstream-gradient product and
-// the bias gradient in one sweep, and needs one less workspace buffer
-// per pass. Parameter names match the unfused pair (name.W / name.b),
-// so serialized states are interchangeable.
+// y = act(x*W + b) with W ∈ R^{In x Out}. The bias is optional:
+// Bellamy's auto-encoder waives additive biases (paper §IV-A). The
+// bias-add and the activation run as one epilogue over the product, in
+// place, and the backward pass takes the activation's derivative from
+// the cached output (Activation.DerivFromOutput), computing it and the
+// bias gradient in one sweep.
 type LinearAct struct {
 	In, Out int
 	W       *Param
@@ -101,11 +38,9 @@ type LinearAct struct {
 	Act     Activation
 
 	input *mat.Dense
-	// cache holds what Backward needs: the activated output when Act
-	// has an output-form derivative (cacheIsOut), the pre-activation
-	// otherwise, nil for Identity (whose derivative is constant).
-	cache      *mat.Dense
-	cacheIsOut bool
+	// cache is the activated output Backward takes the derivative from;
+	// nil for Identity, whose derivative is constant.
+	cache *mat.Dense
 }
 
 // NewLinearAct constructs a fused linear+activation layer.
@@ -139,19 +74,11 @@ func (l *LinearAct) Forward(ws *mat.Workspace, x *mat.Dense, train bool) *mat.De
 	if l.B != nil {
 		bias = l.B.Value.Row(0)
 	}
-	if _, ok := l.Act.(outputDeriv); ok {
-		// Bias and activation applied in place, single pass, single
-		// buffer; the output doubles as the derivative cache.
-		fusedBiasActInPlace(l.Act, pre, bias)
-		l.cache = pre
-		l.cacheIsOut = true
-		return pre
-	}
-	out := ws.GetRaw(x.Rows, l.Out)
-	fusedBiasAct(l.Act, pre, out, bias) // pre becomes x*W+b in the same pass
+	// Bias and activation applied in place, one buffer; the output
+	// doubles as the derivative cache.
+	fusedBiasActInPlace(l.Act, pre, bias)
 	l.cache = pre
-	l.cacheIsOut = false
-	return out
+	return pre
 }
 
 // Backward implements Layer.
@@ -186,11 +113,7 @@ func (l *LinearAct) backwardParams(ws *mat.Workspace, grad *mat.Dense) *mat.Dens
 			biasGrad = l.B.Grad.Row(0)
 		}
 		dpre = ws.GetRaw(grad.Rows, l.Out)
-		if l.cacheIsOut {
-			fusedActGradFromOut(l.Act, grad, l.cache, dpre, biasGrad)
-		} else {
-			fusedActGrad(l.Act, grad, l.cache, dpre, biasGrad)
-		}
+		fusedActGradFromOut(l.Act, grad, l.cache, dpre, biasGrad)
 	} else if l.B != nil {
 		mat.ColSumsAcc(l.B.Grad.Row(0), grad)
 	}
@@ -309,13 +232,8 @@ func (m *MLP) BackwardRows(ws *mat.Workspace, grad *mat.Dense) {
 // has given back.
 func (m *MLP) DropCaches() {
 	for _, l := range m.Layers {
-		switch l := l.(type) {
-		case *Linear:
-			l.input = nil
-		case *LinearAct:
+		if l, ok := l.(*LinearAct); ok {
 			l.input, l.cache = nil, nil
-		case *ActLayer:
-			l.input = nil
 		}
 	}
 	m.rows = nil
@@ -338,12 +256,8 @@ func (m *MLP) Replica(rng *rand.Rand) *MLP {
 	r := &MLP{Layers: make([]Layer, len(m.Layers))}
 	for i, l := range m.Layers {
 		switch l := l.(type) {
-		case *Linear:
-			r.Layers[i] = &Linear{In: l.In, Out: l.Out, W: share(l.W), B: share(l.B)}
 		case *LinearAct:
 			r.Layers[i] = &LinearAct{In: l.In, Out: l.Out, W: share(l.W), B: share(l.B), Act: l.Act}
-		case *ActLayer:
-			r.Layers[i] = NewActLayer(l.Act)
 		case *AlphaDropout:
 			r.Layers[i] = NewAlphaDropout(l.P, rng)
 		default:
@@ -378,10 +292,8 @@ type TwoLayerSpec struct {
 }
 
 // Build constructs the MLP for the spec, drawing initial weights from
-// rng. Each linear layer is built fused with its activation
-// (LinearAct), so the per-layer epilogues run in single passes; weight
-// initialization order — and therefore every drawn weight — is
-// identical to the unfused Linear/ActLayer stack.
+// rng: a LinearAct per layer, with an AlphaDropout between them when
+// the spec drops units.
 func (s TwoLayerSpec) Build(rng *rand.Rand) *MLP {
 	layers := []Layer{
 		NewLinearAct(s.Name+".l1", s.In, s.Hidden, s.WithBias, s.ActHidden, s.Init, rng),

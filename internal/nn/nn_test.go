@@ -28,6 +28,8 @@ func TestSELUValues(t *testing.T) {
 	}
 }
 
+// TestActivationDerivatives checks each activation's output-form
+// derivative against central finite differences of Apply.
 func TestActivationDerivatives(t *testing.T) {
 	acts := []Activation{SELU{}, Tanh{}, ReLU{}, Identity{}}
 	xs := []float64{-2.3, -0.5, 0.1, 0.9, 3.7}
@@ -35,9 +37,69 @@ func TestActivationDerivatives(t *testing.T) {
 	for _, act := range acts {
 		for _, x := range xs {
 			want := (act.Apply(x+h) - act.Apply(x-h)) / (2 * h)
-			got := act.Derivative(x)
+			got := act.DerivFromOutput(act.Apply(x))
 			if math.Abs(got-want) > 1e-4 {
 				t.Errorf("%s'(%v) = %v, finite-diff %v", act.Name(), x, got, want)
+			}
+		}
+	}
+}
+
+// TestEpiloguesMatchScalarArms holds the layer epilogues, whichever
+// kernel family runs them, to the per-element scalar forms: the forward
+// output to 1e-15 (absolute, plus relative) of act(x + b) — SELU taken
+// as lambda*alpha*expm1, which both families' error is measured from —
+// and the backward pass bit-equal to g * act.DerivFromOutput(y), with
+// the bias gradient summed in row order. Shapes cover the 4-lane body
+// and every ragged tail.
+func TestEpiloguesMatchScalarArms(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, act := range []Activation{SELU{}, Tanh{}, ReLU{}} {
+		for _, shape := range [][2]int{{1, 1}, {3, 5}, {7, 8}, {64, 40}, {33, 3}} {
+			for _, withBias := range []bool{false, true} {
+				rows, cols := shape[0], shape[1]
+				pre := randDense(rng, rows, cols)
+				mat.ScaleTo(pre, 3, pre)
+				var bias []float64
+				if withBias {
+					bias = randDense(rng, 1, cols).Data
+				}
+				out := pre.Clone()
+				fusedBiasActInPlace(act, out, bias)
+				for i, x := range pre.Data {
+					if bias != nil {
+						x += bias[i%cols]
+					}
+					want := act.Apply(x)
+					if _, selu := act.(SELU); selu && x <= 0 {
+						want = SELULambda * SELUAlpha * math.Expm1(x)
+					}
+					if math.Abs(out.Data[i]-want) > 1e-15*(1+math.Abs(want)) {
+						t.Fatalf("%s %dx%d bias=%v: forward[%d] = %v, scalar %v", act.Name(), rows, cols, withBias, i, out.Data[i], want)
+					}
+				}
+
+				grad := randDense(rng, rows, cols)
+				dpre := mat.NewDense(rows, cols)
+				var biasGrad, wantBias []float64
+				if withBias {
+					biasGrad, wantBias = make([]float64, cols), make([]float64, cols)
+				}
+				fusedActGradFromOut(act, grad, out, dpre, biasGrad)
+				for i, g := range grad.Data {
+					want := g * act.DerivFromOutput(out.Data[i])
+					if dpre.Data[i] != want {
+						t.Fatalf("%s %dx%d: backward[%d] = %v, scalar %v", act.Name(), rows, cols, i, dpre.Data[i], want)
+					}
+					if withBias {
+						wantBias[i%cols] += want
+					}
+				}
+				for j, want := range wantBias {
+					if biasGrad[j] != want {
+						t.Fatalf("%s %dx%d: bias gradient[%d] = %v, row-order sum %v", act.Name(), rows, cols, j, biasGrad[j], want)
+					}
+				}
 			}
 		}
 	}
@@ -57,9 +119,9 @@ func TestActivationByName(t *testing.T) {
 	ActivationByName("gelu")
 }
 
-func TestLinearForwardShape(t *testing.T) {
+func TestLinearActForwardShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	l := NewLinear("t", 3, 5, true, InitHe, rng)
+	l := NewLinearAct("t", 3, 5, true, SELU{}, InitHe, rng)
 	x := mat.NewDense(4, 3)
 	y := l.Forward(ws, x, false)
 	if y.Rows != 4 || y.Cols != 5 {
@@ -67,9 +129,9 @@ func TestLinearForwardShape(t *testing.T) {
 	}
 }
 
-func TestLinearNoBias(t *testing.T) {
+func TestLinearActNoBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	l := NewLinear("t", 2, 2, false, InitHe, rng)
+	l := NewLinearAct("t", 2, 2, false, Identity{}, InitHe, rng)
 	if l.B != nil {
 		t.Fatal("bias allocated for no-bias layer")
 	}
@@ -142,6 +204,20 @@ func TestGradCheckIdentityOut(t *testing.T) {
 	x := randDense(rng, 7, 6)
 	target := randDense(rng, 7, 1)
 	gradCheck(t, net, x, target, HuberLoss{})
+}
+
+// TestGradCheckLinearAct checks one LinearAct per activation, with and
+// without a bias, so every backward epilogue meets finite differences.
+func TestGradCheckLinearAct(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, act := range []Activation{SELU{}, Tanh{}, ReLU{}, Identity{}} {
+		for _, withBias := range []bool{false, true} {
+			net := NewMLP(NewLinearAct("l", 5, 6, withBias, act, InitLeCun, rng))
+			x := randDense(rng, 9, 5)
+			target := randDense(rng, 9, 6)
+			gradCheck(t, net, x, target, MSELoss{})
+		}
+	}
 }
 
 func TestMSELoss(t *testing.T) {
