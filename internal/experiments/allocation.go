@@ -2,69 +2,23 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
+	"math"
 	"strings"
 
 	"repro/internal/allocate"
 	"repro/internal/baselines"
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/parallel"
 )
 
-// AllocationConfig parameterizes the allocation-quality experiment: how
-// well each runtime model, driven through the allocation engine, picks
-// the cheapest configuration that meets a deadline — the end-to-end
-// question the paper motivates runtime prediction with.
-type AllocationConfig struct {
-	// Seed drives context choice, split sampling and model init.
-	Seed int64
-	// Jobs to evaluate; nil selects all.
-	Jobs []string
-	// ContextsPerJob is the number of randomly chosen target contexts.
-	ContextsPerJob int
-	// MaxSplits bounds the unique splits per training size.
-	MaxSplits int
-	// PointCounts are the training sizes to evaluate (>= 1; the
-	// baselines cannot allocate zero-shot).
-	PointCounts []int
-	// DeadlineFactors scale the context's best achievable mean runtime
-	// into SLO deadlines: factor 1.2 is a tight SLO, 2.0 a loose one.
-	DeadlineFactors []float64
-	// CostPerNodeHour prices the cost model (any positive constant
-	// yields the same regret ordering).
-	CostPerNodeHour float64
-	// Model is the Bellamy configuration.
-	Model core.Config
-	// Workers bounds experiment parallelism (0 = GOMAXPROCS).
-	Workers int
-}
+// costPerNodeHour prices the allocation experiment's cost model. Regret
+// is a ratio of two costs, so any positive price yields the same.
+const costPerNodeHour = 1
 
-// DefaultAllocationConfig returns a laptop-scale configuration.
-func DefaultAllocationConfig() AllocationConfig {
-	cfg := core.DefaultConfig()
-	cfg.PretrainEpochs = 250
-	cfg.FinetuneEpochs = 400
-	cfg.FinetunePatience = 150
-	return AllocationConfig{
-		Seed:            1,
-		ContextsPerJob:  3,
-		MaxSplits:       10,
-		PointCounts:     []int{1, 2, 3},
-		DeadlineFactors: []float64{1.2, 1.5, 2.0},
-		CostPerNodeHour: 1,
-		Model:           cfg,
-	}
-}
-
-// AllocationMeasurement is one (method, split, deadline) outcome.
-type AllocationMeasurement struct {
-	Job       string
-	Context   string
-	Method    Method
-	NumPoints int
-	// DeadlineFactor is the tightness of the SLO for this measurement.
+// Allocation is the outcome of one fitted predictor's allocation
+// decision at one SLO deadline.
+type Allocation struct {
+	// DeadlineFactor is the tightness of the SLO: the deadline is this
+	// multiple of the context's best achievable mean runtime.
 	DeadlineFactor float64
 	// OracleFeasible reports whether any candidate met the deadline on
 	// the ground-truth curve; violation accounting only covers these.
@@ -78,245 +32,91 @@ type AllocationMeasurement struct {
 	Regret float64
 }
 
-// AllocationResult aggregates the experiment's measurements.
-type AllocationResult struct {
-	Measurements []AllocationMeasurement
-}
-
-// RunAllocation executes the allocation-quality experiment on a
-// C3O-style dataset: per (job, target context, split) it fits each
-// method on the split's training points, sweeps the context's true
-// scale-out grid through the allocation engine, and scores the chosen
-// configuration against the ground-truth oracle.
-func RunAllocation(ds *dataset.Dataset, cfg AllocationConfig) (*AllocationResult, error) {
-	if cfg.ContextsPerJob <= 0 || cfg.MaxSplits <= 0 {
-		return nil, fmt.Errorf("experiments: ContextsPerJob and MaxSplits must be positive")
+// allocationScorer returns a function that scores a fitted predictor's
+// allocation decisions in one context against its ground truth: the
+// context's distinct scale-outs and the mean measured runtime at each.
+// It sweeps the scale-outs through the allocation engine at each
+// deadline factor; a factor whose allocation fails has no outcome.
+func allocationScorer(execs []dataset.Execution, factors []float64) func(baselines.Predictor) []Allocation {
+	candidates, runtime := dataset.ScaleOuts(execs), dataset.MeanRuntimeByScaleOut(execs)
+	minTrue := math.Inf(1)
+	for _, rt := range runtime {
+		minTrue = min(minTrue, rt)
 	}
-	if len(cfg.DeadlineFactors) == 0 || cfg.CostPerNodeHour <= 0 {
-		return nil, fmt.Errorf("experiments: DeadlineFactors and CostPerNodeHour must be set")
-	}
-	for _, k := range cfg.PointCounts {
-		if k < 1 {
-			return nil, fmt.Errorf("experiments: allocation PointCounts must be >= 1, got %d", k)
-		}
-	}
-	jobs := cfg.Jobs
-	if len(jobs) == 0 {
-		jobs = ds.Jobs()
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	res := &AllocationResult{}
-
-	for _, job := range jobs {
-		targets, err := chooseTargetContexts(ds, job, cfg.ContextsPerJob, rng)
-		if err != nil {
-			return nil, err
-		}
-		type ctxOut struct {
-			ms  []AllocationMeasurement
-			err error
-		}
-		seeds := make([]int64, len(targets))
-		for i := range seeds {
-			seeds[i] = rng.Int63()
-		}
-		outs := parallel.Map(len(targets), cfg.Workers, func(i int) ctxOut {
-			ms, err := runAllocationTarget(ds, job, targets[i], cfg, seeds[i])
-			return ctxOut{ms, err}
-		})
-		for _, o := range outs {
-			if o.err != nil {
-				return nil, o.err
+	engine := allocate.NewEngine()
+	return func(p baselines.Predictor) []Allocation {
+		var out []Allocation
+		for _, factor := range factors {
+			deadline := factor * minTrue
+			oracleCost, oracleOK := oracleChoice(candidates, runtime, deadline)
+			req := allocate.Request{Candidates: candidates, DeadlineSec: deadline, CostPerNodeHour: costPerNodeHour}
+			res, err := engine.Allocate(allocate.FromPointPredictor(p), req)
+			if err != nil {
+				continue
 			}
-			res.Measurements = append(res.Measurements, o.ms...)
+			a := Allocation{DeadlineFactor: factor, OracleFeasible: oracleOK}
+			if trueRT := runtime[res.Chosen.ScaleOut]; oracleOK {
+				if trueRT > deadline {
+					a.Violated = true
+				} else {
+					a.Regret = (cost(res.Chosen.ScaleOut, trueRT) - oracleCost) / oracleCost
+				}
+			}
+			out = append(out, a)
 		}
+		return out
 	}
-	return res, nil
 }
 
-// trueCurve derives the ground-truth allocation substrate of a context:
-// its distinct scale-outs and the mean measured runtime at each.
-func trueCurve(execs []dataset.Execution) (candidates []int, runtime map[int]float64) {
-	runtime = dataset.MeanRuntimeByScaleOut(execs)
-	candidates = dataset.ScaleOuts(execs)
-	return candidates, runtime
+func cost(scaleOut int, runtimeSec float64) float64 {
+	return float64(scaleOut) * runtimeSec / 3600 * costPerNodeHour
 }
 
 // oracleChoice returns the cost of the cheapest candidate whose true
 // runtime meets the deadline (feasible=false when none does).
-func oracleChoice(candidates []int, runtime map[int]float64, deadline, costPerNodeHour float64) (cost float64, feasible bool) {
+func oracleChoice(candidates []int, runtime map[int]float64, deadline float64) (c float64, feasible bool) {
 	for _, x := range candidates {
-		rt := runtime[x]
-		if rt > deadline {
-			continue
-		}
-		c := float64(x) * rt / 3600 * costPerNodeHour
-		if !feasible || c < cost {
-			cost, feasible = c, true
+		if rt := runtime[x]; rt <= deadline && (!feasible || cost(x, rt) < c) {
+			c, feasible = cost(x, rt), true
 		}
 	}
-	return cost, feasible
-}
-
-// runAllocationTarget handles one (job, target context): pre-trains the
-// Bellamy base on the other contexts, then sweeps splits, methods and
-// deadline factors.
-func runAllocationTarget(ds *dataset.Dataset, job string, target *dataset.Context, cfg AllocationConfig, seed int64) ([]AllocationMeasurement, error) {
-	rng := rand.New(rand.NewSource(seed))
-	modelCfg := cfg.Model
-	modelCfg.Seed = rng.Int63()
-
-	corpus := core.SamplesFromExecutions(dataset.FilterExcludeContext(ds, target))
-	var base *core.Model
-	if len(corpus) > 0 {
-		m, err := core.New(modelCfg)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := m.Pretrain(corpus); err != nil {
-			return nil, fmt.Errorf("experiments: pre-training allocation base for %s: %w", target.ID, err)
-		}
-		base = m
-	}
-
-	runners := baselineRunners()
-	if base != nil {
-		ftOpts := core.FinetuneOptions{Strategy: core.StrategyPartialUnfreeze}
-		runners = append(runners, bellamyRunner(MethodBellamyFull, base, modelCfg, target, ftOpts))
-	}
-
-	ctxExecs := ds.ForContext(target.ID)
-	candidates, runtime := trueCurve(ctxExecs)
-	minTrue := runtime[candidates[0]]
-	for _, x := range candidates[1:] {
-		if runtime[x] < minTrue {
-			minTrue = runtime[x]
-		}
-	}
-
-	engine := allocate.NewEngine()
-	var out []AllocationMeasurement
-	for _, k := range cfg.PointCounts {
-		splits, err := GenerateSplits(ctxExecs, k, cfg.MaxSplits, rng)
-		if err != nil {
-			continue // k may be infeasible for this context
-		}
-		for _, sp := range splits {
-			points := make([]baselines.Point, len(sp.Train))
-			for i, e := range sp.Train {
-				points[i] = baselines.Point{ScaleOut: e.ScaleOut, Runtime: e.RuntimeSec}
-			}
-			for _, r := range runners {
-				if len(points) < r.MinPoints {
-					continue
-				}
-				p, err := r.Make()
-				if err != nil {
-					continue
-				}
-				if err := p.Fit(points); err != nil {
-					continue
-				}
-				for _, factor := range cfg.DeadlineFactors {
-					deadline := factor * minTrue
-					oracleCost, oracleOK := oracleChoice(candidates, runtime, deadline, cfg.CostPerNodeHour)
-					req := allocate.Request{
-						Candidates:      candidates,
-						DeadlineSec:     deadline,
-						CostPerNodeHour: cfg.CostPerNodeHour,
-					}
-					res, err := engine.Allocate(allocate.FromPointPredictor(p), req)
-					if err != nil {
-						continue
-					}
-					m := AllocationMeasurement{
-						Job: job, Context: target.ID, Method: r.Name,
-						NumPoints: k, DeadlineFactor: factor,
-						OracleFeasible: oracleOK,
-					}
-					trueRT := runtime[res.Chosen.ScaleOut]
-					if oracleOK {
-						if trueRT > deadline {
-							m.Violated = true
-						} else {
-							trueCost := float64(res.Chosen.ScaleOut) * trueRT / 3600 * cfg.CostPerNodeHour
-							m.Regret = (trueCost - oracleCost) / oracleCost
-						}
-					}
-					out = append(out, m)
-				}
-			}
-		}
-	}
-	return out, nil
+	return c, feasible
 }
 
 // FormatAllocationTable renders the allocation-quality comparison: per
 // (job, method) the SLO-violation rate and the mean cost regret over
 // splits, point counts and deadline factors where the oracle had a
 // feasible configuration.
-func FormatAllocationTable(ms []AllocationMeasurement) string {
-	type cell struct {
-		feasible, violated int
-		regrets            []float64
-	}
-	byCell := map[GroupKey]*cell{}
-	seenJobs := map[string]bool{}
-	var jobs []string
-	seenMethods := map[Method]bool{}
-	for _, m := range ms {
-		if !m.OracleFeasible {
-			continue
-		}
-		k := GroupKey{Job: m.Job, Method: m.Method}
-		c := byCell[k]
-		if c == nil {
-			c = &cell{}
-			byCell[k] = c
-		}
-		c.feasible++
-		if m.Violated {
-			c.violated++
-		} else {
-			c.regrets = append(c.regrets, m.Regret)
-		}
-		if !seenJobs[m.Job] {
-			seenJobs[m.Job] = true
-			jobs = append(jobs, m.Job)
-		}
-		seenMethods[m.Method] = true
-	}
-	sort.Strings(jobs)
-	var methods []Method
-	for _, m := range MethodOrder {
-		if seenMethods[m] {
-			methods = append(methods, m)
+func FormatAllocationTable(t Table) string {
+	byCell := map[cellKey][]Allocation{}
+	var feasible Table
+	for _, m := range t {
+		for _, a := range m.Allocations {
+			if k := (cellKey{Job: m.Job, Method: m.Method}); a.OracleFeasible {
+				if byCell[k] == nil {
+					feasible = append(feasible, m)
+				}
+				byCell[k] = append(byCell[k], a)
+			}
 		}
 	}
-
 	var b strings.Builder
 	b.WriteString("Allocation quality — SLO-violation rate / mean cost regret\n")
-	fmt.Fprintf(&b, "%10s", "job")
-	for _, m := range methods {
-		fmt.Fprintf(&b, " %28s", m)
-	}
-	b.WriteByte('\n')
-	for _, job := range jobs {
-		fmt.Fprintf(&b, "%10s", job)
-		for _, m := range methods {
-			c := byCell[GroupKey{Job: job, Method: m}]
-			if c == nil || c.feasible == 0 {
-				fmt.Fprintf(&b, " %28s", "-")
-				continue
-			}
-			viol := float64(c.violated) / float64(c.feasible)
-			regret := 0.0
-			if len(c.regrets) > 0 {
-				regret = Mean(c.regrets)
-			}
-			fmt.Fprintf(&b, "   %6.1f%% / %8.1f%% (%3d)", viol*100, regret*100, c.feasible)
+	writeGrid(&b, "job", 10, 28, jobsPresent(feasible), methodsPresent(feasible), func(job string, m Method) string {
+		as := byCell[cellKey{Job: job, Method: m}]
+		if len(as) == 0 {
+			return ""
 		}
-		b.WriteByte('\n')
-	}
+		violated, regrets := 0, []float64(nil)
+		for _, a := range as {
+			if a.Violated {
+				violated++
+			} else {
+				regrets = append(regrets, a.Regret)
+			}
+		}
+		viol := float64(violated) / float64(len(as))
+		return fmt.Sprintf("   %6.1f%% / %8.1f%% (%3d)", viol*100, Mean(regrets)*100, len(as))
+	})
 	return b.String()
 }

@@ -10,14 +10,13 @@ import (
 
 // tinyAllocationConfig shrinks the experiment to a smoke-test budget:
 // one job, one target context, a handful of splits, tiny model.
-func tinyAllocationConfig() AllocationConfig {
+func tinyAllocationConfig() Config {
 	cfg := DefaultAllocationConfig()
 	cfg.Jobs = []string{"sort"}
 	cfg.ContextsPerJob = 1
 	cfg.MaxSplits = 2
 	cfg.PointCounts = []int{2}
 	cfg.DeadlineFactors = []float64{1.5}
-	cfg.Workers = 1
 
 	m := core.DefaultConfig()
 	m.PropertySize = 16
@@ -38,30 +37,35 @@ func TestRunAllocationSmoke(t *testing.T) {
 		t.Skip("pre-trains a model; skipped in -short")
 	}
 	ds := dataset.GenerateC3O(dataset.SimConfig{Seed: 7, Repeats: 2})
-	cfg := tinyAllocationConfig()
-	res, err := RunAllocation(ds, cfg)
+	plan, err := AllocationPlan(ds, tinyAllocationConfig())
 	if err != nil {
-		t.Fatalf("RunAllocation: %v", err)
+		t.Fatalf("AllocationPlan: %v", err)
 	}
-	if len(res.Measurements) == 0 {
-		t.Fatal("experiment produced no measurements")
+	tab, err := Run(ds, plan, 1)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	methods := map[Method]bool{}
-	for _, m := range res.Measurements {
-		methods[m.Method] = true
+	for _, m := range tab {
 		if m.Job != "sort" {
 			t.Fatalf("measurement for unexpected job %q", m.Job)
 		}
-		if m.OracleFeasible && !m.Violated && m.Regret < 0 {
-			t.Fatalf("negative regret %v: chosen config cheaper than the oracle", m.Regret)
+		for _, a := range m.Allocations {
+			methods[m.Method] = true
+			if a.OracleFeasible && !a.Violated && a.Regret < 0 {
+				t.Fatalf("negative regret %v: chosen config cheaper than the oracle", a.Regret)
+			}
 		}
+	}
+	if len(methods) == 0 {
+		t.Fatal("experiment produced no allocations")
 	}
 	for _, want := range []Method{MethodNNLS, MethodBell, MethodBellamyFull} {
 		if !methods[want] {
-			t.Fatalf("method %s missing from measurements", want)
+			t.Fatalf("method %s missing from allocations", want)
 		}
 	}
-	table := FormatAllocationTable(res.Measurements)
+	table := FormatAllocationTable(tab)
 	if !strings.Contains(table, "sort") || !strings.Contains(table, "nnls") {
 		t.Fatalf("allocation table missing expected rows/columns:\n%s", table)
 	}
@@ -72,14 +76,14 @@ func TestOracleChoice(t *testing.T) {
 	runtime := map[int]float64{2: 300, 4: 150, 8: 100}
 	// Deadline 200: feasible at 4 (cost 4*150) and 8 (cost 8*100);
 	// cheapest is 4.
-	cost, ok := oracleChoice(candidates, runtime, 200, 1)
+	cost, ok := oracleChoice(candidates, runtime, 200)
 	if !ok {
 		t.Fatal("deadline 200 reported infeasible")
 	}
 	if want := 4.0 * 150 / 3600; cost != want {
 		t.Fatalf("oracle cost = %v, want %v", cost, want)
 	}
-	if _, ok := oracleChoice(candidates, runtime, 50, 1); ok {
+	if _, ok := oracleChoice(candidates, runtime, 50); ok {
 		t.Fatal("deadline 50 reported feasible")
 	}
 }
@@ -88,17 +92,12 @@ func TestRunAllocationValidation(t *testing.T) {
 	ds := dataset.GenerateC3O(dataset.SimConfig{Seed: 1, Repeats: 2})
 	cfg := tinyAllocationConfig()
 	cfg.PointCounts = []int{0}
-	if _, err := RunAllocation(ds, cfg); err == nil {
+	if _, err := AllocationPlan(ds, cfg); err == nil {
 		t.Fatal("PointCounts {0} accepted")
 	}
 	cfg = tinyAllocationConfig()
 	cfg.DeadlineFactors = nil
-	if _, err := RunAllocation(ds, cfg); err == nil {
+	if _, err := AllocationPlan(ds, cfg); err == nil {
 		t.Fatal("empty DeadlineFactors accepted")
-	}
-	cfg = tinyAllocationConfig()
-	cfg.CostPerNodeHour = 0
-	if _, err := RunAllocation(ds, cfg); err == nil {
-		t.Fatal("zero CostPerNodeHour accepted")
 	}
 }

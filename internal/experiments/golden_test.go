@@ -37,38 +37,40 @@ func TestGoldenTables(t *testing.T) {
 	}
 	c3o := dataset.GenerateC3O(dataset.SimConfig{Seed: 1})
 	bell := dataset.GenerateBell(dataset.SimConfig{Seed: 2})
-	t.Run("crosscontext", func(t *testing.T) {
-		res, err := RunCrossContext(c3o, CrossContextConfig{
-			Seed: 1, Jobs: []string{"grep", "sort"}, ContextsPerJob: 2, MaxSplits: 3,
-			PointCounts: []int{1, 2, 3}, Model: goldenModel(),
-		})
+	cfg := Config{Seed: 1, ContextsPerJob: 2, MaxSplits: 3, PointCounts: []int{1, 2, 3}, Model: goldenModel()}
+	run := func(t *testing.T, ds *dataset.Dataset, plan Plan, err error) Table {
+		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms := res.Measurements
-		checkGolden(t, "crosscontext", FormatMRETable(ms, false)+FormatMRETable(ms, true)+
-			FormatMAETable(ms, "Cross-context (Fig. 6)")+FormatEpochECDF(ms))
+		tab, err := Run(ds, plan, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	t.Run("crosscontext", func(t *testing.T) {
+		cfg := cfg
+		cfg.Jobs = []string{"grep", "sort"}
+		plan, err := CrossContextPlan(c3o, cfg)
+		tab := run(t, c3o, plan, err)
+		checkGolden(t, "crosscontext", FormatMRETable(tab, false)+FormatMRETable(tab, true)+
+			FormatMAETable(tab, "Cross-context (Fig. 6)")+FormatEpochECDF(tab))
 	})
 	t.Run("crossenv", func(t *testing.T) {
-		res, err := RunCrossEnv(c3o, bell, CrossEnvConfig{
-			Seed: 1, Jobs: []string{"grep"}, MaxSplits: 3,
-			PointCounts: []int{1, 2, 3}, Model: goldenModel(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "crossenv", FormatMAETable(res.Measurements, "Cross-environment (Fig. 8)"))
+		cfg := cfg
+		cfg.Jobs = []string{"grep"}
+		plan, err := CrossEnvPlan(c3o, bell, cfg)
+		tab := run(t, bell, plan, err)
+		checkGolden(t, "crossenv", FormatMAETable(tab, "Cross-environment (Fig. 8)"))
 	})
 	t.Run("allocation", func(t *testing.T) {
-		res, err := RunAllocation(c3o, AllocationConfig{
-			Seed: 1, Jobs: []string{"sort"}, ContextsPerJob: 2, MaxSplits: 3,
-			PointCounts: []int{1, 2, 3}, DeadlineFactors: []float64{1.2, 1.5, 2.0},
-			CostPerNodeHour: 1, Model: goldenModel(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "allocation", FormatAllocationTable(res.Measurements))
+		cfg := cfg
+		cfg.Jobs = []string{"sort"}
+		cfg.DeadlineFactors = []float64{1.2, 1.5, 2.0}
+		plan, err := AllocationPlan(c3o, cfg)
+		tab := run(t, c3o, plan, err)
+		checkGolden(t, "allocation", FormatAllocationTable(tab))
 	})
 }
 

@@ -31,32 +31,17 @@ const (
 
 // IsBellamy reports whether the method is a Bellamy variant (relevant for
 // epoch statistics — baselines have no epochs).
-func (m Method) IsBellamy() bool {
-	switch m {
-	case MethodNNLS, MethodBell:
-		return false
-	default:
-		return true
-	}
-}
+func (m Method) IsBellamy() bool { return m != MethodNNLS && m != MethodBell }
 
-// MethodRunner builds fresh predictors for a target context.
-type MethodRunner struct {
-	Name Method
-	// Make returns a new predictor instance bound to the target context.
-	Make func() (baselines.Predictor, error)
-	// ZeroShot marks methods usable with zero training points.
-	ZeroShot bool
-	// MinPoints is the smallest training size the method accepts.
-	MinPoints int
-}
-
-// Measurement is one (method, split) outcome.
+// Measurement is one row of a Table: one method fitted on one split.
 type Measurement struct {
-	Job       string
-	Context   string
-	Method    Method
-	NumPoints int
+	// Unit is the index of the row's unit in the Plan, Split the index of
+	// the split among the unit's splits of NumPoints training points.
+	Unit, Split int
+	Job         string
+	Context     string
+	Method      Method
+	NumPoints   int
 
 	// HasInterp/HasExtra report which test points existed in the split.
 	HasInterp, HasExtra bool
@@ -69,20 +54,19 @@ type Measurement struct {
 	FitSeconds float64
 	// Epochs is the number of fine-tuning epochs (Bellamy only).
 	Epochs int
+	// Allocations are the row's allocation outcomes, one per deadline
+	// factor, in a unit with DeadlineFactors.
+	Allocations []Allocation
 }
 
-// runSplit fits a fresh predictor on the split's training points and
-// evaluates both test points. It returns ok=false when the method cannot
-// run on this split (too few points).
-func runSplit(r MethodRunner, job, ctxID string, sp Split) (Measurement, bool) {
+// Table is the long-format result of Run: one row per (unit, k, split,
+// method).
+type Table []Measurement
+
+// runSplit fits the fresh predictor p on the split's training points
+// and evaluates both test points. It returns ok=false when the fit fails.
+func runSplit(p baselines.Predictor, sp Split) (Measurement, bool) {
 	k := len(sp.Train)
-	if k < r.MinPoints && !(k == 0 && r.ZeroShot) {
-		return Measurement{}, false
-	}
-	p, err := r.Make()
-	if err != nil {
-		return Measurement{}, false
-	}
 	points := make([]baselines.Point, k)
 	for i, e := range sp.Train {
 		points[i] = baselines.Point{ScaleOut: e.ScaleOut, Runtime: e.RuntimeSec}
@@ -91,67 +75,21 @@ func runSplit(r MethodRunner, job, ctxID string, sp Split) (Measurement, bool) {
 	if err := p.Fit(points); err != nil {
 		return Measurement{}, false
 	}
-	m := Measurement{
-		Job: job, Context: ctxID, Method: r.Name, NumPoints: k,
-		FitSeconds: time.Since(start).Seconds(),
-	}
+	m := Measurement{FitSeconds: time.Since(start).Seconds()}
 	if cp, ok := p.(*core.ContextPredictor); ok && cp.Report != nil {
 		m.Epochs = cp.Report.Epochs
 	}
-	if sp.Interp != nil {
-		if pred, err := p.Predict(sp.Interp.ScaleOut); err == nil {
-			m.HasInterp = true
-			m.InterpRelErr = RelErr(pred, sp.Interp.RuntimeSec)
-			m.InterpAbsErr = AbsErr(pred, sp.Interp.RuntimeSec)
+	test := func(e *dataset.Execution) (ok bool, relErr, absErr float64) {
+		if e == nil {
+			return false, 0, 0
 		}
-	}
-	if sp.Extra != nil {
-		if pred, err := p.Predict(sp.Extra.ScaleOut); err == nil {
-			m.HasExtra = true
-			m.ExtraRelErr = RelErr(pred, sp.Extra.RuntimeSec)
-			m.ExtraAbsErr = AbsErr(pred, sp.Extra.RuntimeSec)
+		pred, err := p.Predict(e.ScaleOut)
+		if err != nil {
+			return false, 0, 0
 		}
+		return true, RelErr(pred, e.RuntimeSec), AbsErr(pred, e.RuntimeSec)
 	}
+	m.HasInterp, m.InterpRelErr, m.InterpAbsErr = test(sp.Interp)
+	m.HasExtra, m.ExtraRelErr, m.ExtraAbsErr = test(sp.Extra)
 	return m, true
-}
-
-// baselineRunners returns the NNLS and Bell method runners.
-func baselineRunners() []MethodRunner {
-	return []MethodRunner{
-		{
-			Name:      MethodNNLS,
-			Make:      func() (baselines.Predictor, error) { return baselines.NewErnest(), nil },
-			MinPoints: 1,
-		},
-		{
-			Name:      MethodBell,
-			Make:      func() (baselines.Predictor, error) { return baselines.NewBell(), nil },
-			MinPoints: 1,
-		},
-	}
-}
-
-// bellamyRunner wraps a pre-trained base model (nil for the local
-// variant) as a method runner for one target context.
-func bellamyRunner(name Method, base *core.Model, cfg core.Config, target *dataset.Context, opts core.FinetuneOptions) MethodRunner {
-	ess := target.EssentialProps()
-	opt := target.OptionalProps()
-	return MethodRunner{
-		Name:      name,
-		ZeroShot:  base != nil,
-		MinPoints: 1,
-		Make: func() (baselines.Predictor, error) {
-			var m *core.Model
-			var err error
-			if base != nil {
-				m, err = base.Clone()
-			} else {
-				m, err = core.New(cfg)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return core.NewContextPredictor(m, ess, opt, opts), nil
-		},
-	}
 }

@@ -1,8 +1,24 @@
-// Package experiments implements the evaluation harness of the paper:
-// random sub-sampling cross-validation splits with interpolation and
-// extrapolation test points, the MRE/MAE metrics, the epoch eCDFs, and
-// runners that regenerate every figure of §IV (Fig. 5, 6, 7, 8 and the
-// training-time observations).
+// Package experiments implements the evaluation harness of the paper
+// (§IV-C): random sub-sampling cross-validation splits with
+// interpolation and extrapolation test points, the MRE/MAE metrics, the
+// epoch eCDFs, and the experiments behind every figure of §IV (Fig. 5,
+// 6, 7, 8 and the training-time observations).
+//
+// Every experiment is a Plan that one engine runs. A Plan is a list of
+// Units, one per target context. A unit names the bases it pre-trains,
+// each a Corpus plus a BuildFunc, and its Runners: a baseline, a fresh
+// local Bellamy model, or a fine-tune of a base under a core.Strategy.
+// Run executes the units and returns a Table with one Measurement per
+// (unit, k, split, method). The Format* functions print the paper's
+// tables from a Table, and Paired compares any two of its methods.
+//
+// Seeds follow one rule. A plan constructor picks the targets of each
+// job from the rng of its Config.Seed, then draws one seed per unit
+// from it. A unit's rng, seeded with Unit.Seed, draws in this order:
+// one model seed per distinct non-empty corpus, in the order the unit's
+// bases first name them; one seed for the unit's fresh local models, if
+// it has any; then the splits of each point count, in PointCounts order.
+// Bases on the same corpus therefore share a model seed.
 package experiments
 
 import (
@@ -47,30 +63,6 @@ func Std(vals []float64) float64 {
 	return math.Sqrt(sq / float64(len(vals)-1))
 }
 
-// Percentile returns the p-th percentile (0..100) of vals using linear
-// interpolation between order statistics.
-func Percentile(vals []float64, p float64) float64 {
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // ECDF is an empirical cumulative distribution function over observed
 // values (Fig. 7 plots these for trained epoch counts).
 type ECDF struct {
@@ -84,16 +76,6 @@ func NewECDF(vals []float64) *ECDF {
 	return &ECDF{Values: sorted}
 }
 
-// At returns P(X <= x).
-func (e *ECDF) At(x float64) float64 {
-	if len(e.Values) == 0 {
-		return 0
-	}
-	// First index with value > x.
-	idx := sort.Search(len(e.Values), func(i int) bool { return e.Values[i] > x })
-	return float64(idx) / float64(len(e.Values))
-}
-
 // Quantile returns the smallest value v with P(X <= v) >= q.
 func (e *ECDF) Quantile(q float64) float64 {
 	if len(e.Values) == 0 {
@@ -103,11 +85,5 @@ func (e *ECDF) Quantile(q float64) float64 {
 		return e.Values[0]
 	}
 	idx := int(math.Ceil(q*float64(len(e.Values)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(e.Values) {
-		idx = len(e.Values) - 1
-	}
-	return e.Values[idx]
+	return e.Values[min(max(idx, 0), len(e.Values)-1)]
 }

@@ -1,72 +1,34 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// GroupKey identifies an aggregation cell.
-type GroupKey struct {
+// cellKey identifies an aggregation cell.
+type cellKey struct {
 	Job       string
 	Method    Method
 	NumPoints int
 }
 
-// Aggregate collects per-cell statistics from raw measurements.
-type Aggregate struct {
-	InterpRelErrs []float64
-	InterpAbsErrs []float64
-	ExtraRelErrs  []float64
-	ExtraAbsErrs  []float64
-	FitSeconds    []float64
-	Epochs        []float64
-}
-
-// GroupByPoints buckets measurements by (job, method, numPoints).
-func GroupByPoints(ms []Measurement) map[GroupKey]*Aggregate {
-	out := map[GroupKey]*Aggregate{}
-	for _, m := range ms {
-		k := GroupKey{m.Job, m.Method, m.NumPoints}
-		a := out[k]
-		if a == nil {
-			a = &Aggregate{}
-			out[k] = a
+// cells buckets the metric's values by (job, method, numPoints), or by
+// (job, method) across all point counts — the aggregation behind Fig. 6
+// and Fig. 8 — when byPoints is false.
+func cells(t Table, byPoints bool, metric Metric) map[cellKey][]float64 {
+	out := map[cellKey][]float64{}
+	for _, m := range t {
+		if v, ok := metric(m); ok {
+			k := cellKey{Job: m.Job, Method: m.Method}
+			if byPoints {
+				k.NumPoints = m.NumPoints
+			}
+			out[k] = append(out[k], v)
 		}
-		addMeasurement(a, m)
 	}
 	return out
-}
-
-// GroupByMethod buckets measurements by (job, method) across all point
-// counts — the aggregation behind Fig. 6 and Fig. 8.
-func GroupByMethod(ms []Measurement) map[GroupKey]*Aggregate {
-	out := map[GroupKey]*Aggregate{}
-	for _, m := range ms {
-		k := GroupKey{Job: m.Job, Method: m.Method}
-		a := out[k]
-		if a == nil {
-			a = &Aggregate{}
-			out[k] = a
-		}
-		addMeasurement(a, m)
-	}
-	return out
-}
-
-func addMeasurement(a *Aggregate, m Measurement) {
-	if m.HasInterp {
-		a.InterpRelErrs = append(a.InterpRelErrs, m.InterpRelErr)
-		a.InterpAbsErrs = append(a.InterpAbsErrs, m.InterpAbsErr)
-	}
-	if m.HasExtra {
-		a.ExtraRelErrs = append(a.ExtraRelErrs, m.ExtraRelErr)
-		a.ExtraAbsErrs = append(a.ExtraAbsErrs, m.ExtraAbsErr)
-	}
-	a.FitSeconds = append(a.FitSeconds, m.FitSeconds)
-	if m.Method.IsBellamy() && m.Epochs > 0 {
-		a.Epochs = append(a.Epochs, float64(m.Epochs))
-	}
 }
 
 // MethodOrder fixes the column order of reports.
@@ -77,89 +39,67 @@ var MethodOrder = []Method{
 	MethodBellamyPartialReset, MethodBellamyFullReset,
 }
 
-// methodsPresent returns MethodOrder restricted to methods observed in
-// the measurement set.
-func methodsPresent(ms []Measurement) []Method {
-	seen := map[Method]bool{}
-	for _, m := range ms {
-		seen[m.Method] = true
-	}
-	var out []Method
-	for _, m := range MethodOrder {
-		if seen[m] {
-			out = append(out, m)
-		}
-	}
-	return out
+// methodsPresent returns MethodOrder restricted to the table's methods.
+func methodsPresent(t Table) []Method {
+	seen := distinct(t, func(m Measurement) Method { return m.Method })
+	return slices.DeleteFunc(slices.Clone(MethodOrder), func(m Method) bool { return !slices.Contains(seen, m) })
 }
 
-func jobsPresent(ms []Measurement) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, m := range ms {
-		if !seen[m.Job] {
-			seen[m.Job] = true
-			out = append(out, m.Job)
-		}
+func jobsPresent(t Table) []string { return distinct(t, func(m Measurement) string { return m.Job }) }
+
+// distinct returns the sorted distinct values of f over the table.
+func distinct[T cmp.Ordered](t Table, f func(Measurement) T) []T {
+	var out []T
+	for _, m := range t {
+		out = append(out, f(m))
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-func pointCountsPresent(ms []Measurement) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, m := range ms {
-		if !seen[m.NumPoints] {
-			seen[m.NumPoints] = true
-			out = append(out, m.NumPoints)
-		}
+// writeGrid writes a header of the methods, each column width wide, then
+// a line per row: its label, then each method's cell as cell renders it,
+// or "-" where cell returns "".
+func writeGrid[R any](b *strings.Builder, corner string, labelWidth, width int, rows []R, methods []Method, cell func(R, Method) string) {
+	fmt.Fprintf(b, "%*s", labelWidth, corner)
+	for _, m := range methods {
+		fmt.Fprintf(b, " %*s", width, m)
 	}
-	sort.Ints(out)
-	return out
+	b.WriteByte('\n')
+	for _, r := range rows {
+		fmt.Fprintf(b, "%*v", labelWidth, r)
+		for _, m := range methods {
+			if s := cell(r, m); s != "" {
+				b.WriteString(s)
+			} else {
+				fmt.Fprintf(b, " %*s", width, "-")
+			}
+		}
+		b.WriteByte('\n')
+	}
 }
 
 // FormatMRETable renders the Fig. 5 style table: mean relative errors per
 // (job, #points, method) for either interpolation or extrapolation.
-func FormatMRETable(ms []Measurement, extrapolation bool) string {
-	byCell := GroupByPoints(ms)
-	methods := methodsPresent(ms)
-	jobs := jobsPresent(ms)
-	points := pointCountsPresent(ms)
+func FormatMRETable(t Table, extrapolation bool) string {
+	task, metric := "interpolation", Metric(InterpMRE)
+	if extrapolation {
+		task, metric = "extrapolation", ExtrapMRE
+	}
+	byCell := cells(t, true, metric)
+	methods := methodsPresent(t)
+	points := distinct(t, func(m Measurement) int { return m.NumPoints })
 
 	var b strings.Builder
-	task := "interpolation"
-	if extrapolation {
-		task = "extrapolation"
-	}
 	fmt.Fprintf(&b, "MRE (%s) per job, #points, method\n", task)
-	for _, job := range jobs {
+	for _, job := range jobsPresent(t) {
 		fmt.Fprintf(&b, "\n%s\n", job)
-		fmt.Fprintf(&b, "%8s", "#points")
-		for _, m := range methods {
-			fmt.Fprintf(&b, " %24s", m)
-		}
-		b.WriteByte('\n')
-		for _, k := range points {
-			fmt.Fprintf(&b, "%8d", k)
-			for _, m := range methods {
-				a := byCell[GroupKey{job, m, k}]
-				vals := []float64(nil)
-				if a != nil {
-					if extrapolation {
-						vals = a.ExtraRelErrs
-					} else {
-						vals = a.InterpRelErrs
-					}
-				}
-				if len(vals) == 0 {
-					fmt.Fprintf(&b, " %24s", "-")
-				} else {
-					fmt.Fprintf(&b, " %18.3f (%3d)", Mean(vals), len(vals))
-				}
+		writeGrid(&b, "#points", 8, 24, points, methods, func(k int, m Method) string {
+			if vals := byCell[cellKey{job, m, k}]; len(vals) > 0 {
+				return fmt.Sprintf(" %18.3f (%3d)", Mean(vals), len(vals))
 			}
-			b.WriteByte('\n')
-		}
+			return ""
+		})
 	}
 	return b.String()
 }
@@ -167,58 +107,42 @@ func FormatMRETable(ms []Measurement, extrapolation bool) string {
 // FormatMAETable renders the Fig. 6 / Fig. 8 style table: interpolation
 // MAE in seconds per (job, method), aggregated over splits, contexts and
 // point counts.
-func FormatMAETable(ms []Measurement, title string) string {
-	byCell := GroupByMethod(ms)
-	methods := methodsPresent(ms)
-	jobs := jobsPresent(ms)
-
+func FormatMAETable(t Table, title string) string {
+	byCell := cells(t, false, func(m Measurement) (float64, bool) { return m.InterpAbsErr, m.HasInterp })
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — interpolation MAE [s]\n", title)
-	fmt.Fprintf(&b, "%10s", "job")
-	for _, m := range methods {
-		fmt.Fprintf(&b, " %24s", m)
-	}
-	b.WriteByte('\n')
-	for _, job := range jobs {
-		fmt.Fprintf(&b, "%10s", job)
-		for _, m := range methods {
-			a := byCell[GroupKey{Job: job, Method: m}]
-			if a == nil || len(a.InterpAbsErrs) == 0 {
-				fmt.Fprintf(&b, " %24s", "-")
-			} else {
-				fmt.Fprintf(&b, " %12.1f ± %8.1f", Mean(a.InterpAbsErrs), Std(a.InterpAbsErrs))
-			}
+	writeGrid(&b, "job", 10, 24, jobsPresent(t), methodsPresent(t), func(job string, m Method) string {
+		if vals := byCell[cellKey{Job: job, Method: m}]; len(vals) > 0 {
+			return fmt.Sprintf(" %12.1f ± %8.1f", Mean(vals), Std(vals))
 		}
-		b.WriteByte('\n')
-	}
+		return ""
+	})
 	return b.String()
 }
 
 // FormatEpochECDF renders the Fig. 7 style summary: quantiles of the
 // fine-tuning epoch distribution per (job, Bellamy variant).
-func FormatEpochECDF(ms []Measurement) string {
-	byCell := GroupByMethod(ms)
-	methods := methodsPresent(ms)
-	jobs := jobsPresent(ms)
+func FormatEpochECDF(t Table) string {
+	byCell := cells(t, false, func(m Measurement) (float64, bool) {
+		return float64(m.Epochs), m.Method.IsBellamy() && m.Epochs > 0
+	})
+	methods := methodsPresent(t)
 	quantiles := []float64{0.25, 0.5, 0.75, 0.9, 1.0}
 
 	var b strings.Builder
 	b.WriteString("Fine-tuning epochs eCDF quantiles per job and Bellamy variant\n")
-	for _, job := range jobs {
+	for _, job := range jobsPresent(t) {
 		fmt.Fprintf(&b, "\n%s\n%26s", job, "quantile")
 		for _, q := range quantiles {
 			fmt.Fprintf(&b, " %8.0f%%", q*100)
 		}
 		b.WriteByte('\n')
 		for _, m := range methods {
-			if !m.IsBellamy() {
+			epochs := byCell[cellKey{Job: job, Method: m}]
+			if len(epochs) == 0 {
 				continue
 			}
-			a := byCell[GroupKey{Job: job, Method: m}]
-			if a == nil || len(a.Epochs) == 0 {
-				continue
-			}
-			e := NewECDF(a.Epochs)
+			e := NewECDF(epochs)
 			fmt.Fprintf(&b, "%26s", m)
 			for _, q := range quantiles {
 				fmt.Fprintf(&b, " %9.0f", e.Quantile(q))
@@ -231,9 +155,9 @@ func FormatEpochECDF(ms []Measurement) string {
 
 // FormatFitTimes renders the §IV-C fit-time comparison: mean wall-clock
 // Fit seconds per method, across all jobs.
-func FormatFitTimes(ms []Measurement) string {
+func FormatFitTimes(t Table) string {
 	agg := map[Method][]float64{}
-	for _, m := range ms {
+	for _, m := range t {
 		agg[m.Method] = append(agg[m.Method], m.FitSeconds)
 	}
 	var b strings.Builder

@@ -43,7 +43,7 @@ func GenerateSplits(execs []dataset.Execution, k, maxSplits int, rng *rand.Rand)
 	var out []Split
 	maxAttempts := maxSplits * 40
 	for attempt := 0; attempt < maxAttempts && len(out) < maxSplits; attempt++ {
-		sp, key, ok := drawSplit(execs, byScale, distinct, k, rng)
+		sp, key, ok := drawSplit(byScale, distinct, k, rng)
 		if !ok || seen[key] {
 			continue
 		}
@@ -56,7 +56,7 @@ func GenerateSplits(execs []dataset.Execution, k, maxSplits int, rng *rand.Rand)
 	return out, nil
 }
 
-func drawSplit(execs []dataset.Execution, byScale map[int][]dataset.Execution, distinct []int, k int, rng *rand.Rand) (Split, string, bool) {
+func drawSplit(byScale map[int][]dataset.Execution, distinct []int, k int, rng *rand.Rand) (Split, string, bool) {
 	// Choose k distinct scale-outs, then one repeat each.
 	perm := rng.Perm(len(distinct))
 	trainScales := make([]int, k)
@@ -82,33 +82,13 @@ func drawSplit(execs []dataset.Execution, byScale map[int][]dataset.Execution, d
 	}
 
 	// Interpolation test: scale-out within [lo, hi] (any point for k=0),
-	// excluding the exact training records.
-	interp, iKey, ok := pickTest(byScale, distinct, used, rng, func(s int) bool {
-		if k == 0 {
-			return true
-		}
-		return s >= lo && s <= hi
-	})
-	if ok {
-		sp.Interp = interp
-		usedKey = append(usedKey, iKey[0], iKey[1])
-	} else {
-		usedKey = append(usedKey, -1, -1)
-	}
-
-	// Extrapolation test: scale-out strictly outside [lo, hi].
-	extra, eKey, ok := pickTest(byScale, distinct, used, rng, func(s int) bool {
-		if k == 0 {
-			return true
-		}
-		return s < lo || s > hi
-	})
-	if ok {
-		sp.Extra = extra
-		usedKey = append(usedKey, eKey[0], eKey[1])
-	} else {
-		usedKey = append(usedKey, -1, -1)
-	}
+	// excluding the exact training records; extrapolation test: scale-out
+	// strictly outside [lo, hi].
+	var testKey [2]int
+	sp.Interp, testKey = pickTest(byScale, distinct, used, rng, func(s int) bool { return k == 0 || s >= lo && s <= hi })
+	usedKey = append(usedKey, testKey[:]...)
+	sp.Extra, testKey = pickTest(byScale, distinct, used, rng, func(s int) bool { return k == 0 || s < lo || s > hi })
+	usedKey = append(usedKey, testKey[:]...)
 
 	if sp.Interp == nil && sp.Extra == nil {
 		return sp, "", false
@@ -117,8 +97,9 @@ func drawSplit(execs []dataset.Execution, byScale map[int][]dataset.Execution, d
 }
 
 // pickTest selects a random execution whose scale-out satisfies accept
-// and which is not one of the already used records.
-func pickTest(byScale map[int][]dataset.Execution, distinct []int, used map[[2]int]bool, rng *rand.Rand, accept func(int) bool) (*dataset.Execution, [2]int, bool) {
+// and which is not one of the already used records, and returns it with
+// its (scale-out, repeat) key; nil and {-1, -1} when there is none.
+func pickTest(byScale map[int][]dataset.Execution, distinct []int, used map[[2]int]bool, rng *rand.Rand, accept func(int) bool) (*dataset.Execution, [2]int) {
 	var candScales []int
 	for _, s := range distinct {
 		if accept(s) {
@@ -136,8 +117,8 @@ func pickTest(byScale map[int][]dataset.Execution, distinct []int, used map[[2]i
 			}
 			e := reps[ri]
 			used[[2]int{s, ri}] = true
-			return &e, [2]int{s, ri}, true
+			return &e, [2]int{s, ri}
 		}
 	}
-	return nil, [2]int{}, false
+	return nil, [2]int{-1, -1}
 }

@@ -13,10 +13,11 @@ import (
 // train different bits (their GEMMs sum in different orders and asm's
 // activations are 4-lane kernels within 2 ulp of the scalar ones), so
 // what they must agree on is the model's quality. On the simulator,
-// each of twelve seeds pre-trains and fine-tunes at k = 3 with the asm
-// family, then with the plain family, and the paired differences of
-// mre_interp and mre_extrap may show neither a mean shift beyond three
-// standard errors nor every seed moving the same way.
+// each of twelve target contexts of sort pre-trains and fine-tunes at
+// k = 3 with the asm family, then with the plain family, from one model
+// seed, and the paired differences of mre_interp and mre_extrap may show
+// neither a mean shift beyond three standard errors nor every context
+// moving the same way.
 func TestFamiliesTrainIndistinguishableModels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pre-trains and fine-tunes 24 models; skipped in -short")
@@ -29,12 +30,13 @@ func TestFamiliesTrainIndistinguishableModels(t *testing.T) {
 	model.PretrainEpochs = 40
 	model.FinetuneEpochs = 120
 	model.FinetunePatience = 40
-	cfg := experiments.PairedConfig{
-		Job:       "sort",
-		Seeds:     []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
-		Points:    3,
-		MaxSplits: 3,
-		Model:     model,
+	cfg := experiments.Config{
+		Seed:           1,
+		Jobs:           []string{"sort"},
+		ContextsPerJob: 12,
+		PointCounts:    []int{3},
+		MaxSplits:      3,
+		Model:          model,
 	}
 	family := func(asm bool) experiments.BuildFunc {
 		return func(c core.Config, corpus []core.Sample) (*core.Model, error) {
@@ -47,13 +49,24 @@ func TestFamiliesTrainIndistinguishableModels(t *testing.T) {
 			return m, err
 		}
 	}
-	res, err := experiments.RunPaired(ds, cfg, family(true), family(false))
+	plan, err := experiments.PairedPlan(ds, cfg, family(true), family(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("plain − asm, mre_interp: %v", res.Interp)
-	t.Logf("plain − asm, mre_extrap: %v", res.Extrap)
-	if res.Interp.Differs() || res.Extrap.Differs() {
-		t.Fatalf("the families train distinguishable models: mre_interp %v; mre_extrap %v", res.Interp, res.Extrap)
+	// One worker: each arm's BuildFunc sets the family its fine-tunes
+	// then run under.
+	tab, err := experiments.Run(ds, plan, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interp := experiments.Paired(tab, experiments.ArmA, experiments.ArmB, experiments.InterpMRE)
+	extrap := experiments.Paired(tab, experiments.ArmA, experiments.ArmB, experiments.ExtrapMRE)
+	t.Logf("plain − asm, mre_interp: %v", interp)
+	t.Logf("plain − asm, mre_extrap: %v", extrap)
+	if interp.N != cfg.ContextsPerJob || extrap.N != cfg.ContextsPerJob {
+		t.Fatalf("paired %d and %d of %d target contexts", interp.N, extrap.N, cfg.ContextsPerJob)
+	}
+	if interp.Differs() || extrap.Differs() {
+		t.Fatalf("the families train distinguishable models: mre_interp %v; mre_extrap %v", interp, extrap)
 	}
 }
