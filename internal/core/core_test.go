@@ -463,6 +463,9 @@ func TestPropertyCodesShape(t *testing.T) {
 		{Name: "job_parameters", Value: "--iterations 25"},
 		{Name: "dataset_size_mb", Value: "19353"},
 	}
+	if codes := m.PropertyCodes(nil); codes == nil || len(codes) != 0 {
+		t.Fatalf("codes of no properties = %v, want an empty slice", codes)
+	}
 	codes := m.PropertyCodes(props)
 	if len(codes) != 3 {
 		t.Fatalf("codes = %d rows, want 3", len(codes))
@@ -501,6 +504,9 @@ func TestReconstructionErrorDropsWithPretraining(t *testing.T) {
 	var props []encoding.Property
 	for _, s := range samples[:6] {
 		props = append(props, s.Essential...)
+	}
+	if e := m.ReconstructionError(nil); e != 0 {
+		t.Fatalf("reconstruction error over no properties = %v, want 0", e)
 	}
 	before := m.ReconstructionError(props)
 	if _, err := m.Pretrain(samples); err != nil {

@@ -368,7 +368,6 @@ type forwardState struct {
 	b     *batch
 	e     *mat.Dense // B x F
 	codes *mat.Dense // train: (B*P) x M, one row per slot; else U x M, one per distinct vector
-	recon *mat.Dense // (B*P) x N, nil unless the reconstruction term is on
 	r     *mat.Dense // B x CombinedDim
 	pred  *mat.Dense // B x 1 (scaled)
 	train bool
@@ -391,10 +390,11 @@ func (st *forwardState) code(s int) []float64 {
 // train is the pre-training mode: alpha-dropout is active, so the codes
 // of two occurrences of one property differ and the encoder runs per
 // occurrence from its dropout on (its first layer still once per
-// distinct vector), and the decoder reconstructs every occurrence when
-// the reconstruction term is on. Otherwise the encoder is a function of
-// the property vector alone and runs on the distinct rows only — not at
-// all when the batch carries fixed codes.
+// distinct vector). The decoder is not run here: the reconstruction
+// term runs it forward and backward in one pass (runPass). Otherwise
+// the encoder is a function of the property vector alone and runs on
+// the distinct rows only — not at all when the batch carries fixed
+// codes.
 func (m *Model) forward(b *batch, train bool) *forwardState {
 	cfg := m.Cfg
 	m.newRound()
@@ -404,9 +404,6 @@ func (m *Model) forward(b *batch, train bool) *forwardState {
 	switch {
 	case train:
 		st.codes = m.g.ForwardRows(m.ws, b.props, b.propRow, true)
-		if cfg.ReconWeight > 0 {
-			st.recon = m.h.Forward(m.ws, st.codes, true)
-		}
 	case b.codesFixed:
 		st.codes = b.codes
 	default:
@@ -447,9 +444,10 @@ func (m *Model) fixCodes(b *batch) {
 }
 
 // backward propagates the joint loss gradients: predGrad is dLoss/dPred
-// (scaled space), reconGrad is dLoss/dRecon or nil when the
-// reconstruction term is disabled. Parameter gradients are accumulated;
-// the caller steps the optimizer.
+// (scaled space), reconGrad is the reconstruction term's gradient w.r.t.
+// the codes, or nil when the term is off; the decoder's own parameter
+// gradients are already accumulated (MLP.ReconLossRows). Parameter
+// gradients are accumulated; the caller steps the optimizer.
 //
 // Only gradients that reach a trainable parameter are computed: f and g
 // read data, so their first layers compute no input gradient, and a
@@ -495,7 +493,7 @@ func (m *Model) backward(st *forwardState, predGrad, reconGrad *mat.Dense) {
 		}
 	}
 	if reconGrad != nil {
-		mat.AddInPlace(gradCodes, m.h.Backward(m.ws, reconGrad))
+		mat.AddInPlace(gradCodes, reconGrad)
 	}
 	m.g.BackwardRows(m.ws, gradCodes)
 }
@@ -517,8 +515,12 @@ func (m *Model) Predict(scaleOut int, essential, optional []encoding.Property) (
 }
 
 // PropertyCodes returns the dense codes the encoder assigns to each
-// property, the representation visualized in the paper's Fig. 4.
+// property, the representation visualized in the paper's Fig. 4: no
+// codes for no properties.
 func (m *Model) PropertyCodes(props []encoding.Property) [][]float64 {
+	if len(props) == 0 {
+		return [][]float64{}
+	}
 	vecs := m.enc.EncodeAll(props)
 	in := mat.FromRows(vecs)
 	m.borrowScratch()
@@ -534,8 +536,11 @@ func (m *Model) PropertyCodes(props []encoding.Property) [][]float64 {
 }
 
 // ReconstructionError returns the mean squared reconstruction error of
-// the auto-encoder over the given properties.
+// the auto-encoder over the given properties, 0 over none.
 func (m *Model) ReconstructionError(props []encoding.Property) float64 {
+	if len(props) == 0 {
+		return 0
+	}
 	vecs := m.enc.EncodeAll(props)
 	in := mat.FromRows(vecs)
 	m.borrowScratch()

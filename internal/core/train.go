@@ -249,11 +249,8 @@ func (m *Model) runPass() {
 	var rGrad, reconGrad *mat.Dense
 	p.rLoss, rGrad = p.run.huber.Compute(m.ws, st.pred, b.targets)
 	p.reconLoss = 0
-	if st.recon != nil {
-		p.reconLoss, reconGrad = nn.MSELoss{}.ComputeRows(m.ws, st.recon, b.props, b.propRow)
-		if m.Cfg.ReconWeight != 1 {
-			mat.ScaleTo(reconGrad, m.Cfg.ReconWeight, reconGrad)
-		}
+	if p.run.pretrain && m.Cfg.ReconWeight > 0 {
+		p.reconLoss, reconGrad = m.h.ReconLossRows(m.ws, st.codes, b.props, b.propRow, m.Cfg.ReconWeight)
 	}
 	m.backward(st, rGrad, reconGrad)
 }

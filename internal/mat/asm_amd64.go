@@ -117,3 +117,27 @@ func vtanh64(v *float64, n int)
 //
 //go:noescape
 func vselugrad64(dst, grad, y *float64, n int, lambda, lambdaAlpha float64)
+
+// reconFront64 is the forward half of one row of ReconHead64: with
+// out = hid·w (hid a row of k values, w k×n), y = tanh(out) as vtanh64
+// computes it and d = y − t, it writes dpre = d·c·(1−y²) to the row's
+// dpre buffer, which must hold n rounded up to a multiple of 4 values,
+// and returns Σ d². k and n must be >= 1.
+//
+//go:noescape
+func reconFront64(hid *float64, k int, w *float64, n int, t, dpre *float64, c float64) (sum float64)
+
+// reconBack64 is the backward half of one row of ReconHead64: from the
+// row's dpre it accumulates dw += hidᵀ·dpre and writes dhid = dpre·wᵀ
+// (k values).
+//
+//go:noescape
+func reconBack64(dhid, hid *float64, k int, w, dw *float64, n int, dpre *float64)
+
+// reconBack64x2 is reconBack64 for two consecutive rows of hid and
+// dhid, whose dpre rows follow each other in dpre, n rounded up to a
+// multiple of 4 apart. Its results are those of reconBack64 on the
+// first row and then on the second, bit for bit.
+//
+//go:noescape
+func reconBack64x2(dhid, hid *float64, k int, w, dw *float64, n int, dpre *float64)

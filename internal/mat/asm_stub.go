@@ -64,3 +64,15 @@ func vtanh64(v *float64, n int) {
 func vselugrad64(dst, grad, y *float64, n int, lambda, lambdaAlpha float64) {
 	panic("mat: asm kernel called on a noasm build")
 }
+
+func reconFront64(hid *float64, k int, w *float64, n int, t, dpre *float64, c float64) (sum float64) {
+	panic("mat: asm kernel called on a noasm build")
+}
+
+func reconBack64(dhid, hid *float64, k int, w, dw *float64, n int, dpre *float64) {
+	panic("mat: asm kernel called on a noasm build")
+}
+
+func reconBack64x2(dhid, hid *float64, k int, w, dw *float64, n int, dpre *float64) {
+	panic("mat: asm kernel called on a noasm build")
+}

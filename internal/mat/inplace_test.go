@@ -71,9 +71,8 @@ func TestElementwiseToKernelsBitIdentical(t *testing.T) {
 	for i := range v {
 		v[i] = rng.NormFloat64()
 	}
-	scaled, biased := NewDense(7, 9), NewDense(7, 9)
+	biased := NewDense(7, 9)
 	for i, x := range a.Data {
-		scaled.Data[i] = 3.7 * x
 		biased.Data[i] = x + v[i%9]
 	}
 
@@ -82,7 +81,6 @@ func TestElementwiseToKernelsBitIdentical(t *testing.T) {
 		run  func(dst, src *Dense)
 		want *Dense
 	}{
-		{"ScaleTo", func(d, src *Dense) { ScaleTo(d, 3.7, src) }, scaled},
 		{"AddRowVecTo", func(d, src *Dense) { AddRowVecTo(d, src, v) }, biased},
 	}
 	for _, tc := range cases {

@@ -987,3 +987,480 @@ vselugrad64loop:
 
 	VZEROUPPER
 	RET
+
+// Lane masks of the reconstruction head's ragged last chunk: the four
+// qwords at mask64<>+32-8*t enable the first t lanes, t in 1..3.
+DATA mask64<>+0(SB)/8, $0xffffffffffffffff
+DATA mask64<>+8(SB)/8, $0xffffffffffffffff
+DATA mask64<>+16(SB)/8, $0xffffffffffffffff
+DATA mask64<>+24(SB)/8, $0xffffffffffffffff
+DATA mask64<>+32(SB)/8, $0
+DATA mask64<>+40(SB)/8, $0
+DATA mask64<>+48(SB)/8, $0
+DATA mask64<>+56(SB)/8, $0
+GLOBL mask64<>(SB), RODATA|NOPTR, $64
+
+// RECON_DPRE takes Y0 = out on 4 lanes and the row's target chunk in Y1
+// and leaves dpre = d*c*(1-y^2) in Y1, with d = y - target, adding d*d
+// to Y8. y = tanh(out) is vtanh64's to the bit: e/(-2-e) is -e/(2+e)
+// with the negation moved into the divisor, one operation fewer.
+// Clobbers Y2-Y7.
+#define RECON_DPRE \
+	VANDPD       Y10, Y0, Y2; \
+	VXORPD       Y2, Y0, Y7; \
+	VMULPD       Y11, Y2, Y2; \
+	VMAXPD       Y2, Y15, Y2; \
+	EXPM1; \
+	VSUBPD       Y4, Y11, Y5; \
+	VDIVPD       Y5, Y4, Y5; \
+	VORPD        Y7, Y5, Y5; \
+	VSUBPD       Y1, Y5, Y1; \
+	VFMADD231PD  Y1, Y1, Y8; \
+	VMOVAPD      Y14, Y2; \
+	VFNMADD231PD Y5, Y5, Y2; \
+	VMULPD       Y9, Y1, Y1; \
+	VMULPD       Y2, Y1, Y1
+
+// HSUM sets the low lane of X1 to the sum of Y1's four lanes, as
+// (l0+l1) + (l2+l3). Clobbers X2.
+#define HSUM \
+	VEXTRACTF128 $1, Y1, X2; \
+	VHADDPD      X2, X1, X1; \
+	VHADDPD      X1, X1, X1
+
+// RECON_SETUP takes DI = hid, CX = k and R8 = n and leaves DI past the
+// row's k values, CX = -8k, R8 = 8n, R9 = 8(n&^3) the full chunks' end
+// and the lane mask of the ragged last chunk in Y13. Clobbers AX and BX.
+#define RECON_SETUP \
+	SHLQ    $3, CX; \
+	ADDQ    CX, DI; \
+	NEGQ    CX; \
+	MOVQ    R8, R9; \
+	ANDQ    $-4, R9; \
+	SHLQ    $3, R8; \
+	SHLQ    $3, R9; \
+	MOVQ    R8, AX; \
+	SUBQ    R9, AX; \
+	LEAQ    mask64<>+32(SB), BX; \
+	SUBQ    AX, BX; \
+	VMOVUPD (BX), Y13
+
+// BACK_KK is reconBack64's work on one 4-lane chunk of dpre (Y8) for one
+// row of w and dw: the dw chunk at dwm gains h*dpre, with h broadcast in
+// hreg, and acc gains dpre times the w chunk at wm.
+#define BACK_KK(dwm, wm, hreg, acc) \
+	VMOVUPD     dwm, Y9; \
+	VFMADD231PD Y8, hreg, Y9; \
+	VMOVUPD     Y9, dwm; \
+	VFMADD231PD wm, Y8, acc
+
+// BACK2_KK is reconBack64x2's work on one 4-lane chunk of two rows' dpre
+// (Y8, Y9) for one row of w and dw: the dw chunk at dwm gains ha*dpre_a
+// and then hb*dpre_b, as two reconBack64 calls would add them, and acca
+// and accb gain each row's dpre times the w chunk at wm.
+#define BACK2_KK(dwm, wm, ha, hb, acca, accb) \
+	VMOVUPD     dwm, Y10; \
+	VFMADD231PD Y8, ha, Y10; \
+	VFMADD231PD Y9, hb, Y10; \
+	VMOVUPD     Y10, dwm; \
+	VMOVUPD     wm, Y11; \
+	VFMADD231PD Y11, Y8, acca; \
+	VFMADD231PD Y11, Y9, accb
+
+// BACK2_KK_TAIL is BACK2_KK on a ragged last chunk, through the lane mask.
+#define BACK2_KK_TAIL(dwm, wm, ha, hb, acca, accb) \
+	VMASKMOVPD  dwm, Y13, Y10; \
+	VFMADD231PD Y8, ha, Y10; \
+	VFMADD231PD Y9, hb, Y10; \
+	VMASKMOVPD  Y10, Y13, dwm; \
+	VMASKMOVPD  wm, Y13, Y11; \
+	VFMADD231PD Y11, Y8, acca; \
+	VFMADD231PD Y11, Y9, accb
+
+// REDUCE4 sets Y9 to the lane sums of Y4-Y7, each (l0+l1) + (l2+l3) as
+// HSUM adds them. Clobbers Y4, Y6 and Y8.
+#define REDUCE4 \
+	VHADDPD    Y5, Y4, Y4; \
+	VHADDPD    Y7, Y6, Y6; \
+	VPERM2F128 $0x21, Y6, Y4, Y8; \
+	VBLENDPD   $0xc, Y6, Y4, Y9; \
+	VADDPD     Y8, Y9, Y9
+
+// The reconstruction head runs a row in three passes over 4-lane chunks
+// of the row, which the row's dpre buffer carries between them.
+// reconFront64 runs the first two:
+//  1. out = hid.w into dpre, four chunks at a time while they last, each
+//     summed over the k rows of w in order, one FMA per row;
+//  2. per chunk, RECON_DPRE on out and the target t, in place, and the
+//     squared errors into the result.
+// reconBack64 runs the third, for one row:
+//  3. per row kk of w, four at a time while they last: dw[kk] +=
+//     hid[kk]*dpre and dhid[kk] = dpre.w[kk], summed per lane over the
+//     chunks and then across the lanes as HSUM does;
+// and reconBack64x2 runs it for two consecutive rows at once, two rows
+// of w at a time, with the same sums in the same order: each chunk of
+// dw is loaded and stored once for both rows.
+// A ragged last chunk of n%4 lanes reads w, t and dw through the lane
+// mask in Y13, so its dead lanes are zeros throughout: out 0, y 0, d 0
+// and dpre 0, which leave every sum unchanged. A row's dpre must hold n
+// rounded up to 4 values; k and n must be >= 1.
+//
+// Registers: DI and R12 point past the row's k values of hid and dhid,
+// which CX = -8k indexes through BX; SI and DX are w and dw, R8 = 8n
+// their row stride and R9 = 8(n&^3) the full chunks' end; R11 is dpre;
+// AX indexes chunks, and R13 and R14 walk w and dw. R10 is t in passes
+// 1-2, 24n in reconBack64 and the second row's dpre in reconBack64x2. In
+// pass 2 Y8 sums d*d, Y9 is c, Y14 1.0, and Y10, Y11 and Y15 hold
+// vtanh64's constants.
+
+// func reconFront64(hid *float64, k int, w *float64, n int, t, dpre *float64, c float64) (sum float64)
+TEXT ·reconFront64(SB), NOSPLIT, $0-64
+	MOVQ hid+0(FP), DI
+	MOVQ k+8(FP), CX
+	MOVQ w+16(FP), SI
+	MOVQ n+24(FP), R8
+	MOVQ t+32(FP), R10
+	MOVQ dpre+40(FP), R11
+	RECON_SETUP
+
+	// Pass 1: out = hid.w, four chunks at a time.
+	XORQ AX, AX
+	MOVQ R9, R14
+	SUBQ $96, R14 // the last start of a full quad
+
+rf64quad:
+	CMPQ   AX, R14
+	JGE    rf64one
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   CX, BX
+	LEAQ   (SI)(AX*1), R13
+
+rf64quadk:
+	VBROADCASTSD (DI)(BX*1), Y4
+	VFMADD231PD  (R13), Y4, Y0
+	VFMADD231PD  32(R13), Y4, Y1
+	VFMADD231PD  64(R13), Y4, Y2
+	VFMADD231PD  96(R13), Y4, Y3
+	ADDQ         R8, R13
+	ADDQ         $8, BX
+	JNZ          rf64quadk
+	VMOVUPD      Y0, (R11)(AX*1)
+	VMOVUPD      Y1, 32(R11)(AX*1)
+	VMOVUPD      Y2, 64(R11)(AX*1)
+	VMOVUPD      Y3, 96(R11)(AX*1)
+	ADDQ         $128, AX
+	JMP          rf64quad
+
+rf64one:
+	CMPQ   AX, R9
+	JGE    rf64onetail
+	VXORPD Y0, Y0, Y0
+	MOVQ   CX, BX
+	LEAQ   (SI)(AX*1), R13
+
+rf64onek:
+	VBROADCASTSD (DI)(BX*1), Y4
+	VFMADD231PD  (R13), Y4, Y0
+	ADDQ         R8, R13
+	ADDQ         $8, BX
+	JNZ          rf64onek
+	VMOVUPD      Y0, (R11)(AX*1)
+	ADDQ         $32, AX
+	JMP          rf64one
+
+rf64onetail:
+	CMPQ   AX, R8
+	JGE    rf64act
+	VXORPD Y0, Y0, Y0
+	MOVQ   CX, BX
+	LEAQ   (SI)(AX*1), R13
+
+rf64onetailk:
+	VBROADCASTSD (DI)(BX*1), Y4
+	VMASKMOVPD   (R13), Y13, Y5
+	VFMADD231PD  Y5, Y4, Y0
+	ADDQ         R8, R13
+	ADDQ         $8, BX
+	JNZ          rf64onetailk
+	VMOVUPD      Y0, (R11)(AX*1)
+
+	// Pass 2: tanh, error and dpre, chunk by chunk.
+rf64act:
+	VBROADCASTSD c+48(FP), Y9
+	VBROADCASTSD ex64<>+160(SB), Y10
+	VBROADCASTSD ex64<>+144(SB), Y11
+	VBROADCASTSD ex64<>+32(SB), Y14
+	VBROADCASTSD ex64<>+40(SB), Y15
+	VXORPD       Y8, Y8, Y8
+	XORQ         AX, AX
+	TESTQ        R9, R9
+	JZ           rf64acttail
+
+rf64actloop:
+	VMOVUPD (R11)(AX*1), Y0
+	VMOVUPD (R10)(AX*1), Y1
+	RECON_DPRE
+	VMOVUPD Y1, (R11)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R9
+	JLT     rf64actloop
+
+rf64acttail:
+	CMPQ       AX, R8
+	JGE        rf64loss
+	VMOVUPD    (R11)(AX*1), Y0
+	VMASKMOVPD (R10)(AX*1), Y13, Y1
+	RECON_DPRE
+	VMOVUPD    Y1, (R11)(AX*1)
+
+rf64loss:
+	VMOVAPD Y8, Y1
+	HSUM
+	VMOVSD  X1, sum+56(FP)
+	VZEROUPPER
+	RET
+
+// func reconBack64(dhid, hid *float64, k int, w, dw *float64, n int, dpre *float64)
+TEXT ·reconBack64(SB), NOSPLIT, $0-56
+	MOVQ dhid+0(FP), R12
+	MOVQ hid+8(FP), DI
+	MOVQ k+16(FP), CX
+	MOVQ w+24(FP), SI
+	MOVQ dw+32(FP), DX
+	MOVQ n+40(FP), R8
+	MOVQ dpre+48(FP), R11
+	SUBQ DI, R12
+	RECON_SETUP
+	ADDQ DI, R12
+	LEAQ (R8)(R8*2), R10
+	MOVQ CX, BX
+	MOVQ SI, R13
+	MOVQ DX, R14
+
+rb64quadrow:
+	CMPQ         BX, $-32
+	JGT          rb64row
+	VBROADCASTSD (DI)(BX*1), Y0
+	VBROADCASTSD 8(DI)(BX*1), Y1
+	VBROADCASTSD 16(DI)(BX*1), Y2
+	VBROADCASTSD 24(DI)(BX*1), Y3
+	VXORPD       Y4, Y4, Y4
+	VXORPD       Y5, Y5, Y5
+	VXORPD       Y6, Y6, Y6
+	VXORPD       Y7, Y7, Y7
+	XORQ         AX, AX
+	TESTQ        R9, R9
+	JZ           rb64quadtail
+
+rb64quadcol:
+	VMOVUPD (R11)(AX*1), Y8
+	BACK_KK((R14), (R13), Y0, Y4)
+	BACK_KK((R14)(R8*1), (R13)(R8*1), Y1, Y5)
+	BACK_KK((R14)(R8*2), (R13)(R8*2), Y2, Y6)
+	BACK_KK((R14)(R10*1), (R13)(R10*1), Y3, Y7)
+	ADDQ    $32, R13
+	ADDQ    $32, R14
+	ADDQ    $32, AX
+	CMPQ    AX, R9
+	JLT     rb64quadcol
+
+rb64quadtail:
+	CMPQ        AX, R8
+	JGE         rb64quadsum
+	VMOVUPD     (R11)(AX*1), Y8
+	VMASKMOVPD  (R14), Y13, Y9
+	VFMADD231PD Y8, Y0, Y9
+	VMASKMOVPD  Y9, Y13, (R14)
+	VMASKMOVPD  (R13), Y13, Y10
+	VFMADD231PD Y10, Y8, Y4
+	VMASKMOVPD  (R14)(R8*1), Y13, Y9
+	VFMADD231PD Y8, Y1, Y9
+	VMASKMOVPD  Y9, Y13, (R14)(R8*1)
+	VMASKMOVPD  (R13)(R8*1), Y13, Y10
+	VFMADD231PD Y10, Y8, Y5
+	VMASKMOVPD  (R14)(R8*2), Y13, Y9
+	VFMADD231PD Y8, Y2, Y9
+	VMASKMOVPD  Y9, Y13, (R14)(R8*2)
+	VMASKMOVPD  (R13)(R8*2), Y13, Y10
+	VFMADD231PD Y10, Y8, Y6
+	VMASKMOVPD  (R14)(R10*1), Y13, Y9
+	VFMADD231PD Y8, Y3, Y9
+	VMASKMOVPD  Y9, Y13, (R14)(R10*1)
+	VMASKMOVPD  (R13)(R10*1), Y13, Y10
+	VFMADD231PD Y10, Y8, Y7
+
+rb64quadsum:
+	// dhid[kk..kk+3] = the lane sums of Y4-Y7, each (l0+l1) + (l2+l3).
+	VHADDPD    Y5, Y4, Y4
+	VHADDPD    Y7, Y6, Y6
+	VPERM2F128 $0x21, Y6, Y4, Y8
+	VBLENDPD   $0xc, Y6, Y4, Y9
+	VADDPD     Y8, Y9, Y9
+	VMOVUPD    Y9, (R12)(BX*1)
+	SUBQ       AX, R13
+	SUBQ       AX, R14
+	LEAQ       (R13)(R8*4), R13
+	LEAQ       (R14)(R8*4), R14
+	ADDQ       $32, BX
+	JMP        rb64quadrow
+
+rb64row:
+	TESTQ BX, BX
+	JZ    rb64done
+	VBROADCASTSD (DI)(BX*1), Y0
+	VXORPD       Y1, Y1, Y1
+	XORQ         AX, AX
+
+rb64col:
+	CMPQ        AX, R9
+	JGE         rb64rowtail
+	VMOVUPD     (R11)(AX*1), Y2
+	VMOVUPD     (R14)(AX*1), Y3
+	VFMADD231PD Y2, Y0, Y3
+	VMOVUPD     Y3, (R14)(AX*1)
+	VFMADD231PD (R13)(AX*1), Y2, Y1
+	ADDQ        $32, AX
+	JMP         rb64col
+
+rb64rowtail:
+	CMPQ        AX, R8
+	JGE         rb64rowsum
+	VMOVUPD     (R11)(AX*1), Y2
+	VMASKMOVPD  (R14)(AX*1), Y13, Y3
+	VFMADD231PD Y2, Y0, Y3
+	VMASKMOVPD  Y3, Y13, (R14)(AX*1)
+	VMASKMOVPD  (R13)(AX*1), Y13, Y4
+	VFMADD231PD Y4, Y2, Y1
+
+rb64rowsum:
+	HSUM
+	VMOVSD X1, (R12)(BX*1)
+	ADDQ   R8, R13
+	ADDQ   R8, R14
+	ADDQ   $8, BX
+	JMP    rb64row
+
+rb64done:
+	VZEROUPPER
+	RET
+
+// func reconBack64x2(dhid, hid *float64, k int, w, dw *float64, n int, dpre *float64)
+//
+// reconBack64 for rows a and b = a+1 of hid and dhid, whose dpre rows
+// follow each other in dpre, n rounded up to 4 apart. B's hid and dhid
+// values are 8k past a's, at DI-CX and R12-CX; R10 is b's dpre.
+TEXT ·reconBack64x2(SB), NOSPLIT, $0-56
+	MOVQ dhid+0(FP), R12
+	MOVQ hid+8(FP), DI
+	MOVQ k+16(FP), CX
+	MOVQ w+24(FP), SI
+	MOVQ dw+32(FP), DX
+	MOVQ n+40(FP), R8
+	MOVQ dpre+48(FP), R11
+	SUBQ DI, R12
+	RECON_SETUP
+	ADDQ DI, R12
+	LEAQ 24(R8), R10
+	ANDQ $-32, R10
+	ADDQ R11, R10
+	MOVQ CX, BX
+	MOVQ SI, R13
+	MOVQ DX, R14
+
+rp64pair:
+	CMPQ         BX, $-16
+	JGT          rp64one
+	VBROADCASTSD (DI)(BX*1), Y0
+	VBROADCASTSD 8(DI)(BX*1), Y1
+	MOVQ         DI, AX
+	SUBQ         CX, AX
+	VBROADCASTSD (AX)(BX*1), Y2
+	VBROADCASTSD 8(AX)(BX*1), Y3
+	VXORPD       Y4, Y4, Y4
+	VXORPD       Y5, Y5, Y5
+	VXORPD       Y6, Y6, Y6
+	VXORPD       Y7, Y7, Y7
+	XORQ         AX, AX
+	TESTQ        R9, R9
+	JZ           rp64pairtail
+
+rp64paircol:
+	VMOVUPD (R11)(AX*1), Y8
+	VMOVUPD (R10)(AX*1), Y9
+	BACK2_KK((R14), (R13), Y0, Y2, Y4, Y6)
+	BACK2_KK((R14)(R8*1), (R13)(R8*1), Y1, Y3, Y5, Y7)
+	ADDQ    $32, R13
+	ADDQ    $32, R14
+	ADDQ    $32, AX
+	CMPQ    AX, R9
+	JLT     rp64paircol
+
+rp64pairtail:
+	CMPQ    R9, R8
+	JGE     rp64pairsum
+	VMOVUPD (R11)(R9*1), Y8
+	VMOVUPD (R10)(R9*1), Y9
+	BACK2_KK_TAIL((R14), (R13), Y0, Y2, Y4, Y6)
+	BACK2_KK_TAIL((R14)(R8*1), (R13)(R8*1), Y1, Y3, Y5, Y7)
+
+rp64pairsum:
+	// Y9 = dhid_a[kk], dhid_a[kk+1], dhid_b[kk], dhid_b[kk+1].
+	REDUCE4
+	VMOVUPD      X9, (R12)(BX*1)
+	MOVQ         R12, AX
+	SUBQ         CX, AX
+	VEXTRACTF128 $1, Y9, (AX)(BX*1)
+	SUBQ         R9, R13
+	SUBQ         R9, R14
+	LEAQ         (R13)(R8*2), R13
+	LEAQ         (R14)(R8*2), R14
+	ADDQ         $16, BX
+	JMP          rp64pair
+
+rp64one:
+	TESTQ        BX, BX
+	JZ           rp64done
+	VBROADCASTSD (DI)(BX*1), Y0
+	MOVQ         DI, AX
+	SUBQ         CX, AX
+	VBROADCASTSD (AX)(BX*1), Y2
+	VXORPD       Y4, Y4, Y4
+	VXORPD       Y6, Y6, Y6
+	XORQ         AX, AX
+	TESTQ        R9, R9
+	JZ           rp64onetail
+
+rp64onecol:
+	VMOVUPD (R11)(AX*1), Y8
+	VMOVUPD (R10)(AX*1), Y9
+	BACK2_KK((R14), (R13), Y0, Y2, Y4, Y6)
+	ADDQ    $32, R13
+	ADDQ    $32, R14
+	ADDQ    $32, AX
+	CMPQ    AX, R9
+	JLT     rp64onecol
+
+rp64onetail:
+	CMPQ    R9, R8
+	JGE     rp64onesum
+	VMOVUPD (R11)(R9*1), Y8
+	VMOVUPD (R10)(R9*1), Y9
+	BACK2_KK_TAIL((R14), (R13), Y0, Y2, Y4, Y6)
+
+rp64onesum:
+	// k is odd: this was its last row of w.
+	VMOVAPD Y4, Y1
+	HSUM
+	VMOVSD  X1, (R12)(BX*1)
+	VMOVAPD Y6, Y1
+	HSUM
+	MOVQ    R12, AX
+	SUBQ    CX, AX
+	VMOVSD  X1, (AX)(BX*1)
+
+rp64done:
+	VZEROUPPER
+	RET

@@ -6,17 +6,9 @@ import (
 )
 
 // The element-wise kernels write into caller-provided storage and
-// allocate nothing. The destination forms (ScaleTo, AddRowVecTo) fully
-// overwrite dst and tolerate dst aliasing their input, which is what
-// makes in-place updates (ScaleTo(a, s, a)) legal.
-
-// ScaleTo computes dst = s*a. dst may alias a for an in-place rescale.
-func ScaleTo(dst *Dense, s float64, a *Dense) {
-	sameShape("ScaleTo(dst)", dst, a)
-	for i, v := range a.Data {
-		dst.Data[i] = s * v
-	}
-}
+// allocate nothing. The destination form AddRowVecTo fully overwrites
+// dst and tolerates dst aliasing its input, which is what makes an
+// in-place bias add (AddRowVecTo(a, a, v)) legal.
 
 // AddInPlace accumulates b into a.
 func AddInPlace(a, b *Dense) {

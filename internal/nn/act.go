@@ -291,7 +291,9 @@ const alphaPrime = -SELULambda * SELUAlpha
 // One 64-bit draw decides four units, 16 bits each (a unit is kept when
 // its field is below q·2¹⁶, so the keep probability is q to within
 // 2⁻¹⁶), and the keep/drop choice is arithmetic, not a branch: a drop
-// rate of 10 % is a mispredicted branch every tenth unit.
+// rate of 10 % is a mispredicted branch every tenth unit. The four units
+// of a draw are one unrolled step; a last draw serves the 1–3 units left
+// over.
 func (l *AlphaDropout) Forward(ws *mat.Workspace, x *mat.Dense, train bool) *mat.Dense {
 	l.dropping = train && l.P > 0
 	if !l.dropping {
@@ -300,22 +302,40 @@ func (l *AlphaDropout) Forward(ws *mat.Workspace, x *mat.Dense, train bool) *mat
 	q := 1 - l.P
 	a := 1 / math.Sqrt(q+alphaPrime*alphaPrime*q*l.P)
 	dropped := a*alphaPrime - a*l.P*alphaPrime // a·α' + b with b = -a·P·α'
-	if cap(l.slope) < len(x.Data) {
-		l.slope = make([]float64, len(x.Data))
+	n := len(x.Data)
+	if cap(l.slope) < n {
+		l.slope = make([]float64, n)
 	}
-	l.slope = l.slope[:len(x.Data)]
+	l.slope = l.slope[:n]
 	out := ws.GetRaw(x.Rows, x.Cols)
 	keepBelow := uint64(q * (1 << 16))
-	var bits uint64
-	for i, v := range x.Data {
-		if i%4 == 0 {
-			bits = l.Rng.Uint64()
+	aBits := math.Float64bits(a)
+	// A unit's slope is a's bits masked by the sign of (field −
+	// keepBelow), which wraps to a set top bit exactly when the unit is
+	// kept: a when kept, +0 when dropped.
+	slope := func(field uint64) float64 {
+		return math.Float64frombits(aBits & uint64(int64(field-keepBelow)>>63))
+	}
+	xs, ys, ks := x.Data[:n], out.Data[:n], l.slope
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		bits := l.Rng.Uint64()
+		k0, k1 := slope(bits&0xffff), slope(bits>>16&0xffff)
+		k2, k3 := slope(bits>>32&0xffff), slope(bits>>48)
+		v, y, k := xs[i:i+4:i+4], ys[i:i+4:i+4], ks[i:i+4:i+4]
+		y0, y1 := k0*(v[0]-alphaPrime)+dropped, k1*(v[1]-alphaPrime)+dropped
+		y2, y3 := k2*(v[2]-alphaPrime)+dropped, k3*(v[3]-alphaPrime)+dropped
+		k[0], k[1], k[2], k[3] = k0, k1, k2, k3
+		y[0], y[1], y[2], y[3] = y0, y1, y2, y3
+	}
+	if i < n {
+		bits := l.Rng.Uint64()
+		for ; i < n; i++ {
+			k := slope(bits & 0xffff)
+			bits >>= 16
+			ks[i] = k
+			ys[i] = k*(xs[i]-alphaPrime) + dropped
 		}
-		// (field - keepBelow) wraps to a set top bit exactly when kept.
-		k := a * float64(((bits&0xffff)-keepBelow)>>63)
-		bits >>= 16
-		l.slope[i] = k
-		out.Data[i] = k*(v-alphaPrime) + dropped
 	}
 	return out
 }
@@ -326,8 +346,18 @@ func (l *AlphaDropout) Backward(ws *mat.Workspace, grad *mat.Dense) *mat.Dense {
 		return grad
 	}
 	out := ws.GetRaw(grad.Rows, grad.Cols)
-	for i, g := range grad.Data {
-		out.Data[i] = g * l.slope[i]
+	n := len(grad.Data)
+	gs, ys, ks := grad.Data, out.Data[:n], l.slope[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		g, y, k := gs[i:i+4:i+4], ys[i:i+4:i+4], ks[i:i+4:i+4]
+		y[0] = g[0] * k[0]
+		y[1] = g[1] * k[1]
+		y[2] = g[2] * k[2]
+		y[3] = g[3] * k[3]
+	}
+	for ; i < n; i++ {
+		ys[i] = gs[i] * ks[i]
 	}
 	return out
 }

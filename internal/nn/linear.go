@@ -226,6 +226,41 @@ func (m *MLP) BackwardRows(ws *mat.Workspace, grad *mat.Dense) {
 	m.backwardFirst(ws, gu)
 }
 
+// ReconLossRows is the reconstruction term of pre-training on a decoder
+// whose last layer is a bias-free tanh LinearAct: the mean squared error
+// between the decoder's output on codes and the target matrix whose
+// i-th row is targets.Row(rows[i]), and its backward pass scaled by
+// weight. The layers before the last run forward in training mode and
+// backward as usual; the last layer and the loss are one
+// mat.ReconHead64 pass, so the decoder's output and its gradient never
+// exist as matrices. It accumulates the parameter gradients and returns
+// the (unweighted) error and weight times its gradient w.r.t. codes.
+func (m *MLP) ReconLossRows(ws *mat.Workspace, codes, targets *mat.Dense, rows []int32, weight float64) (float64, *mat.Dense) {
+	last, ok := m.Layers[len(m.Layers)-1].(*LinearAct)
+	if _, tanh := last.Act.(Tanh); !ok || !tanh || last.B != nil {
+		panic("nn: ReconLossRows needs a decoder ending in a bias-free tanh LinearAct")
+	}
+	if len(rows) != codes.Rows {
+		panic(fmt.Sprintf("nn: ReconLossRows on %d codes with %d target rows", codes.Rows, len(rows)))
+	}
+	hid := codes
+	for _, l := range m.Layers[:len(m.Layers)-1] {
+		hid = l.Forward(ws, hid, true)
+	}
+	if hid.Cols != last.In {
+		panic(fmt.Sprintf("nn: LinearAct %s input cols %d != in %d", last.W.Name, hid.Cols, last.In))
+	}
+	grad := ws.GetRaw(hid.Rows, last.In)
+	var loss float64
+	if n := float64(len(rows) * last.Out); n > 0 {
+		loss = mat.ReconHead64(grad, hid, last.W.Value, last.W.Grad, targets, rows, 2*weight/n) / n
+	}
+	for i := len(m.Layers) - 2; i >= 0; i-- {
+		grad = m.Layers[i].Backward(ws, grad)
+	}
+	return loss, grad
+}
+
 // DropCaches forgets what the last pass cached for its backward pass —
 // every one of those matrices belongs to the workspace the pass ran on —
 // so a network kept between calls holds no reference into a workspace it

@@ -59,7 +59,9 @@ func TestEpiloguesMatchScalarArms(t *testing.T) {
 			for _, withBias := range []bool{false, true} {
 				rows, cols := shape[0], shape[1]
 				pre := randDense(rng, rows, cols)
-				mat.ScaleTo(pre, 3, pre)
+				for i := range pre.Data {
+					pre.Data[i] *= 3
+				}
 				var bias []float64
 				if withBias {
 					bias = randDense(rng, 1, cols).Data
