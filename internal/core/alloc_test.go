@@ -111,12 +111,11 @@ func TestPretrainEpochZeroAlloc(t *testing.T) {
 	}
 	run := m.pretrainRun(samples)
 	borrowRun(t, m, run)
-	m.fillBatch(&m.evalB, samples, nil)
 	idx := allOf(samples)
 	epoch := func() {
 		m.trainStep(run, idx[:8])
 		m.trainStep(run, idx)
-		m.evalMAEBatch(&m.evalB)
+		m.evalMAE(&m.corpus)
 	}
 	epoch() // warm the fresh optimizer's moment maps
 	if allocs := testing.AllocsPerRun(50, epoch); allocs != 0 {
@@ -124,9 +123,9 @@ func TestPretrainEpochZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEvalZeroAlloc pins the per-epoch full-corpus evaluation at zero
-// allocations once the eval batch is built, on an arena taken the way
-// Pretrain takes it.
+// TestEvalZeroAlloc pins the per-epoch evaluation of pre-training — one
+// pass over the corpus table's distinct inputs — at zero allocations
+// once the table is built, on an arena taken the way Pretrain takes it.
 func TestEvalZeroAlloc(t *testing.T) {
 	m, err := New(allocConfig())
 	if err != nil {
@@ -136,10 +135,10 @@ func TestEvalZeroAlloc(t *testing.T) {
 	if _, err := m.Pretrain(samples); err != nil {
 		t.Fatal(err)
 	}
-	m.fillBatch(&m.evalB, samples, nil)
+	m.pretrainRun(samples)
 	m.borrowScratch()
 	defer m.releaseScratch()
-	if allocs := testing.AllocsPerRun(50, func() { m.evalMAEBatch(&m.evalB) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(50, func() { m.evalMAE(&m.corpus) }); allocs != 0 {
 		t.Fatalf("eval allocs/op = %v, want 0", allocs)
 	}
 }

@@ -161,8 +161,9 @@ func TestPretrainReducesError(t *testing.T) {
 	}
 }
 
-// evalMAEForTest exposes evalMAE after establishing normalization (which
-// Pretrain normally does); used to compare before/after.
+// evalMAEForTest is the runtime MAE in seconds over samples, after
+// establishing normalization (which Pretrain normally does); used to
+// compare before/after.
 func (m *Model) evalMAEForTest(samples []Sample) float64 {
 	feats := make([][]float64, len(samples))
 	runtimes := make([]float64, len(samples))
@@ -172,7 +173,9 @@ func (m *Model) evalMAEForTest(samples []Sample) float64 {
 	}
 	m.norm = FitMinMax(feats)
 	m.target = FitTargetScaler(runtimes)
-	return m.evalMAE(samples)
+	var b batch
+	m.fillBatch(&b, samples, nil)
+	return m.evalMAEBatch(&b)
 }
 
 func TestPretrainRejectsBadSamples(t *testing.T) {

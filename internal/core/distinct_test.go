@@ -218,9 +218,10 @@ func TestFinetuneStepsRunWithoutDropout(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := syntheticSamples(1, []int{2, 4, 8, 12})
-	m.fillBatch(&m.evalB, ctx, nil)
-	st := m.forward(&m.evalB, false)
-	want, _ := nn.HuberLoss{Delta: cfg.HuberDelta}.Compute(nil, st.pred, m.evalB.targets)
+	var b batch
+	m.fillBatch(&b, ctx, nil)
+	st := m.forward(&b, false)
+	want, _ := nn.HuberLoss{Delta: cfg.HuberDelta}.Compute(nil, st.pred, b.targets)
 
 	rep, err := m.Finetune(ctx, FinetuneOptions{MaxEpochs: 1})
 	if err != nil {

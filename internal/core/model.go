@@ -43,9 +43,12 @@ type Model struct {
 	fst         forwardState
 
 	// Long-lived batch buffers (they must survive ws.Reset): trainB is
-	// refilled per training step, evalB holds the full-corpus evaluation
-	// batch, inferB serves Predict/PredictBatch.
-	trainB, evalB, inferB batch
+	// refilled per training step, inferB serves Predict/PredictBatch.
+	trainB, inferB batch
+	// corpus is the last Pretrain's encoded corpus, and remap the state
+	// of a step's gather from it (each shard's replica has its own).
+	corpus corpusTable
+	remap  rowRemap
 
 	// second is the replica a split training step runs its second shard
 	// on (see trainStep); pass is this model's own share of the step.
@@ -330,10 +333,11 @@ func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
 	b.ensure(bSize, propsPer, cfg.PropertySize)
 	zeroRow := int32(-1)
 	for i := 0; i < bSize; i++ {
-		s := &samples[i]
+		j := i
 		if idx != nil {
-			s = &samples[idx[i]]
+			j = idx[i]
 		}
+		s := &samples[j]
 		feat := b.scaleFeat.Row(i)
 		ScaleOutFeaturesInto(feat, s.ScaleOut)
 		m.norm.TransformInPlace(feat)

@@ -229,10 +229,25 @@ func TestConcurrentPretrainsMatchSolo(t *testing.T) {
 // nothing is left leased or polling, and the process holds the one
 // parked helper goroutine GOMAXPROCS=2 allows however many pre-trainings
 // ran.
+//
+// The precondition is a pre-training that ran a step on its helper. A
+// helper that keeps missing offers is woken less eagerly, so with other
+// packages' tests taking the cores one short pre-training can miss them
+// all; the test retries it a bounded number of times, and fails if none
+// of the tries gets a step onto the helper.
 func TestPretrainReturnsItsHelper(t *testing.T) {
 	setProcs(t, 2)
-	if _, rep := pretrainShards(t, 1); rep.HelperSteps == 0 {
-		t.Fatal("no step ran on a helper at GOMAXPROCS=2")
+	const tries = 10
+	helped := false
+	for i := 0; i < tries && !helped; i++ {
+		_, rep := pretrainShards(t, 1)
+		if rep == nil {
+			t.FailNow()
+		}
+		helped = rep.HelperSteps > 0
+	}
+	if !helped {
+		t.Fatalf("no step of %d pre-trainings ran on a helper at GOMAXPROCS=2", tries)
 	}
 	goroutines := runtime.NumGoroutine()
 

@@ -43,7 +43,7 @@ type TrainReport struct {
 	SplitSteps  int
 	HelperSteps int
 	// ScratchBytes is the workspace high-water of the run: the largest
-	// forward(+backward) pass, or the full-corpus evaluation, each shard
+	// forward(+backward) pass, or the corpus evaluation, each shard
 	// ran in its arena, summed over the shards.
 	ScratchBytes int
 }
@@ -76,11 +76,12 @@ func (b *batch) propertyCounts(cfg Config) (rows, distinct int) {
 // depend on the samples and Config.Seed, never on GOMAXPROCS or on what
 // else the process is running.
 //
-// The epoch loop is allocation-free in steady state: mini-batches are
-// sliced from the shuffled index without copying samples, the
-// full-corpus evaluation batch is built once before the loop, and every
-// forward/backward intermediate comes from the arena each shard borrows
-// for the call.
+// The corpus is encoded once, before the loop (corpusTable): a step
+// gathers its shards' rows from the table, and each epoch's evaluation
+// runs the network once per distinct input. The epoch loop is
+// allocation-free in steady state: mini-batches are sliced from the
+// shuffled index without copying samples, and every forward/backward
+// intermediate comes from the arena each shard borrows for the call.
 func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 	if err := validateSamples(m.Cfg, samples); err != nil {
 		return nil, err
@@ -111,14 +112,10 @@ func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 		idx[i] = i
 	}
 
-	// The evaluation batch depends only on samples and the (now fixed)
-	// scalers; build it once instead of per epoch.
-	m.fillBatch(&m.evalB, samples, nil)
-
 	best := nn.NewEarlyStopper(0, 0) // track best only; no early stop in pre-training
 	var bestState nn.State
 	report := &TrainReport{Shards: 1}
-	report.PropertyRows, report.DistinctProperties = m.evalB.propertyCounts(m.Cfg)
+	report.PropertyRows, report.DistinctProperties = m.corpus.samples.propertyCounts(m.Cfg)
 
 	if run.second != nil {
 		report.Shards = 2
@@ -141,7 +138,7 @@ func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 		report.Epochs = epoch + 1
 
 		// Track the best state by full-corpus MAE in seconds.
-		mae := m.evalMAEBatch(&m.evalB)
+		mae := m.evalMAE(&m.corpus)
 		if improved, _ := best.Observe(epoch, mae); improved {
 			bestState = nn.CaptureStateInto(bestState, params)
 		}
@@ -182,18 +179,20 @@ func shardCut(n int) int {
 }
 
 // pretrainRun prepares pre-training steps on samples with the scalers
-// the model has now: every parameter trainable, gradients zero, a fresh
-// Adam, and — when a full mini-batch is large enough to cut — the
-// replica its second shard runs on, built on first use. It leases no
-// helper; until the caller does, the steps run both shards themselves.
+// the model has now: the corpus encoded into the model's table, every
+// parameter trainable, gradients zero, a fresh Adam, and — when a full
+// mini-batch is large enough to cut — the replica its second shard runs
+// on, built on first use. It leases no helper; until the caller does,
+// the steps run both shards themselves.
 func (m *Model) pretrainRun(samples []Sample) *trainRun {
+	m.corpus.encode(m, samples)
 	params := m.Params()
 	nn.Freeze(params, false)
 	// Establish the fused-step invariant (gradients zero before the
 	// first backward pass), whatever ran on this model before.
 	nn.ZeroGrads(params)
 	run := &trainRun{
-		samples:  samples,
+		corpus:   &m.corpus.samples,
 		params:   params,
 		opt:      nn.NewAdam(m.Cfg.LearningRate, m.Cfg.WeightDecay),
 		huber:    nn.HuberLoss{Delta: m.Cfg.HuberDelta},
@@ -212,7 +211,7 @@ func (m *Model) pretrainRun(samples []Sample) *trainRun {
 
 // trainRun is what the steps of one Pretrain or Finetune call share.
 type trainRun struct {
-	samples  []Sample
+	corpus   *batch // the encoded samples the steps' indices select from
 	params   []*nn.Param
 	opt      nn.Optimizer
 	huber    nn.HuberLoss
@@ -237,13 +236,14 @@ type gradPass struct {
 	fn               func() // runPass, bound once: handing it to a helper allocates nothing
 }
 
-// runPass encodes the shard's samples and runs forward, joint loss and
-// backward on them. It touches nothing another shard's pass touches
-// except the parameter values, which both only read.
+// runPass gathers the shard's samples from the corpus table and runs
+// forward, joint loss and backward on them. It touches nothing another
+// shard's pass touches except the parameter values and the table, which
+// both only read.
 func (m *Model) runPass() {
 	p, b := &m.pass, &m.trainB
 	if p.idx != nil {
-		m.fillBatch(b, p.run.samples, p.idx)
+		m.gatherBatch(b, p.run.corpus, p.idx)
 	}
 	st := m.forward(b, p.run.pretrain)
 	var rGrad, reconGrad *mat.Dense
@@ -260,7 +260,7 @@ func (m *Model) runPass() {
 // training (pinned by TestTrainStepZeroAlloc).
 //
 // idx is the step's mini-batch, as indices into the run's samples. It
-// is cut in two at shardCut; each shard encodes its samples and runs
+// is cut in two at shardCut; each shard gathers its samples and runs
 // its pass on its own replica of everything a pass writes, the second
 // concurrently with the first when the run holds a helper and the
 // helper gets to it before the caller is done with the first. The shards'
@@ -320,25 +320,29 @@ func (m *Model) trainStep(run *trainRun, idx []int) (rLoss, reconLoss float64) {
 	return rLoss, reconLoss
 }
 
-// evalMAE computes the runtime MAE in seconds over samples with the model
-// in eval mode.
-func (m *Model) evalMAE(samples []Sample) float64 {
-	m.fillBatch(&m.evalB, samples, nil)
-	return m.evalMAEBatch(&m.evalB)
-}
-
 // evalMAEBatch computes the runtime MAE in seconds over an
 // already-filled batch.
 func (m *Model) evalMAEBatch(b *batch) float64 {
 	st := m.forward(b, false)
+	return m.maeSeconds(st.pred.Data, nil, b.runtimes)
+}
+
+// maeSeconds is the mean absolute error in seconds of the scaled
+// predictions pred against runtimes, summed in runtimes' order: the
+// prediction of sample i is pred[rows[i]], or pred[i] when rows is nil.
+func (m *Model) maeSeconds(pred []float64, rows []int32, runtimes []float64) float64 {
 	var sum float64
-	for i, r := range b.runtimes {
-		pred := m.target.ToSeconds(st.pred.At(i, 0))
-		if pred > r {
-			sum += pred - r
+	for i, r := range runtimes {
+		j := i
+		if rows != nil {
+			j = int(rows[i])
+		}
+		p := m.target.ToSeconds(pred[j])
+		if p > r {
+			sum += p - r
 		} else {
-			sum += r - pred
+			sum += r - p
 		}
 	}
-	return sum / float64(len(b.runtimes))
+	return sum / float64(len(runtimes))
 }
