@@ -12,7 +12,7 @@ import (
 // reuseShapedCorpus is the sgd corpus of the simulated C3O data minus
 // six of its contexts: 24 contexts x 6 scale-outs x 5 repetitions, the
 // shape the general model of the paper's reuse flow pre-trains on.
-func reuseShapedCorpus(t *testing.T) []Sample {
+func reuseShapedCorpus(t testing.TB) []Sample {
 	t.Helper()
 	ds := dataset.GenerateC3O(dataset.SimConfig{Seed: 1})
 	held := map[string]bool{}

@@ -117,10 +117,10 @@ func (m *Model) indexParams() {
 
 // replica returns a model around m's parameter values that owns
 // everything a training pass writes: layer caches, batch buffers,
-// gradients, property table and encoder memo, and a dropout
-// generator seeded from the model seed and the shard index. It holds no
-// second copy of a weight; its scalers are whatever m's are when a
-// training run hands it to a shard.
+// gradients, the row remap of its gathers, and a dropout generator
+// seeded from the model seed and the shard index. It holds no second
+// copy of a weight; its scalers are whatever m's are when a training
+// run hands it to a shard.
 func (m *Model) replica(shard int) *Model {
 	rng := rand.New(rand.NewSource(m.Cfg.Seed + int64(shard)*0x5DEECE66D))
 	r := &Model{

@@ -17,12 +17,33 @@ func benchConfig() Config {
 }
 
 // BenchmarkPretrain measures a full (shortened) pre-training run through
-// the public API: batch construction, forward/backward, Adam steps, and
-// the per-epoch full-corpus evaluation. This is the training-side number
-// tracked in BENCH_train.json.
+// the public API: corpus encoding, batch gathering, forward/backward,
+// Adam steps, and the per-epoch corpus evaluation. The end-to-end
+// pre-training number is the benchmark's e2e.pretrain_epoch_p50_ms
+// (go run ./bench -workload train-reuse).
 func BenchmarkPretrain(b *testing.B) {
 	cfg := benchConfig()
 	samples := syntheticSamples(4, []int{2, 4, 6, 8, 10, 12})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Pretrain(samples); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPretrainReuse is the set-up of the benchmark's train-reuse
+// workload: a 120-epoch Pretrain of the general model on the
+// reuse-shaped corpus (720 samples, 144 distinct inputs) at batch 64.
+func BenchmarkPretrainReuse(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.PretrainEpochs = 120
+	samples := reuseShapedCorpus(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

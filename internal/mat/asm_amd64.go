@@ -67,19 +67,21 @@ func saxpy1(dst, b *float32, a float32, n int)
 //go:noescape
 func sdot4(x, r *float32, ldr, n int) (s0, s1, s2, s3 float32)
 
-// dgemmRows4x8 accumulates dst[r][c] += Σ_k a[r*lda+k] * b[k*ldb+c]
+// dgemmRows4x8 accumulates dst[r][c] += Σ_p a[r*lda+p*ka] * b[p*ldb+c]
 // for 4 dst rows and 8 columns, all kept in registers across the whole
-// k loop. This is the skinny-product kernel: one call covers k*32
-// FLOPs, so tiny n (4..64) no longer pays a call per 4 k-steps.
-// k must be >= 1.
+// p loop and added to dst once at the end. This is the skinny-product
+// kernel: one call covers k*32 FLOPs, so tiny n (4..64) no longer pays
+// a call per 4 k-steps. With ka = 1 the rows of dst read rows of a (a*b,
+// lda its row stride); with lda = 1 they read columns (aᵀ*b, ka its row
+// stride). k must be >= 1.
 //
 //go:noescape
-func dgemmRows4x8(dst *float64, ldd int, a *float64, lda int, b *float64, ldb int, k int)
+func dgemmRows4x8(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ldb int, k int)
 
 // dgemmRows4x4 is the 4-column strip variant of dgemmRows4x8.
 //
 //go:noescape
-func dgemmRows4x4(dst *float64, ldd int, a *float64, lda int, b *float64, ldb int, k int)
+func dgemmRows4x4(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ldb int, k int)
 
 // sgemmRows4x8 is the float32 form of dgemmRows4x8.
 //

@@ -33,11 +33,11 @@ func sdot4(x, r *float32, ldr, n int) (s0, s1, s2, s3 float32) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
-func dgemmRows4x8(dst *float64, ldd int, a *float64, lda int, b *float64, ldb int, k int) {
+func dgemmRows4x8(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ldb int, k int) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
-func dgemmRows4x4(dst *float64, ldd int, a *float64, lda int, b *float64, ldb int, k int) {
+func dgemmRows4x4(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ldb int, k int) {
 	panic("mat: asm kernel called on a noasm build")
 }
 

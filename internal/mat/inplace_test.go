@@ -177,3 +177,35 @@ func TestMulToZeroAllocSerial(t *testing.T) {
 		t.Fatalf("MulTo allocs/op = %v, want 0", allocs)
 	}
 }
+
+// TestMulATBAccZeroAlloc pins the weight-gradient product at zero
+// allocations, in every kernel family, at the shapes a training shard
+// issues.
+func TestMulATBAccZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, asm := range testFamilies() {
+		setFamily(t, asm)
+		for _, s := range gradShapes {
+			a, b, dst := randomDense(rng, s.k, s.m), randomDense(rng, s.k, s.n), NewDense(s.m, s.n)
+			if allocs := testing.AllocsPerRun(100, func() { MulATBAcc(dst, a, b) }); allocs != 0 {
+				t.Fatalf("%s: MulATBAcc %dx%dᵀ·%dx%d allocs/op = %v, want 0", KernelFamily(), s.k, s.m, s.k, s.n, allocs)
+			}
+		}
+	}
+}
+
+// TestMulABTToZeroAlloc pins the input-gradient product at zero
+// allocations, in every kernel family, at the shapes a training shard
+// issues: the asm family stages the transposed weights on the stack.
+func TestMulABTToZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, asm := range testFamilies() {
+		setFamily(t, asm)
+		for _, s := range gradShapes {
+			a, b, dst := randomDense(rng, s.m, s.k), randomDense(rng, s.n, s.k), NewDense(s.m, s.n)
+			if allocs := testing.AllocsPerRun(100, func() { MulABTTo(dst, a, b) }); allocs != 0 {
+				t.Fatalf("%s: MulABTTo %dx%d·(%dx%d)ᵀ allocs/op = %v, want 0", KernelFamily(), s.m, s.k, s.n, s.k, allocs)
+			}
+		}
+	}
+}

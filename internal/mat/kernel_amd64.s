@@ -469,26 +469,29 @@ sdotstore:
 	VZEROUPPER
 	RET
 
-// func dgemmRows4x8(dst *float64, ldd int, a *float64, lda int, b *float64, ldb int, k int)
+// func dgemmRows4x8(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ldb int, k int)
 //
 // Strided-B row kernel for skinny products: four dst rows times an
 // 8-column strip of B stay in Y0-Y7 across the whole k loop, so one
 // call per 4 output rows amortizes call overhead over k*32 FLOPs —
-// the shape where packing and per-k-step kernels both lose.
-TEXT ·dgemmRows4x8(SB), NOSPLIT, $0-56
+// the shape where packing and per-k-step kernels both lose. Output row
+// r reads a[r*lda + p*ka] at step p: ka = 1 walks rows of a (a*b),
+// lda = 1 walks its columns (aᵀ*b). SI advances by ka per step; R12
+// holds 3*lda so all four rows address off SI.
+TEXT ·dgemmRows4x8(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8
 	MOVQ a+16(FP), SI
 	MOVQ lda+24(FP), R9
-	MOVQ b+32(FP), BX
-	MOVQ ldb+40(FP), R10
-	MOVQ k+48(FP), CX
+	MOVQ ka+32(FP), R11
+	MOVQ b+40(FP), BX
+	MOVQ ldb+48(FP), R10
+	MOVQ k+56(FP), CX
 	SHLQ $3, R8
 	SHLQ $3, R9
 	SHLQ $3, R10
-	LEAQ (SI)(R9*1), R12
-	LEAQ (SI)(R9*2), R13
-	LEAQ (R12)(R9*2), R14
+	SHLQ $3, R11
+	LEAQ (R9)(R9*2), R12
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -497,27 +500,26 @@ TEXT ·dgemmRows4x8(SB), NOSPLIT, $0-56
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	XORQ AX, AX
 
 dr48loop:
 	VMOVUPD      (BX), Y8
 	VMOVUPD      32(BX), Y9
-	VBROADCASTSD (SI)(AX*8), Y10
+	VBROADCASTSD (SI), Y10
 	VFMADD231PD  Y10, Y8, Y0
 	VFMADD231PD  Y10, Y9, Y1
-	VBROADCASTSD (R12)(AX*8), Y11
+	VBROADCASTSD (SI)(R9*1), Y11
 	VFMADD231PD  Y11, Y8, Y2
 	VFMADD231PD  Y11, Y9, Y3
-	VBROADCASTSD (R13)(AX*8), Y10
+	VBROADCASTSD (SI)(R9*2), Y10
 	VFMADD231PD  Y10, Y8, Y4
 	VFMADD231PD  Y10, Y9, Y5
-	VBROADCASTSD (R14)(AX*8), Y11
+	VBROADCASTSD (SI)(R12*1), Y11
 	VFMADD231PD  Y11, Y8, Y6
 	VFMADD231PD  Y11, Y9, Y7
 	ADDQ R10, BX
-	INCQ AX
-	CMPQ AX, CX
-	JLT  dr48loop
+	ADDQ R11, SI
+	DECQ CX
+	JNZ  dr48loop
 
 	VMOVUPD (DI), Y8
 	VMOVUPD 32(DI), Y9
@@ -549,43 +551,42 @@ dr48loop:
 	VZEROUPPER
 	RET
 
-// func dgemmRows4x4(dst *float64, ldd int, a *float64, lda int, b *float64, ldb int, k int)
+// func dgemmRows4x4(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ldb int, k int)
 //
 // 4-column variant of dgemmRows4x8: one ymm accumulator per dst row.
-TEXT ·dgemmRows4x4(SB), NOSPLIT, $0-56
+TEXT ·dgemmRows4x4(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8
 	MOVQ a+16(FP), SI
 	MOVQ lda+24(FP), R9
-	MOVQ b+32(FP), BX
-	MOVQ ldb+40(FP), R10
-	MOVQ k+48(FP), CX
+	MOVQ ka+32(FP), R11
+	MOVQ b+40(FP), BX
+	MOVQ ldb+48(FP), R10
+	MOVQ k+56(FP), CX
 	SHLQ $3, R8
 	SHLQ $3, R9
 	SHLQ $3, R10
-	LEAQ (SI)(R9*1), R12
-	LEAQ (SI)(R9*2), R13
-	LEAQ (R12)(R9*2), R14
+	SHLQ $3, R11
+	LEAQ (R9)(R9*2), R12
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-	XORQ AX, AX
 
 dr44loop:
 	VMOVUPD      (BX), Y4
-	VBROADCASTSD (SI)(AX*8), Y5
+	VBROADCASTSD (SI), Y5
 	VFMADD231PD  Y5, Y4, Y0
-	VBROADCASTSD (R12)(AX*8), Y6
+	VBROADCASTSD (SI)(R9*1), Y6
 	VFMADD231PD  Y6, Y4, Y1
-	VBROADCASTSD (R13)(AX*8), Y5
+	VBROADCASTSD (SI)(R9*2), Y5
 	VFMADD231PD  Y5, Y4, Y2
-	VBROADCASTSD (R14)(AX*8), Y6
+	VBROADCASTSD (SI)(R12*1), Y6
 	VFMADD231PD  Y6, Y4, Y3
 	ADDQ R10, BX
-	INCQ AX
-	CMPQ AX, CX
-	JLT  dr44loop
+	ADDQ R11, SI
+	DECQ CX
+	JNZ  dr44loop
 
 	VMOVUPD (DI), Y4
 	VADDPD  Y4, Y0, Y0

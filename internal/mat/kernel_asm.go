@@ -9,9 +9,12 @@ package mat
 // reachable when useAsm is set, which requires hasAsm.
 
 // daxpyMinN is the output width from which the axpy drivers win over
-// the strided row kernels: wide rows amortize the per-4-k-steps daxpy4
-// call over n lanes, while skinny products (MLP layers are 1..16
-// columns) would pay k/4 call overheads per row for almost no work.
+// the register-tiled dgemmRows4x{8,4} strips, in a*b (mulRowsAsm) and
+// aᵀ*b (mulATBAccAsm) alike: a wide row amortizes each daxpy4 call —
+// 4 k-steps of one output row — over n lanes, while a skinny product
+// (the MLP layers and their gradients are 1..16 columns wide) would pay
+// k/4 calls per output row for a few lanes of work each. The strips
+// keep a 4x8 block of the output in registers across all of k instead.
 const daxpyMinN = 32
 
 // mulRowsAsm accumulates rows [lo,hi) of a*b into dst (rows
@@ -43,10 +46,10 @@ func mulRowsAsm(dst, a, b *Dense, lo, hi int) {
 			ar := &a.Data[i*k]
 			j := 0
 			for ; j+8 <= ns; j += 8 {
-				dgemmRows4x8(&dst.Data[i*n+j], n, ar, k, &b.Data[j], n, k)
+				dgemmRows4x8(&dst.Data[i*n+j], n, ar, k, 1, &b.Data[j], n, k)
 			}
 			for ; j+4 <= ns; j += 4 {
-				dgemmRows4x4(&dst.Data[i*n+j], n, ar, k, &b.Data[j], n, k)
+				dgemmRows4x4(&dst.Data[i*n+j], n, ar, k, 1, &b.Data[j], n, k)
 			}
 		}
 		if i < hi && ns > 0 {
@@ -119,38 +122,103 @@ func mulRowsTailCols(dst, a, b *Dense, lo, hi, j0 int) {
 	}
 }
 
-// mulATBAccAsm accumulates aᵀ*b into dst: per dst row, 4 rank-1 updates
-// fuse into one daxpy4 whose a coefficients are gathered from a column
-// of a.
+// mulATBAccAsm accumulates aᵀ*b into dst. A wide b runs one daxpy4
+// per (dst row, 4 rows of a and b), whose a coefficients are gathered
+// from a column of a. A skinny one — every weight gradient of the
+// Bellamy MLPs — runs register-tiled: dgemmRows4x{8,4} walk 4 columns of
+// a as its 4 output rows, so a 4x8 (or 4x4) block of dst stays in
+// registers across all rows of a and b and is added to dst once, one
+// call per block. A single column of b is Σ_r b_r·a_r, 4 rows of a a
+// daxpy4.
 func mulATBAccAsm(dst, a, b *Dense) {
-	rows := a.Rows
-	cb := b.Cols
-	if cb == 0 {
+	rows, ca, cb := a.Rows, a.Cols, b.Cols
+	switch {
+	case cb == 0:
+		return
+	case cb >= daxpyMinN:
+		mulATBAccRowsAsm(dst, a, b, 0, ca)
+		return
+	case cb == 1:
+		var bv [4]float64
+		r := 0
+		for ; r+4 <= rows; r += 4 {
+			bv[0], bv[1], bv[2], bv[3] = b.Data[r], b.Data[r+1], b.Data[r+2], b.Data[r+3]
+			daxpy4(&dst.Data[0], &a.Data[r*ca], ca, &bv, ca)
+		}
+		for ; r < rows; r++ {
+			daxpy1(&dst.Data[0], &a.Data[r*ca], b.Data[r], ca)
+		}
 		return
 	}
-	var av [4]float64
-	k := 0
-	for ; k+4 <= rows; k += 4 {
-		ar0, ar1, ar2, ar3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
-		bb := &b.Data[k*cb]
-		for i := range ar0 {
-			av[0], av[1], av[2], av[3] = ar0[i], ar1[i], ar2[i], ar3[i]
-			daxpy4(&dst.Row(i)[0], bb, cb, &av, cb)
+	is, ns := ca&^3, cb&^3
+	for i := 0; i < is; i += 4 {
+		j := 0
+		for ; j+8 <= ns; j += 8 {
+			dgemmRows4x8(&dst.Data[i*cb+j], cb, &a.Data[i], 1, ca, &b.Data[j], cb, rows)
+		}
+		if j < ns {
+			dgemmRows4x4(&dst.Data[i*cb+j], cb, &a.Data[i], 1, ca, &b.Data[j], cb, rows)
 		}
 	}
-	for ; k < rows; k++ {
-		bb := &b.Data[k*cb]
-		for i, av1 := range a.Row(k) {
-			daxpy1(&dst.Row(i)[0], bb, av1, cb)
+	// The 1..3 columns the strips leave, for the rows they covered.
+	for j := ns; j < cb; j++ {
+		for r := 0; r < rows; r++ {
+			bv, ar := b.Data[r*cb+j], a.Data[r*ca:r*ca+is]
+			for i, av := range ar {
+				dst.Data[i*cb+j] += av * bv
+			}
+		}
+	}
+	mulATBAccRowsAsm(dst, a, b, is, ca)
+}
+
+// mulATBAccRowsAsm accumulates rows [i0,i1) of aᵀ*b into dst, one
+// daxpy4 per dst row and 4 rows of a and b.
+func mulATBAccRowsAsm(dst, a, b *Dense, i0, i1 int) {
+	rows, ca, cb := a.Rows, a.Cols, b.Cols
+	var av [4]float64
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		bb := &b.Data[r*cb]
+		for i := i0; i < i1; i++ {
+			av[0], av[1], av[2], av[3] = a.Data[r*ca+i], a.Data[(r+1)*ca+i], a.Data[(r+2)*ca+i], a.Data[(r+3)*ca+i]
+			daxpy4(&dst.Data[i*cb], bb, cb, &av, cb)
+		}
+	}
+	for ; r < rows; r++ {
+		bb := &b.Data[r*cb]
+		for i := i0; i < i1; i++ {
+			daxpy1(&dst.Data[i*cb], bb, a.Data[r*ca+i], cb)
 		}
 	}
 }
 
-// mulABTAsm computes a*bᵀ into dst: ddot4 runs 4 dot products against 4
-// consecutive b rows per pass over the a row.
+// abtStage bounds the b of a*bᵀ that mulABTAsm transposes onto its
+// stack, in elements: every weight matrix of the Bellamy MLPs fits (the
+// largest, the encoder's 40x8, has 320). The stage is zeroed on every
+// call, so it is no larger than that needs.
+const abtStage = 512
+
+// mulABTAsm computes a*bᵀ into dst. A small b — the weights of an input
+// gradient dX = dY·Wᵀ — is transposed once onto the stack, and the
+// product runs as a*(bᵀ) through mulRowsAsm's register-tiled strips.
+// A larger one runs ddot4: 4 dot products against 4 consecutive b rows
+// per pass over the a row.
 func mulABTAsm(dst, a, b *Dense) {
 	nb := b.Rows
 	k := a.Cols
+	if nb*k <= abtStage {
+		var stage [abtStage]float64
+		bt := Dense{Rows: k, Cols: nb, Data: stage[:k*nb]}
+		for j := 0; j < nb; j++ {
+			for p, v := range b.Data[j*k : (j+1)*k] {
+				bt.Data[p*nb+j] = v
+			}
+		}
+		clear(dst.Data)
+		mulRowsAsm(dst, a, &bt, 0, a.Rows)
+		return
+	}
 	for i := 0; i < a.Rows; i++ {
 		ar := a.Row(i)
 		or := dst.Row(i)

@@ -217,15 +217,30 @@ var issuedShapes = []struct{ m, k, n int }{
 	{(parallelThreshold + 40*8 - 1) / (40 * 8), 40, 8},
 }
 
+// gradShapes are the gradient products one 32-sample shard of a
+// pre-training step issues at DefaultConfig, as m x k x n. The weight
+// gradients dW += xᵀ·dY run as MulATBAcc with x k x m and dY k x n:
+// g's second layer (224x8ᵀ·224x4), its first on the shard's distinct
+// property rows (47x40ᵀ·47x8), h's first (224x4ᵀ·224x8), z's two
+// (32x28ᵀ·32x8, 32x8ᵀ·32x1) and f's two (32x3ᵀ·32x16, 32x16ᵀ·32x8).
+// The input gradients dX = dY·Wᵀ run as MulABTTo with dY m x k and W
+// n x k: g's second layer, h's first, z's two and f's second.
+var gradShapes = []struct{ m, k, n int }{
+	{8, 224, 4}, {40, 47, 8}, {4, 224, 8}, {28, 32, 8}, {8, 32, 1}, {3, 32, 16}, {16, 32, 8},
+	{224, 4, 8}, {224, 8, 4}, {32, 8, 28}, {32, 1, 8}, {32, 8, 16},
+}
+
 // TestAllKernelFamiliesMatchRef pins both kernel families — plain and
 // (CPU permitting) the AVX2 asm kernels — against the oracle, whichever
-// one startup selected, over ragged shapes and issuedShapes. Each shape
-// goes through the public entry points, which pick the direct or the
-// pool route by size, and a*b through both routes explicitly, so each
-// is covered at every size.
+// one startup selected, over ragged shapes, issuedShapes and gradShapes.
+// Each shape goes through the public entry points, which pick the
+// direct or the pool route by size, and a*b through both routes
+// explicitly, so each is covered at every size; aᵀ*b also accumulates
+// onto a dst that holds values.
 func TestAllKernelFamiliesMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	shapes := append([]struct{ m, k, n int }{{37, 23, 19}, {70, 67, 66}, {12, 300, 41}, {33, 29, 1}, {9, 40, 8}}, issuedShapes...)
+	shapes = append(shapes, gradShapes...)
 	for _, asm := range testFamilies() {
 		setFamily(t, asm)
 		for _, s := range shapes {
@@ -251,6 +266,13 @@ func TestAllKernelFamiliesMatchRef(t *testing.T) {
 			gotATB := garbageDense(s.m, s.n)
 			MulATBTo(gotATB, at, b)
 			equalishTol(t, "MulATBTo/"+name, gotATB, wantATB, s.k)
+			prior := randomDense(rng, s.m, s.n)
+			gotATB = prior.Clone()
+			MulATBAcc(gotATB, at, b)
+			for i, v := range prior.Data {
+				wantATB.Data[i] += v
+			}
+			equalishTol(t, "MulATBAcc/"+name, gotATB, wantATB, s.k)
 
 			wantABT := garbageDense(s.m, s.n)
 			refMulABTTo(wantABT, a, bt)
