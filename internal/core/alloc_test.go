@@ -135,7 +135,6 @@ func TestEvalZeroAlloc(t *testing.T) {
 	if _, err := m.Pretrain(samples); err != nil {
 		t.Fatal(err)
 	}
-	m.pretrainRun(samples)
 	m.borrowScratch()
 	defer m.releaseScratch()
 	if allocs := testing.AllocsPerRun(50, func() { m.evalMAE(&m.corpus) }); allocs != 0 {
