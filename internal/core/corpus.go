@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"repro/internal/mat"
 )
 
 // corpusTable is a pre-training corpus encoded once per Pretrain call.
@@ -36,17 +38,18 @@ type corpusTable struct {
 // the optional slots hold a value. A corpus is many repetitions of few
 // (context, scale-out) pairs, so its distinct inputs are a fraction of
 // its samples. The evaluation must still give every sample the bits a
-// pass over the whole corpus gives it, and the asm multiply computes a
-// batch's last rows%4 rows by another route than the 4-row groups before
-// them. So the distinct inputs of the samples in full groups take rows
-// of inputs padded to a multiple of 4 — the padding repeats the last
-// input — and the last len%4 samples follow, one row each, to be
-// computed by the tail route as they are in the whole-corpus pass.
+// pass over the whole corpus gives it, and the asm multiply computes the
+// rows of a batch in full groups of mat.RowGroup by another route than
+// the last len%mat.RowGroup. So the distinct inputs of the samples in
+// full groups take rows of inputs padded to whole groups — the padding
+// repeats the last input — and the last len%mat.RowGroup samples
+// follow, one row each, to be computed by the tail route as they are in
+// the whole-corpus pass.
 func (c *corpusTable) encode(m *Model, samples []Sample) {
 	all, in := &c.samples, &c.inputs
 	m.fillBatch(all, samples, nil)
 	n, per := len(samples), all.propsPer
-	grouped := n &^ 3
+	grouped := n - n%mat.RowGroup
 
 	if cap(c.inputRow) < n {
 		c.inputRow = make([]int32, n)
@@ -76,7 +79,7 @@ func (c *corpusTable) encode(m *Model, samples []Sample) {
 			c.inputRow[i] = c.inputRow[c.index[j]-1]
 		}
 	}
-	padded := (distinct + 3) &^ 3
+	padded := (distinct + mat.RowGroup - 1) / mat.RowGroup * mat.RowGroup
 	for i := grouped; i < n; i++ {
 		c.inputRow[i] = int32(padded + i - grouped)
 	}

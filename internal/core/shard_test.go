@@ -159,36 +159,11 @@ func setProcs(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
-// helperTries bounds the pre-trainings a test runs until one of them
-// gets a step onto its helper. A helper that keeps missing offers is
-// woken less eagerly, so with other packages' tests taking the cores
-// one short pre-training can miss them all.
-const helperTries = 10
-
-// pretrainOnHelper runs pretrainShards(t, seed), handing each model to
-// check, until a run has a step on its helper; it fails the test when
-// none of helperTries runs does.
-func pretrainOnHelper(t *testing.T, seed int64, check func(*Model)) {
-	t.Helper()
-	for i := 0; i < helperTries; i++ {
-		m, rep := pretrainShards(t, seed)
-		if m == nil {
-			t.FailNow()
-		}
-		check(m)
-		if rep.HelperSteps > 0 {
-			return
-		}
-	}
-	t.Fatalf("GOMAXPROCS=%d: no step of %d pre-trainings ran on a helper", runtime.GOMAXPROCS(0), helperTries)
-}
-
 // TestPretrainIndependentOfGOMAXPROCS: the same seed trains bit-identical
 // parameters on one core, where the caller runs both shards of every
 // step, on two and on four, where a leased helper runs the second
 // whenever it gets to it first, and on two with the only helper taken by
-// somebody else. Every run is compared, including those the helper
-// missed, until one has a step on the helper.
+// somebody else.
 func TestPretrainIndependentOfGOMAXPROCS(t *testing.T) {
 	setProcs(t, 1)
 	ref, rep := pretrainShards(t, 3)
@@ -197,7 +172,11 @@ func TestPretrainIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 	for _, procs := range []int{2, 4} {
 		runtime.GOMAXPROCS(procs)
-		pretrainOnHelper(t, 3, func(m *Model) { sameModel(t, ref, m) })
+		m, rep := pretrainShards(t, 3)
+		if rep.HelperSteps == 0 {
+			t.Fatalf("GOMAXPROCS=%d: none of %d split steps ran on a helper", procs, rep.SplitSteps)
+		}
+		sameModel(t, ref, m)
 	}
 
 	runtime.GOMAXPROCS(2)
@@ -250,11 +229,23 @@ func TestConcurrentPretrainsMatchSolo(t *testing.T) {
 // nothing is left leased or polling, and the process holds the one
 // parked helper goroutine GOMAXPROCS=2 allows however many pre-trainings
 // ran.
-// The precondition, a pre-training with a step on its helper, is
-// retried up to helperTries times.
 func TestPretrainReturnsItsHelper(t *testing.T) {
 	setProcs(t, 2)
-	pretrainOnHelper(t, 1, func(*Model) {})
+	// The precondition: a pre-training with a step on its helper. A
+	// helper that keeps missing offers is woken less eagerly, so with
+	// other packages' tests taking the cores one short pre-training can
+	// miss them all; up to ten are run.
+	helped := false
+	for try := 0; try < 10 && !helped; try++ {
+		_, rep := pretrainShards(t, 1)
+		if rep == nil {
+			t.FailNow()
+		}
+		helped = rep.HelperSteps > 0
+	}
+	if !helped {
+		t.Fatal("no step of 10 pre-trainings ran on a helper at GOMAXPROCS=2")
+	}
 	goroutines := runtime.NumGoroutine()
 
 	bad := shardCorpus()

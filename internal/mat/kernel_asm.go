@@ -9,13 +9,20 @@ package mat
 // reachable when useAsm is set, which requires hasAsm.
 
 // daxpyMinN is the output width from which the axpy drivers win over
-// the register-tiled dgemmRows4x{8,4} strips, in a*b (mulRowsAsm) and
-// aᵀ*b (mulATBAccAsm) alike: a wide row amortizes each daxpy4 call —
-// 4 k-steps of one output row — over n lanes, while a skinny product
-// (the MLP layers and their gradients are 1..16 columns wide) would pay
-// k/4 calls per output row for a few lanes of work each. The strips
-// keep a 4x8 block of the output in registers across all of k instead.
+// the strided row kernels: wide rows amortize the per-4-k-steps daxpy4
+// call over n lanes, while skinny products (MLP layers are 1..16
+// columns) would pay k/4 call overheads per row for almost no work.
+// It governs a*b only; aᵀ*b (mulATBAccAsm) runs the strips at any width.
 const daxpyMinN = 32
+
+// RowGroup is the row height of the asm a*b kernels: below daxpyMinN
+// columns, mulRowsAsm computes rows [lo,hi) in groups of RowGroup, one
+// ddot4 or dgemmRows4x{8,4} call per group, and the last
+// (hi-lo)%RowGroup rows by a scalar route. The two round differently, so
+// a row's bits depend on whether it falls in a full group; a caller that
+// must reproduce a row's bits from another batch keeps it in the same
+// kind of group. mulRowsPool's row panels are whole groups.
+const RowGroup = 4
 
 // mulRowsAsm accumulates rows [lo,hi) of a*b into dst (rows
 // pre-zeroed). Three regimes by output width: n == 1 runs 4-row dot
@@ -30,7 +37,7 @@ func mulRowsAsm(dst, a, b *Dense, lo, hi int) {
 	}
 	if n == 1 {
 		i := lo
-		for ; i+4 <= hi; i += 4 {
+		for ; i+RowGroup <= hi; i += RowGroup {
 			dst.Data[i], dst.Data[i+1], dst.Data[i+2], dst.Data[i+3] =
 				ddot4(&b.Data[0], &a.Data[i*k], k, k)
 		}
@@ -42,7 +49,7 @@ func mulRowsAsm(dst, a, b *Dense, lo, hi int) {
 	if n < daxpyMinN {
 		ns := n &^ 3 // columns covered by the 8/4-wide strips
 		i := lo
-		for ; i+4 <= hi; i += 4 {
+		for ; i+RowGroup <= hi; i += RowGroup {
 			ar := &a.Data[i*k]
 			j := 0
 			for ; j+8 <= ns; j += 8 {
@@ -122,21 +129,16 @@ func mulRowsTailCols(dst, a, b *Dense, lo, hi, j0 int) {
 	}
 }
 
-// mulATBAccAsm accumulates aᵀ*b into dst. A wide b runs one daxpy4
-// per (dst row, 4 rows of a and b), whose a coefficients are gathered
-// from a column of a. A skinny one — every weight gradient of the
-// Bellamy MLPs — runs register-tiled: dgemmRows4x{8,4} walk 4 columns of
-// a as its 4 output rows, so a 4x8 (or 4x4) block of dst stays in
-// registers across all rows of a and b and is added to dst once, one
-// call per block. A single column of b is Σ_r b_r·a_r, 4 rows of a a
-// daxpy4.
+// mulATBAccAsm accumulates aᵀ*b into dst register-tiled:
+// dgemmRows4x{8,4} walk 4 columns of a as their 4 output rows, so a 4x8
+// (or 4x4) block of dst stays in registers across all rows of a and b
+// and is added to dst once, one call per block. The last ca%4 rows of
+// dst run one daxpy4 per 4 rows of a and b. A single column of b is
+// Σ_r b_r·a_r, 4 rows of a a daxpy4.
 func mulATBAccAsm(dst, a, b *Dense) {
 	rows, ca, cb := a.Rows, a.Cols, b.Cols
 	switch {
 	case cb == 0:
-		return
-	case cb >= daxpyMinN:
-		mulATBAccRowsAsm(dst, a, b, 0, ca)
 		return
 	case cb == 1:
 		var bv [4]float64
