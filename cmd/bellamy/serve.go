@@ -57,7 +57,6 @@ func runServe(args []string) error {
 	ftWorkers := fs.Int("finetune-workers", 0, "concurrent fine-tunes (0 = NumCPU/4)")
 	ftBuffer := fs.Int("observe-buffer", lifecycle.DefaultBufferCap, "per-model observation ring capacity")
 	ftMaxKeys := fs.Int("observe-max-models", lifecycle.DefaultMaxKeys, "max distinct models holding observation buffers")
-	f64Serve := fs.Bool("f64-serve", false, "serve predictions in full float64 instead of the quantized float32 inference path")
 	dataDir := fs.String("data-dir", "", "durable store directory (WAL + compacted segments + model checkpoints); sharded serving uses <dir>/shard-<i> per shard; empty disables durability")
 	fsyncMode := fs.String("fsync", "always", "WAL durability: always (every append), interval (batched), never (OS page cache)")
 	compactEvery := fs.Duration("compact-interval", store.DefaultCompactInterval, "period between WAL compactions into indexed segments")
@@ -93,10 +92,9 @@ func runServe(args []string) error {
 	buildNode := func(log *slog.Logger, dir string) (*shardRuntime, error) {
 		n := &shardRuntime{log: log, dir: dir}
 		n.svc = serve.NewService(serve.DirLoader(*modelsDir), serve.Options{
-			ModelCap:       *modelCap,
-			ResultCap:      *resultCap,
-			Workers:        *workers,
-			Float64Serving: *f64Serve,
+			ModelCap:  *modelCap,
+			ResultCap: *resultCap,
+			Workers:   *workers,
 		})
 		if dir != "" {
 			policy, err := store.ParseFsyncPolicy(*fsyncMode)
@@ -187,10 +185,8 @@ func runServe(args []string) error {
 	registry := obs.NewRegistry()
 	obs.RegisterRuntimeMetrics(registry)
 	const scratchHelp = "Bytes held by the idle workspace arenas every model call borrows from."
-	registry.RegisterGaugeFunc("bellamy_scratch_bytes", scratchHelp, obs.Labels{"precision": "f64"},
-		func() float64 { b, _ := core.IdleScratchBytes(); return float64(b) })
 	registry.RegisterGaugeFunc("bellamy_scratch_bytes", scratchHelp, obs.Labels{"precision": "f32"},
-		func() float64 { _, b := core.IdleScratchBytes(); return float64(b) })
+		func() float64 { return float64(core.IdleScratchBytes()) })
 	tracer := obs.NewTracer(obs.TracerOptions{SampleEvery: *traceSample})
 	tracer.RegisterMetrics(registry, nil)
 	o := &serve.Observability{Metrics: registry, Tracer: tracer, Log: logger}

@@ -18,7 +18,7 @@ type Query struct {
 // counts without running inference.
 func (m *Model) ValidateQuery(q Query) error { return validateQuery(m.Cfg, q) }
 
-// validateQuery is the shared query check of Model and InferModel.
+// validateQuery is the query check of ValidateQuery.
 func validateQuery(cfg Config, q Query) error {
 	if q.ScaleOut <= 0 {
 		return fmt.Errorf("core: scale-out %d must be positive", q.ScaleOut)
@@ -92,7 +92,7 @@ func (m *Model) PredictBatchInto(dst []float64, queries []Query) error {
 	defer m.releaseScratch()
 	st := m.forward(&m.inferB, false)
 	for i := range dst {
-		v := m.target.ToSeconds(st.pred.At(i, 0))
+		v := m.target.ToSeconds(float64(st.pred.Data[i]))
 		// The network is unconstrained and can denormalize to a negative
 		// runtime at extreme scale-outs; a runtime below zero is
 		// meaningless, so the prediction boundary floors it.

@@ -112,7 +112,7 @@ func inputHash(b *batch, i int) uint64 {
 		h ^= h >> 32
 	}
 	for _, v := range b.scaleFeat.Row(i) {
-		mix(math.Float64bits(v))
+		mix(uint64(math.Float32bits(v)))
 	}
 	for _, r := range b.propRow[i*b.propsPer : (i+1)*b.propsPer] {
 		mix(uint64(uint32(r)))
@@ -128,7 +128,7 @@ func (b *batch) sameInput(i, j int) bool {
 	}
 	fi, fj := b.scaleFeat.Row(i), b.scaleFeat.Row(j)
 	for k := range fi {
-		if math.Float64bits(fi[k]) != math.Float64bits(fj[k]) {
+		if math.Float32bits(fi[k]) != math.Float32bits(fj[k]) {
 			return false
 		}
 	}

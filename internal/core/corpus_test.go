@@ -33,13 +33,13 @@ func reuseShapedCorpus(t testing.TB) []Sample {
 }
 
 // sameBits fails the test unless a and b hold the same float64 bits.
-func sameBits(t *testing.T, what string, a, b []float64) {
+func sameBits[T float32 | float64](t *testing.T, what string, a, b []T) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("%s: %d values, want %d", what, len(a), len(b))
 	}
 	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
 			t.Fatalf("%s[%d] = %v, want %v", what, i, a[i], b[i])
 		}
 	}
@@ -131,7 +131,7 @@ func TestCorpusEvalMatchesWholeCorpus(t *testing.T) {
 			whole := slices.Clone(m.forward(&c.samples, false).pred.Data)
 			distinct := m.forward(&c.inputs, false).pred.Data
 			for i, r := range c.inputRow {
-				if math.Float64bits(distinct[r]) != math.Float64bits(whole[i]) {
+				if math.Float32bits(distinct[r]) != math.Float32bits(whole[i]) {
 					t.Fatalf("sample %d: prediction %v from input row %d, %v from the whole corpus", i, distinct[r], r, whole[i])
 				}
 			}

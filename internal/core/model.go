@@ -38,7 +38,7 @@ type Model struct {
 	// when it returns, nil between calls. Each forward pass starts a new
 	// round on it, so a buffer lives for exactly one forward(+backward)
 	// pass. scratchPeak is the call's largest round, in bytes.
-	ws          *mat.Workspace
+	ws          *mat.WorkspaceF32
 	scratchPeak int
 	fst         forwardState
 
@@ -60,6 +60,9 @@ type Model struct {
 	params struct{ f, g, h, z []*nn.Param }
 	// rows is fillBatch's table of the values of the batch being filled.
 	rows rowTable
+	// encRow stages a property vector in float64, the encoder's
+	// precision, before it is rounded into its batch row.
+	encRow []float64
 
 	scratchSamples []Sample
 	scratchQuery   [1]Query
@@ -167,9 +170,9 @@ func (m *Model) Pretrained() bool { return m.pretrained }
 // model used (0 when it was never fine-tuned).
 func (m *Model) FinetuneSamples() int { return m.finetuneSamples }
 
-// batch is the matrix representation of a set of samples. Its buffers
-// are long-lived and refilled in place, so rebuilding a batch of an
-// already-seen size allocates nothing.
+// batch is the matrix representation of a set of samples, in the
+// network's float32. Its buffers are long-lived and refilled in place,
+// so rebuilding a batch of an already-seen size allocates nothing.
 //
 // A corpus is many executions of few contexts, so the property vectors
 // of a batch are stored once each: props holds the distinct vectors and
@@ -177,27 +180,27 @@ func (m *Model) FinetuneSamples() int { return m.finetuneSamples }
 // function of the vector alone (the encoder's first layer, in eval mode
 // the whole encoder) then runs on the distinct rows only.
 type batch struct {
-	scaleFeat *mat.Dense // B x 3, normalized
-	props     *mat.Dense // U x N: each distinct property vector once
-	propRow   []int32    // B * propsPer: the row of props a slot reads
-	propsPer  int        // property slots per sample: NumEssential + NumOptional
-	numOpt    []int      // count of optional properties per sample
-	targets   *mat.Dense // B x 1, scaled runtimes
-	runtimes  []float64  // raw seconds
+	scaleFeat *mat.DenseF32 // B x 3, normalized
+	props     *mat.DenseF32 // U x N: each distinct property vector once
+	propRow   []int32       // B * propsPer: the row of props a slot reads
+	propsPer  int           // property slots per sample: NumEssential + NumOptional
+	numOpt    []int         // count of optional properties per sample
+	targets   *mat.DenseF32 // B x 1, scaled runtimes
+	runtimes  []float64     // raw seconds
 
 	// codes is the encoder output on props (U x M) while codesFixed:
 	// Finetune computes it once because its encoder is frozen. The next
 	// fillBatch drops it.
-	codes      *mat.Dense
+	codes      *mat.DenseF32
 	codesFixed bool
 }
 
 // ensure shapes the batch buffers for bSize samples and empties props,
 // reusing backing storage whenever capacity allows.
 func (b *batch) ensure(bSize, propsPer, propSize int) {
-	b.scaleFeat = mat.Resized(b.scaleFeat, bSize, 3)
+	b.scaleFeat = mat.Resized32(b.scaleFeat, bSize, 3)
 	if b.props == nil {
-		b.props = &mat.Dense{}
+		b.props = &mat.DenseF32{}
 	}
 	b.props.Rows, b.props.Cols, b.props.Data = 0, propSize, b.props.Data[:0]
 	if cap(b.propRow) < bSize*propsPer {
@@ -206,7 +209,7 @@ func (b *batch) ensure(bSize, propsPer, propSize int) {
 	b.propRow = b.propRow[:bSize*propsPer]
 	b.propsPer = propsPer
 	b.codesFixed = false
-	b.targets = mat.Resized(b.targets, bSize, 1)
+	b.targets = mat.Resized32(b.targets, bSize, 1)
 	if cap(b.numOpt) < bSize {
 		b.numOpt = make([]int, bSize)
 	}
@@ -219,7 +222,7 @@ func (b *batch) ensure(bSize, propsPer, propSize int) {
 
 // addProp appends one row to props and returns its index and storage
 // (contents unspecified).
-func (b *batch) addProp() (int32, []float64) {
+func (b *batch) addProp() (int32, []float32) {
 	r, n := b.props.Rows, b.props.Cols
 	b.props.Data = slices.Grow(b.props.Data, n)[:(r+1)*n]
 	b.props.Rows = r + 1
@@ -313,14 +316,27 @@ func (m *Model) rowOf(b *batch, value string) int32 {
 	r, seen := m.rows.rowOf(value, int32(b.props.Rows))
 	if !seen {
 		_, vec := b.addProp()
-		m.enc.EncodeTo(vec, value)
+		if len(m.encRow) != m.Cfg.PropertySize {
+			m.encRow = make([]float64, m.Cfg.PropertySize)
+		}
+		m.enc.EncodeTo(m.encRow, value)
+		rowToF32(vec, m.encRow)
 	}
 	return r
 }
 
+// rowToF32 rounds a float64 row staged by the encoder or the scalers
+// into its float32 batch row.
+func rowToF32(dst []float32, src []float64) {
+	for i, v := range src {
+		dst[i] = float32(v)
+	}
+}
+
 // fillBatch encodes the selected samples into b. idx selects (and
 // orders) samples; a nil idx encodes all of them in order, without
-// copying any Sample. Optional properties may be fewer than
+// copying any Sample. The scalers and the property encoder work in
+// float64; each row is rounded to float32 as it lands in the batch. Optional properties may be fewer than
 // cfg.NumOptional; missing slots read one shared all-zero row, which
 // contributes nothing to the optional mean.
 func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
@@ -338,9 +354,10 @@ func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
 			j = idx[i]
 		}
 		s := &samples[j]
-		feat := b.scaleFeat.Row(i)
-		ScaleOutFeaturesInto(feat, s.ScaleOut)
-		m.norm.TransformInPlace(feat)
+		var feat [3]float64
+		ScaleOutFeaturesInto(feat[:], s.ScaleOut)
+		m.norm.TransformInPlace(feat[:])
+		rowToF32(b.scaleFeat.Row(i), feat[:])
 		slots := b.propRow[i*propsPer : (i+1)*propsPer]
 		for k, p := range s.Essential {
 			slots[k] = m.rowOf(b, p.Value)
@@ -351,13 +368,13 @@ func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
 		}
 		for k := cfg.NumEssential + len(s.Optional); k < propsPer; k++ {
 			if zeroRow < 0 {
-				var vec []float64
+				var vec []float32
 				zeroRow, vec = b.addProp()
 				clear(vec)
 			}
 			slots[k] = zeroRow
 		}
-		b.targets.Set(i, 0, m.target.ToScaled(s.RuntimeSec))
+		b.targets.Data[i] = float32(m.target.ToScaled(s.RuntimeSec))
 		b.runtimes[i] = s.RuntimeSec
 	}
 	m.rows.reset()
@@ -370,15 +387,15 @@ func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
 // call gives its arena back.
 type forwardState struct {
 	b     *batch
-	e     *mat.Dense // B x F
-	codes *mat.Dense // train: (B*P) x M, one row per slot; else U x M, one per distinct vector
-	r     *mat.Dense // B x CombinedDim
-	pred  *mat.Dense // B x 1 (scaled)
+	e     *mat.DenseF32 // B x F
+	codes *mat.DenseF32 // train: (B*P) x M, one row per slot; else U x M, one per distinct vector
+	r     *mat.DenseF32 // B x CombinedDim
+	pred  *mat.DenseF32 // B x 1 (scaled)
 	train bool
 }
 
 // code returns the encoder output for property slot s of the batch.
-func (st *forwardState) code(s int) []float64 {
+func (st *forwardState) code(s int) []float32 {
 	if st.train {
 		return st.codes.Row(s)
 	}
@@ -428,7 +445,7 @@ func (m *Model) forward(b *batch, train bool) *forwardState {
 		for k := 0; k < nOpt; k++ {
 			code := st.code(i*b.propsPer + cfg.NumEssential + k)
 			for j := 0; j < cfg.EncodingDim; j++ {
-				row[off+j] += code[j] / float64(nOpt)
+				row[off+j] += code[j] / float32(nOpt)
 			}
 		}
 	}
@@ -442,7 +459,7 @@ func (m *Model) forward(b *batch, train bool) *forwardState {
 func (m *Model) fixCodes(b *batch) {
 	m.newRound()
 	codes := m.g.Forward(m.ws, b.props, false)
-	b.codes = mat.Resized(b.codes, codes.Rows, codes.Cols)
+	b.codes = mat.Resized32(b.codes, codes.Rows, codes.Cols)
 	copy(b.codes.Data, codes.Data)
 	b.codesFixed = true
 }
@@ -458,7 +475,7 @@ func (m *Model) fixCodes(b *batch) {
 // component whose parameters are all frozen — the auto-encoder during
 // fine-tuning, f until it is unfrozen — is skipped together with
 // whatever only fed it.
-func (m *Model) backward(st *forwardState, predGrad, reconGrad *mat.Dense) {
+func (m *Model) backward(st *forwardState, predGrad, reconGrad *mat.DenseF32) {
 	cfg := m.Cfg
 	fLearns := nn.AnyTrainable(m.params.f)
 	aeLearns := nn.AnyTrainable(m.params.g) || nn.AnyTrainable(m.params.h)
@@ -470,7 +487,7 @@ func (m *Model) backward(st *forwardState, predGrad, reconGrad *mat.Dense) {
 	bSize := gradR.Rows
 	if fLearns {
 		gradE := m.ws.GetRaw(bSize, cfg.ScaleOutDim)
-		mat.SliceColsTo(gradE, gradR, 0, cfg.ScaleOutDim)
+		mat.SliceColsToF32(gradE, gradR, 0, cfg.ScaleOutDim)
 		m.f.BackwardParams(m.ws, gradE)
 	}
 	if !aeLearns {
@@ -492,12 +509,12 @@ func (m *Model) backward(st *forwardState, predGrad, reconGrad *mat.Dense) {
 		for k := 0; k < nOpt; k++ {
 			dst := gradCodes.Row(i*st.b.propsPer + cfg.NumEssential + k)
 			for j := 0; j < cfg.EncodingDim; j++ {
-				dst[j] = row[off+j] / float64(nOpt)
+				dst[j] = row[off+j] / float32(nOpt)
 			}
 		}
 	}
 	if reconGrad != nil {
-		mat.AddInPlace(gradCodes, reconGrad)
+		mat.AddInPlaceF32(gradCodes, reconGrad)
 	}
 	m.g.BackwardRows(m.ws, gradCodes)
 }
@@ -525,15 +542,16 @@ func (m *Model) PropertyCodes(props []encoding.Property) [][]float64 {
 	if len(props) == 0 {
 		return [][]float64{}
 	}
-	vecs := m.enc.EncodeAll(props)
-	in := mat.FromRows(vecs)
+	in := m.encodeProps(props)
 	m.borrowScratch()
 	defer m.releaseScratch()
 	codes := m.g.Forward(m.ws, in, false)
 	out := make([][]float64, codes.Rows)
 	for i := range out {
 		row := make([]float64, codes.Cols)
-		copy(row, codes.Row(i))
+		for j, v := range codes.Row(i) {
+			row[j] = float64(v)
+		}
 		out[i] = row
 	}
 	return out
@@ -545,12 +563,21 @@ func (m *Model) ReconstructionError(props []encoding.Property) float64 {
 	if len(props) == 0 {
 		return 0
 	}
-	vecs := m.enc.EncodeAll(props)
-	in := mat.FromRows(vecs)
+	in := m.encodeProps(props)
 	m.borrowScratch()
 	defer m.releaseScratch()
 	codes := m.g.Forward(m.ws, in, false)
 	recon := m.h.Forward(m.ws, codes, false)
 	loss, _ := nn.MSELoss{}.Compute(m.ws, recon, in)
 	return loss
+}
+
+// encodeProps encodes props into the float32 matrix of their vectors,
+// one row each.
+func (m *Model) encodeProps(props []encoding.Property) *mat.DenseF32 {
+	in := mat.NewDenseF32(len(props), m.Cfg.PropertySize)
+	for i, v := range m.enc.EncodeAll(props) {
+		rowToF32(in.Row(i), v)
+	}
+	return in
 }

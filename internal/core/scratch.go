@@ -8,33 +8,28 @@ import (
 
 // A model owns its weights, not its scratch. Every public entry point
 // that runs the network (Pretrain, Finetune, PredictBatchInto and
-// Predict in both precisions, PropertyCodes, ReconstructionError)
-// borrows a workspace arena from a process-wide free list for the length
-// of the call and gives it back on the way out; the replica a split
-// pre-training step runs its second shard on borrows its own. Between
+// Predict, on a Model or an InferModel, PropertyCodes,
+// ReconstructionError) borrows a float32 workspace arena from a
+// process-wide free list for the length of the call and gives it back on
+// the way out; the replica a split pre-training step runs its second
+// shard on borrows its own. Between
 // calls a model references no arena, so a fresh New or Clone — one per
 // context in the paper's second step — costs its weights and batch
 // buffers, not a private arena it would have to grow again.
 //
-// The arenas idle on free lists (see package freelist), at most
-// GOMAXPROCS+1 per precision: as many calls as can run at once, plus the
-// replica. Neither list has a byte bound: an arena holds what the
-// largest pass it served needed.
-var (
-	arenas64 = freelist.New(mat.NewWorkspace, 0)
-	arenas32 = freelist.New(mat.NewWorkspaceF32, 0)
-)
+// The arenas idle on a free list (see package freelist), at most
+// GOMAXPROCS+1: as many calls as can run at once, plus the replica. The
+// list has no byte bound: an arena holds what the largest pass it served
+// needed.
+var arenas = freelist.New(mat.NewWorkspaceF32, 0)
 
 // IdleScratchBytes reports the element storage held by the arenas idle
-// in the free lists, float64 (training and the float64 model) and
-// float32 (serving).
-func IdleScratchBytes() (f64, f32 int) {
-	return arenas64.IdleBytes(), arenas32.IdleBytes()
-}
+// in the free list.
+func IdleScratchBytes() int { return arenas.IdleBytes() }
 
 // borrowScratch gives m an arena for the call starting now.
 func (m *Model) borrowScratch() {
-	m.ws = arenas64.Get()
+	m.ws = arenas.Get()
 	m.scratchPeak = 0
 }
 
@@ -47,7 +42,7 @@ func (m *Model) releaseScratch() {
 	for _, n := range [...]*nn.MLP{m.f, m.g, m.h, m.z} {
 		n.DropCaches()
 	}
-	arenas64.Put(m.ws)
+	arenas.Put(m.ws)
 	m.ws = nil
 }
 

@@ -38,15 +38,14 @@ func putBack[W freelist.Item](l *freelist.List[W], ws []W) {
 }
 
 // markIdleArenas fills the storage of every idle arena with the
-// sentinel, through matrices that point every float64 header into it (a
-// float32 header has no model-side cache to be held by), and puts the
-// arenas back rewound, their storage still marked. It returns the
+// sentinel, through matrices that point every header into it, and puts
+// the arenas back rewound, their storage still marked. It returns the
 // headers' addresses and how many bytes it marked.
-func markIdleArenas() (headers map[uintptr]bool, marked64, marked32 int) {
+func markIdleArenas() (headers map[uintptr]bool, marked int) {
 	headers = map[uintptr]bool{}
-	ws64 := idle(arenas64)
-	for _, w := range ws64 {
-		n, k := w.Bytes()/8, w.NumBuffers()
+	ws := idle(arenas)
+	for _, w := range ws {
+		n, k := w.Bytes()/4, w.NumBuffers()
 		for i := 0; i < k; i++ {
 			size := n / k
 			if i == k-1 {
@@ -54,23 +53,14 @@ func markIdleArenas() (headers map[uintptr]bool, marked64, marked32 int) {
 			}
 			m := w.GetRaw(size, 1)
 			for j := range m.Data {
-				m.Data[j] = math.Float64frombits(sentinel64)
+				m.Data[j] = math.Float32frombits(sentinel32)
 			}
 			headers[reflect.ValueOf(m).Pointer()] = true
-			marked64 += 8 * size
+			marked += 4 * size
 		}
 	}
-	putBack(arenas64, ws64)
-	ws32 := idle(arenas32)
-	for _, w := range ws32 {
-		m := w.GetRaw(w.Bytes()/4, 1)
-		for j := range m.Data {
-			m.Data[j] = math.Float32frombits(sentinel32)
-		}
-		marked32 += 4 * len(m.Data)
-	}
-	putBack(arenas32, ws32)
-	return headers, marked64, marked32
+	putBack(arenas, ws)
+	return headers, marked
 }
 
 // scratchWalk visits everything reachable from a model and reports the
@@ -213,9 +203,9 @@ func TestModelsHoldNoScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	headers, marked64, marked32 := markIdleArenas()
-	if marked64 == 0 || marked32 == 0 {
-		t.Fatalf("marked %d bytes of idle float64 arenas and %d of float32: the calls gave nothing back", marked64, marked32)
+	headers, marked := markIdleArenas()
+	if marked == 0 {
+		t.Fatal("marked no bytes of idle arenas: the calls gave nothing back")
 	}
 	for _, m := range []struct {
 		name  string
@@ -360,8 +350,8 @@ func TestPretrainReportsScratchHighWater(t *testing.T) {
 		if m == nil {
 			t.FailNow()
 		}
-		ws := idle(arenas64)
-		defer putBack(arenas64, ws)
+		ws := idle(arenas)
+		defer putBack(arenas, ws)
 		if held := ws[0].Bytes() + ws[1].Bytes(); rep.ScratchBytes <= 0 || rep.ScratchBytes > held {
 			t.Fatalf("ScratchBytes = %d; the run's two arenas hold %d", rep.ScratchBytes, held)
 		}

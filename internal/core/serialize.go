@@ -15,11 +15,11 @@ import (
 	"repro/internal/nn"
 )
 
-// Model file layout, format version 1. Integers and floats are fixed
+// Model file layout, format version 2. Integers and floats are fixed
 // width, little-endian; a float is its IEEE-754 bits.
 //
 //	magic       7 bytes  "BLMYMDL"
-//	version     u8       1
+//	version     u8       2
 //	config      every Config field in declaration order: ints and Init
 //	            as i64, floats as f64, Activation as u32 length + bytes
 //	nparams     u32
@@ -27,7 +27,8 @@ import (
 //	              name  u32 length + bytes
 //	              rows  u32
 //	              cols  u32
-//	              data  rows·cols f64, row-major
+//	              data  rows·cols f32, row-major: the network's
+//	                    own precision
 //	normMin     u32 count + count f64
 //	normMax     u32 count + count f64
 //	normFitted  u8       0 or 1
@@ -44,12 +45,13 @@ import (
 // 0) with the weights it implies fitting in what is left of the input,
 // every parameter exactly once in name order with the shape New builds,
 // 3 normalizer bounds each when fitted and none when not, a finite
-// target scale above 0, and no trailing bytes. Files from before
-// version 1 were gob-encoded and carry no magic; they are not read
-// (re-run `bellamy train`).
+// target scale above 0, and no trailing bytes. Version 1 stored the
+// weights of the float64 network this repository used to train, and
+// files from before version 1 were gob-encoded and carry no magic;
+// neither is read (re-run `bellamy train`).
 const (
 	modelMagic   = "BLMYMDL"
-	modelVersion = 1
+	modelVersion = 2
 	// maxModelDim bounds every Config dimension a decoded model may
 	// claim, so its products cannot overflow and NumOptional, which no
 	// weight is sized by, cannot make one query allocate without bound.
@@ -61,7 +63,7 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Save writes the model in format v1 (config, weights, normalization
+// Save writes the model in format v2 (config, weights, normalization
 // bounds, target scale). The paper's workflow depends on this:
 // pre-trained models are preserved and later loaded for fine-tuning.
 func (m *Model) Save(w io.Writer) error {
@@ -71,12 +73,12 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// encode returns the model's format v1 bytes.
+// encode returns the model's format v2 bytes.
 func (m *Model) encode() []byte {
 	params := m.sortedParams()
 	size := 512
 	for _, p := range params {
-		size += 12 + len(p.Name) + 8*len(p.Value.Data)
+		size += 12 + len(p.Name) + 4*len(p.Value.Data)
 	}
 	b := make([]byte, 0, size)
 	b = append(b, modelMagic...)
@@ -103,7 +105,9 @@ func (m *Model) encode() []byte {
 		b = append(b, p.Name...)
 		b = binary.LittleEndian.AppendUint32(b, uint32(p.Value.Rows))
 		b = binary.LittleEndian.AppendUint32(b, uint32(p.Value.Cols))
-		b = appendFloats(b, p.Value.Data)
+		for _, v := range p.Value.Data {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
 	}
 	for _, bound := range [][]float64{m.norm.Min, m.norm.Max} {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(bound)))
@@ -116,8 +120,8 @@ func (m *Model) encode() []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
-// wireFields lists c's fields in declaration order, the order format v1
-// stores them in. A field missing here is not saved, which
+// wireFields lists c's fields in declaration order, the order the
+// format stores them in. A field missing here is not saved, which
 // TestConfigRoundTripsEveryField catches.
 func (c *Config) wireFields() []any {
 	return []any{
@@ -161,22 +165,30 @@ func Load(r io.Reader) (*Model, error) {
 	return decodeModel(b)
 }
 
-// errNotV1 answers bytes without the format's magic: a file from before
-// format v1, or not a model at all.
-var errNotV1 = errors.New("core: not a format v1 model (no " + modelMagic +
+// errNoMagic answers bytes without the format's magic: a file from
+// before format v1, or not a model at all.
+var errNoMagic = errors.New("core: not a format v2 model (no " + modelMagic +
 	" header); models saved before format v1 cannot be read, re-run bellamy train")
 
-// decodeModel parses and checks one format v1 image (see the layout
+// errV1 answers a format v1 image: the weights of a float64 network,
+// which this build does not train or serve.
+var errV1 = errors.New("core: format v1 model (float64 weights); this build reads format v2 float32 models, re-run bellamy train")
+
+// decodeModel parses and checks one format v2 image (see the layout
 // above).
 func decodeModel(b []byte) (*Model, error) {
 	const header = len(modelMagic) + 1
 	if !bytes.HasPrefix(b, []byte(modelMagic)) {
-		return nil, errNotV1
+		return nil, errNoMagic
 	}
 	if len(b) < header+4 {
 		return nil, fmt.Errorf("core: model of %d bytes is shorter than its header and checksum", len(b))
 	}
-	if v := b[len(modelMagic)]; v != modelVersion {
+	switch v := b[len(modelMagic)]; v {
+	case modelVersion:
+	case 1:
+		return nil, errV1
+	default:
 		return nil, fmt.Errorf("core: model format version %d is not supported (this build reads version %d)", v, modelVersion)
 	}
 	body := b[:len(b)-4]
@@ -227,7 +239,7 @@ func decodeModel(b []byte) (*Model, error) {
 		if int(rows) != p.Value.Rows || int(cols) != p.Value.Cols {
 			return nil, fmt.Errorf("core: parameter %q is %dx%d, its config builds %dx%d", p.Name, rows, cols, p.Value.Rows, p.Value.Cols)
 		}
-		c.floatsInto(p.Value.Data)
+		c.floats32Into(p.Value.Data)
 	}
 	normMin := c.bound()
 	normMax := c.bound()
@@ -295,7 +307,7 @@ func checkDecodedConfig(cfg Config, avail int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if need := 8 * cfg.paramCount(); need > int64(avail) {
+	if need := 4 * cfg.paramCount(); need > int64(avail) {
 		return fmt.Errorf("core: config implies %d bytes of weights, %d bytes remain", need, avail)
 	}
 	return nil
@@ -377,6 +389,17 @@ func (c *cursor) floatsInto(dst []float64) {
 	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+}
+
+// floats32Into fills dst from the next 4·len(dst) bytes.
+func (c *cursor) floats32Into(dst []float32) {
+	p := c.take(4 * len(dst))
+	if p == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
 	}
 }
 

@@ -126,7 +126,9 @@ func TestRoundTripSurvivesSecondGeneration(t *testing.T) {
 
 // TestPredictBatchMatchesPredict checks the batched inference path
 // against the single-query path: one forward pass over B rows must give
-// the same answers as B separate passes.
+// the same answers as B separate passes, to float32 rounding — a row's
+// sums run in another order in a group of 4 rows than in the tail
+// (1e-9 relative when the network computed in float64).
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	cfg := testConfig()
 	cfg.PretrainEpochs = 20
@@ -147,7 +149,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Predict %d: %v", i, err)
 		}
-		if diff := math.Abs(single - batch[i]); diff > 1e-9*math.Abs(single) {
+		if diff := math.Abs(single - batch[i]); diff > 1e-6*math.Abs(single) {
 			t.Fatalf("query %d: batch %v != single %v", i, batch[i], single)
 		}
 	}
@@ -204,37 +206,51 @@ func smallModel(t testing.TB) *Model {
 
 var updateGolden = flag.Bool("update", false, "rewrite "+goldenModelPath+" from smallModel and log its predictions")
 
-const goldenModelPath = "testdata/model-v1.bin"
+const goldenModelPath = "testdata/model-v2.bin"
 
-// goldenPredictions are the answers of testdata/model-v1.bin on
+// goldenPredictions are the answers of testdata/model-v2.bin on
 // goldenQueries(), as written by -update.
 var goldenPredictions = []float64{
-	185.64501561471752,
-	174.29673077810543,
-	169.414891617522,
-	165.32969423040933,
-	162.10167449573538,
-	159.56645737675146,
-	185.64501561471752,
-	174.29673077810543,
-	169.414891617522,
-	165.32969423040933,
-	162.10167449573538,
-	159.56645737675146,
-	178.86281309737188,
-	180.680849874905,
-	155.96738431839236,
-	152.4301155682573,
+	185.64501779835675,
+	174.29672180816465,
+	169.41487548444354,
+	165.32967888548404,
+	162.10167171631258,
+	159.566429716945,
+	185.64501779835675,
+	174.29672180816465,
+	169.41487548444354,
+	165.32967888548404,
+	162.10167171631258,
+	159.566429716945,
+	178.86279460933568,
+	180.68084833051458,
+	155.96737632387396,
+	152.43009612615177,
 }
 
-// TestModelV1Golden is the reference vector of format v1: a committed
+// TestModelV1Golden: the reference file of format v1, the weights of the
+// float64 network this repository trained before, is not read; loading
+// it answers with the re-train message, as gob-era files do.
+func TestModelV1Golden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/model-v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeModel(raw); err == nil || !strings.Contains(err.Error(), "re-run bellamy train") {
+		t.Fatalf("decoding a format v1 file: %v, want the re-train message", err)
+	}
+}
+
+// TestModelV2Golden is the reference vector of format v2: a committed
 // model file must decode, answer goldenQueries() with the pinned values,
 // and encode back to the same bytes. Training does not run, so the file
 // stays valid when trained bits change; a change to the format or to
 // the inference graph does not. The tolerance covers platforms whose
 // kernels round differently in the last bits (the Go compiler fuses
-// multiply-adds on arm64).
-func TestModelV1Golden(t *testing.T) {
+// multiply-adds on arm64), and the plain family, whose activations are
+// within 2 ulp of the asm family's.
+func TestModelV2Golden(t *testing.T) {
 	if *updateGolden {
 		m := smallModel(t)
 		if err := m.SaveFile(goldenModelPath); err != nil {
@@ -270,7 +286,7 @@ func TestModelV1Golden(t *testing.T) {
 		t.Fatalf("%d predictions, %d pinned", len(got), len(goldenPredictions))
 	}
 	for i, want := range goldenPredictions {
-		if math.Abs(got[i]-want) > 1e-12*math.Abs(want) {
+		if math.Abs(got[i]-want) > 1e-6*math.Abs(want) {
 			t.Fatalf("query %d: golden model predicts %.17g, pinned %.17g", i, got[i], want)
 		}
 	}
@@ -282,12 +298,12 @@ func TestModelV1Golden(t *testing.T) {
 // pretrainCRC pins the CRC32C trailer of the bytes pretrainShards(t, 3)
 // saves — a fixed-seed 30-epoch Pretrain — per GOARCH and kernel family.
 // The families train different bits: their GEMMs sum in different
-// orders, and asm's activations are the 4-lane kernels. A change that
+// orders, and asm's activations are the 8-lane kernels. A change that
 // moves trained bits updates the constant of each family it moves and
 // says so.
 var pretrainCRC = map[string]uint32{
-	"amd64/asm":   0x941b93e0,
-	"amd64/plain": 0x83c52671,
+	"amd64/asm":   0xc2e530fd,
+	"amd64/plain": 0xc900b350,
 }
 
 // crc32cResidue is what CRC32C computes over any bytes that end in their
@@ -326,7 +342,7 @@ func TestConfigRoundTripsEveryField(t *testing.T) {
 	cfg := DefaultConfig()
 	v := reflect.ValueOf(&cfg).Elem()
 	if n := len(cfg.wireFields()); n != v.NumField() {
-		t.Fatalf("format v1 carries %d Config fields, Config has %d", n, v.NumField())
+		t.Fatalf("format v2 carries %d Config fields, Config has %d", n, v.NumField())
 	}
 	for i := 0; i < v.NumField(); i++ {
 		switch f := v.Field(i); f.Kind() {
@@ -385,7 +401,7 @@ func edited(b []byte, edit func(body []byte) []byte) []byte {
 	return withChecksum(edit(append([]byte(nil), b[:len(b)-4]...)))
 }
 
-// Offsets into a format v1 image of smallConfig (Activation "selu").
+// Offsets into a format v2 image of smallConfig (Activation "selu").
 const (
 	headerLen = len(modelMagic) + 1
 	actOff    = headerLen + 8*23 // the 24th Config field
@@ -410,7 +426,7 @@ func paramSpans(body []byte) [][2]int {
 		nameLen := int(binary.LittleEndian.Uint32(body[off:]))
 		rows := int(binary.LittleEndian.Uint32(body[off+4+nameLen:]))
 		cols := int(binary.LittleEndian.Uint32(body[off+8+nameLen:]))
-		end := off + 12 + nameLen + 8*rows*cols
+		end := off + 12 + nameLen + 4*rows*cols
 		spans[i] = [2]int{off, end}
 		off = end
 	}
@@ -466,7 +482,7 @@ func TestLoadRejects(t *testing.T) {
 		}), "every parameter once"},
 		{"parameter of another shape", mutated(func(m *Model) {
 			p := m.params.f[0]
-			p.Value = mat.NewDense(p.Value.Rows+1, p.Value.Cols)
+			p.Value = mat.NewDenseF32(p.Value.Rows+1, p.Value.Cols)
 		}), "its config builds"},
 		{"trailing byte", edited(good, func(b []byte) []byte { return append(b, 0) }), "trailing"},
 		{"PropertySize 1<<30", edited(good, cfgField(0, 1<<30)), "PropertySize"},
@@ -490,7 +506,8 @@ func TestLoadRejects(t *testing.T) {
 			return b
 		}), "fine-tune sample count"},
 		{"bit flip", func() []byte { b := bytes.Clone(good); b[100] ^= 4; return b }(), "checksum mismatch"},
-		{"format version 2", func() []byte { b := bytes.Clone(good); b[len(modelMagic)] = 2; return b }(), "version 2"},
+		{"format version 3", func() []byte { b := bytes.Clone(good); b[len(modelMagic)] = 3; return b }(), "version 3"},
+		{"format v1 model", func() []byte { b := bytes.Clone(good); b[len(modelMagic)] = 1; return b }(), "re-run bellamy train"},
 		{"gob-era model", gobEra.Bytes(), "re-run bellamy train"},
 		{"empty", nil, "re-run bellamy train"},
 		{"magic only", []byte(modelMagic), "shorter than"},

@@ -213,7 +213,7 @@ func (m *Model) pretrainRun(samples []Sample) *trainRun {
 type trainRun struct {
 	corpus   *batch // the encoded samples the steps' indices select from
 	params   []*nn.Param
-	opt      nn.Optimizer
+	opt      stepper
 	huber    nn.HuberLoss
 	pretrain bool // forward mode: dropout and the reconstruction term
 
@@ -225,6 +225,13 @@ type trainRun struct {
 	helper       *parallel.Helper
 
 	splitSteps, helperSteps int
+}
+
+// stepper applies the optimizer step of a training step from its
+// shards' gradients and leaves them zero; *nn.Adam is the one training
+// runs.
+type stepper interface {
+	StepShards(params, second []*nn.Param, w0, w1 float32, maxNorm float64)
 }
 
 // gradPass is one shard's share of a step: its slice of the mini-batch
@@ -246,7 +253,7 @@ func (m *Model) runPass() {
 		m.gatherBatch(b, p.run.corpus, p.idx)
 	}
 	st := m.forward(b, p.run.pretrain)
-	var rGrad, reconGrad *mat.Dense
+	var rGrad, reconGrad *mat.DenseF32
 	p.rLoss, rGrad = p.run.huber.Compute(m.ws, st.pred, b.targets)
 	p.reconLoss = 0
 	if p.run.pretrain && m.Cfg.ReconWeight > 0 {
@@ -267,20 +274,13 @@ func (m *Model) runPass() {
 // gradients — each of the mean loss over its own samples — are then
 // summed in shard order, weighted by the shards' share of the batch,
 // which is the whole batch's gradient up to summation order, and one
-// optimizer step applies it. Who ran the second shard changes nothing
-// it computes, so neither does it change the result. A batch too small
-// to cut is the same loop with one shard; a nil idx steps on the batch
+// optimizer step applies it: Adam's sweep forms the sum, the clip norm
+// over it and the update in one pass, zeroing both shards' gradients
+// for the next step. Who ran the second shard changes nothing it
+// computes, so neither does it change the result. A batch too small to
+// cut is the same loop with one shard; a nil idx steps on the batch
 // already in trainB, whole (Finetune's, with its fixed codes).
-//
-// With a fused optimizer (Adam), clipping, the update, and gradient
-// zeroing collapse into StepClipZero's single sweep; gradients are
-// then already zero when the next step's backward pass accumulates.
-// Unfused optimizers take the classic ZeroGrads/GradClip/Step path.
 func (m *Model) trainStep(run *trainRun, idx []int) (rLoss, reconLoss float64) {
-	fused, isFused := run.opt.(nn.FusedStepper)
-	if !isFused {
-		nn.ZeroGrads(run.params)
-	}
 	n := len(idx)
 	cut := shardCut(n)
 	first := &m.pass
@@ -288,6 +288,7 @@ func (m *Model) trainStep(run *trainRun, idx []int) (rLoss, reconLoss float64) {
 	if cut == n {
 		m.runPass()
 		rLoss, reconLoss = first.rLoss, first.reconLoss
+		run.opt.StepShards(run.params, nil, 1, 0, m.Cfg.GradClipNorm)
 	} else {
 		second := &run.second.pass
 		second.run, second.idx = run, idx[cut:]
@@ -304,19 +305,13 @@ func (m *Model) trainStep(run *trainRun, idx []int) (rLoss, reconLoss float64) {
 		}
 		w1 := float64(n-cut) / float64(n)
 		w0 := 1 - w1
-		nn.ReduceGrads(run.params, run.secondParams, w0, w1)
+		run.opt.StepShards(run.params, run.secondParams, float32(w0), float32(w1), m.Cfg.GradClipNorm)
 		rLoss = w0*first.rLoss + w1*second.rLoss
 		reconLoss = w0*first.reconLoss + w1*second.reconLoss
 		second.run, second.idx = nil, nil
 	}
 	// The model outlives the run; it must not keep the corpus alive.
 	first.run, first.idx = nil, nil
-	if isFused {
-		fused.StepClipZero(run.params, m.Cfg.GradClipNorm)
-	} else {
-		nn.GradClip(run.params, m.Cfg.GradClipNorm)
-		run.opt.Step(run.params)
-	}
 	return rLoss, reconLoss
 }
 
@@ -330,14 +325,14 @@ func (m *Model) evalMAEBatch(b *batch) float64 {
 // maeSeconds is the mean absolute error in seconds of the scaled
 // predictions pred against runtimes, summed in runtimes' order: the
 // prediction of sample i is pred[rows[i]], or pred[i] when rows is nil.
-func (m *Model) maeSeconds(pred []float64, rows []int32, runtimes []float64) float64 {
+func (m *Model) maeSeconds(pred []float32, rows []int32, runtimes []float64) float64 {
 	var sum float64
 	for i, r := range runtimes {
 		j := i
 		if rows != nil {
 			j = int(rows[i])
 		}
-		p := m.target.ToSeconds(pred[j])
+		p := m.target.ToSeconds(float64(pred[j]))
 		if p > r {
 			sum += p - r
 		} else {

@@ -83,63 +83,69 @@ func dgemmRows4x8(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ld
 //go:noescape
 func dgemmRows4x4(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ldb int, k int)
 
-// sgemmRows4x8 is the float32 form of dgemmRows4x8.
+// sgemmRows4x8 is the float32 form of dgemmRows4x8: 4 dst rows of one
+// 8-lane register each.
 //
 //go:noescape
-func sgemmRows4x8(dst *float32, ldd int, a *float32, lda int, b *float32, ldb int, k int)
+func sgemmRows4x8(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int)
 
 // sgemmRows4x4 is the float32 form of dgemmRows4x4.
 //
 //go:noescape
-func sgemmRows4x4(dst *float32, ldd int, a *float32, lda int, b *float32, ldb int, k int)
+func sgemmRows4x4(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int)
 
-// vselu32 applies SELU in place over n float32 values using an AVX2
-// vectorized expf. n must be a positive multiple of 8; Selu32 wraps the
-// ragged tail through a stack buffer.
+// vselu32 applies SELU in place over n float32 values: lambda*x where
+// the sign bit of x is clear, lambdaAlpha*expm1(x) where it is set. n
+// must be a positive multiple of 8; Selu32 wraps the ragged tail
+// through a stack buffer.
 //
 //go:noescape
 func vselu32(v *float32, n int, lambda, lambdaAlpha float32)
 
-// vselu64 applies SELU in place over n float64 values: lambda*x where
-// the sign bit of x is clear, lambdaAlpha*expm1(x) where it is set. n
-// must be a positive multiple of 4; Selu64 wraps the ragged tail
-// through a stack buffer.
+// vtanh32 applies tanh in place over n float32 values. n must be a
+// positive multiple of 8.
 //
 //go:noescape
-func vselu64(v *float64, n int, lambda, lambdaAlpha float64)
+func vtanh32(v *float32, n int)
 
-// vtanh64 applies tanh in place over n float64 values. n must be a
-// positive multiple of 4.
+// vselugrad32 sets dst[i] = grad[i] * (y[i] > 0 ? lambda : y[i] +
+// lambdaAlpha) for i in [0,n). n must be a positive multiple of 8.
 //
 //go:noescape
-func vtanh64(v *float64, n int)
+func vselugrad32(dst, grad, y *float32, n int, lambda, lambdaAlpha float32)
 
-// vselugrad64 sets dst[i] = grad[i] * (y[i] > 0 ? lambda : y[i] +
-// lambdaAlpha) for i in [0,n). n must be a positive multiple of 4.
-//
-//go:noescape
-func vselugrad64(dst, grad, y *float64, n int, lambda, lambdaAlpha float64)
-
-// reconFront64 is the forward half of one row of ReconHead64: with
-// out = hid·w (hid a row of k values, w k×n), y = tanh(out) as vtanh64
+// reconFront32 is the forward half of one row of ReconHead32: with
+// out = hid·w (hid a row of k values, w k×n), y = tanh(out) as vtanh32
 // computes it and d = y − t, it writes dpre = d·c·(1−y²) to the row's
-// dpre buffer, which must hold n rounded up to a multiple of 4 values,
+// dpre buffer, which must hold n rounded up to a multiple of 8 values,
 // and returns Σ d². k and n must be >= 1.
 //
 //go:noescape
-func reconFront64(hid *float64, k int, w *float64, n int, t, dpre *float64, c float64) (sum float64)
+func reconFront32(hid *float32, k int, w *float32, n int, t, dpre *float32, c float32) (sum float32)
 
-// reconBack64 is the backward half of one row of ReconHead64: from the
-// row's dpre it accumulates dw += hidᵀ·dpre and writes dhid = dpre·wᵀ
-// (k values).
+// reconBack32x2 is the backward half of two consecutive rows of
+// ReconHead32, whose dpre rows follow each other in dpre, n rounded up
+// to a multiple of 8 apart: dw += hid_aᵀ·dpre_a + hid_bᵀ·dpre_b, and
+// dhid = dpre·wᵀ for both rows (k values each).
 //
 //go:noescape
-func reconBack64(dhid, hid *float64, k int, w, dw *float64, n int, dpre *float64)
+func reconBack32x2(dhid, hid *float32, k int, w, dw *float32, n int, dpre *float32)
 
-// reconBack64x2 is reconBack64 for two consecutive rows of hid and
-// dhid, whose dpre rows follow each other in dpre, n rounded up to a
-// multiple of 4 apart. Its results are those of reconBack64 on the
-// first row and then on the second, bit for bit.
+// adamSweep32 is one Adam step over n weights; see AdamSweep32. n must
+// be a positive multiple of 8.
 //
 //go:noescape
-func reconBack64x2(dhid, hid *float64, k int, w, dw *float64, n int, dpre *float64)
+func adamSweep32(w, g0, g1, st *float32, n int, c *AdamCoef)
+
+// vdropout32 is AlphaDropout32's training pass over n units, whose
+// draws are the 16-bit fields of words in memory order. n must be a
+// positive multiple of 8.
+//
+//go:noescape
+func vdropout32(y, slope, x *float32, words *uint64, n int, keepBelow uint32, a, ap, dropped float32)
+
+// vmul32 sets dst[i] = a[i]*b[i] for i in [0,n). n must be a positive
+// multiple of 8.
+//
+//go:noescape
+func vmul32(dst, a, b *float32, n int)

@@ -41,11 +41,11 @@ func dgemmRows4x4(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ld
 	panic("mat: asm kernel called on a noasm build")
 }
 
-func sgemmRows4x8(dst *float32, ldd int, a *float32, lda int, b *float32, ldb int, k int) {
+func sgemmRows4x8(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
-func sgemmRows4x4(dst *float32, ldd int, a *float32, lda int, b *float32, ldb int, k int) {
+func sgemmRows4x4(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
@@ -53,26 +53,30 @@ func vselu32(v *float32, n int, lambda, lambdaAlpha float32) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
-func vselu64(v *float64, n int, lambda, lambdaAlpha float64) {
+func vtanh32(v *float32, n int) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
-func vtanh64(v *float64, n int) {
+func vselugrad32(dst, grad, y *float32, n int, lambda, lambdaAlpha float32) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
-func vselugrad64(dst, grad, y *float64, n int, lambda, lambdaAlpha float64) {
+func reconFront32(hid *float32, k int, w *float32, n int, t, dpre *float32, c float32) (sum float32) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
-func reconFront64(hid *float64, k int, w *float64, n int, t, dpre *float64, c float64) (sum float64) {
+func reconBack32x2(dhid, hid *float32, k int, w, dw *float32, n int, dpre *float32) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
-func reconBack64(dhid, hid *float64, k int, w, dw *float64, n int, dpre *float64) {
+func adamSweep32(w, g0, g1, st *float32, n int, c *AdamCoef) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
-func reconBack64x2(dhid, hid *float64, k int, w, dw *float64, n int, dpre *float64) {
+func vdropout32(y, slope, x *float32, words *uint64, n int, keepBelow uint32, a, ap, dropped float32) {
+	panic("mat: asm kernel called on a noasm build")
+}
+
+func vmul32(dst, a, b *float32, n int) {
 	panic("mat: asm kernel called on a noasm build")
 }

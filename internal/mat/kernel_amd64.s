@@ -606,46 +606,46 @@ dr44loop:
 	VZEROUPPER
 	RET
 
-// func sgemmRows4x8(dst *float32, ldd int, a *float32, lda int, b *float32, ldb int, k int)
+// func sgemmRows4x8(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int)
 //
 // Float32 strided-B row kernel: 4 dst rows x 8 columns in Y0-Y3 for
-// the whole k loop. This is the serving-shape kernel — the Bellamy
-// MLP layers are 4..16 columns wide, far too skinny for the packed
-// path and too narrow to amortize per-k-step kernel calls.
-TEXT ·sgemmRows4x8(SB), NOSPLIT, $0-56
+// the whole k loop — the Bellamy MLP layers are 4..16 columns wide, far
+// too skinny for per-k-step kernel calls. Output row r reads
+// a[r*lda + p*ka] at step p, as dgemmRows4x8's rows do: ka = 1 walks
+// rows of a (a*b), lda = 1 walks its columns (aᵀ*b).
+TEXT ·sgemmRows4x8(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8
 	MOVQ a+16(FP), SI
 	MOVQ lda+24(FP), R9
-	MOVQ b+32(FP), BX
-	MOVQ ldb+40(FP), R10
-	MOVQ k+48(FP), CX
+	MOVQ ka+32(FP), R11
+	MOVQ b+40(FP), BX
+	MOVQ ldb+48(FP), R10
+	MOVQ k+56(FP), CX
 	SHLQ $2, R8
 	SHLQ $2, R9
 	SHLQ $2, R10
-	LEAQ (SI)(R9*1), R12
-	LEAQ (SI)(R9*2), R13
-	LEAQ (R12)(R9*2), R14
+	SHLQ $2, R11
+	LEAQ (R9)(R9*2), R12
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
-	XORQ AX, AX
 
 sr48loop:
 	VMOVUPS      (BX), Y4
-	VBROADCASTSS (SI)(AX*4), Y5
+	VBROADCASTSS (SI), Y5
 	VFMADD231PS  Y5, Y4, Y0
-	VBROADCASTSS (R12)(AX*4), Y6
+	VBROADCASTSS (SI)(R9*1), Y6
 	VFMADD231PS  Y6, Y4, Y1
-	VBROADCASTSS (R13)(AX*4), Y5
+	VBROADCASTSS (SI)(R9*2), Y5
 	VFMADD231PS  Y5, Y4, Y2
-	VBROADCASTSS (R14)(AX*4), Y6
+	VBROADCASTSS (SI)(R12*1), Y6
 	VFMADD231PS  Y6, Y4, Y3
 	ADDQ R10, BX
-	INCQ AX
-	CMPQ AX, CX
-	JLT  sr48loop
+	ADDQ R11, SI
+	DECQ CX
+	JNZ  sr48loop
 
 	VMOVUPS (DI), Y4
 	VADDPS  Y4, Y0, Y0
@@ -665,43 +665,42 @@ sr48loop:
 	VZEROUPPER
 	RET
 
-// func sgemmRows4x4(dst *float32, ldd int, a *float32, lda int, b *float32, ldb int, k int)
+// func sgemmRows4x4(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int)
 //
 // 4-column xmm variant of sgemmRows4x8.
-TEXT ·sgemmRows4x4(SB), NOSPLIT, $0-56
+TEXT ·sgemmRows4x4(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8
 	MOVQ a+16(FP), SI
 	MOVQ lda+24(FP), R9
-	MOVQ b+32(FP), BX
-	MOVQ ldb+40(FP), R10
-	MOVQ k+48(FP), CX
+	MOVQ ka+32(FP), R11
+	MOVQ b+40(FP), BX
+	MOVQ ldb+48(FP), R10
+	MOVQ k+56(FP), CX
 	SHLQ $2, R8
 	SHLQ $2, R9
 	SHLQ $2, R10
-	LEAQ (SI)(R9*1), R12
-	LEAQ (SI)(R9*2), R13
-	LEAQ (R12)(R9*2), R14
+	SHLQ $2, R11
+	LEAQ (R9)(R9*2), R12
 	VXORPS X0, X0, X0
 	VXORPS X1, X1, X1
 	VXORPS X2, X2, X2
 	VXORPS X3, X3, X3
-	XORQ AX, AX
 
 sr44loop:
 	VMOVUPS      (BX), X4
-	VBROADCASTSS (SI)(AX*4), X5
+	VBROADCASTSS (SI), X5
 	VFMADD231PS  X5, X4, X0
-	VBROADCASTSS (R12)(AX*4), X6
+	VBROADCASTSS (SI)(R9*1), X6
 	VFMADD231PS  X6, X4, X1
-	VBROADCASTSS (R13)(AX*4), X5
+	VBROADCASTSS (SI)(R9*2), X5
 	VFMADD231PS  X5, X4, X2
-	VBROADCASTSS (R14)(AX*4), X6
+	VBROADCASTSS (SI)(R12*1), X6
 	VFMADD231PS  X6, X4, X3
 	ADDQ R10, BX
-	INCQ AX
-	CMPQ AX, CX
-	JLT  sr44loop
+	ADDQ R11, SI
+	DECQ CX
+	JNZ  sr44loop
 
 	VMOVUPS (DI), X4
 	VADDPS  X4, X0, X0
@@ -721,401 +720,267 @@ sr44loop:
 	VZEROUPPER
 	RET
 
-// Cephes expf constants for the vectorized SELU kernel (see nn.exp32
-// for the scalar twin and the error analysis).
-DATA expc<>+0(SB)/4, $0x3FB8AA3B  // log2(e)
-DATA expc<>+4(SB)/4, $0x3F000000  // 0.5
-DATA expc<>+8(SB)/4, $0x3F318000  // ln2 high = 0.693359375
-DATA expc<>+12(SB)/4, $0xB95E8083 // ln2 low  = -2.12194440e-4
-DATA expc<>+16(SB)/4, $0x39506967 // p0 = 1.9875691500e-4
-DATA expc<>+20(SB)/4, $0x3AB743CE // p1 = 1.3981999507e-3
-DATA expc<>+24(SB)/4, $0x3C088908 // p2 = 8.3334519073e-3
-DATA expc<>+28(SB)/4, $0x3D2AA9C1 // p3 = 4.1665795894e-2
-DATA expc<>+32(SB)/4, $0x3E2AAAAA // p4 = 1.6666665459e-1
-DATA expc<>+36(SB)/4, $0x3F000000 // p5 = 5.0000001201e-1
-DATA expc<>+40(SB)/4, $0x3F800000 // 1.0
-DATA expc<>+44(SB)/4, $0xC2AEAC50 // exp underflow clamp = -87.33655
-GLOBL expc<>(SB), RODATA|NOPTR, $48
+// Constants of the float32 activation kernels, one per 4 bytes. The
+// expm1 is the usual exp reduction: k = round(t*log2e), r = t - k*ln2
+// with Cephes' two-part ln2 (whose high part times any k in range is
+// exact), and the Taylor polynomial of degree 8 for expm1(r), whose
+// truncation error on |r| <= ln2/2 is under 2^-30 relative;
+// coefficients are 1/n! rounded to float32.
+DATA ex32<>+0(SB)/4, $0x3fb8aa3b  // log2(e)
+DATA ex32<>+4(SB)/4, $0x3f318000  // ln2 high = 0.693359375
+DATA ex32<>+8(SB)/4, $0xb95e8083  // ln2 low = -2.12194440e-4
+DATA ex32<>+12(SB)/4, $0x3f800000 // 1.0, also the exponent bias as bits
+DATA ex32<>+16(SB)/4, $0x3f000000 // 1/2!
+DATA ex32<>+20(SB)/4, $0x3e2aaaab // 1/3!
+DATA ex32<>+24(SB)/4, $0x3d2aaaab // 1/4!
+DATA ex32<>+28(SB)/4, $0x3c088889 // 1/5!
+DATA ex32<>+32(SB)/4, $0x3ab60b61 // 1/6!
+DATA ex32<>+36(SB)/4, $0x39500d01 // 1/7!
+DATA ex32<>+40(SB)/4, $0x37d00d01 // 1/8!
+DATA ex32<>+44(SB)/4, $0xc2ae0000 // clamp = -87
+DATA ex32<>+48(SB)/4, $0xc0000000 // -2.0
+DATA ex32<>+52(SB)/4, $0x7fffffff // |x| mask
+GLOBL ex32<>(SB), RODATA|NOPTR, $56
+
+// EXPM1F sets Y4 = expm1(Y2) on 8 lanes for Y2 in [-87, 0] (or NaN,
+// which propagates), as 2^k*expm1(r) + (2^k - 1) in one fused step: the
+// first term carries the rounding error, the second is exact. Clobbers
+// Y2, Y3, Y5 and Y6.
+#define EXPM1F \
+	VBROADCASTSS ex32<>+0(SB), Y3; \
+	VMULPS       Y3, Y2, Y3; \
+	VROUNDPS     $0, Y3, Y3; \
+	VBROADCASTSS ex32<>+4(SB), Y5; \
+	VFNMADD231PS Y5, Y3, Y2; \
+	VBROADCASTSS ex32<>+8(SB), Y5; \
+	VFNMADD231PS Y5, Y3, Y2; \
+	VBROADCASTSS ex32<>+40(SB), Y4; \
+	VBROADCASTSS ex32<>+36(SB), Y6; \
+	VFMADD213PS  Y6, Y2, Y4; \
+	VBROADCASTSS ex32<>+32(SB), Y6; \
+	VFMADD213PS  Y6, Y2, Y4; \
+	VBROADCASTSS ex32<>+28(SB), Y6; \
+	VFMADD213PS  Y6, Y2, Y4; \
+	VBROADCASTSS ex32<>+24(SB), Y6; \
+	VFMADD213PS  Y6, Y2, Y4; \
+	VBROADCASTSS ex32<>+20(SB), Y6; \
+	VFMADD213PS  Y6, Y2, Y4; \
+	VBROADCASTSS ex32<>+16(SB), Y6; \
+	VFMADD213PS  Y6, Y2, Y4; \
+	VMULPS       Y2, Y4, Y4; \
+	VFMADD213PS  Y2, Y2, Y4; \
+	VCVTPS2DQ    Y3, Y3; \
+	VPSLLD       $23, Y3, Y3; \
+	VBROADCASTSS ex32<>+12(SB), Y5; \
+	VPADDD       Y5, Y3, Y3; \
+	VSUBPS       Y5, Y3, Y5; \
+	VFMADD213PS  Y5, Y3, Y4
 
 // func vselu32(v *float32, n int, lambda, lambdaAlpha float32)
 //
-// Vectorized SELU over a contiguous float32 slice: 8 lanes per step of
-// the Cephes expf polynomial (range-reduce, degree-5 Horner, exponent
-// assembly via integer bits), then a sign-bit blend between the linear
-// positive branch and the exponential negative branch. n must be a
-// positive multiple of 8; the Go wrapper rounds the tail through a
-// stack buffer.
+// SELU in place over a contiguous float32 slice, 8 lanes a step:
+// lambda*x where the sign bit of x is clear, lambdaAlpha*expm1(x) where
+// it is set. n must be a positive multiple of 8; the Go wrapper rounds
+// the tail through a stack buffer.
 TEXT ·vselu32(SB), NOSPLIT, $0-24
 	MOVQ         v+0(FP), DI
 	MOVQ         n+8(FP), CX
 	VBROADCASTSS lambda+16(FP), Y8
 	VBROADCASTSS lambdaAlpha+20(FP), Y9
-	VBROADCASTSS expc<>+0(SB), Y10
-	VBROADCASTSS expc<>+4(SB), Y11
-	VBROADCASTSS expc<>+8(SB), Y12
-	VBROADCASTSS expc<>+12(SB), Y13
-	VBROADCASTSS expc<>+40(SB), Y14
-	VBROADCASTSS expc<>+44(SB), Y15
+	VBROADCASTSS ex32<>+44(SB), Y15
 	XORQ         BX, BX
 
-vselloop:
+vselu32loop:
 	VMOVUPS (DI)(BX*4), Y0
+	VMULPS  Y8, Y0, Y1
 
-	// Positive branch: lambda*x.
-	VMULPS Y8, Y0, Y1
-
-	// t = max(min(x, 0), clamp): the exp argument, clamped so the
-	// exponent bit assembly below cannot under- or overflow.
+	// t = max(min(x, 0), -87), a NaN x staying NaN (min and max return
+	// their first Go operand when either is NaN).
 	VXORPS Y2, Y2, Y2
 	VMINPS Y0, Y2, Y2
-	VMAXPS Y15, Y2, Y2
-
-	// nq = floor(t*log2e + 0.5); r = t - nq*ln2 (two-part ln2).
-	VMOVAPS      Y11, Y3
-	VFMADD231PS  Y10, Y2, Y3
-	VROUNDPS     $1, Y3, Y3
-	VFNMADD231PS Y12, Y3, Y2
-	VFNMADD231PS Y13, Y3, Y2
-
-	// Degree-5 Horner for e^r, then y = p*r^2 + r + 1.
-	VBROADCASTSS expc<>+16(SB), Y4
-	VBROADCASTSS expc<>+20(SB), Y5
-	VFMADD213PS  Y5, Y2, Y4
-	VBROADCASTSS expc<>+24(SB), Y5
-	VFMADD213PS  Y5, Y2, Y4
-	VBROADCASTSS expc<>+28(SB), Y5
-	VFMADD213PS  Y5, Y2, Y4
-	VBROADCASTSS expc<>+32(SB), Y5
-	VFMADD213PS  Y5, Y2, Y4
-	VBROADCASTSS expc<>+36(SB), Y5
-	VFMADD213PS  Y5, Y2, Y4
-	VMULPS       Y2, Y2, Y5
-	VFMADD213PS  Y2, Y5, Y4
-	VADDPS       Y14, Y4, Y4
-
-	// Scale by 2^nq: bits(2^nq) = (nq << 23) + bits(1.0).
-	VCVTPS2DQ Y3, Y3
-	VPSLLD    $23, Y3, Y3
-	VPADDD    Y14, Y3, Y3
-	VMULPS    Y3, Y4, Y4
-
-	// Negative branch: lambdaAlpha*(e^t - 1).
-	VSUBPS Y14, Y4, Y4
+	VMAXPS Y2, Y15, Y2
+	EXPM1F
 	VMULPS Y9, Y4, Y4
 
-	// Lanes with the sign bit of x set take the negative branch.
 	VBLENDVPS Y0, Y4, Y1, Y1
 	VMOVUPS   Y1, (DI)(BX*4)
 	ADDQ      $8, BX
 	CMPQ      BX, CX
-	JLT       vselloop
+	JLT       vselu32loop
 
 	VZEROUPPER
 	RET
 
-// Constants of the float64 activation kernels below, one per 8 bytes.
-// The expm1 is the usual exp reduction: k = round(t*log2e) through the
-// 1.5*2^52 shift (whose low mantissa bits then hold k), r = t - k*ln2
-// with fdlibm's two-part ln2, and the Taylor polynomial of degree 13 for
-// expm1(r), whose truncation error on |r| <= ln2/2 is under 2^-56
-// relative; coefficients are 1/n! rounded to float64.
-DATA ex64<>+0(SB)/8, $0x4338000000000000   // shift = 1.5*2^52
-DATA ex64<>+8(SB)/8, $0x3ff71547652b82fe   // log2(e)
-DATA ex64<>+16(SB)/8, $0x3fe62e42fee00000  // ln2 high
-DATA ex64<>+24(SB)/8, $0x3dea39ef35793c76  // ln2 low
-DATA ex64<>+32(SB)/8, $0x3ff0000000000000  // 1.0, also the exponent bias as bits
-DATA ex64<>+40(SB)/8, $0xc086200000000000  // clamp = -708
-DATA ex64<>+48(SB)/8, $0x3fe0000000000000  // 1/2!
-DATA ex64<>+56(SB)/8, $0x3fc5555555555555  // 1/3!
-DATA ex64<>+64(SB)/8, $0x3fa5555555555555  // 1/4!
-DATA ex64<>+72(SB)/8, $0x3f81111111111111  // 1/5!
-DATA ex64<>+80(SB)/8, $0x3f56c16c16c16c17  // 1/6!
-DATA ex64<>+88(SB)/8, $0x3f2a01a01a01a01a  // 1/7!
-DATA ex64<>+96(SB)/8, $0x3efa01a01a01a01a  // 1/8!
-DATA ex64<>+104(SB)/8, $0x3ec71de3a556c734 // 1/9!
-DATA ex64<>+112(SB)/8, $0x3e927e4fb7789f5c // 1/10!
-DATA ex64<>+120(SB)/8, $0x3e5ae64567f544e4 // 1/11!
-DATA ex64<>+128(SB)/8, $0x3e21eed8eff8d898 // 1/12!
-DATA ex64<>+136(SB)/8, $0x3de6124613a86d09 // 1/13!
-DATA ex64<>+144(SB)/8, $0xc000000000000000 // -2.0
-DATA ex64<>+152(SB)/8, $0x4000000000000000 // 2.0
-DATA ex64<>+160(SB)/8, $0x7fffffffffffffff // |x| mask
-GLOBL ex64<>(SB), RODATA|NOPTR, $168
-
-// EXPM1 sets Y4 = expm1(Y2) on 4 lanes for Y2 in [-708, 0] (or NaN,
-// which propagates), as 2^k*expm1(r) + (2^k - 1) in one fused step: the
-// first term carries the rounding error, the second is exact. Clobbers
-// Y2, Y3, Y5 and Y6.
-#define EXPM1 \
-	VBROADCASTSD ex64<>+0(SB), Y3; \
-	VBROADCASTSD ex64<>+8(SB), Y5; \
-	VFMADD231PD  Y5, Y2, Y3; \
-	VBROADCASTSD ex64<>+0(SB), Y5; \
-	VSUBPD       Y5, Y3, Y5; \
-	VPSLLQ       $52, Y3, Y3; \
-	VBROADCASTSD ex64<>+32(SB), Y6; \
-	VPADDQ       Y6, Y3, Y3; \
-	VBROADCASTSD ex64<>+16(SB), Y6; \
-	VFNMADD231PD Y6, Y5, Y2; \
-	VBROADCASTSD ex64<>+24(SB), Y6; \
-	VFNMADD231PD Y6, Y5, Y2; \
-	VBROADCASTSD ex64<>+136(SB), Y4; \
-	VBROADCASTSD ex64<>+128(SB), Y6; \
-	VFMADD213PD  Y6, Y2, Y4; \
-	VBROADCASTSD ex64<>+120(SB), Y6; \
-	VFMADD213PD  Y6, Y2, Y4; \
-	VBROADCASTSD ex64<>+112(SB), Y6; \
-	VFMADD213PD  Y6, Y2, Y4; \
-	VBROADCASTSD ex64<>+104(SB), Y6; \
-	VFMADD213PD  Y6, Y2, Y4; \
-	VBROADCASTSD ex64<>+96(SB), Y6; \
-	VFMADD213PD  Y6, Y2, Y4; \
-	VBROADCASTSD ex64<>+88(SB), Y6; \
-	VFMADD213PD  Y6, Y2, Y4; \
-	VBROADCASTSD ex64<>+80(SB), Y6; \
-	VFMADD213PD  Y6, Y2, Y4; \
-	VBROADCASTSD ex64<>+72(SB), Y6; \
-	VFMADD213PD  Y6, Y2, Y4; \
-	VBROADCASTSD ex64<>+64(SB), Y6; \
-	VFMADD213PD  Y6, Y2, Y4; \
-	VBROADCASTSD ex64<>+56(SB), Y6; \
-	VFMADD213PD  Y6, Y2, Y4; \
-	VBROADCASTSD ex64<>+48(SB), Y6; \
-	VFMADD213PD  Y6, Y2, Y4; \
-	VMULPD       Y2, Y4, Y4; \
-	VFMADD213PD  Y2, Y2, Y4; \
-	VBROADCASTSD ex64<>+32(SB), Y6; \
-	VSUBPD       Y6, Y3, Y5; \
-	VFMADD213PD  Y5, Y3, Y4
-
-// func vselu64(v *float64, n int, lambda, lambdaAlpha float64)
+// func vtanh32(v *float32, n int)
 //
-// SELU in place over a contiguous float64 slice, 4 lanes a step:
-// lambda*x where the sign bit of x is clear, lambdaAlpha*expm1(x) where
-// it is set. n must be a positive multiple of 4; the Go wrapper rounds
-// the tail through a stack buffer.
-TEXT ·vselu64(SB), NOSPLIT, $0-32
+// tanh in place over a contiguous float32 slice, 8 lanes a step:
+// tanh|x| = e/(-2-e) with e = expm1(-2|x|), which keeps small |x| exact
+// to relative precision, then x's sign bit is copied onto the result.
+// n must be a positive multiple of 8.
+TEXT ·vtanh32(SB), NOSPLIT, $0-16
 	MOVQ         v+0(FP), DI
 	MOVQ         n+8(FP), CX
-	VBROADCASTSD lambda+16(FP), Y8
-	VBROADCASTSD lambdaAlpha+24(FP), Y9
-	VBROADCASTSD ex64<>+40(SB), Y15
+	VBROADCASTSS ex32<>+52(SB), Y10
+	VBROADCASTSS ex32<>+48(SB), Y11
+	VBROADCASTSS ex32<>+44(SB), Y15
 	XORQ         BX, BX
 
-vselu64loop:
-	VMOVUPD (DI)(BX*8), Y0
-	VMULPD  Y8, Y0, Y1
+vtanh32loop:
+	VMOVUPS (DI)(BX*4), Y0
+	VANDPS  Y10, Y0, Y1
+	VXORPS  Y1, Y0, Y7
+	VMULPS  Y11, Y1, Y2
+	VMAXPS  Y2, Y15, Y2
+	EXPM1F
 
-	// t = max(min(x, 0), -708), a NaN x staying NaN (min and max return
-	// their last Go operand when either is NaN).
-	VXORPD Y2, Y2, Y2
-	VMINPD Y0, Y2, Y2
-	VMAXPD Y2, Y15, Y2
-	EXPM1
-	VMULPD Y9, Y4, Y4
-
-	VBLENDVPD Y0, Y4, Y1, Y1
-	VMOVUPD   Y1, (DI)(BX*8)
-	ADDQ      $4, BX
-	CMPQ      BX, CX
-	JLT       vselu64loop
-
-	VZEROUPPER
-	RET
-
-// func vtanh64(v *float64, n int)
-//
-// tanh in place over a contiguous float64 slice, 4 lanes a step:
-// tanh|x| = -e/(2+e) with e = expm1(-2|x|), which keeps small |x|
-// exact to relative precision, then x's sign bit is copied onto the
-// result. n must be a positive multiple of 4.
-TEXT ·vtanh64(SB), NOSPLIT, $0-16
-	MOVQ         v+0(FP), DI
-	MOVQ         n+8(FP), CX
-	VBROADCASTSD ex64<>+160(SB), Y10
-	VBROADCASTSD ex64<>+144(SB), Y11
-	VBROADCASTSD ex64<>+152(SB), Y12
-	VBROADCASTSD ex64<>+40(SB), Y15
-	XORQ         BX, BX
-
-vtanh64loop:
-	VMOVUPD (DI)(BX*8), Y0
-	VANDPD  Y10, Y0, Y1
-	VXORPD  Y1, Y0, Y7
-	VMULPD  Y11, Y1, Y2
-	VMAXPD  Y2, Y15, Y2
-	EXPM1
-
-	VXORPD Y5, Y5, Y5
-	VSUBPD Y4, Y5, Y5
-	VADDPD Y12, Y4, Y4
-	VDIVPD Y4, Y5, Y5
-	VORPD  Y7, Y5, Y5
-	VMOVUPD Y5, (DI)(BX*8)
-	ADDQ    $4, BX
+	VSUBPS  Y4, Y11, Y5
+	VDIVPS  Y5, Y4, Y5
+	VORPS   Y7, Y5, Y5
+	VMOVUPS Y5, (DI)(BX*4)
+	ADDQ    $8, BX
 	CMPQ    BX, CX
-	JLT     vtanh64loop
+	JLT     vtanh32loop
 
 	VZEROUPPER
 	RET
 
-// func vselugrad64(dst, grad, y *float64, n int, lambda, lambdaAlpha float64)
+// func vselugrad32(dst, grad, y *float32, n int, lambda, lambdaAlpha float32)
 //
 // The SELU backward epilogue from the cached output: dst = grad * lambda
 // where y > 0, else grad * (y + lambdaAlpha). The same two IEEE operations
 // per element as the scalar form, so the results are bit-identical.
-// n must be a positive multiple of 4.
-TEXT ·vselugrad64(SB), NOSPLIT, $0-48
+// n must be a positive multiple of 8.
+TEXT ·vselugrad32(SB), NOSPLIT, $0-40
 	MOVQ         dst+0(FP), DI
 	MOVQ         grad+8(FP), SI
 	MOVQ         y+16(FP), DX
 	MOVQ         n+24(FP), CX
-	VBROADCASTSD lambda+32(FP), Y8
-	VBROADCASTSD lambdaAlpha+40(FP), Y9
-	VXORPD       Y10, Y10, Y10
+	VBROADCASTSS lambda+32(FP), Y8
+	VBROADCASTSS lambdaAlpha+36(FP), Y9
+	VXORPS       Y10, Y10, Y10
 	XORQ         BX, BX
 
-vselugrad64loop:
-	VMOVUPD   (DX)(BX*8), Y0
-	VADDPD    Y9, Y0, Y1
-	VCMPPD    $0x1e, Y10, Y0, Y2
-	VBLENDVPD Y2, Y8, Y1, Y1
-	VMULPD    (SI)(BX*8), Y1, Y1
-	VMOVUPD   Y1, (DI)(BX*8)
-	ADDQ      $4, BX
+vselugrad32loop:
+	VMOVUPS   (DX)(BX*4), Y0
+	VADDPS    Y9, Y0, Y1
+	VCMPPS    $0x1e, Y10, Y0, Y2
+	VBLENDVPS Y2, Y8, Y1, Y1
+	VMULPS    (SI)(BX*4), Y1, Y1
+	VMOVUPS   Y1, (DI)(BX*4)
+	ADDQ      $8, BX
 	CMPQ      BX, CX
-	JLT       vselugrad64loop
+	JLT       vselugrad32loop
 
 	VZEROUPPER
 	RET
 
-// Lane masks of the reconstruction head's ragged last chunk: the four
-// qwords at mask64<>+32-8*t enable the first t lanes, t in 1..3.
-DATA mask64<>+0(SB)/8, $0xffffffffffffffff
-DATA mask64<>+8(SB)/8, $0xffffffffffffffff
-DATA mask64<>+16(SB)/8, $0xffffffffffffffff
-DATA mask64<>+24(SB)/8, $0xffffffffffffffff
-DATA mask64<>+32(SB)/8, $0
-DATA mask64<>+40(SB)/8, $0
-DATA mask64<>+48(SB)/8, $0
-DATA mask64<>+56(SB)/8, $0
-GLOBL mask64<>(SB), RODATA|NOPTR, $64
+// Lane masks of the reconstruction head's ragged last chunk: the eight
+// dwords at mask32<>+32-4*t enable the first t lanes, t in 1..7.
+DATA mask32<>+0(SB)/8, $0xffffffffffffffff
+DATA mask32<>+8(SB)/8, $0xffffffffffffffff
+DATA mask32<>+16(SB)/8, $0xffffffffffffffff
+DATA mask32<>+24(SB)/8, $0xffffffffffffffff
+DATA mask32<>+32(SB)/8, $0
+DATA mask32<>+40(SB)/8, $0
+DATA mask32<>+48(SB)/8, $0
+DATA mask32<>+56(SB)/8, $0
+GLOBL mask32<>(SB), RODATA|NOPTR, $64
 
-// RECON_DPRE takes Y0 = out on 4 lanes and the row's target chunk in Y1
+// RECON_DPRE takes Y0 = out on 8 lanes and the row's target chunk in Y1
 // and leaves dpre = d*c*(1-y^2) in Y1, with d = y - target, adding d*d
-// to Y8. y = tanh(out) is vtanh64's to the bit: e/(-2-e) is -e/(2+e)
-// with the negation moved into the divisor, one operation fewer.
-// Clobbers Y2-Y7.
+// to Y8. y = tanh(out) is vtanh32's to the bit. Clobbers Y2-Y7.
 #define RECON_DPRE \
-	VANDPD       Y10, Y0, Y2; \
-	VXORPD       Y2, Y0, Y7; \
-	VMULPD       Y11, Y2, Y2; \
-	VMAXPD       Y2, Y15, Y2; \
-	EXPM1; \
-	VSUBPD       Y4, Y11, Y5; \
-	VDIVPD       Y5, Y4, Y5; \
-	VORPD        Y7, Y5, Y5; \
-	VSUBPD       Y1, Y5, Y1; \
-	VFMADD231PD  Y1, Y1, Y8; \
-	VMOVAPD      Y14, Y2; \
-	VFNMADD231PD Y5, Y5, Y2; \
-	VMULPD       Y9, Y1, Y1; \
-	VMULPD       Y2, Y1, Y1
-
-// HSUM sets the low lane of X1 to the sum of Y1's four lanes, as
-// (l0+l1) + (l2+l3). Clobbers X2.
-#define HSUM \
-	VEXTRACTF128 $1, Y1, X2; \
-	VHADDPD      X2, X1, X1; \
-	VHADDPD      X1, X1, X1
+	VANDPS       Y10, Y0, Y2; \
+	VXORPS       Y2, Y0, Y7; \
+	VMULPS       Y11, Y2, Y2; \
+	VMAXPS       Y2, Y15, Y2; \
+	EXPM1F; \
+	VSUBPS       Y4, Y11, Y5; \
+	VDIVPS       Y5, Y4, Y5; \
+	VORPS        Y7, Y5, Y5; \
+	VSUBPS       Y1, Y5, Y1; \
+	VFMADD231PS  Y1, Y1, Y8; \
+	VMOVAPS      Y14, Y2; \
+	VFNMADD231PS Y5, Y5, Y2; \
+	VMULPS       Y9, Y1, Y1; \
+	VMULPS       Y2, Y1, Y1
 
 // RECON_SETUP takes DI = hid, CX = k and R8 = n and leaves DI past the
-// row's k values, CX = -8k, R8 = 8n, R9 = 8(n&^3) the full chunks' end
+// row's k values, CX = -4k, R8 = 4n, R9 = 4(n&^7) the full chunks' end
 // and the lane mask of the ragged last chunk in Y13. Clobbers AX and BX.
 #define RECON_SETUP \
-	SHLQ    $3, CX; \
+	SHLQ    $2, CX; \
 	ADDQ    CX, DI; \
 	NEGQ    CX; \
 	MOVQ    R8, R9; \
-	ANDQ    $-4, R9; \
-	SHLQ    $3, R8; \
-	SHLQ    $3, R9; \
+	ANDQ    $-8, R9; \
+	SHLQ    $2, R8; \
+	SHLQ    $2, R9; \
 	MOVQ    R8, AX; \
 	SUBQ    R9, AX; \
-	LEAQ    mask64<>+32(SB), BX; \
+	LEAQ    mask32<>+32(SB), BX; \
 	SUBQ    AX, BX; \
-	VMOVUPD (BX), Y13
+	VMOVUPS (BX), Y13
 
-// BACK_KK is reconBack64's work on one 4-lane chunk of dpre (Y8) for one
-// row of w and dw: the dw chunk at dwm gains h*dpre, with h broadcast in
-// hreg, and acc gains dpre times the w chunk at wm.
-#define BACK_KK(dwm, wm, hreg, acc) \
-	VMOVUPD     dwm, Y9; \
-	VFMADD231PD Y8, hreg, Y9; \
-	VMOVUPD     Y9, dwm; \
-	VFMADD231PD wm, Y8, acc
-
-// BACK2_KK is reconBack64x2's work on one 4-lane chunk of two rows' dpre
+// BACK2_KK is reconBack32x2's work on one 8-lane chunk of two rows' dpre
 // (Y8, Y9) for one row of w and dw: the dw chunk at dwm gains ha*dpre_a
-// and then hb*dpre_b, as two reconBack64 calls would add them, and acca
-// and accb gain each row's dpre times the w chunk at wm.
+// and then hb*dpre_b, and acca and accb gain each row's dpre times the
+// w chunk at wm.
 #define BACK2_KK(dwm, wm, ha, hb, acca, accb) \
-	VMOVUPD     dwm, Y10; \
-	VFMADD231PD Y8, ha, Y10; \
-	VFMADD231PD Y9, hb, Y10; \
-	VMOVUPD     Y10, dwm; \
-	VMOVUPD     wm, Y11; \
-	VFMADD231PD Y11, Y8, acca; \
-	VFMADD231PD Y11, Y9, accb
+	VMOVUPS     dwm, Y10; \
+	VFMADD231PS Y8, ha, Y10; \
+	VFMADD231PS Y9, hb, Y10; \
+	VMOVUPS     Y10, dwm; \
+	VMOVUPS     wm, Y11; \
+	VFMADD231PS Y11, Y8, acca; \
+	VFMADD231PS Y11, Y9, accb
 
 // BACK2_KK_TAIL is BACK2_KK on a ragged last chunk, through the lane mask.
 #define BACK2_KK_TAIL(dwm, wm, ha, hb, acca, accb) \
-	VMASKMOVPD  dwm, Y13, Y10; \
-	VFMADD231PD Y8, ha, Y10; \
-	VFMADD231PD Y9, hb, Y10; \
-	VMASKMOVPD  Y10, Y13, dwm; \
-	VMASKMOVPD  wm, Y13, Y11; \
-	VFMADD231PD Y11, Y8, acca; \
-	VFMADD231PD Y11, Y9, accb
+	VMASKMOVPS  dwm, Y13, Y10; \
+	VFMADD231PS Y8, ha, Y10; \
+	VFMADD231PS Y9, hb, Y10; \
+	VMASKMOVPS  Y10, Y13, dwm; \
+	VMASKMOVPS  wm, Y13, Y11; \
+	VFMADD231PS Y11, Y8, acca; \
+	VFMADD231PS Y11, Y9, accb
 
-// REDUCE4 sets Y9 to the lane sums of Y4-Y7, each (l0+l1) + (l2+l3) as
-// HSUM adds them. Clobbers Y4, Y6 and Y8.
+// REDUCE4 sets X9 to the lane sums of Y4-Y5-Y6-Y7, in that order, each
+// ((l0+l1) + (l2+l3)) + ((l4+l5) + (l6+l7)). Clobbers Y4, Y6 and Y8.
 #define REDUCE4 \
-	VHADDPD    Y5, Y4, Y4; \
-	VHADDPD    Y7, Y6, Y6; \
-	VPERM2F128 $0x21, Y6, Y4, Y8; \
-	VBLENDPD   $0xc, Y6, Y4, Y9; \
-	VADDPD     Y8, Y9, Y9
+	VHADDPS      Y5, Y4, Y4; \
+	VHADDPS      Y7, Y6, Y6; \
+	VHADDPS      Y6, Y4, Y4; \
+	VEXTRACTF128 $1, Y4, X8; \
+	VADDPS       X8, X4, X9
 
-// The reconstruction head runs a row in three passes over 4-lane chunks
+// The reconstruction head runs a row in three passes over 8-lane chunks
 // of the row, which the row's dpre buffer carries between them.
-// reconFront64 runs the first two:
+// reconFront32 runs the first two:
 //  1. out = hid.w into dpre, four chunks at a time while they last, each
 //     summed over the k rows of w in order, one FMA per row;
 //  2. per chunk, RECON_DPRE on out and the target t, in place, and the
 //     squared errors into the result.
-// reconBack64 runs the third, for one row:
-//  3. per row kk of w, four at a time while they last: dw[kk] +=
-//     hid[kk]*dpre and dhid[kk] = dpre.w[kk], summed per lane over the
-//     chunks and then across the lanes as HSUM does;
-// and reconBack64x2 runs it for two consecutive rows at once, two rows
-// of w at a time, with the same sums in the same order: each chunk of
-// dw is loaded and stored once for both rows.
-// A ragged last chunk of n%4 lanes reads w, t and dw through the lane
+// reconBack32x2 runs the third for two consecutive rows at once, two
+// rows of w at a time:
+//  3. per row kk of w: dw[kk] += hid_a[kk]*dpre_a + hid_b[kk]*dpre_b
+//     and dhid[kk] = dpre.w[kk] for both rows, summed per lane over the
+//     chunks and then across the lanes as REDUCE4 does; each chunk of dw
+//     is loaded and stored once for both rows.
+// A ragged last chunk of n%8 lanes reads w, t and dw through the lane
 // mask in Y13, so its dead lanes are zeros throughout: out 0, y 0, d 0
 // and dpre 0, which leave every sum unchanged. A row's dpre must hold n
-// rounded up to 4 values; k and n must be >= 1.
+// rounded up to 8 values; k and n must be >= 1.
 //
 // Registers: DI and R12 point past the row's k values of hid and dhid,
-// which CX = -8k indexes through BX; SI and DX are w and dw, R8 = 8n
-// their row stride and R9 = 8(n&^3) the full chunks' end; R11 is dpre;
+// which CX = -4k indexes through BX; SI and DX are w and dw, R8 = 4n
+// their row stride and R9 = 4(n&^7) the full chunks' end; R11 is dpre;
 // AX indexes chunks, and R13 and R14 walk w and dw. R10 is t in passes
-// 1-2, 24n in reconBack64 and the second row's dpre in reconBack64x2. In
-// pass 2 Y8 sums d*d, Y9 is c, Y14 1.0, and Y10, Y11 and Y15 hold
-// vtanh64's constants.
+// 1-2 and the second row's dpre in reconBack32x2. In pass 2 Y8 sums d*d,
+// Y9 is c, Y14 1.0, and Y10, Y11 and Y15 hold vtanh32's constants.
 
-// func reconFront64(hid *float64, k int, w *float64, n int, t, dpre *float64, c float64) (sum float64)
-TEXT ·reconFront64(SB), NOSPLIT, $0-64
+// func reconFront32(hid *float32, k int, w *float32, n int, t, dpre *float32, c float32) (sum float32)
+TEXT ·reconFront32(SB), NOSPLIT, $0-60
 	MOVQ hid+0(FP), DI
 	MOVQ k+8(FP), CX
 	MOVQ w+16(FP), SI
@@ -1129,231 +994,110 @@ TEXT ·reconFront64(SB), NOSPLIT, $0-64
 	MOVQ R9, R14
 	SUBQ $96, R14 // the last start of a full quad
 
-rf64quad:
+rf32quad:
 	CMPQ   AX, R14
-	JGE    rf64one
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
+	JGE    rf32one
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
 	MOVQ   CX, BX
 	LEAQ   (SI)(AX*1), R13
 
-rf64quadk:
-	VBROADCASTSD (DI)(BX*1), Y4
-	VFMADD231PD  (R13), Y4, Y0
-	VFMADD231PD  32(R13), Y4, Y1
-	VFMADD231PD  64(R13), Y4, Y2
-	VFMADD231PD  96(R13), Y4, Y3
+rf32quadk:
+	VBROADCASTSS (DI)(BX*1), Y4
+	VFMADD231PS  (R13), Y4, Y0
+	VFMADD231PS  32(R13), Y4, Y1
+	VFMADD231PS  64(R13), Y4, Y2
+	VFMADD231PS  96(R13), Y4, Y3
 	ADDQ         R8, R13
-	ADDQ         $8, BX
-	JNZ          rf64quadk
-	VMOVUPD      Y0, (R11)(AX*1)
-	VMOVUPD      Y1, 32(R11)(AX*1)
-	VMOVUPD      Y2, 64(R11)(AX*1)
-	VMOVUPD      Y3, 96(R11)(AX*1)
+	ADDQ         $4, BX
+	JNZ          rf32quadk
+	VMOVUPS      Y0, (R11)(AX*1)
+	VMOVUPS      Y1, 32(R11)(AX*1)
+	VMOVUPS      Y2, 64(R11)(AX*1)
+	VMOVUPS      Y3, 96(R11)(AX*1)
 	ADDQ         $128, AX
-	JMP          rf64quad
+	JMP          rf32quad
 
-rf64one:
+rf32one:
 	CMPQ   AX, R9
-	JGE    rf64onetail
-	VXORPD Y0, Y0, Y0
+	JGE    rf32onetail
+	VXORPS Y0, Y0, Y0
 	MOVQ   CX, BX
 	LEAQ   (SI)(AX*1), R13
 
-rf64onek:
-	VBROADCASTSD (DI)(BX*1), Y4
-	VFMADD231PD  (R13), Y4, Y0
+rf32onek:
+	VBROADCASTSS (DI)(BX*1), Y4
+	VFMADD231PS  (R13), Y4, Y0
 	ADDQ         R8, R13
-	ADDQ         $8, BX
-	JNZ          rf64onek
-	VMOVUPD      Y0, (R11)(AX*1)
+	ADDQ         $4, BX
+	JNZ          rf32onek
+	VMOVUPS      Y0, (R11)(AX*1)
 	ADDQ         $32, AX
-	JMP          rf64one
+	JMP          rf32one
 
-rf64onetail:
+rf32onetail:
 	CMPQ   AX, R8
-	JGE    rf64act
-	VXORPD Y0, Y0, Y0
+	JGE    rf32act
+	VXORPS Y0, Y0, Y0
 	MOVQ   CX, BX
 	LEAQ   (SI)(AX*1), R13
 
-rf64onetailk:
-	VBROADCASTSD (DI)(BX*1), Y4
-	VMASKMOVPD   (R13), Y13, Y5
-	VFMADD231PD  Y5, Y4, Y0
+rf32onetailk:
+	VBROADCASTSS (DI)(BX*1), Y4
+	VMASKMOVPS   (R13), Y13, Y5
+	VFMADD231PS  Y5, Y4, Y0
 	ADDQ         R8, R13
-	ADDQ         $8, BX
-	JNZ          rf64onetailk
-	VMOVUPD      Y0, (R11)(AX*1)
+	ADDQ         $4, BX
+	JNZ          rf32onetailk
+	VMOVUPS      Y0, (R11)(AX*1)
 
 	// Pass 2: tanh, error and dpre, chunk by chunk.
-rf64act:
-	VBROADCASTSD c+48(FP), Y9
-	VBROADCASTSD ex64<>+160(SB), Y10
-	VBROADCASTSD ex64<>+144(SB), Y11
-	VBROADCASTSD ex64<>+32(SB), Y14
-	VBROADCASTSD ex64<>+40(SB), Y15
-	VXORPD       Y8, Y8, Y8
+rf32act:
+	VBROADCASTSS c+48(FP), Y9
+	VBROADCASTSS ex32<>+52(SB), Y10
+	VBROADCASTSS ex32<>+48(SB), Y11
+	VBROADCASTSS ex32<>+12(SB), Y14
+	VBROADCASTSS ex32<>+44(SB), Y15
+	VXORPS       Y8, Y8, Y8
 	XORQ         AX, AX
 	TESTQ        R9, R9
-	JZ           rf64acttail
+	JZ           rf32acttail
 
-rf64actloop:
-	VMOVUPD (R11)(AX*1), Y0
-	VMOVUPD (R10)(AX*1), Y1
+rf32actloop:
+	VMOVUPS (R11)(AX*1), Y0
+	VMOVUPS (R10)(AX*1), Y1
 	RECON_DPRE
-	VMOVUPD Y1, (R11)(AX*1)
+	VMOVUPS Y1, (R11)(AX*1)
 	ADDQ    $32, AX
 	CMPQ    AX, R9
-	JLT     rf64actloop
+	JLT     rf32actloop
 
-rf64acttail:
+rf32acttail:
 	CMPQ       AX, R8
-	JGE        rf64loss
-	VMOVUPD    (R11)(AX*1), Y0
-	VMASKMOVPD (R10)(AX*1), Y13, Y1
+	JGE        rf32loss
+	VMOVUPS    (R11)(AX*1), Y0
+	VMASKMOVPS (R10)(AX*1), Y13, Y1
 	RECON_DPRE
-	VMOVUPD    Y1, (R11)(AX*1)
+	VMOVUPS    Y1, (R11)(AX*1)
 
-rf64loss:
-	VMOVAPD Y8, Y1
-	HSUM
-	VMOVSD  X1, sum+56(FP)
+rf32loss:
+	// The lane sum ((l0+l4) + (l1+l5)) + ((l2+l6) + (l3+l7)).
+	VEXTRACTF128 $1, Y8, X1
+	VADDPS       X1, X8, X1
+	VHADDPS      X1, X1, X1
+	VHADDPS      X1, X1, X1
+	VMOVSS       X1, sum+56(FP)
 	VZEROUPPER
 	RET
 
-// func reconBack64(dhid, hid *float64, k int, w, dw *float64, n int, dpre *float64)
-TEXT ·reconBack64(SB), NOSPLIT, $0-56
-	MOVQ dhid+0(FP), R12
-	MOVQ hid+8(FP), DI
-	MOVQ k+16(FP), CX
-	MOVQ w+24(FP), SI
-	MOVQ dw+32(FP), DX
-	MOVQ n+40(FP), R8
-	MOVQ dpre+48(FP), R11
-	SUBQ DI, R12
-	RECON_SETUP
-	ADDQ DI, R12
-	LEAQ (R8)(R8*2), R10
-	MOVQ CX, BX
-	MOVQ SI, R13
-	MOVQ DX, R14
-
-rb64quadrow:
-	CMPQ         BX, $-32
-	JGT          rb64row
-	VBROADCASTSD (DI)(BX*1), Y0
-	VBROADCASTSD 8(DI)(BX*1), Y1
-	VBROADCASTSD 16(DI)(BX*1), Y2
-	VBROADCASTSD 24(DI)(BX*1), Y3
-	VXORPD       Y4, Y4, Y4
-	VXORPD       Y5, Y5, Y5
-	VXORPD       Y6, Y6, Y6
-	VXORPD       Y7, Y7, Y7
-	XORQ         AX, AX
-	TESTQ        R9, R9
-	JZ           rb64quadtail
-
-rb64quadcol:
-	VMOVUPD (R11)(AX*1), Y8
-	BACK_KK((R14), (R13), Y0, Y4)
-	BACK_KK((R14)(R8*1), (R13)(R8*1), Y1, Y5)
-	BACK_KK((R14)(R8*2), (R13)(R8*2), Y2, Y6)
-	BACK_KK((R14)(R10*1), (R13)(R10*1), Y3, Y7)
-	ADDQ    $32, R13
-	ADDQ    $32, R14
-	ADDQ    $32, AX
-	CMPQ    AX, R9
-	JLT     rb64quadcol
-
-rb64quadtail:
-	CMPQ        AX, R8
-	JGE         rb64quadsum
-	VMOVUPD     (R11)(AX*1), Y8
-	VMASKMOVPD  (R14), Y13, Y9
-	VFMADD231PD Y8, Y0, Y9
-	VMASKMOVPD  Y9, Y13, (R14)
-	VMASKMOVPD  (R13), Y13, Y10
-	VFMADD231PD Y10, Y8, Y4
-	VMASKMOVPD  (R14)(R8*1), Y13, Y9
-	VFMADD231PD Y8, Y1, Y9
-	VMASKMOVPD  Y9, Y13, (R14)(R8*1)
-	VMASKMOVPD  (R13)(R8*1), Y13, Y10
-	VFMADD231PD Y10, Y8, Y5
-	VMASKMOVPD  (R14)(R8*2), Y13, Y9
-	VFMADD231PD Y8, Y2, Y9
-	VMASKMOVPD  Y9, Y13, (R14)(R8*2)
-	VMASKMOVPD  (R13)(R8*2), Y13, Y10
-	VFMADD231PD Y10, Y8, Y6
-	VMASKMOVPD  (R14)(R10*1), Y13, Y9
-	VFMADD231PD Y8, Y3, Y9
-	VMASKMOVPD  Y9, Y13, (R14)(R10*1)
-	VMASKMOVPD  (R13)(R10*1), Y13, Y10
-	VFMADD231PD Y10, Y8, Y7
-
-rb64quadsum:
-	// dhid[kk..kk+3] = the lane sums of Y4-Y7, each (l0+l1) + (l2+l3).
-	VHADDPD    Y5, Y4, Y4
-	VHADDPD    Y7, Y6, Y6
-	VPERM2F128 $0x21, Y6, Y4, Y8
-	VBLENDPD   $0xc, Y6, Y4, Y9
-	VADDPD     Y8, Y9, Y9
-	VMOVUPD    Y9, (R12)(BX*1)
-	SUBQ       AX, R13
-	SUBQ       AX, R14
-	LEAQ       (R13)(R8*4), R13
-	LEAQ       (R14)(R8*4), R14
-	ADDQ       $32, BX
-	JMP        rb64quadrow
-
-rb64row:
-	TESTQ BX, BX
-	JZ    rb64done
-	VBROADCASTSD (DI)(BX*1), Y0
-	VXORPD       Y1, Y1, Y1
-	XORQ         AX, AX
-
-rb64col:
-	CMPQ        AX, R9
-	JGE         rb64rowtail
-	VMOVUPD     (R11)(AX*1), Y2
-	VMOVUPD     (R14)(AX*1), Y3
-	VFMADD231PD Y2, Y0, Y3
-	VMOVUPD     Y3, (R14)(AX*1)
-	VFMADD231PD (R13)(AX*1), Y2, Y1
-	ADDQ        $32, AX
-	JMP         rb64col
-
-rb64rowtail:
-	CMPQ        AX, R8
-	JGE         rb64rowsum
-	VMOVUPD     (R11)(AX*1), Y2
-	VMASKMOVPD  (R14)(AX*1), Y13, Y3
-	VFMADD231PD Y2, Y0, Y3
-	VMASKMOVPD  Y3, Y13, (R14)(AX*1)
-	VMASKMOVPD  (R13)(AX*1), Y13, Y4
-	VFMADD231PD Y4, Y2, Y1
-
-rb64rowsum:
-	HSUM
-	VMOVSD X1, (R12)(BX*1)
-	ADDQ   R8, R13
-	ADDQ   R8, R14
-	ADDQ   $8, BX
-	JMP    rb64row
-
-rb64done:
-	VZEROUPPER
-	RET
-
-// func reconBack64x2(dhid, hid *float64, k int, w, dw *float64, n int, dpre *float64)
+// func reconBack32x2(dhid, hid *float32, k int, w, dw *float32, n int, dpre *float32)
 //
-// reconBack64 for rows a and b = a+1 of hid and dhid, whose dpre rows
-// follow each other in dpre, n rounded up to 4 apart. B's hid and dhid
-// values are 8k past a's, at DI-CX and R12-CX; R10 is b's dpre.
-TEXT ·reconBack64x2(SB), NOSPLIT, $0-56
+// Pass 3 for rows a and b = a+1 of hid and dhid, whose dpre rows follow
+// each other in dpre, n rounded up to 8 apart. B's hid and dhid values
+// are 4k past a's, at DI-CX and R12-CX; R10 is b's dpre.
+TEXT ·reconBack32x2(SB), NOSPLIT, $0-56
 	MOVQ dhid+0(FP), R12
 	MOVQ hid+8(FP), DI
 	MOVQ k+16(FP), CX
@@ -1364,104 +1108,241 @@ TEXT ·reconBack64x2(SB), NOSPLIT, $0-56
 	SUBQ DI, R12
 	RECON_SETUP
 	ADDQ DI, R12
-	LEAQ 24(R8), R10
+	LEAQ 28(R8), R10
 	ANDQ $-32, R10
 	ADDQ R11, R10
 	MOVQ CX, BX
 	MOVQ SI, R13
 	MOVQ DX, R14
 
-rp64pair:
-	CMPQ         BX, $-16
-	JGT          rp64one
-	VBROADCASTSD (DI)(BX*1), Y0
-	VBROADCASTSD 8(DI)(BX*1), Y1
+rp32pair:
+	CMPQ         BX, $-8
+	JGT          rp32one
+	VBROADCASTSS (DI)(BX*1), Y0
+	VBROADCASTSS 4(DI)(BX*1), Y1
 	MOVQ         DI, AX
 	SUBQ         CX, AX
-	VBROADCASTSD (AX)(BX*1), Y2
-	VBROADCASTSD 8(AX)(BX*1), Y3
-	VXORPD       Y4, Y4, Y4
-	VXORPD       Y5, Y5, Y5
-	VXORPD       Y6, Y6, Y6
-	VXORPD       Y7, Y7, Y7
+	VBROADCASTSS (AX)(BX*1), Y2
+	VBROADCASTSS 4(AX)(BX*1), Y3
+	VXORPS       Y4, Y4, Y4
+	VXORPS       Y5, Y5, Y5
+	VXORPS       Y6, Y6, Y6
+	VXORPS       Y7, Y7, Y7
 	XORQ         AX, AX
 	TESTQ        R9, R9
-	JZ           rp64pairtail
+	JZ           rp32pairtail
 
-rp64paircol:
-	VMOVUPD (R11)(AX*1), Y8
-	VMOVUPD (R10)(AX*1), Y9
+rp32paircol:
+	VMOVUPS (R11)(AX*1), Y8
+	VMOVUPS (R10)(AX*1), Y9
 	BACK2_KK((R14), (R13), Y0, Y2, Y4, Y6)
 	BACK2_KK((R14)(R8*1), (R13)(R8*1), Y1, Y3, Y5, Y7)
 	ADDQ    $32, R13
 	ADDQ    $32, R14
 	ADDQ    $32, AX
 	CMPQ    AX, R9
-	JLT     rp64paircol
+	JLT     rp32paircol
 
-rp64pairtail:
+rp32pairtail:
 	CMPQ    R9, R8
-	JGE     rp64pairsum
-	VMOVUPD (R11)(R9*1), Y8
-	VMOVUPD (R10)(R9*1), Y9
+	JGE     rp32pairsum
+	VMOVUPS (R11)(R9*1), Y8
+	VMOVUPS (R10)(R9*1), Y9
 	BACK2_KK_TAIL((R14), (R13), Y0, Y2, Y4, Y6)
 	BACK2_KK_TAIL((R14)(R8*1), (R13)(R8*1), Y1, Y3, Y5, Y7)
 
-rp64pairsum:
-	// Y9 = dhid_a[kk], dhid_a[kk+1], dhid_b[kk], dhid_b[kk+1].
+rp32pairsum:
+	// X9 = dhid_a[kk], dhid_a[kk+1], dhid_b[kk], dhid_b[kk+1].
 	REDUCE4
-	VMOVUPD      X9, (R12)(BX*1)
-	MOVQ         R12, AX
-	SUBQ         CX, AX
-	VEXTRACTF128 $1, Y9, (AX)(BX*1)
-	SUBQ         R9, R13
-	SUBQ         R9, R14
-	LEAQ         (R13)(R8*2), R13
-	LEAQ         (R14)(R8*2), R14
-	ADDQ         $16, BX
-	JMP          rp64pair
+	VMOVQ   X9, (R12)(BX*1)
+	MOVQ    R12, AX
+	SUBQ    CX, AX
+	VPEXTRQ $1, X9, (AX)(BX*1)
+	SUBQ    R9, R13
+	SUBQ    R9, R14
+	LEAQ    (R13)(R8*2), R13
+	LEAQ    (R14)(R8*2), R14
+	ADDQ    $8, BX
+	JMP     rp32pair
 
-rp64one:
+rp32one:
 	TESTQ        BX, BX
-	JZ           rp64done
-	VBROADCASTSD (DI)(BX*1), Y0
+	JZ           rp32done
+	VBROADCASTSS (DI)(BX*1), Y0
 	MOVQ         DI, AX
 	SUBQ         CX, AX
-	VBROADCASTSD (AX)(BX*1), Y2
-	VXORPD       Y4, Y4, Y4
-	VXORPD       Y6, Y6, Y6
+	VBROADCASTSS (AX)(BX*1), Y2
+	VXORPS       Y4, Y4, Y4
+	VXORPS       Y5, Y5, Y5
+	VXORPS       Y6, Y6, Y6
+	VXORPS       Y7, Y7, Y7
 	XORQ         AX, AX
 	TESTQ        R9, R9
-	JZ           rp64onetail
+	JZ           rp32onetail
 
-rp64onecol:
-	VMOVUPD (R11)(AX*1), Y8
-	VMOVUPD (R10)(AX*1), Y9
+rp32onecol:
+	VMOVUPS (R11)(AX*1), Y8
+	VMOVUPS (R10)(AX*1), Y9
 	BACK2_KK((R14), (R13), Y0, Y2, Y4, Y6)
 	ADDQ    $32, R13
 	ADDQ    $32, R14
 	ADDQ    $32, AX
 	CMPQ    AX, R9
-	JLT     rp64onecol
+	JLT     rp32onecol
 
-rp64onetail:
+rp32onetail:
 	CMPQ    R9, R8
-	JGE     rp64onesum
-	VMOVUPD (R11)(R9*1), Y8
-	VMOVUPD (R10)(R9*1), Y9
+	JGE     rp32onesum
+	VMOVUPS (R11)(R9*1), Y8
+	VMOVUPS (R10)(R9*1), Y9
 	BACK2_KK_TAIL((R14), (R13), Y0, Y2, Y4, Y6)
 
-rp64onesum:
-	// k is odd: this was its last row of w.
-	VMOVAPD Y4, Y1
-	HSUM
-	VMOVSD  X1, (R12)(BX*1)
-	VMOVAPD Y6, Y1
-	HSUM
+rp32onesum:
+	// k is odd: this was its last row of w. X9 = dhid_a[kk], 0,
+	// dhid_b[kk], 0.
+	REDUCE4
+	VMOVSS  X9, (R12)(BX*1)
 	MOVQ    R12, AX
 	SUBQ    CX, AX
-	VMOVSD  X1, (AX)(BX*1)
+	VPEXTRD $2, X9, (AX)(BX*1)
 
-rp64done:
+rp32done:
+	VZEROUPPER
+	RET
+
+// func adamSweep32(w, g0, g1, st *float32, n int, c *AdamCoef)
+//
+// One Adam step over n weights, 8 lanes a step, with no fused
+// multiply-add: every operation rounds as the plain loop of
+// adamSweepPlain rounds it, so the two are bit-identical. The gradient
+// is the shards' weighted sum times the clip factor, both gradients are
+// zeroed as they are read, and the moments live in st as one chunk of
+// 8 first moments then 8 second moments per 8 weights. n must be a
+// positive multiple of 8.
+TEXT ·adamSweep32(SB), NOSPLIT, $0-48
+	MOVQ         w+0(FP), DI
+	MOVQ         g0+8(FP), SI
+	MOVQ         g1+16(FP), DX
+	MOVQ         st+24(FP), R8
+	MOVQ         n+32(FP), CX
+	MOVQ         c+40(FP), AX
+	VBROADCASTSS 0(AX), Y4
+	VBROADCASTSS 4(AX), Y5
+	VBROADCASTSS 8(AX), Y6
+	VBROADCASTSS 12(AX), Y7
+	VBROADCASTSS 16(AX), Y8
+	VBROADCASTSS 20(AX), Y9
+	VBROADCASTSS 24(AX), Y10
+	VBROADCASTSS 28(AX), Y11
+	VBROADCASTSS 32(AX), Y12
+	VBROADCASTSS 36(AX), Y13
+	VBROADCASTSS 40(AX), Y14
+	VBROADCASTSS 44(AX), Y15
+	XORQ         BX, BX
+
+adamloop:
+	// g = (w0*g0 + w1*g1) * scale
+	VMULPS  (SI)(BX*4), Y4, Y0
+	VMULPS  (DX)(BX*4), Y5, Y1
+	VADDPS  Y1, Y0, Y0
+	VMULPS  Y6, Y0, Y0
+
+	// m = b1*m + (1-b1)*g
+	VMULPS  (R8), Y7, Y1
+	VMULPS  Y8, Y0, Y2
+	VADDPS  Y2, Y1, Y1
+	VMOVUPS Y1, (R8)
+
+	// v = b2*v + (1-b2)*(g*g)
+	VMULPS  Y0, Y0, Y0
+	VMULPS  Y10, Y0, Y0
+	VMULPS  32(R8), Y9, Y2
+	VADDPS  Y0, Y2, Y2
+	VMOVUPS Y2, 32(R8)
+
+	// upd = (m/bc1) / (sqrt(v/bc2) + eps)
+	VDIVPS  Y11, Y1, Y1
+	VDIVPS  Y12, Y2, Y2
+	VSQRTPS Y2, Y2
+	VADDPS  Y13, Y2, Y2
+	VDIVPS  Y2, Y1, Y1
+
+	// w -= lr*(upd + wd*w)
+	VMOVUPS (DI)(BX*4), Y0
+	VMULPS  Y15, Y0, Y2
+	VADDPS  Y2, Y1, Y1
+	VMULPS  Y14, Y1, Y1
+	VSUBPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(BX*4)
+
+	VXORPS  Y3, Y3, Y3
+	VMOVUPS Y3, (SI)(BX*4)
+	VMOVUPS Y3, (DX)(BX*4)
+	ADDQ    $64, R8
+	ADDQ    $8, BX
+	CMPQ    BX, CX
+	JLT     adamloop
+
+	VZEROUPPER
+	RET
+
+// func vdropout32(y, slope, x *float32, words *uint64, n int, keepBelow uint32, a, ap, dropped float32)
+//
+// Alpha-dropout's training pass, 8 units a step: the 8 16-bit fields of
+// two consecutive words, in memory order, are the units' draws; a unit
+// is kept when its field is below keepBelow, its slope is a's bits where
+// kept and +0 where dropped, and y = slope*(x - ap) + dropped with each
+// operation rounded, as the scalar form computes it. n must be a
+// positive multiple of 8.
+TEXT ·vdropout32(SB), NOSPLIT, $0-56
+	MOVQ         y+0(FP), DI
+	MOVQ         slope+8(FP), SI
+	MOVQ         x+16(FP), DX
+	MOVQ         words+24(FP), R8
+	MOVQ         n+32(FP), CX
+	MOVL         keepBelow+40(FP), AX
+	VMOVD        AX, X8
+	VPBROADCASTD X8, Y8
+	VBROADCASTSS a+44(FP), Y9
+	VBROADCASTSS ap+48(FP), Y10
+	VBROADCASTSS dropped+52(FP), Y11
+	XORQ         BX, BX
+
+vdropout32loop:
+	VPMOVZXWD (R8), Y0
+	VPCMPGTD  Y0, Y8, Y1
+	VPAND     Y9, Y1, Y1
+	VMOVUPS   Y1, (SI)(BX*4)
+	VMOVUPS   (DX)(BX*4), Y2
+	VSUBPS    Y10, Y2, Y2
+	VMULPS    Y2, Y1, Y2
+	VADDPS    Y11, Y2, Y2
+	VMOVUPS   Y2, (DI)(BX*4)
+	ADDQ      $16, R8
+	ADDQ      $8, BX
+	CMPQ      BX, CX
+	JLT       vdropout32loop
+
+	VZEROUPPER
+	RET
+
+// func vmul32(dst, a, b *float32, n int)
+//
+// dst[i] = a[i]*b[i], 8 lanes a step. n must be a positive multiple of 8.
+TEXT ·vmul32(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	XORQ BX, BX
+
+vmul32loop:
+	VMOVUPS (SI)(BX*4), Y0
+	VMULPS  (DX)(BX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(BX*4)
+	ADDQ    $8, BX
+	CMPQ    BX, CX
+	JLT     vmul32loop
+
 	VZEROUPPER
 	RET

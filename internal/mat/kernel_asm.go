@@ -195,15 +195,9 @@ func mulATBAccRowsAsm(dst, a, b *Dense, i0, i1 int) {
 	}
 }
 
-// abtStage bounds the b of a*bᵀ that mulABTAsm transposes onto its
-// stack, in elements: every weight matrix of the Bellamy MLPs fits (the
-// largest, the encoder's 40x8, has 320). The stage is zeroed on every
-// call, so it is no larger than that needs.
-const abtStage = 512
-
-// mulABTAsm computes a*bᵀ into dst. A small b — the weights of an input
-// gradient dX = dY·Wᵀ — is transposed once onto the stack, and the
-// product runs as a*(bᵀ) through mulRowsAsm's register-tiled strips.
+// mulABTAsm computes a*bᵀ into dst. A small b (at most abtStage
+// elements) is transposed once onto the stack, and the product runs as
+// a*(bᵀ) through mulRowsAsm's register-tiled strips.
 // A larger one runs ddot4: 4 dot products against 4 consecutive b rows
 // per pass over the a row.
 func mulABTAsm(dst, a, b *Dense) {

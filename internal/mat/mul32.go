@@ -2,13 +2,15 @@ package mat
 
 import "fmt"
 
-// Float32 multiply dispatch, mirroring mul.go tier for tier: the direct
-// register-tiled row kernel for the small/skinny inference shapes, and
-// the same kernel over output-row panels on the worker pool past
-// parallelThreshold (a serving batch of thousands of queries). Under
-// the asm family the inner loops run the AVX2 float32 helpers
-// (sgemmRows4x{8,4}, saxpy4, sdot4; 8 lanes per register); the plain
-// family is a multiply-add Go kernel.
+// Float32 multiply dispatch, the products the network trains and serves
+// on. a*b mirrors mul.go tier for tier: the direct register-tiled row
+// kernel for the small/skinny layer shapes, and the same kernel over
+// output-row panels on the worker pool past parallelThreshold (a serving
+// batch of thousands of queries, an evaluation pass over a large
+// corpus). The transposed products aᵀ*b and a*bᵀ of the backward pass
+// always run direct. Under the asm family the inner loops run the AVX2
+// float32 helpers (sgemmRows4x{8,4}, saxpy4, sdot4; 8 lanes per
+// register); the plain family is a multiply-add Go kernel.
 
 // MulToF32 computes dst = a*b, fully overwriting dst. dst must be
 // a.Rows x b.Cols and must not alias a or b.
@@ -29,6 +31,49 @@ func MulToF32(dst, a, b *DenseF32) {
 		return
 	}
 	mulRows32(dst, a, b, 0, m)
+}
+
+// MulATBAccF32 accumulates dst += aᵀ*b without materializing the
+// transpose: the weight-gradient product dW += xᵀ*grad, written
+// straight into the parameter gradient.
+func MulATBAccF32(dst, a, b *DenseF32) {
+	if a.Rows != b.Rows {
+		panic(fmt.Sprintf("mat: MulATBAccF32 row mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if dst.Rows != a.Cols || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("mat: MulATBAccF32 dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
+	}
+	if a.Rows == 0 || a.Cols == 0 || b.Cols == 0 {
+		return
+	}
+	if useAsm {
+		mulATBAccAsm32(dst, a, b)
+		return
+	}
+	mulATBAcc32(dst, a, b)
+}
+
+// MulABTToF32 computes dst = a*bᵀ without materializing the transpose,
+// fully overwriting dst: the input-gradient product dX = dY*Wᵀ.
+func MulABTToF32(dst, a, b *DenseF32) {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("mat: MulABTToF32 col mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(fmt.Sprintf("mat: MulABTToF32 dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
+	}
+	if a.Rows == 0 || b.Rows == 0 {
+		return
+	}
+	if a.Cols == 0 {
+		dst.Zero()
+		return
+	}
+	if useAsm {
+		mulABTAsm32(dst, a, b)
+		return
+	}
+	mulABT32(dst, a, b)
 }
 
 // mulRows32Pool is mulRows32 over all of dst, as row panels on the pool.
@@ -67,10 +112,10 @@ func mulRows32(dst, a, b *DenseF32, lo, hi int) {
 				ar := &a.Data[i*k]
 				j := 0
 				for ; j+8 <= ns; j += 8 {
-					sgemmRows4x8(&dst.Data[i*n+j], n, ar, k, &b.Data[j], n, k)
+					sgemmRows4x8(&dst.Data[i*n+j], n, ar, k, 1, &b.Data[j], n, k)
 				}
 				for ; j+4 <= ns; j += 4 {
-					sgemmRows4x4(&dst.Data[i*n+j], n, ar, k, &b.Data[j], n, k)
+					sgemmRows4x4(&dst.Data[i*n+j], n, ar, k, 1, &b.Data[j], n, k)
 				}
 			}
 			if i < hi && ns > 0 {
@@ -173,28 +218,6 @@ func mulRowsTailCols32(dst, a, b *DenseF32, lo, hi, j0 int) {
 	}
 }
 
-// Selu32 applies SELU elementwise in place using the AVX2 vectorized
-// exp kernel. Returns false (leaving v untouched) when the asm family
-// is unavailable; callers keep their scalar path as the fallback. The
-// vector exp matches the scalar Cephes polynomial but fuses its
-// multiply-adds, so results may differ from the scalar path by ~1 ulp.
-func Selu32(v []float32, lambda, lambdaAlpha float32) bool {
-	if !useAsm {
-		return false
-	}
-	n := len(v) &^ 7
-	if n > 0 {
-		vselu32(&v[0], n, lambda, lambdaAlpha)
-	}
-	if t := len(v) - n; t > 0 {
-		var buf [8]float32
-		copy(buf[:], v[n:])
-		vselu32(&buf[0], 8, lambda, lambdaAlpha)
-		copy(v[n:], buf[:t])
-	}
-	return true
-}
-
 // dot32 is the float32 dotUnrolled: 4 partial sums break the add
 // latency chain.
 func dot32(a, b []float32) float32 {
@@ -211,4 +234,156 @@ func dot32(a, b []float32) float32 {
 		s += a[k] * b[k]
 	}
 	return s0 + s1 + s2 + s3 + s
+}
+
+// mulATBAcc32 is the plain family's aᵀ*b: the k loop (rows of a and b)
+// unrolled 4-way so each dst row is loaded and stored once per 4 rank-1
+// updates, every access row-contiguous.
+func mulATBAcc32(dst, a, b *DenseF32) {
+	rows, cb := a.Rows, b.Cols
+	k := 0
+	for ; k+4 <= rows; k += 4 {
+		ar0, ar1, ar2, ar3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
+		br0 := b.Row(k)[:cb:cb]
+		br1 := b.Row(k + 1)[:cb:cb]
+		br2 := b.Row(k + 2)[:cb:cb]
+		br3 := b.Row(k + 3)[:cb:cb]
+		for i, a0 := range ar0 {
+			a1, a2, a3 := ar1[i], ar2[i], ar3[i]
+			or := dst.Row(i)
+			for j := range or {
+				or[j] += (a0*br0[j] + a1*br1[j]) + (a2*br2[j] + a3*br3[j])
+			}
+		}
+	}
+	for ; k < rows; k++ {
+		br := b.Row(k)[:cb:cb]
+		for i, av := range a.Row(k) {
+			or := dst.Row(i)
+			for j := range or {
+				or[j] += av * br[j]
+			}
+		}
+	}
+}
+
+// mulABT32 is the plain family's a*bᵀ: output columns tiled 4-wide, one
+// pass over the a row feeding 4 dot products against 4 b rows.
+func mulABT32(dst, a, b *DenseF32) {
+	nb := b.Rows
+	for i := 0; i < a.Rows; i++ {
+		ar := a.Row(i)
+		or := dst.Row(i)
+		j := 0
+		for ; j+4 <= nb; j += 4 {
+			br0, br1, br2, br3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
+			var s0, s1, s2, s3 float32
+			for k, av := range ar {
+				s0 += av * br0[k]
+				s1 += av * br1[k]
+				s2 += av * br2[k]
+				s3 += av * br3[k]
+			}
+			or[j], or[j+1], or[j+2], or[j+3] = s0, s1, s2, s3
+		}
+		for ; j < nb; j++ {
+			or[j] = dot32(ar, b.Row(j))
+		}
+	}
+}
+
+// mulATBAccAsm32 accumulates aᵀ*b into dst register-tiled:
+// sgemmRows4x{8,4} walk 4 columns of a as their 4 output rows (lda 1,
+// the k-stride the row stride of a), so a 4x8 (or 4x4) block of dst
+// stays in registers across all rows of a and b and is added to dst
+// once. The last ca%4 rows of dst run one saxpy4 per 4 rows of a and b,
+// the last cb%4 columns a scalar loop. A single column of b is
+// Σ_r b_r·a_r, 4 rows of a a saxpy4.
+func mulATBAccAsm32(dst, a, b *DenseF32) {
+	rows, ca, cb := a.Rows, a.Cols, b.Cols
+	if cb == 1 {
+		var bv [4]float32
+		r := 0
+		for ; r+4 <= rows; r += 4 {
+			bv[0], bv[1], bv[2], bv[3] = b.Data[r], b.Data[r+1], b.Data[r+2], b.Data[r+3]
+			saxpy4(&dst.Data[0], &a.Data[r*ca], ca, &bv, ca)
+		}
+		for ; r < rows; r++ {
+			saxpy1(&dst.Data[0], &a.Data[r*ca], b.Data[r], ca)
+		}
+		return
+	}
+	is, ns := ca&^3, cb&^3
+	for i := 0; i < is; i += 4 {
+		j := 0
+		for ; j+8 <= ns; j += 8 {
+			sgemmRows4x8(&dst.Data[i*cb+j], cb, &a.Data[i], 1, ca, &b.Data[j], cb, rows)
+		}
+		if j < ns {
+			sgemmRows4x4(&dst.Data[i*cb+j], cb, &a.Data[i], 1, ca, &b.Data[j], cb, rows)
+		}
+	}
+	// The 1..3 columns the strips leave, for the rows they covered.
+	for j := ns; j < cb; j++ {
+		for r := 0; r < rows; r++ {
+			bv, ar := b.Data[r*cb+j], a.Data[r*ca:r*ca+is]
+			for i, av := range ar {
+				dst.Data[i*cb+j] += av * bv
+			}
+		}
+	}
+	var av [4]float32
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		bb := &b.Data[r*cb]
+		for i := is; i < ca; i++ {
+			av[0], av[1], av[2], av[3] = a.Data[r*ca+i], a.Data[(r+1)*ca+i], a.Data[(r+2)*ca+i], a.Data[(r+3)*ca+i]
+			saxpy4(&dst.Data[i*cb], bb, cb, &av, cb)
+		}
+	}
+	for ; r < rows; r++ {
+		bb := &b.Data[r*cb]
+		for i := is; i < ca; i++ {
+			saxpy1(&dst.Data[i*cb], bb, a.Data[r*ca+i], cb)
+		}
+	}
+}
+
+// abtStage bounds the b of a*bᵀ that mulABTAsm32 transposes onto its
+// stack, in elements: every weight matrix of the Bellamy MLPs fits (the
+// largest, the encoder's 40x8, has 320). The stage is zeroed on every
+// call, so it is no larger than that needs.
+const abtStage = 512
+
+// mulABTAsm32 computes a*bᵀ into dst. A small b — the weights of an
+// input gradient dX = dY·Wᵀ — is transposed once onto the stack, and the
+// product runs as a*(bᵀ) through mulRows32's register-tiled strips. A
+// larger one runs sdot4: 4 dot products against 4 consecutive b rows
+// per pass over the a row.
+func mulABTAsm32(dst, a, b *DenseF32) {
+	nb := b.Rows
+	k := a.Cols
+	if nb*k <= abtStage {
+		var stage [abtStage]float32
+		bt := DenseF32{Rows: k, Cols: nb, Data: stage[:k*nb]}
+		for j := 0; j < nb; j++ {
+			for p, v := range b.Data[j*k : (j+1)*k] {
+				bt.Data[p*nb+j] = v
+			}
+		}
+		clear(dst.Data)
+		mulRows32(dst, a, &bt, 0, a.Rows)
+		return
+	}
+	for i := 0; i < a.Rows; i++ {
+		ar := a.Row(i)
+		or := dst.Row(i)
+		j := 0
+		for ; j+4 <= nb; j += 4 {
+			or[j], or[j+1], or[j+2], or[j+3] = sdot4(&ar[0], &b.Data[j*k], k, k)
+		}
+		for ; j < nb; j++ {
+			or[j] = dot32(ar, b.Row(j))
+		}
+	}
 }

@@ -20,9 +20,9 @@ type Activation interface {
 	// Name identifies the activation for serialization and debugging.
 	Name() string
 	// Apply computes the activation for a pre-activation value.
-	Apply(x float64) float64
+	Apply(x float32) float32
 	// DerivFromOutput returns d act/d x given y = act(x).
-	DerivFromOutput(y float64) float64
+	DerivFromOutput(y float32) float32
 }
 
 // SELU is the scaled exponential linear unit.
@@ -31,21 +31,21 @@ type SELU struct{}
 // Name implements Activation.
 func (SELU) Name() string { return "selu" }
 
-// Apply implements Activation.
-func (SELU) Apply(x float64) float64 {
+// Apply implements Activation: the value mat.Selu32's plain arm gives.
+func (SELU) Apply(x float32) float32 {
 	if x > 0 {
-		return SELULambda * x
+		return seluLambda32 * x
 	}
-	return SELULambda * SELUAlpha * (math.Exp(x) - 1)
+	return seluLambdaAlpha32 * float32(math.Expm1(float64(x)))
 }
 
 // DerivFromOutput implements Activation: for y = selu(x), d/dx = lambda
 // when x > 0 (iff y > 0), else lambda*alpha*e^x = y + lambda*alpha.
-func (SELU) DerivFromOutput(y float64) float64 {
+func (SELU) DerivFromOutput(y float32) float32 {
 	if y > 0 {
-		return SELULambda
+		return seluLambda32
 	}
-	return y + seluLambdaAlpha
+	return y + seluLambdaAlpha32
 }
 
 // Tanh is the hyperbolic tangent, used by the last decoder layer to match
@@ -56,10 +56,10 @@ type Tanh struct{}
 func (Tanh) Name() string { return "tanh" }
 
 // Apply implements Activation.
-func (Tanh) Apply(x float64) float64 { return math.Tanh(x) }
+func (Tanh) Apply(x float32) float32 { return float32(math.Tanh(float64(x))) }
 
 // DerivFromOutput implements Activation: d tanh/dx = 1 - tanh(x)^2.
-func (Tanh) DerivFromOutput(y float64) float64 { return 1 - y*y }
+func (Tanh) DerivFromOutput(y float32) float32 { return 1 - y*y }
 
 // ReLU is the rectified linear unit (used by ablation benches).
 type ReLU struct{}
@@ -68,7 +68,7 @@ type ReLU struct{}
 func (ReLU) Name() string { return "relu" }
 
 // Apply implements Activation.
-func (ReLU) Apply(x float64) float64 {
+func (ReLU) Apply(x float32) float32 {
 	if x > 0 {
 		return x
 	}
@@ -77,7 +77,7 @@ func (ReLU) Apply(x float64) float64 {
 
 // DerivFromOutput implements Activation: relu passes gradient iff the
 // output is positive.
-func (ReLU) DerivFromOutput(y float64) float64 {
+func (ReLU) DerivFromOutput(y float32) float32 {
 	if y > 0 {
 		return 1
 	}
@@ -91,10 +91,10 @@ type Identity struct{}
 func (Identity) Name() string { return "identity" }
 
 // Apply implements Activation.
-func (Identity) Apply(x float64) float64 { return x }
+func (Identity) Apply(x float32) float32 { return x }
 
 // DerivFromOutput implements Activation.
-func (Identity) DerivFromOutput(y float64) float64 { return 1 }
+func (Identity) DerivFromOutput(y float32) float32 { return 1 }
 
 // ActivationByName resolves a serialized activation name, panicking on
 // a name LookupActivation does not know.
@@ -122,141 +122,60 @@ func LookupActivation(name string) (Activation, bool) {
 	return nil, false
 }
 
-// seluLambdaAlpha is lambda*alpha as the SELU kernels and the scalar
-// SELU derivative both use it.
-const seluLambdaAlpha = SELULambda * SELUAlpha
+// SELU constants rounded to float32, as the kernels use them.
+const (
+	seluLambda32      float32 = SELULambda
+	seluLambdaAlpha32 float32 = SELULambda * SELUAlpha
+)
 
-// fusedBiasActInPlace is the forward epilogue of a linear layer with a
-// non-identity activation: it adds the (optional) bias row vector and
-// applies the activation, overwriting pre with the activated output,
-// which doubles as the cache the backward pass takes the derivative
-// from. Under the asm kernel family, SELU and tanh run on mat's 4-lane
-// kernels over the whole output, after the bias is added in its own
-// pass. Otherwise (the plain family, and ReLU) one pass adds the bias
-// and applies the activation per element, specialized per concrete
-// activation so the per-element calls devirtualize and inline.
-func fusedBiasActInPlace(act Activation, pre *mat.Dense, bias []float64) {
-	if mat.ActKernels() {
-		switch act.(type) {
-		case SELU:
-			addBias(pre, bias)
-			mat.Selu64(pre.Data, SELULambda, seluLambdaAlpha)
-			return
-		case Tanh:
-			addBias(pre, bias)
-			mat.Tanh64(pre.Data)
-			return
-		}
-	}
-	if bias == nil {
-		switch a := act.(type) {
-		case SELU:
-			for i, v := range pre.Data {
-				pre.Data[i] = a.Apply(v)
-			}
-		case Tanh:
-			for i, v := range pre.Data {
-				pre.Data[i] = math.Tanh(v)
-			}
-		case ReLU:
-			for i, v := range pre.Data {
-				pre.Data[i] = a.Apply(v)
-			}
-		default:
-			panic("nn: no forward epilogue for activation " + act.Name())
-		}
-		return
-	}
-	for r := 0; r < pre.Rows; r++ {
-		pr := pre.Row(r)
-		switch a := act.(type) {
-		case SELU:
-			for j, b := range bias {
-				pr[j] = a.Apply(pr[j] + b)
-			}
-		case Tanh:
-			for j, b := range bias {
-				pr[j] = math.Tanh(pr[j] + b)
-			}
-		case ReLU:
-			for j, b := range bias {
-				pr[j] = a.Apply(pr[j] + b)
-			}
-		default:
-			panic("nn: no forward epilogue for activation " + act.Name())
-		}
-	}
-}
-
-// addBias adds the bias row vector to every row of m; a nil bias adds
-// nothing.
-func addBias(m *mat.Dense, bias []float64) {
+// biasActInPlace is the forward epilogue of a linear layer: it adds the
+// (optional) bias row vector and applies the activation, overwriting
+// pre with the activated output, which doubles as the cache the
+// backward pass takes the derivative from. SELU and tanh run on mat's
+// kernels over the whole output (8 lanes a step under the asm family);
+// ReLU is a loop here.
+func biasActInPlace(act Activation, pre *mat.DenseF32, bias []float32) {
 	if bias != nil {
-		mat.AddRowVecTo(m, m, bias)
+		mat.AddRowVecToF32(pre, pre, bias)
+	}
+	switch act.(type) {
+	case Identity:
+	case SELU:
+		mat.Selu32(pre.Data, seluLambda32, seluLambdaAlpha32)
+	case Tanh:
+		mat.Tanh32(pre.Data)
+	case ReLU:
+		for i, v := range pre.Data {
+			pre.Data[i] = max(v, 0)
+		}
+	default:
+		panic("nn: no forward epilogue for activation " + act.Name())
 	}
 }
 
-// fusedActGradFromOut is the backward epilogue of a linear layer with a
+// actGradFromOut is the backward epilogue of a linear layer with a
 // non-identity activation: dpre = grad ⊙ act'(out), the derivative taken
 // from the cached output, and, when biasGrad is non-nil, the bias
-// gradient's column sums, accumulated in row order. Under the asm
-// kernel family SELU's branchy derivative runs on mat's 4-lane kernel
-// (bit-identical to the scalar arm) and the column sums follow in their
-// own pass; otherwise one pass does both.
-func fusedActGradFromOut(act Activation, grad, out, dpre *mat.Dense, biasGrad []float64) {
-	if _, selu := act.(SELU); selu && mat.ActKernels() {
-		mat.SeluGrad64(dpre.Data, grad.Data, out.Data, SELULambda, seluLambdaAlpha)
-		if biasGrad != nil {
-			mat.ColSumsAcc(biasGrad, dpre)
+// gradient's column sums, accumulated in row order. SELU's branchy
+// derivative runs on mat's kernel (bit-identical across the families).
+func actGradFromOut(act Activation, grad, out, dpre *mat.DenseF32, biasGrad []float32) {
+	g, o, d := grad.Data, out.Data[:len(grad.Data)], dpre.Data[:len(grad.Data)]
+	switch a := act.(type) {
+	case SELU:
+		mat.SeluGrad32(d, g, o, seluLambda32, seluLambdaAlpha32)
+	case Tanh:
+		for i, gv := range g {
+			d[i] = gv * a.DerivFromOutput(o[i])
 		}
-		return
+	case ReLU:
+		for i, gv := range g {
+			d[i] = gv * a.DerivFromOutput(o[i])
+		}
+	default:
+		panic("nn: no backward epilogue for activation " + act.Name())
 	}
-	if biasGrad == nil {
-		o := out.Data
-		switch a := act.(type) {
-		case SELU:
-			for i, g := range grad.Data {
-				dpre.Data[i] = g * a.DerivFromOutput(o[i])
-			}
-		case Tanh:
-			for i, g := range grad.Data {
-				dpre.Data[i] = g * a.DerivFromOutput(o[i])
-			}
-		case ReLU:
-			for i, g := range grad.Data {
-				dpre.Data[i] = g * a.DerivFromOutput(o[i])
-			}
-		default:
-			panic("nn: no backward epilogue for activation " + act.Name())
-		}
-		return
-	}
-	for r := 0; r < grad.Rows; r++ {
-		gr := grad.Row(r)
-		or := out.Row(r)
-		dr := dpre.Row(r)
-		switch a := act.(type) {
-		case SELU:
-			for j, g := range gr {
-				d := g * a.DerivFromOutput(or[j])
-				dr[j] = d
-				biasGrad[j] += d
-			}
-		case Tanh:
-			for j, g := range gr {
-				d := g * a.DerivFromOutput(or[j])
-				dr[j] = d
-				biasGrad[j] += d
-			}
-		case ReLU:
-			for j, g := range gr {
-				d := g * a.DerivFromOutput(or[j])
-				dr[j] = d
-				biasGrad[j] += d
-			}
-		default:
-			panic("nn: no backward epilogue for activation " + act.Name())
-		}
+	if biasGrad != nil {
+		mat.ColSumsAccF32(biasGrad, dpre)
 	}
 }
 
@@ -270,10 +189,12 @@ type AlphaDropout struct {
 	Rng *rand.Rand
 
 	// slope is d out/d in per unit of the last training-mode Forward:
-	// the affine scale for a kept unit, 0 for a dropped one. The buffer
-	// outlives identity passes, which only clear dropping, so an eval
-	// pass between two training steps costs the next step nothing.
-	slope    []float64
+	// the affine scale for a kept unit, 0 for a dropped one; words holds
+	// that pass's draws. The buffers outlive identity passes, which only
+	// clear dropping, so an eval pass between two training steps costs
+	// the next step nothing.
+	slope    []float32
+	words    []uint64
 	dropping bool // the last Forward dropped units
 }
 
@@ -290,75 +211,40 @@ const alphaPrime = -SELULambda * SELUAlpha
 //
 // One 64-bit draw decides four units, 16 bits each (a unit is kept when
 // its field is below q·2¹⁶, so the keep probability is q to within
-// 2⁻¹⁶), and the keep/drop choice is arithmetic, not a branch: a drop
-// rate of 10 % is a mispredicted branch every tenth unit. The four units
-// of a draw are one unrolled step; a last draw serves the 1–3 units left
-// over.
-func (l *AlphaDropout) Forward(ws *mat.Workspace, x *mat.Dense, train bool) *mat.Dense {
+// 2⁻¹⁶): the pass draws its words first, a last one for the 1–3 units
+// left over, and mat.AlphaDropout32 applies them, 8 units a step under
+// the asm family. The keep/drop choice is arithmetic, not a branch: a
+// drop rate of 10 % is a mispredicted branch every tenth unit. The
+// affine constants are computed in float64 and rounded once.
+func (l *AlphaDropout) Forward(ws *mat.WorkspaceF32, x *mat.DenseF32, train bool) *mat.DenseF32 {
 	l.dropping = train && l.P > 0
 	if !l.dropping {
 		return x
 	}
 	q := 1 - l.P
 	a := 1 / math.Sqrt(q+alphaPrime*alphaPrime*q*l.P)
-	dropped := a*alphaPrime - a*l.P*alphaPrime // a·α' + b with b = -a·P·α'
+	dropped := float32(a*alphaPrime - a*l.P*alphaPrime) // a·α' + b with b = -a·P·α'
 	n := len(x.Data)
 	if cap(l.slope) < n {
-		l.slope = make([]float64, n)
+		l.slope = make([]float32, n)
+		l.words = make([]uint64, (n+3)/4)
 	}
-	l.slope = l.slope[:n]
+	l.slope, l.words = l.slope[:n], l.words[:(n+3)/4]
+	for i := range l.words {
+		l.words[i] = l.Rng.Uint64()
+	}
 	out := ws.GetRaw(x.Rows, x.Cols)
-	keepBelow := uint64(q * (1 << 16))
-	aBits := math.Float64bits(a)
-	// A unit's slope is a's bits masked by the sign of (field −
-	// keepBelow), which wraps to a set top bit exactly when the unit is
-	// kept: a when kept, +0 when dropped.
-	slope := func(field uint64) float64 {
-		return math.Float64frombits(aBits & uint64(int64(field-keepBelow)>>63))
-	}
-	xs, ys, ks := x.Data[:n], out.Data[:n], l.slope
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		bits := l.Rng.Uint64()
-		k0, k1 := slope(bits&0xffff), slope(bits>>16&0xffff)
-		k2, k3 := slope(bits>>32&0xffff), slope(bits>>48)
-		v, y, k := xs[i:i+4:i+4], ys[i:i+4:i+4], ks[i:i+4:i+4]
-		y0, y1 := k0*(v[0]-alphaPrime)+dropped, k1*(v[1]-alphaPrime)+dropped
-		y2, y3 := k2*(v[2]-alphaPrime)+dropped, k3*(v[3]-alphaPrime)+dropped
-		k[0], k[1], k[2], k[3] = k0, k1, k2, k3
-		y[0], y[1], y[2], y[3] = y0, y1, y2, y3
-	}
-	if i < n {
-		bits := l.Rng.Uint64()
-		for ; i < n; i++ {
-			k := slope(bits & 0xffff)
-			bits >>= 16
-			ks[i] = k
-			ys[i] = k*(xs[i]-alphaPrime) + dropped
-		}
-	}
+	mat.AlphaDropout32(out.Data, l.slope, x.Data, l.words, uint32(q*(1<<16)), float32(a), alphaPrime, dropped)
 	return out
 }
 
 // Backward implements Layer.
-func (l *AlphaDropout) Backward(ws *mat.Workspace, grad *mat.Dense) *mat.Dense {
+func (l *AlphaDropout) Backward(ws *mat.WorkspaceF32, grad *mat.DenseF32) *mat.DenseF32 {
 	if !l.dropping {
 		return grad
 	}
 	out := ws.GetRaw(grad.Rows, grad.Cols)
-	n := len(grad.Data)
-	gs, ys, ks := grad.Data, out.Data[:n], l.slope[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		g, y, k := gs[i:i+4:i+4], ys[i:i+4:i+4], ks[i:i+4:i+4]
-		y[0] = g[0] * k[0]
-		y[1] = g[1] * k[1]
-		y[2] = g[2] * k[2]
-		y[3] = g[3] * k[3]
-	}
-	for ; i < n; i++ {
-		ys[i] = gs[i] * ks[i]
-	}
+	mat.MulElems32(out.Data, grad.Data, l.slope[:len(grad.Data)])
 	return out
 }
 

@@ -13,24 +13,24 @@ import (
 // a fresh 64-bit draw for every fourth unit, 16 bits of it per unit, a
 // unit kept when its field is below q·2¹⁶. It returns the output and
 // the slope d out/d in per unit.
-func dropoutRef(p float64, rng *rand.Rand, x []float64) (out, slope []float64) {
+func dropoutRef(p float64, rng *rand.Rand, x []float32) (out, slope []float32) {
 	q := 1 - p
 	a := 1 / math.Sqrt(q+alphaPrime*alphaPrime*q*p)
-	dropped := a*alphaPrime - a*p*alphaPrime
+	dropped := float32(a*alphaPrime - a*p*alphaPrime)
 	keepBelow := uint64(q * (1 << 16))
-	out, slope = make([]float64, len(x)), make([]float64, len(x))
+	out, slope = make([]float32, len(x)), make([]float32, len(x))
 	var bits uint64
 	for i, v := range x {
 		if i%4 == 0 {
 			bits = rng.Uint64()
 		}
-		k := 0.0
+		var k float32
 		if bits&0xffff < keepBelow {
-			k = a
+			k = float32(a)
 		}
 		bits >>= 16
 		slope[i] = k
-		out[i] = k*(v-alphaPrime) + dropped
+		out[i] = k*(v-float32(alphaPrime)) + dropped
 	}
 	return out, slope
 }
@@ -52,10 +52,10 @@ func TestAlphaDropoutMatchesRef(t *testing.T) {
 			out := d.Forward(nil, x, true)
 			back := d.Backward(nil, g)
 			for i := range x.Data {
-				if math.Float64bits(out.Data[i]) != math.Float64bits(wantOut[i]) {
+				if math.Float32bits(out.Data[i]) != math.Float32bits(wantOut[i]) {
 					t.Fatalf("%s: out[%d] = %v, reference %v", name, i, out.Data[i], wantOut[i])
 				}
-				if want := g.Data[i] * slope[i]; math.Float64bits(back.Data[i]) != math.Float64bits(want) {
+				if want := g.Data[i] * slope[i]; math.Float32bits(back.Data[i]) != math.Float32bits(want) {
 					t.Fatalf("%s: grad[%d] = %v, reference %v", name, i, back.Data[i], want)
 				}
 			}
@@ -69,7 +69,7 @@ func BenchmarkAlphaDropout(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x, g := randDense(rng, 224, 8), randDense(rng, 224, 8)
 	d := NewAlphaDropout(0.1, rng)
-	w := mat.NewWorkspace()
+	w := mat.NewWorkspaceF32()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w.Reset()

@@ -36,25 +36,26 @@ func (s InitScheme) String() string {
 }
 
 // InitDense fills m (treated as a fanIn x fanOut weight matrix) according
-// to the chosen scheme using rng for reproducibility.
-func InitDense(m *mat.Dense, scheme InitScheme, rng *rand.Rand) {
+// to the chosen scheme using rng for reproducibility. Each weight is
+// drawn in float64 and rounded once.
+func InitDense(m *mat.DenseF32, scheme InitScheme, rng *rand.Rand) {
 	fanIn := float64(m.Rows)
 	fanOut := float64(m.Cols)
 	switch scheme {
 	case InitHe:
 		std := math.Sqrt(2 / fanIn)
 		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64() * std
+			m.Data[i] = float32(rng.NormFloat64() * std)
 		}
 	case InitLeCun:
 		std := math.Sqrt(1 / fanIn)
 		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64() * std
+			m.Data[i] = float32(rng.NormFloat64() * std)
 		}
 	case InitXavier:
 		a := math.Sqrt(6 / (fanIn + fanOut))
 		for i := range m.Data {
-			m.Data[i] = (rng.Float64()*2 - 1) * a
+			m.Data[i] = float32((rng.Float64()*2 - 1) * a)
 		}
 	default:
 		panic("nn: unknown init scheme")

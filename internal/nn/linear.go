@@ -19,8 +19,8 @@ import (
 // training step, before the forward pass. A nil workspace is allowed and
 // falls back to allocating.
 type Layer interface {
-	Forward(ws *mat.Workspace, x *mat.Dense, train bool) *mat.Dense
-	Backward(ws *mat.Workspace, grad *mat.Dense) *mat.Dense
+	Forward(ws *mat.WorkspaceF32, x *mat.DenseF32, train bool) *mat.DenseF32
+	Backward(ws *mat.WorkspaceF32, grad *mat.DenseF32) *mat.DenseF32
 	Params() []*Param
 }
 
@@ -37,10 +37,10 @@ type LinearAct struct {
 	B       *Param // nil when the layer has no bias
 	Act     Activation
 
-	input *mat.Dense
+	input *mat.DenseF32
 	// cache is the activated output Backward takes the derivative from;
 	// nil for Identity, whose derivative is constant.
-	cache *mat.Dense
+	cache *mat.DenseF32
 }
 
 // NewLinearAct constructs a fused linear+activation layer.
@@ -54,52 +54,53 @@ func NewLinearAct(name string, in, out int, withBias bool, act Activation, schem
 }
 
 // Forward implements Layer.
-func (l *LinearAct) Forward(ws *mat.Workspace, x *mat.Dense, train bool) *mat.Dense {
+func (l *LinearAct) Forward(ws *mat.WorkspaceF32, x *mat.DenseF32, train bool) *mat.DenseF32 {
 	if x.Cols != l.In {
 		panic(fmt.Sprintf("nn: LinearAct %s input cols %d != in %d", l.W.Name, x.Cols, l.In))
 	}
 	l.input = x
-	pre := ws.GetRaw(x.Rows, l.Out)
-	mat.MulTo(pre, x, l.W.Value)
+	pre := l.eval(ws, x)
+	// The output doubles as the derivative cache; Identity's derivative
+	// is constant and needs none.
+	l.cache = pre
 	if _, id := l.Act.(Identity); id {
-		// Identity needs no cache and no second buffer: the bias (if
-		// any) is added in place and pre is the output.
 		l.cache = nil
-		if l.B != nil {
-			mat.AddRowVecTo(pre, pre, l.B.Value.Row(0))
-		}
-		return pre
 	}
-	var bias []float64
+	return pre
+}
+
+// eval is the layer's forward arithmetic: the product, then the bias
+// and the activation in place on it, one buffer.
+func (l *LinearAct) eval(ws *mat.WorkspaceF32, x *mat.DenseF32) *mat.DenseF32 {
+	pre := ws.GetRaw(x.Rows, l.Out)
+	mat.MulToF32(pre, x, l.W.Value)
+	var bias []float32
 	if l.B != nil {
 		bias = l.B.Value.Row(0)
 	}
-	// Bias and activation applied in place, one buffer; the output
-	// doubles as the derivative cache.
-	fusedBiasActInPlace(l.Act, pre, bias)
-	l.cache = pre
+	biasActInPlace(l.Act, pre, bias)
 	return pre
 }
 
 // Backward implements Layer.
-func (l *LinearAct) Backward(ws *mat.Workspace, grad *mat.Dense) *mat.Dense {
+func (l *LinearAct) Backward(ws *mat.WorkspaceF32, grad *mat.DenseF32) *mat.DenseF32 {
 	dpre := l.backwardParams(ws, grad)
 	// dx = dpre * Wᵀ
 	dx := ws.GetRaw(grad.Rows, l.In)
-	mat.MulABTTo(dx, dpre, l.W.Value)
+	mat.MulABTToF32(dx, dpre, l.W.Value)
 	return dx
 }
 
 // BackwardParams is Backward without the input gradient, for a layer
 // whose input is data: nobody consumes dx, and its GEMM is a third of
 // the layer's backward cost.
-func (l *LinearAct) BackwardParams(ws *mat.Workspace, grad *mat.Dense) {
+func (l *LinearAct) BackwardParams(ws *mat.WorkspaceF32, grad *mat.DenseF32) {
 	l.backwardParams(ws, grad)
 }
 
 // backwardParams accumulates the weight and bias gradients and returns
 // the pre-activation gradient the input gradient is computed from.
-func (l *LinearAct) backwardParams(ws *mat.Workspace, grad *mat.Dense) *mat.Dense {
+func (l *LinearAct) backwardParams(ws *mat.WorkspaceF32, grad *mat.DenseF32) *mat.DenseF32 {
 	if l.input == nil {
 		panic("nn: LinearAct.Backward before Forward")
 	}
@@ -108,17 +109,17 @@ func (l *LinearAct) backwardParams(ws *mat.Workspace, grad *mat.Dense) *mat.Dens
 	}
 	dpre := grad
 	if _, id := l.Act.(Identity); !id {
-		var biasGrad []float64
+		var biasGrad []float32
 		if l.B != nil {
 			biasGrad = l.B.Grad.Row(0)
 		}
 		dpre = ws.GetRaw(grad.Rows, l.Out)
-		fusedActGradFromOut(l.Act, grad, l.cache, dpre, biasGrad)
+		actGradFromOut(l.Act, grad, l.cache, dpre, biasGrad)
 	} else if l.B != nil {
-		mat.ColSumsAcc(l.B.Grad.Row(0), grad)
+		mat.ColSumsAccF32(l.B.Grad.Row(0), grad)
 	}
 	// dW += xᵀ * dpre, straight into the parameter gradient.
-	mat.MulATBAcc(l.W.Grad, l.input, dpre)
+	mat.MulATBAccF32(l.W.Grad, l.input, dpre)
 	return dpre
 }
 
@@ -145,8 +146,29 @@ type MLP struct {
 // NewMLP wraps layers into a network.
 func NewMLP(layers ...Layer) *MLP { return &MLP{Layers: layers} }
 
+// Infer runs the network forward in evaluation mode without touching
+// any layer's backward-pass cache: dropout is the identity, and every
+// linear layer runs the arithmetic Forward runs, so its output is
+// Forward(ws, x, false)'s to the bit. It is the serving pass, safe on a
+// network whose caches belong to a training pass in progress elsewhere.
+func (m *MLP) Infer(ws *mat.WorkspaceF32, x *mat.DenseF32) *mat.DenseF32 {
+	for _, l := range m.Layers {
+		switch l := l.(type) {
+		case *LinearAct:
+			if x.Cols != l.In {
+				panic(fmt.Sprintf("nn: LinearAct %s input cols %d != in %d", l.W.Name, x.Cols, l.In))
+			}
+			x = l.eval(ws, x)
+		case *AlphaDropout:
+		default:
+			x = l.Forward(ws, x, false)
+		}
+	}
+	return x
+}
+
 // Forward implements Layer by chaining all constituent layers.
-func (m *MLP) Forward(ws *mat.Workspace, x *mat.Dense, train bool) *mat.Dense {
+func (m *MLP) Forward(ws *mat.WorkspaceF32, x *mat.DenseF32, train bool) *mat.DenseF32 {
 	for _, l := range m.Layers {
 		x = l.Forward(ws, x, train)
 	}
@@ -154,7 +176,7 @@ func (m *MLP) Forward(ws *mat.Workspace, x *mat.Dense, train bool) *mat.Dense {
 }
 
 // Backward implements Layer by back-propagating through all layers.
-func (m *MLP) Backward(ws *mat.Workspace, grad *mat.Dense) *mat.Dense {
+func (m *MLP) Backward(ws *mat.WorkspaceF32, grad *mat.DenseF32) *mat.DenseF32 {
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		grad = m.Layers[i].Backward(ws, grad)
 	}
@@ -163,13 +185,13 @@ func (m *MLP) Backward(ws *mat.Workspace, grad *mat.Dense) *mat.Dense {
 
 // paramsBackwarder is a layer that can skip its input gradient.
 type paramsBackwarder interface {
-	BackwardParams(ws *mat.Workspace, grad *mat.Dense)
+	BackwardParams(ws *mat.WorkspaceF32, grad *mat.DenseF32)
 }
 
 // BackwardParams is Backward for a network whose input is data: the
 // first layer accumulates its parameter gradients and computes no
 // input gradient.
-func (m *MLP) BackwardParams(ws *mat.Workspace, grad *mat.Dense) {
+func (m *MLP) BackwardParams(ws *mat.WorkspaceF32, grad *mat.DenseF32) {
 	for i := len(m.Layers) - 1; i > 0; i-- {
 		grad = m.Layers[i].Backward(ws, grad)
 	}
@@ -178,7 +200,7 @@ func (m *MLP) BackwardParams(ws *mat.Workspace, grad *mat.Dense) {
 
 // backwardFirst runs the first layer's backward pass without the input
 // gradient where the layer can skip it.
-func (m *MLP) backwardFirst(ws *mat.Workspace, grad *mat.Dense) {
+func (m *MLP) backwardFirst(ws *mat.WorkspaceF32, grad *mat.DenseF32) {
 	if l, ok := m.Layers[0].(paramsBackwarder); ok {
 		l.BackwardParams(ws, grad)
 		return
@@ -193,7 +215,7 @@ func (m *MLP) backwardFirst(ws *mat.Workspace, grad *mat.Dense) {
 // the gathered rows. With many occurrences of few distinct rows — many
 // executions of few contexts — the first layer's work shrinks by the
 // repeat factor. rows must stay untouched until BackwardRows.
-func (m *MLP) ForwardRows(ws *mat.Workspace, x *mat.Dense, rows []int32, train bool) *mat.Dense {
+func (m *MLP) ForwardRows(ws *mat.WorkspaceF32, x *mat.DenseF32, rows []int32, train bool) *mat.DenseF32 {
 	m.rows, m.distinct = rows, x.Rows
 	hu := m.Layers[0].Forward(ws, x, train)
 	h := ws.GetRaw(len(rows), hu.Cols)
@@ -212,7 +234,7 @@ func (m *MLP) ForwardRows(ws *mat.Workspace, x *mat.Dense, rows []int32, train b
 // which is exact by linearity (only the summation order differs from
 // Backward on the expanded matrix). The input is data, so no input
 // gradient is computed.
-func (m *MLP) BackwardRows(ws *mat.Workspace, grad *mat.Dense) {
+func (m *MLP) BackwardRows(ws *mat.WorkspaceF32, grad *mat.DenseF32) {
 	for i := len(m.Layers) - 1; i > 0; i-- {
 		grad = m.Layers[i].Backward(ws, grad)
 	}
@@ -232,10 +254,10 @@ func (m *MLP) BackwardRows(ws *mat.Workspace, grad *mat.Dense) {
 // i-th row is targets.Row(rows[i]), and its backward pass scaled by
 // weight. The layers before the last run forward in training mode and
 // backward as usual; the last layer and the loss are one
-// mat.ReconHead64 pass, so the decoder's output and its gradient never
+// mat.ReconHead32 pass, so the decoder's output and its gradient never
 // exist as matrices. It accumulates the parameter gradients and returns
 // the (unweighted) error and weight times its gradient w.r.t. codes.
-func (m *MLP) ReconLossRows(ws *mat.Workspace, codes, targets *mat.Dense, rows []int32, weight float64) (float64, *mat.Dense) {
+func (m *MLP) ReconLossRows(ws *mat.WorkspaceF32, codes, targets *mat.DenseF32, rows []int32, weight float64) (float64, *mat.DenseF32) {
 	last, ok := m.Layers[len(m.Layers)-1].(*LinearAct)
 	if _, tanh := last.Act.(Tanh); !ok || !tanh || last.B != nil {
 		panic("nn: ReconLossRows needs a decoder ending in a bias-free tanh LinearAct")
@@ -253,7 +275,7 @@ func (m *MLP) ReconLossRows(ws *mat.Workspace, codes, targets *mat.Dense, rows [
 	grad := ws.GetRaw(hid.Rows, last.In)
 	var loss float64
 	if n := float64(len(rows) * last.Out); n > 0 {
-		loss = mat.ReconHead64(grad, hid, last.W.Value, last.W.Grad, targets, rows, 2*weight/n) / n
+		loss = mat.ReconHead32(grad, hid, last.W.Value, last.W.Grad, targets, rows, float32(2*weight/n)) / n
 	}
 	for i := len(m.Layers) - 2; i >= 0; i-- {
 		grad = m.Layers[i].Backward(ws, grad)
@@ -286,7 +308,7 @@ func (m *MLP) Replica(rng *rand.Rand) *MLP {
 		if p == nil {
 			return nil
 		}
-		return &Param{Name: p.Name, Value: p.Value, Grad: mat.NewDense(p.Grad.Rows, p.Grad.Cols), Frozen: p.Frozen}
+		return &Param{Name: p.Name, Value: p.Value, Grad: mat.NewDenseF32(p.Grad.Rows, p.Grad.Cols), Frozen: p.Frozen}
 	}
 	r := &MLP{Layers: make([]Layer, len(m.Layers))}
 	for i, l := range m.Layers {

@@ -10,11 +10,13 @@ import (
 // Loss computes a scalar loss and the gradient of the mean loss with
 // respect to the prediction matrix. The gradient buffer comes from the
 // caller's workspace (valid until its next Reset); a nil workspace
-// allocates.
+// allocates. Each element's error and gradient are taken in float64 from
+// the float32 operands and the gradient rounded once; the loss is summed
+// in float64.
 type Loss interface {
 	Name() string
 	// Compute returns the mean loss over all elements and dLoss/dPred.
-	Compute(ws *mat.Workspace, pred, target *mat.Dense) (float64, *mat.Dense)
+	Compute(ws *mat.WorkspaceF32, pred, target *mat.DenseF32) (float64, *mat.DenseF32)
 }
 
 // MSELoss is the mean squared error, the auto-encoder's reconstruction
@@ -26,15 +28,15 @@ type MSELoss struct{}
 func (MSELoss) Name() string { return "mse" }
 
 // Compute implements Loss.
-func (MSELoss) Compute(ws *mat.Workspace, pred, target *mat.Dense) (float64, *mat.Dense) {
+func (MSELoss) Compute(ws *mat.WorkspaceF32, pred, target *mat.DenseF32) (float64, *mat.DenseF32) {
 	checkLossShapes("mse", pred, target)
 	n := float64(len(pred.Data))
 	grad := ws.GetRaw(pred.Rows, pred.Cols)
 	var sum float64
 	for i, p := range pred.Data {
-		d := p - target.Data[i]
+		d := float64(p) - float64(target.Data[i])
 		sum += d * d
-		grad.Data[i] = 2 * d / n
+		grad.Data[i] = float32(2 * d / n)
 	}
 	return sum / n, grad
 }
@@ -52,7 +54,7 @@ type HuberLoss struct {
 func (HuberLoss) Name() string { return "huber" }
 
 // Compute implements Loss.
-func (h HuberLoss) Compute(ws *mat.Workspace, pred, target *mat.Dense) (float64, *mat.Dense) {
+func (h HuberLoss) Compute(ws *mat.WorkspaceF32, pred, target *mat.DenseF32) (float64, *mat.DenseF32) {
 	checkLossShapes("huber", pred, target)
 	delta := h.Delta
 	if delta == 0 {
@@ -62,17 +64,13 @@ func (h HuberLoss) Compute(ws *mat.Workspace, pred, target *mat.Dense) (float64,
 	grad := ws.GetRaw(pred.Rows, pred.Cols)
 	var sum float64
 	for i, p := range pred.Data {
-		d := p - target.Data[i]
+		d := float64(p) - float64(target.Data[i])
 		if math.Abs(d) <= delta {
 			sum += 0.5 * d * d
-			grad.Data[i] = d / n
+			grad.Data[i] = float32(d / n)
 		} else {
 			sum += delta * (math.Abs(d) - 0.5*delta)
-			if d > 0 {
-				grad.Data[i] = delta / n
-			} else {
-				grad.Data[i] = -delta / n
-			}
+			grad.Data[i] = float32(math.Copysign(delta, d) / n)
 		}
 	}
 	return sum / n, grad
@@ -80,19 +78,19 @@ func (h HuberLoss) Compute(ws *mat.Workspace, pred, target *mat.Dense) (float64,
 
 // MAE returns the mean absolute error between pred and target, the metric
 // Bellamy's fine-tuning stopping criterion is defined on.
-func MAE(pred, target *mat.Dense) float64 {
+func MAE(pred, target *mat.DenseF32) float64 {
 	checkLossShapes("mae", pred, target)
 	if len(pred.Data) == 0 {
 		return 0
 	}
 	var sum float64
 	for i, p := range pred.Data {
-		sum += math.Abs(p - target.Data[i])
+		sum += math.Abs(float64(p) - float64(target.Data[i]))
 	}
 	return sum / float64(len(pred.Data))
 }
 
-func checkLossShapes(name string, pred, target *mat.Dense) {
+func checkLossShapes(name string, pred, target *mat.DenseF32) {
 	if pred.Rows != target.Rows || pred.Cols != target.Cols {
 		panic(fmt.Sprintf("nn: %s loss shape mismatch %dx%d vs %dx%d",
 			name, pred.Rows, pred.Cols, target.Rows, target.Cols))

@@ -8,8 +8,7 @@ import (
 
 // Optimizer updates parameters from their accumulated gradients.
 type Optimizer interface {
-	// Step applies one update and leaves gradients untouched (call
-	// ZeroGrads afterwards).
+	// Step applies one update from the accumulated gradients.
 	Step(params []*Param)
 	// SetLR changes the learning rate (used by schedulers).
 	SetLR(lr float64)
@@ -17,32 +16,14 @@ type Optimizer interface {
 	LR() float64
 }
 
-// FusedStepper is an Optimizer whose update can fold gradient
-// clipping, the parameter update, and gradient zeroing into a single
-// sweep per parameter. Relative to the unfused
-// ZeroGrads/GradClip/Step sequence it eliminates three full memory
-// passes over the gradients per training step: the upfront zeroing
-// pass (gradients are re-zeroed as they are consumed), the clip
-// rescale pass (the clip factor is applied to each gradient as it is
-// read), and one of the two moment-buffer streams (first and second
-// moments are interleaved in one buffer). Callers must ensure
-// gradients are zero before the next backward pass accumulates — which
-// StepClipZero itself guarantees for every following step.
-type FusedStepper interface {
-	Optimizer
-	// StepClipZero rescales gradients so the global L2 norm over the
-	// trainable parameters does not exceed maxNorm (<= 0 disables
-	// clipping), applies one update, and leaves every gradient — frozen
-	// parameters included — zeroed.
-	StepClipZero(params []*Param, maxNorm float64)
-}
-
 // Adam implements the Adam optimizer with decoupled weight decay (AdamW
 // style), matching the paper's "Adam + weight decay" training setup.
 // Frozen parameters are skipped entirely, including their moment state.
-// The first and second moment estimates of each parameter live
-// interleaved in a single buffer ([m0 v0 m1 v1 ...]): one map lookup
-// and one sequential stream per parameter instead of two.
+// An update is one sweep per parameter (mat.AdamSweep32: 8 lanes a step
+// under the asm family) that reads each gradient once — the sum of a
+// split step's two shard gradients, scaled by the clip factor — updates
+// both moments and the weight, and zeroes the gradients it read, so they
+// are zero when the next backward pass accumulates.
 type Adam struct {
 	LearningRate float64
 	Beta1, Beta2 float64
@@ -50,7 +31,8 @@ type Adam struct {
 	WeightDecay  float64
 
 	t     int
-	state map[*Param][]float64
+	state map[*Param][]float32
+	coef  mat.AdamCoef
 }
 
 // NewAdam constructs an Adam optimizer with standard betas.
@@ -61,62 +43,98 @@ func NewAdam(lr, weightDecay float64) *Adam {
 		Beta2:        0.999,
 		Eps:          1e-8,
 		WeightDecay:  weightDecay,
-		state:        make(map[*Param][]float64),
+		state:        make(map[*Param][]float32),
 	}
 }
 
-// Step implements Optimizer.
-func (a *Adam) Step(params []*Param) {
-	a.t++
-	a.step(params, 1, false)
-}
+// Step implements Optimizer: one unclipped update, after which every
+// gradient of params is zero.
+func (a *Adam) Step(params []*Param) { a.StepShards(params, nil, 1, 0, 0) }
 
-// StepClipZero implements FusedStepper.
+// StepClipZero rescales gradients so the global L2 norm over the
+// trainable parameters does not exceed maxNorm (<= 0 disables
+// clipping), applies one update, and leaves every gradient — frozen
+// parameters included — zeroed.
 func (a *Adam) StepClipZero(params []*Param, maxNorm float64) {
-	scale := gradClipScale(params, maxNorm)
-	a.t++
-	a.step(params, scale, true)
+	a.StepShards(params, nil, 1, 0, maxNorm)
 }
 
-// step is the single-sweep update: per parameter it reads each
-// gradient once (pre-scaled by the clip factor), updates both moments
-// in the interleaved state buffer, applies the bias-corrected update
-// with decoupled weight decay, and optionally zeroes the gradient in
-// the same pass.
-func (a *Adam) step(params []*Param, gscale float64, zeroGrads bool) {
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	b1, b2 := a.Beta1, a.Beta2
-	lr, wd, eps := a.LearningRate, a.WeightDecay, a.Eps
-	for _, p := range params {
+// StepShards is StepClipZero on the gradient w0·g + w1·g', where g is
+// the gradient of params[k] and g' that of second[k]: the reduction of
+// a step's two shards, each holding the gradient of the mean loss over
+// its share of the batch and weighted by that share. The clip norm is
+// the reduced gradient's, and both gradients are left zero. A nil
+// second is a step of one shard (w0 should be 1). The sum is formed and
+// rounded the same way in every family and in a fixed order, so the
+// update is a function of the two gradients alone.
+func (a *Adam) StepShards(params, second []*Param, w0, w1 float32, maxNorm float64) {
+	a.t++
+	c := &a.coef
+	*c = mat.AdamCoef{
+		W0: w0, W1: w1,
+		B1: float32(a.Beta1), OneMinusB1: float32(1 - a.Beta1),
+		B2: float32(a.Beta2), OneMinusB2: float32(1 - a.Beta2),
+		BC1: float32(1 - math.Pow(a.Beta1, float64(a.t))),
+		BC2: float32(1 - math.Pow(a.Beta2, float64(a.t))),
+		Eps: float32(a.Eps), LR: float32(a.LearningRate), WDecay: float32(a.WeightDecay),
+	}
+	c.Scale = clipScale(params, second, w0, w1, maxNorm)
+	for k, p := range params {
+		g0 := p.Grad.Data
+		g1 := g0
+		if second != nil {
+			g1 = second[k].Grad.Data[:len(g0)]
+		}
 		if p.Frozen {
-			if zeroGrads {
-				p.Grad.Zero()
+			clear(g0)
+			clear(g1)
+			continue
+		}
+		st, ok := a.state[p]
+		if !ok {
+			st = make([]float32, mat.AdamStateLen(len(g0)))
+			a.state[p] = st
+		}
+		mat.AdamSweep32(p.Value.Data, g0, g1, st, c)
+	}
+}
+
+// clipScale returns the factor that caps the global L2 norm of the
+// trainable parameters' reduced gradients w0·g + w1·g' at max, or 1 when
+// no rescale is needed (or max <= 0). Each reduced element is rounded as
+// mat.AdamSweep32 rounds it, and the squares are summed in float64 in
+// parameter and element order. Frozen parameters are left out: their
+// gradient is never applied, so it must not shrink the step of the ones
+// that are — what clip_grad_norm_ does when frozen tensors carry no
+// gradient.
+func clipScale(params, second []*Param, w0, w1 float32, max float64) float32 {
+	if max <= 0 {
+		return 1
+	}
+	var sq float64
+	for k, p := range params {
+		if p.Frozen {
+			continue
+		}
+		g0 := p.Grad.Data
+		if second == nil {
+			for _, g := range g0 {
+				r := float64(float32(float32(w0*g) + float32(w1*g)))
+				sq += r * r
 			}
 			continue
 		}
-		gd := p.Grad.Data
-		st, ok := a.state[p]
-		if !ok {
-			st = make([]float64, 2*len(gd))
-			a.state[p] = st
-		}
-		st = st[: 2*len(gd) : 2*len(gd)]
-		vd := p.Value.Data
-		for i, g := range gd {
-			g *= gscale
-			m := b1*st[2*i] + (1-b1)*g
-			v := b2*st[2*i+1] + (1-b2)*g*g
-			st[2*i] = m
-			st[2*i+1] = v
-			upd := (m / bc1) / (math.Sqrt(v/bc2) + eps)
-			// Decoupled weight decay.
-			vd[i] -= lr * (upd + wd*vd[i])
-			if zeroGrads {
-				gd[i] = 0
-			}
+		g1 := second[k].Grad.Data[:len(g0)]
+		for i, g := range g0 {
+			r := float64(float32(float32(w0*g) + float32(w1*g1[i])))
+			sq += r * r
 		}
 	}
+	norm := math.Sqrt(sq)
+	if norm <= max {
+		return 1
+	}
+	return float32(max / norm)
 }
 
 // SetLR implements Optimizer.
@@ -129,7 +147,7 @@ func (a *Adam) LR() float64 { return a.LearningRate }
 // model components for the reset reuse strategies.
 func (a *Adam) ResetState() {
 	a.t = 0
-	a.state = make(map[*Param][]float64)
+	a.state = make(map[*Param][]float32)
 }
 
 // SGD is plain stochastic gradient descent with optional momentum, kept
@@ -139,12 +157,12 @@ type SGD struct {
 	Momentum     float64
 	WeightDecay  float64
 
-	vel map[*Param]*mat.Dense
+	vel map[*Param]*mat.DenseF32
 }
 
 // NewSGD constructs an SGD optimizer.
 func NewSGD(lr, momentum, weightDecay float64) *SGD {
-	return &SGD{LearningRate: lr, Momentum: momentum, WeightDecay: weightDecay, vel: make(map[*Param]*mat.Dense)}
+	return &SGD{LearningRate: lr, Momentum: momentum, WeightDecay: weightDecay, vel: make(map[*Param]*mat.DenseF32)}
 }
 
 // Step implements Optimizer.
@@ -155,13 +173,14 @@ func (s *SGD) Step(params []*Param) {
 		}
 		vel, ok := s.vel[p]
 		if !ok {
-			vel = mat.NewDense(p.Value.Rows, p.Value.Cols)
+			vel = mat.NewDenseF32(p.Value.Rows, p.Value.Cols)
 			s.vel[p] = vel
 		}
+		lr, mom, wd := float32(s.LearningRate), float32(s.Momentum), float32(s.WeightDecay)
 		for i, g := range p.Grad.Data {
-			g += s.WeightDecay * p.Value.Data[i]
-			vel.Data[i] = s.Momentum*vel.Data[i] + g
-			p.Value.Data[i] -= s.LearningRate * vel.Data[i]
+			g += wd * p.Value.Data[i]
+			vel.Data[i] = mom*vel.Data[i] + g
+			p.Value.Data[i] -= lr * vel.Data[i]
 		}
 	}
 }
@@ -174,11 +193,10 @@ func (s *SGD) LR() float64 { return s.LearningRate }
 
 // GradClip rescales gradients so the global L2 norm of the trainable
 // parameters does not exceed max. It guards fine-tuning on tiny sample
-// counts against exploding steps. Fused optimizers fold the rescale into
-// their update sweep instead (see FusedStepper); GradClip remains for
-// unfused optimizers.
+// counts against exploding steps. Adam folds the rescale into its
+// update sweep instead (StepClipZero); GradClip is for other optimizers.
 func GradClip(params []*Param, max float64) {
-	scale := gradClipScale(params, max)
+	scale := clipScale(params, nil, 1, 0, max)
 	if scale == 1 {
 		return
 	}
@@ -187,29 +205,4 @@ func GradClip(params []*Param, max float64) {
 			p.Grad.Data[i] *= scale
 		}
 	}
-}
-
-// gradClipScale returns the factor that caps the global gradient L2
-// norm at max, or 1 when no rescale is needed. The norm is taken over
-// the trainable parameters only: a frozen parameter's gradient is never
-// applied, so it must not shrink the step of the ones that are — what
-// clip_grad_norm_ does when frozen tensors carry no gradient.
-func gradClipScale(params []*Param, max float64) float64 {
-	if max <= 0 {
-		return 1
-	}
-	var sq float64
-	for _, p := range params {
-		if p.Frozen {
-			continue
-		}
-		for _, g := range p.Grad.Data {
-			sq += g * g
-		}
-	}
-	norm := math.Sqrt(sq)
-	if norm <= max {
-		return 1
-	}
-	return max / norm
 }

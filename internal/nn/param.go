@@ -2,7 +2,9 @@
 // the Bellamy model: linear layers, SELU-family activations, alpha-dropout,
 // Huber/MSE losses, Adam with decoupled weight decay, and cyclical
 // learning-rate annealing. It replaces the PyTorch stack used in the paper
-// with a pure-Go implementation of the same mathematics.
+// with a pure-Go implementation of the same mathematics, in PyTorch's
+// default precision: weights, activations, gradients and optimizer state
+// are float32. Losses and the statistics over them are summed in float64.
 package nn
 
 import (
@@ -16,8 +18,8 @@ import (
 // Bellamy's fine-tuning stages keep most of the model fixed.
 type Param struct {
 	Name   string
-	Value  *mat.Dense
-	Grad   *mat.Dense
+	Value  *mat.DenseF32
+	Grad   *mat.DenseF32
 	Frozen bool
 }
 
@@ -25,8 +27,8 @@ type Param struct {
 func NewParam(name string, rows, cols int) *Param {
 	return &Param{
 		Name:  name,
-		Value: mat.NewDense(rows, cols),
-		Grad:  mat.NewDense(rows, cols),
+		Value: mat.NewDenseF32(rows, cols),
+		Grad:  mat.NewDenseF32(rows, cols),
 	}
 }
 
@@ -34,12 +36,12 @@ func NewParam(name string, rows, cols int) *Param {
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // AccumulateGrad adds g to the parameter's gradient.
-func (p *Param) AccumulateGrad(g *mat.Dense) {
+func (p *Param) AccumulateGrad(g *mat.DenseF32) {
 	if g.Rows != p.Value.Rows || g.Cols != p.Value.Cols {
 		panic(fmt.Sprintf("nn: grad shape %dx%d != param %q shape %dx%d",
 			g.Rows, g.Cols, p.Name, p.Value.Rows, p.Value.Cols))
 	}
-	mat.AddInPlace(p.Grad, g)
+	mat.AddInPlaceF32(p.Grad, g)
 }
 
 // NumElements returns the number of scalar weights in the parameter.
@@ -49,23 +51,6 @@ func (p *Param) NumElements() int { return len(p.Value.Data) }
 func ZeroGrads(params []*Param) {
 	for _, p := range params {
 		p.ZeroGrad()
-	}
-}
-
-// ReduceGrads folds the gradients of a replica's parameters into the
-// originals': dst[k].Grad = wDst*dst[k].Grad + wSrc*src[k].Grad, and
-// src[k].Grad is left zero for the replica's next backward pass to
-// accumulate into. With each side holding the gradient of the mean loss
-// over its share of a batch and the weights those shares, the result is
-// the gradient over the whole batch.
-func ReduceGrads(dst, src []*Param, wDst, wSrc float64) {
-	for k, p := range dst {
-		d, s := p.Grad.Data, src[k].Grad.Data
-		s = s[:len(d)]
-		for i := range d {
-			d[i] = wDst*d[i] + wSrc*s[i]
-			s[i] = 0
-		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // State is a snapshot of parameter values keyed by parameter name. The
 // training loops keep their best epoch's weights in one; the model file
 // format lives in internal/core.
-type State map[string]*mat.Dense
+type State map[string]*mat.DenseF32
 
 // CaptureState deep-copies the current values of params.
 func CaptureState(params []*Param) State {

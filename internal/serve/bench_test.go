@@ -112,25 +112,6 @@ func BenchmarkPredictBatchCold(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(reqs))/b.Elapsed().Seconds(), "pred/s")
 }
 
-// BenchmarkPredictBatchColdF64 is BenchmarkPredictBatchCold with
-// quantization disabled: the full-precision serving path, kept as the
-// comparison point for the float32 speedup.
-func BenchmarkPredictBatchColdF64(b *testing.B) {
-	cl := &countingLoader{t: b}
-	svc := NewService(cl.load, Options{Float64Serving: true})
-	reqs := benchRequests(1000)
-	svc.PredictBatch(context.Background(), reqs[:1]) // load models outside the timed region
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tag := strconv.Itoa(i)
-		for j := range reqs {
-			reqs[j].Query.Essential[2].Value = "--iterations " + tag
-		}
-		svc.PredictBatch(context.Background(), reqs)
-	}
-	b.ReportMetric(float64(b.N*len(reqs))/b.Elapsed().Seconds(), "pred/s")
-}
-
 // BenchmarkPredictBatchWarm measures the memoized batch path: the same
 // requests every iteration, all served from the result cache.
 func BenchmarkPredictBatchWarm(b *testing.B) {

@@ -47,7 +47,7 @@ func TestDirLoaderCorruptModelFile(t *testing.T) {
 	if err == nil {
 		t.Fatal("loader decoded a corrupt model file")
 	}
-	if !strings.Contains(err.Error(), "not a format v1 model") {
+	if !strings.Contains(err.Error(), "not a format v2 model") {
 		t.Fatalf("error %q does not identify the decode failure", err)
 	}
 }

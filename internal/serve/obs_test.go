@@ -345,38 +345,34 @@ func BenchmarkPredictObsOverhead(b *testing.B) {
 // the traffic let serving skip — a 64-candidate allocation sweep of one
 // context carries 384 property values and encodes 6 rows, a single
 // prediction as many rows as it has values — and how much heap the
-// result cache holds; both in float32 and in float64 serving.
+// result cache holds.
 func TestInferRowAndCacheByteMetrics(t *testing.T) {
-	for _, f64 := range []bool{false, true} {
-		t.Run(fmt.Sprintf("float64=%v", f64), func(t *testing.T) {
-			cl := &countingLoader{t: t}
-			svc := NewService(cl.load, Options{Float64Serving: f64})
-			o := attachServeObs(svc)
-			key := ModelKey{Job: "sort", Env: "c3o"}
-			q := testQuery(4, 10000)
-			if _, err := svc.Allocate(context.Background(), key, allocate.Request{
-				MinScaleOut: 1, MaxScaleOut: 64, DeadlineSec: 1e6,
-				Essential: q.Essential, Optional: q.Optional,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if r := svc.Predict(context.Background(), key, q); r.Err != nil {
-				t.Fatal(r.Err)
-			}
-			rec := httptest.NewRecorder()
-			o.Metrics.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-			for _, series := range []string{
-				"bellamy_infer_property_rows_total 390",
-				"bellamy_infer_distinct_rows_total 12",
-				fmt.Sprintf("bellamy_result_cache_bytes %d", svc.results.bytes()),
-			} {
-				if !strings.Contains(rec.Body.String(), series+"\n") {
-					t.Fatalf("/metrics missing %q:\n%s", series, rec.Body)
-				}
-			}
-			if min := 4*2*DefaultResultCap + entryBytes + len(fingerprint(key, q)); svc.results.bytes() < min {
-				t.Fatalf("result cache reports %d B, less than its index, one entry and one key (%d)", svc.results.bytes(), min)
-			}
-		})
+	cl := &countingLoader{t: t}
+	svc := NewService(cl.load, Options{})
+	o := attachServeObs(svc)
+	key := ModelKey{Job: "sort", Env: "c3o"}
+	q := testQuery(4, 10000)
+	if _, err := svc.Allocate(context.Background(), key, allocate.Request{
+		MinScaleOut: 1, MaxScaleOut: 64, DeadlineSec: 1e6,
+		Essential: q.Essential, Optional: q.Optional,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if r := svc.Predict(context.Background(), key, q); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	rec := httptest.NewRecorder()
+	o.Metrics.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, series := range []string{
+		"bellamy_infer_property_rows_total 390",
+		"bellamy_infer_distinct_rows_total 12",
+		fmt.Sprintf("bellamy_result_cache_bytes %d", svc.results.bytes()),
+	} {
+		if !strings.Contains(rec.Body.String(), series+"\n") {
+			t.Fatalf("/metrics missing %q:\n%s", series, rec.Body)
+		}
+	}
+	if min := 4*2*DefaultResultCap + entryBytes + len(fingerprint(key, q)); svc.results.bytes() < min {
+		t.Fatalf("result cache reports %d B, less than its index, one entry and one key (%d)", svc.results.bytes(), min)
 	}
 }

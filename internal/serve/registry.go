@@ -50,13 +50,10 @@ type VersionedLoader func(key ModelKey) (*core.Model, uint64, error)
 // and never allocate in steady state.
 type Model struct {
 	mu sync.Mutex
-	m  *core.Model
-	// im is the quantized float32 serving form of m, built once at
-	// publish time (load or swap). When set, all prediction traffic
-	// runs through it — the float64 model stays resident only as the
-	// clone source for online fine-tuning. Nil when quantization is
-	// disabled (Float64Serving) or the model has no f32 mapping.
-	im *core.InferModel
+	// m is the published version itself: the network that was trained
+	// is the one that answers, and the clone source of online
+	// fine-tuning.
+	m *core.Model
 	// rows is where this model's encoder work is counted: the
 	// registry's, which outlives every version it publishes.
 	rows *inferRows
@@ -67,29 +64,16 @@ type Model struct {
 // encoder work the calls' repeated values let serving skip.
 type inferRows struct{ property, distinct atomic.Int64 }
 
-// newModel wraps a published model version for serving, quantizing the
-// weights into the float32 inference form unless disabled. A model that
-// cannot be quantized (a layer type with no f32 mapping) falls back to
-// float64 serving rather than failing the publish.
+// newModel wraps a published model version for serving.
 func (r *Registry) newModel(m *core.Model) *Model {
-	sm := &Model{m: m, rows: &r.inferRows}
-	if r.quantize {
-		if im, err := m.Quantize(); err == nil {
-			sm.im = im
-		}
-	}
-	return sm
+	return &Model{m: m, rows: &r.inferRows}
 }
 
 // Predict runs a single query against the underlying model.
 func (sm *Model) Predict(q core.Query) (v float64, err error) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	if sm.im != nil {
-		v, err = sm.im.Predict(q.ScaleOut, q.Essential, q.Optional)
-	} else {
-		v, err = sm.m.Predict(q.ScaleOut, q.Essential, q.Optional)
-	}
+	v, err = sm.m.Predict(q.ScaleOut, q.Essential, q.Optional)
 	sm.countRows(err)
 	return v, err
 }
@@ -100,12 +84,7 @@ func (sm *Model) countRows(err error) {
 	if err != nil {
 		return
 	}
-	var property, distinct int
-	if sm.im != nil {
-		property, distinct = sm.im.LastRows()
-	} else {
-		property, distinct = sm.m.LastRows()
-	}
+	property, distinct := sm.m.LastRows()
 	sm.rows.property.Add(int64(property))
 	sm.rows.distinct.Add(int64(distinct))
 }
@@ -125,11 +104,7 @@ func (sm *Model) PredictBatch(qs []core.Query) ([]float64, error) {
 func (sm *Model) PredictBatchInto(dst []float64, qs []core.Query) (err error) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	if sm.im != nil {
-		err = sm.im.PredictBatchInto(dst, qs)
-	} else {
-		err = sm.m.PredictBatchInto(dst, qs)
-	}
+	err = sm.m.PredictBatchInto(dst, qs)
 	sm.countRows(err)
 	return err
 }
@@ -137,10 +112,6 @@ func (sm *Model) PredictBatchInto(dst []float64, qs []core.Query) (err error) {
 // Validate checks a query against the model configuration without
 // touching forward-pass state; it needs no lock.
 func (sm *Model) Validate(q core.Query) error { return sm.m.ValidateQuery(q) }
-
-// Quantized reports whether this model version serves predictions
-// through the float32 inference path.
-func (sm *Model) Quantized() bool { return sm.im != nil }
 
 // Pretrained implements allocate.SupportReporter.
 func (sm *Model) Pretrained() bool {
@@ -225,9 +196,6 @@ type Registry struct {
 	loader  Loader
 	vloader VersionedLoader // when set, replaces loader on the load path
 	cap     int
-	// quantize controls whether published versions get a float32
-	// serving form (the default); see SetFloat64Serving.
-	quantize bool
 
 	mu      sync.Mutex
 	entries map[ModelKey]*entry
@@ -250,19 +218,12 @@ func NewRegistry(loader Loader, capacity int) *Registry {
 		capacity = DefaultModelCap
 	}
 	return &Registry{
-		loader:   loader,
-		cap:      capacity,
-		quantize: true,
-		entries:  map[ModelKey]*entry{},
-		lru:      list.New(),
+		loader:  loader,
+		cap:     capacity,
+		entries: map[ModelKey]*entry{},
+		lru:     list.New(),
 	}
 }
-
-// SetFloat64Serving disables (or re-enables) float32 quantization of
-// published model versions, keeping inference in full float64. Set it
-// before serving traffic; it affects models published afterwards, not
-// already-resident versions.
-func (r *Registry) SetFloat64Serving(f64 bool) { r.quantize = !f64 }
 
 // SetVersionedLoader replaces the registry's load path with a loader
 // that also dictates the published version of each loaded model. Set it

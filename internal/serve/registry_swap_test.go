@@ -319,3 +319,74 @@ func TestWarmPredictZeroAllocAfterSwap(t *testing.T) {
 		t.Fatalf("warm PredictBatchInto after swap allocs/op = %v, want 0", allocs)
 	}
 }
+
+// TestServedEqualsTrained: the network a model version was trained as is
+// the one that answers. A single predict and a 256-item batch of
+// never-cached queries served by the registry equal, bit for bit, what a
+// copy of the loaded model predicts directly (Model.PredictBatchInto) —
+// and so do they after a fine-tuned version is swapped in.
+func TestServedEqualsTrained(t *testing.T) {
+	cl := &countingLoader{t: t}
+	svc := NewService(cl.load, Options{})
+	ctx := context.Background()
+	key := ModelKey{Job: "sort", Env: "c3o"}
+	batch := func(round int) []Request {
+		reqs := make([]Request, 256)
+		for i := range reqs {
+			reqs[i] = Request{Key: key, Query: testQuery(1+i%40, 5000+31*i+100_000*round)}
+		}
+		return reqs
+	}
+	check := func(stage string, trained *core.Model, round int) {
+		t.Helper()
+		single := testQuery(7, 123_457+round)
+		want, err := trained.Predict(single.ScaleOut, single.Essential, single.Optional)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := svc.Predict(ctx, key, single); r.Err != nil || r.Cached || math.Float64bits(r.RuntimeSec) != math.Float64bits(want) {
+			t.Fatalf("%s: served %v (cached %v, err %v), trained %v", stage, r.RuntimeSec, r.Cached, r.Err, want)
+		}
+		reqs := batch(round)
+		qs := make([]core.Query, len(reqs))
+		for i, r := range reqs {
+			qs[i] = r.Query
+		}
+		wantBatch := make([]float64, len(qs))
+		if err := trained.PredictBatchInto(wantBatch, qs); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range svc.PredictBatch(ctx, reqs) {
+			if r.Err != nil || r.Cached || math.Float64bits(r.RuntimeSec) != math.Float64bits(wantBatch[i]) {
+				t.Fatalf("%s: batch item %d served %v (cached %v, err %v), trained %v", stage, i, r.RuntimeSec, r.Cached, r.Err, wantBatch[i])
+			}
+		}
+	}
+
+	ref, err := svc.Registry().GetRef(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ref.Model.CloneCore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("loaded", loaded, 0)
+
+	tuned, err := ref.Model.CloneCore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tuned.Finetune(trainSamples(3)[:6], core.FinetuneOptions{MaxEpochs: 20}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := tuned.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := svc.Registry().Swap(key, ref.Gen, tuned); !ok {
+		t.Fatal("the fine-tuned version was not swapped in")
+	}
+	svc.InvalidateResults(key)
+	check("after a fine-tune swap", want, 1)
+}

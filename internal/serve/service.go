@@ -28,9 +28,6 @@ type Options struct {
 	// Workers bounds the per-batch fan-out across model groups
 	// (<= 0: GOMAXPROCS).
 	Workers int
-	// Float64Serving disables the float32 quantized inference path and
-	// serves every model in full float64 precision.
-	Float64Serving bool
 }
 
 // Request is one prediction request: which model to use and what to ask.
@@ -271,7 +268,6 @@ func NewService(loader Loader, opts Options) *Service {
 		latency:      obs.NewHist(),
 		allocLatency: obs.NewHist(),
 	}
-	s.reg.SetFloat64Serving(opts.Float64Serving)
 	return s
 }
 

@@ -21,12 +21,14 @@ import (
 //	at       i64 LE   unix nanoseconds of the checkpoint
 //	blobLen  u32 LE
 //	blobCRC  u32 LE   CRC32C of the blob
-//	blob     core model format v1, as core.Model.Save writes it
+//	blob     core model format v2 (float32 weights), as core.Model.Save
+//	         writes it
 //
 // The blob carries its own CRC32C trailer; blobCRC is checked first, so
-// the checkpoint framing is the same whatever the blob format. A blob
-// from before core format v1 (gob) fails core.Load, and the checkpoint
-// is reported corrupt like any other: the base model serves.
+// the checkpoint framing is the same whatever the blob format. A blob of
+// core format v1 (float64 weights) or from before it (gob) fails
+// core.Load, and the checkpoint is reported corrupt like any other: the
+// base model serves.
 //
 // A checkpoint is published write-temp + rename: a crash mid-write
 // leaves a .tmp file (deleted on the next Open) and the previous

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"math"
 	"path/filepath"
 	"strings"
@@ -341,24 +342,35 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointOfOldModelFormatIsCorrupt: a checkpoint whose blob
-// predates core format v1 (gob, no magic) is intact as a checkpoint but
-// fails core.Load, so it is reported and counted as corrupt, and the
-// caller falls back to the base model.
+// TestCheckpointOfOldModelFormatIsCorrupt: a checkpoint whose blob is
+// of core format v1 (float64 weights) or predates it (gob, no magic) is
+// intact as a checkpoint but fails core.Load, so it is reported and
+// counted as corrupt, and the caller falls back to the base model.
 func TestCheckpointOfOldModelFormatIsCorrupt(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer s.Close()
-	if err := s.CheckpointModel("sort", "c3o", 3, []byte("\x3f\xff\x81\x03\x01\x01\tmodelBlob")); err != nil {
-		t.Fatalf("CheckpointModel: %v", err)
+	m, err := core.New(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, ok, err := s.LoadCheckpoint("sort", "c3o")
-	if ok || err == nil || !strings.Contains(err.Error(), "re-run bellamy train") {
-		t.Fatalf("LoadCheckpoint = (%v, %v), want a corrupt checkpoint naming the fix", ok, err)
+	var v1 bytes.Buffer
+	if err := m.Save(&v1); err != nil {
+		t.Fatal(err)
 	}
-	if n := s.StoreStats().CheckpointErrors; n != 1 {
-		t.Fatalf("%d checkpoint errors counted, want 1", n)
+	v1.Bytes()[len("BLMYMDL")] = 1 // the version byte of the format
+	for i, blob := range [][]byte{[]byte("\x3f\xff\x81\x03\x01\x01\tmodelBlob"), v1.Bytes()} {
+		if err := s.CheckpointModel("sort", "c3o", uint64(3+i), blob); err != nil {
+			t.Fatalf("CheckpointModel: %v", err)
+		}
+		_, ok, err := s.LoadCheckpoint("sort", "c3o")
+		if ok || err == nil || !strings.Contains(err.Error(), "re-run bellamy train") {
+			t.Fatalf("blob %d: LoadCheckpoint = (%v, %v), want a corrupt checkpoint naming the fix", i, ok, err)
+		}
+		if n := s.StoreStats().CheckpointErrors; n != int64(i+1) {
+			t.Fatalf("blob %d: %d checkpoint errors counted, want %d", i, n, i+1)
+		}
 	}
 }
