@@ -721,10 +721,11 @@ sr44loop:
 	RET
 
 // Constants of the float32 activation kernels, one per 4 bytes. The
-// expm1 is the usual exp reduction: k = round(t*log2e), r = t - k*ln2
+// expm1 is the usual exp reduction: k = round(t*log2e) through the
+// 1.5*2^23 shift (whose low mantissa bits then hold k), r = t - k*ln2
 // with Cephes' two-part ln2 (whose high part times any k in range is
-// exact), and the Taylor polynomial of degree 8 for expm1(r), whose
-// truncation error on |r| <= ln2/2 is under 2^-30 relative;
+// exact), and the Taylor polynomial of degree 7 for expm1(r), whose
+// truncation error on |r| <= ln2/2 is under 2^-26 relative;
 // coefficients are 1/n! rounded to float32.
 DATA ex32<>+0(SB)/4, $0x3fb8aa3b  // log2(e)
 DATA ex32<>+4(SB)/4, $0x3f318000  // ln2 high = 0.693359375
@@ -736,7 +737,7 @@ DATA ex32<>+24(SB)/4, $0x3d2aaaab // 1/4!
 DATA ex32<>+28(SB)/4, $0x3c088889 // 1/5!
 DATA ex32<>+32(SB)/4, $0x3ab60b61 // 1/6!
 DATA ex32<>+36(SB)/4, $0x39500d01 // 1/7!
-DATA ex32<>+40(SB)/4, $0x37d00d01 // 1/8!
+DATA ex32<>+40(SB)/4, $0x4b400000 // shift = 1.5*2^23
 DATA ex32<>+44(SB)/4, $0xc2ae0000 // clamp = -87
 DATA ex32<>+48(SB)/4, $0xc0000000 // -2.0
 DATA ex32<>+52(SB)/4, $0x7fffffff // |x| mask
@@ -744,19 +745,23 @@ GLOBL ex32<>(SB), RODATA|NOPTR, $56
 
 // EXPM1F sets Y4 = expm1(Y2) on 8 lanes for Y2 in [-87, 0] (or NaN,
 // which propagates), as 2^k*expm1(r) + (2^k - 1) in one fused step: the
-// first term carries the rounding error, the second is exact. Clobbers
-// Y2, Y3, Y5 and Y6.
+// first term carries the rounding error, the second is exact. 2^k is
+// built from k's bits in the shifted sum, off the polynomial's critical
+// path. Clobbers Y2, Y3, Y5 and Y6.
 #define EXPM1F \
-	VBROADCASTSS ex32<>+0(SB), Y3; \
-	VMULPS       Y3, Y2, Y3; \
-	VROUNDPS     $0, Y3, Y3; \
-	VBROADCASTSS ex32<>+4(SB), Y5; \
-	VFNMADD231PS Y5, Y3, Y2; \
-	VBROADCASTSS ex32<>+8(SB), Y5; \
-	VFNMADD231PS Y5, Y3, Y2; \
-	VBROADCASTSS ex32<>+40(SB), Y4; \
-	VBROADCASTSS ex32<>+36(SB), Y6; \
-	VFMADD213PS  Y6, Y2, Y4; \
+	VBROADCASTSS ex32<>+40(SB), Y3; \
+	VBROADCASTSS ex32<>+0(SB), Y5; \
+	VFMADD231PS  Y5, Y2, Y3; \
+	VBROADCASTSS ex32<>+40(SB), Y5; \
+	VSUBPS       Y5, Y3, Y5; \
+	VPSLLD       $23, Y3, Y3; \
+	VBROADCASTSS ex32<>+12(SB), Y6; \
+	VPADDD       Y6, Y3, Y3; \
+	VBROADCASTSS ex32<>+4(SB), Y6; \
+	VFNMADD231PS Y6, Y5, Y2; \
+	VBROADCASTSS ex32<>+8(SB), Y6; \
+	VFNMADD231PS Y6, Y5, Y2; \
+	VBROADCASTSS ex32<>+36(SB), Y4; \
 	VBROADCASTSS ex32<>+32(SB), Y6; \
 	VFMADD213PS  Y6, Y2, Y4; \
 	VBROADCASTSS ex32<>+28(SB), Y6; \
@@ -769,11 +774,8 @@ GLOBL ex32<>(SB), RODATA|NOPTR, $56
 	VFMADD213PS  Y6, Y2, Y4; \
 	VMULPS       Y2, Y4, Y4; \
 	VFMADD213PS  Y2, Y2, Y4; \
-	VCVTPS2DQ    Y3, Y3; \
-	VPSLLD       $23, Y3, Y3; \
-	VBROADCASTSS ex32<>+12(SB), Y5; \
-	VPADDD       Y5, Y3, Y3; \
-	VSUBPS       Y5, Y3, Y5; \
+	VBROADCASTSS ex32<>+12(SB), Y6; \
+	VSUBPS       Y6, Y3, Y5; \
 	VFMADD213PS  Y5, Y3, Y4
 
 // func vselu32(v *float32, n int, lambda, lambdaAlpha float32)
