@@ -26,6 +26,10 @@ type corpusTable struct {
 	// of samples, in the same order.
 	inputs   batch
 	inputRow []int32
+	// halves are the two row ranges of inputs a split evaluation runs,
+	// and pred the predictions of every row of inputs it gathers.
+	halves [2]batch
+	pred   []float32
 	// index finds the distinct inputs while inputs is built: open
 	// addressing over inputHash, each slot 0 when empty.
 	index []int32
@@ -154,6 +158,56 @@ func (b *batch) copySample(i int, src *batch, j int) {
 func (m *Model) evalMAE(c *corpusTable) float64 {
 	st := m.forward(&c.inputs, false)
 	return m.maeSeconds(st.pred.Data, c.inputRow, c.samples.runtimes)
+}
+
+// evalMAESplit is evalMAE with the evaluation's rows cut in two at a
+// multiple of mat.RowGroup, the second half run on the run's replica —
+// on its helper, when the run leased one, concurrently with the first.
+// A row's kernels take the same route in its half as in the whole batch
+// (a half of full groups, and a half whose tail is the whole batch's),
+// so the result is evalMAE's to the bit, whoever ran what.
+func (m *Model) evalMAESplit(run *trainRun) float64 {
+	c := &m.corpus
+	rows := c.inputs.scaleFeat.Rows
+	cut := rows / 2 &^ (mat.RowGroup - 1)
+	if run.second == nil || cut == 0 {
+		return m.evalMAE(c)
+	}
+	c.pred = slices.Grow(c.pred[:0], rows)[:rows]
+	c.halves[0].view(&c.inputs, 0, cut)
+	c.halves[1].view(&c.inputs, cut, rows)
+	second := &run.second.pass
+	second.evalRows, second.evalPred = &c.halves[1], c.pred[cut:]
+	if run.helper != nil {
+		run.helper.Start(second.evalFn)
+	}
+	copy(c.pred, m.forward(&c.halves[0], false).pred.Data)
+	if run.helper != nil {
+		run.helper.Wait()
+	} else {
+		second.evalFn()
+	}
+	second.evalRows, second.evalPred = nil, nil
+	return m.maeSeconds(c.pred, c.inputRow, c.samples.runtimes)
+}
+
+// runEval runs the evaluation pass of the rows pass.evalRows holds and
+// copies their predictions to pass.evalPred.
+func (m *Model) runEval() {
+	copy(m.pass.evalPred, m.forward(m.pass.evalRows, false).pred.Data)
+}
+
+// view makes b rows [lo,hi) of src, sharing src's storage and its props.
+func (b *batch) view(src *batch, lo, hi int) {
+	if b.scaleFeat == nil {
+		b.scaleFeat, b.targets = new(mat.DenseF32), new(mat.DenseF32)
+	}
+	fc, per := src.scaleFeat.Cols, src.propsPer
+	*b.scaleFeat = mat.DenseF32{Rows: hi - lo, Cols: fc, Data: src.scaleFeat.Data[lo*fc : hi*fc]}
+	*b.targets = mat.DenseF32{Rows: hi - lo, Cols: 1, Data: src.targets.Data[lo:hi]}
+	b.props, b.propRow, b.propsPer = src.props, src.propRow[lo*per:hi*per], per
+	b.numOpt, b.runtimes = src.numOpt[lo:hi], src.runtimes[lo:hi]
+	b.codesFixed = false
 }
 
 // rowRemap maps the property rows of a corpus table to the rows of the

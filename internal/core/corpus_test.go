@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/parallel"
 )
 
 // reuseShapedCorpus is the sgd corpus of the simulated C3O data minus
@@ -99,7 +100,9 @@ func TestGatherMatchesFillBatch(t *testing.T) {
 // the same MAE bit for bit. Covered: the reuse-shaped corpus (720
 // samples, 144 distinct inputs), a corpus whose inputs are all distinct,
 // the reuse corpus less one sample (the last three fall in the multiply's
-// tail route), and one of three samples (tail route only).
+// tail route), and one of three samples (tail route only). The split
+// evaluation pre-training runs, half on the replica (on a helper when
+// one is free), gives the same MAE bit for bit.
 func TestCorpusEvalMatchesWholeCorpus(t *testing.T) {
 	reuse := reuseShapedCorpus(t)
 	cfg := DefaultConfig()
@@ -138,6 +141,16 @@ func TestCorpusEvalMatchesWholeCorpus(t *testing.T) {
 			want := m.evalMAEBatch(&c.samples)
 			if got := m.evalMAE(c); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("evaluation MAE %v, whole-corpus MAE %v", got, want)
+			}
+			run := m.pretrainRun(tc.samples)
+			if run.second != nil {
+				run.second.borrowScratch()
+				defer run.second.releaseScratch()
+			}
+			run.helper = parallel.Lease()
+			defer run.helper.Release()
+			if got := m.evalMAESplit(run); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("split evaluation MAE %v, whole-corpus MAE %v", got, want)
 			}
 		})
 	}

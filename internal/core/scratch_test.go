@@ -13,12 +13,9 @@ import (
 	"repro/internal/mat"
 )
 
-// Sentinels written over the idle arenas: no weight, scaler or batch
-// value is ever one of these NaNs.
-const (
-	sentinel64 = 0x7ff8_dead_beef_0064
-	sentinel32 = 0x7fc0_de32
-)
+// sentinel32 is written over the idle arenas: no weight or batch value
+// is ever this NaN.
+const sentinel32 = 0x7fc0_de32
 
 // idle takes every arena idle on l, most recently returned first; give
 // them back with putBack.
@@ -74,10 +71,7 @@ type scratchWalk struct {
 	}]bool
 }
 
-var (
-	workspaceType    = reflect.TypeOf((*mat.Workspace)(nil))
-	workspaceF32Type = reflect.TypeOf((*mat.WorkspaceF32)(nil))
-)
+var workspaceType = reflect.TypeOf((*mat.WorkspaceF32)(nil))
 
 func (w *scratchWalk) first(p uintptr, t reflect.Type) bool {
 	k := struct {
@@ -97,7 +91,7 @@ func (w *scratchWalk) walk(v reflect.Value, path string) string {
 		if v.IsNil() || !w.first(v.Pointer(), v.Type()) {
 			return ""
 		}
-		if v.Type() == workspaceType || v.Type() == workspaceF32Type {
+		if v.Type() == workspaceType {
 			return path + " is an arena"
 		}
 		if w.headers[v.Pointer()] {
@@ -135,11 +129,6 @@ func (w *scratchWalk) walk(v reflect.Value, path string) string {
 func (w *scratchWalk) elems(v reflect.Value, path string) string {
 	switch v.Type().Elem().Kind() {
 	case reflect.Float64:
-		for i := 0; i < v.Len(); i++ {
-			if math.Float64bits(v.Index(i).Float()) == sentinel64 {
-				return path + " holds arena storage"
-			}
-		}
 	case reflect.Float32:
 		for i := 0; i < v.Len(); i++ {
 			if math.Float32bits(float32(v.Index(i).Float())) == sentinel32 {
@@ -314,12 +303,12 @@ func TestCloneFinetuneAllocCeiling(t *testing.T) {
 // however large, as they have no byte bound — and their byte count is
 // what the kept ones hold.
 func TestArenaFreeListIsBoundedLIFO(t *testing.T) {
-	l := freelist.New(mat.NewWorkspace, 0)
+	l := freelist.New(mat.NewWorkspaceF32, 0)
 	bound := runtime.GOMAXPROCS(0) + 1
-	ws := make([]*mat.Workspace, bound+2)
+	ws := make([]*mat.WorkspaceF32, bound+2)
 	for i := range ws {
 		ws[i] = l.Get()
-		ws[i].Get(512*(i+1), 8) // 32 KiB and up: no byte bound drops them
+		ws[i].Get(512*(i+1), 8) // 16 KiB and up: no byte bound drops them
 	}
 	kept := 0
 	for i, w := range ws {

@@ -138,7 +138,7 @@ func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 		report.Epochs = epoch + 1
 
 		// Track the best state by full-corpus MAE in seconds.
-		mae := m.evalMAE(&m.corpus)
+		mae := m.evalMAESplit(run)
 		if improved, _ := best.Observe(epoch, mae); improved {
 			bestState = nn.CaptureStateInto(bestState, params)
 		}
@@ -201,7 +201,7 @@ func (m *Model) pretrainRun(samples []Sample) *trainRun {
 	if full := min(m.Cfg.BatchSize, len(samples)); shardCut(full) < full {
 		if m.second == nil {
 			m.second = m.replica(1)
-			m.second.pass.fn = m.second.runPass
+			m.second.pass.fn, m.second.pass.evalFn = m.second.runPass, m.second.runEval
 		}
 		m.second.norm, m.second.target = m.norm, m.target
 		run.second, run.secondParams = m.second, m.second.Params()
@@ -241,6 +241,11 @@ type gradPass struct {
 	idx              []int // nil: trainB is filled already
 	rLoss, reconLoss float64
 	fn               func() // runPass, bound once: handing it to a helper allocates nothing
+	// evalRows and evalPred are the rows of a split evaluation's second
+	// half and where their predictions go; evalFn is runEval, bound once.
+	evalRows *batch
+	evalPred []float32
+	evalFn   func()
 }
 
 // runPass gathers the shard's samples from the corpus table and runs

@@ -5,12 +5,12 @@ import (
 	"math"
 )
 
-// Float32 types: the precision the network trains and serves in, as
+// Float32 matrices: the precision the network trains and serves in, as
 // the paper's PyTorch implementation does. The f32 kernels (mul32.go,
-// act32.go, recon32.go, adam32.go) run 8 lanes to a register under the
-// asm family. The types mirror Dense and Workspace — same invariants,
-// same nil-safety, same zero-alloc steady state. Dense stays the
-// float64 matrix of the baselines' small solvers.
+// act32.go, dropout32.go, recon32.go, adam32.go) run 8 lanes to a
+// register under the asm family, and their scratch comes from
+// WorkspaceF32 (workspace.go). Dense stays the float64 matrix of the
+// baselines' small solvers and the float64 products.
 
 // DenseF32 is a dense row-major float32 matrix.
 type DenseF32 struct {
@@ -137,96 +137,4 @@ func SliceColsToF32(dst, a *DenseF32, from, to int) {
 	for i := 0; i < a.Rows; i++ {
 		copy(dst.Row(i), a.Row(i)[from:to])
 	}
-}
-
-// Resized32 is the float32 Resized: a matrix with the given shape,
-// reusing m's backing storage when it has sufficient capacity (contents
-// are then unspecified). A nil m always allocates.
-func Resized32(m *DenseF32, rows, cols int) *DenseF32 {
-	if m != nil && cap(m.Data) >= rows*cols && rows >= 0 && cols >= 0 {
-		m.Rows, m.Cols = rows, cols
-		m.Data = m.Data[:rows*cols]
-		return m
-	}
-	return NewDenseF32(rows, cols)
-}
-
-// WorkspaceF32 is the float32 Workspace: the same bump arena over a
-// float32 slab, recycled by Reset. Not safe for concurrent use; a nil
-// workspace degrades to plain allocation.
-type WorkspaceF32 struct {
-	slab slab[float32]
-	hdrs []*DenseF32 // hdrs[:n] are the matrices handed out this round
-	n    int
-}
-
-// NewWorkspaceF32 returns an empty float32 workspace.
-func NewWorkspaceF32() *WorkspaceF32 { return &WorkspaceF32{} }
-
-// Get returns a zeroed rows x cols matrix that stays valid until the
-// next Reset.
-func (w *WorkspaceF32) Get(rows, cols int) *DenseF32 {
-	m := w.GetRaw(rows, cols)
-	if w != nil {
-		m.Zero() // NewDenseF32 (the nil-workspace path) is already zeroed
-	}
-	return m
-}
-
-// GetRaw returns a rows x cols matrix with unspecified contents that
-// stays valid until the next Reset. A round no larger than every round
-// before it allocates nothing.
-func (w *WorkspaceF32) GetRaw(rows, cols int) *DenseF32 {
-	if w == nil {
-		return NewDenseF32(rows, cols)
-	}
-	if rows < 0 || cols < 0 {
-		panic("mat: negative dimension")
-	}
-	if w.n == len(w.hdrs) {
-		w.hdrs = append(w.hdrs, new(DenseF32))
-	}
-	m := w.hdrs[w.n]
-	w.n++
-	m.Rows, m.Cols, m.Data = rows, cols, w.slab.carve(rows*cols)
-	return m
-}
-
-// Reset takes back every matrix handed out since the previous Reset.
-func (w *WorkspaceF32) Reset() {
-	if w == nil {
-		return
-	}
-	for _, m := range w.hdrs[:w.n] {
-		m.Data = nil
-	}
-	w.n = 0
-	w.slab.reset()
-}
-
-// NumBuffers reports how many matrix headers the workspace owns: the
-// most matrices any one round has asked for.
-func (w *WorkspaceF32) NumBuffers() int {
-	if w == nil {
-		return 0
-	}
-	return len(w.hdrs)
-}
-
-// Bytes reports the element storage the workspace holds: its slab plus
-// the overflow chunk a round has open.
-func (w *WorkspaceF32) Bytes() int {
-	if w == nil {
-		return 0
-	}
-	return 4 * w.slab.held()
-}
-
-// RoundBytes reports the element storage handed out since the last
-// Reset.
-func (w *WorkspaceF32) RoundBytes() int {
-	if w == nil {
-		return 0
-	}
-	return 4 * w.slab.round
 }

@@ -66,57 +66,67 @@ func TestMulATBAccAccumulates(t *testing.T) {
 
 func TestElementwiseToKernelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	a := randomDense(rng, 7, 9)
-	v := make([]float64, 9)
+	a, _ := randomDense32(rng, 7, 9)
+	v := make([]float32, 9)
 	for i := range v {
-		v[i] = rng.NormFloat64()
+		v[i] = float32(rng.NormFloat64())
 	}
-	biased := NewDense(7, 9)
+	biased := NewDenseF32(7, 9)
 	for i, x := range a.Data {
 		biased.Data[i] = x + v[i%9]
 	}
+	dst := NewDenseF32(7, 9)
+	dst.Fill(1e30)
+	AddRowVecToF32(dst, a, v)
+	bitIdentical32(t, "AddRowVecToF32", dst, biased)
+	// Aliased: dst == a must produce the same values.
+	aliased := a.Clone()
+	AddRowVecToF32(aliased, aliased, v)
+	bitIdentical32(t, "AddRowVecToF32(aliased)", aliased, biased)
+}
 
-	cases := []struct {
-		name string
-		run  func(dst, src *Dense)
-		want *Dense
-	}{
-		{"AddRowVecTo", func(d, src *Dense) { AddRowVecTo(d, src, v) }, biased},
+func bitIdentical32(t *testing.T, name string, got, want *DenseF32) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s shape %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
-	for _, tc := range cases {
-		dst := garbageDense(7, 9)
-		tc.run(dst, a)
-		bitIdentical(t, tc.name, dst, tc.want)
-		// Aliased: dst == a must produce the same values.
-		aliased := a.Clone()
-		tc.run(aliased, aliased)
-		bitIdentical(t, tc.name+"(aliased)", aliased, tc.want)
+	for i, v := range got.Data {
+		if v != want.Data[i] {
+			t.Fatalf("%s: element %d = %v, want bit-identical %v", name, i, v, want.Data[i])
+		}
 	}
 }
 
 func TestSliceColsToAndColSumsAcc(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	a := randomDense(rng, 6, 8)
-	dst := garbageDense(6, 3)
-	SliceColsTo(dst, a, 2, 5)
-	bitIdentical(t, "SliceColsTo", dst, SliceCols(a, 2, 5))
+	a, _ := randomDense32(rng, 6, 8)
+	dst := NewDenseF32(6, 3)
+	dst.Fill(1e30)
+	SliceColsToF32(dst, a, 2, 5)
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 3; j++ {
+			if dst.At(i, j) != a.At(i, j+2) {
+				t.Fatalf("SliceColsToF32[%d][%d] = %v, want %v", i, j, dst.At(i, j), a.At(i, j+2))
+			}
+		}
+	}
 
-	prior := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	acc := append([]float64(nil), prior...)
-	ColSumsAcc(acc, a)
+	prior := []float32{1, 2, 3, 4, 5, 6, 7, 8}
+	acc := append([]float32(nil), prior...)
+	ColSumsAccF32(acc, a)
 	for j := range acc {
 		want := prior[j]
-		for _, x := range a.Col(j) {
-			want += x
+		for i := 0; i < a.Rows; i++ {
+			want += a.At(i, j)
 		}
-		if !closeish(acc[j], want) {
-			t.Fatalf("ColSumsAcc[%d] = %v, want %v", j, acc[j], want)
+		if acc[j] != want {
+			t.Fatalf("ColSumsAccF32[%d] = %v, want the row-order sum %v", j, acc[j], want)
 		}
 	}
 }
 
 func TestWorkspaceReusesBuffersByShape(t *testing.T) {
-	w := NewWorkspace()
+	w := NewWorkspaceF32()
 	m1 := w.Get(4, 6)
 	m1.Fill(7)
 	w.Reset()
@@ -139,7 +149,7 @@ func TestWorkspaceReusesBuffersByShape(t *testing.T) {
 }
 
 func TestNilWorkspaceAllocates(t *testing.T) {
-	var w *Workspace
+	var w *WorkspaceF32
 	m := w.Get(2, 3)
 	if m.Rows != 2 || m.Cols != 3 {
 		t.Fatalf("nil workspace Get shape %dx%d", m.Rows, m.Cols)
@@ -151,18 +161,18 @@ func TestNilWorkspaceAllocates(t *testing.T) {
 }
 
 func TestResized(t *testing.T) {
-	m := NewDense(4, 8)
+	m := NewDenseF32(4, 8)
 	ptr := &m.Data[0]
-	r := Resized(m, 2, 8)
+	r := Resized32(m, 2, 8)
 	if r != m || &r.Data[0] != ptr || r.Rows != 2 || r.Cols != 8 {
-		t.Fatal("Resized did not reuse sufficient capacity")
+		t.Fatal("Resized32 did not reuse sufficient capacity")
 	}
-	grown := Resized(r, 16, 16)
+	grown := Resized32(r, 16, 16)
 	if grown == m {
-		t.Fatal("Resized reused insufficient capacity")
+		t.Fatal("Resized32 reused insufficient capacity")
 	}
-	if got := Resized(nil, 3, 3); got.Rows != 3 || got.Cols != 3 {
-		t.Fatal("Resized(nil) did not allocate")
+	if got := Resized32(nil, 3, 3); got.Rows != 3 || got.Cols != 3 {
+		t.Fatal("Resized32(nil) did not allocate")
 	}
 }
 

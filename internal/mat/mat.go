@@ -137,3 +137,15 @@ func (m *Dense) String() string {
 	}
 	return s + "]"
 }
+
+// Dot returns the inner product of two equal-length vectors.
+func Dot(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("mat: Dot len %d != %d", len(a), len(b)))
+	}
+	var s float64
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -132,39 +133,35 @@ func TestMulABT(t *testing.T) {
 }
 
 func TestAddRowVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	got := NewDense(2, 2)
-	AddRowVecTo(got, a, []float64{10, 20})
-	want := FromRows([][]float64{{11, 22}, {13, 24}})
-	if !got.Equalish(want, 0) {
-		t.Fatalf("AddRowVecTo = %v, want %v", got, want)
+	a := &DenseF32{Rows: 2, Cols: 2, Data: []float32{1, 2, 3, 4}}
+	got := NewDenseF32(2, 2)
+	AddRowVecToF32(got, a, []float32{10, 20})
+	if want := []float32{11, 22, 13, 24}; !slices.Equal(got.Data, want) {
+		t.Fatalf("AddRowVecToF32 = %v, want %v", got.Data, want)
 	}
 }
 
 func TestColSums(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	got := make([]float64, 2)
-	ColSumsAcc(got, a)
+	a := &DenseF32{Rows: 3, Cols: 2, Data: []float32{1, 2, 3, 4, 5, 6}}
+	got := make([]float32, 2)
+	ColSumsAccF32(got, a)
 	if got[0] != 9 || got[1] != 12 {
-		t.Fatalf("ColSumsAcc = %v, want [9 12]", got)
+		t.Fatalf("ColSumsAccF32 = %v, want [9 12]", got)
 	}
 }
 
 func TestSliceCols(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	got := SliceCols(a, 1, 3)
-	want := FromRows([][]float64{{2, 3}, {5, 6}})
-	if !got.Equalish(want, 0) {
-		t.Fatalf("SliceCols = %v, want %v", got, want)
+	a := &DenseF32{Rows: 2, Cols: 3, Data: []float32{1, 2, 3, 4, 5, 6}}
+	got := NewDenseF32(2, 2)
+	SliceColsToF32(got, a, 1, 3)
+	if want := []float32{2, 3, 5, 6}; !slices.Equal(got.Data, want) {
+		t.Fatalf("SliceColsToF32 = %v, want %v", got.Data, want)
 	}
 }
 
 func TestDotNorm(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Fatalf("Dot = %v, want 32", got)
-	}
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Fatalf("Norm2 = %v, want 5", got)
 	}
 }
 
@@ -180,10 +177,14 @@ func TestQuickMulDistributive(t *testing.T) {
 		b := randomDense(rng, m, k)
 		c := randomDense(rng, m, k)
 		bc := b.Clone()
-		AddInPlace(bc, c)
+		for i, v := range c.Data {
+			bc.Data[i] += v
+		}
 		left := Mul(a, bc)
 		right := Mul(a, b)
-		AddInPlace(right, Mul(a, c))
+		for i, v := range Mul(a, c).Data {
+			right.Data[i] += v
+		}
 		return left.Equalish(right, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -1,8 +1,20 @@
 package mat
 
-import "fmt"
+// Resized32 returns a matrix with the given shape, reusing m's backing
+// storage when it has sufficient capacity (contents are then
+// unspecified). It is the reuse primitive for long-lived buffers whose
+// shape varies between uses, e.g. batch matrices that outlive a per-step
+// workspace Reset. A nil m always allocates.
+func Resized32(m *DenseF32, rows, cols int) *DenseF32 {
+	if m != nil && cap(m.Data) >= rows*cols && rows >= 0 && cols >= 0 {
+		m.Rows, m.Cols = rows, cols
+		m.Data = m.Data[:rows*cols]
+		return m
+	}
+	return NewDenseF32(rows, cols)
+}
 
-// Workspace is the scratch arena of the compute engine: forward and
+// WorkspaceF32 is the scratch arena of the compute engine: forward and
 // backward passes take their intermediates from it instead of
 // allocating, and whoever holds it calls Reset once per round — one
 // forward(+backward) pass — to take every buffer back at once.
@@ -17,40 +29,40 @@ import "fmt"
 // shapes it asks for in whatever order, and the arena holds at most
 // 1.25x its largest round plus the chunk a round has open.
 //
-// A Workspace is not safe for concurrent use. A nil *Workspace is valid:
-// Get allocates a fresh matrix and Reset is a no-op, so workspace-
-// threaded code also works without one.
-type Workspace struct {
-	slab slab[float64]
-	hdrs []*Dense // hdrs[:n] are the matrices handed out this round
+// A WorkspaceF32 is not safe for concurrent use. A nil *WorkspaceF32 is
+// valid: Get allocates a fresh matrix and Reset is a no-op, so
+// workspace-threaded code also works without one.
+type WorkspaceF32 struct {
+	slab slab
+	hdrs []*DenseF32 // hdrs[:n] are the matrices handed out this round
 	n    int
 }
 
-// NewWorkspace returns an empty workspace.
-func NewWorkspace() *Workspace { return &Workspace{} }
+// NewWorkspaceF32 returns an empty float32 workspace.
+func NewWorkspaceF32() *WorkspaceF32 { return &WorkspaceF32{} }
 
 // Get returns a zeroed rows x cols matrix that stays valid until the
 // next Reset.
-func (w *Workspace) Get(rows, cols int) *Dense {
+func (w *WorkspaceF32) Get(rows, cols int) *DenseF32 {
 	m := w.GetRaw(rows, cols)
 	if w != nil {
-		m.Zero() // NewDense (the nil-workspace path) is already zeroed
+		m.Zero() // NewDenseF32 (the nil-workspace path) is already zeroed
 	}
 	return m
 }
 
-// GetRaw is Get without the zeroing: the buffer's contents are
-// unspecified. It is for callers that fully overwrite the buffer (every
-// *To kernel does), saving a memset on the hot path.
-func (w *Workspace) GetRaw(rows, cols int) *Dense {
+// GetRaw returns a rows x cols matrix with unspecified contents that
+// stays valid until the next Reset. A round no larger than every round
+// before it allocates nothing.
+func (w *WorkspaceF32) GetRaw(rows, cols int) *DenseF32 {
 	if w == nil {
-		return NewDense(rows, cols)
+		return NewDenseF32(rows, cols)
 	}
 	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("mat: negative dimension %dx%d", rows, cols))
+		panic("mat: negative dimension")
 	}
 	if w.n == len(w.hdrs) {
-		w.hdrs = append(w.hdrs, new(Dense))
+		w.hdrs = append(w.hdrs, new(DenseF32))
 	}
 	m := w.hdrs[w.n]
 	w.n++
@@ -61,7 +73,7 @@ func (w *Workspace) GetRaw(rows, cols int) *Dense {
 // Reset takes back every matrix handed out since the previous Reset;
 // they become invalid for the caller (their headers are emptied, so a
 // stale use panics instead of reading another round's numbers).
-func (w *Workspace) Reset() {
+func (w *WorkspaceF32) Reset() {
 	if w == nil {
 		return
 	}
@@ -74,7 +86,7 @@ func (w *Workspace) Reset() {
 
 // NumBuffers reports how many matrix headers the workspace owns: the
 // most matrices any one round has asked for.
-func (w *Workspace) NumBuffers() int {
+func (w *WorkspaceF32) NumBuffers() int {
 	if w == nil {
 		return 0
 	}
@@ -83,27 +95,27 @@ func (w *Workspace) NumBuffers() int {
 
 // Bytes reports the element storage the workspace holds: its slab plus
 // the overflow chunk a round has open.
-func (w *Workspace) Bytes() int {
+func (w *WorkspaceF32) Bytes() int {
 	if w == nil {
 		return 0
 	}
-	return 8 * w.slab.held()
+	return 4 * w.slab.held()
 }
 
 // RoundBytes reports the element storage handed out since the last
 // Reset.
-func (w *Workspace) RoundBytes() int {
+func (w *WorkspaceF32) RoundBytes() int {
 	if w == nil {
 		return 0
 	}
-	return 8 * w.slab.round
+	return 4 * w.slab.round
 }
 
-// slab is the element storage of an arena, the same for both precisions.
-type slab[T float32 | float64] struct {
-	buf   []T // buf[:off] is handed out this round
+// slab is the element storage of an arena.
+type slab struct {
+	buf   []float32 // buf[:off] is handed out this round
 	off   int
-	spill []T // the open overflow chunk of a round that outgrew buf
+	spill []float32 // the open overflow chunk of a round that outgrew buf
 	soff  int
 	round int // elements handed out this round
 }
@@ -111,7 +123,7 @@ type slab[T float32 | float64] struct {
 // carve hands out n elements (contents unspecified) with cap == len:
 // from buf while they fit, else from the open chunk, else from a new
 // chunk of max(n, len(buf)).
-func (s *slab[T]) carve(n int) []T {
+func (s *slab) carve(n int) []float32 {
 	s.round += n
 	if n <= len(s.buf)-s.off {
 		d := s.buf[s.off : s.off+n : s.off+n]
@@ -119,7 +131,7 @@ func (s *slab[T]) carve(n int) []T {
 		return d
 	}
 	if n > len(s.spill)-s.soff {
-		s.spill, s.soff = make([]T, max(n, len(s.buf))), 0
+		s.spill, s.soff = make([]float32, max(n, len(s.buf))), 0
 	}
 	d := s.spill[s.soff : s.soff+n : s.soff+n]
 	s.soff += n
@@ -129,12 +141,12 @@ func (s *slab[T]) carve(n int) []T {
 // reset rewinds. A round that spilled becomes the next slab's size plus
 // a quarter for headroom — or, when the open chunk could hold the whole
 // round by itself (a first round of one matrix), that chunk.
-func (s *slab[T]) reset() {
+func (s *slab) reset() {
 	if s.round > len(s.buf) {
 		if len(s.spill) >= s.round {
 			s.buf = s.spill
 		} else {
-			s.buf = make([]T, s.round+s.round/4)
+			s.buf = make([]float32, s.round+s.round/4)
 		}
 	}
 	s.spill = nil
@@ -142,18 +154,4 @@ func (s *slab[T]) reset() {
 }
 
 // held is the element count of buf and the open chunk.
-func (s *slab[T]) held() int { return len(s.buf) + len(s.spill) }
-
-// Resized returns a matrix with the given shape, reusing m's backing
-// storage when it has sufficient capacity (contents are then
-// unspecified). It is the reuse primitive for long-lived buffers whose
-// shape varies between uses, e.g. batch matrices that outlive a
-// per-step workspace Reset. A nil m always allocates.
-func Resized(m *Dense, rows, cols int) *Dense {
-	if m != nil && cap(m.Data) >= rows*cols && rows >= 0 && cols >= 0 {
-		m.Rows, m.Cols = rows, cols
-		m.Data = m.Data[:rows*cols]
-		return m
-	}
-	return NewDense(rows, cols)
-}
+func (s *slab) held() int { return len(s.buf) + len(s.spill) }

@@ -5,18 +5,17 @@ import (
 	"testing"
 )
 
-// arenaOps is one precision's workspace as the model check drives it.
-type arenaOps[T float32 | float64] struct {
-	get    func(rows, cols int, zeroed bool) []T // zeroed is ignored where there is no Get
-	reset  func()
-	held   func() int // elements
-	hasGet bool
+// arenaOps is the workspace as the model check drives it.
+type arenaOps struct {
+	get   func(rows, cols int, zeroed bool) []float32
+	reset func()
+	held  func() int // elements
 }
 
-func workspaceOps(w *Workspace) arenaOps[float64] {
-	return arenaOps[float64]{
-		get: func(rows, cols int, zeroed bool) []float64 {
-			var m *Dense
+func workspaceF32Ops(w *WorkspaceF32) arenaOps {
+	return arenaOps{
+		get: func(rows, cols int, zeroed bool) []float32 {
+			var m *DenseF32
 			if zeroed {
 				m = w.Get(rows, cols)
 			} else {
@@ -27,24 +26,11 @@ func workspaceOps(w *Workspace) arenaOps[float64] {
 			}
 			return m.Data
 		},
-		reset: w.Reset, held: func() int { return w.Bytes() / 8 }, hasGet: true,
-	}
-}
-
-func workspaceF32Ops(w *WorkspaceF32) arenaOps[float32] {
-	return arenaOps[float32]{
-		get: func(rows, cols int, _ bool) []float32 {
-			m := w.GetRaw(rows, cols)
-			if m.Rows != rows || m.Cols != cols {
-				panic("shape")
-			}
-			return m.Data
-		},
 		reset: w.Reset, held: func() int { return w.Bytes() / 4 },
 	}
 }
 
-// TestWorkspaceArenaModel is a seeded model check of both arenas over
+// TestWorkspaceArenaModel is a seeded model check of the arena over
 // random rounds of Get/GetRaw/Reset whose sizes keep outgrowing the slab,
 // so rounds overflow mid-way, with 0xn and nx0 shapes among them. After
 // every Get: the matrix has cap == len, a Get is zeroed although the
@@ -55,12 +41,11 @@ func workspaceF32Ops(w *WorkspaceF32) arenaOps[float32] {
 // nothing.
 func TestWorkspaceArenaModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		checkArenaModel(t, seed, workspaceOps(NewWorkspace()))
 		checkArenaModel(t, seed, workspaceF32Ops(NewWorkspaceF32()))
 	}
 }
 
-func checkArenaModel[T float32 | float64](t *testing.T, seed int64, a arenaOps[T]) {
+func checkArenaModel(t *testing.T, seed int64, a arenaOps) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	type shape struct{ rows, cols int }
@@ -78,14 +63,14 @@ func checkArenaModel[T float32 | float64](t *testing.T, seed int64, a arenaOps[T
 			maxDim *= 4
 		}
 		var shapes []shape
-		var live [][]T
+		var live [][]float32
 		round := 0
 		for i := 0; i < n; i++ {
 			s := shape{rng.Intn(maxDim), rng.Intn(maxDim)}
 			if rng.Intn(6) == 0 {
 				s.rows = 0
 			}
-			zeroed := a.hasGet && rng.Intn(2) == 0
+			zeroed := rng.Intn(2) == 0
 			d := a.get(s.rows, s.cols, zeroed)
 			if len(d) != s.rows*s.cols || cap(d) != len(d) {
 				t.Fatalf("seed %d round %d: a %dx%d matrix has len %d, cap %d", seed, r, s.rows, s.cols, len(d), cap(d))
@@ -94,7 +79,7 @@ func checkArenaModel[T float32 | float64](t *testing.T, seed int64, a arenaOps[T
 				if zeroed && v != 0 {
 					t.Fatalf("seed %d round %d: Get left %v at %d", seed, r, v, j)
 				}
-				d[j] = T(r*16 + i + 1)
+				d[j] = float32(r*16 + i + 1)
 			}
 			live = append(live, d)
 			shapes = append(shapes, s)
@@ -107,7 +92,7 @@ func checkArenaModel[T float32 | float64](t *testing.T, seed int64, a arenaOps[T
 		}
 		for i, d := range live {
 			for _, v := range d {
-				if v != T(r*16+i+1) {
+				if v != float32(r*16+i+1) {
 					t.Fatalf("seed %d round %d: matrix %d was overwritten by a live neighbour", seed, r, i)
 				}
 			}
@@ -121,7 +106,7 @@ func checkArenaModel[T float32 | float64](t *testing.T, seed int64, a arenaOps[T
 	warm := func(shapes []shape) {
 		a.reset()
 		for _, s := range shapes {
-			a.get(s.rows, s.cols, a.hasGet)
+			a.get(s.rows, s.cols, true)
 		}
 	}
 	for k := 0; k < 4; k++ {
