@@ -220,12 +220,12 @@ func TestDistinctRowStepMatchesPerOccurrence(t *testing.T) {
 }
 
 // closeTo holds a result of the engine to its oracle, which computes the
-// same float32 arithmetic in another summation order: to 1e-5 (absolute,
-// plus relative), a few hundred float32 ulps of the deepest sum (1e-12
-// when the network computed in float64).
+// same float32 arithmetic in another summation order: to 1e-6 (absolute,
+// plus relative), a few float32 ulps of the deepest sum (1e-12 when the
+// network computed in float64).
 func closeTo(t *testing.T, what string, got, want float64) {
 	t.Helper()
-	if math.IsNaN(got) || math.Abs(got-want) > 1e-5*(1+math.Abs(want)) {
+	if math.IsNaN(got) || math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 		t.Fatalf("%s = %v, the per-occurrence oracle gives %v", what, got, want)
 	}
 }
