@@ -336,9 +336,10 @@ func rowToF32(dst []float32, src []float64) {
 // fillBatch encodes the selected samples into b. idx selects (and
 // orders) samples; a nil idx encodes all of them in order, without
 // copying any Sample. The scalers and the property encoder work in
-// float64; each row is rounded to float32 as it lands in the batch. Optional properties may be fewer than
-// cfg.NumOptional; missing slots read one shared all-zero row, which
-// contributes nothing to the optional mean.
+// float64; each row is rounded to float32 as it lands in the batch.
+// Optional properties may be fewer than cfg.NumOptional; missing slots
+// read one shared all-zero row, which contributes nothing to the
+// optional mean.
 func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
 	cfg := m.Cfg
 	bSize := len(samples)

@@ -32,7 +32,6 @@ type Adam struct {
 
 	t     int
 	state map[*Param][]float32
-	coef  mat.AdamCoef
 }
 
 // NewAdam constructs an Adam optimizer with standard betas.
@@ -69,8 +68,7 @@ func (a *Adam) StepClipZero(params []*Param, maxNorm float64) {
 // update is a function of the two gradients alone.
 func (a *Adam) StepShards(params, second []*Param, w0, w1 float32, maxNorm float64) {
 	a.t++
-	c := &a.coef
-	*c = mat.AdamCoef{
+	c := mat.AdamCoef{
 		W0: w0, W1: w1,
 		B1: float32(a.Beta1), OneMinusB1: float32(1 - a.Beta1),
 		B2: float32(a.Beta2), OneMinusB2: float32(1 - a.Beta2),
@@ -95,7 +93,7 @@ func (a *Adam) StepShards(params, second []*Param, w0, w1 float32, maxNorm float
 			st = make([]float32, mat.AdamStateLen(len(g0)))
 			a.state[p] = st
 		}
-		mat.AdamSweep32(p.Value.Data, g0, g1, st, c)
+		mat.AdamSweep32(p.Value.Data, g0, g1, st, &c)
 	}
 }
 
