@@ -560,15 +560,18 @@ func TestLoadRejectsEveryTruncation(t *testing.T) {
 // encodes back to the same bytes and answers a query that fits its
 // config, in float64 and quantized, without panicking. Each input is
 // also decoded with its checksum redone, so mutations reach the fields
-// behind it. The seeds are a real model, every truncation of it, a bit
-// flip in every byte with the checksum redone, and the huge header.
+// behind it. The seeds are a real model, every truncation of it, two
+// bit flips in every byte (bits i%8 and (i+4)%8 of byte i), each with
+// the checksum redone, and the huge header.
 func FuzzLoadModel(f *testing.F) {
 	good := smallModel(f).encode()
 	for n := 0; n <= len(good); n++ {
 		f.Add(good[:n])
 	}
-	for i := range len(good) - 4 {
-		f.Add(edited(good, func(b []byte) []byte { b[i] ^= 1 << (i % 8); return b }))
+	for _, bit := range []int{0, 4} {
+		for i := range len(good) - 4 {
+			f.Add(edited(good, func(b []byte) []byte { b[i] ^= 1 << ((i + bit) % 8); return b }))
+		}
 	}
 	f.Add(edited(good, cfgField(0, 1<<30)))
 	f.Fuzz(func(t *testing.T, data []byte) {
