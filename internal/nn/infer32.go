@@ -6,8 +6,8 @@ import (
 	"repro/internal/mat"
 )
 
-// InferMLP32 is a read-only snapshot of a network for serving: it runs
-// the network's own evaluation pass (MLP.Infer) on weights copied at
+// InferMLP32 is a snapshot of a network for serving: it runs the
+// network's own evaluation-mode forward pass on weights copied at
 // snapshot time, so its answers are the trained network's, bit for bit,
 // and later training of the source does not reach them.
 type InferMLP32 struct {
@@ -47,5 +47,5 @@ func snapshotParam(p *Param) *Param {
 // ws and stays valid until the next ws.Reset; in steady state the pass
 // allocates nothing.
 func (n *InferMLP32) Forward(ws *mat.WorkspaceF32, x *mat.DenseF32) *mat.DenseF32 {
-	return n.net.Infer(ws, x)
+	return n.net.Forward(ws, x, false)
 }

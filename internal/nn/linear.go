@@ -59,26 +59,20 @@ func (l *LinearAct) Forward(ws *mat.WorkspaceF32, x *mat.DenseF32, train bool) *
 		panic(fmt.Sprintf("nn: LinearAct %s input cols %d != in %d", l.W.Name, x.Cols, l.In))
 	}
 	l.input = x
-	pre := l.eval(ws, x)
-	// The output doubles as the derivative cache; Identity's derivative
-	// is constant and needs none.
-	l.cache = pre
-	if _, id := l.Act.(Identity); id {
-		l.cache = nil
-	}
-	return pre
-}
-
-// eval is the layer's forward arithmetic: the product, then the bias
-// and the activation in place on it, one buffer.
-func (l *LinearAct) eval(ws *mat.WorkspaceF32, x *mat.DenseF32) *mat.DenseF32 {
 	pre := ws.GetRaw(x.Rows, l.Out)
 	mat.MulToF32(pre, x, l.W.Value)
 	var bias []float32
 	if l.B != nil {
 		bias = l.B.Value.Row(0)
 	}
+	// Bias and activation applied in place, one buffer; the output
+	// doubles as the derivative cache, which Identity, whose derivative
+	// is constant, does not need.
 	biasActInPlace(l.Act, pre, bias)
+	l.cache = pre
+	if _, id := l.Act.(Identity); id {
+		l.cache = nil
+	}
 	return pre
 }
 
@@ -145,27 +139,6 @@ type MLP struct {
 
 // NewMLP wraps layers into a network.
 func NewMLP(layers ...Layer) *MLP { return &MLP{Layers: layers} }
-
-// Infer runs the network forward in evaluation mode without touching
-// any layer's backward-pass cache: dropout is the identity, and every
-// linear layer runs the arithmetic Forward runs, so its output is
-// Forward(ws, x, false)'s to the bit. It is the serving pass, safe on a
-// network whose caches belong to a training pass in progress elsewhere.
-func (m *MLP) Infer(ws *mat.WorkspaceF32, x *mat.DenseF32) *mat.DenseF32 {
-	for _, l := range m.Layers {
-		switch l := l.(type) {
-		case *LinearAct:
-			if x.Cols != l.In {
-				panic(fmt.Sprintf("nn: LinearAct %s input cols %d != in %d", l.W.Name, x.Cols, l.In))
-			}
-			x = l.eval(ws, x)
-		case *AlphaDropout:
-		default:
-			x = l.Forward(ws, x, false)
-		}
-	}
-	return x
-}
 
 // Forward implements Layer by chaining all constituent layers.
 func (m *MLP) Forward(ws *mat.WorkspaceF32, x *mat.DenseF32, train bool) *mat.DenseF32 {
