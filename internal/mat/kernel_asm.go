@@ -16,12 +16,13 @@ package mat
 const daxpyMinN = 32
 
 // RowGroup is the row height of the asm a*b kernels: below daxpyMinN
-// columns, mulRowsAsm computes rows [lo,hi) in groups of RowGroup, one
-// ddot4 or dgemmRows4x{8,4} call per group, and the last
-// (hi-lo)%RowGroup rows by a scalar route. The two round differently, so
-// a row's bits depend on whether it falls in a full group; a caller that
-// must reproduce a row's bits from another batch keeps it in the same
-// kind of group. mulRowsPool's row panels are whole groups.
+// (saxpyMinN) columns, mulRowsAsm (mulRows32) computes rows [lo,hi) in
+// groups of RowGroup, one ddot4 or dgemmRows4x{8,4} (sdot4 or
+// sgemmRows4x{8,4}) call per group, and the last (hi-lo)%RowGroup rows
+// by a scalar route. The two round differently, so a row's bits depend
+// on whether it falls in a full group; a caller that must reproduce a
+// row's bits from another batch keeps it in the same kind of group. The
+// pool's row panels are whole groups.
 const RowGroup = 4
 
 // mulRowsAsm accumulates rows [lo,hi) of a*b into dst (rows

@@ -5,19 +5,19 @@ import (
 	"runtime"
 )
 
-// Multiply dispatch. a*b has two tiers:
+// Float64 multiply dispatch, for the baselines' solvers and the
+// benchmark's GEMM rungs; the network's float32 products are mul32.go's,
+// on the same two tiers. a*b has two tiers:
 //
 //  1. the direct register-tiled kernel (kernel.go) over the whole
-//     output — every product the Bellamy MLPs issue in training and in
-//     serving batches of up to ~1800 queries;
+//     output;
 //  2. the same kernel over output-row panels on the shared worker pool
-//     (pool.go) once the multiply-add count clears parallelThreshold —
-//     the encoder product of a serving batch of thousands of queries,
-//     an evaluation pass over a corpus of tens of thousands of samples.
+//     (pool.go) once the multiply-add count clears parallelThreshold.
 //
-// The transposed products aᵀ*b and a*bᵀ exist for backward passes only
-// and always run direct: training spreads over cores one level up, by
-// sharding the mini-batch (core.Pretrain), not inside a product.
+// The transposed products aᵀ*b and a*bᵀ always run direct: training,
+// whose backward passes issue them in float32, spreads over cores one
+// level up, by sharding the mini-batch (core.Pretrain), not inside a
+// product.
 //
 // The kernels change floating-point summation order relative to the
 // reference kernels in mul_ref.go, so equivalence is specified to
