@@ -347,32 +347,35 @@ func BenchmarkPredictObsOverhead(b *testing.B) {
 // prediction as many rows as it has values — and how much heap the
 // result cache holds.
 func TestInferRowAndCacheByteMetrics(t *testing.T) {
-	cl := &countingLoader{t: t}
-	svc := NewService(cl.load, Options{})
-	o := attachServeObs(svc)
-	key := ModelKey{Job: "sort", Env: "c3o"}
-	q := testQuery(4, 10000)
-	if _, err := svc.Allocate(context.Background(), key, allocate.Request{
-		MinScaleOut: 1, MaxScaleOut: 64, DeadlineSec: 1e6,
-		Essential: q.Essential, Optional: q.Optional,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if r := svc.Predict(context.Background(), key, q); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	rec := httptest.NewRecorder()
-	o.Metrics.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	for _, series := range []string{
-		"bellamy_infer_property_rows_total 390",
-		"bellamy_infer_distinct_rows_total 12",
-		fmt.Sprintf("bellamy_result_cache_bytes %d", svc.results.bytes()),
-	} {
-		if !strings.Contains(rec.Body.String(), series+"\n") {
-			t.Fatalf("/metrics missing %q:\n%s", series, rec.Body)
+	// Serving runs in float32 only; the case keeps its float64=false name.
+	t.Run("float64=false", func(t *testing.T) {
+		cl := &countingLoader{t: t}
+		svc := NewService(cl.load, Options{})
+		o := attachServeObs(svc)
+		key := ModelKey{Job: "sort", Env: "c3o"}
+		q := testQuery(4, 10000)
+		if _, err := svc.Allocate(context.Background(), key, allocate.Request{
+			MinScaleOut: 1, MaxScaleOut: 64, DeadlineSec: 1e6,
+			Essential: q.Essential, Optional: q.Optional,
+		}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if min := 4*2*DefaultResultCap + entryBytes + len(fingerprint(key, q)); svc.results.bytes() < min {
-		t.Fatalf("result cache reports %d B, less than its index, one entry and one key (%d)", svc.results.bytes(), min)
-	}
+		if r := svc.Predict(context.Background(), key, q); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		rec := httptest.NewRecorder()
+		o.Metrics.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		for _, series := range []string{
+			"bellamy_infer_property_rows_total 390",
+			"bellamy_infer_distinct_rows_total 12",
+			fmt.Sprintf("bellamy_result_cache_bytes %d", svc.results.bytes()),
+		} {
+			if !strings.Contains(rec.Body.String(), series+"\n") {
+				t.Fatalf("/metrics missing %q:\n%s", series, rec.Body)
+			}
+		}
+		if min := 4*2*DefaultResultCap + entryBytes + len(fingerprint(key, q)); svc.results.bytes() < min {
+			t.Fatalf("result cache reports %d B, less than its index, one entry and one key (%d)", svc.results.bytes(), min)
+		}
+	})
 }
