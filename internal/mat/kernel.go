@@ -5,11 +5,9 @@ package mat
 // reduction (or the output columns) 4- or 8-way so each output element
 // is loaded and stored once per unroll group instead of once per
 // multiply-add, and they carry independent accumulator chains for
-// instruction-level parallelism. mulRows takes a row range, which is
-// what lets mul.go run it whole or as row panels on the worker pool.
-// The Go loops here are the plain family; under the asm family every
-// kernel hands its operands to the AVX2 driver of the same shape in
-// kernel_asm.go.
+// instruction-level parallelism. The Go loops here are the plain
+// family; under the asm family every kernel hands its operands to the
+// AVX2 driver of the same shape in kernel_asm.go.
 //
 // None of the kernels branch on zero operands: the old `av == 0` skip
 // helped only on artificially sparse data and defeated pipelining on
@@ -31,17 +29,17 @@ func KernelFamily() string {
 	return "plain"
 }
 
-// mulRows accumulates rows [lo,hi) of a*b into dst (rows pre-zeroed).
+// mulRows accumulates a*b into dst (pre-zeroed).
 // The reduction is unrolled 8-way (with 4-way and scalar tails): each
 // pass streams 8 rows of b and touches the output row once per 8
 // multiply-adds, summed as a balanced tree.
-func mulRows(dst, a, b *Dense, lo, hi int) {
+func mulRows(dst, a, b *Dense) {
 	if useAsm {
-		mulRowsAsm(dst, a, b, lo, hi)
+		mulRowsAsm(dst, a, b)
 		return
 	}
 	k := a.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		ar := a.Row(i)
 		or := dst.Row(i)
 		n := len(or)

@@ -16,41 +16,40 @@ package mat
 const daxpyMinN = 32
 
 // RowGroup is the row height of the asm a*b kernels: below daxpyMinN
-// (saxpyMinN) columns, mulRowsAsm (mulRows32) computes rows [lo,hi) in
+// (saxpyMinN) columns, mulRowsAsm (mulRows32) computes the output rows in
 // groups of RowGroup, one ddot4 or dgemmRows4x{8,4} (sdot4 or
-// sgemmRows4x{8,4}) call per group, and the last (hi-lo)%RowGroup rows
-// by a scalar route. The two round differently, so a row's bits depend
-// on whether it falls in a full group; a caller that must reproduce a
-// row's bits from another batch keeps it in the same kind of group. The
-// pool's row panels are whole groups.
+// sgemmRows4x{8,4}) call per group, and the last rows%RowGroup rows by a
+// scalar route. The two round differently, so a row's bits depend on
+// whether it falls in a full group; a caller that must reproduce a row's
+// bits from another batch keeps it in the same kind of group.
 const RowGroup = 4
 
-// mulRowsAsm accumulates rows [lo,hi) of a*b into dst (rows
-// pre-zeroed). Three regimes by output width: n == 1 runs 4-row dot
-// products against the contiguous b column; small n runs the strided
-// dgemmRows4x{8,4} kernels that hold 4 output rows in registers across
-// the whole k loop; wide n falls back to the daxpy drivers.
-func mulRowsAsm(dst, a, b *Dense, lo, hi int) {
-	k := a.Cols
+// mulRowsAsm accumulates a*b into dst (pre-zeroed). Three regimes by
+// output width: n == 1 runs 4-row dot products against the contiguous b
+// column; small n runs the strided dgemmRows4x{8,4} kernels that hold 4
+// output rows in registers across the whole k loop; wide n falls back to
+// the daxpy drivers.
+func mulRowsAsm(dst, a, b *Dense) {
+	m, k := a.Rows, a.Cols
 	n := dst.Cols
 	if n == 0 || k == 0 {
 		return
 	}
 	if n == 1 {
-		i := lo
-		for ; i+RowGroup <= hi; i += RowGroup {
+		i := 0
+		for ; i+RowGroup <= m; i += RowGroup {
 			dst.Data[i], dst.Data[i+1], dst.Data[i+2], dst.Data[i+3] =
 				ddot4(&b.Data[0], &a.Data[i*k], k, k)
 		}
-		for ; i < hi; i++ {
+		for ; i < m; i++ {
 			dst.Data[i] = dotUnrolled(a.Row(i), b.Data)
 		}
 		return
 	}
 	if n < daxpyMinN {
 		ns := n &^ 3 // columns covered by the 8/4-wide strips
-		i := lo
-		for ; i+RowGroup <= hi; i += RowGroup {
+		i := 0
+		for ; i+RowGroup <= m; i += RowGroup {
 			ar := &a.Data[i*k]
 			j := 0
 			for ; j+8 <= ns; j += 8 {
@@ -60,16 +59,16 @@ func mulRowsAsm(dst, a, b *Dense, lo, hi int) {
 				dgemmRows4x4(&dst.Data[i*n+j], n, ar, k, 1, &b.Data[j], n, k)
 			}
 		}
-		if i < hi && ns > 0 {
-			mulRowsColsPlain(dst, a, b, i, hi, 0, ns)
+		if i < m && ns > 0 {
+			mulRowsColsPlain(dst, a, b, i, m, 0, ns)
 		}
 		if ns < n {
-			mulRowsTailCols(dst, a, b, lo, hi, ns)
+			mulRowsTailCols(dst, a, b, 0, m, ns)
 		}
 		return
 	}
 	var av [4]float64
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		ar := a.Row(i)
 		or := &dst.Row(i)[0]
 		p := 0
@@ -213,7 +212,7 @@ func mulABTAsm(dst, a, b *Dense) {
 			}
 		}
 		clear(dst.Data)
-		mulRowsAsm(dst, a, &bt, 0, a.Rows)
+		mulRowsAsm(dst, a, &bt)
 		return
 	}
 	for i := 0; i < a.Rows; i++ {

@@ -66,18 +66,6 @@ func (m *Dense) Row(i int) []float64 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.Cols {
-		panic(fmt.Sprintf("mat: col %d out of bounds %d", j, m.Cols))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	c := NewDense(m.Rows, m.Cols)

@@ -95,19 +95,6 @@ func TestMulDimensionMismatchPanics(t *testing.T) {
 	Mul(NewDense(2, 3), NewDense(2, 3))
 }
 
-func TestMulParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randomDense(rng, 80, 120)
-	b := randomDense(rng, 120, 90)
-	got := NewDense(80, 90)
-	mulRowsPool(got, a, b)
-	want := NewDense(80, 90)
-	mulRows(want, a, b, 0, 80)
-	if !got.Equalish(want, 1e-9) {
-		t.Fatal("parallel Mul disagrees with serial")
-	}
-}
-
 func TestMulATB(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomDense(rng, 7, 4)
@@ -232,16 +219,6 @@ func BenchmarkMulSerial32(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := randomDense(rng, 32, 32)
 	y := randomDense(rng, 32, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Mul(x, y)
-	}
-}
-
-func BenchmarkMulParallel256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randomDense(rng, 256, 256)
-	y := randomDense(rng, 256, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Mul(x, y)

@@ -3,13 +3,10 @@ package mat
 import "fmt"
 
 // Float32 multiply dispatch, the products the network trains and serves
-// on. a*b mirrors mul.go tier for tier: the direct register-tiled row
-// kernel for the small/skinny layer shapes, and the same kernel over
-// output-row panels on the worker pool past parallelThreshold (a serving
-// batch of thousands of queries, an evaluation pass over a large
-// corpus). The transposed products aᵀ*b and a*bᵀ of the backward pass
-// always run direct. Under the asm family the inner loops run the AVX2
-// float32 helpers (sgemmRows4x{8,4}, saxpy4, sdot4; 8 lanes per
+// on. Like mul.go, every product runs its direct register-tiled kernel on
+// the calling goroutine, whatever its size: a single-model batch of any
+// size runs on one core. Under the asm family the inner loops run the
+// AVX2 float32 helpers (sgemmRows4x{8,4}, saxpy4, sdot4; 8 lanes per
 // register); the plain family is a multiply-add Go kernel.
 
 // MulToF32 computes dst = a*b, fully overwriting dst. dst must be
@@ -22,15 +19,10 @@ func MulToF32(dst, a, b *DenseF32) {
 		panic(fmt.Sprintf("mat: MulToF32 dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	dst.Zero()
-	m, k, n := a.Rows, a.Cols, b.Cols
-	if m == 0 || k == 0 || n == 0 {
+	if a.Rows == 0 || a.Cols == 0 || b.Cols == 0 {
 		return
 	}
-	if fansOut(m*k*n, m) {
-		mulRows32Pool(dst, a, b)
-		return
-	}
-	mulRows32(dst, a, b, 0, m)
+	mulRows32(dst, a, b)
 }
 
 // MulATBAccF32 accumulates dst += aᵀ*b without materializing the
@@ -76,28 +68,21 @@ func MulABTToF32(dst, a, b *DenseF32) {
 	mulABT32(dst, a, b)
 }
 
-// mulRows32Pool is mulRows32 over all of dst, as row panels on the pool.
-func mulRows32Pool(dst, a, b *DenseF32) {
-	j := newJob(opMulRows32, a.Rows)
-	j.dst32, j.a32, j.b32 = dst, a, b
-	runParallel(j)
-}
-
-// mulRows32 accumulates rows [lo,hi) of a*b into dst (rows pre-zeroed).
-func mulRows32(dst, a, b *DenseF32, lo, hi int) {
-	k := a.Cols
+// mulRows32 accumulates a*b into dst (pre-zeroed).
+func mulRows32(dst, a, b *DenseF32) {
+	m, k := a.Rows, a.Cols
 	n := dst.Cols
 	if n == 0 || k == 0 {
 		return
 	}
 	if useAsm {
 		if n == 1 {
-			i := lo
-			for ; i+4 <= hi; i += 4 {
+			i := 0
+			for ; i+4 <= m; i += 4 {
 				dst.Data[i], dst.Data[i+1], dst.Data[i+2], dst.Data[i+3] =
 					sdot4(&b.Data[0], &a.Data[i*k], k, k)
 			}
-			for ; i < hi; i++ {
+			for ; i < m; i++ {
 				dst.Data[i] = dot32(a.Row(i), b.Data)
 			}
 			return
@@ -107,8 +92,8 @@ func mulRows32(dst, a, b *DenseF32, lo, hi int) {
 			// strided row kernels keep 4 dst rows in registers across
 			// the whole k loop instead of a saxpy call per 4 k-steps.
 			ns := n &^ 3 // columns covered by the 8/4-wide strips
-			i := lo
-			for ; i+4 <= hi; i += 4 {
+			i := 0
+			for ; i+4 <= m; i += 4 {
 				ar := &a.Data[i*k]
 				j := 0
 				for ; j+8 <= ns; j += 8 {
@@ -118,16 +103,16 @@ func mulRows32(dst, a, b *DenseF32, lo, hi int) {
 					sgemmRows4x4(&dst.Data[i*n+j], n, ar, k, 1, &b.Data[j], n, k)
 				}
 			}
-			if i < hi && ns > 0 {
-				mulRowsColsPlain32(dst, a, b, i, hi, 0, ns)
+			if i < m && ns > 0 {
+				mulRowsColsPlain32(dst, a, b, i, m, 0, ns)
 			}
 			if ns < n {
-				mulRowsTailCols32(dst, a, b, lo, hi, ns)
+				mulRowsTailCols32(dst, a, b, 0, m, ns)
 			}
 			return
 		}
 		var av [4]float32
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m; i++ {
 			ar := a.Row(i)
 			or := &dst.Row(i)[0]
 			p := 0
@@ -141,7 +126,7 @@ func mulRows32(dst, a, b *DenseF32, lo, hi int) {
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		ar := a.Row(i)
 		or := dst.Row(i)
 		p := 0
@@ -372,7 +357,7 @@ func mulABTAsm32(dst, a, b *DenseF32) {
 			}
 		}
 		clear(dst.Data)
-		mulRows32(dst, a, &bt, 0, a.Rows)
+		mulRows32(dst, a, &bt)
 		return
 	}
 	for i := 0; i < a.Rows; i++ {

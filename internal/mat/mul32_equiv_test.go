@@ -44,9 +44,8 @@ func equalishTol32(t *testing.T, name string, got *DenseF32, want *Dense, k int)
 }
 
 // TestF32FamiliesMatchRef sweeps the float32 kernel across both
-// families over ragged shapes and issuedShapes: through MulToF32, which
-// picks the direct or the pool route by size, and through both routes
-// explicitly, so each is covered at every size.
+// families over ragged shapes and issuedShapes, through MulToF32 and
+// through mulRows32.
 func TestF32FamiliesMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	shapes := append([]struct{ m, k, n int }{{37, 23, 19}, {70, 67, 66}, {5, 300, 47}, {16, 16, 16}, {33, 29, 1}, {9, 40, 8}}, issuedShapes...)
@@ -64,11 +63,8 @@ func TestF32FamiliesMatchRef(t *testing.T) {
 			equalishTol32(t, "MulToF32/"+name, got, want, s.k)
 
 			got.Zero()
-			mulRows32(got, a32, b32, 0, s.m)
+			mulRows32(got, a32, b32)
 			equalishTol32(t, "mulRows32/"+name, got, want, s.k)
-			got.Zero()
-			mulRows32Pool(got, a32, b32)
-			equalishTol32(t, "mulRows32Pool/"+name, got, want, s.k)
 		}
 	}
 }
@@ -81,9 +77,9 @@ func TestF32LargePathsMatchRef(t *testing.T) {
 		setFamily(t, asm)
 		name := "family=" + KernelFamily()
 		for _, s := range []struct{ m, k, n int }{
-			{parallelThreshold/(60*17) + 5, 60, 17},      // pool route, strips plus a tail column
-			{parallelThreshold/(300*512) + 13, 300, 512}, // pool route, wide output (the saxpy driver)
-			{1, 300, 300}, // one output row: a single panel, so direct
+			{4117, 60, 17}, // strips plus a tail column
+			{40, 300, 512}, // wide output (the saxpy driver)
+			{1, 300, 300},  // one output row
 		} {
 			a32, a := randomDense32(rng, s.m, s.k)
 			b32, b := randomDense32(rng, s.k, s.n)

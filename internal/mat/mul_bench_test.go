@@ -15,17 +15,16 @@ func randDense(rows, cols int, rng *rand.Rand) *Dense {
 }
 
 // BenchmarkMatMul covers the product shapes of the Bellamy hot path:
-// skinny batch-times-weights products below the parallel threshold and
-// square products, the larger two above it (where Mul fans rows across
-// cores).
+// skinny batch-times-weights products and square products, the larger
+// two far past any layer width. All of them run direct, on one core.
 func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	shapes := []struct{ m, k, n int }{
-		{64, 40, 8},     // property batch x encoder weights (serial)
+		{64, 40, 8},     // property batch x encoder weights
 		{1000, 43, 16},  // 1k-request serving batch x hidden layer
-		{128, 128, 128}, // square, serial
-		{256, 256, 256}, // square, parallel path
-		{512, 512, 512}, // square, parallel path, B past L2
+		{128, 128, 128}, // square
+		{256, 256, 256}, // square
+		{512, 512, 512}, // square, B past L2
 	}
 	for _, s := range shapes {
 		a := randDense(s.m, s.k, rng)
@@ -39,9 +38,9 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
-// BenchmarkMulSizes sweeps square products from below the register-tile
-// width (direct kernel) across parallelThreshold (256^3 is the first
-// size on the worker pool) to sizes whose B operand no longer fits L2.
+// BenchmarkMulSizes sweeps square products of the direct kernel from
+// below the register-tile width to sizes whose B operand no longer fits
+// L2.
 // No caller issues anything past 40 wide: 256^3 is the CI bench gate's
 // reference size, and 512^3/1024^3 record what the direct kernels cost
 // on shapes they are not tuned for (they stream B from L3 or memory on
@@ -79,60 +78,4 @@ func BenchmarkMatMulTransposed(b *testing.B) {
 			MulABTTo(dx, g, w)
 		}
 	})
-}
-
-// BenchmarkPoolCrossover is the sweep parallelThreshold is set from:
-// the direct kernel against the same kernel fanned over the worker pool,
-// shape by shape in adjacent sub-benchmarks, on the products serving
-// and training issue (all of which the pool loses) and on square and
-// skinny shapes either side of the constant. Run it at GOMAXPROCS=2
-// with a fixed -benchtime Nx and -count 3; the threshold belongs where
-// "pool" first beats "direct".
-func BenchmarkPoolCrossover(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	type shape struct{ m, k, n int }
-	for _, s := range []shape{
-		{896, 40, 8}, {1792, 40, 8}, // serve-cold: encoder layer 1, 128 and 256 queries
-		{14336, 40, 8}, {28672, 40, 8}, {70000, 40, 8}, // up to the 10k-query batch limit
-		{128, 128, 128}, {160, 160, 160}, {192, 192, 192}, {256, 256, 256},
-	} {
-		a, _ := randomDense32(rng, s.m, s.k)
-		w, _ := randomDense32(rng, s.k, s.n)
-		dst := NewDenseF32(s.m, s.n)
-		name := fmt.Sprintf("f32/%dx%dx%d", s.m, s.k, s.n)
-		b.Run(name+"/direct", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dst.Zero()
-				mulRows32(dst, a, w, 0, s.m)
-			}
-		})
-		b.Run(name+"/pool", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dst.Zero()
-				mulRows32Pool(dst, a, w)
-			}
-		})
-	}
-	for _, s := range []shape{
-		{224, 8, 40}, {448, 8, 40}, {224, 40, 8}, {448, 40, 8}, // a training step's decoder and encoder, shard and whole
-		{8192, 40, 8}, {16384, 40, 8}, {32768, 40, 8},
-		{128, 128, 128}, {160, 160, 160}, {192, 192, 192}, {256, 256, 256},
-	} {
-		a := randomDense(rng, s.m, s.k)
-		w := randomDense(rng, s.k, s.n)
-		dst := NewDense(s.m, s.n)
-		name := fmt.Sprintf("f64/%dx%dx%d", s.m, s.k, s.n)
-		b.Run(name+"/direct", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dst.Zero()
-				mulRows(dst, a, w, 0, s.m)
-			}
-		})
-		b.Run(name+"/pool", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dst.Zero()
-				mulRowsPool(dst, a, w)
-			}
-		})
-	}
 }

@@ -14,10 +14,9 @@ import (
 // validated against the mul_ref.go oracle to epsilon tolerance, over
 // random shapes including ragged edges (dims drawn from 1..67, so every
 // partial strip and row-group combination of the 4-row, 8/4-column
-// kernels is exercised), over the shapes serving and training issue —
-// each on the direct and on the worker-pool route — and over shapes
-// large enough that the public entry points pick the pool themselves.
-// The reference kernels themselves are pinned bit-identically below.
+// kernels is exercised), over the shapes serving and training issue,
+// and over shapes far larger than any layer. The reference kernels
+// themselves are pinned bit-identically below.
 
 // tolClose reports whether got is within summation-reordering distance
 // of want for a reduction of depth k: the bound scales with the
@@ -115,36 +114,21 @@ func TestQuickMulABTMatchesRef(t *testing.T) {
 	}
 }
 
-// poolSide is the smallest multiple of 8 whose cube clears
-// parallelThreshold: the side of a square product MulTo sends to the
-// worker pool (with a second core to send it to).
-func poolSide() int {
-	n := 8
-	for n*n*n < parallelThreshold {
-		n += 8
-	}
-	return n
-}
-
 // TestLargePathsMatchRef keeps products far larger than anything the
-// MLPs issue correct: past parallelThreshold MulTo runs its direct
-// kernel over row panels on the worker pool, the transposed products
-// run direct at every size, including ragged edges on each dimension.
+// MLPs issue correct: MulTo and the transposed products run their
+// direct kernels at every size, including ragged edges on each
+// dimension.
 func TestLargePathsMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	n := poolSide()
 	shapes := []struct{ m, k, n int }{
-		{n, n, n},              // pool route, aligned strips
-		{n + 3, n + 1, n + 5},  // pool route, ragged everywhere
-		{n + 67, n + 3, n - 2}, // pool route, ragged rows and tail columns
-		{1, 300, 300},          // one output row: a single panel, so direct
-		{n * n, n, 1},          // pool route, column output (the n == 1 dot kernel)
+		{168, 168, 168}, // aligned strips
+		{171, 169, 173}, // ragged everywhere
+		{235, 171, 166}, // ragged rows and tail columns
+		{1, 300, 300},   // one output row
+		{28224, 168, 1}, // column output (the n == 1 dot kernel)
 	}
 	for _, s := range shapes {
 		name := fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n)
-		if pool := s.m*s.k*s.n >= parallelThreshold; pool != (s.m > 1) {
-			t.Fatalf("%s: %d multiply-adds against a threshold of %d", name, s.m*s.k*s.n, parallelThreshold)
-		}
 		a := randomDense(rng, s.m, s.k)
 		b := randomDense(rng, s.k, s.n)
 
@@ -207,14 +191,14 @@ func TestKernelFamilyFollowsCPU(t *testing.T) {
 // BenchmarkServeShape table), their single-predict forms, the encoder
 // products of a 256-query batch (1792x40x8) and of a 64-sample training
 // step and its two shards (448x40x8, 224x40x8; 448x8x40, the decoder's;
-// 40x448x8, the operands of a weight gradient under MulATBTo) — all of
-// which run direct — and the encoder product of the smallest serving
-// batch that MulTo and MulToF32 send to the pool.
+// 40x448x8, the operands of a weight gradient under MulATBTo) — and the
+// encoder product of a batch of ~1870 queries (13108x40x8), seven times
+// the largest a serve-cold batch issues.
 var issuedShapes = []struct{ m, k, n int }{
 	{1750, 40, 8}, {250, 3, 16}, {250, 16, 8}, {1750, 8, 4}, {250, 28, 8}, {250, 8, 1},
 	{7, 40, 8}, {1, 3, 16}, {1, 16, 8}, {7, 8, 4}, {1, 28, 8}, {1, 8, 1}, {1, 40, 8}, {1, 8, 4},
 	{1792, 40, 8}, {448, 40, 8}, {224, 40, 8}, {40, 448, 8}, {448, 8, 40},
-	{(parallelThreshold + 40*8 - 1) / (40 * 8), 40, 8},
+	{13108, 40, 8},
 }
 
 // gradShapes are the gradient products one 32-sample shard of a
@@ -233,10 +217,8 @@ var gradShapes = []struct{ m, k, n int }{
 // TestAllKernelFamiliesMatchRef pins both kernel families — plain and
 // (CPU permitting) the AVX2 asm kernels — against the oracle, whichever
 // one startup selected, over ragged shapes, issuedShapes and gradShapes.
-// Each shape goes through the public entry points, which pick the
-// direct or the pool route by size, and a*b through both routes
-// explicitly, so each is covered at every size; aᵀ*b also accumulates
-// onto a dst that holds values.
+// Each shape goes through the public entry points, and a*b through
+// mulRows as well; aᵀ*b also accumulates onto a dst that holds values.
 func TestAllKernelFamiliesMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	shapes := append([]struct{ m, k, n int }{{37, 23, 19}, {70, 67, 66}, {12, 300, 41}, {33, 29, 1}, {9, 40, 8}}, issuedShapes...)
@@ -255,11 +237,8 @@ func TestAllKernelFamiliesMatchRef(t *testing.T) {
 			MulTo(got, a, b)
 			equalishTol(t, "MulTo/"+name, got, want, s.k)
 			got.Zero()
-			mulRows(got, a, b, 0, s.m)
+			mulRows(got, a, b)
 			equalishTol(t, "mulRows/"+name, got, want, s.k)
-			got.Zero()
-			mulRowsPool(got, a, b)
-			equalishTol(t, "mulRowsPool/"+name, got, want, s.k)
 
 			wantATB := NewDense(s.m, s.n)
 			refMulATBTo(wantATB, at, b)
@@ -314,21 +293,28 @@ func TestRefKernelsBitIdentical(t *testing.T) {
 	bitIdentical(t, "refMulABTTo", gotABT, want)
 }
 
-// TestMulNestedParallelism drives the shared worker pool from many
-// concurrent callers — the hyperopt-trials-times-matmul shape that used
-// to oversubscribe cores — and checks every product against the oracle.
+// TestMulNestedParallelism runs MulTo and MulToF32 from many concurrent
+// callers sharing read-only operands — the shape of experiments and
+// hyperopt running one training per core — and checks every product
+// against the oracle. CI runs it under -race.
 func TestMulNestedParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := randomDense(rng, 96, 48)
 	b := randomDense(rng, 48, 32)
+	a32, a64 := randomDense32(rng, 96, 48)
+	b32, b64 := randomDense32(rng, 48, 32)
 	want := NewDense(96, 32)
 	refMulTo(want, a, b)
+	want32 := NewDense(96, 32)
+	refMulTo(want32, a64, b64)
 	parallel.ForEach(16, 8, func(i int) {
 		got := NewDense(96, 32)
-		mulRowsPool(got, a, b)
+		MulTo(got, a, b)
+		got32 := NewDenseF32(96, 32)
+		MulToF32(got32, a32, b32)
 		for j := range want.Data {
-			if !tolClose(got.Data[j], want.Data[j], 48) {
-				t.Errorf("concurrent Mul %d diverged at %d", i, j)
+			if !tolClose(got.Data[j], want.Data[j], 48) || !tolClose32(got32.Data[j], want32.Data[j], 48) {
+				t.Errorf("concurrent product %d diverged at %d", i, j)
 				return
 			}
 		}

@@ -100,7 +100,7 @@ func reconHeadTiles32(dHid, hid, w, dw, targets *DenseF32, rows []int32, c float
 		out := DenseF32{Rows: t, Cols: n, Data: buf[:t*n]}
 		clear(out.Data)
 		if k > 0 {
-			mulRows32(&out, &hidT, w, 0, t)
+			mulRows32(&out, &hidT, w)
 		}
 		for i, r := range rows[r0 : r0+t] {
 			tg, o := targets.Row(int(r)), out.Row(i)

@@ -8,8 +8,7 @@ import (
 // BenchmarkServeShape sweeps the float32 products of one serving-batch
 // forward pass (f/g/z layer shapes for a 250-query batch): skinny
 // outputs where the strided sgemmRows4x{8,4} kernels and the dot-based
-// column-tail path do the work. All six are far below
-// parallelThreshold and run direct.
+// column-tail path do the work.
 func BenchmarkServeShape(b *testing.B) {
 	for _, s := range []struct{ m, k, n int }{
 		{1750, 40, 8}, // g layer 1: (B*7) property rows x encoder

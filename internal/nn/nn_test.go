@@ -306,41 +306,10 @@ func TestAdamWeightDecayShrinks(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumConverges(t *testing.T) {
-	p := NewParam("w", 1, 1)
-	p.Value.Data[0] = 5
-	opt := NewSGD(0.05, 0.9, 0)
-	for i := 0; i < 500; i++ {
-		p.ZeroGrad()
-		p.Grad.Data[0] = 2 * p.Value.Data[0]
-		opt.Step([]*Param{p})
-	}
-	if math.Abs(float64(p.Value.Data[0])) > 1e-3 {
-		t.Fatalf("SGD did not converge: %v", p.Value.Data[0])
-	}
-}
-
-func TestGradClip(t *testing.T) {
-	p := NewParam("w", 1, 2)
-	p.Grad.Data[0] = 3
-	p.Grad.Data[1] = 4
-	GradClip([]*Param{p}, 1)
-	// The clipped elements are float32: 0.6 and 0.8 each within half an
-	// ulp, so the norm is 1 within 1e-7 (it was 1e-12 in float64).
-	if got := math.Hypot(float64(p.Grad.Data[0]), float64(p.Grad.Data[1])); math.Abs(got-1) > 1e-7 {
-		t.Fatalf("clipped norm = %v, want 1", got)
-	}
-	// Below the threshold nothing changes.
-	p.Grad.Data[0], p.Grad.Data[1] = 0.1, 0.1
-	GradClip([]*Param{p}, 1)
-	if p.Grad.Data[0] != 0.1 {
-		t.Fatalf("grad changed below threshold: %v", p.Grad.Data[0])
-	}
-}
-
 // TestGradClipIgnoresFrozen: a frozen parameter's gradient is never
-// applied, so it must not enter the norm that scales the others' step —
-// neither in GradClip nor in Adam's fused StepClipZero.
+// applied, so it must not enter the norm that scales the others' step in
+// Adam's fused StepClipZero. The clip factor itself scales a norm past
+// the cap down to the cap and leaves one under it alone.
 func TestGradClipIgnoresFrozen(t *testing.T) {
 	build := func() (live, frozen *Param) {
 		live, frozen = NewParam("live", 1, 2), NewParam("frozen", 1, 2)
@@ -350,9 +319,12 @@ func TestGradClipIgnoresFrozen(t *testing.T) {
 		return live, frozen
 	}
 	live, frozen := build()
-	GradClip([]*Param{live, frozen}, 1)
-	if live.Grad.Data[0] != 0.3 || live.Grad.Data[1] != 0.4 {
-		t.Fatalf("trainable gradient rescaled to %v by a frozen parameter's gradient", live.Grad.Data)
+	if s := clipScale([]*Param{live, frozen}, nil, 1, 0, 1); s != 1 {
+		t.Fatalf("clip factor %v under the cap, want 1", s)
+	}
+	live.Grad.Data[0], live.Grad.Data[1] = 3, 4 // norm 5
+	if s := clipScale([]*Param{live, frozen}, nil, 1, 0, 1); s != float32(0.2) {
+		t.Fatalf("clip factor %v for norm 5 and cap 1, want 0.2", s)
 	}
 
 	// The fused step moves the live weight exactly as it does alone.
@@ -496,19 +468,6 @@ func TestCyclicalLRBounds(t *testing.T) {
 	}
 	if got := s.Rate(50); math.Abs(got-1e-3) > 1e-15 {
 		t.Fatalf("Rate(half period) = %v, want Low", got)
-	}
-}
-
-func TestCosineAnnealingLR(t *testing.T) {
-	s := CosineAnnealingLR{Low: 0.001, High: 0.1, Span: 100}
-	if got := s.Rate(0); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("Rate(0) = %v, want 0.1", got)
-	}
-	if got := s.Rate(100); got != 0.001 {
-		t.Fatalf("Rate(Span) = %v, want Low", got)
-	}
-	if s.Rate(25) <= s.Rate(75) {
-		t.Fatal("cosine schedule is not decreasing")
 	}
 }
 

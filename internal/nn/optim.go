@@ -6,16 +6,6 @@ import (
 	"repro/internal/mat"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update from the accumulated gradients.
-	Step(params []*Param)
-	// SetLR changes the learning rate (used by schedulers).
-	SetLR(lr float64)
-	// LR reports the current learning rate.
-	LR() float64
-}
-
 // Adam implements the Adam optimizer with decoupled weight decay (AdamW
 // style), matching the paper's "Adam + weight decay" training setup.
 // Frozen parameters are skipped entirely, including their moment state.
@@ -46,8 +36,8 @@ func NewAdam(lr, weightDecay float64) *Adam {
 	}
 }
 
-// Step implements Optimizer: one unclipped update, after which every
-// gradient of params is zero.
+// Step is one unclipped update, after which every gradient of params is
+// zero.
 func (a *Adam) Step(params []*Param) { a.StepShards(params, nil, 1, 0, 0) }
 
 // StepClipZero rescales gradients so the global L2 norm over the
@@ -135,72 +125,9 @@ func clipScale(params, second []*Param, w0, w1 float32, max float64) float32 {
 	return float32(max / norm)
 }
 
-// SetLR implements Optimizer.
+// SetLR changes the learning rate, as fine-tuning's cyclical schedule
+// does every epoch.
 func (a *Adam) SetLR(lr float64) { a.LearningRate = lr }
 
-// LR implements Optimizer.
+// LR reports the current learning rate.
 func (a *Adam) LR() float64 { return a.LearningRate }
-
-// ResetState clears the moment estimates, e.g. after re-initializing
-// model components for the reset reuse strategies.
-func (a *Adam) ResetState() {
-	a.t = 0
-	a.state = make(map[*Param][]float32)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum, kept
-// for ablation experiments.
-type SGD struct {
-	LearningRate float64
-	Momentum     float64
-	WeightDecay  float64
-
-	vel map[*Param]*mat.DenseF32
-}
-
-// NewSGD constructs an SGD optimizer.
-func NewSGD(lr, momentum, weightDecay float64) *SGD {
-	return &SGD{LearningRate: lr, Momentum: momentum, WeightDecay: weightDecay, vel: make(map[*Param]*mat.DenseF32)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if p.Frozen {
-			continue
-		}
-		vel, ok := s.vel[p]
-		if !ok {
-			vel = mat.NewDenseF32(p.Value.Rows, p.Value.Cols)
-			s.vel[p] = vel
-		}
-		lr, mom, wd := float32(s.LearningRate), float32(s.Momentum), float32(s.WeightDecay)
-		for i, g := range p.Grad.Data {
-			g += wd * p.Value.Data[i]
-			vel.Data[i] = mom*vel.Data[i] + g
-			p.Value.Data[i] -= lr * vel.Data[i]
-		}
-	}
-}
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.LearningRate = lr }
-
-// LR implements Optimizer.
-func (s *SGD) LR() float64 { return s.LearningRate }
-
-// GradClip rescales gradients so the global L2 norm of the trainable
-// parameters does not exceed max. It guards fine-tuning on tiny sample
-// counts against exploding steps. Adam folds the rescale into its
-// update sweep instead (StepClipZero); GradClip is for other optimizers.
-func GradClip(params []*Param, max float64) {
-	scale := clipScale(params, nil, 1, 0, max)
-	if scale == 1 {
-		return
-	}
-	for _, p := range params {
-		for i := range p.Grad.Data {
-			p.Grad.Data[i] *= scale
-		}
-	}
-}

@@ -7,11 +7,7 @@
 // are float32. Losses and the statistics over them are summed in float64.
 package nn
 
-import (
-	"fmt"
-
-	"repro/internal/mat"
-)
+import "repro/internal/mat"
 
 // Param is a learnable tensor together with its accumulated gradient and a
 // freeze flag. Frozen parameters are skipped by optimizers, which is how
@@ -34,15 +30,6 @@ func NewParam(name string, rows, cols int) *Param {
 
 // ZeroGrad resets the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
-
-// AccumulateGrad adds g to the parameter's gradient.
-func (p *Param) AccumulateGrad(g *mat.DenseF32) {
-	if g.Rows != p.Value.Rows || g.Cols != p.Value.Cols {
-		panic(fmt.Sprintf("nn: grad shape %dx%d != param %q shape %dx%d",
-			g.Rows, g.Cols, p.Name, p.Value.Rows, p.Value.Cols))
-	}
-	mat.AddInPlaceF32(p.Grad, g)
-}
 
 // NumElements returns the number of scalar weights in the parameter.
 func (p *Param) NumElements() int { return len(p.Value.Data) }

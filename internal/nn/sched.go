@@ -1,18 +1,5 @@
 package nn
 
-import "math"
-
-// LRSchedule yields a learning rate for an epoch index.
-type LRSchedule interface {
-	Rate(epoch int) float64
-}
-
-// ConstantLR always returns the same rate.
-type ConstantLR struct{ Value float64 }
-
-// Rate implements LRSchedule.
-func (c ConstantLR) Rate(epoch int) float64 { return c.Value }
-
 // CyclicalLR implements triangular cyclical annealing between Low and
 // High, the schedule Bellamy's fine-tuning uses in (1e-3, 1e-2). The rate
 // starts at High, descends linearly to Low over half a period, and climbs
@@ -23,7 +10,7 @@ type CyclicalLR struct {
 	Period int
 }
 
-// Rate implements LRSchedule.
+// Rate returns the learning rate for an epoch index.
 func (c CyclicalLR) Rate(epoch int) float64 {
 	period := c.Period
 	if period <= 0 {
@@ -38,22 +25,6 @@ func (c CyclicalLR) Rate(epoch int) float64 {
 		frac = (float64(period) - pos) / half
 	}
 	return c.High - (c.High-c.Low)*frac
-}
-
-// CosineAnnealingLR decays from High to Low over Span epochs following a
-// half cosine, then stays at Low. Used by the pre-training ablations.
-type CosineAnnealingLR struct {
-	Low, High float64
-	Span      int
-}
-
-// Rate implements LRSchedule.
-func (c CosineAnnealingLR) Rate(epoch int) float64 {
-	if c.Span <= 0 || epoch >= c.Span {
-		return c.Low
-	}
-	t := float64(epoch) / float64(c.Span)
-	return c.Low + (c.High-c.Low)*(1+math.Cos(math.Pi*t))/2
 }
 
 // EarlyStopper tracks the best observed metric and signals when training
