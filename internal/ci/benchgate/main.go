@@ -46,7 +46,7 @@ type benchRecord struct {
 	} `json:"after"`
 }
 
-// benchFile covers BENCH_train.json ("train" and "mat" arrays),
+// benchFile covers BENCH_train.json ("train" array),
 // BENCH_serve.json ("serve" and "store" arrays), BENCH_http.json
 // ("http" array: the HTTP serving tier under load control), and
 // BENCH_shard.json ("shard" array: the sharded router's scaling curve).
@@ -54,7 +54,6 @@ type benchFile struct {
 	Train []benchRecord `json:"train"`
 	Serve []benchRecord `json:"serve"`
 	Store []benchRecord `json:"store"`
-	Mat   []benchRecord `json:"mat"`
 	Http  []benchRecord `json:"http"`
 	Shard []benchRecord `json:"shard"`
 }
@@ -78,7 +77,7 @@ func loadBaselines(paths []string) (map[string]baseline, error) {
 		if err := json.Unmarshal(b, &f); err != nil {
 			return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
 		}
-		for _, rec := range append(append(append(append(append(f.Train, f.Serve...), f.Store...), f.Mat...), f.Http...), f.Shard...) {
+		for _, rec := range append(append(append(append(f.Train, f.Serve...), f.Store...), f.Http...), f.Shard...) {
 			if rec.Name != "" && rec.After.NsPerOp > 0 {
 				out[rec.Name] = baseline{ns: rec.After.NsPerOp, file: path}
 			}

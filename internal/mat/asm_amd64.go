@@ -35,61 +35,35 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register 0 (XCR0).
 func xgetbv() (eax, edx uint32)
 
-// daxpy4 computes dst[j] += Σ_{r<4} a[r]*b[r*ldb+j] for j in [0,n): a
+// saxpy4 computes dst[j] += Σ_{r<4} a[r]*b[r*ldb+j] for j in [0,n): a
 // fused 4-row axpy whose four broadcasts are hoisted out of the j loop.
-//
-//go:noescape
-func daxpy4(dst, b *float64, ldb int, a *[4]float64, n int)
-
-// daxpy1 computes dst[j] += a*b[j] for j in [0,n).
-//
-//go:noescape
-func daxpy1(dst, b *float64, a float64, n int)
-
-// ddot4 computes four dot products sharing one left operand:
-// s_r = Σ_{j<n} x[j]*r[r*ldr+j]. n must be >= 1.
-//
-//go:noescape
-func ddot4(x, r *float64, ldr, n int) (s0, s1, s2, s3 float64)
-
-// saxpy4 is the float32 form of daxpy4.
 //
 //go:noescape
 func saxpy4(dst, b *float32, ldb int, a *[4]float32, n int)
 
-// saxpy1 is the float32 form of daxpy1.
+// saxpy1 computes dst[j] += a*b[j] for j in [0,n).
 //
 //go:noescape
 func saxpy1(dst, b *float32, a float32, n int)
 
-// sdot4 is the float32 form of ddot4. n must be >= 1.
+// sdot4 computes four dot products sharing one left operand:
+// s_r = Σ_{j<n} x[j]*r[r*ldr+j]. n must be >= 1.
 //
 //go:noescape
 func sdot4(x, r *float32, ldr, n int) (s0, s1, s2, s3 float32)
 
-// dgemmRows4x8 accumulates dst[r][c] += Σ_p a[r*lda+p*ka] * b[p*ldb+c]
-// for 4 dst rows and 8 columns, all kept in registers across the whole
-// p loop and added to dst once at the end. This is the skinny-product
-// kernel: one call covers k*32 FLOPs, so tiny n (4..64) no longer pays
-// a call per 4 k-steps. With ka = 1 the rows of dst read rows of a (a*b,
-// lda its row stride); with lda = 1 they read columns (aᵀ*b, ka its row
-// stride). k must be >= 1.
-//
-//go:noescape
-func dgemmRows4x8(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ldb int, k int)
-
-// dgemmRows4x4 is the 4-column strip variant of dgemmRows4x8.
-//
-//go:noescape
-func dgemmRows4x4(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ldb int, k int)
-
-// sgemmRows4x8 is the float32 form of dgemmRows4x8: 4 dst rows of one
-// 8-lane register each.
+// sgemmRows4x8 accumulates dst[r][c] += Σ_p a[r*lda+p*ka] * b[p*ldb+c]
+// for 4 dst rows and 8 columns, one 8-lane register per row, kept across
+// the whole p loop and added to dst once at the end. This is the
+// skinny-product kernel: one call covers 32 multiply-adds per k step,
+// so the 4..16-wide layers do not pay a call per 4 k-steps. With ka = 1
+// the rows of dst read rows of a (a*b, lda its row stride); with lda = 1
+// they read columns (aᵀ*b, ka its row stride). k must be >= 1.
 //
 //go:noescape
 func sgemmRows4x8(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int)
 
-// sgemmRows4x4 is the float32 form of dgemmRows4x4.
+// sgemmRows4x4 is the 4-column strip variant of sgemmRows4x8.
 //
 //go:noescape
 func sgemmRows4x4(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int)

@@ -9,18 +9,6 @@ package mat
 // crash.
 const hasAsm = false
 
-func daxpy4(dst, b *float64, ldb int, a *[4]float64, n int) {
-	panic("mat: asm kernel called on a noasm build")
-}
-
-func daxpy1(dst, b *float64, a float64, n int) {
-	panic("mat: asm kernel called on a noasm build")
-}
-
-func ddot4(x, r *float64, ldr, n int) (s0, s1, s2, s3 float64) {
-	panic("mat: asm kernel called on a noasm build")
-}
-
 func saxpy4(dst, b *float32, ldb int, a *[4]float32, n int) {
 	panic("mat: asm kernel called on a noasm build")
 }
@@ -30,14 +18,6 @@ func saxpy1(dst, b *float32, a float32, n int) {
 }
 
 func sdot4(x, r *float32, ldr, n int) (s0, s1, s2, s3 float32) {
-	panic("mat: asm kernel called on a noasm build")
-}
-
-func dgemmRows4x8(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ldb int, k int) {
-	panic("mat: asm kernel called on a noasm build")
-}
-
-func dgemmRows4x4(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ldb int, k int) {
 	panic("mat: asm kernel called on a noasm build")
 }
 

@@ -7,9 +7,9 @@ import (
 
 // The element-wise destination kernels never reorder arithmetic, so the
 // property tests here demand bit-identical results (==, not
-// within-epsilon) from the destination/in-place variants. The multiply
-// kernels, which do reorder summation, are covered to epsilon tolerance
-// against the mul_ref.go oracle in mul_equiv_test.go.
+// within-epsilon) from the destination/in-place variants. The float32
+// multiply kernels, which do reorder summation, are covered to epsilon
+// tolerance against the mul_ref.go oracle in mul32_equiv_test.go.
 
 func closeish(a, b float64) bool {
 	d := a - b
@@ -176,8 +176,8 @@ func TestResized(t *testing.T) {
 	}
 }
 
-// TestMulToZeroAllocSerial pins the steady-state allocation count of the
-// serial direct kernel at zero.
+// TestMulToZeroAllocSerial pins the steady-state allocation count of
+// MulTo at zero.
 func TestMulToZeroAllocSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := randomDense(rng, 16, 24)
@@ -188,34 +188,26 @@ func TestMulToZeroAllocSerial(t *testing.T) {
 	}
 }
 
-// TestMulATBAccZeroAlloc pins the weight-gradient product at zero
-// allocations, in every kernel family, at the shapes a training shard
-// issues.
+// TestMulATBAccZeroAlloc pins the accumulating aᵀ*b product at zero
+// allocations, at the weight-gradient shapes of a training shard.
 func TestMulATBAccZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	for _, asm := range testFamilies() {
-		setFamily(t, asm)
-		for _, s := range gradShapes {
-			a, b, dst := randomDense(rng, s.k, s.m), randomDense(rng, s.k, s.n), NewDense(s.m, s.n)
-			if allocs := testing.AllocsPerRun(100, func() { MulATBAcc(dst, a, b) }); allocs != 0 {
-				t.Fatalf("%s: MulATBAcc %dx%dᵀ·%dx%d allocs/op = %v, want 0", KernelFamily(), s.k, s.m, s.k, s.n, allocs)
-			}
+	for _, s := range gradShapes {
+		a, b, dst := randomDense(rng, s.k, s.m), randomDense(rng, s.k, s.n), NewDense(s.m, s.n)
+		if allocs := testing.AllocsPerRun(100, func() { MulATBAcc(dst, a, b) }); allocs != 0 {
+			t.Fatalf("MulATBAcc %dx%dᵀ·%dx%d allocs/op = %v, want 0", s.k, s.m, s.k, s.n, allocs)
 		}
 	}
 }
 
-// TestMulABTToZeroAlloc pins the input-gradient product at zero
-// allocations, in every kernel family, at the shapes a training shard
-// issues: the asm family stages the transposed weights on the stack.
+// TestMulABTToZeroAlloc pins the a*bᵀ product at zero allocations, at
+// the input-gradient shapes of a training shard.
 func TestMulABTToZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, asm := range testFamilies() {
-		setFamily(t, asm)
-		for _, s := range gradShapes {
-			a, b, dst := randomDense(rng, s.m, s.k), randomDense(rng, s.n, s.k), NewDense(s.m, s.n)
-			if allocs := testing.AllocsPerRun(100, func() { MulABTTo(dst, a, b) }); allocs != 0 {
-				t.Fatalf("%s: MulABTTo %dx%d·(%dx%d)ᵀ allocs/op = %v, want 0", KernelFamily(), s.m, s.k, s.n, s.k, allocs)
-			}
+	for _, s := range gradShapes {
+		a, b, dst := randomDense(rng, s.m, s.k), randomDense(rng, s.n, s.k), NewDense(s.m, s.n)
+		if allocs := testing.AllocsPerRun(100, func() { MulABTTo(dst, a, b) }); allocs != 0 {
+			t.Fatalf("MulABTTo %dx%d·(%dx%d)ᵀ allocs/op = %v, want 0", s.m, s.k, s.n, s.k, allocs)
 		}
 	}
 }

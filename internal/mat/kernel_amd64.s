@@ -37,220 +37,6 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func daxpy4(dst, b *float64, ldb int, a *[4]float64, n int)
-TEXT ·daxpy4(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ b+8(FP), SI
-	MOVQ ldb+16(FP), R8
-	SHLQ $3, R8
-	MOVQ a+24(FP), AX
-	MOVQ n+32(FP), CX
-	LEAQ (SI)(R8*1), R9
-	LEAQ (SI)(R8*2), R10
-	LEAQ (R9)(R8*2), R11
-	VBROADCASTSD (AX), Y12
-	VBROADCASTSD 8(AX), Y13
-	VBROADCASTSD 16(AX), Y14
-	VBROADCASTSD 24(AX), Y15
-	XORQ BX, BX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-	JZ   axtail4
-
-axloop8:
-	VMOVUPD     (DI)(BX*8), Y0
-	VMOVUPD     32(DI)(BX*8), Y1
-	VFMADD231PD (SI)(BX*8), Y12, Y0
-	VFMADD231PD 32(SI)(BX*8), Y12, Y1
-	VFMADD231PD (R9)(BX*8), Y13, Y0
-	VFMADD231PD 32(R9)(BX*8), Y13, Y1
-	VFMADD231PD (R10)(BX*8), Y14, Y0
-	VFMADD231PD 32(R10)(BX*8), Y14, Y1
-	VFMADD231PD (R11)(BX*8), Y15, Y0
-	VFMADD231PD 32(R11)(BX*8), Y15, Y1
-	VMOVUPD     Y0, (DI)(BX*8)
-	VMOVUPD     Y1, 32(DI)(BX*8)
-	ADDQ $8, BX
-	CMPQ BX, DX
-	JLT  axloop8
-
-axtail4:
-	MOVQ CX, DX
-	ANDQ $-4, DX
-	CMPQ BX, DX
-	JGE  axtail1
-	VMOVUPD     (DI)(BX*8), Y0
-	VFMADD231PD (SI)(BX*8), Y12, Y0
-	VFMADD231PD (R9)(BX*8), Y13, Y0
-	VFMADD231PD (R10)(BX*8), Y14, Y0
-	VFMADD231PD (R11)(BX*8), Y15, Y0
-	VMOVUPD     Y0, (DI)(BX*8)
-	ADDQ $4, BX
-
-axtail1:
-	CMPQ BX, CX
-	JGE  axdone
-
-axloop1:
-	VMOVSD      (DI)(BX*8), X0
-	VMOVSD      (SI)(BX*8), X1
-	VFMADD231SD X12, X1, X0
-	VMOVSD      (R9)(BX*8), X1
-	VFMADD231SD X13, X1, X0
-	VMOVSD      (R10)(BX*8), X1
-	VFMADD231SD X14, X1, X0
-	VMOVSD      (R11)(BX*8), X1
-	VFMADD231SD X15, X1, X0
-	VMOVSD      X0, (DI)(BX*8)
-	INCQ BX
-	CMPQ BX, CX
-	JLT  axloop1
-
-axdone:
-	VZEROUPPER
-	RET
-
-// func daxpy1(dst, b *float64, a float64, n int)
-TEXT ·daxpy1(SB), NOSPLIT, $0-32
-	MOVQ         dst+0(FP), DI
-	MOVQ         b+8(FP), SI
-	VBROADCASTSD a+16(FP), Y12
-	MOVQ         n+24(FP), CX
-	XORQ         BX, BX
-	MOVQ         CX, DX
-	ANDQ         $-8, DX
-	JZ           ax1tail4
-
-ax1loop8:
-	VMOVUPD     (DI)(BX*8), Y0
-	VMOVUPD     32(DI)(BX*8), Y1
-	VFMADD231PD (SI)(BX*8), Y12, Y0
-	VFMADD231PD 32(SI)(BX*8), Y12, Y1
-	VMOVUPD     Y0, (DI)(BX*8)
-	VMOVUPD     Y1, 32(DI)(BX*8)
-	ADDQ $8, BX
-	CMPQ BX, DX
-	JLT  ax1loop8
-
-ax1tail4:
-	MOVQ CX, DX
-	ANDQ $-4, DX
-	CMPQ BX, DX
-	JGE  ax1tail1
-	VMOVUPD     (DI)(BX*8), Y0
-	VFMADD231PD (SI)(BX*8), Y12, Y0
-	VMOVUPD     Y0, (DI)(BX*8)
-	ADDQ $4, BX
-
-ax1tail1:
-	CMPQ BX, CX
-	JGE  ax1done
-
-ax1loop1:
-	VMOVSD      (DI)(BX*8), X0
-	VMOVSD      (SI)(BX*8), X1
-	VFMADD231SD X12, X1, X0
-	VMOVSD      X0, (DI)(BX*8)
-	INCQ BX
-	CMPQ BX, CX
-	JLT  ax1loop1
-
-ax1done:
-	VZEROUPPER
-	RET
-
-// func ddot4(x, r *float64, ldr, n int) (s0, s1, s2, s3 float64)
-TEXT ·ddot4(SB), NOSPLIT, $0-64
-	MOVQ x+0(FP), AX
-	MOVQ r+8(FP), SI
-	MOVQ ldr+16(FP), R8
-	SHLQ $3, R8
-	MOVQ n+24(FP), CX
-	LEAQ (SI)(R8*1), R9
-	LEAQ (SI)(R8*2), R10
-	LEAQ (R9)(R8*2), R11
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	XORQ BX, BX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-	JZ   dottail4
-
-dotloop8:
-	VMOVUPD     (AX)(BX*8), Y8
-	VFMADD231PD (SI)(BX*8), Y8, Y0
-	VFMADD231PD (R9)(BX*8), Y8, Y1
-	VFMADD231PD (R10)(BX*8), Y8, Y2
-	VFMADD231PD (R11)(BX*8), Y8, Y3
-	VMOVUPD     32(AX)(BX*8), Y9
-	VFMADD231PD 32(SI)(BX*8), Y9, Y4
-	VFMADD231PD 32(R9)(BX*8), Y9, Y5
-	VFMADD231PD 32(R10)(BX*8), Y9, Y6
-	VFMADD231PD 32(R11)(BX*8), Y9, Y7
-	ADDQ $8, BX
-	CMPQ BX, DX
-	JLT  dotloop8
-	VADDPD Y4, Y0, Y0
-	VADDPD Y5, Y1, Y1
-	VADDPD Y6, Y2, Y2
-	VADDPD Y7, Y3, Y3
-
-dottail4:
-	MOVQ CX, DX
-	ANDQ $-4, DX
-	CMPQ BX, DX
-	JGE  dotreduce
-	VMOVUPD     (AX)(BX*8), Y8
-	VFMADD231PD (SI)(BX*8), Y8, Y0
-	VFMADD231PD (R9)(BX*8), Y8, Y1
-	VFMADD231PD (R10)(BX*8), Y8, Y2
-	VFMADD231PD (R11)(BX*8), Y8, Y3
-	ADDQ $4, BX
-
-dotreduce:
-	VEXTRACTF128 $1, Y0, X8
-	VADDPD       X8, X0, X0
-	VHADDPD      X0, X0, X0
-	VEXTRACTF128 $1, Y1, X8
-	VADDPD       X8, X1, X1
-	VHADDPD      X1, X1, X1
-	VEXTRACTF128 $1, Y2, X8
-	VADDPD       X8, X2, X2
-	VHADDPD      X2, X2, X2
-	VEXTRACTF128 $1, Y3, X8
-	VADDPD       X8, X3, X3
-	VHADDPD      X3, X3, X3
-	CMPQ         BX, CX
-	JGE          dotstore
-
-dotloop1:
-	VMOVSD      (AX)(BX*8), X8
-	VMOVSD      (SI)(BX*8), X9
-	VFMADD231SD X9, X8, X0
-	VMOVSD      (R9)(BX*8), X9
-	VFMADD231SD X9, X8, X1
-	VMOVSD      (R10)(BX*8), X9
-	VFMADD231SD X9, X8, X2
-	VMOVSD      (R11)(BX*8), X9
-	VFMADD231SD X9, X8, X3
-	INCQ BX
-	CMPQ BX, CX
-	JLT  dotloop1
-
-dotstore:
-	VMOVSD X0, s0+32(FP)
-	VMOVSD X1, s1+40(FP)
-	VMOVSD X2, s2+48(FP)
-	VMOVSD X3, s3+56(FP)
-	VZEROUPPER
-	RET
-
 // func saxpy4(dst, b *float32, ldb int, a *[4]float32, n int)
 TEXT ·saxpy4(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
@@ -469,150 +255,13 @@ sdotstore:
 	VZEROUPPER
 	RET
 
-// func dgemmRows4x8(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ldb int, k int)
-//
-// Strided-B row kernel for skinny products: four dst rows times an
-// 8-column strip of B stay in Y0-Y7 across the whole k loop, so one
-// call per 4 output rows amortizes call overhead over k*32 FLOPs —
-// the shape where packing and per-k-step kernels both lose. Output row
-// r reads a[r*lda + p*ka] at step p: ka = 1 walks rows of a (a*b),
-// lda = 1 walks its columns (aᵀ*b). SI advances by ka per step; R12
-// holds 3*lda so all four rows address off SI.
-TEXT ·dgemmRows4x8(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ ldd+8(FP), R8
-	MOVQ a+16(FP), SI
-	MOVQ lda+24(FP), R9
-	MOVQ ka+32(FP), R11
-	MOVQ b+40(FP), BX
-	MOVQ ldb+48(FP), R10
-	MOVQ k+56(FP), CX
-	SHLQ $3, R8
-	SHLQ $3, R9
-	SHLQ $3, R10
-	SHLQ $3, R11
-	LEAQ (R9)(R9*2), R12
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-
-dr48loop:
-	VMOVUPD      (BX), Y8
-	VMOVUPD      32(BX), Y9
-	VBROADCASTSD (SI), Y10
-	VFMADD231PD  Y10, Y8, Y0
-	VFMADD231PD  Y10, Y9, Y1
-	VBROADCASTSD (SI)(R9*1), Y11
-	VFMADD231PD  Y11, Y8, Y2
-	VFMADD231PD  Y11, Y9, Y3
-	VBROADCASTSD (SI)(R9*2), Y10
-	VFMADD231PD  Y10, Y8, Y4
-	VFMADD231PD  Y10, Y9, Y5
-	VBROADCASTSD (SI)(R12*1), Y11
-	VFMADD231PD  Y11, Y8, Y6
-	VFMADD231PD  Y11, Y9, Y7
-	ADDQ R10, BX
-	ADDQ R11, SI
-	DECQ CX
-	JNZ  dr48loop
-
-	VMOVUPD (DI), Y8
-	VMOVUPD 32(DI), Y9
-	VADDPD  Y8, Y0, Y0
-	VADDPD  Y9, Y1, Y1
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	ADDQ    R8, DI
-	VMOVUPD (DI), Y8
-	VMOVUPD 32(DI), Y9
-	VADDPD  Y8, Y2, Y2
-	VADDPD  Y9, Y3, Y3
-	VMOVUPD Y2, (DI)
-	VMOVUPD Y3, 32(DI)
-	ADDQ    R8, DI
-	VMOVUPD (DI), Y8
-	VMOVUPD 32(DI), Y9
-	VADDPD  Y8, Y4, Y4
-	VADDPD  Y9, Y5, Y5
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	ADDQ    R8, DI
-	VMOVUPD (DI), Y8
-	VMOVUPD 32(DI), Y9
-	VADDPD  Y8, Y6, Y6
-	VADDPD  Y9, Y7, Y7
-	VMOVUPD Y6, (DI)
-	VMOVUPD Y7, 32(DI)
-	VZEROUPPER
-	RET
-
-// func dgemmRows4x4(dst *float64, ldd int, a *float64, lda, ka int, b *float64, ldb int, k int)
-//
-// 4-column variant of dgemmRows4x8: one ymm accumulator per dst row.
-TEXT ·dgemmRows4x4(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ ldd+8(FP), R8
-	MOVQ a+16(FP), SI
-	MOVQ lda+24(FP), R9
-	MOVQ ka+32(FP), R11
-	MOVQ b+40(FP), BX
-	MOVQ ldb+48(FP), R10
-	MOVQ k+56(FP), CX
-	SHLQ $3, R8
-	SHLQ $3, R9
-	SHLQ $3, R10
-	SHLQ $3, R11
-	LEAQ (R9)(R9*2), R12
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-
-dr44loop:
-	VMOVUPD      (BX), Y4
-	VBROADCASTSD (SI), Y5
-	VFMADD231PD  Y5, Y4, Y0
-	VBROADCASTSD (SI)(R9*1), Y6
-	VFMADD231PD  Y6, Y4, Y1
-	VBROADCASTSD (SI)(R9*2), Y5
-	VFMADD231PD  Y5, Y4, Y2
-	VBROADCASTSD (SI)(R12*1), Y6
-	VFMADD231PD  Y6, Y4, Y3
-	ADDQ R10, BX
-	ADDQ R11, SI
-	DECQ CX
-	JNZ  dr44loop
-
-	VMOVUPD (DI), Y4
-	VADDPD  Y4, Y0, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ    R8, DI
-	VMOVUPD (DI), Y4
-	VADDPD  Y4, Y1, Y1
-	VMOVUPD Y1, (DI)
-	ADDQ    R8, DI
-	VMOVUPD (DI), Y4
-	VADDPD  Y4, Y2, Y2
-	VMOVUPD Y2, (DI)
-	ADDQ    R8, DI
-	VMOVUPD (DI), Y4
-	VADDPD  Y4, Y3, Y3
-	VMOVUPD Y3, (DI)
-	VZEROUPPER
-	RET
-
 // func sgemmRows4x8(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int)
 //
 // Float32 strided-B row kernel: 4 dst rows x 8 columns in Y0-Y3 for
 // the whole k loop — the Bellamy MLP layers are 4..16 columns wide, far
 // too skinny for per-k-step kernel calls. Output row r reads
-// a[r*lda + p*ka] at step p, as dgemmRows4x8's rows do: ka = 1 walks
-// rows of a (a*b), lda = 1 walks its columns (aᵀ*b).
+// a[r*lda + p*ka] at step p: ka = 1 walks rows of a (a*b), lda = 1
+// walks its columns (aᵀ*b).
 TEXT ·sgemmRows4x8(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8

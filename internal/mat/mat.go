@@ -1,6 +1,6 @@
 // Package mat provides dense matrix and vector algebra for the neural
 // network and NNLS substrates. Matrices are stored in row-major order.
-// Large multiplications are automatically parallelized across goroutines.
+// Every product runs on the calling goroutine.
 package mat
 
 import (

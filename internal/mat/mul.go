@@ -2,18 +2,12 @@ package mat
 
 import "fmt"
 
-// Float64 multiply dispatch, for the baselines' solvers and the
-// benchmark's GEMM rungs; the network's float32 products are mul32.go's.
-// Every product runs its direct register-tiled kernel (kernel.go) over
-// the whole output, on the calling goroutine: the package starts no
-// goroutine and holds no lock, so concurrent callers sharing read-only
-// operands need no coordination. Training spreads over cores one level
-// up, by sharding the mini-batch (core.Pretrain), not inside a product.
-//
-// The kernels change floating-point summation order relative to the
-// reference kernels in mul_ref.go, so equivalence is specified to
-// epsilon tolerance (see mul_equiv_test.go); the reference kernels
-// remain the bit-exact oracle.
+// Float64 multiply entry points. Bellamy trains and serves in float32
+// (mul32.go), and Ernest's NNLS baseline needs only Dense, NewDense and
+// Dot, so no workload issues these products: each checks its shapes and
+// runs the textbook loop of mul_ref.go, on every platform and kernel
+// family. They start no goroutine and hold no lock, so concurrent
+// callers sharing read-only operands need no coordination.
 
 // Mul returns the matrix product a*b.
 func Mul(a, b *Dense) *Dense {
@@ -29,11 +23,7 @@ func MulTo(dst, a, b *Dense) {
 		panic(fmt.Sprintf("mat: Mul inner dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDst("MulTo", dst, a.Rows, b.Cols)
-	dst.Zero()
-	if a.Rows == 0 || a.Cols == 0 || b.Cols == 0 {
-		return
-	}
-	mulRows(dst, a, b)
+	refMulTo(dst, a, b)
 }
 
 // MulATBTo computes dst = aᵀ*b, fully overwriting dst.
@@ -44,17 +34,13 @@ func MulATBTo(dst, a, b *Dense) {
 }
 
 // MulATBAcc accumulates dst += aᵀ*b without materializing the
-// transpose. It is the gradient-accumulation kernel: dW += xᵀ*grad
-// writes straight into the parameter gradient.
+// transpose.
 func MulATBAcc(dst, a, b *Dense) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MulATB row mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDst("MulATBAcc", dst, a.Cols, b.Cols)
-	if a.Rows == 0 || a.Cols == 0 || b.Cols == 0 {
-		return
-	}
-	mulATBAcc(dst, a, b)
+	refMulATBAcc(dst, a, b)
 }
 
 // MulABTTo computes dst = a*bᵀ without materializing the transpose,
@@ -64,14 +50,7 @@ func MulABTTo(dst, a, b *Dense) {
 		panic(fmt.Sprintf("mat: MulABT col mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDst("MulABTTo", dst, a.Rows, b.Rows)
-	if a.Rows == 0 || b.Rows == 0 {
-		return
-	}
-	if a.Cols == 0 {
-		dst.Zero()
-		return
-	}
-	mulABT(dst, a, b)
+	refMulABTTo(dst, a, b)
 }
 
 func checkDst(op string, dst *Dense, rows, cols int) {

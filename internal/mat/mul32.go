@@ -3,11 +3,13 @@ package mat
 import "fmt"
 
 // Float32 multiply dispatch, the products the network trains and serves
-// on. Like mul.go, every product runs its direct register-tiled kernel on
-// the calling goroutine, whatever its size: a single-model batch of any
-// size runs on one core. Under the asm family the inner loops run the
-// AVX2 float32 helpers (sgemmRows4x{8,4}, saxpy4, sdot4; 8 lanes per
-// register); the plain family is a multiply-add Go kernel.
+// on. Every product runs its direct register-tiled kernel on the calling
+// goroutine, whatever its size: a single-model batch of any size runs on
+// one core. The package starts no goroutine and holds no lock, so
+// concurrent callers sharing read-only operands need no coordination.
+// Under the asm family the inner loops run the AVX2 float32 helpers
+// (sgemmRows4x{8,4}, saxpy4, sdot4; 8 lanes per register); the plain
+// family is a multiply-add Go kernel.
 
 // MulToF32 computes dst = a*b, fully overwriting dst. dst must be
 // a.Rows x b.Cols and must not alias a or b.
@@ -68,6 +70,15 @@ func MulABTToF32(dst, a, b *DenseF32) {
 	mulABT32(dst, a, b)
 }
 
+// RowGroup is the row height of the asm a*b kernels: below saxpyMinN
+// columns, mulRows32 computes the output rows in groups of RowGroup, one
+// sdot4 or sgemmRows4x{8,4} call per group, and the last rows%RowGroup
+// rows by a scalar route. The two round differently, so a row's bits
+// depend on whether it falls in a full group; a caller that must
+// reproduce a row's bits from another batch keeps it in the same kind of
+// group.
+const RowGroup = 4
+
 // mulRows32 accumulates a*b into dst (pre-zeroed).
 func mulRows32(dst, a, b *DenseF32) {
 	m, k := a.Rows, a.Cols
@@ -78,7 +89,7 @@ func mulRows32(dst, a, b *DenseF32) {
 	if useAsm {
 		if n == 1 {
 			i := 0
-			for ; i+4 <= m; i += 4 {
+			for ; i+RowGroup <= m; i += RowGroup {
 				dst.Data[i], dst.Data[i+1], dst.Data[i+2], dst.Data[i+3] =
 					sdot4(&b.Data[0], &a.Data[i*k], k, k)
 			}
@@ -93,7 +104,7 @@ func mulRows32(dst, a, b *DenseF32) {
 			// the whole k loop instead of a saxpy call per 4 k-steps.
 			ns := n &^ 3 // columns covered by the 8/4-wide strips
 			i := 0
-			for ; i+4 <= m; i += 4 {
+			for ; i+RowGroup <= m; i += RowGroup {
 				ar := &a.Data[i*k]
 				j := 0
 				for ; j+8 <= ns; j += 8 {
@@ -150,8 +161,11 @@ func mulRows32(dst, a, b *DenseF32) {
 	}
 }
 
-// saxpyMinN is the float32 analogue of daxpyMinN: twice as wide
-// because each saxpy4 step covers 8 lanes per ymm instead of 4.
+// saxpyMinN is the output width from which mulRows32's saxpy drivers
+// win over the strided row kernels: wide rows amortize the
+// per-4-k-steps saxpy4 call over n lanes, while skinny products would
+// pay k/4 call overheads per row for almost no work. It governs a*b
+// only; aᵀ*b (mulATBAccAsm32) runs the strips at any width.
 const saxpyMinN = 64
 
 // mulRowsColsPlain32 is the scalar ragged-edge helper for the asm
@@ -203,8 +217,8 @@ func mulRowsTailCols32(dst, a, b *DenseF32, lo, hi, j0 int) {
 	}
 }
 
-// dot32 is the float32 dotUnrolled: 4 partial sums break the add
-// latency chain.
+// dot32 is an inner product with 4 partial sums, breaking the single
+// add-latency chain of the naive loop.
 func dot32(a, b []float32) float32 {
 	var s0, s1, s2, s3 float32
 	k := 0

@@ -10,7 +10,7 @@ import (
 // Float32 kernel equivalence: the f32 serving kernels are validated
 // against the float64 oracle on float32-rounded inputs, so the only
 // admissible error is f32 summation rounding. The bound scales with
-// the reduction depth like tolClose, at float32 epsilon.
+// the reduction depth and the magnitudes involved, at float32 epsilon.
 
 func tolClose32(got float32, want float64, k int) bool {
 	d := math.Abs(float64(got) - want)

@@ -14,9 +14,9 @@ func randDense(rows, cols int, rng *rand.Rand) *Dense {
 	return d
 }
 
-// BenchmarkMatMul covers the product shapes of the Bellamy hot path:
-// skinny batch-times-weights products and square products, the larger
-// two far past any layer width. All of them run direct, on one core.
+// BenchmarkMatMul times the float64 reference loop at the network's
+// skinny batch-times-weights shapes and at square products, the larger
+// two far past any layer width.
 func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	shapes := []struct{ m, k, n int }{
@@ -38,13 +38,10 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
-// BenchmarkMulSizes sweeps square products of the direct kernel from
-// below the register-tile width to sizes whose B operand no longer fits
-// L2.
-// No caller issues anything past 40 wide: 256^3 is the CI bench gate's
-// reference size, and 512^3/1024^3 record what the direct kernels cost
-// on shapes they are not tuned for (they stream B from L3 or memory on
-// every output-row pass).
+// BenchmarkMulSizes sweeps square MulTo products, on the float64
+// reference loop, from 16^3 to sizes whose B operand no longer fits L2
+// (the loop streams B from L3 or memory on every output row). No
+// caller issues anything past 40 wide.
 func BenchmarkMulSizes(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{16, 32, 64, 128, 256, 512, 1024} {

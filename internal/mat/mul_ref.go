@@ -1,19 +1,14 @@
 package mat
 
-// Reference multiply kernels: the bit-exact oracle for the production
-// kernels. Each kernel is the textbook triple loop with one accumulator
-// per output element and strictly increasing k, i.e. a single
-// well-defined floating-point summation order. They are deliberately
-// unblocked, untiled, and serial.
-//
-// The production kernels (kernel.go, kernel_asm.go) reorder summation
-// for register tiling and instruction-level parallelism, so
-// they are validated against these references to epsilon tolerance
-// (mul_equiv_test.go); the references themselves are pinned
-// bit-identically by the property tests in inplace_test.go. They are
-// kept in a production file, not a test file, so any future kernel —
-// or a debugging session questioning the fast path — has the oracle at
-// hand.
+// Reference multiply kernels: the textbook triple loop with one
+// accumulator per output element and strictly increasing k, i.e. a
+// single well-defined floating-point summation order. They are
+// deliberately unblocked, untiled, and serial. They are the float64
+// products themselves (mul.go runs them after its shape checks), and
+// the oracle of the float32 kernels, which reorder summation for
+// register tiling and are therefore validated against these to epsilon
+// tolerance (mul32_equiv_test.go, kernel32_test.go). The references are
+// pinned bit-identically by TestRefKernelsBitIdentical.
 
 // refMulTo computes dst = a*b with the reference summation order.
 func refMulTo(dst, a, b *Dense) {
