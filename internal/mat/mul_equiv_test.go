@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/parallel"
 )
@@ -83,47 +84,125 @@ var gradShapes = []struct{ m, k, n int }{
 	{224, 4, 8}, {224, 8, 4}, {32, 8, 28}, {32, 1, 8}, {32, 8, 16},
 }
 
-// TestF64ProductsAreRef pins every float64 product to its reference
-// loop bit for bit: Mul, MulTo, MulATBTo, MulATBAcc onto a dst that holds
-// values, and MulABTTo, over ragged shapes (dims 1..67), issuedShapes,
-// gradShapes and the k = 0 and n = 1 edges. Each shape is a*b's m x k x
-// n; aᵀ*b and a*bᵀ take the same operands transposed, and every
-// destination but MulATBAcc's starts as garbage.
-func TestF64ProductsAreRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	shapes := []struct{ m, k, n int }{{5, 0, 3}, {1, 0, 1}, {33, 29, 1}, {1, 1, 1}}
-	for range 60 {
-		shapes = append(shapes, struct{ m, k, n int }{raggedDim(rng), raggedDim(rng), raggedDim(rng)})
+// The float64 products are pinned to their reference loops bit for bit
+// in two halves: the three quick checks draw ragged shapes (dims
+// 1..67) from random seeds, and TestAllKernelFamiliesMatchRef walks the
+// k = 0 and n = 1 edges, issuedShapes and gradShapes under every kernel
+// family. Every destination but MulATBAcc's starts as garbage.
+
+func TestQuickMulToMatchesRef(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m, k, n := raggedDim(rng), raggedDim(rng), raggedDim(rng)
+		a := randomDense(rng, m, k)
+		b := randomDense(rng, k, n)
+		want := garbageDense(m, n)
+		refMulTo(want, a, b)
+		dst := garbageDense(m, n)
+		MulTo(dst, a, b)
+		return sameBits(dst, want) && sameBits(Mul(a, b), want)
 	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestQuickMulATBMatchesRef(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r, ca, cb := raggedDim(rng), raggedDim(rng), raggedDim(rng)
+		a := randomDense(rng, r, ca)
+		b := randomDense(rng, r, cb)
+		want := garbageDense(ca, cb)
+		refMulATBTo(want, a, b)
+		dst := garbageDense(ca, cb)
+		MulATBTo(dst, a, b)
+		if !sameBits(dst, want) {
+			return false
+		}
+		prior := randomDense(rng, ca, cb)
+		want, dst = prior.Clone(), prior.Clone()
+		refMulATBAcc(want, a, b)
+		MulATBAcc(dst, a, b)
+		return sameBits(dst, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestQuickMulABTMatchesRef(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ra, rb, c := raggedDim(rng), raggedDim(rng), raggedDim(rng)
+		a := randomDense(rng, ra, c)
+		b := randomDense(rng, rb, c)
+		want := garbageDense(ra, rb)
+		refMulABTTo(want, a, b)
+		dst := garbageDense(ra, rb)
+		MulABTTo(dst, a, b)
+		return sameBits(dst, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameBits reports whether got and want have one shape and bit-equal
+// elements.
+func sameBits(got, want *Dense) bool {
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		return false
+	}
+	for i, v := range got.Data {
+		if v != want.Data[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAllKernelFamiliesMatchRef pins every float64 product to its
+// reference loop bit for bit under each kernel family — the family
+// steers only the float32 kernels — over the k = 0 and n = 1 edges,
+// issuedShapes and gradShapes: Mul, MulTo, MulATBTo, MulATBAcc onto a
+// dst that holds values, and MulABTTo. Each shape is a*b's m x k x n;
+// aᵀ*b and a*bᵀ take the same operands transposed.
+func TestAllKernelFamiliesMatchRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	shapes := []struct{ m, k, n int }{{5, 0, 3}, {1, 0, 1}, {33, 29, 1}, {1, 1, 1}, {37, 23, 19}, {70, 67, 66}, {12, 300, 41}}
 	shapes = append(shapes, issuedShapes...)
 	shapes = append(shapes, gradShapes...)
-	for _, s := range shapes {
-		name := fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n)
-		a := randomDense(rng, s.m, s.k)
-		b := randomDense(rng, s.k, s.n)
-		at, bt := a.T(), b.T()
+	for _, asm := range testFamilies() {
+		setFamily(t, asm)
+		for _, s := range shapes {
+			name := fmt.Sprintf("family=%s/%dx%dx%d", KernelFamily(), s.m, s.k, s.n)
+			a := randomDense(rng, s.m, s.k)
+			b := randomDense(rng, s.k, s.n)
+			at, bt := a.T(), b.T()
 
-		want := garbageDense(s.m, s.n)
-		refMulTo(want, a, b)
-		got := garbageDense(s.m, s.n)
-		MulTo(got, a, b)
-		bitIdentical(t, "MulTo/"+name, got, want)
-		bitIdentical(t, "Mul/"+name, Mul(a, b), want)
+			want := garbageDense(s.m, s.n)
+			refMulTo(want, a, b)
+			got := garbageDense(s.m, s.n)
+			MulTo(got, a, b)
+			bitIdentical(t, "MulTo/"+name, got, want)
+			bitIdentical(t, "Mul/"+name, Mul(a, b), want)
 
-		want, got = garbageDense(s.m, s.n), garbageDense(s.m, s.n)
-		refMulATBTo(want, at, b)
-		MulATBTo(got, at, b)
-		bitIdentical(t, "MulATBTo/"+name, got, want)
-		prior := randomDense(rng, s.m, s.n)
-		want, got = prior.Clone(), prior.Clone()
-		refMulATBAcc(want, at, b)
-		MulATBAcc(got, at, b)
-		bitIdentical(t, "MulATBAcc/"+name, got, want)
+			want, got = garbageDense(s.m, s.n), garbageDense(s.m, s.n)
+			refMulATBTo(want, at, b)
+			MulATBTo(got, at, b)
+			bitIdentical(t, "MulATBTo/"+name, got, want)
+			prior := randomDense(rng, s.m, s.n)
+			want, got = prior.Clone(), prior.Clone()
+			refMulATBAcc(want, at, b)
+			MulATBAcc(got, at, b)
+			bitIdentical(t, "MulATBAcc/"+name, got, want)
 
-		want, got = garbageDense(s.m, s.n), garbageDense(s.m, s.n)
-		refMulABTTo(want, a, bt)
-		MulABTTo(got, a, bt)
-		bitIdentical(t, "MulABTTo/"+name, got, want)
+			want, got = garbageDense(s.m, s.n), garbageDense(s.m, s.n)
+			refMulABTTo(want, a, bt)
+			MulABTTo(got, a, bt)
+			bitIdentical(t, "MulABTTo/"+name, got, want)
+		}
 	}
 }
 
