@@ -25,12 +25,13 @@ import (
 // last lowercase-concatenated key to snake_case) and introduced the
 // schema_version field itself so consumers can switch on the shape
 // instead of string-matching field names. Version 3 added the "obs"
-// block: /v1/stats became a compatibility view over the metrics
-// registry that also backs GET /metrics. Version 4 dropped the frame,
-// byte and reassembly counters from the "replication" block (shards of
-// one process exchange models without a wire protocol); the per-shard
-// stats of a sharded deployment gained their "load_ctl" block, a shard's
-// gate now being its service's.
+// block. Version 4 dropped the frame, byte and reassembly counters from
+// the "replication" block (shards of one process exchange models
+// without a wire protocol); the per-shard stats of a sharded deployment
+// gained their "load_ctl" block, a shard's gate now being its
+// service's. /v1/stats is not read from the metrics registry behind
+// GET /metrics (it answers without one): each block is filled from the
+// counters that the registry's func-backed series also read.
 const StatsSchemaVersion = 4
 
 // Request headers understood by the /v1 surface.
@@ -150,24 +151,37 @@ type AllocateResponse struct {
 	Error        *Error       `json:"error,omitempty"`
 }
 
-// Stats is the wire form of GET /v1/stats for one serve instance. In a
-// sharded deployment each shard reports one Stats inside ClusterStats.
+// Stats is the wire form of GET /v1/stats for one serve instance, and
+// the only snapshot of its counters: serve.Service.Stats fills it
+// straight from the counter cells, the same cells the func-backed
+// series of GET /metrics read. In a sharded deployment each shard
+// reports one Stats inside ClusterStats. The "_usec" fields are
+// float microseconds; every other number is an integer counter.
 type Stats struct {
-	SchemaVersion   int     `json:"schema_version"`
-	Requests        int64   `json:"requests"`
-	Calls           int64   `json:"calls"`
-	ResultHits      int64   `json:"result_hits"`
-	ResultMisses    int64   `json:"result_misses"`
-	ResultCacheLen  int     `json:"result_cache_len"`
+	SchemaVersion int `json:"schema_version"`
+	// Requests counts individual predictions asked for (batch items
+	// included); Calls counts Predict/PredictBatch invocations.
+	Requests int64 `json:"requests"`
+	Calls    int64 `json:"calls"`
+	// ResultHits / ResultMisses count result-cache outcomes;
+	// ResultCacheLen is the current number of memoized results.
+	ResultHits     int64 `json:"result_hits"`
+	ResultMisses   int64 `json:"result_misses"`
+	ResultCacheLen int   `json:"result_cache_len"`
+	// MeanLatencyUsec is the average wall-clock time per call.
 	MeanLatencyUsec float64 `json:"mean_latency_usec"`
-	ModelHits       int64   `json:"model_hits"`
-	ModelMisses     int64   `json:"model_misses"`
-	ModelLoads      int64   `json:"model_loads"`
-	ModelLoadErrors int64   `json:"model_load_errors"`
-	ModelEvictions  int64   `json:"model_evictions"`
-	ModelSwaps      int64   `json:"model_swaps,omitempty"`
+	// The model-registry counters.
+	ModelHits       int64 `json:"model_hits"`
+	ModelMisses     int64 `json:"model_misses"`
+	ModelLoads      int64 `json:"model_loads"`
+	ModelLoadErrors int64 `json:"model_load_errors"`
+	ModelEvictions  int64 `json:"model_evictions"`
+	ModelSwaps      int64 `json:"model_swaps,omitempty"`
 
-	Alloc     AllocStats      `json:"alloc"`
+	Alloc AllocStats `json:"alloc"`
+	// Lifecycle is present when the attached observer reports
+	// online-learning counters, Store when a durable store is attached,
+	// LoadCtl when load control is, Obs when observability is.
 	Lifecycle *LifecycleStats `json:"lifecycle,omitempty"`
 	Store     *StoreStats     `json:"store,omitempty"`
 	LoadCtl   *LoadCtlStats   `json:"load_ctl,omitempty"`
@@ -188,60 +202,108 @@ type ObsStats struct {
 
 // LoadCtlStats is the wire form of the overload-protection counters.
 type LoadCtlStats struct {
-	RateLimited       int64   `json:"rate_limited"`
-	Clients           int     `json:"clients"`
-	ClientsEvicted    int64   `json:"clients_evicted,omitempty"`
-	Admitted          int64   `json:"admitted"`
-	Queued            int64   `json:"queued"`
-	ShedQueueFull     int64   `json:"shed_queue_full"`
-	ShedTimeout       int64   `json:"shed_timeout"`
-	ShedCanceled      int64   `json:"shed_canceled"`
-	GateBypassed      int64   `json:"gate_bypassed"`
-	DeadlineRejects   int64   `json:"deadline_rejects"`
+	// RateLimited counts requests answered 429; Clients / ClientsEvicted
+	// are the limiter's tracked-bucket state.
+	RateLimited    int64 `json:"rate_limited"`
+	Clients        int   `json:"clients"`
+	ClientsEvicted int64 `json:"clients_evicted,omitempty"`
+	// Admitted / Queued / Shed* are the admission gate's counters.
+	Admitted      int64 `json:"admitted"`
+	Queued        int64 `json:"queued"`
+	ShedQueueFull int64 `json:"shed_queue_full"`
+	ShedTimeout   int64 `json:"shed_timeout"`
+	ShedCanceled  int64 `json:"shed_canceled"`
+	// GateBypassed counts cache-hit predictions that skipped the gate.
+	GateBypassed int64 `json:"gate_bypassed"`
+	// DeadlineRejects counts requests answered 504 because their budget
+	// ran out server-side.
+	DeadlineRejects int64 `json:"deadline_rejects"`
+	// MeanQueueWaitUsec is the average slot wait of queued-then-admitted
+	// requests.
 	MeanQueueWaitUsec float64 `json:"mean_queue_wait_usec"`
-	Draining          bool    `json:"draining,omitempty"`
+	// Draining reports whether shutdown drain has started.
+	Draining bool `json:"draining,omitempty"`
 }
 
 // AllocStats is the wire form of the allocation counters.
 type AllocStats struct {
-	Requests        int64   `json:"requests"`
-	Errors          int64   `json:"errors"`
-	Violations      int64   `json:"violations"`
-	Fallbacks       int64   `json:"fallbacks"`
+	// Requests counts Allocate calls that reached the engine; Errors
+	// those that failed (bad request or model).
+	Requests int64 `json:"requests"`
+	Errors   int64 `json:"errors"`
+	// Violations counts allocations where no candidate satisfied the
+	// SLO and a best-effort configuration was returned.
+	Violations int64 `json:"violations"`
+	// Fallbacks counts allocations answered by the interpolation
+	// fallback instead of the model.
+	Fallbacks int64 `json:"fallbacks"`
+	// MeanLatencyUsec is the average wall-clock time per allocation.
 	MeanLatencyUsec float64 `json:"mean_latency_usec"`
 }
 
 // LifecycleStats is the wire form of the online-learning counters.
 type LifecycleStats struct {
-	Observations     int64   `json:"observations"`
-	Rejected         int64   `json:"rejected"`
-	PendingSamples   int     `json:"pending_samples"`
-	Finetunes        int64   `json:"finetunes"`
-	FinetuneErrors   int64   `json:"finetune_errors"`
-	Swaps            int64   `json:"swaps"`
-	SwapsSkipped     int64   `json:"swaps_skipped"`
+	// Observations counts accepted observations; Rejected those dropped
+	// for failing validation.
+	Observations int64 `json:"observations"`
+	Rejected     int64 `json:"rejected"`
+	// PendingSamples is the current total of buffered observations not
+	// yet digested by a fine-tune.
+	PendingSamples int `json:"pending_samples"`
+	// Finetunes counts fine-tune runs (successful or failed).
+	// FinetuneErrors counts failed attempts of any kind — including
+	// model-load/clone failures that aborted before a run started, so
+	// under persistent load failures it can exceed Finetunes.
+	Finetunes      int64 `json:"finetunes"`
+	FinetuneErrors int64 `json:"finetune_errors"`
+	// Swaps counts installed model versions; SwapsSkipped counts
+	// fine-tunes discarded because their base version was evicted.
+	Swaps        int64 `json:"swaps"`
+	SwapsSkipped int64 `json:"swaps_skipped"`
+	// MeanFinetuneUsec is the average wall-clock time of a fine-tune
+	// run (failed runs included).
 	MeanFinetuneUsec float64 `json:"mean_finetune_usec"`
-	Restored         int64   `json:"restored,omitempty"`
-	LogErrors        int64   `json:"log_errors,omitempty"`
+	// Restored counts observations and digest markers re-admitted from
+	// the durable log during boot replay.
+	Restored int64 `json:"restored,omitempty"`
+	// LogErrors counts durable-log append and checkpoint write failures
+	// (observations rejected as not-durable, versions left
+	// uncheckpointed).
+	LogErrors int64 `json:"log_errors,omitempty"`
 }
 
 // StoreStats is the wire form of the durable-store counters.
 type StoreStats struct {
-	WALAppends           int64  `json:"wal_appends"`
-	WALAppendedBytes     int64  `json:"wal_appended_bytes"`
-	WALSegments          int    `json:"wal_segments"`
-	WALActiveSeq         uint64 `json:"wal_active_seq"`
-	Fsyncs               int64  `json:"fsyncs"`
-	RepairedBytes        int64  `json:"repaired_bytes,omitempty"`
-	ReplayedObservations int64  `json:"replayed_observations"`
-	ReplayedDigests      int64  `json:"replayed_digests"`
-	CorruptSegments      int64  `json:"corrupt_segments,omitempty"`
-	Compactions          int64  `json:"compactions"`
-	CompactedRecords     int64  `json:"compacted_records"`
-	CompactSegments      int    `json:"compact_segments"`
-	Checkpoints          int64  `json:"checkpoints"`
-	CheckpointErrors     int64  `json:"checkpoint_errors,omitempty"`
-	CheckpointLoads      int64  `json:"checkpoint_loads"`
+	// WALAppends / WALAppendedBytes count framed records written.
+	WALAppends       int64 `json:"wal_appends"`
+	WALAppendedBytes int64 `json:"wal_appended_bytes"`
+	// WALSegments is the current on-disk WAL segment count (active
+	// included); WALActiveSeq the active segment's sequence number.
+	WALSegments  int    `json:"wal_segments"`
+	WALActiveSeq uint64 `json:"wal_active_seq"`
+	// Fsyncs counts explicit sync calls (appends, seals, closes).
+	Fsyncs int64 `json:"fsyncs"`
+	// RepairedBytes counts torn tail bytes truncated at open.
+	RepairedBytes int64 `json:"repaired_bytes,omitempty"`
+	// ReplayedObservations / ReplayedDigests count records delivered
+	// by replay.
+	ReplayedObservations int64 `json:"replayed_observations"`
+	ReplayedDigests      int64 `json:"replayed_digests"`
+	// CorruptSegments counts sealed WAL or compacted segments that
+	// failed validation at open or replay.
+	CorruptSegments int64 `json:"corrupt_segments,omitempty"`
+	// Compactions counts compaction runs that produced a segment;
+	// CompactedRecords the WAL records they absorbed; CompactSegments
+	// the current compacted segment count.
+	Compactions      int64 `json:"compactions"`
+	CompactedRecords int64 `json:"compacted_records"`
+	CompactSegments  int   `json:"compact_segments"`
+	// Checkpoints / CheckpointErrors / CheckpointLoads count model
+	// checkpoint writes, failed writes or corrupt reads, and
+	// successful recoveries.
+	Checkpoints      int64 `json:"checkpoints"`
+	CheckpointErrors int64 `json:"checkpoint_errors,omitempty"`
+	CheckpointLoads  int64 `json:"checkpoint_loads"`
 }
 
 // ClusterStats is the wire form of GET /v1/stats on a sharded router:

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/serve"
@@ -485,14 +486,14 @@ func (c *Controller) tune(j tuneJob) (installed bool) {
 
 // LifecycleStats snapshots the controller counters (implements
 // serve.LifecycleStatser, so the counters surface in /v1/stats).
-func (c *Controller) LifecycleStats() serve.LifecycleStats {
+func (c *Controller) LifecycleStats() api.LifecycleStats {
 	c.mu.Lock()
 	pending := 0
 	for _, b := range c.buffers {
 		pending += b.pending()
 	}
 	c.mu.Unlock()
-	st := serve.LifecycleStats{
+	st := api.LifecycleStats{
 		Observations:   c.observations.Load(),
 		Rejected:       c.rejected.Load(),
 		PendingSamples: pending,
@@ -504,7 +505,7 @@ func (c *Controller) LifecycleStats() serve.LifecycleStats {
 		LogErrors:      c.logErrors.Load(),
 	}
 	if st.Finetunes > 0 {
-		st.MeanFinetune = time.Duration(c.finetuneNS.Load() / st.Finetunes)
+		st.MeanFinetuneUsec = float64(c.finetuneNS.Load()/st.Finetunes) / 1e3
 	}
 	return st
 }

@@ -238,8 +238,8 @@ func TestObserveFinetuneSwapImproves(t *testing.T) {
 	if st.PendingSamples != 0 {
 		t.Fatalf("pending = %d after digest, want 0", st.PendingSamples)
 	}
-	if st.MeanFinetune <= 0 {
-		t.Fatalf("MeanFinetune = %v, want > 0", st.MeanFinetune)
+	if st.MeanFinetuneUsec <= 0 {
+		t.Fatalf("MeanFinetuneUsec = %v, want > 0", st.MeanFinetuneUsec)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/store"
 )
@@ -8,7 +9,7 @@ import (
 // StoreStatser exposes the durable store's counters (implemented by
 // *store.Store), surfaced in /v1/stats when a store is attached.
 type StoreStatser interface {
-	StoreStats() store.Stats
+	StoreStats() api.StoreStats
 }
 
 // CheckpointRecoverer recovers checkpointed model versions
@@ -33,23 +34,16 @@ func CheckpointLoader(base Loader, cr CheckpointRecoverer) VersionedLoader {
 	}
 }
 
-// storeStatser is the service's attached store, behind an atomic
-// pointer like the observer so /v1/stats reads race-free.
-type storeStatser struct {
-	st StoreStatser
-}
-
 // AttachStore surfaces a durable store's counters in the service stats
 // (/v1/stats gains a "store" block). Attach before serving traffic.
-func (s *Service) AttachStore(st StoreStatser) {
-	s.storeRef.Store(&storeStatser{st: st})
-}
+func (s *Service) AttachStore(st StoreStatser) { s.storeRef.Store(&st) }
 
-// storeStats snapshots the attached store's counters, if any.
-func (s *Service) storeStats() (store.Stats, bool) {
-	ref := s.storeRef.Load()
-	if ref == nil {
-		return store.Stats{}, false
+// storeStats snapshots the attached store's counters, nil without one.
+func (s *Service) storeStats() *api.StoreStats {
+	st := s.storeRef.Load()
+	if st == nil {
+		return nil
 	}
-	return ref.st.StoreStats(), true
+	ds := (*st).StoreStats()
+	return &ds
 }

@@ -117,7 +117,7 @@ func NewHandler(b Backend) *http.ServeMux {
 func (s *Service) Handler() http.Handler { return NewHandler(s) }
 
 // StatsBody implements Backend.
-func (s *Service) StatsBody() any { return s.StatsPayload() }
+func (s *Service) StatsBody() any { return s.Stats() }
 
 // post builds one POST route of the pipeline. decode turns the body in
 // the scratch into the route's request, validating it; call hands that
@@ -435,84 +435,5 @@ func toAllocateResponse(res *allocate.Result) api.AllocateResponse {
 			MeetsSLO:     cp.MeetsSLO,
 		}
 	}
-	return out
-}
-
-// StatsPayload snapshots the service counters in wire form. The shard
-// router embeds one per shard.
-func (s *Service) StatsPayload() api.Stats {
-	st := s.Stats()
-	out := api.Stats{
-		SchemaVersion:   api.StatsSchemaVersion,
-		Requests:        st.Requests,
-		Calls:           st.Calls,
-		ResultHits:      st.ResultHits,
-		ResultMisses:    st.ResultMisses,
-		ResultCacheLen:  st.ResultCacheLen,
-		MeanLatencyUsec: float64(st.MeanLatency.Nanoseconds()) / 1e3,
-		ModelHits:       st.Registry.Hits,
-		ModelMisses:     st.Registry.Misses,
-		ModelLoads:      st.Registry.Loads,
-		ModelLoadErrors: st.Registry.LoadErrors,
-		ModelEvictions:  st.Registry.Evictions,
-		ModelSwaps:      st.Registry.Swaps,
-		Alloc: api.AllocStats{
-			Requests:        st.Alloc.Requests,
-			Errors:          st.Alloc.Errors,
-			Violations:      st.Alloc.Violations,
-			Fallbacks:       st.Alloc.Fallbacks,
-			MeanLatencyUsec: float64(st.Alloc.MeanLatency.Nanoseconds()) / 1e3,
-		},
-	}
-	if ls, ok := s.lifecycleStats(); ok {
-		out.Lifecycle = &api.LifecycleStats{
-			Observations:     ls.Observations,
-			Rejected:         ls.Rejected,
-			PendingSamples:   ls.PendingSamples,
-			Finetunes:        ls.Finetunes,
-			FinetuneErrors:   ls.FinetuneErrors,
-			Swaps:            ls.Swaps,
-			SwapsSkipped:     ls.SwapsSkipped,
-			MeanFinetuneUsec: float64(ls.MeanFinetune.Nanoseconds()) / 1e3,
-			Restored:         ls.Restored,
-			LogErrors:        ls.LogErrors,
-		}
-	}
-	if ds, ok := s.storeStats(); ok {
-		out.Store = &api.StoreStats{
-			WALAppends:           ds.WALAppends,
-			WALAppendedBytes:     ds.WALAppendedBytes,
-			WALSegments:          ds.WALSegments,
-			WALActiveSeq:         ds.WALActiveSeq,
-			Fsyncs:               ds.Fsyncs,
-			RepairedBytes:        ds.RepairedBytes,
-			ReplayedObservations: ds.ReplayedObservations,
-			ReplayedDigests:      ds.ReplayedDigests,
-			CorruptSegments:      ds.CorruptSegments,
-			Compactions:          ds.Compactions,
-			CompactedRecords:     ds.CompactedRecords,
-			CompactSegments:      ds.CompactSegments,
-			Checkpoints:          ds.Checkpoints,
-			CheckpointErrors:     ds.CheckpointErrors,
-			CheckpointLoads:      ds.CheckpointLoads,
-		}
-	}
-	if lc := st.LoadCtl; lc != nil {
-		out.LoadCtl = &api.LoadCtlStats{
-			RateLimited:       lc.RateLimited,
-			Clients:           lc.Clients,
-			ClientsEvicted:    lc.ClientsEvicted,
-			Admitted:          lc.Admitted,
-			Queued:            lc.Queued,
-			ShedQueueFull:     lc.ShedQueueFull,
-			ShedTimeout:       lc.ShedTimeout,
-			ShedCanceled:      lc.ShedCanceled,
-			GateBypassed:      lc.GateBypassed,
-			DeadlineRejects:   lc.DeadlineRejects,
-			MeanQueueWaitUsec: float64(lc.MeanQueueWait.Nanoseconds()) / 1e3,
-			Draining:          lc.Draining,
-		}
-	}
-	out.Obs = s.obsStatsPayload()
 	return out
 }

@@ -156,10 +156,10 @@ func (o *recordingObserver) Observe(_ context.Context, key ModelKey, q core.Quer
 	return nil
 }
 
-func (o *recordingObserver) LifecycleStats() LifecycleStats {
+func (o *recordingObserver) LifecycleStats() api.LifecycleStats {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return LifecycleStats{Observations: int64(len(o.seen))}
+	return api.LifecycleStats{Observations: int64(len(o.seen))}
 }
 
 func wireObservation(scaleOut, sizeMB int, runtime float64) api.ObserveRequest {

@@ -87,7 +87,7 @@ func TestServiceSurfacesLoaderErrors(t *testing.T) {
 	if r.Err == nil {
 		t.Fatal("prediction against an empty model dir succeeded")
 	}
-	if st := svc.Stats(); st.Registry.LoadErrors != 1 {
-		t.Fatalf("LoadErrors = %d, want 1", st.Registry.LoadErrors)
+	if st := svc.Stats(); st.ModelLoadErrors != 1 {
+		t.Fatalf("ModelLoadErrors = %d, want 1", st.ModelLoadErrors)
 	}
 }

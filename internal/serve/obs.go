@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // Observability bundles the telemetry substrate threaded through the
@@ -49,9 +48,10 @@ func (s *Service) Obs() *Observability { return s.obsRef.Load() }
 // registerMetrics exposes the service's counter cells plus scrape-time
 // snapshots of the registry, lifecycle, store, and load-control tiers.
 // The counter cells are the very atomics the hot path increments — no
-// parallel bookkeeping; the func-backed series read the existing
-// Stats() snapshots of components that stay obs-free (loadctl) or are
-// attached after startup (lifecycle, store), nil-safe at every scrape.
+// parallel bookkeeping; the func-backed series read the snapshots of
+// components that stay obs-free (loadctl) or are attached after startup
+// (lifecycle, store) — the blocks /v1/stats shows — nil-safe at every
+// scrape.
 func (s *Service) registerMetrics(reg *obs.Registry, labels obs.Labels) {
 	reg.RegisterCounter("bellamy_predict_requests_total",
 		"Individual predictions asked for (batch items included).", labels, &s.requests)
@@ -112,54 +112,56 @@ func (s *Service) registerMetrics(reg *obs.Registry, labels obs.Labels) {
 
 	for _, m := range []struct {
 		name, help string
-		read       func(LifecycleStats) int64
+		read       func(*api.LifecycleStats) int64
 	}{
-		{"bellamy_lifecycle_observations_total", "Accepted runtime observations.", func(l LifecycleStats) int64 { return l.Observations }},
-		{"bellamy_lifecycle_rejected_total", "Observations dropped in validation.", func(l LifecycleStats) int64 { return l.Rejected }},
-		{"bellamy_lifecycle_finetunes_total", "Fine-tune runs.", func(l LifecycleStats) int64 { return l.Finetunes }},
-		{"bellamy_lifecycle_finetune_errors_total", "Failed fine-tune attempts.", func(l LifecycleStats) int64 { return l.FinetuneErrors }},
-		{"bellamy_lifecycle_swaps_total", "Fine-tuned versions installed.", func(l LifecycleStats) int64 { return l.Swaps }},
+		{"bellamy_lifecycle_observations_total", "Accepted runtime observations.", func(l *api.LifecycleStats) int64 { return l.Observations }},
+		{"bellamy_lifecycle_rejected_total", "Observations dropped in validation.", func(l *api.LifecycleStats) int64 { return l.Rejected }},
+		{"bellamy_lifecycle_finetunes_total", "Fine-tune runs.", func(l *api.LifecycleStats) int64 { return l.Finetunes }},
+		{"bellamy_lifecycle_finetune_errors_total", "Failed fine-tune attempts.", func(l *api.LifecycleStats) int64 { return l.FinetuneErrors }},
+		{"bellamy_lifecycle_swaps_total", "Fine-tuned versions installed.", func(l *api.LifecycleStats) int64 { return l.Swaps }},
 	} {
 		read := m.read
 		reg.RegisterCounterFunc(m.name, m.help, labels, func() int64 {
-			ls, ok := s.lifecycleStats()
-			if !ok {
-				return 0
+			if ls := s.lifecycleStats(); ls != nil {
+				return read(ls)
 			}
-			return read(ls)
+			return 0
 		})
 	}
 	reg.RegisterGaugeFunc("bellamy_lifecycle_pending_samples",
 		"Buffered observations not yet digested by a fine-tune.", labels,
 		func() float64 {
-			ls, _ := s.lifecycleStats()
-			return float64(ls.PendingSamples)
+			if ls := s.lifecycleStats(); ls != nil {
+				return float64(ls.PendingSamples)
+			}
+			return 0
 		})
 
 	for _, m := range []struct {
 		name, help string
-		read       func(store.Stats) int64
+		read       func(*api.StoreStats) int64
 	}{
-		{"bellamy_wal_appends_total", "Records appended to the WAL.", func(d store.Stats) int64 { return d.WALAppends }},
-		{"bellamy_wal_appended_bytes_total", "Bytes appended to the WAL.", func(d store.Stats) int64 { return d.WALAppendedBytes }},
-		{"bellamy_wal_fsyncs_total", "WAL fsync calls.", func(d store.Stats) int64 { return d.Fsyncs }},
-		{"bellamy_store_compactions_total", "WAL compaction runs.", func(d store.Stats) int64 { return d.Compactions }},
-		{"bellamy_store_checkpoints_total", "Model checkpoints written.", func(d store.Stats) int64 { return d.Checkpoints }},
+		{"bellamy_wal_appends_total", "Records appended to the WAL.", func(d *api.StoreStats) int64 { return d.WALAppends }},
+		{"bellamy_wal_appended_bytes_total", "Bytes appended to the WAL.", func(d *api.StoreStats) int64 { return d.WALAppendedBytes }},
+		{"bellamy_wal_fsyncs_total", "WAL fsync calls.", func(d *api.StoreStats) int64 { return d.Fsyncs }},
+		{"bellamy_store_compactions_total", "WAL compaction runs.", func(d *api.StoreStats) int64 { return d.Compactions }},
+		{"bellamy_store_checkpoints_total", "Model checkpoints written.", func(d *api.StoreStats) int64 { return d.Checkpoints }},
 	} {
 		read := m.read
 		reg.RegisterCounterFunc(m.name, m.help, labels, func() int64 {
-			ds, ok := s.storeStats()
-			if !ok {
-				return 0
+			if ds := s.storeStats(); ds != nil {
+				return read(ds)
 			}
-			return read(ds)
+			return 0
 		})
 	}
 	reg.RegisterGaugeFunc("bellamy_wal_segments",
 		"WAL segment files on disk.", labels,
 		func() float64 {
-			ds, _ := s.storeStats()
-			return float64(ds.WALSegments)
+			if ds := s.storeStats(); ds != nil {
+				return float64(ds.WALSegments)
+			}
+			return 0
 		})
 
 	reg.RegisterCounterFunc("bellamy_rate_limited_total",
@@ -205,25 +207,6 @@ func (s *Service) registerMetrics(reg *obs.Registry, labels obs.Labels) {
 		})
 }
 
-// obsStatsPayload builds the schema-v3 "obs" stats block, nil when no
-// observability layer is attached.
-func (s *Service) obsStatsPayload() *api.ObsStats {
-	o := s.obsRef.Load()
-	if o == nil {
-		return nil
-	}
-	out := &api.ObsStats{
-		LatencyP50Usec:  float64(s.latency.Quantile(0.5).Nanoseconds()) / 1e3,
-		LatencyP99Usec:  float64(s.latency.Quantile(0.99).Nanoseconds()) / 1e3,
-		LatencyP999Usec: float64(s.latency.Quantile(0.999).Nanoseconds()) / 1e3,
-	}
-	if o.Metrics != nil {
-		out.MetricSeries = o.Metrics.NumSeries()
-	}
-	out.TracesSampled, out.TracesFinished = o.Tracer.Stats()
-	return out
-}
-
 // startTrace begins a request trace when a tracer is attached: a
 // client-supplied X-Trace-Id is always traced, other requests are
 // sampled. The trace ID is echoed on the response header immediately
@@ -257,8 +240,8 @@ func spanSummaries(spans []obs.Span) []api.SpanSummary {
 		out[i] = api.SpanSummary{
 			Name:      sp.Name,
 			Shard:     sp.Shard,
-			StartUsec: float64(sp.Start.Nanoseconds()) / 1e3,
-			DurUsec:   float64(sp.Dur.Nanoseconds()) / 1e3,
+			StartUsec: usec(sp.Start),
+			DurUsec:   usec(sp.Dur),
 		}
 	}
 	return out
@@ -278,7 +261,7 @@ func slowTracesPayload(t *obs.Tracer) api.SlowTracesResponse {
 		out.Traces[i] = api.TraceSummary{
 			TraceID:  r.ID(),
 			AgeMs:    now.Sub(r.At).Milliseconds(),
-			WallUsec: float64(r.Wall.Nanoseconds()) / 1e3,
+			WallUsec: usec(r.Wall),
 			Spans:    spanSummaries(r.Spans[:r.NSpans]),
 		}
 	}

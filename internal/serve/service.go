@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"repro/internal/allocate"
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/freelist"
 	"repro/internal/loadctl"
@@ -46,67 +47,6 @@ type Response struct {
 	Err error
 }
 
-// Stats is a snapshot of the service counters.
-type Stats struct {
-	// Requests counts individual predictions asked for (batch items
-	// included).
-	Requests int64
-	// Calls counts Predict/PredictBatch invocations.
-	Calls int64
-	// ResultHits / ResultMisses count result-cache outcomes.
-	ResultHits   int64
-	ResultMisses int64
-	// ResultCacheLen is the current number of memoized results.
-	ResultCacheLen int
-	// MeanLatency is the average wall-clock time per call.
-	MeanLatency time.Duration
-	// Registry carries the model-registry counters.
-	Registry RegistryStats
-	// Alloc carries the resource-allocation counters.
-	Alloc AllocStats
-	// LoadCtl carries the overload-protection counters; nil when no
-	// load control is attached.
-	LoadCtl *LoadCtlStats
-}
-
-// LoadCtlStats is a snapshot of the overload-protection counters.
-type LoadCtlStats struct {
-	// RateLimited counts requests answered 429; Clients / ClientsEvicted
-	// mirror the limiter's tracked-bucket state.
-	RateLimited    int64
-	Clients        int
-	ClientsEvicted int64
-	// Admitted / Queued / Shed* mirror the admission gate.
-	Admitted, Queued                         int64
-	ShedQueueFull, ShedTimeout, ShedCanceled int64
-	// GateBypassed counts cache-hit predictions that skipped the gate.
-	GateBypassed int64
-	// DeadlineRejects counts requests answered 504 because their budget
-	// ran out server-side.
-	DeadlineRejects int64
-	// MeanQueueWait is the average slot wait of queued-then-admitted
-	// requests.
-	MeanQueueWait time.Duration
-	// Draining reports whether shutdown drain has started.
-	Draining bool
-}
-
-// AllocStats is a snapshot of the allocation counters.
-type AllocStats struct {
-	// Requests counts Allocate calls that reached the engine.
-	Requests int64
-	// Errors counts Allocate calls that failed (bad request or model).
-	Errors int64
-	// Violations counts allocations where no candidate satisfied the
-	// SLO and a best-effort configuration was returned.
-	Violations int64
-	// Fallbacks counts allocations answered by the interpolation
-	// fallback instead of the model.
-	Fallbacks int64
-	// MeanLatency is the average wall-clock time per allocation.
-	MeanLatency time.Duration
-}
-
 // Observer ingests live runtime observations for online model
 // improvement. The lifecycle controller implements it; the service
 // only forwards, so serving stays decoupled from how (or whether)
@@ -125,38 +65,10 @@ type SwapNotifier interface {
 	OnSwap(fn func(key ModelKey, version uint64))
 }
 
-// LifecycleStats is a snapshot of online-learning counters, surfaced
-// in /v1/stats when the attached Observer implements LifecycleStatser.
-type LifecycleStats struct {
-	// Observations counts accepted Observe calls; Rejected counts
-	// observations dropped for failing validation.
-	Observations, Rejected int64
-	// PendingSamples is the current total of buffered observations not
-	// yet digested by a fine-tune.
-	PendingSamples int
-	// Finetunes counts fine-tune runs (successful or failed).
-	// FinetuneErrors counts failed attempts of any kind — including
-	// model-load/clone failures that aborted before a run started, so
-	// under persistent load failures it can exceed Finetunes.
-	Finetunes, FinetuneErrors int64
-	// Swaps counts installed model versions; SwapsSkipped counts
-	// fine-tunes discarded because their base version was evicted.
-	Swaps, SwapsSkipped int64
-	// MeanFinetune is the average wall-clock time of a fine-tune run
-	// (failed runs included).
-	MeanFinetune time.Duration
-	// Restored counts observations and digest markers re-admitted from
-	// the durable log during boot replay.
-	Restored int64
-	// LogErrors counts durable-log append and checkpoint write failures
-	// (observations rejected as not-durable, versions left
-	// uncheckpointed).
-	LogErrors int64
-}
-
-// LifecycleStatser exposes online-learning counters.
+// LifecycleStatser is an Observer that reports online-learning
+// counters; they surface as the "lifecycle" block of /v1/stats.
 type LifecycleStatser interface {
-	LifecycleStats() LifecycleStats
+	LifecycleStats() api.LifecycleStats
 }
 
 // ErrObserveDisabled is returned by Observe when no observer is
@@ -183,7 +95,7 @@ type Service struct {
 	workers int
 
 	observer atomic.Pointer[Observer]
-	storeRef atomic.Pointer[storeStatser]
+	storeRef atomic.Pointer[StoreStatser]
 	loadctl  atomic.Pointer[LoadControl]
 	obsRef   atomic.Pointer[Observability]
 
@@ -192,8 +104,9 @@ type Service struct {
 	draining atomic.Bool
 
 	// Counters are obs types (one atomic add per increment) so the same
-	// cells back Stats(), /v1/stats, and — once AttachObs registers them
-	// — the /metrics exposition. No label lookups on any hot path.
+	// cells back Stats() — the /v1/stats body — and, once AttachObs
+	// registers them, the /metrics exposition. No label lookups on any
+	// hot path.
 	requests, calls          obs.Counter
 	resultHits, resultMisses obs.Counter
 	latency                  *obs.Hist
@@ -341,18 +254,19 @@ func (s *Service) Observe(ctx context.Context, key ModelKey, q core.Query, runti
 	return (*o).Observe(ctx, key, q, runtimeSec)
 }
 
-// lifecycleStats snapshots the attached observer's counters, if it
-// exposes any.
-func (s *Service) lifecycleStats() (LifecycleStats, bool) {
+// lifecycleStats snapshots the attached observer's counters, nil when
+// it reports none.
+func (s *Service) lifecycleStats() *api.LifecycleStats {
 	o := s.observer.Load()
 	if o == nil {
-		return LifecycleStats{}, false
+		return nil
 	}
 	ls, ok := (*o).(LifecycleStatser)
 	if !ok {
-		return LifecycleStats{}, false
+		return nil
 	}
-	return ls.LifecycleStats(), true
+	st := ls.LifecycleStats()
+	return &st
 }
 
 // InvalidateResults drops every memoized result of key's model and
@@ -712,50 +626,65 @@ func (s *Service) observe(start time.Time, n int) {
 	s.requests.Add(int64(n))
 }
 
-// Stats snapshots the service counters.
-func (s *Service) Stats() Stats {
-	calls := s.calls.Load()
-	mean := s.latency.Mean()
-	allocCalls := s.allocCalls.Load()
-	allocMean := s.allocLatency.Mean()
-	st := Stats{
-		Requests:       s.requests.Load(),
-		Calls:          calls,
-		ResultHits:     s.resultHits.Load(),
-		ResultMisses:   s.resultMisses.Load(),
-		ResultCacheLen: s.results.len(),
-		MeanLatency:    mean,
-		Registry:       s.reg.Stats(),
-		Alloc: AllocStats{
-			Requests:    allocCalls,
-			Errors:      s.allocErrors.Load(),
-			Violations:  s.allocViolations.Load(),
-			Fallbacks:   s.allocFallbacks.Load(),
-			MeanLatency: allocMean,
+// Stats snapshots the service counters as the body of GET /v1/stats;
+// the shard router embeds one per shard.
+func (s *Service) Stats() api.Stats {
+	rs := s.reg.Stats()
+	st := api.Stats{
+		SchemaVersion:   api.StatsSchemaVersion,
+		Requests:        s.requests.Load(),
+		Calls:           s.calls.Load(),
+		ResultHits:      s.resultHits.Load(),
+		ResultMisses:    s.resultMisses.Load(),
+		ResultCacheLen:  s.results.len(),
+		MeanLatencyUsec: usec(s.latency.Mean()),
+		ModelHits:       rs.Hits,
+		ModelMisses:     rs.Misses,
+		ModelLoads:      rs.Loads,
+		ModelLoadErrors: rs.LoadErrors,
+		ModelEvictions:  rs.Evictions,
+		ModelSwaps:      rs.Swaps,
+		Alloc: api.AllocStats{
+			Requests:        s.allocCalls.Load(),
+			Errors:          s.allocErrors.Load(),
+			Violations:      s.allocViolations.Load(),
+			Fallbacks:       s.allocFallbacks.Load(),
+			MeanLatencyUsec: usec(s.allocLatency.Mean()),
 		},
+		Lifecycle: s.lifecycleStats(),
+		Store:     s.storeStats(),
 	}
 	if lc := s.loadctl.Load(); lc != nil {
-		lcs := &LoadCtlStats{
+		l := &api.LoadCtlStats{
 			GateBypassed:    s.gateBypassed.Load(),
 			DeadlineRejects: s.deadlineRejects.Load(),
 			Draining:        s.draining.Load(),
 		}
 		if lc.Limiter != nil {
 			ls := lc.Limiter.Stats()
-			lcs.RateLimited = ls.Limited
-			lcs.Clients = ls.Clients
-			lcs.ClientsEvicted = ls.Evicted
+			l.RateLimited, l.Clients, l.ClientsEvicted = ls.Limited, ls.Clients, ls.Evicted
 		}
 		if lc.Gate != nil {
 			gs := lc.Gate.Stats()
-			lcs.Admitted = gs.Admitted
-			lcs.Queued = gs.Queued
-			lcs.ShedQueueFull = gs.ShedQueueFull
-			lcs.ShedTimeout = gs.ShedTimeout
-			lcs.ShedCanceled = gs.ShedCanceled
-			lcs.MeanQueueWait = gs.MeanQueueWait
+			l.Admitted, l.Queued, l.MeanQueueWaitUsec = gs.Admitted, gs.Queued, usec(gs.MeanQueueWait)
+			l.ShedQueueFull, l.ShedTimeout, l.ShedCanceled = gs.ShedQueueFull, gs.ShedTimeout, gs.ShedCanceled
 		}
-		st.LoadCtl = lcs
+		st.LoadCtl = l
+	}
+	if o := s.obsRef.Load(); o != nil {
+		ob := &api.ObsStats{
+			LatencyP50Usec:  usec(s.latency.Quantile(0.5)),
+			LatencyP99Usec:  usec(s.latency.Quantile(0.99)),
+			LatencyP999Usec: usec(s.latency.Quantile(0.999)),
+		}
+		if o.Metrics != nil {
+			ob.MetricSeries = o.Metrics.NumSeries()
+		}
+		ob.TracesSampled, ob.TracesFinished = o.Tracer.Stats()
+		st.Obs = ob
 	}
 	return st
 }
+
+// usec renders a duration as the float microseconds of the wire.
+func usec(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }

@@ -400,7 +400,7 @@ func (c *Cluster) AdmitAllocate(ctx context.Context, key serve.ModelKey, req all
 }
 
 // StatsBody implements serve.Backend.
-func (c *Cluster) StatsBody() any { return c.StatsPayload() }
+func (c *Cluster) StatsBody() any { return c.Stats() }
 
 // rateLimited counts the requests the router's limiter answered 429.
 func (c *Cluster) rateLimited() int64 {
@@ -410,8 +410,9 @@ func (c *Cluster) rateLimited() int64 {
 	return c.opts.Limiter.Stats().Limited
 }
 
-// StatsPayload snapshots the whole cluster in wire form.
-func (c *Cluster) StatsPayload() api.ClusterStats {
+// Stats snapshots the whole cluster as the body of GET /v1/stats: the
+// router's counters and each shard's service stats.
+func (c *Cluster) Stats() api.ClusterStats {
 	out := api.ClusterStats{
 		SchemaVersion: api.StatsSchemaVersion,
 		Router: api.RouterStats{
@@ -427,7 +428,7 @@ func (c *Cluster) StatsPayload() api.ClusterStats {
 		out.Shards = append(out.Shards, api.ShardStats{
 			ID:    n.ID,
 			Down:  n.down.Load(),
-			Stats: n.Service.StatsPayload(),
+			Stats: n.Service.Stats(),
 		})
 	}
 	return out

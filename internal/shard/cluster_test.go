@@ -241,7 +241,7 @@ func TestClusterCrashMidBatchPartialFailure(t *testing.T) {
 			t.Fatalf("item %d (dead shard) error = %v, want code %s", i, r.Err, api.CodeShardUnavailable)
 		}
 	}
-	if got := c.StatsPayload().Router.PartialFailures; got != 1 {
+	if got := c.Stats().Router.PartialFailures; got != 1 {
 		t.Fatalf("partial failures = %d, want 1", got)
 	}
 }

@@ -199,7 +199,7 @@ func TestClusterHTTPRateLimitAndDrain(t *testing.T) {
 	if !limited {
 		t.Fatal("burst of 10 never rate limited at burst 2")
 	}
-	if c.StatsPayload().Router.RateLimited == 0 {
+	if c.Stats().Router.RateLimited == 0 {
 		t.Fatal("router rate-limited counter not incremented")
 	}
 

@@ -20,20 +20,22 @@ import (
 //	walSeq   u64 LE   active WAL sequence when the checkpoint was cut
 //	at       i64 LE   unix nanoseconds of the checkpoint
 //	blobLen  u32 LE
-//	blobCRC  u32 LE   CRC32C of the blob
+//	crc      u32 LE   CRC32C of the 36 header bytes before it
 //	blob     core model format v2 (float32 weights), as core.Model.Save
 //	         writes it
 //
-// The blob carries its own CRC32C trailer; blobCRC is checked first, so
-// the checkpoint framing is the same whatever the blob format. A blob of
-// core format v1 (float64 weights) or from before it (gob) fails
-// core.Load, and the checkpoint is reported corrupt like any other: the
-// base model serves.
+// The blob carries its own CRC32C trailer, which core.Load checks; the
+// header CRC guards what only the checkpoint knows, so a flipped bit in
+// version cannot publish a wrong version. Layout v1 covered the blob
+// instead and left the header unchecked: a v1 file fails the magic and
+// is reported corrupt. So is a blob of core format v1 (float64 weights)
+// or from before it (gob), which fails core.Load. Either way the base
+// model serves.
 //
 // A checkpoint is published write-temp + rename: a crash mid-write
 // leaves a .tmp file (deleted on the next Open) and the previous
 // checkpoint — never a torn published file.
-var ckptMagic = []byte{'B', 'C', 'K', 'P', 1, 0, 0, 0}
+var ckptMagic = []byte{'B', 'C', 'K', 'P', 2, 0, 0, 0}
 
 const ckptHeaderLen = 8 + 8 + 8 + 8 + 4 + 4
 
@@ -74,15 +76,7 @@ func (s *Store) CheckpointModel(job, env string, version uint64, blob []byte) er
 		s.checkpointErrors.Add(1)
 		return fmt.Errorf("store: invalid checkpoint key %q/%q", job, env)
 	}
-	buf := make([]byte, 0, ckptHeaderLen+len(blob))
-	buf = append(buf, ckptMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, version)
-	buf = binary.LittleEndian.AppendUint64(buf, s.w.activeSeq())
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(time.Now().UnixNano()))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(blob, castagnoli))
-	buf = append(buf, blob...)
-
+	buf := encodeCheckpoint(version, s.w.activeSeq(), time.Now().UnixNano(), blob)
 	path := filepath.Join(s.ckptDir, ckptName(job, env))
 	tmp := path + ".tmp"
 	if err := s.writeCheckpointFile(tmp, path, buf); err != nil {
@@ -91,6 +85,18 @@ func (s *Store) CheckpointModel(job, env string, version uint64, blob []byte) er
 	}
 	s.checkpoints.Add(1)
 	return nil
+}
+
+// encodeCheckpoint renders one checkpoint image.
+func encodeCheckpoint(version, walSeq uint64, at int64, blob []byte) []byte {
+	buf := make([]byte, 0, ckptHeaderLen+len(blob))
+	buf = append(buf, ckptMagic...)
+	buf = binary.LittleEndian.AppendUint64(buf, version)
+	buf = binary.LittleEndian.AppendUint64(buf, walSeq)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(at))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	return append(buf, blob...)
 }
 
 func (s *Store) writeCheckpointFile(tmp, path string, buf []byte) error {
@@ -154,21 +160,19 @@ func decodeCheckpoint(b []byte) (Checkpoint, error) {
 	if string(b[:8]) != string(ckptMagic) {
 		return Checkpoint{}, fmt.Errorf("bad magic")
 	}
+	if crc32.Checksum(b[:ckptHeaderLen-4], castagnoli) != binary.LittleEndian.Uint32(b[ckptHeaderLen-4:]) {
+		return Checkpoint{}, fmt.Errorf("header CRC mismatch")
+	}
 	ck := Checkpoint{
 		Version: binary.LittleEndian.Uint64(b[8:]),
 		WALSeq:  binary.LittleEndian.Uint64(b[16:]),
 		At:      int64(binary.LittleEndian.Uint64(b[24:])),
 	}
 	blobLen := int64(binary.LittleEndian.Uint32(b[32:]))
-	blobCRC := binary.LittleEndian.Uint32(b[36:])
 	if int64(len(b))-ckptHeaderLen != blobLen {
 		return Checkpoint{}, fmt.Errorf("blob length %d != %d remaining bytes", blobLen, len(b)-ckptHeaderLen)
 	}
-	blob := b[ckptHeaderLen:]
-	if crc32.Checksum(blob, castagnoli) != blobCRC {
-		return Checkpoint{}, fmt.Errorf("blob CRC mismatch")
-	}
-	m, err := core.Load(bytes.NewReader(blob))
+	m, err := core.Load(bytes.NewReader(b[ckptHeaderLen:]))
 	if err != nil {
 		return Checkpoint{}, err
 	}

@@ -415,3 +415,99 @@ func kill9Child(t *testing.T) {
 		}
 	}
 }
+
+// TestSegmentFooterWALLastMustMatchName: a compacted segment's footer
+// names the last WAL sequence it replaces, and Open deletes every WAL
+// segment up to it. A flipped bit there must not delete live WAL: the
+// segment whose footer disagrees with its file name is counted corrupt
+// and skipped, and every WAL segment after it survives and replays.
+func TestSegmentFooterWALLastMustMatchName(t *testing.T) {
+	base := t.TempDir()
+	s, err := Open(base, Options{Fsync: FsyncNever, SegmentBytes: 256})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	n := 0
+	appendUntil := func(active uint64) {
+		for s.w.activeSeq() < active {
+			if err := s.AppendObservation("sort", "c3o", obs(n), time.Now()); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+			n++
+		}
+	}
+	appendUntil(3)
+	compacted, err := s.CompactNow()
+	if err != nil || compacted == 0 {
+		t.Fatalf("CompactNow = (%d, %v), want records compacted", compacted, err)
+	}
+	appendUntil(6)
+	if err := s.AppendObservation("sort", "c3o", obs(n), time.Now()); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	n++
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	seg := filepath.Join(base, "seg", segName(2))
+	wals := storetest.WALSegments(t, base)
+	if len(wals) != 4 {
+		t.Fatalf("%d live WAL segments, want 4", len(wals))
+	}
+
+	walLastOff := storetest.FileSize(t, seg) - segFooterLen + 24
+	for _, flip := range []struct {
+		name string
+		bit  int64
+	}{
+		{"walLast bit 48", (walLastOff+6)*8 + 0},
+		{"walLast bit 0", walLastOff * 8},
+		{"walFirst bit 40", (walLastOff-8+5)*8 + 0},
+	} {
+		img := storetest.CloneDir(t, base)
+		storetest.FlipBit(t, filepath.Join(img, "seg", filepath.Base(seg)), flip.bit)
+		s2, err := Open(img, Options{Fsync: FsyncNever, SegmentBytes: 256})
+		if err != nil {
+			t.Fatalf("%s: Open: %v", flip.name, err)
+		}
+		if got := len(storetest.WALSegments(t, img)); got != 4 {
+			t.Fatalf("%s: %d WAL segments after Open, want all 4", flip.name, got)
+		}
+		r := replayAll(t, s2)
+		if want := n - compacted; len(r.obs) != want {
+			t.Fatalf("%s: replayed %d observations, want the WAL's %d", flip.name, len(r.obs), want)
+		}
+		if c := s2.StoreStats().CorruptSegments; c != 1 {
+			t.Fatalf("%s: corrupt_segments = %d, want 1", flip.name, c)
+		}
+		s2.Close()
+	}
+}
+
+// TestCheckpointHeaderFlipsAreCorrupt: every byte of a checkpoint's
+// header is covered by its CRC. A flipped version, WAL sequence or
+// timestamp must fail the load, never publish a wrong version.
+func TestCheckpointHeaderFlipsAreCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	if err := s.CheckpointModel("sort", "c3o", 7, saveModel(t, tinyModel(t))); err != nil {
+		t.Fatalf("CheckpointModel: %v", err)
+	}
+	img := readFileT(t, filepath.Join(dir, "ckpt", "sort_c3o.ckpt"))
+	if _, err := decodeCheckpoint(img); err != nil {
+		t.Fatalf("intact checkpoint: %v", err)
+	}
+	for i := 0; i < ckptHeaderLen; i++ {
+		for _, bit := range []byte{0x01, 0x80} {
+			b := append([]byte(nil), img...)
+			b[i] ^= bit
+			if ck, err := decodeCheckpoint(b); err == nil {
+				t.Fatalf("byte %d ^ %#x: decoded version %d, want an error", i, bit, ck.Version)
+			}
+		}
+	}
+}

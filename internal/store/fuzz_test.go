@@ -140,3 +140,33 @@ func TestFuzzSeedsRoundTrip(t *testing.T) {
 		t.Fatal("segment image build is not deterministic")
 	}
 }
+
+// FuzzDecodeCheckpoint pins the checkpoint decoder: arbitrary bytes
+// must either be rejected with an error or decode to a model whose
+// image, encoded again from the decoded header fields, is the input
+// byte for byte. It must never panic.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	img := encodeCheckpoint(7, 3, 1_700_000_000_000_000_000, saveModel(f, tinyModel(f)))
+	f.Add(img)
+	f.Add(img[:ckptHeaderLen])
+	f.Add(img[:len(img)-1])
+	f.Add(img[:ckptHeaderLen-1])
+	for _, i := range []int{8, 35, 36, ckptHeaderLen + 8, len(img) - 1} {
+		flipped := append([]byte(nil), img...)
+		flipped[i] ^= 0x01
+		f.Add(flipped)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := decodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		if ck.Model == nil {
+			t.Fatal("decodeCheckpoint returned no model and no error")
+		}
+		if re := encodeCheckpoint(ck.Version, ck.WALSeq, ck.At, data[ckptHeaderLen:]); !bytes.Equal(re, data) {
+			t.Fatal("decoded checkpoint does not re-encode to its image")
+		}
+	})
+}

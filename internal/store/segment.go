@@ -30,9 +30,11 @@ import (
 //
 // walFirst..walLast is the range of WAL segment sequence numbers the
 // segment replaces; Open uses it to delete WAL files a crash left
-// behind after compaction finished, so replay never double-counts.
+// behind after compaction finished, so replay never double-counts. No
+// CRC covers it: a segment is trusted only when walLast is the
+// sequence in its file name and walFirst <= walLast.
 var (
-	segMagic    = []byte{'B', 'S', 'E', 'G', 1, 0, 0, 0}
+	segMagic       = []byte{'B', 'S', 'E', 'G', 1, 0, 0, 0}
 	segFooterMagic = []byte{'B', 'S', 'G', '1'}
 )
 
@@ -197,9 +199,9 @@ type seriesEntry struct {
 // Segment is one open compacted segment: the raw bytes plus the parsed
 // footer index. Point lookups decode only the addressed series block.
 type Segment struct {
-	b                  []byte
-	index              []seriesEntry
-	walFirst, walLast  uint64
+	b                 []byte
+	index             []seriesEntry
+	walFirst, walLast uint64
 }
 
 // writeSegment renders and atomically publishes a compacted segment
@@ -271,13 +273,19 @@ func buildSegmentImage(order []seriesKey, series map[seriesKey]*seriesData, walF
 	return append(buf, segFooterMagic...)
 }
 
-// openSegment reads and validates one compacted segment file.
-func openSegment(path string) (*Segment, error) {
+// openSegment reads and validates one compacted segment file, named
+// for walLast. No CRC covers the footer's WAL range, and Open deletes
+// the WAL segments up to walLast on its word, so the range must agree
+// with the name before the segment is trusted.
+func openSegment(path string, walLast uint64) (*Segment, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: reading segment: %w", err)
 	}
 	g, err := parseSegment(b)
+	if err == nil && (g.walLast != walLast || g.walFirst > g.walLast) {
+		err = fmt.Errorf("footer covers WAL %d..%d, name says ..%d", g.walFirst, g.walLast, walLast)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: segment %s: %w", filepath.Base(path), err)
 	}

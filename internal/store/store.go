@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 )
 
@@ -74,35 +75,6 @@ var ErrCorrupt = errors.New("store: corrupt segment")
 // practice only a misordered shutdown sequence sees it — and it turns
 // that bug into a clean rejection instead of a write to a closed file.
 var ErrClosed = errors.New("store: closed")
-
-// Stats is a snapshot of the store counters.
-type Stats struct {
-	// WALAppends / WALAppendedBytes count framed records written.
-	WALAppends, WALAppendedBytes int64
-	// WALSegments is the current on-disk WAL segment count (active
-	// included); WALActiveSeq the active segment's sequence number.
-	WALSegments  int
-	WALActiveSeq uint64
-	// Fsyncs counts explicit sync calls (appends, seals, closes).
-	Fsyncs int64
-	// RepairedBytes counts torn tail bytes truncated at Open.
-	RepairedBytes int64
-	// ReplayedObservations / ReplayedDigests count records delivered
-	// by Replay.
-	ReplayedObservations, ReplayedDigests int64
-	// CorruptSegments counts sealed WAL or compacted segments that
-	// failed validation at Open or Replay.
-	CorruptSegments int64
-	// Compactions counts compaction runs that produced a segment;
-	// CompactedRecords the WAL records they absorbed; CompactSegments
-	// the current compacted segment count.
-	Compactions, CompactedRecords int64
-	CompactSegments               int
-	// Checkpoints / CheckpointErrors / CheckpointLoads count model
-	// checkpoint writes, failed writes or corrupt reads, and
-	// successful recoveries.
-	Checkpoints, CheckpointErrors, CheckpointLoads int64
-}
 
 // Store is the durable observation + model store rooted at one data
 // directory:
@@ -172,14 +144,16 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	var maxCovered uint64
 	for _, e := range segEntries {
-		if _, ok := parseSegName(e.Name()); !ok {
+		walLast, ok := parseSegName(e.Name())
+		if !ok {
 			continue
 		}
-		g, err := openSegment(filepath.Join(s.segDir, e.Name()))
+		g, err := openSegment(filepath.Join(s.segDir, e.Name()), walLast)
 		if err != nil {
 			// A published segment that fails validation is bit rot;
 			// counted and skipped so the store stays available. Its
-			// records are unrecoverable (the WAL that fed it is gone).
+			// records are unrecoverable (the WAL that fed it is gone),
+			// and no WAL segment is deleted on its account.
 			s.corruptSegments.Add(1)
 			s.opts.Logger.Error("store: skipping corrupt compacted segment",
 				"segment", e.Name(), "error", err)
@@ -435,7 +409,7 @@ func (s *Store) CompactNow() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	g, err := openSegment(path)
+	g, err := openSegment(path, sealed[len(sealed)-1])
 	if err != nil {
 		return 0, err
 	}
@@ -522,14 +496,14 @@ func (s *Store) Close() error {
 	return s.w.close()
 }
 
-// StoreStats snapshots the counters (named to satisfy the serve
-// layer's StoreStatser without a wrapper).
-func (s *Store) StoreStats() Stats {
+// StoreStats snapshots the counters as the "store" block of /v1/stats
+// (named to satisfy the serve layer's StoreStatser without a wrapper).
+func (s *Store) StoreStats() api.StoreStats {
 	s.mu.Lock()
 	segCount := len(s.segs)
 	s.mu.Unlock()
 	seqs, _ := listWALSegments(s.walDir)
-	return Stats{
+	return api.StoreStats{
 		WALAppends:           s.w.appends.Load(),
 		WALAppendedBytes:     s.w.appendedBytes.Load(),
 		WALSegments:          len(seqs),

@@ -108,10 +108,10 @@ type wal struct {
 	lastSync time.Time
 	frame    []byte // scratch frame buffer, reused across appends
 
-	appends  atomic.Int64
+	appends       atomic.Int64
 	appendedBytes atomic.Int64
-	fsyncs   atomic.Int64
-	seals    atomic.Int64
+	fsyncs        atomic.Int64
+	seals         atomic.Int64
 }
 
 // openActive opens (or creates) the active segment for appending.
