@@ -6,9 +6,9 @@ import (
 
 // BenchmarkAllocate measures the warm allocation hot path: a
 // 64-candidate sweep (one batched forward pass, isotonic smoothing,
-// cost/SLO selection) against a resident model. It is part of the CI
-// bench-smoke run and gated by internal/ci/benchgate against the
-// baseline recorded in BENCH_serve.json.
+// cost/SLO selection) against a resident model. CI's bench-smoke step
+// runs it once; the benchmark under bench/ times the same sweep as its
+// allocate.sweep64_us rung.
 func BenchmarkAllocate(b *testing.B) {
 	m := trainedModel(b, 1)
 	ess, opt := testProps()

@@ -193,10 +193,17 @@ func TestPretrainRejectsBadSamples(t *testing.T) {
 	if _, err := m.Pretrain(bad); err == nil {
 		t.Fatal("wrong essential count not rejected")
 	}
-	bad = syntheticSamples(1, []int{2})
-	bad[0].RuntimeSec = 0
-	if _, err := m.Pretrain(bad); err == nil {
-		t.Fatal("zero runtime not rejected")
+	// NaN and +Inf pass a bare "<= 0" test; at the parent of the shared
+	// rule a NaN corpus trained to a NaN BestMAE with a nil error.
+	for _, rt := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = syntheticSamples(1, []int{2, 4})
+		bad[1].RuntimeSec = rt
+		if _, err := m.Pretrain(bad); err == nil {
+			t.Fatalf("runtime %v not rejected", rt)
+		}
+		if err := ValidateSample(m.Cfg, bad[1]); err == nil {
+			t.Fatalf("ValidateSample accepted runtime %v", rt)
+		}
 	}
 }
 

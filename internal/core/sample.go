@@ -35,8 +35,9 @@ func SamplesFromExecutions(execs []dataset.Execution) []Sample {
 }
 
 // ValidateSample checks one observation against a model configuration:
-// positive scale-out and runtime, and property counts the architecture
-// can encode. Online ingestion uses it to filter live observations
+// positive scale-out, a positive and finite runtime
+// (dataset.CheckRuntime), and property counts the architecture can
+// encode. Online ingestion uses it to filter live observations
 // before they reach a fine-tune.
 func ValidateSample(cfg Config, s Sample) error {
 	if err := checkSample(cfg, s); err != nil {
@@ -51,8 +52,8 @@ func checkSample(cfg Config, s Sample) error {
 	if s.ScaleOut <= 0 {
 		return fmt.Errorf("scale-out %d must be positive", s.ScaleOut)
 	}
-	if s.RuntimeSec <= 0 {
-		return fmt.Errorf("runtime %v must be positive", s.RuntimeSec)
+	if err := dataset.CheckRuntime(s.RuntimeSec); err != nil {
+		return err
 	}
 	if len(s.Essential) != cfg.NumEssential {
 		return fmt.Errorf("got %d essential properties, model expects %d",
@@ -66,7 +67,8 @@ func checkSample(cfg Config, s Sample) error {
 }
 
 // validateSamples checks that every sample matches the model's expected
-// property counts and has positive scale-out and runtime.
+// property counts and has a positive scale-out and a positive, finite
+// runtime.
 func validateSamples(cfg Config, samples []Sample) error {
 	if len(samples) == 0 {
 		return fmt.Errorf("core: no samples")

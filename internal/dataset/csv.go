@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 )
 
 // csvHeader is the column layout of the interchange format. It carries
@@ -40,7 +41,10 @@ func WriteCSV(w io.Writer, d *Dataset) error {
 }
 
 // ReadCSV parses a dataset written by WriteCSV. Contexts with the same
-// context_id are shared between execution records.
+// context_id are shared between execution records, so every row of one
+// context_id must carry the same properties: a row that disagrees is an
+// error, not a silent merge that would train its executions under
+// another context's properties.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -57,16 +61,23 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	}
 	ds := &Dataset{}
 	contexts := map[string]*Context{}
-	line := 1
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("dataset: reading line %d: %w", line+1, err)
+			return nil, fmt.Errorf("dataset: %w", err) // a csv.ParseError names its line
 		}
-		line++
+		// The line the record starts on: a quoted value may span lines.
+		line, _ := cr.FieldPos(0)
+		for i, field := range rec {
+			// encoding/csv reads "\r\n" inside a quoted field as "\n", so a
+			// value holding a carriage return would not survive WriteCSV.
+			if strings.IndexByte(field, '\r') >= 0 {
+				return nil, fmt.Errorf("dataset: line %d %s: carriage return in value", line, csvHeader[i])
+			}
+		}
 		sizeMB, err := strconv.Atoi(rec[5])
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d dataset_size_mb: %w", line, err)
@@ -87,20 +98,23 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d runtime_sec: %w", line, err)
 		}
-		ctx, ok := contexts[rec[2]]
+		row := Context{
+			ID:            rec[2],
+			Env:           Environment(rec[0]),
+			Job:           rec[1],
+			NodeType:      rec[3],
+			JobParams:     rec[4],
+			DatasetSizeMB: sizeMB,
+			DatasetChars:  rec[6],
+			MemoryMB:      memMB,
+			Cores:         cores,
+		}
+		ctx, ok := contexts[row.ID]
 		if !ok {
-			ctx = &Context{
-				ID:            rec[2],
-				Env:           Environment(rec[0]),
-				Job:           rec[1],
-				NodeType:      rec[3],
-				JobParams:     rec[4],
-				DatasetSizeMB: sizeMB,
-				DatasetChars:  rec[6],
-				MemoryMB:      memMB,
-				Cores:         cores,
-			}
-			contexts[rec[2]] = ctx
+			ctx = &row
+			contexts[row.ID] = ctx
+		} else if *ctx != row {
+			return nil, fmt.Errorf("dataset: line %d: context %q differs from its earlier rows", line, row.ID)
 		}
 		ds.Executions = append(ds.Executions, Execution{
 			Context:    ctx,

@@ -251,9 +251,35 @@ func TestReadCSVRejectsMalformedRow(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
 		t.Fatal("expected error for malformed dataset_size_mb")
 	}
-	bad2 := good + "c3o,grep,ctx,node,params,1000,uniform,1024,4,2,-5\n"
-	if _, err := ReadCSV(strings.NewReader(bad2)); err == nil {
-		t.Fatal("expected validation error for negative runtime")
+	// A quoted value spanning two lines moves the bad row to line 4.
+	multi := good + "c3o,grep,a,n,\"--p\nq\",1,u,1,1,2,3\nc3o,grep,b,n,p,x,u,1,1,2,3\n"
+	if _, err := ReadCSV(strings.NewReader(multi)); err == nil || !strings.Contains(err.Error(), "line 4 ") {
+		t.Fatalf("err = %v, want the bad row's line 4", err)
+	}
+	for _, rt := range []string{"-5", "0", "NaN", "+Inf", "-Inf"} {
+		bad2 := good + "c3o,grep,ctx,node,params,1000,uniform,1024,4,2," + rt + "\n"
+		if _, err := ReadCSV(strings.NewReader(bad2)); err == nil {
+			t.Fatalf("expected validation error for runtime %s", rt)
+		}
+	}
+}
+
+// Rows of one context_id that disagree on a property are refused with
+// the line of the first disagreeing row; merging them would train that
+// row's executions under the first row's properties.
+func TestReadCSVRejectsConflictingContext(t *testing.T) {
+	first := "c3o,grep,ctx,m4.xlarge,--pattern a,1000,uniform,1024,4,2,100\n"
+	for col, alt := range []string{"bell", "sort", "", "r4.xlarge", "--pattern b", "2000", "zipf", "2048", "8"} {
+		if col == 2 {
+			continue // context_id itself: a different id is a different context
+		}
+		fields := strings.Split(strings.TrimSuffix(first, "\n"), ",")
+		fields[col] = alt
+		in := strings.Join(csvHeader, ",") + "\n" + first + first + strings.Join(fields, ",") + "\n"
+		_, err := ReadCSV(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 4") {
+			t.Fatalf("column %s changed to %q: err = %v, want a line 4 error", csvHeader[col], alt, err)
+		}
 	}
 }
 
@@ -368,9 +394,11 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := ds.Validate(); err == nil {
 		t.Fatal("zero scale-out not caught")
 	}
-	ds = &Dataset{Executions: []Execution{{Context: ctx, ScaleOut: 2, RuntimeSec: -1}}}
-	if err := ds.Validate(); err == nil {
-		t.Fatal("negative runtime not caught")
+	for _, rt := range []float64{-1, math.NaN(), math.Inf(1)} {
+		ds = &Dataset{Executions: []Execution{{Context: ctx, ScaleOut: 2, RuntimeSec: rt}}}
+		if err := ds.Validate(); err == nil {
+			t.Fatalf("runtime %v not caught", rt)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -181,8 +182,20 @@ func MeanRuntimeByScaleOut(execs []Execution) map[int]float64 {
 	return out
 }
 
+// CheckRuntime is the one rule for an observed runtime, wherever it
+// enters: a trace row, a training sample or a live observation. It must
+// be positive and finite. NaN and +Inf pass a bare "runtime <= 0" test,
+// and one of them in a training set turns every loss it reaches to NaN.
+func CheckRuntime(sec float64) error {
+	if !(sec > 0) || math.IsInf(sec, 1) {
+		return fmt.Errorf("runtime %v must be positive and finite", sec)
+	}
+	return nil
+}
+
 // Validate checks structural invariants: non-nil contexts, positive
-// scale-outs and runtimes. It returns the first violation found.
+// scale-outs and runtimes that pass CheckRuntime. It returns the first
+// violation found.
 func (d *Dataset) Validate() error {
 	for i, e := range d.Executions {
 		if e.Context == nil {
@@ -191,8 +204,8 @@ func (d *Dataset) Validate() error {
 		if e.ScaleOut <= 0 {
 			return fmt.Errorf("dataset: execution %d has scale-out %d", i, e.ScaleOut)
 		}
-		if e.RuntimeSec <= 0 {
-			return fmt.Errorf("dataset: execution %d has runtime %v", i, e.RuntimeSec)
+		if err := CheckRuntime(e.RuntimeSec); err != nil {
+			return fmt.Errorf("dataset: execution %d: %w", i, err)
 		}
 	}
 	return nil

@@ -38,7 +38,9 @@ type Config struct {
 }
 
 // defaultModel is the laptop-scale budget of every experiment. Table I's
-// epoch counts are the paper's.
+// epoch counts are the paper's. Fine-tune patience stays at 150 under
+// bellamy experiment's -pretrain-epochs and -finetune-epochs too, not
+// Table I's 1000: no flag sets it.
 func defaultModel() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.PretrainEpochs = 250

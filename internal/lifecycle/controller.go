@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/parallel"
 	"repro/internal/serve"
 )
@@ -206,9 +207,9 @@ func (c *Controller) Observe(ctx context.Context, key serve.ModelKey, q core.Que
 		c.rejected.Add(1)
 		return fmt.Errorf("lifecycle: observation scale-out %d must be positive", q.ScaleOut)
 	}
-	if runtimeSec <= 0 {
+	if err := dataset.CheckRuntime(runtimeSec); err != nil {
 		c.rejected.Add(1)
-		return fmt.Errorf("lifecycle: observed runtime %v must be positive", runtimeSec)
+		return fmt.Errorf("lifecycle: observed %w", err)
 	}
 	b, err := c.bufferFor(key)
 	if err != nil {

@@ -253,15 +253,17 @@ func TestObserveValidation(t *testing.T) {
 	if err := ctl.Observe(context.Background(), key, testQuery(-1, 10000), 10); err == nil {
 		t.Fatal("accepted non-positive scale-out")
 	}
-	if err := ctl.Observe(context.Background(), key, testQuery(4, 10000), 0); err == nil {
-		t.Fatal("accepted non-positive runtime")
+	for _, rt := range []float64{0, math.NaN(), math.Inf(1)} {
+		if err := ctl.Observe(context.Background(), key, testQuery(4, 10000), rt); err == nil {
+			t.Fatalf("accepted runtime %v", rt)
+		}
 	}
 	if err := ctl.Observe(context.Background(), key, testQuery(4, 10000), 12.5); err != nil {
 		t.Fatalf("rejected valid observation: %v", err)
 	}
 	st := ctl.LifecycleStats()
-	if st.Rejected != 3 || st.Observations != 1 {
-		t.Fatalf("stats = %+v, want 3 rejected / 1 accepted", st)
+	if st.Rejected != 5 || st.Observations != 1 {
+		t.Fatalf("stats = %+v, want 5 rejected / 1 accepted", st)
 	}
 }
 

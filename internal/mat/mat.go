@@ -1,6 +1,30 @@
 // Package mat provides dense matrix and vector algebra for the neural
 // network and NNLS substrates. Matrices are stored in row-major order.
 // Every product runs on the calling goroutine.
+//
+// Kernels have destination forms: XTo(dst, ...) overwrites all of dst
+// (element-wise kernels may alias an input), XAcc(dst, ...) adds into
+// it. The few allocating forms are wrappers over them. Element-wise
+// kernels keep the order of the plain loop and are pinned bit for bit;
+// the float32 products reorder their sums and are held to epsilon
+// tolerance against the reference loops of mul_ref.go, which are
+// themselves pinned bit for bit.
+//
+// The float32 kernels come in two families, chosen once at startup with
+// nothing to configure (KernelFamily): "asm", the AVX2/FMA3 assembly of
+// kernel_amd64.s when the CPU and OS support it, and "plain", Go loops,
+// everywhere else. Building with -tags noasm compiles the assembly out,
+// which is how the plain family is tested on an AVX2 machine. The
+// families sum in different orders and compute the activations
+// differently, so one seed trains different bits on each; within a
+// family the bits never depend on GOMAXPROCS.
+//
+// A new kernel gets a destination form and a property test against a
+// reference loop (bit identity when its summation order is the
+// reference's, epsilon tolerance when it is not). Hot code draws its
+// intermediates from a WorkspaceF32 (GetRaw only when it overwrites
+// every element), never keeps a workspace buffer past Reset or past the
+// call that borrowed the arena, and gets a testing.AllocsPerRun pin.
 package mat
 
 import (

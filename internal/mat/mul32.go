@@ -10,6 +10,14 @@ import "fmt"
 // Under the asm family the inner loops run the AVX2 float32 helpers
 // (sgemmRows4x{8,4}, saxpy4, sdot4; 8 lanes per register); the plain
 // family is a multiply-add Go kernel.
+//
+// The kernels are sized for the products the network issues, where no
+// layer is wider than 40: a 256-query serving batch's largest is the
+// encoder's first layer, 1792×40×8; a 32-sample training shard's are up
+// to 224×40×8 forward, with their weight gradients dW += Xᵀ·dY walking
+// four columns of X per call. The decoder's output layer and its loss
+// do not come here: ReconHead32 fuses them. Larger products stay
+// correct on the same kernels.
 
 // MulToF32 computes dst = a*b, fully overwriting dst. dst must be
 // a.Rows x b.Cols and must not alias a or b.

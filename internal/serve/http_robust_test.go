@@ -561,7 +561,8 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 	}
 	// Bounded tails: accepted work waits at most MaxWait in the queue
 	// plus service time; rejections are immediate. Bounds are loose for
-	// noisy CI machines — the precise numbers live in BENCH_http.json.
+	// noisy CI machines; the benchmark under bench/ times the warm
+	// round trip as its serve.loopback_hit_us rung.
 	if p99 := res.OKLatency.Quantile(0.99); p99 > 2*time.Second {
 		t.Fatalf("ok p99 = %v under overload, want bounded by queue cap + service time", p99)
 	}
