@@ -122,7 +122,6 @@ func TestServeObservabilitySmoke(t *testing.T) {
 		`bellamy_predict_requests_total{shard="0"}`,
 		`bellamy_predict_requests_total{shard="1"}`,
 		"bellamy_router_requests_total 1",
-		`bellamy_shard_up{shard="0"} 1`,
 		"bellamy_traces_sampled_total 1",
 		"go_goroutines",
 	} {

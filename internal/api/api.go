@@ -315,11 +315,9 @@ type ClusterStats struct {
 	Replication   *ReplicationStats `json:"replication,omitempty"`
 }
 
-// ShardStats pairs one shard's identity and health with its serve
-// stats.
+// ShardStats pairs one shard's identity with its serve stats.
 type ShardStats struct {
 	ID    int   `json:"id"`
-	Down  bool  `json:"down,omitempty"`
 	Stats Stats `json:"stats"`
 }
 
@@ -352,7 +350,6 @@ type TopologyResponse struct {
 // ShardInfo describes one shard in the topology.
 type ShardInfo struct {
 	ID     int            `json:"id"`
-	Down   bool           `json:"down,omitempty"`
 	Models []ModelVersion `json:"models,omitempty"`
 }
 
@@ -376,7 +373,6 @@ const (
 	CodeObserveDisabled  = "observe_disabled"  // 503: no lifecycle attached
 	CodeOverloaded       = "overloaded"        // 503: admission gate shed the request
 	CodeDraining         = "draining"          // 503: server shutting down
-	CodeShardUnavailable = "shard_unavailable" // 503 or per-item: owning shard down
 	CodeDeadlineExceeded = "deadline_exceeded" // 504: budget ran out queued or mid-work
 	CodeInternal         = "internal"          // 500: unexpected server fault
 )

@@ -35,7 +35,7 @@ func TestDTORoundTrips(t *testing.T) {
 	roundTrip(t, PredictResponse{Error: &Error{Code: CodeModelNotFound, Message: "no model"}})
 	roundTrip(t, BatchRequest{Requests: []PredictRequest{pr, pr}})
 	roundTrip(t, BatchResponse{
-		Responses: []PredictResponse{{RuntimeSec: 1}, {Error: &Error{Code: CodeShardUnavailable, Message: "shard 2 down"}}},
+		Responses: []PredictResponse{{RuntimeSec: 1}, {Error: &Error{Code: CodeOverloaded, Message: "shard 2 overloaded"}}},
 		Failed:    1,
 	})
 	roundTrip(t, ObserveRequest{PredictRequest: pr, RuntimeSec: 99.5})
@@ -63,7 +63,7 @@ func TestDTORoundTrips(t *testing.T) {
 	})
 	roundTrip(t, ClusterStats{
 		SchemaVersion: StatsSchemaVersion,
-		Shards:        []ShardStats{{ID: 0, Stats: Stats{SchemaVersion: StatsSchemaVersion, Requests: 1}}, {ID: 1, Down: true, Stats: Stats{SchemaVersion: StatsSchemaVersion}}},
+		Shards:        []ShardStats{{ID: 0, Stats: Stats{SchemaVersion: StatsSchemaVersion, Requests: 1}}, {ID: 1, Stats: Stats{SchemaVersion: StatsSchemaVersion}}},
 		Router:        RouterStats{Requests: 3, BatchFanouts: 1, PartialFailures: 1},
 		Replication:   &ReplicationStats{Applied: 1, Stale: 1, PeerErrors: 1},
 	})
@@ -72,7 +72,7 @@ func TestDTORoundTrips(t *testing.T) {
 		VirtualNodes:  64,
 		Shards: []ShardInfo{
 			{ID: 0, Models: []ModelVersion{{Job: "sort", Env: "c3o", Version: 3}}},
-			{ID: 1, Down: true},
+			{ID: 1},
 		},
 	})
 	roundTrip(t, Stats{

@@ -36,8 +36,8 @@ func validateQuery(cfg Config, q Query) error {
 
 // PredictBatch estimates runtimes for many queries in a single forward
 // pass, returning seconds in input order. One batched pass amortizes the
-// per-call matrix setup and lets the matmul layer parallelize across
-// rows, which is the fast path the serving layer builds on.
+// per-call matrix setup over all rows, which is the fast path the
+// serving layer builds on.
 //
 // A Model is not safe for concurrent use: forward passes cache
 // per-layer state for backprop and fill the model's batch buffers.

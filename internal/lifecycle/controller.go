@@ -452,7 +452,11 @@ func (c *Controller) tune(j tuneJob) (installed bool) {
 	}
 	version, ok := c.reg.Swap(j.key, ref.Gen, clone)
 	if !ok {
+		// The model this clone came from was evicted or reloaded. The
+		// window goes back, as after a failed load: no digest record is
+		// written, so a restart would replay it as fresh too.
 		c.swapsSkipped.Add(1)
+		j.buf.requeue(j.fresh, time.Now(), c.cfg.Interval)
 		return false
 	}
 	c.swaps.Add(1)

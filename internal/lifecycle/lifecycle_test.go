@@ -366,6 +366,45 @@ func TestTransientLoadFailureRequeuesObservations(t *testing.T) {
 	}
 }
 
+// TestRefusedSwapRequeuesWindow: a fine-tune whose Swap is refused,
+// because the tuned key was evicted while its model loaded, puts its
+// window back as a failed load does, and the next scan after the
+// backoff digests it.
+func TestRefusedSwapRequeuesWindow(t *testing.T) {
+	tl := &testLoader{t: t}
+	key := serve.ModelKey{Job: "sort"}
+	var reg *serve.Registry
+	var evicted atomic.Bool
+	reg = serve.NewRegistry(func(k serve.ModelKey) (*core.Model, error) {
+		if k == key && evicted.CompareAndSwap(false, true) {
+			// The 1-slot registry hands the tuned key's slot to another
+			// key before the tuned key's load completes.
+			if _, err := reg.Get(context.Background(), serve.ModelKey{Job: "grep"}); err != nil {
+				return nil, err
+			}
+		}
+		return tl.load(k)
+	}, 1)
+	ctl := New(reg, Config{MinSamples: 8, Interval: time.Millisecond, Finetune: fastFinetune()})
+	qs, truths := observedSamples()
+	for i := 0; i < 8; i++ {
+		if err := ctl.Observe(context.Background(), key, qs[i], truths[i]); err != nil {
+			t.Fatalf("Observe: %v", err)
+		}
+	}
+
+	if n := ctl.RunOnce(); n != 0 {
+		t.Fatalf("swapped %d models onto an evicted slot", n)
+	}
+	if st := ctl.LifecycleStats(); st.SwapsSkipped != 1 || st.PendingSamples != 8 {
+		t.Fatalf("stats = %+v, want 1 skipped swap and 8 pending (requeued)", st)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if n := ctl.RunOnce(); n != 1 {
+		t.Fatalf("retry swapped %d models, want 1", n)
+	}
+}
+
 // TestLoadFailureBacksOff: a key whose model load keeps failing must
 // not grind the loader on every scan — retries are delayed
 // exponentially, so junk observations for a nonexistent model decay to

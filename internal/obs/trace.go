@@ -225,23 +225,20 @@ type TracerOptions struct {
 	// probability 1/N (<= 0: 64; 1: every request). Client-supplied
 	// X-Trace-Id values are always traced.
 	SampleEvery int
-	// SlowN is how many slowest traces /v1/debug/slow retains
-	// (<= 0: 32).
-	SlowN int
 }
+
+// slowN is how many slowest traces /v1/debug/slow retains.
+const slowN = 32
 
 // NewTracer returns a ready tracer.
 func NewTracer(opts TracerOptions) *Tracer {
 	if opts.SampleEvery <= 0 {
 		opts.SampleEvery = 64
 	}
-	if opts.SlowN <= 0 {
-		opts.SlowN = 32
-	}
 	tr := &Tracer{
 		sampleEvery: uint64(opts.SampleEvery),
 		traces:      freelist.New(func() *Trace { return new(Trace) }, 0),
-		slow:        newSlowRing(opts.SlowN),
+		slow:        newSlowRing(slowN),
 	}
 	if n := tr.sampleEvery; n&(n-1) == 0 {
 		tr.sampleMask = n - 1

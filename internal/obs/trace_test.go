@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -140,27 +141,33 @@ func TestSpanOverflowDropsNotGrows(t *testing.T) {
 }
 
 func TestSlowRingKeepsSlowest(t *testing.T) {
-	tc := NewTracer(TracerOptions{SlowN: 3})
-	// Finish traces with controlled walls by back-dating start.
-	for i, ms := range []int{5, 50, 1, 20, 40, 2} {
-		tr := tc.StartRequest("t" + string(rune('0'+i)))
-		tr.start = time.Now().Add(-time.Duration(ms) * time.Millisecond)
+	tc := NewTracer(TracerOptions{})
+	// Finish slowN+8 traces ranked 1..slowN+8, in a scrambled order,
+	// with walls of 2 ms a rank by back-dating their starts: the ring
+	// keeps the slowN slowest, rank 9 and up.
+	const n = slowN + 8
+	for i := 0; i < n; i++ {
+		rank := (i*7)%n + 1
+		tr := tc.StartRequest(fmt.Sprintf("t%d", rank))
+		tr.start = time.Now().Add(-time.Duration(rank) * 2 * time.Millisecond)
 		tr.Record(StagePredict, -1, tr.Clock())
 		tc.Finish(tr)
 	}
 	recs := tc.Slowest()
-	if len(recs) != 3 {
-		t.Fatalf("ring holds %d, want 3", len(recs))
+	if len(recs) != slowN {
+		t.Fatalf("ring holds %d, want %d", len(recs), slowN)
 	}
-	// Slowest first: ~50ms, ~40ms, ~20ms.
-	if recs[0].Wall < recs[1].Wall || recs[1].Wall < recs[2].Wall {
-		t.Fatalf("not sorted slowest-first: %v %v %v", recs[0].Wall, recs[1].Wall, recs[2].Wall)
+	// Slowest first.
+	for i := 1; i < len(recs); i++ {
+		if recs[i-1].Wall < recs[i].Wall {
+			t.Fatalf("not sorted slowest-first at %d: %v %v", i, recs[i-1].Wall, recs[i].Wall)
+		}
 	}
-	if recs[0].ID() != "t1" {
-		t.Fatalf("slowest = %q, want t1 (50ms)", recs[0].ID())
+	if id := recs[0].ID(); id != fmt.Sprintf("t%d", n) {
+		t.Fatalf("slowest = %q, want t%d", id, n)
 	}
-	if recs[2].Wall < 15*time.Millisecond {
-		t.Fatalf("3rd slowest %v, want the ~20ms trace", recs[2].Wall)
+	if last := recs[slowN-1]; last.ID() != "t9" || last.Wall < 18*time.Millisecond {
+		t.Fatalf("%dth slowest = %q (%v), want t9 (~18ms)", slowN, last.ID(), last.Wall)
 	}
 	if recs[0].NSpans != 1 || recs[0].Spans[0].Name != StagePredict {
 		t.Fatalf("record lost spans: %+v", recs[0])

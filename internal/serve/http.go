@@ -316,7 +316,7 @@ func fail(b Backend, w http.ResponseWriter, err error, tr *obs.Trace) {
 			e.TraceID = tr.ID()
 			e.Spans = spanSummaries(tr.Spans())
 		}
-	case api.CodeShardUnavailable, api.CodeObserveCapacity:
+	case api.CodeObserveCapacity:
 		// A valid request met a server-side condition that passes.
 		e = e.WithRetryAfter(time.Second)
 	}
@@ -324,8 +324,8 @@ func fail(b Backend, w http.ResponseWriter, err error, tr *obs.Trace) {
 }
 
 // toAPIError maps a serving-layer error to the unified typed error. An
-// error that already is an *api.Error (a refused admission, a dead
-// shard, a rejected body) passes through unchanged.
+// error that already is an *api.Error (a refused admission, a rejected
+// body) passes through unchanged.
 func toAPIError(err error) *api.Error {
 	var typed *api.Error
 	switch {
@@ -356,7 +356,7 @@ func statusOf(code string) int {
 		return http.StatusRequestEntityTooLarge
 	case api.CodeRateLimited, api.CodeObserveCapacity:
 		return http.StatusTooManyRequests
-	case api.CodeObserveDisabled, api.CodeOverloaded, api.CodeDraining, api.CodeShardUnavailable:
+	case api.CodeObserveDisabled, api.CodeOverloaded, api.CodeDraining:
 		return http.StatusServiceUnavailable
 	case api.CodeDeadlineExceeded:
 		return http.StatusGatewayTimeout

@@ -417,8 +417,8 @@ func (r *Registry) Publish(key ModelKey, version uint64, m *core.Model) bool {
 }
 
 // ResidentVersions snapshots the (key, version) pairs of every fully
-// published resident model, the state a replicator pushes to a newly
-// connected peer. Slots with loads still in flight are skipped.
+// published resident model, the per-shard model list of GET
+// /v1/shards. Slots with loads still in flight are skipped.
 func (r *Registry) ResidentVersions() map[ModelKey]uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -20,22 +20,10 @@ import (
 )
 
 // Node is one shard of the cluster: a complete serve.Service, whose
-// LoadControl holds the shard's own admission gate. A node can be marked
-// down, at which point every in-flight and future dispatch to it fails
-// fast with a typed shard_unavailable error instead of hanging the batch
-// merge.
+// LoadControl holds the shard's own admission gate.
 type Node struct {
 	ID      int
 	Service *serve.Service
-
-	down atomic.Bool
-
-	// ctxMu guards the per-node lifetime context. Marking the node down
-	// cancels it, which unblocks any dispatch currently inside the
-	// node's service; marking it up again installs a fresh context.
-	ctxMu  sync.Mutex
-	ctx    context.Context
-	cancel context.CancelFunc
 }
 
 // NodeConfig describes one shard handed to New.
@@ -49,9 +37,6 @@ type NodeConfig struct {
 
 // Options tunes a Cluster.
 type Options struct {
-	// VirtualNodes is the per-shard virtual point count of the hash
-	// ring (<= 0: DefaultVirtualNodes).
-	VirtualNodes int
 	// Limiter rate-limits per client at the router, before any body is
 	// read or any shard is touched. Nil disables rate limiting.
 	Limiter *loadctl.Limiter
@@ -64,9 +49,8 @@ type Options struct {
 // allocations and observations go to the owner of their (job, env) key,
 // batches fan out per owning shard and merge in input order, and
 // hot-swapped model versions are published on every peer. It is a
-// serve.Backend: what it adds to its shards' services is the ring, the
-// down state with its typed shard_unavailable error, and the router
-// counters.
+// serve.Backend: what it adds to its shards' services is the ring and
+// the router counters.
 type Cluster struct {
 	ring  *Ring
 	nodes []*Node
@@ -92,7 +76,7 @@ func New(nodes []NodeConfig, opts Options) (*Cluster, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("shard: cluster needs at least one node")
 	}
-	c := &Cluster{ring: NewRing(len(nodes), opts.VirtualNodes), opts: opts}
+	c := &Cluster{ring: NewRing(len(nodes), DefaultVirtualNodes), opts: opts}
 	c.fanouts = freelist.New(func() *fanout {
 		n := len(nodes)
 		return &fanout{idxs: make([][]int, n), subs: make([][]serve.Request, n), outs: make([][]serve.Response, n)}
@@ -109,9 +93,7 @@ func New(nodes []NodeConfig, opts Options) (*Cluster, error) {
 			lc.Gate = nc.Gate
 			nc.Service.AttachLoadControl(lc)
 		}
-		n := &Node{ID: i, Service: nc.Service}
-		n.ctx, n.cancel = context.WithCancel(context.Background())
-		c.nodes = append(c.nodes, n)
+		c.nodes = append(c.nodes, &Node{ID: i, Service: nc.Service})
 	}
 	return c, nil
 }
@@ -147,66 +129,14 @@ func (c *Cluster) LoadControl() serve.LoadControl {
 // CountDeadlineReject implements serve.Backend.
 func (c *Cluster) CountDeadlineReject() { c.deadlineRejects.Add(1) }
 
-// MarkDown marks shard i down (or back up). Marking down cancels the
-// node's lifetime context, so dispatches blocked inside the shard fail
-// immediately and surface as shard_unavailable — a crashed shard
-// mid-batch produces a partial-failure response, never a hung merge.
-func (c *Cluster) MarkDown(i int, down bool) {
-	n := c.nodes[i]
-	n.ctxMu.Lock()
-	defer n.ctxMu.Unlock()
-	if down == n.down.Load() {
-		return
-	}
-	n.down.Store(down)
-	if down {
-		n.cancel()
-	} else {
-		n.ctx, n.cancel = context.WithCancel(context.Background())
-	}
-}
-
-// Down reports whether shard i is marked down.
-func (c *Cluster) Down(i int) bool { return c.nodes[i].down.Load() }
-
-// liveContext returns the node's current lifetime context, or false
-// when the node is down.
-func (n *Node) liveContext() (context.Context, bool) {
-	n.ctxMu.Lock()
-	defer n.ctxMu.Unlock()
-	if n.down.Load() {
-		return nil, false
-	}
-	return n.ctx, true
-}
-
-func errShardDown(id int) *api.Error {
-	return api.Errorf(api.CodeShardUnavailable, "shard: shard %d unavailable", id)
-}
-
-// dispatch runs call against the node's service and records it as a
-// shard_route span tagged with the shard ID, under which the service's
-// own stages nest. call's context is a child of ctx that also ends if
-// the node goes down mid-call. Whatever fails on a node that is down —
-// before, during or because of it — is the shard's unavailability, not
-// the request's fault.
+// dispatch runs call against the node's service on the request's own
+// context and records it as a shard_route span tagged with the shard
+// ID, under which the service's own stages nest.
 func (n *Node) dispatch(ctx context.Context, tr *obs.Trace, call func(ctx context.Context) error) error {
 	t0 := tr.Clock()
-	defer func() { tr.Record(obs.StageShardRoute, n.ID, t0) }()
-	nctx, ok := n.liveContext()
-	if !ok {
-		return errShardDown(n.ID)
-	}
-	dctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	defer context.AfterFunc(nctx, cancel)()
-	if err := call(dctx); err != nil {
-		if n.down.Load() {
-			return errShardDown(n.ID)
-		}
-		return err
-	}
-	return nil
+	err := call(ctx)
+	tr.Record(obs.StageShardRoute, n.ID, t0)
+	return err
 }
 
 // Predict is AdmitPredict without a trace.
@@ -218,22 +148,11 @@ func (c *Cluster) Predict(ctx context.Context, req serve.Request) serve.Response
 func (c *Cluster) AdmitPredict(ctx context.Context, req serve.Request, tr *obs.Trace) serve.Response {
 	c.requests.Add(1)
 	n := c.owner(req.Key)
-	if !n.down.Load() {
-		// A hit is answered from memory whatever becomes of its context:
-		// deriving the dispatch context would be the larger cost.
-		t0 := tr.Clock()
-		if resp, ok := n.Service.PredictCached(req.Key, req.Query); ok {
-			tr.Record(obs.StageShardRoute, n.ID, t0)
-			return resp
-		}
-	}
 	var resp serve.Response
-	if err := n.dispatch(ctx, tr, func(ctx context.Context) error {
+	n.dispatch(ctx, tr, func(ctx context.Context) error {
 		resp = n.Service.AdmitPredict(ctx, req, tr)
 		return resp.Err
-	}); err != nil {
-		resp.Err = err
-	}
+	})
 	return resp
 }
 
@@ -284,9 +203,9 @@ func (c *Cluster) IdleFanoutBytes() int { return c.fanouts.IdleBytes() }
 // shard_route span each, and merges the per-shard answers back into
 // input order, in dst's storage when it has the capacity. A batch that
 // lives on one shard is that shard's to refuse as a whole, as a lone
-// service would; once it fans out, a shard that is down, crashes
-// mid-batch or sheds its share contributes typed errors for exactly its
-// own items and the rest of the batch completes normally.
+// service would; once it fans out, a shard that sheds its share
+// contributes typed errors for exactly its own items and the rest of
+// the batch completes normally.
 func (c *Cluster) AdmitBatch(ctx context.Context, dst []serve.Response, reqs []serve.Request, tr *obs.Trace) ([]serve.Response, error) {
 	c.requests.Add(int64(len(reqs)))
 	if len(reqs) == 0 {
@@ -358,19 +277,7 @@ func (c *Cluster) batchOn(ctx context.Context, n *Node, dst []serve.Response, su
 		rs, err = n.Service.AdmitBatch(ctx, dst, sub, tr)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	if n.down.Load() {
-		// The shard died mid-batch: anything it failed on is reported as
-		// the shard's unavailability.
-		for i := range rs {
-			if rs[i].Err != nil {
-				rs[i].Err = errShardDown(n.ID)
-			}
-		}
-	}
-	return rs, nil
+	return rs, err
 }
 
 // AdmitObserve forwards an observation to the owner of its key, so each
@@ -427,7 +334,6 @@ func (c *Cluster) Stats() api.ClusterStats {
 	for _, n := range c.nodes {
 		out.Shards = append(out.Shards, api.ShardStats{
 			ID:    n.ID,
-			Down:  n.down.Load(),
 			Stats: n.Service.Stats(),
 		})
 	}
@@ -442,7 +348,7 @@ func (c *Cluster) Topology() api.TopologyResponse {
 		VirtualNodes:  c.ring.VirtualNodes(),
 	}
 	for _, n := range c.nodes {
-		info := api.ShardInfo{ID: n.ID, Down: n.down.Load()}
+		info := api.ShardInfo{ID: n.ID}
 		resident := n.Service.Registry().ResidentVersions()
 		for key, v := range resident {
 			info.Models = append(info.Models, api.ModelVersion{Job: key.Job, Env: key.Env, Version: v})

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -183,62 +184,45 @@ func TestClusterBatchMergesInOrder(t *testing.T) {
 	}
 }
 
-// TestClusterCrashMidBatchPartialFailure: a shard that dies while batch
-// items are queued on its gate surfaces typed shard_unavailable errors
-// for exactly its items — the merge completes, nothing hangs.
-func TestClusterCrashMidBatchPartialFailure(t *testing.T) {
+// TestClusterShedMidBatchPartialFailure: a shard whose gate sheds its
+// share of a fanned-out batch answers overloaded for exactly its own
+// items, one by one, while the other shard's items succeed and the
+// merge counts one partial failure.
+func TestClusterShedMidBatchPartialFailure(t *testing.T) {
 	gates := []*loadctl.Gate{
 		loadctl.NewGate(loadctl.GateConfig{MaxInFlight: 4, MaxQueue: 16, MaxWait: 10 * time.Second}),
-		loadctl.NewGate(loadctl.GateConfig{MaxInFlight: 1, MaxQueue: 16, MaxWait: 10 * time.Second}),
+		loadctl.NewGate(loadctl.GateConfig{MaxInFlight: 1, MaxQueue: 16, MaxWait: 10 * time.Millisecond}),
 	}
 	c := newTestCluster(t, 2, gates, Options{})
-	ctx := context.Background()
-
 	k0 := keyOwnedBy(t, c, 0)
 	k1 := keyOwnedBy(t, c, 1)
 
-	// Occupy shard 1's only slot so the batch's shard-1 group queues.
+	// Hold shard 1's only slot, so its group waits out MaxWait and is shed.
 	if !gates[1].TryAcquire() {
 		t.Fatal("could not occupy shard 1's gate")
 	}
 	defer gates[1].Release()
 
-	done := make(chan []serve.Response, 1)
 	reqs := []serve.Request{
 		{Key: k0, Query: testQuery(2, 10000)},
 		{Key: k1, Query: testQuery(4, 10000)},
 		{Key: k0, Query: testQuery(6, 10000)},
 		{Key: k1, Query: testQuery(8, 10000)},
 	}
-	go func() {
-		out, _ := c.AdmitBatch(ctx, nil, reqs, nil) // fanned out: failures are per item
-		done <- out
-	}()
-
-	// Wait until the shard-1 group is queued on the gate, then kill the
-	// shard.
-	waitFor(t, 2*time.Second, "batch group to queue on shard 1", func() bool {
-		return gates[1].Stats().Waiting > 0
-	})
-	c.MarkDown(1, true)
-
-	var out []serve.Response
-	select {
-	case out = <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("batch merge hung after shard crash")
+	out, err := c.AdmitBatch(context.Background(), nil, reqs, nil) // fanned out: failures are per item
+	if err != nil {
+		t.Fatalf("fanned-out batch refused as a whole: %v", err)
 	}
 	for i, r := range out {
-		owner := c.Owner(reqs[i].Key.Job, reqs[i].Key.Env)
-		if owner == 0 {
-			if r.Err != nil {
-				t.Fatalf("item %d (live shard) failed: %v", i, r.Err)
+		if c.Owner(reqs[i].Key.Job, reqs[i].Key.Env) == 0 {
+			if r.Err != nil || r.RuntimeSec <= 0 {
+				t.Fatalf("item %d (open shard) = %+v, want success", i, r)
 			}
 			continue
 		}
 		var typed *api.Error
-		if !asAPIError(r.Err, &typed) || typed.Code != api.CodeShardUnavailable {
-			t.Fatalf("item %d (dead shard) error = %v, want code %s", i, r.Err, api.CodeShardUnavailable)
+		if !asAPIError(r.Err, &typed) || typed.Code != api.CodeOverloaded {
+			t.Fatalf("item %d (shedding shard) error = %v, want code %s", i, r.Err, api.CodeOverloaded)
 		}
 	}
 	if got := c.Stats().Router.PartialFailures; got != 1 {
@@ -338,8 +322,7 @@ func asAPIError(err error, target **api.Error) bool {
 // TestWarmPredictZeroAllocCluster pins the router's hot path: a cached
 // prediction through Cluster.Predict — ring lookup, the owner's cache
 // and its counters, gates attached — allocates nothing, whatever the
-// shard count. (Deriving the per-dispatch context costs several
-// allocations; a hit must never get that far.)
+// shard count.
 func TestWarmPredictZeroAllocCluster(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		gates := make([]*loadctl.Gate, shards)
@@ -364,5 +347,55 @@ func TestWarmPredictZeroAllocCluster(t *testing.T) {
 		}); allocs != 0 {
 			t.Fatalf("warm predict over %d shards allocs/op = %v, want 0", shards, allocs)
 		}
+	}
+}
+
+// TestClusterDispatchAddsNoAllocs pins what routing costs on top of the
+// owning service: an observation (no observer attached) and a miss on a
+// resident model allocate through the router exactly what they allocate
+// when asked of the owner's Service directly.
+func TestClusterDispatchAddsNoAllocs(t *testing.T) {
+	c := newTestCluster(t, 2, nil, Options{})
+	ctx := context.Background()
+	key := keyOwnedBy(t, c, 1)
+	svc := c.Node(1).Service
+	if r := c.Predict(ctx, serve.Request{Key: key, Query: testQuery(4, 4096)}); r.Err != nil {
+		t.Fatalf("cold Predict: %v", r.Err)
+	}
+
+	q := testQuery(4, 4096)
+	observe := func(call func() error) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if err := call(); !errors.Is(err, serve.ErrObserveDisabled) {
+				t.Fatalf("observe = %v, want %v", err, serve.ErrObserveDisabled)
+			}
+		})
+	}
+	direct := observe(func() error { return svc.AdmitObserve(ctx, key, q, 10, nil) })
+	routed := observe(func() error { return c.AdmitObserve(ctx, key, q, 10, nil) })
+	if routed != direct {
+		t.Fatalf("observe allocs/op: routed %v, service %v", routed, direct)
+	}
+
+	// Every call asks a query no earlier call asked, so each one misses.
+	const runs = 100
+	queries := make([]core.Query, 2*(runs+1))
+	for i := range queries {
+		queries[i] = testQuery(4, 5000+i)
+	}
+	next := 0
+	miss := func(call func(serve.Request) serve.Response) float64 {
+		return testing.AllocsPerRun(runs, func() {
+			r := call(serve.Request{Key: key, Query: queries[next]})
+			next++
+			if r.Err != nil || r.Cached {
+				t.Fatalf("miss = %+v", r)
+			}
+		})
+	}
+	direct = miss(func(req serve.Request) serve.Response { return svc.AdmitPredict(ctx, req, nil) })
+	routed = miss(func(req serve.Request) serve.Response { return c.AdmitPredict(ctx, req, nil) })
+	if routed != direct {
+		t.Fatalf("miss allocs/op: routed %v, service %v", routed, direct)
 	}
 }

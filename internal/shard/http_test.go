@@ -147,36 +147,6 @@ func TestClusterHTTPEndToEnd(t *testing.T) {
 	}
 }
 
-func TestClusterHTTPDownShardIs503(t *testing.T) {
-	c := newTestCluster(t, 2, nil, Options{})
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	k1 := keyOwnedBy(t, c, 1)
-	c.MarkDown(1, true)
-
-	code, raw := postJSON(t, srv.URL+"/v1/predict", apiRequest(k1, 4))
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("predict to down shard: status %d: %s", code, raw)
-	}
-	e := decodeEnvelope(t, raw)
-	if e.Code != api.CodeShardUnavailable || e.RetryAfterMs <= 0 {
-		t.Fatalf("envelope = %+v, want %s with retry hint", e, api.CodeShardUnavailable)
-	}
-
-	// The sibling shard keeps serving.
-	k0 := keyOwnedBy(t, c, 0)
-	if code, raw := postJSON(t, srv.URL+"/v1/predict", apiRequest(k0, 4)); code != http.StatusOK {
-		t.Fatalf("live shard status %d: %s", code, raw)
-	}
-
-	// Recovery: marking the shard back up restores service.
-	c.MarkDown(1, false)
-	if code, raw := postJSON(t, srv.URL+"/v1/predict", apiRequest(k1, 4)); code != http.StatusOK {
-		t.Fatalf("recovered shard status %d: %s", code, raw)
-	}
-}
-
 func TestClusterHTTPRateLimitAndDrain(t *testing.T) {
 	limiter := loadctl.NewLimiter(loadctl.LimiterConfig{Rate: 1, Burst: 2})
 	c := newTestCluster(t, 2, nil, Options{Limiter: limiter})

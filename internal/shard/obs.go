@@ -1,20 +1,17 @@
 package shard
 
 import (
-	"strconv"
-
 	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
 // AttachObs wires the shared observability layer into the router and,
-// when a metrics registry is present, registers the router-level
-// counters, per-shard health gauges, and replication counters. The
-// per-shard service metrics are registered separately by each shard's
-// own Service.AttachObs with a distinct {shard="i"} label set, so a
-// single registry scrape covers the whole cluster. Attach once, before
-// serving traffic.
+// when a metrics registry is present, registers the router-level and
+// replication counters. The per-shard service metrics are registered
+// separately by each shard's own Service.AttachObs with a distinct
+// {shard="i"} label set, so a single registry scrape covers the whole
+// cluster. Attach once, before serving traffic.
 func (c *Cluster) AttachObs(o *serve.Observability) {
 	c.obsRef.Store(o)
 	if o == nil || o.Metrics == nil {
@@ -45,19 +42,6 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 			}
 			return 0
 		})
-
-	for _, n := range c.nodes {
-		n := n
-		reg.RegisterGaugeFunc("bellamy_shard_up",
-			"1 while the shard accepts dispatches, 0 while marked down.",
-			obs.Labels{"shard": strconv.Itoa(n.ID)},
-			func() float64 {
-				if n.down.Load() {
-					return 0
-				}
-				return 1
-			})
-	}
 
 	for _, m := range []struct {
 		name, help string

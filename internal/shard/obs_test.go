@@ -115,8 +115,6 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 	first := scrapePromText(t, srv.URL)
 	for _, want := range []string{
 		"bellamy_router_requests_total",
-		`bellamy_shard_up{shard="0"}`,
-		`bellamy_shard_up{shard="1"}`,
 		`bellamy_predict_requests_total{shard="0"}`,
 		`bellamy_predict_requests_total{shard="1"}`,
 		"bellamy_traces_sampled_total",
@@ -135,9 +133,6 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 			first[`bellamy_predict_requests_total{shard="0"}`],
 			first[`bellamy_predict_requests_total{shard="1"}`])
 	}
-	if first[`bellamy_shard_up{shard="0"}`] != 1 || first[`bellamy_shard_up{shard="1"}`] != 1 {
-		t.Fatal("both shards should report up")
-	}
 
 	// Counters are monotone across scrapes that bracket more traffic.
 	if code, raw := postJSON(t, srv.URL+"/v1/predict", apiRequest(k0, 6)); code != http.StatusOK {
@@ -151,29 +146,6 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 	}
 	if second["bellamy_router_requests_total"] <= first["bellamy_router_requests_total"] {
 		t.Fatal("router_requests_total did not advance")
-	}
-
-	// A shard marked down flips its up-gauge and the topology flag.
-	c.MarkDown(1, true)
-	third := scrapePromText(t, srv.URL)
-	if third[`bellamy_shard_up{shard="1"}`] != 0 {
-		t.Fatalf(`shard_up{shard="1"} = %v after MarkDown, want 0`, third[`bellamy_shard_up{shard="1"}`])
-	}
-	if third[`bellamy_shard_up{shard="0"}`] != 1 {
-		t.Fatal("shard 0 should still be up")
-	}
-	resp, err := http.Get(srv.URL + "/v1/shards")
-	if err != nil {
-		t.Fatalf("GET shards: %v", err)
-	}
-	var topo api.TopologyResponse
-	err = json.NewDecoder(resp.Body).Decode(&topo)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("decode topology: %v", err)
-	}
-	if !topo.Shards[1].Down || topo.Shards[0].Down {
-		t.Fatalf("topology down flags = %+v", topo.Shards)
 	}
 }
 

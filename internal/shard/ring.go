@@ -3,10 +3,10 @@
 // N in-process serve instances, fans batched requests out per shard
 // and merges the answers in input order, forwards observations to the
 // owning shard's lifecycle controller, and replicates hot-swapped
-// model versions between shards over a compact CRC-framed binary
-// protocol. Each shard is a complete serving stack — registry, result
-// cache, admission gate, optional lifecycle controller and WAL — so
-// the partition point is the model key, not the request type.
+// model versions between shards by an in-process Broadcast. Each shard
+// is a complete serving stack — registry, result cache, admission gate,
+// optional lifecycle controller and WAL — so the partition point is the
+// model key, not the request type.
 package shard
 
 import (

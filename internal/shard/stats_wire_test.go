@@ -306,7 +306,6 @@ func clusterStats(t *testing.T) []byte {
 	c.Broadcast(0, k0, 2, blob)
 	c.Broadcast(1, k1, 4, blob[:len(blob)/2])
 
-	c.MarkDown(1, true)
 	wireCall(t, h, "/v1/predict/batch", "c6", wireBatch(apiRequest(k0, 10), apiRequest(k1, 10)), http.StatusOK)
 	return getStats(t, h)
 }

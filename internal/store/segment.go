@@ -18,8 +18,8 @@ import (
 // Compacted segment layout. A segment is the immutable, indexed form
 // of a run of sealed WAL segments: observations grouped per (job, env)
 // series with columnar compression, digests kept as positions inside
-// their series stream, and a footer index for point lookups without
-// scanning the file.
+// their series stream, and a footer index that addresses each series
+// block.
 //
 //	header   8 bytes  "BSEG" version
 //	blocks   one per series (see encodeSeriesBlock), each CRC32C-tailed
@@ -197,7 +197,7 @@ type seriesEntry struct {
 }
 
 // Segment is one open compacted segment: the raw bytes plus the parsed
-// footer index. Point lookups decode only the addressed series block.
+// footer index.
 type Segment struct {
 	b                 []byte
 	index             []seriesEntry
@@ -556,26 +556,4 @@ func decodeRLE(c *cursor, n int, set func(i int, v uint64) error) error {
 		}
 	}
 	return nil
-}
-
-// Series decodes the samples of one (job, env) series via the footer
-// index, reading only that series' block. The boolean reports whether
-// the series exists in this segment.
-func (g *Segment) Series(job, env string) ([]ObsPoint, bool, error) {
-	i := sort.Search(len(g.index), func(i int) bool {
-		e := g.index[i]
-		if e.job != job {
-			return e.job >= job
-		}
-		return e.env >= env
-	})
-	if i >= len(g.index) || g.index[i].job != job || g.index[i].env != env {
-		return nil, false, nil
-	}
-	var out []ObsPoint
-	err := g.decodeSeriesBlock(g.index[i], func(p ObsPoint) { out = append(out, p) }, nil)
-	if err != nil {
-		return nil, true, err
-	}
-	return out, true, nil
 }

@@ -18,24 +18,24 @@ import (
 // Defaults for Options fields left zero.
 const (
 	DefaultSegmentBytes    = 4 << 20
-	DefaultMaxRecordBytes  = 1 << 20
-	DefaultFsyncEvery      = 100 * time.Millisecond
 	DefaultCompactInterval = time.Minute
+)
+
+const (
+	// fsyncEvery bounds sync frequency under FsyncInterval.
+	fsyncEvery = 100 * time.Millisecond
+	// maxRecordBytes bounds one framed record; replay treats larger
+	// claimed lengths as corruption.
+	maxRecordBytes = 1 << 20
 )
 
 // Options tunes a Store.
 type Options struct {
 	// Fsync picks the WAL durability policy (default FsyncAlways).
 	Fsync FsyncPolicy
-	// FsyncEvery bounds sync frequency under FsyncInterval
-	// (<= 0: DefaultFsyncEvery).
-	FsyncEvery time.Duration
 	// SegmentBytes rolls the active WAL segment past this size
 	// (<= 0: DefaultSegmentBytes).
 	SegmentBytes int64
-	// MaxRecordBytes bounds one framed record; replay treats larger
-	// claimed lengths as corruption (<= 0: DefaultMaxRecordBytes).
-	MaxRecordBytes int
 	// CompactInterval is the background compaction period started by
 	// Start (<= 0: DefaultCompactInterval).
 	CompactInterval time.Duration
@@ -46,14 +46,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = DefaultFsyncEvery
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
-	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = DefaultMaxRecordBytes
 	}
 	if o.CompactInterval <= 0 {
 		o.CompactInterval = DefaultCompactInterval
@@ -187,9 +181,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.w = &wal{
 		dir:      s.walDir,
 		policy:   s.opts.Fsync,
-		every:    s.opts.FsyncEvery,
 		segBytes: s.opts.SegmentBytes,
-		maxRec:   s.opts.MaxRecordBytes,
 		log:      s.opts.Logger,
 	}
 	activeSeq := maxCovered + 1
@@ -201,7 +193,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		// are surfaced at Replay, not silently truncated.
 		last := seqs[n-1]
 		path := filepath.Join(s.walDir, walName(last))
-		res, err := scanWALFile(path, s.opts.MaxRecordBytes, nil)
+		res, err := scanWALFile(path, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -292,7 +284,7 @@ func (s *Store) Replay(h ReplayHandler) error {
 		return err
 	}
 	for _, seq := range seqs {
-		res, err := scanWALFile(filepath.Join(s.walDir, walName(seq)), s.opts.MaxRecordBytes, func(payload []byte) error {
+		res, err := scanWALFile(filepath.Join(s.walDir, walName(seq)), func(payload []byte) error {
 			r, err := decodeRecord(payload)
 			if err != nil {
 				return err
@@ -374,7 +366,7 @@ func (s *Store) CompactNow() (int, error) {
 	var order []seriesKey
 	records := 0
 	for _, seq := range sealed {
-		res, err := scanWALFile(filepath.Join(s.walDir, walName(seq)), s.opts.MaxRecordBytes, func(payload []byte) error {
+		res, err := scanWALFile(filepath.Join(s.walDir, walName(seq)), func(payload []byte) error {
 			r, err := decodeRecord(payload)
 			if err != nil {
 				return err
@@ -428,43 +420,6 @@ func (s *Store) CompactNow() (int, error) {
 	s.opts.Logger.Info("store: compacted WAL segments",
 		"records", records, "segments", len(sealed), "output", filepath.Base(path))
 	return records, nil
-}
-
-// Series returns every persisted observation of one (job, env) key in
-// ingestion order: compacted segments via their footer indexes, then
-// the live WAL. Not safe concurrently with compaction.
-func (s *Store) Series(job, env string) ([]ObsPoint, error) {
-	s.mu.Lock()
-	segs := append([]*Segment(nil), s.segs...)
-	s.mu.Unlock()
-	var out []ObsPoint
-	for _, g := range segs {
-		pts, ok, err := g.Series(job, env)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, pts...)
-		}
-	}
-	seqs, err := listWALSegments(s.walDir)
-	if err != nil {
-		return nil, err
-	}
-	for _, seq := range seqs {
-		_, err := scanWALFile(filepath.Join(s.walDir, walName(seq)), s.opts.MaxRecordBytes, func(payload []byte) error {
-			r, err := decodeRecord(payload)
-			if err != nil || r.typ != recObservation || r.job != job || r.env != env {
-				return err
-			}
-			out = append(out, ObsPoint{At: time.Unix(0, r.at), Sample: r.sample})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Start launches the background compaction loop. Stop it with Close.

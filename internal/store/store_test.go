@@ -188,10 +188,14 @@ func TestWALSegmentRollAndCompact(t *testing.T) {
 	if st.Compactions != 1 || st.CompactSegments != 1 {
 		t.Fatalf("stats after compaction = %+v", st)
 	}
-	// Point lookup through the footer index plus the residual WAL.
-	pts, err := s.Series("grep", "c3o")
-	if err != nil {
-		t.Fatalf("Series: %v", err)
+	// One key's points, from the compacted segment plus the residual
+	// WAL, in ingestion order.
+	var pts []ObsPoint
+	live := replayAll(t, s)
+	for i, k := range live.keys {
+		if k == "grep@c3o" {
+			pts = append(pts, live.obs[i])
+		}
 	}
 	wantGrep := 0
 	for i := 0; i < n; i++ {
@@ -200,7 +204,7 @@ func TestWALSegmentRollAndCompact(t *testing.T) {
 		}
 	}
 	if len(pts) != wantGrep {
-		t.Fatalf("Series(grep) = %d points, want %d", len(pts), wantGrep)
+		t.Fatalf("grep replayed %d points, want %d", len(pts), wantGrep)
 	}
 	gi := 0
 	for i := 0; i < n; i++ {

@@ -23,7 +23,7 @@ const (
 	// observation survives kill -9 and power loss. This is the
 	// default; it bounds ingest throughput by device sync latency.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs at most once per FsyncEvery, piggybacked on
+	// FsyncInterval syncs at most once per fsyncEvery, piggybacked on
 	// the append path (plus on every segment seal and on Close). A
 	// crash can lose up to one interval of acknowledged observations.
 	FsyncInterval
@@ -96,9 +96,7 @@ func parseWALName(name string) (uint64, bool) {
 type wal struct {
 	dir      string
 	policy   FsyncPolicy
-	every    time.Duration
 	segBytes int64
-	maxRec   int
 	log      *slog.Logger
 
 	mu       sync.Mutex
@@ -162,8 +160,8 @@ func (w *wal) syncNew(f *os.File) error {
 // segment in a single Write call, rolling segments and syncing per the
 // policy. On return under FsyncAlways the record is durable.
 func (w *wal) append(payload []byte) error {
-	if len(payload) > w.maxRec {
-		return fmt.Errorf("store: record of %d bytes exceeds limit %d", len(payload), w.maxRec)
+	if len(payload) > maxRecordBytes {
+		return fmt.Errorf("store: record of %d bytes exceeds limit %d", len(payload), maxRecordBytes)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -192,7 +190,7 @@ func (w *wal) append(payload []byte) error {
 		}
 		w.fsyncs.Add(1)
 	case FsyncInterval:
-		if now := time.Now(); now.Sub(w.lastSync) >= w.every {
+		if now := time.Now(); now.Sub(w.lastSync) >= fsyncEvery {
 			if err := w.f.Sync(); err != nil {
 				return fmt.Errorf("store: syncing WAL: %w", err)
 			}
@@ -290,7 +288,7 @@ func (r scanResult) clean() bool { return r.tornErr == nil }
 // intact payload, and reports where (and how) the walk ended. fn may
 // be nil to only validate. An fn error aborts the scan and is returned
 // verbatim.
-func scanWALFile(path string, maxRec int, fn func(payload []byte) error) (scanResult, error) {
+func scanWALFile(path string, fn func(payload []byte) error) (scanResult, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return scanResult{}, fmt.Errorf("store: reading WAL segment: %w", err)
@@ -312,8 +310,8 @@ func scanWALFile(path string, maxRec int, fn func(payload []byte) error) (scanRe
 		}
 		length := int64(binary.LittleEndian.Uint32(b[off:]))
 		sum := binary.LittleEndian.Uint32(b[off+4:])
-		if length > int64(maxRec) {
-			res.tornErr = fmt.Errorf("store: frame length %d at offset %d of %s exceeds limit %d", length, off, filepath.Base(path), maxRec)
+		if length > maxRecordBytes {
+			res.tornErr = fmt.Errorf("store: frame length %d at offset %d of %s exceeds limit %d", length, off, filepath.Base(path), maxRecordBytes)
 			break
 		}
 		if off+frameHeaderLen+length > int64(len(b)) {
