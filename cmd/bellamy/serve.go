@@ -59,7 +59,7 @@ func runServe(args []string) error {
 	ftMaxKeys := fs.Int("observe-max-models", lifecycle.DefaultMaxKeys, "max distinct models holding observation buffers")
 	dataDir := fs.String("data-dir", "", "durable store directory (WAL + compacted segments + model checkpoints); sharded serving uses <dir>/shard-<i> per shard; empty disables durability")
 	fsyncMode := fs.String("fsync", "always", "WAL durability: always (every append), interval (batched), never (OS page cache)")
-	compactEvery := fs.Duration("compact-interval", store.DefaultCompactInterval, "period between WAL compactions into indexed segments")
+	compactEvery := fs.Duration("compact-interval", store.DefaultCompactInterval, "period between WAL compactions into columnar segments")
 	rate := fs.Float64("rate-limit", loadctl.DefaultRate, "per-client request rate limit in req/s (0 disables rate limiting)")
 	rateBurst := fs.Float64("rate-burst", 0, "per-client burst depth (0 = 2x rate)")
 	maxClients := fs.Int("max-clients", loadctl.DefaultMaxClients, "max tracked rate-limit clients (LRU beyond)")

@@ -289,8 +289,10 @@ type StoreStats struct {
 	// by replay.
 	ReplayedObservations int64 `json:"replayed_observations"`
 	ReplayedDigests      int64 `json:"replayed_digests"`
-	// CorruptSegments counts sealed WAL or compacted segments that
-	// failed validation at open or replay.
+	// CorruptSegments counts files that failed validation: a sealed WAL
+	// segment that stopped replay, or a compacted segment that did not
+	// scan clean at open (and was skipped, deleting no WAL) or failed
+	// to decode at replay.
 	CorruptSegments int64 `json:"corrupt_segments,omitempty"`
 	// Compactions counts compaction runs that produced a segment;
 	// CompactedRecords the WAL records they absorbed; CompactSegments

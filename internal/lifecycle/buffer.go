@@ -106,14 +106,7 @@ func (b *buffer) takeIfTriggered(now time.Time, minSamples int, maxStaleness tim
 	if b.fresh < minSamples && !stale {
 		return nil, 0, false
 	}
-	out := make([]core.Sample, b.n)
-	for i := 0; i < b.n; i++ {
-		out[i] = b.samples[(b.start+i)%len(b.samples)]
-	}
-	fresh = b.fresh
-	b.fresh = 0
-	b.tuning = true
-	return out, fresh, true
+	return b.takeLocked()
 }
 
 // takeForDrain snapshots the ring for one final shutdown fine-tune,
@@ -129,6 +122,13 @@ func (b *buffer) takeForDrain() (samples []core.Sample, fresh int, ok bool) {
 	if b.tuning || b.fresh == 0 {
 		return nil, 0, false
 	}
+	return b.takeLocked()
+}
+
+// takeLocked snapshots the ring (oldest first), marks every sample
+// digested and flags the buffer as tuning. The caller holds b.mu and
+// has decided a fine-tune is due.
+func (b *buffer) takeLocked() (samples []core.Sample, fresh int, ok bool) {
 	out := make([]core.Sample, b.n)
 	for i := 0; i < b.n; i++ {
 		out[i] = b.samples[(b.start+i)%len(b.samples)]

@@ -4,9 +4,10 @@
 // scan fine-tunes a clone of the served model once a key accumulates
 // enough fresh samples (or they grow stale), then hot-swaps the result
 // into the serving registry as a new version. Serving is never blocked:
-// fine-tuning runs on clones with their own weights, concurrency is
-// bounded by the shared parallel worker helper, and the swap is an
-// atomic pointer flip guarded by the registry's generation counters.
+// fine-tuning runs on clones with their own weights, at most
+// Config.Workers of them at a time through parallel.ForEach, and the
+// swap is an atomic pointer flip guarded by the registry's generation
+// counters.
 package lifecycle
 
 import (
@@ -322,24 +323,7 @@ func (c *Controller) Stop() {
 // Returns the number of versions installed.
 func (c *Controller) Drain() int {
 	c.Stop()
-	c.mu.Lock()
-	jobs := make([]tuneJob, 0, len(c.buffers))
-	for key, b := range c.buffers {
-		if samples, fresh, ok := b.takeForDrain(); ok {
-			jobs = append(jobs, tuneJob{key: key, buf: b, samples: samples, fresh: fresh})
-		}
-	}
-	c.mu.Unlock()
-	if len(jobs) == 0 {
-		return 0
-	}
-	var swapped atomic.Int64
-	parallel.ForEach(len(jobs), c.cfg.Workers, func(i int) {
-		if c.tune(jobs[i]) {
-			swapped.Add(1)
-		}
-	})
-	return int(swapped.Load())
+	return c.tuneAll((*buffer).takeForDrain)
 }
 
 // RunOnce synchronously evaluates the triggers and runs every due
@@ -361,10 +345,19 @@ type tuneJob struct {
 }
 
 func (c *Controller) runOnce(now time.Time) int {
+	return c.tuneAll(func(b *buffer) ([]core.Sample, int, bool) {
+		return b.takeIfTriggered(now, c.cfg.MinSamples, c.cfg.MaxStaleness)
+	})
+}
+
+// tuneAll snapshots every buffer take accepts and fine-tunes the
+// snapshots on the bounded worker pool, returning the number of model
+// versions installed.
+func (c *Controller) tuneAll(take func(*buffer) ([]core.Sample, int, bool)) int {
 	c.mu.Lock()
 	jobs := make([]tuneJob, 0, len(c.buffers))
 	for key, b := range c.buffers {
-		if samples, fresh, ok := b.takeIfTriggered(now, c.cfg.MinSamples, c.cfg.MaxStaleness); ok {
+		if samples, fresh, ok := take(b); ok {
 			jobs = append(jobs, tuneJob{key: key, buf: b, samples: samples, fresh: fresh})
 		}
 	}

@@ -32,9 +32,9 @@ import (
 // or from before it (gob), which fails core.Load. Either way the base
 // model serves.
 //
-// A checkpoint is published write-temp + rename: a crash mid-write
-// leaves a .tmp file (deleted on the next Open) and the previous
-// checkpoint — never a torn published file.
+// A checkpoint is published by publishFile (write-temp, fsync,
+// rename): a crash mid-write leaves a .tmp file (deleted on the next
+// Open) and the previous checkpoint — never a torn published file.
 var ckptMagic = []byte{'B', 'C', 'K', 'P', 2, 0, 0, 0}
 
 const ckptHeaderLen = 8 + 8 + 8 + 8 + 4 + 4
@@ -77,9 +77,7 @@ func (s *Store) CheckpointModel(job, env string, version uint64, blob []byte) er
 		return fmt.Errorf("store: invalid checkpoint key %q/%q", job, env)
 	}
 	buf := encodeCheckpoint(version, s.w.activeSeq(), time.Now().UnixNano(), blob)
-	path := filepath.Join(s.ckptDir, ckptName(job, env))
-	tmp := path + ".tmp"
-	if err := s.writeCheckpointFile(tmp, path, buf); err != nil {
+	if err := publishFile(filepath.Join(s.ckptDir, ckptName(job, env)), buf); err != nil {
 		s.checkpointErrors.Add(1)
 		return err
 	}
@@ -97,25 +95,6 @@ func encodeCheckpoint(version, walSeq uint64, at int64, blob []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	return append(buf, blob...)
-}
-
-func (s *Store) writeCheckpointFile(tmp, path string, buf []byte) error {
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("store: writing checkpoint temp file: %w", err)
-	}
-	f, err := os.Open(tmp)
-	if err != nil {
-		return fmt.Errorf("store: reopening checkpoint temp file: %w", err)
-	}
-	syncErr := f.Sync()
-	f.Close()
-	if syncErr != nil {
-		return fmt.Errorf("store: syncing checkpoint: %w", syncErr)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: publishing checkpoint: %w", err)
-	}
-	return syncDir(s.ckptDir)
 }
 
 // Checkpoint carries one recovered model version and its generation

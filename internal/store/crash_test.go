@@ -416,12 +416,13 @@ func kill9Child(t *testing.T) {
 	}
 }
 
-// TestSegmentFooterWALLastMustMatchName: a compacted segment's footer
-// names the last WAL sequence it replaces, and Open deletes every WAL
-// segment up to it. A flipped bit there must not delete live WAL: the
-// segment whose footer disagrees with its file name is counted corrupt
-// and skipped, and every WAL segment after it survives and replays.
-func TestSegmentFooterWALLastMustMatchName(t *testing.T) {
+// TestDamagedSegmentIsSkipped: Open deletes every WAL segment up to
+// the walLast of each compacted segment it trusts, so a damaged
+// segment must not be trusted. A flipped bit anywhere in a v2 segment
+// (its magic, a frame's length or CRC, the payload) and a v1 segment
+// are each counted corrupt and skipped: every live WAL segment after
+// it survives, and replay delivers exactly the WAL's records.
+func TestDamagedSegmentIsSkipped(t *testing.T) {
 	base := t.TempDir()
 	s, err := Open(base, Options{Fsync: FsyncNever, SegmentBytes: 256})
 	if err != nil {
@@ -450,37 +451,108 @@ func TestSegmentFooterWALLastMustMatchName(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	seg := filepath.Join(base, "seg", segName(2))
-	wals := storetest.WALSegments(t, base)
-	if len(wals) != 4 {
-		t.Fatalf("%d live WAL segments, want 4", len(wals))
+	if got := len(storetest.WALSegments(t, base)); got != 4 {
+		t.Fatalf("%d live WAL segments, want 4", got)
 	}
 
-	walLastOff := storetest.FileSize(t, seg) - segFooterLen + 24
-	for _, flip := range []struct {
+	type damage struct {
 		name string
-		bit  int64
-	}{
-		{"walLast bit 48", (walLastOff+6)*8 + 0},
-		{"walLast bit 0", walLastOff * 8},
-		{"walFirst bit 40", (walLastOff-8+5)*8 + 0},
-	} {
+		bit  int64 // flipped bit, or -1 for a v1 magic
+	}
+	const frame = walHeaderLen // the first frame's offset
+	cases := []damage{
+		{"magic", 0},
+		{"version", 4 * 8},
+		{"frame length low bit", frame * 8},
+		{"frame length high bit", (frame+3)*8 + 7},
+		{"frame CRC", (frame + 4) * 8},
+		{"v1 magic", -1},
+	}
+	segBits := storetest.FileSize(t, seg) * 8
+	for frac := int64(1); frac < 8; frac++ {
+		cases = append(cases, damage{fmt.Sprintf("payload %d/8", frac), (frame+frameHeaderLen)*8 + (segBits-(frame+frameHeaderLen)*8)*frac/8})
+	}
+	cases = append(cases, damage{"last bit", segBits - 1})
+	for _, c := range cases {
 		img := storetest.CloneDir(t, base)
-		storetest.FlipBit(t, filepath.Join(img, "seg", filepath.Base(seg)), flip.bit)
+		path := filepath.Join(img, "seg", filepath.Base(seg))
+		if c.bit < 0 {
+			b := readFileT(t, path)
+			copy(b, []byte{'B', 'S', 'E', 'G', 1, 0, 0, 0})
+			writeFileT(t, path, b)
+		} else {
+			storetest.FlipBit(t, path, c.bit)
+		}
 		s2, err := Open(img, Options{Fsync: FsyncNever, SegmentBytes: 256})
 		if err != nil {
-			t.Fatalf("%s: Open: %v", flip.name, err)
+			t.Fatalf("%s: Open: %v", c.name, err)
 		}
 		if got := len(storetest.WALSegments(t, img)); got != 4 {
-			t.Fatalf("%s: %d WAL segments after Open, want all 4", flip.name, got)
+			t.Fatalf("%s: %d WAL segments after Open, want all 4", c.name, got)
+		}
+		if got := s2.StoreStats().CorruptSegments; got != 1 {
+			t.Fatalf("%s: corrupt_segments = %d after Open, want 1", c.name, got)
 		}
 		r := replayAll(t, s2)
 		if want := n - compacted; len(r.obs) != want {
-			t.Fatalf("%s: replayed %d observations, want the WAL's %d", flip.name, len(r.obs), want)
+			t.Fatalf("%s: replayed %d observations, want the WAL's %d", c.name, len(r.obs), want)
 		}
-		if c := s2.StoreStats().CorruptSegments; c != 1 {
-			t.Fatalf("%s: corrupt_segments = %d, want 1", flip.name, c)
+		for i, p := range r.obs {
+			if !sampleEq(p.Sample, obs(compacted+i)) {
+				t.Fatalf("%s: replayed observation %d is not obs(%d)", c.name, i, compacted+i)
+			}
+		}
+		if st := s2.StoreStats(); st.CorruptSegments != 1 || st.CompactSegments != 0 {
+			t.Fatalf("%s: after replay corrupt_segments = %d, compact_segments = %d, want 1 and 0", c.name, st.CorruptSegments, st.CompactSegments)
 		}
 		s2.Close()
+	}
+}
+
+// TestUndecodableSegmentFrameIsSkipped: a frame whose CRC holds but
+// whose series block does not decode (a writer bug, or damage the CRC
+// missed) passes Open's scan. Replay counts the segment corrupt, skips
+// the rest of it and goes on, instead of stopping with ErrCorrupt.
+func TestUndecodableSegmentFrameIsSkipped(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Fsync: FsyncNever, SegmentBytes: 256})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	const n = 60
+	for i := 0; i < n; i++ {
+		if err := s.AppendObservation("sort", "c3o", obs(i), time.Now()); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if _, err := s.CompactNow(); err != nil {
+		t.Fatalf("CompactNow: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg", "*.seg"))
+	if len(segs) != 1 {
+		t.Fatalf("%d compacted segments, want 1", len(segs))
+	}
+	bad := appendString(appendString(nil, "sort"), "c3o")
+	bad = append(bad, 0xff) // a truncated sample count
+	writeFileT(t, segs[0], appendFrame(readFileT(t, segs[0]), bad))
+
+	s2, err := Open(dir, Options{Fsync: FsyncNever, SegmentBytes: 256})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	if st := s2.StoreStats(); st.CorruptSegments != 0 || st.CompactSegments != 1 {
+		t.Fatalf("after Open corrupt_segments = %d, compact_segments = %d, want 0 and 1", st.CorruptSegments, st.CompactSegments)
+	}
+	r := replayAll(t, s2)
+	if len(r.obs) != n {
+		t.Fatalf("replayed %d observations, want %d (the frames before the bad one and the WAL)", len(r.obs), n)
+	}
+	if c := s2.StoreStats().CorruptSegments; c != 1 {
+		t.Fatalf("corrupt_segments = %d after replay, want 1", c)
 	}
 }
 

@@ -2,6 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -75,64 +80,88 @@ func fuzzSegmentImage() []byte {
 	}
 	sd := series[seriesKey{job: "sort", env: "c3o"}]
 	sd.digests = append(sd.digests, digestMark{pos: 3, at: base, fresh: 3})
-	return buildSegmentImage(order, series, 1, 4)
+	img, err := encodeSegment(order, series)
+	if err != nil {
+		panic(err)
+	}
+	return img
 }
 
-// FuzzSegmentFooter pins the compacted-segment parser: arbitrary bytes
-// must either fail parseSegment, fail block decode, or decode cleanly —
-// never panic, read out of bounds, or allocate proportionally to a
-// corrupt count instead of the input size.
-func FuzzSegmentFooter(f *testing.F) {
+// decodeSeriesFrame decodes one segment frame payload as Replay does,
+// counting the samples it carries.
+func decodeSeriesFrame(payload []byte, samples *int) error {
+	_, block, err := splitSeriesFrame(payload)
+	if err != nil {
+		return err
+	}
+	return decodeSeriesBlock(block, func(ObsPoint) { *samples++ }, func(int64, int) {})
+}
+
+// FuzzSegment pins the compacted-segment reader. Arbitrary bytes go
+// through the frame scan with the series decode behind it, and, since
+// a mutation rarely keeps a frame's CRC intact, straight into the
+// series decode as one frame's payload too. Neither may panic, and
+// together they may allocate no more than a fixed multiple of the
+// input: a corrupt count must be refused, not allocated for.
+func FuzzSegment(f *testing.F) {
 	img := fuzzSegmentImage()
 	f.Add(img)
-	// Truncations and a bit flip seed the interesting failure paths.
 	f.Add(img[:len(img)-1])
-	f.Add(img[:segHeaderLen+segFooterLen])
 	flipped := append([]byte(nil), img...)
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)
+	firstLen := int(binary.LittleEndian.Uint32(img[len(segMagic):]))
+	f.Add(img[len(segMagic)+frameHeaderLen : len(segMagic)+frameHeaderLen+firstLen])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := parseSegment(data)
-		if err != nil {
-			return
-		}
-		for _, e := range g.index {
-			var n int64
-			decodeErr := g.decodeSeriesBlock(e,
-				func(p ObsPoint) { n++ },
-				func(at int64, fresh int) {})
-			// A block that decodes must agree with its index count.
-			if decodeErr == nil && n != e.count {
-				t.Fatalf("series %s/%s decoded %d points, index count %d", e.job, e.env, n, e.count)
-			}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var n int
+		_, _ = scanFrames(data, "fuzz", segMagic, maxSeriesFrameBytes, func(p []byte) error {
+			return decodeSeriesFrame(p, &n)
+		})
+		_ = decodeSeriesFrame(data, &n)
+		runtime.ReadMemStats(&after)
+		// Each decode may hold a few words per input byte (a sample's
+		// columns, a property set's Sample, a property's strings; each
+		// needs input bytes of its own) plus one refused property
+		// slice.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, 256*uint64(len(data))+16<<10; got > limit {
+			t.Fatalf("%d input bytes allocated %d bytes, over the %d limit", len(data), got, limit)
 		}
 	})
 }
 
 // TestFuzzSeedsRoundTrip keeps the seed corpus honest: the canonical
-// seeds must decode successfully, not just avoid panics.
+// seeds must decode successfully, not just avoid panics, and the
+// checked-in segment seed must be the current format's image.
 func TestFuzzSeedsRoundTrip(t *testing.T) {
 	p := appendObservation(nil, "sort", "c3o", obs(1), 99)
 	if _, err := decodeRecord(p); err != nil {
 		t.Fatalf("observation seed does not decode: %v", err)
 	}
 	img := fuzzSegmentImage()
-	g, err := parseSegment(img)
-	if err != nil {
-		t.Fatalf("segment seed does not parse: %v", err)
-	}
 	n := 0
-	for _, e := range g.index {
-		if err := g.decodeSeriesBlock(e, func(ObsPoint) { n++ }, nil); err != nil {
-			t.Fatalf("segment seed block decode: %v", err)
-		}
+	res, err := scanFrames(img, "seed", segMagic, maxSeriesFrameBytes, func(p []byte) error {
+		return decodeSeriesFrame(p, &n)
+	})
+	if err != nil || !res.clean() {
+		t.Fatalf("segment seed does not decode: %v, %v", err, res.tornErr)
 	}
 	if n != 12 {
 		t.Fatalf("segment seed decoded %d samples, want 12", n)
 	}
 	if !bytes.Equal(img, fuzzSegmentImage()) {
 		t.Fatal("segment image build is not deterministic")
+	}
+	corpus := readFileT(t, filepath.Join("testdata", "fuzz", "FuzzSegment", "two-series"))
+	quoted, ok := strings.CutPrefix(strings.TrimSpace(string(corpus)), "go test fuzz v1\n[]byte(")
+	seed, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if !ok || err != nil {
+		t.Fatalf("testdata two-series seed is not a []byte corpus entry: %v", err)
+	}
+	if !bytes.Equal([]byte(seed), img) {
+		t.Fatal("testdata two-series seed is not fuzzSegmentImage(); regenerate the FuzzSegment corpus")
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package store is the durability layer under the serving stack: an
 // append-only write-ahead log for runtime observations, periodic
-// compaction of sealed WAL segments into immutable indexed segments,
-// and atomic checkpointing of hot-swapped model versions. Together
+// compaction of sealed WAL segments into immutable columnar segments
+// (framed like the WAL, one frame per series), and atomic
+// checkpointing of hot-swapped model versions. Together
 // they let a restarted node reconstruct exactly the lifecycle and
 // registry state it crashed with: every acknowledged observation is
 // framed and CRC-protected in the WAL before ring admission, and every

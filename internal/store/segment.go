@@ -3,11 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -15,37 +11,28 @@ import (
 	"repro/internal/core"
 )
 
-// Compacted segment layout. A segment is the immutable, indexed form
-// of a run of sealed WAL segments: observations grouped per (job, env)
-// series with columnar compression, digests kept as positions inside
-// their series stream, and a footer index that addresses each series
-// block.
+// Compacted segment layout (v2). A segment is the immutable, columnar
+// form of a run of sealed WAL segments: observations grouped per
+// (job, env) series, digests kept as positions inside their series
+// stream. It is framed exactly like a WAL segment (see appendFrame),
+// under its own magic, one frame per series:
 //
 //	header   8 bytes  "BSEG" version
-//	blocks   one per series (see encodeSeriesBlock), each CRC32C-tailed
-//	index    series directory: key -> block offset/length/count
-//	footer   36 bytes fixed:
-//	         indexOff u64 | indexLen u32 | indexCRC u32 |
-//	         walFirst u64 | walLast u64 | magic "BSG1"
+//	frames   one per series: str job | str env | series block
+//	         (see encodeSeriesBlock)
 //
-// walFirst..walLast is the range of WAL segment sequence numbers the
-// segment replaces; Open uses it to delete WAL files a crash left
-// behind after compaction finished, so replay never double-counts. No
-// CRC covers it: a segment is trusted only when walLast is the
-// sequence in its file name and walFirst <= walLast.
-var (
-	segMagic       = []byte{'B', 'S', 'E', 'G', 1, 0, 0, 0}
-	segFooterMagic = []byte{'B', 'S', 'G', '1'}
-)
+// The file is named for walLast, the last WAL sequence it replaces;
+// Open deletes every WAL segment up to the newest walLast among the
+// segments that scan clean. A segment that does not (a bad magic,
+// including v1's, a torn or oversized frame, a CRC mismatch) is
+// counted corrupt and skipped, and no WAL is deleted on its account.
+// Replay is its only reader: it streams each file front to back once.
+var segMagic = []byte{'B', 'S', 'E', 'G', 2, 0, 0, 0}
 
-const (
-	segHeaderLen = 8
-	segFooterLen = 36
-	// maxSeriesPerSegment and maxSamplesPerSeries bound decode-time
-	// allocations against corrupt or fuzzed counts.
-	maxSeriesPerSegment = 1 << 20
-	maxSamplesPerSeries = 1 << 26
-)
+// maxSeriesFrameBytes bounds one series frame, written or read. A
+// long-lived series outgrows the WAL's maxRecordBytes, so segments
+// have their own bound.
+const maxSeriesFrameBytes = 1 << 30
 
 // segName renders a compacted segment's file name from the last WAL
 // sequence it covers (unique and monotone across compactions).
@@ -120,9 +107,9 @@ func (sd *seriesData) add(r walRecord) {
 //	property dict    uvarint n, then each encoded propSet
 //	property indexes RLE pairs (uvarint dictIdx, uvarint run)
 //	digests          uvarint n, then (uvarint pos, varint at, uvarint fresh)
-//	crc              u32 LE CRC32C of everything above
+//
+// The enclosing frame's CRC covers it.
 func encodeSeriesBlock(dst []byte, sd *seriesData) []byte {
-	start := len(dst)
 	n := len(sd.at)
 	dst = binary.AppendUvarint(dst, uint64(n))
 	// Timestamps, delta-of-delta: observation arrivals are near-
@@ -185,192 +172,37 @@ func encodeSeriesBlock(dst []byte, sd *seriesData) []byte {
 		dst = binary.AppendVarint(dst, d.at)
 		dst = binary.AppendUvarint(dst, uint64(d.fresh))
 	}
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
+	return dst
 }
 
-// seriesEntry is one index row of a segment.
-type seriesEntry struct {
-	job, env string
-	off      int64
-	blen     int64
-	count    int64
-}
-
-// Segment is one open compacted segment: the raw bytes plus the parsed
-// footer index.
-type Segment struct {
-	b                 []byte
-	index             []seriesEntry
-	walFirst, walLast uint64
-}
-
-// writeSegment renders and atomically publishes a compacted segment
-// covering WAL sequences walFirst..walLast: write-temp, fsync, rename,
-// fsync dir. A crash at any point leaves either no segment (the WAL
-// still feeds replay) or the complete segment (the covered WAL files
-// are deleted on next open).
-func writeSegment(dir string, order []seriesKey, series map[seriesKey]*seriesData, walFirst, walLast uint64) (string, error) {
-	buf := buildSegmentImage(order, series, walFirst, walLast)
-	path := filepath.Join(dir, segName(walLast))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return "", fmt.Errorf("store: writing segment temp file: %w", err)
-	}
-	f, err := os.Open(tmp)
-	if err != nil {
-		return "", fmt.Errorf("store: reopening segment temp file: %w", err)
-	}
-	syncErr := f.Sync()
-	f.Close()
-	if syncErr != nil {
-		return "", fmt.Errorf("store: syncing segment: %w", syncErr)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return "", fmt.Errorf("store: publishing segment: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// buildSegmentImage renders the complete segment byte image (header,
-// series blocks, index, footer) without touching the filesystem.
-func buildSegmentImage(order []seriesKey, series map[seriesKey]*seriesData, walFirst, walLast uint64) []byte {
-	// Index rows are sorted by key so Series can binary-search.
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].job != order[j].job {
-			return order[i].job < order[j].job
-		}
-		return order[i].env < order[j].env
-	})
+// encodeSegment renders a compacted segment image: the header, then
+// one frame per series in order.
+func encodeSegment(order []seriesKey, series map[seriesKey]*seriesData) ([]byte, error) {
 	buf := append([]byte(nil), segMagic...)
-	index := make([]seriesEntry, 0, len(order))
+	var rec []byte
 	for _, k := range order {
-		sd := series[k]
-		off := int64(len(buf))
-		buf = encodeSeriesBlock(buf, sd)
-		index = append(index, seriesEntry{
-			job: k.job, env: k.env,
-			off: off, blen: int64(len(buf)) - off, count: int64(len(sd.at)),
-		})
+		rec = appendString(rec[:0], k.job)
+		rec = appendString(rec, k.env)
+		rec = encodeSeriesBlock(rec, series[k])
+		if len(rec) > maxSeriesFrameBytes {
+			return nil, fmt.Errorf("store: series %s@%s encodes to %d bytes, over the %d-byte frame limit", k.job, k.env, len(rec), maxSeriesFrameBytes)
+		}
+		buf = appendFrame(buf, rec)
 	}
-	indexOff := int64(len(buf))
-	buf = binary.AppendUvarint(buf, uint64(len(index)))
-	for _, e := range index {
-		buf = appendString(buf, e.job)
-		buf = appendString(buf, e.env)
-		buf = binary.AppendUvarint(buf, uint64(e.off))
-		buf = binary.AppendUvarint(buf, uint64(e.blen))
-		buf = binary.AppendUvarint(buf, uint64(e.count))
-	}
-	indexLen := int64(len(buf)) - indexOff
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(indexOff))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(indexLen))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[indexOff:indexOff+indexLen], castagnoli))
-	buf = binary.LittleEndian.AppendUint64(buf, walFirst)
-	buf = binary.LittleEndian.AppendUint64(buf, walLast)
-	return append(buf, segFooterMagic...)
+	return buf, nil
 }
 
-// openSegment reads and validates one compacted segment file, named
-// for walLast. No CRC covers the footer's WAL range, and Open deletes
-// the WAL segments up to walLast on its word, so the range must agree
-// with the name before the segment is trusted.
-func openSegment(path string, walLast uint64) (*Segment, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: reading segment: %w", err)
+// splitSeriesFrame parses one segment frame's payload into its key and
+// its series block.
+func splitSeriesFrame(payload []byte) (k seriesKey, block []byte, err error) {
+	c := cursor{b: payload}
+	if k.job, err = c.str(); err != nil {
+		return k, nil, err
 	}
-	g, err := parseSegment(b)
-	if err == nil && (g.walLast != walLast || g.walFirst > g.walLast) {
-		err = fmt.Errorf("footer covers WAL %d..%d, name says ..%d", g.walFirst, g.walLast, walLast)
+	if k.env, err = c.str(); err != nil {
+		return k, nil, err
 	}
-	if err != nil {
-		return nil, fmt.Errorf("store: segment %s: %w", filepath.Base(path), err)
-	}
-	return g, nil
-}
-
-// parseSegment validates the header, footer, and index of a segment
-// image. Series blocks are validated lazily (their CRCs are checked on
-// first decode). It must reject any malformed input with an error —
-// never panic or read out of bounds — which FuzzSegmentFooter pins.
-func parseSegment(b []byte) (*Segment, error) {
-	if len(b) < segHeaderLen+segFooterLen {
-		return nil, fmt.Errorf("shorter than header+footer")
-	}
-	if string(b[:segHeaderLen]) != string(segMagic) {
-		return nil, fmt.Errorf("bad header magic")
-	}
-	foot := b[len(b)-segFooterLen:]
-	if string(foot[32:]) != string(segFooterMagic) {
-		return nil, fmt.Errorf("bad footer magic")
-	}
-	indexOff := int64(binary.LittleEndian.Uint64(foot[0:]))
-	indexLen := int64(binary.LittleEndian.Uint32(foot[8:]))
-	indexCRC := binary.LittleEndian.Uint32(foot[12:])
-	g := &Segment{
-		b:        b,
-		walFirst: binary.LittleEndian.Uint64(foot[16:]),
-		walLast:  binary.LittleEndian.Uint64(foot[24:]),
-	}
-	bodyEnd := int64(len(b) - segFooterLen)
-	if indexOff < segHeaderLen || indexLen < 0 || indexOff+indexLen != bodyEnd {
-		return nil, fmt.Errorf("index [%d,%d) out of bounds", indexOff, indexOff+indexLen)
-	}
-	idx := b[indexOff : indexOff+indexLen]
-	if crc32.Checksum(idx, castagnoli) != indexCRC {
-		return nil, fmt.Errorf("index CRC mismatch")
-	}
-	c := cursor{b: idx}
-	n, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxSeriesPerSegment {
-		return nil, fmt.Errorf("%d series exceed limit", n)
-	}
-	g.index = make([]seriesEntry, 0, n)
-	prevEnd := int64(segHeaderLen)
-	for i := uint64(0); i < n; i++ {
-		var e seriesEntry
-		if e.job, err = c.str(); err != nil {
-			return nil, err
-		}
-		if e.env, err = c.str(); err != nil {
-			return nil, err
-		}
-		off, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		blen, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		count, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		e.off, e.blen, e.count = int64(off), int64(blen), int64(count)
-		// Blocks tile the region between header and index exactly.
-		if e.off != prevEnd || e.blen < 5 || e.off+e.blen > indexOff {
-			return nil, fmt.Errorf("series %d block [%d,%d) out of bounds", i, e.off, e.off+e.blen)
-		}
-		if e.count > maxSamplesPerSeries {
-			return nil, fmt.Errorf("series %d count %d exceeds limit", i, e.count)
-		}
-		prevEnd = e.off + e.blen
-		g.index = append(g.index, e)
-	}
-	if c.remaining() != 0 {
-		return nil, fmt.Errorf("%d trailing index bytes", c.remaining())
-	}
-	if prevEnd != indexOff {
-		return nil, fmt.Errorf("blocks end at %d, index starts at %d", prevEnd, indexOff)
-	}
-	return g, nil
+	return k, payload[c.off:], nil
 }
 
 // ObsPoint is one decoded observation of a series.
@@ -381,25 +213,21 @@ type ObsPoint struct {
 
 // decodeSeriesBlock walks one series block, invoking obs per sample
 // (in ingestion order) and digest at each digest marker. Either
-// callback may be nil.
-func (g *Segment) decodeSeriesBlock(e seriesEntry, obs func(ObsPoint), digest func(at int64, fresh int)) error {
-	block := g.b[e.off : e.off+e.blen]
-	body, tail := block[:len(block)-4], block[len(block)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
-		return fmt.Errorf("store: series %s@%s block CRC mismatch", e.job, e.env)
-	}
-	c := cursor{b: body}
+// callback may be nil. The whole block is decoded before the first
+// callback, so a malformed block delivers nothing. Each count is
+// checked against the bytes left (a property list against maxProps)
+// before anything is allocated for it, so a decode allocates a
+// bounded multiple of the block's size, which FuzzSegment pins.
+func decodeSeriesBlock(block []byte, obs func(ObsPoint), digest func(at int64, fresh int)) error {
+	c := cursor{b: block}
 	nu, err := c.uvarint()
 	if err != nil {
 		return err
 	}
-	if nu != uint64(e.count) {
-		return fmt.Errorf("store: series %s@%s block count %d != index count %d", e.job, e.env, nu, e.count)
-	}
-	if nu > uint64(len(body)) {
+	if nu > uint64(c.remaining()) {
 		// Every sample needs at least one timestamp byte; a larger
 		// count is a corrupt allocation bomb.
-		return fmt.Errorf("store: series count %d exceeds block size %d", nu, len(body))
+		return fmt.Errorf("store: series count %d exceeds block size %d", nu, len(block))
 	}
 	n := int(nu)
 	at := make([]int64, n)
@@ -445,7 +273,8 @@ func (g *Segment) decodeSeriesBlock(e seriesEntry, obs func(ObsPoint), digest fu
 	if err != nil {
 		return err
 	}
-	if nd > uint64(c.remaining())+1 {
+	if nd > uint64(c.remaining())/2 {
+		// Each property set takes at least its two count bytes.
 		return fmt.Errorf("store: dict size %d exceeds block remainder", nd)
 	}
 	props := make([]core.Sample, nd) // decoded property sets (only the prop fields are used)
@@ -474,7 +303,8 @@ func (g *Segment) decodeSeriesBlock(e seriesEntry, obs func(ObsPoint), digest fu
 	if err != nil {
 		return err
 	}
-	if ndig > uint64(c.remaining())+1 {
+	if ndig > uint64(c.remaining())/3 {
+		// Each digest takes at least three bytes.
 		return fmt.Errorf("store: digest count %d exceeds block remainder", ndig)
 	}
 	digests := make([]digestMark, ndig)

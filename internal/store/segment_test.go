@@ -2,13 +2,17 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
+	"fmt"
 	"math"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/encoding"
+	"repro/internal/store/storetest"
 )
 
 // Per-column round trips of encodeSeriesBlock and decodeSeriesBlock on
@@ -35,11 +39,9 @@ func blockSeries(at []int64, scale []int, runtime []float64, props []string) *se
 func roundTrip(t *testing.T, sd *seriesData) ([]byte, []ObsPoint, []digestMark) {
 	t.Helper()
 	block := encodeSeriesBlock(nil, sd)
-	g := &Segment{b: block}
-	e := seriesEntry{job: "sort", env: "c3o", blen: int64(len(block)), count: int64(len(sd.at))}
 	var pts []ObsPoint
 	var digests []digestMark
-	err := g.decodeSeriesBlock(e,
+	err := decodeSeriesBlock(block,
 		func(p ObsPoint) { pts = append(pts, p) },
 		func(at int64, fresh int) { digests = append(digests, digestMark{pos: len(pts), at: at, fresh: fresh}) })
 	if err != nil {
@@ -184,7 +186,6 @@ func TestSeriesBlockBytes(t *testing.T) {
 		0xf0, 0x01, // at 120, zig-zag 240
 		0x02, // fresh 2
 	}
-	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(want, castagnoli))
 	block, pts, digests := roundTrip(t, sd)
 	if !bytes.Equal(block, want) {
 		t.Fatalf("block\n% x\nwant\n% x", block, want)
@@ -194,5 +195,112 @@ func TestSeriesBlockBytes(t *testing.T) {
 	}
 	if len(digests) != 1 || digests[0] != (digestMark{pos: 2, at: 120, fresh: 2}) {
 		t.Fatalf("digests = %+v", digests)
+	}
+}
+
+// TestLargeSeriesCompactsAndReplays compacts a series whose block is
+// larger than a WAL frame may be: the segment's frame bound is its
+// own. Replay after compaction must deliver the same per-key
+// observations and digests, in the same order, as the WAL did.
+func TestLargeSeriesCompactsAndReplays(t *testing.T) {
+	base := t.TempDir()
+	opts := Options{Fsync: FsyncNever, SegmentBytes: 256 << 10}
+	s, err := Open(base, opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	// A distinct 120-byte property value per sample defeats the
+	// dictionary, so the ~10k samples of sort in sealed WAL segments
+	// take over 1 MiB in one block.
+	const n = 12000
+	pad := strings.Repeat("x", 100)
+	at := time.Unix(1_700_000_000, 0)
+	for i := 0; i < n; i++ {
+		job := "sort"
+		if i%50 == 0 {
+			job = "grep"
+		}
+		smp := obs(i)
+		smp.Essential = []encoding.Property{{Name: "dataset-size", Value: fmt.Sprintf("%s%019d", pad, i)}}
+		if err := s.AppendObservation(job, "c3o", smp, at.Add(time.Duration(i)*time.Millisecond)); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		if i%1000 == 999 {
+			if err := s.AppendDigest(job, "c3o", i, at); err != nil {
+				t.Fatalf("digest %d: %v", i, err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	walImg := storetest.CloneDir(t, base)
+
+	s, err = Open(base, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if _, err := s.CompactNow(); err != nil {
+		t.Fatalf("CompactNow: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(base, "seg", "*.seg"))
+	if len(segs) != 1 {
+		t.Fatalf("%d compacted segments, want 1", len(segs))
+	}
+	largest := 0
+	res, err := scanFile(segs[0], segMagic, maxSeriesFrameBytes, func(p []byte) error {
+		largest = max(largest, len(p))
+		return nil
+	})
+	if err != nil || !res.clean() {
+		t.Fatalf("scanning the segment: %v, %v", err, res.tornErr)
+	}
+	if largest <= maxRecordBytes {
+		t.Fatalf("largest series frame is %d bytes, want over maxRecordBytes (%d)", largest, maxRecordBytes)
+	}
+
+	replayDir := func(dir string) (obs map[string][]ObsPoint, digests map[string][]int) {
+		st, err := Open(dir, opts)
+		if err != nil {
+			t.Fatalf("Open %s: %v", dir, err)
+		}
+		defer st.Close()
+		obs, digests = map[string][]ObsPoint{}, map[string][]int{}
+		err = st.Replay(ReplayHandler{
+			Observation: func(job, env string, smp core.Sample, at time.Time) {
+				obs[job+"@"+env] = append(obs[job+"@"+env], ObsPoint{At: at, Sample: smp})
+			},
+			Digest: func(job, env string, fresh int, at time.Time) {
+				// A digest's place in its key's stream is the number of
+				// observations before it.
+				digests[job+"@"+env] = append(digests[job+"@"+env], len(obs[job+"@"+env]), fresh)
+			},
+		})
+		if err != nil {
+			t.Fatalf("Replay %s: %v", dir, err)
+		}
+		return obs, digests
+	}
+	wantObs, wantDigests := replayDir(walImg)
+	gotObs, gotDigests := replayDir(base)
+	if len(wantObs["sort@c3o"])+len(wantObs["grep@c3o"]) != n {
+		t.Fatalf("the WAL replayed %d + %d observations, want %d", len(wantObs["sort@c3o"]), len(wantObs["grep@c3o"]), n)
+	}
+	for _, k := range []string{"sort@c3o", "grep@c3o"} {
+		want, got := wantObs[k], gotObs[k]
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d observations after compaction, want %d", k, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].At.Equal(want[i].At) || !sampleEq(got[i].Sample, want[i].Sample) {
+				t.Fatalf("%s: observation %d = %+v, want %+v", k, i, got[i], want[i])
+			}
+		}
+		if !slices.Equal(gotDigests[k], wantDigests[k]) {
+			t.Fatalf("%s: digests (position, fresh) = %v, want %v", k, gotDigests[k], wantDigests[k])
+		}
 	}
 }

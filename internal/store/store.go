@@ -6,7 +6,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +24,7 @@ const (
 const (
 	// fsyncEvery bounds sync frequency under FsyncInterval.
 	fsyncEvery = 100 * time.Millisecond
-	// maxRecordBytes bounds one framed record; replay treats larger
+	// maxRecordBytes bounds one WAL frame; replay treats larger
 	// claimed lengths as corruption.
 	maxRecordBytes = 1 << 20
 )
@@ -59,9 +59,10 @@ func (o Options) withDefaults() Options {
 }
 
 // ErrCorrupt marks replay stopping early because a sealed WAL segment
-// or a compacted segment failed validation. The store stays usable
-// (new appends go to the intact active segment); the replayed state is
-// the longest clean prefix.
+// failed validation. The store stays usable (new appends go to the
+// intact active segment); the replayed state is the longest clean
+// prefix. A damaged compacted segment does not stop replay: it is
+// counted and skipped (see segMagic).
 var ErrCorrupt = errors.New("store: corrupt segment")
 
 // ErrClosed rejects appends after Close has sealed the WAL. During a
@@ -74,7 +75,7 @@ var ErrClosed = errors.New("store: closed")
 // directory:
 //
 //	<dir>/wal/   append-only observation log segments
-//	<dir>/seg/   immutable compacted segments
+//	<dir>/seg/   immutable compacted segments, framed like the WAL
 //	<dir>/ckpt/  atomic model-version checkpoints
 //
 // Open repairs the WAL tail; Replay streams the persisted history (in
@@ -90,7 +91,10 @@ type Store struct {
 	w       *wal
 
 	mu   sync.Mutex // guards segs and compaction
-	segs []*Segment // open compacted segments, sorted by walLast
+	segs []uint64   // walLast of each trusted compacted segment, ascending
+	// nsegs mirrors len(segs) so StoreStats never waits on a running
+	// compaction.
+	nsegs atomic.Int64
 
 	repairedBytes    atomic.Int64
 	replayedObs      atomic.Int64
@@ -107,11 +111,12 @@ type Store struct {
 }
 
 // Open prepares the data directory: creates the layout, removes
-// leftover temp files, deletes WAL segments already covered by a
-// compacted segment (a crash between segment publish and WAL deletion
-// leaves both), repairs the newest WAL segment's torn tail, and opens
-// the active segment for appending. It does not read the history —
-// call Replay for that, before serving traffic.
+// leftover temp files, scans every compacted segment, deletes WAL
+// segments already covered by a clean one (a crash between segment
+// publish and WAL deletion leaves both), repairs the newest WAL
+// segment's torn tail, and opens the active segment for appending. It
+// does not deliver the history — call Replay for that, before serving
+// traffic.
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:     dir,
@@ -130,8 +135,9 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	// Open compacted segments; their coverage determines which WAL
-	// segments are stale leftovers.
+	// Scan compacted segments; the clean ones' coverage determines
+	// which WAL segments are stale leftovers. ReadDir sorts by name, and
+	// segName's fixed-width hex sorts by walLast.
 	segEntries, err := os.ReadDir(s.segDir)
 	if err != nil {
 		return nil, fmt.Errorf("store: listing segment dir: %w", err)
@@ -142,23 +148,25 @@ func Open(dir string, opts Options) (*Store, error) {
 		if !ok {
 			continue
 		}
-		g, err := openSegment(filepath.Join(s.segDir, e.Name()), walLast)
+		res, err := scanFile(filepath.Join(s.segDir, e.Name()), segMagic, maxSeriesFrameBytes, nil)
+		if err == nil {
+			err = res.tornErr
+		}
 		if err != nil {
-			// A published segment that fails validation is bit rot;
-			// counted and skipped so the store stays available. Its
-			// records are unrecoverable (the WAL that fed it is gone),
-			// and no WAL segment is deleted on its account.
+			// A published segment that does not scan clean is bit rot
+			// (or a v1 file); counted and skipped so the store stays
+			// available. Its records are unrecoverable (the WAL that
+			// fed it is gone), and no WAL segment is deleted on its
+			// account.
 			s.corruptSegments.Add(1)
 			s.opts.Logger.Error("store: skipping corrupt compacted segment",
 				"segment", e.Name(), "error", err)
 			continue
 		}
-		s.segs = append(s.segs, g)
-		if g.walLast > maxCovered {
-			maxCovered = g.walLast
-		}
+		s.segs = append(s.segs, walLast)
+		maxCovered = walLast
 	}
-	sort.Slice(s.segs, func(i, j int) bool { return s.segs[i].walLast < s.segs[j].walLast })
+	s.nsegs.Store(int64(len(s.segs)))
 
 	seqs, err := listWALSegments(s.walDir)
 	if err != nil {
@@ -193,7 +201,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		// are surfaced at Replay, not silently truncated.
 		last := seqs[n-1]
 		path := filepath.Join(s.walDir, walName(last))
-		res, err := scanWALFile(path, nil)
+		res, err := scanFile(path, walMagic, maxRecordBytes, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -249,34 +257,43 @@ type ReplayHandler struct {
 
 // Replay streams every persisted record — compacted segments first,
 // then the remaining WAL segments in sequence order — into h. Call it
-// once, after Open and before appending traffic. If a sealed segment
-// fails validation, replay stops at the last clean prefix and the
-// returned error wraps ErrCorrupt; the store remains usable.
+// once, after Open and before appending traffic. A compacted segment
+// that fails now (Open scanned it clean, so only damage since then or
+// a block its CRC could not catch) is counted corrupt and the rest of
+// it skipped. If a sealed WAL segment fails validation, replay stops
+// at the last clean prefix and the returned error wraps ErrCorrupt;
+// the store remains usable.
 func (s *Store) Replay(h ReplayHandler) error {
 	s.mu.Lock()
-	segs := append([]*Segment(nil), s.segs...)
+	segs := slices.Clone(s.segs)
 	s.mu.Unlock()
-	for _, g := range segs {
-		for _, e := range g.index {
-			err := g.decodeSeriesBlock(e,
+	for _, walLast := range segs {
+		res, err := scanFile(filepath.Join(s.segDir, segName(walLast)), segMagic, maxSeriesFrameBytes, func(payload []byte) error {
+			k, block, err := splitSeriesFrame(payload)
+			if err != nil {
+				return err
+			}
+			return decodeSeriesBlock(block,
 				func(p ObsPoint) {
 					s.replayedObs.Add(1)
 					if h.Observation != nil {
-						h.Observation(e.job, e.env, p.Sample, p.At)
+						h.Observation(k.job, k.env, p.Sample, p.At)
 					}
 				},
 				func(at int64, fresh int) {
 					s.replayedDigests.Add(1)
 					if h.Digest != nil {
-						h.Digest(e.job, e.env, fresh, time.Unix(0, at))
+						h.Digest(k.job, k.env, fresh, time.Unix(0, at))
 					}
 				})
-			if err != nil {
-				s.corruptSegments.Add(1)
-				s.opts.Logger.Error("store: replay stopped at corrupt compacted segment",
-					"job", e.job, "env", e.env, "error", err)
-				return fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
+		})
+		if err == nil {
+			err = res.tornErr
+		}
+		if err != nil {
+			s.corruptSegments.Add(1)
+			s.opts.Logger.Error("store: replay skipped the rest of a corrupt compacted segment",
+				"segment", segName(walLast), "error", err)
 		}
 	}
 	seqs, err := listWALSegments(s.walDir)
@@ -284,7 +301,7 @@ func (s *Store) Replay(h ReplayHandler) error {
 		return err
 	}
 	for _, seq := range seqs {
-		res, err := scanWALFile(filepath.Join(s.walDir, walName(seq)), func(payload []byte) error {
+		res, err := scanFile(filepath.Join(s.walDir, walName(seq)), walMagic, maxRecordBytes, func(payload []byte) error {
 			r, err := decodeRecord(payload)
 			if err != nil {
 				return err
@@ -341,7 +358,8 @@ func (s *Store) AppendDigest(job, env string, fresh int, at time.Time) error {
 }
 
 // CompactNow seals nothing but compacts every already-sealed WAL
-// segment into one immutable indexed segment, then deletes the inputs.
+// segment into one immutable compacted segment, then deletes the
+// inputs.
 // It reports how many records were compacted (0 when no sealed
 // segments exist). Safe to call concurrently with appends; not with
 // Replay.
@@ -366,7 +384,7 @@ func (s *Store) CompactNow() (int, error) {
 	var order []seriesKey
 	records := 0
 	for _, seq := range sealed {
-		res, err := scanWALFile(filepath.Join(s.walDir, walName(seq)), func(payload []byte) error {
+		res, err := scanFile(filepath.Join(s.walDir, walName(seq)), walMagic, maxRecordBytes, func(payload []byte) error {
 			r, err := decodeRecord(payload)
 			if err != nil {
 				return err
@@ -397,12 +415,12 @@ func (s *Store) CompactNow() (int, error) {
 			return 0, fmt.Errorf("store: compaction aborted: %w", err)
 		}
 	}
-	path, err := writeSegment(s.segDir, order, series, sealed[0], sealed[len(sealed)-1])
+	img, err := encodeSegment(order, series)
 	if err != nil {
 		return 0, err
 	}
-	g, err := openSegment(path, sealed[len(sealed)-1])
-	if err != nil {
+	walLast := sealed[len(sealed)-1]
+	if err := publishFile(filepath.Join(s.segDir, segName(walLast)), img); err != nil {
 		return 0, err
 	}
 	// The segment is durable: the WAL inputs are redundant now.
@@ -414,11 +432,12 @@ func (s *Store) CompactNow() (int, error) {
 	if err := syncDir(s.walDir); err != nil {
 		return 0, err
 	}
-	s.segs = append(s.segs, g)
+	s.segs = append(s.segs, walLast)
+	s.nsegs.Store(int64(len(s.segs)))
 	s.compactions.Add(1)
 	s.compactedRecords.Add(int64(records))
 	s.opts.Logger.Info("store: compacted WAL segments",
-		"records", records, "segments", len(sealed), "output", filepath.Base(path))
+		"records", records, "segments", len(sealed), "output", segName(walLast), "bytes", len(img))
 	return records, nil
 }
 
@@ -454,9 +473,6 @@ func (s *Store) Close() error {
 // StoreStats snapshots the counters as the "store" block of /v1/stats
 // (named to satisfy the serve layer's StoreStatser without a wrapper).
 func (s *Store) StoreStats() api.StoreStats {
-	s.mu.Lock()
-	segCount := len(s.segs)
-	s.mu.Unlock()
 	seqs, _ := listWALSegments(s.walDir)
 	return api.StoreStats{
 		WALAppends:           s.w.appends.Load(),
@@ -470,7 +486,7 @@ func (s *Store) StoreStats() api.StoreStats {
 		CorruptSegments:      s.corruptSegments.Load(),
 		Compactions:          s.compactions.Load(),
 		CompactedRecords:     s.compactedRecords.Load(),
-		CompactSegments:      segCount,
+		CompactSegments:      int(s.nsegs.Load()),
 		Checkpoints:          s.checkpoints.Load(),
 		CheckpointErrors:     s.checkpointErrors.Load(),
 		CheckpointLoads:      s.checkpointLoads.Load(),

@@ -259,6 +259,28 @@ func TestWALSegmentRollAndCompact(t *testing.T) {
 	}
 }
 
+// TestStoreStatsDoesNotWaitOnCompaction: CompactNow holds s.mu across
+// its scan, write and fsyncs, so a stats scrape must not take it.
+func TestStoreStatsDoesNotWaitOnCompaction(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	s.mu.Lock() // as a running compaction does
+	defer s.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		s.StoreStats()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("StoreStats blocked on the compaction lock")
+	}
+}
+
 func TestCompactionIdempotentAfterCrash(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{Fsync: FsyncNever, SegmentBytes: 256})

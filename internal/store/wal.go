@@ -58,20 +58,33 @@ func (p FsyncPolicy) String() string {
 	return fmt.Sprintf("FsyncPolicy(%d)", int(p))
 }
 
-// castagnoli is the CRC32C table shared by WAL frames, segment blocks,
-// and checkpoints.
+// castagnoli is the CRC32C table shared by frames and checkpoints.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // walMagic is the 8-byte header of every WAL segment file: magic plus
 // format version.
 var walMagic = []byte{'B', 'W', 'A', 'L', 1, 0, 0, 0}
 
+// Frame layout, shared by WAL segments and compacted segments: after
+// the file's 8-byte magic, a run of frames
+//
+//	length   u32 LE   payload bytes
+//	crc      u32 LE   CRC32C of the payload
+//	payload
+//
+// appendFrame is the one encoder and scanFrames the one reader; the
+// file kinds differ only in magic, payload, and frame bound.
 const (
-	walHeaderLen = 8
-	// frameHeaderLen prefixes every record: payload length (u32 LE)
-	// then CRC32C of the payload (u32 LE).
+	walHeaderLen   = 8
 	frameHeaderLen = 8
 )
+
+// appendFrame appends payload to dst as one frame.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
+}
 
 // walName renders a segment sequence number as its file name.
 func walName(seq uint64) string { return fmt.Sprintf("%016x.wal", seq) }
@@ -173,10 +186,7 @@ func (w *wal) append(payload []byte) error {
 			return err
 		}
 	}
-	w.frame = w.frame[:0]
-	w.frame = binary.LittleEndian.AppendUint32(w.frame, uint32(len(payload)))
-	w.frame = binary.LittleEndian.AppendUint32(w.frame, crc32.Checksum(payload, castagnoli))
-	w.frame = append(w.frame, payload...)
+	w.frame = appendFrame(w.frame[:0], payload)
 	if _, err := w.f.Write(w.frame); err != nil {
 		return fmt.Errorf("store: appending WAL record: %w", err)
 	}
@@ -264,63 +274,67 @@ func listWALSegments(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// scanResult reports how a segment scan ended.
+// scanResult reports how a frame scan ended.
 type scanResult struct {
 	// validSize is the byte offset after the last intact frame (the
 	// truncation point that repairs a torn tail).
 	validSize int64
-	// fileSize is the segment's size on disk.
+	// fileSize is the file's size.
 	fileSize int64
-	// records is the number of intact frames.
-	records int64
 	// tornErr describes why the scan stopped early (nil when the whole
 	// file parsed cleanly). A stop is either a torn tail (crash during
 	// append) or corruption (bit rot, lost writes); the two are
 	// indistinguishable from the bytes alone, so the caller decides by
-	// position: tails of the newest segment are repaired, anything
+	// position: tails of the newest WAL segment are repaired, anything
 	// else is surfaced.
 	tornErr error
 }
 
 func (r scanResult) clean() bool { return r.tornErr == nil }
 
-// scanWALFile walks every frame of one segment, calling fn with each
-// intact payload, and reports where (and how) the walk ended. fn may
-// be nil to only validate. An fn error aborts the scan and is returned
-// verbatim.
-func scanWALFile(path string, fn func(payload []byte) error) (scanResult, error) {
+// scanFile reads one framed file and scans it with scanFrames.
+func scanFile(path string, magic []byte, limit int64, fn func(payload []byte) error) (scanResult, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return scanResult{}, fmt.Errorf("store: reading WAL segment: %w", err)
+		return scanResult{}, fmt.Errorf("store: reading %s: %w", filepath.Base(path), err)
 	}
+	return scanFrames(b, filepath.Base(path), magic, limit, fn)
+}
+
+// scanFrames checks that b starts with magic, then walks its frames,
+// calling fn with each intact payload, and reports where (and how) the
+// walk ended. A frame claiming more than limit bytes ends the walk like
+// a torn one. fn may be nil to only validate; an fn error aborts the
+// scan and is returned verbatim. Payloads alias b.
+func scanFrames(b []byte, name string, magic []byte, limit int64, fn func(payload []byte) error) (scanResult, error) {
 	res := scanResult{fileSize: int64(len(b))}
-	if len(b) < walHeaderLen {
-		res.tornErr = fmt.Errorf("store: WAL segment %s shorter than its header", filepath.Base(path))
+	if len(b) < len(magic) {
+		res.tornErr = fmt.Errorf("store: %s shorter than its header", name)
 		return res, nil
 	}
-	if string(b[:walHeaderLen]) != string(walMagic) {
-		res.tornErr = fmt.Errorf("store: WAL segment %s has a bad header", filepath.Base(path))
+	if string(b[:len(magic)]) != string(magic) {
+		res.tornErr = fmt.Errorf("store: %s has a bad header", name)
 		return res, nil
 	}
-	off := int64(walHeaderLen)
+	off := int64(len(magic))
 	for off < int64(len(b)) {
 		if int64(len(b))-off < frameHeaderLen {
-			res.tornErr = fmt.Errorf("store: torn frame header at offset %d of %s", off, filepath.Base(path))
+			res.tornErr = fmt.Errorf("store: torn frame header at offset %d of %s", off, name)
 			break
 		}
 		length := int64(binary.LittleEndian.Uint32(b[off:]))
 		sum := binary.LittleEndian.Uint32(b[off+4:])
-		if length > maxRecordBytes {
-			res.tornErr = fmt.Errorf("store: frame length %d at offset %d of %s exceeds limit %d", length, off, filepath.Base(path), maxRecordBytes)
+		if length > limit {
+			res.tornErr = fmt.Errorf("store: frame length %d at offset %d of %s exceeds limit %d", length, off, name, limit)
 			break
 		}
 		if off+frameHeaderLen+length > int64(len(b)) {
-			res.tornErr = fmt.Errorf("store: torn record at offset %d of %s", off, filepath.Base(path))
+			res.tornErr = fmt.Errorf("store: torn record at offset %d of %s", off, name)
 			break
 		}
 		payload := b[off+frameHeaderLen : off+frameHeaderLen+length]
 		if crc32.Checksum(payload, castagnoli) != sum {
-			res.tornErr = fmt.Errorf("store: CRC mismatch at offset %d of %s", off, filepath.Base(path))
+			res.tornErr = fmt.Errorf("store: CRC mismatch at offset %d of %s", off, name)
 			break
 		}
 		if fn != nil {
@@ -329,10 +343,36 @@ func scanWALFile(path string, fn func(payload []byte) error) (scanResult, error)
 			}
 		}
 		off += frameHeaderLen + length
-		res.records++
 	}
 	res.validSize = off
 	return res, nil
+}
+
+// publishFile atomically replaces path with buf: write a temp file,
+// fsync it, rename it over path, fsync the directory. A crash at any
+// point leaves either the previous file (plus a .tmp that Open
+// deletes) or the complete new one, never a torn path. Segments and
+// checkpoints are published this way whatever the fsync policy.
+func publishFile(path string, buf []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: creating %s: %w", filepath.Base(tmp), err)
+	}
+	_, err = f.Write(buf)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("store: writing %s: %w", filepath.Base(tmp), err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("store: publishing %s: %w", filepath.Base(path), err)
+	}
+	return syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so renames and newly created files in it
