@@ -47,7 +47,7 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	modelsDir := fs.String("models", "", "directory of <job>_<env>.model files (required)")
 	addr := fs.String("addr", ":8080", "listen address")
-	shards := fs.Int("shards", 1, "in-process shard count; >1 partitions (job, env) keys over a consistent-hash ring, fans batches out per shard, and replicates hot-swapped models between shards")
+	shards := fs.Int("shards", 1, "in-process shard count; >1 partitions (job, env) keys over a consistent-hash ring and fans batches out per shard; a key's models, fine-tuned versions included, live on its owning shard only")
 	modelCap := fs.Int("model-cache", serve.DefaultModelCap, "max resident models (per shard)")
 	resultCap := fs.Int("result-cache", serve.DefaultResultCap, "max memoized prediction results (per shard)")
 	workers := fs.Int("workers", 0, "per-batch fan-out workers (0 = GOMAXPROCS)")
@@ -84,11 +84,12 @@ func runServe(args []string) error {
 	logger := obs.NewLogger(os.Stdout, *logLevel, *logFormat)
 
 	// buildNode assembles one shard's stack without starting its
-	// background work; starting happens after the install hooks are
-	// registered, so no install can slip past the broadcast. A lone shard
-	// logs through the root logger and stores under -data-dir itself; one
-	// of several carries its index in both, so interleaved output stays
-	// attributable and WALs never interleave.
+	// background work; every shard starts once all are built and the
+	// front is wired, so a shard that fails to build leaves no fine-tune
+	// loop or compactor running. A lone shard logs through the root
+	// logger and stores under -data-dir itself; one of several carries
+	// its index in both, so interleaved output stays attributable and
+	// WALs never interleave.
 	buildNode := func(log *slog.Logger, dir string) (*shardRuntime, error) {
 		n := &shardRuntime{log: log, dir: dir}
 		n.svc = serve.NewService(serve.DirLoader(*modelsDir), serve.Options{
@@ -240,17 +241,6 @@ func runServe(args []string) error {
 			return err
 		}
 		cluster.AttachObs(o)
-		cluster.EnableReplication()
-		if *observe {
-			// A fine-tune installed on any shard is broadcast to every
-			// peer, so each shard answers from the latest generation no
-			// matter which shard's observations triggered the refresh.
-			for i, n := range nodes {
-				n.ctl.OnInstall(func(key serve.ModelKey, version uint64, blob []byte) {
-					cluster.Broadcast(i, key, version, blob)
-				})
-			}
-		}
 		front = cluster
 	}
 	registry.RegisterGaugeFunc("bellamy_request_scratch_bytes",
@@ -351,7 +341,6 @@ func runServe(args []string) error {
 	}
 	for _, n := range nodes {
 		if n.ctl != nil {
-			// Each install is broadcast to the peers before Drain returns.
 			if nd := n.ctl.Drain(); nd > 0 {
 				n.log.Info("drain: digested pending observations", "model_versions", nd)
 			}

@@ -362,9 +362,6 @@ func TestServeShardedSmoke(t *testing.T) {
 	if st.SchemaVersion != api.StatsSchemaVersion || len(st.Shards) != 2 {
 		t.Fatalf("cluster stats schema %d with %d shards, want %d/2", st.SchemaVersion, len(st.Shards), api.StatsSchemaVersion)
 	}
-	if st.Replication == nil {
-		t.Fatal("sharded serve reports no replication stats")
-	}
 
 	// The topology endpoint names both shards.
 	resp, err = client.Get(base + "/v1/shards")

@@ -1,10 +1,10 @@
 // Package api holds the canonical wire types of the versioned /v1 HTTP
 // surface: request/response DTOs for predict, batch, observe, allocate,
-// and stats, the shard topology and replication status messages, and
-// the unified error envelope every error path emits. It is the single
-// source of truth for the wire contract — the serve handlers, the shard
-// router, the bellamy CLI, and the load generator all marshal exactly
-// these structs, so a field added here is a field added everywhere.
+// and stats, the shard topology message, and the unified error
+// envelope every error path emits. It is the single source of truth
+// for the wire contract — the serve handlers, the shard router, the
+// bellamy CLI, and the load generator all marshal exactly these
+// structs, so a field added here is a field added everywhere.
 //
 // The package deliberately depends only on the standard library: it is
 // a contract, not an implementation, and must stay importable from
@@ -29,10 +29,12 @@ import (
 // the "replication" block (shards of one process exchange models
 // without a wire protocol); the per-shard stats of a sharded deployment
 // gained their "load_ctl" block, a shard's gate now being its
-// service's. /v1/stats is not read from the metrics registry behind
-// GET /metrics (it answers without one): each block is filled from the
-// counters that the registry's func-backed series also read.
-const StatsSchemaVersion = 4
+// service's. Version 5 dropped the "replication" block: a model version
+// lives only on the shard that owns its key, so shards no longer copy
+// models to each other. /v1/stats is not read from the metrics registry
+// behind GET /metrics (it answers without one): each block is filled
+// from the counters that the registry's func-backed series also read.
+const StatsSchemaVersion = 5
 
 // Request headers understood by the /v1 surface.
 const (
@@ -309,12 +311,11 @@ type StoreStats struct {
 }
 
 // ClusterStats is the wire form of GET /v1/stats on a sharded router:
-// per-shard serve stats plus router and replication counters.
+// per-shard serve stats plus router counters.
 type ClusterStats struct {
-	SchemaVersion int               `json:"schema_version"`
-	Shards        []ShardStats      `json:"shards"`
-	Router        RouterStats       `json:"router"`
-	Replication   *ReplicationStats `json:"replication,omitempty"`
+	SchemaVersion int          `json:"schema_version"`
+	Shards        []ShardStats `json:"shards"`
+	Router        RouterStats  `json:"router"`
 }
 
 // ShardStats pairs one shard's identity with its serve stats.
@@ -332,17 +333,8 @@ type RouterStats struct {
 	DeadlineRejects int64 `json:"deadline_rejects"`
 }
 
-// ReplicationStats counts what became of the model versions broadcast
-// between shards: published on a peer, refused by one as not newer than
-// what it holds, or undecodable.
-type ReplicationStats struct {
-	Applied    int64 `json:"applied"`
-	Stale      int64 `json:"stale"`
-	PeerErrors int64 `json:"peer_errors"`
-}
-
 // TopologyResponse is the wire form of GET /v1/shards: the cluster's
-// shard layout plus each shard's replicated model versions.
+// shard layout plus the model versions resident on each shard.
 type TopologyResponse struct {
 	SchemaVersion int         `json:"schema_version"`
 	Shards        []ShardInfo `json:"shards"`
@@ -355,9 +347,9 @@ type ShardInfo struct {
 	Models []ModelVersion `json:"models,omitempty"`
 }
 
-// ModelVersion names one resident model version on a shard; versions
-// are the registry generation counters that make swap propagation
-// convergent.
+// ModelVersion names one resident model version on a shard: the
+// registry's version counter, 1 for a base model file (or the version
+// a checkpoint restored) and one higher for each hot swap since.
 type ModelVersion struct {
 	Job     string `json:"job"`
 	Env     string `json:"env"`
@@ -475,16 +467,4 @@ func WriteError(w http.ResponseWriter, status int, e *Error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: e})
-}
-
-// DecodeError extracts the envelope from a non-2xx response body. A
-// body that is not a well-formed envelope yields an *Error with
-// CodeInternal and the raw body as message, so callers always get a
-// typed error back.
-func DecodeError(status int, body []byte) *Error {
-	var env ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err == nil && env.Error != nil && env.Error.Code != "" {
-		return env.Error
-	}
-	return &Error{Code: CodeInternal, Message: fmt.Sprintf("http %d: %s", status, body)}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -65,7 +64,6 @@ func TestDTORoundTrips(t *testing.T) {
 		SchemaVersion: StatsSchemaVersion,
 		Shards:        []ShardStats{{ID: 0, Stats: Stats{SchemaVersion: StatsSchemaVersion, Requests: 1}}, {ID: 1, Stats: Stats{SchemaVersion: StatsSchemaVersion}}},
 		Router:        RouterStats{Requests: 3, BatchFanouts: 1, PartialFailures: 1},
-		Replication:   &ReplicationStats{Applied: 1, Stale: 1, PeerErrors: 1},
 	})
 	roundTrip(t, TopologyResponse{
 		SchemaVersion: StatsSchemaVersion,
@@ -130,19 +128,6 @@ func TestEnvelopeShape(t *testing.T) {
 	}
 	if e["retry_after_ms"] != float64(1500) {
 		t.Fatalf("retry_after_ms = %v, want 1500", e["retry_after_ms"])
-	}
-}
-
-func TestDecodeError(t *testing.T) {
-	body := []byte(`{"error":{"code":"overloaded","message":"shed","retry_after_ms":1000}}`)
-	e := DecodeError(503, body)
-	if e.Code != CodeOverloaded || e.RetryAfterMs != 1000 {
-		t.Fatalf("DecodeError = %+v", e)
-	}
-	// A non-envelope body still yields a typed error.
-	e = DecodeError(500, []byte("boom"))
-	if e.Code != CodeInternal || !strings.Contains(e.Message, "boom") {
-		t.Fatalf("DecodeError fallback = %+v", e)
 	}
 }
 

@@ -136,10 +136,9 @@ type Controller struct {
 	reg *serve.Registry
 	cfg Config
 
-	mu        sync.Mutex
-	buffers   map[serve.ModelKey]*buffer
-	onSwap    []func(key serve.ModelKey, version uint64)
-	onInstall []func(key serve.ModelKey, version uint64, blob []byte)
+	mu      sync.Mutex
+	buffers map[serve.ModelKey]*buffer
+	onSwap  []func(key serve.ModelKey, version uint64)
 
 	observations, rejected    atomic.Int64
 	finetunes, finetuneErrors atomic.Int64
@@ -171,18 +170,6 @@ func (c *Controller) OnSwap(fn func(key serve.ModelKey, version uint64)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.onSwap = append(c.onSwap, fn)
-}
-
-// OnInstall registers a callback invoked after every installed model
-// version with the serialized model bytes — the same blob the
-// checkpointer persists, handed over so a replicator can ship it to
-// peer shards without re-serializing the model. Register callbacks
-// before Start. When any install hook is registered, the blob is built
-// even if checkpointing is disabled.
-func (c *Controller) OnInstall(fn func(key serve.ModelKey, version uint64, blob []byte)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onInstall = append(c.onInstall, fn)
 }
 
 // Observe ingests one runtime observation for key. Validation here is
@@ -428,14 +415,9 @@ func (c *Controller) tune(j tuneJob) (installed bool) {
 	}
 	// Serialize the clone before Swap publishes it: until then the
 	// goroutine owns the model exclusively, so the checkpoint bytes need
-	// no lock and can never capture a half-updated state. Install hooks
-	// (shard replication) consume the same bytes, so the blob is built
-	// whenever either consumer exists.
-	c.mu.Lock()
-	installHooks := c.onInstall
-	c.mu.Unlock()
+	// no lock and can never capture a half-updated state.
 	var blob []byte
-	if c.cfg.Checkpoint != nil || len(installHooks) > 0 {
+	if c.cfg.Checkpoint != nil {
 		var buf bytes.Buffer
 		if err := clone.Save(&buf); err != nil {
 			c.logErrors.Add(1)
@@ -459,7 +441,7 @@ func (c *Controller) tune(j tuneJob) (installed bool) {
 	// mark them digested. A crash between swap and checkpoint (or
 	// between checkpoint and digest) leaves the samples fresh in the
 	// replayed ring — a harmless re-fine-tune, never lost data.
-	if blob != nil && c.cfg.Checkpoint != nil {
+	if blob != nil {
 		if err := c.cfg.Checkpoint.CheckpointModel(j.key.Job, j.key.Env, version, blob); err != nil {
 			c.logErrors.Add(1)
 		} else if c.cfg.Log != nil {
@@ -473,11 +455,6 @@ func (c *Controller) tune(j tuneJob) (installed bool) {
 	c.mu.Unlock()
 	for _, fn := range hooks {
 		fn(j.key, version)
-	}
-	if blob != nil {
-		for _, fn := range installHooks {
-			fn(j.key, version, blob)
-		}
 	}
 	return true
 }

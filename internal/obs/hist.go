@@ -107,14 +107,3 @@ func (h *Hist) Max() time.Duration {
 	}
 	return 0
 }
-
-// Merge adds o's observations into h.
-func (h *Hist) Merge(o *Hist) {
-	for i := range o.counts {
-		if n := o.counts[i].Load(); n > 0 {
-			h.counts[i].Add(n)
-			h.total.Add(n)
-		}
-	}
-	h.sum.Add(o.sum.Load())
-}

@@ -68,20 +68,6 @@ func TestHistSumAndMean(t *testing.T) {
 	}
 }
 
-func TestHistMergeCarriesSum(t *testing.T) {
-	a, b := NewHist(), NewHist()
-	a.Observe(time.Millisecond)
-	b.Observe(3 * time.Millisecond)
-	b.Observe(5 * time.Millisecond)
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", a.Count())
-	}
-	if got := a.Sum(); got != int64(9*time.Millisecond) {
-		t.Fatalf("Sum after merge = %d, want 9ms in ns", got)
-	}
-}
-
 func TestHistQuantileBounds(t *testing.T) {
 	h := NewHist()
 	for i := 1; i <= 1000; i++ {

@@ -396,7 +396,7 @@ func TestWarmPredictZeroAllocWithLoadControl(t *testing.T) {
 		if ok, _ := lim.Allow("10.0.0.1", time.Now()); !ok {
 			t.Fatal("limiter denied")
 		}
-		if !svc.PeekCached(key, q) {
+		if _, ok := svc.lookup(key, q); !ok {
 			t.Fatal("expected a cached result")
 		}
 		r := svc.Predict(ctx, key, q)

@@ -561,7 +561,7 @@ func TestResultCacheKeyIsWhatTheModelReads(t *testing.T) {
 		variant{"env", ModelKey{Job: key.Job, Env: "bell"}, base},
 	)
 	for _, v := range variants {
-		if svc.PeekCached(v.key, v.q) {
+		if _, ok := svc.lookup(v.key, v.q); ok {
 			t.Errorf("%s: a query that differs from the cached one is a hit", v.name)
 		}
 	}

@@ -284,13 +284,6 @@ func (s *Service) lookup(key ModelKey, q core.Query) (float64, bool) {
 	return s.results.get(appendFingerprint(buf[:0], key, q))
 }
 
-// PeekCached reports whether (key, q) can be answered from the result
-// cache right now.
-func (s *Service) PeekCached(key ModelKey, q core.Query) bool {
-	_, ok := s.lookup(key, q)
-	return ok
-}
-
 // PredictCached answers (key, q) if the result cache holds it, counted
 // as a prediction and as a gate bypass; a miss counts nothing and leaves
 // the work to Predict. It needs no context: the value is in hand. This is

@@ -47,10 +47,10 @@ type Options struct {
 
 // Cluster routes the /v1 surface across N shards: single predictions,
 // allocations and observations go to the owner of their (job, env) key,
-// batches fan out per owning shard and merge in input order, and
-// hot-swapped model versions are published on every peer. It is a
-// serve.Backend: what it adds to its shards' services is the ring and
-// the router counters.
+// and batches fan out per owning shard and merge in input order. A
+// key's models — the base one and every fine-tuned version — live on
+// its owner alone. It is a serve.Backend: what it adds to its shards'
+// services is the ring and the router counters.
 type Cluster struct {
 	ring  *Ring
 	nodes []*Node
@@ -63,8 +63,8 @@ type Cluster struct {
 	partialFailures obs.Counter
 	deadlineRejects obs.Counter
 
-	obsRef atomic.Pointer[serve.Observability]
-	repl   atomic.Pointer[replication]
+	obsRef    atomic.Pointer[serve.Observability]
+	replicate atomic.Bool
 
 	fanouts *freelist.List[*fanout]
 }
@@ -329,7 +329,6 @@ func (c *Cluster) Stats() api.ClusterStats {
 			RateLimited:     c.rateLimited(),
 			DeadlineRejects: c.deadlineRejects.Load(),
 		},
-		Replication: c.ReplicationStats(),
 	}
 	for _, n := range c.nodes {
 		out.Shards = append(out.Shards, api.ShardStats{

@@ -282,8 +282,7 @@ func TestClusterReplicationEndToEnd(t *testing.T) {
 	key := serve.ModelKey{Job: "sort", Env: "c3o"}
 	blob := pretrainedBytes(t)
 
-	// Publish v2, then v3, on shard 0 and broadcast, as the lifecycle
-	// OnInstall hook would after a hot swap.
+	// Publish v2, then v3, on shard 0 and broadcast each.
 	for _, v := range []uint64{2, 3} {
 		if !c.Node(0).Service.Registry().Publish(key, v, testModel(t)) {
 			t.Fatalf("publish v%d on shard 0 refused", v)
@@ -302,9 +301,6 @@ func TestClusterReplicationEndToEnd(t *testing.T) {
 		if got := c.Node(s).Service.Registry().ResidentVersions()[key]; got != 3 {
 			t.Fatalf("shard %d regressed to v%d after stale rebroadcast", s, got)
 		}
-	}
-	if st := c.ReplicationStats(); st == nil || st.Applied < 3 || st.Stale < 1 {
-		t.Fatalf("replication stats = %+v, want >=3 applied and >=1 stale", st)
 	}
 }
 

@@ -1,14 +1,13 @@
 package shard
 
 import (
-	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
 // AttachObs wires the shared observability layer into the router and,
-// when a metrics registry is present, registers the router-level and
-// replication counters. The per-shard service metrics are registered
+// when a metrics registry is present, registers the router-level
+// counters. The per-shard service metrics are registered
 // separately by each shard's own Service.AttachObs with a distinct
 // {shard="i"} label set, so a single registry scrape covers the whole
 // cluster. Attach once, before serving traffic.
@@ -42,22 +41,4 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 			}
 			return 0
 		})
-
-	for _, m := range []struct {
-		name, help string
-		read       func(api.ReplicationStats) int64
-	}{
-		{"bellamy_repl_applied_total", "Replicated model versions installed.", func(r api.ReplicationStats) int64 { return r.Applied }},
-		{"bellamy_repl_stale_total", "Replicated versions rejected as stale.", func(r api.ReplicationStats) int64 { return r.Stale }},
-		{"bellamy_repl_peer_errors_total", "Broadcast model blobs that failed to decode.", func(r api.ReplicationStats) int64 { return r.PeerErrors }},
-	} {
-		read := m.read
-		reg.RegisterCounterFunc(m.name, m.help, nil, func() int64 {
-			rs := c.ReplicationStats()
-			if rs == nil {
-				return 0
-			}
-			return read(*rs)
-		})
-	}
 }

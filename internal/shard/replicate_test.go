@@ -27,8 +27,8 @@ func residentVersion(c *Cluster, shard int, key serve.ModelKey) uint64 {
 }
 
 // TestBroadcastNeverAppliesOlder: stale and duplicate deliveries are
-// refused and counted; the replica's version is monotone, and every
-// applied version drops the memoized results of the one it replaces.
+// refused; the replica's version is monotone, and every applied version
+// drops the memoized results of the one it replaces.
 func TestBroadcastNeverAppliesOlder(t *testing.T) {
 	c := newTestCluster(t, 2, nil, Options{})
 	c.EnableReplication()
@@ -47,12 +47,9 @@ func TestBroadcastNeverAppliesOlder(t *testing.T) {
 		if got := residentVersion(c, 1, key); got != want {
 			t.Fatalf("peer at v%d after the broadcast of v%d, want v%d", got, v, want)
 		}
-		if cached := peer.PeekCached(key, testQuery(4, 10000)); cached == applied {
+		if cached := peer.Stats().ResultCacheLen > 0; cached == applied {
 			t.Fatalf("broadcast of v%d (applied %v) left the peer's memoized result cached=%v", v, applied, cached)
 		}
-	}
-	if st := c.ReplicationStats(); st.Applied != 2 || st.Stale != 2 || st.PeerErrors != 0 {
-		t.Fatalf("replication stats = %+v, want 2 applied, 2 stale (one older, one duplicate)", st)
 	}
 }
 
@@ -86,21 +83,18 @@ func TestBroadcastConcurrentFromTwoShards(t *testing.T) {
 	if got := residentVersion(c, 1, key); got != top-1 {
 		t.Fatalf("shard 1 holds v%d, want its peer's highest v%d", got, top-1)
 	}
-	if st := c.ReplicationStats(); st.Applied+st.Stale != 2*2*rounds || st.PeerErrors != 0 {
-		t.Fatalf("replication stats = %+v, want %d deliveries and no errors", st, 2*2*rounds)
-	}
 }
 
 // TestBroadcastOnlyWhileEnabled: before EnableReplication and after
-// CloseReplication a broadcast reaches nobody and nothing is counted.
+// CloseReplication a broadcast reaches nobody.
 func TestBroadcastOnlyWhileEnabled(t *testing.T) {
 	c := newTestCluster(t, 2, nil, Options{})
 	key := serve.ModelKey{Job: "sort", Env: "c3o"}
 	blob := pretrainedBytes(t)
 
 	c.Broadcast(0, key, 2, blob)
-	if got := residentVersion(c, 1, key); got != 0 || c.ReplicationStats() != nil {
-		t.Fatalf("before enabling: peer at v%d, stats %+v, want nothing", got, c.ReplicationStats())
+	if got := residentVersion(c, 1, key); got != 0 {
+		t.Fatalf("before enabling: peer at v%d, want nothing", got)
 	}
 	c.EnableReplication()
 	c.Broadcast(0, key, 2, blob)
@@ -109,13 +103,13 @@ func TestBroadcastOnlyWhileEnabled(t *testing.T) {
 	}
 	c.CloseReplication()
 	c.Broadcast(0, key, 3, blob)
-	if got := residentVersion(c, 1, key); got != 2 || c.ReplicationStats() != nil {
-		t.Fatalf("after closing: peer at v%d, stats %+v, want v2 and nothing", got, c.ReplicationStats())
+	if got := residentVersion(c, 1, key); got != 2 {
+		t.Fatalf("after closing: peer at v%d, want v2", got)
 	}
 }
 
-// TestBroadcastCorruptBlob: a blob that does not decode counts one
-// peer error and leaves the resident version serving.
+// TestBroadcastCorruptBlob: a blob that does not decode leaves the
+// resident version serving on every peer.
 func TestBroadcastCorruptBlob(t *testing.T) {
 	c := newTestCluster(t, 3, nil, Options{})
 	c.EnableReplication()
@@ -132,8 +126,5 @@ func TestBroadcastCorruptBlob(t *testing.T) {
 		if r := c.Node(s).Service.Predict(context.Background(), key, testQuery(4, 10000)); r.Err != nil {
 			t.Fatalf("shard %d stopped serving after a corrupt broadcast: %v", s, r.Err)
 		}
-	}
-	if st := c.ReplicationStats(); st.PeerErrors != 1 || st.Applied != 2 {
-		t.Fatalf("replication stats = %+v, want 1 peer error beside the 2 applied", st)
 	}
 }

@@ -1,12 +1,12 @@
 // Package shard is the horizontal scaling tier of the serving stack: a
 // consistent-hash router that partitions (job, env) model keys across
 // N in-process serve instances, fans batched requests out per shard
-// and merges the answers in input order, forwards observations to the
-// owning shard's lifecycle controller, and replicates hot-swapped
-// model versions between shards by an in-process Broadcast. Each shard
-// is a complete serving stack — registry, result cache, admission gate,
-// optional lifecycle controller and WAL — so the partition point is the
-// model key, not the request type.
+// and merges the answers in input order, and forwards observations to
+// the owning shard's lifecycle controller. Each shard is a complete
+// serving stack — registry, result cache, admission gate, optional
+// lifecycle controller and WAL — so the partition point is the model
+// key, not the request type: a key's fine-tuned versions are made,
+// served and checkpointed on its owner and nowhere else.
 package shard
 
 import (
@@ -24,9 +24,9 @@ const DefaultVirtualNodes = 64
 // Ring is an immutable consistent-hash ring over shard IDs 0..N-1.
 // Keys hash onto a circle of virtual points; a key is owned by the
 // shard of the first point at or clockwise after it. Consistency is
-// the property the replication tier leans on: adding a shard moves
-// only the arcs adjacent to its new points, so a topology change
-// invalidates a bounded fraction of each shard's resident set.
+// what keeps ownership stable: adding a shard moves only the arcs
+// adjacent to its new points, so a topology change invalidates a
+// bounded fraction of each shard's resident set.
 type Ring struct {
 	points []ringPoint // sorted by hash
 	shards int

@@ -290,7 +290,6 @@ func clusterStats(t *testing.T) []byte {
 		Limiter: loadctl.NewLimiter(loadctl.LimiterConfig{Rate: 1e-9, Burst: 1}),
 	})
 	attachTestObs(c, 1)
-	c.EnableReplication()
 	k0, k1 := keyOwnedBy(t, c, 0), keyOwnedBy(t, c, 1)
 	h := c.Handler()
 
@@ -300,11 +299,6 @@ func clusterStats(t *testing.T) []byte {
 	wireCall(t, h, "/v1/predict/batch", "c4", wireBatch(apiRequest(k0, 6), apiRequest(k1, 6), apiRequest(k1, 8)), http.StatusOK)
 	wireCall(t, h, "/v1/allocate", "c5", wireAllocate(k1, 1e6), http.StatusOK)
 	wireCall(t, h, "/v1/predict", "c5", apiRequest(k1, 4), http.StatusTooManyRequests)
-
-	blob := pretrainedBytes(t)
-	c.Broadcast(0, k0, 3, blob)
-	c.Broadcast(0, k0, 2, blob)
-	c.Broadcast(1, k1, 4, blob[:len(blob)/2])
 
 	wireCall(t, h, "/v1/predict/batch", "c6", wireBatch(apiRequest(k0, 10), apiRequest(k1, 10)), http.StatusOK)
 	return getStats(t, h)
