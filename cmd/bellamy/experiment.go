@@ -15,10 +15,8 @@ func runExperiment(args []string) error {
 	seed := fs.Int64("seed", 1, "seed for simulation, splits and model init")
 	jobs := fs.String("jobs", "", "comma-separated job filter (default: all)")
 	maxSplits := fs.Int("max-splits", 0, "splits per training size (0 = laptop-scale default)")
-	contexts := fs.Int("contexts", 0, "target contexts per job, crosscontext and allocation (0 = default: 7 crosscontext, 3 allocation)")
 	pretrainEpochs := fs.Int("pretrain-epochs", 0, "pre-training epochs (0 = laptop-scale default)")
 	finetuneEpochs := fs.Int("finetune-epochs", 0, "fine-tuning epochs (0 = laptop-scale default)")
-	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -45,9 +43,6 @@ func runExperiment(args []string) error {
 	if *maxSplits > 0 {
 		cfg.MaxSplits = *maxSplits
 	}
-	if *contexts > 0 {
-		cfg.ContextsPerJob = *contexts
-	}
 	if *pretrainEpochs > 0 {
 		cfg.Model.PretrainEpochs = *pretrainEpochs
 	}
@@ -57,7 +52,7 @@ func runExperiment(args []string) error {
 	run := func(ds *dataset.Dataset, plan experiments.Plan, err error) (experiments.Table, error) {
 		if err == nil {
 			var tab experiments.Table
-			if tab, err = experiments.Run(ds, plan, *workers); err == nil {
+			if tab, err = experiments.Run(ds, plan, 0); err == nil {
 				return tab, nil
 			}
 		}

@@ -48,25 +48,13 @@ func runServe(args []string) error {
 	modelsDir := fs.String("models", "", "directory of <job>_<env>.model files (required)")
 	addr := fs.String("addr", ":8080", "listen address")
 	shards := fs.Int("shards", 1, "in-process shard count; >1 partitions (job, env) keys over a consistent-hash ring and fans batches out per shard; a key's models, fine-tuned versions included, live on its owning shard only")
-	modelCap := fs.Int("model-cache", serve.DefaultModelCap, "max resident models (per shard)")
-	resultCap := fs.Int("result-cache", serve.DefaultResultCap, "max memoized prediction results (per shard)")
-	workers := fs.Int("workers", 0, "per-batch fan-out workers (0 = GOMAXPROCS)")
 	observe := fs.Bool("observe", false, "accept runtime observations on POST /v1/observe and fine-tune served models online")
 	ftInterval := fs.Duration("finetune-interval", lifecycle.DefaultInterval, "background fine-tune scan period")
 	ftMinSamples := fs.Int("finetune-min-samples", lifecycle.DefaultMinSamples, "fresh observations per model that trigger a fine-tune")
-	ftWorkers := fs.Int("finetune-workers", 0, "concurrent fine-tunes (0 = NumCPU/4)")
 	ftBuffer := fs.Int("observe-buffer", lifecycle.DefaultBufferCap, "per-model observation ring capacity")
-	ftMaxKeys := fs.Int("observe-max-models", lifecycle.DefaultMaxKeys, "max distinct models holding observation buffers")
 	dataDir := fs.String("data-dir", "", "durable store directory (WAL + compacted segments + model checkpoints); sharded serving uses <dir>/shard-<i> per shard; empty disables durability")
 	fsyncMode := fs.String("fsync", "always", "WAL durability: always (every append), interval (batched), never (OS page cache)")
-	compactEvery := fs.Duration("compact-interval", store.DefaultCompactInterval, "period between WAL compactions into columnar segments")
-	rate := fs.Float64("rate-limit", loadctl.DefaultRate, "per-client request rate limit in req/s (0 disables rate limiting)")
-	rateBurst := fs.Float64("rate-burst", 0, "per-client burst depth (0 = 2x rate)")
-	maxClients := fs.Int("max-clients", loadctl.DefaultMaxClients, "max tracked rate-limit clients (LRU beyond)")
-	maxInFlight := fs.Int("max-inflight", 0, "max concurrently admitted requests per shard (0 = 4x GOMAXPROCS, negative disables the admission gate)")
-	maxQueue := fs.Int("max-queue", loadctl.DefaultMaxQueue, "admission queue depth; heavy requests get half of it")
-	maxWait := fs.Duration("max-wait", loadctl.DefaultMaxWait, "max time a request queues for admission before it is shed")
-	maxDeadline := fs.Duration("max-deadline", serve.DefaultMaxDeadline, "cap on client-supplied X-Deadline-Ms budgets")
+	rate := fs.Float64("rate-limit", loadctl.DefaultRate, "per-client request rate limit in req/s, burst 2x (0 disables rate limiting)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on SIGTERM/SIGINT")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 	traceSample := fs.Int("trace-sample", 0, "trace 1 in N requests without an X-Trace-Id header (0 = default 1 in 64); header-carrying requests are always traced")
@@ -92,21 +80,13 @@ func runServe(args []string) error {
 	// WALs never interleave.
 	buildNode := func(log *slog.Logger, dir string) (*shardRuntime, error) {
 		n := &shardRuntime{log: log, dir: dir}
-		n.svc = serve.NewService(serve.DirLoader(*modelsDir), serve.Options{
-			ModelCap:  *modelCap,
-			ResultCap: *resultCap,
-			Workers:   *workers,
-		})
+		n.svc = serve.NewService(serve.DirLoader(*modelsDir), serve.Options{})
 		if dir != "" {
 			policy, err := store.ParseFsyncPolicy(*fsyncMode)
 			if err != nil {
 				return nil, err
 			}
-			n.st, err = store.Open(dir, store.Options{
-				Fsync:           policy,
-				CompactInterval: *compactEvery,
-				Logger:          log,
-			})
+			n.st, err = store.Open(dir, store.Options{Fsync: policy, Logger: log})
 			if err != nil {
 				return nil, err
 			}
@@ -120,9 +100,7 @@ func runServe(args []string) error {
 			cfg := lifecycle.Config{
 				MinSamples: *ftMinSamples,
 				Interval:   *ftInterval,
-				Workers:    *ftWorkers,
 				BufferCap:  *ftBuffer,
-				MaxKeys:    *ftMaxKeys,
 			}
 			if n.st != nil {
 				cfg.Log = n.st
@@ -162,23 +140,11 @@ func runServe(args []string) error {
 		return n, nil
 	}
 
+	// Every shard admits through its own gate at the loadctl defaults;
+	// the limiter, when on, sits in front of all of them.
 	var limiter *loadctl.Limiter
 	if *rate > 0 {
-		limiter = loadctl.NewLimiter(loadctl.LimiterConfig{
-			Rate:       *rate,
-			Burst:      *rateBurst,
-			MaxClients: *maxClients,
-		})
-	}
-	gateFor := func() *loadctl.Gate {
-		if *maxInFlight < 0 {
-			return nil
-		}
-		return loadctl.NewGate(loadctl.GateConfig{
-			MaxInFlight: *maxInFlight,
-			MaxQueue:    *maxQueue,
-			MaxWait:     *maxWait,
-		})
+		limiter = loadctl.NewLimiter(loadctl.LimiterConfig{Rate: *rate})
 	}
 
 	// Observability: one metrics registry and one tracer span the whole
@@ -213,10 +179,7 @@ func runServe(args []string) error {
 			return err
 		}
 		nodes = append(nodes, n)
-		lc := serve.LoadControl{Limiter: limiter, Gate: gateFor(), MaxDeadline: *maxDeadline}
-		if lc.Limiter != nil || lc.Gate != nil {
-			n.svc.AttachLoadControl(lc)
-		}
+		n.svc.AttachLoadControl(serve.LoadControl{Limiter: limiter, Gate: loadctl.NewGate(loadctl.GateConfig{})})
 		n.svc.AttachObs(o, nil)
 		front = n.svc
 	} else {
@@ -234,9 +197,9 @@ func runServe(args []string) error {
 			// Per-shard series carry a {shard="i"} label; the router's own
 			// counters are unlabelled.
 			n.svc.AttachObs(o, obs.Labels{"shard": strconv.Itoa(i)})
-			cfgs[i] = shard.NodeConfig{Service: n.svc, Gate: gateFor()}
+			cfgs[i] = shard.NodeConfig{Service: n.svc, Gate: loadctl.NewGate(loadctl.GateConfig{})}
 		}
-		cluster, err := shard.New(cfgs, shard.Options{Limiter: limiter, MaxDeadline: *maxDeadline})
+		cluster, err := shard.New(cfgs, shard.Options{Limiter: limiter})
 		if err != nil {
 			return err
 		}
@@ -267,11 +230,9 @@ func runServe(args []string) error {
 		handler = outer
 	}
 
-	if limiter != nil || *maxInFlight >= 0 {
-		logger.Info("load control on",
-			"rate_per_client", *rate, "max_inflight", *maxInFlight,
-			"max_queue", *maxQueue, "heavy_queue", max(*maxQueue/2, 1), "max_wait", *maxWait)
-	}
+	logger.Info("load control on", "rate_per_client", *rate,
+		"max_queue", loadctl.DefaultMaxQueue, "max_wait", loadctl.DefaultMaxWait,
+		"max_deadline", serve.DefaultMaxDeadline)
 
 	// Start the background machinery only after every hook is wired.
 	for _, n := range nodes {
@@ -281,7 +242,7 @@ func runServe(args []string) error {
 		}
 		if n.st != nil {
 			n.st.Start()
-			n.log.Info("durable store on", "fsync", *fsyncMode, "compact_interval", *compactEvery)
+			n.log.Info("durable store on", "fsync", *fsyncMode, "compact_interval", store.DefaultCompactInterval)
 		}
 	}
 	if *observe {

@@ -186,6 +186,21 @@ func TestServeSIGTERMDrain(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// With the rate limiter off and no load-control flag, the admission
+	// gate is still on, and the first computed predict went through it.
+	resp, err := client.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	var stats api.Stats
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decode stats: %v", err)
+	}
+	if lc := stats.LoadCtl; lc == nil || lc.Admitted+lc.Queued == 0 {
+		t.Fatalf("stats load_ctl = %+v, want a gate that admitted the traffic", lc)
+	}
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatalf("sending SIGTERM: %v", err)
 	}

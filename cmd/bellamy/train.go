@@ -40,7 +40,6 @@ func runTrain(args []string) error {
 	epochs := fs.Int("epochs", 250, "pre-training epochs (paper: 2500)")
 	seed := fs.Int64("seed", 1, "seed for simulation and weight init")
 	trials := fs.Int("hyperopt", 0, "hyperparameter-search trials before training (paper: 12; 0 = use defaults)")
-	workers := fs.Int("hyperopt-workers", 0, "parallel trials (0 = all cores; with as many workers as cores every trial runs both shards of its training steps itself, with fewer the spare cores help)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -74,7 +73,6 @@ func runTrain(args []string) error {
 		fmt.Printf("hyperopt: %d trials on %d executions...\n", *trials, len(samples))
 		opts := hyperopt.DefaultOptions()
 		opts.Trials = *trials
-		opts.Workers = *workers
 		opts.Seed = *seed
 		res, err := hyperopt.Search(cfg, samples, hyperopt.DefaultSpace(), opts)
 		if err != nil {

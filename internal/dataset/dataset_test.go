@@ -175,15 +175,6 @@ func TestTrivialJobsMostlyMonotone(t *testing.T) {
 	}
 }
 
-func TestIsNonTrivial(t *testing.T) {
-	if !IsNonTrivial("sgd") || !IsNonTrivial("kmeans") {
-		t.Fatal("sgd/kmeans should be non-trivial")
-	}
-	if IsNonTrivial("grep") || IsNonTrivial("nosuchjob") {
-		t.Fatal("grep/unknown should not be non-trivial")
-	}
-}
-
 func TestEssentialAndOptionalProps(t *testing.T) {
 	ds := GenerateC3O(SimConfig{Seed: 1})
 	ctx := ds.Contexts("sgd")[0]
@@ -280,20 +271,6 @@ func TestReadCSVRejectsConflictingContext(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "line 4") {
 			t.Fatalf("column %s changed to %q: err = %v, want a line 4 error", csvHeader[col], alt, err)
 		}
-	}
-}
-
-func TestFilterSameJob(t *testing.T) {
-	ds := GenerateC3O(SimConfig{Seed: 1})
-	target := ds.Contexts("grep")[0]
-	execs := FilterSameJob(ds, target)
-	for _, e := range execs {
-		if e.Context.Job != "grep" {
-			t.Fatalf("foreign job %s in filter result", e.Context.Job)
-		}
-	}
-	if len(execs) != 27*6*5 {
-		t.Fatalf("grep executions = %d, want %d", len(execs), 27*6*5)
 	}
 }
 

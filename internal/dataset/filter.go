@@ -2,18 +2,6 @@ package dataset
 
 import "math"
 
-// FilterSameJob returns all executions of target.Job across every
-// context, the corpus for the "full" pre-training variant.
-func FilterSameJob(d *Dataset, target *Context) []Execution {
-	var out []Execution
-	for _, e := range d.Executions {
-		if e.Context.Job == target.Job {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // FilterExcludeContext returns executions of target.Job excluding the
 // target context itself — what "all historical executions of the same
 // job in different contexts" means when the target context is part of

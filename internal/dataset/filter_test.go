@@ -46,20 +46,6 @@ func contextIDs(execs []Execution) map[string]int {
 	return out
 }
 
-func TestFilterSameJobFixture(t *testing.T) {
-	ds, target := filterFixture()
-	got := contextIDs(FilterSameJob(ds, target))
-	if _, ok := got["other-job"]; ok {
-		t.Fatal("FilterSameJob kept an execution of a different job")
-	}
-	if _, ok := got["t"]; !ok {
-		t.Fatal("FilterSameJob dropped the target context itself")
-	}
-	if len(got) != 6 {
-		t.Fatalf("FilterSameJob kept %d contexts, want 6", len(got))
-	}
-}
-
 func TestFilterExcludeContextFixture(t *testing.T) {
 	ds, target := filterFixture()
 	got := contextIDs(FilterExcludeContext(ds, target))

@@ -64,9 +64,6 @@ type algoProfile struct {
 	iterative bool
 	// skewSensitive algorithms pay a penalty on skewed/zipf data.
 	skewSensitive bool
-	// nonTrivial marks algorithms the paper calls out as having
-	// non-trivial scale-out behaviour (SGD, K-Means).
-	nonTrivial bool
 }
 
 var algoProfiles = map[string]algoProfile{
@@ -91,12 +88,12 @@ var algoProfiles = map[string]algoProfile{
 		// the non-trivial scale-out behaviour of Fig. 2.
 		name: "sgd", fixed: 26, computePerMB: 0.006,
 		commPerSqrtMB: 0.04, perMachine: 0.9,
-		iterative: true, nonTrivial: true,
+		iterative: true,
 	},
 	"kmeans": {
 		name: "kmeans", fixed: 28, computePerMB: 0.007,
 		commPerSqrtMB: 0.05, perMachine: 1.1,
-		iterative: true, nonTrivial: true,
+		iterative: true,
 	},
 }
 
@@ -301,11 +298,4 @@ func appendRuns(ds *Dataset, ctx *Context, scaleOuts []int, repeats int, envFact
 			})
 		}
 	}
-}
-
-// IsNonTrivial reports whether the paper classifies the job's scale-out
-// behaviour as non-trivial (SGD, K-Means).
-func IsNonTrivial(job string) bool {
-	p, ok := algoProfiles[job]
-	return ok && p.nonTrivial
 }

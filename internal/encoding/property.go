@@ -52,9 +52,6 @@ type PropertyEncoder struct {
 // adversarial serve traffic.
 const memoCap = 8192
 
-// DefaultPropertySize is the paper's property vector size N=40.
-const DefaultPropertySize = 40
-
 // NewPropertyEncoder builds an encoder producing vectors of size n.
 func NewPropertyEncoder(n int) *PropertyEncoder {
 	if n < 2 {

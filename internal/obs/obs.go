@@ -163,23 +163,9 @@ func (r *Registry) RegisterCounter(name, help string, labels Labels, c *Counter)
 	r.register(name, help, "counter", &series{labels: renderLabels(labels), kind: kindCounter, counter: c})
 }
 
-// NewCounter creates and registers a Counter.
-func (r *Registry) NewCounter(name, help string, labels Labels) *Counter {
-	c := &Counter{}
-	r.RegisterCounter(name, help, labels, c)
-	return c
-}
-
 // RegisterGauge attaches an existing Gauge under name+labels.
 func (r *Registry) RegisterGauge(name, help string, labels Labels, g *Gauge) {
 	r.register(name, help, "gauge", &series{labels: renderLabels(labels), kind: kindGauge, gauge: g})
-}
-
-// NewGauge creates and registers a Gauge.
-func (r *Registry) NewGauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	r.RegisterGauge(name, help, labels, g)
-	return g
 }
 
 // RegisterCounterFunc exposes a counter whose value is read by fn at
@@ -203,13 +189,6 @@ func (r *Registry) RegisterGaugeFunc(name, help string, labels Labels, fn func()
 // error.
 func (r *Registry) RegisterHist(name, help string, labels Labels, h *Hist) {
 	r.register(name, help, "summary", &series{labels: renderLabels(labels), kind: kindHist, hist: h})
-}
-
-// NewHistogram creates and registers a Hist.
-func (r *Registry) NewHistogram(name, help string, labels Labels) *Hist {
-	h := NewHist()
-	r.RegisterHist(name, help, labels, h)
-	return h
 }
 
 // NumSeries reports the number of registered series.

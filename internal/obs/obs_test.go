@@ -11,15 +11,18 @@ import (
 
 func TestRegistryExposition(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.NewCounter("test_requests_total", "Requests.", Labels{"shard": "0"})
+	var c, c2 Counter
+	reg.RegisterCounter("test_requests_total", "Requests.", Labels{"shard": "0"}, &c)
 	c.Add(7)
-	c2 := reg.NewCounter("test_requests_total", "Requests.", Labels{"shard": "1"})
+	reg.RegisterCounter("test_requests_total", "Requests.", Labels{"shard": "1"}, &c2)
 	c2.Inc()
-	g := reg.NewGauge("test_inflight", "In flight.", nil)
+	var g Gauge
+	reg.RegisterGauge("test_inflight", "In flight.", nil, &g)
 	g.Set(3)
 	reg.RegisterCounterFunc("test_scraped_total", "Func-backed.", nil, func() int64 { return 42 })
 	reg.RegisterGaugeFunc("test_ratio", "Func gauge.", nil, func() float64 { return 0.5 })
-	h := reg.NewHistogram("test_latency_seconds", "Latency.", Labels{"shard": "0"})
+	h := NewHist()
+	reg.RegisterHist("test_latency_seconds", "Latency.", Labels{"shard": "0"}, h)
 	h.Observe(10 * time.Millisecond)
 	h.Observe(20 * time.Millisecond)
 
@@ -112,8 +115,12 @@ func checkPromText(t *testing.T, text string) map[string]float64 {
 
 func TestHandlerServesParseCleanText(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewCounter("x_total", "X.", Labels{"shard": "0"}).Add(5)
-	reg.NewHistogram("x_latency_seconds", "L.", nil).Observe(time.Millisecond)
+	var c Counter
+	reg.RegisterCounter("x_total", "X.", Labels{"shard": "0"}, &c)
+	c.Add(5)
+	h := NewHist()
+	reg.RegisterHist("x_latency_seconds", "L.", nil, h)
+	h.Observe(time.Millisecond)
 	RegisterRuntimeMetrics(reg)
 
 	srv := httptest.NewServer(reg.Handler())
@@ -134,13 +141,14 @@ func TestHandlerServesParseCleanText(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewCounter("dup_total", "D.", nil)
+	var a, b Counter
+	reg.RegisterCounter("dup_total", "D.", nil, &a)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate series must panic at registration")
 		}
 	}()
-	reg.NewCounter("dup_total", "D.", nil)
+	reg.RegisterCounter("dup_total", "D.", nil, &b)
 }
 
 func TestLabelEscaping(t *testing.T) {

@@ -146,7 +146,7 @@ func post[T any](b Backend, status int,
 			return nil, err
 		}
 		tr.Record(obs.StageDecode, -1, t0)
-		ctx, cancel := requestContext(r, lc.MaxDeadline)
+		ctx, cancel := requestContext(r)
 		defer cancel()
 		return call(b, ctx, in, sc, tr)
 	}
@@ -275,11 +275,11 @@ func clientKey(r *http.Request) string {
 
 // requestContext derives a handler context from the client's deadline
 // budget header. Absent (or unparseable) headers fall back to the
-// request's own context; a present budget is capped at maxDeadline
-// (<= 0 selects DefaultMaxDeadline) so a client cannot pin server
-// resources with an hour-long deadline. Work whose budget has run out is
-// abandoned instead of computed for nobody.
-func requestContext(r *http.Request, maxDeadline time.Duration) (context.Context, context.CancelFunc) {
+// request's own context; a present budget is capped at
+// DefaultMaxDeadline so a client cannot pin server resources with an
+// hour-long deadline. Work whose budget has run out is abandoned instead
+// of computed for nobody.
+func requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 	h := r.Header.Get(api.DeadlineHeader)
 	if h == "" {
 		return r.Context(), func() {}
@@ -288,13 +288,9 @@ func requestContext(r *http.Request, maxDeadline time.Duration) (context.Context
 	if err != nil || ms <= 0 {
 		return r.Context(), func() {}
 	}
-	budget := time.Duration(ms) * time.Millisecond
-	if maxDeadline <= 0 {
-		maxDeadline = DefaultMaxDeadline
-	}
-	if budget > maxDeadline {
-		budget = maxDeadline
-	}
+	// Capping ms before the conversion keeps a huge header from
+	// overflowing into a negative, already-expired budget.
+	budget := time.Duration(min(ms, DefaultMaxDeadline.Milliseconds())) * time.Millisecond
 	return context.WithTimeout(r.Context(), budget)
 }
 

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -291,6 +293,32 @@ func TestHTTPDeadline504(t *testing.T) {
 	if st := svc.Stats(); st.LoadCtl.DeadlineRejects != 1 {
 		t.Fatalf("loadctl stats = %+v, want 1 deadline reject", st.LoadCtl)
 	}
+
+	// A budget past the cap, an overflowing one included, runs under
+	// DefaultMaxDeadline.
+	dl := deadlineObserver(make(chan time.Time, 1))
+	svc.AttachObserver(dl)
+	ob, _ := json.Marshal(wireObservation(2, 10000, 60))
+	for _, ms := range []int64{(DefaultMaxDeadline + time.Hour).Milliseconds(), math.MaxInt64} {
+		before := time.Now()
+		resp, raw := postRaw(t, srv.URL+"/v1/observe", ob, map[string]string{api.DeadlineHeader: strconv.FormatInt(ms, 10)})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("observe with a %dms budget: status %d (%s), want 202", ms, resp.StatusCode, raw)
+		}
+		if d := <-dl; d.Before(before.Add(DefaultMaxDeadline)) || d.After(time.Now().Add(DefaultMaxDeadline)) {
+			t.Fatalf("a %dms budget ran under deadline %v from now, want DefaultMaxDeadline (%v)", ms, time.Until(d), DefaultMaxDeadline)
+		}
+	}
+}
+
+// deadlineObserver passes on the deadline each observation's context
+// carries.
+type deadlineObserver chan time.Time
+
+func (o deadlineObserver) Observe(ctx context.Context, _ ModelKey, _ core.Query, _ float64) error {
+	d, _ := ctx.Deadline()
+	o <- d
+	return nil
 }
 
 // TestHTTPCachedPredictBypassesSaturatedGate: with every gate slot

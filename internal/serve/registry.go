@@ -193,9 +193,8 @@ type RegistryStats struct {
 // context. Loads are deduplicated single-flight style, and the resident
 // set is bounded by an LRU policy.
 type Registry struct {
-	loader  Loader
-	vloader VersionedLoader // when set, replaces loader on the load path
-	cap     int
+	load VersionedLoader
+	cap  int
 
 	mu      sync.Mutex
 	entries map[ModelKey]*entry
@@ -212,13 +211,17 @@ type Registry struct {
 const DefaultModelCap = 8
 
 // NewRegistry builds a registry over loader holding at most capacity
-// models (<= 0 selects DefaultModelCap).
+// models (<= 0 selects DefaultModelCap). Every model that loader returns is
+// published as version 1.
 func NewRegistry(loader Loader, capacity int) *Registry {
 	if capacity <= 0 {
 		capacity = DefaultModelCap
 	}
 	return &Registry{
-		loader:  loader,
+		load: func(key ModelKey) (*core.Model, uint64, error) {
+			m, err := loader(key)
+			return m, 1, err
+		},
 		cap:     capacity,
 		entries: map[ModelKey]*entry{},
 		lru:     list.New(),
@@ -230,7 +233,7 @@ func NewRegistry(loader Loader, capacity int) *Registry {
 // before serving traffic (it is not synchronized against in-flight
 // loads); the serve startup path uses it to restore checkpointed model
 // versions after a restart.
-func (r *Registry) SetVersionedLoader(vl VersionedLoader) { r.vloader = vl }
+func (r *Registry) SetVersionedLoader(vl VersionedLoader) { r.load = vl }
 
 // Get returns the serving model for key, loading it on first use. All
 // concurrent callers for the same key share one loader invocation. A
@@ -283,16 +286,9 @@ func (r *Registry) GetRef(ctx context.Context, key ModelKey) (Ref, error) {
 		return Ref{Model: v.sm, Version: v.version, Gen: e.gen}, nil
 	}
 
-	var m *core.Model
-	var version uint64 = 1
-	var err error
-	if r.vloader != nil {
-		m, version, err = r.vloader(key)
-		if version == 0 {
-			version = 1
-		}
-	} else {
-		m, err = r.loader(key)
+	m, version, err := r.load(key)
+	if version == 0 {
+		version = 1
 	}
 	if err != nil {
 		e.err = fmt.Errorf("serve: loading model %s: %w", key, err)

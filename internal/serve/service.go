@@ -26,9 +26,6 @@ type Options struct {
 	// ResultCap bounds the memoized prediction results
 	// (<= 0: DefaultResultCap).
 	ResultCap int
-	// Workers bounds the per-batch fan-out across model groups
-	// (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // Request is one prediction request: which model to use and what to ask.
@@ -92,7 +89,6 @@ var ErrModelUnavailable = errors.New("serve: model unavailable")
 type Service struct {
 	reg     *Registry
 	results *resultCache
-	workers int
 
 	observer atomic.Pointer[Observer]
 	storeRef atomic.Pointer[StoreStatser]
@@ -120,9 +116,9 @@ type Service struct {
 }
 
 // LoadControl is the overload-protection configuration threaded in
-// front of the POST endpoints: a per-client rate limiter (429), an
-// admission gate (503), and a cap on client-requested deadlines.
-// Either component may be nil to disable it.
+// front of the POST endpoints: a per-client rate limiter (429) and an
+// admission gate (503). Either may be nil to disable it. Client-requested
+// deadlines are capped at DefaultMaxDeadline either way.
 type LoadControl struct {
 	// Limiter rate-limits per client key (X-API-Key header, falling
 	// back to the remote address) before the request body is read.
@@ -131,13 +127,9 @@ type LoadControl struct {
 	// bypass it entirely — serving a memoized float must never queue
 	// behind expensive work.
 	Gate *loadctl.Gate
-	// MaxDeadline caps the client-supplied X-Deadline-Ms budget
-	// (0: DefaultMaxDeadline).
-	MaxDeadline time.Duration
 }
 
-// DefaultMaxDeadline caps client-requested deadlines when
-// LoadControl.MaxDeadline is zero.
+// DefaultMaxDeadline caps the client-supplied X-Deadline-Ms budget.
 const DefaultMaxDeadline = 30 * time.Second
 
 // AttachLoadControl arms overload protection. Attach before serving
@@ -145,12 +137,7 @@ const DefaultMaxDeadline = 30 * time.Second
 // only, so a limited client is answered before its body is read), body
 // decode, deadline-derived context, then inside the Admit* call the
 // result-cache bypass check and the admission gate.
-func (s *Service) AttachLoadControl(lc LoadControl) {
-	if lc.MaxDeadline <= 0 {
-		lc.MaxDeadline = DefaultMaxDeadline
-	}
-	s.loadctl.Store(&lc)
-}
+func (s *Service) AttachLoadControl(lc LoadControl) { s.loadctl.Store(&lc) }
 
 // LoadControl returns the attached load control, zero when there is none.
 func (s *Service) LoadControl() LoadControl {
@@ -177,7 +164,6 @@ func NewService(loader Loader, opts Options) *Service {
 	s := &Service{
 		reg:          NewRegistry(loader, opts.ModelCap),
 		results:      newResultCache(opts.ResultCap),
-		workers:      opts.Workers,
 		latency:      obs.NewHist(),
 		allocLatency: obs.NewHist(),
 	}
@@ -555,7 +541,7 @@ func (s *Service) PredictBatchInto(ctx context.Context, dst []Response, reqs []R
 	// happens after it, so a concurrent swap+invalidation moves the
 	// epoch and blocks memoization of any possibly-stale group result.
 	epoch := s.results.snapshot()
-	parallel.ForEach(len(keys), s.workers, func(k int) {
+	parallel.ForEach(len(keys), 0, func(k int) {
 		key := keys[k]
 		miss := sc.byKey[k]
 		region := sc.offs[k]

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"repro/internal/allocate"
@@ -40,9 +39,6 @@ type Options struct {
 	// Limiter rate-limits per client at the router, before any body is
 	// read or any shard is touched. Nil disables rate limiting.
 	Limiter *loadctl.Limiter
-	// MaxDeadline caps client-requested X-Deadline-Ms budgets
-	// (0: serve.DefaultMaxDeadline).
-	MaxDeadline time.Duration
 }
 
 // Cluster routes the /v1 surface across N shards: single predictions,
@@ -120,10 +116,10 @@ func (c *Cluster) SetDraining(v bool) {
 // Draining reports whether shutdown drain has started.
 func (c *Cluster) Draining() bool { return c.draining.Load() }
 
-// LoadControl implements serve.Backend: the router's limiter and
-// deadline cap. The gates are the shards' own.
+// LoadControl implements serve.Backend: the router's limiter. The
+// gates are the shards' own.
 func (c *Cluster) LoadControl() serve.LoadControl {
-	return serve.LoadControl{Limiter: c.opts.Limiter, MaxDeadline: c.opts.MaxDeadline}
+	return serve.LoadControl{Limiter: c.opts.Limiter}
 }
 
 // CountDeadlineReject implements serve.Backend.

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/core"
 	"repro/internal/loadctl"
 	"repro/internal/serve"
 )
@@ -229,6 +231,40 @@ func TestClusterHTTPDeadline(t *testing.T) {
 	if e := decodeEnvelope(t, buf.Bytes()); e.Code != api.CodeDeadlineExceeded {
 		t.Fatalf("envelope = %+v, want %s", e, api.CodeDeadlineExceeded)
 	}
+
+	// A budget past the cap reaches the other shard's observer under
+	// serve.DefaultMaxDeadline.
+	k1 := keyOwnedBy(t, c, 1-owner)
+	dl := deadlineObserver(make(chan time.Time, 1))
+	c.Node(1 - owner).Service.AttachObserver(dl)
+	ob, _ := json.Marshal(api.ObserveRequest{PredictRequest: apiRequest(k1, 4), RuntimeSec: 60})
+	req, err = http.NewRequest("POST", srv.URL+"/v1/observe", bytes.NewReader(ob))
+	if err != nil {
+		t.Fatalf("NewRequest: %v", err)
+	}
+	req.Header.Set(api.DeadlineHeader, strconv.FormatInt((serve.DefaultMaxDeadline+time.Hour).Milliseconds(), 10))
+	before := time.Now()
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("observe status %d, want 202", resp.StatusCode)
+	}
+	if d := <-dl; d.Before(before.Add(serve.DefaultMaxDeadline)) || d.After(time.Now().Add(serve.DefaultMaxDeadline)) {
+		t.Fatalf("observe ran under deadline %v from now, want serve.DefaultMaxDeadline (%v)", time.Until(d), serve.DefaultMaxDeadline)
+	}
+}
+
+// deadlineObserver passes on the deadline each observation's context
+// carries.
+type deadlineObserver chan time.Time
+
+func (o deadlineObserver) Observe(ctx context.Context, _ serve.ModelKey, _ core.Query, _ float64) error {
+	d, _ := ctx.Deadline()
+	o <- d
+	return nil
 }
 
 // TestClusterHTTPTrailingDataIs400: a second value or junk after the

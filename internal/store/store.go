@@ -15,11 +15,13 @@ import (
 	"repro/internal/core"
 )
 
-// Defaults for Options fields left zero.
-const (
-	DefaultSegmentBytes    = 4 << 20
-	DefaultCompactInterval = time.Minute
-)
+// DefaultSegmentBytes is the WAL roll size when Options.SegmentBytes
+// is left zero.
+const DefaultSegmentBytes = 4 << 20
+
+// DefaultCompactInterval is the period of the background compaction
+// loop Start launches.
+const DefaultCompactInterval = time.Minute
 
 const (
 	// fsyncEvery bounds sync frequency under FsyncInterval.
@@ -36,9 +38,6 @@ type Options struct {
 	// SegmentBytes rolls the active WAL segment past this size
 	// (<= 0: DefaultSegmentBytes).
 	SegmentBytes int64
-	// CompactInterval is the background compaction period started by
-	// Start (<= 0: DefaultCompactInterval).
-	CompactInterval time.Duration
 	// Logger receives structured store events — WAL tail repair,
 	// segment seals, corruption, compaction — with the segment and byte
 	// counts as fields. Nil discards them.
@@ -48,9 +47,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
-	}
-	if o.CompactInterval <= 0 {
-		o.CompactInterval = DefaultCompactInterval
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
@@ -446,7 +442,7 @@ func (s *Store) Start() {
 	s.startOnce.Do(func() {
 		go func() {
 			defer close(s.done)
-			t := time.NewTicker(s.opts.CompactInterval)
+			t := time.NewTicker(DefaultCompactInterval)
 			defer t.Stop()
 			for {
 				select {
