@@ -117,7 +117,7 @@ func TestPretrainEpochZeroAlloc(t *testing.T) {
 		m.trainStep(run, idx)
 		m.evalMAE(&m.corpus)
 	}
-	epoch() // warm the fresh optimizer's moment maps
+	epoch() // the fresh optimizer's first step allocates its moments
 	if allocs := testing.AllocsPerRun(50, epoch); allocs != 0 {
 		t.Fatalf("pre-training epoch allocs/op = %v, want 0", allocs)
 	}
@@ -161,9 +161,8 @@ func TestFinetuneEpochZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := &trainRun{
-		params: m.Params(),
-		opt:    nn.NewAdam(cfg.FinetuneLRHigh, cfg.FinetuneWeightDecay),
-		huber:  nn.HuberLoss{Delta: cfg.HuberDelta},
+		opt:   nn.NewAdam(cfg.FinetuneLRHigh, cfg.FinetuneWeightDecay),
+		huber: nn.HuberLoss{Delta: cfg.HuberDelta},
 	}
 	m.fillBatch(&m.trainB, ctx, nil)
 	m.borrowScratch()
@@ -173,7 +172,7 @@ func TestFinetuneEpochZeroAlloc(t *testing.T) {
 		m.trainStep(run, nil)
 		m.evalMAEBatch(&m.trainB)
 	}
-	epoch() // warm the fresh optimizer's moment maps
+	epoch() // the fresh optimizer's first step allocates its moments
 	if allocs := testing.AllocsPerRun(50, epoch); allocs != 0 {
 		t.Fatalf("fine-tune epoch allocs/op = %v, want 0", allocs)
 	}

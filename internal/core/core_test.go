@@ -9,8 +9,18 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/dataset"
 	"repro/internal/encoding"
+	"repro/internal/mat"
 	"repro/internal/nn"
 )
+
+// valuesOf copies the values of params, keyed by name.
+func valuesOf(params []*nn.Param) map[string]*mat.DenseF32 {
+	vs := make(map[string]*mat.DenseF32, len(params))
+	for _, p := range params {
+		vs[p.Name] = p.Value.Clone()
+	}
+	return vs
+}
 
 // testConfig returns a config with drastically reduced epoch counts so
 // the suite stays fast while exercising the full code paths.
@@ -244,8 +254,8 @@ func TestFinetuneAutoEncoderFrozen(t *testing.T) {
 	if _, err := m.Pretrain(samples); err != nil {
 		t.Fatal(err)
 	}
-	gBefore := nn.CaptureState(m.componentParams("g"))
-	hBefore := nn.CaptureState(m.componentParams("h"))
+	gBefore := valuesOf(m.componentParams("g"))
+	hBefore := valuesOf(m.componentParams("h"))
 	ctxSamples := syntheticSamples(1, []int{4, 8})
 	if _, err := m.Finetune(ctxSamples, FinetuneOptions{Strategy: StrategyPartialUnfreeze, MaxEpochs: 50}); err != nil {
 		t.Fatal(err)
@@ -273,7 +283,7 @@ func TestFinetunePartialUnfreezeDelaysF(t *testing.T) {
 	if _, err := m.Pretrain(samples); err != nil {
 		t.Fatal(err)
 	}
-	fBefore := nn.CaptureState(m.componentParams("f"))
+	fBefore := valuesOf(m.componentParams("f"))
 	if _, err := m.Finetune(samples[:4], FinetuneOptions{Strategy: StrategyPartialUnfreeze, MaxEpochs: 30}); err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +304,7 @@ func TestFinetuneFullUnfreezeMovesF(t *testing.T) {
 	if _, err := m.Pretrain(samples); err != nil {
 		t.Fatal(err)
 	}
-	fBefore := nn.CaptureState(m.componentParams("f"))
+	fBefore := valuesOf(m.componentParams("f"))
 	if _, err := m.Finetune(samples[:4], FinetuneOptions{Strategy: StrategyFullUnfreeze, MaxEpochs: 60, Patience: 60}); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +329,7 @@ func TestFinetuneResetStrategies(t *testing.T) {
 	if _, err := m.Pretrain(samples); err != nil {
 		t.Fatal(err)
 	}
-	zBefore := nn.CaptureState(m.componentParams("z"))
+	zBefore := valuesOf(m.componentParams("z"))
 	clone, err := m.Clone()
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +350,7 @@ func TestFinetuneResetStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fBefore := nn.CaptureState(clone2.componentParams("f"))
+	fBefore := valuesOf(clone2.componentParams("f"))
 	clone2.applyStrategy(StrategyFullReset, 4)
 	changed = false
 	for _, p := range clone2.componentParams("f") {

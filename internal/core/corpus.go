@@ -245,14 +245,15 @@ func (m *Model) gatherBatch(b *batch, c *batch, idx []int) {
 	b.ensure(len(idx), per, c.props.Cols)
 	t := &m.remap
 	t.next(c.props.Rows)
+	fc, pc := c.scaleFeat.Cols, c.props.Cols
 	for i, s := range idx {
-		copy(b.scaleFeat.Row(i), c.scaleFeat.Row(s))
+		copy(b.scaleFeat.Data[i*fc:i*fc+fc], c.scaleFeat.Data[s*fc:s*fc+fc])
 		dst := b.propRow[i*per : (i+1)*per]
 		for k, r := range c.propRow[s*per : (s+1)*per] {
 			st := &t.stamps[r]
 			if st.gen != t.gen {
 				row, vec := b.addProp()
-				copy(vec, c.props.Row(int(r)))
+				copy(vec, c.props.Data[int(r)*pc:int(r)*pc+pc])
 				*st = rowStamp{gen: t.gen, row: row}
 			}
 			dst[k] = st.row

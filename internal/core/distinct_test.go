@@ -94,9 +94,9 @@ func referenceStep(m *Model, samples []Sample, train bool) (pred []float64, rLos
 // into the first shard's, rounded as Adam's sweep rounds the sum.
 type keepGrads struct{}
 
-func (keepGrads) StepShards(params, second []*nn.Param, w0, w1 float32, _ float64) {
+func (keepGrads) StepShards(s, second *nn.Slab, w0, w1 float32, _ float64) {
 	if second != nil {
-		reduceGrads(params, second, w0, w1)
+		reduceGrads(s.Params(), second.Params(), w0, w1)
 	}
 }
 

@@ -100,18 +100,17 @@ func (m *Model) Finetune(samples []Sample, opts FinetuneOptions) (*TrainReport, 
 	m.borrowScratch()
 	defer m.releaseScratch()
 
-	params := m.Params()
 	// Establish the fused-step invariant (gradients zero before the
 	// first backward pass), whatever ran on this model before.
-	nn.ZeroGrads(params)
+	m.slab.ZeroGrads()
 	opt := nn.NewAdam(cfg.FinetuneLRHigh, cfg.FinetuneWeightDecay)
 	sched := nn.CyclicalLR{Low: cfg.FinetuneLRLow, High: cfg.FinetuneLRHigh}
-	run := &trainRun{params: params, opt: opt, huber: nn.HuberLoss{Delta: cfg.HuberDelta}}
+	run := &trainRun{opt: opt, huber: nn.HuberLoss{Delta: cfg.HuberDelta}}
 	stopper := nn.NewEarlyStopper(cfg.FinetuneTargetMAE, patience)
 
 	unfreezeEpoch := cfg.UnfreezeAfterPerSample * len(samples)
 	report := &TrainReport{Shards: 1}
-	var bestState nn.State
+	var bestState *nn.State
 
 	// One context batch serves both the training steps and the per-epoch
 	// MAE evaluation: fine-tuning is full-batch, so the encoded samples
@@ -136,14 +135,14 @@ func (m *Model) Finetune(samples []Sample, opts FinetuneOptions) (*TrainReport, 
 		mae := m.evalMAEBatch(b)
 		improved, stop := stopper.Observe(epoch, mae)
 		if improved {
-			bestState = nn.CaptureStateInto(bestState, params)
+			bestState = nn.CaptureStateInto(bestState, m.slab)
 		}
 		if stop {
 			break
 		}
 	}
 	if bestState != nil {
-		if err := nn.RestoreState(params, bestState); err != nil {
+		if err := nn.RestoreState(m.slab, bestState); err != nil {
 			return nil, fmt.Errorf("core: restoring best fine-tuning state: %w", err)
 		}
 	}

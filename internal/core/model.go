@@ -55,6 +55,10 @@ type Model struct {
 	second *Model
 	pass   gradPass
 
+	// slab holds every parameter, f's, g's, h's and z's in that order:
+	// the weights in one block, the gradients in another (see nn.Slab).
+	// A replica's slab shares the weights and owns its gradients.
+	slab *nn.Slab
 	// params caches each component's parameter list, so the per-step
 	// "does anything in f learn" checks allocate nothing.
 	params struct{ f, g, h, z []*nn.Param }
@@ -83,26 +87,33 @@ func New(cfg Config) (*Model, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	act := nn.ActivationByName(cfg.Activation)
-	m := &Model{
-		Cfg: cfg,
-		f: nn.TwoLayerSpec{
+	nets, slab := nn.BuildSlab(rng,
+		nn.TwoLayerSpec{
 			Name: "f", In: 3, Hidden: cfg.ScaleOutHidden, Out: cfg.ScaleOutDim,
 			ActHidden: act, ActOut: act, WithBias: true, Init: cfg.Init,
-		}.Build(rng),
-		g: nn.TwoLayerSpec{
+		},
+		nn.TwoLayerSpec{
 			Name: "g", In: cfg.PropertySize, Hidden: cfg.EncoderHidden, Out: cfg.EncodingDim,
 			ActHidden: act, ActOut: act, WithBias: false,
 			Dropout: cfg.Dropout, Init: cfg.Init,
-		}.Build(rng),
-		h: nn.TwoLayerSpec{
+		},
+		nn.TwoLayerSpec{
 			Name: "h", In: cfg.EncodingDim, Hidden: cfg.EncoderHidden, Out: cfg.PropertySize,
 			ActHidden: act, ActOut: nn.Tanh{}, WithBias: false,
 			Dropout: cfg.Dropout, Init: cfg.Init,
-		}.Build(rng),
-		z: nn.TwoLayerSpec{
+		},
+		nn.TwoLayerSpec{
 			Name: "z", In: cfg.CombinedDim(), Hidden: cfg.PredictorHidden, Out: 1,
 			ActHidden: act, ActOut: nn.Identity{}, WithBias: true, Init: cfg.Init,
-		}.Build(rng),
+		},
+	)
+	m := &Model{
+		Cfg:    cfg,
+		f:      nets[0],
+		g:      nets[1],
+		h:      nets[2],
+		z:      nets[3],
+		slab:   slab,
 		norm:   &MinMaxNormalizer{},
 		target: &TargetScaler{Scale: 1},
 		enc:    encoding.NewPropertyEncoder(cfg.PropertySize),
@@ -120,10 +131,11 @@ func (m *Model) indexParams() {
 
 // replica returns a model around m's parameter values that owns
 // everything a training pass writes: layer caches, batch buffers,
-// gradients, the row remap of its gathers, and a dropout generator
-// seeded from the model seed and the shard index. It holds no second
-// copy of a weight; its scalers are whatever m's are when a training
-// run hands it to a shard.
+// gradients (a block of their own in the layout of m's, see
+// nn.Slab.Replica), the row remap of its gathers, and a dropout
+// generator seeded from the model seed and the shard index. It holds no
+// second copy of a weight; its scalers are whatever m's are when a
+// training run hands it to a shard.
 func (m *Model) replica(shard int) *Model {
 	rng := rand.New(rand.NewSource(m.Cfg.Seed + int64(shard)*0x5DEECE66D))
 	r := &Model{
@@ -133,6 +145,7 @@ func (m *Model) replica(shard int) *Model {
 		rng: rng,
 	}
 	r.indexParams()
+	r.slab = m.slab.Replica(r.Params())
 	return r
 }
 
@@ -395,12 +408,13 @@ type forwardState struct {
 	train bool
 }
 
-// code returns the encoder output for property slot s of the batch.
-func (st *forwardState) code(s int) []float32 {
+// codeRow returns the row of codes holding the encoder output for
+// property slot s of the batch.
+func (st *forwardState) codeRow(s int) int {
 	if st.train {
-		return st.codes.Row(s)
+		return s
 	}
-	return st.codes.Row(int(st.b.propRow[s]))
+	return int(st.b.propRow[s])
 }
 
 // forward runs the architecture on a batch, returning the scaled
@@ -434,19 +448,24 @@ func (m *Model) forward(b *batch, train bool) *forwardState {
 	// Assemble r = e ⊕ essential codes ⊕ mean(optional codes) (Eq. 5).
 	bSize := b.scaleFeat.Rows
 	st.r = m.ws.Get(bSize, cfg.CombinedDim())
+	nf, nc, rc := cfg.ScaleOutDim, cfg.EncodingDim, st.r.Cols
+	codes := st.codes.Data
 	for i := 0; i < bSize; i++ {
-		row := st.r.Row(i)
-		copy(row[:cfg.ScaleOutDim], st.e.Row(i))
-		off := cfg.ScaleOutDim
+		row := st.r.Data[i*rc : i*rc+rc]
+		copy(row[:nf], st.e.Data[i*nf:i*nf+nf])
+		dst, slots := row[nf:], i*b.propsPer
 		for k := 0; k < cfg.NumEssential; k++ {
-			copy(row[off:off+cfg.EncodingDim], st.code(i*b.propsPer+k))
-			off += cfg.EncodingDim
+			c := st.codeRow(slots+k) * nc
+			copy(dst[:nc], codes[c:c+nc])
+			dst = dst[nc:]
 		}
 		nOpt := b.numOpt[i]
+		div := float32(nOpt)
+		dst = dst[:nc]
 		for k := 0; k < nOpt; k++ {
-			code := st.code(i*b.propsPer + cfg.NumEssential + k)
-			for j := 0; j < cfg.EncodingDim; j++ {
-				row[off+j] += code[j] / float32(nOpt)
+			c := st.codeRow(slots+cfg.NumEssential+k) * nc
+			for j, v := range codes[c : c+nc] {
+				dst[j] += v / div
 			}
 		}
 	}
@@ -498,19 +517,19 @@ func (m *Model) backward(st *forwardState, predGrad, reconGrad *mat.DenseF32) {
 		panic("core: the encoder learns only from a training-mode forward pass")
 	}
 	// Route the code parts of gradR to the slots they were read from.
+	// Slot s's row of gradCodes is row s of the training-mode codes.
 	gradCodes := m.ws.Get(st.codes.Rows, cfg.EncodingDim)
+	nf, nc, rc, per := cfg.ScaleOutDim, cfg.EncodingDim, gradR.Cols, st.b.propsPer
 	for i := 0; i < bSize; i++ {
-		row := gradR.Row(i)
-		off := cfg.ScaleOutDim
-		for k := 0; k < cfg.NumEssential; k++ {
-			copy(gradCodes.Row(i*st.b.propsPer+k), row[off:off+cfg.EncodingDim])
-			off += cfg.EncodingDim
-		}
+		src := gradR.Data[i*rc+nf : i*rc+rc]
+		dst := gradCodes.Data[i*per*nc : (i+1)*per*nc]
+		copy(dst[:cfg.NumEssential*nc], src[:cfg.NumEssential*nc])
+		opt := src[cfg.NumEssential*nc : cfg.NumEssential*nc+nc]
 		nOpt := st.b.numOpt[i]
-		for k := 0; k < nOpt; k++ {
-			dst := gradCodes.Row(i*st.b.propsPer + cfg.NumEssential + k)
-			for j := 0; j < cfg.EncodingDim; j++ {
-				dst[j] = row[off+j] / float32(nOpt)
+		div := float32(nOpt)
+		for k := cfg.NumEssential; k < cfg.NumEssential+nOpt; k++ {
+			for j, g := range opt {
+				dst[k*nc+j] = g / div
 			}
 		}
 	}

@@ -441,19 +441,18 @@ func LoadFile(path string) (*Model, error) {
 // pre-trained model can be fine-tuned repeatedly from the same starting
 // point — the evaluation's sub-sampling cross-validation and the online
 // fine-tuning of the serving lifecycle both depend on it. The copy is
-// direct (no serialization round-trip) and deliberately shallow where
-// state is transient: the clone gets empty batch buffers, and like every
-// model it owns no arena (its calls borrow one), so cloning a model that
-// has served large batches duplicates none of its scratch.
+// direct (no serialization round-trip): the weights are one copy of the
+// weight block, which a model of the same Config lays out alike. It is
+// deliberately shallow where state is transient: the clone gets empty
+// batch buffers, and like every model it owns no arena (its calls
+// borrow one), so cloning a model that has served large batches
+// duplicates none of its scratch.
 func (m *Model) Clone() (*Model, error) {
 	c, err := New(m.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	src, dst := m.Params(), c.Params()
-	for i, p := range src {
-		copy(dst[i].Value.Data, p.Value.Data)
-	}
+	copy(c.slab.Values(), m.slab.Values())
 	c.norm = &MinMaxNormalizer{
 		Min:    append([]float64(nil), m.norm.Min...),
 		Max:    append([]float64(nil), m.norm.Max...),

@@ -74,7 +74,11 @@ func (b *batch) propertyCounts(cfg Config) (rows, distinct int) {
 // the length of this call when a core is free, and on the caller when
 // none is. The trained parameters are the same bytes either way: they
 // depend on the samples and Config.Seed, never on GOMAXPROCS or on what
-// else the process is running.
+// else the process is running. The two shards share the model's weight
+// slab and accumulate into gradient slabs of their own (nn.Slab), so
+// the gradients one core writes never share a cache line with the
+// weights the other reads, or with the other's gradients; the best
+// epoch's weights are kept as one copy of the weight slab.
 //
 // The corpus is encoded once, before the loop (corpusTable): a step
 // gathers its shards' rows from the table, and each epoch's evaluation
@@ -99,7 +103,6 @@ func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 	m.target = FitTargetScaler(runtimes)
 
 	run := m.pretrainRun(samples)
-	params := run.params
 	m.borrowScratch()
 	defer m.releaseScratch()
 	if run.second != nil {
@@ -113,7 +116,7 @@ func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 	}
 
 	best := nn.NewEarlyStopper(0, 0) // track best only; no early stop in pre-training
-	var bestState nn.State
+	var bestState *nn.State
 	report := &TrainReport{Shards: 1}
 	report.PropertyRows, report.DistinctProperties = m.corpus.samples.propertyCounts(m.Cfg)
 
@@ -140,11 +143,11 @@ func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 		// Track the best state by full-corpus MAE in seconds.
 		mae := m.evalMAESplit(run)
 		if improved, _ := best.Observe(epoch, mae); improved {
-			bestState = nn.CaptureStateInto(bestState, params)
+			bestState = nn.CaptureStateInto(bestState, m.slab)
 		}
 	}
 	if bestState != nil {
-		if err := nn.RestoreState(params, bestState); err != nil {
+		if err := nn.RestoreState(m.slab, bestState); err != nil {
 			return nil, fmt.Errorf("core: restoring best pre-training state: %w", err)
 		}
 	}
@@ -186,14 +189,12 @@ func shardCut(n int) int {
 // the steps run both shards themselves.
 func (m *Model) pretrainRun(samples []Sample) *trainRun {
 	m.corpus.encode(m, samples)
-	params := m.Params()
-	nn.Freeze(params, false)
+	nn.Freeze(m.slab.Params(), false)
 	// Establish the fused-step invariant (gradients zero before the
 	// first backward pass), whatever ran on this model before.
-	nn.ZeroGrads(params)
+	m.slab.ZeroGrads()
 	run := &trainRun{
 		corpus:   &m.corpus.samples,
-		params:   params,
 		opt:      nn.NewAdam(m.Cfg.LearningRate, m.Cfg.WeightDecay),
 		huber:    nn.HuberLoss{Delta: m.Cfg.HuberDelta},
 		pretrain: true,
@@ -204,7 +205,7 @@ func (m *Model) pretrainRun(samples []Sample) *trainRun {
 			m.second.pass.fn, m.second.pass.evalFn = m.second.runPass, m.second.runEval
 		}
 		m.second.norm, m.second.target = m.norm, m.target
-		run.second, run.secondParams = m.second, m.second.Params()
+		run.second = m.second
 	}
 	return run
 }
@@ -212,7 +213,6 @@ func (m *Model) pretrainRun(samples []Sample) *trainRun {
 // trainRun is what the steps of one Pretrain or Finetune call share.
 type trainRun struct {
 	corpus   *batch // the encoded samples the steps' indices select from
-	params   []*nn.Param
 	opt      stepper
 	huber    nn.HuberLoss
 	pretrain bool // forward mode: dropout and the reconstruction term
@@ -220,9 +220,8 @@ type trainRun struct {
 	// second runs the second shard of a split step, on helper when one
 	// was leased and on the caller otherwise; nil when no batch of the
 	// run splits.
-	second       *Model
-	secondParams []*nn.Param
-	helper       *parallel.Helper
+	second *Model
+	helper *parallel.Helper
 
 	splitSteps, helperSteps int
 }
@@ -231,7 +230,7 @@ type trainRun struct {
 // shards' gradients and leaves them zero; *nn.Adam is the one training
 // runs.
 type stepper interface {
-	StepShards(params, second []*nn.Param, w0, w1 float32, maxNorm float64)
+	StepShards(s, second *nn.Slab, w0, w1 float32, maxNorm float64)
 }
 
 // gradPass is one shard's share of a step: its slice of the mini-batch
@@ -279,8 +278,9 @@ func (m *Model) runPass() {
 // gradients — each of the mean loss over its own samples — are then
 // summed in shard order, weighted by the shards' share of the batch,
 // which is the whole batch's gradient up to summation order, and one
-// optimizer step applies it: Adam's sweep forms the sum, the clip norm
-// over it and the update in one pass, zeroing both shards' gradients
+// optimizer step applies it: Adam's sweep, one per run of trainable
+// parameters over the model's slab and the replica's, forms the sum,
+// the clip norm over it and the update, zeroing both shards' gradients
 // for the next step. Who ran the second shard changes nothing it
 // computes, so neither does it change the result. A batch too small to
 // cut is the same loop with one shard; a nil idx steps on the batch
@@ -293,7 +293,7 @@ func (m *Model) trainStep(run *trainRun, idx []int) (rLoss, reconLoss float64) {
 	if cut == n {
 		m.runPass()
 		rLoss, reconLoss = first.rLoss, first.reconLoss
-		run.opt.StepShards(run.params, nil, 1, 0, m.Cfg.GradClipNorm)
+		run.opt.StepShards(m.slab, nil, 1, 0, m.Cfg.GradClipNorm)
 	} else {
 		second := &run.second.pass
 		second.run, second.idx = run, idx[cut:]
@@ -310,7 +310,7 @@ func (m *Model) trainStep(run *trainRun, idx []int) (rLoss, reconLoss float64) {
 		}
 		w1 := float64(n-cut) / float64(n)
 		w0 := 1 - w1
-		run.opt.StepShards(run.params, run.secondParams, float32(w0), float32(w1), m.Cfg.GradClipNorm)
+		run.opt.StepShards(m.slab, run.second.slab, float32(w0), float32(w1), m.Cfg.GradClipNorm)
 		rLoss = w0*first.rLoss + w1*second.rLoss
 		reconLoss = w0*first.reconLoss + w1*second.reconLoss
 		second.run, second.idx = nil, nil

@@ -40,21 +40,34 @@ func BenchmarkPretrain(b *testing.B) {
 // BenchmarkPretrainReuse is the set-up of the benchmark's train-reuse
 // workload: a 120-epoch Pretrain of the general model on the
 // reuse-shaped corpus (720 samples, 144 distinct inputs) at batch 64.
+// Besides the run's time it reports the share of split steps whose
+// second shard a helper ran (helped/step, as BenchmarkPretrainProcs
+// does) and the run's time per step (us/step), so an A/B of the step
+// reads straight off one run at either GOMAXPROCS.
 func BenchmarkPretrainReuse(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.PretrainEpochs = 120
 	samples := reuseShapedCorpus(b)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var steps, helped int
 	for i := 0; i < b.N; i++ {
 		m, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.Pretrain(samples); err != nil {
+		rep, err := m.Pretrain(samples)
+		if err != nil {
 			b.Fatal(err)
 		}
+		steps += rep.SplitSteps
+		helped += rep.HelperSteps
 	}
+	if steps == 0 {
+		b.Fatal("no step was split")
+	}
+	b.ReportMetric(float64(helped)/float64(steps), "helped/step")
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(steps), "us/step")
 }
 
 // BenchmarkTrainStep measures one optimization step over one full-corpus

@@ -1,6 +1,9 @@
 package mat
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Float32 activation kernels: the SELU and tanh epilogues of every
 // layer, forward and backward, in training and in serving. Under the
@@ -16,21 +19,56 @@ import "math"
 
 // Selu32 applies SELU in place: lambda*x for x > 0, else
 // lambdaAlpha*expm1(x). NaN stays NaN.
-func Selu32(v []float32, lambda, lambdaAlpha float32) {
+func Selu32(v []float32, lambda, lambdaAlpha float32) { BiasSelu32(v, nil, lambda, lambdaAlpha) }
+
+// negZero is the bias of an unbiased SELU pass: x + (−0) is x for every
+// x, −0 included.
+var negZero = func() (z [8]float32) {
+	for i := range z {
+		z[i] = float32(math.Copysign(0, -1))
+	}
+	return z
+}()
+
+// BiasSelu32 is the forward epilogue of a biased SELU layer in one
+// pass: v holds rows of len(bias) values, and each value x + bias[j] —
+// the float32 sum a separate bias pass would store — goes through
+// Selu32's SELU. A nil bias adds nothing. Under the asm family a bias
+// whose length is a multiple of 8 rides along the kernel's 8-lane
+// steps; another is added first.
+func BiasSelu32(v, bias []float32, lambda, lambdaAlpha float32) {
+	nb := len(bias)
+	if nb > 0 && len(v)%nb != 0 {
+		panic(fmt.Sprintf("mat: BiasSelu32 of %d values by a bias of %d", len(v), nb))
+	}
 	if !useAsm {
 		for i, x := range v {
+			if nb > 0 {
+				x += bias[i%nb]
+			}
 			v[i] = seluScalar32(x, lambda, lambdaAlpha)
 		}
 		return
 	}
+	b := negZero[:]
+	if nb%8 == 0 && nb > 0 {
+		b = bias
+	} else if nb > 0 {
+		for r := 0; r < len(v); r += nb {
+			row := v[r : r+nb]
+			for j, x := range bias {
+				row[j] += x
+			}
+		}
+	}
 	n := len(v) &^ 7
 	if n > 0 {
-		vselu32(&v[0], n, lambda, lambdaAlpha)
+		vselu32(&v[0], n, &b[0], len(b), lambda, lambdaAlpha)
 	}
 	if t := len(v) - n; t > 0 {
 		var buf [8]float32
 		copy(buf[:], v[n:])
-		vselu32(&buf[0], 8, lambda, lambdaAlpha)
+		vselu32(&buf[0], 8, &negZero[0], 8, lambda, lambdaAlpha)
 		copy(v[n:], buf[:t])
 	}
 }

@@ -58,23 +58,27 @@ func sdot4(x, r *float32, ldr, n int) (s0, s1, s2, s3 float32)
 // skinny-product kernel: one call covers 32 multiply-adds per k step,
 // so the 4..16-wide layers do not pay a call per 4 k-steps. With ka = 1
 // the rows of dst read rows of a (a*b, lda its row stride); with lda = 1
-// they read columns (aᵀ*b, ka its row stride). k must be >= 1.
+// they read columns (aᵀ*b, ka its row stride). It covers groups such
+// blocks, each 4 rows of dst and 4*lda elements of a past the one
+// before, so a strip down a tall product is one call. k and groups must
+// be >= 1.
 //
 //go:noescape
-func sgemmRows4x8(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int)
+func sgemmRows4x8(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int, groups int)
 
 // sgemmRows4x4 is the 4-column strip variant of sgemmRows4x8.
 //
 //go:noescape
-func sgemmRows4x4(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int)
+func sgemmRows4x4(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int, groups int)
 
-// vselu32 applies SELU in place over n float32 values: lambda*x where
-// the sign bit of x is clear, lambdaAlpha*expm1(x) where it is set. n
-// must be a positive multiple of 8; Selu32 wraps the ragged tail
-// through a stack buffer.
+// vselu32 applies SELU in place over n float32 values plus the nb bias
+// values that repeat along them: lambda*x where the sign bit of x is
+// clear, lambdaAlpha*expm1(x) where it is set. n and nb must be
+// positive multiples of 8; BiasSelu32 wraps the ragged tail through a
+// stack buffer.
 //
 //go:noescape
-func vselu32(v *float32, n int, lambda, lambdaAlpha float32)
+func vselu32(v *float32, n int, bias *float32, nb int, lambda, lambdaAlpha float32)
 
 // vtanh32 applies tanh in place over n float32 values. n must be a
 // positive multiple of 8.
@@ -88,14 +92,15 @@ func vtanh32(v *float32, n int)
 //go:noescape
 func vselugrad32(dst, grad, y *float32, n int, lambda, lambdaAlpha float32)
 
-// reconFront32 is the forward half of one row of ReconHead32: with
-// out = hid·w (hid a row of k values, w k×n), y = tanh(out) as vtanh32
-// computes it and d = y − t, it writes dpre = d·c·(1−y²) to the row's
-// dpre buffer, which must hold n rounded up to a multiple of 8 values,
-// and returns Σ d². k and n must be >= 1.
+// reconFront32x2 is the forward half of two consecutive rows a and b
+// of ReconHead32, whose k values each follow each other in hid: with
+// out = hid·w (w k×n), y = tanh(out) as vtanh32 computes it and d = y − t
+// against the row's target ta or tb, it writes dpre = d·c·(1−y²) to the
+// row's dpre buffer — a's at dpre, b's n rounded up to a multiple of 8
+// values further on — and returns each row's Σ d². k and n must be >= 1.
 //
 //go:noescape
-func reconFront32(hid *float32, k int, w *float32, n int, t, dpre *float32, c float32) (sum float32)
+func reconFront32x2(hid *float32, k int, w *float32, n int, ta, tb, dpre *float32, c float32) (suma, sumb float32)
 
 // reconBack32x2 is the backward half of two consecutive rows of
 // ReconHead32, whose dpre rows follow each other in dpre, n rounded up
@@ -123,3 +128,17 @@ func vdropout32(y, slope, x *float32, words *uint64, n int, keepBelow uint32, a,
 //
 //go:noescape
 func vmul32(dst, a, b *float32, n int)
+
+// gatherRows32 sets row i of dst to row rows[i] of src, rows of c
+// floats, for i in [0,n). c must be a positive multiple of 8, n >= 1,
+// and every rows[i] a row of src.
+//
+//go:noescape
+func gatherRows32(dst, src *float32, rows *int32, n, c int)
+
+// scatterAddRows32 adds row i of src to row rows[i] of dst, rows of c
+// floats, for i in [0,n) in order. c must be a positive multiple of 8,
+// n >= 1, and every rows[i] a row of dst.
+//
+//go:noescape
+func scatterAddRows32(dst, src *float32, rows *int32, n, c int)

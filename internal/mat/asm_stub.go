@@ -21,15 +21,15 @@ func sdot4(x, r *float32, ldr, n int) (s0, s1, s2, s3 float32) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
-func sgemmRows4x8(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int) {
+func sgemmRows4x8(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int, groups int) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
-func sgemmRows4x4(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int) {
+func sgemmRows4x4(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int, groups int) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
-func vselu32(v *float32, n int, lambda, lambdaAlpha float32) {
+func vselu32(v *float32, n int, bias *float32, nb int, lambda, lambdaAlpha float32) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
@@ -41,7 +41,7 @@ func vselugrad32(dst, grad, y *float32, n int, lambda, lambdaAlpha float32) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
-func reconFront32(hid *float32, k int, w *float32, n int, t, dpre *float32, c float32) (sum float32) {
+func reconFront32x2(hid *float32, k int, w *float32, n int, ta, tb, dpre *float32, c float32) (suma, sumb float32) {
 	panic("mat: asm kernel called on a noasm build")
 }
 
@@ -58,5 +58,13 @@ func vdropout32(y, slope, x *float32, words *uint64, n int, keepBelow uint32, a,
 }
 
 func vmul32(dst, a, b *float32, n int) {
+	panic("mat: asm kernel called on a noasm build")
+}
+
+func gatherRows32(dst, src *float32, rows *int32, n, c int) {
+	panic("mat: asm kernel called on a noasm build")
+}
+
+func scatterAddRows32(dst, src *float32, rows *int32, n, c int) {
 	panic("mat: asm kernel called on a noasm build")
 }

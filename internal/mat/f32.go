@@ -107,9 +107,9 @@ func AddRowVecToF32(dst, a *DenseF32, v []float32) {
 	if len(v) != a.Cols || dst.Rows != a.Rows || dst.Cols != a.Cols {
 		panic(fmt.Sprintf("mat: AddRowVecToF32 len %d onto %dx%d into %dx%d", len(v), a.Rows, a.Cols, dst.Rows, dst.Cols))
 	}
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Row(i)
-		or := dst.Row(i)[:len(ar)]
+	c := len(v)
+	for off := 0; off < a.Rows*c; off += c {
+		ar, or := a.Data[off:off+c], dst.Data[off:off+c]
 		for j, b := range v {
 			or[j] = ar[j] + b
 		}
@@ -117,13 +117,24 @@ func AddRowVecToF32(dst, a *DenseF32, v []float32) {
 }
 
 // ColSumsAccF32 accumulates the per-column sums of a into dst, row by
-// row: the bias-gradient kernel db += colsums(grad).
+// row: the bias-gradient kernel db += colsums(grad). Four rows at a
+// time go into a column's sum before it is stored back, added in row
+// order as one row at a time would add them.
 func ColSumsAccF32(dst []float32, a *DenseF32) {
 	if len(dst) != a.Cols {
 		panic(fmt.Sprintf("mat: ColSumsAccF32 dst len %d != cols %d", len(dst), a.Cols))
 	}
-	for i := 0; i < a.Rows; i++ {
-		for j, v := range a.Row(i)[:len(dst)] {
+	c, n := len(dst), a.Rows*len(dst)
+	off := 0
+	for ; off+4*c <= n; off += 4 * c {
+		r0, r1 := a.Data[off:off+c], a.Data[off+c:off+2*c]
+		r2, r3 := a.Data[off+2*c:off+3*c], a.Data[off+3*c:off+4*c]
+		for j, v := range dst {
+			dst[j] = v + r0[j] + r1[j] + r2[j] + r3[j]
+		}
+	}
+	for ; off < n; off += c {
+		for j, v := range a.Data[off : off+c] {
 			dst[j] += v
 		}
 	}
@@ -137,4 +148,50 @@ func SliceColsToF32(dst, a *DenseF32, from, to int) {
 	for i := 0; i < a.Rows; i++ {
 		copy(dst.Row(i), a.Row(i)[from:to])
 	}
+}
+
+// GatherRowsF32 sets row i of dst to row rows[i] of src; dst must be
+// len(rows)×src.Cols. Under the asm family rows whose width is a
+// multiple of 8 move 8 floats a load.
+func GatherRowsF32(dst, src *DenseF32, rows []int32) {
+	c := checkRows("GatherRowsF32", dst, src, src, rows)
+	if useAsm && c%8 == 0 && c > 0 && len(rows) > 0 {
+		gatherRows32(&dst.Data[0], &src.Data[0], &rows[0], len(rows), c)
+		return
+	}
+	for i, r := range rows {
+		copy(dst.Data[i*c:i*c+c], src.Data[int(r)*c:int(r)*c+c])
+	}
+}
+
+// ScatterAddRowsF32 adds row i of src to row rows[i] of dst, in row
+// order — GatherRowsF32's backward pass; src must be len(rows)×dst.Cols.
+// Each element is the same float32 sum in either family.
+func ScatterAddRowsF32(dst, src *DenseF32, rows []int32) {
+	c := checkRows("ScatterAddRowsF32", src, dst, dst, rows)
+	if useAsm && c%8 == 0 && c > 0 && len(rows) > 0 {
+		scatterAddRows32(&dst.Data[0], &src.Data[0], &rows[0], len(rows), c)
+		return
+	}
+	for i, r := range rows {
+		d, s := dst.Data[int(r)*c:int(r)*c+c], src.Data[i*c:i*c+c]
+		for j, v := range s {
+			d[j] += v
+		}
+	}
+}
+
+// checkRows panics unless dense has a row per entry of rows, both
+// matrices have one width, and every entry is a row of indexed. It
+// returns the width.
+func checkRows(op string, dense, other, indexed *DenseF32, rows []int32) int {
+	if dense.Rows != len(rows) || dense.Cols != other.Cols {
+		panic(fmt.Sprintf("mat: %s of %d rows between %dx%d and %dx%d", op, len(rows), dense.Rows, dense.Cols, other.Rows, other.Cols))
+	}
+	for _, r := range rows {
+		if uint32(r) >= uint32(indexed.Rows) {
+			panic(fmt.Sprintf("mat: %s row %d of %d", op, r, indexed.Rows))
+		}
+	}
+	return dense.Cols
 }

@@ -441,3 +441,96 @@ func TestAlphaDropout32BitEqualPlain(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherScatterRows: GatherRowsF32 copies the indexed rows and
+// ScatterAddRowsF32 adds each row onto its index in row order — repeated
+// indices accumulate — bit for bit the scalar loops, in every family, at
+// widths the 8-lane kernels take (8, 16) and ones they leave to the
+// loops (5); an index outside the indexed matrix panics.
+func TestGatherScatterRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	rows := []int32{2, 0, 2, 2, 1, 0, 2, 1, 1, 2, 0}
+	for _, c := range []int{8, 16, 5} {
+		src, _ := randomDense32(rng, 3, c)
+		grad, _ := randomDense32(rng, len(rows), c)
+		base, _ := randomDense32(rng, 3, c)
+		wantG, wantS := NewDenseF32(len(rows), c), base.Clone()
+		for i, r := range rows {
+			for j := 0; j < c; j++ {
+				wantG.Data[i*c+j] = src.Data[int(r)*c+j]
+				wantS.Data[int(r)*c+j] += grad.Data[i*c+j]
+			}
+		}
+		for _, asm := range testFamilies() {
+			setFamily(t, asm)
+			name := fmt.Sprintf("family=%s/cols=%d", KernelFamily(), c)
+			g, s := NewDenseF32(len(rows), c), base.Clone()
+			GatherRowsF32(g, src, rows)
+			ScatterAddRowsF32(s, grad, rows)
+			for i := range g.Data {
+				if math.Float32bits(g.Data[i]) != math.Float32bits(wantG.Data[i]) {
+					t.Fatalf("%s: gathered %v at %d, want %v", name, g.Data[i], i, wantG.Data[i])
+				}
+			}
+			for i := range s.Data {
+				if math.Float32bits(s.Data[i]) != math.Float32bits(wantS.Data[i]) {
+					t.Fatalf("%s: scattered %v at %d, want %v", name, s.Data[i], i, wantS.Data[i])
+				}
+			}
+			for _, bad := range []int32{3, -1} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s: row %d of 3 did not panic", name, bad)
+						}
+					}()
+					GatherRowsF32(NewDenseF32(1, c), src, []int32{bad})
+				}()
+			}
+		}
+	}
+}
+
+// TestBiasSelu32IsAddThenSelu: SELU with the bias folded into its pass
+// gives, bit for bit, the bias added by a pass of its own and then
+// Selu32, in every family, for bias rows the 8-lane kernel carries (8,
+// 16), one it adds first (5) and none — over inputs that include −0,
+// +0 and NaN, where adding a zero bias could change a sign.
+func TestBiasSelu32IsAddThenSelu(t *testing.T) {
+	const lambda, la = float32(1.0507009873554805), float32(1.0507009873554805 * 1.6732632423543772)
+	rng := rand.New(rand.NewSource(29))
+	negZero := float32(math.Copysign(0, -1))
+	for _, nb := range []int{8, 16, 5, 0} {
+		rows := 7
+		v := make([]float32, rows*max(nb, 3))
+		for i := range v {
+			v[i] = float32(rng.NormFloat64() * 3)
+		}
+		v[0], v[1], v[2] = negZero, 0, float32(math.NaN())
+		var bias []float32
+		if nb > 0 {
+			bias = make([]float32, nb)
+			for j := range bias {
+				bias[j] = float32(rng.NormFloat64())
+			}
+			bias[0] = negZero
+		}
+		for _, asm := range testFamilies() {
+			setFamily(t, asm)
+			want := append([]float32(nil), v...)
+			for i := range want {
+				if nb > 0 {
+					want[i] += bias[i%nb]
+				}
+			}
+			Selu32(want, lambda, la)
+			got := append([]float32(nil), v...)
+			BiasSelu32(got, bias, lambda, la)
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s, bias of %d: value %d is %v, a pass of its own gives %v", KernelFamily(), nb, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -255,44 +255,52 @@ sdotstore:
 	VZEROUPPER
 	RET
 
-// func sgemmRows4x8(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int)
+// func sgemmRows4x8(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int, groups int)
 //
 // Float32 strided-B row kernel: 4 dst rows x 8 columns in Y0-Y3 for
 // the whole k loop — the Bellamy MLP layers are 4..16 columns wide, far
 // too skinny for per-k-step kernel calls. Output row r reads
 // a[r*lda + p*ka] at step p: ka = 1 walks rows of a (a*b), lda = 1
-// walks its columns (aᵀ*b).
-TEXT ·sgemmRows4x8(SB), NOSPLIT, $0-64
+// walks its columns (aᵀ*b). It runs groups such blocks down the rows,
+// each 4 rows of dst and of a (4*lda) past the one before, so a strip
+// of a tall product is one call; groups must be >= 1.
+TEXT ·sgemmRows4x8(SB), NOSPLIT, $0-72
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8
 	MOVQ a+16(FP), SI
 	MOVQ lda+24(FP), R9
 	MOVQ ka+32(FP), R11
-	MOVQ b+40(FP), BX
+	MOVQ b+40(FP), R13
 	MOVQ ldb+48(FP), R10
-	MOVQ k+56(FP), CX
+	MOVQ k+56(FP), R14
+	MOVQ groups+64(FP), DX
 	SHLQ $2, R8
 	SHLQ $2, R9
 	SHLQ $2, R10
 	SHLQ $2, R11
 	LEAQ (R9)(R9*2), R12
+
+sr48group:
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
+	MOVQ   R13, BX
+	MOVQ   SI, AX
+	MOVQ   R14, CX
 
 sr48loop:
 	VMOVUPS      (BX), Y4
-	VBROADCASTSS (SI), Y5
+	VBROADCASTSS (AX), Y5
 	VFMADD231PS  Y5, Y4, Y0
-	VBROADCASTSS (SI)(R9*1), Y6
+	VBROADCASTSS (AX)(R9*1), Y6
 	VFMADD231PS  Y6, Y4, Y1
-	VBROADCASTSS (SI)(R9*2), Y5
+	VBROADCASTSS (AX)(R9*2), Y5
 	VFMADD231PS  Y5, Y4, Y2
-	VBROADCASTSS (SI)(R12*1), Y6
+	VBROADCASTSS (AX)(R12*1), Y6
 	VFMADD231PS  Y6, Y4, Y3
 	ADDQ R10, BX
-	ADDQ R11, SI
+	ADDQ R11, AX
 	DECQ CX
 	JNZ  sr48loop
 
@@ -311,43 +319,53 @@ sr48loop:
 	VMOVUPS (DI), Y4
 	VADDPS  Y4, Y3, Y3
 	VMOVUPS Y3, (DI)
+	ADDQ    R8, DI
+	LEAQ    (SI)(R9*4), SI
+	DECQ    DX
+	JNZ     sr48group
 	VZEROUPPER
 	RET
 
-// func sgemmRows4x4(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int)
+// func sgemmRows4x4(dst *float32, ldd int, a *float32, lda, ka int, b *float32, ldb int, k int, groups int)
 //
 // 4-column xmm variant of sgemmRows4x8.
-TEXT ·sgemmRows4x4(SB), NOSPLIT, $0-64
+TEXT ·sgemmRows4x4(SB), NOSPLIT, $0-72
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8
 	MOVQ a+16(FP), SI
 	MOVQ lda+24(FP), R9
 	MOVQ ka+32(FP), R11
-	MOVQ b+40(FP), BX
+	MOVQ b+40(FP), R13
 	MOVQ ldb+48(FP), R10
-	MOVQ k+56(FP), CX
+	MOVQ k+56(FP), R14
+	MOVQ groups+64(FP), DX
 	SHLQ $2, R8
 	SHLQ $2, R9
 	SHLQ $2, R10
 	SHLQ $2, R11
 	LEAQ (R9)(R9*2), R12
+
+sr44group:
 	VXORPS X0, X0, X0
 	VXORPS X1, X1, X1
 	VXORPS X2, X2, X2
 	VXORPS X3, X3, X3
+	MOVQ   R13, BX
+	MOVQ   SI, AX
+	MOVQ   R14, CX
 
 sr44loop:
 	VMOVUPS      (BX), X4
-	VBROADCASTSS (SI), X5
+	VBROADCASTSS (AX), X5
 	VFMADD231PS  X5, X4, X0
-	VBROADCASTSS (SI)(R9*1), X6
+	VBROADCASTSS (AX)(R9*1), X6
 	VFMADD231PS  X6, X4, X1
-	VBROADCASTSS (SI)(R9*2), X5
+	VBROADCASTSS (AX)(R9*2), X5
 	VFMADD231PS  X5, X4, X2
-	VBROADCASTSS (SI)(R12*1), X6
+	VBROADCASTSS (AX)(R12*1), X6
 	VFMADD231PS  X6, X4, X3
 	ADDQ R10, BX
-	ADDQ R11, SI
+	ADDQ R11, AX
 	DECQ CX
 	JNZ  sr44loop
 
@@ -366,6 +384,10 @@ sr44loop:
 	VMOVUPS (DI), X4
 	VADDPS  X4, X3, X3
 	VMOVUPS X3, (DI)
+	ADDQ    R8, DI
+	LEAQ    (SI)(R9*4), SI
+	DECQ    DX
+	JNZ     sr44group
 	VZEROUPPER
 	RET
 
@@ -391,6 +413,59 @@ DATA ex32<>+44(SB)/4, $0xc2ae0000 // clamp = -87
 DATA ex32<>+48(SB)/4, $0xc0000000 // -2.0
 DATA ex32<>+52(SB)/4, $0x7fffffff // |x| mask
 GLOBL ex32<>(SB), RODATA|NOPTR, $56
+
+// The constants of ex32 the reconstruction head's two-row tanh reads as
+// memory operands, each repeated over 8 lanes, so that two rows' chains
+// fit the 16 ymm registers at once.
+DATA exv<>+0(SB)/8, $0x7fffffff7fffffff // |x| mask
+DATA exv<>+8(SB)/8, $0x7fffffff7fffffff
+DATA exv<>+16(SB)/8, $0x7fffffff7fffffff
+DATA exv<>+24(SB)/8, $0x7fffffff7fffffff
+DATA exv<>+32(SB)/8, $0x4b4000004b400000 // shift = 1.5*2^23
+DATA exv<>+40(SB)/8, $0x4b4000004b400000
+DATA exv<>+48(SB)/8, $0x4b4000004b400000
+DATA exv<>+56(SB)/8, $0x4b4000004b400000
+DATA exv<>+64(SB)/8, $0x3fb8aa3b3fb8aa3b // log2(e)
+DATA exv<>+72(SB)/8, $0x3fb8aa3b3fb8aa3b
+DATA exv<>+80(SB)/8, $0x3fb8aa3b3fb8aa3b
+DATA exv<>+88(SB)/8, $0x3fb8aa3b3fb8aa3b
+DATA exv<>+96(SB)/8, $0x3f8000003f800000 // 1.0, also the exponent bias as bits
+DATA exv<>+104(SB)/8, $0x3f8000003f800000
+DATA exv<>+112(SB)/8, $0x3f8000003f800000
+DATA exv<>+120(SB)/8, $0x3f8000003f800000
+DATA exv<>+128(SB)/8, $0x3f3180003f318000 // ln2 high
+DATA exv<>+136(SB)/8, $0x3f3180003f318000
+DATA exv<>+144(SB)/8, $0x3f3180003f318000
+DATA exv<>+152(SB)/8, $0x3f3180003f318000
+DATA exv<>+160(SB)/8, $0xb95e8083b95e8083 // ln2 low
+DATA exv<>+168(SB)/8, $0xb95e8083b95e8083
+DATA exv<>+176(SB)/8, $0xb95e8083b95e8083
+DATA exv<>+184(SB)/8, $0xb95e8083b95e8083
+DATA exv<>+192(SB)/8, $0x39500d0139500d01 // 1/7!
+DATA exv<>+200(SB)/8, $0x39500d0139500d01
+DATA exv<>+208(SB)/8, $0x39500d0139500d01
+DATA exv<>+216(SB)/8, $0x39500d0139500d01
+DATA exv<>+224(SB)/8, $0x3ab60b613ab60b61 // 1/6!
+DATA exv<>+232(SB)/8, $0x3ab60b613ab60b61
+DATA exv<>+240(SB)/8, $0x3ab60b613ab60b61
+DATA exv<>+248(SB)/8, $0x3ab60b613ab60b61
+DATA exv<>+256(SB)/8, $0x3c0888893c088889 // 1/5!
+DATA exv<>+264(SB)/8, $0x3c0888893c088889
+DATA exv<>+272(SB)/8, $0x3c0888893c088889
+DATA exv<>+280(SB)/8, $0x3c0888893c088889
+DATA exv<>+288(SB)/8, $0x3d2aaaab3d2aaaab // 1/4!
+DATA exv<>+296(SB)/8, $0x3d2aaaab3d2aaaab
+DATA exv<>+304(SB)/8, $0x3d2aaaab3d2aaaab
+DATA exv<>+312(SB)/8, $0x3d2aaaab3d2aaaab
+DATA exv<>+320(SB)/8, $0x3e2aaaab3e2aaaab // 1/3!
+DATA exv<>+328(SB)/8, $0x3e2aaaab3e2aaaab
+DATA exv<>+336(SB)/8, $0x3e2aaaab3e2aaaab
+DATA exv<>+344(SB)/8, $0x3e2aaaab3e2aaaab
+DATA exv<>+352(SB)/8, $0x3f0000003f000000 // 1/2!
+DATA exv<>+360(SB)/8, $0x3f0000003f000000
+DATA exv<>+368(SB)/8, $0x3f0000003f000000
+DATA exv<>+376(SB)/8, $0x3f0000003f000000
+GLOBL exv<>(SB), RODATA|NOPTR, $384
 
 // EXPM1F sets Y4 = expm1(Y2) on 8 lanes for Y2 in [-87, 0] (or NaN,
 // which propagates), as 2^k*expm1(r) + (2^k - 1) in one fused step: the
@@ -427,22 +502,34 @@ GLOBL ex32<>(SB), RODATA|NOPTR, $56
 	VSUBPS       Y6, Y3, Y5; \
 	VFMADD213PS  Y5, Y3, Y4
 
-// func vselu32(v *float32, n int, lambda, lambdaAlpha float32)
+// func vselu32(v *float32, n int, bias *float32, nb int, lambda, lambdaAlpha float32)
 //
-// SELU in place over a contiguous float32 slice, 8 lanes a step:
-// lambda*x where the sign bit of x is clear, lambdaAlpha*expm1(x) where
-// it is set. n must be a positive multiple of 8; the Go wrapper rounds
-// the tail through a stack buffer.
-TEXT ·vselu32(SB), NOSPLIT, $0-24
+// SELU in place over a contiguous float32 slice, 8 lanes a step, of
+// x = v + bias: lambda*x where the sign bit of x is clear,
+// lambdaAlpha*expm1(x) where it is set. The bias is nb floats that
+// repeat along v (a layer's bias row under its output rows); an
+// unbiased pass adds -0, which changes no x. n and nb must be positive
+// multiples of 8; the Go wrapper rounds the tail through a stack
+// buffer.
+TEXT ·vselu32(SB), NOSPLIT, $0-40
 	MOVQ         v+0(FP), DI
 	MOVQ         n+8(FP), CX
-	VBROADCASTSS lambda+16(FP), Y8
-	VBROADCASTSS lambdaAlpha+20(FP), Y9
+	MOVQ         bias+16(FP), SI
+	MOVQ         nb+24(FP), DX
+	VBROADCASTSS lambda+32(FP), Y8
+	VBROADCASTSS lambdaAlpha+36(FP), Y9
 	VBROADCASTSS ex32<>+44(SB), Y15
+	SHLQ         $2, DX
+	XORQ         R10, R10
+	XORQ         AX, AX
 	XORQ         BX, BX
 
 vselu32loop:
 	VMOVUPS (DI)(BX*4), Y0
+	VADDPS  (SI)(AX*1), Y0, Y0
+	ADDQ    $32, AX
+	CMPQ    AX, DX
+	CMOVQEQ R10, AX
 	VMULPS  Y8, Y0, Y1
 
 	// t = max(min(x, 0), -87), a NaN x staying NaN (min and max return
@@ -537,24 +624,82 @@ DATA mask32<>+48(SB)/8, $0
 DATA mask32<>+56(SB)/8, $0
 GLOBL mask32<>(SB), RODATA|NOPTR, $64
 
-// RECON_DPRE takes Y0 = out on 8 lanes and the row's target chunk in Y1
-// and leaves dpre = d*c*(1-y^2) in Y1, with d = y - target, adding d*d
-// to Y8. y = tanh(out) is vtanh32's to the bit. Clobbers Y2-Y7.
-#define RECON_DPRE \
-	VANDPS       Y10, Y0, Y2; \
-	VXORPS       Y2, Y0, Y7; \
-	VMULPS       Y11, Y2, Y2; \
-	VMAXPS       Y2, Y15, Y2; \
-	EXPM1F; \
-	VSUBPS       Y4, Y11, Y5; \
-	VDIVPS       Y5, Y4, Y5; \
-	VORPS        Y7, Y5, Y5; \
-	VSUBPS       Y1, Y5, Y1; \
-	VFMADD231PS  Y1, Y1, Y8; \
-	VMOVAPS      Y14, Y2; \
-	VFNMADD231PS Y5, Y5, Y2; \
-	VMULPS       Y9, Y1, Y1; \
-	VMULPS       Y2, Y1, Y1
+// RECON2_HEAD takes one chunk of rows a and b at once, the two chains
+// interleaved instruction by instruction: out from the rows' dpre
+// chunks (R11 and R14 at AX), y = tanh(out) — vtanh32's operations and
+// operand order, so its bits — left in Y3 for a and Y8 for b. Y10 holds
+// -2.0 and Y11 the expm1 clamp; every other constant is an exv operand.
+// Y0-Y4 are a's temps and Y5-Y9 b's.
+#define RECON2_HEAD \
+	VMOVUPS      (R11)(AX*1), Y0 \
+	VMOVUPS      (R14)(AX*1), Y5 \
+	VANDPS       exv<>+0(SB), Y0, Y1 \
+	VANDPS       exv<>+0(SB), Y5, Y6 \
+	VXORPS       Y1, Y0, Y2 \
+	VXORPS       Y6, Y5, Y7 \
+	VMULPS       Y10, Y1, Y1 \
+	VMULPS       Y10, Y6, Y6 \
+	VMAXPS       Y1, Y11, Y1 \
+	VMAXPS       Y6, Y11, Y6 \
+	VMOVUPS      exv<>+32(SB), Y0 \
+	VMOVUPS      exv<>+32(SB), Y5 \
+	VFMADD231PS  exv<>+64(SB), Y1, Y0 \
+	VFMADD231PS  exv<>+64(SB), Y6, Y5 \
+	VSUBPS       exv<>+32(SB), Y0, Y3 \
+	VSUBPS       exv<>+32(SB), Y5, Y8 \
+	VPSLLD       $23, Y0, Y0 \
+	VPSLLD       $23, Y5, Y5 \
+	VPADDD       exv<>+96(SB), Y0, Y0 \
+	VPADDD       exv<>+96(SB), Y5, Y5 \
+	VFNMADD231PS exv<>+128(SB), Y3, Y1 \
+	VFNMADD231PS exv<>+128(SB), Y8, Y6 \
+	VFNMADD231PS exv<>+160(SB), Y3, Y1 \
+	VFNMADD231PS exv<>+160(SB), Y8, Y6 \
+	VMOVUPS      exv<>+192(SB), Y4 \
+	VMOVUPS      exv<>+192(SB), Y9 \
+	VFMADD213PS  exv<>+224(SB), Y1, Y4 \
+	VFMADD213PS  exv<>+224(SB), Y6, Y9 \
+	VFMADD213PS  exv<>+256(SB), Y1, Y4 \
+	VFMADD213PS  exv<>+256(SB), Y6, Y9 \
+	VFMADD213PS  exv<>+288(SB), Y1, Y4 \
+	VFMADD213PS  exv<>+288(SB), Y6, Y9 \
+	VFMADD213PS  exv<>+320(SB), Y1, Y4 \
+	VFMADD213PS  exv<>+320(SB), Y6, Y9 \
+	VFMADD213PS  exv<>+352(SB), Y1, Y4 \
+	VFMADD213PS  exv<>+352(SB), Y6, Y9 \
+	VMULPS       Y1, Y4, Y4 \
+	VMULPS       Y6, Y9, Y9 \
+	VFMADD213PS  Y1, Y1, Y4 \
+	VFMADD213PS  Y6, Y6, Y9 \
+	VSUBPS       exv<>+96(SB), Y0, Y3 \
+	VSUBPS       exv<>+96(SB), Y5, Y8 \
+	VFMADD213PS  Y3, Y0, Y4 \
+	VFMADD213PS  Y8, Y5, Y9 \
+	VSUBPS       Y4, Y10, Y3 \
+	VSUBPS       Y9, Y10, Y8 \
+	VDIVPS       Y3, Y4, Y3 \
+	VDIVPS       Y8, Y9, Y8 \
+	VORPS        Y2, Y3, Y3 \
+	VORPS        Y7, Y8, Y8
+
+// RECON2_TAIL(ta, tb) finishes the chunk from RECON2_HEAD's y and the
+// rows' target chunks ta and tb: d = y - target, Σ d*d into Y14 and
+// Y15, and dpre = d*c*(1-y^2) (Y12 is c) stored over out.
+#define RECON2_TAIL(ta, tb) \
+	VSUBPS       ta, Y3, Y2 \
+	VSUBPS       tb, Y8, Y7 \
+	VFMADD231PS  Y2, Y2, Y14 \
+	VFMADD231PS  Y7, Y7, Y15 \
+	VMOVUPS      exv<>+96(SB), Y1 \
+	VMOVUPS      exv<>+96(SB), Y6 \
+	VFNMADD231PS Y3, Y3, Y1 \
+	VFNMADD231PS Y8, Y8, Y6 \
+	VMULPS       Y12, Y2, Y2 \
+	VMULPS       Y12, Y7, Y7 \
+	VMULPS       Y1, Y2, Y2 \
+	VMULPS       Y6, Y7, Y7 \
+	VMOVUPS      Y2, (R11)(AX*1) \
+	VMOVUPS      Y7, (R14)(AX*1)
 
 // RECON_SETUP takes DI = hid, CX = k and R8 = n and leaves DI past the
 // row's k values, CX = -4k, R8 = 4n, R9 = 4(n&^7) the full chunks' end
@@ -605,149 +750,191 @@ GLOBL mask32<>(SB), RODATA|NOPTR, $64
 	VEXTRACTF128 $1, Y4, X8; \
 	VADDPS       X8, X4, X9
 
-// The reconstruction head runs a row in three passes over 8-lane chunks
-// of the row, which the row's dpre buffer carries between them.
-// reconFront32 runs the first two:
-//  1. out = hid.w into dpre, four chunks at a time while they last, each
-//     summed over the k rows of w in order, one FMA per row;
-//  2. per chunk, RECON_DPRE on out and the target t, in place, and the
-//     squared errors into the result.
-// reconBack32x2 runs the third for two consecutive rows at once, two
-// rows of w at a time:
+// The reconstruction head runs rows in pairs, a and b = a+1, in three
+// passes over 8-lane chunks of each row, which the rows' dpre buffers
+// carry between them. reconFront32x2 runs the first two for both rows,
+// interleaved, so the two rows' FMA chains and tanh chains are in flight
+// together:
+//  1. out = hid.w into dpre, four chunks of both rows at a time while
+//     they last, each summed over the k rows of w in order, one FMA per
+//     row;
+//  2. per chunk of both rows, RECON2_HEAD and RECON2_TAIL on out and
+//     the row's target — tanh, error and dpre, in place — and each
+//     row's squared errors into its result.
+// reconBack32x2 runs the third for both rows at once, two rows of w at
+// a time:
 //  3. per row kk of w: dw[kk] += hid_a[kk]*dpre_a + hid_b[kk]*dpre_b
 //     and dhid[kk] = dpre.w[kk] for both rows, summed per lane over the
 //     chunks and then across the lanes as REDUCE4 does; each chunk of dw
 //     is loaded and stored once for both rows.
-// A ragged last chunk of n%8 lanes reads w, t and dw through the lane
-// mask in Y13, so its dead lanes are zeros throughout: out 0, y 0, d 0
-// and dpre 0, which leave every sum unchanged. A row's dpre must hold n
-// rounded up to 8 values; k and n must be >= 1.
+// Every element goes through the operations a row on its own would, in
+// the same order. A ragged last chunk of n%8 lanes reads w, t and dw
+// through the lane mask in Y13, so its dead lanes are zeros throughout:
+// out 0, y 0, d 0 and dpre 0, which leave every sum unchanged. The dpre
+// rows follow each other in dpre, n rounded up to 8 apart; k and n must
+// be >= 1.
 //
-// Registers: DI and R12 point past the row's k values of hid and dhid,
-// which CX = -4k indexes through BX; SI and DX are w and dw, R8 = 4n
-// their row stride and R9 = 4(n&^7) the full chunks' end; R11 is dpre;
-// AX indexes chunks, and R13 and R14 walk w and dw. R10 is t in passes
-// 1-2 and the second row's dpre in reconBack32x2. In pass 2 Y8 sums d*d,
-// Y9 is c, Y14 1.0, and Y10, Y11 and Y15 hold vtanh32's constants.
+// Registers: DI points past row a's k values of hid, which CX = -4k
+// indexes through BX; row b's are 4k further on. SI is w, R8 = 4n its
+// row stride and R9 = 4(n&^7) the full chunks' end; R11 is a's dpre;
+// AX indexes chunks and R13 walks w.
 
-// func reconFront32(hid *float32, k int, w *float32, n int, t, dpre *float32, c float32) (sum float32)
-TEXT ·reconFront32(SB), NOSPLIT, $0-60
+// func reconFront32x2(hid *float32, k int, w *float32, n int, ta, tb, dpre *float32, c float32) (suma, sumb float32)
+//
+// Passes 1-2 for rows a and b. DX points past b's k values of hid, R10
+// and R12 are a's and b's targets, and R14 is b's dpre. In pass 2 Y14
+// and Y15 sum a's and b's d*d, Y12 is c, and Y10 and Y11 hold -2.0 and
+// the expm1 clamp.
+TEXT ·reconFront32x2(SB), NOSPLIT, $0-72
 	MOVQ hid+0(FP), DI
 	MOVQ k+8(FP), CX
 	MOVQ w+16(FP), SI
 	MOVQ n+24(FP), R8
-	MOVQ t+32(FP), R10
-	MOVQ dpre+40(FP), R11
+	MOVQ ta+32(FP), R10
+	MOVQ tb+40(FP), R12
+	MOVQ dpre+48(FP), R11
 	RECON_SETUP
+	MOVQ DI, DX
+	SUBQ CX, DX
+	LEAQ 28(R8), R14
+	ANDQ $-32, R14
+	ADDQ R11, R14
 
-	// Pass 1: out = hid.w, four chunks at a time.
+	// Pass 1: out = hid.w, four chunks of both rows at a time.
 	XORQ AX, AX
-	MOVQ R9, R14
-	SUBQ $96, R14 // the last start of a full quad
 
-rf32quad:
-	CMPQ   AX, R14
-	JGE    rf32one
+rf2quad:
+	LEAQ   128(AX), BX
+	CMPQ   BX, R9
+	JGT    rf2one
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
 	MOVQ   CX, BX
 	LEAQ   (SI)(AX*1), R13
 
-rf32quadk:
-	VBROADCASTSS (DI)(BX*1), Y4
-	VFMADD231PS  (R13), Y4, Y0
-	VFMADD231PS  32(R13), Y4, Y1
-	VFMADD231PS  64(R13), Y4, Y2
-	VFMADD231PS  96(R13), Y4, Y3
+rf2quadk:
+	VBROADCASTSS (DI)(BX*1), Y8
+	VBROADCASTSS (DX)(BX*1), Y9
+	VMOVUPS      (R13), Y10
+	VMOVUPS      32(R13), Y11
+	VFMADD231PS  Y10, Y8, Y0
+	VFMADD231PS  Y10, Y9, Y4
+	VFMADD231PS  Y11, Y8, Y1
+	VFMADD231PS  Y11, Y9, Y5
+	VMOVUPS      64(R13), Y10
+	VMOVUPS      96(R13), Y11
+	VFMADD231PS  Y10, Y8, Y2
+	VFMADD231PS  Y10, Y9, Y6
+	VFMADD231PS  Y11, Y8, Y3
+	VFMADD231PS  Y11, Y9, Y7
 	ADDQ         R8, R13
 	ADDQ         $4, BX
-	JNZ          rf32quadk
+	JNZ          rf2quadk
 	VMOVUPS      Y0, (R11)(AX*1)
 	VMOVUPS      Y1, 32(R11)(AX*1)
 	VMOVUPS      Y2, 64(R11)(AX*1)
 	VMOVUPS      Y3, 96(R11)(AX*1)
+	VMOVUPS      Y4, (R14)(AX*1)
+	VMOVUPS      Y5, 32(R14)(AX*1)
+	VMOVUPS      Y6, 64(R14)(AX*1)
+	VMOVUPS      Y7, 96(R14)(AX*1)
 	ADDQ         $128, AX
-	JMP          rf32quad
+	JMP          rf2quad
 
-rf32one:
+rf2one:
 	CMPQ   AX, R9
-	JGE    rf32onetail
+	JGE    rf2onetail
 	VXORPS Y0, Y0, Y0
+	VXORPS Y4, Y4, Y4
 	MOVQ   CX, BX
 	LEAQ   (SI)(AX*1), R13
 
-rf32onek:
-	VBROADCASTSS (DI)(BX*1), Y4
-	VFMADD231PS  (R13), Y4, Y0
+rf2onek:
+	VBROADCASTSS (DI)(BX*1), Y8
+	VBROADCASTSS (DX)(BX*1), Y9
+	VMOVUPS      (R13), Y10
+	VFMADD231PS  Y10, Y8, Y0
+	VFMADD231PS  Y10, Y9, Y4
 	ADDQ         R8, R13
 	ADDQ         $4, BX
-	JNZ          rf32onek
+	JNZ          rf2onek
 	VMOVUPS      Y0, (R11)(AX*1)
+	VMOVUPS      Y4, (R14)(AX*1)
 	ADDQ         $32, AX
-	JMP          rf32one
+	JMP          rf2one
 
-rf32onetail:
+rf2onetail:
 	CMPQ   AX, R8
-	JGE    rf32act
+	JGE    rf2act
 	VXORPS Y0, Y0, Y0
+	VXORPS Y4, Y4, Y4
 	MOVQ   CX, BX
 	LEAQ   (SI)(AX*1), R13
 
-rf32onetailk:
-	VBROADCASTSS (DI)(BX*1), Y4
-	VMASKMOVPS   (R13), Y13, Y5
-	VFMADD231PS  Y5, Y4, Y0
+rf2onetailk:
+	VBROADCASTSS (DI)(BX*1), Y8
+	VBROADCASTSS (DX)(BX*1), Y9
+	VMASKMOVPS   (R13), Y13, Y10
+	VFMADD231PS  Y10, Y8, Y0
+	VFMADD231PS  Y10, Y9, Y4
 	ADDQ         R8, R13
 	ADDQ         $4, BX
-	JNZ          rf32onetailk
+	JNZ          rf2onetailk
 	VMOVUPS      Y0, (R11)(AX*1)
+	VMOVUPS      Y4, (R14)(AX*1)
 
-	// Pass 2: tanh, error and dpre, chunk by chunk.
-rf32act:
-	VBROADCASTSS c+48(FP), Y9
-	VBROADCASTSS ex32<>+52(SB), Y10
-	VBROADCASTSS ex32<>+48(SB), Y11
-	VBROADCASTSS ex32<>+12(SB), Y14
-	VBROADCASTSS ex32<>+44(SB), Y15
-	VXORPS       Y8, Y8, Y8
+	// Pass 2: tanh, error and dpre, chunk by chunk, both rows at once.
+rf2act:
+	VBROADCASTSS c+56(FP), Y12
+	VBROADCASTSS ex32<>+48(SB), Y10
+	VBROADCASTSS ex32<>+44(SB), Y11
+	VXORPS       Y14, Y14, Y14
+	VXORPS       Y15, Y15, Y15
 	XORQ         AX, AX
 	TESTQ        R9, R9
-	JZ           rf32acttail
+	JZ           rf2acttail
 
-rf32actloop:
-	VMOVUPS (R11)(AX*1), Y0
-	VMOVUPS (R10)(AX*1), Y1
-	RECON_DPRE
-	VMOVUPS Y1, (R11)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, R9
-	JLT     rf32actloop
+rf2actloop:
+	RECON2_HEAD
+	RECON2_TAIL((R10)(AX*1), (R12)(AX*1))
+	ADDQ $32, AX
+	CMPQ AX, R9
+	JLT  rf2actloop
 
-rf32acttail:
+rf2acttail:
 	CMPQ       AX, R8
-	JGE        rf32loss
-	VMOVUPS    (R11)(AX*1), Y0
-	VMASKMOVPS (R10)(AX*1), Y13, Y1
-	RECON_DPRE
-	VMOVUPS    Y1, (R11)(AX*1)
+	JGE        rf2loss
+	RECON2_HEAD
+	VMASKMOVPS (R10)(AX*1), Y13, Y0
+	VMASKMOVPS (R12)(AX*1), Y13, Y5
+	RECON2_TAIL(Y0, Y5)
 
-rf32loss:
-	// The lane sum ((l0+l4) + (l1+l5)) + ((l2+l6) + (l3+l7)).
-	VEXTRACTF128 $1, Y8, X1
-	VADDPS       X1, X8, X1
+rf2loss:
+	// Each row's lane sum ((l0+l4) + (l1+l5)) + ((l2+l6) + (l3+l7)).
+	VEXTRACTF128 $1, Y14, X1
+	VADDPS       X1, X14, X1
 	VHADDPS      X1, X1, X1
 	VHADDPS      X1, X1, X1
-	VMOVSS       X1, sum+56(FP)
+	VMOVSS       X1, suma+64(FP)
+	VEXTRACTF128 $1, Y15, X1
+	VADDPS       X1, X15, X1
+	VHADDPS      X1, X1, X1
+	VHADDPS      X1, X1, X1
+	VMOVSS       X1, sumb+68(FP)
 	VZEROUPPER
 	RET
 
 // func reconBack32x2(dhid, hid *float32, k int, w, dw *float32, n int, dpre *float32)
 //
-// Pass 3 for rows a and b = a+1 of hid and dhid, whose dpre rows follow
-// each other in dpre, n rounded up to 8 apart. B's hid and dhid values
-// are 4k past a's, at DI-CX and R12-CX; R10 is b's dpre.
+// Pass 3 for rows a and b = a+1 of hid and dhid. R12 points past a's k
+// values of dhid; b's hid and dhid values are 4k past a's, at DI-CX and
+// R12-CX. DX is dw, which R14 walks beside R13, and R10 is b's dpre.
 TEXT ·reconBack32x2(SB), NOSPLIT, $0-56
 	MOVQ dhid+0(FP), R12
 	MOVQ hid+8(FP), DI
@@ -994,6 +1181,75 @@ vmul32loop:
 	ADDQ    $8, BX
 	CMPQ    BX, CX
 	JLT     vmul32loop
+
+	VZEROUPPER
+	RET
+
+// func gatherRows32(dst, src *float32, rows *int32, n, c int)
+//
+// Row i of dst (rows of c floats, one after another) becomes row
+// rows[i] of src, for i in [0,n), 8 floats a load. c must be a positive
+// multiple of 8 and n >= 1.
+TEXT ·gatherRows32(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ c+32(FP), R8
+	SHLQ $2, R8
+	LEAQ (DX)(CX*4), CX
+
+gatherrow:
+	MOVLQSX (DX), AX
+	IMULQ   R8, AX
+	ADDQ    SI, AX
+	XORQ    BX, BX
+
+gathercol:
+	VMOVUPS (AX)(BX*1), Y0
+	VMOVUPS Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	CMPQ    BX, R8
+	JLT     gathercol
+	ADDQ    R8, DI
+	ADDQ    $4, DX
+	CMPQ    DX, CX
+	JLT     gatherrow
+
+	VZEROUPPER
+	RET
+
+// func scatterAddRows32(dst, src *float32, rows *int32, n, c int)
+//
+// Row rows[i] of dst gains row i of src (rows of c floats), for i in
+// [0,n) in that order, 8 lanes an add. c must be a positive multiple of
+// 8 and n >= 1.
+TEXT ·scatterAddRows32(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ c+32(FP), R8
+	SHLQ $2, R8
+	LEAQ (DX)(CX*4), CX
+
+scatterrow:
+	MOVLQSX (DX), AX
+	IMULQ   R8, AX
+	ADDQ    DI, AX
+	XORQ    BX, BX
+
+scattercol:
+	VMOVUPS (AX)(BX*1), Y0
+	VADDPS  (SI)(BX*1), Y0, Y0
+	VMOVUPS Y0, (AX)(BX*1)
+	ADDQ    $32, BX
+	CMPQ    BX, R8
+	JLT     scattercol
+	ADDQ    R8, SI
+	ADDQ    $4, DX
+	CMPQ    DX, CX
+	JLT     scatterrow
 
 	VZEROUPPER
 	RET

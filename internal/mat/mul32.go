@@ -79,12 +79,12 @@ func MulABTToF32(dst, a, b *DenseF32) {
 }
 
 // RowGroup is the row height of the asm a*b kernels: below saxpyMinN
-// columns, mulRows32 computes the output rows in groups of RowGroup, one
-// sdot4 or sgemmRows4x{8,4} call per group, and the last rows%RowGroup
-// rows by a scalar route. The two round differently, so a row's bits
-// depend on whether it falls in a full group; a caller that must
-// reproduce a row's bits from another batch keeps it in the same kind of
-// group.
+// columns, mulRows32 computes the output rows in groups of RowGroup —
+// an sdot4 call per group, or each column strip's sgemmRows4x{8,4} call
+// down all of them — and the last rows%RowGroup rows by a scalar route.
+// The two round differently, so a row's bits depend on whether it falls
+// in a full group; a caller that must reproduce a row's bits from
+// another batch keeps it in the same kind of group.
 const RowGroup = 4
 
 // mulRows32 accumulates a*b into dst (pre-zeroed).
@@ -110,16 +110,16 @@ func mulRows32(dst, a, b *DenseF32) {
 			// Skinny outputs (the inference MLP layers are 3..16 wide):
 			// strided row kernels keep 4 dst rows in registers across
 			// the whole k loop instead of a saxpy call per 4 k-steps.
+			// Each strip runs down all the full row groups in one call.
 			ns := n &^ 3 // columns covered by the 8/4-wide strips
-			i := 0
-			for ; i+RowGroup <= m; i += RowGroup {
-				ar := &a.Data[i*k]
+			i := m &^ (RowGroup - 1)
+			if groups := i / RowGroup; groups > 0 {
 				j := 0
 				for ; j+8 <= ns; j += 8 {
-					sgemmRows4x8(&dst.Data[i*n+j], n, ar, k, 1, &b.Data[j], n, k)
+					sgemmRows4x8(&dst.Data[j], n, &a.Data[0], k, 1, &b.Data[j], n, k, groups)
 				}
 				for ; j+4 <= ns; j += 4 {
-					sgemmRows4x4(&dst.Data[i*n+j], n, ar, k, 1, &b.Data[j], n, k)
+					sgemmRows4x4(&dst.Data[j], n, &a.Data[0], k, 1, &b.Data[j], n, k, groups)
 				}
 			}
 			if i < m && ns > 0 {
@@ -321,13 +321,13 @@ func mulATBAccAsm32(dst, a, b *DenseF32) {
 		return
 	}
 	is, ns := ca&^3, cb&^3
-	for i := 0; i < is; i += 4 {
+	if groups := is / 4; groups > 0 {
 		j := 0
 		for ; j+8 <= ns; j += 8 {
-			sgemmRows4x8(&dst.Data[i*cb+j], cb, &a.Data[i], 1, ca, &b.Data[j], cb, rows)
+			sgemmRows4x8(&dst.Data[j], cb, &a.Data[0], 1, ca, &b.Data[j], cb, rows, groups)
 		}
 		if j < ns {
-			sgemmRows4x4(&dst.Data[i*cb+j], cb, &a.Data[i], 1, ca, &b.Data[j], cb, rows)
+			sgemmRows4x4(&dst.Data[j], cb, &a.Data[0], 1, ca, &b.Data[j], cb, rows, groups)
 		}
 	}
 	// The 1..3 columns the strips leave, for the rows they covered.

@@ -18,10 +18,11 @@ import "fmt"
 // error itself. Up to N = 64 and K = 64 it allocates nothing.
 //
 // Under the asm family the rows run on the 8-lane AVX2/FMA3 kernels of
-// kernel_amd64.s, in pairs: the forward half of each row (output, tanh
-// as vtanh32 computes it, error and dpre), then the backward half of
-// both; only each row's dpre passes through a buffer. An odd last row
-// runs as the first of a pair whose second row is zero. The plain
+// kernel_amd64.s, in pairs: the forward half of both rows, interleaved
+// (output, tanh as vtanh32 computes it, error and dpre), then the
+// backward half of both; only each row's dpre passes through a buffer.
+// An odd last row runs as the first of a pair whose second row is zero.
+// The plain
 // family runs tiles of rows through its multiply kernels, with the
 // plain tanh in between (reconHeadTiles32).
 func ReconHead32(dHid, hid, w, dw, targets *DenseF32, rows []int32, c float32) float64 {
@@ -42,7 +43,7 @@ func ReconHead32(dHid, hid, w, dw, targets *DenseF32, rows []int32, c float32) f
 }
 
 // reconHeadAsm32 is ReconHead32 on the asm kernels, rows in pairs: the
-// forward half of each, then the backward half of both, which loads and
+// forward half of both, then the backward half of both, which loads and
 // stores each chunk of dw once.
 func reconHeadAsm32(dHid, hid, w, dw, targets *DenseF32, rows []int32, c float32) float64 {
 	k, n := w.Rows, w.Cols
@@ -52,25 +53,29 @@ func reconHeadAsm32(dHid, hid, w, dw, targets *DenseF32, rows []int32, c float32
 	if 2*np > len(stack) {
 		dpre = make([]float32, 2*np)
 	}
-	w0, dw0 := &w.Data[0], &dw.Data[0]
+	w0, dw0, h0 := &w.Data[0], &dw.Data[0], hid.Data
+	target := func(r int32) *float32 { o := int(r) * n; return &targets.Data[o : o+n][0] }
 	var sum float64
 	i := 0
 	for ; i+2 <= len(rows); i += 2 {
-		sum += float64(reconFront32(&hid.Data[i*k], k, w0, n, &targets.Row(int(rows[i]))[0], &dpre[0], c))
-		sum += float64(reconFront32(&hid.Data[(i+1)*k], k, w0, n, &targets.Row(int(rows[i+1]))[0], &dpre[np], c))
-		reconBack32x2(&dHid.Data[i*k], &hid.Data[i*k], k, w0, dw0, n, &dpre[0])
+		sa, sb := reconFront32x2(&h0[i*k], k, w0, n, target(rows[i]), target(rows[i+1]), &dpre[0], c)
+		sum += float64(sa)
+		sum += float64(sb)
+		reconBack32x2(&dHid.Data[i*k], &h0[i*k], k, w0, dw0, n, &dpre[0])
 	}
 	if i < len(rows) {
-		sum += float64(reconFront32(&hid.Data[i*k], k, w0, n, &targets.Row(int(rows[i]))[0], &dpre[0], c))
 		// The second row of the pair is zero: its hid adds nothing to
-		// dw, and its dhid lands in the stage.
+		// dw, its error is not the head's, and its dhid lands in the
+		// stage.
 		var hStack, dStack [128]float32
 		hs, ds := hStack[:], dStack[:]
 		if 2*k > len(hs) {
 			hs, ds = make([]float32, 2*k), make([]float32, 2*k)
 		}
-		copy(hs, hid.Data[i*k:(i+1)*k])
+		copy(hs, h0[i*k:(i+1)*k])
 		clear(hs[k : 2*k])
+		sa, _ := reconFront32x2(&hs[0], k, w0, n, target(rows[i]), target(rows[i]), &dpre[0], c)
+		sum += float64(sa)
 		clear(dpre[np : 2*np])
 		reconBack32x2(&ds[0], &hs[0], k, w0, dw0, n, &dpre[0])
 		copy(dHid.Data[i*k:(i+1)*k], ds[:k])

@@ -132,16 +132,18 @@ const (
 // (optional) bias row vector and applies the activation, overwriting
 // pre with the activated output, which doubles as the cache the
 // backward pass takes the derivative from. SELU and tanh run on mat's
-// kernels over the whole output (8 lanes a step under the asm family);
-// ReLU is a loop here.
+// kernels over the whole output (8 lanes a step under the asm family),
+// SELU with the bias added in the same pass; ReLU is a loop here.
 func biasActInPlace(act Activation, pre *mat.DenseF32, bias []float32) {
+	if _, selu := act.(SELU); selu {
+		mat.BiasSelu32(pre.Data, bias, seluLambda32, seluLambdaAlpha32)
+		return
+	}
 	if bias != nil {
 		mat.AddRowVecToF32(pre, pre, bias)
 	}
 	switch act.(type) {
 	case Identity:
-	case SELU:
-		mat.Selu32(pre.Data, seluLambda32, seluLambdaAlpha32)
 	case Tanh:
 		mat.Tanh32(pre.Data)
 	case ReLU:

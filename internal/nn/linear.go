@@ -45,10 +45,16 @@ type LinearAct struct {
 
 // NewLinearAct constructs a fused linear+activation layer.
 func NewLinearAct(name string, in, out int, withBias bool, act Activation, scheme InitScheme, rng *rand.Rand) *LinearAct {
-	l := &LinearAct{In: in, Out: out, W: NewParam(name+".W", in, out), Act: act}
+	return newLinearAct(NewParam, name, in, out, withBias, act, scheme, rng)
+}
+
+// newLinearAct is NewLinearAct with its parameters made by newParam,
+// the weights before the bias.
+func newLinearAct(newParam func(name string, rows, cols int) *Param, name string, in, out int, withBias bool, act Activation, scheme InitScheme, rng *rand.Rand) *LinearAct {
+	l := &LinearAct{In: in, Out: out, W: newParam(name+".W", in, out), Act: act}
 	InitDense(l.W.Value, scheme, rng)
 	if withBias {
-		l.B = NewParam(name+".b", 1, out)
+		l.B = newParam(name+".b", 1, out)
 	}
 	return l
 }
@@ -192,9 +198,7 @@ func (m *MLP) ForwardRows(ws *mat.WorkspaceF32, x *mat.DenseF32, rows []int32, t
 	m.rows, m.distinct = rows, x.Rows
 	hu := m.Layers[0].Forward(ws, x, train)
 	h := ws.GetRaw(len(rows), hu.Cols)
-	for i, r := range rows {
-		copy(h.Row(i), hu.Row(int(r)))
-	}
+	mat.GatherRowsF32(h, hu, rows)
 	for _, l := range m.Layers[1:] {
 		h = l.Forward(ws, h, train)
 	}
@@ -212,12 +216,7 @@ func (m *MLP) BackwardRows(ws *mat.WorkspaceF32, grad *mat.DenseF32) {
 		grad = m.Layers[i].Backward(ws, grad)
 	}
 	gu := ws.Get(m.distinct, grad.Cols)
-	for i, r := range m.rows {
-		dst := gu.Row(int(r))
-		for j, g := range grad.Row(i) {
-			dst[j] += g
-		}
-	}
+	mat.ScatterAddRowsF32(gu, grad, m.rows)
 	m.backwardFirst(ws, gu)
 }
 
@@ -275,7 +274,9 @@ func (m *MLP) DropCaches() {
 // rng, the dropout masks. One goroutine can therefore run forward and
 // backward passes on the replica while another runs them on m, as long
 // as nobody updates a Value meanwhile; summing the two gradients is the
-// caller's business. Frozen flags are copied as they stand.
+// caller's business. The replica's gradients are new matrices;
+// Slab.Replica moves those of a slab's replica into a block of their own
+// in the slab's layout. Frozen flags are copied as they stand.
 func (m *MLP) Replica(rng *rand.Rand) *MLP {
 	share := func(p *Param) *Param {
 		if p == nil {
@@ -324,15 +325,28 @@ type TwoLayerSpec struct {
 // Build constructs the MLP for the spec, drawing initial weights from
 // rng: a LinearAct per layer, with an AlphaDropout between them when
 // the spec drops units.
-func (s TwoLayerSpec) Build(rng *rand.Rand) *MLP {
+func (s TwoLayerSpec) Build(rng *rand.Rand) *MLP { return s.build(NewParam, rng) }
+
+// build is Build with the parameters made by newParam, in the order of
+// the MLP's Params.
+func (s TwoLayerSpec) build(newParam func(name string, rows, cols int) *Param, rng *rand.Rand) *MLP {
 	layers := []Layer{
-		NewLinearAct(s.Name+".l1", s.In, s.Hidden, s.WithBias, s.ActHidden, s.Init, rng),
+		newLinearAct(newParam, s.Name+".l1", s.In, s.Hidden, s.WithBias, s.ActHidden, s.Init, rng),
 	}
 	if s.Dropout > 0 {
 		layers = append(layers, NewAlphaDropout(s.Dropout, rng))
 	}
 	layers = append(layers,
-		NewLinearAct(s.Name+".l2", s.Hidden, s.Out, s.WithBias, s.ActOut, s.Init, rng),
+		newLinearAct(newParam, s.Name+".l2", s.Hidden, s.Out, s.WithBias, s.ActOut, s.Init, rng),
 	)
 	return NewMLP(layers...)
+}
+
+// slabFloats is the length of the slab blocks of the spec's parameters.
+func (s TwoLayerSpec) slabFloats() int {
+	n := padded(s.In*s.Hidden) + padded(s.Hidden*s.Out)
+	if s.WithBias {
+		n += padded(s.Hidden) + padded(s.Out)
+	}
+	return n
 }

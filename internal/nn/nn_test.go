@@ -153,7 +153,7 @@ func TestLinearActNoBias(t *testing.T) {
 func gradCheck(t *testing.T, net *MLP, x, target *mat.DenseF32, loss Loss) {
 	t.Helper()
 	params := net.Params()
-	ZeroGrads(params)
+	zeroGrads(params)
 	pred := net.Forward(ws, x, false)
 	_, g := loss.Compute(ws, pred, target)
 	net.Backward(ws, g)
@@ -264,6 +264,7 @@ func TestMAE(t *testing.T) {
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize ||w - c||^2 for a fixed target c.
 	p := NewParam("w", 1, 3)
+	slab := NewSlab(p)
 	c := []float32{1.5, -2.0, 0.5}
 	opt := NewAdam(0.05, 0)
 	for i := 0; i < 2000; i++ {
@@ -271,7 +272,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 		for j := range c {
 			p.Grad.Data[j] = 2 * (p.Value.Data[j] - c[j])
 		}
-		opt.Step([]*Param{p})
+		opt.Step(slab)
 	}
 	for j, want := range c {
 		if math.Abs(float64(p.Value.Data[j]-want)) > 1e-3 {
@@ -286,7 +287,7 @@ func TestAdamSkipsFrozen(t *testing.T) {
 	p.Grad.Data[0] = 1
 	p.Frozen = true
 	opt := NewAdam(0.1, 0)
-	opt.Step([]*Param{p})
+	opt.Step(NewSlab(p))
 	if p.Value.Data[0] != 3 {
 		t.Fatalf("frozen param moved to %v", p.Value.Data[0])
 	}
@@ -295,11 +296,12 @@ func TestAdamSkipsFrozen(t *testing.T) {
 func TestAdamWeightDecayShrinks(t *testing.T) {
 	p := NewParam("w", 1, 1)
 	p.Value.Data[0] = 10
+	slab := NewSlab(p)
 	opt := NewAdam(0.01, 0.1)
 	// Zero gradient: only decay acts.
 	for i := 0; i < 100; i++ {
 		p.ZeroGrad()
-		opt.Step([]*Param{p})
+		opt.Step(slab)
 	}
 	if p.Value.Data[0] >= 10 {
 		t.Fatalf("weight decay did not shrink weight: %v", p.Value.Data[0])
@@ -319,19 +321,20 @@ func TestGradClipIgnoresFrozen(t *testing.T) {
 		return live, frozen
 	}
 	live, frozen := build()
-	if s := clipScale([]*Param{live, frozen}, nil, 1, 0, 1); s != 1 {
+	slab := NewSlab(live, frozen)
+	if s := clipScale(slab, slab.grads, 1, 0, 1); s != 1 {
 		t.Fatalf("clip factor %v under the cap, want 1", s)
 	}
 	live.Grad.Data[0], live.Grad.Data[1] = 3, 4 // norm 5
-	if s := clipScale([]*Param{live, frozen}, nil, 1, 0, 1); s != float32(0.2) {
+	if s := clipScale(slab, slab.grads, 1, 0, 1); s != float32(0.2) {
 		t.Fatalf("clip factor %v for norm 5 and cap 1, want 0.2", s)
 	}
 
 	// The fused step moves the live weight exactly as it does alone.
 	alone, _ := build()
-	NewAdam(0.1, 0).StepClipZero([]*Param{alone}, 1)
+	NewAdam(0.1, 0).StepClipZero(NewSlab(alone), 1)
 	live, frozen = build()
-	NewAdam(0.1, 0).StepClipZero([]*Param{live, frozen}, 1)
+	NewAdam(0.1, 0).StepClipZero(NewSlab(live, frozen), 1)
 	for i, v := range live.Value.Data {
 		if v != alone.Value.Data[i] {
 			t.Fatalf("fused step with a frozen neighbour moved weight %d to %v, alone %v", i, v, alone.Value.Data[i])
@@ -395,8 +398,10 @@ func TestReplicaSharesValuesOwnsGradients(t *testing.T) {
 	spec := TwoLayerSpec{Name: "g", In: 6, Hidden: 5, Out: 3, ActHidden: SELU{}, ActOut: Tanh{},
 		WithBias: true, Dropout: 0.25, Init: InitLeCun}
 	net := spec.Build(rng)
+	slab := NewSlab(net.Params()...)
 	own := rand.New(rand.NewSource(9))
 	rep := net.Replica(own)
+	repSlab := slab.Replica(rep.Params())
 	if d := rep.Layers[1].(*AlphaDropout); d.Rng != own || d.P != 0.25 {
 		t.Fatalf("the replica's dropout layer has p=%v and not the generator it was given", d.P)
 	}
@@ -432,8 +437,8 @@ func TestReplicaSharesValuesOwnsGradients(t *testing.T) {
 	for i, g := range ps[0].Grad.Data {
 		sum.Grad.Data[i] = float32(0.25*g) + float32(0.75*rs[0].Grad.Data[i])
 	}
-	NewAdam(0.1, 0.01).Step([]*Param{sum})
-	NewAdam(0.1, 0.01).StepShards(ps, rs, 0.25, 0.75, 0)
+	NewAdam(0.1, 0.01).Step(NewSlab(sum))
+	NewAdam(0.1, 0.01).StepShards(slab, repSlab, 0.25, 0.75, 0)
 	for i, v := range ps[0].Value.Data {
 		if v != sum.Value.Data[i] {
 			t.Fatalf("weight[%d] = %v after the two-shard step, %v after a step on the summed gradient", i, v, sum.Value.Data[i])
@@ -600,38 +605,48 @@ func TestStateRoundTrip(t *testing.T) {
 		Name: "f", In: 3, Hidden: 4, Out: 2,
 		ActHidden: SELU{}, ActOut: Identity{}, WithBias: true, Init: InitHe,
 	}.Build(rng)
-	st := CaptureState(net.Params())
-	// A second capture into a state of the same shapes reuses its
-	// matrices; perturb, capture the perturbed values, then restore.
-	spare := CaptureState(net.Params())
-	held := spare["f.l1.W"]
+	slab := NewSlab(net.Params()...)
+	want := make(map[string]*mat.DenseF32)
+	for _, p := range net.Params() {
+		want[p.Name] = p.Value.Clone()
+	}
+	st := CaptureStateInto(nil, slab)
+	// A second capture into a state reuses its storage; perturb,
+	// capture the perturbed values, then restore.
+	spare := CaptureStateInto(nil, slab)
+	held := &spare.values[0]
 	for _, p := range net.Params() {
 		p.Value.Fill(99)
 	}
-	if spare = CaptureStateInto(spare, net.Params()); spare["f.l1.W"] != held || spare["f.l1.W"].At(0, 0) != 99 {
-		t.Fatal("CaptureStateInto did not copy into the matrices it was given")
+	if spare = CaptureStateInto(spare, slab); &spare.values[0] != held || spare.values[0] != 99 {
+		t.Fatal("CaptureStateInto did not copy into the storage it was given")
 	}
-	if err := RestoreState(net.Params(), st); err != nil {
+	if err := RestoreState(slab, st); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range net.Params() {
-		if !p.Value.Equalish(st[p.Name], 0) {
+		if !p.Value.Equalish(want[p.Name], 0) {
 			t.Fatalf("param %s not restored", p.Name)
 		}
 	}
 }
 
+// TestRestoreStateMissingParam: a state that holds nothing — never
+// captured — restores nothing.
 func TestRestoreStateMissingParam(t *testing.T) {
-	p := NewParam("a", 1, 1)
-	if err := RestoreState([]*Param{p}, State{}); err == nil {
-		t.Fatal("expected error for missing param")
+	slab := NewSlab(NewParam("a", 1, 1))
+	for _, st := range []*State{nil, {}} {
+		if err := RestoreState(slab, st); err == nil {
+			t.Fatal("expected error for a state that was never captured")
+		}
 	}
 }
 
+// TestRestoreStateShapeMismatch: a state restores only into the slab
+// it was taken from, not into one of other shapes.
 func TestRestoreStateShapeMismatch(t *testing.T) {
-	p := NewParam("a", 1, 2)
-	s := State{"a": mat.NewDenseF32(2, 2)}
-	if err := RestoreState([]*Param{p}, s); err == nil {
+	st := CaptureStateInto(nil, NewSlab(NewParam("a", 2, 2)))
+	if err := RestoreState(NewSlab(NewParam("a", 1, 2)), st); err == nil {
 		t.Fatal("expected error for shape mismatch")
 	}
 }
@@ -726,19 +741,27 @@ func TestMLPTrainingReducesLoss(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		y.Data[i] = x.At(i, 0) + 2*x.At(i, 1)
 	}
+	slab := NewSlab(net.Params()...)
 	opt := NewAdam(0.01, 0)
 	loss := MSELoss{}
 	first, _ := loss.Compute(ws, net.Forward(ws, x, false), y)
 	for e := 0; e < 500; e++ {
-		ZeroGrads(net.Params())
+		slab.ZeroGrads()
 		pred := net.Forward(ws, x, true)
 		_, g := loss.Compute(ws, pred, y)
 		net.Backward(ws, g)
-		opt.Step(net.Params())
+		opt.Step(slab)
 	}
 	last, _ := loss.Compute(ws, net.Forward(ws, x, false), y)
 	if last > first/10 {
 		t.Fatalf("training did not reduce loss: first=%v last=%v", first, last)
+	}
+}
+
+// zeroGrads resets the gradients of params.
+func zeroGrads(params []*Param) {
+	for _, p := range params {
+		p.ZeroGrad()
 	}
 }
 
@@ -784,7 +807,7 @@ func BenchmarkForwardBackwardTwoLayer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws.Reset() // recycle the previous iteration's intermediates
-		ZeroGrads(params)
+		zeroGrads(params)
 		pred := net.Forward(ws, x, true)
 		_, g := loss.Compute(ws, pred, target)
 		net.Backward(ws, g)

@@ -120,7 +120,7 @@ func TestReconLossRowsGradCheck(t *testing.T) {
 	const weight, h = 0.25, 1e-3
 	dec, _, codes, targets, idx := reconCase(5, TwoLayerSpec{In: 3}, 6, 5)
 	w := dec.Params()[0]
-	ZeroGrads(dec.Params())
+	zeroGrads(dec.Params())
 	_, dCodes := dec.ReconLossRows(nil, codes, targets, idx, weight)
 	grad := w.Grad.Clone()
 	loss := func() float64 {
