@@ -72,8 +72,8 @@ type Config struct {
 	// amount of data samples", §IV-A).
 	UnfreezeAfterPerSample int
 
-	// Activation names the hidden activation ("selu" per the paper;
-	// "relu" for the ablation bench).
+	// Activation names the hidden activation: "selu" per the paper, or
+	// any other name nn.LookupActivation knows ("tanh", "identity").
 	Activation string
 	// Init selects the weight initialization scheme.
 	Init nn.InitScheme
@@ -139,6 +139,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Dropout %v outside [0,1)", c.Dropout)
 	case c.LearningRate <= 0:
 		return fmt.Errorf("core: LearningRate %v <= 0", c.LearningRate)
+	}
+	if _, ok := nn.LookupActivation(c.Activation); !ok {
+		return fmt.Errorf("core: unknown activation %q", c.Activation)
 	}
 	return nil
 }

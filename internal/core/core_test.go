@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/baselines"
@@ -82,6 +83,18 @@ func TestConfigValidate(t *testing.T) {
 	bad.Dropout = 1.5
 	if err := bad.Validate(); err == nil {
 		t.Fatal("dropout out of range not rejected")
+	}
+}
+
+// TestNewRejectsUnknownActivation: an activation no layer implements is
+// a config error from New, not a panic while building the networks.
+func TestNewRejectsUnknownActivation(t *testing.T) {
+	for _, name := range []string{"relu", "gelu", ""} {
+		cfg := DefaultConfig()
+		cfg.Activation = name
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "unknown activation") {
+			t.Fatalf("New with activation %q: error %v, want an unknown activation", name, err)
+		}
 	}
 }
 
@@ -222,7 +235,11 @@ func TestFinetuneLocalFitsContext(t *testing.T) {
 	cfg.FinetuneEpochs = 800
 	cfg.FinetunePatience = 400
 	samples := syntheticSamples(1, []int{2, 4, 6, 8, 10, 12})
-	m, rep, err := FitLocal(cfg, samples, FinetuneOptions{})
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := m.Finetune(samples, FinetuneOptions{Strategy: StrategyLocal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,8 +655,11 @@ func TestPretrainedBeatsLocalOnSparseContext(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	local, _, err := FitLocal(cfg, ctxSamples, FinetuneOptions{MaxEpochs: 300, Patience: 150})
+	local, err := New(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := local.Finetune(ctxSamples, FinetuneOptions{Strategy: StrategyLocal, MaxEpochs: 300, Patience: 150}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -24,8 +24,9 @@ func referenceStep(m *Model, samples []Sample, train bool) (pred []float64, rLos
 	vecs := mat.NewDenseF32(bSize*per, cfg.PropertySize)
 	targets := mat.NewDenseF32(bSize, 1)
 	feat, vec := make([]float64, 3), make([]float64, cfg.PropertySize)
+	enc := encoding.NewPropertyEncoder(cfg.PropertySize) // a replica has none
 	encode := func(row int, value string) {
-		m.enc.EncodeTo(vec, value)
+		enc.EncodeTo(vec, value)
 		rowToF32(vecs.Row(row), vec)
 	}
 	for i, s := range samples {
@@ -89,15 +90,16 @@ func referenceStep(m *Model, samples []Sample, train bool) (pred []float64, rLos
 	return pred, rLoss, reconLoss
 }
 
-// keepGrads is an optimizer step that leaves the parameters alone and
-// the step's gradient in them: a split step's shard gradients summed
-// into the first shard's, rounded as Adam's sweep rounds the sum.
-type keepGrads struct{}
-
-func (keepGrads) StepShards(s, second *nn.Slab, w0, w1 float32, _ float64) {
-	if second != nil {
-		reduceGrads(s.Params(), second.Params(), w0, w1)
+// stepGrads runs the passes of a training step and leaves the step's
+// gradient in m's parameters instead of stepping them: a split step's
+// shard gradients summed into the first shard's, rounded as Adam's
+// sweep rounds the sum.
+func stepGrads(m *Model, run *trainRun, idx []int) (rLoss, reconLoss float64) {
+	rLoss, reconLoss, w1 := m.shardPasses(run, idx)
+	if w1 != 0 {
+		reduceGrads(m.Params(), run.second.Params(), float32(1-w1), float32(w1))
 	}
+	return rLoss, reconLoss
 }
 
 // reduceGrads sums src's gradients into dst's, weighted, as Adam's sweep
@@ -110,15 +112,6 @@ func reduceGrads(dst, src []*nn.Param, w0, w1 float32) {
 			s[i] = 0
 		}
 	}
-}
-
-// keepGradsRun is a run of pre-training steps on samples that leaves each
-// step's gradient in m's parameters, with the replica for a second shard
-// ready when the batch is big enough to cut.
-func keepGradsRun(m *Model, samples []Sample) *trainRun {
-	run := m.pretrainRun(samples)
-	run.opt = keepGrads{}
-	return run
 }
 
 // allOf is the index of every sample, in order: the whole set as one
@@ -190,7 +183,7 @@ func TestDistinctRowStepMatchesPerOccurrence(t *testing.T) {
 				got, want := build(), build()
 
 				wantPred, wantLoss, wantRecon := referenceStep(want, tc.samples, true)
-				loss, recon := got.trainStep(keepGradsRun(got, tc.samples), allOf(tc.samples))
+				loss, recon := stepGrads(got, got.pretrainRun(tc.samples), allOf(tc.samples))
 				if u := got.trainB.props.Rows; tc.name == "all-distinct" && u != len(got.trainB.propRow) {
 					t.Fatalf("batch holds %d distinct rows for %d all-different slots", u, len(got.trainB.propRow))
 				} else if tc.name == "repeats" && u != 11 {

@@ -189,18 +189,3 @@ func (m *Model) reinit(name string) {
 		nn.InitDense(p.Value, m.Cfg.Init, m.rng)
 	}
 }
-
-// FitLocal is a convenience wrapper: train a fresh model on context data
-// only (the paper's "local" Bellamy variant).
-func FitLocal(cfg Config, samples []Sample, opts FinetuneOptions) (*Model, *TrainReport, error) {
-	m, err := New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts.Strategy = StrategyLocal
-	rep, err := m.Finetune(samples, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, rep, nil
-}

@@ -134,14 +134,14 @@ func (m *Model) indexParams() {
 // gradients (a block of their own in the layout of m's, see
 // nn.Slab.Replica), the row remap of its gathers, and a dropout
 // generator seeded from the model seed and the shard index. It holds no
-// second copy of a weight; its scalers are whatever m's are when a
-// training run hands it to a shard.
+// second copy of a weight, and no property encoder: a shard gathers its
+// rows from the corpus m encoded. Its scalers are whatever m's are when
+// a training run hands it to a shard.
 func (m *Model) replica(shard int) *Model {
 	rng := rand.New(rand.NewSource(m.Cfg.Seed + int64(shard)*0x5DEECE66D))
 	r := &Model{
 		Cfg: m.Cfg,
 		f:   m.f.Replica(rng), g: m.g.Replica(rng), h: m.h.Replica(rng), z: m.z.Replica(rng),
-		enc: encoding.NewPropertyEncoder(m.Cfg.PropertySize),
 		rng: rng,
 	}
 	r.indexParams()
@@ -329,13 +329,18 @@ func (m *Model) rowOf(b *batch, value string) int32 {
 	r, seen := m.rows.rowOf(value, int32(b.props.Rows))
 	if !seen {
 		_, vec := b.addProp()
-		if len(m.encRow) != m.Cfg.PropertySize {
-			m.encRow = make([]float64, m.Cfg.PropertySize)
-		}
-		m.enc.EncodeTo(m.encRow, value)
-		rowToF32(vec, m.encRow)
+		m.encodeRow(vec, value)
 	}
 	return r
+}
+
+// encodeRow writes the vector of value into dst, staged in float64.
+func (m *Model) encodeRow(dst []float32, value string) {
+	if len(m.encRow) != m.Cfg.PropertySize {
+		m.encRow = make([]float64, m.Cfg.PropertySize)
+	}
+	m.enc.EncodeTo(m.encRow, value)
+	rowToF32(dst, m.encRow)
 }
 
 // rowToF32 rounds a float64 row staged by the encoder or the scalers
@@ -596,8 +601,8 @@ func (m *Model) ReconstructionError(props []encoding.Property) float64 {
 // one row each.
 func (m *Model) encodeProps(props []encoding.Property) *mat.DenseF32 {
 	in := mat.NewDenseF32(len(props), m.Cfg.PropertySize)
-	for i, v := range m.enc.EncodeAll(props) {
-		rowToF32(in.Row(i), v)
+	for i, p := range props {
+		m.encodeRow(in.Row(i), p.Value)
 	}
 	return in
 }

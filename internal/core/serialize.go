@@ -282,9 +282,6 @@ func decodeModel(b []byte) (*Model, error) {
 // whose weights could not be in the avail bytes that follow it, before
 // New allocates anything.
 func checkDecodedConfig(cfg Config, avail int) error {
-	if _, ok := nn.LookupActivation(cfg.Activation); !ok {
-		return fmt.Errorf("core: unknown activation %q", cfg.Activation)
-	}
 	switch cfg.Init {
 	case nn.InitHe, nn.InitLeCun, nn.InitXavier:
 	default:

@@ -492,6 +492,7 @@ func TestLoadRejects(t *testing.T) {
 		}), "bytes of weights"},
 		{"invalid config", edited(good, cfgField(1, 6)), "EncodingDim"},
 		{"unknown activation", edited(good, func(b []byte) []byte { b[actOff+4+3] = 'x'; return b }), `"selx"`},
+		{"relu activation", edited(good, func(b []byte) []byte { copy(b[actOff+4:], "relu"); return b }), `"relu"`},
 		{"activation name past the end", edited(good, func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[actOff:], 1<<31)
 			return b

@@ -71,8 +71,8 @@ func TestShardedStepMatchesWholeBatch(t *testing.T) {
 					batch[i] = tc.samples[j]
 				}
 
-				run := keepGradsRun(got, tc.samples)
-				loss, recon := got.trainStep(run, idx)
+				run := got.pretrainRun(tc.samples)
+				loss, recon := stepGrads(got, run, idx)
 				var pred []float64
 				for _, v := range got.fst.pred.Data {
 					pred = append(pred, float64(v))

@@ -213,7 +213,7 @@ func (m *Model) pretrainRun(samples []Sample) *trainRun {
 // trainRun is what the steps of one Pretrain or Finetune call share.
 type trainRun struct {
 	corpus   *batch // the encoded samples the steps' indices select from
-	opt      stepper
+	opt      *nn.Adam
 	huber    nn.HuberLoss
 	pretrain bool // forward mode: dropout and the reconstruction term
 
@@ -224,13 +224,6 @@ type trainRun struct {
 	helper *parallel.Helper
 
 	splitSteps, helperSteps int
-}
-
-// stepper applies the optimizer step of a training step from its
-// shards' gradients and leaves them zero; *nn.Adam is the one training
-// runs.
-type stepper interface {
-	StepShards(s, second *nn.Slab, w0, w1 float32, maxNorm float64)
 }
 
 // gradPass is one shard's share of a step: its slice of the mini-batch
@@ -270,22 +263,35 @@ func (m *Model) runPass() {
 // gradient clip, optimizer step. It is the zero-allocation hot path of
 // training (pinned by TestTrainStepZeroAlloc).
 //
-// idx is the step's mini-batch, as indices into the run's samples. It
-// is cut in two at shardCut; each shard gathers its samples and runs
-// its pass on its own replica of everything a pass writes, the second
-// concurrently with the first when the run holds a helper and the
-// helper gets to it before the caller is done with the first. The shards'
-// gradients — each of the mean loss over its own samples — are then
-// summed in shard order, weighted by the shards' share of the batch,
-// which is the whole batch's gradient up to summation order, and one
-// optimizer step applies it: Adam's sweep, one per run of trainable
-// parameters over the model's slab and the replica's, forms the sum,
-// the clip norm over it and the update, zeroing both shards' gradients
-// for the next step. Who ran the second shard changes nothing it
-// computes, so neither does it change the result. A batch too small to
-// cut is the same loop with one shard; a nil idx steps on the batch
-// already in trainB, whole (Finetune's, with its fixed codes).
+// idx is the step's mini-batch, as indices into the run's samples;
+// shardPasses computes its gradient. One optimizer step then applies
+// it: Adam's sweep, one per run of trainable parameters over the
+// model's slab and the replica's, sums the shards' gradients weighted
+// by their share of the batch, which is the whole batch's gradient up
+// to summation order, and forms the clip norm over the sum and the
+// update, zeroing both shards' gradients for the next step.
 func (m *Model) trainStep(run *trainRun, idx []int) (rLoss, reconLoss float64) {
+	rLoss, reconLoss, w1 := m.shardPasses(run, idx)
+	if w1 == 0 {
+		run.opt.StepShards(m.slab, nil, 1, 0, m.Cfg.GradClipNorm)
+	} else {
+		run.opt.StepShards(m.slab, run.second.slab, float32(1-w1), float32(w1), m.Cfg.GradClipNorm)
+	}
+	return rLoss, reconLoss
+}
+
+// shardPasses runs the passes of one training step and returns its
+// losses and the second shard's share of the batch, 0 when the batch
+// was not cut. idx is cut in two at shardCut; each shard gathers its
+// samples and runs its pass on its own replica of everything a pass
+// writes, the second concurrently with the first when the run holds a
+// helper and the helper gets to it before the caller is done with the
+// first. Each shard's gradient, of the mean loss over its own samples,
+// is left in its parameters' Grad. Who ran the second shard changes
+// nothing it computes, so neither does it change the result. A batch
+// too small to cut is the same loop with one shard; a nil idx steps on
+// the batch already in trainB, whole (Finetune's, with its fixed codes).
+func (m *Model) shardPasses(run *trainRun, idx []int) (rLoss, reconLoss, w1 float64) {
 	n := len(idx)
 	cut := shardCut(n)
 	first := &m.pass
@@ -293,7 +299,6 @@ func (m *Model) trainStep(run *trainRun, idx []int) (rLoss, reconLoss float64) {
 	if cut == n {
 		m.runPass()
 		rLoss, reconLoss = first.rLoss, first.reconLoss
-		run.opt.StepShards(m.slab, nil, 1, 0, m.Cfg.GradClipNorm)
 	} else {
 		second := &run.second.pass
 		second.run, second.idx = run, idx[cut:]
@@ -308,16 +313,15 @@ func (m *Model) trainStep(run *trainRun, idx []int) (rLoss, reconLoss float64) {
 			m.runPass()
 			second.fn()
 		}
-		w1 := float64(n-cut) / float64(n)
+		w1 = float64(n-cut) / float64(n)
 		w0 := 1 - w1
-		run.opt.StepShards(m.slab, run.second.slab, float32(w0), float32(w1), m.Cfg.GradClipNorm)
 		rLoss = w0*first.rLoss + w1*second.rLoss
 		reconLoss = w0*first.reconLoss + w1*second.reconLoss
 		second.run, second.idx = nil, nil
 	}
 	// The model outlives the run; it must not keep the corpus alive.
 	first.run, first.idx = nil, nil
-	return rLoss, reconLoss
+	return rLoss, reconLoss, w1
 }
 
 // evalMAEBatch computes the runtime MAE in seconds over an

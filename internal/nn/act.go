@@ -61,29 +61,6 @@ func (Tanh) Apply(x float32) float32 { return float32(math.Tanh(float64(x))) }
 // DerivFromOutput implements Activation: d tanh/dx = 1 - tanh(x)^2.
 func (Tanh) DerivFromOutput(y float32) float32 { return 1 - y*y }
 
-// ReLU is the rectified linear unit (used by ablation benches).
-type ReLU struct{}
-
-// Name implements Activation.
-func (ReLU) Name() string { return "relu" }
-
-// Apply implements Activation.
-func (ReLU) Apply(x float32) float32 {
-	if x > 0 {
-		return x
-	}
-	return 0
-}
-
-// DerivFromOutput implements Activation: relu passes gradient iff the
-// output is positive.
-func (ReLU) DerivFromOutput(y float32) float32 {
-	if y > 0 {
-		return 1
-	}
-	return 0
-}
-
 // Identity is the no-op activation (linear output layers).
 type Identity struct{}
 
@@ -107,15 +84,13 @@ func ActivationByName(name string) Activation {
 }
 
 // LookupActivation resolves a serialized activation name and reports
-// whether it names one; decoders check untrusted names with it.
+// whether it names one; config validation checks names with it.
 func LookupActivation(name string) (Activation, bool) {
 	switch name {
 	case "selu":
 		return SELU{}, true
 	case "tanh":
 		return Tanh{}, true
-	case "relu":
-		return ReLU{}, true
 	case "identity":
 		return Identity{}, true
 	}
@@ -133,7 +108,7 @@ const (
 // pre with the activated output, which doubles as the cache the
 // backward pass takes the derivative from. SELU and tanh run on mat's
 // kernels over the whole output (8 lanes a step under the asm family),
-// SELU with the bias added in the same pass; ReLU is a loop here.
+// SELU with the bias added in the same pass.
 func biasActInPlace(act Activation, pre *mat.DenseF32, bias []float32) {
 	if _, selu := act.(SELU); selu {
 		mat.BiasSelu32(pre.Data, bias, seluLambda32, seluLambdaAlpha32)
@@ -146,10 +121,6 @@ func biasActInPlace(act Activation, pre *mat.DenseF32, bias []float32) {
 	case Identity:
 	case Tanh:
 		mat.Tanh32(pre.Data)
-	case ReLU:
-		for i, v := range pre.Data {
-			pre.Data[i] = max(v, 0)
-		}
 	default:
 		panic("nn: no forward epilogue for activation " + act.Name())
 	}
@@ -166,10 +137,6 @@ func actGradFromOut(act Activation, grad, out, dpre *mat.DenseF32, biasGrad []fl
 	case SELU:
 		mat.SeluGrad32(d, g, o, seluLambda32, seluLambdaAlpha32)
 	case Tanh:
-		for i, gv := range g {
-			d[i] = gv * a.DerivFromOutput(o[i])
-		}
-	case ReLU:
 		for i, gv := range g {
 			d[i] = gv * a.DerivFromOutput(o[i])
 		}

@@ -32,7 +32,7 @@ func TestSELUValues(t *testing.T) {
 // derivative against central finite differences of Apply, taken over
 // the float32 step actually made.
 func TestActivationDerivatives(t *testing.T) {
-	acts := []Activation{SELU{}, Tanh{}, ReLU{}, Identity{}}
+	acts := []Activation{SELU{}, Tanh{}, Identity{}}
 	xs := []float32{-2.3, -0.5, 0.1, 0.9, 3.7}
 	const h = 1e-2
 	for _, act := range acts {
@@ -55,7 +55,7 @@ func TestActivationDerivatives(t *testing.T) {
 // order. Shapes cover the 8-lane body and every ragged tail.
 func TestEpiloguesMatchScalarArms(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, act := range []Activation{SELU{}, Tanh{}, ReLU{}} {
+	for _, act := range []Activation{SELU{}, Tanh{}} {
 		for _, shape := range [][2]int{{1, 1}, {3, 5}, {7, 8}, {64, 40}, {33, 3}} {
 			for _, withBias := range []bool{false, true} {
 				rows, cols := shape[0], shape[1]
@@ -106,9 +106,14 @@ func TestEpiloguesMatchScalarArms(t *testing.T) {
 }
 
 func TestActivationByName(t *testing.T) {
-	for _, name := range []string{"selu", "tanh", "relu", "identity"} {
+	for _, name := range []string{"selu", "tanh", "identity"} {
 		if got := ActivationByName(name).Name(); got != name {
 			t.Errorf("ActivationByName(%q).Name() = %q", name, got)
+		}
+	}
+	for _, name := range []string{"relu", "gelu", ""} {
+		if _, ok := LookupActivation(name); ok {
+			t.Errorf("LookupActivation(%q) knows it", name)
 		}
 	}
 	defer func() {
@@ -214,7 +219,7 @@ func TestGradCheckIdentityOut(t *testing.T) {
 // without a bias, so every backward epilogue meets finite differences.
 func TestGradCheckLinearAct(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	for _, act := range []Activation{SELU{}, Tanh{}, ReLU{}, Identity{}} {
+	for _, act := range []Activation{SELU{}, Tanh{}, Identity{}} {
 		for _, withBias := range []bool{false, true} {
 			net := NewMLP(NewLinearAct("l", 5, 6, withBias, act, InitLeCun, rng))
 			x := randDense(rng, 9, 5)
