@@ -88,7 +88,7 @@ func (c *corpusTable) encode(m *Model, samples []Sample) {
 		c.inputRow[i] = int32(padded + i - grouped)
 	}
 
-	in.ensure(padded+n-grouped, per, all.props.Cols)
+	in.ensure(padded+n-grouped, per, all.props.Cols, all.props.Rows)
 	in.props.Rows = all.props.Rows
 	in.props.Data = append(in.props.Data, all.props.Data...)
 	next := 0
@@ -242,7 +242,8 @@ func (t *rowRemap) next(rows int) {
 // which is the order fillBatch meets the values in.
 func (m *Model) gatherBatch(b *batch, c *batch, idx []int) {
 	per := c.propsPer
-	b.ensure(len(idx), per, c.props.Cols)
+	// A slot reads a corpus row: no more rows than slots or than those.
+	b.ensure(len(idx), per, c.props.Cols, min(len(idx)*per, c.props.Rows))
 	t := &m.remap
 	t.next(c.props.Rows)
 	fc, pc := c.scaleFeat.Cols, c.props.Cols

@@ -186,6 +186,6 @@ func (m *Model) reinit(name string) {
 			p.Value.Zero()
 			continue
 		}
-		nn.InitDense(p.Value, m.Cfg.Init, m.rng)
+		nn.InitDense(p.Value, m.Cfg.Init, m.rng.Rand)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"hash/maphash"
-	"math/rand"
 	"slices"
 
 	"repro/internal/encoding"
@@ -31,7 +30,7 @@ type Model struct {
 	norm   *MinMaxNormalizer
 	target *TargetScaler
 	enc    *encoding.PropertyEncoder
-	rng    *rand.Rand
+	rng    *nn.Rand
 
 	// ws backs every forward/backward intermediate of the call in
 	// progress: borrowed when a public entry point starts, given back
@@ -85,7 +84,7 @@ func New(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := nn.NewRand(cfg.Seed)
 	act := nn.ActivationByName(cfg.Activation)
 	nets, slab := nn.BuildSlab(rng,
 		nn.TwoLayerSpec{
@@ -138,7 +137,7 @@ func (m *Model) indexParams() {
 // rows from the corpus m encoded. Its scalers are whatever m's are when
 // a training run hands it to a shard.
 func (m *Model) replica(shard int) *Model {
-	rng := rand.New(rand.NewSource(m.Cfg.Seed + int64(shard)*0x5DEECE66D))
+	rng := nn.NewRand(m.Cfg.Seed + int64(shard)*0x5DEECE66D)
 	r := &Model{
 		Cfg: m.Cfg,
 		f:   m.f.Replica(rng), g: m.g.Replica(rng), h: m.h.Replica(rng), z: m.z.Replica(rng),
@@ -208,14 +207,17 @@ type batch struct {
 	codesFixed bool
 }
 
-// ensure shapes the batch buffers for bSize samples and empties props,
-// reusing backing storage whenever capacity allows.
-func (b *batch) ensure(bSize, propsPer, propSize int) {
+// ensure shapes the batch buffers for bSize samples and empties props
+// with room for propRows rows, reusing backing storage whenever
+// capacity allows: rows added up to that many (addProp) allocate
+// nothing.
+func (b *batch) ensure(bSize, propsPer, propSize, propRows int) {
 	b.scaleFeat = mat.Resized32(b.scaleFeat, bSize, 3)
 	if b.props == nil {
 		b.props = &mat.DenseF32{}
 	}
-	b.props.Rows, b.props.Cols, b.props.Data = 0, propSize, b.props.Data[:0]
+	b.props.Rows, b.props.Cols = 0, propSize
+	b.props.Data = slices.Grow(b.props.Data[:0], propRows*propSize)
 	if cap(b.propRow) < bSize*propsPer {
 		b.propRow = make([]int32, bSize*propsPer)
 	}
@@ -323,17 +325,6 @@ func (t *rowTable) reset() {
 	}
 }
 
-// rowOf returns the row of b.props holding the vector of value, encoding
-// it into a new row on the value's first occurrence in the batch.
-func (m *Model) rowOf(b *batch, value string) int32 {
-	r, seen := m.rows.rowOf(value, int32(b.props.Rows))
-	if !seen {
-		_, vec := b.addProp()
-		m.encodeRow(vec, value)
-	}
-	return r
-}
-
 // encodeRow writes the vector of value into dst, staged in float64.
 func (m *Model) encodeRow(dst []float32, value string) {
 	if len(m.encRow) != m.Cfg.PropertySize {
@@ -357,7 +348,9 @@ func rowToF32(dst []float32, src []float64) {
 // float64; each row is rounded to float32 as it lands in the batch.
 // Optional properties may be fewer than cfg.NumOptional; missing slots
 // read one shared all-zero row, which contributes nothing to the
-// optional mean.
+// optional mean. The slots are given their rows first, a new row on a
+// value's first occurrence, and the distinct vectors are encoded after,
+// into props sized once.
 func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
 	cfg := m.Cfg
 	bSize := len(samples)
@@ -365,8 +358,15 @@ func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
 		bSize = len(idx)
 	}
 	propsPer := cfg.NumEssential + cfg.NumOptional
-	b.ensure(bSize, propsPer, cfg.PropertySize)
-	zeroRow := int32(-1)
+	b.ensure(bSize, propsPer, cfg.PropertySize, 0)
+	zeroRow, next := int32(-1), int32(0)
+	rowOf := func(value string) int32 {
+		r, seen := m.rows.rowOf(value, next)
+		if !seen {
+			next++
+		}
+		return r
+	}
 	for i := 0; i < bSize; i++ {
 		j := i
 		if idx != nil {
@@ -379,22 +379,30 @@ func (m *Model) fillBatch(b *batch, samples []Sample, idx []int) {
 		rowToF32(b.scaleFeat.Row(i), feat[:])
 		slots := b.propRow[i*propsPer : (i+1)*propsPer]
 		for k, p := range s.Essential {
-			slots[k] = m.rowOf(b, p.Value)
+			slots[k] = rowOf(p.Value)
 		}
 		b.numOpt[i] = len(s.Optional)
 		for k, p := range s.Optional {
-			slots[cfg.NumEssential+k] = m.rowOf(b, p.Value)
+			slots[cfg.NumEssential+k] = rowOf(p.Value)
 		}
 		for k := cfg.NumEssential + len(s.Optional); k < propsPer; k++ {
 			if zeroRow < 0 {
-				var vec []float32
-				zeroRow, vec = b.addProp()
-				clear(vec)
+				zeroRow, next = next, next+1
 			}
 			slots[k] = zeroRow
 		}
 		b.targets.Data[i] = float32(m.target.ToScaled(s.RuntimeSec))
 		b.runtimes[i] = s.RuntimeSec
+	}
+	n := cfg.PropertySize
+	b.props.Rows = int(next)
+	b.props.Data = slices.Grow(b.props.Data, int(next)*n)[:int(next)*n]
+	for r := range next {
+		if vec := b.props.Data[int(r)*n : int(r+1)*n]; r == zeroRow {
+			clear(vec)
+		} else {
+			m.encodeRow(vec, m.rows.vals[r])
+		}
 	}
 	m.rows.reset()
 }
@@ -538,10 +546,7 @@ func (m *Model) backward(st *forwardState, predGrad, reconGrad *mat.DenseF32) {
 			}
 		}
 	}
-	if reconGrad != nil {
-		mat.AddInPlaceF32(gradCodes, reconGrad)
-	}
-	m.g.BackwardRows(m.ws, gradCodes)
+	m.g.BackwardRows(m.ws, gradCodes, reconGrad)
 }
 
 // Predict estimates the runtime in seconds for a scale-out and context

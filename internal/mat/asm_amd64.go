@@ -110,6 +110,13 @@ func reconFront32x2(hid *float32, k int, w *float32, n int, ta, tb, dpre *float3
 //go:noescape
 func reconBack32x2(dhid, hid *float32, k int, w, dw *float32, n int, dpre *float32)
 
+// reconPairs32 is reconHeadAsm32's loop over its first 2·pairs rows:
+// reconFront32x2 and reconBack32x2 on each pair, the rows' Σ d² summed
+// into sum as float64s in row order. pairs must be >= 1.
+//
+//go:noescape
+func reconPairs32(dhid, hid *float32, k int, w, dw *float32, n int, targets *float32, rows *int32, pairs int, dpre *float32, c float32) (sum float64)
+
 // adamSweep32 is one Adam step over n weights; see AdamSweep32. n must
 // be a positive multiple of 8.
 //
@@ -142,3 +149,27 @@ func gatherRows32(dst, src *float32, rows *int32, n, c int)
 //
 //go:noescape
 func scatterAddRows32(dst, src *float32, rows *int32, n, c int)
+
+// aeEncode32 is EncodeRows32's pass over n rows, n a multiple of 4: gather,
+// dropout and the 8→4 SELU layer; see kernel_amd64.s.
+//
+//go:noescape
+func aeEncode32(x2, slope, codes, hu *float32, rows *int32, words *uint64, wd *float32, n int, c *aeCoef)
+
+// aeDecodeFront32 is DecodeRows32's forward half over n rows: the 4→8
+// SELU layer and dropout.
+//
+//go:noescape
+func aeDecodeFront32(a1, slope, hid, codes *float32, words *uint64, w *float32, n int, c *aeCoef)
+
+// aeDecodeBack32 is DecodeRows32's backward half over n rows, with the
+// code gradient of the first nx.
+//
+//go:noescape
+func aeDecodeBack32(dx, dhid, slope, a1, codes, wt, dw *float32, n, nx int, c *aeCoef)
+
+// aeEncodeBack32 is EncodeRowsBack32's pass over n rows, with the unit
+// gradient of the first nx scattered onto du.
+//
+//go:noescape
+func aeEncodeBack32(du, dcodes, extra, codes, x2, slope, wt, dw *float32, rows *int32, n, nx int, c *aeCoef)

@@ -49,6 +49,10 @@ func reconBack32x2(dhid, hid *float32, k int, w, dw *float32, n int, dpre *float
 	panic("mat: asm kernel called on a noasm build")
 }
 
+func reconPairs32(dhid, hid *float32, k int, w, dw *float32, n int, targets *float32, rows *int32, pairs int, dpre *float32, c float32) (sum float64) {
+	panic("mat: asm kernel called on a noasm build")
+}
+
 func adamSweep32(w, g0, g1, st *float32, n int, c *AdamCoef) {
 	panic("mat: asm kernel called on a noasm build")
 }
@@ -66,5 +70,21 @@ func gatherRows32(dst, src *float32, rows *int32, n, c int) {
 }
 
 func scatterAddRows32(dst, src *float32, rows *int32, n, c int) {
+	panic("mat: asm kernel called on a noasm build")
+}
+
+func aeEncode32(x2, slope, codes, hu *float32, rows *int32, words *uint64, wd *float32, n int, c *aeCoef) {
+	panic("mat: asm kernel called on a noasm build")
+}
+
+func aeDecodeFront32(a1, slope, hid, codes *float32, words *uint64, w *float32, n int, c *aeCoef) {
+	panic("mat: asm kernel called on a noasm build")
+}
+
+func aeDecodeBack32(dx, dhid, slope, a1, codes, wt, dw *float32, n, nx int, c *aeCoef) {
+	panic("mat: asm kernel called on a noasm build")
+}
+
+func aeEncodeBack32(du, dcodes, extra, codes, x2, slope, wt, dw *float32, rows *int32, n, nx int, c *aeCoef) {
 	panic("mat: asm kernel called on a noasm build")
 }

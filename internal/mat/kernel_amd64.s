@@ -1048,6 +1048,75 @@ rp32done:
 	VZEROUPPER
 	RET
 
+// func reconPairs32(dhid, hid *float32, k int, w, dw *float32, n int, targets *float32, rows *int32, pairs int, dpre *float32, c float32) (sum float64)
+//
+// reconHeadAsm32's loop over rows in pairs: reconFront32x2 then
+// reconBack32x2 on rows 2i and 2i+1 for i < pairs, their targets rows
+// rows[2i] and rows[2i+1] of targets (n values each), and sum the pairs'
+// results as float64s, row a's before row b's. The loop state lives in
+// the arguments, which the calls leave alone. pairs must be >= 1.
+TEXT ·reconPairs32(SB), $72-96
+	XORPS X1, X1
+	MOVSD X1, sum+88(FP)
+
+rpairsloop:
+	MOVQ    hid+8(FP), AX
+	MOVQ    AX, 0(SP)
+	MOVQ    k+16(FP), CX
+	MOVQ    CX, 8(SP)
+	MOVQ    w+24(FP), DX
+	MOVQ    DX, 16(SP)
+	MOVQ    n+40(FP), R8
+	MOVQ    R8, 24(SP)
+	SHLQ    $2, R8
+	MOVQ    rows+56(FP), R9
+	MOVLQSX 0(R9), R10
+	IMULQ   R8, R10
+	ADDQ    targets+48(FP), R10
+	MOVQ    R10, 32(SP)
+	MOVLQSX 4(R9), R10
+	IMULQ   R8, R10
+	ADDQ    targets+48(FP), R10
+	MOVQ    R10, 40(SP)
+	MOVQ    dpre+72(FP), R11
+	MOVQ    R11, 48(SP)
+	MOVL    c+80(FP), R12
+	MOVL    R12, 56(SP)
+	CALL    ·reconFront32x2(SB)
+	MOVSD   sum+88(FP), X1
+	MOVSS   64(SP), X0
+	CVTSS2SD X0, X0
+	ADDSD   X0, X1
+	MOVSS   68(SP), X0
+	CVTSS2SD X0, X0
+	ADDSD   X0, X1
+	MOVSD   X1, sum+88(FP)
+
+	MOVQ dhid+0(FP), AX
+	MOVQ AX, 0(SP)
+	MOVQ hid+8(FP), AX
+	MOVQ AX, 8(SP)
+	MOVQ k+16(FP), CX
+	MOVQ CX, 16(SP)
+	MOVQ w+24(FP), DX
+	MOVQ DX, 24(SP)
+	MOVQ dw+32(FP), DX
+	MOVQ DX, 32(SP)
+	MOVQ n+40(FP), R8
+	MOVQ R8, 40(SP)
+	MOVQ dpre+72(FP), R11
+	MOVQ R11, 48(SP)
+	CALL ·reconBack32x2(SB)
+
+	MOVQ k+16(FP), CX
+	SHLQ $3, CX
+	ADDQ CX, hid+8(FP)
+	ADDQ CX, dhid+0(FP)
+	ADDQ $8, rows+56(FP)
+	DECQ pairs+64(FP)
+	JNZ  rpairsloop
+	RET
+
 // func adamSweep32(w, g0, g1, st *float32, n int, c *AdamCoef)
 //
 // One Adam step over n weights, 8 lanes a step, with no fused
@@ -1251,5 +1320,497 @@ scattercol:
 	CMPQ    DX, CX
 	JLT     scatterrow
 
+	VZEROUPPER
+	RET
+
+// The fused auto-encoder passes (ae32.go) read their constants from an
+// aeCoef at AX, each over 8 lanes: keepBelow at 0, a at 32, ap at 64,
+// dropped at 96, lambda at 128, lambdaAlpha at 160, +0 at 192 and -0 at
+// 224, and the byte stride of aeEncodeBack32's extra rows at 256.
+//
+// AE_SELU2 sets Y1 = SELU(Y0) and Y8 = SELU(Y7) with vselu32's
+// operations and operand order, so its bits: the two chains interleaved
+// instruction by instruction as RECON2_HEAD interleaves its tanh, with
+// EXPM1F's constants as exv operands. Y15 holds the expm1 clamp.
+// Clobbers Y2-Y6 and Y9-Y12.
+#define AE_SELU2 \
+	VMULPS       128(AX), Y0, Y1; \
+	VMULPS       128(AX), Y7, Y8; \
+	VXORPS       Y2, Y2, Y2; \
+	VXORPS       Y9, Y9, Y9; \
+	VMINPS       Y0, Y2, Y2; \
+	VMINPS       Y7, Y9, Y9; \
+	VMAXPS       Y2, Y15, Y2; \
+	VMAXPS       Y9, Y15, Y9; \
+	VMOVUPS      exv<>+32(SB), Y3; \
+	VMOVUPS      exv<>+32(SB), Y10; \
+	VFMADD231PS  exv<>+64(SB), Y2, Y3; \
+	VFMADD231PS  exv<>+64(SB), Y9, Y10; \
+	VSUBPS       exv<>+32(SB), Y3, Y5; \
+	VSUBPS       exv<>+32(SB), Y10, Y12; \
+	VPSLLD       $23, Y3, Y3; \
+	VPSLLD       $23, Y10, Y10; \
+	VPADDD       exv<>+96(SB), Y3, Y3; \
+	VPADDD       exv<>+96(SB), Y10, Y10; \
+	VFNMADD231PS exv<>+128(SB), Y5, Y2; \
+	VFNMADD231PS exv<>+128(SB), Y12, Y9; \
+	VFNMADD231PS exv<>+160(SB), Y5, Y2; \
+	VFNMADD231PS exv<>+160(SB), Y12, Y9; \
+	VMOVUPS      exv<>+192(SB), Y4; \
+	VMOVUPS      exv<>+192(SB), Y11; \
+	VFMADD213PS  exv<>+224(SB), Y2, Y4; \
+	VFMADD213PS  exv<>+224(SB), Y9, Y11; \
+	VFMADD213PS  exv<>+256(SB), Y2, Y4; \
+	VFMADD213PS  exv<>+256(SB), Y9, Y11; \
+	VFMADD213PS  exv<>+288(SB), Y2, Y4; \
+	VFMADD213PS  exv<>+288(SB), Y9, Y11; \
+	VFMADD213PS  exv<>+320(SB), Y2, Y4; \
+	VFMADD213PS  exv<>+320(SB), Y9, Y11; \
+	VFMADD213PS  exv<>+352(SB), Y2, Y4; \
+	VFMADD213PS  exv<>+352(SB), Y9, Y11; \
+	VMULPS       Y2, Y4, Y4; \
+	VMULPS       Y9, Y11, Y11; \
+	VFMADD213PS  Y2, Y2, Y4; \
+	VFMADD213PS  Y9, Y9, Y11; \
+	VSUBPS       exv<>+96(SB), Y3, Y5; \
+	VSUBPS       exv<>+96(SB), Y10, Y12; \
+	VFMADD213PS  Y5, Y3, Y4; \
+	VFMADD213PS  Y12, Y10, Y11; \
+	VMULPS       160(AX), Y4, Y4; \
+	VMULPS       160(AX), Y11, Y11; \
+	VBLENDVPS    Y0, Y4, Y1, Y1; \
+	VBLENDVPS    Y7, Y11, Y8, Y8
+
+// AE_DROP(fields, keep, x, slope) is vdropout32's step on one row of 8
+// units: slope = a where the unit's 16-bit field at fields is below
+// keepBelow (in keep), +0 elsewhere, and x = slope*(x - ap) + dropped.
+#define AE_DROP(fields, keep, x, slope) \
+	VPMOVZXWD fields, slope; \
+	VPCMPGTD  slope, keep, slope; \
+	VPAND     32(AX), slope, slope; \
+	VSUBPS    64(AX), x, x; \
+	VMULPS    x, slope, x; \
+	VADDPS    96(AX), x, x
+
+// func aeEncode32(x2, slope, codes, hu *float32, rows *int32, words *uint64, wd *float32, n int, c *aeCoef)
+//
+// The encoder's per-occurrence forward pass. The first loop takes four
+// rows a step: each row gathers its row of hu, drops units as vdropout32
+// does (x2 and slope stored), and runs the 8→4 layer, whose 4-wide
+// output sums over the 8 inputs in order, one FMA each, as sgemmRows4x4
+// does; two rows share a register, the first in the low lane half, so
+// wd holds each weight row twice over (8 rows of 8). The second loop
+// applies SELU to the codes in place, 16 a step: run apart, neither
+// loop's step waits on the other's long chain. n must be a positive
+// multiple of 4.
+TEXT ·aeEncode32(SB), NOSPLIT, $0-72
+	MOVQ         x2+0(FP), DI
+	MOVQ         slope+8(FP), SI
+	MOVQ         codes+16(FP), DX
+	MOVQ         hu+24(FP), R8
+	MOVQ         rows+32(FP), R9
+	MOVQ         words+40(FP), R10
+	MOVQ         wd+48(FP), R11
+	MOVQ         n+56(FP), CX
+	MOVQ         c+64(FP), AX
+	VBROADCASTSS ex32<>+44(SB), Y15
+	MOVQ         DX, R12
+	MOVQ         CX, R13
+
+aeencloop:
+	MOVLQSX 0(R9), BX
+	SHLQ    $5, BX
+	VMOVUPS (R8)(BX*1), Y0
+	MOVLQSX 4(R9), BX
+	SHLQ    $5, BX
+	VMOVUPS (R8)(BX*1), Y1
+	MOVLQSX 8(R9), BX
+	SHLQ    $5, BX
+	VMOVUPS (R8)(BX*1), Y2
+	MOVLQSX 12(R9), BX
+	SHLQ    $5, BX
+	VMOVUPS (R8)(BX*1), Y3
+	VMOVUPS 0(AX), Y13
+	AE_DROP(0(R10), Y13, Y0, Y4)
+	AE_DROP(16(R10), Y13, Y1, Y5)
+	AE_DROP(32(R10), Y13, Y2, Y6)
+	AE_DROP(48(R10), Y13, Y3, Y7)
+	VMOVUPS Y4, 0(SI)
+	VMOVUPS Y5, 32(SI)
+	VMOVUPS Y6, 64(SI)
+	VMOVUPS Y7, 96(SI)
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+
+	VPERM2F128  $0x20, Y1, Y0, Y4
+	VPERM2F128  $0x31, Y1, Y0, Y5
+	VPERM2F128  $0x20, Y3, Y2, Y6
+	VPERM2F128  $0x31, Y3, Y2, Y13
+	VXORPS      Y0, Y0, Y0
+	VXORPS      Y7, Y7, Y7
+	VSHUFPS     $0x00, Y4, Y4, Y1
+	VSHUFPS     $0x00, Y6, Y6, Y2
+	VFMADD231PS 0(R11), Y1, Y0
+	VFMADD231PS 0(R11), Y2, Y7
+	VSHUFPS     $0x55, Y4, Y4, Y1
+	VSHUFPS     $0x55, Y6, Y6, Y2
+	VFMADD231PS 32(R11), Y1, Y0
+	VFMADD231PS 32(R11), Y2, Y7
+	VSHUFPS     $0xaa, Y4, Y4, Y1
+	VSHUFPS     $0xaa, Y6, Y6, Y2
+	VFMADD231PS 64(R11), Y1, Y0
+	VFMADD231PS 64(R11), Y2, Y7
+	VSHUFPS     $0xff, Y4, Y4, Y1
+	VSHUFPS     $0xff, Y6, Y6, Y2
+	VFMADD231PS 96(R11), Y1, Y0
+	VFMADD231PS 96(R11), Y2, Y7
+	VSHUFPS     $0x00, Y5, Y5, Y1
+	VSHUFPS     $0x00, Y13, Y13, Y2
+	VFMADD231PS 128(R11), Y1, Y0
+	VFMADD231PS 128(R11), Y2, Y7
+	VSHUFPS     $0x55, Y5, Y5, Y1
+	VSHUFPS     $0x55, Y13, Y13, Y2
+	VFMADD231PS 160(R11), Y1, Y0
+	VFMADD231PS 160(R11), Y2, Y7
+	VSHUFPS     $0xaa, Y5, Y5, Y1
+	VSHUFPS     $0xaa, Y13, Y13, Y2
+	VFMADD231PS 192(R11), Y1, Y0
+	VFMADD231PS 192(R11), Y2, Y7
+	VSHUFPS     $0xff, Y5, Y5, Y1
+	VSHUFPS     $0xff, Y13, Y13, Y2
+	VFMADD231PS 224(R11), Y1, Y0
+	VFMADD231PS 224(R11), Y2, Y7
+	VADDPS      192(AX), Y0, Y0
+	VADDPS      192(AX), Y7, Y7
+	VMOVUPS     Y0, 0(DX)
+	VMOVUPS     Y7, 32(DX)
+
+	ADDQ $128, DI
+	ADDQ $128, SI
+	ADDQ $64, DX
+	ADDQ $16, R9
+	ADDQ $64, R10
+	SUBQ $4, CX
+	JNZ  aeencloop
+
+aeencselu:
+	VMOVUPS 0(R12), Y0
+	VMOVUPS 32(R12), Y7
+	AE_SELU2
+	VMOVUPS Y1, 0(R12)
+	VMOVUPS Y8, 32(R12)
+	ADDQ    $64, R12
+	SUBQ    $4, R13
+	JNZ     aeencselu
+	VZEROUPPER
+	RET
+
+// func aeDecodeFront32(a1, slope, hid, codes *float32, words *uint64, w *float32, n int, c *aeCoef)
+//
+// The decoder's hidden layer. The first loop takes two rows a step and
+// leaves code·w in a1 (w 4×8), its 8 outputs summed over the 4 code
+// values in order, one FMA each, as sgemmRows4x8 does; the second, two
+// rows a step too, applies SELU in place and then dropout as vdropout32
+// does, storing slope and the dropped hid. n must be a positive even
+// number.
+TEXT ·aeDecodeFront32(SB), NOSPLIT, $0-64
+	MOVQ         a1+0(FP), DI
+	MOVQ         slope+8(FP), SI
+	MOVQ         hid+16(FP), DX
+	MOVQ         codes+24(FP), R8
+	MOVQ         words+32(FP), R10
+	MOVQ         w+40(FP), R11
+	MOVQ         n+48(FP), CX
+	MOVQ         c+56(FP), AX
+	VBROADCASTSS ex32<>+44(SB), Y15
+	VMOVUPS      0(R11), Y12
+	VMOVUPS      32(R11), Y13
+	VMOVUPS      64(R11), Y14
+	MOVQ         DI, R12
+	MOVQ         CX, R13
+
+aedecfloop:
+	VXORPS       Y0, Y0, Y0
+	VXORPS       Y7, Y7, Y7
+	VBROADCASTSS 0(R8), Y1
+	VBROADCASTSS 16(R8), Y8
+	VFMADD231PS  Y12, Y1, Y0
+	VFMADD231PS  Y12, Y8, Y7
+	VBROADCASTSS 4(R8), Y1
+	VBROADCASTSS 20(R8), Y8
+	VFMADD231PS  Y13, Y1, Y0
+	VFMADD231PS  Y13, Y8, Y7
+	VBROADCASTSS 8(R8), Y1
+	VBROADCASTSS 24(R8), Y8
+	VFMADD231PS  Y14, Y1, Y0
+	VFMADD231PS  Y14, Y8, Y7
+	VBROADCASTSS 12(R8), Y1
+	VBROADCASTSS 28(R8), Y8
+	VFMADD231PS  96(R11), Y1, Y0
+	VFMADD231PS  96(R11), Y8, Y7
+	VADDPS       192(AX), Y0, Y0
+	VADDPS       192(AX), Y7, Y7
+	VMOVUPS      Y0, 0(DI)
+	VMOVUPS      Y7, 32(DI)
+	ADDQ         $64, DI
+	ADDQ         $32, R8
+	SUBQ         $2, R13
+	JNZ          aedecfloop
+
+aedecfact:
+	VMOVUPS 0(R12), Y0
+	VMOVUPS 32(R12), Y7
+	AE_SELU2
+	VMOVUPS Y1, 0(R12)
+	VMOVUPS Y8, 32(R12)
+	VMOVUPS 0(AX), Y3
+	AE_DROP(0(R10), Y3, Y1, Y2)
+	AE_DROP(16(R10), Y3, Y8, Y9)
+	VMOVUPS Y2, 0(SI)
+	VMOVUPS Y9, 32(SI)
+	VMOVUPS Y1, 0(DX)
+	VMOVUPS Y8, 32(DX)
+	ADDQ    $64, R12
+	ADDQ    $64, SI
+	ADDQ    $64, DX
+	ADDQ    $32, R10
+	SUBQ    $2, CX
+	JNZ     aedecfact
+	VZEROUPPER
+	RET
+
+// AE_DECB_ROW is the decoder hidden layer's backward step on one row:
+// g = dhid*slope as vmul32 takes it, dpre = g*SELU'(a1) as vselugrad32
+// takes it (stored over dhid), and dw's four accumulators Y12-Y15 each
+// gain one FMA, as sgemmRows4x8 sums aᵀ·b. Y8-Y10 hold lambda,
+// lambdaAlpha and +0.
+#define AE_DECB_ROW \
+	VMOVUPS      (SI), Y0; \
+	VMULPS       (DX), Y0, Y0; \
+	VMOVUPS      (R8), Y1; \
+	VADDPS       Y9, Y1, Y2; \
+	VCMPPS       $0x1e, Y10, Y1, Y3; \
+	VBLENDVPS    Y3, Y8, Y2, Y2; \
+	VMULPS       Y0, Y2, Y2; \
+	VMOVUPS      Y2, (SI); \
+	VBROADCASTSS 0(R9), Y3; \
+	VFMADD231PS  Y3, Y2, Y12; \
+	VBROADCASTSS 4(R9), Y4; \
+	VFMADD231PS  Y4, Y2, Y13; \
+	VBROADCASTSS 8(R9), Y5; \
+	VFMADD231PS  Y5, Y2, Y14; \
+	VBROADCASTSS 12(R9), Y6; \
+	VFMADD231PS  Y6, Y2, Y15; \
+	ADDQ         $32, SI; \
+	ADDQ         $32, DX; \
+	ADDQ         $32, R8; \
+	ADDQ         $16, R9
+
+// func aeDecodeBack32(dx, dhid, slope, a1, codes, wt, dw *float32, n, nx int, c *aeCoef)
+//
+// The decoder hidden layer's backward pass over n rows: AE_DECB_ROW on
+// each, dw (4×8) gaining the sums once at the end, and for the first nx
+// rows the code gradient dx = dpre·wᵀ, its 4 outputs summed over the 8
+// units in order as sgemmRows4x4 does (wt is w transposed, 8 rows of 4).
+// The other rows' dpre is left in dhid for the caller. n must be >= 1.
+TEXT ·aeDecodeBack32(SB), NOSPLIT, $0-80
+	MOVQ    dx+0(FP), DI
+	MOVQ    dhid+8(FP), SI
+	MOVQ    slope+16(FP), DX
+	MOVQ    a1+24(FP), R8
+	MOVQ    codes+32(FP), R9
+	MOVQ    wt+40(FP), R11
+	MOVQ    dw+48(FP), R12
+	MOVQ    n+56(FP), CX
+	MOVQ    nx+64(FP), R13
+	MOVQ    c+72(FP), AX
+	VMOVUPS 128(AX), Y8
+	VMOVUPS 160(AX), Y9
+	VXORPS  Y10, Y10, Y10
+	VXORPS  Y12, Y12, Y12
+	VXORPS  Y13, Y13, Y13
+	VXORPS  Y14, Y14, Y14
+	VXORPS  Y15, Y15, Y15
+	SUBQ    R13, CX
+	TESTQ   R13, R13
+	JZ      aedecbtail
+
+aedecbloop:
+	AE_DECB_ROW
+	VXORPS       X7, X7, X7
+	VBROADCASTSS -32(SI), X1
+	VFMADD231PS  0(R11), X1, X7
+	VBROADCASTSS -28(SI), X1
+	VFMADD231PS  16(R11), X1, X7
+	VBROADCASTSS -24(SI), X1
+	VFMADD231PS  32(R11), X1, X7
+	VBROADCASTSS -20(SI), X1
+	VFMADD231PS  48(R11), X1, X7
+	VBROADCASTSS -16(SI), X1
+	VFMADD231PS  64(R11), X1, X7
+	VBROADCASTSS -12(SI), X1
+	VFMADD231PS  80(R11), X1, X7
+	VBROADCASTSS -8(SI), X1
+	VFMADD231PS  96(R11), X1, X7
+	VBROADCASTSS -4(SI), X1
+	VFMADD231PS  112(R11), X1, X7
+	VADDPS       X10, X7, X7
+	VMOVUPS      X7, (DI)
+	ADDQ         $16, DI
+	DECQ         R13
+	JNZ          aedecbloop
+
+aedecbtail:
+	TESTQ CX, CX
+	JZ    aedecbdone
+
+aedecbtloop:
+	AE_DECB_ROW
+	DECQ CX
+	JNZ  aedecbtloop
+
+aedecbdone:
+	VADDPS  0(R12), Y12, Y12
+	VMOVUPS Y12, 0(R12)
+	VADDPS  32(R12), Y13, Y13
+	VMOVUPS Y13, 32(R12)
+	VADDPS  64(R12), Y14, Y14
+	VMOVUPS Y14, 64(R12)
+	VADDPS  96(R12), Y15, Y15
+	VMOVUPS Y15, 96(R12)
+	VZEROUPPER
+	RET
+
+// Index vectors of aeEncodeBack32's VPERMPS: unit 2j over the low lane
+// half and unit 2j+1 over the high one, j = 0..3.
+DATA aeidx<>+0(SB)/8, $0
+DATA aeidx<>+8(SB)/8, $0
+DATA aeidx<>+16(SB)/8, $0x0000000100000001
+DATA aeidx<>+24(SB)/8, $0x0000000100000001
+DATA aeidx<>+32(SB)/8, $0x0000000200000002
+DATA aeidx<>+40(SB)/8, $0x0000000200000002
+DATA aeidx<>+48(SB)/8, $0x0000000300000003
+DATA aeidx<>+56(SB)/8, $0x0000000300000003
+DATA aeidx<>+64(SB)/8, $0x0000000400000004
+DATA aeidx<>+72(SB)/8, $0x0000000400000004
+DATA aeidx<>+80(SB)/8, $0x0000000500000005
+DATA aeidx<>+88(SB)/8, $0x0000000500000005
+DATA aeidx<>+96(SB)/8, $0x0000000600000006
+DATA aeidx<>+104(SB)/8, $0x0000000600000006
+DATA aeidx<>+112(SB)/8, $0x0000000700000007
+DATA aeidx<>+120(SB)/8, $0x0000000700000007
+GLOBL aeidx<>(SB), RODATA|NOPTR, $128
+
+// AE_ENCB_ROW is the encoder output layer's backward step on one row:
+// its code gradient (dcodes plus the extra row at R14, as AddInPlaceF32
+// adds them), dpre = that times SELU'(code) as vselugrad32 takes it
+// (stored over dcodes), and dw's eight 4-wide accumulators, in pairs in
+// Y12-Y15, each gaining one FMA with its input unit as sgemmRows4x4
+// sums aᵀ·b. Y8-Y11 hold the aeidx vectors.
+#define AE_ENCB_ROW \
+	VMOVUPS     (SI), X0; \
+	VADDPS      (R14), X0, X0; \
+	VMOVUPS     (R8), X1; \
+	VADDPS      160(AX), X1, X2; \
+	VCMPPS      $0x1e, 192(AX), X1, X3; \
+	VBLENDVPS   X3, 128(AX), X2, X2; \
+	VMULPS      X0, X2, X2; \
+	VMOVUPS     X2, (SI); \
+	VINSERTF128 $1, X2, Y2, Y4; \
+	VPERMPS     (R9), Y8, Y5; \
+	VFMADD231PS Y5, Y4, Y12; \
+	VPERMPS     (R9), Y9, Y6; \
+	VFMADD231PS Y6, Y4, Y13; \
+	VPERMPS     (R9), Y10, Y5; \
+	VFMADD231PS Y5, Y4, Y14; \
+	VPERMPS     (R9), Y11, Y6; \
+	VFMADD231PS Y6, Y4, Y15
+
+// func aeEncodeBack32(du, dcodes, extra, codes, x2, slope, wt, dw *float32, rows *int32, n, nx int, c *aeCoef)
+//
+// The encoder's per-occurrence backward pass over n rows: AE_ENCB_ROW
+// on each, dw (8×4) gaining the sums once at the end, and for the first
+// nx rows the unit gradient dx2 = dpre·wᵀ, its 8 outputs summed over the
+// 4 code values in order as sgemmRows4x8 does (wt is w transposed, 4
+// rows of 8), times the row's slope as vmul32 takes it, added onto row
+// rows[i] of du as scatterAddRows32 adds it. extra advances by the
+// stride in the coefficients: 16 bytes, or 0 over a row of -0, which
+// changes no sum. The other rows' dpre is left in dcodes for the caller.
+// n must be >= 1.
+TEXT ·aeEncodeBack32(SB), NOSPLIT, $0-96
+	MOVQ    du+0(FP), DI
+	MOVQ    dcodes+8(FP), SI
+	MOVQ    extra+16(FP), R14
+	MOVQ    codes+24(FP), R8
+	MOVQ    x2+32(FP), R9
+	MOVQ    slope+40(FP), DX
+	MOVQ    wt+48(FP), R11
+	MOVQ    dw+56(FP), R12
+	MOVQ    rows+64(FP), R10
+	MOVQ    n+72(FP), CX
+	MOVQ    nx+80(FP), R13
+	MOVQ    c+88(FP), AX
+	VMOVUPS aeidx<>+0(SB), Y8
+	VMOVUPS aeidx<>+32(SB), Y9
+	VMOVUPS aeidx<>+64(SB), Y10
+	VMOVUPS aeidx<>+96(SB), Y11
+	VXORPS  Y12, Y12, Y12
+	VXORPS  Y13, Y13, Y13
+	VXORPS  Y14, Y14, Y14
+	VXORPS  Y15, Y15, Y15
+	SUBQ    R13, CX
+	TESTQ   R13, R13
+	JZ      aeencbtail
+
+aeencbloop:
+	AE_ENCB_ROW
+	VXORPS       Y7, Y7, Y7
+	VBROADCASTSS 0(SI), Y1
+	VFMADD231PS  0(R11), Y1, Y7
+	VBROADCASTSS 4(SI), Y1
+	VFMADD231PS  32(R11), Y1, Y7
+	VBROADCASTSS 8(SI), Y1
+	VFMADD231PS  64(R11), Y1, Y7
+	VBROADCASTSS 12(SI), Y1
+	VFMADD231PS  96(R11), Y1, Y7
+	VADDPS       192(AX), Y7, Y7
+	VMULPS       (DX), Y7, Y7
+	MOVLQSX      (R10), BX
+	SHLQ         $5, BX
+	VADDPS       (DI)(BX*1), Y7, Y7
+	VMOVUPS      Y7, (DI)(BX*1)
+	ADDQ         $16, SI
+	ADDQ         256(AX), R14
+	ADDQ         $16, R8
+	ADDQ         $32, R9
+	ADDQ         $32, DX
+	ADDQ         $4, R10
+	DECQ         R13
+	JNZ          aeencbloop
+
+aeencbtail:
+	TESTQ CX, CX
+	JZ    aeencbdone
+
+aeencbtloop:
+	AE_ENCB_ROW
+	ADDQ $16, SI
+	ADDQ 256(AX), R14
+	ADDQ $16, R8
+	ADDQ $32, R9
+	DECQ CX
+	JNZ  aeencbtloop
+
+aeencbdone:
+	VADDPS  0(R12), Y12, Y12
+	VMOVUPS Y12, 0(R12)
+	VADDPS  32(R12), Y13, Y13
+	VMOVUPS Y13, 32(R12)
+	VADDPS  64(R12), Y14, Y14
+	VMOVUPS Y14, 64(R12)
+	VADDPS  96(R12), Y15, Y15
+	VMOVUPS Y15, 96(R12)
 	VZEROUPPER
 	RET

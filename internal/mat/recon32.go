@@ -1,6 +1,9 @@
 package mat
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // ReconHead32 is the reconstruction head of pre-training in one pass:
 // the decoder's tanh output layer and its MSE loss, forward and
@@ -42,26 +45,29 @@ func ReconHead32(dHid, hid, w, dw, targets *DenseF32, rows []int32, c float32) f
 	return reconHeadTiles32(dHid, hid, w, dw, targets, rows, c)
 }
 
-// reconHeadAsm32 is ReconHead32 on the asm kernels, rows in pairs: the
-// forward half of both, then the backward half of both, which loads and
-// stores each chunk of dw once.
+// reconHeadAsm32 is ReconHead32 on the asm kernels, rows in pairs, one
+// asm loop over them (reconPairs32): the forward half of both, then the
+// backward half of both, which loads and stores each chunk of dw once.
 func reconHeadAsm32(dHid, hid, w, dw, targets *DenseF32, rows []int32, c float32) float64 {
 	k, n := w.Rows, w.Cols
 	np := (n + 7) &^ 7
-	var stack [128]float32
-	dpre := stack[:]
-	if 2*np > len(stack) {
+	// The dpre rows start on a cache line, so no 8-lane chunk of them
+	// straddles two: pass 2 reloads each chunk pass 1 just stored.
+	var stack [128 + 15]float32
+	skip := int(-uintptr(unsafe.Pointer(&stack[0]))&63) / 4
+	dpre := stack[skip : skip+128]
+	if 2*np > len(dpre) {
 		dpre = make([]float32, 2*np)
 	}
 	w0, dw0, h0 := &w.Data[0], &dw.Data[0], hid.Data
 	target := func(r int32) *float32 { o := int(r) * n; return &targets.Data[o : o+n][0] }
 	var sum float64
-	i := 0
-	for ; i+2 <= len(rows); i += 2 {
-		sa, sb := reconFront32x2(&h0[i*k], k, w0, n, target(rows[i]), target(rows[i+1]), &dpre[0], c)
-		sum += float64(sa)
-		sum += float64(sb)
-		reconBack32x2(&dHid.Data[i*k], &h0[i*k], k, w0, dw0, n, &dpre[0])
+	i := len(rows) &^ 1
+	if i > 0 {
+		if !rowsBelow(rows[:i], targets.Rows) || len(targets.Data) < targets.Rows*n {
+			panic(fmt.Sprintf("mat: ReconHead32 target row out of %d", targets.Rows))
+		}
+		sum = reconPairs32(&dHid.Data[0], &h0[0], k, w0, dw0, n, &targets.Data[0], &rows[0], i/2, &dpre[0], c)
 	}
 	if i < len(rows) {
 		// The second row of the pair is zero: its hid adds nothing to

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/mat"
 )
@@ -155,7 +154,7 @@ type AlphaDropout struct {
 	// P is the drop probability.
 	P float64
 	// Rng provides reproducible masks; required when P > 0.
-	Rng *rand.Rand
+	Rng *Rand
 
 	// slope is d out/d in per unit of the last training-mode Forward:
 	// the affine scale for a kept unit, 0 for a dropped one; words holds
@@ -168,7 +167,7 @@ type AlphaDropout struct {
 }
 
 // NewAlphaDropout builds an alpha-dropout layer with drop probability p.
-func NewAlphaDropout(p float64, rng *rand.Rand) *AlphaDropout {
+func NewAlphaDropout(p float64, rng *Rand) *AlphaDropout {
 	return &AlphaDropout{P: p, Rng: rng}
 }
 
@@ -180,31 +179,42 @@ const alphaPrime = -SELULambda * SELUAlpha
 //
 // One 64-bit draw decides four units, 16 bits each (a unit is kept when
 // its field is below q·2¹⁶, so the keep probability is q to within
-// 2⁻¹⁶): the pass draws its words first, a last one for the 1–3 units
-// left over, and mat.AlphaDropout32 applies them, 8 units a step under
-// the asm family. The keep/drop choice is arithmetic, not a branch: a
-// drop rate of 10 % is a mispredicted branch every tenth unit. The
-// affine constants are computed in float64 and rounded once.
+// 2⁻¹⁶): the pass draws its words first, in one Fill, a last one for
+// the 1–3 units left over, and mat.AlphaDropout32 applies them, 8 units
+// a step under the asm family. The keep/drop choice is arithmetic, not
+// a branch: a drop rate of 10 % is a mispredicted branch every tenth
+// unit. The affine constants are computed in float64 and rounded once.
 func (l *AlphaDropout) Forward(ws *mat.WorkspaceF32, x *mat.DenseF32, train bool) *mat.DenseF32 {
 	l.dropping = train && l.P > 0
 	if !l.dropping {
 		return x
 	}
+	p := l.draw(len(x.Data))
+	out := ws.GetRaw(x.Rows, x.Cols)
+	mat.AlphaDropout32(out.Data, l.slope, x.Data, p.Words, p.KeepBelow, p.A, p.AP, p.Dropped)
+	return out
+}
+
+// draw readies a training-mode pass over n units: it sizes the slope
+// and word buffers, draws the pass's words in one Fill, and returns them
+// with the pass's constants — and the SELU constants, for the fused
+// passes of mat, whose layers around the dropout are SELU ones.
+func (l *AlphaDropout) draw(n int) mat.AEPass {
 	q := 1 - l.P
 	a := 1 / math.Sqrt(q+alphaPrime*alphaPrime*q*l.P)
-	dropped := float32(a*alphaPrime - a*l.P*alphaPrime) // a·α' + b with b = -a·P·α'
-	n := len(x.Data)
 	if cap(l.slope) < n {
 		l.slope = make([]float32, n)
 		l.words = make([]uint64, (n+3)/4)
 	}
 	l.slope, l.words = l.slope[:n], l.words[:(n+3)/4]
-	for i := range l.words {
-		l.words[i] = l.Rng.Uint64()
+	l.Rng.Fill(l.words)
+	l.dropping = true
+	return mat.AEPass{
+		Lambda: seluLambda32, LambdaAlpha: seluLambdaAlpha32,
+		Words: l.words, KeepBelow: uint32(q * (1 << 16)),
+		A: float32(a), AP: alphaPrime,
+		Dropped: float32(a*alphaPrime - a*l.P*alphaPrime), // a·α' + b with b = -a·P·α'
 	}
-	out := ws.GetRaw(x.Rows, x.Cols)
-	mat.AlphaDropout32(out.Data, l.slope, x.Data, l.words, uint32(q*(1<<16)), float32(a), alphaPrime, dropped)
-	return out
 }
 
 // Backward implements Layer.

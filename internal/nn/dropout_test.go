@@ -47,7 +47,7 @@ func TestAlphaDropoutMatchesRef(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(n)))
 			x := randDense(rng, 1, n)
 			g := randDense(rng, 1, n)
-			d := NewAlphaDropout(p, rand.New(rand.NewSource(9)))
+			d := NewAlphaDropout(p, NewRand(9))
 			wantOut, slope := dropoutRef(p, rand.New(rand.NewSource(9)), x.Data)
 			out := d.Forward(nil, x, true)
 			back := d.Backward(nil, g)
@@ -66,8 +66,8 @@ func TestAlphaDropoutMatchesRef(t *testing.T) {
 // BenchmarkAlphaDropout times the training-mode pass and its backward
 // pass on one training shard's 224×8 hidden units.
 func BenchmarkAlphaDropout(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x, g := randDense(rng, 224, 8), randDense(rng, 224, 8)
+	rng := NewRand(1)
+	x, g := randDense(rng.Rand, 224, 8), randDense(rng.Rand, 224, 8)
 	d := NewAlphaDropout(0.1, rng)
 	w := mat.NewWorkspaceF32()
 	b.ReportAllocs()

@@ -138,9 +138,39 @@ type MLP struct {
 	Layers []Layer
 
 	// rows and distinct are the occurrence index and the distinct-row
-	// count of the last ForwardRows call, kept for BackwardRows.
+	// count of the last ForwardRows call, kept for BackwardRows; fused
+	// says that call ran mat's fused pass (see aeLayers).
 	rows     []int32
 	distinct int
+	fused    bool
+}
+
+// fuseAE lets an auto-encoder's per-occurrence layers run as mat's
+// fused passes where those cover them. Only tests turn it off, to hold
+// the fused passes to the layered calls bit for bit.
+var fuseAE = true
+
+// aeLayers returns the three layers of an encoder or a decoder and
+// whether mat's fused passes cover them: a layer, an alpha-dropout that
+// drops units and a bias-free layer, where the layer the passes compute
+// (the encoder's second, the decoder's first) is a bias-free SELU one
+// between mat.AEHidden units and mat.AECode codes, on the asm family.
+func (m *MLP) aeLayers(encoder bool) (l1 *LinearAct, d *AlphaDropout, l2 *LinearAct, ok bool) {
+	if !fuseAE || len(m.Layers) != 3 {
+		return nil, nil, nil, false
+	}
+	l1, ok1 := m.Layers[0].(*LinearAct)
+	d, okd := m.Layers[1].(*AlphaDropout)
+	l2, ok2 := m.Layers[2].(*LinearAct)
+	if !ok1 || !okd || !ok2 || d.P <= 0 || l2.B != nil {
+		return nil, nil, nil, false
+	}
+	l, hidden, code := l1, l1.Out, l1.In
+	if encoder {
+		l, hidden, code = l2, l2.In, l2.Out
+	}
+	_, selu := l.Act.(SELU)
+	return l1, d, l2, selu && l.B == nil && mat.AERowsFused(hidden, code)
 }
 
 // NewMLP wraps layers into a network.
@@ -194,9 +224,21 @@ func (m *MLP) backwardFirst(ws *mat.WorkspaceF32, grad *mat.DenseF32) {
 // the gathered rows. With many occurrences of few distinct rows — many
 // executions of few contexts — the first layer's work shrinks by the
 // repeat factor. rows must stay untouched until BackwardRows.
+//
+// In training mode, where mat's fused passes cover the network (an
+// encoder of mat.AEHidden SELU units and mat.AECode SELU codes with
+// dropout between), everything past the first layer is one
+// mat.EncodeRows32 pass, with the same result and the same caches.
 func (m *MLP) ForwardRows(ws *mat.WorkspaceF32, x *mat.DenseF32, rows []int32, train bool) *mat.DenseF32 {
-	m.rows, m.distinct = rows, x.Rows
+	m.rows, m.distinct, m.fused = rows, x.Rows, false
 	hu := m.Layers[0].Forward(ws, x, train)
+	if _, d, l2, ok := m.aeLayers(true); ok && train {
+		x2, codes := ws.GetRaw(len(rows), l2.In), ws.GetRaw(len(rows), l2.Out)
+		p := d.draw(len(x2.Data))
+		mat.EncodeRows32(codes, x2, d.slope, hu, rows, l2.W.Value, &p)
+		l2.input, l2.cache, m.fused = x2, codes, true
+		return codes
+	}
 	h := ws.GetRaw(len(rows), hu.Cols)
 	mat.GatherRowsF32(h, hu, rows)
 	for _, l := range m.Layers[1:] {
@@ -205,13 +247,26 @@ func (m *MLP) ForwardRows(ws *mat.WorkspaceF32, x *mat.DenseF32, rows []int32, t
 	return h
 }
 
-// BackwardRows back-propagates a ForwardRows pass. The per-occurrence
-// gradient reaching the first layer is scatter-added onto the distinct
-// rows before that layer's activation derivative and weight gradient,
-// which is exact by linearity (only the summation order differs from
-// Backward on the expanded matrix). The input is data, so no input
-// gradient is computed.
-func (m *MLP) BackwardRows(ws *mat.WorkspaceF32, grad *mat.DenseF32) {
+// BackwardRows back-propagates a ForwardRows pass from the output
+// gradient grad plus extra, when extra is not nil (the reconstruction
+// term's share); grad may be overwritten. The per-occurrence gradient
+// reaching the first layer is scatter-added onto the distinct rows
+// before that layer's activation derivative and weight gradient, which
+// is exact by linearity (only the summation order differs from Backward
+// on the expanded matrix). The input is data, so no input gradient is
+// computed. After a fused ForwardRows, everything up to the scatter is
+// one mat.EncodeRowsBack32 pass.
+func (m *MLP) BackwardRows(ws *mat.WorkspaceF32, grad, extra *mat.DenseF32) {
+	if m.fused {
+		d, l2 := m.Layers[1].(*AlphaDropout), m.Layers[2].(*LinearAct)
+		gu := ws.Get(m.distinct, l2.In)
+		mat.EncodeRowsBack32(gu, grad, extra, l2.cache, l2.input, d.slope, l2.W.Value, l2.W.Grad, m.rows, seluLambda32, seluLambdaAlpha32)
+		m.backwardFirst(ws, gu)
+		return
+	}
+	if extra != nil {
+		mat.AddInPlaceF32(grad, extra)
+	}
 	for i := len(m.Layers) - 1; i > 0; i-- {
 		grad = m.Layers[i].Backward(ws, grad)
 	}
@@ -229,6 +284,9 @@ func (m *MLP) BackwardRows(ws *mat.WorkspaceF32, grad *mat.DenseF32) {
 // mat.ReconHead32 pass, so the decoder's output and its gradient never
 // exist as matrices. It accumulates the parameter gradients and returns
 // the (unweighted) error and weight times its gradient w.r.t. codes.
+// Where mat's fused passes cover the decoder (mat.AECode codes into
+// mat.AEHidden SELU units, dropout, the head), the whole term is one
+// mat.DecodeRows32 pass.
 func (m *MLP) ReconLossRows(ws *mat.WorkspaceF32, codes, targets *mat.DenseF32, rows []int32, weight float64) (float64, *mat.DenseF32) {
 	last, ok := m.Layers[len(m.Layers)-1].(*LinearAct)
 	if _, tanh := last.Act.(Tanh); !ok || !tanh || last.B != nil {
@@ -236,6 +294,13 @@ func (m *MLP) ReconLossRows(ws *mat.WorkspaceF32, codes, targets *mat.DenseF32, 
 	}
 	if len(rows) != codes.Rows {
 		panic(fmt.Sprintf("nn: ReconLossRows on %d codes with %d target rows", codes.Rows, len(rows)))
+	}
+	n := float64(len(rows) * last.Out)
+	if l1, d, _, ok := m.aeLayers(false); ok && n > 0 {
+		dcodes := ws.GetRaw(codes.Rows, codes.Cols)
+		p := d.draw(len(rows) * l1.Out)
+		sum := mat.DecodeRows32(ws, dcodes, codes, l1.W.Value, l1.W.Grad, d.slope, last.W.Value, last.W.Grad, targets, rows, &p, float32(2*weight/n))
+		return sum / n, dcodes
 	}
 	hid := codes
 	for _, l := range m.Layers[:len(m.Layers)-1] {
@@ -246,7 +311,7 @@ func (m *MLP) ReconLossRows(ws *mat.WorkspaceF32, codes, targets *mat.DenseF32, 
 	}
 	grad := ws.GetRaw(hid.Rows, last.In)
 	var loss float64
-	if n := float64(len(rows) * last.Out); n > 0 {
+	if n > 0 {
 		loss = mat.ReconHead32(grad, hid, last.W.Value, last.W.Grad, targets, rows, float32(2*weight/n)) / n
 	}
 	for i := len(m.Layers) - 2; i >= 0; i-- {
@@ -265,7 +330,7 @@ func (m *MLP) DropCaches() {
 			l.input, l.cache = nil, nil
 		}
 	}
-	m.rows = nil
+	m.rows, m.fused = nil, false
 }
 
 // Replica returns a network that computes with m's parameter values —
@@ -277,7 +342,7 @@ func (m *MLP) DropCaches() {
 // caller's business. The replica's gradients are new matrices;
 // Slab.Replica moves those of a slab's replica into a block of their own
 // in the slab's layout. Frozen flags are copied as they stand.
-func (m *MLP) Replica(rng *rand.Rand) *MLP {
+func (m *MLP) Replica(rng *Rand) *MLP {
 	share := func(p *Param) *Param {
 		if p == nil {
 			return nil
@@ -324,20 +389,20 @@ type TwoLayerSpec struct {
 
 // Build constructs the MLP for the spec, drawing initial weights from
 // rng: a LinearAct per layer, with an AlphaDropout between them when
-// the spec drops units.
-func (s TwoLayerSpec) Build(rng *rand.Rand) *MLP { return s.build(NewParam, rng) }
+// the spec drops units, whose masks rng draws too.
+func (s TwoLayerSpec) Build(rng *rand.Rand) *MLP { return s.build(NewParam, &Rand{Rand: rng}) }
 
 // build is Build with the parameters made by newParam, in the order of
 // the MLP's Params.
-func (s TwoLayerSpec) build(newParam func(name string, rows, cols int) *Param, rng *rand.Rand) *MLP {
+func (s TwoLayerSpec) build(newParam func(name string, rows, cols int) *Param, rng *Rand) *MLP {
 	layers := []Layer{
-		newLinearAct(newParam, s.Name+".l1", s.In, s.Hidden, s.WithBias, s.ActHidden, s.Init, rng),
+		newLinearAct(newParam, s.Name+".l1", s.In, s.Hidden, s.WithBias, s.ActHidden, s.Init, rng.Rand),
 	}
 	if s.Dropout > 0 {
 		layers = append(layers, NewAlphaDropout(s.Dropout, rng))
 	}
 	layers = append(layers,
-		newLinearAct(newParam, s.Name+".l2", s.Hidden, s.Out, s.WithBias, s.ActOut, s.Init, rng),
+		newLinearAct(newParam, s.Name+".l2", s.Hidden, s.Out, s.WithBias, s.ActOut, s.Init, rng.Rand),
 	)
 	return NewMLP(layers...)
 }

@@ -377,7 +377,7 @@ func TestForwardRowsMatchesExpanded(t *testing.T) {
 			wantOut := want.Forward(nil, expanded, true)
 			want.Backward(nil, grad)
 			gotOut := got.ForwardRows(nil, x, rows, true)
-			got.BackwardRows(nil, grad)
+			got.BackwardRows(nil, grad, nil)
 			if !gotOut.Equalish(wantOut, 1e-6) {
 				t.Fatalf("%s dropout %v: ForwardRows differs from Forward on the expanded matrix", name, dropout)
 			}
@@ -404,7 +404,7 @@ func TestReplicaSharesValuesOwnsGradients(t *testing.T) {
 		WithBias: true, Dropout: 0.25, Init: InitLeCun}
 	net := spec.Build(rng)
 	slab := NewSlab(net.Params()...)
-	own := rand.New(rand.NewSource(9))
+	own := NewRand(9)
 	rep := net.Replica(own)
 	repSlab := slab.Replica(rep.Params())
 	if d := rep.Layers[1].(*AlphaDropout); d.Rng != own || d.P != 0.25 {
@@ -520,9 +520,9 @@ func TestEarlyStopperImprovementResets(t *testing.T) {
 }
 
 func TestAlphaDropoutEvalIsIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := NewRand(3)
 	d := NewAlphaDropout(0.5, rng)
-	x := randDense(rng, 4, 4)
+	x := randDense(rng.Rand, 4, 4)
 	y := d.Forward(ws, x, false)
 	if !y.Equalish(x, 0) {
 		t.Fatal("eval-mode dropout is not identity")
@@ -534,14 +534,14 @@ func TestAlphaDropoutEvalIsIdentity(t *testing.T) {
 // into its backward pass — and keeps the mask buffer, so alternating
 // training and eval passes allocate nothing.
 func TestAlphaDropoutEvalBetweenSteps(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := NewRand(3)
 	d := NewAlphaDropout(0.5, rng)
-	x := randDense(rng, 4, 4)
+	x := randDense(rng.Rand, 4, 4)
 	d.Forward(ws, x, true)
 	if y := d.Forward(ws, x, false); y != x {
 		t.Fatal("eval-mode dropout after a training pass is not identity")
 	}
-	g := randDense(rng, 4, 4)
+	g := randDense(rng.Rand, 4, 4)
 	if back := d.Backward(ws, g); back != g {
 		t.Fatal("the backward pass of an eval pass applied a training mask")
 	}
@@ -555,7 +555,7 @@ func TestAlphaDropoutEvalBetweenSteps(t *testing.T) {
 }
 
 func TestAlphaDropoutPreservesMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	rng := NewRand(4)
 	d := NewAlphaDropout(0.1, rng)
 	// Standard-normal input; output should stay near zero mean, unit var.
 	n := 200000
@@ -583,9 +583,9 @@ func TestAlphaDropoutPreservesMoments(t *testing.T) {
 }
 
 func TestAlphaDropoutBackwardMasks(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	rng := NewRand(5)
 	d := NewAlphaDropout(0.5, rng)
-	x := randDense(rng, 2, 8)
+	x := randDense(rng.Rand, 2, 8)
 	d.Forward(ws, x, true)
 	g := mat.NewDenseF32(2, 8)
 	g.Fill(1)

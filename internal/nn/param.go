@@ -9,7 +9,6 @@ package nn
 
 import (
 	"fmt"
-	"math/rand"
 	"unsafe"
 
 	"repro/internal/mat"
@@ -131,7 +130,7 @@ func NewSlab(params ...*Param) *Slab {
 // every parameter in one new slab: each gets its windows of the slab's
 // blocks before its weights are drawn, so nothing is allocated twice.
 // The slab's parameters are the networks' Params, in order.
-func BuildSlab(rng *rand.Rand, specs ...TwoLayerSpec) ([]*MLP, *Slab) {
+func BuildSlab(rng *Rand, specs ...TwoLayerSpec) ([]*MLP, *Slab) {
 	n := 0
 	for _, sp := range specs {
 		n += sp.slabFloats()

@@ -169,13 +169,13 @@ func TestBuildSlabMatchesBuild(t *testing.T) {
 	wantSlab := NewSlab(want...)
 	wantNext := rng.Int63()
 
-	rng = rand.New(rand.NewSource(5))
-	nets, slab := BuildSlab(rng, specs...)
+	r := NewRand(5)
+	nets, slab := BuildSlab(r, specs...)
 	var got []*Param
 	for _, n := range nets {
 		got = append(got, n.Params()...)
 	}
-	if gotNext := rng.Int63(); gotNext != wantNext {
+	if gotNext := r.Int63(); gotNext != wantNext {
 		t.Fatalf("BuildSlab left rng at %d, Build at %d", gotNext, wantNext)
 	}
 	if len(got) != len(want) || len(slab.Params()) != len(got) {
