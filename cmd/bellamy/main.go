@@ -12,11 +12,11 @@ import (
 const usage = `bellamy — runtime prediction for distributed dataflow jobs
 
 Usage:
-  bellamy train      -data <csv|sim:c3o|sim:bell> -out <model> [flags]
+  bellamy train      -data <csv|sim:c3o|sim:bell> -out <model> [-budget ci|paper] [flags]
   bellamy predict    -model <model> -scale-outs <2,4,...> [flags]
   bellamy allocate   -model <model> -deadline <sec> [-min-scale-out 1 -max-scale-out 16] [flags]
   bellamy serve      -models <dir> [-addr :8080] [flags]
-  bellamy experiment -kind <crosscontext|crossenv|allocation> [flags]
+  bellamy experiment -kind <crosscontext|crossenv|allocation> [-budget ci|paper] [flags]
   bellamy dataset    -env <c3o|bell> [-out <csv>] [flags]
 
 Run "bellamy <subcommand> -h" for the flags of each subcommand.`

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/experiments"
 	"repro/internal/hyperopt"
 	"repro/internal/mat"
 )
@@ -37,14 +38,17 @@ func runTrain(args []string) error {
 	data := fs.String("data", "", "training traces: CSV path, sim:c3o or sim:bell")
 	job := fs.String("job", "", "restrict training to one job's executions")
 	out := fs.String("out", "", "output model path (required)")
-	epochs := fs.Int("epochs", 250, "pre-training epochs (paper: 2500)")
+	budgetName := fs.String("budget", string(experiments.BudgetCI), "training budget: ci, or paper for Table I's epochs after its hyperparameter search")
 	seed := fs.Int64("seed", 1, "seed for simulation and weight init")
-	trials := fs.Int("hyperopt", 0, "hyperparameter-search trials before training (paper: 12; 0 = use defaults)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *out == "" {
 		return fmt.Errorf("train: missing -out")
+	}
+	budget, err := experiments.ParseBudget(*budgetName)
+	if err != nil {
+		return fmt.Errorf("train: %w", err)
 	}
 
 	ds, err := loadDataset(*data, *seed)
@@ -61,19 +65,17 @@ func runTrain(args []string) error {
 	}
 	samples := core.SamplesFromExecutions(execs)
 
-	cfg := core.DefaultConfig()
-	cfg.PretrainEpochs = *epochs
+	cfg := budget.Model()
 	cfg.Seed = *seed
 
-	// Optional Table-I hyperparameter search: candidate models pre-train
-	// in parallel across cores. Trials and the helpers of their sharded
+	// Table I's hyperparameter search: candidate models pre-train in
+	// parallel across cores. Trials and the helpers of their sharded
 	// training steps draw on one budget of cores (internal/parallel), so
 	// trial fan-out cannot oversubscribe the machine.
-	if *trials > 0 {
-		fmt.Printf("hyperopt: %d trials on %d executions...\n", *trials, len(samples))
+	if budget.Search() {
 		opts := hyperopt.DefaultOptions()
-		opts.Trials = *trials
 		opts.Seed = *seed
+		fmt.Printf("hyperopt: %d trials on %d executions...\n", opts.Trials, len(samples))
 		res, err := hyperopt.Search(cfg, samples, hyperopt.DefaultSpace(), opts)
 		if err != nil {
 			return fmt.Errorf("train: hyperopt: %w", err)
@@ -87,7 +89,7 @@ func runTrain(args []string) error {
 	if err != nil {
 		return fmt.Errorf("train: %w", err)
 	}
-	fmt.Printf("pre-training on %d executions (%d epochs)...\n", len(samples), *epochs)
+	fmt.Printf("pre-training on %d executions (%d epochs)...\n", len(samples), cfg.PretrainEpochs)
 	rep, err := m.Pretrain(samples)
 	if err != nil {
 		return fmt.Errorf("train: %w", err)

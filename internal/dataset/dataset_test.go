@@ -312,42 +312,6 @@ func TestFilterDissimilar(t *testing.T) {
 	}
 }
 
-func TestNormalizedCurvesInUnitRange(t *testing.T) {
-	ds := GenerateC3O(SimConfig{Seed: 1})
-	for _, job := range C3OJobs {
-		for _, c := range NormalizedCurves(ds, job) {
-			for i, v := range c.Normalized {
-				if v < 0 || v > 1+1e-12 {
-					t.Fatalf("%s %s: normalized[%d] = %v out of [0,1]", job, c.ContextID, i, v)
-				}
-			}
-		}
-	}
-}
-
-func TestRuntimeVariance(t *testing.T) {
-	ds := GenerateC3O(SimConfig{Seed: 1})
-	v := RuntimeVariance(ds, "sgd")
-	if len(v.ScaleOuts) != 6 {
-		t.Fatalf("variance scale-outs = %v", v.ScaleOuts)
-	}
-	// Cross-context variance must be nonzero (Fig. 2's point).
-	anyVar := false
-	for _, s := range v.StdDev {
-		if s > 0.001 {
-			anyVar = true
-		}
-	}
-	if !anyVar {
-		t.Fatal("no cross-context variance in sgd")
-	}
-	for i := range v.Min {
-		if v.Min[i] > v.Max[i] {
-			t.Fatalf("min > max at %d", i)
-		}
-	}
-}
-
 func TestMeanRuntimeByScaleOut(t *testing.T) {
 	ctx := &Context{ID: "x", Job: "grep"}
 	execs := []Execution{

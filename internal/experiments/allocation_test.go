@@ -11,13 +11,7 @@ import (
 // tinyAllocationConfig shrinks the experiment to a smoke-test budget:
 // one job, one target context, a handful of splits, tiny model.
 func tinyAllocationConfig() Config {
-	cfg := DefaultAllocationConfig()
-	cfg.Jobs = []string{"sort"}
-	cfg.ContextsPerJob = 1
-	cfg.MaxSplits = 2
-	cfg.PointCounts = []int{2}
-	cfg.DeadlineFactors = []float64{1.5}
-
+	cfg := Config{Seed: 1, Jobs: []string{"sort"}, ContextsPerJob: 1, MaxSplits: 2, PointCounts: []int{2}, DeadlineFactors: []float64{1.5}}
 	m := core.DefaultConfig()
 	m.PropertySize = 16
 	m.EncodingDim = 3

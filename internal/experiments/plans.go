@@ -10,7 +10,7 @@ import (
 )
 
 // Config parameterizes the cross-context, cross-environment and
-// allocation experiments.
+// allocation experiments; Kinds[kind].Config returns each at a budget.
 type Config struct {
 	// Seed drives context choice, split sampling and model init.
 	Seed int64
@@ -20,8 +20,7 @@ type Config struct {
 	// (paper: 7, each node type present at least once). The
 	// cross-environment experiment has one context per job.
 	ContextsPerJob int
-	// MaxSplits bounds the unique splits per training size (paper: 200
-	// cross-context, 500 cross-environment).
+	// MaxSplits bounds the unique splits per training size.
 	MaxSplits int
 	// PointCounts are the training sizes (paper: 1..6). The cross-context
 	// and cross-environment experiments add the zero-shot k = 0; the
@@ -35,40 +34,6 @@ type Config struct {
 	// Model is the Bellamy configuration; its epoch counts are the
 	// pre-training and fine-tuning budgets.
 	Model core.Config
-}
-
-// defaultModel is the laptop-scale budget of every experiment. Table I's
-// epoch counts are the paper's. Fine-tune patience stays at 150 under
-// bellamy experiment's -pretrain-epochs and -finetune-epochs too, not
-// Table I's 1000: no flag sets it.
-func defaultModel() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.PretrainEpochs = 250
-	cfg.FinetuneEpochs = 400
-	cfg.FinetunePatience = 150
-	return cfg
-}
-
-// DefaultCrossContextConfig returns the paper's cross-context experiment
-// shape at a laptop-scale budget. Raise MaxSplits to 200 and the model
-// epochs to Table I values for the full run.
-func DefaultCrossContextConfig() Config {
-	return Config{Seed: 1, ContextsPerJob: 7, MaxSplits: 30, PointCounts: []int{1, 2, 3, 4, 5, 6}, Model: defaultModel()}
-}
-
-// DefaultCrossEnvConfig returns a laptop-scale cross-environment
-// experiment; raise MaxSplits to 500 and the epochs to Table I values
-// for the full run.
-func DefaultCrossEnvConfig() Config {
-	return Config{Seed: 1, MaxSplits: 40, PointCounts: []int{1, 2, 3, 4, 5, 6}, Model: defaultModel()}
-}
-
-// DefaultAllocationConfig returns a laptop-scale allocation experiment.
-func DefaultAllocationConfig() Config {
-	return Config{
-		Seed: 1, ContextsPerJob: 3, MaxSplits: 10, PointCounts: []int{1, 2, 3},
-		DeadlineFactors: []float64{1.2, 1.5, 2.0}, Model: defaultModel(),
-	}
 }
 
 // baselineRunners are the NNLS (Ernest) and Bell runners every

@@ -3,6 +3,7 @@ package experiments
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 )
@@ -154,20 +155,26 @@ func FormatEpochECDF(t Table) string {
 }
 
 // FormatFitTimes renders the §IV-C fit-time comparison: mean wall-clock
-// Fit seconds per method, across all jobs.
+// Fit milliseconds per method, across all jobs, to three significant
+// digits.
 func FormatFitTimes(t Table) string {
 	agg := map[Method][]float64{}
 	for _, m := range t {
 		agg[m.Method] = append(agg[m.Method], m.FitSeconds)
 	}
 	var b strings.Builder
-	b.WriteString("Mean time to fit per method [s]\n")
+	b.WriteString("Mean time to fit per method [ms]\n")
 	for _, m := range MethodOrder {
 		vals := agg[m]
 		if len(vals) == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "%26s %10.4f (n=%d)\n", m, Mean(vals), len(vals))
+		ms := Mean(vals) * 1e3
+		decimals := 0
+		if ms > 0 {
+			decimals = max(0, 2-int(math.Floor(math.Log10(ms))))
+		}
+		fmt.Fprintf(&b, "%26s %10.*f (n=%d)\n", m, decimals, ms, len(vals))
 	}
 	return b.String()
 }
