@@ -123,7 +123,7 @@ func runServe(args []string) error {
 						n.ctl.Restore(serve.ModelKey{Job: job, Env: env}, s, at)
 					},
 					Digest: func(job, env string, fresh int, at time.Time) {
-						n.ctl.RestoreDigest(serve.ModelKey{Job: job, Env: env})
+						n.ctl.RestoreDigest(serve.ModelKey{Job: job, Env: env}, fresh)
 					},
 				})
 				if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -114,9 +115,18 @@ func TestNewModelParamCounts(t *testing.T) {
 	// f: 3x16+16 + 16x8+8, g: 40x8 + 8x4 (no bias), h: 4x8 + 8x40,
 	// z: 28x8+8 + 8x1+1.
 	want := (3*16 + 16 + 16*8 + 8) + (40*8 + 8*4) + (4*8 + 8*40) + (28*8 + 8 + 8 + 1)
-	if got := nn.CountParams(m.Params()); got != want {
+	if got := weightCount(m.Params()); got != want {
 		t.Fatalf("param count = %d, want %d", got, want)
 	}
+}
+
+// weightCount is the number of scalar weights across params.
+func weightCount(params []*nn.Param) int {
+	n := 0
+	for _, p := range params {
+		n += p.NumElements()
+	}
+	return n
 }
 
 func TestScaleOutFeatures(t *testing.T) {
@@ -271,18 +281,18 @@ func TestFinetuneAutoEncoderFrozen(t *testing.T) {
 	if _, err := m.Pretrain(samples); err != nil {
 		t.Fatal(err)
 	}
-	gBefore := valuesOf(m.componentParams("g"))
-	hBefore := valuesOf(m.componentParams("h"))
+	gBefore := valuesOf(m.params.g)
+	hBefore := valuesOf(m.params.h)
 	ctxSamples := syntheticSamples(1, []int{4, 8})
 	if _, err := m.Finetune(ctxSamples, FinetuneOptions{Strategy: StrategyPartialUnfreeze, MaxEpochs: 50}); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range m.componentParams("g") {
+	for _, p := range m.params.g {
 		if !p.Value.Equalish(gBefore[p.Name], 0) {
 			t.Fatalf("encoder param %s changed during fine-tuning", p.Name)
 		}
 	}
-	for _, p := range m.componentParams("h") {
+	for _, p := range m.params.h {
 		if !p.Value.Equalish(hBefore[p.Name], 0) {
 			t.Fatalf("decoder param %s changed during fine-tuning", p.Name)
 		}
@@ -300,11 +310,11 @@ func TestFinetunePartialUnfreezeDelaysF(t *testing.T) {
 	if _, err := m.Pretrain(samples); err != nil {
 		t.Fatal(err)
 	}
-	fBefore := valuesOf(m.componentParams("f"))
+	fBefore := valuesOf(m.params.f)
 	if _, err := m.Finetune(samples[:4], FinetuneOptions{Strategy: StrategyPartialUnfreeze, MaxEpochs: 30}); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range m.componentParams("f") {
+	for _, p := range m.params.f {
 		if !p.Value.Equalish(fBefore[p.Name], 0) {
 			t.Fatalf("f param %s changed before unfreeze epoch", p.Name)
 		}
@@ -321,12 +331,12 @@ func TestFinetuneFullUnfreezeMovesF(t *testing.T) {
 	if _, err := m.Pretrain(samples); err != nil {
 		t.Fatal(err)
 	}
-	fBefore := valuesOf(m.componentParams("f"))
+	fBefore := valuesOf(m.params.f)
 	if _, err := m.Finetune(samples[:4], FinetuneOptions{Strategy: StrategyFullUnfreeze, MaxEpochs: 60, Patience: 60}); err != nil {
 		t.Fatal(err)
 	}
 	moved := false
-	for _, p := range m.componentParams("f") {
+	for _, p := range m.params.f {
 		if !p.Value.Equalish(fBefore[p.Name], 1e-12) {
 			moved = true
 		}
@@ -346,7 +356,7 @@ func TestFinetuneResetStrategies(t *testing.T) {
 	if _, err := m.Pretrain(samples); err != nil {
 		t.Fatal(err)
 	}
-	zBefore := valuesOf(m.componentParams("z"))
+	zBefore := valuesOf(m.params.z)
 	clone, err := m.Clone()
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +364,7 @@ func TestFinetuneResetStrategies(t *testing.T) {
 	// Partial reset must re-initialize z (weights differ immediately).
 	clone.applyStrategy(StrategyPartialReset, 4)
 	changed := false
-	for _, p := range clone.componentParams("z") {
+	for _, p := range clone.params.z {
 		if p.Value.Rows > 1 && !p.Value.Equalish(zBefore[p.Name], 1e-12) {
 			changed = true
 		}
@@ -367,10 +377,10 @@ func TestFinetuneResetStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fBefore := valuesOf(clone2.componentParams("f"))
+	fBefore := valuesOf(clone2.params.f)
 	clone2.applyStrategy(StrategyFullReset, 4)
 	changed = false
-	for _, p := range clone2.componentParams("f") {
+	for _, p := range clone2.params.f {
 		if p.Value.Rows > 1 && !p.Value.Equalish(fBefore[p.Name], 1e-12) {
 			changed = true
 		}
@@ -490,68 +500,56 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestPropertyCodesShape: the codes fine-tuning fixes for a batch hold
+// one EncodingDim-wide row per distinct property value, and distinct
+// values — the properties of two contexts that differ in node type and
+// dataset size — get distinct codes (Fig. 4's premise).
 func TestPropertyCodesShape(t *testing.T) {
 	m, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	props := []encoding.Property{
-		{Name: "node_type", Value: "m4.2xlarge"},
-		{Name: "job_parameters", Value: "--iterations 25"},
-		{Name: "dataset_size_mb", Value: "19353"},
+	samples := syntheticSamples(2, []int{4})
+	m.borrowScratch()
+	defer m.releaseScratch()
+	b := &m.trainB
+	m.fillBatch(b, samples, nil)
+	m.fixCodes(b)
+	// Two contexts of 4 essential and 3 optional values that share all
+	// but the dataset size and the node type: 9 distinct values.
+	if b.props.Rows != 9 || b.codes.Rows != b.props.Rows || b.codes.Cols != m.Cfg.EncodingDim {
+		t.Fatalf("codes %dx%d for %d distinct values, want 9x%d", b.codes.Rows, b.codes.Cols, b.props.Rows, m.Cfg.EncodingDim)
 	}
-	if codes := m.PropertyCodes(nil); codes == nil || len(codes) != 0 {
-		t.Fatalf("codes of no properties = %v, want an empty slice", codes)
-	}
-	codes := m.PropertyCodes(props)
-	if len(codes) != 3 {
-		t.Fatalf("codes = %d rows, want 3", len(codes))
-	}
-	for i, c := range codes {
-		if len(c) != m.Cfg.EncodingDim {
-			t.Fatalf("code %d has dim %d, want %d", i, len(c), m.Cfg.EncodingDim)
-		}
-	}
-	// Different contexts get different codes (Fig. 4's premise).
-	other := m.PropertyCodes([]encoding.Property{
-		{Name: "node_type", Value: "r4.2xlarge"},
-		{Name: "job_parameters", Value: "--iterations 100"},
-		{Name: "dataset_size_mb", Value: "14540"},
-	})
-	identical := true
-	for i := range codes {
-		for j := range codes[i] {
-			if codes[i][j] != other[i][j] {
-				identical = false
+	for i := 0; i < b.codes.Rows; i++ {
+		for j := 0; j < i; j++ {
+			if slices.Equal(b.codes.Row(i), b.codes.Row(j)) {
+				t.Fatalf("distinct values %d and %d share the code %v", j, i, b.codes.Row(i))
 			}
 		}
 	}
-	if identical {
-		t.Fatal("distinct contexts produced identical codes")
-	}
 }
 
+// TestReconstructionErrorDropsWithPretraining: the auto-encoder's
+// reconstruction error after a full pre-training run is below the one
+// of its first epoch, from the same seed.
 func TestReconstructionErrorDropsWithPretraining(t *testing.T) {
-	cfg := testConfig()
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	samples := syntheticSamples(3, []int{2, 4, 6, 8, 10, 12})
-	var props []encoding.Property
-	for _, s := range samples[:6] {
-		props = append(props, s.Essential...)
+	recon := func(epochs int) float64 {
+		cfg := testConfig()
+		cfg.PretrainEpochs = epochs
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := m.Pretrain(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.FinalReconLoss
 	}
-	if e := m.ReconstructionError(nil); e != 0 {
-		t.Fatalf("reconstruction error over no properties = %v, want 0", e)
-	}
-	before := m.ReconstructionError(props)
-	if _, err := m.Pretrain(samples); err != nil {
-		t.Fatal(err)
-	}
-	after := m.ReconstructionError(props)
-	if after >= before {
-		t.Fatalf("reconstruction error did not improve: before=%v after=%v", before, after)
+	first, full := recon(1), recon(testConfig().PretrainEpochs)
+	if !(full < first) {
+		t.Fatalf("reconstruction error did not improve: first epoch %v, after %d epochs %v", first, testConfig().PretrainEpochs, full)
 	}
 }
 

@@ -65,7 +65,7 @@ func referenceStep(m *Model, samples []Sample, train bool) (pred []float64, rLos
 	}
 
 	rLoss, rGrad := nn.HuberLoss{Delta: cfg.HuberDelta}.Compute(nil, out, targets)
-	reconLoss, reconGrad := nn.MSELoss{}.Compute(nil, recon, vecs)
+	reconLoss, reconGrad := mseRef(recon, vecs)
 	gradR := m.z.Backward(nil, rGrad)
 	gradCodes := mat.NewDenseF32(bSize*per, cfg.EncodingDim)
 	for i, s := range samples {
@@ -88,6 +88,21 @@ func referenceStep(m *Model, samples []Sample, train bool) (pred []float64, rLos
 	mat.SliceColsToF32(gradE, gradR, 0, cfg.ScaleOutDim)
 	m.f.Backward(nil, gradE)
 	return pred, rLoss, reconLoss
+}
+
+// mseRef is the mean squared error of pred against target and its
+// gradient w.r.t. pred, each element's error and gradient taken in
+// float64 and the gradient rounded once.
+func mseRef(pred, target *mat.DenseF32) (float64, *mat.DenseF32) {
+	n := float64(len(pred.Data))
+	grad := mat.NewDenseF32(pred.Rows, pred.Cols)
+	var sum float64
+	for i, p := range pred.Data {
+		d := float64(p) - float64(target.Data[i])
+		sum += d * d
+		grad.Data[i] = float32(2 * d / n)
+	}
+	return sum / n, grad
 }
 
 // stepGrads runs the passes of a training step and leaves the step's

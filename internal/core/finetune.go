@@ -122,7 +122,7 @@ func (m *Model) Finetune(samples []Sample, opts FinetuneOptions) (*TrainReport, 
 	for epoch := 0; epoch < maxEpochs; epoch++ {
 		if opts.Strategy == StrategyPartialUnfreeze || opts.Strategy == StrategyPartialReset {
 			if epoch == unfreezeEpoch {
-				nn.Freeze(m.componentParams("f"), false)
+				nn.Freeze(m.params.f, false)
 			}
 		}
 		opt.SetLR(sched.Rate(epoch))
@@ -156,32 +156,33 @@ func (m *Model) Finetune(samples []Sample, opts FinetuneOptions) (*TrainReport, 
 // In all strategies the auto-encoder (g, h) is frozen (§IV-C2: "the
 // parameters of our auto-encoder are not subject to changes").
 func (m *Model) applyStrategy(s Strategy, numSamples int) {
-	nn.Freeze(m.componentParams("g"), true)
-	nn.Freeze(m.componentParams("h"), true)
+	nn.Freeze(m.params.g, true)
+	nn.Freeze(m.params.h, true)
 	switch s {
 	case StrategyPartialUnfreeze:
-		nn.Freeze(m.componentParams("f"), true) // unfrozen later
-		nn.Freeze(m.componentParams("z"), false)
+		nn.Freeze(m.params.f, true) // unfrozen later
+		nn.Freeze(m.params.z, false)
 	case StrategyFullUnfreeze, StrategyLocal:
-		nn.Freeze(m.componentParams("f"), false)
-		nn.Freeze(m.componentParams("z"), false)
+		nn.Freeze(m.params.f, false)
+		nn.Freeze(m.params.z, false)
 	case StrategyPartialReset:
-		m.reinit("z")
-		nn.Freeze(m.componentParams("f"), true) // unfrozen later
-		nn.Freeze(m.componentParams("z"), false)
+		m.reinit(m.params.z)
+		nn.Freeze(m.params.f, true) // unfrozen later
+		nn.Freeze(m.params.z, false)
 	case StrategyFullReset:
-		m.reinit("f")
-		m.reinit("z")
-		nn.Freeze(m.componentParams("f"), false)
-		nn.Freeze(m.componentParams("z"), false)
+		m.reinit(m.params.f)
+		m.reinit(m.params.z)
+		nn.Freeze(m.params.f, false)
+		nn.Freeze(m.params.z, false)
 	default:
 		panic("core: unknown strategy")
 	}
 }
 
-// reinit redraws the weights of one component from the init scheme.
-func (m *Model) reinit(name string) {
-	for _, p := range m.componentParams(name) {
+// reinit redraws the weights of one component's params from the init
+// scheme.
+func (m *Model) reinit(params []*nn.Param) {
+	for _, p := range params {
 		if p.Value.Rows == 1 { // bias row vector
 			p.Value.Zero()
 			continue

@@ -59,7 +59,8 @@ type Model struct {
 	// A replica's slab shares the weights and owns its gradients.
 	slab *nn.Slab
 	// params caches each component's parameter list, so the per-step
-	// "does anything in f learn" checks allocate nothing.
+	// "does anything in f learn" checks allocate nothing; fine-tuning's
+	// freeze schedules and reuse strategies work on them too.
 	params struct{ f, g, h, z []*nn.Param }
 	// rows is fillBatch's table of the values of the batch being filled.
 	rows rowTable
@@ -156,23 +157,6 @@ func (m *Model) Params() []*nn.Param {
 	ps = append(ps, m.params.h...)
 	ps = append(ps, m.params.z...)
 	return ps
-}
-
-// componentParams exposes each network's parameters for the freeze
-// schedules of fine-tuning and the reuse strategies.
-func (m *Model) componentParams(name string) []*nn.Param {
-	switch name {
-	case "f":
-		return m.params.f
-	case "g":
-		return m.params.g
-	case "h":
-		return m.params.h
-	case "z":
-		return m.params.z
-	default:
-		panic("core: unknown component " + name)
-	}
 }
 
 // Pretrained reports whether the model went through Pretrain.
@@ -563,51 +547,4 @@ func (m *Model) Predict(scaleOut int, essential, optional []encoding.Property) (
 		return 0, err
 	}
 	return m.scratchPred[0], nil
-}
-
-// PropertyCodes returns the dense codes the encoder assigns to each
-// property, the representation visualized in the paper's Fig. 4: no
-// codes for no properties.
-func (m *Model) PropertyCodes(props []encoding.Property) [][]float64 {
-	if len(props) == 0 {
-		return [][]float64{}
-	}
-	in := m.encodeProps(props)
-	m.borrowScratch()
-	defer m.releaseScratch()
-	codes := m.g.Forward(m.ws, in, false)
-	out := make([][]float64, codes.Rows)
-	for i := range out {
-		row := make([]float64, codes.Cols)
-		for j, v := range codes.Row(i) {
-			row[j] = float64(v)
-		}
-		out[i] = row
-	}
-	return out
-}
-
-// ReconstructionError returns the mean squared reconstruction error of
-// the auto-encoder over the given properties, 0 over none.
-func (m *Model) ReconstructionError(props []encoding.Property) float64 {
-	if len(props) == 0 {
-		return 0
-	}
-	in := m.encodeProps(props)
-	m.borrowScratch()
-	defer m.releaseScratch()
-	codes := m.g.Forward(m.ws, in, false)
-	recon := m.h.Forward(m.ws, codes, false)
-	loss, _ := nn.MSELoss{}.Compute(m.ws, recon, in)
-	return loss
-}
-
-// encodeProps encodes props into the float32 matrix of their vectors,
-// one row each.
-func (m *Model) encodeProps(props []encoding.Property) *mat.DenseF32 {
-	in := mat.NewDenseF32(len(props), m.Cfg.PropertySize)
-	for i, p := range props {
-		m.encodeRow(in.Row(i), p.Value)
-	}
-	return in
 }

@@ -8,14 +8,13 @@ import (
 
 // A model owns its weights, not its scratch. Every public entry point
 // that runs the network (Pretrain, Finetune, PredictBatchInto and
-// Predict, on a Model or an InferModel, PropertyCodes,
-// ReconstructionError) borrows a float32 workspace arena from a
-// process-wide free list for the length of the call and gives it back on
-// the way out; the replica a split pre-training step runs its second
-// shard on borrows its own. Between
-// calls a model references no arena, so a fresh New or Clone — one per
-// context in the paper's second step — costs its weights and batch
-// buffers, not a private arena it would have to grow again.
+// Predict, on a Model or an InferModel) borrows a float32 workspace
+// arena from a process-wide free list for the length of the call and
+// gives it back on the way out; the replica a split pre-training step
+// runs its second shard on borrows its own. Between calls a model
+// references no arena, so a fresh New or Clone — one per context in the
+// paper's second step — costs its weights and batch buffers, not a
+// private arena it would have to grow again.
 //
 // The arenas idle on a free list (see package freelist), at most
 // GOMAXPROCS+1: as many calls as can run at once, plus the replica. The

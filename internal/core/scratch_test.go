@@ -171,8 +171,6 @@ func TestModelsHoldNoScratch(t *testing.T) {
 	if _, err := trained.Predict(s.ScaleOut, s.Essential, s.Optional); err != nil {
 		t.Fatal(err)
 	}
-	trained.PropertyCodes(s.Essential)
-	trained.ReconstructionError(s.Essential)
 	clone, err := trained.Clone()
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/encoding"
 	"repro/internal/mat"
-	"repro/internal/nn"
 )
 
 // goldenQueries spans the scale-out grid and both seen and unseen
@@ -383,7 +382,7 @@ func TestParamCountMatchesNew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := cfg.paramCount(), int64(nn.CountParams(m.Params())); got != want {
+		if got, want := cfg.paramCount(), int64(weightCount(m.Params())); got != want {
 			t.Fatalf("paramCount = %d, New builds %d weights", got, want)
 		}
 	}

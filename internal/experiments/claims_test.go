@@ -47,8 +47,10 @@ func TestClaimReuseExtrapolatesFromOneSample(t *testing.T) {
 				rival, s.Lower, s.N, (4*s.N+4)/5)
 		}
 	}
-	// Sign counts per kernel family: at k = 2 and 3 some cells are near
-	// ties, which the asm and plain families break differently.
+	// Sign counts per kernel family: at k = 2 and 3 some cells of this
+	// plan are near ties, which the asm and plain families break
+	// differently. (The goldens' smaller plan prints the same tables in
+	// both families; golden_test.go.)
 	family := mat.KernelFamily()
 	for _, want := range []struct {
 		k                int

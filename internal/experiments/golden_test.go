@@ -15,8 +15,13 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // The goldens run at one seed and a tiny budget: two jobs, two target
 // contexts each, three splits of k = 1, 2, 3 (and the zero-shot k = 0
 // where the experiment has it), and goldenModel's 30 pre-training and
-// 60 fine-tuning epochs. At this budget the asm and plain kernel
-// families print the same tables, so one golden serves both.
+// 60 fine-tuning epochs. The asm and plain kernel families train
+// different bits (they differ around the 6th digit), but at this plan
+// their printed tables coincide, so one golden serves both. That is a
+// property of this plan, not of the budget: at the claim test's plan
+// (five jobs × three contexts, the same budget) the families break
+// near-tie cells differently and print different sign counts. Neither
+// test asserts equal bits across the families.
 func goldenModel() core.Config {
 	m := core.DefaultConfig()
 	m.PretrainEpochs = 30

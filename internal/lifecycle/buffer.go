@@ -16,6 +16,7 @@ import (
 type buffer struct {
 	mu       sync.Mutex
 	samples  []core.Sample // ring storage; grows lazily up to capLimit
+	arrived  []time.Time   // arrived[i] is the arrival time of samples[i]
 	capLimit int           // the configured BufferCap
 	start    int           // index of the oldest sample
 	n        int           // occupied slots
@@ -43,7 +44,7 @@ func newBuffer(capacity int) *buffer {
 	if initial > initialRingCap {
 		initial = initialRingCap
 	}
-	return &buffer{samples: make([]core.Sample, initial), capLimit: capacity}
+	return &buffer{samples: make([]core.Sample, initial), arrived: make([]time.Time, initial), capLimit: capacity}
 }
 
 // add appends one observation, growing the ring (up to capLimit) or
@@ -57,11 +58,12 @@ func (b *buffer) add(s core.Sample, now time.Time) {
 		if newCap > b.capLimit {
 			newCap = b.capLimit
 		}
-		grown := make([]core.Sample, newCap)
+		grown, arrived := make([]core.Sample, newCap), make([]time.Time, newCap)
 		for i := 0; i < b.n; i++ {
-			grown[i] = b.samples[(b.start+i)%len(b.samples)]
+			j := (b.start + i) % len(b.samples)
+			grown[i], arrived[i] = b.samples[j], b.arrived[j]
 		}
-		b.samples = grown
+		b.samples, b.arrived = grown, arrived
 		b.start = 0
 	}
 	i := (b.start + b.n) % len(b.samples)
@@ -71,7 +73,7 @@ func (b *buffer) add(s core.Sample, now time.Time) {
 	} else {
 		b.n++
 	}
-	b.samples[i] = s
+	b.samples[i], b.arrived[i] = s, now
 	if b.fresh == 0 {
 		b.oldestFresh = now
 	}
@@ -183,10 +185,11 @@ func (b *buffer) purge(drop func(core.Sample) bool) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	kept := make([]core.Sample, 0, b.n)
+	arrived := make([]time.Time, 0, b.n)
 	for i := 0; i < b.n; i++ {
-		s := b.samples[(b.start+i)%len(b.samples)]
-		if !drop(s) {
-			kept = append(kept, s)
+		j := (b.start + i) % len(b.samples)
+		if s := b.samples[j]; !drop(s) {
+			kept, arrived = append(kept, s), append(arrived, b.arrived[j])
 		}
 	}
 	removed := b.n - len(kept)
@@ -194,6 +197,7 @@ func (b *buffer) purge(drop func(core.Sample) bool) int {
 		return 0
 	}
 	copy(b.samples, kept)
+	copy(b.arrived, arrived)
 	for i := len(kept); i < len(b.samples); i++ {
 		b.samples[i] = core.Sample{} // drop property-slice references
 	}
@@ -205,15 +209,21 @@ func (b *buffer) purge(drop func(core.Sample) bool) int {
 	return removed
 }
 
-// markDigested clears the freshness of every buffered sample without
-// snapshotting them. Boot replay uses it when a digest record follows
-// the samples in the log: they were digested by a fine-tune whose
-// result is checkpointed, so they must anchor future fine-tunes without
-// re-triggering one.
-func (b *buffer) markDigested() {
+// markDigested takes the freshness of n buffered samples, the oldest
+// fresh ones, without snapshotting them. Boot replay uses it when a
+// digest record follows the samples in the log: they were digested by
+// a fine-tune whose result is checkpointed, so they must anchor future
+// fine-tunes without re-triggering one. Observations that arrived while
+// that fine-tune ran precede its record in the log but stay fresh, as
+// they are on the live node, and the oldest of them becomes the
+// staleness anchor.
+func (b *buffer) markDigested(n int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.fresh = 0
+	b.fresh = max(b.fresh-n, 0)
+	if b.fresh > 0 {
+		b.oldestFresh = b.arrived[(b.start+b.n-b.fresh)%len(b.arrived)]
+	}
 }
 
 // clearBackoff resets the failure state once an attempt gets past the

@@ -241,19 +241,21 @@ func (c *Controller) Restore(key serve.ModelKey, s core.Sample, at time.Time) {
 	c.restored.Add(1)
 }
 
-// RestoreDigest marks key's currently buffered samples digested during
-// boot replay. A digest record follows a checkpointed fine-tune in the
-// log, so replaying it reconstructs the ring's freshness state — the
-// samples stay resident as context for future fine-tunes but do not
-// re-trigger the fine-tune whose result is already checkpointed.
-func (c *Controller) RestoreDigest(key serve.ModelKey) {
+// RestoreDigest marks fresh of key's currently buffered samples — the
+// count the digest record carries — digested during boot replay. A
+// digest record follows a checkpointed fine-tune in the log, so
+// replaying it reconstructs the ring's freshness state: the samples stay
+// resident as context for future fine-tunes but do not re-trigger the
+// fine-tune whose result is already checkpointed, while those logged
+// during that fine-tune, before its record, stay fresh.
+func (c *Controller) RestoreDigest(key serve.ModelKey, fresh int) {
 	c.mu.Lock()
 	b := c.buffers[key]
 	c.mu.Unlock()
 	if b == nil {
 		return
 	}
-	b.markDigested()
+	b.markDigested(fresh)
 	c.restored.Add(1)
 }
 

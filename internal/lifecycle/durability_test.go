@@ -53,11 +53,53 @@ func replayInto(t *testing.T, st *store.Store, ctl *Controller) {
 			ctl.Restore(serve.ModelKey{Job: job, Env: env}, s, at)
 		},
 		Digest: func(job, env string, fresh int, at time.Time) {
-			ctl.RestoreDigest(serve.ModelKey{Job: job, Env: env})
+			ctl.RestoreDigest(serve.ModelKey{Job: job, Env: env}, fresh)
 		},
 	})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
+	}
+}
+
+// TestReplayKeepsObservationsLoggedDuringFinetune: a fine-tune logs its
+// digest record after its swap and checkpoint, so observations that
+// arrive while it runs sit in the log before a record that does not
+// count them. Replay takes the record's count off the fresh samples
+// instead of all of them: 8 observations, 3 more, then a digest of 8
+// leave the 3 pending after a restart, as they are on the live node,
+// with the staleness clock running from the oldest of them.
+func TestReplayKeepsObservationsLoggedDuringFinetune(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	key := serve.ModelKey{Job: "sort", Env: "c3o"}
+	qs, truths := observedSamples()
+	base := time.Unix(1_700_000_000, 0)
+	arrival := func(i int) time.Time { return base.Add(time.Duration(i) * time.Second) }
+	for i := 0; i < 8+3; i++ {
+		q := qs[i%len(qs)]
+		s := core.Sample{ScaleOut: q.ScaleOut, Essential: q.Essential, Optional: q.Optional, RuntimeSec: truths[i%len(qs)]}
+		if err := st.AppendObservation(key.Job, key.Env, s, arrival(i)); err != nil {
+			t.Fatalf("AppendObservation: %v", err)
+		}
+	}
+	if err := st.AppendDigest(key.Job, key.Env, 8, arrival(11)); err != nil {
+		t.Fatalf("AppendDigest: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	st2, _, ctl := durableStack(t, dir, &testLoader{t: t})
+	defer st2.Close()
+	replayInto(t, st2, ctl)
+	if ls := ctl.LifecycleStats(); ls.PendingSamples != 3 {
+		t.Fatalf("pending after recovery = %d, want 3 (those logged after the digested 8)", ls.PendingSamples)
+	}
+	if got := ctl.buffers[key].oldestFresh; !got.Equal(arrival(8)) {
+		t.Fatalf("oldest fresh arrival after recovery = %v, want the 9th observation's %v", got, arrival(8))
 	}
 }
 

@@ -174,8 +174,8 @@ func NewAlphaDropout(p float64, rng *Rand) *AlphaDropout {
 // alphaPrime is the negative saturation value of SELU: -lambda*alpha.
 const alphaPrime = -SELULambda * SELUAlpha
 
-// Forward implements Layer. Dropout is active only when train is true and
-// P > 0; otherwise it is the identity.
+// Forward is the dropout's forward pass. Dropout is active only when
+// train is true and P > 0; otherwise it is the identity.
 //
 // One 64-bit draw decides four units, 16 bits each (a unit is kept when
 // its field is below q·2¹⁶, so the keep probability is q to within
@@ -217,7 +217,8 @@ func (l *AlphaDropout) draw(n int) mat.AEPass {
 	}
 }
 
-// Backward implements Layer.
+// Backward multiplies grad by the slope of the last Forward: the
+// identity after an identity pass.
 func (l *AlphaDropout) Backward(ws *mat.WorkspaceF32, grad *mat.DenseF32) *mat.DenseF32 {
 	if !l.dropping {
 		return grad
@@ -226,6 +227,3 @@ func (l *AlphaDropout) Backward(ws *mat.WorkspaceF32, grad *mat.DenseF32) *mat.D
 	mat.MulElems32(out.Data, grad.Data, l.slope[:len(grad.Data)])
 	return out
 }
-
-// Params implements Layer.
-func (l *AlphaDropout) Params() []*Param { return nil }

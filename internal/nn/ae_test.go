@@ -100,8 +100,8 @@ func TestAERowsMatchLayered(t *testing.T) {
 					for i := range pf {
 						sameBits(t, fmt.Sprintf("pass %d %s gradient", pass, pf[i].Name), pf[i].Grad.Data, pl[i].Grad.Data)
 					}
-					for i, d := range []*AlphaDropout{gf.Layers[1].(*AlphaDropout), hf.Layers[1].(*AlphaDropout)} {
-						if a, b := d.Rng.Uint64(), []*MLP{gl, hl}[i].Layers[1].(*AlphaDropout).Rng.Uint64(); a != b {
+					for i, d := range []*AlphaDropout{gf.Drop, hf.Drop} {
+						if a, b := d.Rng.Uint64(), []*MLP{gl, hl}[i].Drop.Rng.Uint64(); a != b {
 							t.Fatalf("pass %d: the fused dropout generator drew %d next, the layered %d", pass, a, b)
 						}
 					}

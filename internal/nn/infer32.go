@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"repro/internal/mat"
-)
+import "repro/internal/mat"
 
 // InferMLP32 is a snapshot of a network for serving: it runs the
 // network's own evaluation-mode forward pass on weights copied at
@@ -16,23 +12,12 @@ type InferMLP32 struct {
 
 // QuantizeMLP snapshots m for serving. The network already trains in
 // float32, so nothing is rounded: the weights are copied as they are.
-// AlphaDropout layers are dropped (identity at inference); a layer type
-// with no evaluation mapping is an error rather than a silent
-// misprediction.
+// The dropout is left out (the identity at inference). It never fails.
 func QuantizeMLP(m *MLP) (*InferMLP32, error) {
-	net := &MLP{Layers: make([]Layer, 0, len(m.Layers))}
-	for _, layer := range m.Layers {
-		switch l := layer.(type) {
-		case *LinearAct:
-			c := &LinearAct{In: l.In, Out: l.Out, Act: l.Act, W: snapshotParam(l.W), B: snapshotParam(l.B)}
-			net.Layers = append(net.Layers, c)
-		case *AlphaDropout:
-			// Identity at inference time.
-		default:
-			return nil, fmt.Errorf("nn: QuantizeMLP: no inference mapping for layer type %T", layer)
-		}
+	layer := func(l *LinearAct) *LinearAct {
+		return &LinearAct{In: l.In, Out: l.Out, Act: l.Act, W: snapshotParam(l.W), B: snapshotParam(l.B)}
 	}
-	return &InferMLP32{net: net}, nil
+	return &InferMLP32{net: &MLP{L1: layer(m.L1), L2: layer(m.L2)}}, nil
 }
 
 // snapshotParam copies p's value; the copy has no gradient.

@@ -7,23 +7,6 @@ import (
 	"repro/internal/mat"
 )
 
-// Layer is one differentiable stage of a network. Forward caches whatever
-// it needs for Backward; Backward consumes the gradient w.r.t. its output,
-// accumulates parameter gradients, and returns the gradient w.r.t. its
-// input.
-//
-// Both passes draw their output buffers from the caller's workspace, so a
-// steady-state training step allocates nothing. Buffers returned by
-// Forward/Backward (and the input caches they keep) are valid until the
-// workspace is Reset; callers own the Reset cadence — typically once per
-// training step, before the forward pass. A nil workspace is allowed and
-// falls back to allocating.
-type Layer interface {
-	Forward(ws *mat.WorkspaceF32, x *mat.DenseF32, train bool) *mat.DenseF32
-	Backward(ws *mat.WorkspaceF32, grad *mat.DenseF32) *mat.DenseF32
-	Params() []*Param
-}
-
 // LinearAct is a fully connected layer with its activation fused in:
 // y = act(x*W + b) with W ∈ R^{In x Out}. The bias is optional:
 // Bellamy's auto-encoder waives additive biases (paper §IV-A). The
@@ -43,13 +26,9 @@ type LinearAct struct {
 	cache *mat.DenseF32
 }
 
-// NewLinearAct constructs a fused linear+activation layer.
-func NewLinearAct(name string, in, out int, withBias bool, act Activation, scheme InitScheme, rng *rand.Rand) *LinearAct {
-	return newLinearAct(NewParam, name, in, out, withBias, act, scheme, rng)
-}
-
-// newLinearAct is NewLinearAct with its parameters made by newParam,
-// the weights before the bias.
+// newLinearAct constructs a fused linear+activation layer with its
+// parameters made by newParam, the weights before the bias, and its
+// weights drawn from rng.
 func newLinearAct(newParam func(name string, rows, cols int) *Param, name string, in, out int, withBias bool, act Activation, scheme InitScheme, rng *rand.Rand) *LinearAct {
 	l := &LinearAct{In: in, Out: out, W: newParam(name+".W", in, out), Act: act}
 	InitDense(l.W.Value, scheme, rng)
@@ -59,8 +38,8 @@ func newLinearAct(newParam func(name string, rows, cols int) *Param, name string
 	return l
 }
 
-// Forward implements Layer.
-func (l *LinearAct) Forward(ws *mat.WorkspaceF32, x *mat.DenseF32, train bool) *mat.DenseF32 {
+// Forward computes act(x*W + b), caching what Backward needs.
+func (l *LinearAct) Forward(ws *mat.WorkspaceF32, x *mat.DenseF32) *mat.DenseF32 {
 	if x.Cols != l.In {
 		panic(fmt.Sprintf("nn: LinearAct %s input cols %d != in %d", l.W.Name, x.Cols, l.In))
 	}
@@ -82,7 +61,9 @@ func (l *LinearAct) Forward(ws *mat.WorkspaceF32, x *mat.DenseF32, train bool) *
 	return pre
 }
 
-// Backward implements Layer.
+// Backward consumes the gradient w.r.t. the last Forward's output,
+// accumulates the parameter gradients and returns the gradient w.r.t.
+// its input.
 func (l *LinearAct) Backward(ws *mat.WorkspaceF32, grad *mat.DenseF32) *mat.DenseF32 {
 	dpre := l.backwardParams(ws, grad)
 	// dx = dpre * Wᵀ
@@ -123,23 +104,32 @@ func (l *LinearAct) backwardParams(ws *mat.WorkspaceF32, grad *mat.DenseF32) *ma
 	return dpre
 }
 
-// Params implements Layer.
-func (l *LinearAct) Params() []*Param {
+// params returns the layer's weights, then its bias if it has one.
+func (l *LinearAct) params() []*Param {
 	if l.B == nil {
 		return []*Param{l.W}
 	}
 	return []*Param{l.W, l.B}
 }
 
-// MLP is a sequential stack of layers. Every network in the Bellamy
-// architecture (f, g, h, z) is a two-layer MLP; the type supports any
-// depth for ablations.
+// MLP is the two-layer feed-forward network of paper Eq. (2), the shape
+// of all four Bellamy networks (f, g, h and z): a LinearAct, an
+// alpha-dropout when the network drops units, and a second LinearAct.
+//
+// Forward caches whatever the backward passes need. Both passes draw
+// their output buffers from the caller's workspace, so a steady-state
+// training step allocates nothing. Buffers they return (and the input
+// caches they keep) are valid until the workspace is Reset; callers own
+// the Reset cadence — typically once per training step, before the
+// forward pass. A nil workspace is allowed and falls back to allocating.
 type MLP struct {
-	Layers []Layer
+	L1   *LinearAct
+	Drop *AlphaDropout // nil without dropout
+	L2   *LinearAct
 
 	// rows and distinct are the occurrence index and the distinct-row
 	// count of the last ForwardRows call, kept for BackwardRows; fused
-	// says that call ran mat's fused pass (see aeLayers).
+	// says that call ran mat's fused pass (see aeFused).
 	rows     []int32
 	distinct int
 	fused    bool
@@ -150,80 +140,64 @@ type MLP struct {
 // the fused passes to the layered calls bit for bit.
 var fuseAE = true
 
-// aeLayers returns the three layers of an encoder or a decoder and
-// whether mat's fused passes cover them: a layer, an alpha-dropout that
-// drops units and a bias-free layer, where the layer the passes compute
-// (the encoder's second, the decoder's first) is a bias-free SELU one
-// between mat.AEHidden units and mat.AECode codes, on the asm family.
-func (m *MLP) aeLayers(encoder bool) (l1 *LinearAct, d *AlphaDropout, l2 *LinearAct, ok bool) {
-	if !fuseAE || len(m.Layers) != 3 {
-		return nil, nil, nil, false
+// aeFused reports whether mat's fused passes cover m as an encoder or a
+// decoder: a network that drops units and whose second layer has no
+// bias, where the layer the passes compute (the encoder's second, the
+// decoder's first) is a bias-free SELU one between mat.AEHidden units
+// and mat.AECode codes, on the asm family.
+func (m *MLP) aeFused(encoder bool) bool {
+	if !fuseAE || m.Drop == nil || m.L2.B != nil {
+		return false
 	}
-	l1, ok1 := m.Layers[0].(*LinearAct)
-	d, okd := m.Layers[1].(*AlphaDropout)
-	l2, ok2 := m.Layers[2].(*LinearAct)
-	if !ok1 || !okd || !ok2 || d.P <= 0 || l2.B != nil {
-		return nil, nil, nil, false
-	}
-	l, hidden, code := l1, l1.Out, l1.In
+	l, hidden, code := m.L1, m.L1.Out, m.L1.In
 	if encoder {
-		l, hidden, code = l2, l2.In, l2.Out
+		l, hidden, code = m.L2, m.L2.In, m.L2.Out
 	}
 	_, selu := l.Act.(SELU)
-	return l1, d, l2, selu && l.B == nil && mat.AERowsFused(hidden, code)
+	return selu && l.B == nil && mat.AERowsFused(hidden, code)
 }
 
-// NewMLP wraps layers into a network.
-func NewMLP(layers ...Layer) *MLP { return &MLP{Layers: layers} }
-
-// Forward implements Layer by chaining all constituent layers.
+// Forward runs the network on a batch.
 func (m *MLP) Forward(ws *mat.WorkspaceF32, x *mat.DenseF32, train bool) *mat.DenseF32 {
-	for _, l := range m.Layers {
-		x = l.Forward(ws, x, train)
-	}
-	return x
+	return m.L2.Forward(ws, m.dropForward(ws, m.L1.Forward(ws, x), train))
 }
 
-// Backward implements Layer by back-propagating through all layers.
+// Backward back-propagates the output gradient grad through both layers
+// and returns the gradient w.r.t. the input.
 func (m *MLP) Backward(ws *mat.WorkspaceF32, grad *mat.DenseF32) *mat.DenseF32 {
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		grad = m.Layers[i].Backward(ws, grad)
-	}
-	return grad
-}
-
-// paramsBackwarder is a layer that can skip its input gradient.
-type paramsBackwarder interface {
-	BackwardParams(ws *mat.WorkspaceF32, grad *mat.DenseF32)
+	return m.L1.Backward(ws, m.dropBackward(ws, m.L2.Backward(ws, grad)))
 }
 
 // BackwardParams is Backward for a network whose input is data: the
 // first layer accumulates its parameter gradients and computes no
 // input gradient.
 func (m *MLP) BackwardParams(ws *mat.WorkspaceF32, grad *mat.DenseF32) {
-	for i := len(m.Layers) - 1; i > 0; i-- {
-		grad = m.Layers[i].Backward(ws, grad)
-	}
-	m.backwardFirst(ws, grad)
+	m.L1.BackwardParams(ws, m.dropBackward(ws, m.L2.Backward(ws, grad)))
 }
 
-// backwardFirst runs the first layer's backward pass without the input
-// gradient where the layer can skip it.
-func (m *MLP) backwardFirst(ws *mat.WorkspaceF32, grad *mat.DenseF32) {
-	if l, ok := m.Layers[0].(paramsBackwarder); ok {
-		l.BackwardParams(ws, grad)
-		return
+// dropForward is the dropout's forward pass, the identity without one.
+func (m *MLP) dropForward(ws *mat.WorkspaceF32, x *mat.DenseF32, train bool) *mat.DenseF32 {
+	if m.Drop == nil {
+		return x
 	}
-	m.Layers[0].Backward(ws, grad)
+	return m.Drop.Forward(ws, x, train)
+}
+
+// dropBackward is the dropout's backward pass, the identity without one.
+func (m *MLP) dropBackward(ws *mat.WorkspaceF32, grad *mat.DenseF32) *mat.DenseF32 {
+	if m.Drop == nil {
+		return grad
+	}
+	return m.Drop.Backward(ws, grad)
 }
 
 // ForwardRows is Forward on the matrix whose i-th row is x.Row(rows[i]),
 // without building it: the first layer runs once per distinct row of x,
-// its output is gathered per occurrence, and the remaining layers (the
-// first of which may be a dropout that makes occurrences differ) run on
-// the gathered rows. With many occurrences of few distinct rows — many
-// executions of few contexts — the first layer's work shrinks by the
-// repeat factor. rows must stay untouched until BackwardRows.
+// its output is gathered per occurrence, and the dropout, which makes
+// occurrences differ, and the second layer run on the gathered rows.
+// With many occurrences of few distinct rows — many executions of few
+// contexts — the first layer's work shrinks by the repeat factor. rows
+// must stay untouched until BackwardRows.
 //
 // In training mode, where mat's fused passes cover the network (an
 // encoder of mat.AEHidden SELU units and mat.AECode SELU codes with
@@ -231,20 +205,17 @@ func (m *MLP) backwardFirst(ws *mat.WorkspaceF32, grad *mat.DenseF32) {
 // mat.EncodeRows32 pass, with the same result and the same caches.
 func (m *MLP) ForwardRows(ws *mat.WorkspaceF32, x *mat.DenseF32, rows []int32, train bool) *mat.DenseF32 {
 	m.rows, m.distinct, m.fused = rows, x.Rows, false
-	hu := m.Layers[0].Forward(ws, x, train)
-	if _, d, l2, ok := m.aeLayers(true); ok && train {
+	hu := m.L1.Forward(ws, x)
+	if l2 := m.L2; train && m.aeFused(true) {
 		x2, codes := ws.GetRaw(len(rows), l2.In), ws.GetRaw(len(rows), l2.Out)
-		p := d.draw(len(x2.Data))
-		mat.EncodeRows32(codes, x2, d.slope, hu, rows, l2.W.Value, &p)
+		p := m.Drop.draw(len(x2.Data))
+		mat.EncodeRows32(codes, x2, m.Drop.slope, hu, rows, l2.W.Value, &p)
 		l2.input, l2.cache, m.fused = x2, codes, true
 		return codes
 	}
 	h := ws.GetRaw(len(rows), hu.Cols)
 	mat.GatherRowsF32(h, hu, rows)
-	for _, l := range m.Layers[1:] {
-		h = l.Forward(ws, h, train)
-	}
-	return h
+	return m.L2.Forward(ws, m.dropForward(ws, h, train))
 }
 
 // BackwardRows back-propagates a ForwardRows pass from the output
@@ -258,64 +229,64 @@ func (m *MLP) ForwardRows(ws *mat.WorkspaceF32, x *mat.DenseF32, rows []int32, t
 // one mat.EncodeRowsBack32 pass.
 func (m *MLP) BackwardRows(ws *mat.WorkspaceF32, grad, extra *mat.DenseF32) {
 	if m.fused {
-		d, l2 := m.Layers[1].(*AlphaDropout), m.Layers[2].(*LinearAct)
+		l2 := m.L2
 		gu := ws.Get(m.distinct, l2.In)
-		mat.EncodeRowsBack32(gu, grad, extra, l2.cache, l2.input, d.slope, l2.W.Value, l2.W.Grad, m.rows, seluLambda32, seluLambdaAlpha32)
-		m.backwardFirst(ws, gu)
+		mat.EncodeRowsBack32(gu, grad, extra, l2.cache, l2.input, m.Drop.slope, l2.W.Value, l2.W.Grad, m.rows, seluLambda32, seluLambdaAlpha32)
+		m.L1.BackwardParams(ws, gu)
 		return
 	}
 	if extra != nil {
 		mat.AddInPlaceF32(grad, extra)
 	}
-	for i := len(m.Layers) - 1; i > 0; i-- {
-		grad = m.Layers[i].Backward(ws, grad)
-	}
+	grad = m.dropBackward(ws, m.L2.Backward(ws, grad))
 	gu := ws.Get(m.distinct, grad.Cols)
 	mat.ScatterAddRowsF32(gu, grad, m.rows)
-	m.backwardFirst(ws, gu)
+	m.L1.BackwardParams(ws, gu)
 }
 
 // ReconLossRows is the reconstruction term of pre-training on a decoder
-// whose last layer is a bias-free tanh LinearAct: the mean squared error
+// whose second layer is a bias-free tanh one: the mean squared error
 // between the decoder's output on codes and the target matrix whose
 // i-th row is targets.Row(rows[i]), and its backward pass scaled by
-// weight. The layers before the last run forward in training mode and
-// backward as usual; the last layer and the loss are one
-// mat.ReconHead32 pass, so the decoder's output and its gradient never
-// exist as matrices. It accumulates the parameter gradients and returns
-// the (unweighted) error and weight times its gradient w.r.t. codes.
-// Where mat's fused passes cover the decoder (mat.AECode codes into
-// mat.AEHidden SELU units, dropout, the head), the whole term is one
-// mat.DecodeRows32 pass.
+// weight. The first layer and the dropout run forward in training mode
+// and backward as usual; the second layer and the loss are one
+// mat.ReconHead32 pass (reconHead), so the decoder's output and its
+// gradient never exist as matrices. It accumulates the parameter
+// gradients and returns the (unweighted) error and weight times its
+// gradient w.r.t. codes. Where mat's fused passes cover the decoder
+// (mat.AECode codes into mat.AEHidden SELU units, dropout, the head),
+// the whole term is one mat.DecodeRows32 pass.
 func (m *MLP) ReconLossRows(ws *mat.WorkspaceF32, codes, targets *mat.DenseF32, rows []int32, weight float64) (float64, *mat.DenseF32) {
-	last, ok := m.Layers[len(m.Layers)-1].(*LinearAct)
-	if _, tanh := last.Act.(Tanh); !ok || !tanh || last.B != nil {
+	l1, last := m.L1, m.L2
+	if _, tanh := last.Act.(Tanh); !tanh || last.B != nil {
 		panic("nn: ReconLossRows needs a decoder ending in a bias-free tanh LinearAct")
 	}
 	if len(rows) != codes.Rows {
 		panic(fmt.Sprintf("nn: ReconLossRows on %d codes with %d target rows", codes.Rows, len(rows)))
 	}
-	n := float64(len(rows) * last.Out)
-	if l1, d, _, ok := m.aeLayers(false); ok && n > 0 {
+	if n := float64(len(rows) * last.Out); m.aeFused(false) && n > 0 {
 		dcodes := ws.GetRaw(codes.Rows, codes.Cols)
-		p := d.draw(len(rows) * l1.Out)
-		sum := mat.DecodeRows32(ws, dcodes, codes, l1.W.Value, l1.W.Grad, d.slope, last.W.Value, last.W.Grad, targets, rows, &p, float32(2*weight/n))
+		p := m.Drop.draw(len(rows) * l1.Out)
+		sum := mat.DecodeRows32(ws, dcodes, codes, l1.W.Value, l1.W.Grad, m.Drop.slope, last.W.Value, last.W.Grad, targets, rows, &p, float32(2*weight/n))
 		return sum / n, dcodes
 	}
-	hid := codes
-	for _, l := range m.Layers[:len(m.Layers)-1] {
-		hid = l.Forward(ws, hid, true)
+	hid := m.dropForward(ws, l1.Forward(ws, codes), true)
+	loss, grad := last.reconHead(ws, hid, targets, rows, weight)
+	return loss, l1.Backward(ws, m.dropBackward(ws, grad))
+}
+
+// reconHead is the last layer of ReconLossRows's decoder and its loss,
+// as one mat.ReconHead32 pass on the layer's input hid: it accumulates
+// the weight gradient and returns the (unweighted) error and weight
+// times its gradient w.r.t. hid. l is a bias-free tanh layer.
+func (l *LinearAct) reconHead(ws *mat.WorkspaceF32, hid, targets *mat.DenseF32, rows []int32, weight float64) (float64, *mat.DenseF32) {
+	if hid.Cols != l.In {
+		panic(fmt.Sprintf("nn: LinearAct %s input cols %d != in %d", l.W.Name, hid.Cols, l.In))
 	}
-	if hid.Cols != last.In {
-		panic(fmt.Sprintf("nn: LinearAct %s input cols %d != in %d", last.W.Name, hid.Cols, last.In))
-	}
-	grad := ws.GetRaw(hid.Rows, last.In)
+	grad := ws.GetRaw(hid.Rows, l.In)
 	var loss float64
-	if n > 0 {
-		loss = mat.ReconHead32(grad, hid, last.W.Value, last.W.Grad, targets, rows, float32(2*weight/n)) / n
-	}
-	for i := len(m.Layers) - 2; i >= 0; i-- {
-		grad = m.Layers[i].Backward(ws, grad)
+	if n := float64(len(rows) * l.Out); n > 0 {
+		loss = mat.ReconHead32(grad, hid, l.W.Value, l.W.Grad, targets, rows, float32(2*weight/n)) / n
 	}
 	return loss, grad
 }
@@ -325,11 +296,8 @@ func (m *MLP) ReconLossRows(ws *mat.WorkspaceF32, codes, targets *mat.DenseF32, 
 // so a network kept between calls holds no reference into a workspace it
 // has given back.
 func (m *MLP) DropCaches() {
-	for _, l := range m.Layers {
-		if l, ok := l.(*LinearAct); ok {
-			l.input, l.cache = nil, nil
-		}
-	}
+	m.L1.input, m.L1.cache = nil, nil
+	m.L2.input, m.L2.cache = nil, nil
 	m.rows, m.fused = nil, false
 }
 
@@ -349,27 +317,20 @@ func (m *MLP) Replica(rng *Rand) *MLP {
 		}
 		return &Param{Name: p.Name, Value: p.Value, Grad: mat.NewDenseF32(p.Grad.Rows, p.Grad.Cols), Frozen: p.Frozen}
 	}
-	r := &MLP{Layers: make([]Layer, len(m.Layers))}
-	for i, l := range m.Layers {
-		switch l := l.(type) {
-		case *LinearAct:
-			r.Layers[i] = &LinearAct{In: l.In, Out: l.Out, W: share(l.W), B: share(l.B), Act: l.Act}
-		case *AlphaDropout:
-			r.Layers[i] = NewAlphaDropout(l.P, rng)
-		default:
-			panic(fmt.Sprintf("nn: no replica of a %T layer", l))
-		}
+	layer := func(l *LinearAct) *LinearAct {
+		return &LinearAct{In: l.In, Out: l.Out, W: share(l.W), B: share(l.B), Act: l.Act}
+	}
+	r := &MLP{L1: layer(m.L1), L2: layer(m.L2)}
+	if m.Drop != nil {
+		r.Drop = NewAlphaDropout(m.Drop.P, rng)
 	}
 	return r
 }
 
-// Params implements Layer, collecting every learnable parameter.
+// Params returns every learnable parameter: the first layer's weights
+// and bias, then the second's.
 func (m *MLP) Params() []*Param {
-	var ps []*Param
-	for _, l := range m.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
+	return append(m.L1.params(), m.L2.params()...)
 }
 
 // TwoLayerSpec describes the 2-layer feed-forward networks of paper
@@ -395,16 +356,12 @@ func (s TwoLayerSpec) Build(rng *rand.Rand) *MLP { return s.build(NewParam, &Ran
 // build is Build with the parameters made by newParam, in the order of
 // the MLP's Params.
 func (s TwoLayerSpec) build(newParam func(name string, rows, cols int) *Param, rng *Rand) *MLP {
-	layers := []Layer{
-		newLinearAct(newParam, s.Name+".l1", s.In, s.Hidden, s.WithBias, s.ActHidden, s.Init, rng.Rand),
-	}
+	m := &MLP{L1: newLinearAct(newParam, s.Name+".l1", s.In, s.Hidden, s.WithBias, s.ActHidden, s.Init, rng.Rand)}
 	if s.Dropout > 0 {
-		layers = append(layers, NewAlphaDropout(s.Dropout, rng))
+		m.Drop = NewAlphaDropout(s.Dropout, rng)
 	}
-	layers = append(layers,
-		newLinearAct(newParam, s.Name+".l2", s.Hidden, s.Out, s.WithBias, s.ActOut, s.Init, rng.Rand),
-	)
-	return NewMLP(layers...)
+	m.L2 = newLinearAct(newParam, s.Name+".l2", s.Hidden, s.Out, s.WithBias, s.ActOut, s.Init, rng.Rand)
+	return m
 }
 
 // slabFloats is the length of the slab blocks of the spec's parameters.

@@ -126,9 +126,9 @@ func TestActivationByName(t *testing.T) {
 
 func TestLinearActForwardShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	l := NewLinearAct("t", 3, 5, true, SELU{}, InitHe, rng)
+	l := newLinearAct(NewParam, "t", 3, 5, true, SELU{}, InitHe, rng)
 	x := mat.NewDenseF32(4, 3)
-	y := l.Forward(ws, x, false)
+	y := l.Forward(ws, x)
 	if y.Rows != 4 || y.Cols != 5 {
 		t.Fatalf("output shape %dx%d, want 4x5", y.Rows, y.Cols)
 	}
@@ -136,32 +136,35 @@ func TestLinearActForwardShape(t *testing.T) {
 
 func TestLinearActNoBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	l := NewLinearAct("t", 2, 2, false, Identity{}, InitHe, rng)
+	l := newLinearAct(NewParam, "t", 2, 2, false, Identity{}, InitHe, rng)
 	if l.B != nil {
 		t.Fatal("bias allocated for no-bias layer")
 	}
-	if got := len(l.Params()); got != 1 {
-		t.Fatalf("Params len = %d, want 1", got)
+	if got := len(l.params()); got != 1 {
+		t.Fatalf("params len = %d, want 1", got)
 	}
 	// Zero input must map to zero output without bias.
-	y := l.Forward(ws, mat.NewDenseF32(1, 2), false)
+	y := l.Forward(ws, mat.NewDenseF32(1, 2))
 	if y.Data[0] != 0 || y.Data[1] != 0 {
 		t.Fatalf("no-bias layer maps 0 to %v", y.Data)
 	}
 }
 
-// gradCheck compares analytic parameter gradients of a network against
+// lossFn is a loss and its gradient w.r.t. the prediction, as
+// HuberLoss.Compute and mseLoss compute them.
+type lossFn func(ws *mat.WorkspaceF32, pred, target *mat.DenseF32) (float64, *mat.DenseF32)
+
+// gradCheck compares the analytic gradients of params, which forward
+// and backward (a network's eval-mode passes) accumulate, against
 // central finite differences of the loss, over the float32 step actually
 // made. The network computes in float32, so the step is 1e-3 (1e-5 in
 // float64): the loss differences carry float32 rounding of ~1e-7 per
 // unit of loss, ~5e-5 after the division by the step.
-func gradCheck(t *testing.T, net *MLP, x, target *mat.DenseF32, loss Loss) {
+func gradCheck(t *testing.T, params []*Param, forward func(x *mat.DenseF32) *mat.DenseF32, backward func(g *mat.DenseF32), x, target *mat.DenseF32, loss lossFn) {
 	t.Helper()
-	params := net.Params()
 	zeroGrads(params)
-	pred := net.Forward(ws, x, false)
-	_, g := loss.Compute(ws, pred, target)
-	net.Backward(ws, g)
+	_, g := loss(ws, forward(x), target)
+	backward(g)
 
 	const h = 1e-3
 	for _, p := range params {
@@ -169,9 +172,9 @@ func gradCheck(t *testing.T, net *MLP, x, target *mat.DenseF32, loss Loss) {
 			orig := p.Value.Data[i]
 			up, dn := orig+h, orig-h
 			p.Value.Data[i] = up
-			lp, _ := loss.Compute(ws, net.Forward(ws, x, false), target)
+			lp, _ := loss(ws, forward(x), target)
 			p.Value.Data[i] = dn
-			lm, _ := loss.Compute(ws, net.Forward(ws, x, false), target)
+			lm, _ := loss(ws, forward(x), target)
 			p.Value.Data[i] = orig
 			want := (lp - lm) / (float64(up) - float64(dn))
 			got := float64(p.Grad.Data[i])
@@ -190,7 +193,16 @@ func TestGradCheckTwoLayerSELU(t *testing.T) {
 	}.Build(rng)
 	x := randDense(rng, 5, 3)
 	target := randDense(rng, 5, 2)
-	gradCheck(t, net, x, target, MSELoss{})
+	gradCheckMLP(t, net, x, target, mseLoss)
+}
+
+// gradCheckMLP is gradCheck on every parameter of net.
+func gradCheckMLP(t *testing.T, net *MLP, x, target *mat.DenseF32, loss lossFn) {
+	t.Helper()
+	gradCheck(t, net.Params(),
+		func(x *mat.DenseF32) *mat.DenseF32 { return net.Forward(ws, x, false) },
+		func(g *mat.DenseF32) { net.Backward(ws, g) },
+		x, target, loss)
 }
 
 func TestGradCheckTanhHuber(t *testing.T) {
@@ -201,7 +213,7 @@ func TestGradCheckTanhHuber(t *testing.T) {
 	}.Build(rng)
 	x := randDense(rng, 3, 4)
 	target := randDense(rng, 3, 4)
-	gradCheck(t, net, x, target, HuberLoss{Delta: 1})
+	gradCheckMLP(t, net, x, target, HuberLoss{Delta: 1}.Compute)
 }
 
 func TestGradCheckIdentityOut(t *testing.T) {
@@ -212,7 +224,7 @@ func TestGradCheckIdentityOut(t *testing.T) {
 	}.Build(rng)
 	x := randDense(rng, 7, 6)
 	target := randDense(rng, 7, 1)
-	gradCheck(t, net, x, target, HuberLoss{})
+	gradCheckMLP(t, net, x, target, HuberLoss{}.Compute)
 }
 
 // TestGradCheckLinearAct checks one LinearAct per activation, with and
@@ -221,10 +233,13 @@ func TestGradCheckLinearAct(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, act := range []Activation{SELU{}, Tanh{}, Identity{}} {
 		for _, withBias := range []bool{false, true} {
-			net := NewMLP(NewLinearAct("l", 5, 6, withBias, act, InitLeCun, rng))
+			l := newLinearAct(NewParam, "l", 5, 6, withBias, act, InitLeCun, rng)
 			x := randDense(rng, 9, 5)
 			target := randDense(rng, 9, 6)
-			gradCheck(t, net, x, target, MSELoss{})
+			gradCheck(t, l.params(),
+				func(x *mat.DenseF32) *mat.DenseF32 { return l.Forward(ws, x) },
+				func(g *mat.DenseF32) { l.Backward(ws, g) },
+				x, target, mseLoss)
 		}
 	}
 }
@@ -232,7 +247,7 @@ func TestGradCheckLinearAct(t *testing.T) {
 func TestMSELoss(t *testing.T) {
 	pred := fromRows32([][]float32{{2}, {4}})
 	target := fromRows32([][]float32{{1}, {2}})
-	l, g := MSELoss{}.Compute(ws, pred, target)
+	l, g := mseLoss(ws, pred, target)
 	if math.Abs(l-2.5) > 1e-12 { // (1 + 4)/2
 		t.Fatalf("MSE = %v, want 2.5", l)
 	}
@@ -258,14 +273,6 @@ func TestHuberLossRegions(t *testing.T) {
 	}
 }
 
-func TestMAE(t *testing.T) {
-	pred := fromRows32([][]float32{{1}, {5}})
-	target := fromRows32([][]float32{{2}, {3}})
-	if got := MAE(pred, target); math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("MAE = %v, want 1.5", got)
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize ||w - c||^2 for a fixed target c.
 	p := NewParam("w", 1, 3)
@@ -273,11 +280,10 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	c := []float32{1.5, -2.0, 0.5}
 	opt := NewAdam(0.05, 0)
 	for i := 0; i < 2000; i++ {
-		p.ZeroGrad()
 		for j := range c {
 			p.Grad.Data[j] = 2 * (p.Value.Data[j] - c[j])
 		}
-		opt.Step(slab)
+		opt.StepShards(slab, nil, 1, 0, 0)
 	}
 	for j, want := range c {
 		if math.Abs(float64(p.Value.Data[j]-want)) > 1e-3 {
@@ -292,7 +298,7 @@ func TestAdamSkipsFrozen(t *testing.T) {
 	p.Grad.Data[0] = 1
 	p.Frozen = true
 	opt := NewAdam(0.1, 0)
-	opt.Step(NewSlab(p))
+	opt.StepShards(NewSlab(p), nil, 1, 0, 0)
 	if p.Value.Data[0] != 3 {
 		t.Fatalf("frozen param moved to %v", p.Value.Data[0])
 	}
@@ -305,8 +311,7 @@ func TestAdamWeightDecayShrinks(t *testing.T) {
 	opt := NewAdam(0.01, 0.1)
 	// Zero gradient: only decay acts.
 	for i := 0; i < 100; i++ {
-		p.ZeroGrad()
-		opt.Step(slab)
+		opt.StepShards(slab, nil, 1, 0, 0)
 	}
 	if p.Value.Data[0] >= 10 {
 		t.Fatalf("weight decay did not shrink weight: %v", p.Value.Data[0])
@@ -315,7 +320,7 @@ func TestAdamWeightDecayShrinks(t *testing.T) {
 
 // TestGradClipIgnoresFrozen: a frozen parameter's gradient is never
 // applied, so it must not enter the norm that scales the others' step in
-// Adam's fused StepClipZero. The clip factor itself scales a norm past
+// Adam's fused clipped step. The clip factor itself scales a norm past
 // the cap down to the cap and leaves one under it alone.
 func TestGradClipIgnoresFrozen(t *testing.T) {
 	build := func() (live, frozen *Param) {
@@ -337,9 +342,9 @@ func TestGradClipIgnoresFrozen(t *testing.T) {
 
 	// The fused step moves the live weight exactly as it does alone.
 	alone, _ := build()
-	NewAdam(0.1, 0).StepClipZero(NewSlab(alone), 1)
+	NewAdam(0.1, 0).StepShards(NewSlab(alone), nil, 1, 0, 1)
 	live, frozen = build()
-	NewAdam(0.1, 0).StepClipZero(NewSlab(live, frozen), 1)
+	NewAdam(0.1, 0).StepShards(NewSlab(live, frozen), nil, 1, 0, 1)
 	for i, v := range live.Value.Data {
 		if v != alone.Value.Data[i] {
 			t.Fatalf("fused step with a frozen neighbour moved weight %d to %v, alone %v", i, v, alone.Value.Data[i])
@@ -407,12 +412,12 @@ func TestReplicaSharesValuesOwnsGradients(t *testing.T) {
 	own := NewRand(9)
 	rep := net.Replica(own)
 	repSlab := slab.Replica(rep.Params())
-	if d := rep.Layers[1].(*AlphaDropout); d.Rng != own || d.P != 0.25 {
+	if d := rep.Drop; d.Rng != own || d.P != 0.25 {
 		t.Fatalf("the replica's dropout layer has p=%v and not the generator it was given", d.P)
 	}
 	ps, rs := net.Params(), rep.Params()
-	if len(ps) != len(rs) || len(net.Layers) != len(rep.Layers) {
-		t.Fatalf("replica has %d parameters in %d layers, the original %d in %d", len(rs), len(rep.Layers), len(ps), len(net.Layers))
+	if len(ps) != len(rs) {
+		t.Fatalf("replica has %d parameters, the original %d", len(rs), len(ps))
 	}
 	for k, p := range ps {
 		if rs[k].Name != p.Name || rs[k].Value != p.Value || rs[k].Grad == p.Grad {
@@ -442,7 +447,7 @@ func TestReplicaSharesValuesOwnsGradients(t *testing.T) {
 	for i, g := range ps[0].Grad.Data {
 		sum.Grad.Data[i] = float32(0.25*g) + float32(0.75*rs[0].Grad.Data[i])
 	}
-	NewAdam(0.1, 0.01).Step(NewSlab(sum))
+	NewAdam(0.1, 0.01).StepShards(NewSlab(sum), nil, 1, 0, 0)
 	NewAdam(0.1, 0.01).StepShards(slab, repSlab, 0.25, 0.75, 0)
 	for i, v := range ps[0].Value.Data {
 		if v != sum.Value.Data[i] {
@@ -748,16 +753,15 @@ func TestMLPTrainingReducesLoss(t *testing.T) {
 	}
 	slab := NewSlab(net.Params()...)
 	opt := NewAdam(0.01, 0)
-	loss := MSELoss{}
-	first, _ := loss.Compute(ws, net.Forward(ws, x, false), y)
+	first, _ := mseLoss(ws, net.Forward(ws, x, false), y)
 	for e := 0; e < 500; e++ {
 		slab.ZeroGrads()
 		pred := net.Forward(ws, x, true)
-		_, g := loss.Compute(ws, pred, y)
+		_, g := mseLoss(ws, pred, y)
 		net.Backward(ws, g)
-		opt.Step(slab)
+		opt.StepShards(slab, nil, 1, 0, 0)
 	}
-	last, _ := loss.Compute(ws, net.Forward(ws, x, false), y)
+	last, _ := mseLoss(ws, net.Forward(ws, x, false), y)
 	if last > first/10 {
 		t.Fatalf("training did not reduce loss: first=%v last=%v", first, last)
 	}
@@ -766,7 +770,7 @@ func TestMLPTrainingReducesLoss(t *testing.T) {
 // zeroGrads resets the gradients of params.
 func zeroGrads(params []*Param) {
 	for _, p := range params {
-		p.ZeroGrad()
+		p.Grad.Zero()
 	}
 }
 
@@ -807,14 +811,13 @@ func BenchmarkForwardBackwardTwoLayer(b *testing.B) {
 	}.Build(rng)
 	x := randDense(rng, 64, 40)
 	target := randDense(rng, 64, 4)
-	loss := MSELoss{}
 	params := net.Params()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws.Reset() // recycle the previous iteration's intermediates
 		zeroGrads(params)
 		pred := net.Forward(ws, x, true)
-		_, g := loss.Compute(ws, pred, target)
+		_, g := mseLoss(ws, pred, target)
 		net.Backward(ws, g)
 	}
 }

@@ -51,23 +51,17 @@ func NewAdam(lr, weightDecay float64) *Adam {
 	}
 }
 
-// Step is one unclipped update, after which every gradient of s is zero.
-func (a *Adam) Step(s *Slab) { a.StepShards(s, nil, 1, 0, 0) }
-
-// StepClipZero rescales gradients so the global L2 norm over the
+// StepShards applies one update on the gradient w0·g + w1·g', where g
+// is s's gradient block and g' second's, a replica of s (Slab.Replica):
+// the reduction of a step's two shards, each holding the gradient of
+// the mean loss over its share of the batch and weighted by that share.
+// The reduced gradient is first rescaled so its global L2 norm over the
 // trainable parameters does not exceed maxNorm (<= 0 disables
-// clipping), applies one update, and leaves every gradient — frozen
-// parameters included — zeroed.
-func (a *Adam) StepClipZero(s *Slab, maxNorm float64) { a.StepShards(s, nil, 1, 0, maxNorm) }
-
-// StepShards is StepClipZero on the gradient w0·g + w1·g', where g is
-// s's gradient block and g' second's, a replica of s (Slab.Replica): the
-// reduction of a step's two shards, each holding the gradient of the
-// mean loss over its share of the batch and weighted by that share. The
-// clip norm is the reduced gradient's, and both gradients are left
-// zero. A nil second is a step of one shard (w0 should be 1). The sum
-// is formed and rounded the same way in every family and in a fixed
-// order, so the update is a function of the two gradients alone.
+// clipping), and every gradient of both slabs — frozen parameters
+// included — is left zero. A nil second is a step of one shard (w0
+// should be 1). The sum is formed and rounded the same way in every
+// family and in a fixed order, so the update is a function of the two
+// gradients alone.
 func (a *Adam) StepShards(s, second *Slab, w0, w1 float32, maxNorm float64) {
 	if a.slab == nil {
 		a.slab = s
@@ -156,6 +150,3 @@ func clipScale(s *Slab, g1 []float32, w0, w1 float32, max float64) float32 {
 // SetLR changes the learning rate, as fine-tuning's cyclical schedule
 // does every epoch.
 func (a *Adam) SetLR(lr float64) { a.LearningRate = lr }
-
-// LR reports the current learning rate.
-func (a *Adam) LR() float64 { return a.LearningRate }

@@ -1,6 +1,7 @@
-// Package nn implements the feed-forward neural network substrate used by
-// the Bellamy model: linear layers, SELU-family activations, alpha-dropout,
-// Huber/MSE losses, Adam with decoupled weight decay, and cyclical
+// Package nn implements the two-layer feed-forward networks of the
+// Bellamy model (paper Eq. (2)): linear layers with SELU-family
+// activations, alpha-dropout, the Huber runtime loss and the fused
+// reconstruction term, Adam with decoupled weight decay, and cyclical
 // learning-rate annealing. It replaces the PyTorch stack used in the paper
 // with a pure-Go implementation of the same mathematics, in PyTorch's
 // default precision: weights, activations, gradients and optimizer state
@@ -57,9 +58,6 @@ func NewParam(name string, rows, cols int) *Param {
 	}
 }
 
-// ZeroGrad resets the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
-
 // NumElements returns the number of scalar weights in the parameter.
 func (p *Param) NumElements() int { return len(p.Value.Data) }
 
@@ -79,15 +77,6 @@ func AnyTrainable(params []*Param) bool {
 		}
 	}
 	return false
-}
-
-// CountParams returns the total number of scalar weights across params.
-func CountParams(params []*Param) int {
-	n := 0
-	for _, p := range params {
-		n += p.NumElements()
-	}
-	return n
 }
 
 // Slab is a list of parameters laid out as a training step walks them:

@@ -9,36 +9,47 @@ import (
 	"repro/internal/mat"
 )
 
+// mseLoss is the mean squared error and its gradient w.r.t. pred, the
+// reference the fused reconstruction term is held to. Each element's
+// error and gradient are taken in float64 from the float32 operands and
+// the gradient rounded once; the loss is summed in float64.
+func mseLoss(ws *mat.WorkspaceF32, pred, target *mat.DenseF32) (float64, *mat.DenseF32) {
+	if pred.Rows != target.Rows || pred.Cols != target.Cols {
+		panic(fmt.Sprintf("nn: mse loss shape mismatch %dx%d vs %dx%d", pred.Rows, pred.Cols, target.Rows, target.Cols))
+	}
+	n := float64(len(pred.Data))
+	grad := ws.GetRaw(pred.Rows, pred.Cols)
+	var sum float64
+	for i, p := range pred.Data {
+		d := float64(p) - float64(target.Data[i])
+		sum += d * d
+		grad.Data[i] = float32(2 * d / n)
+	}
+	return sum / n, grad
+}
+
 // reconOracle is the unfused reconstruction term ReconLossRows replaces:
-// the decoder's forward pass, MSELoss.Compute against the gathered
-// targets, the gradient scaled by weight, and the backward pass.
-func reconOracle(w *mat.WorkspaceF32, dec *MLP, codes, targets *mat.DenseF32, rows []int32, weight float64) (float64, *mat.DenseF32) {
+// the forward pass (of the decoder, or of its output layer alone), the
+// MSE against the gathered targets, the gradient scaled by weight, and
+// the backward pass.
+func reconOracle(w *mat.WorkspaceF32, forward func(*mat.DenseF32) *mat.DenseF32, backward func(*mat.DenseF32) *mat.DenseF32, codes, targets *mat.DenseF32, rows []int32, weight float64) (float64, *mat.DenseF32) {
 	gathered := w.GetRaw(len(rows), targets.Cols)
 	for i, r := range rows {
 		copy(gathered.Row(i), targets.Row(int(r)))
 	}
-	loss, grad := MSELoss{}.Compute(w, dec.Forward(w, codes, true), gathered)
+	loss, grad := mseLoss(w, forward(codes), gathered)
 	for i := range grad.Data {
 		grad.Data[i] *= float32(weight)
 	}
-	return loss, dec.Backward(w, grad)
+	return loss, backward(grad)
 }
 
-// reconCase builds a decoder twice from one seed — the second for the
-// oracle, with identical weights and dropout masks — and the inputs of
-// one reconstruction pass: rows codes of width in, and row indexes into
-// five targets of width n with values in {-1, 0, 1}.
-func reconCase(seed int64, spec TwoLayerSpec, rows, n int) (fused, oracle *MLP, codes, targets *mat.DenseF32, idx []int32) {
-	build := func() *MLP {
-		if spec.Hidden == 0 { // the output layer alone
-			return NewMLP(NewLinearAct("h.l2", spec.In, n, false, Tanh{}, InitLeCun, rand.New(rand.NewSource(seed))))
-		}
-		s := spec
-		s.Out = n
-		return s.Build(rand.New(rand.NewSource(seed)))
-	}
+// reconInputs are the inputs of one reconstruction pass: rows codes of
+// width in, and row indexes into five targets of width n with values in
+// {-1, 0, 1}.
+func reconInputs(seed int64, in, rows, n int) (codes, targets *mat.DenseF32, idx []int32) {
 	rng := rand.New(rand.NewSource(seed + 1))
-	codes = randDense(rng, rows, spec.In)
+	codes = randDense(rng, rows, in)
 	targets = mat.NewDenseF32(5, n)
 	for i := range targets.Data {
 		targets.Data[i] = float32(rng.Intn(3) - 1)
@@ -47,6 +58,29 @@ func reconCase(seed int64, spec TwoLayerSpec, rows, n int) (fused, oracle *MLP, 
 	for i := range idx {
 		idx[i] = int32(rng.Intn(targets.Rows))
 	}
+	return codes, targets, idx
+}
+
+// reconCase builds a decoder of output width n twice from one seed —
+// the second for the oracle, with identical weights and dropout masks —
+// and the inputs of one reconstruction pass.
+func reconCase(seed int64, spec TwoLayerSpec, rows, n int) (fused, oracle *MLP, codes, targets *mat.DenseF32, idx []int32) {
+	build := func() *MLP {
+		s := spec
+		s.Out = n
+		return s.Build(rand.New(rand.NewSource(seed)))
+	}
+	codes, targets, idx = reconInputs(seed, spec.In, rows, n)
+	return build(), build(), codes, targets, idx
+}
+
+// headCase is reconCase for a decoder's output layer alone: a bias-free
+// tanh layer from in to n units, twice from one seed.
+func headCase(seed int64, in, rows, n int) (fused, oracle *LinearAct, codes, targets *mat.DenseF32, idx []int32) {
+	build := func() *LinearAct {
+		return newLinearAct(NewParam, "h.l2", in, n, false, Tanh{}, InitLeCun, rand.New(rand.NewSource(seed)))
+	}
+	codes, targets, idx = reconInputs(seed, in, rows, n)
 	return build(), build(), codes, targets, idx
 }
 
@@ -65,8 +99,8 @@ func relClose[T float32 | float64](got, want []T, tol float64) bool {
 	return len(got) == len(want)
 }
 
-// TestReconLossRowsMatchesOracle holds the fused reconstruction head to
-// the unfused oracle — loss, the output layer's weight gradient and the
+// TestReconLossRowsMatchesOracle holds the fused reconstruction head
+// (reconHead) to the unfused oracle — loss, the output layer's weight gradient and the
 // gradient it hands back — to 1e-6 of each result's largest magnitude
 // (float32 rounded in other orders; 1e-12 in float64), under whichever
 // kernel family runs (the noasm build runs plain). The sweep covers 1 to
@@ -75,20 +109,17 @@ func relClose[T float32 | float64](got, want []T, tol float64) bool {
 // 8, and ReconWeight 1 and 0.25. Then the same for a whole two-layer
 // decoder with alpha-dropout, whose first layers run outside the kernel.
 func TestReconLossRowsMatchesOracle(t *testing.T) {
-	check := func(name string, fused, oracle *MLP, codes, targets *mat.DenseF32, idx []int32, weight float64) {
+	check := func(name string, loss float64, dCodes *mat.DenseF32, params []*Param, wantLoss float64, wantDCodes *mat.DenseF32, wantParams []*Param) {
 		t.Helper()
-		loss, dCodes := fused.ReconLossRows(nil, codes, targets, idx, weight)
-		wantLoss, wantDCodes := reconOracle(nil, oracle, codes, targets, idx, weight)
 		if !relClose([]float64{loss}, []float64{wantLoss}, 1e-6) {
 			t.Fatalf("%s: loss %v, oracle %v", name, loss, wantLoss)
 		}
 		if !relClose(dCodes.Data, wantDCodes.Data, 1e-6) {
 			t.Fatalf("%s: input gradient %v, oracle %v", name, dCodes.Data, wantDCodes.Data)
 		}
-		op := oracle.Params()
-		for i, p := range fused.Params() {
-			if !relClose(p.Grad.Data, op[i].Grad.Data, 1e-6) {
-				t.Fatalf("%s: %s gradient %v, oracle %v", name, p.Name, p.Grad.Data, op[i].Grad.Data)
+		for i, p := range params {
+			if !relClose(p.Grad.Data, wantParams[i].Grad.Data, 1e-6) {
+				t.Fatalf("%s: %s gradient %v, oracle %v", name, p.Name, p.Grad.Data, wantParams[i].Grad.Data)
 			}
 		}
 	}
@@ -98,14 +129,24 @@ func TestReconLossRowsMatchesOracle(t *testing.T) {
 			for _, k := range []int{1, 3, 8} {
 				for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 224} {
 					seed++
-					fused, oracle, codes, targets, idx := reconCase(seed, TwoLayerSpec{In: k}, rows, n)
-					check(fmt.Sprintf("layer %dx%dx%d weight %v", rows, k, n, weight), fused, oracle, codes, targets, idx, weight)
+					fused, oracle, codes, targets, idx := headCase(seed, k, rows, n)
+					loss, dCodes := fused.reconHead(nil, codes, targets, idx, weight)
+					wantLoss, wantDCodes := reconOracle(nil,
+						func(x *mat.DenseF32) *mat.DenseF32 { return oracle.Forward(nil, x) },
+						func(g *mat.DenseF32) *mat.DenseF32 { return oracle.Backward(nil, g) },
+						codes, targets, idx, weight)
+					check(fmt.Sprintf("layer %dx%dx%d weight %v", rows, k, n, weight), loss, dCodes, fused.params(), wantLoss, wantDCodes, oracle.params())
 				}
 			}
 		}
 		spec := TwoLayerSpec{Name: "h", In: 4, Hidden: 8, ActHidden: SELU{}, ActOut: Tanh{}, Dropout: 0.1, Init: InitLeCun}
 		fused, oracle, codes, targets, idx := reconCase(99, spec, 224, 40)
-		check(fmt.Sprintf("decoder weight %v", weight), fused, oracle, codes, targets, idx, weight)
+		loss, dCodes := fused.ReconLossRows(nil, codes, targets, idx, weight)
+		wantLoss, wantDCodes := reconOracle(nil,
+			func(x *mat.DenseF32) *mat.DenseF32 { return oracle.Forward(nil, x, true) },
+			func(g *mat.DenseF32) *mat.DenseF32 { return oracle.Backward(nil, g) },
+			codes, targets, idx, weight)
+		check(fmt.Sprintf("decoder weight %v", weight), loss, dCodes, fused.Params(), wantLoss, wantDCodes, oracle.Params())
 	}
 }
 
@@ -118,13 +159,12 @@ func TestReconLossRowsMatchesOracle(t *testing.T) {
 // ~1e-8 per element summed, a few 1e-6 after the division.
 func TestReconLossRowsGradCheck(t *testing.T) {
 	const weight, h = 0.25, 1e-3
-	dec, _, codes, targets, idx := reconCase(5, TwoLayerSpec{In: 3}, 6, 5)
-	w := dec.Params()[0]
-	zeroGrads(dec.Params())
-	_, dCodes := dec.ReconLossRows(nil, codes, targets, idx, weight)
+	head, _, codes, targets, idx := headCase(5, 3, 6, 5)
+	w := head.W
+	_, dCodes := head.reconHead(nil, codes, targets, idx, weight)
 	grad := w.Grad.Clone()
 	loss := func() float64 {
-		l, _ := dec.ReconLossRows(nil, codes, targets, idx, weight)
+		l, _ := head.reconHead(nil, codes, targets, idx, weight)
 		return weight * l
 	}
 	numeric := func(v []float32, i int) float64 {
@@ -184,8 +224,8 @@ func TestReconHeadZeroAlloc(t *testing.T) {
 
 // BenchmarkReconHead times the decoder's output layer and its loss on
 // one training shard, 224×8 → 40: "oracle" is the unfused LinearAct
-// forward, MSELoss against the (pre-gathered) targets and backward;
-// "fused" is ReconLossRows on the same layer. Their ratio is the
+// forward, the MSE against the (pre-gathered) targets and backward;
+// "fused" is reconHead on the same layer. Their ratio is the
 // layer's gain, measured in one run.
 func BenchmarkReconHead(b *testing.B) {
 	_, _, targets, idx := reconShard()
@@ -195,25 +235,25 @@ func BenchmarkReconHead(b *testing.B) {
 	for i, r := range idx {
 		copy(gathered.Row(i), targets.Row(int(r)))
 	}
-	layer := func() *MLP {
-		return NewMLP(NewLinearAct("h.l2", 8, 40, false, Tanh{}, InitLeCun, rand.New(rand.NewSource(7))))
+	layer := func() *LinearAct {
+		return newLinearAct(NewParam, "h.l2", 8, 40, false, Tanh{}, InitLeCun, rand.New(rand.NewSource(7)))
 	}
 	w := mat.NewWorkspaceF32()
 	b.Run("oracle", func(b *testing.B) {
-		l := layer().Layers[0]
+		l := layer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			w.Reset()
-			_, g := MSELoss{}.Compute(w, l.Forward(w, hid, true), gathered)
+			_, g := mseLoss(w, l.Forward(w, hid), gathered)
 			l.Backward(w, g)
 		}
 	})
 	b.Run("fused", func(b *testing.B) {
-		dec := layer()
+		l := layer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			w.Reset()
-			dec.ReconLossRows(w, hid, targets, idx, 1)
+			l.reconHead(w, hid, targets, idx, 1)
 		}
 	})
 }

@@ -247,7 +247,7 @@ func attachedServiceStats(t *testing.T) []byte {
 			ctl.Restore(serve.ModelKey{Job: job, Env: env}, s, at)
 		},
 		Digest: func(job, env string, fresh int, at time.Time) {
-			ctl.RestoreDigest(serve.ModelKey{Job: job, Env: env})
+			ctl.RestoreDigest(serve.ModelKey{Job: job, Env: env}, fresh)
 		},
 	})
 	if err != nil {
