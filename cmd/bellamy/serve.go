@@ -116,14 +116,15 @@ func runServe(args []string) error {
 			n.svc.AttachObserver(n.ctl)
 			if n.st != nil {
 				// Replay the durable history into the observation rings before
-				// accepting traffic: samples regain their freshness, digest
-				// markers suppress re-fine-tuning of already-checkpointed work.
+				// accepting traffic: each digest record names the ordinal its
+				// fine-tune consumed through, so already-checkpointed work does
+				// not re-trigger and later observations stay fresh.
 				err := n.st.Replay(store.ReplayHandler{
 					Observation: func(job, env string, s core.Sample, at time.Time) {
 						n.ctl.Restore(serve.ModelKey{Job: job, Env: env}, s, at)
 					},
-					Digest: func(job, env string, fresh int, at time.Time) {
-						n.ctl.RestoreDigest(serve.ModelKey{Job: job, Env: env}, fresh)
+					Digest: func(job, env string, through int, at time.Time) {
+						n.ctl.RestoreDigest(serve.ModelKey{Job: job, Env: env}, through)
 					},
 				})
 				if err != nil {

@@ -138,18 +138,22 @@ func TestScaleOutFeatures(t *testing.T) {
 
 func TestMinMaxNormalizer(t *testing.T) {
 	n := FitMinMax([][]float64{{1, 10}, {3, 20}, {2, 15}})
-	got := n.Transform([]float64{2, 15})
+	transform := func(n *MinMaxNormalizer, row ...float64) []float64 {
+		n.TransformInPlace(row)
+		return row
+	}
+	got := transform(n, 2, 15)
 	if math.Abs(got[0]-0.5) > 1e-12 || math.Abs(got[1]-0.5) > 1e-12 {
-		t.Fatalf("Transform = %v, want [0.5 0.5]", got)
+		t.Fatalf("TransformInPlace = %v, want [0.5 0.5]", got)
 	}
 	// Out-of-range extrapolates beyond (0,1).
-	got = n.Transform([]float64{5, 10})
+	got = transform(n, 5, 10)
 	if got[0] <= 1 {
 		t.Fatalf("extrapolation failed: %v", got)
 	}
 	// Constant feature maps to 0.5.
 	n2 := FitMinMax([][]float64{{7}, {7}})
-	if got := n2.Transform([]float64{7}); got[0] != 0.5 {
+	if got := transform(n2, 7); got[0] != 0.5 {
 		t.Fatalf("constant feature -> %v, want 0.5", got[0])
 	}
 }

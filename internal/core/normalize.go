@@ -34,18 +34,10 @@ func FitMinMax(data [][]float64) *MinMaxNormalizer {
 	return n
 }
 
-// Transform scales a feature vector in place-free fashion. Values outside
-// the training bounds extrapolate linearly beyond (0, 1), which is what
-// lets a pre-trained model be probed at unseen scale-outs.
-func (n *MinMaxNormalizer) Transform(row []float64) []float64 {
-	out := make([]float64, len(row))
-	copy(out, row)
-	n.TransformInPlace(out)
-	return out
-}
-
-// TransformInPlace rescales row in place, the allocation-free variant
-// used by batch construction. An unfitted normalizer leaves row as is.
+// TransformInPlace rescales row in place. Values outside the training
+// bounds extrapolate linearly beyond (0, 1), which is what lets a
+// pre-trained model be probed at unseen scale-outs. An unfitted
+// normalizer leaves row as is.
 func (n *MinMaxNormalizer) TransformInPlace(row []float64) {
 	if !n.fitted {
 		return

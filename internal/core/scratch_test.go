@@ -34,6 +34,12 @@ func putBack[W freelist.Item](l *freelist.List[W], ws []W) {
 	}
 }
 
+// headerCount reads how many matrix headers w owns (its unexported
+// hdrs): the most matrices any one round has asked for.
+func headerCount(w *mat.WorkspaceF32) int {
+	return reflect.ValueOf(w).Elem().FieldByName("hdrs").Len()
+}
+
 // markIdleArenas fills the storage of every idle arena with the
 // sentinel, through matrices that point every header into it, and puts
 // the arenas back rewound, their storage still marked. It returns the
@@ -42,7 +48,7 @@ func markIdleArenas() (headers map[uintptr]bool, marked int) {
 	headers = map[uintptr]bool{}
 	ws := idle(arenas)
 	for _, w := range ws {
-		n, k := w.Bytes()/4, w.NumBuffers()
+		n, k := w.Bytes()/4, headerCount(w)
 		for i := 0; i < k; i++ {
 			size := n / k
 			if i == k-1 {

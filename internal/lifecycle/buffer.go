@@ -13,6 +13,9 @@ import (
 // of growing without bound. A fine-tune digests the whole ring (old
 // samples keep anchoring the context), but only *fresh* samples —
 // arrivals since the last digest — count toward the triggers.
+// The ring is in arrival order, so the fresh samples are its newest
+// seen−digested (at most n); a digest record logs the take's seen, so
+// replay restores the ordinal the live node holds.
 type buffer struct {
 	mu       sync.Mutex
 	samples  []core.Sample // ring storage; grows lazily up to capLimit
@@ -21,9 +24,9 @@ type buffer struct {
 	start    int           // index of the oldest sample
 	n        int           // occupied slots
 
-	fresh       int       // arrivals since the last digest (<= n)
-	oldestFresh time.Time // arrival time of the oldest undigested sample
-	tuning      bool      // a fine-tune for this key is in flight
+	seen     int  // samples ever added
+	digested int  // seen when the last installed fine-tune took the ring
+	tuning   bool // a fine-tune for this key is in flight
 
 	// Backoff state for keys whose fine-tune attempts die before the
 	// fine-tune itself (model load / clone failures): failures counts
@@ -74,19 +77,26 @@ func (b *buffer) add(s core.Sample, now time.Time) {
 		b.n++
 	}
 	b.samples[i], b.arrived[i] = s, now
-	if b.fresh == 0 {
-		b.oldestFresh = now
+	b.seen++
+}
+
+// freshLocked reports the undigested sample count and, when it is
+// positive, the oldest undigested sample's arrival, the staleness
+// anchor. The caller holds b.mu.
+func (b *buffer) freshLocked() (fresh int, oldest time.Time) {
+	fresh = max(min(b.seen-b.digested, b.n), 0)
+	if fresh > 0 {
+		oldest = b.arrived[(b.start+b.n-fresh)%len(b.arrived)]
 	}
-	if b.fresh < b.n {
-		b.fresh++
-	}
+	return fresh, oldest
 }
 
 // pending reports the undigested sample count.
 func (b *buffer) pending() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.fresh
+	fresh, _ := b.freshLocked()
+	return fresh
 }
 
 // takeIfTriggered checks whether the buffer is due for a fine-tune at
@@ -96,17 +106,17 @@ func (b *buffer) pending() int {
 // digested, and flags the buffer as tuning so a concurrent scan cannot
 // start a second fine-tune for the same key. The returned slice is a
 // copy (the ring keeps absorbing observations while the fine-tune
-// runs); fresh is the digested fresh-sample count, the amount requeue
-// restores if the attempt dies before fine-tuning.
-func (b *buffer) takeIfTriggered(now time.Time, minSamples int, maxStaleness time.Duration) (samples []core.Sample, fresh int, ok bool) {
+// runs).
+func (b *buffer) takeIfTriggered(now time.Time, minSamples int, maxStaleness time.Duration) (tuneJob, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.tuning || b.fresh == 0 || now.Before(b.retryAt) {
-		return nil, 0, false
+	fresh, oldest := b.freshLocked()
+	if b.tuning || fresh == 0 || now.Before(b.retryAt) {
+		return tuneJob{}, false
 	}
-	stale := maxStaleness > 0 && now.Sub(b.oldestFresh) >= maxStaleness
-	if b.fresh < minSamples && !stale {
-		return nil, 0, false
+	stale := maxStaleness > 0 && now.Sub(oldest) >= maxStaleness
+	if fresh < minSamples && !stale {
+		return tuneJob{}, false
 	}
 	return b.takeLocked()
 }
@@ -118,44 +128,40 @@ func (b *buffer) takeIfTriggered(now time.Time, minSamples int, maxStaleness tim
 // undigested one costs a replay and a re-fine-tune on the next boot.
 // Buffers mid-fine-tune are skipped — their samples are already being
 // digested by the in-flight run.
-func (b *buffer) takeForDrain() (samples []core.Sample, fresh int, ok bool) {
+func (b *buffer) takeForDrain() (tuneJob, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.tuning || b.fresh == 0 {
-		return nil, 0, false
+	if fresh, _ := b.freshLocked(); b.tuning || fresh == 0 {
+		return tuneJob{}, false
 	}
 	return b.takeLocked()
 }
 
-// takeLocked snapshots the ring (oldest first), marks every sample
-// digested and flags the buffer as tuning. The caller holds b.mu and
-// has decided a fine-tune is due.
-func (b *buffer) takeLocked() (samples []core.Sample, fresh int, ok bool) {
-	out := make([]core.Sample, b.n)
-	for i := 0; i < b.n; i++ {
-		out[i] = b.samples[(b.start+i)%len(b.samples)]
+// takeLocked snapshots the ring (oldest first) into a job for the
+// caller to key, marks every sample digested and flags the buffer as
+// tuning. The caller holds b.mu and has decided a fine-tune is due.
+func (b *buffer) takeLocked() (tuneJob, bool) {
+	j := tuneJob{buf: b, samples: make([]core.Sample, b.n), prev: b.digested, through: b.seen}
+	for i := range j.samples {
+		j.samples[i] = b.samples[(b.start+i)%len(b.samples)]
 	}
-	fresh = b.fresh
-	b.fresh = 0
+	b.digested = b.seen
 	b.tuning = true
-	return out, fresh, true
+	return j, true
 }
 
 // maxBackoffShift caps the exponential retry backoff at base << 6
 // (64 scan intervals — half an hour at the default 30s interval).
 const maxBackoffShift = 6
 
-// requeue restores the freshness of n samples after a fine-tune
-// attempt failed before digesting them (model load or clone failure),
-// so a transient infrastructure error does not silently discard the
-// key's observation window. The retry is delayed by base shifted left
-// per consecutive failure: a transient blip retries on the next scans,
-// a permanently un-loadable key (junk observations for a model that
-// does not exist) decays to one load attempt per 64 intervals instead
-// of hammering the loader forever. Freshness restoration is capped at
-// the ring occupancy: samples overwritten in the meantime are gone
-// regardless.
-func (b *buffer) requeue(n int, now time.Time, base time.Duration) {
+// requeue restores the digested ordinal a take replaced (prev) when its
+// fine-tune installed nothing (a load or clone failure, a refused swap),
+// so the key's observation window stays fresh. The retry is delayed by
+// base shifted left per consecutive failure: a transient blip retries
+// on the next scans, a permanently un-loadable key (junk observations
+// for a model that does not exist) decays to one load attempt per 64
+// intervals instead of hammering the loader forever.
+func (b *buffer) requeue(prev int, now time.Time, base time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	shift := b.failures
@@ -164,16 +170,7 @@ func (b *buffer) requeue(n int, now time.Time, base time.Duration) {
 	}
 	b.failures++
 	b.retryAt = now.Add(base << shift)
-	if n <= 0 {
-		return
-	}
-	if b.fresh == 0 {
-		b.oldestFresh = now
-	}
-	b.fresh += n
-	if b.fresh > b.n {
-		b.fresh = b.n
-	}
+	b.digested = prev
 }
 
 // purge removes every buffered sample matching drop (preserving order)
@@ -181,6 +178,8 @@ func (b *buffer) requeue(n int, now time.Time, base time.Duration) {
 // evict shape-invalid observations permanently once the model
 // architecture is known — otherwise they would occupy ring slots and
 // be re-validated (and re-counted) by every future fine-tune.
+// The ordinals ignore a purge (a purged fresh sample leaves an older one
+// counted fresh), and replay cannot see one: purges are not logged.
 func (b *buffer) purge(drop func(core.Sample) bool) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -203,27 +202,19 @@ func (b *buffer) purge(drop func(core.Sample) bool) int {
 	}
 	b.start = 0
 	b.n = len(kept)
-	if b.fresh > b.n {
-		b.fresh = b.n
-	}
 	return removed
 }
 
-// markDigested takes the freshness of n buffered samples, the oldest
-// fresh ones, without snapshotting them. Boot replay uses it when a
-// digest record follows the samples in the log: they were digested by
-// a fine-tune whose result is checkpointed, so they must anchor future
-// fine-tunes without re-triggering one. Observations that arrived while
-// that fine-tune ran precede its record in the log but stay fresh, as
-// they are on the live node, and the oldest of them becomes the
-// staleness anchor.
-func (b *buffer) markDigested(n int) {
+// markDigested replays a digest record: through is the seen of the
+// take whose fine-tune was checkpointed. Its samples anchor future
+// fine-tunes without re-triggering one, while observations logged
+// during that fine-tune, before its record, stay fresh as they are live.
+// A log replayed past a skipped damaged segment can name more samples
+// than the ring saw; capping at seen keeps later arrivals fresh.
+func (b *buffer) markDigested(through int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.fresh = max(b.fresh-n, 0)
-	if b.fresh > 0 {
-		b.oldestFresh = b.arrived[(b.start+b.n-b.fresh)%len(b.arrived)]
-	}
+	b.digested = min(through, b.seen)
 }
 
 // clearBackoff resets the failure state once an attempt gets past the

@@ -83,7 +83,7 @@ type Config struct {
 // store packages stay decoupled; *store.Store satisfies it.
 type ObservationLog interface {
 	AppendObservation(job, env string, sample core.Sample, at time.Time) error
-	AppendDigest(job, env string, fresh int, at time.Time) error
+	AppendDigest(job, env string, through int, at time.Time) error
 }
 
 // Checkpointer persists installed model versions; *store.Store
@@ -182,6 +182,9 @@ func (c *Controller) OnSwap(fn func(key serve.ModelKey, version uint64)) {
 // checked once before the durable append: an observation whose caller
 // already gave up is rejected instead of paying a WAL fsync for an
 // answer nobody reads.
+// Concurrent observes of one key can reach its ring in another order
+// than the WAL's: the fresh count stays exact, only which samples are
+// fresh can differ.
 func (c *Controller) Observe(ctx context.Context, key serve.ModelKey, q core.Query, runtimeSec float64) error {
 	if err := ctx.Err(); err != nil {
 		c.rejected.Add(1)
@@ -241,21 +244,17 @@ func (c *Controller) Restore(key serve.ModelKey, s core.Sample, at time.Time) {
 	c.restored.Add(1)
 }
 
-// RestoreDigest marks fresh of key's currently buffered samples — the
-// count the digest record carries — digested during boot replay. A
-// digest record follows a checkpointed fine-tune in the log, so
-// replaying it reconstructs the ring's freshness state: the samples stay
-// resident as context for future fine-tunes but do not re-trigger the
-// fine-tune whose result is already checkpointed, while those logged
-// during that fine-tune, before its record, stay fresh.
-func (c *Controller) RestoreDigest(key serve.ModelKey, fresh int) {
+// RestoreDigest replays a digest record during boot: through counts
+// key's observations the checkpointed fine-tune took, and key's ring
+// marks them digested as the live node did (see buffer.markDigested).
+func (c *Controller) RestoreDigest(key serve.ModelKey, through int) {
 	c.mu.Lock()
 	b := c.buffers[key]
 	c.mu.Unlock()
 	if b == nil {
 		return
 	}
-	b.markDigested(fresh)
+	b.markDigested(through)
 	c.restored.Add(1)
 }
 
@@ -323,18 +322,18 @@ func (c *Controller) RunOnce() int {
 	return c.runOnce(time.Now())
 }
 
-// tuneJob is one triggered key with its snapshotted samples; fresh is
-// the digested fresh-sample count, requeued if the attempt fails
-// before the fine-tune runs.
+// tuneJob is one triggered key with its snapshotted samples: prev is
+// the ring's digested ordinal before the take, which requeue restores,
+// and through its seen at the take, which the digest record names.
 type tuneJob struct {
-	key     serve.ModelKey
-	buf     *buffer
-	samples []core.Sample
-	fresh   int
+	key           serve.ModelKey
+	buf           *buffer
+	samples       []core.Sample
+	prev, through int
 }
 
 func (c *Controller) runOnce(now time.Time) int {
-	return c.tuneAll(func(b *buffer) ([]core.Sample, int, bool) {
+	return c.tuneAll(func(b *buffer) (tuneJob, bool) {
 		return b.takeIfTriggered(now, c.cfg.MinSamples, c.cfg.MaxStaleness)
 	})
 }
@@ -342,12 +341,13 @@ func (c *Controller) runOnce(now time.Time) int {
 // tuneAll snapshots every buffer take accepts and fine-tunes the
 // snapshots on the bounded worker pool, returning the number of model
 // versions installed.
-func (c *Controller) tuneAll(take func(*buffer) ([]core.Sample, int, bool)) int {
+func (c *Controller) tuneAll(take func(*buffer) (tuneJob, bool)) int {
 	c.mu.Lock()
 	jobs := make([]tuneJob, 0, len(c.buffers))
 	for key, b := range c.buffers {
-		if samples, fresh, ok := take(b); ok {
-			jobs = append(jobs, tuneJob{key: key, buf: b, samples: samples, fresh: fresh})
+		if j, ok := take(b); ok {
+			j.key = key
+			jobs = append(jobs, j)
 		}
 	}
 	c.mu.Unlock()
@@ -379,13 +379,13 @@ func (c *Controller) tune(j tuneJob) (installed bool) {
 	ref, err := c.reg.GetRef(context.Background(), j.key)
 	if err != nil {
 		c.finetuneErrors.Add(1)
-		j.buf.requeue(j.fresh, time.Now(), c.cfg.Interval)
+		j.buf.requeue(j.prev, time.Now(), c.cfg.Interval)
 		return false
 	}
 	clone, err := ref.Model.CloneCore()
 	if err != nil {
 		c.finetuneErrors.Add(1)
-		j.buf.requeue(j.fresh, time.Now(), c.cfg.Interval)
+		j.buf.requeue(j.prev, time.Now(), c.cfg.Interval)
 		return false
 	}
 	j.buf.clearBackoff()
@@ -433,7 +433,7 @@ func (c *Controller) tune(j tuneJob) (installed bool) {
 		// window goes back, as after a failed load: no digest record is
 		// written, so a restart would replay it as fresh too.
 		c.swapsSkipped.Add(1)
-		j.buf.requeue(j.fresh, time.Now(), c.cfg.Interval)
+		j.buf.requeue(j.prev, time.Now(), c.cfg.Interval)
 		return false
 	}
 	c.swaps.Add(1)
@@ -447,7 +447,7 @@ func (c *Controller) tune(j tuneJob) (installed bool) {
 		if err := c.cfg.Checkpoint.CheckpointModel(j.key.Job, j.key.Env, version, blob); err != nil {
 			c.logErrors.Add(1)
 		} else if c.cfg.Log != nil {
-			if err := c.cfg.Log.AppendDigest(j.key.Job, j.key.Env, j.fresh, time.Now()); err != nil {
+			if err := c.cfg.Log.AppendDigest(j.key.Job, j.key.Env, j.through, time.Now()); err != nil {
 				c.logErrors.Add(1)
 			}
 		}

@@ -2,8 +2,11 @@ package lifecycle
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,8 +55,8 @@ func replayInto(t *testing.T, st *store.Store, ctl *Controller) {
 		Observation: func(job, env string, s core.Sample, at time.Time) {
 			ctl.Restore(serve.ModelKey{Job: job, Env: env}, s, at)
 		},
-		Digest: func(job, env string, fresh int, at time.Time) {
-			ctl.RestoreDigest(serve.ModelKey{Job: job, Env: env}, fresh)
+		Digest: func(job, env string, through int, at time.Time) {
+			ctl.RestoreDigest(serve.ModelKey{Job: job, Env: env}, through)
 		},
 	})
 	if err != nil {
@@ -98,9 +101,239 @@ func TestReplayKeepsObservationsLoggedDuringFinetune(t *testing.T) {
 	if ls := ctl.LifecycleStats(); ls.PendingSamples != 3 {
 		t.Fatalf("pending after recovery = %d, want 3 (those logged after the digested 8)", ls.PendingSamples)
 	}
-	if got := ctl.buffers[key].oldestFresh; !got.Equal(arrival(8)) {
+	if _, got := freshState(ctl.buffers[key]); !got.Equal(arrival(8)) {
 		t.Fatalf("oldest fresh arrival after recovery = %v, want the 9th observation's %v", got, arrival(8))
 	}
+}
+
+// freshState reads b's pending count and staleness anchor.
+func freshState(b *buffer) (pending int, oldest time.Time) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.freshLocked()
+}
+
+// ringEntry is one ring slot: the sample's runtime and its arrival.
+type ringEntry struct {
+	runtime float64
+	at      time.Time
+}
+
+// ringContents lists b's samples oldest first.
+func ringContents(b *buffer) []ringEntry {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make([]ringEntry, b.n)
+	for i := range out {
+		j := (b.start + i) % len(b.samples)
+		out[i] = ringEntry{b.samples[j].RuntimeSec, b.arrived[j]}
+	}
+	return out
+}
+
+// replayDigestScenario logs 11 observations of one key, one a second,
+// a digest through the first 8, then later more observations, into a
+// store whose every append seals the segment before it. With compact
+// set, it compacts the sealed segments after the first 11
+// observations, after the digest and after the later observations, so
+// the replay reads the records, the digest among them, regrouped per
+// key. It replays the log into a controller of
+// ring capacity bufferCap and returns the key's pending count and
+// staleness anchor, and arrival(i), the i-th observation's arrival.
+func replayDigestScenario(t *testing.T, bufferCap, later int, compact bool) (pending int, oldest time.Time, arrival func(int) time.Time) {
+	t.Helper()
+	dir := t.TempDir()
+	opts := store.Options{Fsync: store.FsyncNever, SegmentBytes: 1}
+	st, err := store.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	key := serve.ModelKey{Job: "sort", Env: "c3o"}
+	qs, truths := observedSamples()
+	base := time.Unix(1_700_000_000, 0)
+	arrival = func(i int) time.Time { return base.Add(time.Duration(i) * time.Second) }
+	observe := func(i int) {
+		q := qs[i%len(qs)]
+		s := core.Sample{ScaleOut: q.ScaleOut, Essential: q.Essential, Optional: q.Optional, RuntimeSec: truths[i%len(qs)]}
+		if err := st.AppendObservation(key.Job, key.Env, s, arrival(i)); err != nil {
+			t.Fatalf("AppendObservation: %v", err)
+		}
+	}
+	compactNow := func() {
+		if !compact {
+			return
+		}
+		if n, err := st.CompactNow(); err != nil || n == 0 {
+			t.Fatalf("CompactNow = (%d, %v), want records compacted", n, err)
+		}
+	}
+	for i := 0; i < 11; i++ {
+		observe(i)
+	}
+	compactNow()
+	if err := st.AppendDigest(key.Job, key.Env, 8, arrival(11)); err != nil {
+		t.Fatalf("AppendDigest: %v", err)
+	}
+	compactNow()
+	for i := 11; i < 11+later; i++ {
+		observe(i)
+	}
+	compactNow()
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	st2, err := store.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	defer st2.Close()
+	ctl := New(serve.NewRegistry((&testLoader{t: t}).load, 4), Config{BufferCap: bufferCap})
+	replayInto(t, st2, ctl)
+	pending, oldest = freshState(ctl.buffers[key])
+	return pending, oldest, arrival
+}
+
+// TestReplayKeepsObservationsLoggedDuringFinetuneWrapped is
+// TestReplayKeepsObservationsLoggedDuringFinetune on a ring of 8 that
+// the 11 observations wrap: the digest names the 8 observations its
+// take consumed, not a count of the ring's fresh samples, so replay
+// still leaves the 3 later ones pending, anchored at the 9th arrival.
+func TestReplayKeepsObservationsLoggedDuringFinetuneWrapped(t *testing.T) {
+	pending, oldest, arrival := replayDigestScenario(t, 8, 0, false)
+	if pending != 3 {
+		t.Fatalf("pending after recovery = %d, want 3 (those logged after the digested 8)", pending)
+	}
+	if !oldest.Equal(arrival(8)) {
+		t.Fatalf("oldest fresh arrival after recovery = %v, want the 9th observation's %v", oldest, arrival(8))
+	}
+}
+
+// TestReplayDigestPastSkippedHistory: a digest naming more observations
+// than replay restored (a damaged compacted segment was skipped) marks
+// the ring digested, and the observations after it count fresh at once.
+func TestReplayDigestPastSkippedHistory(t *testing.T) {
+	b := newBuffer(8)
+	at := time.Unix(1_700_000_000, 0)
+	for i := 0; i < 3; i++ {
+		b.add(core.Sample{ScaleOut: 4, RuntimeSec: float64(i + 1)}, at.Add(time.Duration(i)*time.Second))
+	}
+	b.markDigested(100)
+	b.add(core.Sample{ScaleOut: 4, RuntimeSec: 4}, at.Add(3*time.Second))
+	if n, oldest := freshState(b); n != 1 || !oldest.Equal(at.Add(3*time.Second)) {
+		t.Fatalf("pending %d anchored at %v, want the one observation after the digest", n, oldest)
+	}
+}
+
+// TestReplayDigestSurvivesCompaction: compaction regroups records per
+// key and keeps a digest as a position in its key's stream, so a log
+// compacted between the observations and the digest, and between the
+// digest and later observations, replays to the same pending count and
+// staleness anchor as the uncompacted log.
+func TestReplayDigestSurvivesCompaction(t *testing.T) {
+	for _, bufferCap := range []int{8, DefaultBufferCap} {
+		wantPending, wantOldest, arrival := replayDigestScenario(t, bufferCap, 2, false)
+		pending, oldest, _ := replayDigestScenario(t, bufferCap, 2, true)
+		if wantPending != 5 || !wantOldest.Equal(arrival(8)) {
+			t.Fatalf("cap %d uncompacted: pending %d anchored at %v, want 5 at the 9th arrival %v",
+				bufferCap, wantPending, wantOldest, arrival(8))
+		}
+		if pending != wantPending || !oldest.Equal(wantOldest) {
+			t.Fatalf("cap %d compacted: pending %d anchored at %v, want %d at %v as uncompacted",
+				bufferCap, pending, oldest, wantPending, wantOldest)
+		}
+	}
+}
+
+// TestReplayRebuildsLiveRing: over seeded random schedules (see
+// runLoggedSchedule) at ring capacities 1, 8 and 256, replaying the log
+// rebuilds the live ring: the same samples in order, the same pending
+// count and the same staleness anchor.
+func TestReplayRebuildsLiveRing(t *testing.T) {
+	for _, bufferCap := range []int{1, 8, 256} {
+		t.Run(fmt.Sprintf("cap%d", bufferCap), func(t *testing.T) {
+			for seed := uint64(1); seed <= 20; seed++ {
+				live, replayed := runLoggedSchedule(t, bufferCap, seed)
+				if got, want := ringContents(replayed), ringContents(live); !slices.Equal(got, want) {
+					t.Fatalf("seed %d: replayed ring %v, live ring %v", seed, got, want)
+				}
+				gotN, gotAt := freshState(replayed)
+				wantN, wantAt := freshState(live)
+				if gotN != wantN || !gotAt.Equal(wantAt) {
+					t.Fatalf("seed %d: replayed %d pending anchored at %v, live %d at %v", seed, gotN, gotAt, wantN, wantAt)
+				}
+			}
+		})
+	}
+}
+
+// runLoggedSchedule drives a live ring of capacity bufferCap through
+// 600 seeded random steps, one a second: observations, takes (by
+// trigger or for drain), installed fine-tunes (their digest logged
+// through the take's ordinal) and refused ones (requeued), with
+// observations landing between a take and its digest. It logs to a
+// store as the controller does, settles a take still in flight as
+// installed, then replays the log into a fresh controller. It returns
+// the live ring and the replayed one.
+func runLoggedSchedule(t *testing.T, bufferCap int, seed uint64) (live, replayed *buffer) {
+	t.Helper()
+	key := serve.ModelKey{Job: "sort", Env: "c3o"}
+	q := testQuery(4, 10000)
+	rng := rand.New(rand.NewPCG(seed, uint64(bufferCap)))
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	live = newBuffer(bufferCap)
+	var inFlight bool
+	var job tuneJob
+	settle := func(at time.Time, installed bool) {
+		if installed {
+			if err := st.AppendDigest(key.Job, key.Env, job.through, at); err != nil {
+				t.Fatalf("AppendDigest: %v", err)
+			}
+		} else {
+			live.requeue(job.prev, at, time.Second)
+		}
+		live.tuneDone()
+		inFlight = false
+	}
+	at := time.Unix(1_700_000_000, 0)
+	for step := 0; step < 600; step++ {
+		at = at.Add(time.Second)
+		switch r := rng.IntN(10); {
+		case r < 6:
+			s := core.Sample{ScaleOut: q.ScaleOut, Essential: q.Essential, Optional: q.Optional, RuntimeSec: float64(step + 1)}
+			if err := st.AppendObservation(key.Job, key.Env, s, at); err != nil {
+				t.Fatalf("AppendObservation: %v", err)
+			}
+			live.add(s, at)
+		case r == 6 && !inFlight:
+			job, inFlight = live.takeForDrain()
+		case r == 7 && !inFlight:
+			job, inFlight = live.takeIfTriggered(at, 1+rng.IntN(bufferCap), 30*time.Second)
+		case r == 8 && inFlight:
+			settle(at, true)
+		case r == 9 && inFlight:
+			settle(at, false)
+		}
+	}
+	if inFlight {
+		settle(at, true)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	st2, err := store.Open(dir, store.Options{Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	defer st2.Close()
+	ctl := New(serve.NewRegistry((&testLoader{t: t}).load, 4), Config{BufferCap: bufferCap})
+	replayInto(t, st2, ctl)
+	return live, ctl.buffers[key]
 }
 
 // TestLifecycleDurableRestart extends TestObserveFinetuneSwapImproves
@@ -233,7 +466,7 @@ type failingLog struct{}
 func (failingLog) AppendObservation(job, env string, s core.Sample, at time.Time) error {
 	return errTransient
 }
-func (failingLog) AppendDigest(job, env string, fresh int, at time.Time) error {
+func (failingLog) AppendDigest(job, env string, through int, at time.Time) error {
 	return errTransient
 }
 

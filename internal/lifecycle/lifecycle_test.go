@@ -478,11 +478,14 @@ func TestBufferLazyGrowth(t *testing.T) {
 	for i := 1; i <= 40; i++ {
 		b.add(core.Sample{ScaleOut: i, RuntimeSec: float64(i)}, now)
 	}
-	got, fresh, ok := b.takeIfTriggered(now, 1, 0)
-	if !ok || len(got) != 40 || fresh != 40 {
-		t.Fatalf("take = (%d samples, %d fresh, %v), want all 40", len(got), fresh, ok)
+	if fresh := b.pending(); fresh != 40 {
+		t.Fatalf("pending = %d, want all 40", fresh)
 	}
-	for i, s := range got {
+	j, ok := b.takeIfTriggered(now, 1, 0)
+	if !ok || len(j.samples) != 40 || j.through != 40 {
+		t.Fatalf("take = (%d samples, through %d, %v), want all 40", len(j.samples), j.through, ok)
+	}
+	for i, s := range j.samples {
 		if s.ScaleOut != i+1 {
 			t.Fatalf("sample %d is scale-out %d, want %d (order preserved across growth)", i, s.ScaleOut, i+1)
 		}
@@ -554,31 +557,32 @@ func TestBufferRingOverwrite(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		b.add(core.Sample{ScaleOut: i, RuntimeSec: float64(i)}, now)
 	}
-	got, fresh, ok := b.takeIfTriggered(now, 1, 0)
+	fresh := b.pending()
+	j, ok := b.takeIfTriggered(now, 1, 0)
 	if !ok {
 		t.Fatal("full ring did not trigger")
 	}
-	if len(got) != 4 || fresh != 4 {
-		t.Fatalf("ring kept %d samples (%d fresh), want 4 (4 fresh)", len(got), fresh)
+	if len(j.samples) != 4 || fresh != 4 {
+		t.Fatalf("ring kept %d samples (%d fresh), want 4 (4 fresh)", len(j.samples), fresh)
 	}
-	for i, s := range got {
+	for i, s := range j.samples {
 		if s.ScaleOut != i+3 {
 			t.Fatalf("sample %d is scale-out %d, want %d (oldest first, oldest two overwritten)", i, s.ScaleOut, i+3)
 		}
 	}
 	// While tuning, the buffer keeps absorbing but never re-triggers.
 	b.add(core.Sample{ScaleOut: 7, RuntimeSec: 7}, now)
-	if _, _, ok := b.takeIfTriggered(now, 1, 0); ok {
+	if _, ok := b.takeIfTriggered(now, 1, 0); ok {
 		t.Fatal("buffer re-triggered while a fine-tune was in flight")
 	}
 	b.tuneDone()
-	got, _, ok = b.takeIfTriggered(now, 1, 0)
+	j, ok = b.takeIfTriggered(now, 1, 0)
 	if !ok {
 		t.Fatal("buffer did not re-arm after tuneDone")
 	}
 	// The digest hands over the whole ring again (context anchor), with
 	// the new sample last.
-	if got[len(got)-1].ScaleOut != 7 {
+	if got := j.samples; got[len(got)-1].ScaleOut != 7 {
 		t.Fatalf("latest sample is scale-out %d, want 7", got[len(got)-1].ScaleOut)
 	}
 }

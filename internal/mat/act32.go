@@ -17,10 +17,6 @@ import (
 // the slice's length. The plain family computes each element through
 // math.Expm1 and math.Tanh in float64, rounded once.
 
-// Selu32 applies SELU in place: lambda*x for x > 0, else
-// lambdaAlpha*expm1(x). NaN stays NaN.
-func Selu32(v []float32, lambda, lambdaAlpha float32) { BiasSelu32(v, nil, lambda, lambdaAlpha) }
-
 // negZero is the bias of an unbiased SELU pass: x + (−0) is x for every
 // x, −0 included.
 var negZero = func() (z [8]float32) {
@@ -32,10 +28,11 @@ var negZero = func() (z [8]float32) {
 
 // BiasSelu32 is the forward epilogue of a biased SELU layer in one
 // pass: v holds rows of len(bias) values, and each value x + bias[j] —
-// the float32 sum a separate bias pass would store — goes through
-// Selu32's SELU. A nil bias adds nothing. Under the asm family a bias
-// whose length is a multiple of 8 rides along the kernel's 8-lane
-// steps; another is added first.
+// the float32 sum a separate bias pass would store — goes through SELU:
+// lambda*x for x > 0, else lambdaAlpha*expm1(x), NaN staying NaN. A nil
+// bias adds nothing. Under the asm family a bias whose length is a
+// multiple of 8 rides along the kernel's 8-lane steps; another is added
+// first.
 func BiasSelu32(v, bias []float32, lambda, lambdaAlpha float32) {
 	nb := len(bias)
 	if nb > 0 && len(v)%nb != 0 {

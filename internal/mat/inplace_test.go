@@ -155,8 +155,8 @@ func TestNilWorkspaceAllocates(t *testing.T) {
 		t.Fatalf("nil workspace Get shape %dx%d", m.Rows, m.Cols)
 	}
 	w.Reset() // must not panic
-	if w.NumBuffers() != 0 {
-		t.Fatal("nil workspace reports buffers")
+	if w.Bytes() != 0 {
+		t.Fatal("nil workspace reports storage")
 	}
 }
 

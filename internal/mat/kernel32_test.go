@@ -153,7 +153,7 @@ func testTanh32WithinUlps(t *testing.T) {
 	}
 }
 
-// testSelu32WithinUlps: Selu32 stays within 2 ulp of
+// testSelu32WithinUlps: BiasSelu32 without a bias stays within 2 ulp of
 // lambdaAlpha*expm1(x) for x <= 0, rounded once, and is lambda*x to the
 // bit for x > 0, in every family.
 func testSelu32WithinUlps(t *testing.T) {
@@ -163,18 +163,18 @@ func testSelu32WithinUlps(t *testing.T) {
 	for _, asm := range testFamilies() {
 		setFamily(t, asm)
 		v := append([]float32(nil), xs...)
-		Selu32(v, lambda, la)
+		BiasSelu32(v, nil, lambda, la)
 		for i, got := range v {
 			x := xs[i]
 			if x > 0 {
 				if got != lambda*x {
-					t.Fatalf("%s: Selu32(%v) = %v, want %v", KernelFamily(), x, got, lambda*x)
+					t.Fatalf("%s: SELU(%v) = %v, want %v", KernelFamily(), x, got, lambda*x)
 				}
 				continue
 			}
 			want := float32(float64(la) * math.Expm1(float64(x)))
 			if d := ulpDiff32(got, want); d > bound {
-				t.Fatalf("%s: Selu32(%v) = %v, want %v: %d ulp > %d", KernelFamily(), x, got, want, d, bound)
+				t.Fatalf("%s: SELU(%v) = %v, want %v: %d ulp > %d", KernelFamily(), x, got, want, d, bound)
 			}
 		}
 	}
@@ -493,7 +493,7 @@ func TestGatherScatterRows(t *testing.T) {
 
 // TestBiasSelu32IsAddThenSelu: SELU with the bias folded into its pass
 // gives, bit for bit, the bias added by a pass of its own and then
-// Selu32, in every family, for bias rows the 8-lane kernel carries (8,
+// an unbiased SELU pass, in every family, for bias rows the 8-lane kernel carries (8,
 // 16), one it adds first (5) and none — over inputs that include −0,
 // +0 and NaN, where adding a zero bias could change a sign.
 func TestBiasSelu32IsAddThenSelu(t *testing.T) {
@@ -523,7 +523,7 @@ func TestBiasSelu32IsAddThenSelu(t *testing.T) {
 					want[i] += bias[i%nb]
 				}
 			}
-			Selu32(want, lambda, la)
+			BiasSelu32(want, nil, lambda, la)
 			got := append([]float32(nil), v...)
 			BiasSelu32(got, bias, lambda, la)
 			for i := range got {

@@ -46,21 +46,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equally sized rows.
-func FromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 {
-		return NewDense(0, 0)
-	}
-	m := NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("mat: ragged row %d: len %d != %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {
 	m.check(i, j)
@@ -95,18 +80,6 @@ func (m *Dense) Clone() *Dense {
 	c := NewDense(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Dense) T() *Dense {
-	t := NewDense(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
-		}
-	}
-	return t
 }
 
 // Fill sets every element of m to v.

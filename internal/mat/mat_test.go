@@ -30,44 +30,53 @@ func TestAtSetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromRows(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if m.Rows != 3 || m.Cols != 2 {
-		t.Fatalf("shape = %dx%d, want 3x2", m.Rows, m.Cols)
+// fromRows builds a matrix from equally sized rows.
+func fromRows(rows [][]float64) *Dense {
+	m := NewDense(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
 	}
-	if m.At(2, 1) != 6 {
-		t.Fatalf("At(2,1) = %v, want 6", m.At(2, 1))
-	}
+	return m
 }
 
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on ragged rows")
+// transpose returns mᵀ as a new matrix, the operand the transposed
+// products' tests compare against.
+func transpose(m *Dense) *Dense {
+	t := NewDense(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			t.Data[j*t.Cols+i] = v
 		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
+	}
+	return t
+}
+
+// mul returns a*b through MulTo.
+func mul(a, b *Dense) *Dense {
+	out := NewDense(a.Rows, b.Cols)
+	MulTo(out, a, b)
+	return out
 }
 
 func TestTranspose(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	tr := transpose(m)
 	if tr.Rows != 3 || tr.Cols != 2 {
 		t.Fatalf("transpose shape = %dx%d, want 3x2", tr.Rows, tr.Cols)
 	}
-	want := FromRows([][]float64{{1, 4}, {2, 5}, {3, 6}})
+	want := fromRows([][]float64{{1, 4}, {2, 5}, {3, 6}})
 	if !tr.Equalish(want, 0) {
-		t.Fatalf("T() = %v, want %v", tr, want)
+		t.Fatalf("transpose = %v, want %v", tr, want)
 	}
 }
 
 func TestMulSmall(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	got := Mul(a, b)
-	want := FromRows([][]float64{{19, 22}, {43, 50}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
+	got := mul(a, b)
+	want := fromRows([][]float64{{19, 22}, {43, 50}})
 	if !got.Equalish(want, 1e-12) {
-		t.Fatalf("Mul = %v, want %v", got, want)
+		t.Fatalf("MulTo = %v, want %v", got, want)
 	}
 }
 
@@ -78,10 +87,10 @@ func TestMulIdentity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		id.Set(i, i, 1)
 	}
-	if got := Mul(a, id); !got.Equalish(a, 1e-12) {
+	if got := mul(a, id); !got.Equalish(a, 1e-12) {
 		t.Fatalf("A*I != A")
 	}
-	if got := Mul(id, a); !got.Equalish(a, 1e-12) {
+	if got := mul(id, a); !got.Equalish(a, 1e-12) {
 		t.Fatalf("I*A != A")
 	}
 }
@@ -92,7 +101,7 @@ func TestMulDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on mismatched dims")
 		}
 	}()
-	Mul(NewDense(2, 3), NewDense(2, 3))
+	MulTo(NewDense(2, 3), NewDense(2, 3), NewDense(2, 3))
 }
 
 func TestMulATB(t *testing.T) {
@@ -101,7 +110,7 @@ func TestMulATB(t *testing.T) {
 	b := randomDense(rng, 7, 5)
 	got := NewDense(4, 5)
 	MulATBTo(got, a, b)
-	want := Mul(a.T(), b)
+	want := mul(transpose(a), b)
 	if !got.Equalish(want, 1e-10) {
 		t.Fatal("MulATBTo disagrees with explicit transpose product")
 	}
@@ -113,7 +122,7 @@ func TestMulABT(t *testing.T) {
 	b := randomDense(rng, 9, 4)
 	got := NewDense(6, 9)
 	MulABTTo(got, a, b)
-	want := Mul(a, b.T())
+	want := mul(a, transpose(b))
 	if !got.Equalish(want, 1e-10) {
 		t.Fatal("MulABTTo disagrees with explicit transpose product")
 	}
@@ -167,9 +176,9 @@ func TestQuickMulDistributive(t *testing.T) {
 		for i, v := range c.Data {
 			bc.Data[i] += v
 		}
-		left := Mul(a, bc)
-		right := Mul(a, b)
-		for i, v := range Mul(a, c).Data {
+		left := mul(a, bc)
+		right := mul(a, b)
+		for i, v := range mul(a, c).Data {
 			right.Data[i] += v
 		}
 		return left.Equalish(right, 1e-9)
@@ -188,7 +197,7 @@ func TestQuickTransposeProduct(t *testing.T) {
 		k := 1 + rng.Intn(5)
 		a := randomDense(rng, n, m)
 		b := randomDense(rng, m, k)
-		return Mul(a, b).T().Equalish(Mul(b.T(), a.T()), 1e-9)
+		return transpose(mul(a, b)).Equalish(mul(transpose(b), transpose(a)), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -200,7 +209,7 @@ func TestQuickTransposeInvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomDense(rng, 1+rng.Intn(8), 1+rng.Intn(8))
-		return a.T().T().Equalish(a, 0)
+		return transpose(transpose(a)).Equalish(a, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -221,6 +230,6 @@ func BenchmarkMulSerial32(b *testing.B) {
 	y := randomDense(rng, 32, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Mul(x, y)
+		mul(x, y)
 	}
 }

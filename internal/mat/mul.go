@@ -9,18 +9,11 @@ import "fmt"
 // family. They start no goroutine and hold no lock, so concurrent
 // callers sharing read-only operands need no coordination.
 
-// Mul returns the matrix product a*b.
-func Mul(a, b *Dense) *Dense {
-	out := NewDense(a.Rows, b.Cols)
-	MulTo(out, a, b)
-	return out
-}
-
 // MulTo computes dst = a*b, fully overwriting dst. dst must be
 // a.Rows x b.Cols and must not alias a or b.
 func MulTo(dst, a, b *Dense) {
 	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: Mul inner dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("mat: MulTo inner dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDst("MulTo", dst, a.Rows, b.Cols)
 	refMulTo(dst, a, b)

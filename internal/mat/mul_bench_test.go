@@ -32,7 +32,7 @@ func BenchmarkMatMul(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
 			b.SetBytes(int64(8 * s.m * s.k * s.n))
 			for i := 0; i < b.N; i++ {
-				Mul(a, c)
+				mul(a, c)
 			}
 		})
 	}

@@ -84,15 +84,6 @@ func (w *WorkspaceF32) Reset() {
 	w.slab.reset()
 }
 
-// NumBuffers reports how many matrix headers the workspace owns: the
-// most matrices any one round has asked for.
-func (w *WorkspaceF32) NumBuffers() int {
-	if w == nil {
-		return 0
-	}
-	return len(w.hdrs)
-}
-
 // Bytes reports the element storage the workspace holds: its slab plus
 // the overflow chunk a round has open.
 func (w *WorkspaceF32) Bytes() int {

@@ -30,7 +30,7 @@ type SELU struct{}
 // Name implements Activation.
 func (SELU) Name() string { return "selu" }
 
-// Apply implements Activation: the value mat.Selu32's plain arm gives.
+// Apply implements Activation: the value mat.BiasSelu32's plain arm gives.
 func (SELU) Apply(x float32) float32 {
 	if x > 0 {
 		return seluLambda32 * x

@@ -218,13 +218,3 @@ func matInfNorm(a *mat.Dense) float64 {
 	}
 	return mx
 }
-
-// Residual returns ||A x - b||₂.
-func Residual(a *mat.Dense, x, b []float64) float64 {
-	var sq float64
-	for i := 0; i < a.Rows; i++ {
-		d := mat.Dot(a.Row(i), x) - b[i]
-		sq += d * d
-	}
-	return math.Sqrt(sq)
-}

@@ -9,10 +9,29 @@ import (
 	"repro/internal/mat"
 )
 
+// fromRows builds a matrix from equally sized rows.
+func fromRows(rows [][]float64) *mat.Dense {
+	m := mat.NewDense(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
+// residual returns ||A x - b||₂.
+func residual(a *mat.Dense, x, b []float64) float64 {
+	var sq float64
+	for i := 0; i < a.Rows; i++ {
+		d := mat.Dot(a.Row(i), x) - b[i]
+		sq += d * d
+	}
+	return math.Sqrt(sq)
+}
+
 func TestSolveExactNonNegative(t *testing.T) {
 	// A well-conditioned system whose unconstrained solution is already
 	// nonnegative must be recovered exactly.
-	a := mat.FromRows([][]float64{
+	a := fromRows([][]float64{
 		{1, 0},
 		{0, 1},
 		{1, 1},
@@ -33,7 +52,7 @@ func TestSolveExactNonNegative(t *testing.T) {
 func TestSolveClampsNegative(t *testing.T) {
 	// Unconstrained solution would be negative in the second coordinate;
 	// NNLS must clamp it to zero.
-	a := mat.FromRows([][]float64{
+	a := fromRows([][]float64{
 		{1, 1},
 		{1, 1.0001},
 	})
@@ -50,7 +69,7 @@ func TestSolveClampsNegative(t *testing.T) {
 }
 
 func TestSolveZeroRHS(t *testing.T) {
-	a := mat.FromRows([][]float64{{1, 2}, {3, 4}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	x, err := Solve(a, []float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +115,7 @@ func TestSolveErnestShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := Residual(a, x, b); r > 1e-6 {
+	if r := residual(a, x, b); r > 1e-6 {
 		t.Fatalf("residual = %v, want ~0 (x=%v)", r, x)
 	}
 }
@@ -173,7 +192,7 @@ func TestQuickResidualBounds(t *testing.T) {
 			return true
 		}
 		zero := make([]float64, cols)
-		return Residual(a, x, b) <= Residual(a, zero, b)+1e-9
+		return residual(a, x, b) <= residual(a, zero, b)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -40,18 +40,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load reports the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down. The zero value is ready.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load reports the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // Labels are the dimensions of one metric series, e.g. {"shard": "0"}.
 // They are rendered once at registration; the hot path never sees them.
 type Labels map[string]string
@@ -95,7 +83,6 @@ type seriesKind uint8
 
 const (
 	kindCounter seriesKind = iota
-	kindGauge
 	kindCounterFunc
 	kindGaugeFunc
 	kindHist
@@ -106,7 +93,6 @@ type series struct {
 	labels    string // rendered label block, "" when unlabeled
 	kind      seriesKind
 	counter   *Counter
-	gauge     *Gauge
 	counterFn func() int64
 	gaugeFn   func() float64
 	hist      *Hist
@@ -121,7 +107,7 @@ type family struct {
 
 // Registry holds metric families and renders them in the Prometheus
 // text exposition format. Registration takes the mutex; reading a
-// registered Counter/Gauge/Hist does not.
+// registered Counter or Hist does not.
 type Registry struct {
 	mu    sync.Mutex
 	fams  map[string]*family
@@ -161,11 +147,6 @@ func (r *Registry) register(name, help, typ string, s *series) {
 // field of the component being instrumented) under name+labels.
 func (r *Registry) RegisterCounter(name, help string, labels Labels, c *Counter) {
 	r.register(name, help, "counter", &series{labels: renderLabels(labels), kind: kindCounter, counter: c})
-}
-
-// RegisterGauge attaches an existing Gauge under name+labels.
-func (r *Registry) RegisterGauge(name, help string, labels Labels, g *Gauge) {
-	r.register(name, help, "gauge", &series{labels: renderLabels(labels), kind: kindGauge, gauge: g})
 }
 
 // RegisterCounterFunc exposes a counter whose value is read by fn at
@@ -228,8 +209,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 			switch s.kind {
 			case kindCounter:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.counter.Load())
-			case kindGauge:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.gauge.Load())
 			case kindCounterFunc:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.counterFn())
 			case kindGaugeFunc:

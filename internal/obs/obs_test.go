@@ -16,9 +16,7 @@ func TestRegistryExposition(t *testing.T) {
 	c.Add(7)
 	reg.RegisterCounter("test_requests_total", "Requests.", Labels{"shard": "1"}, &c2)
 	c2.Inc()
-	var g Gauge
-	reg.RegisterGauge("test_inflight", "In flight.", nil, &g)
-	g.Set(3)
+	reg.RegisterGaugeFunc("test_inflight", "In flight.", nil, func() float64 { return 3 })
 	reg.RegisterCounterFunc("test_scraped_total", "Func-backed.", nil, func() int64 { return 42 })
 	reg.RegisterGaugeFunc("test_ratio", "Func gauge.", nil, func() float64 { return 0.5 })
 	h := NewHist()

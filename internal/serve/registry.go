@@ -89,15 +89,6 @@ func (sm *Model) countRows(err error) {
 	sm.rows.distinct.Add(int64(distinct))
 }
 
-// PredictBatch runs one forward pass over all queries.
-func (sm *Model) PredictBatch(qs []core.Query) ([]float64, error) {
-	out := make([]float64, len(qs))
-	if err := sm.PredictBatchInto(out, qs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // PredictBatchInto runs one forward pass over all queries, writing the
 // predictions into dst. Under the model lock the pass reuses the model's
 // batch buffers and a borrowed arena, so a warm call allocates nothing.

@@ -246,8 +246,8 @@ func attachedServiceStats(t *testing.T) []byte {
 		Observation: func(job, env string, s core.Sample, at time.Time) {
 			ctl.Restore(serve.ModelKey{Job: job, Env: env}, s, at)
 		},
-		Digest: func(job, env string, fresh int, at time.Time) {
-			ctl.RestoreDigest(serve.ModelKey{Job: job, Env: env}, fresh)
+		Digest: func(job, env string, through int, at time.Time) {
+			ctl.RestoreDigest(serve.ModelKey{Job: job, Env: env}, through)
 		},
 	})
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // recordEq compares two decoded WAL records semantically (NaN runtime
 // bit patterns compare via re-encoding, which is lossless).
 func recordEq(a, b walRecord) bool {
-	if a.typ != b.typ || a.job != b.job || a.env != b.env || a.at != b.at || a.fresh != b.fresh {
+	if a.typ != b.typ || a.job != b.job || a.env != b.env || a.at != b.at || a.through != b.through {
 		return false
 	}
 	return sampleEq(a.sample, b.sample)
@@ -41,7 +41,7 @@ func FuzzWALRecord(f *testing.F) {
 		case recObservation:
 			re = appendObservation(nil, r.job, r.env, r.sample, r.at)
 		case recDigest:
-			re = appendDigest(nil, r.job, r.env, r.fresh, r.at)
+			re = appendDigest(nil, r.job, r.env, r.through, r.at)
 		default:
 			t.Fatalf("decodeRecord returned unknown type %d without error", r.typ)
 		}
@@ -79,7 +79,7 @@ func fuzzSegmentImage() []byte {
 		})
 	}
 	sd := series[seriesKey{job: "sort", env: "c3o"}]
-	sd.digests = append(sd.digests, digestMark{pos: 3, at: base, fresh: 3})
+	sd.digests = append(sd.digests, digestMark{pos: 3, at: base, through: 3})
 	img, err := encodeSegment(order, series)
 	if err != nil {
 		panic(err)

@@ -3,11 +3,13 @@
 // compaction of sealed WAL segments into immutable columnar segments
 // (framed like the WAL, one frame per series), and atomic
 // checkpointing of hot-swapped model versions. Together
-// they let a restarted node reconstruct exactly the lifecycle and
-// registry state it crashed with: every acknowledged observation is
-// framed and CRC-protected in the WAL before ring admission, and every
-// installed model version is persisted write-temp + rename before its
-// samples are marked digested.
+// they let a restarted node reconstruct the lifecycle and registry
+// state it crashed with: every acknowledged observation is framed and
+// CRC-protected in the WAL before ring admission, and every installed
+// model version is persisted write-temp + rename before its samples
+// are marked digested. Ring purges of shape-invalid samples are not
+// logged, so a replayed ring holds them until its next fine-tune
+// purges them again.
 package store
 
 import (
@@ -24,10 +26,11 @@ import (
 const (
 	// recObservation is one ingested runtime observation.
 	recObservation = 1
-	// recDigest marks the point at which a key's fresh observations
-	// were digested by a successful fine-tune + swap + checkpoint, so
-	// replay reconstructs each ring's freshness state instead of
-	// re-triggering fine-tunes for already-installed versions.
+	// recDigest records that a successful fine-tune + swap +
+	// checkpoint digested a key's observations through an ordinal: the
+	// count of the key's observations its take consumed. Replay marks
+	// the ring digested through it, reconstructing the ring's freshness
+	// instead of re-triggering fine-tunes for installed versions.
 	recDigest = 2
 )
 
@@ -36,10 +39,12 @@ const (
 // data: decoding must error out instead of allocating attacker-chosen
 // amounts of memory or over-reading.
 const (
-	maxStrLen  = 4096
-	maxProps   = 256
-	maxScale   = 1 << 30
-	maxDigestN = 1 << 30
+	maxStrLen = 4096
+	maxProps  = 256
+	maxScale  = 1 << 30
+	// maxDigestN bounds a digest's ordinal. It grows over a key's
+	// lifetime, so only what an int holds bounds it.
+	maxDigestN = math.MaxInt
 )
 
 // walRecord is one decoded WAL payload.
@@ -48,7 +53,7 @@ type walRecord struct {
 	job, env string
 	at       int64 // unix nanoseconds
 	sample   core.Sample
-	fresh    int // recDigest: fresh samples the digest consumed
+	through  int // recDigest: the key's observations the digest consumed
 }
 
 // cursor is a bounds-checked reader over one record payload. Every
@@ -165,12 +170,12 @@ func appendObservation(dst []byte, job, env string, s core.Sample, at int64) []b
 }
 
 // appendDigest encodes one digest-marker payload onto dst.
-func appendDigest(dst []byte, job, env string, fresh int, at int64) []byte {
+func appendDigest(dst []byte, job, env string, through int, at int64) []byte {
 	dst = append(dst, recDigest)
 	dst = binary.AppendVarint(dst, at)
 	dst = appendString(dst, job)
 	dst = appendString(dst, env)
-	return binary.AppendUvarint(dst, uint64(fresh))
+	return binary.AppendUvarint(dst, uint64(through))
 }
 
 // decodeRecord parses one WAL payload. It is strict: unknown types,
@@ -224,14 +229,14 @@ func decodeRecord(p []byte) (walRecord, error) {
 		if r.env, err = c.str(); err != nil {
 			return r, err
 		}
-		fresh, err := c.uvarint()
+		through, err := c.uvarint()
 		if err != nil {
 			return r, err
 		}
-		if fresh > maxDigestN {
-			return r, fmt.Errorf("store: digest count %d out of range", fresh)
+		if through > maxDigestN {
+			return r, fmt.Errorf("store: digest ordinal %d out of range", through)
 		}
-		r.fresh = int(fresh)
+		r.through = int(through)
 	default:
 		return r, fmt.Errorf("store: unknown record type %d", r.typ)
 	}

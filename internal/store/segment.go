@@ -55,11 +55,12 @@ func parseSegName(name string) (uint64, bool) {
 type seriesKey struct{ job, env string }
 
 // digestMark records a digest inside a series stream: it occurred
-// after pos samples of the series had been ingested.
+// after pos samples of the series had been ingested, and names
+// through, the ordinal its WAL record carried.
 type digestMark struct {
-	pos   int
-	at    int64
-	fresh int
+	pos     int
+	at      int64
+	through int
 }
 
 // seriesData accumulates one series during compaction.
@@ -106,7 +107,7 @@ func (sd *seriesData) add(r walRecord) {
 //	runtimes         uvarint(bits XOR prevBits) per sample
 //	property dict    uvarint n, then each encoded propSet
 //	property indexes RLE pairs (uvarint dictIdx, uvarint run)
-//	digests          uvarint n, then (uvarint pos, varint at, uvarint fresh)
+//	digests          uvarint n, then (uvarint pos, varint at, uvarint through)
 //
 // The enclosing frame's CRC covers it.
 func encodeSeriesBlock(dst []byte, sd *seriesData) []byte {
@@ -170,7 +171,7 @@ func encodeSeriesBlock(dst []byte, sd *seriesData) []byte {
 	for _, d := range sd.digests {
 		dst = binary.AppendUvarint(dst, uint64(d.pos))
 		dst = binary.AppendVarint(dst, d.at)
-		dst = binary.AppendUvarint(dst, uint64(d.fresh))
+		dst = binary.AppendUvarint(dst, uint64(d.through))
 	}
 	return dst
 }
@@ -218,7 +219,7 @@ type ObsPoint struct {
 // checked against the bytes left (a property list against maxProps)
 // before anything is allocated for it, so a decode allocates a
 // bounded multiple of the block's size, which FuzzSegment pins.
-func decodeSeriesBlock(block []byte, obs func(ObsPoint), digest func(at int64, fresh int)) error {
+func decodeSeriesBlock(block []byte, obs func(ObsPoint), digest func(at int64, through int)) error {
 	c := cursor{b: block}
 	nu, err := c.uvarint()
 	if err != nil {
@@ -318,15 +319,15 @@ func decodeSeriesBlock(block []byte, obs func(ObsPoint), digest func(at int64, f
 		if err != nil {
 			return err
 		}
-		fresh, err := c.uvarint()
+		through, err := c.uvarint()
 		if err != nil {
 			return err
 		}
-		if pos > uint64(n) || int(pos) < prevPos || fresh > maxDigestN {
+		if pos > uint64(n) || int(pos) < prevPos || through > maxDigestN {
 			return fmt.Errorf("store: digest %d position %d out of order", i, pos)
 		}
 		prevPos = int(pos)
-		digests[i] = digestMark{pos: int(pos), at: dat, fresh: int(fresh)}
+		digests[i] = digestMark{pos: int(pos), at: dat, through: int(through)}
 	}
 	if c.remaining() != 0 {
 		return fmt.Errorf("store: %d trailing bytes in series block", c.remaining())
@@ -337,7 +338,7 @@ func decodeSeriesBlock(block []byte, obs func(ObsPoint), digest func(at int64, f
 	for i := 0; i < n; i++ {
 		for di < len(digests) && digests[di].pos == i {
 			if digest != nil {
-				digest(digests[di].at, digests[di].fresh)
+				digest(digests[di].at, digests[di].through)
 			}
 			di++
 		}
@@ -355,7 +356,7 @@ func decodeSeriesBlock(block []byte, obs func(ObsPoint), digest func(at int64, f
 	}
 	for di < len(digests) {
 		if digest != nil {
-			digest(digests[di].at, digests[di].fresh)
+			digest(digests[di].at, digests[di].through)
 		}
 		di++
 	}

@@ -43,7 +43,9 @@ func roundTrip(t *testing.T, sd *seriesData) ([]byte, []ObsPoint, []digestMark) 
 	var digests []digestMark
 	err := decodeSeriesBlock(block,
 		func(p ObsPoint) { pts = append(pts, p) },
-		func(at int64, fresh int) { digests = append(digests, digestMark{pos: len(pts), at: at, fresh: fresh}) })
+		func(at int64, through int) {
+			digests = append(digests, digestMark{pos: len(pts), at: at, through: through})
+		})
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -162,7 +164,7 @@ func TestSeriesBlockBytes(t *testing.T) {
 		runtime float64
 	}{{100, 4, 1}, {110, 4, 1}, {125, 8, 2}} {
 		if i == 2 {
-			sd.digests = append(sd.digests, digestMark{pos: 2, at: 120, fresh: 2})
+			sd.digests = append(sd.digests, digestMark{pos: 2, at: 120, through: 2})
 		}
 		sd.add(walRecord{typ: recObservation, at: s.at, sample: core.Sample{ScaleOut: s.scale, RuntimeSec: s.runtime}})
 	}
@@ -184,7 +186,7 @@ func TestSeriesBlockBytes(t *testing.T) {
 		0x01,       // one digest
 		0x02,       // after 2 samples
 		0xf0, 0x01, // at 120, zig-zag 240
-		0x02, // fresh 2
+		0x02, // through 2
 	}
 	block, pts, digests := roundTrip(t, sd)
 	if !bytes.Equal(block, want) {
@@ -193,7 +195,7 @@ func TestSeriesBlockBytes(t *testing.T) {
 	if pts[2].At.UnixNano() != 125 || pts[2].Sample.ScaleOut != 8 || pts[2].Sample.RuntimeSec != 2 {
 		t.Fatalf("third sample = %+v", pts[2])
 	}
-	if len(digests) != 1 || digests[0] != (digestMark{pos: 2, at: 120, fresh: 2}) {
+	if len(digests) != 1 || digests[0] != (digestMark{pos: 2, at: 120, through: 2}) {
 		t.Fatalf("digests = %+v", digests)
 	}
 }
@@ -273,10 +275,10 @@ func TestLargeSeriesCompactsAndReplays(t *testing.T) {
 			Observation: func(job, env string, smp core.Sample, at time.Time) {
 				obs[job+"@"+env] = append(obs[job+"@"+env], ObsPoint{At: at, Sample: smp})
 			},
-			Digest: func(job, env string, fresh int, at time.Time) {
+			Digest: func(job, env string, through int, at time.Time) {
 				// A digest's place in its key's stream is the number of
 				// observations before it.
-				digests[job+"@"+env] = append(digests[job+"@"+env], len(obs[job+"@"+env]), fresh)
+				digests[job+"@"+env] = append(digests[job+"@"+env], len(obs[job+"@"+env]), through)
 			},
 		})
 		if err != nil {
@@ -300,7 +302,7 @@ func TestLargeSeriesCompactsAndReplays(t *testing.T) {
 			}
 		}
 		if !slices.Equal(gotDigests[k], wantDigests[k]) {
-			t.Fatalf("%s: digests (position, fresh) = %v, want %v", k, gotDigests[k], wantDigests[k])
+			t.Fatalf("%s: digests (position, through) = %v, want %v", k, gotDigests[k], wantDigests[k])
 		}
 	}
 }

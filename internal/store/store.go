@@ -248,7 +248,7 @@ func removeTempFiles(dir string) error {
 // been compacted.
 type ReplayHandler struct {
 	Observation func(job, env string, s core.Sample, at time.Time)
-	Digest      func(job, env string, fresh int, at time.Time)
+	Digest      func(job, env string, through int, at time.Time)
 }
 
 // Replay streams every persisted record — compacted segments first,
@@ -276,10 +276,10 @@ func (s *Store) Replay(h ReplayHandler) error {
 						h.Observation(k.job, k.env, p.Sample, p.At)
 					}
 				},
-				func(at int64, fresh int) {
+				func(at int64, through int) {
 					s.replayedDigests.Add(1)
 					if h.Digest != nil {
-						h.Digest(k.job, k.env, fresh, time.Unix(0, at))
+						h.Digest(k.job, k.env, through, time.Unix(0, at))
 					}
 				})
 		})
@@ -311,7 +311,7 @@ func (s *Store) Replay(h ReplayHandler) error {
 			case recDigest:
 				s.replayedDigests.Add(1)
 				if h.Digest != nil {
-					h.Digest(r.job, r.env, r.fresh, time.Unix(0, r.at))
+					h.Digest(r.job, r.env, r.through, time.Unix(0, r.at))
 				}
 			}
 			return nil
@@ -345,11 +345,12 @@ func (s *Store) AppendObservation(job, env string, sample core.Sample, at time.T
 	return s.w.append(payload)
 }
 
-// AppendDigest logs that fresh observations of a key were digested by
-// an installed (and checkpointed) model version, so replay restores
-// the ring's freshness state instead of re-triggering the fine-tune.
-func (s *Store) AppendDigest(job, env string, fresh int, at time.Time) error {
-	payload := appendDigest(nil, job, env, fresh, at.UnixNano())
+// AppendDigest logs that an installed (and checkpointed) model version
+// digested a key's observations through an ordinal: the count of the
+// key's observations the fine-tune's take consumed. Replay restores
+// the ring's freshness from it instead of re-triggering the fine-tune.
+func (s *Store) AppendDigest(job, env string, through int, at time.Time) error {
+	payload := appendDigest(nil, job, env, through, at.UnixNano())
 	return s.w.append(payload)
 }
 
@@ -396,7 +397,7 @@ func (s *Store) CompactNow() (int, error) {
 			case recObservation:
 				sd.add(r)
 			case recDigest:
-				sd.digests = append(sd.digests, digestMark{pos: len(sd.at), at: r.at, fresh: r.fresh})
+				sd.digests = append(sd.digests, digestMark{pos: len(sd.at), at: r.at, through: r.through})
 			}
 			records++
 			return nil

@@ -62,8 +62,8 @@ func replayAll(t *testing.T, s *Store) *replayed {
 			r.obs = append(r.obs, ObsPoint{At: at, Sample: smp})
 			r.keys = append(r.keys, job+"@"+env)
 		},
-		Digest: func(job, env string, fresh int, at time.Time) {
-			r.digests = append(r.digests, fresh)
+		Digest: func(job, env string, through int, at time.Time) {
+			r.digests = append(r.digests, through)
 		},
 	})
 	if err != nil {
@@ -88,7 +88,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decodeRecord digest: %v", err)
 	}
-	if rd.typ != recDigest || rd.job != "grep" || rd.env != "" || rd.fresh != 12 {
+	if rd.typ != recDigest || rd.job != "grep" || rd.env != "" || rd.through != 12 {
 		t.Fatalf("digest round trip mismatch: %+v", rd)
 	}
 	// Strictness: truncations of a valid record must all error.
