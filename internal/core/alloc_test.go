@@ -142,9 +142,10 @@ func TestEvalZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFinetuneEpochZeroAlloc pins one fine-tuning epoch — a dropout-free
-// step on the codes fixed before the loop, then the MAE evaluation on
-// the same batch — at zero allocations, on an arena taken the way
+// TestFinetuneEpochZeroAlloc pins one fine-tuning epoch — a single
+// dropout-free forward pass on the codes fixed before the loop, whose
+// predictions are both the previous update's MAE and the step's input,
+// then the step — at zero allocations, on an arena taken the way
 // Finetune takes it.
 func TestFinetuneEpochZeroAlloc(t *testing.T) {
 	cfg := allocConfig()
@@ -160,17 +161,17 @@ func TestFinetuneEpochZeroAlloc(t *testing.T) {
 	if _, err := m.Finetune(ctx, FinetuneOptions{MaxEpochs: 2}); err != nil {
 		t.Fatal(err)
 	}
-	run := &trainRun{
-		opt:   nn.NewAdam(cfg.FinetuneLRHigh, cfg.FinetuneWeightDecay),
-		huber: nn.HuberLoss{Delta: cfg.HuberDelta},
-	}
-	m.fillBatch(&m.trainB, ctx, nil)
+	opt := nn.NewAdam(cfg.FinetuneLRHigh, cfg.FinetuneWeightDecay)
+	huber := nn.HuberLoss{Delta: cfg.HuberDelta}
+	b := &m.trainB
+	m.fillBatch(b, ctx, nil)
 	m.borrowScratch()
 	defer m.releaseScratch()
-	m.fixCodes(&m.trainB)
+	m.fixCodes(b)
 	epoch := func() {
-		m.trainStep(run, nil)
-		m.evalMAEBatch(&m.trainB)
+		st := m.forward(b, false)
+		m.maeSeconds(st.pred.Data, nil, b.runtimes)
+		m.finetuneStep(opt, huber, st)
 	}
 	epoch() // the fresh optimizer's first step allocates its moments
 	if allocs := testing.AllocsPerRun(50, epoch); allocs != 0 {

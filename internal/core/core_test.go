@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/dataset"
@@ -709,14 +710,23 @@ func BenchmarkFinetune6Points(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := samples[:6]
+	// A stop rule moves the epoch count and an epoch's work moves
+	// us/epoch, so the two read apart; us/epoch is Finetune's own time.
+	var epochs int
+	var tuning time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, err := m.Clone()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Finetune(ctx, FinetuneOptions{Strategy: StrategyPartialUnfreeze, MaxEpochs: 100, Patience: 100}); err != nil {
+		rep, err := c.Finetune(ctx, FinetuneOptions{Strategy: StrategyPartialUnfreeze, MaxEpochs: 100, Patience: 100})
+		if err != nil {
 			b.Fatal(err)
 		}
+		epochs += rep.Epochs
+		tuning += rep.Duration
 	}
+	b.ReportMetric(float64(epochs)/float64(b.N), "epochs/op")
+	b.ReportMetric(float64(tuning.Microseconds())/float64(epochs), "us/epoch")
 }

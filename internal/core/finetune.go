@@ -61,11 +61,12 @@ type FinetuneOptions struct {
 // (paper step 2). In every strategy the auto-encoder parameters are
 // frozen and dropout is off (the paper uses alpha-dropout in
 // pre-training only), so the codes of the context's properties are
-// computed once, before the first epoch, and every epoch trains and
-// evaluates on the same clean codes. The learning rate follows cyclical
-// annealing; training stops early once the runtime MAE in seconds
-// reaches the target or stalls. The best model state (smallest MAE) is
-// restored before returning.
+// computed once, before the first epoch, and each epoch's one forward
+// pass on those clean codes both scores the previous epoch's update and
+// feeds the next step. The learning rate follows cyclical annealing;
+// training stops early once the runtime MAE in seconds reaches the
+// target or stalls. The best model state (smallest MAE) is restored
+// before returning.
 func (m *Model) Finetune(samples []Sample, opts FinetuneOptions) (*TrainReport, error) {
 	if err := validateSamples(m.Cfg, samples); err != nil {
 		return nil, err
@@ -105,41 +106,45 @@ func (m *Model) Finetune(samples []Sample, opts FinetuneOptions) (*TrainReport, 
 	m.slab.ZeroGrads()
 	opt := nn.NewAdam(cfg.FinetuneLRHigh, cfg.FinetuneWeightDecay)
 	sched := nn.CyclicalLR{Low: cfg.FinetuneLRLow, High: cfg.FinetuneLRHigh}
-	run := &trainRun{opt: opt, huber: nn.HuberLoss{Delta: cfg.HuberDelta}}
+	huber := nn.HuberLoss{Delta: cfg.HuberDelta}
 	stopper := nn.NewEarlyStopper(cfg.FinetuneTargetMAE, patience)
 
+	partial := opts.Strategy == StrategyPartialUnfreeze || opts.Strategy == StrategyPartialReset
 	unfreezeEpoch := cfg.UnfreezeAfterPerSample * len(samples)
 	report := &TrainReport{Shards: 1}
 	var bestState *nn.State
 
-	// One context batch serves both the training steps and the per-epoch
-	// MAE evaluation: fine-tuning is full-batch, so the encoded samples
-	// never change across epochs — and every step runs on it whole.
+	// Fine-tuning is full-batch, so the encoded samples never change
+	// across epochs: one context batch serves every epoch whole.
 	m.fillBatch(&m.trainB, samples, nil)
 	b := &m.trainB
 	m.fixCodes(b)
 	report.PropertyRows, report.DistinctProperties = b.propertyCounts(cfg)
-	for epoch := 0; epoch < maxEpochs; epoch++ {
-		if opts.Strategy == StrategyPartialUnfreeze || opts.Strategy == StrategyPartialReset {
-			if epoch == unfreezeEpoch {
-				nn.Freeze(m.params.f, false)
+	// An epoch's forward pass runs on the weights the previous epoch's
+	// update left, and dropout is off, so its predictions are that
+	// update's score as well as the step's input: the stopper observes
+	// them as the previous epoch before the step runs, and the pass
+	// after the last update only scores it.
+	for epoch := 0; ; epoch++ {
+		st := m.forward(b, false)
+		if epoch > 0 {
+			improved, stop := stopper.Observe(epoch-1, m.maeSeconds(st.pred.Data, nil, b.runtimes))
+			if improved {
+				bestState = nn.CaptureStateInto(bestState, m.slab)
+			}
+			if stop {
+				break
 			}
 		}
-		opt.SetLR(sched.Rate(epoch))
-
-		rLoss, _ := m.trainStep(run, nil)
-
-		report.FinalRuntimeLoss = rLoss
-		report.Epochs = epoch + 1
-
-		mae := m.evalMAEBatch(b)
-		improved, stop := stopper.Observe(epoch, mae)
-		if improved {
-			bestState = nn.CaptureStateInto(bestState, m.slab)
-		}
-		if stop {
+		if epoch >= maxEpochs {
 			break
 		}
+		if partial && epoch == unfreezeEpoch {
+			nn.Freeze(m.params.f, false)
+		}
+		opt.SetLR(sched.Rate(epoch))
+		report.FinalRuntimeLoss = m.finetuneStep(opt, huber, st)
+		report.Epochs = epoch + 1
 	}
 	if bestState != nil {
 		if err := nn.RestoreState(m.slab, bestState); err != nil {
@@ -150,6 +155,16 @@ func (m *Model) Finetune(samples []Sample, opts FinetuneOptions) (*TrainReport, 
 	report.Duration = time.Since(start)
 	m.finetuneSamples = len(samples)
 	return report, nil
+}
+
+// finetuneStep takes the optimizer step of the forward pass st over the
+// fine-tuning batch: Huber loss, backward, gradient clip, Adam step. It
+// returns the loss.
+func (m *Model) finetuneStep(opt *nn.Adam, huber nn.HuberLoss, st *forwardState) float64 {
+	loss, grad := huber.Compute(m.ws, st.pred, st.b.targets)
+	m.backward(st, grad, nil)
+	opt.StepShards(m.slab, nil, 1, 0, m.Cfg.GradClipNorm)
+	return loss
 }
 
 // applyStrategy configures freezing and re-initialization per strategy.

@@ -141,7 +141,7 @@ func (m *Model) Pretrain(samples []Sample) (*TrainReport, error) {
 		report.Epochs = epoch + 1
 
 		// Track the best state by full-corpus MAE in seconds.
-		mae := m.evalMAESplit(run)
+		mae := m.evalMAE(&m.corpus)
 		if improved, _ := best.Observe(epoch, mae); improved {
 			bestState = nn.CaptureStateInto(bestState, m.slab)
 		}
@@ -194,15 +194,14 @@ func (m *Model) pretrainRun(samples []Sample) *trainRun {
 	// first backward pass), whatever ran on this model before.
 	m.slab.ZeroGrads()
 	run := &trainRun{
-		corpus:   &m.corpus.samples,
-		opt:      nn.NewAdam(m.Cfg.LearningRate, m.Cfg.WeightDecay),
-		huber:    nn.HuberLoss{Delta: m.Cfg.HuberDelta},
-		pretrain: true,
+		corpus: &m.corpus.samples,
+		opt:    nn.NewAdam(m.Cfg.LearningRate, m.Cfg.WeightDecay),
+		huber:  nn.HuberLoss{Delta: m.Cfg.HuberDelta},
 	}
 	if full := min(m.Cfg.BatchSize, len(samples)); shardCut(full) < full {
 		if m.second == nil {
 			m.second = m.replica(1)
-			m.second.pass.fn, m.second.pass.evalFn = m.second.runPass, m.second.runEval
+			m.second.pass.fn = m.second.runPass
 		}
 		m.second.norm, m.second.target = m.norm, m.target
 		run.second = m.second
@@ -210,12 +209,11 @@ func (m *Model) pretrainRun(samples []Sample) *trainRun {
 	return run
 }
 
-// trainRun is what the steps of one Pretrain or Finetune call share.
+// trainRun is what the steps of one Pretrain call share.
 type trainRun struct {
-	corpus   *batch // the encoded samples the steps' indices select from
-	opt      *nn.Adam
-	huber    nn.HuberLoss
-	pretrain bool // forward mode: dropout and the reconstruction term
+	corpus *batch // the encoded samples the steps' indices select from
+	opt    *nn.Adam
+	huber  nn.HuberLoss
 
 	// second runs the second shard of a split step, on helper when one
 	// was leased and on the caller otherwise; nil when no batch of the
@@ -230,30 +228,23 @@ type trainRun struct {
 // in, its mean losses out (its gradient lands in its parameters' Grad).
 type gradPass struct {
 	run              *trainRun
-	idx              []int // nil: trainB is filled already
+	idx              []int
 	rLoss, reconLoss float64
 	fn               func() // runPass, bound once: handing it to a helper allocates nothing
-	// evalRows and evalPred are the rows of a split evaluation's second
-	// half and where their predictions go; evalFn is runEval, bound once.
-	evalRows *batch
-	evalPred []float32
-	evalFn   func()
 }
 
 // runPass gathers the shard's samples from the corpus table and runs
-// forward, joint loss and backward on them. It touches nothing another
-// shard's pass touches except the parameter values and the table, which
-// both only read.
+// forward with alpha-dropout on, joint loss and backward on them. It
+// touches nothing another shard's pass touches except the parameter
+// values and the table, which both only read.
 func (m *Model) runPass() {
 	p, b := &m.pass, &m.trainB
-	if p.idx != nil {
-		m.gatherBatch(b, p.run.corpus, p.idx)
-	}
-	st := m.forward(b, p.run.pretrain)
+	m.gatherBatch(b, p.run.corpus, p.idx)
+	st := m.forward(b, true)
 	var rGrad, reconGrad *mat.DenseF32
 	p.rLoss, rGrad = p.run.huber.Compute(m.ws, st.pred, b.targets)
 	p.reconLoss = 0
-	if p.run.pretrain && m.Cfg.ReconWeight > 0 {
+	if m.Cfg.ReconWeight > 0 {
 		p.reconLoss, reconGrad = m.h.ReconLossRows(m.ws, st.codes, b.props, b.propRow, m.Cfg.ReconWeight)
 	}
 	m.backward(st, rGrad, reconGrad)
@@ -289,8 +280,7 @@ func (m *Model) trainStep(run *trainRun, idx []int) (rLoss, reconLoss float64) {
 // first. Each shard's gradient, of the mean loss over its own samples,
 // is left in its parameters' Grad. Who ran the second shard changes
 // nothing it computes, so neither does it change the result. A batch
-// too small to cut is the same loop with one shard; a nil idx steps on
-// the batch already in trainB, whole (Finetune's, with its fixed codes).
+// too small to cut is the same loop with one shard.
 func (m *Model) shardPasses(run *trainRun, idx []int) (rLoss, reconLoss, w1 float64) {
 	n := len(idx)
 	cut := shardCut(n)
@@ -322,13 +312,6 @@ func (m *Model) shardPasses(run *trainRun, idx []int) (rLoss, reconLoss, w1 floa
 	// The model outlives the run; it must not keep the corpus alive.
 	first.run, first.idx = nil, nil
 	return rLoss, reconLoss, w1
-}
-
-// evalMAEBatch computes the runtime MAE in seconds over an
-// already-filled batch.
-func (m *Model) evalMAEBatch(b *batch) float64 {
-	st := m.forward(b, false)
-	return m.maeSeconds(st.pred.Data, nil, b.runtimes)
 }
 
 // maeSeconds is the mean absolute error in seconds of the scaled

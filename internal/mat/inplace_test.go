@@ -11,21 +11,6 @@ import (
 // multiply kernels, which do reorder summation, are covered to epsilon
 // tolerance against the mul_ref.go oracle in mul32_equiv_test.go.
 
-func closeish(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d <= 1e-12*(1+max(abs(a), abs(b)))
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // garbageDense returns a matrix pre-filled with junk, to prove the To
 // kernels fully overwrite their destination.
 func garbageDense(rows, cols int) *Dense {
@@ -44,22 +29,6 @@ func bitIdentical(t *testing.T, name string, got, want *Dense) {
 	for i, v := range got.Data {
 		if v != want.Data[i] {
 			t.Fatalf("%s: element %d = %v, want bit-identical %v", name, i, v, want.Data[i])
-		}
-	}
-}
-
-func TestMulATBAccAccumulates(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randomDense(rng, 11, 5)
-	b := randomDense(rng, 11, 3)
-	prior := randomDense(rng, 5, 3)
-	dst := prior.Clone()
-	MulATBAcc(dst, a, b)
-	want := NewDense(5, 3)
-	refMulATBTo(want, a, b)
-	for i := range dst.Data {
-		if got, w := dst.Data[i], prior.Data[i]+want.Data[i]; !closeish(got, w) {
-			t.Fatalf("MulATBAcc[%d] = %v, want %v", i, got, w)
 		}
 	}
 }
@@ -185,18 +154,6 @@ func TestMulToZeroAllocSerial(t *testing.T) {
 	dst := NewDense(16, 12)
 	if allocs := testing.AllocsPerRun(100, func() { MulTo(dst, a, b) }); allocs != 0 {
 		t.Fatalf("MulTo allocs/op = %v, want 0", allocs)
-	}
-}
-
-// TestMulATBAccZeroAlloc pins the accumulating aᵀ*b product at zero
-// allocations, at the weight-gradient shapes of a training shard.
-func TestMulATBAccZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, s := range gradShapes {
-		a, b, dst := randomDense(rng, s.k, s.m), randomDense(rng, s.k, s.n), NewDense(s.m, s.n)
-		if allocs := testing.AllocsPerRun(100, func() { MulATBAcc(dst, a, b) }); allocs != 0 {
-			t.Fatalf("MulATBAcc %dx%dᵀ·%dx%d allocs/op = %v, want 0", s.k, s.m, s.k, s.n, allocs)
-		}
 	}
 }
 

@@ -19,21 +19,14 @@ func MulTo(dst, a, b *Dense) {
 	refMulTo(dst, a, b)
 }
 
-// MulATBTo computes dst = aᵀ*b, fully overwriting dst.
+// MulATBTo computes dst = aᵀ*b without materializing the transpose,
+// fully overwriting dst.
 func MulATBTo(dst, a, b *Dense) {
-	checkDst("MulATBTo", dst, a.Cols, b.Cols)
-	dst.Zero()
-	MulATBAcc(dst, a, b)
-}
-
-// MulATBAcc accumulates dst += aᵀ*b without materializing the
-// transpose.
-func MulATBAcc(dst, a, b *Dense) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MulATB row mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	checkDst("MulATBAcc", dst, a.Cols, b.Cols)
-	refMulATBAcc(dst, a, b)
+	checkDst("MulATBTo", dst, a.Cols, b.Cols)
+	refMulATBTo(dst, a, b)
 }
 
 // MulABTTo computes dst = a*bᵀ without materializing the transpose,

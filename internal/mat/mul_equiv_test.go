@@ -73,7 +73,7 @@ var issuedShapes = []struct{ m, k, n int }{
 
 // gradShapes are the gradient products one 32-sample shard of a
 // pre-training step issues at DefaultConfig, as m x k x n. The weight
-// gradients dW += xᵀ·dY run as MulATBAcc with x k x m and dY k x n:
+// gradients dW += xᵀ·dY run as MulATBAccF32 with x k x m and dY k x n:
 // g's second layer (224x8ᵀ·224x4), its first on the shard's distinct
 // property rows (47x40ᵀ·47x8), h's first (224x4ᵀ·224x8), z's two
 // (32x28ᵀ·32x8, 32x8ᵀ·32x1) and f's two (32x3ᵀ·32x16, 32x16ᵀ·32x8).
@@ -88,7 +88,7 @@ var gradShapes = []struct{ m, k, n int }{
 // in two halves: the three quick checks draw ragged shapes (dims
 // 1..67) from random seeds, and TestAllKernelFamiliesMatchRef walks the
 // k = 0 and n = 1 edges, issuedShapes and gradShapes under every kernel
-// family. Every destination but MulATBAcc's starts as garbage.
+// family. Every destination starts as garbage.
 
 func TestQuickMulToMatchesRef(t *testing.T) {
 	f := func(seed int64) bool {
@@ -117,13 +117,6 @@ func TestQuickMulATBMatchesRef(t *testing.T) {
 		refMulATBTo(want, a, b)
 		dst := garbageDense(ca, cb)
 		MulATBTo(dst, a, b)
-		if !sameBits(dst, want) {
-			return false
-		}
-		prior := randomDense(rng, ca, cb)
-		want, dst = prior.Clone(), prior.Clone()
-		refMulATBAcc(want, a, b)
-		MulATBAcc(dst, a, b)
 		return sameBits(dst, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -165,9 +158,8 @@ func sameBits(got, want *Dense) bool {
 // TestAllKernelFamiliesMatchRef pins every float64 product to its
 // reference loop bit for bit under each kernel family — the family
 // steers only the float32 kernels — over the k = 0 and n = 1 edges,
-// issuedShapes and gradShapes: MulTo, MulATBTo, MulATBAcc onto a
-// dst that holds values, and MulABTTo. Each shape is a*b's m x k x n;
-// aᵀ*b and a*bᵀ take the same operands transposed.
+// issuedShapes and gradShapes: MulTo, MulATBTo and MulABTTo. Each shape
+// is a*b's m x k x n; aᵀ*b and a*bᵀ take the same operands transposed.
 func TestAllKernelFamiliesMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	shapes := []struct{ m, k, n int }{{5, 0, 3}, {1, 0, 1}, {33, 29, 1}, {1, 1, 1}, {37, 23, 19}, {70, 67, 66}, {12, 300, 41}}
@@ -191,11 +183,6 @@ func TestAllKernelFamiliesMatchRef(t *testing.T) {
 			refMulATBTo(want, at, b)
 			MulATBTo(got, at, b)
 			bitIdentical(t, "MulATBTo/"+name, got, want)
-			prior := randomDense(rng, s.m, s.n)
-			want, got = prior.Clone(), prior.Clone()
-			refMulATBAcc(want, at, b)
-			MulATBAcc(got, at, b)
-			bitIdentical(t, "MulATBAcc/"+name, got, want)
 
 			want, got = garbageDense(s.m, s.n), garbageDense(s.m, s.n)
 			refMulABTTo(want, a, bt)
