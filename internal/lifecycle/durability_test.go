@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -245,95 +245,166 @@ func TestReplayDigestSurvivesCompaction(t *testing.T) {
 	}
 }
 
-// TestReplayRebuildsLiveRing: over seeded random schedules (see
-// runLoggedSchedule) at ring capacities 1, 8 and 256, replaying the log
-// rebuilds the live ring: the same samples in order, the same pending
-// count and the same staleness anchor.
+// TestReplayRebuildsLiveRing: over seeded random schedules of two keys
+// (see runLoggedSchedule) at ring capacities 1, 8 and 256, replaying the
+// log, compacted at seeded steps, rebuilds the live rings: the same
+// samples in order, the same ordinals, pending count and staleness
+// anchor, at a mid-schedule reopen and at the end.
 func TestReplayRebuildsLiveRing(t *testing.T) {
 	for _, bufferCap := range []int{1, 8, 256} {
 		t.Run(fmt.Sprintf("cap%d", bufferCap), func(t *testing.T) {
+			var counts scheduleCounts
 			for seed := uint64(1); seed <= 20; seed++ {
-				live, replayed := runLoggedSchedule(t, bufferCap, seed)
-				if got, want := ringContents(replayed), ringContents(live); !slices.Equal(got, want) {
-					t.Fatalf("seed %d: replayed ring %v, live ring %v", seed, got, want)
-				}
-				gotN, gotAt := freshState(replayed)
-				wantN, wantAt := freshState(live)
-				if gotN != wantN || !gotAt.Equal(wantAt) {
-					t.Fatalf("seed %d: replayed %d pending anchored at %v, live %d at %v", seed, gotN, gotAt, wantN, wantAt)
-				}
+				runLoggedSchedule(t, bufferCap, seed, &counts)
+			}
+			if counts.inFlight == 0 || counts.twice == 0 {
+				t.Fatalf("schedules compacted %d times with a take in flight and %d times twice in a row, want both",
+					counts.inFlight, counts.twice)
 			}
 		})
 	}
 }
 
-// runLoggedSchedule drives a live ring of capacity bufferCap through
-// 600 seeded random steps, one a second: observations, takes (by
-// trigger or for drain), installed fine-tunes (their digest logged
-// through the take's ordinal) and refused ones (requeued), with
-// observations landing between a take and its digest. It logs to a
-// store as the controller does, settles a take still in flight as
-// installed, then replays the log into a fresh controller. It returns
-// the live ring and the replayed one.
-func runLoggedSchedule(t *testing.T, bufferCap int, seed uint64) (live, replayed *buffer) {
+// scheduleKeys are the keys a logged schedule interleaves.
+var scheduleKeys = [2]serve.ModelKey{{Job: "sort", Env: "c3o"}, {Job: "grep", Env: "c3o"}}
+
+// liveRing is one key's ring in a logged schedule and its take in
+// flight.
+type liveRing struct {
+	buf      *buffer
+	job      tuneJob
+	inFlight bool
+}
+
+// scheduleCounts tallies the compactions the schedules must include:
+// those between a take and its digest, and those run twice in a row.
+type scheduleCounts struct{ inFlight, twice int }
+
+// ringState is everything of a ring that replay restores.
+type ringState struct {
+	contents       []ringEntry
+	seen, digested int
+	pending        int
+	oldest         time.Time
+}
+
+func stateOf(b *buffer) ringState {
+	st := ringState{contents: ringContents(b)}
+	b.mu.Lock()
+	st.seen, st.digested = b.seen, b.digested
+	b.mu.Unlock()
+	st.pending, st.oldest = freshState(b)
+	return st
+}
+
+// runLoggedSchedule drives the live rings of two keys, capacity
+// bufferCap, through 600 seeded random steps, one a second:
+// observations, takes (by trigger or for drain), installed fine-tunes
+// (their digest logged through the take's ordinal) and refused ones
+// (requeued), with observations landing between a take and its digest.
+// It logs to a store as the controller does, on WAL segments that roll
+// every few records, and compacts at seeded steps: sometimes twice in a
+// row, sometimes while a take is in flight. Halfway it settles the
+// takes in flight as installed, closes and reopens the store and
+// replays it; at the end it settles them again and replays once more.
+// Each replay must rebuild both live rings.
+func runLoggedSchedule(t *testing.T, bufferCap int, seed uint64, counts *scheduleCounts) {
 	t.Helper()
-	key := serve.ModelKey{Job: "sort", Env: "c3o"}
 	q := testQuery(4, 10000)
 	rng := rand.New(rand.NewPCG(seed, uint64(bufferCap)))
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{Fsync: store.FsyncNever})
+	opts := store.Options{Fsync: store.FsyncNever, SegmentBytes: 256}
+	st, err := store.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
-	live = newBuffer(bufferCap)
-	var inFlight bool
-	var job tuneJob
-	settle := func(at time.Time, installed bool) {
+	var live [2]liveRing
+	for i := range live {
+		live[i].buf = newBuffer(bufferCap)
+	}
+	settle := func(k int, at time.Time, installed bool) {
+		r := &live[k]
 		if installed {
-			if err := st.AppendDigest(key.Job, key.Env, job.through, at); err != nil {
+			if err := st.AppendDigest(scheduleKeys[k].Job, scheduleKeys[k].Env, r.job.through, at); err != nil {
 				t.Fatalf("AppendDigest: %v", err)
 			}
 		} else {
-			live.requeue(job.prev, at, time.Second)
+			r.buf.requeue(r.job.prev, at, time.Second)
 		}
-		live.tuneDone()
-		inFlight = false
+		r.buf.tuneDone()
+		r.inFlight = false
+	}
+	compact := func() {
+		if _, err := st.CompactNow(); err != nil {
+			t.Fatalf("CompactNow: %v", err)
+		}
+	}
+	// replayAndCheck settles the takes in flight, closes the store,
+	// replays a reopened one into a fresh controller and compares its
+	// rings with the live ones. It returns the reopened store.
+	replayAndCheck := func(at time.Time, when string) *store.Store {
+		for k := range live {
+			if live[k].inFlight {
+				settle(k, at, true)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		st2, err := store.Open(dir, opts)
+		if err != nil {
+			t.Fatalf("store.Open: %v", err)
+		}
+		ctl := New(serve.NewRegistry((&testLoader{t: t}).load, 4), Config{BufferCap: bufferCap})
+		replayInto(t, st2, ctl)
+		for k, key := range scheduleKeys {
+			replayed := ctl.buffers[key]
+			if replayed == nil {
+				replayed = newBuffer(bufferCap)
+			}
+			if got, want := stateOf(replayed), stateOf(live[k].buf); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %s, %s: replayed ring %+v, live ring %+v", seed, when, key, got, want)
+			}
+		}
+		return st2
 	}
 	at := time.Unix(1_700_000_000, 0)
 	for step := 0; step < 600; step++ {
 		at = at.Add(time.Second)
-		switch r := rng.IntN(10); {
-		case r < 6:
+		if step == 300 {
+			st = replayAndCheck(at, "reopened mid-schedule")
+		}
+		k := rng.IntN(len(live))
+		r := &live[k]
+		switch x := rng.IntN(11); {
+		case x < 6:
 			s := core.Sample{ScaleOut: q.ScaleOut, Essential: q.Essential, Optional: q.Optional, RuntimeSec: float64(step + 1)}
-			if err := st.AppendObservation(key.Job, key.Env, s, at); err != nil {
+			if err := st.AppendObservation(scheduleKeys[k].Job, scheduleKeys[k].Env, s, at); err != nil {
 				t.Fatalf("AppendObservation: %v", err)
 			}
-			live.add(s, at)
-		case r == 6 && !inFlight:
-			job, inFlight = live.takeForDrain()
-		case r == 7 && !inFlight:
-			job, inFlight = live.takeIfTriggered(at, 1+rng.IntN(bufferCap), 30*time.Second)
-		case r == 8 && inFlight:
-			settle(at, true)
-		case r == 9 && inFlight:
-			settle(at, false)
+			r.buf.add(s, at)
+		case x == 6 && !r.inFlight:
+			r.job, r.inFlight = r.buf.takeForDrain()
+		case x == 7 && !r.inFlight:
+			r.job, r.inFlight = r.buf.takeIfTriggered(at, 1+rng.IntN(bufferCap), 30*time.Second)
+		case x == 8 && r.inFlight:
+			settle(k, at, true)
+		case x == 9 && r.inFlight:
+			settle(k, at, false)
+		case x == 10:
+			compact()
+			if live[0].inFlight || live[1].inFlight {
+				counts.inFlight++
+			}
+			if rng.IntN(2) == 0 {
+				compact()
+				counts.twice++
+			}
 		}
 	}
-	if inFlight {
-		settle(at, true)
-	}
-	if err := st.Close(); err != nil {
+	if err := replayAndCheck(at, "at the end").Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-
-	st2, err := store.Open(dir, store.Options{Fsync: store.FsyncNever})
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	defer st2.Close()
-	ctl := New(serve.NewRegistry((&testLoader{t: t}).load, 4), Config{BufferCap: bufferCap})
-	replayInto(t, st2, ctl)
-	return live, ctl.buffers[key]
 }
 
 // TestLifecycleDurableRestart extends TestObserveFinetuneSwapImproves
