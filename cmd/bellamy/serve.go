@@ -51,8 +51,8 @@ func runServe(args []string) error {
 	observe := fs.Bool("observe", false, "accept runtime observations on POST /v1/observe and fine-tune served models online")
 	ftInterval := fs.Duration("finetune-interval", lifecycle.DefaultInterval, "background fine-tune scan period")
 	ftMinSamples := fs.Int("finetune-min-samples", lifecycle.DefaultMinSamples, "fresh observations per model that trigger a fine-tune")
-	ftBuffer := fs.Int("observe-buffer", lifecycle.DefaultBufferCap, "per-model observation ring capacity")
-	dataDir := fs.String("data-dir", "", "durable store directory (WAL + compacted segments + model checkpoints); sharded serving uses <dir>/shard-<i> per shard; empty disables durability")
+	ftBuffer := fs.Int("observe-buffer", lifecycle.DefaultBufferCap, "per-model observation ring capacity; compaction of -data-dir keeps this many observations a model")
+	dataDir := fs.String("data-dir", "", "durable store directory (WAL + compacted snapshot + model checkpoints); sharded serving uses <dir>/shard-<i> per shard; empty disables durability")
 	fsyncMode := fs.String("fsync", "always", "WAL durability: always (every append), interval (batched), never (OS page cache)")
 	rate := fs.Float64("rate-limit", loadctl.DefaultRate, "per-client request rate limit in req/s, burst 2x (0 disables rate limiting)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on SIGTERM/SIGINT")
@@ -68,6 +68,9 @@ func runServe(args []string) error {
 	}
 	if *shards < 1 {
 		return fmt.Errorf("serve: -shards %d must be at least 1", *shards)
+	}
+	if *ftBuffer < 1 {
+		return fmt.Errorf("serve: -observe-buffer %d must be at least 1", *ftBuffer)
 	}
 	logger := obs.NewLogger(os.Stdout, *logLevel, *logFormat)
 
@@ -117,14 +120,19 @@ func runServe(args []string) error {
 			if n.st != nil {
 				// Replay the durable history into the observation rings before
 				// accepting traffic: each digest record names the ordinal its
-				// fine-tune consumed through, so already-checkpointed work does
-				// not re-trigger and later observations stay fresh.
+				// fine-tune consumed through, and a snapshot's dropped counts
+				// restore the ordinals of observations compaction dropped, so
+				// already-checkpointed work does not re-trigger and later
+				// observations stay fresh.
 				err := n.st.Replay(store.ReplayHandler{
 					Observation: func(job, env string, s core.Sample, at time.Time) {
 						n.ctl.Restore(serve.ModelKey{Job: job, Env: env}, s, at)
 					},
 					Digest: func(job, env string, through int, at time.Time) {
 						n.ctl.RestoreDigest(serve.ModelKey{Job: job, Env: env}, through)
+					},
+					Dropped: func(job, env string, dropped int) {
+						n.ctl.RestoreDropped(serve.ModelKey{Job: job, Env: env}, dropped)
 					},
 				})
 				if err != nil {
@@ -242,8 +250,9 @@ func runServe(args []string) error {
 			defer n.ctl.Stop()
 		}
 		if n.st != nil {
-			n.st.Start()
-			n.log.Info("durable store on", "fsync", *fsyncMode, "compact_interval", store.DefaultCompactInterval)
+			n.st.Start(*ftBuffer)
+			n.log.Info("durable store on", "fsync", *fsyncMode, "compact_interval", store.DefaultCompactInterval,
+				"compact_keep", *ftBuffer)
 		}
 	}
 	if *observe {

@@ -265,8 +265,8 @@ type LifecycleStats struct {
 	// MeanFinetuneUsec is the average wall-clock time of a fine-tune
 	// run (failed runs included).
 	MeanFinetuneUsec float64 `json:"mean_finetune_usec"`
-	// Restored counts observations and digest markers re-admitted from
-	// the durable log during boot replay.
+	// Restored counts observations, digest markers and dropped counts
+	// re-admitted from the durable log during boot replay.
 	Restored int64 `json:"restored,omitempty"`
 	// LogErrors counts durable-log append and checkpoint write failures
 	// (observations rejected as not-durable, versions left
@@ -292,13 +292,13 @@ type StoreStats struct {
 	ReplayedObservations int64 `json:"replayed_observations"`
 	ReplayedDigests      int64 `json:"replayed_digests"`
 	// CorruptSegments counts files that failed validation: a sealed WAL
-	// segment that stopped replay, or a compacted segment that did not
-	// scan clean at open (and was skipped, deleting no WAL) or failed
-	// to decode at replay.
+	// segment that stopped replay, or a snapshot that did not scan
+	// clean at open (and was skipped, deleting no WAL) or failed to
+	// decode at replay or compaction.
 	CorruptSegments int64 `json:"corrupt_segments,omitempty"`
-	// Compactions counts compaction runs that produced a segment;
+	// Compactions counts compaction runs that produced a snapshot;
 	// CompactedRecords the WAL records they absorbed; CompactSegments
-	// the current compacted segment count.
+	// is 1 while a trusted snapshot exists, else 0.
 	Compactions      int64 `json:"compactions"`
 	CompactedRecords int64 `json:"compacted_records"`
 	CompactSegments  int   `json:"compact_segments"`

@@ -209,12 +209,21 @@ func (b *buffer) purge(drop func(core.Sample) bool) int {
 // take whose fine-tune was checkpointed. Its samples anchor future
 // fine-tunes without re-triggering one, while observations logged
 // during that fine-tune, before its record, stay fresh as they are live.
-// A log replayed past a skipped damaged segment can name more samples
+// A log replayed past a skipped damaged snapshot can name more samples
 // than the ring saw; capping at seen keeps later arrivals fresh.
 func (b *buffer) markDigested(through int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.digested = min(through, b.seen)
+}
+
+// markDropped replays a dropped-count record: the ring had seen n more
+// observations before the ones replayed after it, which compaction
+// dropped because the ring no longer held them.
+func (b *buffer) markDropped(n int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.seen += n
 }
 
 // clearBackoff resets the failure state once an attempt gets past the

@@ -258,6 +258,21 @@ func (c *Controller) RestoreDigest(key serve.ModelKey, through int) {
 	c.restored.Add(1)
 }
 
+// RestoreDropped replays a dropped-count record during boot: compaction
+// dropped n of key's observations, older than those replayed after it,
+// because the ring no longer held them. The ring counts them as seen
+// (see buffer.markDropped), so later digest records name the samples
+// they did on the live node.
+func (c *Controller) RestoreDropped(key serve.ModelKey, n int) {
+	b, err := c.bufferFor(key)
+	if err != nil {
+		c.rejected.Add(1)
+		return
+	}
+	b.markDropped(n)
+	c.restored.Add(1)
+}
+
 func (c *Controller) bufferFor(key serve.ModelKey) (*buffer, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

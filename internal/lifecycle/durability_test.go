@@ -58,6 +58,9 @@ func replayInto(t *testing.T, st *store.Store, ctl *Controller) {
 		Digest: func(job, env string, through int, at time.Time) {
 			ctl.RestoreDigest(serve.ModelKey{Job: job, Env: env}, through)
 		},
+		Dropped: func(job, env string, n int) {
+			ctl.RestoreDropped(serve.ModelKey{Job: job, Env: env}, n)
+		},
 	})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
@@ -134,12 +137,13 @@ func ringContents(b *buffer) []ringEntry {
 // replayDigestScenario logs 11 observations of one key, one a second,
 // a digest through the first 8, then later more observations, into a
 // store whose every append seals the segment before it. With compact
-// set, it compacts the sealed segments after the first 11
-// observations, after the digest and after the later observations, so
-// the replay reads the records, the digest among them, regrouped per
-// key. It replays the log into a controller of
-// ring capacity bufferCap and returns the key's pending count and
-// staleness anchor, and arrival(i), the i-th observation's arrival.
+// set, it compacts the sealed segments, keeping bufferCap observations,
+// after the first 11 observations, after the digest and after the later
+// observations, so the replay reads a snapshot: a dropped count, the
+// kept observations, then the digest. It replays the log into a
+// controller of ring capacity bufferCap and returns the key's pending
+// count and staleness anchor, and arrival(i), the i-th observation's
+// arrival.
 func replayDigestScenario(t *testing.T, bufferCap, later int, compact bool) (pending int, oldest time.Time, arrival func(int) time.Time) {
 	t.Helper()
 	dir := t.TempDir()
@@ -163,7 +167,7 @@ func replayDigestScenario(t *testing.T, bufferCap, later int, compact bool) (pen
 		if !compact {
 			return
 		}
-		if n, err := st.CompactNow(); err != nil || n == 0 {
+		if n, err := st.CompactNow(bufferCap); err != nil || n == 0 {
 			t.Fatalf("CompactNow = (%d, %v), want records compacted", n, err)
 		}
 	}
@@ -210,7 +214,7 @@ func TestReplayKeepsObservationsLoggedDuringFinetuneWrapped(t *testing.T) {
 }
 
 // TestReplayDigestPastSkippedHistory: a digest naming more observations
-// than replay restored (a damaged compacted segment was skipped) marks
+// than replay restored (a damaged snapshot was skipped) marks
 // the ring digested, and the observations after it count fresh at once.
 func TestReplayDigestPastSkippedHistory(t *testing.T) {
 	b := newBuffer(8)
@@ -225,11 +229,67 @@ func TestReplayDigestPastSkippedHistory(t *testing.T) {
 	}
 }
 
-// TestReplayDigestSurvivesCompaction: compaction regroups records per
-// key and keeps a digest as a position in its key's stream, so a log
-// compacted between the observations and the digest, and between the
-// digest and later observations, replays to the same pending count and
-// staleness anchor as the uncompacted log.
+// TestCompactedDigestPastSkippedHistory: a digest naming more
+// observations than the log holds before it (history lost with a
+// damaged snapshot) marks only those digested, so the observation after
+// it stays fresh. The snapshot keeps the digest capped, so the
+// compacted log replays to the ring the whole log does.
+func TestCompactedDigestPastSkippedHistory(t *testing.T) {
+	dir := t.TempDir()
+	opts := store.Options{Fsync: store.FsyncNever, SegmentBytes: 1}
+	st, err := store.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	key := serve.ModelKey{Job: "sort", Env: "c3o"}
+	q := testQuery(4, 10000)
+	at := time.Unix(1_700_000_000, 0)
+	observe := func(i int) {
+		s := core.Sample{ScaleOut: q.ScaleOut, Essential: q.Essential, Optional: q.Optional, RuntimeSec: float64(i + 1)}
+		if err := st.AppendObservation(key.Job, key.Env, s, at.Add(time.Duration(i)*time.Second)); err != nil {
+			t.Fatalf("AppendObservation: %v", err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		observe(i)
+	}
+	if err := st.AppendDigest(key.Job, key.Env, 100, at); err != nil {
+		t.Fatalf("AppendDigest: %v", err)
+	}
+	observe(3)
+	observe(4)
+	// replayed reopens the store, which rolls its full active segment
+	// so that a compaction after it takes every record, and replays it.
+	replayed := func() *buffer {
+		t.Helper()
+		if err := st.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if st, err = store.Open(dir, opts); err != nil {
+			t.Fatalf("store.Open: %v", err)
+		}
+		ctl := New(serve.NewRegistry((&testLoader{t: t}).load, 4), Config{BufferCap: 2})
+		replayInto(t, st, ctl)
+		return ctl.buffers[key]
+	}
+	whole := stateOf(replayed())
+	if whole.pending != 2 || whole.digested != 3 {
+		t.Fatalf("whole log: %d pending, digested through %d, want 2 and 3", whole.pending, whole.digested)
+	}
+	if n, err := st.CompactNow(2); err != nil || n == 0 {
+		t.Fatalf("CompactNow = (%d, %v), want records compacted", n, err)
+	}
+	compacted := stateOf(replayed())
+	defer st.Close()
+	if !reflect.DeepEqual(compacted, whole) {
+		t.Fatalf("compacted log replays to %+v, want %+v as the whole log", compacted, whole)
+	}
+}
+
+// TestReplayDigestSurvivesCompaction: compaction keeps a key's ring
+// and its ordinals, so a log compacted between the observations and the
+// digest, and between the digest and later observations, replays to
+// the same pending count and staleness anchor as the uncompacted log.
 func TestReplayDigestSurvivesCompaction(t *testing.T) {
 	for _, bufferCap := range []int{8, DefaultBufferCap} {
 		wantPending, wantOldest, arrival := replayDigestScenario(t, bufferCap, 2, false)
@@ -335,7 +395,7 @@ func runLoggedSchedule(t *testing.T, bufferCap int, seed uint64, counts *schedul
 		r.inFlight = false
 	}
 	compact := func() {
-		if _, err := st.CompactNow(); err != nil {
+		if _, err := st.CompactNow(bufferCap); err != nil {
 			t.Fatalf("CompactNow: %v", err)
 		}
 	}

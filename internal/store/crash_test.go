@@ -417,11 +417,11 @@ func kill9Child(t *testing.T) {
 }
 
 // TestDamagedSegmentIsSkipped: Open deletes every WAL segment up to
-// the walLast of each compacted segment it trusts, so a damaged
-// segment must not be trusted. A flipped bit anywhere in a v2 segment
-// (its magic, a frame's length or CRC, the payload) and a v1 segment
-// are each counted corrupt and skipped: every live WAL segment after
-// it survives, and replay delivers exactly the WAL's records.
+// the walLast of the snapshot it trusts, so a damaged snapshot must not
+// be trusted. A flipped bit anywhere in it (its magic, a frame's length
+// or CRC, the payload), v2's magic and v1's are each counted corrupt
+// and skipped: every live WAL segment after it survives, and replay
+// delivers exactly the WAL's records.
 func TestDamagedSegmentIsSkipped(t *testing.T) {
 	base := t.TempDir()
 	s, err := Open(base, Options{Fsync: FsyncNever, SegmentBytes: 256})
@@ -438,7 +438,7 @@ func TestDamagedSegmentIsSkipped(t *testing.T) {
 		}
 	}
 	appendUntil(3)
-	compacted, err := s.CompactNow()
+	compacted, err := s.CompactNow(256)
 	if err != nil || compacted == 0 {
 		t.Fatalf("CompactNow = (%d, %v), want records compacted", compacted, err)
 	}
@@ -462,7 +462,7 @@ func TestDamagedSegmentIsSkipped(t *testing.T) {
 	const frame = walHeaderLen // the first frame's offset
 	cases := []damage{
 		{"magic", 0},
-		{"version", 4 * 8},
+		{"version (v2's magic)", 4 * 8},
 		{"frame length low bit", frame * 8},
 		{"frame length high bit", (frame+3)*8 + 7},
 		{"frame CRC", (frame + 4) * 8},
@@ -509,9 +509,9 @@ func TestDamagedSegmentIsSkipped(t *testing.T) {
 	}
 }
 
-// TestUndecodableSegmentFrameIsSkipped: a frame whose CRC holds but
-// whose series block does not decode (a writer bug, or damage the CRC
-// missed) passes Open's scan. Replay counts the segment corrupt, skips
+// TestUndecodableSegmentFrameIsSkipped: a snapshot frame whose CRC
+// holds but which does not inflate (a writer bug, or damage the CRC
+// missed) passes Open's scan. Replay counts the snapshot corrupt, skips
 // the rest of it and goes on, instead of stopping with ErrCorrupt.
 func TestUndecodableSegmentFrameIsSkipped(t *testing.T) {
 	dir := t.TempDir()
@@ -525,7 +525,7 @@ func TestUndecodableSegmentFrameIsSkipped(t *testing.T) {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	if _, err := s.CompactNow(); err != nil {
+	if _, err := s.CompactNow(256); err != nil {
 		t.Fatalf("CompactNow: %v", err)
 	}
 	if err := s.Close(); err != nil {
@@ -533,10 +533,9 @@ func TestUndecodableSegmentFrameIsSkipped(t *testing.T) {
 	}
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg", "*.seg"))
 	if len(segs) != 1 {
-		t.Fatalf("%d compacted segments, want 1", len(segs))
+		t.Fatalf("%d snapshots, want 1", len(segs))
 	}
-	bad := appendString(appendString(nil, "sort"), "c3o")
-	bad = append(bad, 0xff) // a truncated sample count
+	bad := []byte{0xff, 0xff} // a reserved deflate block type
 	writeFileT(t, segs[0], appendFrame(readFileT(t, segs[0]), bad))
 
 	s2, err := Open(dir, Options{Fsync: FsyncNever, SegmentBytes: 256})

@@ -11,41 +11,33 @@ import (
 	"time"
 )
 
-// recordEq compares two decoded WAL records semantically (NaN runtime
-// bit patterns compare via re-encoding, which is lossless).
+// recordEq compares two decoded records semantically (NaN runtime bit
+// patterns compare via re-encoding, which is lossless).
 func recordEq(a, b walRecord) bool {
-	if a.typ != b.typ || a.job != b.job || a.env != b.env || a.at != b.at || a.through != b.through {
+	if a.typ != b.typ || a.job != b.job || a.env != b.env || a.at != b.at || a.n != b.n {
 		return false
 	}
 	return sampleEq(a.sample, b.sample)
 }
 
-// FuzzWALRecord pins the WAL record decoder: arbitrary input must
-// either be rejected with an error or decode to a record that
-// re-encodes and re-decodes to the same value. It must never panic,
-// over-read, or over-allocate.
+// FuzzWALRecord pins the record decoder: arbitrary input must either be
+// rejected with an error or decode to a record that re-encodes and
+// re-decodes to the same value. It must never panic, over-read, or
+// over-allocate.
 func FuzzWALRecord(f *testing.F) {
-	f.Add(appendObservation(nil, "sort", "c3o", obs(1), 1_700_000_000_000_000_000))
-	f.Add(appendObservation(nil, "a", "", obs(0), -5))
-	f.Add(appendDigest(nil, "grep", "cluster-9", 12, 42))
+	f.Add(appendRecord(nil, walRecord{typ: recObservation, job: "sort", env: "c3o", at: 1_700_000_000_000_000_000, sample: obs(1)}))
+	f.Add(appendRecord(nil, walRecord{typ: recObservation, job: "a", at: -5, sample: obs(0)}))
+	f.Add(appendRecord(nil, walRecord{typ: recDigest, job: "grep", env: "cluster-9", at: 42, n: 12}))
 	f.Add([]byte{})
 	f.Add([]byte{recObservation})
 	f.Add([]byte{recDigest, 0, 0})
+	f.Add(appendRecord(nil, walRecord{typ: recDropped, job: "grep", env: "c3o", at: 42, n: 1 << 40}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := decodeRecord(data)
 		if err != nil {
 			return
 		}
-		var re []byte
-		switch r.typ {
-		case recObservation:
-			re = appendObservation(nil, r.job, r.env, r.sample, r.at)
-		case recDigest:
-			re = appendDigest(nil, r.job, r.env, r.through, r.at)
-		default:
-			t.Fatalf("decodeRecord returned unknown type %d without error", r.typ)
-		}
-		r2, err := decodeRecord(re)
+		r2, err := decodeRecord(appendRecord(nil, r))
 		if err != nil {
 			t.Fatalf("re-encoded record failed to decode: %v", err)
 		}
@@ -55,78 +47,88 @@ func FuzzWALRecord(f *testing.F) {
 	})
 }
 
-// fuzzSegmentImage builds a small, valid two-series segment for the
-// seed corpus.
-func fuzzSegmentImage() []byte {
-	series := map[seriesKey]*seriesData{}
-	var order []seriesKey
-	base := int64(1_700_000_000_000_000_000)
-	for i := 0; i < 12; i++ {
+// fuzzSnapshotImage compacts a small two-key log into a real snapshot,
+// keeping 4 observations a key: each key's frame carries a dropped
+// count, 4 observations and a digest.
+func fuzzSnapshotImage(t testing.TB) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Fsync: FsyncNever, SegmentBytes: 1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	base := time.Unix(1_700_000_000, 0)
+	for i := 0; i < 15; i++ {
 		job := "sort"
 		if i%3 == 0 {
 			job = "grep"
 		}
-		k := seriesKey{job: job, env: "c3o"}
-		sd, ok := series[k]
-		if !ok {
-			sd = &seriesData{}
-			series[k] = sd
-			order = append(order, k)
+		if err := s.AppendObservation(job, "c3o", obs(i), base.Add(time.Duration(i)*time.Second)); err != nil {
+			t.Fatalf("append: %v", err)
 		}
-		sd.add(walRecord{
-			typ: recObservation, job: k.job, env: k.env,
-			at: base + int64(i)*int64(time.Second), sample: obs(i),
-		})
 	}
-	sd := series[seriesKey{job: "sort", env: "c3o"}]
-	sd.digests = append(sd.digests, digestMark{pos: 3, at: base, through: 3})
-	img, err := encodeSegment(order, series)
-	if err != nil {
-		panic(err)
+	for _, job := range []string{"sort", "grep"} {
+		if err := s.AppendDigest(job, "c3o", 3, base); err != nil {
+			t.Fatalf("digest: %v", err)
+		}
 	}
-	return img
+	// Reopening rolls the full active segment, sealing every record.
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if s, err = Open(dir, Options{Fsync: FsyncNever, SegmentBytes: 1}); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if _, err := s.CompactNow(4); err != nil {
+		t.Fatalf("CompactNow: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	paths, _ := filepath.Glob(filepath.Join(dir, "seg", "*.seg"))
+	if len(paths) != 1 {
+		t.Fatalf("%d snapshots, want 1", len(paths))
+	}
+	return readFileT(t, paths[0])
 }
 
-// decodeSeriesFrame decodes one segment frame payload as Replay does,
-// counting the samples it carries.
-func decodeSeriesFrame(payload []byte, samples *int) error {
-	_, block, err := splitSeriesFrame(payload)
-	if err != nil {
+// decodeSnapshot scans a snapshot image and decodes its frames as
+// Replay does, returning the records of the frames that decoded.
+func decodeSnapshot(img []byte) ([]walRecord, scanResult, error) {
+	var recs []walRecord
+	res, err := scanFrames(img, "snapshot", snapMagic, maxSnapshotFrameBytes, func(frame []byte) error {
+		var err error
+		recs, err = decodeSnapshotFrame(recs, frame)
 		return err
-	}
-	return decodeSeriesBlock(block, func(ObsPoint) { *samples++ }, func(int64, int) {})
+	})
+	return recs, res, err
 }
 
-// FuzzSegment pins the compacted-segment reader. Arbitrary bytes go
-// through the frame scan with the series decode behind it, and, since
-// a mutation rarely keeps a frame's CRC intact, straight into the
-// series decode as one frame's payload too. Neither may panic, and
-// together they may allocate no more than a fixed multiple of the
-// input: a corrupt count must be refused, not allocated for.
-func FuzzSegment(f *testing.F) {
-	img := fuzzSegmentImage()
+// FuzzSnapshot pins the snapshot reader. Arbitrary bytes go through the
+// frame scan with each frame's bounded inflate, record frame scan and
+// record decode behind it, and, since a mutation rarely keeps a frame's
+// CRC intact, straight into the inflate and decodes as one frame's
+// payload too. Neither may panic, and together they may allocate no
+// more than a fixed multiple of the input: deflate inflates a byte to
+// at most 1032, and a decode holds a few words per inflated byte (a
+// record's fields, a property's strings; each needs bytes of its own).
+func FuzzSnapshot(f *testing.F) {
+	img := fuzzSnapshotImage(f)
 	f.Add(img)
 	f.Add(img[:len(img)-1])
 	flipped := append([]byte(nil), img...)
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)
-	firstLen := int(binary.LittleEndian.Uint32(img[len(segMagic):]))
-	f.Add(img[len(segMagic)+frameHeaderLen : len(segMagic)+frameHeaderLen+firstLen])
+	firstLen := int(binary.LittleEndian.Uint32(img[len(snapMagic):]))
+	f.Add(img[len(snapMagic)+frameHeaderLen : len(snapMagic)+frameHeaderLen+firstLen])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		var n int
-		_, _ = scanFrames(data, "fuzz", segMagic, maxSeriesFrameBytes, func(p []byte) error {
-			return decodeSeriesFrame(p, &n)
-		})
-		_ = decodeSeriesFrame(data, &n)
+		_, _, _ = decodeSnapshot(data)
+		_, _ = decodeSnapshotFrame(nil, data)
 		runtime.ReadMemStats(&after)
-		// Each decode may hold a few words per input byte (a sample's
-		// columns, a property set's Sample, a property's strings; each
-		// needs input bytes of its own) plus one refused property
-		// slice.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, 256*uint64(len(data))+16<<10; got > limit {
+		if got, limit := after.TotalAlloc-before.TotalAlloc, 1032*64*uint64(len(data))+256<<10; got > limit {
 			t.Fatalf("%d input bytes allocated %d bytes, over the %d limit", len(data), got, limit)
 		}
 	})
@@ -134,34 +136,27 @@ func FuzzSegment(f *testing.F) {
 
 // TestFuzzSeedsRoundTrip keeps the seed corpus honest: the canonical
 // seeds must decode successfully, not just avoid panics, and the
-// checked-in segment seed must be the current format's image.
+// checked-in snapshot seed must still be the current format.
 func TestFuzzSeedsRoundTrip(t *testing.T) {
-	p := appendObservation(nil, "sort", "c3o", obs(1), 99)
+	p := appendRecord(nil, walRecord{typ: recObservation, job: "sort", env: "c3o", at: 99, sample: obs(1)})
 	if _, err := decodeRecord(p); err != nil {
 		t.Fatalf("observation seed does not decode: %v", err)
 	}
-	img := fuzzSegmentImage()
-	n := 0
-	res, err := scanFrames(img, "seed", segMagic, maxSeriesFrameBytes, func(p []byte) error {
-		return decodeSeriesFrame(p, &n)
-	})
-	if err != nil || !res.clean() {
-		t.Fatalf("segment seed does not decode: %v, %v", err, res.tornErr)
-	}
-	if n != 12 {
-		t.Fatalf("segment seed decoded %d samples, want 12", n)
-	}
-	if !bytes.Equal(img, fuzzSegmentImage()) {
-		t.Fatal("segment image build is not deterministic")
-	}
-	corpus := readFileT(t, filepath.Join("testdata", "fuzz", "FuzzSegment", "two-series"))
+	corpus := readFileT(t, filepath.Join("testdata", "fuzz", "FuzzSnapshot", "two-series"))
 	quoted, ok := strings.CutPrefix(strings.TrimSpace(string(corpus)), "go test fuzz v1\n[]byte(")
 	seed, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
 	if !ok || err != nil {
 		t.Fatalf("testdata two-series seed is not a []byte corpus entry: %v", err)
 	}
-	if !bytes.Equal([]byte(seed), img) {
-		t.Fatal("testdata two-series seed is not fuzzSegmentImage(); regenerate the FuzzSegment corpus")
+	for name, img := range map[string][]byte{"fuzzSnapshotImage": fuzzSnapshotImage(t), "testdata two-series": []byte(seed)} {
+		recs, res, err := decodeSnapshot(img)
+		if err != nil || !res.clean() {
+			t.Fatalf("%s does not decode: %v, %v", name, err, res.tornErr)
+		}
+		// Per key: a dropped count, the 4 kept observations, a digest.
+		if len(recs) != 12 {
+			t.Fatalf("%s decoded %d records, want 12", name, len(recs))
+		}
 	}
 }
 

@@ -1,15 +1,16 @@
 // Package store is the durability layer under the serving stack: an
 // append-only write-ahead log for runtime observations, periodic
-// compaction of sealed WAL segments into immutable columnar segments
-// (framed like the WAL, one frame per series), and atomic
-// checkpointing of hot-swapped model versions. Together
-// they let a restarted node reconstruct the lifecycle and registry
-// state it crashed with: every acknowledged observation is framed and
-// CRC-protected in the WAL before ring admission, and every installed
-// model version is persisted write-temp + rename before its samples
-// are marked digested. Ring purges of shape-invalid samples are not
-// logged, so a replayed ring holds them until its next fine-tune
-// purges them again.
+// compaction of sealed WAL segments into one snapshot of what replay
+// rebuilds (each key's last ring-capacity observations, its last digest
+// and a count of the observations dropped before them, in the WAL's own
+// record format), and atomic checkpointing of hot-swapped model
+// versions. Together they let a restarted node reconstruct the
+// lifecycle and registry state it crashed with: every acknowledged
+// observation is framed and CRC-protected in the WAL before ring
+// admission, and every installed model version is persisted write-temp
+// + rename before its samples are marked digested. Ring purges of
+// shape-invalid samples are not logged, so a replayed ring (and a
+// snapshot) holds them until its next fine-tune purges them again.
 package store
 
 import (
@@ -32,6 +33,11 @@ const (
 	// the ring digested through it, reconstructing the ring's freshness
 	// instead of re-triggering fine-tunes for installed versions.
 	recDigest = 2
+	// recDropped counts a key's observations that compaction dropped
+	// because the ring no longer holds them. Only snapshots carry it,
+	// first among the key's records; replay advances the ring's ordinal
+	// by it, so later digest records name the samples they did live.
+	recDropped = 3
 )
 
 // Decode limits. Records are produced by this process, so hitting a
@@ -42,9 +48,9 @@ const (
 	maxStrLen = 4096
 	maxProps  = 256
 	maxScale  = 1 << 30
-	// maxDigestN bounds a digest's ordinal. It grows over a key's
-	// lifetime, so only what an int holds bounds it.
-	maxDigestN = math.MaxInt
+	// maxCount bounds a digest's ordinal and a dropped count. Both grow
+	// over a key's lifetime, so only what an int holds bounds them.
+	maxCount = math.MaxInt
 )
 
 // walRecord is one decoded WAL payload.
@@ -53,7 +59,9 @@ type walRecord struct {
 	job, env string
 	at       int64 // unix nanoseconds
 	sample   core.Sample
-	through  int // recDigest: the key's observations the digest consumed
+	// n is, for recDigest, the count of the key's observations the
+	// digest consumed; for recDropped, the count compaction dropped.
+	n int
 }
 
 // cursor is a bounds-checked reader over one record payload. Every
@@ -156,32 +164,35 @@ func (c *cursor) props(optional bool) ([]encoding.Property, error) {
 	return out, nil
 }
 
-// appendObservation encodes one observation payload onto dst.
-func appendObservation(dst []byte, job, env string, s core.Sample, at int64) []byte {
-	dst = append(dst, recObservation)
-	dst = binary.AppendVarint(dst, at)
-	dst = appendString(dst, job)
-	dst = appendString(dst, env)
-	dst = binary.AppendUvarint(dst, uint64(s.ScaleOut))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.RuntimeSec))
-	dst = appendProps(dst, s.Essential)
-	dst = appendProps(dst, s.Optional)
-	return dst
+// appendRecord encodes one record payload onto dst. Every record starts
+// with its type, arrival and key:
+//
+//	type   byte
+//	at     varint  unix nanoseconds (recDropped: the newest dropped
+//	               observation's)
+//	job    str
+//	env    str
+//	recObservation: uvarint scale-out | u64 runtime bits |
+//	                essential props | optional props
+//	recDigest, recDropped: uvarint n
+func appendRecord(dst []byte, r walRecord) []byte {
+	dst = append(dst, r.typ)
+	dst = binary.AppendVarint(dst, r.at)
+	dst = appendString(dst, r.job)
+	dst = appendString(dst, r.env)
+	if r.typ != recObservation {
+		return binary.AppendUvarint(dst, uint64(r.n))
+	}
+	dst = binary.AppendUvarint(dst, uint64(r.sample.ScaleOut))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.sample.RuntimeSec))
+	dst = appendProps(dst, r.sample.Essential)
+	return appendProps(dst, r.sample.Optional)
 }
 
-// appendDigest encodes one digest-marker payload onto dst.
-func appendDigest(dst []byte, job, env string, through int, at int64) []byte {
-	dst = append(dst, recDigest)
-	dst = binary.AppendVarint(dst, at)
-	dst = appendString(dst, job)
-	dst = appendString(dst, env)
-	return binary.AppendUvarint(dst, uint64(through))
-}
-
-// decodeRecord parses one WAL payload. It is strict: unknown types,
-// out-of-range values, and trailing bytes are all errors, so a frame
-// whose CRC survived corruption by chance still cannot smuggle a
-// malformed record into the rings.
+// decodeRecord parses one record payload, from the WAL or a snapshot.
+// It is strict: unknown types, out-of-range values, and trailing bytes
+// are all errors, so a frame whose CRC survived corruption by chance
+// still cannot smuggle a malformed record into the rings.
 func decodeRecord(p []byte) (walRecord, error) {
 	c := cursor{b: p}
 	var r walRecord
@@ -189,17 +200,19 @@ func decodeRecord(p []byte) (walRecord, error) {
 	if r.typ, err = c.byte(); err != nil {
 		return r, err
 	}
-	switch r.typ {
-	case recObservation:
-		if r.at, err = c.varint(); err != nil {
-			return r, err
-		}
-		if r.job, err = c.str(); err != nil {
-			return r, err
-		}
-		if r.env, err = c.str(); err != nil {
-			return r, err
-		}
+	if r.typ < recObservation || r.typ > recDropped {
+		return r, fmt.Errorf("store: unknown record type %d", r.typ)
+	}
+	if r.at, err = c.varint(); err != nil {
+		return r, err
+	}
+	if r.job, err = c.str(); err != nil {
+		return r, err
+	}
+	if r.env, err = c.str(); err != nil {
+		return r, err
+	}
+	if r.typ == recObservation {
 		scale, err := c.uvarint()
 		if err != nil {
 			return r, err
@@ -219,26 +232,15 @@ func decodeRecord(p []byte) (walRecord, error) {
 		if r.sample.Optional, err = c.props(true); err != nil {
 			return r, err
 		}
-	case recDigest:
-		if r.at, err = c.varint(); err != nil {
-			return r, err
-		}
-		if r.job, err = c.str(); err != nil {
-			return r, err
-		}
-		if r.env, err = c.str(); err != nil {
-			return r, err
-		}
-		through, err := c.uvarint()
+	} else {
+		n, err := c.uvarint()
 		if err != nil {
 			return r, err
 		}
-		if through > maxDigestN {
-			return r, fmt.Errorf("store: digest ordinal %d out of range", through)
+		if n > maxCount {
+			return r, fmt.Errorf("store: record count %d out of range", n)
 		}
-		r.through = int(through)
-	default:
-		return r, fmt.Errorf("store: unknown record type %d", r.typ)
+		r.n = int(n)
 	}
 	if c.remaining() != 0 {
 		return r, fmt.Errorf("store: %d trailing bytes after record", c.remaining())

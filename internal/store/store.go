@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,8 +56,8 @@ func (o Options) withDefaults() Options {
 // ErrCorrupt marks replay stopping early because a sealed WAL segment
 // failed validation. The store stays usable (new appends go to the
 // intact active segment); the replayed state is the longest clean
-// prefix. A damaged compacted segment does not stop replay: it is
-// counted and skipped (see segMagic).
+// prefix. A damaged snapshot does not stop replay: it is counted and
+// skipped (see snapMagic).
 var ErrCorrupt = errors.New("store: corrupt segment")
 
 // ErrClosed rejects appends after Close has sealed the WAL. During a
@@ -71,7 +70,9 @@ var ErrClosed = errors.New("store: closed")
 // directory:
 //
 //	<dir>/wal/   append-only observation log segments
-//	<dir>/seg/   immutable compacted segments, framed like the WAL
+//	<dir>/seg/   the compacted snapshot: per key, what replay rebuilds
+//	             its ring from, in WAL records (see snapMagic); one
+//	             file, but for a crash mid-compaction
 //	<dir>/ckpt/  atomic model-version checkpoints
 //
 // Open repairs the WAL tail; Replay streams the persisted history (in
@@ -86,11 +87,11 @@ type Store struct {
 	opts    Options
 	w       *wal
 
-	mu   sync.Mutex // guards segs and compaction
-	segs []uint64   // walLast of each trusted compacted segment, ascending
-	// nsegs mirrors len(segs) so StoreStats never waits on a running
-	// compaction.
-	nsegs atomic.Int64
+	mu sync.Mutex // serializes compactions
+	// walLast names the trusted snapshot by the last WAL sequence it
+	// covers (0: none). Compaction sets it under mu; StoreStats reads
+	// it without waiting on a running compaction.
+	walLast atomic.Uint64
 
 	repairedBytes    atomic.Int64
 	replayedObs      atomic.Int64
@@ -107,12 +108,12 @@ type Store struct {
 }
 
 // Open prepares the data directory: creates the layout, removes
-// leftover temp files, scans every compacted segment, deletes WAL
-// segments already covered by a clean one (a crash between segment
-// publish and WAL deletion leaves both), repairs the newest WAL
-// segment's torn tail, and opens the active segment for appending. It
-// does not deliver the history — call Replay for that, before serving
-// traffic.
+// leftover temp files, trusts the newest snapshot that scans clean,
+// deletes the WAL segments and older snapshots it supersedes (a crash
+// between a snapshot's publish and those deletions leaves them),
+// repairs the newest WAL segment's torn tail, and opens the active
+// segment for appending. It does not deliver the history — call Replay
+// for that, before serving traffic.
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:     dir,
@@ -131,56 +132,34 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	// Scan compacted segments; the clean ones' coverage determines
-	// which WAL segments are stale leftovers. ReadDir sorts by name, and
-	// segName's fixed-width hex sorts by walLast.
-	segEntries, err := os.ReadDir(s.segDir)
-	if err != nil {
-		return nil, fmt.Errorf("store: listing segment dir: %w", err)
-	}
-	var maxCovered uint64
-	for _, e := range segEntries {
-		walLast, ok := parseSegName(e.Name())
-		if !ok {
-			continue
-		}
-		res, err := scanFile(filepath.Join(s.segDir, e.Name()), segMagic, maxSeriesFrameBytes, nil)
-		if err == nil {
-			err = res.tornErr
-		}
-		if err != nil {
-			// A published segment that does not scan clean is bit rot
-			// (or a v1 file); counted and skipped so the store stays
-			// available. Its records are unrecoverable (the WAL that
-			// fed it is gone), and no WAL segment is deleted on its
-			// account.
-			s.corruptSegments.Add(1)
-			s.opts.Logger.Error("store: skipping corrupt compacted segment",
-				"segment", e.Name(), "error", err)
-			continue
-		}
-		s.segs = append(s.segs, walLast)
-		maxCovered = walLast
-	}
-	s.nsegs.Store(int64(len(s.segs)))
-
-	seqs, err := listWALSegments(s.walDir)
+	snaps, err := listSeqs(s.segDir, segExt)
 	if err != nil {
 		return nil, err
 	}
-	live := seqs[:0]
-	for _, seq := range seqs {
-		if seq <= maxCovered {
-			// Compaction finished but crashed before deleting this
-			// input; its records live in a compacted segment already.
-			if err := os.Remove(filepath.Join(s.walDir, walName(seq))); err != nil {
-				return nil, fmt.Errorf("store: removing compacted WAL segment: %w", err)
-			}
-			continue
+	for i := len(snaps) - 1; i >= 0; i-- {
+		res, err := scanFile(filepath.Join(s.segDir, segName(snaps[i])), snapMagic, maxSnapshotFrameBytes, nil)
+		if err == nil {
+			err = res.tornErr
 		}
-		live = append(live, seq)
+		if err == nil {
+			s.walLast.Store(snaps[i])
+			break
+		}
+		// A published snapshot that does not scan clean is bit rot (or
+		// an older format); counted and skipped so the store stays
+		// available. Its records are unrecoverable if the WAL that fed
+		// it is gone, and no WAL segment is deleted on its account.
+		s.corruptSegments.Add(1)
+		s.opts.Logger.Error("store: skipping corrupt snapshot",
+			"segment", segName(snaps[i]), "error", err)
 	}
-	seqs = live
+	if err := s.removeCovered(); err != nil {
+		return nil, err
+	}
+	seqs, err := listSeqs(s.walDir, walExt)
+	if err != nil {
+		return nil, err
+	}
 
 	s.w = &wal{
 		dir:      s.walDir,
@@ -188,7 +167,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		segBytes: s.opts.SegmentBytes,
 		log:      s.opts.Logger,
 	}
-	activeSeq := maxCovered + 1
+	// New segments are numbered above every snapshot, corrupt ones
+	// included, so the next compaction supersedes them all.
+	activeSeq := uint64(1)
+	if n := len(snaps); n > 0 {
+		activeSeq = snaps[n-1] + 1
+	}
 	var activeSize int64
 	if n := len(seqs); n > 0 {
 		// Repair the newest segment: truncate everything after the
@@ -226,6 +210,45 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
+// removeCovered deletes what the trusted snapshot supersedes: the WAL
+// segments it covers and every older snapshot. A crash, or a failed
+// remove, between a snapshot's publish and these deletions leaves some
+// of them behind; Open and the next compaction try again, and nothing
+// reads them meanwhile.
+func (s *Store) removeCovered() error {
+	walLast := s.walLast.Load()
+	if walLast == 0 {
+		return nil
+	}
+	if err := removeSeqs(s.walDir, walExt, walLast); err != nil {
+		return err
+	}
+	return removeSeqs(s.segDir, segExt, walLast-1)
+}
+
+// removeSeqs deletes dir's files named by seqName with extension ext
+// up to sequence last, then syncs dir if it deleted any.
+func removeSeqs(dir, ext string, last uint64) error {
+	seqs, err := listSeqs(dir, ext)
+	if err != nil {
+		return err
+	}
+	removed := false
+	for _, seq := range seqs {
+		if seq > last {
+			break
+		}
+		if err := os.Remove(filepath.Join(dir, seqName(seq, ext))); err != nil {
+			return fmt.Errorf("store: removing superseded %s: %w", seqName(seq, ext), err)
+		}
+		removed = true
+	}
+	if !removed {
+		return nil
+	}
+	return syncDir(dir)
+}
+
 func removeTempFiles(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -241,80 +264,44 @@ func removeTempFiles(dir string) error {
 	return nil
 }
 
-// ReplayHandler receives the persisted history during Replay. Either
+// ReplayHandler receives the persisted history during Replay. Any
 // callback may be nil. Observations of one key arrive in ingestion
-// order, interleaved with that key's digest markers exactly where they
-// occurred; ordering across keys is not preserved once records have
-// been compacted.
+// order. The snapshot comes first, key by key: a key's dropped count if
+// compaction dropped any, its kept observations, then its last digest
+// marker, its ordinal capped at the observations seen before it. The
+// WAL follows in its global order, digest markers exactly where they
+// occurred.
 type ReplayHandler struct {
 	Observation func(job, env string, s core.Sample, at time.Time)
 	Digest      func(job, env string, through int, at time.Time)
+	// Dropped delivers the count of a key's observations that
+	// compaction dropped because the ring no longer held them: the
+	// ring's ordinal counts them, its slots do not.
+	Dropped func(job, env string, n int)
 }
 
-// Replay streams every persisted record — compacted segments first,
-// then the remaining WAL segments in sequence order — into h. Call it
-// once, after Open and before appending traffic. A compacted segment
-// that fails now (Open scanned it clean, so only damage since then or
-// a block its CRC could not catch) is counted corrupt and the rest of
-// it skipped. If a sealed WAL segment fails validation, replay stops
-// at the last clean prefix and the returned error wraps ErrCorrupt;
-// the store remains usable.
+// Replay streams every persisted record — the snapshot first, then the
+// remaining WAL segments in sequence order — into h. Call it once,
+// after Open and before appending traffic. A snapshot that fails now
+// (Open scanned it clean, so only damage since then or a frame its CRC
+// could not catch) is counted corrupt and the rest of it skipped. If a
+// sealed WAL segment fails validation, replay stops at the last clean
+// prefix and the returned error wraps ErrCorrupt; the store remains
+// usable.
 func (s *Store) Replay(h ReplayHandler) error {
-	s.mu.Lock()
-	segs := slices.Clone(s.segs)
-	s.mu.Unlock()
-	for _, walLast := range segs {
-		res, err := scanFile(filepath.Join(s.segDir, segName(walLast)), segMagic, maxSeriesFrameBytes, func(payload []byte) error {
-			k, block, err := splitSeriesFrame(payload)
-			if err != nil {
-				return err
-			}
-			return decodeSeriesBlock(block,
-				func(p ObsPoint) {
-					s.replayedObs.Add(1)
-					if h.Observation != nil {
-						h.Observation(k.job, k.env, p.Sample, p.At)
-					}
-				},
-				func(at int64, through int) {
-					s.replayedDigests.Add(1)
-					if h.Digest != nil {
-						h.Digest(k.job, k.env, through, time.Unix(0, at))
-					}
-				})
-		})
-		if err == nil {
-			err = res.tornErr
-		}
-		if err != nil {
-			s.corruptSegments.Add(1)
-			s.opts.Logger.Error("store: replay skipped the rest of a corrupt compacted segment",
-				"segment", segName(walLast), "error", err)
-		}
-	}
-	seqs, err := listWALSegments(s.walDir)
+	// A failure is counted and logged there; the WAL replays anyway.
+	_ = s.eachSnapshotRecord(func(r walRecord) { s.deliver(h, r) })
+	seqs, err := listSeqs(s.walDir, walExt)
 	if err != nil {
 		return err
 	}
 	for _, seq := range seqs {
 		res, err := scanFile(filepath.Join(s.walDir, walName(seq)), walMagic, maxRecordBytes, func(payload []byte) error {
 			r, err := decodeRecord(payload)
-			if err != nil {
-				return err
+			if err == nil {
+				s.deliver(h, r)
 			}
-			switch r.typ {
-			case recObservation:
-				s.replayedObs.Add(1)
-				if h.Observation != nil {
-					h.Observation(r.job, r.env, r.sample, time.Unix(0, r.at))
-				}
-			case recDigest:
-				s.replayedDigests.Add(1)
-				if h.Digest != nil {
-					h.Digest(r.job, r.env, r.through, time.Unix(0, r.at))
-				}
-			}
-			return nil
+			return err
 		})
 		if err != nil {
 			// A framed record with a valid CRC that fails decode is
@@ -337,12 +324,31 @@ func (s *Store) Replay(h ReplayHandler) error {
 	return nil
 }
 
+// deliver hands one replayed record to its callback.
+func (s *Store) deliver(h ReplayHandler, r walRecord) {
+	switch r.typ {
+	case recObservation:
+		s.replayedObs.Add(1)
+		if h.Observation != nil {
+			h.Observation(r.job, r.env, r.sample, time.Unix(0, r.at))
+		}
+	case recDigest:
+		s.replayedDigests.Add(1)
+		if h.Digest != nil {
+			h.Digest(r.job, r.env, r.n, time.Unix(0, r.at))
+		}
+	case recDropped:
+		if h.Dropped != nil {
+			h.Dropped(r.job, r.env, r.n)
+		}
+	}
+}
+
 // AppendObservation durably logs one observation before the caller
 // admits it anywhere else. Under FsyncAlways, return means the record
 // survives kill -9.
 func (s *Store) AppendObservation(job, env string, sample core.Sample, at time.Time) error {
-	payload := appendObservation(nil, job, env, sample, at.UnixNano())
-	return s.w.append(payload)
+	return s.w.append(appendRecord(nil, walRecord{typ: recObservation, job: job, env: env, at: at.UnixNano(), sample: sample}))
 }
 
 // AppendDigest logs that an installed (and checkpointed) model version
@@ -350,96 +356,83 @@ func (s *Store) AppendObservation(job, env string, sample core.Sample, at time.T
 // key's observations the fine-tune's take consumed. Replay restores
 // the ring's freshness from it instead of re-triggering the fine-tune.
 func (s *Store) AppendDigest(job, env string, through int, at time.Time) error {
-	payload := appendDigest(nil, job, env, through, at.UnixNano())
-	return s.w.append(payload)
+	return s.w.append(appendRecord(nil, walRecord{typ: recDigest, job: job, env: env, at: at.UnixNano(), n: through}))
 }
 
-// CompactNow seals nothing but compacts every already-sealed WAL
-// segment into one immutable compacted segment, then deletes the
-// inputs.
-// It reports how many records were compacted (0 when no sealed
-// segments exist). Safe to call concurrently with appends; not with
-// Replay.
-func (s *Store) CompactNow() (int, error) {
+// CompactNow seals nothing but compacts the current snapshot and every
+// sealed WAL segment after it into one new snapshot that keeps, per
+// key, the last keep observations (the ring capacity replay fills), the
+// last digest and the count of the observations it dropped, then
+// deletes what the new snapshot supersedes. It reports how many WAL
+// records were compacted (0 when no sealed segments exist). Safe to
+// call concurrently with appends; not with Replay.
+func (s *Store) CompactNow(keep int) (int, error) {
+	if keep < 1 {
+		return 0, fmt.Errorf("store: compaction keeps %d observations a key, want at least 1", keep)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	active := s.w.activeSeq()
-	seqs, err := listWALSegments(s.walDir)
+	// Only segments after the snapshot are inputs: one an earlier
+	// compaction failed to delete is covered, and never read again.
+	covered, active := s.walLast.Load(), s.w.activeSeq()
+	seqs, err := listSeqs(s.walDir, walExt)
 	if err != nil {
 		return 0, err
 	}
-	var sealed []uint64
+	var inputs []uint64
 	for _, seq := range seqs {
-		if seq < active {
-			sealed = append(sealed, seq)
+		if seq > covered && seq < active {
+			inputs = append(inputs, seq)
 		}
 	}
-	if len(sealed) == 0 {
+	if len(inputs) == 0 {
 		return 0, nil
 	}
-	series := map[seriesKey]*seriesData{}
-	var order []seriesKey
+	b := newTailSet(keep)
+	if err := s.eachSnapshotRecord(b.add); err != nil {
+		return 0, fmt.Errorf("store: compaction aborted: %w", err)
+	}
 	records := 0
-	for _, seq := range sealed {
+	for _, seq := range inputs {
 		res, err := scanFile(filepath.Join(s.walDir, walName(seq)), walMagic, maxRecordBytes, func(payload []byte) error {
 			r, err := decodeRecord(payload)
-			if err != nil {
-				return err
+			if err == nil {
+				b.add(r)
+				records++
 			}
-			k := seriesKey{job: r.job, env: r.env}
-			sd, ok := series[k]
-			if !ok {
-				sd = &seriesData{}
-				series[k] = sd
-				order = append(order, k)
-			}
-			switch r.typ {
-			case recObservation:
-				sd.add(r)
-			case recDigest:
-				sd.digests = append(sd.digests, digestMark{pos: len(sd.at), at: r.at, through: r.through})
-			}
-			records++
-			return nil
+			return err
 		})
-		if err != nil || !res.clean() {
+		if err == nil {
+			err = res.tornErr
+		}
+		if err != nil {
 			// Never compact past damage: the WAL stays as-is so Replay
 			// can surface the fault.
 			s.corruptSegments.Add(1)
-			if err == nil {
-				err = res.tornErr
-			}
 			return 0, fmt.Errorf("store: compaction aborted: %w", err)
 		}
 	}
-	img, err := encodeSegment(order, series)
+	img, err := b.encode()
 	if err != nil {
 		return 0, err
 	}
-	walLast := sealed[len(sealed)-1]
+	walLast := inputs[len(inputs)-1]
 	if err := publishFile(filepath.Join(s.segDir, segName(walLast)), img); err != nil {
 		return 0, err
 	}
-	// The segment is durable: the WAL inputs are redundant now.
-	for _, seq := range sealed {
-		if err := os.Remove(filepath.Join(s.walDir, walName(seq))); err != nil {
-			return 0, fmt.Errorf("store: removing compacted WAL segment: %w", err)
-		}
-	}
-	if err := syncDir(s.walDir); err != nil {
-		return 0, err
-	}
-	s.segs = append(s.segs, walLast)
-	s.nsegs.Store(int64(len(s.segs)))
+	// The snapshot is durable: what it supersedes, leftovers of earlier
+	// compactions included, is redundant now.
+	s.walLast.Store(walLast)
 	s.compactions.Add(1)
 	s.compactedRecords.Add(int64(records))
 	s.opts.Logger.Info("store: compacted WAL segments",
-		"records", records, "segments", len(sealed), "output", segName(walLast), "bytes", len(img))
-	return records, nil
+		"records", records, "segments", len(inputs), "keys", len(b.order), "output", segName(walLast), "bytes", len(img))
+	return records, s.removeCovered()
 }
 
-// Start launches the background compaction loop. Stop it with Close.
-func (s *Store) Start() {
+// Start launches the background compaction loop, which keeps keep
+// observations a key (see CompactNow). Stop it with Close.
+func (s *Store) Start(keep int) {
 	s.startOnce.Do(func() {
 		go func() {
 			defer close(s.done)
@@ -452,7 +445,7 @@ func (s *Store) Start() {
 				case <-t.C:
 					// Best effort: a failed compaction leaves the WAL
 					// in place and is retried next tick.
-					_, _ = s.CompactNow()
+					_, _ = s.CompactNow(keep)
 				}
 			}
 		}()
@@ -470,7 +463,11 @@ func (s *Store) Close() error {
 // StoreStats snapshots the counters as the "store" block of /v1/stats
 // (named to satisfy the serve layer's StoreStatser without a wrapper).
 func (s *Store) StoreStats() api.StoreStats {
-	seqs, _ := listWALSegments(s.walDir)
+	seqs, _ := listSeqs(s.walDir, walExt)
+	snapshots := 0
+	if s.walLast.Load() != 0 {
+		snapshots = 1
+	}
 	return api.StoreStats{
 		WALAppends:           s.w.appends.Load(),
 		WALAppendedBytes:     s.w.appendedBytes.Load(),
@@ -483,7 +480,7 @@ func (s *Store) StoreStats() api.StoreStats {
 		CorruptSegments:      s.corruptSegments.Load(),
 		Compactions:          s.compactions.Load(),
 		CompactedRecords:     s.compactedRecords.Load(),
-		CompactSegments:      int(s.nsegs.Load()),
+		CompactSegments:      snapshots,
 		Checkpoints:          s.checkpoints.Load(),
 		CheckpointErrors:     s.checkpointErrors.Load(),
 		CheckpointLoads:      s.checkpointLoads.Load(),

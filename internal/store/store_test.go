@@ -47,9 +47,15 @@ func sampleEq(a, b core.Sample) bool {
 	return true
 }
 
+// obsPoint is one replayed observation.
+type obsPoint struct {
+	At     time.Time
+	Sample core.Sample
+}
+
 // replayed collects one Replay pass.
 type replayed struct {
-	obs     []ObsPoint
+	obs     []obsPoint
 	keys    []string
 	digests []int
 }
@@ -59,7 +65,7 @@ func replayAll(t *testing.T, s *Store) *replayed {
 	r := &replayed{}
 	err := s.Replay(ReplayHandler{
 		Observation: func(job, env string, smp core.Sample, at time.Time) {
-			r.obs = append(r.obs, ObsPoint{At: at, Sample: smp})
+			r.obs = append(r.obs, obsPoint{At: at, Sample: smp})
 			r.keys = append(r.keys, job+"@"+env)
 		},
 		Digest: func(job, env string, through int, at time.Time) {
@@ -75,7 +81,7 @@ func replayAll(t *testing.T, s *Store) *replayed {
 func TestRecordRoundTrip(t *testing.T) {
 	at := time.Now().UnixNano()
 	s := obs(3)
-	p := appendObservation(nil, "sort", "c3o", s, at)
+	p := appendRecord(nil, walRecord{typ: recObservation, job: "sort", env: "c3o", at: at, sample: s})
 	r, err := decodeRecord(p)
 	if err != nil {
 		t.Fatalf("decodeRecord: %v", err)
@@ -83,13 +89,15 @@ func TestRecordRoundTrip(t *testing.T) {
 	if r.typ != recObservation || r.job != "sort" || r.env != "c3o" || r.at != at || !sampleEq(r.sample, s) {
 		t.Fatalf("round trip mismatch: %+v", r)
 	}
-	d := appendDigest(nil, "grep", "", 12, at)
-	rd, err := decodeRecord(d)
-	if err != nil {
-		t.Fatalf("decodeRecord digest: %v", err)
-	}
-	if rd.typ != recDigest || rd.job != "grep" || rd.env != "" || rd.through != 12 {
-		t.Fatalf("digest round trip mismatch: %+v", rd)
+	for _, typ := range []byte{recDigest, recDropped} {
+		want := walRecord{typ: typ, job: "grep", at: at, n: 12}
+		rd, err := decodeRecord(appendRecord(nil, want))
+		if err != nil {
+			t.Fatalf("decodeRecord type %d: %v", typ, err)
+		}
+		if !recordEq(rd, want) {
+			t.Fatalf("type %d round trip = %+v, want %+v", typ, rd, want)
+		}
 	}
 	// Strictness: truncations of a valid record must all error.
 	for i := 0; i < len(p); i++ {
@@ -177,7 +185,7 @@ func TestWALSegmentRollAndCompact(t *testing.T) {
 	if s.w.activeSeq() < 3 {
 		t.Fatalf("expected several rolled segments, active seq = %d", s.w.activeSeq())
 	}
-	records, err := s.CompactNow()
+	records, err := s.CompactNow(256)
 	if err != nil {
 		t.Fatalf("CompactNow: %v", err)
 	}
@@ -188,9 +196,9 @@ func TestWALSegmentRollAndCompact(t *testing.T) {
 	if st.Compactions != 1 || st.CompactSegments != 1 {
 		t.Fatalf("stats after compaction = %+v", st)
 	}
-	// One key's points, from the compacted segment plus the residual
-	// WAL, in ingestion order.
-	var pts []ObsPoint
+	// One key's points, from the snapshot plus the residual WAL, in
+	// ingestion order.
+	var pts []obsPoint
 	live := replayAll(t, s)
 	for i, k := range live.keys {
 		if k == "grep@c3o" {
@@ -220,8 +228,8 @@ func TestWALSegmentRollAndCompact(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Restart: compacted segments and the residual WAL replay as one
-	// stream, per-key order intact, nothing lost or doubled.
+	// Restart: the snapshot and the residual WAL replay as one stream,
+	// per-key order intact, nothing lost or doubled.
 	s2, err := Open(dir, Options{Fsync: FsyncNever, SegmentBytes: 512})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -235,7 +243,7 @@ func TestWALSegmentRollAndCompact(t *testing.T) {
 		t.Fatalf("digests = %v, want [80]", r.digests)
 	}
 	// Per-key ordering: each key's samples must appear in ingestion
-	// order even though compaction grouped them by series.
+	// order even though compaction grouped them by key.
 	next := map[string]int{"sort@c3o": 1, "grep@c3o": 0}
 	step := map[string]int{"sort@c3o": 0, "grep@c3o": 0}
 	for i, p := range r.obs {
@@ -293,10 +301,10 @@ func TestCompactionIdempotentAfterCrash(t *testing.T) {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	// Snapshot the sealed WAL files, compact, then restore the inputs:
-	// this is exactly the on-disk state after a crash between segment
+	// Save the sealed WAL files, compact, then restore the inputs: this
+	// is exactly the on-disk state after a crash between snapshot
 	// publish and WAL deletion.
-	seqs, err := listWALSegments(s.walDir)
+	seqs, err := listSeqs(s.walDir, walExt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +318,7 @@ func TestCompactionIdempotentAfterCrash(t *testing.T) {
 	if len(saved) == 0 {
 		t.Fatal("no sealed segments to compact")
 	}
-	if _, err := s.CompactNow(); err != nil {
+	if _, err := s.CompactNow(256); err != nil {
 		t.Fatalf("CompactNow: %v", err)
 	}
 	if err := s.Close(); err != nil {

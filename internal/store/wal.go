@@ -7,7 +7,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,15 +65,16 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // format version.
 var walMagic = []byte{'B', 'W', 'A', 'L', 1, 0, 0, 0}
 
-// Frame layout, shared by WAL segments and compacted segments: after
-// the file's 8-byte magic, a run of frames
+// Frame layout, shared by WAL segments, snapshots and the records
+// inside a snapshot frame: after the file's 8-byte magic (none inside a
+// frame), a run of frames
 //
 //	length   u32 LE   payload bytes
 //	crc      u32 LE   CRC32C of the payload
 //	payload
 //
 // appendFrame is the one encoder and scanFrames the one reader; the
-// file kinds differ only in magic, payload, and frame bound.
+// kinds differ only in magic, payload, and frame bound.
 const (
 	walHeaderLen   = 8
 	frameHeaderLen = 8
@@ -86,21 +87,18 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// walName renders a segment sequence number as its file name.
-func walName(seq uint64) string { return fmt.Sprintf("%016x.wal", seq) }
+// File extensions of WAL segments and snapshots. Both are named for a
+// WAL sequence number in fixed-width hex, so names sort by sequence.
+const (
+	walExt = ".wal"
+	segExt = ".seg"
+)
 
-// parseWALName inverts walName.
-func parseWALName(name string) (uint64, bool) {
-	base, ok := strings.CutSuffix(name, ".wal")
-	if !ok || len(base) != 16 {
-		return 0, false
-	}
-	seq, err := strconv.ParseUint(base, 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
-}
+// seqName renders a sequence number as a file name with extension ext.
+func seqName(seq uint64, ext string) string { return fmt.Sprintf("%016x%s", seq, ext) }
+
+// walName renders a segment sequence number as its file name.
+func walName(seq uint64) string { return seqName(seq, walExt) }
 
 // wal is the segmented append-only log. One file at a time is active;
 // appends that would push it past segBytes seal it (sync + close) and
@@ -257,20 +255,24 @@ func (w *wal) close() error {
 	return nil
 }
 
-// listWALSegments returns the segment sequence numbers present in dir,
-// ascending.
-func listWALSegments(dir string) ([]uint64, error) {
+// listSeqs returns the sequence numbers of the files in dir named by
+// seqName with extension ext, ascending.
+func listSeqs(dir, ext string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: listing WAL dir: %w", err)
+		return nil, fmt.Errorf("store: listing %s: %w", dir, err)
 	}
 	var seqs []uint64
 	for _, e := range entries {
-		if seq, ok := parseWALName(e.Name()); ok {
+		base, ok := strings.CutSuffix(e.Name(), ext)
+		if !ok || len(base) != 16 {
+			continue
+		}
+		if seq, err := strconv.ParseUint(base, 16, 64); err == nil {
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	return seqs, nil
 }
 
@@ -351,7 +353,7 @@ func scanFrames(b []byte, name string, magic []byte, limit int64, fn func(payloa
 // publishFile atomically replaces path with buf: write a temp file,
 // fsync it, rename it over path, fsync the directory. A crash at any
 // point leaves either the previous file (plus a .tmp that Open
-// deletes) or the complete new one, never a torn path. Segments and
+// deletes) or the complete new one, never a torn path. Snapshots and
 // checkpoints are published this way whatever the fsync policy.
 func publishFile(path string, buf []byte) error {
 	tmp := path + ".tmp"
